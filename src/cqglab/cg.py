@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Element, HopfAlgebraSpec, LinearFunctional, multiply
-from .corep import Corepresentation, IrrepTable
+from .corep import Corepresentation, IrrepTable, morphism_space
 from .errors import (LinearDependenceWarning, MultiplicityMismatch,
                      NonIntegerMultiplicity, SingularC)
 from .regular import BasisFunctionSet
@@ -67,8 +67,8 @@ def character_orthogonality(chi_p: Character, chi_q: Character, h: LinearFunctio
     rev = _h_product(h, chi_q.element, chi_p.element.star())
     report = Report(f"character orthogonality [{chi_p.source} vs {chi_q.source}]")
     t = tol * chi_p.algebra.magnitude
-    report.add("forward", abs(fwd - expected), t, value=fwd)
-    report.add("reversed", abs(rev - expected), t, value=rev)
+    report.add("forward", abs(fwd - expected), t, value=[fwd.real, fwd.imag])
+    report.add("reversed", abs(rev - expected), t, value=[rev.real, rev.imag])
     return report
 
 
@@ -160,36 +160,15 @@ class CGSystem:
         return complex(self.Cinv[self.col(r_label, alpha, ell), self.row(j, k)])
 
 
-def _intertwiner_blocks(big: Corepresentation, target: Corepresentation,
-                        rcond: float = 1e-9) -> list[np.ndarray]:
-    """Basis of ``{B : big B = B target}`` (columns map the target carrier in).
-
-    Blocks are orthonormalized in the trace inner product and phase-fixed by
-    the first nonzero entry scanned in row-major order.
-    """
-    from .corep import morphism_space
-    raw = morphism_space(target, big, rcond=rcond)  # maps target -> big
-    if not raw:
-        return []
-    flat = np.array([b.flatten() for b in raw])
-    q, _ = np.linalg.qr(flat.T)
-    blocks = []
-    for i in range(q.shape[1]):
-        vec = q[:, i]
-        nz = np.flatnonzero(np.abs(vec) > 1e-12)
-        vec = vec * (np.abs(vec[nz[0]]) / vec[nz[0]])
-        blocks.append(vec.reshape(raw[0].shape))
-    return blocks
-
-
 def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
              h: LinearFunctional, tol: float = 1e-9) -> CGSystem:
     """Assemble the full CG matrix for ``pi_p (x) pi_q`` against a table.
 
     For each table irreducible ``r`` with nonzero fusion multiplicity the
-    intertwiner equation is solved as a linear system; the blocks are stacked
-    into a square ``C`` whose inverse block-diagonalizes the product
-    corepresentation.  Raises ``MultiplicityMismatch`` when the solution-space
+    blocks are the basis of ``Hom(pi^r, pi_p (x) pi_q)`` that
+    :func:`cqglab.corep.morphism_space` returns (solved by
+    :func:`cqglab.corep.intertwiners`); they are stacked into a square ``C``
+    whose inverse block-diagonalizes the product corepresentation.  Raises ``MultiplicityMismatch`` when the solution-space
     dimension disagrees with the character count and ``SingularC`` when the
     assembled matrix is not invertible.
     """
@@ -201,7 +180,7 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
     mults: dict[str, int] = {}
     for label, target in zip(table.labels, table.irreps):
         expected = multiplicity_in(chi_big, character(target), h)
-        blocks = _intertwiner_blocks(big, target)
+        blocks = morphism_space(target, big)  # d_big x d_target, orthonormal
         if len(blocks) != expected:
             raise MultiplicityMismatch(
                 f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "

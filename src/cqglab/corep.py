@@ -34,6 +34,7 @@ __all__ = [
     "identity_corep",
     "verify_corep",
     "check_unitary",
+    "intertwiners",
     "morphism_space",
     "are_equivalent",
     "is_irreducible",
@@ -129,31 +130,40 @@ def check_unitary(pi: Corepresentation, tol: float = 1e-9) -> Report:
     return report
 
 
+def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, rcond: float = 1e-9,
+                 scale: float = 0.0) -> list[np.ndarray]:
+    """Basis of ``Hom(V, W) = {Phi : Phi V = W Phi}`` for two coaction tensors.
+
+    ``coact_v`` (``d_V x d_V x n``) and ``coact_w`` (``d_W x d_W x n``) are in
+    matrix-coefficient form, ``coact[j, k]`` being the coefficient vector of
+    the ``(j, k)`` entry.  The equation is entrywise in the algebra,
+    ``sum_l Phi[j,l] V[l,k] = sum_l W[j,l] Phi[l,k]``, with rows indexed by
+    ``(j, k, m)`` and unknowns ``Phi[a, b]``.  Every solution space of the
+    package is one of these: intertwiners, CG blocks, tensor-operator
+    families (``W = End(A)``), restricted basis functions (``W = B``) and
+    restricted families (``W = End(B)``).  Returns ``d_W x d_V`` matrices,
+    orthonormal as vectors and phase-fixed as in :func:`_nullspace`.
+    """
+    dv, dw, n = coact_v.shape[0], coact_w.shape[0], coact_v.shape[2]
+    mat = np.einsum("ja,bkm->jkmab", np.eye(dw, dtype=complex), coact_v)
+    mat -= np.einsum("jam,bk->jkmab", coact_w, np.eye(dv))
+    basis = _nullspace(mat.reshape(dw * dv * n, dw * dv), rcond, scale=scale)
+    return [vec.reshape(dw, dv) for vec in basis]
+
+
 def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
                    rcond: float = 1e-9) -> list[np.ndarray]:
     """Basis of the intertwiner space ``{Phi : Phi pi_V = pi_W Phi}``.
 
-    The equation is entrywise in the algebra: ``sum_l Phi[j,l] piV[l,k] =
-    sum_l piW[j,l] Phi[l,k]`` for all ``j, k``.  Returns a list of
-    ``d_W x d_V`` matrices (orthonormal as vectors).
+    Solved by :func:`intertwiners` on the two coefficient arrays.  Returns a
+    list of ``d_W x d_V`` matrices (orthonormal as vectors).
     """
     if pi_v.algebra is not pi_w.algebra:
         # allow equal specs of separate construction
         from .algebra import _same_spec
         _same_spec(pi_v, pi_w)
-    dv, dw, n = pi_v.dim, pi_w.dim, pi_v.algebra.dim
-    # rows: (j over d_W, k over d_V, m over n); columns: Phi[a, b] flattened
-    mat = np.zeros((dw * dv * n, dw * dv), dtype=complex)
-    for j in range(dw):
-        for k in range(dv):
-            row = (j * dv + k) * n
-            for l in range(dv):
-                mat[row:row + n, j * dv + l] += pi_v.coeffs[l, k]
-            for l in range(dw):
-                mat[row:row + n, l * dv + k] -= pi_w.coeffs[j, l]
     scale = max(float(np.abs(pi_v.coeffs).max()), float(np.abs(pi_w.coeffs).max()))
-    basis = _nullspace(mat, rcond, scale=scale)
-    return [vec.reshape(dw, dv) for vec in basis]
+    return intertwiners(pi_v.coeffs, pi_w.coeffs, rcond, scale)
 
 
 def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
@@ -162,11 +172,13 @@ def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
 
     Singular values are cut at ``rcond * max(sigma_max, scale)``; the absolute
     ``scale`` floor keeps an all-zero system (everything in the nullspace) from
-    being read as full-rank noise.
+    being read as full-rank noise.  The SVD is thin: intertwiner systems are
+    tall (``n`` rows per unknown), so ``vh`` already holds every right
+    singular vector and the full ``U`` would only cost memory.
     """
     if mat.size == 0:
         return []
-    u, sigma, vh = np.linalg.svd(mat)
+    _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
     top = float(sigma[0]) if sigma.size else 0.0
     thresh = rcond * max(top, scale, 1e-300)
     rank = int(np.sum(sigma > thresh))

@@ -65,11 +65,15 @@ class GramPair:
         return complex(np.conj(a) @ self.gram(side) @ b)
 
 
-def _min_eig_check(matrix: np.ndarray, what: str) -> tuple[float, float]:
-    """Return (hermiticity residual, smallest eigenvalue of the Hermitian part)."""
+def positivity(matrix: np.ndarray) -> tuple[float, float, float]:
+    """Hermiticity residual, smallest eigenvalue of the Hermitian part, and the
+    positive-definiteness floor ``PD_RELATIVE_FLOOR * max |eig|``, from one
+    ``eigvalsh`` call.  The matrix is positive definite when the smallest
+    eigenvalue exceeds the floor."""
     herm_res = float(np.abs(matrix - matrix.conj().T).max())
     eigs = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-    return herm_res, float(eigs[0])
+    floor = PD_RELATIVE_FLOOR * max(float(np.abs(eigs).max()), 1e-30)
+    return herm_res, float(eigs[0]), floor
 
 
 def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
@@ -110,9 +114,8 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
 
     fun = HaarFunctional(alg, h)
     gram = np.einsum("ju,ukl,l->jk", np.conj(alg.star), alg.mult, h)
-    herm_res, min_eig = _min_eig_check(gram, "gram")
-    max_eig = float(np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)).max())
-    if herm_res > tol * alg.magnitude or min_eig <= PD_RELATIVE_FLOOR * max(max_eig, 1e-30):
+    herm_res, min_eig, floor = positivity(gram)
+    if herm_res > tol * alg.magnitude or min_eig <= floor:
         raise PositivityFailure(
             f"right Gram matrix of {alg.label!r} is not positive definite "
             f"(hermiticity {herm_res:.2e}, min eig {min_eig:.2e})")
@@ -136,10 +139,8 @@ def certify_haar(h: HaarFunctional, tol: float = 1e-9) -> Report:
     # h(S(a)) = h(a)
     report.add("antipode invariance", float(np.abs(alg.antipode @ cov - cov).max()), t)
     gram = np.einsum("ju,ukl,l->jk", np.conj(alg.star), alg.mult, cov)
-    herm_res, min_eig = _min_eig_check(gram, "gram")
+    herm_res, min_eig, floor = positivity(gram)
     report.add("gram hermitian", herm_res, t)
-    max_eig = float(np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)).max())
-    floor = PD_RELATIVE_FLOOR * max(max_eig, 1e-30)
     report.add("gram positive", 0.0 if min_eig > floor else 1.0, 0.5,
                min_eigenvalue=min_eig, floor=floor)
     return report
@@ -184,9 +185,8 @@ def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) 
     s2_star = np.conj(s @ s) @ star
     gram_l = np.einsum("ju,kul,l->jk", s2_star, m, cov)
     for side, gram in (("R", gram_r), ("L", gram_l)):
-        herm_res, min_eig = _min_eig_check(gram, side)
-        max_eig = float(np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)).max())
-        if herm_res > tol * alg.magnitude or min_eig <= PD_RELATIVE_FLOOR * max(max_eig, 1e-30):
+        herm_res, min_eig, floor = positivity(gram)
+        if herm_res > tol * alg.magnitude or min_eig <= floor:
             raise PositivityFailure(
                 f"{side} Gram matrix of {alg.label!r} fails positivity "
                 f"(hermiticity {herm_res:.2e}, min eig {min_eig:.2e})")

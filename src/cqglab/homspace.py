@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import HopfAlgebraSpec
-from .corep import Corepresentation, _nullspace
+from .corep import Corepresentation, intertwiners
 from .errors import CoidealMismatch, NotASubgroup, PositivityFailure
 from .groups import GroupTable
-from .haar import GramPair, HaarFunctional
+from .haar import GramPair, HaarFunctional, positivity
 from .regular import regular_coaction_tensor
 from .report import Report
-from .tensor_ops import pipeline_components
+from .tensor_ops import operator_comodule, pipeline_components
 from .wigner_eckart import WEReport, factorize_tensor
 
 __all__ = [
@@ -182,12 +182,11 @@ def restricted_gram(coideal: CoidealSubalgebra, side: str, grams: GramPair,
     """The side's invariant inner product on the raw spanning basis."""
     gram_full = grams.gram(side)
     gram_b = np.conj(coideal.span_rows) @ gram_full @ coideal.span_rows.T
-    herm = float(np.abs(gram_b - gram_b.conj().T).max())
-    eigs = np.linalg.eigvalsh((gram_b + gram_b.conj().T) / 2.0)
-    if herm > tol or eigs[0] <= 1e-10 * max(eigs[-1], 1e-30):
+    herm, min_eig, floor = positivity(gram_b)
+    if herm > tol or min_eig <= floor:
         raise PositivityFailure(
             f"restricted {side} Gram of {coideal.label!r} fails positivity "
-            f"(hermiticity {herm:.2e}, min eig {eigs[0]:.2e})")
+            f"(hermiticity {herm:.2e}, min eig {min_eig:.2e})")
     return gram_b
 
 
@@ -270,31 +269,19 @@ def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubal
                                      ) -> list[RestrictedBasisFunctions]:
     """Basis of the space of restricted basis-function tuples for ``pi``.
 
-    The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` is a
-    homogeneous linear system over ``d``-tuples in ``B``; the solution space
-    may be empty (no existence guarantee, unlike the unrestricted case).  Its
-    dimension equals the multiplicity of ``pi`` in the comodule ``B``.
+    The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` makes
+    the tuples ``Hom(pi, B)``, solved by :func:`cqglab.corep.intertwiners` with
+    the transposed restricted coaction tensor as ``B``'s matrix coefficients;
+    the solution space may be empty (no existence guarantee, unlike the
+    unrestricted case).  Its dimension equals the multiplicity of ``pi`` in
+    the comodule ``B``.
     """
-    alg = coideal.algebra
     coact = restricted_coaction_tensor(coideal, grams)
-    d, b, n = pi.dim, coideal.dim, alg.dim
-    # unknown Psi[j, i]; equations indexed (j, k, c)
-    mat = np.zeros((d * b * n, d * b), dtype=complex)
-    eye_b = np.eye(b)
-    for j in range(d):
-        rows = slice(j * b * n, (j + 1) * b * n)
-        # coefficient of Psi[j, i] at equation row (k, c) is coact[i, k, c]
-        mat[rows, j * b:(j + 1) * b] += coact.transpose(1, 2, 0).reshape(b * n, b)
-        for k in range(d):
-            sub = np.einsum("c,bi->bci", pi.coeffs[k, j], eye_b).reshape(b * n, b)
-            mat[rows, k * b:(k + 1) * b] -= sub
-    basis = _nullspace(mat, rcond, scale=float(alg.magnitude))
-    out = []
-    for idx, vec in enumerate(basis):
-        bset = RestrictedBasisFunctions(pi, coideal, vec.reshape(d, b),
-                                        label=f"res{idx}[{pi.label}|{coideal.label}]")
-        out.append(bset)
-    return out
+    basis = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), rcond,
+                         scale=float(coideal.algebra.magnitude))
+    return [RestrictedBasisFunctions(pi, coideal, phi.T,
+                                     label=f"res{idx}[{pi.label}|{coideal.label}]")
+            for idx, phi in enumerate(basis)]
 
 
 def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalgebra,
@@ -356,28 +343,19 @@ def check_restricted_family(fam: RestrictedOperatorFamily, coact: np.ndarray,
 def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra,
                             grams: GramPair, kind: str, rcond: float = 1e-9
                             ) -> list[RestrictedOperatorFamily]:
-    """Basis of the restricted-family solution space for one variant."""
+    """Basis of the restricted-family solution space for one variant.
+
+    The families are ``Hom(pi, End(B))`` for the restricted operator comodule,
+    solved by :func:`cqglab.corep.intertwiners`.
+    """
     alg = coideal.algebra
     coact = restricted_coaction_tensor(coideal, grams)
-    b, d, n = coideal.dim, pi.dim, alg.dim
-    eye_b = np.eye(b)
-    unit_ops = [np.outer(eye_b[:, i], eye_b[a]) for i in range(b) for a in range(b)]
-    base = np.array([pipeline_components(coact, alg, kind, op) for op in unit_ops])
-    lhs_block = base.reshape(b * b, n * b * b).T
-    mat = np.zeros((d * n * b * b, d * b * b), dtype=complex)
-    for j in range(d):
-        rows = slice(j * n * b * b, (j + 1) * n * b * b)
-        mat[rows, j * b * b:(j + 1) * b * b] += lhs_block
-        for k in range(d):
-            sub = np.einsum("m,ai,tb->matib", pi.coeffs[k, j], eye_b, eye_b)
-            mat[rows, k * b * b:(k + 1) * b * b] -= sub.reshape(n * b * b, b * b)
-    basis = _nullspace(mat, rcond, scale=float(alg.magnitude ** 2))
-    out = []
-    for idx, vec in enumerate(basis):
-        fam = RestrictedOperatorFamily(pi, coideal, kind, vec.reshape(d, b, b),
-                                       label=f"res-sol{idx}[{pi.label}]")
-        out.append(fam)
-    return out
+    b, d = coideal.dim, pi.dim
+    basis = intertwiners(pi.coeffs, operator_comodule(coact, alg, kind), rcond,
+                         scale=float(alg.magnitude ** 2))
+    return [RestrictedOperatorFamily(pi, coideal, kind, phi.T.reshape(d, b, b),
+                                     label=f"res-sol{idx}[{pi.label}]")
+            for idx, phi in enumerate(basis)]
 
 
 def restricted_product_tensor(coideal: CoidealSubalgebra, grams: GramPair,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HopfAlgebraSpec
-from .corep import Corepresentation
+from .corep import Corepresentation, intertwiners
 from .regular import BasisFunctionSet, regular_coaction_tensor
 from .report import Report
 
@@ -35,6 +35,7 @@ __all__ = [
     "VARIANTS",
     "TensorOperatorFamily",
     "pipeline_components",
+    "operator_comodule",
     "operator_coaction_components",
     "OperatorCoactionResult",
     "coaction_on_operator",
@@ -72,6 +73,25 @@ def pipeline_components(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str,
     if kind == "ordinary":
         return np.einsum("ABwt,BwM->MAt", legs, alg.mult)   # (id (x) M)
     return np.einsum("ABwt,wBM->MAt", legs, alg.mult)       # (id (x) M . swap)
+
+
+def operator_comodule(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str) -> np.ndarray:
+    """Operator space ``End(B)`` of a carrier as a comodule, in matrix-coefficient form.
+
+    The defining pipeline of :func:`pipeline_components` with the operator
+    left free: ``out[(A, t), (x, y)]`` is the coefficient vector with which the
+    unit operator ``E_xy`` contributes to the ``(A, t)`` entry of the
+    components.  Returns a ``(b*b, b*b, n)`` array for a carrier of dimension
+    ``b``.
+    """
+    b, n = coact.shape[0], alg.dim
+    if kind == "ordinary":
+        spow, order = alg.antipode, "BwM"
+    else:
+        spow, order = alg.antipode_inv, "wBM"
+    out = np.einsum(f"xAB,tyb,bw,{order}->AtxyM", coact, coact, spow, alg.mult,
+                    optimize=True)
+    return out.reshape(b * b, b * b, n)
 
 
 def operator_coaction_components(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str,
@@ -236,33 +256,19 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str,
                        rcond: float = 1e-9) -> list[TensorOperatorFamily]:
     """Basis of the space of families belonging to ``pi`` for one variant.
 
-    Solves the homogeneous linear system in the ``d`` operator matrices; the
-    returned families are orthonormal as flattened vectors, phase-fixed, and
-    each passes :func:`check_family`.
+    The families are ``Hom(pi, End(A))`` for the variant's operator comodule
+    (:func:`operator_comodule`), solved by :func:`cqglab.corep.intertwiners`;
+    the returned families are orthonormal as flattened vectors, phase-fixed,
+    and each passes :func:`check_family`.
     """
-    from .corep import _nullspace
-
+    _variant_key(kind, side)
     alg = pi.algebra
     n, d = alg.dim, pi.dim
-    eye = np.eye(n)
-    unit_ops = [np.outer(eye[:, i], eye[a]) for i in range(n) for a in range(n)]
-    base = np.array([
-        operator_coaction_components(alg, op, kind, side) for op in unit_ops])
-    lhs_block = base.reshape(n * n, n ** 3).T  # rows (m, alpha, t), cols (i, a)
-    mat = np.zeros((d * n ** 3, d * n * n), dtype=complex)
-    for j in range(d):
-        rows = slice(j * n ** 3, (j + 1) * n ** 3)
-        mat[rows, j * n * n:(j + 1) * n * n] += lhs_block
-        for k in range(d):
-            sub = np.einsum("m,ai,tb->matib", pi.coeffs[k, j], eye, eye)
-            mat[rows, k * n * n:(k + 1) * n * n] -= sub.reshape(n ** 3, n * n)
-    basis = _nullspace(mat, rcond, scale=float(alg.magnitude ** 2))
-    families = []
-    for idx, vec in enumerate(basis):
-        fam = TensorOperatorFamily(pi, kind, side, vec.reshape(d, n, n),
-                                   label=f"sol{idx}[{pi.label}]")
-        families.append(fam)
-    return families
+    ops = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
+    basis = intertwiners(pi.coeffs, ops, rcond, scale=float(alg.magnitude ** 2))
+    return [TensorOperatorFamily(pi, kind, side, phi.T.reshape(d, n, n),
+                                 label=f"sol{idx}[{pi.label}]")
+            for idx, phi in enumerate(basis)]
 
 
 def apply_family_to_basis_functions(fam: TensorOperatorFamily, phis: BasisFunctionSet,

@@ -109,6 +109,15 @@ def test_reports_reproducible(tmp_path, s3_files):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_irreps_output_reproducible(tmp_path):
+    outs = [tmp_path / "i1.json", tmp_path / "i2.json"]
+    for out in outs:
+        result = run_cli("irreps", "--builtin", "C[S3]", "--output", str(out))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["operation"] == "irreps"
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_csv_output(tmp_path, s3_files):
     out = tmp_path / "report.csv"
     result = run_cli("validate", "--algebra", str(s3_files["algebra"]),

@@ -17,6 +17,7 @@ from cqglab.homspace import (RestrictedBasisFunctions,
                              subspace_coideal, verify_coideal)
 from cqglab.corep import identity_corep
 from cqglab.homspace import RestrictedOperatorFamily
+from cqglab.tensor_ops import operator_comodule, pipeline_components
 
 S3 = symmetric_group_3()
 SUBGROUP = [0, 1]  # {e, (01)}
@@ -39,6 +40,19 @@ def test_coset_dimensions(cs3_fun):
         point = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side)
         assert point.dim == 1
         assert np.abs(point.span_rows[0] - cs3_fun.algebra.unit).max() < 1e-15
+
+
+def test_restricted_operator_comodule_matches_pipeline(coset_ctx, cs3_fun):
+    side, coideal = coset_ctx
+    alg, b = cs3_fun.algebra, coideal.dim
+    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
+    rng = np.random.default_rng(3)
+    q_op = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+    for kind in ("ordinary", "twisted"):
+        comodule = operator_comodule(coact, alg, kind).reshape(b, b, b, b, alg.dim)
+        batched = np.einsum("atxym,xy->mat", comodule, q_op)
+        single = pipeline_components(coact, alg, kind, q_op)
+        assert np.abs(batched - single).max() < 1e-10, (side, kind)
 
 
 def test_not_a_subgroup(cs3_fun):

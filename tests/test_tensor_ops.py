@@ -8,12 +8,13 @@ from oracles import conjugation_family_space_dim
 from cqglab.algebra import opposite_algebra
 from cqglab.corep import Corepresentation, identity_corep
 from cqglab.groups import symmetric_group_3
-from cqglab.regular import canonical_basis_functions
+from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily,
                                apply_family_to_basis_functions, check_family,
                                coaction_on_operator, couple_families,
                                excluded_substitution_residual, family_report,
                                multiplication_family, operator_coaction_components,
+                               operator_comodule,
                                operator_product_rule_residual, solve_family_space)
 
 
@@ -44,10 +45,18 @@ def test_multiplication_families_pass(contexts):
 
 def test_coaction_routes_agree_on_random_operators(contexts):
     for label, ctx in contexts.items():
-        for q_op in _random_ops(ctx.algebra, 2, seed=7):
+        alg = ctx.algebra
+        n = alg.dim
+        for q_op in _random_ops(alg, 2, seed=7):
             for kind, side in VARIANTS:
-                result = coaction_on_operator(ctx.algebra, q_op, kind, side)
+                result = coaction_on_operator(alg, q_op, kind, side)
                 assert result.routes_agreement() < 1e-10, (label, kind, side)
+                # the operator comodule contracted with q_op is a third route
+                comodule = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
+                batched = np.einsum("atxym,xy->mat", comodule.reshape(n, n, n, n, n), q_op)
+                for route in ("maps", "constants"):
+                    single = operator_coaction_components(alg, q_op, kind, side, route=route)
+                    assert np.abs(batched - single).max() < 1e-10, (label, kind, side, route)
 
 
 def test_operator_coactions_are_comodules(contexts):
