@@ -145,19 +145,35 @@ class CGSystem:
     multiplicities: dict[str, int]
     col_index: list[tuple[str, int, int]] = field(default_factory=list)
 
-    def row(self, j: int, k: int) -> int:
-        return j * self.d_q + k
+    def blocks(self, r_label: str, d_r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Forward and inverse CG blocks of one target irrep, stacked over multiplicity.
 
-    def col(self, r_label: str, alpha: int, ell: int) -> int:
-        return self.col_index.index((r_label, alpha, ell))
+        ``fwd[alpha, j, k, l] = C[(j, k), (r, alpha, l)]`` and
+        ``inv[alpha, l, j, k] = Cinv[(r, alpha, l), (j, k)]``, with ``(j, k)``
+        the system's own (first, second) factor indices.  The alpha axis is
+        empty when ``r`` does not occur in the product.  A target's columns are
+        contiguous and ordered ``(alpha, l)``, as :func:`solve_cg` stacks them.
+        """
+        mult = self.multiplicities.get(r_label, 0)
+        start = next((i for i, (r, _, _) in enumerate(self.col_index) if r == r_label), 0)
+        cols = slice(start, start + mult * d_r)
+        fwd = self.C[:, cols].reshape(self.d_p, self.d_q, mult, d_r).transpose(2, 0, 1, 3)
+        inv = self.Cinv[cols, :].reshape(mult, d_r, self.d_p, self.d_q)
+        return fwd, inv
 
-    def coef(self, j: int, k: int, r_label: str, alpha: int, ell: int) -> complex:
-        """CG coefficient ``(p q; j k | r, alpha; ell)``."""
-        return complex(self.C[self.row(j, k), self.col(r_label, alpha, ell)])
+    def couple(self, pieces: np.ndarray, table: IrrepTable
+               ) -> dict[tuple[str, int], np.ndarray]:
+        """CG-couple ``pieces[j, k, ...]``, indexed in the system's factor order.
 
-    def inv_coef(self, r_label: str, alpha: int, ell: int, j: int, k: int) -> complex:
-        """Inverse coefficient ``(r, alpha; ell | p q; j k)``."""
-        return complex(self.Cinv[self.col(r_label, alpha, ell), self.row(j, k)])
+        Returns ``{(r, alpha): out[l, ...]}`` with
+        ``out = sum_jk fwd[alpha, j, k, l] pieces[j, k, ...]``.
+        """
+        out: dict[tuple[str, int], np.ndarray] = {}
+        for r_lab in self.multiplicities:
+            fwd, _ = self.blocks(r_lab, table[r_lab].dim)
+            for alpha, block in enumerate(np.einsum("ajkl,jk...->al...", fwd, pieces)):
+                out[r_lab, alpha] = block
+        return out
 
 
 def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
@@ -175,7 +191,7 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
     big = tensor_product(pi_p, pi_q, "ordinary")
     chi_big = character(big)
     d_total = pi_p.dim * pi_q.dim
-    cols: list[np.ndarray] = []
+    col_blocks: list[np.ndarray] = []
     col_index: list[tuple[str, int, int]] = []
     mults: dict[str, int] = {}
     for label, target in zip(table.labels, table.irreps):
@@ -188,15 +204,14 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
         if expected == 0:
             continue
         mults[label] = expected
-        for alpha, block in enumerate(blocks):
-            for ell in range(target.dim):
-                cols.append(block[:, ell])
-                col_index.append((label, alpha, ell))
-    if len(cols) != d_total:
+        col_blocks.extend(blocks)
+        col_index.extend((label, alpha, ell)
+                         for alpha in range(expected) for ell in range(target.dim))
+    if len(col_index) != d_total:
         raise MultiplicityMismatch(
-            f"fusion of {pi_p.label} (x) {pi_q.label} fills {len(cols)} of "
+            f"fusion of {pi_p.label} (x) {pi_q.label} fills {len(col_index)} of "
             f"{d_total} columns")
-    c_mat = np.array(cols).T
+    c_mat = np.hstack(col_blocks)
     sigma = np.linalg.svd(c_mat, compute_uv=False)
     if sigma[-1] <= 1e-10 * sigma[0]:
         raise SingularC("assembled CG matrix is numerically singular")
@@ -216,11 +231,13 @@ def cg_block_residual(system: CGSystem, pi_p: Corepresentation,
     big = tensor_product(pi_p, pi_q, "ordinary")
     conjugated = np.einsum("ra,abm,bs->rsm", system.Cinv, big.coeffs, system.C)
     expected = np.zeros_like(conjugated)
-    for i, (r_lab, alpha, ell) in enumerate(system.col_index):
-        target = table[r_lab]
-        for i2, (r2, a2, ell2) in enumerate(system.col_index):
-            if r2 == r_lab and a2 == alpha:
-                expected[i, i2] = target.coeffs[ell, ell2]
+    start = 0
+    for r_lab, mult in system.multiplicities.items():
+        coeffs = table[r_lab].coeffs
+        for _ in range(mult):
+            stop = start + coeffs.shape[0]
+            expected[start:stop, start:stop] = coeffs
+            start = stop
     return float(np.abs(conjugated - expected).max())
 
 
@@ -244,22 +261,10 @@ def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
         warnings.warn(
             f"products of {phi_p.label} and {psi_q.label} span only {rank} of "
             f"{d_p * d_q} dimensions", LinearDependenceWarning, stacklevel=2)
-    out: dict[tuple[str, int], BasisFunctionSet] = {}
-    for r_lab, mult in system.multiplicities.items():
-        target = table[r_lab]
-        for alpha in range(mult):
-            funcs = np.zeros((target.dim, alg.dim), dtype=complex)
-            for ell in range(target.dim):
-                for j in range(d_p):
-                    for k in range(d_q):
-                        if side == "R":
-                            coef = system.coef(j, k, r_lab, alpha, ell)
-                        else:
-                            coef = system.coef(k, j, r_lab, alpha, ell)
-                        funcs[ell] += coef * products[j, k]
-            out[r_lab, alpha] = BasisFunctionSet(
-                target, side, funcs, label=f"theta[{r_lab},{alpha},{side}]")
-    return out
+    pieces = products if side == "R" else products.transpose(1, 0, 2)
+    return {(r_lab, alpha): BasisFunctionSet(table[r_lab], side, funcs,
+                                             label=f"theta[{r_lab},{alpha},{side}]")
+            for (r_lab, alpha), funcs in system.couple(pieces, table).items()}
 
 
 def coupled_inverse_residual(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
@@ -267,41 +272,13 @@ def coupled_inverse_residual(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
                              coupled: dict[tuple[str, int], BasisFunctionSet]) -> float:
     """Residual of the inverse expansion of products in coupled functions."""
     alg = phi_p.algebra
-    d_p, d_q = phi_p.corep.dim, psi_q.corep.dim
     products = np.einsum("ja,kb,abm->jkm", phi_p.functions, psi_q.functions, alg.mult)
-    worst = 0.0
-    for j in range(d_p):
-        for k in range(d_q):
-            acc = np.zeros(alg.dim, dtype=complex)
-            for (r_lab, alpha), bset in coupled.items():
-                for ell in range(bset.corep.dim):
-                    if side == "R":
-                        coef = system.inv_coef(r_lab, alpha, ell, j, k)
-                    else:
-                        coef = system.inv_coef(r_lab, alpha, ell, k, j)
-                    acc += coef * bset.functions[ell]
-            worst = max(worst, float(np.abs(acc - products[j, k]).max()))
-    return worst
-
-
-def _cg_blocks(system: CGSystem, r_label: str, d_r: int
-               ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-multiplicity pairs (forward block, inverse block) of a CG system.
-
-    Forward block ``fwd[x, y, v] = C[row(x, y), col(r, alpha, v)]`` and
-    inverse block ``inv[l, x, y] = Cinv[col(r, alpha, l), row(x, y)]`` where
-    ``(x, y)`` ranges over the system's own (first, second) factor indices.
-    """
-    d1 = system.d_p
-    d2 = system.d_q
-    out = []
-    for alpha in range(system.multiplicities.get(r_label, 0)):
-        cols = [i for i, (r, a, _) in enumerate(system.col_index)
-                if r == r_label and a == alpha]
-        fwd = system.C[:, cols].reshape(d1, d2, d_r)
-        inv = system.Cinv[cols, :].reshape(d_r, d1, d2)
-        out.append((fwd, inv))
-    return out
+    pieces = products if side == "R" else products.transpose(1, 0, 2)
+    expansion = np.zeros_like(pieces)
+    for (r_lab, alpha), bset in coupled.items():
+        _, inv = system.blocks(r_lab, bset.corep.dim)
+        expansion += np.einsum("ljk,lm->jkm", inv[alpha], bset.functions)
+    return float(np.abs(expansion - pieces).max())
 
 
 def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
@@ -325,18 +302,13 @@ def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
     lhs_pq = np.einsum("ula,sjb,tkc,abc->ulsjtk", r_star, pi_p.coeffs, pi_q.coeffs, pair)
     lhs_qp = np.einsum("ula,tkb,sjc,abc->ultksj", r_star, pi_q.coeffs, pi_p.coeffs, pair)
 
-    r_lab = pi_r.label
-    d_p, d_q, d_r = pi_p.dim, pi_q.dim, pi_r.dim
+    r_lab, d_r = pi_r.label, pi_r.dim
 
-    rhs_pq = np.zeros((d_r, d_r, d_p, d_p, d_q, d_q), dtype=complex)
-    for fwd, inv in _cg_blocks(system_pq, r_lab, d_r):
-        # inv[l, j, k] * fwd[s, t, v] * finv[v, u] -> [u, l, s, j, t, k]
-        rhs_pq += np.einsum("ljk,stv,vu->ulsjtk", inv, fwd, finv) / finv_tr
-
-    rhs_qp = np.zeros((d_r, d_r, d_q, d_q, d_p, d_p), dtype=complex)
-    for fwd, inv in _cg_blocks(system_qp, r_lab, d_r):
-        # (q, p) system: first factor index is the q one
-        rhs_qp += np.einsum("lkj,tsv,vu->ultksj", inv, fwd, finv) / finv_tr
+    fwd, inv = system_pq.blocks(r_lab, d_r)
+    rhs_pq = np.einsum("aljk,astv,vu->ulsjtk", inv, fwd, finv) / finv_tr
+    # the (q, p) system's first factor index is the q one
+    fwd, inv = system_qp.blocks(r_lab, d_r)
+    rhs_qp = np.einsum("alkj,atsv,vu->ultksj", inv, fwd, finv) / finv_tr
 
     report = Report(
         f"triple haar [{pi_r.label}* {pi_p.label} {pi_q.label}]", meta={"tol": tol})

@@ -142,6 +142,18 @@ def _cmd_tensor_ops(args) -> list[Report]:
     return reports
 
 
+def _cg_systems(table, h):
+    """``system_for(a, b)``: the ``(a, b)`` CG system, solved on first use."""
+    systems: dict[tuple[str, str], object] = {}
+
+    def system_for(a: str, b: str):
+        if (a, b) not in systems:
+            systems[a, b] = solve_cg(table[a], table[b], table, h)
+        return systems[a, b]
+
+    return system_for
+
+
 def _cmd_wigner_eckart(args) -> list[Report]:
     spec = _load_spec(args)
     h, grams, table = _context(spec, args.tolerance, args.seed)
@@ -150,13 +162,7 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     r_labels = _pick_labels(table, [args.r]) or list(table.labels)
     sides = [args.side] if args.side else ["R", "L"]
     kinds = [args.kind] if args.kind else ["ordinary", "twisted"]
-    systems: dict[tuple[str, str], object] = {}
-
-    def system_for(a: str, b: str):
-        if (a, b) not in systems:
-            systems[a, b] = solve_cg(table[a], table[b], table, h)
-        return systems[a, b]
-
+    system_for = _cg_systems(table, h)
     reports = []
     for pl in p_labels:
         for ql in q_labels:
@@ -204,17 +210,19 @@ def _cmd_homspace(args) -> list[Report]:
         dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
     reports.append(dims)
     we_rep = Report(f"restricted wigner-eckart [{coideal.label}]")
+    system_for = _cg_systems(table, h)
+    families = {ql: [{kind: restricted_multiplication_family(qs, kind, grams)
+                      for kind in ("ordinary", "twisted")} for qs in qs_list]
+                for ql, qs_list in solutions.items()}
     for rl, psis_list in solutions.items():
         for pl, phis_list in solutions.items():
-            for ql, qs_list in solutions.items():
+            for ql, fams_q in families.items():
                 for psis in psis_list:
                     for phis in phis_list:
-                        for qs in qs_list:
-                            for kind in ("ordinary", "twisted"):
-                                fam = restricted_multiplication_family(qs, kind, grams)
-                                order = (ql, pl) if kind == "ordinary" else (pl, ql)
-                                system = solve_cg(table[order[0]], table[order[1]],
-                                                  table, h)
+                        for fams in fams_q:
+                            for kind, fam in fams.items():
+                                system = (system_for(ql, pl) if kind == "ordinary"
+                                          else system_for(pl, ql))
                                 we = restricted_wigner_eckart(psis, fam, phis, system,
                                                               table[rl].F, args.tolerance)
                                 we_rep.add(f"{pl},{ql},{rl},{kind}", we.residual, we.tol)

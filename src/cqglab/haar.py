@@ -79,8 +79,9 @@ def positivity(matrix: np.ndarray) -> tuple[float, float, float]:
 def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
     """Solve the invariance system for ``h`` and certify the result.
 
-    Raises ``NoHaar`` when the system is inconsistent, ``NonUniqueHaar`` when
-    the homogeneous part has a nullspace of dimension above one, and
+    The homogeneous part's nullity counts singular values at or below
+    ``tol * sigma_max``.  Raises ``NoHaar`` when the system is inconsistent,
+    ``NonUniqueHaar`` when that nullity is above one, and
     ``PositivityFailure`` when the right Gram matrix is not positive definite.
     """
     n = alg.dim
@@ -96,7 +97,7 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
 
     sigma = np.linalg.svd(hom, compute_uv=False)
     scale = sigma[0] if sigma[0] > 0 else 1.0
-    null_dim = int(np.sum(sigma <= 1e-12 * scale)) + max(0, n - len(sigma))
+    null_dim = int(np.sum(sigma <= tol * scale)) + max(0, n - len(sigma))
     if null_dim == 0:
         raise NoHaar(f"invariance system of {alg.label!r} has no nonzero solution")
     if null_dim > 1:

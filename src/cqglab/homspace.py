@@ -25,10 +25,11 @@ from .corep import Corepresentation, intertwiners
 from .errors import CoidealMismatch, NotASubgroup, PositivityFailure
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, positivity
-from .regular import regular_coaction_tensor
+from .regular import canonical_basis_functions, regular_coaction_tensor
 from .report import Report
-from .tensor_ops import operator_comodule, pipeline_components
-from .wigner_eckart import WEReport, factorize_tensor
+from .tensor_ops import (_couple_operators, _multiplication_operators, operator_comodule,
+                         pipeline_components)
+from .wigner_eckart import WEReport, _inner_product_tensor, factorize_tensor
 
 __all__ = [
     "CoidealSubalgebra",
@@ -179,11 +180,15 @@ def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
 
 def restricted_gram(coideal: CoidealSubalgebra, side: str, grams: GramPair,
                     tol: float = 1e-9) -> np.ndarray:
-    """The side's invariant inner product on the raw spanning basis."""
+    """The side's invariant inner product on the raw spanning basis.
+
+    Hermiticity is held to ``tol`` times the Gram's largest entry (at least 1),
+    so a valid coideal spanned by large rows passes.
+    """
     gram_full = grams.gram(side)
     gram_b = np.conj(coideal.span_rows) @ gram_full @ coideal.span_rows.T
     herm, min_eig, floor = positivity(gram_b)
-    if herm > tol or min_eig <= floor:
+    if herm > tol * max(1.0, float(np.abs(gram_b).max())) or min_eig <= floor:
         raise PositivityFailure(
             f"restricted {side} Gram of {coideal.label!r} fails positivity "
             f"(hermiticity {herm:.2e}, min eig {min_eig:.2e})")
@@ -292,15 +297,9 @@ def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalg
     Side "R": rows ``pi_l.`` with every entry in ``B``; side "L":
     ``S^{-2}(pi^*_{. l})`` columns, requiring the corep entries in ``B``.
     """
-    alg = coideal.algebra
     out = []
     for ell in range(pi.dim):
-        if coideal.side == "R":
-            funcs = pi.coeffs[ell, :, :]
-        else:
-            s_inv = alg.antipode_inv
-            funcs = np.einsum("jm,mt->jt", np.conj(pi.coeffs[:, ell, :]) @ alg.star,
-                              s_inv @ s_inv)
+        funcs = canonical_basis_functions(pi, coideal.side, ell).functions
         if all(coideal.contains(funcs[j], tol) for j in range(pi.dim)):
             coords = np.array([coideal.restrict(funcs[j], grams) for j in range(pi.dim)])
             out.append(RestrictedBasisFunctions(
@@ -377,12 +376,8 @@ def restricted_multiplication_family(bset: RestrictedBasisFunctions, kind: str,
                                      ) -> RestrictedOperatorFamily:
     """Multiplication by restricted basis functions, from the variant's side."""
     coideal = bset.coideal
-    mult_b = restricted_product_tensor(coideal, grams)
-    from_left = (kind == "ordinary") == (coideal.side == "R")
-    if from_left:
-        ops = np.einsum("ju,utA->jAt", bset.coords, mult_b)
-    else:
-        ops = np.einsum("ju,tuA->jAt", bset.coords, mult_b)
+    ops = _multiplication_operators(bset.coords, restricted_product_tensor(coideal, grams),
+                                    kind, coideal.side)
     return RestrictedOperatorFamily(bset.corep, coideal, kind, ops,
                                     label=label or f"mult[{bset.label}]")
 
@@ -394,8 +389,8 @@ def restricted_we_tensor(psis: RestrictedBasisFunctions, fam: RestrictedOperator
     All coordinates are in the coideal's ONB, so the Gram matrix is the
     identity there.
     """
-    acted = np.einsum("kab,jb->kja", fam.operators, phis.coords)
-    return np.einsum("la,kja->lkj", np.conj(psis.coords), acted)
+    return _inner_product_tensor(psis.coords, fam.operators, phis.coords,
+                                 np.eye(fam.coideal.dim))
 
 
 def restricted_wigner_eckart(psis: RestrictedBasisFunctions,
@@ -415,33 +410,9 @@ def couple_restricted_families(fam_p: RestrictedOperatorFamily,
                                system, table) -> dict[tuple[str, int],
                                                       RestrictedOperatorFamily]:
     """CG-couple two restricted families of the same variant and side."""
-    if (fam_p.kind, fam_p.side) != (fam_q.kind, fam_q.side):
-        raise ValueError("families must share kind and side")
     if fam_p.coideal is not fam_q.coideal:
         raise ValueError("families must live on the same coideal subalgebra")
-    kind = fam_p.kind
-    d_p, d_q = fam_p.corep.dim, fam_q.corep.dim
-    if kind == "ordinary":
-        if (system.d_p, system.d_q) != (d_p, d_q):
-            raise ValueError("ordinary coupling needs the (p, q) CG system")
-    else:
-        if (system.d_p, system.d_q) != (d_q, d_p):
-            raise ValueError("twisted coupling needs the (q, p) CG system")
-    composed = np.einsum("jab,kbc->jkac", fam_p.operators, fam_q.operators)
-    out: dict[tuple[str, int], RestrictedOperatorFamily] = {}
-    for r_lab, mult in system.multiplicities.items():
-        target = table[r_lab]
-        for alpha in range(mult):
-            ops = np.zeros((target.dim,) + composed.shape[2:], dtype=complex)
-            for ell in range(target.dim):
-                for j in range(d_p):
-                    for k in range(d_q):
-                        if kind == "ordinary":
-                            coef = system.coef(j, k, r_lab, alpha, ell)
-                        else:
-                            coef = system.coef(k, j, r_lab, alpha, ell)
-                        ops[ell] += coef * composed[j, k]
-            out[r_lab, alpha] = RestrictedOperatorFamily(
-                target, fam_p.coideal, kind, ops,
+    return {(r_lab, alpha): RestrictedOperatorFamily(
+                table[r_lab], fam_p.coideal, fam_p.kind, ops,
                 label=f"({fam_p.label})({fam_q.label})->{r_lab},{alpha}")
-    return out
+            for (r_lab, alpha), ops in _couple_operators(fam_p, fam_q, system, table).items()}

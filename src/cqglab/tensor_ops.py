@@ -240,16 +240,19 @@ def multiplication_family(bset: BasisFunctionSet, kind: str,
     ordinary-R and twisted-L multiply from the left; twisted-R and ordinary-L
     from the right.  The set's side fixes the family's side.
     """
-    side = bset.side
-    _variant_key(kind, side)
-    alg = bset.algebra
-    from_left = (kind == "ordinary") == (side == "R")
-    if from_left:
-        ops = np.einsum("ju,utA->jAt", bset.functions, alg.mult)
-    else:
-        ops = np.einsum("ju,tuA->jAt", bset.functions, alg.mult)
-    return TensorOperatorFamily(bset.corep, kind, side, ops,
+    ops = _multiplication_operators(bset.functions, bset.algebra.mult, kind, bset.side)
+    return TensorOperatorFamily(bset.corep, kind, bset.side, ops,
                                 label=label or f"mult[{bset.label}]")
+
+
+def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, kind: str,
+                              side: str) -> np.ndarray:
+    """Multiplication by each row of ``coords`` under the product tensor ``mult``
+    (the algebra's or a carrier's), from the side :func:`multiplication_family` names."""
+    _variant_key(kind, side)
+    if (kind == "ordinary") == (side == "R"):
+        return np.einsum("ju,utA->jAt", coords, mult)
+    return np.einsum("ju,tuA->jAt", coords, mult)
 
 
 def solve_family_space(pi: Corepresentation, kind: str, side: str,
@@ -323,34 +326,28 @@ def couple_families(fam_p: TensorOperatorFamily, fam_q: TensorOperatorFamily,
     coefficients; twisted coupling with the ``(q, p)`` coefficients at pair
     index ``(k, j)``.
     """
+    return {(r_lab, alpha): TensorOperatorFamily(
+                table[r_lab], fam_p.kind, fam_p.side, ops,
+                label=f"({fam_p.label})({fam_q.label})->{r_lab},{alpha}")
+            for (r_lab, alpha), ops in _couple_operators(fam_p, fam_q, system, table).items()}
+
+
+def _couple_operators(fam_p, fam_q, system, table) -> dict[tuple[str, int], np.ndarray]:
+    """Coupled operator stacks of two families of one variant, full or restricted."""
     if (fam_p.kind, fam_p.side) != (fam_q.kind, fam_q.side):
         raise ValueError("families must share kind and side")
-    kind, side = fam_p.kind, fam_p.side
     d_p, d_q = fam_p.corep.dim, fam_q.corep.dim
-    if kind == "ordinary":
+    if fam_p.kind == "ordinary":
         if (system.d_p, system.d_q) != (d_p, d_q):
             raise ValueError("ordinary coupling needs the (p, q) CG system")
+        pair = "jk"
     else:
         if (system.d_p, system.d_q) != (d_q, d_p):
             raise ValueError("twisted coupling needs the (q, p) CG system")
-    composed = np.einsum("jab,kbc->jkac", fam_p.operators, fam_q.operators)
-    out: dict[tuple[str, int], TensorOperatorFamily] = {}
-    for r_lab, mult in system.multiplicities.items():
-        target = table[r_lab]
-        for alpha in range(mult):
-            ops = np.zeros((target.dim,) + composed.shape[2:], dtype=complex)
-            for ell in range(target.dim):
-                for j in range(d_p):
-                    for k in range(d_q):
-                        if kind == "ordinary":
-                            coef = system.coef(j, k, r_lab, alpha, ell)
-                        else:
-                            coef = system.coef(k, j, r_lab, alpha, ell)
-                        ops[ell] += coef * composed[j, k]
-            out[r_lab, alpha] = TensorOperatorFamily(
-                target, kind, side, ops,
-                label=f"({fam_p.label})({fam_q.label})->{r_lab},{alpha}")
-    return out
+        pair = "kj"
+    # Q^p_j Q^q_k, indexed in the system's factor order
+    composed = np.einsum(f"jab,kbc->{pair}ac", fam_p.operators, fam_q.operators)
+    return system.couple(composed, table)
 
 
 def excluded_substitution_residual(alg: HopfAlgebraSpec, which: str) -> float:

@@ -61,24 +61,28 @@ class WEReport:
         }
 
 
+def _inner_product_tensor(psis: np.ndarray, ops: np.ndarray, phis: np.ndarray,
+                          gram: np.ndarray) -> np.ndarray:
+    """``T[l, k, j] = (psi_l, Q_k(phi_j))`` for coefficient rows and a Gram matrix."""
+    acted = np.einsum("kab,jb->kja", ops, phis)
+    return np.einsum("la,ab,kjb->lkj", np.conj(psis), gram, acted)
+
+
 def we_tensor(psis: BasisFunctionSet, fam: TensorOperatorFamily,
               phis: BasisFunctionSet, gram: np.ndarray) -> np.ndarray:
     """All inner products ``(psi_l, Q_k(phi_j))`` in the side's inner product."""
     if not (psis.side == fam.side == phis.side):
         raise ValueError("basis sets and family must share one regular side")
-    acted = np.einsum("kab,jb->kja", fam.operators, phis.functions)
-    return np.einsum("la,ab,kjb->lkj", np.conj(psis.functions), gram, acted)
+    return _inner_product_tensor(psis.functions, fam.operators, phis.functions, gram)
 
 
-def _cg_arrays(system: CGSystem, r_label: str, d_r: int):
-    """Forward/inverse CG blocks of one target irrep, stacked over multiplicity."""
-    fwd, inv = [], []
-    for alpha in range(system.multiplicities.get(r_label, 0)):
-        cols = [i for i, (r, a, _) in enumerate(system.col_index)
-                if r == r_label and a == alpha]
-        fwd.append(system.C[:, cols].reshape(system.d_p, system.d_q, d_r))
-        inv.append(system.Cinv[cols, :].reshape(d_r, system.d_p, system.d_q))
-    return fwd, inv
+def _pair_axes(kind: str) -> str:
+    """einsum letters of a CG block's (first, second) factor axes, in tensor terms.
+
+    The ordinary ``(q, p)`` system indexes pairs ``(k, j)``; the twisted
+    ``(p, q)`` one ``(j, k)``.
+    """
+    return "kj" if kind == "ordinary" else "jk"
 
 
 def reduced_elements(tensor: np.ndarray, system: CGSystem, r_label: str,
@@ -89,33 +93,10 @@ def reduced_elements(tensor: np.ndarray, system: CGSystem, r_label: str,
     families the ``(p, q)`` one.  Returns one value per multiplicity index
     (empty when the fusion multiplicity vanishes).
     """
-    d_r = tensor.shape[0]
     finv = np.linalg.inv(f_r)
-    finv_tr = np.trace(finv)
-    fwd, _ = _cg_arrays(system, r_label, d_r)
-    out = []
-    for block in fwd:
-        if kind == "ordinary":
-            # block[t, s, v] with (q, p) ordering; tensor[u, t, s]
-            val = np.einsum("uts,tsv,vu->", tensor, block, finv) / finv_tr
-        else:
-            # block[s, t, v] with (p, q) ordering
-            val = np.einsum("uts,stv,vu->", tensor, block, finv) / finv_tr
-        out.append(complex(val))
-    return np.array(out, dtype=complex)
-
-
-def _reconstruct(tensor_shape: tuple[int, int, int], system: CGSystem, r_label: str,
-                 reduced: np.ndarray, kind: str) -> np.ndarray:
-    d_r = tensor_shape[0]
-    out = np.zeros(tensor_shape, dtype=complex)
-    _, inv = _cg_arrays(system, r_label, d_r)
-    for alpha, block in enumerate(inv):
-        if kind == "ordinary":
-            out += reduced[alpha] * block                      # inv[l, k, j]
-        else:
-            out += reduced[alpha] * block.transpose(0, 2, 1)   # inv[l, j, k] -> [l, k, j]
-    return out
+    fwd, _ = system.blocks(r_label, tensor.shape[0])
+    reduced = np.einsum(f"ukj,a{_pair_axes(kind)}v,vu->a", tensor, fwd, finv)
+    return np.asarray(reduced / np.trace(finv), dtype=complex)
 
 
 def factorize_tensor(tensor: np.ndarray, system: CGSystem, r_label: str,
@@ -123,17 +104,15 @@ def factorize_tensor(tensor: np.ndarray, system: CGSystem, r_label: str,
                      labels: tuple[str, str, str], scale: float = 1.0) -> WEReport:
     """Factorization engine shared by the full and restricted theorems."""
     reduced = reduced_elements(tensor, system, r_label, f_r, kind)
-    recon = _reconstruct(tensor.shape, system, r_label, reduced, kind)
-    residual = float(np.abs(tensor - recon).max())
+    _, inv = system.blocks(r_label, tensor.shape[0])
+    # design[l, k, j, alpha]: the inverse CG columns in tensor order
+    design = np.einsum(f"al{_pair_axes(kind)}->lkja", inv)
+    residual = float(np.abs(tensor - design @ reduced).max())
     details: dict = {}
-    if system.multiplicities.get(r_label, 0):
+    if len(reduced):
         # independent extraction: least squares against the inverse CG columns
-        _, inv = _cg_arrays(system, r_label, tensor.shape[0])
-        if kind == "ordinary":
-            design = np.array([b.reshape(-1) for b in inv]).T
-        else:
-            design = np.array([b.transpose(0, 2, 1).reshape(-1) for b in inv]).T
-        lsq, *_ = np.linalg.lstsq(design, tensor.reshape(-1), rcond=None)
+        lsq, *_ = np.linalg.lstsq(design.reshape(-1, len(reduced)), tensor.reshape(-1),
+                                  rcond=None)
         details["reduced_lstsq_gap"] = float(np.abs(lsq - reduced).max())
     p_label, q_label, r_lab = labels
     return WEReport(

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import sys
+from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cqglab.corep import irrep_table
-from cqglab.groups import builtin_algebras
+from cqglab.groups import GroupTable, build_function_algebra, builtin_algebras
 from cqglab.haar import gram_matrices, solve_haar
 
 
@@ -49,3 +51,21 @@ def cs3_fun(contexts):
 @pytest.fixture(scope="session")
 def cs3_grp(contexts):
     return contexts["C[S3]"]
+
+
+def alternating_group_4() -> GroupTable:
+    """A4 as the even permutations of four letters, identity first."""
+    def even(p):
+        return sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+
+    elems = [p for p in sorted(permutations(range(4))) if even(p)]
+    index = {p: i for i, p in enumerate(elems)}
+    table = np.array([[index[tuple(p[q[x]] for x in range(4))] for q in elems]
+                      for p in elems])
+    return GroupTable(len(elems), table)
+
+
+@pytest.fixture(scope="session")
+def ca4_fun():
+    """C(A4): its 3-dim irrep fuses with itself with multiplicity 2."""
+    return Context(build_function_algebra(alternating_group_4()))

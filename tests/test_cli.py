@@ -110,12 +110,16 @@ def test_reports_reproducible(tmp_path, s3_files):
 
 
 def test_irreps_output_reproducible(tmp_path):
-    outs = [tmp_path / "i1.json", tmp_path / "i2.json"]
-    for out in outs:
-        result = run_cli("irreps", "--builtin", "C[S3]", "--output", str(out))
-        assert result.returncode == 0, result.stderr
-        assert json.loads(out.read_text())["operation"] == "irreps"
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    inputs = [("irreps", "--builtin", "C[S3]")] + [
+        ("homspace", "--builtin", "C(S3)", "--subgroup", "0,1", "--side", side)
+        for side in ("L", "R")]
+    for idx, argv in enumerate(inputs):
+        outs = [tmp_path / f"{idx}-1.json", tmp_path / f"{idx}-2.json"]
+        for out in outs:
+            result = run_cli(*argv, "--output", str(out))
+            assert result.returncode == 0, result.stderr
+            assert json.loads(out.read_text())["operation"] == argv[0]
+        assert outs[0].read_bytes() == outs[1].read_bytes(), argv
 
 
 def test_csv_output(tmp_path, s3_files):

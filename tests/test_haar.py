@@ -86,3 +86,15 @@ def test_positivity_failure_detected():
     h_bad = LinearFunctional(alg, np.array([1.5, -0.5]))  # normalized but signed
     with pytest.raises(PositivityFailure):
         gram_matrices(alg, h_bad)
+
+
+def test_nullity_cut_follows_tol():
+    """Noise of 1e-11 on the coproduct sits above a fixed 1e-12 cut but far
+    below ``tol = 1e-5``; the solver must still find the (near-exact) Haar."""
+    alg = build_function_algebra(symmetric_group_3())
+    rng = np.random.default_rng(1)
+    noisy = HopfAlgebraSpec(alg.dim, alg.mult,
+                            alg.comult + 1e-11 * rng.standard_normal(alg.comult.shape),
+                            alg.antipode, alg.counit, alg.unit, alg.star, label="noisy")
+    h = solve_haar(noisy, tol=1e-5)
+    assert np.abs(h.covector - solve_haar(alg).covector).max() < 1e-6

@@ -87,6 +87,27 @@ def test_restricted_gram_values(coset_ctx, cs3_fun):
     assert np.abs(gram - np.eye(3) / 3.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("label", ["C(S3)", "C[S3]"])
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e5])
+def test_restricted_gram_tolerance_scales_with_rows(contexts, label, scale):
+    """B = A spanned by large random rows: a valid coideal whose Gram is large."""
+    ctx = contexts[label]
+    alg = ctx.algebra
+    rng = np.random.default_rng(5)
+    rows = scale * (rng.standard_normal((alg.dim, alg.dim))
+                    + 1j * rng.standard_normal((alg.dim, alg.dim)))
+    for side in ("R", "L"):
+        coideal = subspace_coideal(alg, rows, side)
+        assert verify_coideal(coideal).passed
+        gram = restricted_gram(coideal, side, ctx.grams)
+        expected = np.conj(rows) @ ctx.grams.gram(side) @ rows.T
+        assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
+        coideal.orthonormalize(ctx.grams)
+        onb = coideal.onb()
+        onb_gram = np.conj(onb) @ ctx.grams.gram(side) @ onb.T
+        assert np.abs(onb_gram - np.eye(alg.dim)).max() < 1e-8, (side, scale)
+
+
 def test_restricted_coaction(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     report = restricted_coaction_report(coideal, cs3_fun.grams, cs3_fun.haar, 1e-10)

@@ -29,6 +29,21 @@ def test_zero_tensor_when_fusion_absent(cs3_fun):
     assert rep.reduced.size == 0
 
 
+def test_two_reduced_elements_when_target_repeats(ca4_fun):
+    """The 3-dim irrep of C(A4) occurs twice in its own square."""
+    label = next(rl for rl in ca4_fun.table.labels if ca4_fun.table[rl].dim == 3)
+    for side in ("R", "L"):
+        for kind in ("ordinary", "twisted"):
+            for q_row in range(3):
+                phis, psis, fam, system = _setup(ca4_fun, label, label, label, side,
+                                                 kind, q_row)
+                rep = verify_wigner_eckart(psis, fam, phis, system,
+                                           ca4_fun.table[label].F, ca4_fun.grams.gram(side))
+                assert rep.passed, (side, kind, q_row)
+                assert rep.reduced.shape == (2,)
+                assert rep.details["reduced_lstsq_gap"] < 1e-10
+
+
 def test_standard_case_single_reduced_element(cs3_fun):
     phis, psis, fam, system = _setup(cs3_fun, "p2", "p2", "p2", "R", "ordinary")
     rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p2"].F,
