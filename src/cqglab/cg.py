@@ -88,11 +88,12 @@ def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
     """Ordinary or twisted tensor product corepresentation on ``V (x) W``."""
     alg = pi_v.algebra
     if kind == "ordinary":
-        coeffs = np.einsum("sja,tkb,abm->stjkm", pi_v.coeffs, pi_w.coeffs, alg.mult)
+        left = np.tensordot(pi_v.coeffs, alg.mult, axes=(2, 0))  # [s, j, b, m]
     elif kind == "twisted":
-        coeffs = np.einsum("sja,tkb,bam->stjkm", pi_v.coeffs, pi_w.coeffs, alg.mult)
+        left = np.tensordot(pi_v.coeffs, alg.mult, axes=(2, 1))  # [s, j, b, m]
     else:
         raise ValueError(f"kind must be 'ordinary' or 'twisted', got {kind!r}")
+    coeffs = np.tensordot(left, pi_w.coeffs, axes=(2, 2)).transpose(0, 3, 1, 4, 2)
     d = pi_v.dim * pi_w.dim
     glyph = "x" if kind == "ordinary" else "x~"
     return Corepresentation(alg, coeffs.reshape(d, d, alg.dim),
@@ -229,7 +230,8 @@ def cg_block_residual(system: CGSystem, pi_p: Corepresentation,
                       pi_q: Corepresentation, table: IrrepTable) -> float:
     """Max deviation of ``C^{-1} (pi^p x pi^q) C`` from the block-diagonal form."""
     big = tensor_product(pi_p, pi_q, "ordinary")
-    conjugated = np.einsum("ra,abm,bs->rsm", system.Cinv, big.coeffs, system.C)
+    conjugated = np.einsum("rbm,bs->rsm", np.tensordot(system.Cinv, big.coeffs, axes=(1, 0)),
+                           system.C)
     expected = np.zeros_like(conjugated)
     start = 0
     for r_lab, mult in system.multiplicities.items():
@@ -298,9 +300,13 @@ def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
     finv = np.linalg.inv(f_r)
     finv_tr = np.trace(finv)
     r_star = pi_r.star_coeffs()
-    pair = np.einsum("abx,xcy,y->abc", alg.mult, alg.mult, h.covector)
-    lhs_pq = np.einsum("ula,sjb,tkc,abc->ulsjtk", r_star, pi_p.coeffs, pi_q.coeffs, pair)
-    lhs_qp = np.einsum("ula,tkb,sjc,abc->ultksj", r_star, pi_q.coeffs, pi_p.coeffs, pair)
+    pair = alg.mult @ (alg.mult @ h.covector)  # pair[a, b, c] = h(a_a a_b a_c)
+    # weights[u, l, b, c] = h(pi^r*_ul a_b a_c); the two factors contract into it in turn
+    weights = np.tensordot(r_star, pair, axes=(2, 0))
+    lhs_pq = np.tensordot(np.tensordot(weights, pi_p.coeffs, axes=(2, 2)), pi_q.coeffs,
+                          axes=(2, 2))  # [u, l, s, j, t, k]
+    lhs_qp = np.tensordot(np.tensordot(weights, pi_q.coeffs, axes=(2, 2)), pi_p.coeffs,
+                          axes=(2, 2))  # [u, l, t, k, s, j]
 
     r_lab, d_r = pi_r.label, pi_r.dim
 

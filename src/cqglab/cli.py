@@ -96,11 +96,11 @@ def _cmd_cg(args) -> list[Report]:
     spec = _load_spec(args)
     h, grams, table = _context(spec, args.tolerance, args.seed)
     labels = _pick_labels(table, [args.p, args.q]) or list(table.labels)
+    system_for = _cg_systems(table, h)
     reports = []
     for pl in labels:
         for ql in labels:
-            sys_pq = solve_cg(table[pl], table[ql], table, h)
-            sys_qp = solve_cg(table[ql], table[pl], table, h)
+            sys_pq, sys_qp = system_for(pl, ql), system_for(ql, pl)
             rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": sys_pq.multiplicities})
             rep.add("block diagonalization", 0.0, 1.0)  # solve_cg certifies internally
             reports.append(rep)
@@ -189,11 +189,19 @@ def _cmd_homspace(args) -> list[Report]:
     spec = _load_spec(args)
     if not args.group and not args.builtin:
         raise CqglabError("homspace needs --group (or --builtin) with --subgroup")
+    group_algebra = (args.construction == "group" if args.group
+                     else args.builtin.startswith("C["))
+    if group_algebra:
+        raise CqglabError(
+            f"homspace builds coset subalgebras of a function algebra C(G), and "
+            f"{spec.label!r} is a group algebra; use --construction function or a "
+            f"'C(...)' built-in")
     if args.group:
         group = cio.load_group(args.group)
     else:
         from .groups import cyclic_group, symmetric_group_3
-        group = symmetric_group_3() if spec.dim == 6 else cyclic_group(spec.dim)
+        name = args.builtin[2:-1]  # the built-in function algebras are C(S3) and C(Zn)
+        group = symmetric_group_3() if name == "S3" else cyclic_group(int(name[1:]))
     subgroup = [int(x) for x in args.subgroup.split(",")] if args.subgroup else [0]
     side = args.side or "L"
     h, grams, table = _context(spec, args.tolerance, args.seed)

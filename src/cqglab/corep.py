@@ -122,9 +122,11 @@ def check_unitary(pi: Corepresentation, tol: float = 1e-9) -> Report:
     report.add("antipode flips to star",
                float(np.abs(pi.antipode_coeffs() - star.transpose(1, 0, 2)).max()), t)
     eye = np.einsum("jk,m->jkm", np.eye(pi.dim), alg.unit)
-    rows = np.einsum("lja,lkb,abm->jkm", star, pi.coeffs, alg.mult)
+    star_mult = np.tensordot(star, alg.mult, axes=(2, 0))    # [l, j, b, m]
+    rows = np.einsum("ljbm,lkb->jkm", star_mult, pi.coeffs)
     report.add("columns orthonormal", float(np.abs(rows - eye).max()), t)
-    cols = np.einsum("jla,klb,abm->jkm", pi.coeffs, star, alg.mult)
+    coeff_mult = np.tensordot(pi.coeffs, alg.mult, axes=(2, 0))  # [j, l, b, m]
+    cols = np.einsum("jlbm,klb->jkm", coeff_mult, star)
     report.add("rows orthonormal", float(np.abs(cols - eye).max()), t)
     pi.unitary = report.passed
     return report
@@ -349,7 +351,7 @@ def unitarize(pi: Corepresentation, gram: np.ndarray | None = None,
         raise PositivityFailure("carrier inner product is not positive definite") from exc
     t_mat = np.linalg.inv(chol.conj()).T      # T = L^{-H}
     t_inv = chol.conj().T
-    coeffs = np.einsum("ka,abm,bj->kjm", t_inv, pi.coeffs, t_mat)
+    coeffs = np.einsum("ka,ajm->kjm", t_inv, np.einsum("abm,bj->ajm", pi.coeffs, t_mat))
     out = Corepresentation(pi.algebra, coeffs, label=f"{pi.label}~u",
                            verified=pi.verified, irreducible=pi.irreducible)
     return out, t_mat
@@ -373,7 +375,7 @@ def _restrict_corep(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray,
     ``basis^+ = basis^H gram``.
     """
     pinv = basis.conj().T @ gram
-    rho = np.einsum("kb,bam,aj->kjm", pinv, pi.coeffs, basis)
+    rho = np.einsum("kb,bjm->kjm", pinv, np.einsum("bam,aj->bjm", pi.coeffs, basis))
     return Corepresentation(pi.algebra, rho, label=label)
 
 

@@ -160,11 +160,11 @@ def verify_haar_lemmas(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1
     report = Report(f"haar lemmas [{alg.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
 
-    lhs = np.einsum("jab,ia,bt->ijt", mu, H, s)
+    lhs = np.einsum("ia,jat->ijt", H, mu @ s)
     rhs = np.einsum("iat,aj->ijt", mu, H)
     report.add("averaging right", float(np.abs(lhs - rhs).max()), t)
 
-    lhs = np.einsum("jab,bi,at->ijt", mu, H, s)
+    lhs = np.einsum("jai,at->ijt", mu @ H, s)
     rhs = np.einsum("itb,jb->ijt", mu, H)
     report.add("averaging left", float(np.abs(lhs - rhs).max()), t)
 
@@ -208,7 +208,7 @@ def regular_unitarity_report(alg: HopfAlgebraSpec, grams: GramPair, tol: float =
     for side in ("R", "L"):
         gram = grams.gram(side)
         ct = regular_coaction_tensor(alg, side)  # ct[t, a, b]: pi(a_t) = sum a_a (x) a_b coeffs
-        lhs = np.einsum("jab,ia,bt->ijt", ct, gram, alg.antipode)
-        rhs = np.einsum("iab,aj,bt->ijt", np.conj(ct), gram, alg.star)
+        lhs = np.einsum("ia,jat->ijt", gram, ct @ alg.antipode)
+        rhs = np.einsum("iat,aj->ijt", np.conj(ct) @ alg.star, gram)
         report.add(f"unitarity {side}", float(np.abs(lhs - rhs).max()), t)
     return report

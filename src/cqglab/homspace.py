@@ -155,7 +155,7 @@ def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
     report = Report(f"coideal axioms [{coideal.label}]", meta={"tol": tol})
     t = tol * alg.magnitude * max(1.0, float(np.abs(rows).max()) ** 2)
 
-    products = np.einsum("ia,jb,abm->ijm", rows, rows, alg.mult)
+    products = np.tensordot(rows, np.tensordot(rows, alg.mult, axes=(1, 1)), axes=(1, 1))
     report.add("product closure", float(np.abs(products @ comp.T).max()), t)
     stars = np.conj(rows) @ alg.star
     report.add("star closure", float(np.abs(stars @ comp.T).max()), t)
@@ -209,7 +209,7 @@ def restricted_coaction_tensor(coideal: CoidealSubalgebra, grams: GramPair,
     full = regular_coaction_tensor(alg, coideal.side)
     gram_full = grams.gram(coideal.side)
     lifted = np.einsum("it,tac->iac", onb, full)
-    coords = np.einsum("ka,ab,ibc->ikc", np.conj(onb), gram_full, lifted)
+    coords = np.einsum("kb,ibc->ikc", np.conj(onb) @ gram_full, lifted)
     rebuilt = np.einsum("ikc,ka->iac", coords, onb)
     escape = float(np.abs(rebuilt - lifted).max())
     if escape > tol * alg.magnitude:
@@ -362,9 +362,9 @@ def restricted_product_tensor(coideal: CoidealSubalgebra, grams: GramPair,
     """Structure constants of ``B`` in its ONB: ``e_i e_j = sum_k T[i,j,k] e_k``."""
     alg = coideal.algebra
     onb = coideal.onb()
-    products = np.einsum("ia,jb,abm->ijm", onb, onb, alg.mult)
+    products = np.tensordot(onb, np.tensordot(onb, alg.mult, axes=(1, 1)), axes=(1, 1))
     gram_full = grams.gram(coideal.side)
-    coords = np.einsum("ka,ab,ijb->ijk", np.conj(onb), gram_full, products)
+    coords = products @ (np.conj(onb) @ gram_full).T
     rebuilt = np.einsum("ijk,km->ijm", coords, onb)
     if float(np.abs(rebuilt - products).max()) > tol * alg.magnitude:
         raise CoidealMismatch("products escape the subalgebra; not closed")

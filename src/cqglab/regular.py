@@ -322,13 +322,16 @@ def product_coaction_check(alg: HopfAlgebraSpec, side: str, tol: float = 1e-10,
     applied = twist if twist is not None else ("plain" if side == "R" else "twisted")
     # coaction of a_i a_j
     lhs = np.einsum("ijt,tab->ijab", m, tensor)
-    first = np.einsum("iac,jbd,abe->ijcde", tensor, tensor, m)  # legs (e=[1], c,d raw [2]s)
+    # the product is multiplied into one leg of each factor first (two n^5
+    # half-products), then the pair is contracted as one (n^2 x n^2) product
+    firsts = np.tensordot(tensor, m, axes=(1, 0))  # [i, c, b, e]: a_i's [1] times a_b
     if applied == "plain":
-        rhs = np.einsum("ijcde,cdf->ijef", first, m)
+        seconds = np.tensordot(tensor, m, axes=(2, 1))  # [j, b, c, f]: a_c times a_j's [2]
     elif applied == "twisted":
-        rhs = np.einsum("ijcde,dcf->ijef", first, m)
+        seconds = np.tensordot(tensor, m, axes=(2, 0))  # [j, b, c, f]: a_j's [2] times a_c
     else:
         raise ValueError(f"unknown twist {applied!r}")
+    rhs = np.tensordot(firsts, seconds, axes=((1, 2), (2, 1))).transpose(0, 2, 1, 3)
     report = Report(f"product coaction [{alg.label} side {side} rule {applied}]",
                     meta={"tol": tol})
     report.add("product rule", float(np.abs(lhs - rhs).max()), tol * alg.magnitude ** 2)

@@ -86,11 +86,12 @@ def operator_comodule(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str) -> np.
     """
     b, n = coact.shape[0], alg.dim
     if kind == "ordinary":
-        spow, order = alg.antipode, "BwM"
+        spow, m_axis = alg.antipode, 0
     else:
-        spow, order = alg.antipode_inv, "wBM"
-    out = np.einsum(f"xAB,tyb,bw,{order}->AtxyM", coact, coact, spow, alg.mult,
-                    optimize=True)
+        spow, m_axis = alg.antipode_inv, 1
+    second = coact @ spow                                     # [t, y, w]
+    first = np.tensordot(coact, alg.mult, axes=(2, m_axis))   # [x, A, w, M]
+    out = np.tensordot(second, first, axes=(2, 2)).transpose(3, 0, 2, 1, 4)  # [A, t, x, y, M]
     return out.reshape(b * b, b * b, n)
 
 
@@ -108,14 +109,23 @@ def operator_coaction_components(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: s
         return pipeline_components(regular_coaction_tensor(alg, side), alg, kind, q_op)
     if route != "constants":
         raise ValueError(f"unknown route {route!r}")
+    # pairwise, worst step n^5: Q acts on one coproduct leg, the antipode on
+    # the other, then the two coproducts meet in the product
     if side == "R":
-        if kind == "ordinary":
-            return np.einsum("uvM,wv,iju,tlw,il->Mjt", m, s, mu, mu, q_op, optimize=True)
-        return np.einsum("vuM,wv,iju,tlw,il->Mjt", m, alg.antipode_inv, mu, mu, q_op,
-                         optimize=True)
-    if kind == "ordinary":
-        return np.einsum("wuv,vM,nw,iuj,tnl,il->Mjt", m, s, s, mu, mu, q_op, optimize=True)
-    return np.einsum("nvM,uv,iuj,tnl,il->Mjt", m, s, mu, mu, q_op, optimize=True)
+        spow = s if kind == "ordinary" else alg.antipode_inv
+        acted = np.tensordot(q_op, mu, axes=(1, 1)) @ spow    # [i, t, v]
+        legs = np.tensordot(mu, acted, axes=(0, 0))           # [j, u, t, v]
+        m_axes = (0, 1) if kind == "ordinary" else (1, 0)
+        out = np.tensordot(legs, m, axes=((1, 3), m_axes))   # [j, t, M]
+    elif kind == "ordinary":
+        acted = np.tensordot(q_op, mu, axes=(1, 2)) @ s       # [i, t, w]
+        legs = np.tensordot(mu, acted, axes=(0, 0))           # [u, j, t, w]
+        out = np.tensordot(legs, m, axes=((0, 3), (1, 0))) @ s  # [j, t, M]
+    else:
+        acted = np.tensordot(q_op, mu, axes=(1, 2))           # [i, t, n]
+        legs = np.tensordot(np.einsum("iuj,uv->ivj", mu, s), acted, axes=(0, 0))  # [v, j, t, n]
+        out = np.tensordot(legs, m, axes=((3, 0), (0, 1)))   # [j, t, M]
+    return out.transpose(2, 0, 1)
 
 
 @dataclass
@@ -287,13 +297,10 @@ def apply_family_to_basis_functions(fam: TensorOperatorFamily, phis: BasisFuncti
     coact = regular_coaction_tensor(alg, fam.side)
     acted = np.einsum("kab,jb->kja", fam.operators, phis.functions)  # Q_k(phi_j)
     lhs = np.einsum("kjt,tab->kjab", acted, coact)
-    if fam.kind == "ordinary":
-        weights = np.einsum("tkx,sjy,xyb->tksjb", fam.corep.coeffs, phis.corep.coeffs,
-                            alg.mult)
-    else:
-        weights = np.einsum("tkx,sjy,yxb->tksjb", fam.corep.coeffs, phis.corep.coeffs,
-                            alg.mult)
-    rhs = np.einsum("tsa,tksjb->kjab", acted, weights)
+    m_axis = 0 if fam.kind == "ordinary" else 1
+    weights = np.tensordot(np.tensordot(fam.corep.coeffs, alg.mult, axes=(2, m_axis)),
+                           phis.corep.coeffs, axes=(2, 2))  # [t, k, b, s, j]
+    rhs = np.einsum("tsa,tkbsj->kjab", acted, weights)
     report = Report(f"family on basis functions [{fam.label} on {phis.label}]",
                     meta={"tol": tol})
     report.add("transformation law", float(np.abs(lhs - rhs).max()),
@@ -311,10 +318,9 @@ def operator_product_rule_residual(alg: HopfAlgebraSpec, kind: str, side: str,
     comp1 = operator_coaction_components(alg, q1, kind, side)
     comp2 = operator_coaction_components(alg, q2, kind, side)
     prod = operator_coaction_components(alg, np.asarray(q1) @ np.asarray(q2), kind, side)
-    if kind == "ordinary":
-        expected = np.einsum("uab,vbc,uvM->Mac", comp1, comp2, alg.mult)
-    else:
-        expected = np.einsum("uab,vbc,vuM->Mac", comp1, comp2, alg.mult)
+    pairs = np.tensordot(comp1, comp2, axes=(2, 1))  # [u, a, v, c]
+    m_axes = (0, 1) if kind == "ordinary" else (1, 0)
+    expected = np.tensordot(pairs, alg.mult, axes=((0, 2), m_axes)).transpose(2, 0, 1)
     return float(np.abs(prod - expected).max())
 
 

@@ -65,7 +65,7 @@ def _inner_product_tensor(psis: np.ndarray, ops: np.ndarray, phis: np.ndarray,
                           gram: np.ndarray) -> np.ndarray:
     """``T[l, k, j] = (psi_l, Q_k(phi_j))`` for coefficient rows and a Gram matrix."""
     acted = np.einsum("kab,jb->kja", ops, phis)
-    return np.einsum("la,ab,kjb->lkj", np.conj(psis), gram, acted)
+    return np.einsum("lb,kjb->lkj", np.conj(psis) @ gram, acted)
 
 
 def we_tensor(psis: BasisFunctionSet, fam: TensorOperatorFamily,

@@ -8,8 +8,8 @@ from cqglab.algebra import (Element, build_dual, coproduct, counit_of, multiply,
                             verify_hopf_axioms, verify_star_axioms,
                             antipode_inverse_via_star, random_elements)
 from cqglab.errors import DimensionMismatch, InvalidSpec
-from cqglab.groups import build_function_algebra, build_group_algebra, cyclic_group, \
-    symmetric_group_3
+from cqglab.groups import all_permutation_group, build_function_algebra, \
+    build_group_algebra, cyclic_group, symmetric_group_3
 
 
 def test_axiom_suites_pass_on_all_builtins(algebras):
@@ -18,6 +18,17 @@ def test_axiom_suites_pass_on_all_builtins(algebras):
         star = verify_star_axioms(alg, 1e-12)
         assert hopf.passed, f"{label}: {hopf.summary()}"
         assert star.passed, f"{label}: {star.summary()}"
+
+
+@pytest.mark.parametrize("builder", [build_function_algebra, build_group_algebra])
+def test_axiom_suites_pass_at_n24(builder):
+    """C(S4) and C[S4]: the bialgebra term used to be one n^8 contraction here."""
+    alg = builder(all_permutation_group(4))
+    assert alg.dim == 24
+    hopf = verify_hopf_axioms(alg, 1e-12)
+    star = verify_star_axioms(alg, 1e-12)
+    assert hopf.passed, hopf.summary()
+    assert star.passed, star.summary()
 
 
 def test_unit_law_multiply(algebras):

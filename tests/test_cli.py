@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cqglab import cli
 from cqglab import io as cio
 from cqglab.groups import build_function_algebra, symmetric_group_3
 
@@ -98,6 +99,36 @@ def test_homspace_subcommand(tmp_path, s3_files):
     dims = {c["name"]: c["details"]["dim"] for r in payload["reports"]
             for c in r["checks"] if c["name"].startswith("solution dim")}
     assert dims == {"solution dim p0": 1, "solution dim p1": 0, "solution dim p2": 1}
+
+
+@pytest.mark.parametrize("source", [
+    ("--builtin", "C[S3]", "--side", "L"),
+    ("--builtin", "C[Z3]"),
+    ("--group", "GROUP", "--construction", "group"),
+])
+def test_homspace_rejects_group_algebras(s3_files, source):
+    argv = [str(s3_files["group"]) if a == "GROUP" else a for a in source]
+    result = run_cli("homspace", *argv, "--subgroup", "0,1")
+    assert result.returncode == 2
+    assert "function algebra" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_homspace_builtin_cyclic_group():
+    result = run_cli("homspace", "--builtin", "C(Z4)", "--subgroup", "0,2")
+    assert result.returncode == 0, result.stderr
+
+
+def test_cg_solves_each_system_once(tmp_path, monkeypatch):
+    calls, solve = [], cli.solve_cg
+
+    def counting(pi_p, pi_q, *rest, **kw):
+        calls.append((pi_p.label, pi_q.label))
+        return solve(pi_p, pi_q, *rest, **kw)
+
+    monkeypatch.setattr(cli, "solve_cg", counting)
+    assert cli.main(["cg", "--builtin", "C[S3]", "--output", str(tmp_path / "cg.json")]) == 0
+    assert len(calls) == len(set(calls)) == 36
 
 
 def test_reports_reproducible(tmp_path, s3_files):
