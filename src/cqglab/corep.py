@@ -387,64 +387,59 @@ def _invariance_residual(pi: Corepresentation, basis: np.ndarray, gram: np.ndarr
     return float(np.abs(lifted - back).max())
 
 
+def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray] | None = None,
+           cluster_tol: float = 1e-8) -> list[np.ndarray]:
+    """Split invariant subspaces (gram-orthonormal columns, default the whole carrier).
+
+    Each block is split by the eigenvalue clusters of the self-adjoint or skew
+    part of the first compression ``basis^H gram op basis`` of a commutant
+    element ``op`` that has two clusters, and each piece again.  A block with
+    only scalar compressions is irreducible if the ``ops`` span the commutant.
+    ``gram`` must be Hermitian.
+    """
+    if blocks is None:
+        start = _gram_orthonormalize(np.eye(pi.dim, dtype=complex), gram)
+        if start.shape[1] != pi.dim:
+            raise PositivityFailure("invariant inner product is numerically singular")
+        blocks = [start]
+    ops = np.asarray(ops)
+    bound = 1e-7 * pi.algebra.magnitude
+
+    def split(basis: np.ndarray) -> list[np.ndarray]:
+        if basis.shape[1] == 1:
+            return [basis]
+        for comp in basis.conj().T @ gram @ (ops @ basis):
+            for part in ((comp + comp.conj().T) / 2.0, (comp - comp.conj().T) / 2j):
+                eigvals, eigvecs = np.linalg.eigh(part)
+                spread = eigvals[-1] - eigvals[0]
+                cuts = np.flatnonzero(np.diff(eigvals) > cluster_tol * max(1.0, spread)) + 1
+                if cuts.size == 0:
+                    continue
+                sub_bases = [basis @ vecs for vecs in np.split(eigvecs, cuts, axis=1)]
+                worst = max(_invariance_residual(pi, b, gram) for b in sub_bases)
+                if worst > bound:
+                    raise DecompositionStall(f"a commutant eigenspace is not invariant "
+                                             f"(residual {worst:.1e} > {bound:.1e})")
+                return [piece for b in sub_bases for piece in split(b)]
+        return [basis]
+
+    return [piece for basis in blocks for piece in split(basis)]
+
+
 def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0,
-                       cluster_tol: float = 1e-8, max_tries: int = 12,
+                       cluster_tol: float = 1e-8,
                        ) -> list[tuple[np.ndarray, Corepresentation]]:
     """Split a comodule into irreducible blocks by commutant eigensplitting.
 
     ``pi`` is the coaction tensor of the comodule (matrix-coefficient form)
     and ``gram`` an invariant inner product making it unitary.  Returns pairs
     ``(subspace basis as (d, d_block) columns in the carrier, irreducible
-    block corepresentation in a gram-orthonormal basis)``.  The random
-    commutant draws are seeded for reproducibility.
+    block corepresentation in a gram-orthonormal basis)``, sorted by block
+    dimension.  Deterministic: ``seed`` is accepted and unused.
     """
-    rng = np.random.default_rng(seed)
-    d = pi.dim
     gram = (gram + gram.conj().T) / 2.0
-    gram_inv = np.linalg.inv(gram)
-
-    def split(basis: np.ndarray) -> list[np.ndarray]:
-        sub = _restrict_corep(pi, basis, gram, label="block")
-        dim_sub = basis.shape[1]
-        comm = morphism_space(sub, sub)
-        if len(comm) == 1:
-            return [basis]
-        sub_gram = np.eye(dim_sub)  # basis columns are gram-orthonormal
-        for attempt in range(max_tries):
-            coefs = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
-            phi = sum(c * b for c, b in zip(coefs, comm))
-            phi = (phi + phi.conj().T) / 2.0  # self-adjoint in the orthonormal basis
-            eigvals, eigvecs = np.linalg.eigh(phi)
-            spread = eigvals[-1] - eigvals[0]
-            if spread < cluster_tol * max(1.0, np.abs(eigvals).max()):
-                continue
-            clusters: list[list[int]] = [[0]]
-            for i in range(1, dim_sub):
-                if eigvals[i] - eigvals[clusters[-1][-1]] <= cluster_tol * max(1.0, spread):
-                    clusters[-1].append(i)
-                else:
-                    clusters.append([i])
-            if len(clusters) < 2:
-                continue
-            scale = pi.algebra.magnitude
-            sub_bases = [basis @ eigvecs[:, cl] for cl in clusters]
-            if any(_invariance_residual(pi, b, gram) > 1e-7 * scale for b in sub_bases):
-                continue
-            pieces = []
-            for sub_basis in sub_bases:
-                pieces.extend(split(sub_basis))
-            return pieces
-        raise DecompositionStall(
-            f"commutant of a {dim_sub}-dimensional block refused to split "
-            f"after {max_tries} random draws")
-
-    start = _gram_orthonormalize(np.eye(d, dtype=complex), gram)
-    if start.shape[1] != d:
-        raise PositivityFailure("invariant inner product is numerically singular")
-    blocks = []
-    for basis in split(start):
-        block = _restrict_corep(pi, basis, gram, label=f"{pi.label}|{basis.shape[1]}d")
-        blocks.append((basis, block))
+    blocks = [(basis, _restrict_corep(pi, basis, gram, label=f"{pi.label}|{basis.shape[1]}d"))
+              for basis in _split(pi, gram, morphism_space(pi, pi), cluster_tol=cluster_tol)]
     blocks.sort(key=lambda pair: pair[1].dim)
     return blocks
 
@@ -513,39 +508,43 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
 
     Returns one unitary representative per equivalence class, with its
     F-matrix computed, sorted trivial-first then by (dimension, character
-    fingerprint).  Multiplicities are the block counts in the regular
-    comodule (equal to the dimensions exactly when the matrix coefficients
-    span the algebra).
+    fingerprint).  The central convolutions ``y -> h(S(x) y_(1)) y_(2)``, x
+    cocommutative, split off one isotypic block per class; all left
+    convolutions split each block into copies, the first being the
+    representative.  Deterministic: ``seed`` is accepted and unused.
     """
     from .regular import regular_corep
 
+    n = alg.dim
+    comult = alg.comult
     reg = regular_corep(alg, "R")
-    blocks = decompose_comodule(reg, gram_right, seed=seed)
+    gram = (gram_right + gram_right.conj().T) / 2.0
+    coc = _nullspace((comult - comult.transpose(0, 2, 1)).reshape(n, n * n).T,
+                     scale=alg.magnitude)
+    # phi_x(a_s) = h(S(x) a_s); the convolution by phi has matrix [b, a] = phi . comult[a, :, b]
+    phis = np.array(coc).reshape(-1, n) @ alg.antipode @ (alg.mult @ h.covector)
+    central = np.tensordot(phis, comult, axes=(1, 1)).transpose(0, 2, 1)
+    isotypic = _split(reg, gram, central)
+    if len(isotypic) != len(coc):
+        raise DecompositionStall(
+            f"central convolutions gave {len(isotypic)} isotypic blocks, "
+            f"but dim Coc(A) = {len(coc)}")
+    left = comult.transpose(1, 2, 0)
     classes: list[tuple[Corepresentation, int]] = []
-    for _, block in blocks:
-        for idx, (rep, count) in enumerate(classes):
-            if block.dim == rep.dim and are_equivalent(block, rep, tol=tol) is not None:
-                classes[idx] = (rep, count + 1)
-                break
-        else:
-            classes.append((block, 1))
-
-    unit = alg.unit
+    for block in isotypic:
+        pieces = _split(reg, gram, left, blocks=[block])
+        classes.append((_restrict_corep(reg, pieces[0], gram, label="block"), len(pieces)))
 
     def sort_key(item: tuple[Corepresentation, int]):
-        rep, _ = item
-        is_trivial = rep.dim == 1 and np.abs(rep.coeffs[0, 0] - unit).max() < 1e-9
+        rep = item[0]
+        is_trivial = rep.dim == 1 and np.abs(rep.coeffs[0, 0] - alg.unit).max() < 1e-9
         return (0 if is_trivial else 1, rep.dim, _character_fingerprint(rep))
 
     classes.sort(key=sort_key)
-    irreps: list[Corepresentation] = []
-    mults: list[int] = []
-    for i, (rep, count) in enumerate(classes):
+    for i, (rep, _) in enumerate(classes):
         rep.label = f"p{i}"
         verify_corep(rep, tol)
         check_unitary(rep, tol)
         rep.irreducible = True
         compute_F(rep, tol)
-        irreps.append(rep)
-        mults.append(count)
-    return IrrepTable(alg, irreps, mults)
+    return IrrepTable(alg, [rep for rep, _ in classes], [count for _, count in classes])

@@ -52,7 +52,7 @@ class NotIrreducible(CqglabError):
 
 
 class DecompositionStall(CqglabError):
-    """Random commutant splitting failed to separate an invariant subspace."""
+    """A commutant eigenspace failed the invariance check, or classes went missing."""
 
 
 class MultiplicityMismatch(CqglabError):

@@ -155,7 +155,7 @@ def report_payload(operation: str, reports: list[Report], tolerance: float,
 
 
 def save_report(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
 def report_to_csv(payload: dict) -> str:

@@ -7,6 +7,8 @@ verified.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
 S3_ELEMENTS = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
@@ -155,3 +157,38 @@ def s3_fusion_multiplicity(p: str, q: str, r: str) -> int:
     chars = s3_character_table()
     total = sum(chars[p][g] * chars[q][g] * np.conj(chars[r][g]) for g in range(6))
     return int(round((total / 6).real))
+
+
+def hook_length_degrees(n: int) -> list[int]:
+    """Degrees of the irreducible representations of S_n, by the hook-length formula."""
+    def partitions(rest, largest):
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield (part,) + tail
+
+    degrees = []
+    for shape in partitions(n, n):
+        columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+        hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):
+                hooks *= (row - j) + (columns[j] - i) - 1
+        degrees.append(factorial(n) // hooks)
+    return sorted(degrees)
+
+
+def tensor_product_algebra(first, second):
+    """The tensor product Hopf *-algebra: every structure tensor is a Kronecker product.
+
+    Basis element ``a_i (x) b_j`` has index ``i * second.dim + j``, the index
+    order of ``np.kron``.
+    """
+    from cqglab.algebra import HopfAlgebraSpec
+    return HopfAlgebraSpec(
+        first.dim * second.dim,
+        np.kron(first.mult, second.mult), np.kron(first.comult, second.comult),
+        np.kron(first.antipode, second.antipode), np.kron(first.counit, second.counit),
+        np.kron(first.unit, second.unit), np.kron(first.star, second.star),
+        label=f"{first.label}(x){second.label}")

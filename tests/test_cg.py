@@ -282,13 +282,25 @@ def test_group_like_coupling(cs3_grp):
 
 def test_linear_dependence_warning(cs3_fun):
     """Same-row products of the standard irrep are symmetric, hence dependent."""
-    std = cs3_fun.table["p2"]
+    alg, table = cs3_fun.algebra, cs3_fun.table
+    std = table["p2"]
     system = cs3_fun.cg("p2", "p2")
     phis = canonical_basis_functions(std, "R", 0)
     with pytest.warns(LinearDependenceWarning):
-        coupled_basis_functions(phis, phis, "R", system, cs3_fun.table)
-    # distinct rows are independent: no warning
-    psis = canonical_basis_functions(std, "R", 1)
+        coupled_basis_functions(phis, phis, "R", system, table)
+    # times the sign irrep (an invertible element): independent for every representative
+    signs = canonical_basis_functions(table["p1"], "R", 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coupled_basis_functions(phis, psis, "R", system, cs3_fun.table)
+        coupled_basis_functions(phis, signs, "R", cs3_fun.cg("p2", "p1"), table)
+    # distinct rows: dependent or not according to the representative; the
+    # warning must fire exactly when the products' rank is below 4
+    psis = canonical_basis_functions(std, "R", 1)
+    products = np.einsum("ja,kb,abm->jkm", phis.functions, psis.functions, alg.mult)
+    sigma = np.linalg.svd(products.reshape(4, alg.dim), compute_uv=False)
+    rank = int(np.sum(sigma > 1e-9 * sigma[0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coupled_basis_functions(phis, psis, "R", system, table)
+    fired = any(issubclass(w.category, LinearDependenceWarning) for w in caught)
+    assert fired == (rank < 4), (rank, sigma)

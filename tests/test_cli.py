@@ -140,6 +140,19 @@ def test_reports_reproducible(tmp_path, s3_files):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_irreps_report_ignores_seed(tmp_path):
+    """The irrep table draws nothing at random; ``--seed`` is only recorded."""
+    payloads = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"irreps-{seed}.json"
+        assert cli.main(["irreps", "--builtin", "C(S3)", "--seed", seed,
+                         "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload.pop("seed") == payload["inputs"].pop("seed") == int(seed)
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_irreps_output_reproducible(tmp_path):
     inputs = [("irreps", "--builtin", "C[S3]")] + [
         ("homspace", "--builtin", "C(S3)", "--subgroup", "0,1", "--side", side)

@@ -6,11 +6,12 @@ import pytest
 from oracles import (brute_cross_schur, brute_schur_sum, classical_corep_coeffs,
                      s3_irreps)
 
+from cqglab import corep
 from cqglab.corep import (Corepresentation, are_equivalent, check_unitary, compute_F,
                           conjugate_corep, decompose_comodule, doubly_contragredient,
-                          identity_corep, invariant_gram, is_irreducible,
+                          identity_corep, invariant_gram, irrep_table, is_irreducible,
                           morphism_space, unitarize, verify_corep, verify_orthogonality)
-from cqglab.errors import NotIrreducible
+from cqglab.errors import DecompositionStall, NotIrreducible
 from cqglab.groups import build_function_algebra, symmetric_group_3
 from cqglab.regular import regular_corep
 
@@ -234,6 +235,27 @@ def test_decomposition_deterministic(cs3_fun):
     for (b1, c1), (b2, c2) in zip(one, two):
         assert np.abs(b1 - b2).max() < 1e-14
         assert np.abs(c1.coeffs - c2.coeffs).max() < 1e-14
+
+
+def test_non_invariant_eigenspace_raises_stall(cs3_fun):
+    """A matrix outside the commutant has non-invariant eigenspaces: refused."""
+    reg = regular_corep(cs3_fun.algebra, "R")
+    not_commutant = np.diag(np.arange(6.0)).astype(complex)
+    with pytest.raises(DecompositionStall):
+        corep._split(reg, cs3_fun.grams.gram_right, [not_commutant])
+
+
+def test_merged_classes_raise_stall(cs3_fun, monkeypatch):
+    """Two classes merged into one isotypic block must not pass as one class."""
+    split = corep._split
+
+    def merging(pi, gram, ops, blocks=None, cluster_tol=1e-8):
+        pieces = split(pi, gram, ops, blocks, cluster_tol)
+        return pieces if blocks else [np.hstack(pieces[:2]), *pieces[2:]]
+
+    monkeypatch.setattr(corep, "_split", merging)
+    with pytest.raises(DecompositionStall):
+        irrep_table(cs3_fun.algebra, cs3_fun.haar, cs3_fun.grams.gram_right)
 
 
 def test_table_lookup_errors(cs3_fun):

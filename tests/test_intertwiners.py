@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from cqglab.cg import solve_cg
-from cqglab.corep import irrep_table, morphism_space
+from cqglab.corep import decompose_comodule, irrep_table, morphism_space
 from cqglab.groups import symmetric_group_3
 from cqglab.homspace import (build_coset_subalgebra, restricted_coaction_tensor,
                              solve_restricted_basis_functions, solve_restricted_family)
-from cqglab.regular import regular_coaction_tensor
+from cqglab.regular import regular_coaction_tensor, regular_corep
 from cqglab.tensor_ops import VARIANTS, solve_family_space
 
 S3 = symmetric_group_3()
@@ -87,16 +87,31 @@ def _fingerprints(table):
 
 
 def test_invariants_survive_representative_rotation(contexts):
-    """Representatives may rotate with the seed; what they represent may not."""
+    """The table is built without random draws: every seed gives the same arrays."""
     for label, ctx in contexts.items():
         ref = ctx.table
         ref_fusion = {(p, q): ctx.cg(p, q).multiplicities
                       for p in ref.labels for q in ref.labels}
-        for seed in range(1, 4):
+        for seed in range(4):
             table = irrep_table(ctx.algebra, ctx.haar, ctx.grams.gram_right, seed=seed)
-            assert table.dims() == ref.dims(), (label, seed)
+            assert table.labels == ref.labels, (label, seed)
             assert table.multiplicities == ref.multiplicities, (label, seed)
+            for pi, rho in zip(table, ref):
+                assert np.array_equal(pi.coeffs, rho.coeffs), (label, seed, pi.label)
+                assert np.array_equal(pi.F, rho.F), (label, seed, pi.label)
             assert _fingerprints(table) == _fingerprints(ref), (label, seed)
             for (p, q), mults in ref_fusion.items():
                 system = solve_cg(table[p], table[q], table, ctx.haar)
                 assert system.multiplicities == mults, (label, seed, p, q)
+
+
+def test_decomposition_is_seed_invariant(contexts):
+    for label, ctx in contexts.items():
+        reg = regular_corep(ctx.algebra, "R")
+        ref = decompose_comodule(reg, ctx.grams.gram_right, seed=0)
+        for seed in range(1, 4):
+            blocks = decompose_comodule(reg, ctx.grams.gram_right, seed=seed)
+            assert len(blocks) == len(ref), (label, seed)
+            for (b1, c1), (b2, c2) in zip(blocks, ref):
+                assert np.array_equal(b1, b2), (label, seed)
+                assert np.array_equal(c1.coeffs, c2.coeffs), (label, seed)
