@@ -28,6 +28,7 @@ broken spec can be loaded and diagnosed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,8 @@ class HopfAlgebraSpec:
         object.__setattr__(self, "star", _as_complex(self.star, (n, n), "star"))
 
     # -- scale used to normalize residual tolerances ------------------------
-    @property
+    # cached: the structure arrays are read-only, so neither value can go stale
+    @cached_property
     def magnitude(self) -> float:
         """Largest structure-constant magnitude (at least 1)."""
         return max(
@@ -94,13 +96,16 @@ class HopfAlgebraSpec:
               (self.mult, self.comult, self.antipode, self.counit, self.unit, self.star)),
         )
 
-    @property
+    @cached_property
     def antipode_inv(self) -> np.ndarray:
-        """Inverse antipode matrix; the antipode of a Hopf *-algebra is invertible."""
+        """Inverse antipode matrix (read-only); the antipode of a Hopf *-algebra is
+        invertible, and a singular one raises ``InvalidSpec`` on every access."""
         try:
-            return np.linalg.inv(self.antipode)
+            inv = np.linalg.inv(self.antipode)
         except np.linalg.LinAlgError as exc:
             raise InvalidSpec(f"antipode matrix of {self.label!r} is singular") from exc
+        inv.setflags(write=False)
+        return inv
 
     # -- element constructors ------------------------------------------------
     def element(self, coeffs) -> "Element":

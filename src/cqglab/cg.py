@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Element, HopfAlgebraSpec, LinearFunctional, multiply
-from .corep import Corepresentation, IrrepTable, morphism_space
+from .corep import Corepresentation, IrrepTable, intertwiners
 from .errors import (LinearDependenceWarning, MultiplicityMismatch,
                      NonIntegerMultiplicity, SingularC)
 from .regular import BasisFunctionSet
@@ -183,9 +183,9 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
 
     For each table irreducible ``r`` with nonzero fusion multiplicity the
     blocks are the basis of ``Hom(pi^r, pi_p (x) pi_q)`` that
-    :func:`cqglab.corep.morphism_space` returns (solved by
-    :func:`cqglab.corep.intertwiners`); they are stacked into a square ``C``
-    whose inverse block-diagonalizes the product corepresentation.  Raises ``MultiplicityMismatch`` when the solution-space
+    :func:`cqglab.corep.intertwiners` returns for ``h``; they are stacked into
+    a square ``C`` whose inverse block-diagonalizes the product
+    corepresentation.  Raises ``MultiplicityMismatch`` when the solution-space
     dimension disagrees with the character count and ``SingularC`` when the
     assembled matrix is not invertible.
     """
@@ -197,7 +197,7 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
     mults: dict[str, int] = {}
     for label, target in zip(table.labels, table.irreps):
         expected = multiplicity_in(chi_big, character(target), h)
-        blocks = morphism_space(target, big)  # d_big x d_target, orthonormal
+        blocks = intertwiners(target.coeffs, big.coeffs, h)  # d_big x d_target, orthonormal
         if len(blocks) != expected:
             raise MultiplicityMismatch(
                 f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "

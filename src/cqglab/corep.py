@@ -24,9 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import Element, HopfAlgebraSpec, LinearFunctional
+from .algebra import Element, HopfAlgebraSpec, LinearFunctional, _same_spec
 from .errors import (DecompositionStall, DimensionMismatch, NoF, NotIrreducible,
-                     PositivityFailure, TraceZero)
+                     PositivityFailure)
+from .haar import solve_haar
 from .report import Report
 
 __all__ = [
@@ -132,24 +133,27 @@ def check_unitary(pi: Corepresentation, tol: float = 1e-9) -> Report:
     return report
 
 
-def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, rcond: float = 1e-9,
-                 scale: float = 0.0) -> list[np.ndarray]:
-    """Basis of ``Hom(V, W) = {Phi : Phi V = W Phi}`` for two coaction tensors.
+def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
+                 rcond: float = 1e-9) -> list[np.ndarray]:
+    """Basis of ``Hom(V, W) = {Phi : Phi V = W Phi}`` as the range of the Haar average.
 
     ``coact_v`` (``d_V x d_V x n``) and ``coact_w`` (``d_W x d_W x n``) are in
     matrix-coefficient form, ``coact[j, k]`` being the coefficient vector of
-    the ``(j, k)`` entry.  The equation is entrywise in the algebra,
-    ``sum_l Phi[j,l] V[l,k] = sum_l W[j,l] Phi[l,k]``, with rows indexed by
-    ``(j, k, m)`` and unknowns ``Phi[a, b]``.  Every solution space of the
+    the ``(j, k)`` entry, and ``h`` is the Haar functional.  The averaging map
+    ``P(Phi)[j,k] = sum_{l,m} h(W_jl S(V_mk)) Phi[l,m]`` is idempotent with
+    range ``Hom(V, W)``, so the basis is the nullspace of ``I - P``, whose
+    nonzero singular values are at least 1.  Every solution space of the
     package is one of these: intertwiners, CG blocks, tensor-operator
     families (``W = End(A)``), restricted basis functions (``W = B``) and
     restricted families (``W = End(B)``).  Returns ``d_W x d_V`` matrices,
     orthonormal as vectors and phase-fixed as in :func:`_nullspace`.
     """
-    dv, dw, n = coact_v.shape[0], coact_w.shape[0], coact_v.shape[2]
-    mat = np.einsum("ja,bkm->jkmab", np.eye(dw, dtype=complex), coact_v)
-    mat -= np.einsum("jam,bk->jkmab", coact_w, np.eye(dv))
-    basis = _nullspace(mat.reshape(dw * dv * n, dw * dv), rcond, scale=scale)
+    alg = h.algebra
+    dv, dw, n = coact_v.shape[0], coact_w.shape[0], alg.dim
+    s_v = coact_v.reshape(-1, n) @ alg.antipode                  # [(m, k), b]: S(V_mk)
+    avg = coact_w.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(j, l), (m, k)]
+    avg = avg.reshape(dw, dw, dv, dv).transpose(0, 3, 1, 2).reshape(dw * dv, dw * dv)
+    basis = _nullspace(np.eye(dw * dv) - avg, rcond, scale=1.0)
     return [vec.reshape(dw, dv) for vec in basis]
 
 
@@ -157,15 +161,12 @@ def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
                    rcond: float = 1e-9) -> list[np.ndarray]:
     """Basis of the intertwiner space ``{Phi : Phi pi_V = pi_W Phi}``.
 
-    Solved by :func:`intertwiners` on the two coefficient arrays.  Returns a
-    list of ``d_W x d_V`` matrices (orthonormal as vectors).
+    Solved by :func:`intertwiners` with the spec's Haar functional, so a spec
+    with no Haar functional raises ``NoHaar``.  Returns a list of
+    ``d_W x d_V`` matrices (orthonormal as vectors).
     """
-    if pi_v.algebra is not pi_w.algebra:
-        # allow equal specs of separate construction
-        from .algebra import _same_spec
-        _same_spec(pi_v, pi_w)
-    scale = max(float(np.abs(pi_v.coeffs).max()), float(np.abs(pi_w.coeffs).max()))
-    return intertwiners(pi_v.coeffs, pi_w.coeffs, rcond, scale)
+    alg = _same_spec(pi_v, pi_w)  # equal specs of separate construction are allowed
+    return intertwiners(pi_v.coeffs, pi_w.coeffs, solve_haar(alg), rcond)
 
 
 def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
@@ -174,9 +175,8 @@ def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
 
     Singular values are cut at ``rcond * max(sigma_max, scale)``; the absolute
     ``scale`` floor keeps an all-zero system (everything in the nullspace) from
-    being read as full-rank noise.  The SVD is thin: intertwiner systems are
-    tall (``n`` rows per unknown), so ``vh`` already holds every right
-    singular vector and the full ``U`` would only cost memory.
+    being read as full-rank noise.  Each vector is rotated so that its first
+    entry above ``1e-12`` in modulus is real and positive.
     """
     if mat.size == 0:
         return []
@@ -234,52 +234,20 @@ def conjugate_corep(pi: Corepresentation) -> Corepresentation:
 def compute_F(pi: Corepresentation, tol: float = 1e-9) -> np.ndarray:
     """The intertwiner ``F pi = pi'' F`` to the doubly contragredient partner.
 
-    Requires ``pi`` irreducible so the solution space is one-dimensional.  The
-    representative is normalized to be Hermitian positive definite with
-    ``tr F = tr F^{-1}`` when such a representative exists (always, for a CQG
-    spec), otherwise to unit Frobenius norm; ``pi.F`` and
-    ``pi.f_normalization`` record the outcome.
+    Requires ``pi`` irreducible (the flag, else :func:`is_irreducible`).  A CQG
+    spec has ``S^2 = id``, so ``pi'' = pi`` and by Schur ``F = I``: Hermitian
+    positive definite with ``tr F = tr F^{-1}``.  Raises ``NoF`` when
+    ``|S^2(pi) - pi|`` exceeds ``tol`` times the spec's magnitude.
     """
-    dd = doubly_contragredient(pi)
-    basis = morphism_space(pi, dd)
-    if not basis:
-        raise NoF(f"corep {pi.label!r} admits no intertwiner to its doubly "
-                  "contragredient partner")
-    if len(basis) > 1:
-        raise NotIrreducible(
-            f"corep {pi.label!r} has a {len(basis)}-dimensional F-solution space; "
-            "it must be irreducible")
-    f = basis[0]
-    d = pi.dim
-
-    normalization = "frobenius"
-    fh = f.conj().T
-    # Hermitian up to a phase? then f.conj().T = c f with |c| = 1.
-    denom = float(np.abs(f).max())
-    ratio = fh.flatten() @ f.flatten().conj() / max(np.linalg.norm(f) ** 2, 1e-300)
-    if np.abs(np.abs(ratio) - 1.0) < 1e-8 and np.abs(fh - ratio * f).max() < 1e-8 * denom:
-        phase = np.sqrt(ratio)
-        cand = (phase * f)
-        cand = (cand + cand.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(cand)
-        if np.all(eigs > 0) or np.all(eigs < 0):
-            if eigs[0] < 0:
-                cand = -cand
-            # scale so tr F = tr F^{-1} (both real positive)
-            tr = float(np.trace(cand).real)
-            tr_inv = float(np.trace(np.linalg.inv(cand)).real)
-            cand = cand * np.sqrt(tr_inv / tr)
-            f = cand
-            normalization = "hermitian_pd_balanced"
-    if normalization == "frobenius":
-        f = f / np.linalg.norm(f)
-        nz = np.flatnonzero(np.abs(f.flatten()) > 1e-12)
-        f = f * (np.abs(f.flatten()[nz[0]]) / f.flatten()[nz[0]])
-    if abs(np.trace(f)) < tol or abs(np.trace(np.linalg.inv(f))) < tol:
-        raise TraceZero(f"F of {pi.label!r} has vanishing trace or inverse trace")
-    pi.F = f
-    pi.f_normalization = normalization
-    return f
+    if not (pi.irreducible or is_irreducible(pi)):
+        raise NotIrreducible(f"corep {pi.label!r} is reducible; F needs an irreducible")
+    residual = float(np.abs(doubly_contragredient(pi).coeffs - pi.coeffs).max())
+    if residual > tol * pi.algebra.magnitude:
+        raise NoF(f"S^2 moves the matrix coefficients of {pi.label!r} (residual "
+                  f"{residual:.2e}); F is defined here only for S^2 = id")
+    pi.F = np.eye(pi.dim, dtype=complex)
+    pi.f_normalization = "hermitian_pd_balanced"
+    return pi.F
 
 
 def verify_orthogonality(pi_p: Corepresentation, pi_q: Corepresentation,
@@ -299,7 +267,9 @@ def verify_orthogonality(pi_p: Corepresentation, pi_q: Corepresentation,
     same = pi_p is pi_q or (
         pi_p.dim == pi_q.dim and np.array_equal(pi_p.coeffs, pi_q.coeffs))
     if not same:
-        if are_equivalent(pi_p, pi_q) is not None:
+        # h(chi_p^* chi_q) counts intertwiners between irreducibles: 1 or 0
+        chi_p_star = np.conj(pi_p.character().coeffs) @ alg.star
+        if abs(chi_p_star @ H @ pi_q.character().coeffs) > 0.5:
             raise ValueError(
                 "orthogonality formulas need identical representatives; "
                 f"{pi_p.label!r} and {pi_q.label!r} are equivalent but not equal")

@@ -36,11 +36,8 @@ class PositivityFailure(CqglabError):
 
 
 class NoF(CqglabError):
-    """No nonzero intertwiner to the doubly contragredient partner exists."""
-
-
-class TraceZero(CqglabError):
-    """tr F or tr F^{-1} vanishes, so the ratio formulas are undefined."""
+    """``S^2`` moves a corepresentation's matrix coefficients, so ``F = I`` fails:
+    the spec is not a CQG algebra."""
 
 
 class NotUnitary(CqglabError):

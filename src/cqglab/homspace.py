@@ -24,7 +24,7 @@ from .algebra import HopfAlgebraSpec
 from .corep import Corepresentation, intertwiners
 from .errors import CoidealMismatch, NotASubgroup, PositivityFailure
 from .groups import GroupTable
-from .haar import GramPair, HaarFunctional, positivity
+from .haar import GramPair, HaarFunctional, positivity, solve_haar
 from .regular import canonical_basis_functions, regular_coaction_tensor
 from .report import Report
 from .tensor_ops import (_couple_operators, _multiplication_operators, operator_comodule,
@@ -282,8 +282,8 @@ def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubal
     the comodule ``B``.
     """
     coact = restricted_coaction_tensor(coideal, grams)
-    basis = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), rcond,
-                         scale=float(coideal.algebra.magnitude))
+    basis = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), solve_haar(coideal.algebra),
+                         rcond)
     return [RestrictedBasisFunctions(pi, coideal, phi.T,
                                      label=f"res{idx}[{pi.label}|{coideal.label}]")
             for idx, phi in enumerate(basis)]
@@ -350,8 +350,8 @@ def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra,
     alg = coideal.algebra
     coact = restricted_coaction_tensor(coideal, grams)
     b, d = coideal.dim, pi.dim
-    basis = intertwiners(pi.coeffs, operator_comodule(coact, alg, kind), rcond,
-                         scale=float(alg.magnitude ** 2))
+    basis = intertwiners(pi.coeffs, operator_comodule(coact, alg, kind), solve_haar(alg),
+                         rcond)
     return [RestrictedOperatorFamily(pi, coideal, kind, phi.T.reshape(d, b, b),
                                      label=f"res-sol{idx}[{pi.label}]")
             for idx, phi in enumerate(basis)]

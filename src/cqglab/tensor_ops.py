@@ -28,6 +28,7 @@ import numpy as np
 
 from .algebra import HopfAlgebraSpec
 from .corep import Corepresentation, intertwiners
+from .haar import solve_haar
 from .regular import BasisFunctionSet, regular_coaction_tensor
 from .report import Report
 
@@ -270,15 +271,15 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str,
     """Basis of the space of families belonging to ``pi`` for one variant.
 
     The families are ``Hom(pi, End(A))`` for the variant's operator comodule
-    (:func:`operator_comodule`), solved by :func:`cqglab.corep.intertwiners`;
-    the returned families are orthonormal as flattened vectors, phase-fixed,
-    and each passes :func:`check_family`.
+    (:func:`operator_comodule`), solved by :func:`cqglab.corep.intertwiners`
+    with the spec's Haar functional; the returned families are orthonormal as
+    flattened vectors, phase-fixed, and each passes :func:`check_family`.
     """
     _variant_key(kind, side)
     alg = pi.algebra
     n, d = alg.dim, pi.dim
     ops = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
-    basis = intertwiners(pi.coeffs, ops, rcond, scale=float(alg.magnitude ** 2))
+    basis = intertwiners(pi.coeffs, ops, solve_haar(alg), rcond)
     return [TensorOperatorFamily(pi, kind, side, phi.T.reshape(d, n, n),
                                  label=f"sol{idx}[{pi.label}]")
             for idx, phi in enumerate(basis)]

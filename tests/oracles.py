@@ -192,3 +192,50 @@ def tensor_product_algebra(first, second):
         np.kron(first.antipode, second.antipode), np.kron(first.counit, second.counit),
         np.kron(first.unit, second.unit), np.kron(first.star, second.star),
         label=f"{first.label}(x){second.label}")
+
+
+def kronecker_intertwiners(coact_v, coact_w, rcond: float = 1e-9) -> list[np.ndarray]:
+    """Basis of ``{Phi : Phi V = W Phi}`` from the tall Kronecker system, without ``h``.
+
+    The equation ``sum_l Phi[j,l] V[l,k] = sum_l W[j,l] Phi[l,k]`` holds
+    entrywise in the algebra: one row per ``(j, k, m)``, one unknown per
+    ``Phi[a, b]``.  Singular values are cut at ``rcond`` times the larger of
+    the top singular value and the largest coefficient, so an all-zero system
+    keeps every unknown.  Returns orthonormal ``d_W x d_V`` matrices.
+    """
+    dv, dw, n = coact_v.shape[0], coact_w.shape[0], coact_v.shape[2]
+    mat = np.einsum("ja,bkm->jkmab", np.eye(dw, dtype=complex), coact_v)
+    mat -= np.einsum("jam,bk->jkmab", coact_w, np.eye(dv))
+    _, sigma, vh = np.linalg.svd(mat.reshape(dw * dv * n, dw * dv), full_matrices=False)
+    scale = max(sigma[0], np.abs(coact_v).max(), np.abs(coact_w).max())
+    rank = int(np.sum(sigma > rcond * scale))
+    return [row.reshape(dw, dv) for row in np.conj(vh[rank:])]
+
+
+def sweedler_algebra():
+    """Sweedler's 4-dim Hopf algebra: basis 1, g, x, gx with g^2 = 1, x^2 = 0, xg = -gx.
+
+    ``Delta g = g (x) g``, ``Delta x = x (x) 1 + g (x) x``, ``S(g) = g``,
+    ``S(x) = -gx``, so ``S^2(x) = -x``.  It is not cosemisimple: no Haar
+    functional exists.  The star (identity matrix) is only a placeholder.
+    """
+    from cqglab.algebra import HopfAlgebraSpec
+
+    words = [(0, 0), (1, 0), (0, 1), (1, 1)]   # g^a x^b
+    index = {w: i for i, w in enumerate(words)}
+    mult = np.zeros((4, 4, 4))
+    for i, (a1, b1) in enumerate(words):
+        for j, (a2, b2) in enumerate(words):
+            if b1 + b2 < 2:                      # x^2 = 0; x g = -g x
+                mult[i, j, index[((a1 + a2) % 2, b1 + b2)]] = (-1) ** (b1 * a2)
+    comult = np.zeros((4, 4, 4))
+    comult[0, 0, 0] = 1.0                        # 1 -> 1 (x) 1
+    comult[1, 1, 1] = 1.0                        # g -> g (x) g
+    comult[2, 2, 0] = comult[2, 1, 2] = 1.0      # x -> x (x) 1 + g (x) x
+    comult[3, 3, 1] = comult[3, 0, 3] = 1.0      # gx -> gx (x) g + 1 (x) gx
+    antipode = np.zeros((4, 4))
+    antipode[0, 0] = antipode[1, 1] = 1.0
+    antipode[2, 3] = -1.0                        # S(x) = -gx
+    antipode[3, 2] = 1.0                         # S(gx) = S(x) S(g) = -gx g = x
+    return HopfAlgebraSpec(4, mult, comult, antipode, np.array([1.0, 1.0, 0.0, 0.0]),
+                           np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4), label="Sweedler")

@@ -126,6 +126,24 @@ def test_antipode_inverse_via_star_agrees(algebras):
         assert np.abs(antipode_inverse_via_star(alg) - alg.antipode_inv).max() < 1e-12
 
 
+def test_antipode_inverse_is_cached_read_only():
+    alg = build_function_algebra(symmetric_group_3())
+    inv = alg.antipode_inv
+    assert alg.antipode_inv is inv
+    with pytest.raises(ValueError):
+        inv[0, 0] = 2.0
+    assert np.abs(inv @ alg.antipode - np.eye(alg.dim)).max() < 1e-12
+
+
+def test_singular_antipode_raises_on_every_access():
+    alg = build_function_algebra(cyclic_group(3))
+    broken = alg.__class__(alg.dim, alg.mult, alg.comult, np.zeros((3, 3)),
+                           alg.counit, alg.unit, alg.star, label="broken")
+    for _ in range(2):
+        with pytest.raises(InvalidSpec):
+            broken.antipode_inv
+
+
 def test_broken_antipode_fails_axioms():
     alg = build_function_algebra(cyclic_group(3))
     broken = alg.__class__(alg.dim, alg.mult, alg.comult,

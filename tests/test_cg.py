@@ -238,15 +238,18 @@ def test_triple_haar_zero_when_multiplicity_vanishes(cs3_fun):
 
 
 def test_coupled_basis_functions(cs3_fun):
+    """p2 row 0 times the sign irrep: independent products, so no coupled set vanishes."""
     table = cs3_fun.table
-    std = table["p2"]
-    system = cs3_fun.cg("p2", "p2")
-    for side in ("R", "L"):
-        phis = canonical_basis_functions(std, side, 0)
-        psis = canonical_basis_functions(std, side, 1)
-        coupled = coupled_basis_functions(phis, psis, side, system, table)
-        assert set(coupled) == {("p0", 0), ("p1", 0), ("p2", 0)}
+    # side L couples with the (q, p) system
+    for side, system in (("R", cs3_fun.cg("p2", "p1")), ("L", cs3_fun.cg("p1", "p2"))):
+        phis = canonical_basis_functions(table["p2"], side, 0)
+        psis = canonical_basis_functions(table["p1"], side, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coupled = coupled_basis_functions(phis, psis, side, system, table)
+        assert set(coupled) == {("p2", 0)}
         for bset in coupled.values():
+            assert np.abs(bset.functions).max() > 1e-3, bset.label
             assert check_basis_functions(bset) < 1e-9
         assert coupled_inverse_residual(phis, psis, side, system, coupled) < 1e-9
 

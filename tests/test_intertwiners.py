@@ -5,20 +5,32 @@ any comodule ``W``, so each solver is checked against a number computed only
 from the Haar functional, the algebra's product and star, and the character
 of ``W``.  For an operator space ``End(B) = B (x) B^*`` the character is
 ``chi_B S(chi_B)`` (ordinary) or ``S^{-1}(chi_B) chi_B`` (twisted).
+
+The spaces themselves are checked against :func:`oracles.kronecker_intertwiners`,
+which solves ``Phi V = W Phi`` as a tall linear system without ``h``.  A spec
+that is not a CQG algebra (Sweedler's) is out of scope and must say so with a
+``CqglabError``.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cqglab.cg import solve_cg
-from cqglab.corep import decompose_comodule, irrep_table, morphism_space
+from oracles import kronecker_intertwiners, sweedler_algebra
+
+from cqglab.algebra import verify_hopf_axioms
+from cqglab.cg import solve_cg, tensor_product
+from cqglab.corep import (Corepresentation, compute_F, decompose_comodule, irrep_table,
+                          morphism_space)
+from cqglab.errors import CqglabError, NoF, NoHaar
 from cqglab.groups import symmetric_group_3
 from cqglab.homspace import (build_coset_subalgebra, restricted_coaction_tensor,
                              solve_restricted_basis_functions, solve_restricted_family)
 from cqglab.regular import regular_coaction_tensor, regular_corep
-from cqglab.tensor_ops import VARIANTS, solve_family_space
+from cqglab.tensor_ops import VARIANTS, operator_comodule, solve_family_space
 
 S3 = symmetric_group_3()
 # {e}, {e, (01)}, A3 and S3 itself
@@ -115,3 +127,95 @@ def test_decomposition_is_seed_invariant(contexts):
             for (b1, c1), (b2, c2) in zip(blocks, ref):
                 assert np.array_equal(b1, b2), (label, seed)
                 assert np.array_equal(c1.coeffs, c2.coeffs), (label, seed)
+
+
+def _assert_same_span(ours, oracle, what):
+    """Equal orthogonal projectors onto the two spans, to 1e-9."""
+    assert len(ours) == len(oracle), (what, len(ours), len(oracle))
+    if not ours:
+        return
+    a = np.array([m.ravel() for m in ours])
+    b = np.array([m.ravel() for m in oracle])
+    assert np.abs(a.T @ a.conj() - b.T @ b.conj()).max() < 1e-9, what
+
+
+def test_morphism_space_matches_kronecker_oracle(contexts):
+    for label, ctx in contexts.items():
+        for pi_v in ctx.table:
+            for pi_w in ctx.table:
+                _assert_same_span(morphism_space(pi_v, pi_w),
+                                  kronecker_intertwiners(pi_v.coeffs, pi_w.coeffs),
+                                  (label, pi_v.label, pi_w.label))
+
+
+@pytest.mark.parametrize("label", ["C(S3)", "C[S3]"])
+def test_cg_blocks_match_kronecker_oracle(contexts, label):
+    ctx = contexts[label]
+    table = ctx.table
+    for p in table.labels:
+        for q in table.labels:
+            system = ctx.cg(p, q)
+            big = tensor_product(table[p], table[q], "ordinary")
+            for target in table:
+                fwd, _ = system.blocks(target.label, target.dim)  # [alpha, j, k, l]
+                ours = [block.reshape(-1, target.dim) for block in fwd]
+                _assert_same_span(ours, kronecker_intertwiners(target.coeffs, big.coeffs),
+                                  (label, p, q, target.label))
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_restricted_spaces_match_kronecker_oracle(cs3_fun, side):
+    alg, grams = cs3_fun.algebra, cs3_fun.grams
+    coideal = build_coset_subalgebra(S3, alg, [0, 1], side)
+    coideal.orthonormalize(grams)
+    coact = restricted_coaction_tensor(coideal, grams)
+    b = coideal.dim
+    for pi in cs3_fun.table:
+        ours = [bset.coords.T for bset in solve_restricted_basis_functions(pi, coideal, grams)]
+        _assert_same_span(ours, kronecker_intertwiners(pi.coeffs, coact.transpose(1, 0, 2)),
+                          (side, pi.label))
+        for kind in ("ordinary", "twisted"):
+            ours = [fam.operators.reshape(pi.dim, b * b).T
+                    for fam in solve_restricted_family(pi, coideal, grams, kind)]
+            oracle = kronecker_intertwiners(pi.coeffs, operator_comodule(coact, alg, kind))
+            _assert_same_span(ours, oracle, (side, pi.label, kind))
+
+
+@pytest.mark.parametrize("kind,side", VARIANTS)
+def test_family_space_matches_kronecker_oracle(cs3_fun, kind, side):
+    alg = cs3_fun.algebra
+    n = alg.dim
+    ops = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
+    for pi in cs3_fun.table:
+        ours = [fam.operators.reshape(pi.dim, n * n).T
+                for fam in solve_family_space(pi, kind, side)]
+        _assert_same_span(ours, kronecker_intertwiners(pi.coeffs, ops), pi.label)
+
+
+def test_non_cqg_spec_is_out_of_scope():
+    """Sweedler's algebra is a Hopf algebra with S^2 != id and no Haar functional."""
+    alg = sweedler_algebra()
+    assert verify_hopf_axioms(alg).passed
+    pi = Corepresentation(alg, [[[0, 1, 0, 0], [0, 0, 1, 0]],       # [[g, x],
+                                [[0, 0, 0, 0], [1, 0, 0, 0]]],      #  [0, 1]]
+                          label="sweedler2", irreducible=True)
+    with pytest.raises(NoHaar) as caught:
+        morphism_space(pi, pi)
+    assert isinstance(caught.value, CqglabError)
+    with pytest.raises(NoF):
+        compute_F(pi)
+
+
+def test_family_space_memory_guard(ca4_fun):
+    """The Haar average needs no (n d_W d_V) x (d_W d_V) system: C(A4)'s 3-dim irrep
+    (36 families among 432 unknowns) stays below 48 MB of traced allocations."""
+    pi = next(rep for rep in ca4_fun.table if rep.dim == 3)
+    solve_family_space(pi, "ordinary", "R")   # warm up imports and caches
+    tracemalloc.start()
+    try:
+        families = solve_family_space(pi, "ordinary", "R")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(families) == 36
+    assert peak < 48e6, peak / 1e6
