@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Element, HopfAlgebraSpec, LinearFunctional, multiply
-from .corep import Corepresentation, IrrepTable, intertwiners
+from .corep import Corepresentation, IrrepTable, _stacked_intertwiners
 from .errors import (LinearDependenceWarning, MultiplicityMismatch,
                      NonIntegerMultiplicity, SingularC)
 from .regular import BasisFunctionSet
@@ -72,15 +72,26 @@ def character_orthogonality(chi_p: Character, chi_q: Character, h: LinearFunctio
     return report
 
 
+def _integer_counts(values, tol: float = 1e-8) -> np.ndarray:
+    """Round character pairings ``h(chi_V chi_p^*)`` to the multiplicities they count.
+
+    Raises ``NonIntegerMultiplicity`` on the first value farther than ``tol``
+    from a nonnegative integer.
+    """
+    values = np.asarray(values, dtype=complex)
+    nearest = np.round(values.real)
+    bad = (np.abs(values - nearest) > tol) | (nearest < 0)
+    if bad.any():
+        value = values.flat[np.flatnonzero(bad)[0]]
+        raise NonIntegerMultiplicity(
+            f"h(chi_V chi_p^*) = {value} is not a nonnegative integer")
+    return nearest.astype(int)
+
+
 def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional,
                     tol: float = 1e-8) -> int:
     """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``."""
-    value = _h_product(h, chi_v.element, chi_p.element.star())
-    nearest = int(round(value.real))
-    if abs(value - nearest) > tol or nearest < 0:
-        raise NonIntegerMultiplicity(
-            f"h(chi_V chi_p^*) = {value} is not a nonnegative integer")
-    return nearest
+    return int(_integer_counts(_h_product(h, chi_v.element, chi_p.element.star()), tol))
 
 
 def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
@@ -105,28 +116,31 @@ def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional,
     """Fusion-coefficient symmetries under conjugation.
 
     ``n_pq^r = n_{pbar r}^q`` and ``n_{r pbar}^q = n_qp^r`` for all triples,
-    where ``pbar`` is the conjugate irreducible.
+    where ``pbar`` is the conjugate irreducible.  All are read off one fusion
+    tensor ``h(x y chi_r^*)``, with ``x`` and ``y`` running over the
+    characters and then their conjugates.
     """
     report = Report(f"conjugate multiplicity symmetries [{table.algebra.label}]")
-    chars = [character(pi) for pi in table]
-    conj_chars = [Character(c.element.star(), source=f"{c.source}bar") for c in chars]
-    n = len(table.irreps)
-
-    def fuse(a: Character, b: Character, c: Character) -> int:
-        prod = Character(multiply(a.element, b.element), source="prod")
-        return multiplicity_in(prod, c, h, tol)
-
-    worst = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                n_pq_r = fuse(chars[i], chars[j], chars[k])
-                n_pbar_r_q = fuse(conj_chars[i], chars[k], chars[j])
-                n_r_pbar_q = fuse(chars[k], conj_chars[i], chars[j])
-                n_qp_r = fuse(chars[j], chars[i], chars[k])
-                worst = max(worst, abs(n_pq_r - n_pbar_r_q), abs(n_r_pbar_q - n_qp_r))
+    alg = table.algebra
+    chars, conj_chars = _characters(table)
+    count = len(chars)
+    both = np.concatenate([chars, conj_chars])        # rows chi_p, then chi_p^*
+    pair = alg.mult @ (alg.mult @ h.covector)        # pair[a, b, c] = h(a_a a_b a_c)
+    fused = np.tensordot(both, np.tensordot(both, pair @ conj_chars.T, axes=(1, 1)),
+                         axes=(1, 1))                 # [x, y, r] = h(x y chi_r^*)
+    n_pq_r = _integer_counts(fused[:count, :count], tol)      # [p, q, r]
+    n_pbar_r_q = _integer_counts(fused[count:, :count], tol)  # [p, r, q]
+    n_r_pbar_q = _integer_counts(fused[:count, count:], tol)  # [r, p, q]
+    worst = max(np.abs(n_pq_r - n_pbar_r_q.transpose(0, 2, 1)).max(),
+                np.abs(n_r_pbar_q.transpose(1, 2, 0) - n_pq_r.transpose(1, 0, 2)).max())
     report.add("symmetries hold", float(worst), 0.5)
     return report
+
+
+def _characters(table: IrrepTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's characters ``chi_r`` and their stars ``chi_r^*``, as rows ``[r, m]``."""
+    chars = np.array([np.trace(pi.coeffs) for pi in table])
+    return chars, np.conj(chars) @ table.algebra.star
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +159,13 @@ class CGSystem:
     Cinv: np.ndarray
     multiplicities: dict[str, int]
     col_index: list[tuple[str, int, int]] = field(default_factory=list)
+    offsets: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # first column of each target; a target's columns are contiguous
+        self.offsets = {}
+        for col, (r_label, _, _) in enumerate(self.col_index):
+            self.offsets.setdefault(r_label, col)
 
     def blocks(self, r_label: str, d_r: int) -> tuple[np.ndarray, np.ndarray]:
         """Forward and inverse CG blocks of one target irrep, stacked over multiplicity.
@@ -156,7 +177,7 @@ class CGSystem:
         contiguous and ordered ``(alpha, l)``, as :func:`solve_cg` stacks them.
         """
         mult = self.multiplicities.get(r_label, 0)
-        start = next((i for i, (r, _, _) in enumerate(self.col_index) if r == r_label), 0)
+        start = self.offsets.get(r_label, 0)
         cols = slice(start, start + mult * d_r)
         fwd = self.C[:, cols].reshape(self.d_p, self.d_q, mult, d_r).transpose(2, 0, 1, 3)
         inv = self.Cinv[cols, :].reshape(mult, d_r, self.d_p, self.d_q)
@@ -185,19 +206,29 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
     blocks are the basis of ``Hom(pi^r, pi_p (x) pi_q)`` that
     :func:`cqglab.corep.intertwiners` returns for ``h``; they are stacked into
     a square ``C`` whose inverse block-diagonalizes the product
-    corepresentation.  Raises ``MultiplicityMismatch`` when the solution-space
+    corepresentation.  Every target is solved and checked, the targets of one
+    dimension in one batched SVD, and all character counts come from one
+    contraction.  Raises ``MultiplicityMismatch`` when the solution-space
     dimension disagrees with the character count and ``SingularC`` when the
     assembled matrix is not invertible.
     """
     big = tensor_product(pi_p, pi_q, "ordinary")
-    chi_big = character(big)
+    alg = big.algebra
+    chi_big = np.trace(big.coeffs)
+    haar_pair = alg.mult @ h.covector  # [a, b] = h(a_a a_b)
+    _, conj_chars = _characters(table)
+    counts = _integer_counts(conj_chars @ (haar_pair.T @ chi_big)).tolist()  # h(chi_big chi_r^*)
+    bases: dict[int, list[np.ndarray]] = {}  # d_big x d_target blocks, orthonormal
+    for dim in sorted(set(table.dims())):  # one batched solve per target dimension
+        idx = [i for i, target in enumerate(table) if target.dim == dim]
+        bases.update(zip(idx, _stacked_intertwiners(
+            np.stack([table[i].coeffs for i in idx]), big.coeffs, h)))
     d_total = pi_p.dim * pi_q.dim
     col_blocks: list[np.ndarray] = []
     col_index: list[tuple[str, int, int]] = []
     mults: dict[str, int] = {}
-    for label, target in zip(table.labels, table.irreps):
-        expected = multiplicity_in(chi_big, character(target), h)
-        blocks = intertwiners(target.coeffs, big.coeffs, h)  # d_big x d_target, orthonormal
+    for i, (label, target, expected) in enumerate(zip(table.labels, table.irreps, counts)):
+        blocks = bases[i]
         if len(blocks) != expected:
             raise MultiplicityMismatch(
                 f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "
@@ -293,32 +324,58 @@ def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
     ``(F^r)^{-1} / tr`` for the ``(p, q)`` system, and the ``(q, p)``-ordered
     product uses the ``(q, p)`` system.
     """
+    return _triple_haar_reports(pi_p, pi_q, [pi_r], system_pq, system_qp, h, tol)[0]
+
+
+def _triple_haar_reports(pi_p: Corepresentation, pi_q: Corepresentation,
+                         targets: list[Corepresentation], system_pq: CGSystem,
+                         system_qp: CGSystem, h: LinearFunctional,
+                         tol: float = 1e-9) -> list[Report]:
+    """:func:`verify_triple_haar` for every target of one CG pair, one report each.
+
+    The left-hand sides of all targets come from one weight tensor,
+    ``weights[(r, u, l), b, c] = h(pi^r*_ul a_b a_c)``, and two ``tensordot``
+    calls per multiplication order.
+    """
     alg = pi_p.algebra
-    f_r = pi_r.F
-    if f_r is None:
+    n = alg.dim
+    if any(pi_r.F is None for pi_r in targets):
         raise ValueError("verify_triple_haar needs the F matrix of the target irrep")
-    finv = np.linalg.inv(f_r)
-    finv_tr = np.trace(finv)
-    r_star = pi_r.star_coeffs()
     pair = alg.mult @ (alg.mult @ h.covector)  # pair[a, b, c] = h(a_a a_b a_c)
-    # weights[u, l, b, c] = h(pi^r*_ul a_b a_c); the two factors contract into it in turn
-    weights = np.tensordot(r_star, pair, axes=(2, 0))
-    lhs_pq = np.tensordot(np.tensordot(weights, pi_p.coeffs, axes=(2, 2)), pi_q.coeffs,
-                          axes=(2, 2))  # [u, l, s, j, t, k]
-    lhs_qp = np.tensordot(np.tensordot(weights, pi_q.coeffs, axes=(2, 2)), pi_p.coeffs,
-                          axes=(2, 2))  # [u, l, t, k, s, j]
-
-    r_lab, d_r = pi_r.label, pi_r.dim
-
-    fwd, inv = system_pq.blocks(r_lab, d_r)
-    rhs_pq = np.einsum("aljk,astv,vu->ulsjtk", inv, fwd, finv) / finv_tr
-    # the (q, p) system's first factor index is the q one
-    fwd, inv = system_qp.blocks(r_lab, d_r)
-    rhs_qp = np.einsum("alkj,atsv,vu->ultksj", inv, fwd, finv) / finv_tr
-
-    report = Report(
-        f"triple haar [{pi_r.label}* {pi_p.label} {pi_q.label}]", meta={"tol": tol})
+    rows = np.concatenate([pi_r.star_coeffs().reshape(-1, n) for pi_r in targets])
+    weights = (rows @ pair.reshape(n, n * n)).reshape(-1, n, n)
+    # the two factors contract into the weights in turn
+    lhs_pq = np.tensordot(np.tensordot(weights, pi_p.coeffs, axes=(1, 2)), pi_q.coeffs,
+                          axes=(1, 2))  # [(r, u, l), s, j, t, k]
+    lhs_qp = np.tensordot(np.tensordot(weights, pi_q.coeffs, axes=(1, 2)), pi_p.coeffs,
+                          axes=(1, 2))  # [(r, u, l), t, k, s, j]
     t = tol * alg.magnitude
-    report.add("(p,q) order", float(np.abs(lhs_pq - rhs_pq).max()), t)
-    report.add("(q,p) order", float(np.abs(lhs_qp - rhs_qp).max()), t)
-    return report
+    reports, row = [], 0
+    for pi_r in targets:
+        d_r = pi_r.dim
+        rows_r = slice(row, row + d_r * d_r)
+        row += d_r * d_r
+        fwd_pq, inv_pq = system_pq.blocks(pi_r.label, d_r)
+        # the (q, p) system's first factor index is the q one
+        fwd_qp, inv_qp = system_qp.blocks(pi_r.label, d_r)
+        report = Report(
+            f"triple haar [{pi_r.label}* {pi_p.label} {pi_q.label}]", meta={"tol": tol})
+        report.add("(p,q) order", _haar_gap(lhs_pq[rows_r], "aljk,astv,vu->ulsjtk",
+                                            inv_pq, fwd_pq, pi_r.F), t)
+        report.add("(q,p) order", _haar_gap(lhs_qp[rows_r], "alkj,atsv,vu->ultksj",
+                                            inv_qp, fwd_qp, pi_r.F), t)
+        reports.append(report)
+    return reports
+
+
+def _haar_gap(lhs: np.ndarray, subscripts: str, inv: np.ndarray, fwd: np.ndarray,
+              f_r: np.ndarray) -> float:
+    """Max deviation of ``lhs[(u, l), ...]`` from the double CG contraction of one target.
+
+    The contraction vanishes when the target does not occur (empty alpha axis).
+    """
+    if not len(inv):
+        return float(np.abs(lhs).max())
+    finv = np.linalg.inv(f_r)
+    rhs = np.einsum(subscripts, inv, fwd, finv) / np.trace(finv)
+    return float(np.abs(lhs - rhs.reshape(lhs.shape)).max())

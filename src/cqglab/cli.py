@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import io as cio
 from .algebra import verify_hopf_axioms, verify_star_axioms
-from .cg import character, character_orthogonality, solve_cg, verify_triple_haar
+from .cg import _triple_haar_reports, character, character_orthogonality, solve_cg
 from .corep import check_unitary, irrep_table, verify_corep, verify_orthogonality
 from .errors import CqglabError
 from .groups import build_function_algebra, build_group_algebra, builtin_algebras
@@ -28,7 +29,7 @@ from .regular import (canonical_basis_functions, product_coaction_check,
 from .report import Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_family,
                          multiplication_family)
-from .wigner_eckart import verify_wigner_eckart
+from .wigner_eckart import _factorize_targets, _inner_product_tensor
 
 
 def _load_spec(args) -> "HopfAlgebraSpec":
@@ -104,9 +105,8 @@ def _cmd_cg(args) -> list[Report]:
             rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": sys_pq.multiplicities})
             rep.add("block diagonalization", 0.0, 1.0)  # solve_cg certifies internally
             reports.append(rep)
-            for rl in table.labels:
-                reports.append(verify_triple_haar(table[pl], table[ql], table[rl],
-                                                  sys_pq, sys_qp, h, args.tolerance))
+            reports.extend(_triple_haar_reports(table[pl], table[ql], table.irreps,
+                                                sys_pq, sys_qp, h, args.tolerance))
     return reports
 
 
@@ -163,25 +163,36 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     sides = [args.side] if args.side else ["R", "L"]
     kinds = [args.kind] if args.kind else ["ordinary", "twisted"]
     system_for = _cg_systems(table, h)
-    reports = []
-    for pl in p_labels:
+    targets = [(rl, table[rl].F) for rl in r_labels]
+    variants = list(product(sides, kinds))
+    tensors = {}  # (q, side, kind) -> tensor[(r, l), k, (p, j)], every target r and source p
+    for side in sides:
+        bsets = {lab: canonical_basis_functions(table[lab], side, 0)
+                 for lab in dict.fromkeys(p_labels + q_labels + r_labels)}
+        psis = np.concatenate([bsets[rl].functions for rl in r_labels])
+        phis = np.concatenate([bsets[pl].functions for pl in p_labels])
         for ql in q_labels:
-            for rl in r_labels:
-                for side in sides:
-                    for kind in kinds:
-                        phis = canonical_basis_functions(table[pl], side, 0)
-                        psis = canonical_basis_functions(table[rl], side, 0)
-                        qset = canonical_basis_functions(table[ql], side, 0)
-                        fam = multiplication_family(qset, kind)
-                        system = (system_for(ql, pl) if kind == "ordinary"
-                                  else system_for(pl, ql))
-                        we = verify_wigner_eckart(psis, fam, phis, system,
-                                                  table[rl].F, grams.gram(side),
-                                                  args.tolerance)
-                        rep = Report(f"wigner-eckart [{pl},{ql},{rl},{side},{kind}]",
-                                     meta=we.to_dict())
-                        rep.add("factorization", we.residual, we.tol)
-                        reports.append(rep)
+            for kind in kinds:
+                tensors[ql, side, kind] = _inner_product_tensor(
+                    psis, multiplication_family(bsets[ql], kind).operators, phis,
+                    grams.gram(side))
+    reports = []
+    col = 0
+    for pl in p_labels:
+        d_p = table[pl].dim
+        for ql in q_labels:
+            factorized = [_factorize_targets(
+                tensors[ql, side, kind][:, :, col:col + d_p],
+                system_for(ql, pl) if kind == "ordinary" else system_for(pl, ql),
+                targets, kind, side, args.tolerance, (pl, ql), spec.magnitude ** 2)
+                for side, kind in variants]
+            for i, rl in enumerate(r_labels):
+                for (side, kind), wes in zip(variants, factorized):
+                    rep = Report(f"wigner-eckart [{pl},{ql},{rl},{side},{kind}]",
+                                 meta=wes[i].to_dict())
+                    rep.add("factorization", wes[i].residual, wes[i].tol)
+                    reports.append(rep)
+        col += d_p
     return reports
 
 

@@ -148,13 +148,28 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
     restricted families (``W = End(B)``).  Returns ``d_W x d_V`` matrices,
     orthonormal as vectors and phase-fixed as in :func:`_nullspace`.
     """
+    return _stacked_intertwiners(coact_v[None], coact_w, h, rcond)[0]
+
+
+def _stacked_intertwiners(coact_vs: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
+                          rcond: float = 1e-9) -> list[list[np.ndarray]]:
+    """:func:`intertwiners` for a stack of sources of one dimension, in one batched SVD.
+
+    ``coact_vs`` is ``count x d_V x d_V x n``; the matrices ``I - P`` are
+    stacked and factored by one ``np.linalg.svd`` call.  Returns one basis per
+    source, each cut and phase-fixed as in :func:`_nullspace`.
+    """
     alg = h.algebra
-    dv, dw, n = coact_v.shape[0], coact_w.shape[0], alg.dim
-    s_v = coact_v.reshape(-1, n) @ alg.antipode                  # [(m, k), b]: S(V_mk)
-    avg = coact_w.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(j, l), (m, k)]
-    avg = avg.reshape(dw, dw, dv, dv).transpose(0, 3, 1, 2).reshape(dw * dv, dw * dv)
-    basis = _nullspace(np.eye(dw * dv) - avg, rcond, scale=1.0)
-    return [vec.reshape(dw, dv) for vec in basis]
+    count, dv, dw, n = coact_vs.shape[0], coact_vs.shape[1], coact_w.shape[0], alg.dim
+    size = dw * dv
+    if size == 0:
+        return [[] for _ in range(count)]
+    s_v = coact_vs.reshape(-1, n) @ alg.antipode                 # [(t, m, k), b]: S(V^t_mk)
+    avg = coact_w.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(j, l), (t, m, k)]
+    avg = avg.reshape(dw, dw, count, dv, dv).transpose(2, 0, 4, 1, 3).reshape(count, size, size)
+    _, sigma, vh = np.linalg.svd(np.eye(size) - avg, full_matrices=False)
+    return [[vec.reshape(dw, dv) for vec in _null_rows(s, v, rcond, scale=1.0)]
+            for s, v in zip(sigma, vh)]
 
 
 def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
@@ -181,6 +196,12 @@ def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
     if mat.size == 0:
         return []
     _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
+    return _null_rows(sigma, vh, rcond, scale)
+
+
+def _null_rows(sigma: np.ndarray, vh: np.ndarray, rcond: float, scale: float
+               ) -> list[np.ndarray]:
+    """Nullspace rows of one SVD ``(sigma, vh)``, cut and phase-fixed as in :func:`_nullspace`."""
     top = float(sigma[0]) if sigma.size else 0.0
     thresh = rcond * max(top, scale, 1e-300)
     rank = int(np.sum(sigma > thresh))

@@ -11,6 +11,10 @@ The reduced elements have the closed form
 ``(r|Q|p)_alpha = sum T[u, t, s] C[(t, s) or (s, t), (r, alpha, v)]
 (F^r)^{-1}[v, u] / tr (F^r)^{-1}``; reconstruction through that formula is
 exact, and a least-squares extraction is kept alongside as a diagnostic.
+
+One engine factorizes one (system, kind) against a stack of targets r, all
+read off the same ``C`` and ``C^{-1}``; the per-triple functions call it with
+a single target.
 """
 
 from __future__ import annotations
@@ -76,13 +80,18 @@ def we_tensor(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     return _inner_product_tensor(psis.functions, fam.operators, phis.functions, gram)
 
 
-def _pair_axes(kind: str) -> str:
-    """einsum letters of a CG block's (first, second) factor axes, in tensor terms.
+def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
+    """``tensor[(r, l), k, j]`` as a matrix whose columns are the system's pair index.
 
     The ordinary ``(q, p)`` system indexes pairs ``(k, j)``; the twisted
     ``(p, q)`` one ``(j, k)``.
     """
-    return "kj" if kind == "ordinary" else "jk"
+    pairs = tensor if kind == "ordinary" else tensor.transpose(0, 2, 1)
+    if pairs.shape[1:] != (system.d_p, system.d_q):
+        raise ValueError(
+            f"CG system ({system.p_label}, {system.q_label}) does not match a "
+            f"{kind} tensor of factor dimensions {tensor.shape[1:]}")
+    return pairs.reshape(len(pairs), -1)
 
 
 def reduced_elements(tensor: np.ndarray, system: CGSystem, r_label: str,
@@ -93,32 +102,63 @@ def reduced_elements(tensor: np.ndarray, system: CGSystem, r_label: str,
     families the ``(p, q)`` one.  Returns one value per multiplicity index
     (empty when the fusion multiplicity vanishes).
     """
-    finv = np.linalg.inv(f_r)
-    fwd, _ = system.blocks(r_label, tensor.shape[0])
-    reduced = np.einsum(f"ukj,a{_pair_axes(kind)}v,vu->a", tensor, fwd, finv)
-    return np.asarray(reduced / np.trace(finv), dtype=complex)
+    return _factorize_targets(tensor, system, [(r_label, f_r)], kind, "", 0.0,
+                              ("", ""))[0].reduced
 
 
 def factorize_tensor(tensor: np.ndarray, system: CGSystem, r_label: str,
                      f_r: np.ndarray, kind: str, side: str, tol: float,
                      labels: tuple[str, str, str], scale: float = 1.0) -> WEReport:
     """Factorization engine shared by the full and restricted theorems."""
-    reduced = reduced_elements(tensor, system, r_label, f_r, kind)
-    _, inv = system.blocks(r_label, tensor.shape[0])
-    # design[l, k, j, alpha]: the inverse CG columns in tensor order
-    design = np.einsum(f"al{_pair_axes(kind)}->lkja", inv)
-    residual = float(np.abs(tensor - design @ reduced).max())
-    details: dict = {}
-    if len(reduced):
-        # independent extraction: least squares against the inverse CG columns
-        lsq, *_ = np.linalg.lstsq(design.reshape(-1, len(reduced)), tensor.reshape(-1),
-                                  rcond=None)
-        details["reduced_lstsq_gap"] = float(np.abs(lsq - reduced).max())
     p_label, q_label, r_lab = labels
-    return WEReport(
-        p_label=p_label, q_label=q_label, r_label=r_lab, side=side, kind=kind,
-        tensor=tensor, reduced=reduced, residual=residual, tol=tol * scale,
-        cg_order=(system.p_label, system.q_label), details=details)
+    report = _factorize_targets(tensor, system, [(r_label, f_r)], kind, side, tol,
+                                (p_label, q_label), scale)[0]
+    report.r_label = r_lab
+    return report
+
+
+def _factorize_targets(tensor: np.ndarray, system: CGSystem,
+                       targets: list[tuple[str, np.ndarray]], kind: str, side: str,
+                       tol: float, labels: tuple[str, str], scale: float = 1.0
+                       ) -> list[WEReport]:
+    """Factorize one (system, kind) against every target at once, one report each.
+
+    ``tensor[(r, l), k, j]`` stacks the targets' inner-product tensors in the
+    order of ``targets``, pairs ``(r_label, F^r)``.  Each target reads its
+    reduced elements off its own rows and column block of ``X = T C``, and its
+    residual off its row block of ``T - Z C^{-1}``, ``Z[(r, l), (r, alpha, l)]``
+    holding the reduced elements; a target that does not occur has residual
+    ``max |T_r|``.  A least-squares extraction against the inverse CG rows
+    cross-checks the closed formula for every target that occurs.
+    """
+    tmat = _pair_matrix(tensor, system, kind)
+    dims = [f_r.shape[0] for _, f_r in targets]
+    if len(tmat) != sum(dims):
+        raise ValueError("tensor rows do not match the targets' dimensions")
+    x = tmat @ system.C
+    firsts = np.cumsum([0] + dims[:-1])
+    residuals = np.maximum.reduceat(np.abs(tmat).max(axis=1), firsts).tolist()
+    p_label, q_label = labels
+    reports = []
+    for (r_label, f_r), d_r, row, residual in zip(targets, dims, firsts, residuals):
+        rows, mult = slice(row, row + d_r), system.multiplicities.get(r_label, 0)
+        reduced, details = np.zeros(0, dtype=complex), {}
+        if mult:
+            cols = slice(system.offsets[r_label], system.offsets[r_label] + mult * d_r)
+            finv = np.linalg.inv(f_r)
+            reduced = np.einsum("uav,vu->a", x[rows, cols].reshape(d_r, mult, d_r),
+                                finv) / np.trace(finv)
+            # the target's rows of Z C^{-1}: sum_alpha reduced[alpha] Cinv[(r, alpha, l), pair]
+            design = system.Cinv[cols].reshape(mult, -1)
+            block = tmat[rows].reshape(-1)
+            residual = float(np.abs(block - reduced @ design).max())
+            lsq, *_ = np.linalg.lstsq(design.T, block, rcond=None)
+            details["reduced_lstsq_gap"] = float(np.abs(lsq - reduced).max())
+        reports.append(WEReport(
+            p_label=p_label, q_label=q_label, r_label=r_label, side=side, kind=kind,
+            tensor=tensor[rows], reduced=reduced, residual=residual, tol=tol * scale,
+            cg_order=(system.p_label, system.q_label), details=details))
+    return reports
 
 
 def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,

@@ -69,3 +69,19 @@ def alternating_group_4() -> GroupTable:
 def ca4_fun():
     """C(A4): its 3-dim irrep fuses with itself with multiplicity 2."""
     return Context(build_function_algebra(alternating_group_4()))
+
+
+
+def dihedral_group_6() -> GroupTable:
+    """D6 as the maps ``i -> s i + r (mod 6)`` of the hexagon's vertices, identity first."""
+    elems = sorted({tuple((s * i + r) % 6 for i in range(6)) for r in range(6) for s in (1, -1)})
+    index = {p: i for i, p in enumerate(elems)}
+    table = np.array([[index[tuple(p[q[x]] for x in range(6))] for q in elems]
+                      for p in elems])
+    return GroupTable(len(elems), table)
+
+
+@pytest.fixture(scope="session")
+def cd6_fun():
+    """C(D6): irreps of dims 1, 1, 1, 1, 2, 2, so CG targets of mixed dimension."""
+    return Context(build_function_algebra(dihedral_group_6()))

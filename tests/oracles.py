@@ -239,3 +239,45 @@ def sweedler_algebra():
     antipode[3, 2] = 1.0                         # S(gx) = S(x) S(g) = -gx g = x
     return HopfAlgebraSpec(4, mult, comult, antipode, np.array([1.0, 1.0, 0.0, 0.0]),
                            np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4), label="Sweedler")
+
+
+def triple_haar_gaps(pi_p, pi_q, pi_r, sys_pq, sys_qp, h) -> tuple[float, float]:
+    """Residuals of the triple-product Haar identity for one target, in both orders.
+
+    ``h(pi^r*_ul pi^p_sj pi^q_tk)`` is one many-operand einsum over the basis;
+    the right side is the double CG contraction of the target's blocks with
+    ``(F^r)^{-1} / tr``.  A target that does not occur has an empty block.
+    """
+    alg = pi_p.algebra
+    pair = np.einsum("abx,xcy,y->abc", alg.mult, alg.mult, h.covector)
+    r_star = np.einsum("ulm,mt->ult", np.conj(pi_r.coeffs), alg.star)
+    finv = np.linalg.inv(pi_r.F)
+    gaps = []
+    # the (q, p) product is laid out [u, l, t, k, s, j], as its system's blocks are
+    for system, first, second, rhs in ((sys_pq, pi_p, pi_q, "aljk,astv,vu->ulsjtk"),
+                                       (sys_qp, pi_q, pi_p, "alkj,atsv,vu->ultksj")):
+        lhs = np.einsum("ula,xyb,zwc,abc->ulxyzw", r_star, first.coeffs, second.coeffs, pair)
+        fwd, inv = system.blocks(pi_r.label, pi_r.dim)
+        expected = np.einsum(rhs, inv, fwd, finv) / np.trace(finv)
+        gaps.append(float(np.abs(lhs - expected).max()))
+    return gaps[0], gaps[1]
+
+
+def we_closed_form(tensor, system, r_label, f_r, kind):
+    """One Wigner-Eckart factorization by the per-triple formulas.
+
+    Returns the closed-form reduced elements, the reconstruction residual and
+    the least-squares gap (``None`` when the target does not occur).
+    """
+    axes = "kj" if kind == "ordinary" else "jk"
+    finv = np.linalg.inv(f_r)
+    fwd, inv = system.blocks(r_label, tensor.shape[0])
+    reduced = np.einsum(f"ukj,a{axes}v,vu->a", tensor, fwd, finv) / np.trace(finv)
+    design = np.einsum(f"al{axes}->lkja", inv)
+    residual = float(np.abs(tensor - design @ reduced).max())
+    gap = None
+    if len(reduced):
+        lsq, *_ = np.linalg.lstsq(design.reshape(-1, len(reduced)), tensor.reshape(-1),
+                                  rcond=None)
+        gap = float(np.abs(lsq - reduced).max())
+    return reduced, residual, gap

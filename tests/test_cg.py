@@ -7,6 +7,7 @@ import pytest
 
 from oracles import s3_character_table, s3_fusion_multiplicity
 
+from cqglab.algebra import LinearFunctional
 from cqglab.cg import (cg_block_residual, character, character_orthogonality,
                        conjugate_multiplicity_symmetries, coupled_basis_functions,
                        coupled_inverse_residual, multiplicity_in, solve_cg,
@@ -153,6 +154,19 @@ def test_group_like_products(cs3_grp):
 def test_conjugate_multiplicity_symmetries(contexts):
     for label, ctx in contexts.items():
         assert conjugate_multiplicity_symmetries(ctx.table, ctx.haar).passed, label
+
+
+def test_conjugate_multiplicity_symmetries_on_larger_tables(ca4_fun, cd6_fun):
+    """C(A4) has a conjugate pair of 1-dim irreps and a fusion target of multiplicity 2."""
+    for ctx in (ca4_fun, cd6_fun):
+        rep = conjugate_multiplicity_symmetries(ctx.table, ctx.haar)
+        assert rep["symmetries hold"].residual == 0.0
+
+
+def test_conjugate_multiplicity_symmetries_use_the_integer_rule(cs3_fun):
+    scaled = LinearFunctional(cs3_fun.algebra, 1.5 * cs3_fun.haar.covector)
+    with pytest.raises(NonIntegerMultiplicity):
+        conjugate_multiplicity_symmetries(cs3_fun.table, scaled)
 
 
 def test_abelian_fusion_single_coefficient():

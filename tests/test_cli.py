@@ -131,6 +131,51 @@ def test_cg_solves_each_system_once(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) == 36
 
 
+def test_cg_certifies_each_pair_in_one_call(tmp_path, monkeypatch):
+    calls, certify = [], cli._triple_haar_reports
+
+    def counting(pi_p, pi_q, targets, *rest):
+        calls.append(len(targets))
+        return certify(pi_p, pi_q, targets, *rest)
+
+    monkeypatch.setattr(cli, "_triple_haar_reports", counting)
+    assert cli.main(["cg", "--builtin", "C[S3]", "--output", str(tmp_path / "cg.json")]) == 0
+    assert calls == [6] * 36
+
+
+def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
+    """One batched intertwiner solve per distinct target dimension, covering every target."""
+    from cqglab import cg
+    calls, stacked = [], cg._stacked_intertwiners
+
+    def counting(coact_vs, *rest):
+        calls.append(coact_vs.shape[:2])
+        return stacked(coact_vs, *rest)
+
+    monkeypatch.setattr(cg, "_stacked_intertwiners", counting)
+    table = cd6_fun.table
+    for p in table.labels:
+        for q in table.labels:
+            calls.clear()
+            cg.solve_cg(table[p], table[q], table, cd6_fun.haar)
+            assert sorted(calls) == [(2, 2), (4, 1)]  # two 2-dim and four 1-dim irreps
+
+
+def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):
+    calls, factorize = [], cli._factorize_targets
+
+    def counting(tensor, system, targets, kind, side, *rest):
+        calls.append((system.p_label, system.q_label, side, kind, len(targets)))
+        return factorize(tensor, system, targets, kind, side, *rest)
+
+    monkeypatch.setattr(cli, "_factorize_targets", counting)
+    assert cli.main(["wigner-eckart", "--builtin", "C[S3]",
+                     "--output", str(tmp_path / "we.json")]) == 0
+    # one call per (p, q, side, kind), each against all six targets: 144, not 864
+    assert len(calls) == len(set(calls)) == 144
+    assert {call[-1] for call in calls} == {6}
+
+
 def test_reports_reproducible(tmp_path, s3_files):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):
