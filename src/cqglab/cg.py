@@ -250,7 +250,7 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
     c_inv = np.linalg.inv(c_mat)
     system = CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim,
                       c_mat, c_inv, mults, col_index)
-    res = cg_block_residual(system, pi_p, pi_q, table)
+    res = _cg_block_residual(system, big.coeffs, table)
     if res > tol * pi_p.algebra.magnitude:
         raise MultiplicityMismatch(
             f"CG block-diagonalization residual {res:.2e} exceeds tolerance")
@@ -260,8 +260,12 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
 def cg_block_residual(system: CGSystem, pi_p: Corepresentation,
                       pi_q: Corepresentation, table: IrrepTable) -> float:
     """Max deviation of ``C^{-1} (pi^p x pi^q) C`` from the block-diagonal form."""
-    big = tensor_product(pi_p, pi_q, "ordinary")
-    conjugated = np.einsum("rbm,bs->rsm", np.tensordot(system.Cinv, big.coeffs, axes=(1, 0)),
+    return _cg_block_residual(system, tensor_product(pi_p, pi_q, "ordinary").coeffs, table)
+
+
+def _cg_block_residual(system: CGSystem, big: np.ndarray, table: IrrepTable) -> float:
+    """:func:`cg_block_residual` with the product's coefficients ``big`` already formed."""
+    conjugated = np.einsum("rbm,bs->rsm", np.tensordot(system.Cinv, big, axes=(1, 0)),
                            system.C)
     expected = np.zeros_like(conjugated)
     start = 0

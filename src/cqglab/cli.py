@@ -7,6 +7,7 @@ Exit codes: 0 when every requested check passes, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from itertools import product
 from pathlib import Path
@@ -97,6 +98,7 @@ def _cmd_cg(args) -> list[Report]:
     spec = _load_spec(args)
     h, grams, table = _context(spec, args.tolerance, args.seed)
     labels = _pick_labels(table, [args.p, args.q]) or list(table.labels)
+    targets = [table[r] for r in _pick_labels(table, [args.r]) or table.labels]
     system_for = _cg_systems(table, h)
     reports = []
     for pl in labels:
@@ -105,7 +107,7 @@ def _cmd_cg(args) -> list[Report]:
             rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": sys_pq.multiplicities})
             rep.add("block diagonalization", 0.0, 1.0)  # solve_cg certifies internally
             reports.append(rep)
-            reports.extend(_triple_haar_reports(table[pl], table[ql], table.irreps,
+            reports.extend(_triple_haar_reports(table[pl], table[ql], targets,
                                                 sys_pq, sys_qp, h, args.tolerance))
     return reports
 
@@ -114,7 +116,7 @@ def _pick_labels(table, requested) -> list[str] | None:
     chosen = [r for r in requested if r]
     if not chosen:
         return None
-    return [table.labels[table.index_of(r)] for r in chosen]
+    return list(dict.fromkeys(table.labels[table.index_of(r)] for r in chosen))  # each once
 
 
 def _cmd_tensor_ops(args) -> list[Report]:
@@ -305,10 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -21,6 +21,7 @@ and, for unitary corepresentations in an orthonormal basis::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -141,23 +142,25 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
     matrix-coefficient form, ``coact[j, k]`` being the coefficient vector of
     the ``(j, k)`` entry, and ``h`` is the Haar functional.  The averaging map
     ``P(Phi)[j,k] = sum_{l,m} h(W_jl S(V_mk)) Phi[l,m]`` is idempotent with
-    range ``Hom(V, W)``, so the basis is the nullspace of ``I - P``, whose
-    nonzero singular values are at least 1.  Every solution space of the
-    package is one of these: intertwiners, CG blocks, tensor-operator
-    families (``W = End(A)``), restricted basis functions (``W = B``) and
-    restricted families (``W = End(B)``).  Returns ``d_W x d_V`` matrices,
-    orthonormal as vectors and phase-fixed as in :func:`_nullspace`.
+    range ``Hom(V, W)``, so every column of ``P`` is an intertwiner and the
+    basis is the range of ``P`` by column-pivoted Gram-Schmidt, certified on
+    exact residual norms (:func:`_range_basis`; ``rcond`` is the relative
+    cut).  Every solution space of the package is one of these:
+    intertwiners, CG blocks, tensor-operator families (``W = End(A)``),
+    restricted basis functions (``W = B``) and restricted families
+    (``W = End(B)``).  Returns ``d_W x d_V`` matrices, orthonormal as vectors
+    and phase-fixed as in :func:`_phase_fixed`.
     """
     return _stacked_intertwiners(coact_v[None], coact_w, h, rcond)[0]
 
 
 def _stacked_intertwiners(coact_vs: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
                           rcond: float = 1e-9) -> list[list[np.ndarray]]:
-    """:func:`intertwiners` for a stack of sources of one dimension, in one batched SVD.
+    """:func:`intertwiners` for a stack of sources of one dimension, solved together.
 
-    ``coact_vs`` is ``count x d_V x d_V x n``; the matrices ``I - P`` are
-    stacked and factored by one ``np.linalg.svd`` call.  Returns one basis per
-    source, each cut and phase-fixed as in :func:`_nullspace`.
+    ``coact_vs`` is ``count x d_V x d_V x n``; the averaging maps are stacked
+    and their ranges found by one :func:`_range_basis` call.  Returns one
+    basis per source.
     """
     alg = h.algebra
     count, dv, dw, n = coact_vs.shape[0], coact_vs.shape[1], coact_w.shape[0], alg.dim
@@ -167,9 +170,95 @@ def _stacked_intertwiners(coact_vs: np.ndarray, coact_w: np.ndarray, h: LinearFu
     s_v = coact_vs.reshape(-1, n) @ alg.antipode                 # [(t, m, k), b]: S(V^t_mk)
     avg = coact_w.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(j, l), (t, m, k)]
     avg = avg.reshape(dw, dw, count, dv, dv).transpose(2, 0, 4, 1, 3).reshape(count, size, size)
-    _, sigma, vh = np.linalg.svd(np.eye(size) - avg, full_matrices=False)
-    return [[vec.reshape(dw, dv) for vec in _null_rows(s, v, rcond, scale=1.0)]
-            for s, v in zip(sigma, vh)]
+    vecs, ranks = _range_basis(avg, rcond)
+    blocks = iter(vecs.reshape(-1, dw, dv))
+    return [list(islice(blocks, rank)) for rank in ranks]
+
+
+_STALE = float(np.sqrt(np.finfo(float).eps))  # stale below this share of the last exact value
+
+
+def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
+    """Orthonormal bases of the column spaces of a stack of square matrices.
+
+    Returns the basis vectors as rows, matrix by matrix, and the rank of each.
+    Column-pivoted Gram-Schmidt, one step for the whole stack: each matrix
+    takes its column of largest residual norm, orthonormalizes it against its
+    kept vectors (twice), and downdates its residual norms, at O(N^2) per kept
+    vector.  A matrix is done when no residual norm is above the cut
+    ``rcond * max(largest column norm, 1)``.  Stopping is certified on exact
+    norms.  A downdated squared norm carries roundoff of order eps times its
+    last exact value, so a column is set aside once its downdated norm falls
+    to the cut, or below ``sqrt(eps)`` times that value (half its digits
+    lost).  When no column is left, or a picked column's true residual is at
+    or below the cut, the residual norms of ``M - Q Q^H M`` are recounted
+    exactly before deciding.  A pick at or below the cut on exact norms is
+    dropped.  The rows are phase-fixed by :func:`_phase_fixed`.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    count, size = mats.shape[:2]
+    rows = np.arange(count)
+    norms = _column_norms2(mats)                          # squared residual norms
+    cut = rcond ** 2 * np.maximum(norms.max(axis=1), 1.0)
+    exact = True                                          # no downdate since the last count
+    basis = coefs = None                                  # Q (kept vectors as columns), Q^H M
+    kept: list[np.ndarray] = []
+    while True:
+        pick = norms.argmax(axis=1)
+        top = norms[rows, pick]
+        live = top > cut
+        if not np.count_nonzero(live):
+            if exact:
+                break
+            norms, exact = _residual_norms2(mats, basis, coefs), True
+            continue
+        vec = mats[rows, :, pick]
+        if kept:
+            vec -= (basis @ coefs[rows, :, pick, None])[..., 0]
+            vec -= (basis @ (np.conj(basis.transpose(0, 2, 1)) @ vec[..., None]))[..., 0]
+            top = _column_norms2(vec[..., None])[:, 0]    # true residuals; else top is exact
+        take = live & (top > cut)
+        if np.count_nonzero(take) < np.count_nonzero(live):   # picks at or below the cut
+            if exact:
+                low = live > take
+                norms[rows[low], pick[low]] = 0.0
+            else:
+                norms, exact = _residual_norms2(mats, basis, coefs), True
+            if not np.count_nonzero(take):
+                continue
+        if exact:                                         # set aside below the cut or stale
+            floor = np.maximum(cut[:, None], _STALE * norms)
+        vec *= (take / np.sqrt(np.where(take, top, 1.0)))[:, None]
+        row = np.conj(vec)[:, None, :] @ mats
+        norms -= np.abs(row[:, 0]) ** 2
+        norms[norms <= floor] = 0.0
+        exact = False
+        basis = np.concatenate((basis, vec[..., None]), axis=2) if kept else vec[..., None]
+        coefs = np.concatenate((coefs, row), axis=1) if kept else row
+        kept.append(take)
+    if not kept:
+        return np.zeros((0, size), dtype=complex), [0] * count
+    taken = np.array(kept).T
+    return _phase_fixed(basis.transpose(0, 2, 1)[taken]), taken.sum(axis=1).tolist()
+
+
+def _residual_norms2(mats: np.ndarray, basis: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Squared column norms of ``M - Q (Q^H M)``, counted exactly (not downdated)."""
+    resid = basis @ coefs
+    return _column_norms2(np.subtract(mats, resid, out=resid))
+
+
+def _column_norms2(mats: np.ndarray) -> np.ndarray:
+    """Squared column norms ``[t, k]`` of a stack ``[t, j, k]``."""
+    mags = np.abs(mats)
+    mags *= mags
+    return np.add.reduce(mags, axis=1)
+
+
+def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
+    """Rows rotated so that the first entry above ``1e-12`` in modulus is real and positive."""
+    lead = vecs[np.arange(len(vecs)), (np.abs(vecs) > 1e-12).argmax(axis=1)]
+    return vecs * (np.abs(lead) / lead)[:, None]
 
 
 def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
@@ -190,28 +279,14 @@ def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
 
     Singular values are cut at ``rcond * max(sigma_max, scale)``; the absolute
     ``scale`` floor keeps an all-zero system (everything in the nullspace) from
-    being read as full-rank noise.  Each vector is rotated so that its first
-    entry above ``1e-12`` in modulus is real and positive.
+    being read as full-rank noise.  Rows are phase-fixed by :func:`_phase_fixed`.
     """
     if mat.size == 0:
         return []
     _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    return _null_rows(sigma, vh, rcond, scale)
-
-
-def _null_rows(sigma: np.ndarray, vh: np.ndarray, rcond: float, scale: float
-               ) -> list[np.ndarray]:
-    """Nullspace rows of one SVD ``(sigma, vh)``, cut and phase-fixed as in :func:`_nullspace`."""
     top = float(sigma[0]) if sigma.size else 0.0
-    thresh = rcond * max(top, scale, 1e-300)
-    rank = int(np.sum(sigma > thresh))
-    vecs = []
-    for row in np.conj(vh[rank:]):  # mat @ conj(vh[i]) = 0
-        nz = np.flatnonzero(np.abs(row) > 1e-12)
-        if nz.size:
-            row = row * (np.abs(row[nz[0]]) / row[nz[0]])
-        vecs.append(row)
-    return vecs
+    rank = int(np.sum(sigma > rcond * max(top, scale, 1e-300)))
+    return list(_phase_fixed(np.conj(vh[rank:])))  # mat @ conj(vh[i]) = 0
 
 
 def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation,

@@ -212,6 +212,31 @@ def kronecker_intertwiners(coact_v, coact_w, rcond: float = 1e-9) -> list[np.nda
     return [row.reshape(dw, dv) for row in np.conj(vh[rank:])]
 
 
+def haar_average(coact_v, coact_w, h) -> np.ndarray:
+    """The averaging map ``P(Phi)[j,k] = sum_{l,m} h(W_jl S(V_mk)) Phi[l,m]`` on
+    ``d_W x d_V`` matrices, as a ``(d_W d_V) x (d_W d_V)`` matrix indexed ``[(j, k), (l, m)]``."""
+    alg = h.algebra
+    dv, dw, n = coact_v.shape[0], coact_w.shape[0], alg.dim
+    pair = np.einsum("abl,l->ab", alg.mult, h.covector)          # h(a_a a_b)
+    s_v = np.einsum("mkb,bc->mkc", coact_v, alg.antipode)         # S(V_mk)
+    weights = (coact_w.reshape(dw * dw, n) @ pair) @ s_v.reshape(dv * dv, n).T
+    return weights.reshape(dw, dw, dv, dv).transpose(0, 3, 1, 2).reshape(dw * dv, dw * dv)
+
+
+def svd_intertwiners(coact_v, coact_w, h, rcond: float = 1e-9) -> list[np.ndarray]:
+    """Basis of ``Hom(V, W)`` as the nullspace of ``I - P`` by a full SVD.
+
+    ``P`` is :func:`haar_average`; the nonzero singular values of ``I - P``
+    are at least 1, so they are cut at ``rcond * max(sigma_max, 1)``.  Returns
+    orthonormal ``d_W x d_V`` matrices.
+    """
+    dv, dw = coact_v.shape[0], coact_w.shape[0]
+    size = dw * dv
+    _, sigma, vh = np.linalg.svd(np.eye(size) - haar_average(coact_v, coact_w, h))
+    rank = int(np.sum(sigma > rcond * max(sigma[0], 1.0)))
+    return [row.reshape(dw, dv) for row in np.conj(vh[rank:])]
+
+
 def sweedler_algebra():
     """Sweedler's 4-dim Hopf algebra: basis 1, g, x, gx with g^2 = 1, x^2 = 0, xg = -gx.
 

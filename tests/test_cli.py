@@ -84,6 +84,35 @@ def test_cg_subcommand_selected_pair(s3_files):
     assert result.returncode == 0
 
 
+def test_cg_r_filters_the_triple_haar_targets(tmp_path):
+    out = tmp_path / "cg.json"
+    argv = ["cg", "--builtin", "C(S3)", "--p", "p2", "--q", "p2", "--r", "p0"]
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    titles = [rep["title"] for rep in json.loads(out.read_text())["reports"]]
+    assert titles == ["cg [p2 x p2]", "triple haar [p0* p2 p2]"]
+    # the pair's report keeps every multiplicity
+    head = json.loads(out.read_text())["reports"][0]
+    assert head["meta"]["multiplicities"] == {"p0": 1, "p1": 1, "p2": 1}
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    """``main`` reuses one parser; ``build_parser`` still returns a new one."""
+    calls, build = [], cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(3):
+        assert cli.main(["haar", "--builtin", "C(Z2)", "--output", str(tmp_path / "h.json")]) == 0
+    assert cli.main(["no-such-command"]) == 2
+    assert len(calls) == 1
+    assert cli.build_parser() is not cli.build_parser()
+    cli._parser.cache_clear()
+
+
 def test_tensor_ops_subcommand(s3_files):
     result = run_cli("tensor-ops", "--algebra", str(s3_files["algebra"]),
                      "--q", "p2")

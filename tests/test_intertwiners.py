@@ -7,8 +7,10 @@ of ``W``.  For an operator space ``End(B) = B (x) B^*`` the character is
 ``chi_B S(chi_B)`` (ordinary) or ``S^{-1}(chi_B) chi_B`` (twisted).
 
 The spaces themselves are checked against :func:`oracles.kronecker_intertwiners`,
-which solves ``Phi V = W Phi`` as a tall linear system without ``h``.  A spec
-that is not a CQG algebra (Sweedler's) is out of scope and must say so with a
+which solves ``Phi V = W Phi`` as a tall linear system without ``h``, and
+against :func:`oracles.svd_intertwiners`, the nullspace of ``I - P`` by a full
+SVD, which the column-pivoted range of ``P`` replaced.  A spec that is not a
+CQG algebra (Sweedler's) is out of scope and must say so with a
 ``CqglabError``.
 """
 
@@ -19,14 +21,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import kronecker_intertwiners, sweedler_algebra
+from oracles import haar_average, kronecker_intertwiners, svd_intertwiners, sweedler_algebra
 
+from cqglab import corep
 from cqglab.algebra import verify_hopf_axioms
 from cqglab.cg import solve_cg, tensor_product
-from cqglab.corep import (Corepresentation, compute_F, decompose_comodule, irrep_table,
-                          morphism_space)
+from cqglab.corep import (Corepresentation, _stacked_intertwiners, compute_F,
+                          decompose_comodule, irrep_table, morphism_space)
 from cqglab.errors import CqglabError, NoF, NoHaar
-from cqglab.groups import symmetric_group_3
+from cqglab.groups import all_permutation_group, build_function_algebra, symmetric_group_3
+from cqglab.haar import gram_matrices, solve_haar
 from cqglab.homspace import (build_coset_subalgebra, restricted_coaction_tensor,
                              solve_restricted_basis_functions, solve_restricted_family)
 from cqglab.regular import regular_coaction_tensor, regular_corep
@@ -219,3 +223,118 @@ def test_family_space_memory_guard(ca4_fun):
         tracemalloc.stop()
     assert len(families) == 36
     assert peak < 48e6, peak / 1e6
+
+
+def _assert_matches_svd_oracle(ours, coact_v, coact_w, h, what):
+    """As many matrices as ``round(Re tr P)``, spanning what the full SVD of ``I - P`` gives."""
+    assert len(ours) == round(np.trace(haar_average(coact_v, coact_w, h)).real), what
+    _assert_same_span(ours, svd_intertwiners(coact_v, coact_w, h), what)
+
+
+def _assert_bit_identical(first, second, what):
+    assert len(first) == len(second), what
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b), what
+
+
+@pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(A4)", "C(D6)"])
+def test_cg_target_stacks_match_svd_oracle(request, contexts, label):
+    ctx = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun"}.get(label)
+    ctx = request.getfixturevalue(ctx) if ctx else contexts[label]
+    table = ctx.table
+    for p in table.labels:
+        for q in table.labels:
+            big = tensor_product(table[p], table[q], "ordinary")
+            for dim in sorted(set(table.dims())):
+                targets = [pi for pi in table if pi.dim == dim]
+                stack = np.stack([pi.coeffs for pi in targets])
+                bases = _stacked_intertwiners(stack, big.coeffs, ctx.haar)
+                for pi, basis, again in zip(targets, bases,
+                                            _stacked_intertwiners(stack, big.coeffs, ctx.haar)):
+                    what = (label, p, q, pi.label)
+                    _assert_bit_identical(basis, again, what)
+                    _assert_matches_svd_oracle(basis, pi.coeffs, big.coeffs, ctx.haar, what)
+
+
+def _family_case(ctx, kind, side, pi):
+    alg = ctx.algebra
+    n = alg.dim
+    ops = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
+    ours = [fam.operators.reshape(pi.dim, n * n).T for fam in solve_family_space(pi, kind, side)]
+    again = [fam.operators.reshape(pi.dim, n * n).T for fam in solve_family_space(pi, kind, side)]
+    _assert_bit_identical(ours, again, (kind, side, pi.label))
+    _assert_matches_svd_oracle(ours, pi.coeffs, ops, ctx.haar, (kind, side, pi.label))
+
+
+@pytest.mark.parametrize("kind,side", VARIANTS)
+def test_family_space_matches_svd_oracle(cs3_fun, kind, side):
+    for pi in cs3_fun.table:
+        _family_case(cs3_fun, kind, side, pi)
+
+
+def test_large_family_space_matches_svd_oracle(ca4_fun):
+    """C(A4)'s 3-dim irrep: 36 families among 432 unknowns."""
+    _family_case(ca4_fun, "ordinary", "R", next(pi for pi in ca4_fun.table if pi.dim == 3))
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_restricted_spaces_match_svd_oracle(cs3_fun, side):
+    alg, grams, h = cs3_fun.algebra, cs3_fun.grams, cs3_fun.haar
+    coideal = build_coset_subalgebra(S3, alg, [0, 1], side)
+    coideal.orthonormalize(grams)
+    coact = restricted_coaction_tensor(coideal, grams)
+    b = coideal.dim
+    for pi in cs3_fun.table:
+        ours, again = ([bset.coords.T for bset in solve_restricted_basis_functions(
+            pi, coideal, grams)] for _ in range(2))
+        _assert_bit_identical(ours, again, (side, pi.label))
+        _assert_matches_svd_oracle(ours, pi.coeffs, coact.transpose(1, 0, 2), h,
+                                   (side, pi.label))
+        for kind in ("ordinary", "twisted"):
+            ours, again = ([fam.operators.reshape(pi.dim, b * b).T for fam in
+                            solve_restricted_family(pi, coideal, grams, kind)]
+                           for _ in range(2))
+            _assert_bit_identical(ours, again, (side, pi.label, kind))
+            _assert_matches_svd_oracle(ours, pi.coeffs, operator_comodule(coact, alg, kind),
+                                       h, (side, pi.label, kind))
+
+
+class _Proxy:
+    """``target`` with some attributes replaced."""
+
+    def __init__(self, target, **replaced):
+        self._target, self._replaced = target, replaced
+
+    def __getattr__(self, name):
+        return self._replaced.get(name) or getattr(self._target, name)
+
+
+def test_family_space_takes_no_large_svd(ca4_fun, monkeypatch):
+    """No SVD seen from ``cqglab.corep`` has more rows than the space's dimension
+    (36): the range of P is not found by factoring the 432 x 432 matrix I - P."""
+    pi = next(rep for rep in ca4_fun.table if rep.dim == 3)
+    rows = []
+
+    def recording(a, *args, **kw):
+        rows.append(np.shape(a)[-2])
+        return np.linalg.svd(a, *args, **kw)
+
+    monkeypatch.setattr(corep, "np", _Proxy(np, linalg=_Proxy(np.linalg, svd=recording)))
+    assert len(solve_family_space(pi, "ordinary", "R")) == 36
+    assert all(count <= 36 for count in rows), rows
+
+
+def test_n24_family_space_is_the_range_of_the_average():
+    """C(S4) (n = 24): the 3-dim irrep's ordinary-R families are 72 = n d matrices
+    Phi among 1728 unknowns, each fixed by the averaging map P to 1e-9."""
+    alg = build_function_algebra(all_permutation_group(4))
+    h = solve_haar(alg)
+    table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
+    pi = next(rep for rep in table if rep.dim == 3)
+    n = alg.dim
+    families = solve_family_space(pi, "ordinary", "R")
+    assert len(families) == n * pi.dim
+    ops = operator_comodule(regular_coaction_tensor(alg, "R"), alg, "ordinary")
+    avg = haar_average(pi.coeffs, ops, h)
+    phis = np.array([fam.operators.reshape(pi.dim, n * n).T.ravel() for fam in families])
+    assert np.abs(phis @ avg.T - phis).max(axis=1).max() <= 1e-9

@@ -1,0 +1,114 @@
+"""The column-pivoted range solver on synthetic idempotents of known rank.
+
+``corep._range_basis`` finds the column space of each matrix of a stack by
+column-pivoted Gram-Schmidt with downdated residual norms.  Every idempotent
+here is oblique, ``P = X Z^H`` with ``Z^H X = I``, so its range is ``span X``
+and its rank is known by construction.  Column norms run from 1e-6 to 1e6,
+some columns are exact duplicates, and the ranks differ across one stack.
+
+The hidden case is built so that downdated norms mislead both ways: every
+column is about 1e6 along one range direction and O(1) along the other.
+After the first pick the second direction's residuals (O(1), far above the
+cut of about 1e-3) lie below the roundoff of the downdated norms, and the
+columns that are not in the range any more keep downdated norms of order
+1e-4, above the squared cut.  Only residual norms recounted exactly find the
+second direction and reject the noise.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cqglab.corep import _range_basis
+
+N = 8
+
+
+def _unitary(rng, size: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    return q
+
+
+def _spread_idempotent(rng, rank: int, duplicate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``P = X Z^H`` with ``X`` orthonormal on the first ``rank + 1`` coordinates
+    (all of them when ``rank >= N - 1``); the other columns have norms spread
+    from 1e-6 to 1e6, and with ``duplicate`` two of them are equal.  Rows and
+    columns are then permuted together, which keeps ``P`` idempotent."""
+    support = min(rank + 1, N)
+    x = np.zeros((N, rank), dtype=complex)
+    x[:support] = _unitary(rng, support)[:, :rank]
+    z_h = np.zeros((rank, N), dtype=complex)
+    z_h[:, :support] = x[:support].conj().T                 # Z^H X = I on the support
+    outside = N - support
+    scales = np.logspace(-6, 6, outside) if outside > 1 else np.full(outside, 1e6)
+    free = rng.standard_normal((rank, outside)) + 1j * rng.standard_normal((rank, outside))
+    z_h[:, support:] = free * scales
+    if duplicate:                                           # keeps both ends of the spread
+        z_h[:, support + 2] = z_h[:, support + 1]
+    perm = rng.permutation(N)
+    return (x @ z_h)[np.ix_(perm, perm)], x[perm]
+
+
+def _hidden_idempotent(rng) -> tuple[np.ndarray, np.ndarray]:
+    """``P = x1 a1^H + x2 x2^H`` with ``a1 = x1 + 1e6 v``, ``v`` a unit vector
+    orthogonal to ``x1`` and ``x2``: columns about 1e6 along ``x1`` and O(1)
+    along ``x2``."""
+    x1, x2, v = _unitary(rng, N)[:, :3].T
+    a1 = x1 + 1e6 * v
+    x = np.stack([x1, x2], axis=1)
+    return np.outer(x1, a1.conj()) + np.outer(x2, x2.conj()), x
+
+
+def _stack(seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    rng = np.random.default_rng(seed)
+    cases = [_spread_idempotent(rng, 1, duplicate=True),
+             _spread_idempotent(rng, 3, duplicate=True),
+             _spread_idempotent(rng, N - 1, duplicate=False),
+             (np.eye(N, dtype=complex), np.eye(N, dtype=complex)),   # rank N: only I
+             _hidden_idempotent(rng)]
+    return np.stack([p for p, _ in cases]), [x for _, x in cases]
+
+
+def _projector(columns: np.ndarray) -> np.ndarray:
+    q, _ = np.linalg.qr(columns)
+    return q @ q.conj().T
+
+
+def test_synthetic_idempotents_are_idempotent():
+    for seed in range(5):
+        mats, ranges = _stack(seed)
+        for p, x in zip(mats, ranges):
+            scale = np.abs(p).max()
+            assert np.abs(p @ p - p).max() <= 1e-9 * scale ** 2 + 1e-12
+            assert np.abs(p @ x - x).max() <= 1e-9 * scale
+        norms = np.linalg.norm(mats[:2], axis=1)
+        assert norms.min() < 1e-5 and norms.max() > 1e5
+
+
+def test_exact_rank_and_range_projector():
+    for seed in range(5):
+        mats, ranges = _stack(seed)
+        vecs, ranks = _range_basis(mats, 1e-9)
+        assert ranks == [1, 3, N - 1, N, 2], seed
+        start = 0
+        for rank, x in zip(ranks, ranges):
+            basis = vecs[start:start + rank]
+            start += rank
+            assert np.abs(basis.conj() @ basis.T - np.eye(rank)).max() < 1e-12, seed
+            assert np.abs(basis.T @ basis.conj() - _projector(x)).max() < 1e-8, (seed, rank)
+
+
+def test_stack_solves_like_single_matrices():
+    mats, _ = _stack(0)
+    vecs, ranks = _range_basis(mats, 1e-9)
+    start = 0
+    for mat, rank in zip(mats, ranks):
+        single, (single_rank,) = _range_basis(mat[None], 1e-9)
+        assert single_rank == rank
+        assert np.abs(vecs[start:start + rank] - single).max() < 1e-12
+        start += rank
+
+
+def test_zero_and_empty_columns():
+    vecs, ranks = _range_basis(np.zeros((2, 3, 3), dtype=complex), 1e-9)
+    assert ranks == [0, 0] and vecs.shape == (0, 3)
