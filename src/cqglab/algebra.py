@@ -20,9 +20,10 @@ Elements are plain complex coefficient vectors wrapped in :class:`Element`;
 tensors in ``A (x) A`` are ``n x n`` coefficient matrices wrapped in
 :class:`TensorElement` (entry ``[j, k]`` multiplies ``a_j (x) a_k``).
 
-Validation is advisory: constructors only check shapes, and the axiom suites
-(:func:`verify_hopf_axioms`, :func:`verify_star_axioms`) report residuals so a
-broken spec can be loaded and diagnosed.
+Validation is advisory: constructors only check shapes and that every entry
+is finite, and the axiom suites (:func:`verify_hopf_axioms`,
+:func:`verify_star_axioms`) report residuals so a broken spec can be loaded
+and diagnosed.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def _as_complex(a, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.shape != shape:
         raise InvalidSpec(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidSpec(f"{what} has non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -320,6 +323,16 @@ def _tol_for(alg: HopfAlgebraSpec, tol: float) -> float:
     return tol * alg.magnitude
 
 
+def _legwise_product(coact: np.ndarray, m: np.ndarray, twisted: bool = False) -> np.ndarray:
+    """``out[i, j, r, u]``: coefficient of ``a_r (x) a_u`` in ``coact(a_i) coact(a_j)``, the
+    second legs multiplied in reversed order when ``twisted``.  Two n^5 half-products
+    and one (n^2 x n^2) matrix product, never one n^8 loop."""
+    firsts = np.tensordot(coact, m, axes=(1, 0))    # [i, q, s, r]: first legs of a_i times a_s
+    # [j, s, q, u]: a_q times the second legs of a_j (twisted: the reverse)
+    seconds = np.tensordot(coact, m, axes=(2, 0 if twisted else 1))
+    return np.tensordot(firsts, seconds, axes=((1, 2), (2, 1))).transpose(0, 2, 1, 3)
+
+
 def verify_hopf_axioms(alg: HopfAlgebraSpec, tol: float = 1e-9) -> Report:
     """Residuals of the Hopf-algebra axioms in structure-constant form.
 
@@ -339,12 +352,8 @@ def verify_hopf_axioms(alg: HopfAlgebraSpec, tol: float = 1e-9) -> Report:
     # coassociativity: sum_j mu[l js... ] see module docstring index order
     add("coassociativity",
         np.einsum("ljk,jst->lstk", mu, mu) - np.einsum("lsj,jtk->lstk", mu, mu))
-    # compatibility of coproduct with product: Delta(a_j) Delta(a_k) in two n^5
-    # half-products and one (n^2 x n^2) matrix product, never one n^8 loop
-    firsts = np.tensordot(mu, m, axes=(1, 0))    # [j, q, s, r]: first legs of a_j times a_s
-    seconds = np.tensordot(mu, m, axes=(2, 1))   # [k, s, q, u]: a_q times second legs of a_k
-    product = np.tensordot(firsts, seconds, axes=((1, 2), (2, 1))).transpose(0, 2, 1, 3)
-    add("bialgebra", product - np.einsum("jkp,pru->jkru", m, mu))
+    # compatibility of coproduct with product: Delta(a_j) Delta(a_k) = Delta(a_j a_k)
+    add("bialgebra", _legwise_product(mu, m) - np.einsum("jkp,pru->jkru", m, mu))
     # counit is an algebra homomorphism
     add("counit multiplicative", np.einsum("jkl,l->jk", m, eps) - np.outer(eps, eps))
     # counit laws for the coproduct

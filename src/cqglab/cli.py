@@ -19,7 +19,7 @@ from .algebra import verify_hopf_axioms, verify_star_axioms
 from .cg import _triple_haar_reports, character, character_orthogonality, solve_cg
 from .corep import check_unitary, irrep_table, verify_corep, verify_orthogonality
 from .errors import CqglabError
-from .groups import build_function_algebra, build_group_algebra, builtin_algebras
+from .groups import _BUILTINS, build_function_algebra, build_group_algebra, builtin_algebras
 from .haar import certify_haar, gram_matrices, solve_haar, verify_haar_lemmas
 from .homspace import (build_coset_subalgebra, restricted_coaction_report,
                        restricted_coaction_tensor, restricted_multiplication_family,
@@ -37,15 +37,13 @@ def _load_spec(args) -> "HopfAlgebraSpec":
     if args.algebra:
         return cio.load_algebra(args.algebra)
     if args.group:
-        group = cio.load_group(args.group)
-        builder = (build_function_algebra if args.construction == "function"
-                   else build_group_algebra)
-        return builder(group)
+        build = build_function_algebra if args.construction == "function" else build_group_algebra
+        return build(cio.load_group(args.group))
     if args.builtin:
-        table = builtin_algebras()
-        if args.builtin not in table:
-            raise CqglabError(f"unknown builtin {args.builtin!r}; have {sorted(table)}")
-        return table[args.builtin]
+        if args.builtin not in _BUILTINS:
+            raise CqglabError(f"unknown builtin {args.builtin!r}; have {sorted(_BUILTINS)}")
+        build, group = _BUILTINS[args.builtin]
+        return build(group())
     raise CqglabError("one of --algebra, --group, --builtin is required")
 
 
@@ -209,12 +207,7 @@ def _cmd_homspace(args) -> list[Report]:
             f"homspace builds coset subalgebras of a function algebra C(G), and "
             f"{spec.label!r} is a group algebra; use --construction function or a "
             f"'C(...)' built-in")
-    if args.group:
-        group = cio.load_group(args.group)
-    else:
-        from .groups import cyclic_group, symmetric_group_3
-        name = args.builtin[2:-1]  # the built-in function algebras are C(S3) and C(Zn)
-        group = symmetric_group_3() if name == "S3" else cyclic_group(int(name[1:]))
+    group = cio.load_group(args.group) if args.group else _BUILTINS[args.builtin][1]()
     subgroup = [int(x) for x in args.subgroup.split(",")] if args.subgroup else [0]
     side = args.side or "L"
     h, grams, table = _context(spec, args.tolerance, args.seed)

@@ -13,6 +13,7 @@ Every finite group ``G`` yields two built-in test beds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -200,17 +201,17 @@ def _group_name(group: GroupTable) -> str:
     return f"G{group.order}"
 
 
+# label -> (construction, group): the six built-ins, each buildable on its own
+_BUILTINS = {
+    "C(Z2)": (build_function_algebra, partial(cyclic_group, 2)),
+    "C(Z3)": (build_function_algebra, partial(cyclic_group, 3)),
+    "C(Z4)": (build_function_algebra, partial(cyclic_group, 4)),
+    "C[Z3]": (build_group_algebra, partial(cyclic_group, 3)),
+    "C(S3)": (build_function_algebra, symmetric_group_3),
+    "C[S3]": (build_group_algebra, symmetric_group_3),
+}
+
+
 def builtin_algebras() -> dict[str, HopfAlgebraSpec]:
     """The six standard test algebras keyed by label."""
-    out: dict[str, HopfAlgebraSpec] = {}
-    for n in (2, 3, 4):
-        spec = build_function_algebra(cyclic_group(n))
-        out[spec.label] = spec
-    cz3 = build_group_algebra(cyclic_group(3))
-    out[cz3.label] = cz3
-    s3 = symmetric_group_3()
-    cs3_fun = build_function_algebra(s3)
-    out[cs3_fun.label] = cs3_fun
-    cs3_grp = build_group_algebra(s3)
-    out[cs3_grp.label] = cs3_grp
-    return out
+    return {label: build(group()) for label, (build, group) in _BUILTINS.items()}

@@ -8,6 +8,7 @@ fixtures stay human-readable; matrices and vectors are dense nested lists of
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -97,25 +98,34 @@ def save_algebra(alg: HopfAlgebraSpec, path: str | Path) -> None:
     Path(path).write_text(_compact_dumps(payload), encoding="utf-8")
 
 
-def load_algebra(path: str | Path) -> HopfAlgebraSpec:
+@contextmanager
+def _reading(path: str | Path, schema: str):
+    """The JSON object in ``path``, checked against ``schema``; a missing key, a wrong
+    type or a ragged array met while reading it becomes ``SchemaError``."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if payload.get("schema") != ALGEBRA_SCHEMA:
-        raise SchemaError(f"{path}: schema {payload.get('schema')!r}, "
-                          f"expected {ALGEBRA_SCHEMA!r}")
-    n = int(payload["dim"])
-    return HopfAlgebraSpec(
-        dim=n,
-        mult=_from_triples(payload["mult"], (n, n, n), "mult"),
-        comult=_from_triples(payload["comult"], (n, n, n), "comult"),
-        antipode=_from_dense(payload["antipode"], (n, n), "antipode"),
-        counit=_from_dense(payload["counit"], (n,), "counit"),
-        unit=_from_dense(payload["unit"], (n,), "unit"),
-        star=_from_dense(payload["star"], (n, n), "star"),
-        label=payload.get("label", ""),
-    )
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: top level is {type(payload).__name__}, not an object")
+    if payload.get("schema") != schema:
+        raise SchemaError(f"{path}: schema {payload.get('schema')!r}, expected {schema!r}")
+    try:
+        yield payload
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: missing or malformed entry ({exc!r})") from exc
+
+
+def load_algebra(path: str | Path) -> HopfAlgebraSpec:
+    with _reading(path, ALGEBRA_SCHEMA) as payload:
+        n = int(payload["dim"])
+        # the dense arrays first: their size in the file bounds n before n^3 is allocated
+        arrays = {key: _from_dense(payload[key], shape, key) for key, shape in
+                  (("antipode", (n, n)), ("counit", (n,)), ("unit", (n,)), ("star", (n, n)))}
+        arrays.update((key, _from_triples(payload[key], (n, n, n), key))
+                      for key in ("mult", "comult"))
+        label = str(payload.get("label", ""))
+    return HopfAlgebraSpec(dim=n, label=label, **arrays)
 
 
 def save_group(group: GroupTable, path: str | Path) -> None:
@@ -129,28 +139,24 @@ def save_group(group: GroupTable, path: str | Path) -> None:
 
 
 def load_group(path: str | Path) -> GroupTable:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if payload.get("schema") != GROUP_SCHEMA:
-        raise SchemaError(f"{path}: schema {payload.get('schema')!r}, "
-                          f"expected {GROUP_SCHEMA!r}")
-    return GroupTable(int(payload["order"]), np.asarray(payload["table"], dtype=int),
-                      tuple(payload.get("labels", ())))
+    with _reading(path, GROUP_SCHEMA) as payload:
+        order, table = int(payload["order"]), np.asarray(payload["table"], dtype=int)
+        labels = tuple(str(x) for x in payload.get("labels", ()))
+    return GroupTable(order, table, labels)
 
 
 def report_payload(operation: str, reports: list[Report], tolerance: float,
                    seed: int, inputs: dict | None = None) -> dict:
     """Machine-readable bundle for one CLI run; deterministic given the seed."""
+    dicts = [r.to_dict() for r in reports]
     return {
         "schema": REPORT_SCHEMA,
         "operation": operation,
         "inputs": inputs or {},
         "tolerance": tolerance,
         "seed": seed,
-        "passed": all(r.passed for r in reports),
-        "reports": [r.to_dict() for r in reports],
+        "passed": all(d["passed"] for d in dicts),
+        "reports": dicts,
     }
 
 

@@ -68,19 +68,21 @@ class Report:
         raise KeyError(name)
 
     def to_dict(self) -> dict[str, Any]:
+        checks = [c.to_dict() for c in self.checks]  # each verdict evaluated once
         out: dict[str, Any] = {
             "title": self.title,
-            "passed": self.passed,
+            "passed": all(c["passed"] for c in checks),
             "max_residual": self.max_residual,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": checks,
         }
         if self.meta:
             out["meta"] = self.meta
         return out
 
     def summary(self) -> str:
-        lines = [f"{self.title}: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            flag = "ok " if c.passed else "BAD"
+        verdicts = [c.passed for c in self.checks]
+        lines = [f"{self.title}: {'PASS' if all(verdicts) else 'FAIL'}"]
+        for c, passed in zip(self.checks, verdicts):
+            flag = "ok " if passed else "BAD"
             lines.append(f"  [{flag}] {c.name}: residual {c.residual:.3e} (tol {c.tol:.1e})")
         return "\n".join(lines)

@@ -67,13 +67,20 @@ def pipeline_components(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str,
     second legs always live in the full algebra.  Returns components
     ``out[m, alpha, t]``.
     """
-    spow = alg.antipode if kind == "ordinary" else alg.antipode_inv
+    ordinary = kind == "ordinary"
+    return _pipeline(coact, alg, q_op, alg.antipode if ordinary else alg.antipode_inv,
+                     swapped=not ordinary)
+
+
+def _pipeline(coact: np.ndarray, alg: HopfAlgebraSpec, q_op: np.ndarray,
+              spow: np.ndarray, swapped: bool) -> np.ndarray:
+    """The pipeline with the antipode power ``spow`` and the leg swap as free inputs."""
     legs = np.einsum("tab,ia->itb", coact, q_op)       # (Q (x) id)
     legs = np.einsum("itb,bw->itw", legs, spow)        # (id (x) S^pm)
     legs = np.einsum("itw,iAB->ABwt", legs, coact)     # (coact (x) id)
-    if kind == "ordinary":
-        return np.einsum("ABwt,BwM->MAt", legs, alg.mult)   # (id (x) M)
-    return np.einsum("ABwt,wBM->MAt", legs, alg.mult)       # (id (x) M . swap)
+    if swapped:
+        return np.einsum("ABwt,wBM->MAt", legs, alg.mult)   # (id (x) M . swap)
+    return np.einsum("ABwt,BwM->MAt", legs, alg.mult)       # (id (x) M)
 
 
 def operator_comodule(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str) -> np.ndarray:
@@ -365,19 +372,13 @@ def excluded_substitution_residual(alg: HopfAlgebraSpec, which: str) -> float:
     admissible defining condition must send the identity operator to
     ``id (x) 1``; on a noncommutative spec these two variants do not.
     """
-    m = alg.mult
     if which == "swap_mult_only":
         spow, swapped = alg.antipode, True
     elif which == "inverse_antipode_only":
         spow, swapped = alg.antipode_inv, False
     else:
         raise ValueError(f"unknown substitution {which!r}")
-    coact = regular_coaction_tensor(alg, "R")
-    legs = np.einsum("tab,bw->taw", coact, spow)
-    legs = np.einsum("taw,aAB->ABwt", legs, coact)
-    if swapped:
-        out = np.einsum("ABwt,wBM->MAt", legs, m)
-    else:
-        out = np.einsum("ABwt,BwM->MAt", legs, m)
-    expected = np.einsum("At,M->MAt", np.eye(alg.dim), alg.unit)
+    n = alg.dim
+    out = _pipeline(regular_coaction_tensor(alg, "R"), alg, np.eye(n), spow, swapped)
+    expected = np.einsum("At,M->MAt", np.eye(n), alg.unit)
     return float(np.abs(out - expected).max())

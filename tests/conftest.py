@@ -10,7 +10,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cqglab.corep import irrep_table
-from cqglab.groups import GroupTable, build_function_algebra, builtin_algebras
+from cqglab.groups import (GroupTable, all_permutation_group, build_function_algebra,
+                           build_group_algebra, builtin_algebras)
 from cqglab.haar import gram_matrices, solve_haar
 
 
@@ -69,6 +70,18 @@ def alternating_group_4() -> GroupTable:
 def ca4_fun():
     """C(A4): its 3-dim irrep fuses with itself with multiplicity 2."""
     return Context(build_function_algebra(alternating_group_4()))
+
+
+@pytest.fixture(scope="session")
+def ca4_grp():
+    """C[A4]: twelve 1-dim irreps of a noncommutative algebra."""
+    return Context(build_group_algebra(alternating_group_4()))
+
+
+@pytest.fixture(scope="session")
+def cs4_fun():
+    """C(S4), n = 24: irreps of dims 1, 1, 2, 3, 3."""
+    return Context(build_function_algebra(all_permutation_group(4)))
 
 
 

@@ -306,3 +306,78 @@ def we_closed_form(tensor, system, r_label, f_r, kind):
                                   rcond=None)
         gap = float(np.abs(lsq - reduced).max())
     return reduced, residual, gap
+
+
+def projection_identity_gaps(table, side, h, ordering="standard") -> dict[str, float]:
+    """The projection identities and completeness by per-index loops.
+
+    Each ``P^p_mn`` is built on its own from the per-row contraction, every
+    pair is multiplied in a loop over ``(p, m, n, q, j, k)`` and every action
+    in a loop over ``(q, p, m, n, k)``.  Returns the worst gap per check,
+    keyed like :func:`cqglab.regular.verify_projection_identities`, plus
+    ``"completeness"``: the residual of ``sum_p (tr((F^p)^{-1}) / d_p)
+    sum_{m,n} F^p_nm P^p_mn = id`` over the same projections.
+    """
+    from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
+
+    alg = table.algebra
+    tensor = regular_coaction_tensor(alg, side)
+    rule = "u,ubl,l->b" if ordering == "standard" else "u,bul,l->b"
+    ops = {}
+    for p_idx, pi in enumerate(table):
+        for m_idx in range(pi.dim):
+            for n_idx in range(pi.dim):
+                star_mn = np.conj(pi.coeffs[m_idx, n_idx]) @ alg.star
+                weights = np.einsum(rule, star_mn, alg.mult, h.covector)
+                ops[p_idx, m_idx, n_idx] = pi.dim * np.einsum("tab,b->at", tensor, weights)
+
+    worst_same = 0.0
+    worst_cross = 0.0
+    for p_idx, pi in enumerate(table):
+        finv = np.linalg.inv(pi.F)
+        finv_tr = np.trace(finv)
+        for q_idx, rho in enumerate(table):
+            for m_idx in range(pi.dim):
+                for n_idx in range(pi.dim):
+                    left = ops[p_idx, m_idx, n_idx]
+                    for j_idx in range(rho.dim):
+                        for k_idx in range(rho.dim):
+                            prod = left @ ops[q_idx, j_idx, k_idx]
+                            if p_idx == q_idx:
+                                expected = (pi.dim * finv[n_idx, j_idx] / finv_tr
+                                            ) * ops[p_idx, m_idx, k_idx]
+                                worst_same = max(worst_same,
+                                                 float(np.abs(prod - expected).max()))
+                            else:
+                                worst_cross = max(worst_cross, float(np.abs(prod).max()))
+
+    worst_action = 0.0
+    for q_idx, rho in enumerate(table):
+        bset = canonical_basis_functions(rho, side, row=0)
+        for p_idx, pi in enumerate(table):
+            finv = np.linalg.inv(pi.F)
+            finv_tr = np.trace(finv)
+            for m_idx in range(pi.dim):
+                for n_idx in range(pi.dim):
+                    acted = (ops[p_idx, m_idx, n_idx] @ bset.functions.T).T
+                    if p_idx == q_idx:
+                        expected = np.zeros_like(acted)
+                        for k_idx in range(rho.dim):
+                            if k_idx == n_idx:
+                                expected[k_idx] = pi.dim / finv_tr * (
+                                    finv[:, m_idx] @ bset.functions)
+                        worst_action = max(worst_action,
+                                           float(np.abs(acted - expected).max()))
+                    else:
+                        worst_action = max(worst_action, float(np.abs(acted).max()))
+
+    total = np.zeros((alg.dim, alg.dim), dtype=complex)
+    for p_idx, pi in enumerate(table):
+        f = pi.F
+        finv_tr = np.trace(np.linalg.inv(f))
+        for m_idx in range(pi.dim):
+            for n_idx in range(pi.dim):
+                total += (finv_tr / pi.dim) * f[n_idx, m_idx] * ops[p_idx, m_idx, n_idx]
+    return {"composition same-irrep": worst_same, "composition cross-irrep": worst_cross,
+            "action on basis functions": worst_action,
+            "completeness": float(np.abs(total - np.eye(alg.dim)).max())}

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cqglab import cli
 from cqglab import io as cio
-from cqglab.groups import build_function_algebra, symmetric_group_3
+from cqglab.algebra import HopfAlgebraSpec
+from cqglab.errors import InvalidSpec
+from cqglab.groups import build_function_algebra, builtin_algebras, symmetric_group_3
 
 
 def run_cli(*argv):
@@ -57,6 +61,57 @@ def test_validate_fails_on_broken_spec(tmp_path, s3_files):
     result = run_cli("validate", "--algebra", str(broken))
     assert result.returncode == 1
     assert "RESULT: FAIL" in result.stdout
+
+
+def _first_entry(matrix, value):
+    """A dense ``[re, im]`` matrix with its first real part replaced."""
+    return [[[value, 0.0]] + matrix[0][1:]] + matrix[1:]
+
+
+# file kind -> case -> edit of a valid payload; every result must be rejected at load
+MALFORMED = {
+    "algebra": {
+        "inf counit": lambda p: {**p, "counit": [[math.inf, 0.0]] + p["counit"][1:]},
+        "NaN antipode": lambda p: {**p, "antipode": _first_entry(p["antipode"], math.nan)},
+        "no dim": lambda p: {k: v for k, v in p.items() if k != "dim"},
+        "no mult": lambda p: {k: v for k, v in p.items() if k != "mult"},
+        "not an object": lambda p: [p],
+        "ragged matrix": lambda p: {**p, "star": [p["star"][0][:-1]] + p["star"][1:]},
+        "non-numeric dense entry": lambda p: {**p, "star": _first_entry(p["star"], "x")},
+        "non-numeric sparse entry": lambda p: {**p, "mult": [[0, 0, 0, "x", 0.0]]},
+        "non-numeric dim": lambda p: {**p, "dim": "two"},
+    },
+    "group": {
+        "no order": lambda p: {k: v for k, v in p.items() if k != "order"},
+        "ragged table": lambda p: {**p, "table": [p["table"][0][:-1]] + p["table"][1:]},
+        "not an object": lambda p: [p],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "haar", "irreps"])
+@pytest.mark.parametrize("kind, case", [(kind, case) for kind, cases in MALFORMED.items()
+                                        for case in cases])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, kind, case, command):
+    """Each malformed file exits 2 with an ``error:`` line, never a traceback or a PASS."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "algebra":
+        cio.save_algebra(builtin_algebras()["C(Z2)"], path)
+    else:
+        cio.save_group(symmetric_group_3(), path)
+    path.write_text(json.dumps(MALFORMED[kind][case](json.loads(path.read_text()))))
+    assert cli.main([command, f"--{kind}", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["mult", "comult", "antipode", "counit", "unit", "star"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite_entries(field, value):
+    arrays = {name: np.array(getattr(builtin_algebras()["C(Z2)"], name))
+              for name in ("mult", "comult", "antipode", "counit", "unit", "star")}
+    arrays[field].flat[0] = value
+    with pytest.raises(InvalidSpec, match="non-finite"):
+        HopfAlgebraSpec(2, **arrays)
 
 
 def test_wigner_eckart_subcommand(s3_files, tmp_path):

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import s3_inverse
+from oracles import projection_identity_gaps, s3_inverse
 
-from cqglab.corep import Corepresentation
+from cqglab.corep import Corepresentation, IrrepTable
 from cqglab.errors import NotUnitary
 from cqglab.groups import build_function_algebra, cyclic_group, symmetric_group_3
 from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
@@ -133,6 +133,70 @@ def test_projection_completeness(contexts):
         for side in ("R", "L"):
             res = projection_completeness_residual(ctx.table, side, ctx.haar)
             assert res < 1e-10, (label, side, res)
+
+
+@pytest.fixture(scope="module")
+def projection_beds(contexts, cd6_fun, ca4_fun, ca4_grp, cs4_fun):
+    beds = dict(contexts)
+    beds.update({"C(D6)": cd6_fun, "C(A4)": ca4_fun, "C[A4]": ca4_grp, "C(S4)": cs4_fun})
+    return beds
+
+
+def _stacked_vs_loops(table, side, haar, ordering="standard") -> dict[str, tuple[float, float]]:
+    """``check -> (stacked value, loop-oracle value)`` for one table, side and ordering."""
+    rep = verify_projection_identities(table, side, haar, 1e-10, ordering=ordering)
+    loops = projection_identity_gaps(table, side, haar, ordering)
+    pairs = {c.name: (c.residual, loops[c.name]) for c in rep.checks}
+    pairs["completeness"] = (projection_completeness_residual(table, side, haar),
+                             loops["completeness"])
+    return pairs
+
+
+def test_stacked_projections_match_index_loops(projection_beds):
+    """The one-contraction identities equal the per-index loops they replace."""
+    for label, ctx in projection_beds.items():
+        for side in ("R", "L"):
+            for ordering in ("standard", "swapped"):
+                pairs = _stacked_vs_loops(ctx.table, side, ctx.haar, ordering)
+                if ordering == "swapped":
+                    del pairs["completeness"]  # completeness has the standard ordering only
+                for name, (stacked, loops) in pairs.items():
+                    assert abs(stacked - loops) < 1e-13, (label, side, ordering, name)
+                    assert loops < 1e-10, (label, side, ordering, name)
+
+
+@pytest.mark.parametrize("label, cross, completeness",
+                         [("C(S3)", 1 / 3, 2 / 3), ("C[S3]", 1.0, 1.0)])
+def test_duplicated_irrep_breaks_cross_terms(contexts, label, cross, completeness):
+    """Listing the last irrep twice makes its two copies' projections overlap."""
+    ctx = contexts[label]
+    table = ctx.table
+    dup = IrrepTable(table.algebra, table.irreps + table.irreps[-1:],
+                     table.multiplicities + table.multiplicities[-1:])
+    for side in ("R", "L"):
+        pairs = _stacked_vs_loops(dup, side, ctx.haar)
+        for name, (stacked, loops) in pairs.items():
+            assert abs(stacked - loops) < 1e-13, (label, side, name)
+        assert pairs["composition same-irrep"][0] < 1e-13
+        assert abs(pairs["composition cross-irrep"][0] - cross) < 1e-12
+        assert abs(pairs["action on basis functions"][0] - 1.0) < 1e-12
+        assert abs(pairs["completeness"][0] - completeness) < 1e-12
+
+
+def test_non_unitary_representative_breaks_action(cs3_fun):
+    """A non-unitary conjugate of p2 keeps the composition rule but not the action."""
+    table = cs3_fun.table
+    skew_t = np.array([[1.0, 0.5], [0.0, 1.0]])
+    p2 = table["p2"]
+    skewed = p2.with_flags(coeffs=np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew_t),
+                                            p2.coeffs, skew_t))
+    bad = IrrepTable(table.algebra, table.irreps[:2] + [skewed], table.multiplicities)
+    pairs = _stacked_vs_loops(bad, "R", cs3_fun.haar)
+    for name, (stacked, loops) in pairs.items():
+        assert abs(stacked - loops) < 1e-13, name
+    assert abs(pairs["action on basis functions"][0] - 0.7451) < 1e-4
+    assert pairs["composition same-irrep"][0] < 1e-13
+    assert pairs["completeness"][0] < 1e-13
 
 
 def test_trivial_projection_is_group_average(cs3_fun):
