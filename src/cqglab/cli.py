@@ -33,18 +33,25 @@ from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_family,
 from .wigner_eckart import _factorize_targets, _inner_product_tensor
 
 
-def _load_spec(args) -> "HopfAlgebraSpec":
+def _load_source(args) -> tuple["HopfAlgebraSpec", "GroupTable | None"]:
+    """The spec named on the command line, and the group it is built from (read once)."""
     if args.algebra:
-        return cio.load_algebra(args.algebra)
+        return cio.load_algebra(args.algebra), None
     if args.group:
         build = build_function_algebra if args.construction == "function" else build_group_algebra
-        return build(cio.load_group(args.group))
-    if args.builtin:
+        group = cio.load_group(args.group)
+    elif args.builtin:
         if args.builtin not in _BUILTINS:
             raise CqglabError(f"unknown builtin {args.builtin!r}; have {sorted(_BUILTINS)}")
-        build, group = _BUILTINS[args.builtin]
-        return build(group())
-    raise CqglabError("one of --algebra, --group, --builtin is required")
+        build, make = _BUILTINS[args.builtin]
+        group = make()
+    else:
+        raise CqglabError("one of --algebra, --group, --builtin is required")
+    return build(group), group
+
+
+def _load_spec(args) -> "HopfAlgebraSpec":
+    return _load_source(args)[0]
 
 
 def _context(spec, tol, seed):
@@ -197,17 +204,14 @@ def _cmd_wigner_eckart(args) -> list[Report]:
 
 
 def _cmd_homspace(args) -> list[Report]:
-    spec = _load_spec(args)
-    if not args.group and not args.builtin:
+    spec, group = _load_source(args)
+    if group is None:
         raise CqglabError("homspace needs --group (or --builtin) with --subgroup")
-    group_algebra = (args.construction == "group" if args.group
-                     else args.builtin.startswith("C["))
-    if group_algebra:
+    if spec.label.startswith("C["):
         raise CqglabError(
             f"homspace builds coset subalgebras of a function algebra C(G), and "
             f"{spec.label!r} is a group algebra; use --construction function or a "
             f"'C(...)' built-in")
-    group = cio.load_group(args.group) if args.group else _BUILTINS[args.builtin][1]()
     subgroup = [int(x) for x in args.subgroup.split(",")] if args.subgroup else [0]
     side = args.side or "L"
     h, grams, table = _context(spec, args.tolerance, args.seed)

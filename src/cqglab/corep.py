@@ -146,10 +146,11 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
     basis is the range of ``P`` by column-pivoted Gram-Schmidt, certified on
     exact residual norms (:func:`_range_basis`; ``rcond`` is the relative
     cut).  Every solution space of the package is one of these:
-    intertwiners, CG blocks, tensor-operator families (``W = End(A)``),
-    restricted basis functions (``W = B``) and restricted families
-    (``W = End(B)``).  Returns ``d_W x d_V`` matrices, orthonormal as vectors
-    and phase-fixed as in :func:`_phase_fixed`.
+    intertwiners, CG blocks, basis functions (``W = A``, from which the
+    tensor-operator families are built), restricted basis functions
+    (``W = B``) and restricted families (``W = End(B)``).  Returns
+    ``d_W x d_V`` matrices, orthonormal as vectors and phase-fixed as in
+    :func:`_phase_fixed`.
     """
     return _stacked_intertwiners(coact_v[None], coact_w, h, rcond)[0]
 

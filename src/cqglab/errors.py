@@ -49,7 +49,8 @@ class NotIrreducible(CqglabError):
 
 
 class DecompositionStall(CqglabError):
-    """A commutant eigenspace failed the invariance check, or classes went missing."""
+    """A commutant element or eigenspace failed its invariance check, classes went
+    missing, or a stack of tensor-operator families lost rank."""
 
 
 class MultiplicityMismatch(CqglabError):

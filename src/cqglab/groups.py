@@ -52,16 +52,16 @@ class GroupTable:
             raise InvalidGroupTable(f"table shape {t.shape} != ({g}, {g})")
         if t.min() < 0 or t.max() >= g:
             raise InvalidGroupTable("table entries out of range")
-        for i in range(g):
-            if sorted(t[i]) != list(range(g)) or sorted(t[:, i]) != list(range(g)):
-                raise InvalidGroupTable("table is not a Latin square")
-        if any(t[0, j] != j or t[j, 0] != j for j in range(g)):
+        elems = np.arange(g)
+        if (np.sort(t, axis=1) != elems).any() or (np.sort(t, axis=0) != elems[:, None]).any():
+            raise InvalidGroupTable("table is not a Latin square")
+        if (t[0] != elems).any() or (t[:, 0] != elems).any():
             raise InvalidGroupTable("index 0 is not the identity")
-        for i in range(g):
-            for j in range(g):
-                for k in range(g):
-                    if t[t[i, j], k] != t[i, t[j, k]]:
-                        raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
+        for i in range(g):  # (g_i g_j) g_k against g_i (g_j g_k), one g x g slab per i
+            bad = t[t[i]] != t[i][t]
+            if bad.any():
+                j, k = np.argwhere(bad)[0]
+                raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
 
     def inverse(self, i: int) -> int:
         return int(np.where(self.table[i] == 0)[0][0])

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HopfAlgebraSpec
-from .corep import Corepresentation, intertwiners
+from .corep import Corepresentation, _phase_fixed, intertwiners
+from .errors import DecompositionStall
 from .haar import solve_haar
 from .regular import BasisFunctionSet, regular_coaction_tensor
 from .report import Report
@@ -67,20 +68,27 @@ def pipeline_components(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str,
     second legs always live in the full algebra.  Returns components
     ``out[m, alpha, t]``.
     """
-    ordinary = kind == "ordinary"
-    return _pipeline(coact, alg, q_op, alg.antipode if ordinary else alg.antipode_inv,
-                     swapped=not ordinary)
+    return _pipeline(coact, alg, np.asarray(q_op)[None], *_antipode_and_swap(alg, kind))[0]
 
 
-def _pipeline(coact: np.ndarray, alg: HopfAlgebraSpec, q_op: np.ndarray,
+def _antipode_and_swap(alg: HopfAlgebraSpec, kind: str) -> tuple[np.ndarray, bool]:
+    """The variant's antipode power and whether its last two legs are swapped."""
+    if kind == "ordinary":
+        return alg.antipode, False
+    return alg.antipode_inv, True
+
+
+def _pipeline(coact: np.ndarray, alg: HopfAlgebraSpec, q_ops: np.ndarray,
               spow: np.ndarray, swapped: bool) -> np.ndarray:
-    """The pipeline with the antipode power ``spow`` and the leg swap as free inputs."""
-    legs = np.einsum("tab,ia->itb", coact, q_op)       # (Q (x) id)
-    legs = np.einsum("itb,bw->itw", legs, spow)        # (id (x) S^pm)
-    legs = np.einsum("itw,iAB->ABwt", legs, coact)     # (coact (x) id)
-    if swapped:
-        return np.einsum("ABwt,wBM->MAt", legs, alg.mult)   # (id (x) M . swap)
-    return np.einsum("ABwt,BwM->MAt", legs, alg.mult)       # (id (x) M)
+    """The pipeline for a stack of operators ``q_ops[k]``, with the antipode power
+    ``spow`` and the leg swap as free inputs.  Returns ``out[k, m, alpha, t]``."""
+    b, n = coact.shape[0], alg.dim
+    legs = np.tensordot(q_ops, coact, axes=(2, 1)) @ spow   # (Q (x) S^pm): [k, i, t, w]
+    legs = np.matmul(coact.reshape(b, b * n).T,
+                     legs.transpose(0, 2, 1, 3))            # (coact (x) id): [k, t, (A, B), w]
+    mult = alg.mult.transpose(1, 0, 2) if swapped else alg.mult          # [B, w, M]
+    out = legs.reshape(len(q_ops), b, b, n * n) @ mult.reshape(n * n, n)  # id (x) M: [k, t, A, M]
+    return out.transpose(0, 3, 2, 1)
 
 
 def operator_comodule(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str) -> np.ndarray:
@@ -110,30 +118,36 @@ def operator_coaction_components(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: s
     ``sum_m C[m] (x) a_m`` is the coaction image; equivalently ``C[m][:, t]``
     is the ``a_m``-component of the defining pipeline applied to ``a_t``.
     """
+    return _coaction_stack(alg, np.asarray(q_op, dtype=complex)[None], kind, side, route)[0]
+
+
+def _coaction_stack(alg: HopfAlgebraSpec, q_ops: np.ndarray, kind: str, side: str,
+                    route: str) -> np.ndarray:
+    """:func:`operator_coaction_components` of a stack ``q_ops[k]``: ``out[k, m, a, t]``."""
     kind, side = _variant_key(kind, side)
-    mu, m, s = alg.comult, alg.mult, alg.antipode
-    q_op = np.asarray(q_op, dtype=complex)
     if route == "maps":
-        return pipeline_components(regular_coaction_tensor(alg, side), alg, kind, q_op)
+        return _pipeline(regular_coaction_tensor(alg, side), alg, q_ops,
+                         *_antipode_and_swap(alg, kind))
     if route != "constants":
         raise ValueError(f"unknown route {route!r}")
-    # pairwise, worst step n^5: Q acts on one coproduct leg, the antipode on
-    # the other, then the two coproducts meet in the product
+    # pairwise, worst step k n^5: Q and the antipode act on the legs of one
+    # coproduct; the other coproduct meets the product once for the whole stack
+    mu, m, s = alg.comult, alg.mult, alg.antipode
     if side == "R":
-        spow = s if kind == "ordinary" else alg.antipode_inv
-        acted = np.tensordot(q_op, mu, axes=(1, 1)) @ spow    # [i, t, v]
-        legs = np.tensordot(mu, acted, axes=(0, 0))           # [j, u, t, v]
-        m_axes = (0, 1) if kind == "ordinary" else (1, 0)
-        out = np.tensordot(legs, m, axes=((1, 3), m_axes))   # [j, t, M]
+        spow, swapped = _antipode_and_swap(alg, kind)
+        acted = np.tensordot(q_ops, mu, axes=(2, 1)) @ spow               # [k, i, t, v]
+        pair = m.transpose(1, 0, 2) if swapped else m                     # [u, v, M]
+        meet = np.tensordot(mu, pair, axes=(2, 0))                        # [i, j, v, M]
     elif kind == "ordinary":
-        acted = np.tensordot(q_op, mu, axes=(1, 2)) @ s       # [i, t, w]
-        legs = np.tensordot(mu, acted, axes=(0, 0))           # [u, j, t, w]
-        out = np.tensordot(legs, m, axes=((0, 3), (1, 0))) @ s  # [j, t, M]
+        acted = np.tensordot(q_ops, mu, axes=(2, 2)) @ s                  # [k, i, t, w]
+        meet = np.tensordot(mu, m, axes=(1, 1))                           # [i, j, w, M]
     else:
-        acted = np.tensordot(q_op, mu, axes=(1, 2))           # [i, t, n]
-        legs = np.tensordot(np.einsum("iuj,uv->ivj", mu, s), acted, axes=(0, 0))  # [v, j, t, n]
-        out = np.tensordot(legs, m, axes=((3, 0), (0, 1)))   # [j, t, M]
-    return out.transpose(2, 0, 1)
+        acted = np.tensordot(q_ops, mu, axes=(2, 2))                      # [k, i, t, w]
+        meet = np.tensordot(mu, np.tensordot(s, m, axes=(1, 1)), axes=(1, 0))  # [i, j, w, M]
+    out = np.tensordot(acted, meet, axes=((1, 3), (0, 2)))                # [k, t, j, M]
+    if side == "L" and kind == "ordinary":
+        out = out @ s
+    return out.transpose(0, 3, 2, 1)
 
 
 @dataclass
@@ -162,11 +176,10 @@ class OperatorCoactionResult:
         report = Report(f"operator coaction axioms [{self.kind}-{self.side}]",
                         meta={"tol": tol})
         t = tol * alg.magnitude ** 2
-        again = np.array([
-            operator_coaction_components(alg, self.components[m_idx], self.kind, self.side)
-            for m_idx in range(alg.dim)])          # again[m, m2, a, t]
+        again = _coaction_stack(alg, self.components, self.kind, self.side,
+                                "constants")       # again[m, m2, a, t]
         lhs = again.transpose(1, 0, 2, 3)          # [m2, m, a, t]
-        rhs = np.einsum("mat,mbc->bcat", self.components, alg.comult)
+        rhs = np.tensordot(alg.comult, self.components, axes=(0, 0))  # [b, c, a, t]
         report.add("coassociativity", float(np.abs(lhs - rhs).max()), t)
         counit_side = np.einsum("mat,m->at", self.components, alg.counit)
         report.add("counit", float(np.abs(counit_side - self.operator).max()), t)
@@ -230,14 +243,10 @@ def check_family(fam: TensorOperatorFamily, tol: float = 1e-10,
     """
     kind = kind or fam.kind
     side = side or fam.side
-    alg = fam.algebra
-    rhs = np.einsum("kat,kjm->jmat", fam.operators, fam.corep.coeffs)
-    worst = 0.0
-    for route in ("constants", "maps"):
-        lhs = np.array([
-            operator_coaction_components(alg, op, kind, side, route=route)
-            for op in fam.operators])   # (d, m, a, t)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    rhs = np.tensordot(fam.corep.coeffs, fam.operators, axes=(0, 0))   # [j, m, a, t]
+    worst = max(float(np.abs(_coaction_stack(fam.algebra, fam.operators, kind, side, route)
+                             - rhs).max())
+                for route in ("constants", "maps"))
     if kind == fam.kind and side == fam.side:
         fam.residual = worst
     return worst
@@ -277,19 +286,53 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str,
                        rcond: float = 1e-9) -> list[TensorOperatorFamily]:
     """Basis of the space of families belonging to ``pi`` for one variant.
 
-    The families are ``Hom(pi, End(A))`` for the variant's operator comodule
-    (:func:`operator_comodule`), solved by :func:`cqglab.corep.intertwiners`
-    with the spec's Haar functional; the returned families are orthonormal as
-    flattened vectors, phase-fixed, and each passes :func:`check_family`.
+    Every family is a combination of ``Q^(c,x)_k = M_(phi^c_k) o C_x`` (the
+    Heisenberg double ``A # A* = End(A)``): the sets ``phi^c`` are a basis of
+    ``Hom(pi, A)`` for the side's regular coaction, ``M`` multiplies as in
+    :func:`multiplication_family`, and the ``C_x`` are the convolutions
+    ``a -> x(a_(1)) a_(2)`` (right side) or ``a -> a_(1) x(a_(2))`` (left
+    side), which commute with the coaction.  The pipeline applies ``Q`` to the
+    first coaction leg, so a family composed on the right with a comodule map
+    is again a family.  The commutation is certified to ``rcond`` times the
+    squared magnitude and the stack's rank ``m n`` against the ``rcond`` cut,
+    else ``DecompositionStall``.  Returns one QR factor of the stack:
+    orthonormal as flattened vectors, phase-fixed.
     """
     _variant_key(kind, side)
     alg = pi.algebra
     n, d = alg.dim, pi.dim
-    ops = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
-    basis = intertwiners(pi.coeffs, ops, solve_haar(alg), rcond)
-    return [TensorOperatorFamily(pi, kind, side, phi.T.reshape(d, n, n),
+    coact = regular_coaction_tensor(alg, side)
+    sets = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), solve_haar(alg), rcond)
+    if not sets:
+        return []
+    coords = np.concatenate([phi.T for phi in sets])                  # [(c, k), u]
+    mults = _multiplication_operators(coords, alg.mult, kind, side)   # [(c, k), A, t]
+    # convs[x, t, s]: C_x sends a_s to sum_t convs[x, t, s] a_t
+    convs = alg.comult.transpose(1, 2, 0) if side == "R" else alg.comult.transpose(2, 1, 0)
+    _certify_commutant(convs, coact, rcond * alg.magnitude ** 2)
+    m = len(sets)
+    stack = mults.reshape(-1, n) @ convs.transpose(1, 0, 2).reshape(n, n * n)
+    stack = stack.reshape(m, d * n, n, n).transpose(1, 3, 0, 2).reshape(d * n * n, m * n)
+    basis, tri = np.linalg.qr(stack)                                  # columns [k, A, s]
+    sigma = np.linalg.svd(tri, compute_uv=False)
+    if sigma[-1] <= rcond * max(sigma[0], 1.0):
+        raise DecompositionStall(
+            f"the {m * n} families M_phi C_x of {pi.label} have numerical rank below "
+            f"{m * n} (smallest singular value {sigma[-1]:.1e})")
+    return [TensorOperatorFamily(pi, kind, side, ops.reshape(d, n, n),
                                  label=f"sol{idx}[{pi.label}]")
-            for idx, phi in enumerate(basis)]
+            for idx, ops in enumerate(_phase_fixed(basis.T))]
+
+
+def _certify_commutant(convs: np.ndarray, coact: np.ndarray, tol: float) -> None:
+    """Raise ``DecompositionStall`` unless every ``C_x`` is a comodule map of ``coact``."""
+    diff = np.tensordot(convs, coact, axes=(1, 0))             # coact(C_x a_t): [x, t, a, b]
+    diff -= np.tensordot(convs, coact, axes=(2, 1)).transpose(0, 2, 1, 3)  # (C_x (x) id) coact
+    gap = float(np.abs(diff).max())
+    if gap > tol:
+        raise DecompositionStall(
+            f"convolutions do not commute with the regular coaction (residual {gap:.1e} "
+            f"> {tol:.1e})")
 
 
 def apply_family_to_basis_functions(fam: TensorOperatorFamily, phis: BasisFunctionSet,
@@ -379,6 +422,6 @@ def excluded_substitution_residual(alg: HopfAlgebraSpec, which: str) -> float:
     else:
         raise ValueError(f"unknown substitution {which!r}")
     n = alg.dim
-    out = _pipeline(regular_coaction_tensor(alg, "R"), alg, np.eye(n), spow, swapped)
+    out = _pipeline(regular_coaction_tensor(alg, "R"), alg, np.eye(n)[None], spow, swapped)[0]
     expected = np.einsum("At,M->MAt", np.eye(n), alg.unit)
     return float(np.abs(out - expected).max())

@@ -381,3 +381,46 @@ def projection_identity_gaps(table, side, h, ordering="standard") -> dict[str, f
     return {"composition same-irrep": worst_same, "composition cross-irrep": worst_cross,
             "action on basis functions": worst_action,
             "completeness": float(np.abs(total - np.eye(alg.dim)).max())}
+
+
+def per_operator_coaction(alg, q_op, kind, side, route):
+    """Operator-space coaction components ``[m, a, t]`` of one operator, one step at a time.
+
+    ``route="maps"`` runs the defining pipeline (Q (x) S^pm, coact (x) id,
+    [swap], id (x) M) as one einsum per step; ``route="constants"`` is the
+    per-operator structure-constant chain, in which Q meets one coproduct and
+    the result meets the other before the product.
+    """
+    from cqglab.regular import regular_coaction_tensor
+
+    mu, m, s = alg.comult, alg.mult, alg.antipode
+    spow = s if kind == "ordinary" else alg.antipode_inv
+    if route == "maps":
+        coact = regular_coaction_tensor(alg, side)
+        legs = np.einsum("tab,ia->itb", coact, q_op)
+        legs = np.einsum("itb,bw->itw", legs, spow)
+        legs = np.einsum("itw,iAB->ABwt", legs, coact)
+        order = "BwM" if kind == "ordinary" else "wBM"
+        return np.einsum(f"ABwt,{order}->MAt", legs, m)
+    if side == "R":
+        acted = np.tensordot(q_op, mu, axes=(1, 1)) @ spow
+        legs = np.tensordot(mu, acted, axes=(0, 0))
+        m_axes = (0, 1) if kind == "ordinary" else (1, 0)
+        out = np.tensordot(legs, m, axes=((1, 3), m_axes))
+    elif kind == "ordinary":
+        acted = np.tensordot(q_op, mu, axes=(1, 2)) @ s
+        legs = np.tensordot(mu, acted, axes=(0, 0))
+        out = np.tensordot(legs, m, axes=((0, 3), (1, 0))) @ s
+    else:
+        acted = np.tensordot(q_op, mu, axes=(1, 2))
+        legs = np.tensordot(np.einsum("iuj,uv->ivj", mu, s), acted, axes=(0, 0))
+        out = np.tensordot(legs, m, axes=((3, 0), (0, 1)))
+    return out.transpose(2, 0, 1)
+
+
+def per_operator_family_residual(fam, kind, side) -> float:
+    """The defining-condition residual of a family, one operator and one route at a time."""
+    rhs = np.einsum("kat,kjm->jmat", fam.operators, fam.corep.coeffs)
+    return max(float(np.abs(np.array([per_operator_coaction(fam.algebra, op, kind, side, route)
+                                      for op in fam.operators]) - rhs).max())
+               for route in ("constants", "maps"))

@@ -198,6 +198,21 @@ def test_homspace_rejects_group_algebras(s3_files, source):
     assert "Traceback" not in result.stderr
 
 
+def test_homspace_reads_the_group_file_once(tmp_path, s3_files, monkeypatch):
+    """One read and validation of ``--group`` builds C(G) and gives the cosets."""
+    calls, load = [], cio.load_group
+
+    def counting(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cio, "load_group", counting)
+    argv = ["homspace", "--group", str(s3_files["group"]), "--subgroup", "0,1",
+            "--output", str(tmp_path / "hom.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
 def test_homspace_builtin_cyclic_group():
     result = run_cli("homspace", "--builtin", "C(Z4)", "--subgroup", "0,2")
     assert result.returncode == 0, result.stderr

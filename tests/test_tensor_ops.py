@@ -3,15 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import conjugation_family_space_dim
+from oracles import (conjugation_family_space_dim, per_operator_coaction,
+                     per_operator_family_residual, tensor_product_algebra)
 
+from cqglab import tensor_ops
 from cqglab.algebra import opposite_algebra
-from cqglab.corep import Corepresentation, identity_corep
-from cqglab.groups import symmetric_group_3
+from cqglab.corep import Corepresentation, identity_corep, intertwiners, irrep_table
+from cqglab.errors import DecompositionStall
+from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
+from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
-from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily,
-                               apply_family_to_basis_functions, check_family,
-                               coaction_on_operator, couple_families,
+from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, _certify_commutant,
+                               _coaction_stack, apply_family_to_basis_functions,
+                               check_family, coaction_on_operator, couple_families,
                                excluded_substitution_residual, family_report,
                                multiplication_family, operator_coaction_components,
                                operator_comodule,
@@ -273,3 +277,123 @@ def test_twisted_of_a_is_ordinary_of_opposite(cs3_grp):
         pi_op = Corepresentation(op_alg, pi.coeffs.copy(), label=pi.label)
         fam_op = TensorOperatorFamily(pi_op, "ordinary", "R", fam.operators.copy())
         assert check_family(fam_op) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the family space as multiplication o convolution
+# ---------------------------------------------------------------------------
+
+BUILTINS = ("C(Z2)", "C(Z3)", "C(Z4)", "C[Z3]", "C(S3)", "C[S3]")
+
+
+def _context(request, contexts, label):
+    fixture = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun"}.get(label)
+    return request.getfixturevalue(fixture) if fixture else contexts[label]
+
+
+def _flat(families):
+    return np.array([fam.operators.ravel() for fam in families])
+
+
+@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "C(D6)"])
+def test_family_space_matches_averaging_oracle(request, contexts, label):
+    """The same span as ``Hom(pi, End(A))`` solved by the Haar average over the
+    n^5 operator comodule, for every table irrep and the identity corep."""
+    ctx = _context(request, contexts, label)
+    alg = ctx.algebra
+    n = alg.dim
+    for pi in [*ctx.table, identity_corep(alg)]:
+        for kind, side in VARIANTS:
+            what = (label, pi.label, kind, side)
+            ours = _flat(solve_family_space(pi, kind, side))
+            comodule = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
+            oracle = np.array([phi.T.ravel()
+                               for phi in intertwiners(pi.coeffs, comodule, ctx.haar)])
+            assert len(ours) == len(oracle), what
+            assert len(ours) % n == 0, what
+            assert np.abs(ours.conj() @ ours.T - np.eye(len(ours))).max() < 1e-12, what
+            assert np.abs(ours.T @ ours.conj() - oracle.T @ oracle.conj()).max() < 1e-10, what
+
+
+def test_family_space_takes_no_operator_comodule(cs3_fun, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator_comodule called")
+
+    monkeypatch.setattr(tensor_ops, "operator_comodule", refuse)
+    for pi in cs3_fun.table:
+        for kind, side in VARIANTS:
+            assert len(solve_family_space(pi, kind, side)) == 6 * pi.dim, (pi.label, kind, side)
+
+
+@pytest.fixture(scope="module")
+def mixed_irrep():
+    """A 2-dim irrep of C(S3) (x) C[S3] (n = 36): neither commutative nor cocommutative."""
+    s3 = symmetric_group_3()
+    alg = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
+    h = solve_haar(alg)
+    table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
+    return next(pi for pi in table if pi.dim == 2)
+
+
+@pytest.mark.parametrize("kind,side", VARIANTS)
+def test_n36_family_space(mixed_irrep, kind, side):
+    pi = mixed_irrep
+    families = solve_family_space(pi, kind, side)
+    assert len(families) == pi.algebra.dim * pi.dim
+    weights = np.random.default_rng(5).standard_normal(len(families))
+    blend = TensorOperatorFamily(pi, kind, side, np.tensordot(
+        weights / np.linalg.norm(weights), [fam.operators for fam in families], axes=1))
+    assert check_family(blend) <= 1e-12      # a generic member of the space
+    swapped = "twisted" if kind == "ordinary" else "ordinary"
+    assert max(check_family(fam, kind=swapped) for fam in families[:4]) >= 0.1
+
+
+def test_rank_deficient_stack_stalls(cs3_fun, monkeypatch):
+    """Two equal basis-function sets give n dependent families: not a basis."""
+    build = tensor_ops._multiplication_operators
+
+    def doubled(coords, *args):
+        coords = coords.copy()
+        coords[2:] = coords[:2]
+        return build(coords, *args)
+
+    pi = cs3_fun.table["p2"]
+    monkeypatch.setattr(tensor_ops, "_multiplication_operators", doubled)
+    with pytest.raises(DecompositionStall):
+        solve_family_space(pi, "ordinary", "R")
+
+
+def test_commutant_certificate(cs3_fun):
+    """Left convolutions commute with the right coaction, and on C(S3) not with the left one."""
+    alg = cs3_fun.algebra
+    left_conv = alg.comult.transpose(1, 2, 0)
+    right_conv = alg.comult.transpose(2, 1, 0)
+    _certify_commutant(left_conv, regular_coaction_tensor(alg, "R"), 1e-12)
+    _certify_commutant(right_conv, regular_coaction_tensor(alg, "L"), 1e-12)
+    with pytest.raises(DecompositionStall):
+        _certify_commutant(left_conv, regular_coaction_tensor(alg, "L"), 1e-12)
+
+
+@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)"])
+def test_stacked_coaction_matches_per_operator_oracle(request, contexts, label):
+    ctx = _context(request, contexts, label)
+    alg = ctx.algebra
+    ops = np.array(_random_ops(alg, 3, seed=17))
+    for kind, side in VARIANTS:
+        for route in ("constants", "maps"):
+            want = np.array([per_operator_coaction(alg, op, kind, side, route) for op in ops])
+            got = _coaction_stack(alg, ops, kind, side, route)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (kind, side, route)
+
+
+@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)"])
+def test_check_family_matches_per_operator_oracle(request, contexts, label):
+    """Own and swapped-variant residuals of multiplication families, stacked and looped."""
+    ctx = _context(request, contexts, label)
+    for pi in ctx.table:
+        for kind, side in VARIANTS:
+            fam = multiplication_family(canonical_basis_functions(pi, side, 0), kind)
+            for other, other_side in VARIANTS:
+                got = check_family(fam, kind=other, side=other_side)
+                want = per_operator_family_residual(fam, other, other_side)
+                assert abs(got - want) <= 1e-13 * max(want, 1.0), (pi.label, kind, side, other)
