@@ -142,10 +142,11 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
     matrix-coefficient form, ``coact[j, k]`` being the coefficient vector of
     the ``(j, k)`` entry, and ``h`` is the Haar functional.  The averaging map
     ``P(Phi)[j,k] = sum_{l,m} h(W_jl S(V_mk)) Phi[l,m]`` is idempotent with
-    range ``Hom(V, W)``, so every column of ``P`` is an intertwiner and the
-    basis is the range of ``P`` by column-pivoted Gram-Schmidt, certified on
-    exact residual norms (:func:`_range_basis`; ``rcond`` is the relative
-    cut).  Every solution space of the package is one of these:
+    range ``Hom(V, W)``, so the basis is the range of ``P``: its left singular
+    vectors above the relative cut ``rcond * max(sigma_max, 1)``
+    (:func:`_range_basis`).  The nonzero singular values of ``P`` are at
+    least 1, so the cut separates the range from roundoff by orders of
+    magnitude.  Every solution space of the package is one of these:
     intertwiners, CG blocks, basis functions (``W = A``, from which the
     tensor-operator families are built), restricted basis functions
     (``W = B``) and restricted families (``W = End(B)``).  Returns
@@ -176,84 +177,18 @@ def _stacked_intertwiners(coact_vs: np.ndarray, coact_w: np.ndarray, h: LinearFu
     return [list(islice(blocks, rank)) for rank in ranks]
 
 
-_STALE = float(np.sqrt(np.finfo(float).eps))  # stale below this share of the last exact value
-
-
 def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
     """Orthonormal bases of the column spaces of a stack of square matrices.
 
-    Returns the basis vectors as rows, matrix by matrix, and the rank of each.
-    Column-pivoted Gram-Schmidt, one step for the whole stack: each matrix
-    takes its column of largest residual norm, orthonormalizes it against its
-    kept vectors (twice), and downdates its residual norms, at O(N^2) per kept
-    vector.  A matrix is done when no residual norm is above the cut
-    ``rcond * max(largest column norm, 1)``.  Stopping is certified on exact
-    norms.  A downdated squared norm carries roundoff of order eps times its
-    last exact value, so a column is set aside once its downdated norm falls
-    to the cut, or below ``sqrt(eps)`` times that value (half its digits
-    lost).  When no column is left, or a picked column's true residual is at
-    or below the cut, the residual norms of ``M - Q Q^H M`` are recounted
-    exactly before deciding.  A pick at or below the cut on exact norms is
-    dropped.  The rows are phase-fixed by :func:`_phase_fixed`.
+    Returns the basis vectors as rows, matrix by matrix, and the rank of each:
+    the left singular vectors of one batched SVD whose singular values are
+    above ``rcond * max(sigma_max, 1)``.  The nonzero singular values of an
+    idempotent are at least 1, so the cut lies far below its range.  The rows
+    are phase-fixed by :func:`_phase_fixed`.
     """
-    mats = np.asarray(mats, dtype=complex)
-    count, size = mats.shape[:2]
-    rows = np.arange(count)
-    norms = _column_norms2(mats)                          # squared residual norms
-    cut = rcond ** 2 * np.maximum(norms.max(axis=1), 1.0)
-    exact = True                                          # no downdate since the last count
-    basis = coefs = None                                  # Q (kept vectors as columns), Q^H M
-    kept: list[np.ndarray] = []
-    while True:
-        pick = norms.argmax(axis=1)
-        top = norms[rows, pick]
-        live = top > cut
-        if not np.count_nonzero(live):
-            if exact:
-                break
-            norms, exact = _residual_norms2(mats, basis, coefs), True
-            continue
-        vec = mats[rows, :, pick]
-        if kept:
-            vec -= (basis @ coefs[rows, :, pick, None])[..., 0]
-            vec -= (basis @ (np.conj(basis.transpose(0, 2, 1)) @ vec[..., None]))[..., 0]
-            top = _column_norms2(vec[..., None])[:, 0]    # true residuals; else top is exact
-        take = live & (top > cut)
-        if np.count_nonzero(take) < np.count_nonzero(live):   # picks at or below the cut
-            if exact:
-                low = live > take
-                norms[rows[low], pick[low]] = 0.0
-            else:
-                norms, exact = _residual_norms2(mats, basis, coefs), True
-            if not np.count_nonzero(take):
-                continue
-        if exact:                                         # set aside below the cut or stale
-            floor = np.maximum(cut[:, None], _STALE * norms)
-        vec *= (take / np.sqrt(np.where(take, top, 1.0)))[:, None]
-        row = np.conj(vec)[:, None, :] @ mats
-        norms -= np.abs(row[:, 0]) ** 2
-        norms[norms <= floor] = 0.0
-        exact = False
-        basis = np.concatenate((basis, vec[..., None]), axis=2) if kept else vec[..., None]
-        coefs = np.concatenate((coefs, row), axis=1) if kept else row
-        kept.append(take)
-    if not kept:
-        return np.zeros((0, size), dtype=complex), [0] * count
-    taken = np.array(kept).T
-    return _phase_fixed(basis.transpose(0, 2, 1)[taken]), taken.sum(axis=1).tolist()
-
-
-def _residual_norms2(mats: np.ndarray, basis: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Squared column norms of ``M - Q (Q^H M)``, counted exactly (not downdated)."""
-    resid = basis @ coefs
-    return _column_norms2(np.subtract(mats, resid, out=resid))
-
-
-def _column_norms2(mats: np.ndarray) -> np.ndarray:
-    """Squared column norms ``[t, k]`` of a stack ``[t, j, k]``."""
-    mags = np.abs(mats)
-    mags *= mags
-    return np.add.reduce(mags, axis=1)
+    u, sigma, _ = np.linalg.svd(mats)
+    keep = sigma > rcond * np.maximum(sigma[:, :1], 1.0)
+    return _phase_fixed(u.transpose(0, 2, 1)[keep]), keep.sum(axis=1).tolist()
 
 
 def _phase_fixed(vecs: np.ndarray) -> np.ndarray:

@@ -76,6 +76,11 @@ def positivity(matrix: np.ndarray) -> tuple[float, float, float]:
     return herm_res, float(eigs[0]), floor
 
 
+def _gram_right(alg: HopfAlgebraSpec, cov: np.ndarray) -> np.ndarray:
+    """The right Gram matrix ``h(a_j^* a_k)`` of the covector ``cov``."""
+    return np.einsum("ju,ukl,l->jk", np.conj(alg.star), alg.mult, cov)
+
+
 def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
     """Solve the invariance system for ``h`` and certify the result.
 
@@ -87,13 +92,11 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
     n = alg.dim
     mu, u = alg.comult, alg.unit
     # homogeneous invariance constraints, rows indexed by (l, k) then (l, j)
-    left = mu.transpose(0, 2, 1).reshape(n * n, n).copy()   # coefficient of h_j for (l,k)
-    right = mu.reshape(n * n, n).copy()                     # coefficient of h_k for (l,j)
-    for l in range(n):
-        for k in range(n):
-            left[l * n + k, l] -= u[k]
-            right[l * n + k, l] -= u[k]
-    hom = np.vstack([left, right])
+    delta = np.zeros((n, n, n), dtype=complex)               # delta[l, k, m] = delta_lm u_k
+    delta[np.arange(n), :, np.arange(n)] = u
+    delta = delta.reshape(n * n, n)
+    hom = np.vstack([mu.transpose(0, 2, 1).reshape(n * n, n) - delta,  # coefficient of h_j
+                     mu.reshape(n * n, n) - delta])                      # coefficient of h_k
 
     sigma = np.linalg.svd(hom, compute_uv=False)
     scale = sigma[0] if sigma[0] > 0 else 1.0
@@ -114,8 +117,7 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
             f"invariance system of {alg.label!r} is inconsistent (residual {residual:.2e})")
 
     fun = HaarFunctional(alg, h)
-    gram = np.einsum("ju,ukl,l->jk", np.conj(alg.star), alg.mult, h)
-    herm_res, min_eig, floor = positivity(gram)
+    herm_res, min_eig, floor = positivity(_gram_right(alg, h))
     if herm_res > tol * alg.magnitude or min_eig <= floor:
         raise PositivityFailure(
             f"right Gram matrix of {alg.label!r} is not positive definite "
@@ -139,8 +141,7 @@ def certify_haar(h: HaarFunctional, tol: float = 1e-9) -> Report:
     report.add("star reality", float(np.abs(alg.star @ cov - np.conj(cov)).max()), t)
     # h(S(a)) = h(a)
     report.add("antipode invariance", float(np.abs(alg.antipode @ cov - cov).max()), t)
-    gram = np.einsum("ju,ukl,l->jk", np.conj(alg.star), alg.mult, cov)
-    herm_res, min_eig, floor = positivity(gram)
+    herm_res, min_eig, floor = positivity(_gram_right(alg, cov))
     report.add("gram hermitian", herm_res, t)
     report.add("gram positive", 0.0 if min_eig > floor else 1.0, 0.5,
                min_eigenvalue=min_eig, floor=floor)
@@ -181,7 +182,7 @@ def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) 
     """Both invariant Gram matrices, with Hermiticity/positivity certificates."""
     cov = h.covector
     star, s, m = alg.star, alg.antipode, alg.mult
-    gram_r = np.einsum("ju,ukl,l->jk", np.conj(star), m, cov)
+    gram_r = _gram_right(alg, cov)
     # (a_j, a_k)^L = h(a_k (S^2 a_j)^*); (S^2 a_j)^* has coefficients conj(s s)[j] @ star
     s2_star = np.conj(s @ s) @ star
     gram_l = np.einsum("ju,kul,l->jk", s2_star, m, cov)

@@ -27,8 +27,8 @@ from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, positivity, solve_haar
 from .regular import canonical_basis_functions, regular_coaction_tensor
 from .report import Report
-from .tensor_ops import (_couple_operators, _multiplication_operators, operator_comodule,
-                         pipeline_components)
+from .tensor_ops import (_antipode_and_swap, _couple_operators, _multiplication_operators,
+                         _pipeline, operator_comodule)
 from .wigner_eckart import WEReport, _inner_product_tensor, factorize_tensor
 
 __all__ = [
@@ -331,8 +331,7 @@ def check_restricted_family(fam: RestrictedOperatorFamily, coact: np.ndarray,
                             tol: float = 1e-10) -> float:
     """Max defining-condition residual of a restricted family."""
     alg = fam.coideal.algebra
-    lhs = np.array([pipeline_components(coact, alg, fam.kind, op)
-                    for op in fam.operators])          # (d, m, k, i)
+    lhs = _pipeline(coact, alg, fam.operators, *_antipode_and_swap(alg, fam.kind))
     rhs = np.einsum("kat,kjm->jmat", fam.operators, fam.corep.coeffs)
     res = float(np.abs(lhs - rhs).max())
     fam.residual = res

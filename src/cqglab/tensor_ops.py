@@ -325,10 +325,14 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str,
 
 
 def _certify_commutant(convs: np.ndarray, coact: np.ndarray, tol: float) -> None:
-    """Raise ``DecompositionStall`` unless every ``C_x`` is a comodule map of ``coact``."""
-    diff = np.tensordot(convs, coact, axes=(1, 0))             # coact(C_x a_t): [x, t, a, b]
-    diff -= np.tensordot(convs, coact, axes=(2, 1)).transpose(0, 2, 1, 3)  # (C_x (x) id) coact
-    gap = float(np.abs(diff).max())
+    """Raise ``DecompositionStall`` unless every ``C_x`` is a comodule map of ``coact``.
+
+    One ``C_x`` at a time, so no intermediate is larger than ``coact``."""
+    gap = 0.0
+    for conv in convs:
+        diff = np.tensordot(conv, coact, axes=(0, 0))          # coact(C_x a_t): [t, a, b]
+        diff -= np.tensordot(conv, coact, axes=(1, 1)).transpose(1, 0, 2)  # (C_x (x) id) coact
+        gap = max(gap, float(np.abs(diff).max()))
     if gap > tol:
         raise DecompositionStall(
             f"convolutions do not commute with the regular coaction (residual {gap:.1e} "

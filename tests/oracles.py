@@ -194,6 +194,20 @@ def tensor_product_algebra(first, second):
         label=f"{first.label}(x){second.label}")
 
 
+def haar_invariance_rows(alg) -> np.ndarray:
+    """The homogeneous rows of the Haar invariance system, one ``u_k`` at a time:
+    rows ``(l, k)`` hold ``comult[l, j, k] - delta_lj u_k`` (left), then rows
+    ``(l, j)`` hold ``comult[l, j, k] - delta_lk u_j`` (right)."""
+    n, mu, u = alg.dim, alg.comult, alg.unit
+    left = mu.transpose(0, 2, 1).reshape(n * n, n).copy()
+    right = mu.reshape(n * n, n).copy()
+    for l in range(n):
+        for k in range(n):
+            left[l * n + k, l] -= u[k]
+            right[l * n + k, l] -= u[k]
+    return np.vstack([left, right])
+
+
 def kronecker_intertwiners(coact_v, coact_w, rcond: float = 1e-9) -> list[np.ndarray]:
     """Basis of ``{Phi : Phi V = W Phi}`` from the tall Kronecker system, without ``h``.
 

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,14 @@ from cqglab.errors import InvalidSpec
 from cqglab.groups import build_function_algebra, builtin_algebras, symmetric_group_3
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*argv):
+    """``python -m cqglab.cli`` in a child process that imports this checkout's ``src``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "cqglab.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="module")

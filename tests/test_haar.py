@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import haar_invariance_rows
+
 from cqglab.algebra import HopfAlgebraSpec, LinearFunctional
 from cqglab.errors import NoHaar, PositivityFailure
 from cqglab.groups import build_function_algebra, build_group_algebra, cyclic_group, \
@@ -29,6 +31,24 @@ def test_trivial_algebra():
     h = solve_haar(alg)
     assert abs(h.covector[0] - 1.0) < 1e-15
     assert certify_haar(h, 1e-12).passed
+
+
+def test_invariance_rows_match_the_loop_construction(contexts, cs4_fun, monkeypatch):
+    """The system ``solve_haar`` factors is bit-identical to the per-entry loop."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kw):
+        seen.append(np.array(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for alg in [ctx.algebra for ctx in contexts.values()] + [cs4_fun.algebra]:
+        seen.clear()
+        solve_haar(alg)
+        rows = haar_invariance_rows(alg)
+        assert len(seen) == 1 and seen[0].shape == rows.shape, alg.label
+        assert seen[0].tobytes() == rows.tobytes(), alg.label
 
 
 def test_certificates_and_lemmas(contexts):

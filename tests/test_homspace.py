@@ -206,6 +206,25 @@ def test_solved_restricted_families_pass(coset_ctx, cs3_fun):
                 assert check_restricted_family(fam, coact) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["ordinary", "twisted"])
+def test_restricted_family_residual_matches_per_operator_loop(coset_ctx, cs3_fun, kind):
+    """One stacked pipeline call gives the residual of the per-operator
+    ``pipeline_components`` loop, on solved families and on random operators
+    (residual of order 1)."""
+    side, coideal = coset_ctx
+    alg, b = cs3_fun.algebra, coideal.dim
+    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
+    rng = np.random.default_rng(5)
+    for pi in cs3_fun.table:
+        noise = rng.standard_normal((pi.dim, b, b)) + 1j * rng.standard_normal((pi.dim, b, b))
+        fams = solve_restricted_family(pi, coideal, cs3_fun.grams, kind)
+        for fam in fams + [RestrictedOperatorFamily(pi, coideal, kind, noise)]:
+            lhs = np.array([pipeline_components(coact, alg, kind, op) for op in fam.operators])
+            rhs = np.einsum("kat,kjm->jmat", fam.operators, pi.coeffs)
+            loop = float(np.abs(lhs - rhs).max())
+            assert abs(check_restricted_family(fam, coact) - loop) <= 1e-14, (side, pi.label)
+
+
 def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     solutions = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)

@@ -9,7 +9,7 @@ of ``W``.  For an operator space ``End(B) = B (x) B^*`` the character is
 The spaces themselves are checked against :func:`oracles.kronecker_intertwiners`,
 which solves ``Phi V = W Phi`` as a tall linear system without ``h``, and
 against :func:`oracles.svd_intertwiners`, the nullspace of ``I - P`` by a full
-SVD, which the column-pivoted range of ``P`` replaced.  A spec that is not a
+SVD, where the solver takes the range of ``P``.  A spec that is not a
 CQG algebra (Sweedler's) is out of scope and must say so with a
 ``CqglabError``.
 """

@@ -1,23 +1,25 @@
-"""The column-pivoted range solver on synthetic idempotents of known rank.
+"""The range solver on synthetic idempotents of known rank.
 
-``corep._range_basis`` finds the column space of each matrix of a stack by
-column-pivoted Gram-Schmidt with downdated residual norms.  Every idempotent
-here is oblique, ``P = X Z^H`` with ``Z^H X = I``, so its range is ``span X``
-and its rank is known by construction.  Column norms run from 1e-6 to 1e6,
-some columns are exact duplicates, and the ranks differ across one stack.
+``corep._range_basis`` takes the column space of each matrix of a stack from
+one batched SVD: the left singular vectors whose singular value is above
+``rcond * max(sigma_max, 1)``.  Every idempotent here is oblique,
+``P = X Z^H`` with ``Z^H X = I``, so its range is ``span X``, its rank is
+known by construction and its nonzero singular values are at least 1.  Column
+norms run from 1e-6 to 1e6, some columns are exact duplicates, and the ranks
+differ across one stack.
 
-The hidden case is built so that downdated norms mislead both ways: every
-column is about 1e6 along one range direction and O(1) along the other.
-After the first pick the second direction's residuals (O(1), far above the
-cut of about 1e-3) lie below the roundoff of the downdated norms, and the
-columns that are not in the range any more keep downdated norms of order
-1e-4, above the squared cut.  Only residual norms recounted exactly find the
-second direction and reject the noise.
+In the hidden case every column is about 1e6 along one range direction and
+O(1) along the other, so the second direction is a singular value of order 1
+beside one of order 1e6, still far above the cut of about 1e-3.  The property
+test draws oblique idempotents of random rank and size up to 300, the largest
+family-space system of C(A5).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqglab.corep import _range_basis
 
@@ -112,3 +114,26 @@ def test_stack_solves_like_single_matrices():
 def test_zero_and_empty_columns():
     vecs, ranks = _range_basis(np.zeros((2, 3, 3), dtype=complex), 1e-9)
     assert ranks == [0, 0] and vecs.shape == (0, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.integers(1, 300), data=st.data())
+def test_random_oblique_idempotents(size, data):
+    """``P = Q Z^H`` with ``Q`` orthonormal and ``Z^H = Q^H + B (I - Q Q^H)``, so
+    ``Z^H Q = I``; the scale of ``B`` sets how oblique ``P`` is."""
+    ranks = data.draw(st.lists(st.integers(0, size), min_size=1, max_size=3))
+    skew = data.draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    mats, ranges = [], []
+    for rank in ranks:
+        q = _unitary(rng, size)[:, :rank]
+        b = skew * (rng.standard_normal((rank, size)) + 1j * rng.standard_normal((rank, size)))
+        mats.append(q @ (q.conj().T + b @ (np.eye(size) - q @ q.conj().T)))
+        ranges.append(q)
+    vecs, got = _range_basis(np.stack(mats), 1e-9)
+    assert got == ranks
+    start = 0
+    for rank, q in zip(ranks, ranges):
+        basis = vecs[start:start + rank]
+        start += rank
+        assert np.abs(basis.T @ basis.conj() - q @ q.conj().T).max() < 1e-8, (size, rank, skew)

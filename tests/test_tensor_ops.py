@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,22 @@ def test_commutant_certificate(cs3_fun):
     _certify_commutant(right_conv, regular_coaction_tensor(alg, "L"), 1e-12)
     with pytest.raises(DecompositionStall):
         _certify_commutant(left_conv, regular_coaction_tensor(alg, "L"), 1e-12)
+
+
+@pytest.mark.parametrize("side", ["R", "L"])
+def test_commutant_certificate_memory(cs4_fun, side):
+    """C(S4) (n = 24): the certificate compares one convolution at a time, so its
+    traced peak stays below 2 MB (two n^4 complex arrays are 10.6 MB)."""
+    alg = cs4_fun.algebra
+    convs = alg.comult.transpose(1, 2, 0) if side == "R" else alg.comult.transpose(2, 1, 0)
+    coact = regular_coaction_tensor(alg, side)
+    tracemalloc.start()
+    try:
+        _certify_commutant(convs, coact, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak / 1e6
 
 
 @pytest.mark.parametrize("label", [*BUILTINS, "C(A4)"])

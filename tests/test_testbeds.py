@@ -14,10 +14,12 @@ import pytest
 from oracles import hook_length_degrees, tensor_product_algebra
 
 from cqglab.algebra import verify_hopf_axioms, verify_star_axioms
-from cqglab.corep import check_unitary, irrep_table, is_irreducible, verify_corep
+from cqglab.corep import (check_unitary, decompose_comodule, irrep_table, is_irreducible,
+                          verify_corep)
 from cqglab.groups import (all_permutation_group, build_function_algebra,
                            build_group_algebra, symmetric_group_3)
 from cqglab.haar import gram_matrices, solve_haar
+from cqglab.regular import regular_corep
 
 
 def _beds():
@@ -71,3 +73,14 @@ def test_every_irrep_is_a_unitary_irreducible_corep(bed):
         assert verify_corep(pi, 1e-10).passed, pi.label
         assert check_unitary(pi, 1e-10).passed, pi.label
         assert is_irreducible(pi), pi.label
+
+
+@pytest.mark.parametrize("label", ["C(S4)", "C[S4]"])
+def test_regular_comodule_decomposes_by_peter_weyl(label):
+    """The commutant of the regular comodule is one intertwiner solve in
+    N = n^2 = 576 unknowns; every irreducible of dimension d splits off d times."""
+    alg, dims = BEDS[label]
+    h = solve_haar(alg)
+    blocks = decompose_comodule(regular_corep(alg, "R"), gram_matrices(alg, h).gram_right)
+    assert [sub.dim for _, sub in blocks] == sorted(d for d in dims for _ in range(d))
+    assert all(verify_corep(sub, 1e-10).passed for _, sub in blocks)
