@@ -14,7 +14,8 @@ from .algebra import (Element, HopfAlgebraSpec, LinearFunctional, TensorElement,
                       verify_star_axioms)
 from .cg import (CGSystem, Character, character, character_orthogonality,
                  conjugate_multiplicity_symmetries, coupled_basis_functions,
-                 multiplicity_in, solve_cg, tensor_product, verify_triple_haar)
+                 multiplicity_in, solve_cg, solve_cg_systems, tensor_product,
+                 verify_triple_haar)
 from .corep import (Corepresentation, IrrepTable, are_equivalent, check_unitary,
                     compute_F, conjugate_corep, decompose_comodule,
                     doubly_contragredient, identity_corep, invariant_gram,

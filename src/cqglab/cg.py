@@ -8,17 +8,22 @@ ordered row-major: ``(0,0), (0,1), ..., (0, d_W - 1), (1,0), ...``
 A CG system for an ordered pair ``(p, q)`` is the square change of basis
 ``C`` (columns indexed by ``(r, alpha, l)``) with
 ``C^{-1} (pi^p x pi^q) C = sum_r (+) n_pq^r pi^r`` entrywise in the algebra.
+The unit of work is the irrep table: :func:`solve_cg_systems` solves every
+pair of two label sets in one stacked pass per dimension class, and the
+triple-product Haar certificates of all pairs and targets are read off one
+gap array.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .algebra import Element, HopfAlgebraSpec, LinearFunctional, multiply
-from .corep import Corepresentation, IrrepTable, _stacked_intertwiners
+from .corep import Corepresentation, IrrepTable, _dim_classes, _stacked_intertwiners
 from .errors import (LinearDependenceWarning, MultiplicityMismatch,
                      NonIntegerMultiplicity, SingularC)
 from .regular import BasisFunctionSet
@@ -33,6 +38,7 @@ __all__ = [
     "conjugate_multiplicity_symmetries",
     "CGSystem",
     "solve_cg",
+    "solve_cg_systems",
     "coupled_basis_functions",
     "verify_triple_haar",
 ]
@@ -139,7 +145,7 @@ def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional,
 
 def _characters(table: IrrepTable) -> tuple[np.ndarray, np.ndarray]:
     """The table's characters ``chi_r`` and their stars ``chi_r^*``, as rows ``[r, m]``."""
-    chars = np.array([np.trace(pi.coeffs) for pi in table])
+    chars = table.characters
     return chars, np.conj(chars) @ table.algebra.star
 
 
@@ -202,80 +208,156 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
              h: LinearFunctional, tol: float = 1e-9) -> CGSystem:
     """Assemble the full CG matrix for ``pi_p (x) pi_q`` against a table.
 
-    For each table irreducible ``r`` with nonzero fusion multiplicity the
-    blocks are the basis of ``Hom(pi^r, pi_p (x) pi_q)`` that
-    :func:`cqglab.corep.intertwiners` returns for ``h``; they are stacked into
-    a square ``C`` whose inverse block-diagonalizes the product
-    corepresentation.  Every target is solved and checked, the targets of one
-    dimension in one batched SVD, and all character counts come from one
-    contraction.  Raises ``MultiplicityMismatch`` when the solution-space
-    dimension disagrees with the character count and ``SingularC`` when the
-    assembled matrix is not invertible.
+    The one-pair call of :func:`solve_cg_systems`: for each table irreducible
+    ``r`` with nonzero fusion multiplicity the blocks are the basis of
+    ``Hom(pi^r, pi_p (x) pi_q)`` that :func:`cqglab.corep.intertwiners`
+    returns for ``h``; they are stacked into a square ``C`` whose inverse
+    block-diagonalizes the product corepresentation.  Raises
+    ``MultiplicityMismatch`` when a solution-space dimension disagrees with
+    the character count and ``SingularC`` when ``C`` is not invertible.
     """
-    big = tensor_product(pi_p, pi_q, "ordinary")
-    alg = big.algebra
-    chi_big = np.trace(big.coeffs)
-    haar_pair = alg.mult @ h.covector  # [a, b] = h(a_a a_b)
+    return solve_cg_systems([pi_p], [pi_q], table, h, tol)[pi_p.label, pi_q.label]
+
+
+def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional, tol: float = 1e-9
+                     ) -> dict[tuple[str, str], CGSystem]:
+    """The CG systems of every ordered pair ``(p, q)`` in ``ps x qs``, solved together.
+
+    ``ps`` and ``qs`` are corepresentations (an :class:`IrrepTable` will do);
+    the result is keyed ``(p.label, q.label)`` in ``ps``-major order.  The
+    tensor products of one ``(d_p, d_q)`` class come from one contraction and
+    the character counts of all pairs from another.  All
+    ``Hom(pi^r, pi^p (x) pi^q)`` of one ``(d_p d_q, d_r)`` class are found by
+    one :func:`cqglab.corep._stacked_intertwiners` call, i.e. one batched
+    SVD; the ``C`` matrices of one size are checked for conditioning by one
+    batched SVD, inverted by one batched call and certified block diagonal by
+    one batched residual.  Raises as :func:`solve_cg` does, on the first
+    failing pair.
+    """
+    ps, qs = list(ps), list(qs)
+    if not ps or not qs:
+        return {}
+    alg = table.algebra
+    n = alg.dim
+    # product coefficients [w, (s, t), (j, k), m], one contraction per (d_p, d_q) class
+    groups: dict[int, tuple[list[tuple[int, int]], list[np.ndarray]]] = {}
+    q_classes = _dim_classes(qs)
+    for d_p, (ip, p_coeffs) in _dim_classes(ps).items():
+        left = np.tensordot(p_coeffs, alg.mult, axes=(3, 0))            # [p, s, j, b, m]
+        for d_q, (iq, q_coeffs) in q_classes.items():
+            prod = np.tensordot(left, q_coeffs, axes=(3, 3))            # [p, s, j, m, q, t, k]
+            size = d_p * d_q
+            pairs, stacks = groups.setdefault(size, ([], []))
+            pairs.extend(product(ip, iq))
+            stacks.append(prod.transpose(0, 4, 1, 5, 2, 6, 3).reshape(-1, size, size, n))
+    bigs = {size: stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+            for size, (_, stacks) in groups.items()}
+    # h(chi_big chi_r^*) for every pair and target
     _, conj_chars = _characters(table)
-    counts = _integer_counts(conj_chars @ (haar_pair.T @ chi_big)).tolist()  # h(chi_big chi_r^*)
-    bases: dict[int, list[np.ndarray]] = {}  # d_big x d_target blocks, orthonormal
-    for dim in sorted(set(table.dims())):  # one batched solve per target dimension
-        idx = [i for i, target in enumerate(table) if target.dim == dim]
-        bases.update(zip(idx, _stacked_intertwiners(
-            np.stack([table[i].coeffs for i in idx]), big.coeffs, h)))
-    d_total = pi_p.dim * pi_q.dim
-    col_blocks: list[np.ndarray] = []
-    col_index: list[tuple[str, int, int]] = []
-    mults: dict[str, int] = {}
-    for i, (label, target, expected) in enumerate(zip(table.labels, table.irreps, counts)):
-        blocks = bases[i]
-        if len(blocks) != expected:
+    chis = np.concatenate([big.trace(axis1=1, axis2=2) for big in bigs.values()])
+    counts = _integer_counts(chis @ ((alg.mult @ h.covector) @ conj_chars.T)).tolist()
+    solved: dict[tuple[int, int], CGSystem] = {}
+    row = 0
+    for size, (pairs, _) in groups.items():
+        found: list = [None] * len(table)   # found[r][w]: basis of Hom(pi^r, big_w)
+        for idx, coeffs in table.dim_classes.values():
+            stacked = _stacked_intertwiners(coeffs, bigs[size], h)
+            for pos, r in enumerate(idx):
+                found[r] = [bases[pos] for bases in stacked]
+        mats, heads = [], []
+        for w, (i, k) in enumerate(pairs):
+            pi_p, pi_q = ps[i], qs[k]
+            blocks: list[np.ndarray] = []
+            col_index: list[tuple[str, int, int]] = []
+            mults: dict[str, int] = {}
+            for r, (label, expected) in enumerate(zip(table.labels, counts[row + w])):
+                basis = found[r][w]
+                if len(basis) != expected:
+                    raise MultiplicityMismatch(
+                        f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "
+                        f"dimension {len(basis)}, characters give {expected}")
+                if expected:
+                    mults[label] = expected
+                    blocks.extend(basis)
+                    col_index.extend((label, alpha, ell) for alpha in range(expected)
+                                     for ell in range(table[r].dim))
+            if len(col_index) != size:
+                raise MultiplicityMismatch(
+                    f"fusion of {pi_p.label} (x) {pi_q.label} fills {len(col_index)} of "
+                    f"{size} columns")
+            mats.append(np.hstack(blocks))
+            heads.append((pi_p, pi_q, mults, col_index))
+        row += len(pairs)
+        c_mats = np.stack(mats)
+        sigma = np.linalg.svd(c_mats, compute_uv=False)
+        if (sigma[:, -1] <= 1e-10 * sigma[:, 0]).any():
+            raise SingularC("assembled CG matrix is numerically singular")
+        c_invs = np.linalg.inv(c_mats)
+        expected = np.stack([_block_diagonal(mults, table) for _, _, mults, _ in heads])
+        res = _block_residuals(c_mats, c_invs, bigs[size], expected)
+        if (res > tol * alg.magnitude).any():
             raise MultiplicityMismatch(
-                f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "
-                f"dimension {len(blocks)}, characters give {expected}")
-        if expected == 0:
-            continue
-        mults[label] = expected
-        col_blocks.extend(blocks)
-        col_index.extend((label, alpha, ell)
-                         for alpha in range(expected) for ell in range(target.dim))
-    if len(col_index) != d_total:
-        raise MultiplicityMismatch(
-            f"fusion of {pi_p.label} (x) {pi_q.label} fills {len(col_index)} of "
-            f"{d_total} columns")
-    c_mat = np.hstack(col_blocks)
-    sigma = np.linalg.svd(c_mat, compute_uv=False)
-    if sigma[-1] <= 1e-10 * sigma[0]:
-        raise SingularC("assembled CG matrix is numerically singular")
-    c_inv = np.linalg.inv(c_mat)
-    system = CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim,
-                      c_mat, c_inv, mults, col_index)
-    res = _cg_block_residual(system, big.coeffs, table)
-    if res > tol * pi_p.algebra.magnitude:
-        raise MultiplicityMismatch(
-            f"CG block-diagonalization residual {res:.2e} exceeds tolerance")
-    return system
+                f"CG block-diagonalization residual {res.max():.2e} exceeds tolerance")
+        solved.update(zip(pairs, (
+            CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim, c_mat, c_inv, mults, col_index)
+            for (pi_p, pi_q, mults, col_index), c_mat, c_inv in zip(heads, c_mats, c_invs))))
+    return {(ps[i].label, qs[k].label): solved[i, k]
+            for i, k in product(range(len(ps)), range(len(qs)))}
 
 
 def cg_block_residual(system: CGSystem, pi_p: Corepresentation,
                       pi_q: Corepresentation, table: IrrepTable) -> float:
     """Max deviation of ``C^{-1} (pi^p x pi^q) C`` from the block-diagonal form."""
-    return _cg_block_residual(system, tensor_product(pi_p, pi_q, "ordinary").coeffs, table)
+    big = tensor_product(pi_p, pi_q, "ordinary").coeffs
+    return float(_block_residuals(system.C[None], system.Cinv[None], big[None],
+                                  _block_diagonal(system.multiplicities, table)[None])[0])
 
 
-def _cg_block_residual(system: CGSystem, big: np.ndarray, table: IrrepTable) -> float:
-    """:func:`cg_block_residual` with the product's coefficients ``big`` already formed."""
-    conjugated = np.einsum("rbm,bs->rsm", np.tensordot(system.Cinv, big, axes=(1, 0)),
-                           system.C)
-    expected = np.zeros_like(conjugated)
+def _block_diagonal(multiplicities: dict[str, int], table: IrrepTable) -> np.ndarray:
+    """``sum_r (+) n^r pi^r`` as coefficients ``[c, c', m]``, targets in the order given."""
+    blocks = [table[label].coeffs for label, mult in multiplicities.items()
+              for _ in range(mult)]
+    size = sum(len(block) for block in blocks)
+    out = np.zeros((size, size, table.algebra.dim), dtype=complex)
     start = 0
-    for r_lab, mult in system.multiplicities.items():
-        coeffs = table[r_lab].coeffs
-        for _ in range(mult):
-            stop = start + coeffs.shape[0]
-            expected[start:stop, start:stop] = coeffs
-            start = stop
-    return float(np.abs(conjugated - expected).max())
+    for block in blocks:
+        out[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+    return out
+
+
+def _block_residuals(c_mats: np.ndarray, c_invs: np.ndarray, bigs: np.ndarray,
+                     expected: np.ndarray) -> np.ndarray:
+    """``max |C_w^{-1} big_w C_w - expected_w|`` for stacks of one size; ``bigs[w]`` and
+    ``expected[w]`` are coefficient tensors ``[c, c', m]``."""
+    conjugated = c_invs[:, None] @ bigs.transpose(0, 3, 1, 2) @ c_mats[:, None]
+    return np.abs(conjugated - expected.transpose(0, 3, 1, 2)).max(axis=(1, 2, 3))
+
+
+def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and inverse CG blocks of a stack of systems of one size, for every target.
+
+    ``fwd[w, r, alpha, pair, v] = C_w[pair, (r, alpha, v)]`` and
+    ``inv[w, r, alpha, l, pair] = Cinv_w[(r, alpha, l), pair]``, with the
+    ``alpha`` axis padded to the largest multiplicity and ``v``, ``l`` to the
+    largest target dimension.  Padding is zero, so a target that does not
+    occur has all-zero blocks.
+    """
+    mults = np.array([[s.multiplicities.get(r, 0) for r in labels] for s in systems])
+    starts = np.array([[s.offsets.get(r, 0) for r in labels] for s in systems])
+    dims_arr = np.array(dims)
+    alpha = np.arange(max(1, mults.max(initial=0)))[:, None]
+    ell = np.arange(max(dims, default=0))
+    cols = starts[:, :, None, None] + alpha * dims_arr[:, None, None] + ell   # [w, r, a, l]
+    keep = (alpha < mults[:, :, None, None]) & (ell < dims_arr[:, None, None])
+    cols = np.where(keep, cols, 0)
+    which = np.arange(len(systems))[:, None, None, None]
+    c_mats = np.stack([s.C for s in systems])
+    c_invs = np.stack([s.Cinv for s in systems])
+    fwd = c_mats[which, :, cols] * keep[..., None]           # [w, r, a, v, pair]
+    inv = c_invs[which, cols] * keep[..., None]              # [w, r, a, l, pair]
+    return fwd.swapaxes(-1, -2), inv
 
 
 def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
@@ -328,58 +410,90 @@ def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
     ``(F^r)^{-1} / tr`` for the ``(p, q)`` system, and the ``(q, p)``-ordered
     product uses the ``(q, p)`` system.
     """
-    return _triple_haar_reports(pi_p, pi_q, [pi_r], system_pq, system_qp, h, tol)[0]
+    systems = {(pi_q.label, pi_p.label): system_qp, (pi_p.label, pi_q.label): system_pq}
+    return _triple_haar_reports([pi_p], [pi_q], [pi_r], systems, h,
+                                tol)[pi_p.label, pi_q.label][0]
 
 
-def _triple_haar_reports(pi_p: Corepresentation, pi_q: Corepresentation,
-                         targets: list[Corepresentation], system_pq: CGSystem,
-                         system_qp: CGSystem, h: LinearFunctional,
-                         tol: float = 1e-9) -> list[Report]:
-    """:func:`verify_triple_haar` for every target of one CG pair, one report each.
+def _triple_haar_reports(ps: list[Corepresentation], qs: list[Corepresentation],
+                         targets: list[Corepresentation],
+                         systems: dict[tuple[str, str], CGSystem], h: LinearFunctional,
+                         tol: float = 1e-9) -> dict[tuple[str, str], list[Report]]:
+    """:func:`verify_triple_haar` for every ``(p, q)`` in ``ps x qs`` and every target.
 
-    The left-hand sides of all targets come from one weight tensor,
-    ``weights[(r, u, l), b, c] = h(pi^r*_ul a_b a_c)``, and two ``tensordot``
-    calls per multiplication order.
+    ``systems`` holds the ``(p, q)`` and ``(q, p)`` systems, keyed by label
+    pair.  Returns one report per target for each pair.  The ``(q, p)``-order
+    check of ``(p, q)`` is the ``(p, q)``-order check of ``(q, p)``, so one gap
+    array ``G[(a, b), r]`` over the ordered pairs fills both.
     """
-    alg = pi_p.algebra
-    n = alg.dim
+    alg = h.algebra
     if any(pi_r.F is None for pi_r in targets):
         raise ValueError("verify_triple_haar needs the F matrix of the target irrep")
-    pair = alg.mult @ (alg.mult @ h.covector)  # pair[a, b, c] = h(a_a a_b a_c)
-    rows = np.concatenate([pi_r.star_coeffs().reshape(-1, n) for pi_r in targets])
-    weights = (rows @ pair.reshape(n, n * n)).reshape(-1, n, n)
-    # the two factors contract into the weights in turn
-    lhs_pq = np.tensordot(np.tensordot(weights, pi_p.coeffs, axes=(1, 2)), pi_q.coeffs,
-                          axes=(1, 2))  # [(r, u, l), s, j, t, k]
-    lhs_qp = np.tensordot(np.tensordot(weights, pi_q.coeffs, axes=(1, 2)), pi_p.coeffs,
-                          axes=(1, 2))  # [(r, u, l), t, k, s, j]
+    factors = {pi.label: pi for pi in [*qs, *ps]}
+    ordered = list(dict.fromkeys(
+        key for pi_p in ps for pi_q in qs
+        for key in ((pi_p.label, pi_q.label), (pi_q.label, pi_p.label))))
+    gaps = _triple_haar_gaps(ordered, factors, targets, systems, h)
     t = tol * alg.magnitude
-    reports, row = [], 0
-    for pi_r in targets:
-        d_r = pi_r.dim
-        rows_r = slice(row, row + d_r * d_r)
-        row += d_r * d_r
-        fwd_pq, inv_pq = system_pq.blocks(pi_r.label, d_r)
-        # the (q, p) system's first factor index is the q one
-        fwd_qp, inv_qp = system_qp.blocks(pi_r.label, d_r)
-        report = Report(
-            f"triple haar [{pi_r.label}* {pi_p.label} {pi_q.label}]", meta={"tol": tol})
-        report.add("(p,q) order", _haar_gap(lhs_pq[rows_r], "aljk,astv,vu->ulsjtk",
-                                            inv_pq, fwd_pq, pi_r.F), t)
-        report.add("(q,p) order", _haar_gap(lhs_qp[rows_r], "alkj,atsv,vu->ultksj",
-                                            inv_qp, fwd_qp, pi_r.F), t)
-        reports.append(report)
+    reports = {}
+    for pi_p in ps:
+        for pi_q in qs:
+            p_lab, q_lab = pi_p.label, pi_q.label
+            reports[p_lab, q_lab] = out = []
+            for pi_r, gap_pq, gap_qp in zip(targets, gaps[p_lab, q_lab], gaps[q_lab, p_lab]):
+                report = Report(f"triple haar [{pi_r.label}* {p_lab} {q_lab}]",
+                                meta={"tol": tol})
+                report.add("(p,q) order", gap_pq, t)
+                report.add("(q,p) order", gap_qp, t)
+                out.append(report)
     return reports
 
 
-def _haar_gap(lhs: np.ndarray, subscripts: str, inv: np.ndarray, fwd: np.ndarray,
-              f_r: np.ndarray) -> float:
-    """Max deviation of ``lhs[(u, l), ...]`` from the double CG contraction of one target.
+def _triple_haar_gaps(ordered: list[tuple[str, str]], factors: dict[str, Corepresentation],
+                      targets: list[Corepresentation],
+                      systems: dict[tuple[str, str], CGSystem], h: LinearFunctional
+                      ) -> dict[tuple[str, str], list[float]]:
+    """``G[(a, b)][r]``: the ``(a, b)``-order triple Haar gap of every target.
 
-    The contraction vanishes when the target does not occur (empty alpha axis).
+    The left sides ``h(pi^r*_ul pi^a_sj pi^b_tk)`` come from one weight tensor
+    ``weights[r, u, l, b, c] = h(pi^r*_ul a_b a_c)``, zero-padded to the
+    largest target dimension, and two ``tensordot`` calls per ``(d_a, d_b)``
+    class.  The right sides are the double CG contractions of the padded
+    blocks of :func:`_padded_blocks` with ``(F^r)^{-1} / tr``; a target that
+    does not occur has zero blocks, so its gap is ``max |lhs|``.
     """
-    if not len(inv):
-        return float(np.abs(lhs).max())
-    finv = np.linalg.inv(f_r)
-    rhs = np.einsum(subscripts, inv, fwd, finv) / np.trace(finv)
-    return float(np.abs(lhs - rhs.reshape(lhs.shape)).max())
+    alg = h.algebra
+    n = alg.dim
+    dims = [pi_r.dim for pi_r in targets]
+    d_max = max(dims, default=0)
+    pair = alg.mult @ (alg.mult @ h.covector)  # pair[a, b, c] = h(a_a a_b a_c)
+    rows = np.zeros((len(targets), d_max, d_max, n), dtype=complex)
+    finvs = np.zeros((len(targets), d_max, d_max), dtype=complex)
+    for r, pi_r in enumerate(targets):
+        rows[r, :pi_r.dim, :pi_r.dim] = pi_r.star_coeffs()
+        finv = np.linalg.inv(pi_r.F)
+        finvs[r, :pi_r.dim, :pi_r.dim] = finv / np.trace(finv)
+    weights = (rows.reshape(-1, n) @ pair.reshape(n, n * n)).reshape(
+        len(targets), d_max, d_max, n, n)
+    labels = [pi_r.label for pi_r in targets]
+    classes: dict[tuple[int, int], list[tuple[str, str]]] = {}
+    for a, b in ordered:
+        classes.setdefault((factors[a].dim, factors[b].dim), []).append((a, b))
+    gaps = {}
+    for (d_a, d_b), keys in classes.items():
+        firsts = list(dict.fromkeys(a for a, _ in keys))
+        seconds = list(dict.fromkeys(b for _, b in keys))
+        lhs = np.tensordot(np.tensordot(weights, np.stack([factors[a].coeffs for a in firsts]),
+                                        axes=(3, 3)),
+                           np.stack([factors[b].coeffs for b in seconds]),
+                           axes=(3, 3))              # [r, u, l, a, s, j, b, t, k]
+        lhs = lhs[:, :, :, [firsts.index(a) for a, _ in keys], :, :,
+                  [seconds.index(b) for _, b in keys]]  # [w, r, u, l, s, j, t, k]
+        fwd, inv = _padded_blocks([systems[key] for key in keys], labels, dims)
+        # fwd[w, r, alpha, (s, t), v] (F^r)^{-1}[v, u] / tr, against inv[w, r, alpha, l, (j, k)]
+        left = (fwd @ finvs[:, None]).reshape(len(keys), len(targets), fwd.shape[2], -1)
+        rhs = (left.swapaxes(-1, -2) @ inv.reshape(*inv.shape[:3], -1)).reshape(
+            len(keys), len(targets), d_a, d_b, d_max, d_max, d_a, d_b)
+        gap = np.abs(lhs - rhs.transpose(0, 1, 4, 5, 2, 6, 3, 7)).max(axis=(2, 3, 4, 5, 6, 7))
+        gaps.update(zip(keys, gap.tolist()))
+    return gaps

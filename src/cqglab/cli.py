@@ -16,15 +16,15 @@ import numpy as np
 
 from . import io as cio
 from .algebra import verify_hopf_axioms, verify_star_axioms
-from .cg import _triple_haar_reports, character, character_orthogonality, solve_cg
+from .cg import (_triple_haar_reports, character, character_orthogonality,
+                 solve_cg_systems)
 from .corep import check_unitary, irrep_table, verify_corep, verify_orthogonality
 from .errors import CqglabError
 from .groups import _BUILTINS, build_function_algebra, build_group_algebra, builtin_algebras
 from .haar import certify_haar, gram_matrices, solve_haar, verify_haar_lemmas
 from .homspace import (build_coset_subalgebra, restricted_coaction_report,
                        restricted_coaction_tensor, restricted_multiplication_family,
-                       restricted_wigner_eckart, solve_restricted_basis_functions,
-                       verify_coideal)
+                       solve_restricted_basis_functions, verify_coideal)
 from .regular import (canonical_basis_functions, product_coaction_check,
                       dual_action_crosscheck, verify_projection_identities)
 from .report import Report
@@ -104,16 +104,17 @@ def _cmd_cg(args) -> list[Report]:
     h, grams, table = _context(spec, args.tolerance, args.seed)
     labels = _pick_labels(table, [args.p, args.q]) or list(table.labels)
     targets = [table[r] for r in _pick_labels(table, [args.r]) or table.labels]
-    system_for = _cg_systems(table, h)
+    systems = _cg_systems(table, h, (labels, labels))
+    factors = [table[label] for label in labels]
+    certified = _triple_haar_reports(factors, factors, targets, systems, h, args.tolerance)
     reports = []
     for pl in labels:
         for ql in labels:
-            sys_pq, sys_qp = system_for(pl, ql), system_for(ql, pl)
-            rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": sys_pq.multiplicities})
-            rep.add("block diagonalization", 0.0, 1.0)  # solve_cg certifies internally
+            rep = Report(f"cg [{pl} x {ql}]",
+                         meta={"multiplicities": systems[pl, ql].multiplicities})
+            rep.add("block diagonalization", 0.0, 1.0)  # solve_cg_systems certifies internally
             reports.append(rep)
-            reports.extend(_triple_haar_reports(table[pl], table[ql], targets,
-                                                sys_pq, sys_qp, h, args.tolerance))
+            reports.extend(certified[pl, ql])
     return reports
 
 
@@ -149,16 +150,20 @@ def _cmd_tensor_ops(args) -> list[Report]:
     return reports
 
 
-def _cg_systems(table, h):
-    """``system_for(a, b)``: the ``(a, b)`` CG system, solved on first use."""
-    systems: dict[tuple[str, str], object] = {}
+def _cg_systems(table, h, *products):
+    """The CG systems of every label pair in the ``(firsts, seconds)`` products,
+    keyed ``(a, b)``: one :func:`solve_cg_systems` call per distinct product."""
+    systems = {}
+    for firsts, seconds in dict.fromkeys((tuple(a), tuple(b)) for a, b in products):
+        systems.update(solve_cg_systems([table[a] for a in firsts],
+                                        [table[b] for b in seconds], table, h))
+    return systems
 
-    def system_for(a: str, b: str):
-        if (a, b) not in systems:
-            systems[a, b] = solve_cg(table[a], table[b], table, h)
-        return systems[a, b]
 
-    return system_for
+def _stacked_slices(dims: list[int]) -> list[slice]:
+    """The rows of each block when blocks of these dimensions are stacked in order."""
+    ends = np.cumsum(dims, dtype=int).tolist()
+    return [slice(end - dim, end) for dim, end in zip(dims, ends)]
 
 
 def _cmd_wigner_eckart(args) -> list[Report]:
@@ -169,37 +174,39 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     r_labels = _pick_labels(table, [args.r]) or list(table.labels)
     sides = [args.side] if args.side else ["R", "L"]
     kinds = [args.kind] if args.kind else ["ordinary", "twisted"]
-    system_for = _cg_systems(table, h)
+    # ordinary families use the (q, p) systems, twisted ones the (p, q) systems
+    systems = _cg_systems(table, h, *[(q_labels, p_labels) if kind == "ordinary"
+                                      else (p_labels, q_labels) for kind in kinds])
     targets = [(rl, table[rl].F) for rl in r_labels]
-    variants = list(product(sides, kinds))
-    tensors = {}  # (q, side, kind) -> tensor[(r, l), k, (p, j)], every target r and source p
+    pairs = list(product(p_labels, q_labels))
+    p_rows = dict(zip(p_labels, _stacked_slices([table[lab].dim for lab in p_labels])))
+    q_rows = dict(zip(q_labels, _stacked_slices([table[lab].dim for lab in q_labels])))
+    factorized = {}  # (side, kind) -> [pair][target]: (report dict, residual, tol)
     for side in sides:
         bsets = {lab: canonical_basis_functions(table[lab], side, 0)
                  for lab in dict.fromkeys(p_labels + q_labels + r_labels)}
         psis = np.concatenate([bsets[rl].functions for rl in r_labels])
         phis = np.concatenate([bsets[pl].functions for pl in p_labels])
-        for ql in q_labels:
-            for kind in kinds:
-                tensors[ql, side, kind] = _inner_product_tensor(
-                    psis, multiplication_family(bsets[ql], kind).operators, phis,
-                    grams.gram(side))
+        for kind in kinds:
+            ops = np.concatenate([multiplication_family(bsets[ql], kind).operators
+                                  for ql in q_labels])
+            # tensor[(r, l), (q, k), (p, j)]: every target, operator and source at once
+            tensor = _inner_product_tensor(psis, ops, phis, grams.gram(side))
+            factorized[side, kind] = [
+                [(we.to_dict(), we.residual, we.tol) for we in row]
+                for row in _factorize_targets(
+                    [tensor[:, q_rows[ql], p_rows[pl]] for pl, ql in pairs],
+                    [systems[ql, pl] if kind == "ordinary" else systems[pl, ql]
+                     for pl, ql in pairs],
+                    targets, kind, side, args.tolerance, pairs, spec.magnitude ** 2)]
     reports = []
-    col = 0
-    for pl in p_labels:
-        d_p = table[pl].dim
-        for ql in q_labels:
-            factorized = [_factorize_targets(
-                tensors[ql, side, kind][:, :, col:col + d_p],
-                system_for(ql, pl) if kind == "ordinary" else system_for(pl, ql),
-                targets, kind, side, args.tolerance, (pl, ql), spec.magnitude ** 2)
-                for side, kind in variants]
-            for i, rl in enumerate(r_labels):
-                for (side, kind), wes in zip(variants, factorized):
-                    rep = Report(f"wigner-eckart [{pl},{ql},{rl},{side},{kind}]",
-                                 meta=wes[i].to_dict())
-                    rep.add("factorization", wes[i].residual, wes[i].tol)
-                    reports.append(rep)
-        col += d_p
+    for w, (pl, ql) in enumerate(pairs):
+        for i, rl in enumerate(r_labels):
+            for side, kind in product(sides, kinds):
+                meta, residual, tol = factorized[side, kind][w][i]
+                rep = Report(f"wigner-eckart [{pl},{ql},{rl},{side},{kind}]", meta=meta)
+                rep.add("factorization", residual, tol)
+                reports.append(rep)
     return reports
 
 
@@ -228,22 +235,30 @@ def _cmd_homspace(args) -> list[Report]:
         dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
     reports.append(dims)
     we_rep = Report(f"restricted wigner-eckart [{coideal.label}]")
-    system_for = _cg_systems(table, h)
-    families = {ql: [{kind: restricted_multiplication_family(qs, kind, grams)
-                      for kind in ("ordinary", "twisted")} for qs in qs_list]
-                for ql, qs_list in solutions.items()}
-    for rl, psis_list in solutions.items():
-        for pl, phis_list in solutions.items():
-            for ql, fams_q in families.items():
-                for psis in psis_list:
-                    for phis in phis_list:
-                        for fams in fams_q:
-                            for kind, fam in fams.items():
-                                system = (system_for(ql, pl) if kind == "ordinary"
-                                          else system_for(pl, ql))
-                                we = restricted_wigner_eckart(psis, fam, phis, system,
-                                                              table[rl].F, args.tolerance)
-                                we_rep.add(f"{pl},{ql},{rl},{kind}", we.residual, we.tol)
+    sets = [(label, bset) for label, sols in solutions.items() for bset in sols]
+    used = list(dict.fromkeys(label for label, _ in sets))
+    systems = _cg_systems(table, h, (used, used))
+    # every set is a target r, a source p and a family q; rows and columns stack them in order
+    coords = np.concatenate([bset.coords for _, bset in sets])  # the trivial irrep always has one
+    blocks = _stacked_slices([bset.corep.dim for _, bset in sets])
+    pairs = list(product(range(len(sets)), repeat=2))            # (source, family) set indices
+    labels = [(sets[i][0], sets[k][0]) for i, k in pairs]
+    targets = [(label, table[label].F) for label, _ in sets]
+    found = {}  # kind -> {(source, family): reports[target]}
+    for kind in ("ordinary", "twisted"):
+        ops = np.concatenate([restricted_multiplication_family(bset, kind, grams).operators
+                              for _, bset in sets])
+        tensor = _inner_product_tensor(coords, ops, coords, np.eye(coideal.dim))
+        found[kind] = dict(zip(pairs, _factorize_targets(
+            [tensor[:, blocks[k], blocks[i]] for i, k in pairs],
+            [systems[ql, pl] if kind == "ordinary" else systems[pl, ql] for pl, ql in labels],
+            targets, kind, side, args.tolerance, labels, spec.magnitude ** 2)))
+    members = {label: [i for i, (lab, _) in enumerate(sets) if lab == label] for label in used}
+    for rl, pl, ql in product(used, repeat=3):
+        for t, i, k in product(members[rl], members[pl], members[ql]):
+            for kind, reports_of in found.items():
+                we = reports_of[i, k][t]
+                we_rep.add(f"{pl},{ql},{rl},{kind}", we.residual, we.tol)
     reports.append(we_rep)
     return reports
 

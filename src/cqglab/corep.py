@@ -21,6 +21,7 @@ and, for unitary corepresentations in an orthonormal basis::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -151,30 +152,40 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
     tensor-operator families are built), restricted basis functions
     (``W = B``) and restricted families (``W = End(B)``).  Returns
     ``d_W x d_V`` matrices, orthonormal as vectors and phase-fixed as in
-    :func:`_phase_fixed`.
+    :func:`_phase_fixed`.  This is the one-source, one-target case of
+    :func:`_stacked_intertwiners`.
     """
     return _stacked_intertwiners(coact_v[None], coact_w, h, rcond)[0]
 
 
-def _stacked_intertwiners(coact_vs: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
-                          rcond: float = 1e-9) -> list[list[np.ndarray]]:
-    """:func:`intertwiners` for a stack of sources of one dimension, solved together.
+def _stacked_intertwiners(coact_vs: np.ndarray, coact_ws: np.ndarray, h: LinearFunctional,
+                          rcond: float = 1e-9) -> list:
+    """:func:`intertwiners` for every pair of a stack of sources and a stack of targets.
 
-    ``coact_vs`` is ``count x d_V x d_V x n``; the averaging maps are stacked
-    and their ranges found by one :func:`_range_basis` call.  Returns one
-    basis per source.
+    ``coact_vs`` is ``count_v x d_V x d_V x n`` and ``coact_ws`` is
+    ``count_w x d_W x d_W x n``, or a single ``d_W x d_W x n`` comodule.  The
+    ``count_w * count_v`` averaging maps come from two matrix products and
+    their ranges from one :func:`_range_basis` call.  Returns
+    ``bases[w][v]``, the basis of ``Hom(V_v, W_w)``, or ``bases[v]`` when a
+    single ``W`` is given.
     """
+    single = coact_ws.ndim == 3
+    coact_ws = coact_ws[None] if single else coact_ws
     alg = h.algebra
-    count, dv, dw, n = coact_vs.shape[0], coact_vs.shape[1], coact_w.shape[0], alg.dim
-    size = dw * dv
+    count_v, dv = coact_vs.shape[:2]
+    count_w, dw = coact_ws.shape[:2]
+    n, size = alg.dim, dw * dv
     if size == 0:
-        return [[] for _ in range(count)]
-    s_v = coact_vs.reshape(-1, n) @ alg.antipode                 # [(t, m, k), b]: S(V^t_mk)
-    avg = coact_w.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(j, l), (t, m, k)]
-    avg = avg.reshape(dw, dw, count, dv, dv).transpose(2, 0, 4, 1, 3).reshape(count, size, size)
-    vecs, ranks = _range_basis(avg, rcond)
+        bases = [[[] for _ in range(count_v)] for _ in range(count_w)]
+        return bases[0] if single else bases
+    s_v = coact_vs.reshape(-1, n) @ alg.antipode                   # [(t, m, k), b]: S(V^t_mk)
+    avg = coact_ws.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(w, j, l), (t, m, k)]
+    avg = avg.reshape(count_w, dw, dw, count_v, dv, dv).transpose(0, 3, 1, 5, 2, 4)
+    vecs, ranks = _range_basis(avg.reshape(-1, size, size), rcond)
     blocks = iter(vecs.reshape(-1, dw, dv))
-    return [list(islice(blocks, rank)) for rank in ranks]
+    bases = [[list(islice(blocks, ranks[w * count_v + v])) for v in range(count_v)]
+             for w in range(count_w)]
+    return bases[0] if single else bases
 
 
 def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
@@ -496,6 +507,28 @@ class IrrepTable:
 
     def dims(self) -> list[int]:
         return [pi.dim for pi in self.irreps]
+
+    # derived once per table, on first use: a table is not edited after it is built
+
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """The characters ``chi_r`` as rows ``[r, m]``."""
+        return np.array([pi.coeffs.trace() for pi in self.irreps])
+
+    @cached_property
+    def dim_classes(self) -> dict[int, tuple[list[int], np.ndarray]]:
+        """:func:`_dim_classes` of the irreps."""
+        return _dim_classes(self.irreps)
+
+
+def _dim_classes(coreps: list[Corepresentation]) -> dict[int, tuple[list[int], np.ndarray]]:
+    """The corepresentations of each dimension, in order of first appearance: their
+    positions and their coefficients stacked ``[count, d, d, n]``."""
+    classes: dict[int, list[int]] = {}
+    for i, pi in enumerate(coreps):
+        classes.setdefault(pi.dim, []).append(i)
+    return {dim: (idx, np.stack([coreps[i].coeffs for i in idx]))
+            for dim, idx in classes.items()}
 
 
 def _character_fingerprint(pi: Corepresentation) -> tuple:

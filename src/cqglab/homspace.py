@@ -327,9 +327,9 @@ class RestrictedOperatorFamily:
         return self.coideal.side
 
 
-def check_restricted_family(fam: RestrictedOperatorFamily, coact: np.ndarray,
-                            tol: float = 1e-10) -> float:
-    """Max defining-condition residual of a restricted family."""
+def check_restricted_family(fam: RestrictedOperatorFamily, coact: np.ndarray) -> float:
+    """Max defining-condition residual of a restricted family, returned raw for the
+    caller to compare with its own tolerance."""
     alg = fam.coideal.algebra
     lhs = _pipeline(coact, alg, fam.operators, *_antipode_and_swap(alg, fam.kind))
     rhs = np.einsum("kat,kjm->jmat", fam.operators, fam.corep.coeffs)

@@ -165,9 +165,14 @@ def save_report(payload: dict, path: str | Path) -> None:
 
 
 def report_to_csv(payload: dict) -> str:
-    lines = ["report,check,residual,tol,passed"]
-    for rep in payload["reports"]:
-        for chk in rep["checks"]:
-            lines.append(f"{rep['title']},{chk['name']},{chk['residual']:.6e},"
-                         f"{chk['tol']:.3e},{chk['passed']}")
-    return "\n".join(lines) + "\n"
+    """One row per check; titles and check names that hold commas are quoted."""
+    import csv  # imported here: only the CSV output format needs it
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["report", "check", "residual", "tol", "passed"])
+    writer.writerows([rep["title"], chk["name"], f"{chk['residual']:.6e}",
+                      f"{chk['tol']:.3e}", chk["passed"]]
+                     for rep in payload["reports"] for chk in rep["checks"])
+    return out.getvalue()

@@ -232,10 +232,11 @@ class TensorOperatorFamily:
                                     factor * self.operators, label=self.label)
 
 
-def check_family(fam: TensorOperatorFamily, tol: float = 1e-10,
-                 kind: str | None = None, side: str | None = None) -> float:
+def check_family(fam: TensorOperatorFamily, kind: str | None = None,
+                 side: str | None = None) -> float:
     """Max defining-condition residual of the family, over both routes.
 
+    The residual is returned raw; callers compare it with their own tolerance.
     ``kind``/``side`` override the variant being tested, so a family built
     for one variant can be checked against another (the distinctness
     diagnostics rely on this).  Sets ``fam.residual`` when testing the
@@ -256,7 +257,7 @@ def family_report(fam: TensorOperatorFamily, tol: float = 1e-10) -> Report:
     report = Report(
         f"tensor-operator family [{fam.label or fam.corep.label} {fam.kind}-{fam.side}]",
         meta={"tol": tol})
-    report.add("defining condition", check_family(fam, tol), tol * fam.algebra.magnitude ** 2)
+    report.add("defining condition", check_family(fam), tol * fam.algebra.magnitude ** 2)
     return report
 
 

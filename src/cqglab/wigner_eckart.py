@@ -12,9 +12,9 @@ The reduced elements have the closed form
 (F^r)^{-1}[v, u] / tr (F^r)^{-1}``; reconstruction through that formula is
 exact, and a least-squares extraction is kept alongside as a diagnostic.
 
-One engine factorizes one (system, kind) against a stack of targets r, all
-read off the same ``C`` and ``C^{-1}``; the per-triple functions call it with
-a single target.
+One engine factorizes the pairs ``(p, q)`` of one kind against a stack of
+targets r in batched contractions, each pair read off its own ``C`` and
+``C^{-1}``; the per-triple functions call it with a single pair and target.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cg import CGSystem
+from .cg import CGSystem, _padded_blocks
 from .corep import Corepresentation
 from .regular import BasisFunctionSet
 from .tensor_ops import TensorOperatorFamily
@@ -53,11 +53,12 @@ class WEReport:
         return self.residual <= self.tol
 
     def to_dict(self) -> dict:
+        reduced = np.ascontiguousarray(self.reduced, dtype=complex)
         return {
             "p": self.p_label, "q": self.q_label, "r": self.r_label,
             "side": self.side, "kind": self.kind,
             "cg_order": list(self.cg_order),
-            "reduced": [[z.real, z.imag] for z in self.reduced],
+            "reduced": reduced.view(float).reshape(-1, 2).tolist(),
             "residual": float(self.residual),
             "tol": float(self.tol),
             "passed": self.passed,
@@ -102,8 +103,8 @@ def reduced_elements(tensor: np.ndarray, system: CGSystem, r_label: str,
     families the ``(p, q)`` one.  Returns one value per multiplicity index
     (empty when the fusion multiplicity vanishes).
     """
-    return _factorize_targets(tensor, system, [(r_label, f_r)], kind, "", 0.0,
-                              ("", ""))[0].reduced
+    return _factorize_targets([tensor], [system], [(r_label, f_r)], kind, "", 0.0,
+                              [("", "")])[0][0].reduced
 
 
 def factorize_tensor(tensor: np.ndarray, system: CGSystem, r_label: str,
@@ -111,53 +112,70 @@ def factorize_tensor(tensor: np.ndarray, system: CGSystem, r_label: str,
                      labels: tuple[str, str, str], scale: float = 1.0) -> WEReport:
     """Factorization engine shared by the full and restricted theorems."""
     p_label, q_label, r_lab = labels
-    report = _factorize_targets(tensor, system, [(r_label, f_r)], kind, side, tol,
-                                (p_label, q_label), scale)[0]
+    report = _factorize_targets([tensor], [system], [(r_label, f_r)], kind, side, tol,
+                                [(p_label, q_label)], scale)[0][0]
     report.r_label = r_lab
     return report
 
 
-def _factorize_targets(tensor: np.ndarray, system: CGSystem,
+def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
                        targets: list[tuple[str, np.ndarray]], kind: str, side: str,
-                       tol: float, labels: tuple[str, str], scale: float = 1.0
-                       ) -> list[WEReport]:
-    """Factorize one (system, kind) against every target at once, one report each.
+                       tol: float, labels: list[tuple[str, str]], scale: float = 1.0
+                       ) -> list[list[WEReport]]:
+    """Factorize many ``(p, q)`` of one kind against every target at once.
 
-    ``tensor[(r, l), k, j]`` stacks the targets' inner-product tensors in the
-    order of ``targets``, pairs ``(r_label, F^r)``.  Each target reads its
-    reduced elements off its own rows and column block of ``X = T C``, and its
-    residual off its row block of ``T - Z C^{-1}``, ``Z[(r, l), (r, alpha, l)]``
-    holding the reduced elements; a target that does not occur has residual
-    ``max |T_r|``.  A least-squares extraction against the inverse CG rows
-    cross-checks the closed formula for every target that occurs.
+    ``tensors[i][(r, l), k, j]`` stacks pair ``i``'s inner-product tensors in
+    the order of ``targets``, pairs ``(r_label, F^r)``; ``systems[i]`` is its
+    CG system and ``labels[i]`` its ``(p, q)``.  Returns one report per target
+    for each pair.  The pairs of one system size are factorized together,
+    their rows and CG blocks zero-padded to the largest target dimension and
+    multiplicity: ``X = T C`` read at each target's columns gives the reduced
+    elements, ``T - Z C^{-1}`` the residual, ``Z`` holding the reduced
+    elements, and a batched pseudo-inverse of the inverse-CG designs the
+    least-squares cross-check.  A target that does not occur has zero blocks,
+    so its residual is ``max |T_r|`` and it carries no cross-check.
     """
-    tmat = _pair_matrix(tensor, system, kind)
+    names = [r_label for r_label, _ in targets]
     dims = [f_r.shape[0] for _, f_r in targets]
-    if len(tmat) != sum(dims):
+    d_max = max(dims, default=0)
+    firsts = np.cumsum(dims, dtype=int) - dims
+    valid = np.arange(d_max) < np.array(dims)[:, None]                       # [r, l]
+    rows = np.where(valid, firsts[:, None] + np.arange(d_max), 0)
+    finvs = np.zeros((len(targets), d_max, d_max), dtype=complex)   # (F^r)^{-1} / tr
+    for r, (_, f_r) in enumerate(targets):
+        finv = np.linalg.inv(f_r)
+        finvs[r, :len(f_r), :len(f_r)] = finv / np.trace(finv)
+    tmats = [_pair_matrix(tensor, system, kind) for tensor, system in zip(tensors, systems)]
+    if any(len(tmat) != sum(dims) for tmat in tmats):
         raise ValueError("tensor rows do not match the targets' dimensions")
-    x = tmat @ system.C
-    firsts = np.cumsum([0] + dims[:-1])
-    residuals = np.maximum.reduceat(np.abs(tmat).max(axis=1), firsts).tolist()
-    p_label, q_label = labels
-    reports = []
-    for (r_label, f_r), d_r, row, residual in zip(targets, dims, firsts, residuals):
-        rows, mult = slice(row, row + d_r), system.multiplicities.get(r_label, 0)
-        reduced, details = np.zeros(0, dtype=complex), {}
-        if mult:
-            cols = slice(system.offsets[r_label], system.offsets[r_label] + mult * d_r)
-            finv = np.linalg.inv(f_r)
-            reduced = np.einsum("uav,vu->a", x[rows, cols].reshape(d_r, mult, d_r),
-                                finv) / np.trace(finv)
-            # the target's rows of Z C^{-1}: sum_alpha reduced[alpha] Cinv[(r, alpha, l), pair]
-            design = system.Cinv[cols].reshape(mult, -1)
-            block = tmat[rows].reshape(-1)
-            residual = float(np.abs(block - reduced @ design).max())
-            lsq, *_ = np.linalg.lstsq(design.T, block, rcond=None)
-            details["reduced_lstsq_gap"] = float(np.abs(lsq - reduced).max())
-        reports.append(WEReport(
-            p_label=p_label, q_label=q_label, r_label=r_label, side=side, kind=kind,
-            tensor=tensor[rows], reduced=reduced, residual=residual, tol=tol * scale,
-            cg_order=(system.p_label, system.q_label), details=details))
+    classes: dict[int, list[int]] = {}
+    for i, tmat in enumerate(tmats):
+        classes.setdefault(tmat.shape[1], []).append(i)
+    reports: list[list[WEReport]] = [[] for _ in tensors]
+    for members in classes.values():
+        stacked = np.stack([tmats[i] for i in members])
+        block = stacked[:, rows] * valid[..., None]                       # [w, r, l, pair]
+        fwd, inv = _padded_blocks([systems[i] for i in members], names, dims)
+        x = block[:, :, None] @ fwd                                        # [w, r, a, u, v]
+        reduced = (x * finvs.swapaxes(1, 2)[:, None]).sum(axis=(3, 4))   # [w, r, a]
+        design = inv.reshape(*inv.shape[:3], -1)                           # [w, r, a, (l, pair)]
+        flat = block.reshape(*block.shape[:2], -1)
+        residual = np.abs(flat - (reduced[:, :, None] @ design)[:, :, 0]).max(axis=2)
+        lsq = (np.linalg.pinv(design.swapaxes(2, 3)) @ flat[..., None])[..., 0]
+        gaps = np.abs(lsq - reduced)
+        residual = residual.tolist()
+        for w, i in enumerate(members):
+            system, (p_label, q_label) = systems[i], labels[i]
+            for r, (r_label, d_r, row) in enumerate(zip(names, dims, firsts.tolist())):
+                mult = system.multiplicities.get(r_label, 0)
+                details = ({"reduced_lstsq_gap": float(gaps[w, r, :mult].max())}
+                           if mult else {})
+                reports[i].append(WEReport(
+                    p_label=p_label, q_label=q_label, r_label=r_label, side=side,
+                    kind=kind, tensor=tensors[i][row:row + d_r],
+                    reduced=reduced[w, r, :mult], residual=residual[w][r],
+                    tol=tol * scale, cg_order=(system.p_label, system.q_label),
+                    details=details))
     return reports
 
 

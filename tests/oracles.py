@@ -438,3 +438,58 @@ def per_operator_family_residual(fam, kind, side) -> float:
     return max(float(np.abs(np.array([per_operator_coaction(fam.algebra, op, kind, side, route)
                                       for op in fam.operators]) - rhs).max())
                for route in ("constants", "maps"))
+
+
+def per_pair_cg(pi_p, pi_q, table, h, tol: float = 1e-9):
+    """The CG system of one pair, solved on its own: the per-pair body ``solve_cg`` had
+    before every pair of a table was solved in one stacked pass.
+
+    One tensor product, one character count per target, one
+    ``_stacked_intertwiners`` solve per target dimension against the single
+    product, and one SVD, inverse and block residual for the pair's ``C``.
+    """
+    from cqglab.cg import (CGSystem, _characters, _integer_counts, cg_block_residual,
+                           tensor_product)
+    from cqglab.corep import _stacked_intertwiners
+    from cqglab.errors import MultiplicityMismatch, SingularC
+
+    big = tensor_product(pi_p, pi_q, "ordinary")
+    alg = big.algebra
+    chi_big = np.trace(big.coeffs)
+    haar_pair = alg.mult @ h.covector  # [a, b] = h(a_a a_b)
+    _, conj_chars = _characters(table)
+    counts = _integer_counts(conj_chars @ (haar_pair.T @ chi_big)).tolist()
+    bases = {}
+    for dim in sorted(set(table.dims())):
+        idx = [i for i, target in enumerate(table) if target.dim == dim]
+        bases.update(zip(idx, _stacked_intertwiners(
+            np.stack([table[i].coeffs for i in idx]), big.coeffs, h)))
+    d_total = pi_p.dim * pi_q.dim
+    col_blocks, col_index, mults = [], [], {}
+    for i, (label, target, expected) in enumerate(zip(table.labels, table.irreps, counts)):
+        blocks = bases[i]
+        if len(blocks) != expected:
+            raise MultiplicityMismatch(
+                f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "
+                f"dimension {len(blocks)}, characters give {expected}")
+        if expected == 0:
+            continue
+        mults[label] = expected
+        col_blocks.extend(blocks)
+        col_index.extend((label, alpha, ell)
+                         for alpha in range(expected) for ell in range(target.dim))
+    if len(col_index) != d_total:
+        raise MultiplicityMismatch(
+            f"fusion of {pi_p.label} (x) {pi_q.label} fills {len(col_index)} of "
+            f"{d_total} columns")
+    c_mat = np.hstack(col_blocks)
+    sigma = np.linalg.svd(c_mat, compute_uv=False)
+    if sigma[-1] <= 1e-10 * sigma[0]:
+        raise SingularC("assembled CG matrix is numerically singular")
+    system = CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim,
+                      c_mat, np.linalg.inv(c_mat), mults, col_index)
+    res = cg_block_residual(system, pi_p, pi_q, table)
+    if res > tol * alg.magnitude:
+        raise MultiplicityMismatch(
+            f"CG block-diagonalization residual {res:.2e} exceeds tolerance")
+    return system

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -226,27 +228,31 @@ def test_homspace_builtin_cyclic_group():
 
 
 def test_cg_solves_each_system_once(tmp_path, monkeypatch):
-    calls, solve = [], cli.solve_cg
+    """One table-wide solve covers all 36 ordered pairs."""
+    calls, solve = [], cli.solve_cg_systems
 
-    def counting(pi_p, pi_q, *rest, **kw):
-        calls.append((pi_p.label, pi_q.label))
-        return solve(pi_p, pi_q, *rest, **kw)
+    def counting(ps, qs, *rest, **kw):
+        systems = solve(ps, qs, *rest, **kw)
+        calls.append(list(systems))
+        return systems
 
-    monkeypatch.setattr(cli, "solve_cg", counting)
+    monkeypatch.setattr(cli, "solve_cg_systems", counting)
     assert cli.main(["cg", "--builtin", "C[S3]", "--output", str(tmp_path / "cg.json")]) == 0
-    assert len(calls) == len(set(calls)) == 36
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == 36
 
 
 def test_cg_certifies_each_pair_in_one_call(tmp_path, monkeypatch):
+    """One triple-Haar pass certifies every pair against all six targets."""
     calls, certify = [], cli._triple_haar_reports
 
-    def counting(pi_p, pi_q, targets, *rest):
-        calls.append(len(targets))
-        return certify(pi_p, pi_q, targets, *rest)
+    def counting(ps, qs, targets, *rest):
+        calls.append((len(ps), len(qs), len(targets)))
+        return certify(ps, qs, targets, *rest)
 
     monkeypatch.setattr(cli, "_triple_haar_reports", counting)
     assert cli.main(["cg", "--builtin", "C[S3]", "--output", str(tmp_path / "cg.json")]) == 0
-    assert calls == [6] * 36
+    assert calls == [(6, 6, 6)]
 
 
 def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
@@ -270,16 +276,19 @@ def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
 def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):
     calls, factorize = [], cli._factorize_targets
 
-    def counting(tensor, system, targets, kind, side, *rest):
-        calls.append((system.p_label, system.q_label, side, kind, len(targets)))
-        return factorize(tensor, system, targets, kind, side, *rest)
+    def counting(tensors, systems, targets, kind, side, *rest):
+        calls.append([(system.p_label, system.q_label, side, kind, len(targets))
+                      for system in systems])
+        return factorize(tensors, systems, targets, kind, side, *rest)
 
     monkeypatch.setattr(cli, "_factorize_targets", counting)
     assert cli.main(["wigner-eckart", "--builtin", "C[S3]",
                      "--output", str(tmp_path / "we.json")]) == 0
-    # one call per (p, q, side, kind), each against all six targets: 144, not 864
-    assert len(calls) == len(set(calls)) == 144
-    assert {call[-1] for call in calls} == {6}
+    # one call per (side, kind), each over all 36 pairs and all six targets
+    assert [len(call) for call in calls] == [36] * 4
+    pairs = [pair for call in calls for pair in call]
+    assert len(pairs) == len(set(pairs)) == 144
+    assert {pair[-1] for pair in pairs} == {6}
 
 
 def test_reports_reproducible(tmp_path, s3_files):
@@ -325,6 +334,30 @@ def test_csv_output(tmp_path, s3_files):
     lines = out.read_text().splitlines()
     assert lines[0] == "report,check,residual,tol,passed"
     assert any("associativity" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner-eckart", "--builtin", "C(Z2)"],
+    ["homspace", "--builtin", "C(S3)", "--subgroup", "0,1"],
+])
+def test_csv_rows_parse_to_five_fields(tmp_path, argv):
+    """Titles and check names that hold commas are quoted: every row parses to
+    five fields, the titles and names read back are the report's own, and a
+    row with no comma in any field is the plain comma-joined line."""
+    csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+    assert cli.main([*argv, "--format", "csv", "--output", str(csv_path)]) == 0
+    assert cli.main([*argv, "--output", str(json_path)]) == 0
+    text = csv_path.read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["report", "check", "residual", "tol", "passed"]
+    assert all(len(row) == 5 for row in rows)
+    reports = json.loads(json_path.read_text())["reports"]
+    assert [row[:2] for row in rows[1:]] == [[rep["title"], chk["name"]]
+                                              for rep in reports for chk in rep["checks"]]
+    assert any("," in row[0] or "," in row[1] for row in rows[1:])
+    for line, row in zip(text.splitlines(), rows):
+        if not any("," in field for field in row):
+            assert line == ",".join(row)
 
 
 def test_demo_subcommand():

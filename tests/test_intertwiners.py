@@ -21,11 +21,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import haar_average, kronecker_intertwiners, svd_intertwiners, sweedler_algebra
+from oracles import (haar_average, kronecker_intertwiners, per_pair_cg, svd_intertwiners,
+                     sweedler_algebra)
 
 from cqglab import corep
 from cqglab.algebra import verify_hopf_axioms
-from cqglab.cg import solve_cg, tensor_product
+from cqglab.cg import solve_cg, solve_cg_systems, tensor_product
 from cqglab.corep import (Corepresentation, _stacked_intertwiners, compute_F,
                           decompose_comodule, irrep_table, morphism_space)
 from cqglab.errors import CqglabError, NoF, NoHaar
@@ -322,6 +323,34 @@ def test_family_space_takes_no_large_svd(ca4_fun, monkeypatch):
     monkeypatch.setattr(corep, "np", _Proxy(np, linalg=_Proxy(np.linalg, svd=recording)))
     assert len(solve_family_space(pi, "ordinary", "R")) == 36
     assert all(count <= 36 for count in rows), rows
+
+
+@pytest.mark.parametrize("fixture", ["ca4_grp", "cd6_fun"])
+def test_cg_systems_take_one_svd_per_class(request, fixture, monkeypatch):
+    """``solve_cg_systems`` on a whole table takes one SVD per (d_p d_q, d_r) class
+    (the Hom spaces) plus one per d_p d_q class (the conditioning of the C's),
+    however many pairs there are: 2 on C[A4]'s 144 pairs, where solving pair
+    by pair takes 288."""
+    ctx = request.getfixturevalue(fixture)
+    table = ctx.table
+    calls = []
+
+    def recording(a, *args, **kw):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert len(solve_cg_systems(table, table, table, ctx.haar)) == len(table) ** 2
+    sizes = {p.dim * q.dim for p in table for q in table}
+    assert len(calls) == len(sizes) * (len(set(table.dims())) + 1), calls
+    if fixture == "ca4_grp":
+        assert len(calls) == 2
+        calls.clear()
+        for p in table:
+            for q in table:
+                per_pair_cg(p, q, table, ctx.haar)
+        assert len(calls) == 288
 
 
 def test_n24_family_space_is_the_range_of_the_average():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from cqglab.cg import CGSystem
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import TensorOperatorFamily, multiplication_family
 from cqglab.corep import identity_corep
-from cqglab.wigner_eckart import verify_wigner_eckart, we_tensor
+from cqglab.wigner_eckart import WEReport, verify_wigner_eckart, we_tensor
 
 
 def _setup(ctx, pl, ql, rl, side, kind, q_row=0):
@@ -136,3 +138,17 @@ def test_report_serialization(cs3_fun):
     assert payload["p"] == "p2" and payload["r"] == "p0"
     assert payload["cg_order"] == ["p2", "p2"]
     assert isinstance(payload["passed"], bool)
+
+
+def test_report_dict_writes_reduced_as_before():
+    """``reduced`` goes out as ``[[re, im], ...]``, byte for byte what the per-entry
+    comprehension over numpy scalars wrote, signed zeros included."""
+    values = np.array([0.0, complex(-0.0, -0.0), complex(-0.0, 1.5), complex(2.5e-17, -0.0),
+                       1 / 3 - 2j, complex(-7.25, 0.0)])
+    for reduced in (values, values[:0], values[::2], values[1:2], values.real):
+        rep = WEReport("p0", "p1", "p2", "R", "ordinary", np.zeros((1, 1, 1)), reduced,
+                       0.0, 1e-9, ("p1", "p0"), {"reduced_lstsq_gap": 0.0})
+        old = dict(rep.to_dict(), reduced=[[z.real, z.imag] for z in reduced.astype(complex)])
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(old, sort_keys=True)
+    assert '-0.0' in json.dumps(WEReport("p", "q", "r", "R", "twisted", np.zeros((1, 1, 1)),
+                                         values, 0.0, 1.0, ("p", "q")).to_dict()["reduced"])
