@@ -25,20 +25,17 @@ from .groups import (GroupTable, build_function_algebra, build_group_algebra,
                      builtin_algebras, cyclic_group, symmetric_group_3)
 from .haar import (GramPair, HaarFunctional, certify_haar, gram_matrices,
                    regular_unitarity_report, solve_haar, verify_haar_lemmas)
-from .homspace import (CoidealSubalgebra, RestrictedBasisFunctions,
-                       RestrictedOperatorFamily, build_coset_subalgebra,
+from .homspace import (CoidealSubalgebra, build_coset_subalgebra,
                        canonical_restricted_candidates, check_restricted_family,
-                       couple_restricted_families, restricted_coaction_report,
-                       restricted_coaction_tensor, restricted_gram,
-                       restricted_multiplication_family, restricted_we_tensor,
-                       restricted_wigner_eckart, solve_restricted_basis_functions,
+                       restricted_coaction_report, restricted_coaction_tensor,
+                       restricted_gram, solve_restricted_basis_functions,
                        solve_restricted_family, subspace_coideal, verify_coideal)
-from .regular import (BasisFunctionSet, basis_function_orthogonality,
+from .regular import (BasisFunctionSet, Carrier, basis_function_orthogonality,
                       canonical_basis_functions, check_basis_functions,
                       dual_action_crosscheck, product_coaction_check,
                       projection_completeness_residual, projection_operator,
-                      regular_coaction, regular_coaction_tensor, regular_corep,
-                      verify_projection_identities)
+                      regular_carrier, regular_coaction, regular_coaction_tensor,
+                      regular_corep, verify_projection_identities)
 from .report import CheckResult, Report
 from .tensor_ops import (VARIANTS, OperatorCoactionResult, TensorOperatorFamily,
                          apply_family_to_basis_functions, check_family,
@@ -46,7 +43,6 @@ from .tensor_ops import (VARIANTS, OperatorCoactionResult, TensorOperatorFamily,
                          excluded_substitution_residual, family_report,
                          multiplication_family, operator_coaction_components,
                          operator_product_rule_residual, solve_family_space)
-from .wigner_eckart import (WEReport, reduced_elements, verify_wigner_eckart,
-                            we_tensor)
+from .wigner_eckart import WEReport, verify_wigner_eckart, we_tensor
 
 __version__ = "0.1.0"

@@ -110,6 +110,11 @@ class HopfAlgebraSpec:
         inv.setflags(write=False)
         return inv
 
+    @cached_property
+    def _regular_carriers(self) -> dict:
+        """Filled by :func:`cqglab.regular.regular_carrier`, one carrier per side."""
+        return {}
+
     # -- element constructors ------------------------------------------------
     def element(self, coeffs) -> "Element":
         return Element(self, np.asarray(coeffs, dtype=complex))

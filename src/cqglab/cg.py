@@ -165,6 +165,7 @@ class CGSystem:
     Cinv: np.ndarray
     multiplicities: dict[str, int]
     col_index: list[tuple[str, int, int]] = field(default_factory=list)
+    block_residual: float | None = None  # max |C^{-1} (pi^p x pi^q) C - blocks|, if certified
     offsets: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -299,8 +300,10 @@ def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional, tol: float 
             raise MultiplicityMismatch(
                 f"CG block-diagonalization residual {res.max():.2e} exceeds tolerance")
         solved.update(zip(pairs, (
-            CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim, c_mat, c_inv, mults, col_index)
-            for (pi_p, pi_q, mults, col_index), c_mat, c_inv in zip(heads, c_mats, c_invs))))
+            CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim, c_mat, c_inv, mults, col_index,
+                     block_residual)
+            for (pi_p, pi_q, mults, col_index), c_mat, c_inv, block_residual
+            in zip(heads, c_mats, c_invs, res.tolist()))))
     return {(ps[i].label, qs[k].label): solved[i, k]
             for i, k in product(range(len(ps)), range(len(qs)))}
 

@@ -23,14 +23,13 @@ from .errors import CqglabError
 from .groups import _BUILTINS, build_function_algebra, build_group_algebra, builtin_algebras
 from .haar import certify_haar, gram_matrices, solve_haar, verify_haar_lemmas
 from .homspace import (build_coset_subalgebra, restricted_coaction_report,
-                       restricted_coaction_tensor, restricted_multiplication_family,
                        solve_restricted_basis_functions, verify_coideal)
 from .regular import (canonical_basis_functions, product_coaction_check,
                       dual_action_crosscheck, verify_projection_identities)
 from .report import Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_family,
                          multiplication_family)
-from .wigner_eckart import _factorize_targets, _inner_product_tensor
+from .wigner_eckart import _factorize_table
 
 
 def _load_source(args) -> tuple["HopfAlgebraSpec", "GroupTable | None"]:
@@ -110,9 +109,10 @@ def _cmd_cg(args) -> list[Report]:
     reports = []
     for pl in labels:
         for ql in labels:
-            rep = Report(f"cg [{pl} x {ql}]",
-                         meta={"multiplicities": systems[pl, ql].multiplicities})
-            rep.add("block diagonalization", 0.0, 1.0)  # solve_cg_systems certifies internally
+            system = systems[pl, ql]
+            rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": system.multiplicities})
+            rep.add("block diagonalization", system.block_residual,
+                    args.tolerance * spec.magnitude)
             reports.append(rep)
             reports.extend(certified[pl, ql])
     return reports
@@ -122,7 +122,10 @@ def _pick_labels(table, requested) -> list[str] | None:
     chosen = [r for r in requested if r]
     if not chosen:
         return None
-    return list(dict.fromkeys(table.labels[table.index_of(r)] for r in chosen))  # each once
+    try:
+        return list(dict.fromkeys(table.labels[table.index_of(r)] for r in chosen))  # each once
+    except KeyError as exc:
+        raise CqglabError(exc.args[0]) from None
 
 
 def _cmd_tensor_ops(args) -> list[Report]:
@@ -160,12 +163,6 @@ def _cg_systems(table, h, *products):
     return systems
 
 
-def _stacked_slices(dims: list[int]) -> list[slice]:
-    """The rows of each block when blocks of these dimensions are stacked in order."""
-    ends = np.cumsum(dims, dtype=int).tolist()
-    return [slice(end - dim, end) for dim, end in zip(dims, ends)]
-
-
 def _cmd_wigner_eckart(args) -> list[Report]:
     spec = _load_spec(args)
     h, grams, table = _context(spec, args.tolerance, args.seed)
@@ -177,30 +174,22 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     # ordinary families use the (q, p) systems, twisted ones the (p, q) systems
     systems = _cg_systems(table, h, *[(q_labels, p_labels) if kind == "ordinary"
                                       else (p_labels, q_labels) for kind in kinds])
-    targets = [(rl, table[rl].F) for rl in r_labels]
-    pairs = list(product(p_labels, q_labels))
-    p_rows = dict(zip(p_labels, _stacked_slices([table[lab].dim for lab in p_labels])))
-    q_rows = dict(zip(q_labels, _stacked_slices([table[lab].dim for lab in q_labels])))
-    factorized = {}  # (side, kind) -> [pair][target]: (report dict, residual, tol)
+    # (side, kind) -> [(p, q) pair][target]: (report dict, residual, tol); the reports
+    # themselves are dropped early, which keeps the peak memory down
+    factorized = {}
     for side in sides:
         bsets = {lab: canonical_basis_functions(table[lab], side, 0)
                  for lab in dict.fromkeys(p_labels + q_labels + r_labels)}
-        psis = np.concatenate([bsets[rl].functions for rl in r_labels])
-        phis = np.concatenate([bsets[pl].functions for pl in p_labels])
         for kind in kinds:
-            ops = np.concatenate([multiplication_family(bsets[ql], kind).operators
-                                  for ql in q_labels])
-            # tensor[(r, l), (q, k), (p, j)]: every target, operator and source at once
-            tensor = _inner_product_tensor(psis, ops, phis, grams.gram(side))
             factorized[side, kind] = [
                 [(we.to_dict(), we.residual, we.tol) for we in row]
-                for row in _factorize_targets(
-                    [tensor[:, q_rows[ql], p_rows[pl]] for pl, ql in pairs],
-                    [systems[ql, pl] if kind == "ordinary" else systems[pl, ql]
-                     for pl, ql in pairs],
-                    targets, kind, side, args.tolerance, pairs, spec.magnitude ** 2)]
+                for row in _factorize_table(
+                    [bsets[rl] for rl in r_labels],
+                    [multiplication_family(bsets[ql], kind) for ql in q_labels],
+                    [bsets[pl] for pl in p_labels], systems, grams.gram(side),
+                    args.tolerance)]
     reports = []
-    for w, (pl, ql) in enumerate(pairs):
+    for w, (pl, ql) in enumerate(product(p_labels, q_labels)):
         for i, rl in enumerate(r_labels):
             for side, kind in product(sides, kinds):
                 meta, residual, tol = factorized[side, kind][w][i]
@@ -219,41 +208,35 @@ def _cmd_homspace(args) -> list[Report]:
             f"homspace builds coset subalgebras of a function algebra C(G), and "
             f"{spec.label!r} is a group algebra; use --construction function or a "
             f"'C(...)' built-in")
-    subgroup = [int(x) for x in args.subgroup.split(",")] if args.subgroup else [0]
+    try:
+        subgroup = [int(x) for x in args.subgroup.split(",")] if args.subgroup else [0]
+    except ValueError:
+        raise CqglabError(f"--subgroup takes comma-separated element indices, "
+                          f"got {args.subgroup!r}") from None
     side = args.side or "L"
     h, grams, table = _context(spec, args.tolerance, args.seed)
     coideal = build_coset_subalgebra(group, spec, subgroup, side)
     reports = [verify_coideal(coideal, args.tolerance)]
     coideal.orthonormalize(grams)
     reports.append(restricted_coaction_report(coideal, grams, h, args.tolerance))
-    coact = restricted_coaction_tensor(coideal, grams)
     dims = Report(f"restricted basis functions [{coideal.label}]")
-    solutions = {}
+    sets = []  # every set is a target r, a source p and a family q
     for pi in table:
         sols = solve_restricted_basis_functions(pi, coideal, grams)
-        solutions[pi.label] = sols
+        sets.extend(sols)
         dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
     reports.append(dims)
     we_rep = Report(f"restricted wigner-eckart [{coideal.label}]")
-    sets = [(label, bset) for label, sols in solutions.items() for bset in sols]
-    used = list(dict.fromkeys(label for label, _ in sets))
+    used = list(dict.fromkeys(bset.corep.label for bset in sets))
     systems = _cg_systems(table, h, (used, used))
-    # every set is a target r, a source p and a family q; rows and columns stack them in order
-    coords = np.concatenate([bset.coords for _, bset in sets])  # the trivial irrep always has one
-    blocks = _stacked_slices([bset.corep.dim for _, bset in sets])
     pairs = list(product(range(len(sets)), repeat=2))            # (source, family) set indices
-    labels = [(sets[i][0], sets[k][0]) for i, k in pairs]
-    targets = [(label, table[label].F) for label, _ in sets]
     found = {}  # kind -> {(source, family): reports[target]}
     for kind in ("ordinary", "twisted"):
-        ops = np.concatenate([restricted_multiplication_family(bset, kind, grams).operators
-                              for _, bset in sets])
-        tensor = _inner_product_tensor(coords, ops, coords, np.eye(coideal.dim))
-        found[kind] = dict(zip(pairs, _factorize_targets(
-            [tensor[:, blocks[k], blocks[i]] for i, k in pairs],
-            [systems[ql, pl] if kind == "ordinary" else systems[pl, ql] for pl, ql in labels],
-            targets, kind, side, args.tolerance, labels, spec.magnitude ** 2)))
-    members = {label: [i for i, (lab, _) in enumerate(sets) if lab == label] for label in used}
+        fams = [multiplication_family(bset, kind) for bset in sets]
+        found[kind] = dict(zip(pairs, _factorize_table(sets, fams, sets, systems,
+                                                       np.eye(coideal.dim), args.tolerance)))
+    members = {label: [i for i, bset in enumerate(sets) if bset.corep.label == label]
+               for label in used}
     for rl, pl, ql in product(used, repeat=3):
         for t, i, k in product(members[rl], members[pl], members[ql]):
             for kind, reports_of in found.items():

@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import Element, HopfAlgebraSpec, LinearFunctional, _same_spec
 from .errors import (DecompositionStall, DimensionMismatch, NoF, NotIrreducible,
                      PositivityFailure)
-from .haar import solve_haar
+from .haar import positivity, solve_haar
 from .report import Report
 
 __all__ = [
@@ -411,10 +411,11 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray]
     ``gram`` must be Hermitian.
     """
     if blocks is None:
-        start = _gram_orthonormalize(np.eye(pi.dim, dtype=complex), gram)
-        if start.shape[1] != pi.dim:
-            raise PositivityFailure("invariant inner product is numerically singular")
-        blocks = [start]
+        _, min_eig, floor = positivity(gram)
+        if min_eig <= floor:
+            raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
+                                    f"positive definite (min eig {min_eig:.2e})")
+        blocks = [_gram_orthonormalize(np.eye(pi.dim, dtype=complex), gram)]
     ops = np.asarray(ops)
     bound = 1e-7 * pi.algebra.magnitude
 
@@ -448,7 +449,8 @@ def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0,
     and ``gram`` an invariant inner product making it unitary.  Returns pairs
     ``(subspace basis as (d, d_block) columns in the carrier, irreducible
     block corepresentation in a gram-orthonormal basis)``, sorted by block
-    dimension.  Deterministic: ``seed`` is accepted and unused.
+    dimension.  Deterministic: ``seed`` is accepted and unused.  Raises
+    ``PositivityFailure`` when ``gram`` is not positive definite.
     """
     gram = (gram + gram.conj().T) / 2.0
     blocks = [(basis, _restrict_corep(pi, basis, gram, label=f"{pi.label}|{basis.shape[1]}d"))

@@ -78,7 +78,7 @@ class GroupTable:
 
     def is_subgroup(self, indices: list[int] | tuple[int, ...]) -> bool:
         subset = set(int(i) for i in indices)
-        if 0 not in subset:
+        if 0 not in subset or not subset <= set(range(self.order)):
             return False
         return all(self.mul(a, b) in subset for a in subset for b in subset) and all(
             self.inverse(a) in subset for a in subset)

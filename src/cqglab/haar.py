@@ -202,13 +202,13 @@ def regular_unitarity_report(alg: HopfAlgebraSpec, grams: GramPair, tol: float =
     pairs, for the right regular coaction with the right Gram and the left
     regular coaction with the left Gram.
     """
-    from .regular import regular_coaction_tensor  # local import: no cycle at module load
+    from .regular import regular_carrier  # local import: no cycle at module load
 
     report = Report(f"regular unitarity [{alg.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
     for side in ("R", "L"):
         gram = grams.gram(side)
-        ct = regular_coaction_tensor(alg, side)  # ct[t, a, b]: pi(a_t) = sum a_a (x) a_b coeffs
+        ct = regular_carrier(alg, side).coact  # ct[t, a, b]: pi(a_t) = sum a_a (x) a_b coeffs
         lhs = np.einsum("ia,jat->ijt", gram, ct @ alg.antipode)
         rhs = np.einsum("iat,aj->ijt", np.conj(ct) @ alg.star, gram)
         report.add(f"unitarity {side}", float(np.abs(lhs - rhs).max()), t)

@@ -7,11 +7,11 @@ used with the left formalism; additionally required to be ``S^2``-invariant).
 The classical source of examples: functions on a finite group constant on
 right (resp. left) cosets of a subgroup.
 
-Everything downstream -- coactions, inner products, basis functions, tensor
-operators, Wigner-Eckart factorizations, operator products -- is the full
-machinery with the carrier restricted to ``B``.  Internally ``B`` carries an
-orthonormal basis for its restricted invariant inner product, so restricted
-operators are small ``b x b`` matrices.
+Everything downstream -- basis functions, tensor operators, Wigner-Eckart
+factorizations, operator products -- is the full machinery on ``B``'s
+:class:`cqglab.regular.Carrier`, in an orthonormal basis for the restricted
+invariant inner product: its Gram matrix is the identity and its operators are
+``b x b`` matrices.  This module keeps what is about ``B`` itself.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from .corep import Corepresentation, intertwiners
 from .errors import CoidealMismatch, NotASubgroup, PositivityFailure
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, positivity, solve_haar
-from .regular import canonical_basis_functions, regular_coaction_tensor
+from .regular import BasisFunctionSet, Carrier, canonical_basis_functions, regular_carrier
 from .report import Report
-from .tensor_ops import (_antipode_and_swap, _couple_operators, _multiplication_operators,
-                         _pipeline, operator_comodule)
-from .wigner_eckart import WEReport, _inner_product_tensor, factorize_tensor
+from .tensor_ops import TensorOperatorFamily, _antipode_and_swap, _pipeline, operator_comodule
 
 __all__ = [
     "CoidealSubalgebra",
@@ -39,16 +37,10 @@ __all__ = [
     "restricted_gram",
     "restricted_coaction_tensor",
     "restricted_coaction_report",
-    "RestrictedBasisFunctions",
     "solve_restricted_basis_functions",
     "canonical_restricted_candidates",
-    "RestrictedOperatorFamily",
     "check_restricted_family",
     "solve_restricted_family",
-    "restricted_multiplication_family",
-    "restricted_we_tensor",
-    "restricted_wigner_eckart",
-    "couple_restricted_families",
 ]
 
 
@@ -68,6 +60,7 @@ class CoidealSubalgebra:
     onb_rows: np.ndarray | None = None
     label: str = ""
     flags: dict = field(default_factory=dict)
+    _carrier: Carrier | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.span_rows, dtype=complex)
@@ -82,13 +75,18 @@ class CoidealSubalgebra:
         return self.span_rows.shape[0]
 
     def orthonormalize(self, grams: GramPair) -> None:
-        gram_b = restricted_gram(self, self.side, grams)
-        try:
-            chol = np.linalg.cholesky((gram_b + gram_b.conj().T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise PositivityFailure("restricted inner product is not positive definite"
-                                    ) from exc
+        gram_b = restricted_gram(self, self.side, grams)  # certified positive definite
+        chol = np.linalg.cholesky((gram_b + gram_b.conj().T) / 2.0)
         self.onb_rows = np.conj(np.linalg.inv(chol)) @ self.span_rows
+        self._carrier = None
+
+    def carrier(self, grams: GramPair) -> Carrier:
+        """``B`` as a carrier in its ONB, built once (orthonormalizing if needed)."""
+        if self._carrier is None:
+            coact = restricted_coaction_tensor(self, grams)
+            self._carrier = Carrier(self.algebra, self.side, coact,
+                                    restricted_product_tensor(self, grams))
+        return self._carrier
 
     def onb(self) -> np.ndarray:
         if self.onb_rows is None:
@@ -206,7 +204,7 @@ def restricted_coaction_tensor(coideal: CoidealSubalgebra, grams: GramPair,
     if coideal.onb_rows is None:
         coideal.orthonormalize(grams)
     onb = coideal.onb()
-    full = regular_coaction_tensor(alg, coideal.side)
+    full = regular_carrier(alg, coideal.side).coact
     gram_full = grams.gram(coideal.side)
     lifted = np.einsum("it,tac->iac", onb, full)
     coords = np.einsum("kb,ibc->ikc", np.conj(onb) @ gram_full, lifted)
@@ -222,7 +220,7 @@ def restricted_coaction_report(coideal: CoidealSubalgebra, grams: GramPair,
                                h: HaarFunctional, tol: float = 1e-10) -> Report:
     """Comodule axioms and two-sided Haar invariance of the restricted coaction."""
     alg = coideal.algebra
-    coact = restricted_coaction_tensor(coideal, grams)
+    coact = coideal.carrier(grams).coact
     report = Report(f"restricted coaction [{coideal.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
     b = coideal.dim
@@ -243,36 +241,13 @@ def restricted_coaction_report(coideal: CoidealSubalgebra, grams: GramPair,
 
 
 # ---------------------------------------------------------------------------
-# restricted basis functions
+# basis functions and tensor operators on B
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RestrictedBasisFunctions:
-    """``d`` elements of ``B`` transforming like the columns of an A-corep."""
-
-    corep: Corepresentation
-    coideal: CoidealSubalgebra
-    coords: np.ndarray  # (d, b) in the ONB of the coideal
-    label: str = ""
-
-    @property
-    def side(self) -> str:
-        return self.coideal.side
-
-    def embedded(self) -> np.ndarray:
-        return self.coideal.embed(self.coords)
-
-
-def restricted_basis_residual(bset: RestrictedBasisFunctions, coact: np.ndarray) -> float:
-    lhs = np.einsum("ji,ikc->jkc", bset.coords, coact)
-    rhs = np.einsum("kb,kjc->jbc", bset.coords, bset.corep.coeffs)
-    return float(np.abs(lhs - rhs).max())
-
 
 def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubalgebra,
                                      grams: GramPair, rcond: float = 1e-9
-                                     ) -> list[RestrictedBasisFunctions]:
-    """Basis of the space of restricted basis-function tuples for ``pi``.
+                                     ) -> list[BasisFunctionSet]:
+    """Basis of the space of basis-function tuples for ``pi`` on ``B``'s carrier.
 
     The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` makes
     the tuples ``Hom(pi, B)``, solved by :func:`cqglab.corep.intertwiners` with
@@ -281,18 +256,18 @@ def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubal
     unrestricted case).  Its dimension equals the multiplicity of ``pi`` in
     the comodule ``B``.
     """
-    coact = restricted_coaction_tensor(coideal, grams)
-    basis = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), solve_haar(coideal.algebra),
-                         rcond)
-    return [RestrictedBasisFunctions(pi, coideal, phi.T,
-                                     label=f"res{idx}[{pi.label}|{coideal.label}]")
+    carrier = coideal.carrier(grams)
+    basis = intertwiners(pi.coeffs, carrier.coact.transpose(1, 0, 2),
+                         solve_haar(coideal.algebra), rcond)
+    return [BasisFunctionSet(pi, coideal.side, phi.T,
+                             label=f"res{idx}[{pi.label}|{coideal.label}]", carrier=carrier)
             for idx, phi in enumerate(basis)]
 
 
 def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalgebra,
                                     grams: GramPair, tol: float = 1e-9
-                                    ) -> list[RestrictedBasisFunctions]:
-    """Canonical row/column sets whose entries happen to lie in ``B``.
+                                    ) -> list[BasisFunctionSet]:
+    """Canonical row/column sets whose entries happen to lie in ``B``, on its carrier.
 
     Side "R": rows ``pi_l.`` with every entry in ``B``; side "L":
     ``S^{-2}(pi^*_{. l})`` columns, requiring the corep entries in ``B``.
@@ -302,36 +277,17 @@ def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalg
         funcs = canonical_basis_functions(pi, coideal.side, ell).functions
         if all(coideal.contains(funcs[j], tol) for j in range(pi.dim)):
             coords = np.array([coideal.restrict(funcs[j], grams) for j in range(pi.dim)])
-            out.append(RestrictedBasisFunctions(
-                pi, coideal, coords, label=f"canon{ell}[{pi.label}|{coideal.label}]"))
+            out.append(BasisFunctionSet(
+                pi, coideal.side, coords, label=f"canon{ell}[{pi.label}|{coideal.label}]",
+                carrier=coideal.carrier(grams)))
     return out
 
 
-# ---------------------------------------------------------------------------
-# restricted tensor operators
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RestrictedOperatorFamily:
-    """``d`` operators on ``B`` transforming like the columns of an A-corep."""
-
-    corep: Corepresentation
-    coideal: CoidealSubalgebra
-    kind: str
-    operators: np.ndarray  # (d, b, b) in the ONB of the coideal
-    residual: float | None = None
-    label: str = ""
-
-    @property
-    def side(self) -> str:
-        return self.coideal.side
-
-
-def check_restricted_family(fam: RestrictedOperatorFamily, coact: np.ndarray) -> float:
-    """Max defining-condition residual of a restricted family, returned raw for the
-    caller to compare with its own tolerance."""
-    alg = fam.coideal.algebra
-    lhs = _pipeline(coact, alg, fam.operators, *_antipode_and_swap(alg, fam.kind))
+def check_restricted_family(fam: TensorOperatorFamily) -> float:
+    """Max defining-condition residual of a family on ``B`` by the structure maps (``B``
+    has no structure-constant route), returned raw for the caller's tolerance."""
+    alg = fam.algebra
+    lhs = _pipeline(fam.carrier.coact, alg, fam.operators, *_antipode_and_swap(alg, fam.kind))
     rhs = np.einsum("kat,kjm->jmat", fam.operators, fam.corep.coeffs)
     res = float(np.abs(lhs - rhs).max())
     fam.residual = res
@@ -340,19 +296,19 @@ def check_restricted_family(fam: RestrictedOperatorFamily, coact: np.ndarray) ->
 
 def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra,
                             grams: GramPair, kind: str, rcond: float = 1e-9
-                            ) -> list[RestrictedOperatorFamily]:
-    """Basis of the restricted-family solution space for one variant.
+                            ) -> list[TensorOperatorFamily]:
+    """Basis of the space of families on ``B``'s carrier for one variant.
 
     The families are ``Hom(pi, End(B))`` for the restricted operator comodule,
     solved by :func:`cqglab.corep.intertwiners`.
     """
     alg = coideal.algebra
-    coact = restricted_coaction_tensor(coideal, grams)
+    carrier = coideal.carrier(grams)
     b, d = coideal.dim, pi.dim
-    basis = intertwiners(pi.coeffs, operator_comodule(coact, alg, kind), solve_haar(alg),
-                         rcond)
-    return [RestrictedOperatorFamily(pi, coideal, kind, phi.T.reshape(d, b, b),
-                                     label=f"res-sol{idx}[{pi.label}]")
+    basis = intertwiners(pi.coeffs, operator_comodule(carrier.coact, alg, kind),
+                         solve_haar(alg), rcond)
+    return [TensorOperatorFamily(pi, kind, coideal.side, phi.T.reshape(d, b, b),
+                                 label=f"res-sol{idx}[{pi.label}]", carrier=carrier)
             for idx, phi in enumerate(basis)]
 
 
@@ -368,50 +324,3 @@ def restricted_product_tensor(coideal: CoidealSubalgebra, grams: GramPair,
     if float(np.abs(rebuilt - products).max()) > tol * alg.magnitude:
         raise CoidealMismatch("products escape the subalgebra; not closed")
     return coords
-
-
-def restricted_multiplication_family(bset: RestrictedBasisFunctions, kind: str,
-                                     grams: GramPair, label: str = ""
-                                     ) -> RestrictedOperatorFamily:
-    """Multiplication by restricted basis functions, from the variant's side."""
-    coideal = bset.coideal
-    ops = _multiplication_operators(bset.coords, restricted_product_tensor(coideal, grams),
-                                    kind, coideal.side)
-    return RestrictedOperatorFamily(bset.corep, coideal, kind, ops,
-                                    label=label or f"mult[{bset.label}]")
-
-
-def restricted_we_tensor(psis: RestrictedBasisFunctions, fam: RestrictedOperatorFamily,
-                         phis: RestrictedBasisFunctions) -> np.ndarray:
-    """Inner products ``(psi_l, Q_k(phi_j))`` in the restricted inner product.
-
-    All coordinates are in the coideal's ONB, so the Gram matrix is the
-    identity there.
-    """
-    return _inner_product_tensor(psis.coords, fam.operators, phis.coords,
-                                 np.eye(fam.coideal.dim))
-
-
-def restricted_wigner_eckart(psis: RestrictedBasisFunctions,
-                             fam: RestrictedOperatorFamily,
-                             phis: RestrictedBasisFunctions,
-                             system, f_r: np.ndarray, tol: float = 1e-9) -> WEReport:
-    """Wigner-Eckart factorization with all data restricted to ``B``."""
-    tensor = restricted_we_tensor(psis, fam, phis)
-    return factorize_tensor(
-        tensor, system, psis.corep.label, f_r, fam.kind, fam.side, tol,
-        labels=(phis.corep.label, fam.corep.label, psis.corep.label),
-        scale=fam.coideal.algebra.magnitude ** 2)
-
-
-def couple_restricted_families(fam_p: RestrictedOperatorFamily,
-                               fam_q: RestrictedOperatorFamily,
-                               system, table) -> dict[tuple[str, int],
-                                                      RestrictedOperatorFamily]:
-    """CG-couple two restricted families of the same variant and side."""
-    if fam_p.coideal is not fam_q.coideal:
-        raise ValueError("families must live on the same coideal subalgebra")
-    return {(r_lab, alpha): RestrictedOperatorFamily(
-                table[r_lab], fam_p.coideal, fam_p.kind, ops,
-                label=f"({fam_p.label})({fam_q.label})->{r_lab},{alpha}")
-            for (r_lab, alpha), ops in _couple_operators(fam_p, fam_q, system, table).items()}

@@ -5,8 +5,11 @@ Both regular coactions are right coactions with carrier ``A``:
 * right: ``a -> coproduct(a)``, legs ``a_(1) (x) a_(2)``;
 * left:  ``a -> swap((S (x) id) coproduct(a))``, legs ``a_(2) (x) S(a_(1))``.
 
-A set of basis functions for a corepresentation ``pi`` of dimension ``d`` is a
-``(d, n)`` array of elements ``psi_j`` with
+A :class:`Carrier` is a comodule algebra under one of them: the whole algebra
+(:func:`regular_carrier`), or a coideal subalgebra ``B`` in its orthonormal
+basis (:meth:`cqglab.homspace.CoidealSubalgebra.carrier`).  A set of basis
+functions for a corepresentation ``pi`` of dimension ``d`` is a ``(d, c)``
+array of elements ``psi_j`` of a carrier of dimension ``c`` with
 ``coaction(psi_j) = sum_k psi_k (x) pi_kj``.
 """
 
@@ -23,6 +26,8 @@ from .haar import GramPair
 from .report import Report
 
 __all__ = [
+    "Carrier",
+    "regular_carrier",
     "regular_coaction_tensor",
     "regular_corep",
     "regular_coaction",
@@ -49,9 +54,35 @@ def regular_coaction_tensor(alg: HopfAlgebraSpec, side: str) -> np.ndarray:
     raise ValueError(f"side must be 'R' or 'L', got {side!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class Carrier:
+    """The comodule algebra that basis functions and operators live on: the coaction
+    ``e_t -> sum coact[t, a, b] e_a (x) a_b`` (second leg in A) and the product
+    ``e_i e_j = sum_k product[i, j, k] e_k``, in the carrier's basis ``e``."""
+
+    algebra: HopfAlgebraSpec
+    side: str
+    coact: np.ndarray
+    product: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.coact.shape[0]
+
+
+def regular_carrier(alg: HopfAlgebraSpec, side: str) -> Carrier:
+    """The whole algebra under the side's regular coaction, built once per side."""
+    carrier = alg._regular_carriers.get(side)
+    if carrier is None:
+        coact = regular_coaction_tensor(alg, side)
+        coact.setflags(write=False)
+        carrier = alg._regular_carriers[side] = Carrier(alg, side, coact, alg.mult)
+    return carrier
+
+
 def regular_corep(alg: HopfAlgebraSpec, side: str) -> Corepresentation:
     """The regular comodule in matrix-coefficient form (an ``n``-dim corep)."""
-    tensor = regular_coaction_tensor(alg, side)
+    tensor = regular_carrier(alg, side).coact
     # pi(a_j) = sum_k a_k (x) pi_kj, so pi_kj has coefficients tensor[j, k, :]
     coeffs = tensor.transpose(1, 0, 2).copy()
     return Corepresentation(alg, coeffs, label=f"regular-{side}[{alg.label}]")
@@ -61,7 +92,7 @@ def regular_coaction(side: str, x):
     """Apply the regular coaction to an element, returning a TensorElement."""
     from .algebra import TensorElement
     alg = x.algebra
-    tensor = regular_coaction_tensor(alg, side)
+    tensor = regular_carrier(alg, side).coact
     return TensorElement(alg, np.einsum("t,tab->ab", x.coeffs, tensor))
 
 
@@ -75,7 +106,7 @@ def regular_invariance_report(alg: HopfAlgebraSpec, h: LinearFunctional,
     t = tol * alg.magnitude
     cov = h.covector
     for side in ("R", "L"):
-        tensor = regular_coaction_tensor(alg, side)
+        tensor = regular_carrier(alg, side).coact
         first = np.einsum("tab,a->tb", tensor, cov)
         second = np.einsum("tab,b->ta", tensor, cov)
         want = np.outer(cov, alg.unit)
@@ -86,18 +117,20 @@ def regular_invariance_report(alg: HopfAlgebraSpec, h: LinearFunctional,
 
 @dataclass
 class BasisFunctionSet:
-    """``d`` elements transforming like the columns of ``pi`` under a regular coaction."""
+    """``d`` elements of a carrier (default: the regular one) transforming like ``pi``."""
 
     corep: Corepresentation
     side: str
-    functions: np.ndarray  # (d, n): row j = coefficients of psi_j
+    functions: np.ndarray  # (d, c): row j = carrier coordinates of psi_j
     label: str = ""
+    carrier: Carrier | None = None
 
     def __post_init__(self) -> None:
+        self.carrier = _carrier_of(self.corep, self.side, self.carrier)
         arr = np.asarray(self.functions, dtype=complex)
-        if arr.shape != (self.corep.dim, self.corep.algebra.dim):
+        if arr.shape != (self.corep.dim, self.carrier.dim):
             raise ValueError(
-                f"basis-function array must be ({self.corep.dim}, {self.corep.algebra.dim})")
+                f"basis-function array must be ({self.corep.dim}, {self.carrier.dim})")
         self.functions = arr
 
     @property
@@ -105,11 +138,18 @@ class BasisFunctionSet:
         return self.corep.algebra
 
 
+def _carrier_of(corep: Corepresentation, side: str, carrier: Carrier | None) -> Carrier:
+    """``carrier`` (default: the regular one), checked against the corep and ``side``."""
+    carrier = carrier or regular_carrier(corep.algebra, side)
+    if carrier.algebra is not corep.algebra or carrier.side != side:
+        raise ValueError(f"carrier ({carrier.side}) does not match the corep's algebra "
+                         f"and side {side!r}")
+    return carrier
+
+
 def check_basis_functions(bset: BasisFunctionSet, tol: float = 1e-9) -> float:
     """Max residual of the defining relation over the set."""
-    alg = bset.algebra
-    tensor = regular_coaction_tensor(alg, bset.side)
-    lhs = np.einsum("jt,tab->jab", bset.functions, tensor)
+    lhs = np.einsum("jt,tab->jab", bset.functions, bset.carrier.coact)
     rhs = np.einsum("ka,kjb->jab", bset.functions, bset.corep.coeffs)
     return float(np.abs(lhs - rhs).max())
 
@@ -187,7 +227,7 @@ def _projection_stack(alg: HopfAlgebraSpec, rows: np.ndarray, dims: np.ndarray, 
     elif ordering != "standard":
         raise ValueError(f"unknown ordering {ordering!r}")
     weights = dims[:, None] * (np.conj(rows) @ alg.star @ pair)
-    return np.tensordot(weights, regular_coaction_tensor(alg, side),
+    return np.tensordot(weights, regular_carrier(alg, side).coact,
                         axes=(1, 2)).transpose(0, 2, 1)
 
 
@@ -305,7 +345,7 @@ def product_coaction_check(alg: HopfAlgebraSpec, side: str, tol: float = 1e-10,
     ``twist`` overrides the rule applied (for the negative diagnostic showing
     the untwisted rule fails for the left coaction on a noncommutative spec).
     """
-    tensor = regular_coaction_tensor(alg, side)
+    tensor = regular_carrier(alg, side).coact
     m = alg.mult
     applied = twist if twist is not None else ("plain" if side == "R" else "twisted")
     if applied not in ("plain", "twisted"):
@@ -334,7 +374,7 @@ def dual_action_crosscheck(alg: HopfAlgebraSpec, tol: float = 1e-12) -> Report:
     report = Report(f"dual regular actions [{alg.label}]", meta={"tol": tol})
     t = tol * max(alg.magnitude, dual.magnitude) ** 2
     for side in ("R", "L"):
-        tensor = regular_coaction_tensor(alg, side)
+        tensor = regular_carrier(alg, side).coact
         # action of the m-th dual basis functional: ev against the second leg
         action_eval = np.einsum("tam->mat", tensor)  # act[m][:, t] = tensor[t, :, m]
         if side == "R":

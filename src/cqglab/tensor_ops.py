@@ -18,6 +18,8 @@ Each variant equivalently defines a right coaction on operator space,
 ("maps") and by closed structure-constant contractions ("constants"); the two
 routes must agree, and that agreement is checked wherever families are
 certified.
+Operators live on a :class:`cqglab.regular.Carrier`, the whole algebra by
+default; only there do the constants route and the Heisenberg double apply.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .algebra import HopfAlgebraSpec
 from .corep import Corepresentation, _phase_fixed, intertwiners
 from .errors import DecompositionStall
 from .haar import solve_haar
-from .regular import BasisFunctionSet, regular_coaction_tensor
+from .regular import BasisFunctionSet, Carrier, _carrier_of, regular_carrier
 from .report import Report
 
 __all__ = [
@@ -126,7 +128,7 @@ def _coaction_stack(alg: HopfAlgebraSpec, q_ops: np.ndarray, kind: str, side: st
     """:func:`operator_coaction_components` of a stack ``q_ops[k]``: ``out[k, m, a, t]``."""
     kind, side = _variant_key(kind, side)
     if route == "maps":
-        return _pipeline(regular_coaction_tensor(alg, side), alg, q_ops,
+        return _pipeline(regular_carrier(alg, side).coact, alg, q_ops,
                          *_antipode_and_swap(alg, kind))
     if route != "constants":
         raise ValueError(f"unknown route {route!r}")
@@ -203,22 +205,24 @@ def coaction_on_operator(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str, side
 
 @dataclass
 class TensorOperatorFamily:
-    """``d`` operators transforming like the columns of ``pi``."""
+    """``d`` operators on a carrier (default: the regular one) transforming like ``pi``."""
 
     corep: Corepresentation
     kind: str
     side: str
-    operators: np.ndarray  # (d, n, n)
+    operators: np.ndarray  # (d, c, c) in carrier coordinates
     residual: float | None = None
     label: str = ""
+    carrier: Carrier | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.operators, dtype=complex)
-        n = self.corep.algebra.dim
-        if arr.shape != (self.corep.dim, n, n):
-            raise ValueError(f"operator stack must be ({self.corep.dim}, {n}, {n})")
-        self.operators = arr
         _variant_key(self.kind, self.side)
+        self.carrier = _carrier_of(self.corep, self.side, self.carrier)
+        arr = np.asarray(self.operators, dtype=complex)
+        c = self.carrier.dim
+        if arr.shape != (self.corep.dim, c, c):
+            raise ValueError(f"operator stack must be ({self.corep.dim}, {c}, {c})")
+        self.operators = arr
 
     @property
     def algebra(self) -> HopfAlgebraSpec:
@@ -229,7 +233,8 @@ class TensorOperatorFamily:
 
     def scaled(self, factor: complex) -> "TensorOperatorFamily":
         return TensorOperatorFamily(self.corep, self.kind, self.side,
-                                    factor * self.operators, label=self.label)
+                                    factor * self.operators, label=self.label,
+                                    carrier=self.carrier)
 
 
 def check_family(fam: TensorOperatorFamily, kind: str | None = None,
@@ -240,8 +245,10 @@ def check_family(fam: TensorOperatorFamily, kind: str | None = None,
     ``kind``/``side`` override the variant being tested, so a family built
     for one variant can be checked against another (the distinctness
     diagnostics rely on this).  Sets ``fam.residual`` when testing the
-    family's own variant.
+    family's own variant.  Families on a coideal use ``check_restricted_family``.
     """
+    if fam.carrier is not regular_carrier(fam.algebra, fam.side):
+        raise ValueError("check_family needs a family on the whole algebra")
     kind = kind or fam.kind
     side = side or fam.side
     rhs = np.tensordot(fam.corep.coeffs, fam.operators, axes=(0, 0))   # [j, m, a, t]
@@ -266,18 +273,17 @@ def multiplication_family(bset: BasisFunctionSet, kind: str,
     """Multiplication by basis functions, from the side the variant dictates.
 
     ordinary-R and twisted-L multiply from the left; twisted-R and ordinary-L
-    from the right.  The set's side fixes the family's side.
+    from the right.  The set's carrier and side fix the family's.
     """
-    ops = _multiplication_operators(bset.functions, bset.algebra.mult, kind, bset.side)
+    ops = _multiplication_operators(bset.functions, bset.carrier.product, kind, bset.side)
     return TensorOperatorFamily(bset.corep, kind, bset.side, ops,
-                                label=label or f"mult[{bset.label}]")
+                                label=label or f"mult[{bset.label}]", carrier=bset.carrier)
 
 
 def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, kind: str,
                               side: str) -> np.ndarray:
-    """Multiplication by each row of ``coords`` under the product tensor ``mult``
-    (the algebra's or a carrier's), from the side :func:`multiplication_family` names."""
-    _variant_key(kind, side)
+    """Multiplication by each row of ``coords`` under the product tensor ``mult``,
+    from the side :func:`multiplication_family` names."""
     if (kind == "ordinary") == (side == "R"):
         return np.einsum("ju,utA->jAt", coords, mult)
     return np.einsum("ju,tuA->jAt", coords, mult)
@@ -302,7 +308,7 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str,
     _variant_key(kind, side)
     alg = pi.algebra
     n, d = alg.dim, pi.dim
-    coact = regular_coaction_tensor(alg, side)
+    coact = regular_carrier(alg, side).coact
     sets = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), solve_haar(alg), rcond)
     if not sets:
         return []
@@ -347,12 +353,11 @@ def apply_family_to_basis_functions(fam: TensorOperatorFamily, phis: BasisFuncti
     Ordinary families transform with coefficients ``M(pi^q_tk (x) pi^p_sj)``,
     twisted families with the reversed product.
     """
-    if phis.side != fam.side:
-        raise ValueError("family and basis functions live on different sides")
+    if phis.carrier is not fam.carrier:
+        raise ValueError("family and basis functions live on different carriers")
     alg = fam.algebra
-    coact = regular_coaction_tensor(alg, fam.side)
     acted = np.einsum("kab,jb->kja", fam.operators, phis.functions)  # Q_k(phi_j)
-    lhs = np.einsum("kjt,tab->kjab", acted, coact)
+    lhs = np.einsum("kjt,tab->kjab", acted, fam.carrier.coact)
     m_axis = 0 if fam.kind == "ordinary" else 1
     weights = np.tensordot(np.tensordot(fam.corep.coeffs, alg.mult, axes=(2, m_axis)),
                            phis.corep.coeffs, axes=(2, 2))  # [t, k, b, s, j]
@@ -386,18 +391,10 @@ def couple_families(fam_p: TensorOperatorFamily, fam_q: TensorOperatorFamily,
 
     Ordinary coupling contracts ``Q^p_j Q^q_k`` with the ``(p, q)`` CG
     coefficients; twisted coupling with the ``(q, p)`` coefficients at pair
-    index ``(k, j)``.
+    index ``(k, j)``.  Both families must live on one carrier.
     """
-    return {(r_lab, alpha): TensorOperatorFamily(
-                table[r_lab], fam_p.kind, fam_p.side, ops,
-                label=f"({fam_p.label})({fam_q.label})->{r_lab},{alpha}")
-            for (r_lab, alpha), ops in _couple_operators(fam_p, fam_q, system, table).items()}
-
-
-def _couple_operators(fam_p, fam_q, system, table) -> dict[tuple[str, int], np.ndarray]:
-    """Coupled operator stacks of two families of one variant, full or restricted."""
-    if (fam_p.kind, fam_p.side) != (fam_q.kind, fam_q.side):
-        raise ValueError("families must share kind and side")
+    if fam_p.kind != fam_q.kind or fam_p.carrier is not fam_q.carrier:
+        raise ValueError("families must share kind and carrier")
     d_p, d_q = fam_p.corep.dim, fam_q.corep.dim
     if fam_p.kind == "ordinary":
         if (system.d_p, system.d_q) != (d_p, d_q):
@@ -409,7 +406,11 @@ def _couple_operators(fam_p, fam_q, system, table) -> dict[tuple[str, int], np.n
         pair = "kj"
     # Q^p_j Q^q_k, indexed in the system's factor order
     composed = np.einsum(f"jab,kbc->{pair}ac", fam_p.operators, fam_q.operators)
-    return system.couple(composed, table)
+    return {(r_lab, alpha): TensorOperatorFamily(
+                table[r_lab], fam_p.kind, fam_p.side, ops,
+                label=f"({fam_p.label})({fam_q.label})->{r_lab},{alpha}",
+                carrier=fam_p.carrier)
+            for (r_lab, alpha), ops in system.couple(composed, table).items()}
 
 
 def excluded_substitution_residual(alg: HopfAlgebraSpec, which: str) -> float:
@@ -427,6 +428,6 @@ def excluded_substitution_residual(alg: HopfAlgebraSpec, which: str) -> float:
     else:
         raise ValueError(f"unknown substitution {which!r}")
     n = alg.dim
-    out = _pipeline(regular_coaction_tensor(alg, "R"), alg, np.eye(n)[None], spow, swapped)[0]
+    out = _pipeline(regular_carrier(alg, "R").coact, alg, np.eye(n)[None], spow, swapped)[0]
     expected = np.einsum("At,M->MAt", np.eye(n), alg.unit)
     return float(np.abs(out - expected).max())

@@ -15,21 +15,22 @@ exact, and a least-squares extraction is kept alongside as a diagnostic.
 One engine factorizes the pairs ``(p, q)`` of one kind against a stack of
 targets r in batched contractions, each pair read off its own ``C`` and
 ``C^{-1}``; the per-triple functions call it with a single pair and target.
+All inputs of one call live on one carrier, A or a coideal B, whose Gram
+matrix is passed (the identity in B's orthonormal basis).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .cg import CGSystem, _padded_blocks
-from .corep import Corepresentation
 from .regular import BasisFunctionSet
 from .tensor_ops import TensorOperatorFamily
 
-__all__ = ["WEReport", "we_tensor", "reduced_elements", "factorize_tensor",
-           "verify_wigner_eckart"]
+__all__ = ["WEReport", "we_tensor", "verify_wigner_eckart"]
 
 
 @dataclass
@@ -75,9 +76,9 @@ def _inner_product_tensor(psis: np.ndarray, ops: np.ndarray, phis: np.ndarray,
 
 def we_tensor(psis: BasisFunctionSet, fam: TensorOperatorFamily,
               phis: BasisFunctionSet, gram: np.ndarray) -> np.ndarray:
-    """All inner products ``(psi_l, Q_k(phi_j))`` in the side's inner product."""
-    if not (psis.side == fam.side == phis.side):
-        raise ValueError("basis sets and family must share one regular side")
+    """All inner products ``(psi_l, Q_k(phi_j))`` in the carrier's inner product."""
+    if not (psis.carrier is fam.carrier is phis.carrier):
+        raise ValueError("basis sets and family must share one carrier")
     return _inner_product_tensor(psis.functions, fam.operators, phis.functions, gram)
 
 
@@ -93,29 +94,6 @@ def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
             f"CG system ({system.p_label}, {system.q_label}) does not match a "
             f"{kind} tensor of factor dimensions {tensor.shape[1:]}")
     return pairs.reshape(len(pairs), -1)
-
-
-def reduced_elements(tensor: np.ndarray, system: CGSystem, r_label: str,
-                     f_r: np.ndarray, kind: str) -> np.ndarray:
-    """Closed-form reduced matrix elements from the inner-product tensor.
-
-    For ordinary families ``system`` must be the ``(q, p)`` one; for twisted
-    families the ``(p, q)`` one.  Returns one value per multiplicity index
-    (empty when the fusion multiplicity vanishes).
-    """
-    return _factorize_targets([tensor], [system], [(r_label, f_r)], kind, "", 0.0,
-                              [("", "")])[0][0].reduced
-
-
-def factorize_tensor(tensor: np.ndarray, system: CGSystem, r_label: str,
-                     f_r: np.ndarray, kind: str, side: str, tol: float,
-                     labels: tuple[str, str, str], scale: float = 1.0) -> WEReport:
-    """Factorization engine shared by the full and restricted theorems."""
-    p_label, q_label, r_lab = labels
-    report = _factorize_targets([tensor], [system], [(r_label, f_r)], kind, side, tol,
-                                [(p_label, q_label)], scale)[0][0]
-    report.r_label = r_lab
-    return report
 
 
 def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
@@ -189,9 +167,39 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     a noncommutative spec.  A least-squares extraction of the reduced elements
     cross-checks the closed formula.
     """
-    r_corep: Corepresentation = psis.corep
     tensor = we_tensor(psis, fam, phis, gram)
-    return factorize_tensor(
-        tensor, system, r_corep.label, f_r, fam.kind, fam.side, tol,
-        labels=(phis.corep.label, fam.corep.label, r_corep.label),
-        scale=fam.algebra.magnitude ** 2)
+    return _factorize_targets([tensor], [system], [(psis.corep.label, f_r)], fam.kind,
+                              fam.side, tol, [(phis.corep.label, fam.corep.label)],
+                              fam.algebra.magnitude ** 2)[0][0]
+
+
+def _stacked_slices(dims: list[int]) -> list[slice]:
+    """The rows of each block when blocks of these dimensions are stacked in order."""
+    ends = np.cumsum(dims, dtype=int).tolist()
+    return [slice(end - dim, end) for dim, end in zip(dims, ends)]
+
+
+def _factorize_table(psis: list[BasisFunctionSet], fams: list[TensorOperatorFamily],
+                     phis: list[BasisFunctionSet], systems: dict[tuple[str, str], CGSystem],
+                     gram: np.ndarray, tol: float) -> list[list[WEReport]]:
+    """:func:`verify_wigner_eckart` of every target ``psis[t]``, family ``fams[k]``
+    and source ``phis[i]``, all on one carrier, the families of one kind.
+
+    ``systems`` holds the CG systems keyed by label pair: ``(q, p)`` for
+    ordinary families, ``(p, q)`` for twisted ones.  Returns, for each
+    ``(i, k)`` in source-major order, one report per target.  The inner
+    products of every target, operator and source come from one contraction.
+    """
+    kind, side = fams[0].kind, fams[0].side
+    tensor = _inner_product_tensor(np.concatenate([bset.functions for bset in psis]),
+                                   np.concatenate([fam.operators for fam in fams]),
+                                   np.concatenate([bset.functions for bset in phis]), gram)
+    src_rows = _stacked_slices([bset.corep.dim for bset in phis])
+    fam_rows = _stacked_slices([fam.corep.dim for fam in fams])
+    pairs = list(product(range(len(phis)), range(len(fams))))
+    labels = [(phis[i].corep.label, fams[k].corep.label) for i, k in pairs]
+    return _factorize_targets(
+        [tensor[:, fam_rows[k], src_rows[i]] for i, k in pairs],
+        [systems[ql, pl] if kind == "ordinary" else systems[pl, ql] for pl, ql in labels],
+        [(bset.corep.label, bset.corep.F) for bset in psis], kind, side, tol, labels,
+        fams[0].algebra.magnitude ** 2)

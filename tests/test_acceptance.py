@@ -23,13 +23,10 @@ from cqglab.cg import character, tensor_product, verify_triple_haar
 from cqglab.corep import identity_corep
 from cqglab.groups import symmetric_group_3
 from cqglab.haar import verify_haar_lemmas
-from cqglab.homspace import (build_coset_subalgebra, couple_restricted_families,
-                             restricted_coaction_tensor, check_restricted_family,
-                             restricted_multiplication_family, restricted_wigner_eckart,
-                             solve_restricted_basis_functions, subspace_coideal,
-                             RestrictedBasisFunctions)
-from cqglab.regular import canonical_basis_functions, projection_operator, \
-    verify_projection_identities
+from cqglab.homspace import (build_coset_subalgebra, check_restricted_family,
+                             solve_restricted_basis_functions, subspace_coideal)
+from cqglab.regular import BasisFunctionSet, canonical_basis_functions, \
+    projection_operator, verify_projection_identities
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, check_family,
                                couple_families, multiplication_family,
                                solve_family_space)
@@ -270,15 +267,13 @@ def test_criterion_09_operator_products(contexts, cs3_fun):
     for side in ("L", "R"):
         coideal = build_coset_subalgebra(s3, cs3_fun.algebra, [0, 1], side)
         coideal.orthonormalize(cs3_fun.grams)
-        coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
         sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal,
                                                 cs3_fun.grams)
         for kind in ("ordinary", "twisted"):
-            fam = restricted_multiplication_family(sets[0], kind, cs3_fun.grams)
+            fam = multiplication_family(sets[0], kind)
             system = cs3_fun.cg("p2", "p2")
-            for key, cf in couple_restricted_families(fam, fam, system,
-                                                      cs3_fun.table).items():
-                res = check_restricted_family(cf, coact)
+            for key, cf in couple_families(fam, fam, system, cs3_fun.table).items():
+                res = check_restricted_family(cf)
                 worst = max(worst, res)
                 assert res <= 1e-10, (side, kind, key)
     _announce(9, worst <= 1e-10,
@@ -301,10 +296,9 @@ def test_criterion_10_homogeneous_spaces(cs3_fun):
         assert [dims["p0"], dims["p1"], dims["p2"]] == [1, 0, 1]
         std_set = sols["p2"][0]
         for kind in ("ordinary", "twisted"):
-            fam = restricted_multiplication_family(std_set, kind, cs3_fun.grams)
-            rep = restricted_wigner_eckart(std_set, fam, std_set,
-                                           cs3_fun.cg("p2", "p2"),
-                                           cs3_fun.table["p2"].F, 1e-9)
+            fam = multiplication_family(std_set, kind)
+            rep = verify_wigner_eckart(std_set, fam, std_set, cs3_fun.cg("p2", "p2"),
+                                       cs3_fun.table["p2"].F, np.eye(coideal.dim), 1e-9)
             assert rep.passed
             worst_we = max(worst_we, rep.residual)
 
@@ -323,13 +317,14 @@ def test_criterion_10_homogeneous_spaces(cs3_fun):
                        system, std.F, cs3_fun.grams.gram(side))
 
         def to_b(fs):
-            return RestrictedBasisFunctions(
-                std, coideal,
-                np.array([coideal.restrict(f, cs3_fun.grams) for f in fs.functions]))
+            return BasisFunctionSet(
+                std, side,
+                np.array([coideal.restrict(f, cs3_fun.grams) for f in fs.functions]),
+                carrier=coideal.carrier(cs3_fun.grams))
 
-        fam_b = restricted_multiplication_family(to_b(qset), "ordinary", cs3_fun.grams)
-        res = restricted_wigner_eckart(to_b(phis), fam_b, to_b(phis), system,
-                                       std.F, 1e-9)
+        fam_b = multiplication_family(to_b(qset), "ordinary")
+        res = verify_wigner_eckart(to_b(phis), fam_b, to_b(phis), system, std.F,
+                                   np.eye(coideal.dim), 1e-9)
         gap = max(gap, float(np.abs(full.tensor - res.tensor).max()),
                   float(np.abs(full.reduced - res.reduced).max()))
     _announce(10, worst_we <= 1e-9 and gap <= 1e-12,

@@ -20,8 +20,7 @@ import pytest
 from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
 from cqglab.errors import LinearDependenceWarning
 from cqglab.groups import symmetric_group_3
-from cqglab.homspace import (RestrictedOperatorFamily, build_coset_subalgebra,
-                             couple_restricted_families, subspace_coideal)
+from cqglab.homspace import build_coset_subalgebra, subspace_coideal
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import TensorOperatorFamily, couple_families
 
@@ -155,20 +154,20 @@ def _coideal(ctx, label, side):
 def test_couple_restricted_families_match_loop_oracle(cg_contexts, label, kind, side):
     ctx = cg_contexts[label]
     table = ctx.table
-    coideal = _coideal(ctx, label, side)
-    b = coideal.dim
+    carrier = _coideal(ctx, label, side).carrier(ctx.grams)
+    b = carrier.dim
     rng = np.random.default_rng(13)
     for p, q in ordered_pairs(ctx):
-        fam_p = RestrictedOperatorFamily(table[p], coideal, kind,
-                                         random_stack(rng, table[p].dim, b, b))
-        fam_q = RestrictedOperatorFamily(table[q], coideal, kind,
-                                         random_stack(rng, table[q].dim, b, b))
+        fam_p = TensorOperatorFamily(table[p], kind, side,
+                                     random_stack(rng, table[p].dim, b, b), carrier=carrier)
+        fam_q = TensorOperatorFamily(table[q], kind, side,
+                                     random_stack(rng, table[q].dim, b, b), carrier=carrier)
         system = ctx.cg(p, q) if kind == "ordinary" else ctx.cg(q, p)
         composed = np.einsum("jab,kbc->jkac", fam_p.operators, fam_q.operators)
         want = loop_couple(system, composed, table, swap=kind == "twisted")
-        got = couple_restricted_families(fam_p, fam_q, system, table)
+        got = couple_families(fam_p, fam_q, system, table)
         assert_same_coupling({key: fam.operators for key, fam in got.items()}, want)
-        assert all(fam.coideal is coideal and fam.kind == kind for fam in got.values())
+        assert all(fam.carrier is carrier and fam.kind == kind for fam in got.values())
 
 
 @pytest.mark.parametrize("label", ALGEBRAS)

@@ -207,6 +207,22 @@ def test_homspace_rejects_group_algebras(s3_files, source):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("cg", "--builtin", "C(S3)", "--p", "p9"),
+    ("wigner-eckart", "--builtin", "C(S3)", "--r", "7"),
+    ("tensor-ops", "--builtin", "C(S3)", "--q", "nope"),
+    ("homspace", "--builtin", "C(S3)", "--subgroup", "x"),
+    ("homspace", "--builtin", "C(S3)", "--subgroup", "0,99"),
+    ("homspace", "--builtin", "C(Z2)", "--subgroup", "0,1,-1"),
+], ids=["cg-label", "we-index", "tensor-ops-label", "subgroup-text", "subgroup-99",
+        "subgroup-negative"])
+def test_bad_label_or_subgroup_is_a_usage_error(capsys, argv):
+    """An unknown irrep label or a malformed subgroup exits 2 with an ``error:`` line."""
+    assert cli.main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_homspace_reads_the_group_file_once(tmp_path, s3_files, monkeypatch):
     """One read and validation of ``--group`` builds C(G) and gives the cosets."""
     calls, load = [], cio.load_group
@@ -274,14 +290,15 @@ def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
 
 
 def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):
-    calls, factorize = [], cli._factorize_targets
+    from cqglab import wigner_eckart
+    calls, factorize = [], wigner_eckart._factorize_targets
 
     def counting(tensors, systems, targets, kind, side, *rest):
         calls.append([(system.p_label, system.q_label, side, kind, len(targets))
                       for system in systems])
         return factorize(tensors, systems, targets, kind, side, *rest)
 
-    monkeypatch.setattr(cli, "_factorize_targets", counting)
+    monkeypatch.setattr(wigner_eckart, "_factorize_targets", counting)
     assert cli.main(["wigner-eckart", "--builtin", "C[S3]",
                      "--output", str(tmp_path / "we.json")]) == 0
     # one call per (side, kind), each over all 36 pairs and all six targets

@@ -11,7 +11,7 @@ from cqglab.corep import (Corepresentation, are_equivalent, check_unitary, compu
                           conjugate_corep, decompose_comodule, doubly_contragredient,
                           identity_corep, invariant_gram, irrep_table, is_irreducible,
                           morphism_space, unitarize, verify_corep, verify_orthogonality)
-from cqglab.errors import DecompositionStall, NotIrreducible
+from cqglab.errors import DecompositionStall, NotIrreducible, PositivityFailure
 from cqglab.groups import build_function_algebra, symmetric_group_3
 from cqglab.regular import regular_corep
 
@@ -235,6 +235,14 @@ def test_decomposition_deterministic(cs3_fun):
     for (b1, c1), (b2, c2) in zip(one, two):
         assert np.abs(b1 - b2).max() < 1e-14
         assert np.abs(c1.coeffs - c2.coeffs).max() < 1e-14
+
+
+@pytest.mark.parametrize("gram", [-np.eye(6), np.diag([1.0, 1, 1, 1, 1, 0])],
+                         ids=["negative", "singular"])
+def test_decompose_rejects_non_positive_gram(cs3_fun, gram):
+    """A Gram matrix that is not positive definite is refused, not left to Cholesky."""
+    with pytest.raises(PositivityFailure, match="not positive definite"):
+        decompose_comodule(regular_corep(cs3_fun.algebra, "R"), gram)
 
 
 def test_non_invariant_eigenspace_raises_stall(cs3_fun):

@@ -141,3 +141,10 @@ def test_checked_in_fixtures_still_load():
     assert alg.dim == 2 and alg.label == "C(Z2)"
     from cqglab.algebra import verify_hopf_axioms
     assert verify_hopf_axioms(alg, 1e-12).passed
+
+
+def test_is_subgroup_rejects_indices_outside_the_group():
+    """-1 would wrap around to the last element and 99 would index past the table."""
+    assert not cyclic_group(2).is_subgroup([0, 1, -1])
+    assert not symmetric_group_3().is_subgroup([0, 99])
+    assert cyclic_group(2).is_subgroup([0, 1])

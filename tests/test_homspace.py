@@ -7,17 +7,16 @@ from oracles import frobenius_coset_multiplicities
 
 from cqglab.errors import CoidealMismatch, NotASubgroup
 from cqglab.groups import symmetric_group_3
-from cqglab.homspace import (RestrictedBasisFunctions,
-                             build_coset_subalgebra, canonical_restricted_candidates,
-                             check_restricted_family, couple_restricted_families,
-                             restricted_basis_residual, restricted_coaction_report,
+from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candidates,
+                             check_restricted_family, restricted_coaction_report,
                              restricted_coaction_tensor, restricted_gram,
-                             restricted_multiplication_family, restricted_wigner_eckart,
                              solve_restricted_basis_functions, solve_restricted_family,
                              subspace_coideal, verify_coideal)
 from cqglab.corep import identity_corep
-from cqglab.homspace import RestrictedOperatorFamily
-from cqglab.tensor_ops import operator_comodule, pipeline_components
+from cqglab.regular import BasisFunctionSet, check_basis_functions
+from cqglab.tensor_ops import (TensorOperatorFamily, couple_families, multiplication_family,
+                               operator_comodule, pipeline_components)
+from cqglab.wigner_eckart import verify_wigner_eckart
 
 S3 = symmetric_group_3()
 SUBGROUP = [0, 1]  # {e, (01)}
@@ -58,6 +57,12 @@ def test_restricted_operator_comodule_matches_pipeline(coset_ctx, cs3_fun):
 def test_not_a_subgroup(cs3_fun):
     with pytest.raises(NotASubgroup):
         build_coset_subalgebra(S3, cs3_fun.algebra, [0, 4], "L")  # (012) alone
+
+
+@pytest.mark.parametrize("subgroup", [[0, 99], [0, 1, -1]])
+def test_out_of_range_indices_are_not_a_subgroup(cs3_fun, subgroup):
+    with pytest.raises(NotASubgroup):
+        build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, "L")
 
 
 def test_coideal_axioms(coset_ctx):
@@ -129,12 +134,11 @@ def test_restricted_basis_function_dimensions(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     oracle = frobenius_coset_multiplicities(SUBGROUP, side)
     classical_of = {"p0": "trivial", "p1": "sign", "p2": "standard"}
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
     dims = {}
     for pi in cs3_fun.table:
         sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)
         for s in sols:
-            assert restricted_basis_residual(s, coact) < 1e-9
+            assert check_basis_functions(s) < 1e-9
         dims[pi.label] = len(sols)
     assert dims == {lbl: oracle[classical_of[lbl]] for lbl in dims}
     assert [dims["p0"], dims["p1"], dims["p2"]] == [1, 0, 1]
@@ -170,22 +174,21 @@ def test_canonical_candidates_only_for_trivial(coset_ctx, cs3_fun):
 
 def test_identity_family_all_variants(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
+    carrier = coideal.carrier(cs3_fun.grams)
     ident = identity_corep(cs3_fun.algebra)
     for kind in ("ordinary", "twisted"):
-        fam = RestrictedOperatorFamily(ident, coideal, kind,
-                                       np.eye(coideal.dim)[None, :, :])
-        assert check_restricted_family(fam, coact) < 1e-12
+        fam = TensorOperatorFamily(ident, kind, side, np.eye(coideal.dim)[None, :, :],
+                                   carrier=carrier)
+        assert check_restricted_family(fam) < 1e-12
 
 
 def test_restricted_multiplication_families(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
     for pi in cs3_fun.table:
         for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.grams):
             for kind in ("ordinary", "twisted"):
-                fam = restricted_multiplication_family(bset, kind, cs3_fun.grams)
-                assert check_restricted_family(fam, coact) < 1e-10
+                fam = multiplication_family(bset, kind)
+                assert check_restricted_family(fam) < 1e-10
 
 
 def test_zero_family_space_on_point_space(cs3_fun):
@@ -199,11 +202,10 @@ def test_zero_family_space_on_point_space(cs3_fun):
 
 def test_solved_restricted_families_pass(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
     for pi in cs3_fun.table:
         for kind in ("ordinary", "twisted"):
             for fam in solve_restricted_family(pi, coideal, cs3_fun.grams, kind):
-                assert check_restricted_family(fam, coact) < 1e-9
+                assert check_restricted_family(fam) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["ordinary", "twisted"])
@@ -218,11 +220,13 @@ def test_restricted_family_residual_matches_per_operator_loop(coset_ctx, cs3_fun
     for pi in cs3_fun.table:
         noise = rng.standard_normal((pi.dim, b, b)) + 1j * rng.standard_normal((pi.dim, b, b))
         fams = solve_restricted_family(pi, coideal, cs3_fun.grams, kind)
-        for fam in fams + [RestrictedOperatorFamily(pi, coideal, kind, noise)]:
+        noisy = TensorOperatorFamily(pi, kind, side, noise,
+                                     carrier=coideal.carrier(cs3_fun.grams))
+        for fam in fams + [noisy]:
             lhs = np.array([pipeline_components(coact, alg, kind, op) for op in fam.operators])
             rhs = np.einsum("kat,kjm->jmat", fam.operators, pi.coeffs)
             loop = float(np.abs(lhs - rhs).max())
-            assert abs(check_restricted_family(fam, coact) - loop) <= 1e-14, (side, pi.label)
+            assert abs(check_restricted_family(fam) - loop) <= 1e-14, (side, pi.label)
 
 
 def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
@@ -233,10 +237,10 @@ def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
     assert len(std_sets) == 1
     psis = phis = std_sets[0]
     for kind in ("ordinary", "twisted"):
-        fam = restricted_multiplication_family(std_sets[0], kind, cs3_fun.grams)
+        fam = multiplication_family(std_sets[0], kind)
         system = cs3_fun.cg("p2", "p2")
-        rep = restricted_wigner_eckart(psis, fam, phis, system,
-                                       cs3_fun.table["p2"].F, 1e-9)
+        rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p2"].F,
+                                   np.eye(coideal.dim), 1e-9)
         assert rep.passed, (side, kind, rep.residual)
         assert rep.reduced.shape == (1,)
 
@@ -247,31 +251,28 @@ def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
                  for pi in cs3_fun.table}
     triv = solutions["p0"][0]
     std = solutions["p2"][0]
-    fam = restricted_multiplication_family(triv, "ordinary", cs3_fun.grams)
+    fam = multiplication_family(triv, "ordinary")
     system = cs3_fun.cg("p0", "p0")
-    rep = restricted_wigner_eckart(std, fam, triv, system,
-                                   cs3_fun.table["p2"].F, 1e-9)
+    rep = verify_wigner_eckart(std, fam, triv, system, cs3_fun.table["p2"].F,
+                               np.eye(coideal.dim), 1e-9)
     assert rep.passed
     assert np.abs(rep.tensor).max() < 1e-12
 
 
 def test_restricted_coupling(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
     std_sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal,
                                                 cs3_fun.grams)
     for kind in ("ordinary", "twisted"):
-        fam = restricted_multiplication_family(std_sets[0], kind, cs3_fun.grams)
+        fam = multiplication_family(std_sets[0], kind)
         system = cs3_fun.cg("p2", "p2")
-        coupled = couple_restricted_families(fam, fam, system, cs3_fun.table)
+        coupled = couple_families(fam, fam, system, cs3_fun.table)
         for key, cf in coupled.items():
-            assert check_restricted_family(cf, coact) < 1e-10, (side, kind, key)
+            assert check_restricted_family(cf) < 1e-10, (side, kind, key)
 
 
 def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):
     from cqglab.regular import canonical_basis_functions
-    from cqglab.tensor_ops import multiplication_family
-    from cqglab.wigner_eckart import verify_wigner_eckart
 
     std = cs3_fun.table["p2"]
     system = cs3_fun.cg("p2", "p2")
@@ -283,12 +284,12 @@ def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):
         qset = canonical_basis_functions(std, side, 1)
         full = verify_wigner_eckart(psis, multiplication_family(qset, "ordinary"),
                                     phis, system, std.F, cs3_fun.grams.gram(side))
-        to_b = lambda fs: RestrictedBasisFunctions(
-            std, coideal, np.array([coideal.restrict(f, cs3_fun.grams)
-                                    for f in fs.functions]))
-        fam_b = restricted_multiplication_family(to_b(qset), "ordinary", cs3_fun.grams)
-        res = restricted_wigner_eckart(to_b(psis), fam_b, to_b(phis), system,
-                                       std.F, 1e-9)
+        to_b = lambda fs: BasisFunctionSet(
+            std, side, np.array([coideal.restrict(f, cs3_fun.grams) for f in fs.functions]),
+            carrier=coideal.carrier(cs3_fun.grams))
+        fam_b = multiplication_family(to_b(qset), "ordinary")
+        res = verify_wigner_eckart(to_b(psis), fam_b, to_b(phis), system, std.F,
+                                   np.eye(coideal.dim), 1e-9)
         assert np.abs(full.tensor - res.tensor).max() < 1e-12
         assert np.abs(full.reduced - res.reduced).max() < 1e-12
 
@@ -296,12 +297,12 @@ def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):
 def test_restricted_orthogonality_matches_unrestricted_statements(coset_ctx, cs3_fun):
     """Embedded restricted sets obey the usual orthogonality statements:
     cross-irrep inner products vanish and diagonal values are j-independent."""
-    from cqglab.regular import BasisFunctionSet, basis_function_orthogonality
+    from cqglab.regular import basis_function_orthogonality
     side, coideal = coset_ctx
     sols = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)
             for pi in cs3_fun.table}
-    triv = BasisFunctionSet(cs3_fun.table["p0"], side, sols["p0"][0].embedded())
-    std = BasisFunctionSet(cs3_fun.table["p2"], side, sols["p2"][0].embedded())
+    triv = BasisFunctionSet(cs3_fun.table["p0"], side, coideal.embed(sols["p0"][0].functions))
+    std = BasisFunctionSet(cs3_fun.table["p2"], side, coideal.embed(sols["p2"][0].functions))
     cross = basis_function_orthogonality(triv, std, cs3_fun.grams, 1e-10)
     assert cross.passed
     same = basis_function_orthogonality(std, std, cs3_fun.grams, 1e-10)

@@ -176,7 +176,7 @@ def test_restricted_spaces_match_kronecker_oracle(cs3_fun, side):
     coact = restricted_coaction_tensor(coideal, grams)
     b = coideal.dim
     for pi in cs3_fun.table:
-        ours = [bset.coords.T for bset in solve_restricted_basis_functions(pi, coideal, grams)]
+        ours = [bset.functions.T for bset in solve_restricted_basis_functions(pi, coideal, grams)]
         _assert_same_span(ours, kronecker_intertwiners(pi.coeffs, coact.transpose(1, 0, 2)),
                           (side, pi.label))
         for kind in ("ordinary", "twisted"):
@@ -286,7 +286,7 @@ def test_restricted_spaces_match_svd_oracle(cs3_fun, side):
     coact = restricted_coaction_tensor(coideal, grams)
     b = coideal.dim
     for pi in cs3_fun.table:
-        ours, again = ([bset.coords.T for bset in solve_restricted_basis_functions(
+        ours, again = ([bset.functions.T for bset in solve_restricted_basis_functions(
             pi, coideal, grams)] for _ in range(2))
         _assert_bit_identical(ours, again, (side, pi.label))
         _assert_matches_svd_oracle(ours, pi.coeffs, coact.transpose(1, 0, 2), h,

@@ -1,12 +1,13 @@
 """Table-wide CG and Wigner-Eckart certificates against per-triple calls.
 
-``cqglab cg`` and ``cqglab wigner-eckart`` evaluate each CG-system identity
-for every target r of a (p, q) pair at once: one weight tensor for the
-triple-product Haar identity, and one inner-product tensor and one
-factorization per (q, side, kind) and source p.  Every report they write must
-match, to 1e-12, the per-triple library call (``verify_triple_haar``,
-``verify_wigner_eckart``), and those calls must match the per-triple formulas
-kept in ``oracles``.  C(A4) is here because its 3-dim irrep occurs twice in
+``cqglab cg``, ``cqglab wigner-eckart`` and ``cqglab homspace`` evaluate each
+CG-system identity for every target r of a (p, q) pair at once: one weight
+tensor for the triple-product Haar identity, and one inner-product tensor and
+one factorization per (side, kind) over every target, family and source.
+Every report they write must match, to 1e-12, the per-triple library call
+(``cg_block_residual``, ``verify_triple_haar``, ``verify_wigner_eckart``,
+the last also on a coideal subalgebra's carrier), and those calls must match
+the per-triple formulas kept in ``oracles``.  C(A4) is here because its 3-dim irrep occurs twice in
 its own square, which exercises the multiplicity axis that the all-1-dim
 group algebras hide; C(D6) has CG targets of two dimensions.
 """
@@ -21,8 +22,10 @@ import pytest
 
 from cqglab import cli
 from cqglab import io as cio
-from cqglab.cg import tensor_product, verify_triple_haar
+from cqglab.cg import cg_block_residual, tensor_product, verify_triple_haar
 from cqglab.corep import _stacked_intertwiners, intertwiners
+from cqglab.groups import _BUILTINS
+from cqglab.homspace import build_coset_subalgebra, solve_restricted_basis_functions
 from cqglab.regular import canonical_basis_functions
 from cqglab.report import Report
 from cqglab.tensor_ops import multiplication_family
@@ -79,7 +82,8 @@ def per_triple_cg(ctx, labels, targets=None) -> list[Report]:
     for p, q in product(labels, labels):
         sys_pq, sys_qp = ctx.cg(p, q), ctx.cg(q, p)
         head = Report(f"cg [{p} x {q}]", meta={"multiplicities": sys_pq.multiplicities})
-        head.add("block diagonalization", 0.0, 1.0)
+        head.add("block diagonalization", cg_block_residual(sys_pq, table[p], table[q], table),
+                 1e-9 * ctx.algebra.magnitude)
         reports.append(head)
         for r in targets or table.labels:
             rep = verify_triple_haar(table[p], table[q], table[r], sys_pq, sys_qp, ctx.haar)
@@ -152,6 +156,32 @@ def test_filtered_cg_matches_per_triple_calls(setups, tmp_path, label, p, q):
     # --p and --q pick the labels both factors run over; --r picks the certified target
     assert_same_reports(cli_reports(tmp_path, "cg", source, ["--p", p, "--q", q, "--r", p]),
                         per_triple_cg(ctx, [p, q], [p]))
+
+
+@pytest.mark.parametrize("label, subgroup", [("C(S3)", "0,1"), ("C(Z4)", "0,2")])
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, subgroup, side):
+    """One ``verify_wigner_eckart`` call on B's carrier per (target, source, family)
+    set triple and kind, in the report's order: labels r, p, q, then their sets."""
+    ctx = contexts[label]
+    table = ctx.table
+    coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra,
+                                     [int(g) for g in subgroup.split(",")], side)
+    coideal.orthonormalize(ctx.grams)
+    sets = {pi.label: sols for pi in table
+            if (sols := solve_restricted_basis_functions(pi, coideal, ctx.grams))}
+    want = Report(f"restricted wigner-eckart [{coideal.label}]")
+    for r, p, q in product(sets, repeat=3):
+        for psis, phis, qset in product(sets[r], sets[p], sets[q]):
+            for kind in ("ordinary", "twisted"):
+                system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
+                we = verify_wigner_eckart(psis, multiplication_family(qset, kind), phis,
+                                          system, table[r].F, np.eye(coideal.dim))
+                want.add(f"{p},{q},{r},{kind}", we.residual, we.tol)
+    got = cli_reports(tmp_path, "homspace",
+                      ["--builtin", label, "--subgroup", subgroup, "--side", side])
+    assert len(want.checks) >= 8
+    assert_same_reports([rep for rep in got if rep["title"] == want.title], [want])
 
 
 def _projector(basis, size: int) -> np.ndarray:
