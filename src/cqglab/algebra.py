@@ -124,14 +124,8 @@ class HopfAlgebraSpec:
         coeffs[j] = 1.0
         return Element(self, coeffs)
 
-    def basis(self) -> list["Element"]:
-        return [self.basis_element(j) for j in range(self.dim)]
-
     def one(self) -> "Element":
         return Element(self, self.unit.copy())
-
-    def zero(self) -> "Element":
-        return Element(self, np.zeros(self.dim, dtype=complex))
 
     def random_element(self, rng: np.random.Generator) -> "Element":
         re = rng.standard_normal(self.dim)
@@ -217,10 +211,6 @@ class TensorElement:
         if arr.shape != (n, n):
             raise DimensionMismatch(f"tensor coefficients have shape {arr.shape}, expected ({n}, {n})")
         object.__setattr__(self, "coeffs", arr)
-
-    def swap(self) -> "TensorElement":
-        """Apply the flip ``sigma(a (x) b) = b (x) a``."""
-        return TensorElement(self.algebra, self.coeffs.T.copy())
 
     def map_legs(self, first=None, second=None) -> "TensorElement":
         """Apply linear maps (given as Element -> Element) legwise.

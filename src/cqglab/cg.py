@@ -363,29 +363,37 @@ def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
     return fwd.swapaxes(-1, -2), inv
 
 
+def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet) -> np.ndarray:
+    """The products ``phi^p_j psi^q_k`` as ``[j, k, m]`` in the sets' common carrier."""
+    if psi_q.carrier is not phi_p.carrier:
+        raise ValueError("basis-function sets live on different carriers")
+    return np.einsum("ja,kb,abm->jkm", phi_p.functions, psi_q.functions,
+                     phi_p.carrier.product)
+
+
 def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
                             side: str, system: CGSystem, table: IrrepTable,
                             dependence_tol: float = 1e-9,
                             ) -> dict[tuple[str, int], BasisFunctionSet]:
-    """Couple two basis-function sets into sets for each fused irreducible.
+    """Couple two basis-function sets of one carrier into sets for each fused irreducible.
 
     Side R uses the ``(p, q)`` CG system on products ``phi^p_j psi^q_k``;
     side L uses the ``(q, p)`` system with pair index ``(k, j)``.  Warns when
     the products are linearly dependent (the coupled sets may then vanish).
     """
-    alg = phi_p.algebra
     if phi_p.side != side or psi_q.side != side:
         raise ValueError("basis-function sets do not match the requested side")
     d_p, d_q = phi_p.corep.dim, psi_q.corep.dim
-    products = np.einsum("ja,kb,abm->jkm", phi_p.functions, psi_q.functions, alg.mult)
-    rank = np.linalg.matrix_rank(products.reshape(d_p * d_q, alg.dim), tol=dependence_tol)
+    products = _set_products(phi_p, psi_q)
+    rank = np.linalg.matrix_rank(products.reshape(d_p * d_q, -1), tol=dependence_tol)
     if rank < d_p * d_q:
         warnings.warn(
             f"products of {phi_p.label} and {psi_q.label} span only {rank} of "
             f"{d_p * d_q} dimensions", LinearDependenceWarning, stacklevel=2)
     pieces = products if side == "R" else products.transpose(1, 0, 2)
     return {(r_lab, alpha): BasisFunctionSet(table[r_lab], side, funcs,
-                                             label=f"theta[{r_lab},{alpha},{side}]")
+                                             label=f"theta[{r_lab},{alpha},{side}]",
+                                             carrier=phi_p.carrier)
             for (r_lab, alpha), funcs in system.couple(pieces, table).items()}
 
 
@@ -393,8 +401,7 @@ def coupled_inverse_residual(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
                              side: str, system: CGSystem,
                              coupled: dict[tuple[str, int], BasisFunctionSet]) -> float:
     """Residual of the inverse expansion of products in coupled functions."""
-    alg = phi_p.algebra
-    products = np.einsum("ja,kb,abm->jkm", phi_p.functions, psi_q.functions, alg.mult)
+    products = _set_products(phi_p, psi_q)
     pieces = products if side == "R" else products.transpose(1, 0, 2)
     expansion = np.zeros_like(pieces)
     for (r_lab, alpha), bset in coupled.items():
@@ -414,50 +421,25 @@ def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
     product uses the ``(q, p)`` system.
     """
     systems = {(pi_q.label, pi_p.label): system_qp, (pi_p.label, pi_q.label): system_pq}
-    return _triple_haar_reports([pi_p], [pi_q], [pi_r], systems, h,
-                                tol)[pi_p.label, pi_q.label][0]
+    gaps = _triple_haar_gaps([pi_p], [pi_q], [pi_r], systems, h)
+    report = Report(f"triple haar [{pi_r.label}* {pi_p.label} {pi_q.label}]",
+                    meta={"tol": tol})
+    t = tol * h.algebra.magnitude
+    report.add("(p,q) order", gaps[pi_p.label, pi_q.label][0], t)
+    report.add("(q,p) order", gaps[pi_q.label, pi_p.label][0], t)
+    return report
 
 
-def _triple_haar_reports(ps: list[Corepresentation], qs: list[Corepresentation],
-                         targets: list[Corepresentation],
-                         systems: dict[tuple[str, str], CGSystem], h: LinearFunctional,
-                         tol: float = 1e-9) -> dict[tuple[str, str], list[Report]]:
-    """:func:`verify_triple_haar` for every ``(p, q)`` in ``ps x qs`` and every target.
-
-    ``systems`` holds the ``(p, q)`` and ``(q, p)`` systems, keyed by label
-    pair.  Returns one report per target for each pair.  The ``(q, p)``-order
-    check of ``(p, q)`` is the ``(p, q)``-order check of ``(q, p)``, so one gap
-    array ``G[(a, b), r]`` over the ordered pairs fills both.
-    """
-    alg = h.algebra
-    if any(pi_r.F is None for pi_r in targets):
-        raise ValueError("verify_triple_haar needs the F matrix of the target irrep")
-    factors = {pi.label: pi for pi in [*qs, *ps]}
-    ordered = list(dict.fromkeys(
-        key for pi_p in ps for pi_q in qs
-        for key in ((pi_p.label, pi_q.label), (pi_q.label, pi_p.label))))
-    gaps = _triple_haar_gaps(ordered, factors, targets, systems, h)
-    t = tol * alg.magnitude
-    reports = {}
-    for pi_p in ps:
-        for pi_q in qs:
-            p_lab, q_lab = pi_p.label, pi_q.label
-            reports[p_lab, q_lab] = out = []
-            for pi_r, gap_pq, gap_qp in zip(targets, gaps[p_lab, q_lab], gaps[q_lab, p_lab]):
-                report = Report(f"triple haar [{pi_r.label}* {p_lab} {q_lab}]",
-                                meta={"tol": tol})
-                report.add("(p,q) order", gap_pq, t)
-                report.add("(q,p) order", gap_qp, t)
-                out.append(report)
-    return reports
-
-
-def _triple_haar_gaps(ordered: list[tuple[str, str]], factors: dict[str, Corepresentation],
+def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
                       targets: list[Corepresentation],
                       systems: dict[tuple[str, str], CGSystem], h: LinearFunctional
                       ) -> dict[tuple[str, str], list[float]]:
-    """``G[(a, b)][r]``: the ``(a, b)``-order triple Haar gap of every target.
+    """``G[(a, b)][r]``: the ``(a, b)``-order triple Haar gap of every target, for
+    ``(a, b)`` running over ``ps x qs`` and ``qs x ps``.
 
+    ``systems`` holds those ordered pairs' systems, keyed by label pair.  The
+    ``(q, p)``-order check of ``(p, q)`` is the ``(p, q)``-order check of
+    ``(q, p)``, so one gap array over the ordered pairs serves both orders.
     The left sides ``h(pi^r*_ul pi^a_sj pi^b_tk)`` come from one weight tensor
     ``weights[r, u, l, b, c] = h(pi^r*_ul a_b a_c)``, zero-padded to the
     largest target dimension, and two ``tensordot`` calls per ``(d_a, d_b)``
@@ -465,6 +447,12 @@ def _triple_haar_gaps(ordered: list[tuple[str, str]], factors: dict[str, Corepre
     blocks of :func:`_padded_blocks` with ``(F^r)^{-1} / tr``; a target that
     does not occur has zero blocks, so its gap is ``max |lhs|``.
     """
+    if any(pi_r.F is None for pi_r in targets):
+        raise ValueError("verify_triple_haar needs the F matrix of the target irrep")
+    factors = {pi.label: pi for pi in [*qs, *ps]}
+    ordered = list(dict.fromkeys(
+        key for pi_p in ps for pi_q in qs
+        for key in ((pi_p.label, pi_q.label), (pi_q.label, pi_p.label))))
     alg = h.algebra
     n = alg.dim
     dims = [pi_r.dim for pi_r in targets]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as cio
 from .algebra import verify_hopf_axioms, verify_star_axioms
-from .cg import (_triple_haar_reports, character, character_orthogonality,
+from .cg import (_triple_haar_gaps, character, character_orthogonality,
                  solve_cg_systems)
 from .corep import check_unitary, irrep_table, verify_corep, verify_orthogonality
 from .errors import CqglabError
@@ -105,16 +105,17 @@ def _cmd_cg(args) -> list[Report]:
     targets = [table[r] for r in _pick_labels(table, [args.r]) or table.labels]
     systems = _cg_systems(table, h, (labels, labels))
     factors = [table[label] for label in labels]
-    certified = _triple_haar_reports(factors, factors, targets, systems, h, args.tolerance)
+    gaps = _triple_haar_gaps(factors, factors, targets, systems, h)
+    t = args.tolerance * spec.magnitude
     reports = []
-    for pl in labels:
-        for ql in labels:
-            system = systems[pl, ql]
-            rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": system.multiplicities})
-            rep.add("block diagonalization", system.block_residual,
-                    args.tolerance * spec.magnitude)
-            reports.append(rep)
-            reports.extend(certified[pl, ql])
+    for pl, ql in product(labels, labels):
+        system = systems[pl, ql]
+        rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": system.multiplicities})
+        rep.add("block diagonalization", system.block_residual, t)
+        for pi_r, gap_pq, gap_qp in zip(targets, gaps[pl, ql], gaps[ql, pl]):
+            rep.add(f"triple haar {pi_r.label} (p,q) order", gap_pq, t)
+            rep.add(f"triple haar {pi_r.label} (q,p) order", gap_qp, t)
+        reports.append(rep)
     return reports
 
 
@@ -174,28 +175,16 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     # ordinary families use the (q, p) systems, twisted ones the (p, q) systems
     systems = _cg_systems(table, h, *[(q_labels, p_labels) if kind == "ordinary"
                                       else (p_labels, q_labels) for kind in kinds])
-    # (side, kind) -> [(p, q) pair][target]: (report dict, residual, tol); the reports
-    # themselves are dropped early, which keeps the peak memory down
-    factorized = {}
+    reports = []
     for side in sides:
         bsets = {lab: canonical_basis_functions(table[lab], side, 0)
                  for lab in dict.fromkeys(p_labels + q_labels + r_labels)}
         for kind in kinds:
-            factorized[side, kind] = [
-                [(we.to_dict(), we.residual, we.tol) for we in row]
-                for row in _factorize_table(
-                    [bsets[rl] for rl in r_labels],
-                    [multiplication_family(bsets[ql], kind) for ql in q_labels],
-                    [bsets[pl] for pl in p_labels], systems, grams.gram(side),
-                    args.tolerance)]
-    reports = []
-    for w, (pl, ql) in enumerate(product(p_labels, q_labels)):
-        for i, rl in enumerate(r_labels):
-            for side, kind in product(sides, kinds):
-                meta, residual, tol = factorized[side, kind][w][i]
-                rep = Report(f"wigner-eckart [{pl},{ql},{rl},{side},{kind}]", meta=meta)
-                rep.add("factorization", residual, tol)
-                reports.append(rep)
+            reports.append(_factorize_table(
+                [bsets[rl] for rl in r_labels],
+                [multiplication_family(bsets[ql], kind) for ql in q_labels],
+                [bsets[pl] for pl in p_labels], systems, grams.gram(side), args.tolerance,
+                f"wigner-eckart [{side},{kind}]"))
     return reports
 
 
@@ -226,23 +215,13 @@ def _cmd_homspace(args) -> list[Report]:
         sets.extend(sols)
         dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
     reports.append(dims)
-    we_rep = Report(f"restricted wigner-eckart [{coideal.label}]")
     used = list(dict.fromkeys(bset.corep.label for bset in sets))
     systems = _cg_systems(table, h, (used, used))
-    pairs = list(product(range(len(sets)), repeat=2))            # (source, family) set indices
-    found = {}  # kind -> {(source, family): reports[target]}
     for kind in ("ordinary", "twisted"):
-        fams = [multiplication_family(bset, kind) for bset in sets]
-        found[kind] = dict(zip(pairs, _factorize_table(sets, fams, sets, systems,
-                                                       np.eye(coideal.dim), args.tolerance)))
-    members = {label: [i for i, bset in enumerate(sets) if bset.corep.label == label]
-               for label in used}
-    for rl, pl, ql in product(used, repeat=3):
-        for t, i, k in product(members[rl], members[pl], members[ql]):
-            for kind, reports_of in found.items():
-                we = reports_of[i, k][t]
-                we_rep.add(f"{pl},{ql},{rl},{kind}", we.residual, we.tol)
-    reports.append(we_rep)
+        reports.append(_factorize_table(
+            sets, [multiplication_family(bset, kind) for bset in sets], sets, systems,
+            np.eye(coideal.dim), args.tolerance,
+            f"restricted wigner-eckart [{coideal.label},{kind}]"))
     return reports
 
 

@@ -66,10 +66,6 @@ class GroupTable:
     def inverse(self, i: int) -> int:
         return int(np.where(self.table[i] == 0)[0][0])
 
-    @property
-    def inverses(self) -> np.ndarray:
-        return np.array([self.inverse(i) for i in range(self.order)], dtype=int)
-
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 

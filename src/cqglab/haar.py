@@ -60,10 +60,6 @@ class GramPair:
             return self.gram_left
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
 
-    def inner(self, side: str, a: np.ndarray, b: np.ndarray) -> complex:
-        """The invariant inner product of two coefficient vectors."""
-        return complex(np.conj(a) @ self.gram(side) @ b)
-
 
 def positivity(matrix: np.ndarray) -> tuple[float, float, float]:
     """Hermiticity residual, smallest eigenvalue of the Hermitian part, and the

@@ -176,16 +176,18 @@ def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0,
 def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSet,
                                  grams: GramPair, tol: float = 1e-10,
                                  canonical_rows: tuple[int, int] | None = None) -> Report:
-    """Orthogonality of two basis-function sets in the side's inner product.
+    """Orthogonality of two basis-function sets in their carrier's inner product.
 
     ``(psi^q_k, phi^p_j)`` vanishes unless the coreps coincide and ``j = k``;
     the diagonal value is independent of ``j``.  When both sets are canonical
     with rows ``(s, t)`` the common value is ``(F^{-1})_ts / tr(F^{-1})``.
     """
-    if set_a.side != set_b.side:
-        raise ValueError("sets live in different regular comodules")
-    side = set_a.side
-    gram = grams.gram(side)
+    carrier, side = set_a.carrier, set_a.side
+    if set_b.carrier is not carrier:
+        raise ValueError("sets live on different carriers")
+    # the side's Gram on A, the identity in a coideal's orthonormal basis
+    on_a = carrier is regular_carrier(carrier.algebra, side)
+    gram = grams.gram(side) if on_a else np.eye(carrier.dim)
     alg = set_a.algebra
     t = tol * alg.magnitude
     inner = np.einsum("ka,ab,jb->kj", np.conj(set_a.functions), gram, set_b.functions)

@@ -47,9 +47,6 @@ class Report:
         self.checks.append(result)
         return result
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -57,9 +54,6 @@ class Report:
     @property
     def max_residual(self) -> float:
         return max((c.residual for c in self.checks), default=0.0)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
     def __getitem__(self, name: str) -> CheckResult:
         for c in self.checks:

@@ -228,9 +228,6 @@ class TensorOperatorFamily:
     def algebra(self) -> HopfAlgebraSpec:
         return self.corep.algebra
 
-    def apply(self, j: int, coeffs: np.ndarray) -> np.ndarray:
-        return self.operators[j] @ coeffs
-
     def scaled(self, factor: complex) -> "TensorOperatorFamily":
         return TensorOperatorFamily(self.corep, self.kind, self.side,
                                     factor * self.operators, label=self.label,

@@ -14,7 +14,9 @@ exact, and a least-squares extraction is kept alongside as a diagnostic.
 
 One engine factorizes the pairs ``(p, q)`` of one kind against a stack of
 targets r in batched contractions, each pair read off its own ``C`` and
-``C^{-1}``; the per-triple functions call it with a single pair and target.
+``C^{-1}``, and returns numbers: :func:`verify_wigner_eckart` wraps the one
+result of a single triple in a :class:`WEReport`, and a whole table is
+rendered as one report with a check per triple.
 All inputs of one call live on one carrier, A or a coideal B, whose Gram
 matrix is passed (the identity in B's orthonormal basis).
 """
@@ -28,6 +30,7 @@ import numpy as np
 
 from .cg import CGSystem, _padded_blocks
 from .regular import BasisFunctionSet
+from .report import Report
 from .tensor_ops import TensorOperatorFamily
 
 __all__ = ["WEReport", "we_tensor", "verify_wigner_eckart"]
@@ -52,19 +55,6 @@ class WEReport:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol
-
-    def to_dict(self) -> dict:
-        reduced = np.ascontiguousarray(self.reduced, dtype=complex)
-        return {
-            "p": self.p_label, "q": self.q_label, "r": self.r_label,
-            "side": self.side, "kind": self.kind,
-            "cg_order": list(self.cg_order),
-            "reduced": reduced.view(float).reshape(-1, 2).tolist(),
-            "residual": float(self.residual),
-            "tol": float(self.tol),
-            "passed": self.passed,
-            **self.details,
-        }
 
 
 def _inner_product_tensor(psis: np.ndarray, ops: np.ndarray, phis: np.ndarray,
@@ -97,21 +87,21 @@ def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
 
 
 def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
-                       targets: list[tuple[str, np.ndarray]], kind: str, side: str,
-                       tol: float, labels: list[tuple[str, str]], scale: float = 1.0
-                       ) -> list[list[WEReport]]:
+                       targets: list[tuple[str, np.ndarray]], kind: str
+                       ) -> list[list[tuple[np.ndarray, float, float | None]]]:
     """Factorize many ``(p, q)`` of one kind against every target at once.
 
     ``tensors[i][(r, l), k, j]`` stacks pair ``i``'s inner-product tensors in
     the order of ``targets``, pairs ``(r_label, F^r)``; ``systems[i]`` is its
-    CG system and ``labels[i]`` its ``(p, q)``.  Returns one report per target
-    for each pair.  The pairs of one system size are factorized together,
-    their rows and CG blocks zero-padded to the largest target dimension and
-    multiplicity: ``X = T C`` read at each target's columns gives the reduced
-    elements, ``T - Z C^{-1}`` the residual, ``Z`` holding the reduced
-    elements, and a batched pseudo-inverse of the inverse-CG designs the
-    least-squares cross-check.  A target that does not occur has zero blocks,
-    so its residual is ``max |T_r|`` and it carries no cross-check.
+    CG system.  Returns, for each pair and target, the reduced elements, the
+    reconstruction residual and the least-squares gap (``None`` when the
+    target does not occur).  The pairs of one system size are factorized
+    together, their rows and CG blocks zero-padded to the largest target
+    dimension and multiplicity: ``X = T C`` read at each target's columns
+    gives the reduced elements, ``T - Z C^{-1}`` the residual, ``Z`` holding
+    the reduced elements, and a batched pseudo-inverse of the inverse-CG
+    designs the least-squares cross-check.  A target that does not occur has
+    zero blocks, so its residual is ``max |T_r|``.
     """
     names = [r_label for r_label, _ in targets]
     dims = [f_r.shape[0] for _, f_r in targets]
@@ -129,7 +119,7 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
     classes: dict[int, list[int]] = {}
     for i, tmat in enumerate(tmats):
         classes.setdefault(tmat.shape[1], []).append(i)
-    reports: list[list[WEReport]] = [[] for _ in tensors]
+    results: list = [None] * len(tensors)
     for members in classes.values():
         stacked = np.stack([tmats[i] for i in members])
         block = stacked[:, rows] * valid[..., None]                       # [w, r, l, pair]
@@ -143,18 +133,11 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
         gaps = np.abs(lsq - reduced)
         residual = residual.tolist()
         for w, i in enumerate(members):
-            system, (p_label, q_label) = systems[i], labels[i]
-            for r, (r_label, d_r, row) in enumerate(zip(names, dims, firsts.tolist())):
-                mult = system.multiplicities.get(r_label, 0)
-                details = ({"reduced_lstsq_gap": float(gaps[w, r, :mult].max())}
-                           if mult else {})
-                reports[i].append(WEReport(
-                    p_label=p_label, q_label=q_label, r_label=r_label, side=side,
-                    kind=kind, tensor=tensors[i][row:row + d_r],
-                    reduced=reduced[w, r, :mult], residual=residual[w][r],
-                    tol=tol * scale, cg_order=(system.p_label, system.q_label),
-                    details=details))
-    return reports
+            mults = [systems[i].multiplicities.get(r_label, 0) for r_label in names]
+            results[i] = [(reduced[w, r, :mult], residual[w][r],
+                           float(gaps[w, r, :mult].max()) if mult else None)
+                          for r, mult in enumerate(mults)]
+    return results
 
 
 def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
@@ -168,9 +151,12 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     cross-checks the closed formula.
     """
     tensor = we_tensor(psis, fam, phis, gram)
-    return _factorize_targets([tensor], [system], [(psis.corep.label, f_r)], fam.kind,
-                              fam.side, tol, [(phis.corep.label, fam.corep.label)],
-                              fam.algebra.magnitude ** 2)[0][0]
+    [[(reduced, residual, gap)]] = _factorize_targets(
+        [tensor], [system], [(psis.corep.label, f_r)], fam.kind)
+    return WEReport(phis.corep.label, fam.corep.label, psis.corep.label, fam.side, fam.kind,
+                    tensor, reduced, residual, tol * fam.algebra.magnitude ** 2,
+                    (system.p_label, system.q_label),
+                    {} if gap is None else {"reduced_lstsq_gap": gap})
 
 
 def _stacked_slices(dims: list[int]) -> list[slice]:
@@ -179,27 +165,53 @@ def _stacked_slices(dims: list[int]) -> list[slice]:
     return [slice(end - dim, end) for dim, end in zip(dims, ends)]
 
 
+def _set_names(sets) -> list[str]:
+    """Each set's irrep label, with its index among the sets of that irrep
+    (``p2#1``) when the irrep has more than one."""
+    labels = [bset.corep.label for bset in sets]
+    return [label if labels.count(label) == 1 else f"{label}#{labels[:i].count(label)}"
+            for i, label in enumerate(labels)]
+
+
+def _reduced_pairs(reduced: np.ndarray) -> list[list[float]]:
+    """Reduced elements as ``[re, im]`` pairs, signed zeros kept."""
+    return np.ascontiguousarray(reduced, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
 def _factorize_table(psis: list[BasisFunctionSet], fams: list[TensorOperatorFamily],
                      phis: list[BasisFunctionSet], systems: dict[tuple[str, str], CGSystem],
-                     gram: np.ndarray, tol: float) -> list[list[WEReport]]:
+                     gram: np.ndarray, tol: float, title: str) -> Report:
     """:func:`verify_wigner_eckart` of every target ``psis[t]``, family ``fams[k]``
-    and source ``phis[i]``, all on one carrier, the families of one kind.
+    and source ``phis[i]``, all on one carrier, the families of one kind, as
+    one report.
 
     ``systems`` holds the CG systems keyed by label pair: ``(q, p)`` for
-    ordinary families, ``(p, q)`` for twisted ones.  Returns, for each
-    ``(i, k)`` in source-major order, one report per target.  The inner
-    products of every target, operator and source come from one contraction.
+    ordinary families, ``(p, q)`` for twisted ones.  The report has one check
+    per triple, named ``p,q,r`` (see :func:`_set_names`), in source-major
+    order, with details ``reduced``, ``cg_order`` and, when ``r`` occurs,
+    ``reduced_lstsq_gap``.  The inner products of every target, operator and
+    source come from one contraction.
     """
-    kind, side = fams[0].kind, fams[0].side
+    kind = fams[0].kind
     tensor = _inner_product_tensor(np.concatenate([bset.functions for bset in psis]),
                                    np.concatenate([fam.operators for fam in fams]),
                                    np.concatenate([bset.functions for bset in phis]), gram)
     src_rows = _stacked_slices([bset.corep.dim for bset in phis])
     fam_rows = _stacked_slices([fam.corep.dim for fam in fams])
     pairs = list(product(range(len(phis)), range(len(fams))))
-    labels = [(phis[i].corep.label, fams[k].corep.label) for i, k in pairs]
-    return _factorize_targets(
-        [tensor[:, fam_rows[k], src_rows[i]] for i, k in pairs],
-        [systems[ql, pl] if kind == "ordinary" else systems[pl, ql] for pl, ql in labels],
-        [(bset.corep.label, bset.corep.F) for bset in psis], kind, side, tol, labels,
-        fams[0].algebra.magnitude ** 2)
+    chosen = [systems[fams[k].corep.label, phis[i].corep.label] if kind == "ordinary"
+              else systems[phis[i].corep.label, fams[k].corep.label] for i, k in pairs]
+    results = _factorize_targets([tensor[:, fam_rows[k], src_rows[i]] for i, k in pairs],
+                                 chosen, [(bset.corep.label, bset.corep.F) for bset in psis],
+                                 kind)
+    p_names, q_names, r_names = _set_names(phis), _set_names(fams), _set_names(psis)
+    t = tol * fams[0].algebra.magnitude ** 2
+    report = Report(title)
+    for (i, k), system, row in zip(pairs, chosen, results):
+        cg_order = [system.p_label, system.q_label]
+        for r_name, (reduced, residual, gap) in zip(r_names, row):
+            details = {"reduced": _reduced_pairs(reduced), "cg_order": cg_order}
+            if gap is not None:
+                details["reduced_lstsq_gap"] = gap
+            report.add(f"{p_names[i]},{q_names[k]},{r_name}", residual, t, **details)
+    return report

@@ -239,6 +239,16 @@ def test_triple_haar_all_builtin_triples(contexts):
                     assert rep.passed, (label, pl, ql, rl, rep.summary())
 
 
+def test_triple_haar_needs_the_target_f(cs3_fun):
+    """A target without its F matrix cannot be certified: ValueError, not a report."""
+    table = cs3_fun.table
+    bare = Corepresentation(cs3_fun.algebra, table["p2"].coeffs, label="p2")
+    assert bare.F is None
+    system = cs3_fun.cg("p2", "p2")
+    with pytest.raises(ValueError, match="F matrix"):
+        verify_triple_haar(table["p2"], table["p2"], bare, system, system, cs3_fun.haar)
+
+
 def test_triple_haar_zero_when_multiplicity_vanishes(cs3_fun):
     """p0 x p0 contains only p0, so the p2 block of the identity is all zero."""
     table = cs3_fun.table

@@ -152,11 +152,12 @@ def test_cg_r_filters_the_triple_haar_targets(tmp_path):
     out = tmp_path / "cg.json"
     argv = ["cg", "--builtin", "C(S3)", "--p", "p2", "--q", "p2", "--r", "p0"]
     assert cli.main([*argv, "--output", str(out)]) == 0
-    titles = [rep["title"] for rep in json.loads(out.read_text())["reports"]]
-    assert titles == ["cg [p2 x p2]", "triple haar [p0* p2 p2]"]
+    reports = json.loads(out.read_text())["reports"]
+    assert [rep["title"] for rep in reports] == ["cg [p2 x p2]"]
+    assert [check["name"] for check in reports[0]["checks"]] == [
+        "block diagonalization", "triple haar p0 (p,q) order", "triple haar p0 (q,p) order"]
     # the pair's report keeps every multiplicity
-    head = json.loads(out.read_text())["reports"][0]
-    assert head["meta"]["multiplicities"] == {"p0": 1, "p1": 1, "p2": 1}
+    assert reports[0]["meta"]["multiplicities"] == {"p0": 1, "p1": 1, "p2": 1}
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch):
@@ -223,6 +224,21 @@ def test_bad_label_or_subgroup_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    *[(command, "--builtin", "C(S3)") for command in cli._COMMANDS if command != "homspace"],
+    *[("homspace", "--builtin", "C(S3)", "--subgroup", subgroup, "--side", side)
+      for subgroup in ("0", "0,1") for side in ("L", "R")],
+])
+def test_check_names_are_unique_within_each_report(tmp_path, argv):
+    """No report repeats a check name; over the trivial subgroup p2 has two
+    restricted sets, which the homspace check names tell apart."""
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    for rep in json.loads(out.read_text())["reports"]:
+        names = [check["name"] for check in rep["checks"]]
+        assert len(names) == len(set(names)), (rep["title"], argv)
+
+
 def test_homspace_reads_the_group_file_once(tmp_path, s3_files, monkeypatch):
     """One read and validation of ``--group`` builds C(G) and gives the cosets."""
     calls, load = [], cio.load_group
@@ -260,13 +276,13 @@ def test_cg_solves_each_system_once(tmp_path, monkeypatch):
 
 def test_cg_certifies_each_pair_in_one_call(tmp_path, monkeypatch):
     """One triple-Haar pass certifies every pair against all six targets."""
-    calls, certify = [], cli._triple_haar_reports
+    calls, certify = [], cli._triple_haar_gaps
 
     def counting(ps, qs, targets, *rest):
         calls.append((len(ps), len(qs), len(targets)))
         return certify(ps, qs, targets, *rest)
 
-    monkeypatch.setattr(cli, "_triple_haar_reports", counting)
+    monkeypatch.setattr(cli, "_triple_haar_gaps", counting)
     assert cli.main(["cg", "--builtin", "C[S3]", "--output", str(tmp_path / "cg.json")]) == 0
     assert calls == [(6, 6, 6)]
 
@@ -293,19 +309,24 @@ def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):
     from cqglab import wigner_eckart
     calls, factorize = [], wigner_eckart._factorize_targets
 
-    def counting(tensors, systems, targets, kind, side, *rest):
-        calls.append([(system.p_label, system.q_label, side, kind, len(targets))
-                      for system in systems])
-        return factorize(tensors, systems, targets, kind, side, *rest)
+    def counting(tensors, systems, targets, kind):
+        calls.append(([(system.p_label, system.q_label) for system in systems], kind,
+                      len(targets)))
+        return factorize(tensors, systems, targets, kind)
 
     monkeypatch.setattr(wigner_eckart, "_factorize_targets", counting)
-    assert cli.main(["wigner-eckart", "--builtin", "C[S3]",
-                     "--output", str(tmp_path / "we.json")]) == 0
+    out = tmp_path / "we.json"
+    assert cli.main(["wigner-eckart", "--builtin", "C[S3]", "--output", str(out)]) == 0
     # one call per (side, kind), each over all 36 pairs and all six targets
-    assert [len(call) for call in calls] == [36] * 4
-    pairs = [pair for call in calls for pair in call]
-    assert len(pairs) == len(set(pairs)) == 144
-    assert {pair[-1] for pair in pairs} == {6}
+    assert [kind for _, kind, _ in calls] == ["ordinary", "twisted"] * 2
+    assert all(len(pairs) == len(set(pairs)) == 36 for pairs, _, _ in calls)
+    assert {count for _, _, count in calls} == {6}
+    # each call is rendered once, as one report of 216 checks
+    reports = json.loads(out.read_text())["reports"]
+    assert [rep["title"] for rep in reports] == [
+        f"wigner-eckart [{side},{kind}]" for side in ("R", "L")
+        for kind in ("ordinary", "twisted")]
+    assert all(len(rep["checks"]) == 216 for rep in reports)
 
 
 def test_reports_reproducible(tmp_path, s3_files):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import warnings
+from itertools import product
+
 import numpy as np
 import pytest
 
 from oracles import frobenius_coset_multiplicities
 
-from cqglab.errors import CoidealMismatch, NotASubgroup
+from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
+from cqglab.errors import CoidealMismatch, LinearDependenceWarning, NotASubgroup
 from cqglab.groups import symmetric_group_3
 from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candidates,
                              check_restricted_family, restricted_coaction_report,
@@ -13,7 +17,8 @@ from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candid
                              solve_restricted_basis_functions, solve_restricted_family,
                              subspace_coideal, verify_coideal)
 from cqglab.corep import identity_corep
-from cqglab.regular import BasisFunctionSet, check_basis_functions
+from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
+                            canonical_basis_functions, check_basis_functions)
 from cqglab.tensor_ops import (TensorOperatorFamily, couple_families, multiplication_family,
                                operator_comodule, pipeline_components)
 from cqglab.wigner_eckart import verify_wigner_eckart
@@ -307,6 +312,39 @@ def test_restricted_orthogonality_matches_unrestricted_statements(coset_ctx, cs3
     assert cross.passed
     same = basis_function_orthogonality(std, std, cs3_fun.grams, 1e-10)
     assert same.passed
+
+
+@pytest.mark.parametrize("subgroup", [SUBGROUP, [0]])
+def test_orthogonality_and_coupling_on_b_carrier(cs3_fun, subgroup):
+    """On B's own carrier (identity Gram, B's product) the restricted sets are
+    orthogonal, and coupled pairs of them are basis functions of B; sets of A and
+    of B do not mix.  Over the trivial subgroup p2 has two sets."""
+    table, grams = cs3_fun.table, cs3_fun.grams
+    for side in ("L", "R"):
+        coideal = build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, side)
+        coideal.orthonormalize(grams)
+        sets = [bset for pi in table
+                for bset in solve_restricted_basis_functions(pi, coideal, grams)]
+        assert [bset.corep.label for bset in sets].count("p2") == (1 if subgroup == SUBGROUP
+                                                                   else 2)
+        for set_a, set_b in product(sets, repeat=2):
+            rep = basis_function_orthogonality(set_a, set_b, grams, 1e-10)
+            assert rep.passed, (side, rep.summary())
+        for phis, psis in product(sets, repeat=2):
+            p, q = phis.corep.label, psis.corep.label
+            system = cs3_fun.cg(p, q) if side == "R" else cs3_fun.cg(q, p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinearDependenceWarning)
+                coupled = coupled_basis_functions(phis, psis, side, system, table)
+            for bset in coupled.values():
+                assert bset.carrier is coideal.carrier(grams)
+                assert check_basis_functions(bset) < 1e-9, (side, bset.label)
+            assert coupled_inverse_residual(phis, psis, side, system, coupled) < 1e-9
+        on_a = canonical_basis_functions(table["p0"], side, 0)
+        with pytest.raises(ValueError, match="different carriers"):
+            basis_function_orthogonality(sets[0], on_a, grams)
+        with pytest.raises(ValueError, match="different carriers"):
+            coupled_basis_functions(sets[0], on_a, side, cs3_fun.cg("p0", "p0"), table)
 
 
 def test_restrict_rejects_outside_elements(coset_ctx, cs3_fun):

@@ -4,7 +4,8 @@
 CG-system identity for every target r of a (p, q) pair at once: one weight
 tensor for the triple-product Haar identity, and one inner-product tensor and
 one factorization per (side, kind) over every target, family and source.
-Every report they write must match, to 1e-12, the per-triple library call
+They write one report per (p, q) pair (``cg``) or per (side, kind), and
+every check in it must match, to 1e-12, the per-triple library call
 (``cg_block_residual``, ``verify_triple_haar``, ``verify_wigner_eckart``,
 the last also on a coideal subalgebra's carrier), and those calls must match
 the per-triple formulas kept in ``oracles``.  C(A4) is here because its 3-dim irrep occurs twice in
@@ -76,7 +77,8 @@ def assert_same_reports(got: list[dict], want: list[Report]):
 
 def per_triple_cg(ctx, labels, targets=None) -> list[Report]:
     """The ``cg`` reports, one library call per triple; ``labels`` pick p and q,
-    ``targets`` (default all) pick r."""
+    ``targets`` (default all) pick r.  Each pair's report holds its block
+    diagonalization and both orders of every target's triple Haar identity."""
     table, reports = ctx.table, []
     labels = list(dict.fromkeys(labels))
     for p, q in product(labels, labels):
@@ -84,35 +86,46 @@ def per_triple_cg(ctx, labels, targets=None) -> list[Report]:
         head = Report(f"cg [{p} x {q}]", meta={"multiplicities": sys_pq.multiplicities})
         head.add("block diagonalization", cg_block_residual(sys_pq, table[p], table[q], table),
                  1e-9 * ctx.algebra.magnitude)
-        reports.append(head)
         for r in targets or table.labels:
             rep = verify_triple_haar(table[p], table[q], table[r], sys_pq, sys_qp, ctx.haar)
             gaps = triple_haar_gaps(table[p], table[q], table[r], sys_pq, sys_qp, ctx.haar)
             assert np.allclose([c.residual for c in rep.checks], gaps, rtol=0, atol=TOL)
-            reports.append(rep)
+            assert [c.name for c in rep.checks] == ["(p,q) order", "(q,p) order"]
+            for check in rep.checks:
+                head.add(f"triple haar {r} {check.name}", check.residual, check.tol)
+        reports.append(head)
     return reports
 
 
+def we_details(we) -> dict:
+    """The details of a Wigner-Eckart check: reduced elements as ``[re, im]`` pairs,
+    the CG order, and the least-squares gap when the target occurs."""
+    return {"reduced": [[z.real, z.imag] for z in we.reduced.astype(complex)],
+            "cg_order": list(we.cg_order), **we.details}
+
+
 def per_triple_we(ctx, p_labels, q_labels, r_labels, sides, kinds):
-    """The ``wigner-eckart`` reports, one library call per triple, and the reduced vectors."""
+    """The ``wigner-eckart`` reports, one library call per triple, and the reduced
+    vectors: one report per (side, kind), one check per (p, q, r) in p-major order."""
     table, reports, reduced = ctx.table, [], []
-    for p, q, r, side, kind in product(p_labels, q_labels, r_labels, sides, kinds):
-        phis = canonical_basis_functions(table[p], side, 0)
-        psis = canonical_basis_functions(table[r], side, 0)
-        fam = multiplication_family(canonical_basis_functions(table[q], side, 0), kind)
-        system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
-        we = verify_wigner_eckart(psis, fam, phis, system, table[r].F, ctx.grams.gram(side))
-        want_reduced, want_residual, want_gap = we_closed_form(we.tensor, system, r,
-                                                               table[r].F, kind)
-        assert np.abs(we.reduced - want_reduced).max(initial=0.0) <= TOL
-        assert abs(we.residual - want_residual) <= TOL
-        assert (want_gap is None) == ("reduced_lstsq_gap" not in we.details)
-        if want_gap is not None:
-            assert abs(we.details["reduced_lstsq_gap"] - want_gap) <= TOL
-        rep = Report(f"wigner-eckart [{p},{q},{r},{side},{kind}]", meta=we.to_dict())
-        rep.add("factorization", we.residual, we.tol)
+    for side, kind in product(sides, kinds):
+        rep = Report(f"wigner-eckart [{side},{kind}]")
+        for p, q, r in product(p_labels, q_labels, r_labels):
+            phis = canonical_basis_functions(table[p], side, 0)
+            psis = canonical_basis_functions(table[r], side, 0)
+            fam = multiplication_family(canonical_basis_functions(table[q], side, 0), kind)
+            system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
+            we = verify_wigner_eckart(psis, fam, phis, system, table[r].F, ctx.grams.gram(side))
+            want_reduced, want_residual, want_gap = we_closed_form(we.tensor, system, r,
+                                                                   table[r].F, kind)
+            assert np.abs(we.reduced - want_reduced).max(initial=0.0) <= TOL
+            assert abs(we.residual - want_residual) <= TOL
+            assert (want_gap is None) == ("reduced_lstsq_gap" not in we.details)
+            if want_gap is not None:
+                assert abs(we.details["reduced_lstsq_gap"] - want_gap) <= TOL
+            rep.add(f"{p},{q},{r}", we.residual, we.tol, **we_details(we))
+            reduced.append(we.reduced)
         reports.append(rep)
-        reduced.append(we.reduced)
     return reports, reduced
 
 
@@ -158,30 +171,36 @@ def test_filtered_cg_matches_per_triple_calls(setups, tmp_path, label, p, q):
                         per_triple_cg(ctx, [p, q], [p]))
 
 
-@pytest.mark.parametrize("label, subgroup", [("C(S3)", "0,1"), ("C(Z4)", "0,2")])
+@pytest.mark.parametrize("label, subgroup", [("C(S3)", "0,1"), ("C(Z4)", "0,2"), ("C(S3)", "0")])
 @pytest.mark.parametrize("side", ["L", "R"])
 def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, subgroup, side):
-    """One ``verify_wigner_eckart`` call on B's carrier per (target, source, family)
-    set triple and kind, in the report's order: labels r, p, q, then their sets."""
+    """One ``verify_wigner_eckart`` call on B's carrier per (source, family, target)
+    set triple and kind: one report per kind, checks in source-major order over the
+    sets, each named by its irrep label and, where an irrep has several sets (p2 on
+    C(S3) over the trivial subgroup), the set's index."""
     ctx = contexts[label]
     table = ctx.table
     coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra,
                                      [int(g) for g in subgroup.split(",")], side)
     coideal.orthonormalize(ctx.grams)
-    sets = {pi.label: sols for pi in table
-            if (sols := solve_restricted_basis_functions(pi, coideal, ctx.grams))}
-    want = Report(f"restricted wigner-eckart [{coideal.label}]")
-    for r, p, q in product(sets, repeat=3):
-        for psis, phis, qset in product(sets[r], sets[p], sets[q]):
-            for kind in ("ordinary", "twisted"):
-                system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
-                we = verify_wigner_eckart(psis, multiplication_family(qset, kind), phis,
-                                          system, table[r].F, np.eye(coideal.dim))
-                want.add(f"{p},{q},{r},{kind}", we.residual, we.tol)
+    named = [(pi.label if len(sols) == 1 else f"{pi.label}#{i}", bset)
+             for pi in table
+             for sols in [solve_restricted_basis_functions(pi, coideal, ctx.grams)]
+             for i, bset in enumerate(sols)]
+    want = []
+    for kind in ("ordinary", "twisted"):
+        rep = Report(f"restricted wigner-eckart [{coideal.label},{kind}]")
+        for (pn, phis), (qn, qset), (rn, psis) in product(named, repeat=3):
+            p, q, r = phis.corep.label, qset.corep.label, psis.corep.label
+            system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
+            we = verify_wigner_eckart(psis, multiplication_family(qset, kind), phis,
+                                      system, table[r].F, np.eye(coideal.dim))
+            rep.add(f"{pn},{qn},{rn}", we.residual, we.tol, **we_details(we))
+        want.append(rep)
     got = cli_reports(tmp_path, "homspace",
                       ["--builtin", label, "--subgroup", subgroup, "--side", side])
-    assert len(want.checks) >= 8
-    assert_same_reports([rep for rep in got if rep["title"] == want.title], [want])
+    assert sum(len(rep.checks) for rep in want) >= 8
+    assert_same_reports([rep for rep in got if "wigner-eckart" in rep["title"]], want)
 
 
 def _projector(basis, size: int) -> np.ndarray:

@@ -8,7 +8,9 @@ from cqglab.cg import CGSystem
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import TensorOperatorFamily, multiplication_family
 from cqglab.corep import identity_corep
-from cqglab.wigner_eckart import WEReport, verify_wigner_eckart, we_tensor
+from cqglab.report import Report
+from cqglab.wigner_eckart import (_factorize_table, _reduced_pairs, verify_wigner_eckart,
+                                  we_tensor)
 
 
 def _setup(ctx, pl, ql, rl, side, kind, q_row=0):
@@ -131,13 +133,20 @@ def test_wrong_cg_order_harmless_on_commutative(cs3_fun):
 
 
 def test_report_serialization(cs3_fun):
+    """A one-triple table renders as one check named ``p,q,r`` whose details are
+    those of the one-triple call."""
     phis, psis, fam, system = _setup(cs3_fun, "p2", "p2", "p0", "R", "ordinary")
     rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p0"].F,
                                cs3_fun.grams.gram("R"))
-    payload = rep.to_dict()
-    assert payload["p"] == "p2" and payload["r"] == "p0"
-    assert payload["cg_order"] == ["p2", "p2"]
-    assert isinstance(payload["passed"], bool)
+    table = _factorize_table([psis], [fam], [phis], {("p2", "p2"): system},
+                             cs3_fun.grams.gram("R"), 1e-9, "wigner-eckart [R,ordinary]")
+    payload = json.loads(json.dumps(table.to_dict()))
+    [check] = payload["checks"]
+    assert check["name"] == "p2,p2,p0"
+    assert check["details"]["cg_order"] == ["p2", "p2"] == list(rep.cg_order)
+    assert check["details"]["reduced_lstsq_gap"] == rep.details["reduced_lstsq_gap"]
+    assert check["residual"] == rep.residual and check["tol"] == rep.tol
+    assert isinstance(check["passed"], bool)
 
 
 def test_report_dict_writes_reduced_as_before():
@@ -146,9 +155,8 @@ def test_report_dict_writes_reduced_as_before():
     values = np.array([0.0, complex(-0.0, -0.0), complex(-0.0, 1.5), complex(2.5e-17, -0.0),
                        1 / 3 - 2j, complex(-7.25, 0.0)])
     for reduced in (values, values[:0], values[::2], values[1:2], values.real):
-        rep = WEReport("p0", "p1", "p2", "R", "ordinary", np.zeros((1, 1, 1)), reduced,
-                       0.0, 1e-9, ("p1", "p0"), {"reduced_lstsq_gap": 0.0})
-        old = dict(rep.to_dict(), reduced=[[z.real, z.imag] for z in reduced.astype(complex)])
-        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(old, sort_keys=True)
-    assert '-0.0' in json.dumps(WEReport("p", "q", "r", "R", "twisted", np.zeros((1, 1, 1)),
-                                         values, 0.0, 1.0, ("p", "q")).to_dict()["reduced"])
+        old = [[z.real, z.imag] for z in reduced.astype(complex)]
+        assert json.dumps(_reduced_pairs(reduced)) == json.dumps(old)
+    rep = Report("wigner-eckart [R,twisted]")
+    rep.add("p,q,r", 0.0, 1.0, reduced=_reduced_pairs(values), cg_order=["p", "q"])
+    assert '-0.0' in json.dumps(rep.to_dict()["checks"][0]["details"]["reduced"])
