@@ -417,8 +417,8 @@ def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
     """The triple-product Haar identity in both multiplication orders.
 
     ``h(pi^r*_ul pi^p_sj pi^q_tk)`` equals the double CG contraction with
-    ``(F^r)^{-1} / tr`` for the ``(p, q)`` system, and the ``(q, p)``-ordered
-    product uses the ``(q, p)`` system.
+    ``(F^r)^{-1} / tr = I / d_r`` for the ``(p, q)`` system, and the
+    ``(q, p)``-ordered product uses the ``(q, p)`` system.
     """
     systems = {(pi_q.label, pi_p.label): system_qp, (pi_p.label, pi_q.label): system_pq}
     gaps = _triple_haar_gaps([pi_p], [pi_q], [pi_r], systems, h)
@@ -444,8 +444,8 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
     ``weights[r, u, l, b, c] = h(pi^r*_ul a_b a_c)``, zero-padded to the
     largest target dimension, and two ``tensordot`` calls per ``(d_a, d_b)``
     class.  The right sides are the double CG contractions of the padded
-    blocks of :func:`_padded_blocks` with ``(F^r)^{-1} / tr``; a target that
-    does not occur has zero blocks, so its gap is ``max |lhs|``.
+    blocks of :func:`_padded_blocks` with ``(F^r)^{-1} / tr = I / d_r``; a
+    target that does not occur has zero blocks, so its gap is ``max |lhs|``.
     """
     if any(pi_r.F is None for pi_r in targets):
         raise ValueError("verify_triple_haar needs the F matrix of the target irrep")
@@ -459,11 +459,8 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
     d_max = max(dims, default=0)
     pair = alg.mult @ (alg.mult @ h.covector)  # pair[a, b, c] = h(a_a a_b a_c)
     rows = np.zeros((len(targets), d_max, d_max, n), dtype=complex)
-    finvs = np.zeros((len(targets), d_max, d_max), dtype=complex)
     for r, pi_r in enumerate(targets):
         rows[r, :pi_r.dim, :pi_r.dim] = pi_r.star_coeffs()
-        finv = np.linalg.inv(pi_r.F)
-        finvs[r, :pi_r.dim, :pi_r.dim] = finv / np.trace(finv)
     weights = (rows.reshape(-1, n) @ pair.reshape(n, n * n)).reshape(
         len(targets), d_max, d_max, n, n)
     labels = [pi_r.label for pi_r in targets]
@@ -481,8 +478,9 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
         lhs = lhs[:, :, :, [firsts.index(a) for a, _ in keys], :, :,
                   [seconds.index(b) for _, b in keys]]  # [w, r, u, l, s, j, t, k]
         fwd, inv = _padded_blocks([systems[key] for key in keys], labels, dims)
-        # fwd[w, r, alpha, (s, t), v] (F^r)^{-1}[v, u] / tr, against inv[w, r, alpha, l, (j, k)]
-        left = (fwd @ finvs[:, None]).reshape(len(keys), len(targets), fwd.shape[2], -1)
+        # fwd[w, r, alpha, (s, t), u] / d_r, against inv[w, r, alpha, l, (j, k)]
+        left = (fwd / np.array(dims)[:, None, None, None]).reshape(
+            len(keys), len(targets), fwd.shape[2], -1)
         rhs = (left.swapaxes(-1, -2) @ inv.reshape(*inv.shape[:3], -1)).reshape(
             len(keys), len(targets), d_a, d_b, d_max, d_max, d_a, d_b)
         gap = np.abs(lhs - rhs.transpose(0, 1, 4, 5, 2, 6, 3, 7)).max(axis=(2, 3, 4, 5, 6, 7))

@@ -298,8 +298,8 @@ def verify_orthogonality(pi_p: Corepresentation, pi_q: Corepresentation,
     """Generalized Schur orthogonality of matrix coefficients.
 
     Distinct irreducibles integrate to zero in both orders; for ``p = q`` the
-    diagonal values are ``delta_jn F_mk / tr F`` and
-    ``delta_jn (F^{-1})_mk / tr(F^{-1})``.
+    paper's values ``delta_jn F_mk / tr F`` and ``delta_jn (F^{-1})_mk / tr(F^{-1})``
+    are both ``delta_jn delta_mk / d``, since :func:`compute_F` certifies ``F = I``.
     """
     alg = pi_p.algebra
     report = Report(f"schur orthogonality [{pi_p.label} vs {pi_q.label}]", meta={"tol": tol})
@@ -319,14 +319,12 @@ def verify_orthogonality(pi_p: Corepresentation, pi_q: Corepresentation,
         report.add("h(pi S(pi')) = 0", float(np.abs(first).max()), t)
         report.add("h(S(pi) pi') = 0", float(np.abs(second).max()), t)
         return report
-    f = pi_p.F if pi_p.F is not None else compute_F(pi_p)
+    if pi_p.F is None:
+        compute_F(pi_p)
     eye = np.eye(pi_p.dim)
-    expected_first = np.einsum("jn,mk->jkmn", eye, f) / np.trace(f)
-    finv = np.linalg.inv(f)
-    expected_second = np.einsum("jn,mk->jkmn", eye, finv) / np.trace(finv)
-    report.add("h(pi S(pi)) = d_jn F_mk/trF", float(np.abs(first - expected_first).max()), t)
-    report.add("h(S(pi) pi) = d_jn Finv_mk/trFinv",
-               float(np.abs(second - expected_second).max()), t)
+    expected = np.einsum("jn,mk->jkmn", eye, eye / pi_p.dim)
+    report.add("h(pi S(pi)) = d_jn F_mk/trF", float(np.abs(first - expected).max()), t)
+    report.add("h(S(pi) pi) = d_jn Finv_mk/trFinv", float(np.abs(second - expected).max()), t)
     return report
 
 

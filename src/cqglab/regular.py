@@ -180,7 +180,7 @@ def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSe
 
     ``(psi^q_k, phi^p_j)`` vanishes unless the coreps coincide and ``j = k``;
     the diagonal value is independent of ``j``.  When both sets are canonical
-    with rows ``(s, t)`` the common value is ``(F^{-1})_ts / tr(F^{-1})``.
+    with rows ``(s, t)`` the common value ``(F^{-1})_ts / tr(F^{-1})`` is ``delta_ts / d``.
     """
     carrier, side = set_a.carrier, set_a.side
     if set_b.carrier is not carrier:
@@ -203,12 +203,10 @@ def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSe
     diag = np.diag(inner)
     report.add("diagonal j-independent", float(np.abs(diag - diag[0]).max()), t)
     if canonical_rows is not None:
-        f = set_a.corep.F
-        if f is None:
+        if set_a.corep.F is None:
             raise ValueError("canonical-row comparison needs the F matrix")
-        finv = np.linalg.inv(f)
         s, trow = canonical_rows
-        expected = finv[trow, s] / np.trace(finv)
+        expected = (s == trow) / set_a.corep.dim
         report.add("canonical value", float(np.abs(diag - expected).max()), t,
                    expected=complex(expected))
     return report
@@ -279,12 +277,11 @@ def projection_completeness_residual(table: IrrepTable, side: str,
                                      h: LinearFunctional) -> float:
     """Residual of the completeness sum over the full irrep table.
 
-    ``sum_p (tr((F^p)^{-1}) / d_p) sum_{m,n} F^p_{nm} P^p_mn = id``; with all
-    ``F = I`` this is the plain sum of the diagonal projections.
+    ``sum_p (tr((F^p)^{-1}) / d_p) sum_{m,n} F^p_{nm} P^p_mn = id``; every
+    ``F = I``, so this is the plain sum of the diagonal projections.
     """
-    # row (p, m, n) of the stack carries the weight tr((F^p)^{-1}) / d_p F^p_nm
-    weights = np.concatenate([np.trace(np.linalg.inv(pi.F)) / pi.dim * pi.F.T.reshape(-1)
-                              for pi in table])
+    # row (p, m, n) of the stack carries the weight delta_mn
+    weights = np.concatenate([np.eye(pi.dim).reshape(-1) for pi in table])
     total = np.tensordot(weights, _table_projections(table, side, h), axes=1)
     return float(np.abs(total - np.eye(table.algebra.dim)).max())
 
@@ -296,7 +293,7 @@ def verify_projection_identities(table: IrrepTable, side: str, h: LinearFunction
 
     Composition: ``P^p_mn P^q_jk = d_p delta^pq ((F^p)^{-1})_nj / tr((F^p)^{-1})
     P^p_mk``.  Action: ``P^p_mn(psi^q_k) = d_p delta^pq delta_nk sum_l psi^q_l
-    ((F^p)^{-1})_lm / tr((F^p)^{-1})`` on the canonical right/left sets.
+    ((F^p)^{-1})_lm / tr((F^p)^{-1})`` on the canonical right/left sets; ``F^p = I``.
 
     Every product and every action comes from one contraction of the stacked
     projections; the expected values are nonzero only in the diagonal
@@ -316,16 +313,13 @@ def verify_projection_identities(table: IrrepTable, side: str, h: LinearFunction
     row = col = 0
     for pi in table:
         d = pi.dim
-        finv = np.linalg.inv(pi.F)
-        scale = d / np.trace(finv)
         block = slice(row, row + d * d)
-        want = scale * np.einsum("nj,mkat->mnajkt", finv, ops[block].reshape(d, d, n, n))
+        want = np.einsum("nj,mkat->mnajkt", np.eye(d), ops[block].reshape(d, d, n, n))
         got = prods[block, :, block].reshape(d, d, n, d, d, n)
         worst_same = max(worst_same, float(np.abs(got - want).max()))
         prods[block, :, block] = 0.0  # what is left are the cross-irrep products
-        # P_mn(psi_k) = delta_nk scale sum_l psi_l finv[l, m]
-        sums = scale * finv.T @ funcs[col:col + d]                       # [m, a]
-        acted[block, :, col:col + d] -= np.einsum("ma,nk->mnak", sums, np.eye(d)
+        # P_mn(psi_k) = delta_nk psi_m
+        acted[block, :, col:col + d] -= np.einsum("ma,nk->mnak", funcs[col:col + d], np.eye(d)
                                                   ).reshape(d * d, n, d)
         row, col = row + d * d, col + d
     report.add("composition same-irrep", worst_same, t)

@@ -43,7 +43,7 @@ class Report:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def add(self, name: str, residual: float, tol: float, **details: Any) -> CheckResult:
-        result = CheckResult(name, float(residual), float(tol), dict(details))
+        result = CheckResult(name, float(residual), float(tol), details)
         self.checks.append(result)
         return result
 

@@ -9,8 +9,9 @@ through Clebsch-Gordan coefficients and reduced matrix elements:
 
 The reduced elements have the closed form
 ``(r|Q|p)_alpha = sum T[u, t, s] C[(t, s) or (s, t), (r, alpha, v)]
-(F^r)^{-1}[v, u] / tr (F^r)^{-1}``; reconstruction through that formula is
-exact, and a least-squares extraction is kept alongside as a diagnostic.
+(F^r)^{-1}[v, u] / tr (F^r)^{-1}``, with ``(F^r)^{-1} / tr = I / d_r``;
+reconstruction through that formula is exact, and a least-squares extraction
+is kept alongside as a diagnostic.
 
 One engine factorizes the pairs ``(p, q)`` of one kind against a stack of
 targets r in batched contractions, each pair read off its own ``C`` and
@@ -87,12 +88,12 @@ def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
 
 
 def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
-                       targets: list[tuple[str, np.ndarray]], kind: str
+                       targets: list[tuple[str, int]], kind: str
                        ) -> list[list[tuple[np.ndarray, float, float | None]]]:
     """Factorize many ``(p, q)`` of one kind against every target at once.
 
     ``tensors[i][(r, l), k, j]`` stacks pair ``i``'s inner-product tensors in
-    the order of ``targets``, pairs ``(r_label, F^r)``; ``systems[i]`` is its
+    the order of ``targets``, pairs ``(r_label, d_r)``; ``systems[i]`` is its
     CG system.  Returns, for each pair and target, the reduced elements, the
     reconstruction residual and the least-squares gap (``None`` when the
     target does not occur).  The pairs of one system size are factorized
@@ -104,15 +105,14 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
     zero blocks, so its residual is ``max |T_r|``.
     """
     names = [r_label for r_label, _ in targets]
-    dims = [f_r.shape[0] for _, f_r in targets]
+    dims = [d_r for _, d_r in targets]
     d_max = max(dims, default=0)
     firsts = np.cumsum(dims, dtype=int) - dims
     valid = np.arange(d_max) < np.array(dims)[:, None]                       # [r, l]
     rows = np.where(valid, firsts[:, None] + np.arange(d_max), 0)
     finvs = np.zeros((len(targets), d_max, d_max), dtype=complex)   # (F^r)^{-1} / tr
-    for r, (_, f_r) in enumerate(targets):
-        finv = np.linalg.inv(f_r)
-        finvs[r, :len(f_r), :len(f_r)] = finv / np.trace(finv)
+    for r, d_r in enumerate(dims):
+        finvs[r, :d_r, :d_r] = np.eye(d_r) / d_r
     tmats = [_pair_matrix(tensor, system, kind) for tensor, system in zip(tensors, systems)]
     if any(len(tmat) != sum(dims) for tmat in tmats):
         raise ValueError("tensor rows do not match the targets' dimensions")
@@ -148,11 +148,14 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     ``system`` must match the family kind (``(q, p)`` for ordinary, ``(p, q)``
     for twisted); passing the other order is the standard negative control on
     a noncommutative spec.  A least-squares extraction of the reduced elements
-    cross-checks the closed formula.
+    cross-checks the closed formula.  ``f_r``, the target's F matrix, is read
+    only to check that :func:`~cqglab.corep.compute_F` has certified it.
     """
+    if f_r is None:
+        raise ValueError("verify_wigner_eckart needs the F matrix of the target irrep")
     tensor = we_tensor(psis, fam, phis, gram)
     [[(reduced, residual, gap)]] = _factorize_targets(
-        [tensor], [system], [(psis.corep.label, f_r)], fam.kind)
+        [tensor], [system], [(psis.corep.label, psis.corep.dim)], fam.kind)
     return WEReport(phis.corep.label, fam.corep.label, psis.corep.label, fam.side, fam.kind,
                     tensor, reduced, residual, tol * fam.algebra.magnitude ** 2,
                     (system.p_label, system.q_label),
@@ -202,15 +205,17 @@ def _factorize_table(psis: list[BasisFunctionSet], fams: list[TensorOperatorFami
     chosen = [systems[fams[k].corep.label, phis[i].corep.label] if kind == "ordinary"
               else systems[phis[i].corep.label, fams[k].corep.label] for i, k in pairs]
     results = _factorize_targets([tensor[:, fam_rows[k], src_rows[i]] for i, k in pairs],
-                                 chosen, [(bset.corep.label, bset.corep.F) for bset in psis],
+                                 chosen, [(bset.corep.label, bset.corep.dim) for bset in psis],
                                  kind)
     p_names, q_names, r_names = _set_names(phis), _set_names(fams), _set_names(psis)
     t = tol * fams[0].algebra.magnitude ** 2
     report = Report(title)
     for (i, k), system, row in zip(pairs, chosen, results):
         cg_order = [system.p_label, system.q_label]
-        for r_name, (reduced, residual, gap) in zip(r_names, row):
-            details = {"reduced": _reduced_pairs(reduced), "cg_order": cg_order}
+        values = _reduced_pairs(np.concatenate([reduced for reduced, _, _ in row]))
+        spans = _stacked_slices([len(reduced) for reduced, _, _ in row])
+        for r_name, (_, residual, gap), span in zip(r_names, row, spans):
+            details = {"reduced": values[span], "cg_order": cg_order}
             if gap is not None:
                 details["reduced_lstsq_gap"] = gap
             report.add(f"{p_names[i]},{q_names[k]},{r_name}", residual, t, **details)

@@ -17,6 +17,8 @@ from cqglab.errors import LinearDependenceWarning, NonIntegerMultiplicity
 from cqglab.groups import build_function_algebra, cyclic_group, symmetric_group_3
 from cqglab.haar import solve_haar
 from cqglab.regular import canonical_basis_functions, check_basis_functions, regular_corep
+from cqglab.tensor_ops import multiplication_family
+from cqglab.wigner_eckart import verify_wigner_eckart
 
 
 def test_characters_match_classical_table(cs3_fun):
@@ -247,6 +249,15 @@ def test_triple_haar_needs_the_target_f(cs3_fun):
     system = cs3_fun.cg("p2", "p2")
     with pytest.raises(ValueError, match="F matrix"):
         verify_triple_haar(table["p2"], table["p2"], bare, system, system, cs3_fun.haar)
+
+
+def test_wigner_eckart_needs_the_target_f(cs3_fun):
+    """Without the target's F matrix the factorization is refused with a ValueError."""
+    std = canonical_basis_functions(cs3_fun.table["p2"], "R", 0)
+    fam = multiplication_family(std, "ordinary")
+    with pytest.raises(ValueError, match="F matrix of the target irrep"):
+        verify_wigner_eckart(std, fam, std, cs3_fun.cg("p2", "p2"), None,
+                             cs3_fun.grams.gram("R"))
 
 
 def test_triple_haar_zero_when_multiplicity_vanishes(cs3_fun):
