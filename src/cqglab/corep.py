@@ -377,6 +377,13 @@ def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray, rcond: float = 1
     return np.linalg.solve(chol.conj().T, q[:, keep])
 
 
+def _lift_and_restrict(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The lift ``pi basis`` and the restricted coefficients ``basis^+ pi basis``."""
+    lifted = np.einsum("bam,aj->bjm", pi.coeffs, basis)
+    return lifted, np.einsum("kb,bjm->kjm", basis.conj().T @ gram, lifted)
+
+
 def _restrict_corep(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray,
                     label: str) -> Corepresentation:
     """Matrix coefficients of the coaction restricted to ``span(basis)``.
@@ -385,28 +392,32 @@ def _restrict_corep(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray,
     the restricted coefficients are ``rho = basis^+ pi basis`` with
     ``basis^+ = basis^H gram``.
     """
-    pinv = basis.conj().T @ gram
-    rho = np.einsum("kb,bjm->kjm", pinv, np.einsum("bam,aj->bjm", pi.coeffs, basis))
-    return Corepresentation(pi.algebra, rho, label=label)
+    return Corepresentation(pi.algebra, _lift_and_restrict(pi, basis, gram)[1], label=label)
 
 
 def _invariance_residual(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray) -> float:
     """How far ``pi`` maps ``span(basis)`` outside itself (0 when invariant)."""
-    sub = _restrict_corep(pi, basis, gram, label="probe")
-    lifted = np.einsum("bam,aj->bjm", pi.coeffs, basis)
-    back = np.einsum("bk,kjm->bjm", basis, sub.coeffs)
-    return float(np.abs(lifted - back).max())
+    lifted, rho = _lift_and_restrict(pi, basis, gram)
+    return float(np.abs(lifted - np.einsum("bk,kjm->bjm", basis, rho)).max())
 
 
 def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray] | None = None,
            cluster_tol: float = 1e-8) -> list[np.ndarray]:
     """Split invariant subspaces (gram-orthonormal columns, default the whole carrier).
 
-    Each block is split by the eigenvalue clusters of the self-adjoint or skew
-    part of the first compression ``basis^H gram op basis`` of a commutant
-    element ``op`` that has two clusters, and each piece again.  A block with
-    only scalar compressions is irreducible if the ``ops`` span the commutant.
-    ``gram`` must be Hermitian.
+    Scan position ``f = 2 op + part`` is the self-adjoint (part 0) or skew
+    (part 1) part of the compression ``basis^H gram op basis`` of a commutant
+    element ``op``.  A block is cut by the eigenvalue clusters of its first
+    part with two clusters, and each piece resumes the scan at ``f + 1``:
+    every earlier part was scalar on the block, so it is scalar on the piece.
+    A piece compresses its remaining ``ops`` in batches of 1, 2, 4, ...
+    operators, one product each, and looks for the first cutting part of a
+    batch with one ``eigvalsh`` call, so no operator is compressed twice on
+    one piece and none past the cut; ``eigh`` runs only on the part that
+    cuts.  A piece with only scalar parts is irreducible if the ``ops`` span
+    the commutant.  Each final piece of a block that was cut is certified
+    invariant once (``DecompositionStall`` otherwise); the pieces span the
+    block, so this certifies every cut.  ``gram`` must be Hermitian.
     """
     if blocks is None:
         _, min_eig, floor = positivity(gram)
@@ -417,25 +428,41 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray]
     ops = np.asarray(ops)
     bound = 1e-7 * pi.algebra.magnitude
 
-    def split(basis: np.ndarray) -> list[np.ndarray]:
+    def gaps(eigvals: np.ndarray) -> np.ndarray:
+        spread = eigvals[..., -1] - eigvals[..., 0]
+        return np.diff(eigvals) > cluster_tol * np.maximum(1.0, spread)[..., None]
+
+    def split(basis: np.ndarray, start: int) -> list[np.ndarray]:
         if basis.shape[1] == 1:
             return [basis]
-        for comp in basis.conj().T @ gram @ (ops @ basis):
-            for part in ((comp + comp.conj().T) / 2.0, (comp - comp.conj().T) / 2j):
-                eigvals, eigvecs = np.linalg.eigh(part)
-                spread = eigvals[-1] - eigvals[0]
-                cuts = np.flatnonzero(np.diff(eigvals) > cluster_tol * max(1.0, spread)) + 1
-                if cuts.size == 0:
-                    continue
-                sub_bases = [basis @ vecs for vecs in np.split(eigvecs, cuts, axis=1)]
-                worst = max(_invariance_residual(pi, b, gram) for b in sub_bases)
-                if worst > bound:
-                    raise DecompositionStall(f"a commutant eigenspace is not invariant "
-                                             f"(residual {worst:.1e} > {bound:.1e})")
-                return [piece for b in sub_bases for piece in split(b)]
+        left = basis.conj().T @ gram
+        lo, size = start // 2, 1
+        while lo < len(ops):
+            comps = left @ (ops[lo:lo + size] @ basis)
+            adj = comps.conj().swapaxes(1, 2)
+            parts = np.stack([(comps + adj) / 2.0, (comps - adj) / 2j], axis=1)
+            parts = parts.reshape(-1, *comps.shape[1:])
+            first = max(start - 2 * lo, 0)  # skips part 0 when resuming on a skew part
+            hits = gaps(np.linalg.eigvalsh(parts[first:])).any(axis=1)
+            for f in (first + np.flatnonzero(hits)).tolist():
+                eigvals, eigvecs = np.linalg.eigh(parts[f])
+                cuts = np.flatnonzero(gaps(eigvals)) + 1
+                if cuts.size:
+                    return [piece for vecs in np.split(eigvecs, cuts, axis=1)
+                            for piece in split(basis @ vecs, 2 * lo + f + 1)]
+            lo, size = lo + size, 2 * size
         return [basis]
 
-    return [piece for basis in blocks for piece in split(basis)]
+    pieces = []
+    for basis in blocks:
+        leaves = split(basis, 0)
+        if len(leaves) > 1:
+            worst = max(_invariance_residual(pi, leaf, gram) for leaf in leaves)
+            if worst > bound:
+                raise DecompositionStall(f"a commutant eigenspace is not invariant "
+                                         f"(residual {worst:.1e} > {bound:.1e})")
+        pieces += leaves
+    return pieces
 
 
 def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0,

@@ -25,7 +25,7 @@ matrix is passed (the identity in B's orthonormal basis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -101,8 +101,9 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
     dimension and multiplicity: ``X = T C`` read at each target's columns
     gives the reduced elements, ``T - Z C^{-1}`` the residual, ``Z`` holding
     the reduced elements, and a batched pseudo-inverse of the inverse-CG
-    designs the least-squares cross-check.  A target that does not occur has
-    zero blocks, so its residual is ``max |T_r|``.
+    designs the least-squares cross-check, taken only for the targets that
+    occur, each gap the largest over the target's multiplicity.  A target
+    that does not occur has zero blocks, so its residual is ``max |T_r|``.
     """
     names = [r_label for r_label, _ in targets]
     dims = [d_r for _, d_r in targets]
@@ -129,14 +130,16 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
         design = inv.reshape(*inv.shape[:3], -1)                           # [w, r, a, (l, pair)]
         flat = block.reshape(*block.shape[:2], -1)
         residual = np.abs(flat - (reduced[:, :, None] @ design)[:, :, 0]).max(axis=2)
-        lsq = (np.linalg.pinv(design.swapaxes(2, 3)) @ flat[..., None])[..., 0]
-        gaps = np.abs(lsq - reduced)
+        mults = np.array([[systems[i].multiplicities.get(r_label, 0) for r_label in names]
+                          for i in members], dtype=int)                    # [w, r]
+        occurs = mults > 0
+        lsq = (np.linalg.pinv(design[occurs].swapaxes(1, 2)) @ flat[occurs][..., None])[..., 0]
+        gaps = iter(np.abs(lsq - reduced[occurs]).max(
+            axis=1, initial=0.0, where=np.arange(lsq.shape[1]) < mults[occurs][:, None]).tolist())
         residual = residual.tolist()
         for w, i in enumerate(members):
-            mults = [systems[i].multiplicities.get(r_label, 0) for r_label in names]
-            results[i] = [(reduced[w, r, :mult], residual[w][r],
-                           float(gaps[w, r, :mult].max()) if mult else None)
-                          for r, mult in enumerate(mults)]
+            results[i] = [(reduced[w, r, :mult], residual[w][r], next(gaps) if mult else None)
+                          for r, mult in enumerate(mults[w].tolist())]
     return results
 
 
@@ -164,8 +167,7 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
 
 def _stacked_slices(dims: list[int]) -> list[slice]:
     """The rows of each block when blocks of these dimensions are stacked in order."""
-    ends = np.cumsum(dims, dtype=int).tolist()
-    return [slice(end - dim, end) for dim, end in zip(dims, ends)]
+    return [slice(end - dim, end) for dim, end in zip(dims, accumulate(dims))]
 
 
 def _set_names(sets) -> list[str]:

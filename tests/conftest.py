@@ -85,11 +85,11 @@ def cs4_fun():
 
 
 
-def dihedral_group_6() -> GroupTable:
-    """D6 as the maps ``i -> s i + r (mod 6)`` of the hexagon's vertices, identity first."""
-    elems = sorted({tuple((s * i + r) % 6 for i in range(6)) for r in range(6) for s in (1, -1)})
+def dihedral_group(k: int) -> GroupTable:
+    """D_k as the maps ``i -> s i + r (mod k)`` of the k-gon's vertices, identity first."""
+    elems = sorted({tuple((s * i + r) % k for i in range(k)) for r in range(k) for s in (1, -1)})
     index = {p: i for i, p in enumerate(elems)}
-    table = np.array([[index[tuple(p[q[x]] for x in range(6))] for q in elems]
+    table = np.array([[index[tuple(p[q[x]] for x in range(k))] for q in elems]
                       for p in elems])
     return GroupTable(len(elems), table)
 
@@ -97,4 +97,4 @@ def dihedral_group_6() -> GroupTable:
 @pytest.fixture(scope="session")
 def cd6_fun():
     """C(D6): irreps of dims 1, 1, 1, 1, 2, 2, so CG targets of mixed dimension."""
-    return Context(build_function_algebra(dihedral_group_6()))
+    return Context(build_function_algebra(dihedral_group(6)))

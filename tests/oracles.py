@@ -493,3 +493,45 @@ def per_pair_cg(pi_p, pi_q, table, h, tol: float = 1e-9):
         raise MultiplicityMismatch(
             f"CG block-diagonalization residual {res:.2e} exceeds tolerance")
     return system
+
+
+def peel_split(pi, gram, ops, blocks=None, cluster_tol: float = 1e-8) -> list[np.ndarray]:
+    """Commutant eigensplitting by the recursive peel ``corep._split`` used before
+    pieces resumed where their parent split.
+
+    Every piece restarts the scan at the first operator, compresses every
+    operator again, runs ``eigh`` on each self-adjoint and skew part until one
+    has two eigenvalue clusters, and certifies the pieces of every split.
+    """
+    from cqglab.corep import _gram_orthonormalize, _invariance_residual
+    from cqglab.errors import DecompositionStall, PositivityFailure
+    from cqglab.haar import positivity
+
+    if blocks is None:
+        _, min_eig, floor = positivity(gram)
+        if min_eig <= floor:
+            raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
+                                    f"positive definite (min eig {min_eig:.2e})")
+        blocks = [_gram_orthonormalize(np.eye(pi.dim, dtype=complex), gram)]
+    ops = np.asarray(ops)
+    bound = 1e-7 * pi.algebra.magnitude
+
+    def split(basis):
+        if basis.shape[1] == 1:
+            return [basis]
+        for comp in basis.conj().T @ gram @ (ops @ basis):
+            for part in ((comp + comp.conj().T) / 2.0, (comp - comp.conj().T) / 2j):
+                eigvals, eigvecs = np.linalg.eigh(part)
+                spread = eigvals[-1] - eigvals[0]
+                cuts = np.flatnonzero(np.diff(eigvals) > cluster_tol * max(1.0, spread)) + 1
+                if cuts.size == 0:
+                    continue
+                sub_bases = [basis @ vecs for vecs in np.split(eigvecs, cuts, axis=1)]
+                worst = max(_invariance_residual(pi, b, gram) for b in sub_bases)
+                if worst > bound:
+                    raise DecompositionStall(f"a commutant eigenspace is not invariant "
+                                             f"(residual {worst:.1e} > {bound:.1e})")
+                return [piece for b in sub_bases for piece in split(b)]
+        return [basis]
+
+    return [piece for basis in blocks for piece in split(basis)]

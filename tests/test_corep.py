@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from cqglab.corep import (Corepresentation, are_equivalent, check_unitary, compu
                           identity_corep, invariant_gram, irrep_table, is_irreducible,
                           morphism_space, unitarize, verify_corep, verify_orthogonality)
 from cqglab.errors import DecompositionStall, NotIrreducible, PositivityFailure
-from cqglab.groups import build_function_algebra, symmetric_group_3
+from cqglab.groups import (all_permutation_group, build_function_algebra,
+                           build_group_algebra, symmetric_group_3)
+from cqglab.haar import gram_matrices, positivity, solve_haar
 from cqglab.regular import regular_corep
 
 
@@ -251,6 +255,40 @@ def test_non_invariant_eigenspace_raises_stall(cs3_fun):
     not_commutant = np.diag(np.arange(6.0)).astype(complex)
     with pytest.raises(DecompositionStall):
         corep._split(reg, cs3_fun.grams.gram_right, [not_commutant])
+
+
+def test_non_invariant_cut_of_a_resumed_piece_raises_stall(cs3_fun):
+    """A cut by a non-commutant matrix on a piece that resumed after an earlier
+    cut is certified like any other."""
+    reg = regular_corep(cs3_fun.algebra, "R")
+    gram = cs3_fun.grams.gram_right
+    transposition = cs3_fun.algebra.comult.transpose(1, 2, 0)[1]  # a left convolution
+    assert [b.shape[1] for b in corep._split(reg, gram, [transposition])] == [3, 3]
+    not_commutant = np.diag(np.arange(6.0)).astype(complex)
+    with pytest.raises(DecompositionStall):
+        corep._split(reg, gram, [transposition, not_commutant])
+
+
+@pytest.mark.parametrize("build", [build_group_algebra, build_function_algebra],
+                         ids=["C[S4]", "C(S4)"])
+def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
+    """The 24 classes of C[S4] and the 5 of C(S4) take 68 and 66 ``eigh`` and
+    ``eigvalsh`` calls: pieces resume where their parent was cut and scan in
+    doubling batches.  Peeling one class per level made 529 and 434;
+    restarting each piece's scan at the first operator makes 112 on C[S4],
+    and scanning one operator at a time 212 on C(S4)."""
+    alg = build(all_permutation_group(4))
+    h = solve_haar(alg)
+    gram = gram_matrices(alg, h).gram_right
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _real=getattr(np.linalg, name), **kw):
+            if sys._getframe(1).f_code is not positivity.__code__:
+                calls.append(name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    irrep_table(alg, h, gram)
+    assert len(calls) < 100
 
 
 def test_merged_classes_raise_stall(cs3_fun, monkeypatch):
