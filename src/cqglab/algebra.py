@@ -321,7 +321,8 @@ def _tol_for(alg: HopfAlgebraSpec, tol: float) -> float:
 def _legwise_product(coact: np.ndarray, m: np.ndarray, twisted: bool = False) -> np.ndarray:
     """``out[i, j, r, u]``: coefficient of ``a_r (x) a_u`` in ``coact(a_i) coact(a_j)``, the
     second legs multiplied in reversed order when ``twisted``.  Two n^5 half-products
-    and one (n^2 x n^2) matrix product, never one n^8 loop."""
+    and one (n^2 x n^2) matrix product, each one BLAS call, never one n^8 loop.  The
+    last is n^6, the largest cost of the axiom suite and of the product rules at n = 60."""
     firsts = np.tensordot(coact, m, axes=(1, 0))    # [i, q, s, r]: first legs of a_i times a_s
     # [j, s, q, u]: a_q times the second legs of a_j (twisted: the reverse)
     seconds = np.tensordot(coact, m, axes=(2, 0 if twisted else 1))
@@ -333,46 +334,59 @@ def verify_hopf_axioms(alg: HopfAlgebraSpec, tol: float = 1e-9) -> Report:
 
     Each entry is the max-abs residual of one axiom; the report passes iff all
     residuals are below ``tol`` scaled by the largest structure constant.
+    Every contraction is a matrix product of reshaped structure constants, run
+    by BLAS, never an ``einsum`` loop: the n^5 sides of associativity,
+    coassociativity and the bialgebra axiom are each one (n^2 x n) times
+    (n x n^2) product, and the n^6 legwise product of :func:`_legwise_product`
+    is the one larger step.  On 0/1 structure constants every sum is exact, so
+    the residuals do not depend on the summation order.
     """
     m, mu, s = alg.mult, alg.comult, alg.antipode
     eps, u = alg.counit, alg.unit
+    n = alg.dim
     report = Report(f"hopf axioms [{alg.label}]", meta={"algebra": alg.label, "tol": tol})
     t = _tol_for(alg, tol)
 
     def add(name: str, diff: np.ndarray) -> None:
         report.add(name, float(np.abs(diff).max()), t)
 
-    # associativity: sum_s m[jks] m[slt] = sum_s m[jst] m[kls]
-    add("associativity", np.einsum("jks,slt->jklt", m, m) - np.einsum("jst,kls->jklt", m, m))
-    # coassociativity: sum_j mu[l js... ] see module docstring index order
+    m_rows, mu_rows = m.reshape(n * n, n), mu.reshape(n * n, n)  # [(j, k), l], [(l, j), k]
+    m_cols, mu_cols = m.reshape(n, n * n), mu.reshape(n, n * n)  # [j, (k, l)], [l, (j, k)]
+    quad = (n, n, n, n)
+    # associativity: sum_s m[jks] m[slt] = sum_s m[jst] m[kls]; the right side as [k, l, j, t]
+    add("associativity", (m_rows @ m_cols).reshape(quad)
+        - (m_rows @ m.transpose(1, 0, 2).reshape(n, n * n)).reshape(quad).transpose(2, 0, 1, 3))
+    # coassociativity: sum_j mu[ljk] mu[jst] = sum_j mu[lsj] mu[jtk]; the left side as [l, k, s, t]
     add("coassociativity",
-        np.einsum("ljk,jst->lstk", mu, mu) - np.einsum("lsj,jtk->lstk", mu, mu))
+        (mu.transpose(0, 2, 1).reshape(n * n, n) @ mu_cols).reshape(quad).transpose(0, 2, 3, 1)
+        - (mu_rows @ mu_cols).reshape(quad))
     # compatibility of coproduct with product: Delta(a_j) Delta(a_k) = Delta(a_j a_k)
-    add("bialgebra", _legwise_product(mu, m) - np.einsum("jkp,pru->jkru", m, mu))
+    add("bialgebra", _legwise_product(mu, m) - (m_rows @ mu_cols).reshape(quad))
     # counit is an algebra homomorphism
-    add("counit multiplicative", np.einsum("jkl,l->jk", m, eps) - np.outer(eps, eps))
+    add("counit multiplicative", m @ eps - np.outer(eps, eps))
     # counit laws for the coproduct
-    eye = np.eye(alg.dim)
-    add("counit left", np.einsum("ljk,j->lk", mu, eps) - eye)
-    add("counit right", np.einsum("lkj,j->lk", mu, eps) - eye)
+    eye = np.eye(n)
+    add("counit left", eps @ mu - eye)
+    add("counit right", mu @ eps - eye)
     # unit relations
     add("unit vs antipode", u @ s - u)
     add("counit of unit", np.array(u @ eps - 1.0))
-    add("unit left", np.einsum("k,jkl->jl", u, m) - eye)
-    add("unit right", np.einsum("k,kjl->jl", u, m) - eye)
-    add("coproduct of unit", np.einsum("j,jkl->kl", u, mu) - np.outer(u, u))
+    add("unit left", u @ m - eye)
+    add("unit right", (u @ m_cols).reshape(n, n) - eye)
+    add("coproduct of unit", (u @ mu_cols).reshape(n, n) - np.outer(u, u))
     # antipode is an algebra/coalgebra antihomomorphism
-    right_s = np.einsum("jq,rqp->jrp", s, m)  # a_r S(a_j)
+    s_m = (s @ m).reshape(n, n * n)  # [r, (j, p)]: a_r S(a_j)
     add("antipode antimultiplicative",
-        np.einsum("jkq,qp->jkp", m, s) - np.einsum("kr,jrp->jkp", s, right_s))
+        m @ s - (s @ s_m).reshape(n, n, n).transpose(1, 0, 2))
+    mu_s = mu @ s
     add("antipode anticomultiplicative",
-        np.einsum("kpq,jk->jpq", mu, s) - np.einsum("jkp,kq->jpq", mu @ s, s))
+        (s @ mu_cols).reshape(n, n, n) - mu_s.transpose(0, 2, 1) @ s)
     # antipode law (both orders collapse to eps(x) 1)
     add("antipode law left",
-        np.einsum("jlr,rlt->jt", np.einsum("jkl,kr->jlr", mu, s), m) - np.outer(eps, u))
-    add("antipode law right",
-        np.einsum("jkr,krt->jt", mu @ s, m) - np.outer(eps, u))
-    add("counit of antipode", np.einsum("kj,j->k", s, eps) - eps)
+        (mu.transpose(0, 2, 1) @ s).reshape(n, n * n) @ m.transpose(1, 0, 2).reshape(n * n, n)
+        - np.outer(eps, u))
+    add("antipode law right", mu_s.reshape(n, n * n) @ m_rows - np.outer(eps, u))
+    add("counit of antipode", s @ eps - eps)
     return report
 
 

@@ -346,7 +346,8 @@ def product_coaction_check(alg: HopfAlgebraSpec, side: str, tol: float = 1e-10,
     applied = twist if twist is not None else ("plain" if side == "R" else "twisted")
     if applied not in ("plain", "twisted"):
         raise ValueError(f"unknown twist {applied!r}")
-    lhs = np.einsum("ijt,tab->ijab", m, tensor)  # coaction of a_i a_j
+    n = alg.dim
+    lhs = (m.reshape(n * n, n) @ tensor.reshape(n, n * n)).reshape(n, n, n, n)  # of a_i a_j
     rhs = _legwise_product(tensor, m, twisted=applied == "twisted")
     report = Report(f"product coaction [{alg.label} side {side} rule {applied}]",
                     meta={"tol": tol})
@@ -372,22 +373,24 @@ def dual_action_crosscheck(alg: HopfAlgebraSpec, tol: float = 1e-12) -> Report:
     for side in ("R", "L"):
         tensor = regular_carrier(alg, side).coact
         # action of the m-th dual basis functional: ev against the second leg
-        action_eval = np.einsum("tam->mat", tensor)  # act[m][:, t] = tensor[t, :, m]
+        action_eval = tensor.transpose(2, 1, 0)  # act[m][:, t] = tensor[t, :, m]
         if side == "R":
-            action_const = np.einsum("kjm->mjk", alg.comult)
-        else:
-            action_const = np.einsum("klj,lm->mjk", alg.comult, alg.antipode)
+            action_const = alg.comult.transpose(2, 1, 0)
+        else:  # [k, j, m] = sum_l comult[k, l, j] S[l, m]
+            action_const = (alg.comult.transpose(0, 2, 1) @ alg.antipode).transpose(2, 1, 0)
         report.add(f"operator expansion {side}",
                    float(np.abs(action_eval - action_const).max()), t)
         # reassemble the coaction: pi(a_t) = sum_m (act_m a_t) (x) a_m
-        rebuilt = np.einsum("mat->tam", action_eval)
+        rebuilt = action_eval.transpose(2, 1, 0)
         report.add(f"coaction rebuilt {side}", float(np.abs(rebuilt - tensor).max()), t)
-        # left-action law: act(x) act(y) = act(x *dual* y)
-        composed = np.einsum("mab,kbt->mkat", action_eval, action_eval)
-        via_dual = np.einsum("mkl,lat->mkat", dual.mult, action_eval)
+        # left-action law: act(x) act(y) = act(x *dual* y), both as [m, k, a, t]; the
+        # right side reads the tensor as its [(t, a), l] rows, a transposed view, not a copy
+        composed = np.tensordot(action_eval, action_eval, axes=(2, 1)).transpose(0, 2, 1, 3)
+        via_dual = (dual.mult.reshape(n * n, n) @ tensor.reshape(n * n, n).T
+                    ).reshape(n, n, n, n).transpose(0, 1, 3, 2)
         report.add(f"action law {side}", float(np.abs(composed - via_dual).max()), t)
         # unit of the dual acts as the identity
-        unit_act = np.einsum("m,mat->at", dual.unit, action_eval)
+        unit_act = (tensor @ dual.unit).T
         report.add(f"dual unit acts trivially {side}",
                    float(np.abs(unit_act - np.eye(n)).max()), t)
     return report

@@ -54,16 +54,44 @@ def cs3_grp(contexts):
     return contexts["C[S3]"]
 
 
+def compose(p, q):
+    """The permutation ``x -> p(q(x))``."""
+    return tuple(p[q[x]] for x in range(len(q)))
+
+
+def closure(generators):
+    """Every product of the generating permutations, sorted (the identity first)."""
+    ident = tuple(range(len(generators[0])))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = compose(p, g)
+            if q not in elems:
+                elems.add(q)
+                frontier.append(q)
+    return sorted(elems)
+
+
+def even(p):
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
+
+
+def permutation_group(elems) -> GroupTable:
+    """The group of the listed permutations, element ``i`` being ``elems[i]``."""
+    index = {p: i for i, p in enumerate(elems)}
+    return GroupTable(len(elems), np.array([[index[compose(p, q)] for q in elems]
+                                            for p in elems]))
+
+
+def alternating_elements(k: int) -> list[tuple[int, ...]]:
+    """The even permutations of k points in sorted order, identity first."""
+    return [p for p in sorted(permutations(range(k))) if even(p)]
+
+
 def alternating_group_4() -> GroupTable:
     """A4 as the even permutations of four letters, identity first."""
-    def even(p):
-        return sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
-
-    elems = [p for p in sorted(permutations(range(4))) if even(p)]
-    index = {p: i for i, p in enumerate(elems)}
-    table = np.array([[index[tuple(p[q[x]] for x in range(4))] for q in elems]
-                      for p in elems])
-    return GroupTable(len(elems), table)
+    return permutation_group(alternating_elements(4))
 
 
 @pytest.fixture(scope="session")
@@ -84,17 +112,26 @@ def cs4_fun():
     return Context(build_function_algebra(all_permutation_group(4)))
 
 
-
 def dihedral_group(k: int) -> GroupTable:
     """D_k as the maps ``i -> s i + r (mod k)`` of the k-gon's vertices, identity first."""
-    elems = sorted({tuple((s * i + r) % k for i in range(k)) for r in range(k) for s in (1, -1)})
-    index = {p: i for i, p in enumerate(elems)}
-    table = np.array([[index[tuple(p[q[x]] for x in range(k))] for q in elems]
-                      for p in elems])
-    return GroupTable(len(elems), table)
+    return permutation_group(
+        sorted({tuple((s * i + r) % k for i in range(k)) for r in range(k) for s in (1, -1)}))
 
 
 @pytest.fixture(scope="session")
 def cd6_fun():
     """C(D6): irreps of dims 1, 1, 1, 1, 2, 2, so CG targets of mixed dimension."""
     return Context(build_function_algebra(dihedral_group(6)))
+
+
+@pytest.fixture(scope="session")
+def ca5_fun():
+    """C(A5), n = 60: irreps of dims 1, 3, 3, 4, 5; the two 3-dim ones are not real-valued
+    on the 5-cycles ((1 +- sqrt 5)/2) and are swapped by an outer automorphism."""
+    return Context(build_function_algebra(permutation_group(alternating_elements(5))))
+
+
+@pytest.fixture(scope="session")
+def ca5_grp():
+    """C[A5], n = 60: sixty group-likes."""
+    return Context(build_group_algebra(permutation_group(alternating_elements(5))))

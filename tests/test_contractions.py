@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cqglab.algebra import (HopfAlgebraSpec, LinearFunctional, verify_hopf_axioms,
+from cqglab.algebra import (HopfAlgebraSpec, LinearFunctional, build_dual, verify_hopf_axioms,
                             verify_star_axioms)
 from cqglab.cg import cg_block_residual, tensor_product, verify_triple_haar
 from cqglab.corep import Corepresentation, _restrict_corep, check_unitary, unitarize
@@ -24,7 +24,8 @@ from cqglab.haar import GramPair, regular_unitarity_report, verify_haar_lemmas
 from cqglab.homspace import (CoidealSubalgebra, build_coset_subalgebra,
                              restricted_coaction_tensor, restricted_product_tensor,
                              verify_coideal)
-from cqglab.regular import BasisFunctionSet, product_coaction_check, regular_coaction_tensor
+from cqglab.regular import (BasisFunctionSet, dual_action_crosscheck, product_coaction_check,
+                            regular_coaction_tensor)
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily,
                                apply_family_to_basis_functions, operator_coaction_components,
                                operator_comodule, operator_product_rule_residual)
@@ -77,15 +78,26 @@ def random_gram(rng, n: int) -> np.ndarray:
 
 def _hopf_oracles(a: HopfAlgebraSpec) -> dict[str, np.ndarray]:
     m, mu, s, eps, u = a.mult, a.comult, a.antipode, a.counit, a.unit
+    eye = np.eye(a.dim)
     return {
+        "associativity": np.einsum("jks,slt->jklt", m, m) - np.einsum("jst,kls->jklt", m, m),
+        "coassociativity": (np.einsum("ljk,jst->lstk", mu, mu)
+                            - np.einsum("lsj,jtk->lstk", mu, mu)),
         "bialgebra": (np.einsum("jpq,kst,psr,qtu->jkru", mu, mu, m, m)
                       - np.einsum("jkp,pru->jkru", m, mu)),
+        "counit multiplicative": np.einsum("jkl,l->jk", m, eps) - np.outer(eps, eps),
+        "counit left": np.einsum("ljk,j->lk", mu, eps) - eye,
+        "counit right": np.einsum("lkj,j->lk", mu, eps) - eye,
+        "unit left": np.einsum("k,jkl->jl", u, m) - eye,
+        "unit right": np.einsum("k,kjl->jl", u, m) - eye,
+        "coproduct of unit": np.einsum("j,jkl->kl", u, mu) - np.outer(u, u),
         "antipode antimultiplicative": (np.einsum("jkq,qp->jkp", m, s)
                                         - np.einsum("rqp,jq,kr->jkp", m, s, s)),
         "antipode anticomultiplicative": (np.einsum("kpq,jk->jpq", mu, s)
                                           - np.einsum("jkl,lp,kq->jpq", mu, s, s)),
         "antipode law left": np.einsum("jkl,kr,rlt->jt", mu, s, m) - np.outer(eps, u),
         "antipode law right": np.einsum("jkl,lr,krt->jt", mu, s, m) - np.outer(eps, u),
+        "counit of antipode": np.einsum("kj,j->k", s, eps) - eps,
     }
 
 
@@ -150,18 +162,75 @@ def test_regular_unitarity_matches_naive(algebras, label):
 # product rules of the regular coactions
 # ---------------------------------------------------------------------------
 
+def _product_rule_oracle(alg: HopfAlgebraSpec, side: str, twist: str) -> np.ndarray:
+    tensor, m = regular_coaction_tensor(alg, side), alg.mult
+    lhs = np.einsum("ijt,tab->ijab", m, tensor)
+    first = np.einsum("iac,jbd,abe->ijcde", tensor, tensor, m)
+    second = "cdf" if twist == "plain" else "dcf"
+    return lhs - np.einsum(f"ijcde,{second}->ijef", first, m)
+
+
 @pytest.mark.parametrize("label", SPECS)
 @pytest.mark.parametrize("side", ["R", "L"])
 @pytest.mark.parametrize("twist", ["plain", "twisted"])
 def test_product_coaction_matches_naive(algebras, label, side, twist):
     alg = perturbed(algebras[label], 6)
-    tensor, m = regular_coaction_tensor(alg, side), alg.mult
-    lhs = np.einsum("ijt,tab->ijab", m, tensor)
-    first = np.einsum("iac,jbd,abe->ijcde", tensor, tensor, m)
-    second = "cdf" if twist == "plain" else "dcf"
-    rhs = np.einsum(f"ijcde,{second}->ijef", first, m)
     report = product_coaction_check(alg, side, twist=twist)
-    assert_same_residual(residual(report, "product rule"), lhs - rhs)
+    assert_same_residual(residual(report, "product rule"), _product_rule_oracle(alg, side, twist))
+
+
+@pytest.mark.parametrize("label", SPECS)
+@pytest.mark.parametrize("side", ["R", "L"])
+@pytest.mark.parametrize("twist", ["plain", "twisted"])
+def test_product_coaction_exact_on_builtins(algebras, label, side, twist):
+    """0/1 structure constants make every sum exact, so any order gives the same bits;
+    on C[S3] the wrong rule leaves a non-zero residual that must match too."""
+    alg = algebras[label]
+    report = product_coaction_check(alg, side, twist=twist)
+    assert residual(report, "product rule") == float(
+        np.abs(_product_rule_oracle(alg, side, twist)).max())
+
+
+# ---------------------------------------------------------------------------
+# regular actions of the dual
+# ---------------------------------------------------------------------------
+
+def _dual_action_oracles(a: HopfAlgebraSpec) -> dict[str, np.ndarray]:
+    dual, out = build_dual(a), {}
+    for side in ("R", "L"):
+        tensor = regular_coaction_tensor(a, side)
+        act = np.einsum("tam->mat", tensor)
+        const = (np.einsum("kjm->mjk", a.comult) if side == "R"
+                 else np.einsum("klj,lm->mjk", a.comult, a.antipode))
+        out[f"operator expansion {side}"] = act - const
+        out[f"coaction rebuilt {side}"] = np.einsum("mat->tam", act) - tensor
+        out[f"action law {side}"] = (np.einsum("mab,kbt->mkat", act, act)
+                                     - np.einsum("mkl,lat->mkat", dual.mult, act))
+        out[f"dual unit acts trivially {side}"] = (np.einsum("m,mat->at", dual.unit, act)
+                                                   - np.eye(a.dim))
+    return out
+
+
+@pytest.mark.parametrize("label", SPECS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dual_action_matches_naive(algebras, label, seed):
+    """The action law and the dual unit on noisy constants; the operator expansion and
+    the rebuilt coaction restate the coaction tensor, so they vanish on any spec."""
+    alg = perturbed(algebras[label], seed)
+    report = dual_action_crosscheck(alg)
+    for name, diff in _dual_action_oracles(alg).items():
+        if name.startswith(("action law", "dual unit")):
+            assert_same_residual(residual(report, name), diff)
+        else:
+            assert residual(report, name) <= RTOL
+
+
+@pytest.mark.parametrize("label", SPECS)
+def test_dual_action_exact_on_builtins(algebras, label):
+    alg = algebras[label]
+    report = dual_action_crosscheck(alg)
+    for name, diff in _dual_action_oracles(alg).items():
+        assert residual(report, name) == float(np.abs(diff).max()) == 0.0, name
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ tensors runs as a single nested loop over every index (n^8 for the bialgebra
 axiom); with ``optimize=True`` numpy searches for a contraction order on every
 call instead, which costs more than the contraction itself at desk scale.
 Contractions are written as explicit chains of two-operand steps.
+
+Two-operand ``einsum`` still runs as numpy's own loop, not BLAS.  The
+structure-constant certificates (:func:`verify_hopf_axioms`,
+:func:`product_coaction_check`, :func:`dual_action_crosscheck`) hold n^5
+contractions at n = 60, so there every step with five or more distinct
+indices is a reshape plus a matrix product or a ``tensordot`` instead.
 """
 
 from __future__ import annotations
@@ -15,11 +21,15 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 
 
+def _is_einsum(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum")
+
+
 def _einsum_calls():
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "einsum"):
+            if _is_einsum(node):
                 yield f"{path.name}:{node.lineno}", node
 
 
@@ -39,4 +49,26 @@ def test_no_einsum_path_search():
                  for kw in call.keywords
                  if kw.arg == "optimize" and not (isinstance(kw.value, ast.Constant)
                                                   and kw.value.value is False)]
+    assert offenders == []
+
+
+BLAS_ONLY = {"algebra.py": ("verify_hopf_axioms",),
+             "regular.py": ("product_coaction_check", "dual_action_crosscheck")}
+
+
+def test_structure_constant_certificates_have_no_wide_einsum():
+    offenders = []
+    for name, functions in BLAS_ONLY.items():
+        tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
+        defs = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name in functions]
+        assert sorted(d.name for d in defs) == sorted(functions)
+        for func in defs:
+            for node in filter(_is_einsum, ast.walk(func)):
+                spec = node.args[0] if node.args else None
+                letters = (set(filter(str.isalpha, spec.value))
+                           if isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+                           else None)
+                if letters is None or len(letters) >= 5:
+                    offenders.append(f"{name}:{func.name}:{node.lineno}")
     assert offenders == []

@@ -2,43 +2,22 @@
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import alternating_elements, closure, compose
 
 from cqglab.corep import irrep_table
 from cqglab.groups import GroupTable, build_function_algebra
 from cqglab.haar import gram_matrices, solve_haar
 
 
-def _compose(p, q):
-    return tuple(p[q[x]] for x in range(len(q)))
-
-
-def _closure(generators):
-    ident = tuple(range(len(generators[0])))
-    elems, frontier = {ident}, [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in generators:
-            q = _compose(p, g)
-            if q not in elems:
-                elems.add(q)
-                frontier.append(q)
-    return sorted(elems)  # the identity sorts first
-
-
-def _even(p):
-    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
-
-
 GROUPS = {
-    "S3": _closure([(1, 0, 2), (1, 2, 0)]),
-    "D4": _closure([(1, 2, 3, 0), (0, 3, 2, 1)]),
-    "A4": [p for p in sorted(permutations(range(4))) if _even(p)],
+    "S3": closure([(1, 0, 2), (1, 2, 0)]),
+    "D4": closure([(1, 2, 3, 0), (0, 3, 2, 1)]),
+    "A4": alternating_elements(4),
 }
 
 
@@ -48,7 +27,7 @@ def _table(elems, relabel):
     table = np.zeros((len(elems), len(elems)), dtype=int)
     for p in elems:
         for q in elems:
-            table[index[p], index[q]] = index[_compose(p, q)]
+            table[index[p], index[q]] = index[compose(p, q)]
     alg = build_function_algebra(GroupTable(len(elems), table))
     h = solve_haar(alg)
     return alg, h, gram_matrices(alg, h).gram_right

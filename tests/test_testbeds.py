@@ -1,9 +1,10 @@
-"""Irrep tables beyond the built-ins: n = 24 and an algebra with no symmetry.
+"""Irrep tables beyond the built-ins: n = 24, n = 60 and an algebra with no symmetry.
 
-C(S4) and C[S4] have n = 24.  C(S3) (x) C[S3] (n = 36) is neither
-commutative nor cocommutative; its irreducibles are the products of the
-three irreducibles of C(S3) with the six group-likes of C[S3].  Expected
-dimensions come from the hook-length formula, never from the library.
+C(S4) and C[S4] have n = 24, C(A5) and C[A5] n = 60.  C(S3) (x) C[S3]
+(n = 36) is neither commutative nor cocommutative; its irreducibles are the
+products of the three irreducibles of C(S3) with the six group-likes of
+C[S3].  Expected dimensions come from the hook-length formula or are written
+out from the character table of A5, never from the library.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import alternating_elements, permutation_group
 from oracles import hook_length_degrees, tensor_product_algebra
 
 from cqglab.algebra import verify_hopf_axioms, verify_star_axioms
@@ -18,7 +20,7 @@ from cqglab.corep import (check_unitary, decompose_comodule, irrep_table, is_irr
                           verify_corep)
 from cqglab.groups import (all_permutation_group, build_function_algebra,
                            build_group_algebra, symmetric_group_3)
-from cqglab.haar import gram_matrices, solve_haar
+from cqglab.haar import certify_haar, gram_matrices, solve_haar
 from cqglab.regular import regular_corep
 
 
@@ -59,12 +61,20 @@ def test_dims_and_multiplicities_match_group_theory(bed):
     assert sum(d * d for d in dims) == alg.dim
 
 
+def _characters(table) -> np.ndarray:
+    return np.array([np.einsum("jjm->m", pi.coeffs) for pi in table])
+
+
+def _character_gram(alg, h, table) -> np.ndarray:
+    """``h(chi_p^* chi_q)`` for every pair of irreducible characters."""
+    chis = _characters(table)
+    stars = np.conj(chis) @ alg.star
+    return stars @ (alg.mult @ h.covector) @ chis.T
+
+
 def test_characters_are_orthonormal(bed):
     alg, _, h, table = bed
-    chis = np.array([np.einsum("jjm->m", pi.coeffs) for pi in table])
-    stars = np.conj(chis) @ alg.star
-    gram = np.einsum("pa,qb,abl,l->pq", stars, chis, alg.mult, h.covector)
-    assert np.abs(gram - np.eye(len(table))).max() < 1e-10
+    assert np.abs(_character_gram(alg, h, table) - np.eye(len(table))).max() < 1e-10
 
 
 def test_every_irrep_is_a_unitary_irreducible_corep(bed):
@@ -84,3 +94,55 @@ def test_regular_comodule_decomposes_by_peter_weyl(label):
     blocks = decompose_comodule(regular_corep(alg, "R"), gram_matrices(alg, h).gram_right)
     assert [sub.dim for _, sub in blocks] == sorted(d for d in dims for _ in range(d))
     assert all(verify_corep(sub, 1e-10).passed for _, sub in blocks)
+
+
+# ---------------------------------------------------------------------------
+# n = 60: C(A5) and C[A5], each built once per session
+# ---------------------------------------------------------------------------
+
+A5_DIMS = {"ca5_fun": [1, 3, 3, 4, 5], "ca5_grp": [1] * 60}
+GOLDEN = (1 + 5 ** 0.5) / 2
+
+
+@pytest.fixture(scope="module", params=sorted(A5_DIMS))
+def a5(request):
+    return request.getfixturevalue(request.param), A5_DIMS[request.param]
+
+
+def test_a5_passes_the_axiom_suites_and_haar(a5):
+    ctx, _ = a5
+    alg = ctx.algebra
+    assert alg.dim == 60
+    assert verify_hopf_axioms(alg, 1e-12).passed
+    assert verify_star_axioms(alg, 1e-12).passed
+    assert certify_haar(ctx.haar, 1e-12).passed  # solve_haar ran in the context
+
+
+def test_a5_dims_and_characters(a5):
+    ctx, dims = a5
+    table = ctx.table
+    assert sorted(table.dims()) == dims
+    assert table.multiplicities == table.dims()
+    gram = _character_gram(ctx.algebra, ctx.haar, table)
+    assert np.abs(gram - np.eye(len(table))).max() < 1e-10
+
+
+def test_a5_three_dim_label_order_is_stable_under_relabelling():
+    """The two 3-dim irreps of C(A5) are Galois conjugates: their characters swap
+    (1 + sqrt 5)/2 and (1 - sqrt 5)/2 between the two classes of 5-cycles, and an
+    outer automorphism of A5 swaps those classes, so no order of the two labels is
+    basis-free.  The table orders them by the rounded character fingerprint in basis
+    order; under every relabelling the first 3-dim label takes (1 - sqrt 5)/2 on the
+    first 5-cycle of the basis and the second takes (1 + sqrt 5)/2."""
+    elems = alternating_elements(5)
+    for seed in (1, 2):
+        order = [0, *(1 + np.random.default_rng(seed).permutation(len(elems) - 1))]
+        relabelled = [elems[i] for i in order]
+        alg = build_function_algebra(permutation_group(relabelled))
+        h = solve_haar(alg)
+        table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
+        assert table.dims() == [1, 3, 3, 4, 5]
+        # an even permutation of five points without a fixed point is a 5-cycle
+        first = next(i for i, p in enumerate(relabelled) if all(p[x] != x for x in range(5)))
+        chis = _characters(table)[1:3, first]
+        assert np.abs(chis - [1 - GOLDEN, GOLDEN]).max() < 1e-10, seed
