@@ -26,7 +26,7 @@ from .groups import (GroupTable, build_function_algebra, build_group_algebra,
 from .haar import (GramPair, HaarFunctional, certify_haar, gram_matrices,
                    regular_unitarity_report, solve_haar, verify_haar_lemmas)
 from .homspace import (CoidealSubalgebra, build_coset_subalgebra,
-                       canonical_restricted_candidates, check_restricted_family,
+                       canonical_restricted_candidates,
                        restricted_coaction_report, restricted_coaction_tensor,
                        restricted_gram, solve_restricted_basis_functions,
                        solve_restricted_family, subspace_coideal, verify_coideal)

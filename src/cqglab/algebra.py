@@ -132,8 +132,8 @@ class HopfAlgebraSpec:
         im = rng.standard_normal(self.dim)
         return Element(self, re + 1j * im)
 
-    def is_commutative(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.mult - self.mult.transpose(1, 0, 2)).max() <= tol * self.magnitude)
+    def is_commutative(self) -> bool:
+        return bool(np.abs(self.mult - self.mult.swapaxes(0, 1)).max() <= 1e-12 * self.magnitude)
 
     def __repr__(self) -> str:  # keep frozen-dataclass noise out of test output
         return f"HopfAlgebraSpec({self.label or 'unnamed'}, dim={self.dim})"

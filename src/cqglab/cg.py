@@ -78,15 +78,15 @@ def character_orthogonality(chi_p: Character, chi_q: Character, h: LinearFunctio
     return report
 
 
-def _integer_counts(values, tol: float = 1e-8) -> np.ndarray:
+def _integer_counts(values) -> np.ndarray:
     """Round character pairings ``h(chi_V chi_p^*)`` to the multiplicities they count.
 
-    Raises ``NonIntegerMultiplicity`` on the first value farther than ``tol``
+    Raises ``NonIntegerMultiplicity`` on the first value farther than ``1e-8``
     from a nonnegative integer.
     """
     values = np.asarray(values, dtype=complex)
     nearest = np.round(values.real)
-    bad = (np.abs(values - nearest) > tol) | (nearest < 0)
+    bad = (np.abs(values - nearest) > 1e-8) | (nearest < 0)
     if bad.any():
         value = values.flat[np.flatnonzero(bad)[0]]
         raise NonIntegerMultiplicity(
@@ -94,10 +94,9 @@ def _integer_counts(values, tol: float = 1e-8) -> np.ndarray:
     return nearest.astype(int)
 
 
-def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional,
-                    tol: float = 1e-8) -> int:
+def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional) -> int:
     """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``."""
-    return int(_integer_counts(_h_product(h, chi_v.element, chi_p.element.star()), tol))
+    return int(_integer_counts(_h_product(h, chi_v.element, chi_p.element.star())))
 
 
 def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
@@ -117,8 +116,7 @@ def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
                             label=f"{pi_v.label}{glyph}{pi_w.label}")
 
 
-def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional,
-                                      tol: float = 1e-8) -> Report:
+def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional) -> Report:
     """Fusion-coefficient symmetries under conjugation.
 
     ``n_pq^r = n_{pbar r}^q`` and ``n_{r pbar}^q = n_qp^r`` for all triples,
@@ -134,9 +132,9 @@ def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional,
     pair = alg.mult @ (alg.mult @ h.covector)        # pair[a, b, c] = h(a_a a_b a_c)
     fused = np.tensordot(both, np.tensordot(both, pair @ conj_chars.T, axes=(1, 1)),
                          axes=(1, 1))                 # [x, y, r] = h(x y chi_r^*)
-    n_pq_r = _integer_counts(fused[:count, :count], tol)      # [p, q, r]
-    n_pbar_r_q = _integer_counts(fused[count:, :count], tol)  # [p, r, q]
-    n_r_pbar_q = _integer_counts(fused[:count, count:], tol)  # [r, p, q]
+    n_pq_r = _integer_counts(fused[:count, :count])      # [p, q, r]
+    n_pbar_r_q = _integer_counts(fused[count:, :count])  # [p, r, q]
+    n_r_pbar_q = _integer_counts(fused[:count, count:])  # [r, p, q]
     worst = max(np.abs(n_pq_r - n_pbar_r_q.transpose(0, 2, 1)).max(),
                 np.abs(n_r_pbar_q.transpose(1, 2, 0) - n_pq_r.transpose(1, 0, 2)).max())
     report.add("symmetries hold", float(worst), 0.5)
@@ -206,7 +204,7 @@ class CGSystem:
 
 
 def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
-             h: LinearFunctional, tol: float = 1e-9) -> CGSystem:
+             h: LinearFunctional) -> CGSystem:
     """Assemble the full CG matrix for ``pi_p (x) pi_q`` against a table.
 
     The one-pair call of :func:`solve_cg_systems`: for each table irreducible
@@ -217,10 +215,10 @@ def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
     ``MultiplicityMismatch`` when a solution-space dimension disagrees with
     the character count and ``SingularC`` when ``C`` is not invertible.
     """
-    return solve_cg_systems([pi_p], [pi_q], table, h, tol)[pi_p.label, pi_q.label]
+    return solve_cg_systems([pi_p], [pi_q], table, h)[pi_p.label, pi_q.label]
 
 
-def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional, tol: float = 1e-9
+def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional
                      ) -> dict[tuple[str, str], CGSystem]:
     """The CG systems of every ordered pair ``(p, q)`` in ``ps x qs``, solved together.
 
@@ -296,7 +294,7 @@ def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional, tol: float 
         c_invs = np.linalg.inv(c_mats)
         expected = np.stack([_block_diagonal(mults, table) for _, _, mults, _ in heads])
         res = _block_residuals(c_mats, c_invs, bigs[size], expected)
-        if (res > tol * alg.magnitude).any():
+        if (res > 1e-9 * alg.magnitude).any():
             raise MultiplicityMismatch(
                 f"CG block-diagonalization residual {res.max():.2e} exceeds tolerance")
         solved.update(zip(pairs, (
@@ -372,8 +370,7 @@ def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet) -> np.ndarra
 
 
 def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
-                            side: str, system: CGSystem, table: IrrepTable,
-                            dependence_tol: float = 1e-9,
+                            side: str, system: CGSystem, table: IrrepTable
                             ) -> dict[tuple[str, int], BasisFunctionSet]:
     """Couple two basis-function sets of one carrier into sets for each fused irreducible.
 
@@ -385,7 +382,7 @@ def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
         raise ValueError("basis-function sets do not match the requested side")
     d_p, d_q = phi_p.corep.dim, psi_q.corep.dim
     products = _set_products(phi_p, psi_q)
-    rank = np.linalg.matrix_rank(products.reshape(d_p * d_q, -1), tol=dependence_tol)
+    rank = np.linalg.matrix_rank(products.reshape(d_p * d_q, -1), tol=1e-9)
     if rank < d_p * d_q:
         warnings.warn(
             f"products of {phi_p.label} and {psi_q.label} span only {rank} of "

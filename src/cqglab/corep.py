@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -52,6 +52,10 @@ __all__ = [
     "irrep_table",
 ]
 
+# relative singular-value cut for the rank of every intertwiner space, of the
+# Coc(A) nullspace and of the family space: below it lies roundoff
+RANK_RCOND = 1e-9
+
 
 @dataclass
 class Corepresentation:
@@ -76,9 +80,6 @@ class Corepresentation:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-    def entry(self, j: int, k: int) -> Element:
-        return Element(self.algebra, self.coeffs[j, k].copy())
 
     def character(self) -> Element:
         return Element(self.algebra, np.einsum("jjm->m", self.coeffs))
@@ -135,8 +136,8 @@ def check_unitary(pi: Corepresentation, tol: float = 1e-9) -> Report:
     return report
 
 
-def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
-                 rcond: float = 1e-9) -> list[np.ndarray]:
+def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional
+                 ) -> list[np.ndarray]:
     """Basis of ``Hom(V, W) = {Phi : Phi V = W Phi}`` as the range of the Haar average.
 
     ``coact_v`` (``d_V x d_V x n``) and ``coact_w`` (``d_W x d_W x n``) are in
@@ -144,7 +145,7 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
     the ``(j, k)`` entry, and ``h`` is the Haar functional.  The averaging map
     ``P(Phi)[j,k] = sum_{l,m} h(W_jl S(V_mk)) Phi[l,m]`` is idempotent with
     range ``Hom(V, W)``, so the basis is the range of ``P``: its left singular
-    vectors above the relative cut ``rcond * max(sigma_max, 1)``
+    vectors above the relative cut ``RANK_RCOND * max(sigma_max, 1)``
     (:func:`_range_basis`).  The nonzero singular values of ``P`` are at
     least 1, so the cut separates the range from roundoff by orders of
     magnitude.  Every solution space of the package is one of these:
@@ -155,11 +156,11 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional,
     :func:`_phase_fixed`.  This is the one-source, one-target case of
     :func:`_stacked_intertwiners`.
     """
-    return _stacked_intertwiners(coact_v[None], coact_w, h, rcond)[0]
+    return _stacked_intertwiners(coact_v[None], coact_w, h)[0]
 
 
-def _stacked_intertwiners(coact_vs: np.ndarray, coact_ws: np.ndarray, h: LinearFunctional,
-                          rcond: float = 1e-9) -> list:
+def _stacked_intertwiners(coact_vs: np.ndarray, coact_ws: np.ndarray, h: LinearFunctional
+                          ) -> list:
     """:func:`intertwiners` for every pair of a stack of sources and a stack of targets.
 
     ``coact_vs`` is ``count_v x d_V x d_V x n`` and ``coact_ws`` is
@@ -181,7 +182,7 @@ def _stacked_intertwiners(coact_vs: np.ndarray, coact_ws: np.ndarray, h: LinearF
     s_v = coact_vs.reshape(-1, n) @ alg.antipode                   # [(t, m, k), b]: S(V^t_mk)
     avg = coact_ws.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(w, j, l), (t, m, k)]
     avg = avg.reshape(count_w, dw, dw, count_v, dv, dv).transpose(0, 3, 1, 5, 2, 4)
-    vecs, ranks = _range_basis(avg.reshape(-1, size, size), rcond)
+    vecs, ranks = _range_basis(avg.reshape(-1, size, size), RANK_RCOND)
     blocks = iter(vecs.reshape(-1, dw, dv))
     bases = [[list(islice(blocks, ranks[w * count_v + v])) for v in range(count_v)]
              for w in range(count_w)]
@@ -208,8 +209,7 @@ def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.abs(lead) / lead)[:, None]
 
 
-def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
-                   rcond: float = 1e-9) -> list[np.ndarray]:
+def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation) -> list[np.ndarray]:
     """Basis of the intertwiner space ``{Phi : Phi pi_V = pi_W Phi}``.
 
     Solved by :func:`intertwiners` with the spec's Haar functional, so a spec
@@ -217,14 +217,13 @@ def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
     ``d_W x d_V`` matrices (orthonormal as vectors).
     """
     alg = _same_spec(pi_v, pi_w)  # equal specs of separate construction are allowed
-    return intertwiners(pi_v.coeffs, pi_w.coeffs, solve_haar(alg), rcond)
+    return intertwiners(pi_v.coeffs, pi_w.coeffs, solve_haar(alg))
 
 
-def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
-               ) -> list[np.ndarray]:
+def _nullspace(mat: np.ndarray, scale: float = 0.0) -> list[np.ndarray]:
     """Orthonormal nullspace basis with a deterministic phase convention.
 
-    Singular values are cut at ``rcond * max(sigma_max, scale)``; the absolute
+    Singular values are cut at ``RANK_RCOND * max(sigma_max, scale)``; the absolute
     ``scale`` floor keeps an all-zero system (everything in the nullspace) from
     being read as full-rank noise.  Rows are phase-fixed by :func:`_phase_fixed`.
     """
@@ -232,28 +231,26 @@ def _nullspace(mat: np.ndarray, rcond: float = 1e-9, scale: float = 0.0
         return []
     _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
     top = float(sigma[0]) if sigma.size else 0.0
-    rank = int(np.sum(sigma > rcond * max(top, scale, 1e-300)))
+    rank = int(np.sum(sigma > RANK_RCOND * max(top, scale, 1e-300)))
     return list(_phase_fixed(np.conj(vh[rank:])))  # mat @ conj(vh[i]) = 0
 
 
-def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation,
-                   tol: float = 1e-9) -> np.ndarray | None:
+def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation) -> np.ndarray | None:
     """An invertible intertwiner if the coreps are equivalent, else ``None``."""
     if pi_v.dim != pi_w.dim:
         return None
     basis = morphism_space(pi_v, pi_w)
     if not basis:
         return None
-    for phi in basis:
-        if np.linalg.matrix_rank(phi, tol=tol) == pi_v.dim:
-            return phi
     rng = np.random.default_rng(7)
-    for _ in range(8):
-        coefs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        phi = sum(c * b for c, b in zip(coefs, basis))
-        if np.linalg.matrix_rank(phi, tol=tol) == pi_v.dim:
-            return phi
-    return None
+
+    def blends():
+        for _ in range(8):
+            coefs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            yield sum(c * b for c, b in zip(coefs, basis))
+
+    return next((phi for phi in chain(basis, blends())
+                 if np.linalg.matrix_rank(phi, tol=1e-9) == pi_v.dim), None)
 
 
 def is_irreducible(pi: Corepresentation) -> bool:
@@ -368,12 +365,11 @@ def unitarize(pi: Corepresentation, gram: np.ndarray | None = None,
     return out, t_mat
 
 
-def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray, rcond: float = 1e-10
-                         ) -> np.ndarray:
+def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Columns of ``vectors`` orthonormalized w.r.t. ``<x, y> = x^H gram y``."""
     chol = np.linalg.cholesky((gram + gram.conj().T) / 2.0)
     q, r = np.linalg.qr(chol.conj().T @ vectors, mode="reduced")
-    keep = np.abs(np.diag(r)) > rcond * max(1.0, np.abs(np.diag(r)).max())
+    keep = np.abs(np.diag(r)) > 1e-10 * max(1.0, np.abs(np.diag(r)).max())
     return np.linalg.solve(chol.conj().T, q[:, keep])
 
 
@@ -465,8 +461,7 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray]
     return pieces
 
 
-def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0,
-                       cluster_tol: float = 1e-8,
+def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0
                        ) -> list[tuple[np.ndarray, Corepresentation]]:
     """Split a comodule into irreducible blocks by commutant eigensplitting.
 
@@ -479,7 +474,7 @@ def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0,
     """
     gram = (gram + gram.conj().T) / 2.0
     blocks = [(basis, _restrict_corep(pi, basis, gram, label=f"{pi.label}|{basis.shape[1]}d"))
-              for basis in _split(pi, gram, morphism_space(pi, pi), cluster_tol=cluster_tol)]
+              for basis in _split(pi, gram, morphism_space(pi, pi))]
     blocks.sort(key=lambda pair: pair[1].dim)
     return blocks
 

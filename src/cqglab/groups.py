@@ -79,30 +79,20 @@ class GroupTable:
         return all(self.mul(a, b) in subset for a in subset for b in subset) and all(
             self.inverse(a) in subset for a in subset)
 
-    def left_cosets(self, subgroup: list[int]) -> list[tuple[int, ...]]:
-        """Partition of the group into left cosets g H."""
+    def cosets(self, subgroup: list[int], side: str) -> list[tuple[int, ...]]:
+        """Partition of the group into left cosets ``gH`` (side "L") or right cosets
+        ``Hg`` (side "R")."""
         if not self.is_subgroup(subgroup):
             raise NotASubgroup(f"{subgroup} is not a subgroup")
+        if side not in ("L", "R"):
+            raise ValueError(f"side must be 'L' or 'R', got {side!r}")
         seen: set[int] = set()
         cosets = []
         for g in range(self.order):
             if g in seen:
                 continue
-            coset = tuple(sorted(self.mul(g, h) for h in subgroup))
-            seen.update(coset)
-            cosets.append(coset)
-        return cosets
-
-    def right_cosets(self, subgroup: list[int]) -> list[tuple[int, ...]]:
-        """Partition of the group into right cosets H g."""
-        if not self.is_subgroup(subgroup):
-            raise NotASubgroup(f"{subgroup} is not a subgroup")
-        seen: set[int] = set()
-        cosets = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            coset = tuple(sorted(self.mul(h, g) for h in subgroup))
+            coset = tuple(sorted(self.mul(g, h) if side == "L" else self.mul(h, g)
+                                 for h in subgroup))
             seen.update(coset)
             cosets.append(coset)
         return cosets

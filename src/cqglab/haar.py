@@ -35,9 +35,9 @@ class HaarFunctional(LinearFunctional):
         """Matrix ``H[j, k] = h(a_j a_k)``, the workhorse of every inner product."""
         return np.einsum("jkl,l->jk", self.algebra.mult, self.covector)
 
-    def is_tracial(self, tol: float = 1e-12) -> bool:
+    def is_tracial(self) -> bool:
         H = self.weighted_product()
-        return bool(np.abs(H - H.T).max() <= tol * self.algebra.magnitude)
+        return bool(np.abs(H - H.T).max() <= 1e-12 * self.algebra.magnitude)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ import numpy as np
 
 from .algebra import HopfAlgebraSpec
 from .corep import Corepresentation, intertwiners
-from .errors import CoidealMismatch, NotASubgroup, PositivityFailure
+from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, positivity, solve_haar
 from .regular import BasisFunctionSet, Carrier, canonical_basis_functions, regular_carrier
 from .report import Report
-from .tensor_ops import TensorOperatorFamily, _antipode_and_swap, _pipeline, operator_comodule
+from .tensor_ops import TensorOperatorFamily, operator_comodule
 
 __all__ = [
     "CoidealSubalgebra",
@@ -39,7 +39,6 @@ __all__ = [
     "restricted_coaction_report",
     "solve_restricted_basis_functions",
     "canonical_restricted_candidates",
-    "check_restricted_family",
     "solve_restricted_family",
 ]
 
@@ -97,12 +96,11 @@ class CoidealSubalgebra:
         """B-coordinates (..., b) -> algebra coefficients (..., n)."""
         return np.asarray(coords, dtype=complex) @ self.onb()
 
-    def restrict(self, vec: np.ndarray, grams: GramPair, tol: float = 1e-9
-                 ) -> np.ndarray:
+    def restrict(self, vec: np.ndarray, grams: GramPair) -> np.ndarray:
         """Algebra coefficients -> B-coordinates; errors if outside the span."""
         onb = self.onb()
         coords = np.conj(onb) @ grams.gram(self.side) @ np.asarray(vec, dtype=complex)
-        if float(np.abs(coords @ onb - vec).max()) > tol * self.algebra.magnitude:
+        if float(np.abs(coords @ onb - vec).max()) > 1e-9 * self.algebra.magnitude:
             raise CoidealMismatch("element does not lie in the subalgebra")
         return coords
 
@@ -111,9 +109,9 @@ class CoidealSubalgebra:
         q, _ = np.linalg.qr(self.span_rows.conj().T)
         return q @ q.conj().T
 
-    def contains(self, vec: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, vec: np.ndarray) -> bool:
         proj = self.std_projector()
-        return bool(np.abs(vec - proj @ vec).max() <= tol * max(1.0, float(np.abs(vec).max())))
+        return bool(np.abs(vec - proj @ vec).max() <= 1e-9 * max(1.0, float(np.abs(vec).max())))
 
 
 def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec,
@@ -123,9 +121,7 @@ def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec,
     Side "L" (left coideal) takes functions constant on left cosets ``gH``;
     side "R" (right coideal) functions constant on right cosets ``Hg``.
     """
-    if not group.is_subgroup(subgroup):
-        raise NotASubgroup(f"{subgroup} is not a subgroup")
-    cosets = group.left_cosets(subgroup) if side == "L" else group.right_cosets(subgroup)
+    cosets = group.cosets(subgroup, side)
     rows = np.zeros((len(cosets), group.order), dtype=complex)
     for i, coset in enumerate(cosets):
         rows[i, list(coset)] = 1.0
@@ -176,25 +172,23 @@ def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
     return report
 
 
-def restricted_gram(coideal: CoidealSubalgebra, side: str, grams: GramPair,
-                    tol: float = 1e-9) -> np.ndarray:
+def restricted_gram(coideal: CoidealSubalgebra, side: str, grams: GramPair) -> np.ndarray:
     """The side's invariant inner product on the raw spanning basis.
 
-    Hermiticity is held to ``tol`` times the Gram's largest entry (at least 1),
+    Hermiticity is held to ``1e-9`` times the Gram's largest entry (at least 1),
     so a valid coideal spanned by large rows passes.
     """
     gram_full = grams.gram(side)
     gram_b = np.conj(coideal.span_rows) @ gram_full @ coideal.span_rows.T
     herm, min_eig, floor = positivity(gram_b)
-    if herm > tol * max(1.0, float(np.abs(gram_b).max())) or min_eig <= floor:
+    if herm > 1e-9 * max(1.0, float(np.abs(gram_b).max())) or min_eig <= floor:
         raise PositivityFailure(
             f"restricted {side} Gram of {coideal.label!r} fails positivity "
             f"(hermiticity {herm:.2e}, min eig {min_eig:.2e})")
     return gram_b
 
 
-def restricted_coaction_tensor(coideal: CoidealSubalgebra, grams: GramPair,
-                               tol: float = 1e-9) -> np.ndarray:
+def restricted_coaction_tensor(coideal: CoidealSubalgebra, grams: GramPair) -> np.ndarray:
     """Tensor ``T[i, k, c]``: restricted coaction of the i-th ONB element.
 
     ``coaction(e_i) = sum_{k,c} T[i, k, c] e_k (x) a_c``; a first leg escaping
@@ -210,7 +204,7 @@ def restricted_coaction_tensor(coideal: CoidealSubalgebra, grams: GramPair,
     coords = np.einsum("kb,ibc->ikc", np.conj(onb) @ gram_full, lifted)
     rebuilt = np.einsum("ikc,ka->iac", coords, onb)
     escape = float(np.abs(rebuilt - lifted).max())
-    if escape > tol * alg.magnitude:
+    if escape > 1e-9 * alg.magnitude:
         raise CoidealMismatch(
             f"coaction leg of {coideal.label!r} escapes the span by {escape:.2e}")
     return coords
@@ -245,8 +239,7 @@ def restricted_coaction_report(coideal: CoidealSubalgebra, grams: GramPair,
 # ---------------------------------------------------------------------------
 
 def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubalgebra,
-                                     grams: GramPair, rcond: float = 1e-9
-                                     ) -> list[BasisFunctionSet]:
+                                     grams: GramPair) -> list[BasisFunctionSet]:
     """Basis of the space of basis-function tuples for ``pi`` on ``B``'s carrier.
 
     The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` makes
@@ -258,15 +251,14 @@ def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubal
     """
     carrier = coideal.carrier(grams)
     basis = intertwiners(pi.coeffs, carrier.coact.transpose(1, 0, 2),
-                         solve_haar(coideal.algebra), rcond)
+                         solve_haar(coideal.algebra))
     return [BasisFunctionSet(pi, coideal.side, phi.T,
                              label=f"res{idx}[{pi.label}|{coideal.label}]", carrier=carrier)
             for idx, phi in enumerate(basis)]
 
 
 def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalgebra,
-                                    grams: GramPair, tol: float = 1e-9
-                                    ) -> list[BasisFunctionSet]:
+                                    grams: GramPair) -> list[BasisFunctionSet]:
     """Canonical row/column sets whose entries happen to lie in ``B``, on its carrier.
 
     Side "R": rows ``pi_l.`` with every entry in ``B``; side "L":
@@ -275,7 +267,7 @@ def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalg
     out = []
     for ell in range(pi.dim):
         funcs = canonical_basis_functions(pi, coideal.side, ell).functions
-        if all(coideal.contains(funcs[j], tol) for j in range(pi.dim)):
+        if all(coideal.contains(funcs[j]) for j in range(pi.dim)):
             coords = np.array([coideal.restrict(funcs[j], grams) for j in range(pi.dim)])
             out.append(BasisFunctionSet(
                 pi, coideal.side, coords, label=f"canon{ell}[{pi.label}|{coideal.label}]",
@@ -283,20 +275,8 @@ def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalg
     return out
 
 
-def check_restricted_family(fam: TensorOperatorFamily) -> float:
-    """Max defining-condition residual of a family on ``B`` by the structure maps (``B``
-    has no structure-constant route), returned raw for the caller's tolerance."""
-    alg = fam.algebra
-    lhs = _pipeline(fam.carrier.coact, alg, fam.operators, *_antipode_and_swap(alg, fam.kind))
-    rhs = np.einsum("kat,kjm->jmat", fam.operators, fam.corep.coeffs)
-    res = float(np.abs(lhs - rhs).max())
-    fam.residual = res
-    return res
-
-
 def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra,
-                            grams: GramPair, kind: str, rcond: float = 1e-9
-                            ) -> list[TensorOperatorFamily]:
+                            grams: GramPair, kind: str) -> list[TensorOperatorFamily]:
     """Basis of the space of families on ``B``'s carrier for one variant.
 
     The families are ``Hom(pi, End(B))`` for the restricted operator comodule,
@@ -306,14 +286,13 @@ def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra,
     carrier = coideal.carrier(grams)
     b, d = coideal.dim, pi.dim
     basis = intertwiners(pi.coeffs, operator_comodule(carrier.coact, alg, kind),
-                         solve_haar(alg), rcond)
+                         solve_haar(alg))
     return [TensorOperatorFamily(pi, kind, coideal.side, phi.T.reshape(d, b, b),
                                  label=f"res-sol{idx}[{pi.label}]", carrier=carrier)
             for idx, phi in enumerate(basis)]
 
 
-def restricted_product_tensor(coideal: CoidealSubalgebra, grams: GramPair,
-                              tol: float = 1e-9) -> np.ndarray:
+def restricted_product_tensor(coideal: CoidealSubalgebra, grams: GramPair) -> np.ndarray:
     """Structure constants of ``B`` in its ONB: ``e_i e_j = sum_k T[i,j,k] e_k``."""
     alg = coideal.algebra
     onb = coideal.onb()
@@ -321,6 +300,6 @@ def restricted_product_tensor(coideal: CoidealSubalgebra, grams: GramPair,
     gram_full = grams.gram(coideal.side)
     coords = products @ (np.conj(onb) @ gram_full).T
     rebuilt = np.einsum("ijk,km->ijm", coords, onb)
-    if float(np.abs(rebuilt - products).max()) > tol * alg.magnitude:
+    if float(np.abs(rebuilt - products).max()) > 1e-9 * alg.magnitude:
         raise CoidealMismatch("products escape the subalgebra; not closed")
     return coords

@@ -56,12 +56,12 @@ def _dense(arr: np.ndarray) -> Any:
     return [_dense(row) for row in arr]
 
 
-def _compact_dumps(payload: Any, indent: int = 1) -> str:
+def _compact_dumps(payload: Any) -> str:
     """JSON with innermost scalar lists kept on one line (readable fixtures)."""
 
     def fmt(obj, depth: int) -> str:
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
+        pad = " " * depth
+        inner = " " * (depth + 1)
         if isinstance(obj, dict):
             items = [f"{inner}{json.dumps(k)}: {fmt(v, depth + 1)}"
                      for k, v in obj.items()]

@@ -147,7 +147,7 @@ def _carrier_of(corep: Corepresentation, side: str, carrier: Carrier | None) -> 
     return carrier
 
 
-def check_basis_functions(bset: BasisFunctionSet, tol: float = 1e-9) -> float:
+def check_basis_functions(bset: BasisFunctionSet) -> float:
     """Max residual of the defining relation over the set."""
     lhs = np.einsum("jt,tab->jab", bset.functions, bset.carrier.coact)
     rhs = np.einsum("ka,kjb->jab", bset.functions, bset.corep.coeffs)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HopfAlgebraSpec
-from .corep import Corepresentation, _phase_fixed, intertwiners
+from .corep import RANK_RCOND, Corepresentation, _phase_fixed, intertwiners
 from .errors import DecompositionStall
 from .haar import solve_haar
 from .regular import BasisFunctionSet, Carrier, _carrier_of, regular_carrier
@@ -188,18 +188,16 @@ class OperatorCoactionResult:
         return report
 
 
-def coaction_on_operator(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str, side: str,
-                         check_routes: bool = True, tol: float = 1e-10
+def coaction_on_operator(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str, side: str
                          ) -> OperatorCoactionResult:
     """Operator-space coaction with the dual-route agreement enforced."""
     comps = operator_coaction_components(alg, q_op, kind, side, route="constants")
     result = OperatorCoactionResult(alg, kind, side, np.asarray(q_op, dtype=complex), comps)
-    if check_routes:
-        gap = result.routes_agreement()
-        if gap > tol * alg.magnitude ** 2:
-            raise AssertionError(
-                f"structure-map and structure-constant coaction routes disagree "
-                f"by {gap:.2e} for variant {kind}-{side}")
+    gap = result.routes_agreement()
+    if gap > 1e-10 * alg.magnitude ** 2:
+        raise AssertionError(
+            f"structure-map and structure-constant coaction routes disagree "
+            f"by {gap:.2e} for variant {kind}-{side}")
     return result
 
 
@@ -236,22 +234,27 @@ class TensorOperatorFamily:
 
 def check_family(fam: TensorOperatorFamily, kind: str | None = None,
                  side: str | None = None) -> float:
-    """Max defining-condition residual of the family, over both routes.
+    """Max defining-condition residual of the family, over every route its carrier has.
 
     The residual is returned raw; callers compare it with their own tolerance.
-    ``kind``/``side`` override the variant being tested, so a family built
-    for one variant can be checked against another (the distinctness
-    diagnostics rely on this).  Sets ``fam.residual`` when testing the
-    family's own variant.  Families on a coideal use ``check_restricted_family``.
+    On the whole algebra both routes run; a coideal carrier has only the
+    structure-map route.  ``kind``/``side`` override the variant being tested,
+    so a family built for one variant can be checked against another (the
+    distinctness diagnostics rely on this); a coideal fixes the side.  Sets
+    ``fam.residual`` when testing the family's own variant.
     """
-    if fam.carrier is not regular_carrier(fam.algebra, fam.side):
-        raise ValueError("check_family needs a family on the whole algebra")
-    kind = kind or fam.kind
-    side = side or fam.side
+    kind, side = _variant_key(kind or fam.kind, side or fam.side)
+    alg = fam.algebra
     rhs = np.tensordot(fam.corep.coeffs, fam.operators, axes=(0, 0))   # [j, m, a, t]
-    worst = max(float(np.abs(_coaction_stack(fam.algebra, fam.operators, kind, side, route)
-                             - rhs).max())
-                for route in ("constants", "maps"))
+    if fam.carrier is regular_carrier(alg, fam.side):
+        routes = (_coaction_stack(alg, fam.operators, kind, side, route)
+                  for route in ("constants", "maps"))
+    elif side != fam.side:
+        raise ValueError("a family on a coideal is checked on its own side only")
+    else:
+        routes = [_pipeline(fam.carrier.coact, alg, fam.operators,
+                            *_antipode_and_swap(alg, kind))]
+    worst = max(float(np.abs(lhs - rhs).max()) for lhs in routes)
     if kind == fam.kind and side == fam.side:
         fam.residual = worst
     return worst
@@ -286,8 +289,8 @@ def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, kind: str,
     return np.einsum("ju,tuA->jAt", coords, mult)
 
 
-def solve_family_space(pi: Corepresentation, kind: str, side: str,
-                       rcond: float = 1e-9) -> list[TensorOperatorFamily]:
+def solve_family_space(pi: Corepresentation, kind: str, side: str
+                       ) -> list[TensorOperatorFamily]:
     """Basis of the space of families belonging to ``pi`` for one variant.
 
     Every family is a combination of ``Q^(c,x)_k = M_(phi^c_k) o C_x`` (the
@@ -297,8 +300,8 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str,
     ``a -> x(a_(1)) a_(2)`` (right side) or ``a -> a_(1) x(a_(2))`` (left
     side), which commute with the coaction.  The pipeline applies ``Q`` to the
     first coaction leg, so a family composed on the right with a comodule map
-    is again a family.  The commutation is certified to ``rcond`` times the
-    squared magnitude and the stack's rank ``m n`` against the ``rcond`` cut,
+    is again a family.  The commutation is certified to ``RANK_RCOND`` times the
+    squared magnitude and the stack's rank ``m n`` against the ``RANK_RCOND`` cut,
     else ``DecompositionStall``.  Returns one QR factor of the stack:
     orthonormal as flattened vectors, phase-fixed.
     """
@@ -306,20 +309,20 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str,
     alg = pi.algebra
     n, d = alg.dim, pi.dim
     coact = regular_carrier(alg, side).coact
-    sets = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), solve_haar(alg), rcond)
+    sets = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), solve_haar(alg))
     if not sets:
         return []
     coords = np.concatenate([phi.T for phi in sets])                  # [(c, k), u]
     mults = _multiplication_operators(coords, alg.mult, kind, side)   # [(c, k), A, t]
     # convs[x, t, s]: C_x sends a_s to sum_t convs[x, t, s] a_t
     convs = alg.comult.transpose(1, 2, 0) if side == "R" else alg.comult.transpose(2, 1, 0)
-    _certify_commutant(convs, coact, rcond * alg.magnitude ** 2)
+    _certify_commutant(convs, coact, RANK_RCOND * alg.magnitude ** 2)
     m = len(sets)
     stack = mults.reshape(-1, n) @ convs.transpose(1, 0, 2).reshape(n, n * n)
     stack = stack.reshape(m, d * n, n, n).transpose(1, 3, 0, 2).reshape(d * n * n, m * n)
     basis, tri = np.linalg.qr(stack)                                  # columns [k, A, s]
     sigma = np.linalg.svd(tri, compute_uv=False)
-    if sigma[-1] <= rcond * max(sigma[0], 1.0):
+    if sigma[-1] <= RANK_RCOND * max(sigma[0], 1.0):
         raise DecompositionStall(
             f"the {m * n} families M_phi C_x of {pi.label} have numerical rank below "
             f"{m * n} (smallest singular value {sigma[-1]:.1e})")

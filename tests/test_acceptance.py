@@ -23,8 +23,8 @@ from cqglab.cg import character, tensor_product, verify_triple_haar
 from cqglab.corep import identity_corep
 from cqglab.groups import symmetric_group_3
 from cqglab.haar import verify_haar_lemmas
-from cqglab.homspace import (build_coset_subalgebra, check_restricted_family,
-                             solve_restricted_basis_functions, subspace_coideal)
+from cqglab.homspace import (build_coset_subalgebra, solve_restricted_basis_functions,
+                             subspace_coideal)
 from cqglab.regular import BasisFunctionSet, canonical_basis_functions, \
     projection_operator, verify_projection_identities
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, check_family,
@@ -273,7 +273,7 @@ def test_criterion_09_operator_products(contexts, cs3_fun):
             fam = multiplication_family(sets[0], kind)
             system = cs3_fun.cg("p2", "p2")
             for key, cf in couple_families(fam, fam, system, cs3_fun.table).items():
-                res = check_restricted_family(cf)
+                res = check_family(cf)
                 worst = max(worst, res)
                 assert res <= 1e-10, (side, kind, key)
     _announce(9, worst <= 1e-10,

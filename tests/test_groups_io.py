@@ -57,8 +57,8 @@ def test_cosets_and_subgroups():
     s3 = symmetric_group_3()
     assert s3.is_subgroup([0, 1])
     assert not s3.is_subgroup([0, 4])
-    assert len(s3.left_cosets([0, 1])) == 3
-    assert len(s3.right_cosets([0, 1])) == 3
+    assert len(s3.cosets([0, 1], "L")) == 3
+    assert len(s3.cosets([0, 1], "R")) == 3
     assert s3.inverse(4) == 5  # the 3-cycles invert each other
     assert cyclic_group(4).is_abelian()
     assert not s3.is_abelian()

@@ -12,15 +12,16 @@ from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
 from cqglab.errors import CoidealMismatch, LinearDependenceWarning, NotASubgroup
 from cqglab.groups import symmetric_group_3
 from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candidates,
-                             check_restricted_family, restricted_coaction_report,
+                             restricted_coaction_report,
                              restricted_coaction_tensor, restricted_gram,
                              solve_restricted_basis_functions, solve_restricted_family,
                              subspace_coideal, verify_coideal)
 from cqglab.corep import identity_corep
 from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
                             canonical_basis_functions, check_basis_functions)
-from cqglab.tensor_ops import (TensorOperatorFamily, couple_families, multiplication_family,
-                               operator_comodule, pipeline_components)
+from cqglab.tensor_ops import (TensorOperatorFamily, check_family, couple_families,
+                               family_report, multiplication_family, operator_comodule,
+                               pipeline_components)
 from cqglab.wigner_eckart import verify_wigner_eckart
 
 S3 = symmetric_group_3()
@@ -184,7 +185,7 @@ def test_identity_family_all_variants(coset_ctx, cs3_fun):
     for kind in ("ordinary", "twisted"):
         fam = TensorOperatorFamily(ident, kind, side, np.eye(coideal.dim)[None, :, :],
                                    carrier=carrier)
-        assert check_restricted_family(fam) < 1e-12
+        assert check_family(fam) < 1e-12
 
 
 def test_restricted_multiplication_families(coset_ctx, cs3_fun):
@@ -193,7 +194,7 @@ def test_restricted_multiplication_families(coset_ctx, cs3_fun):
         for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.grams):
             for kind in ("ordinary", "twisted"):
                 fam = multiplication_family(bset, kind)
-                assert check_restricted_family(fam) < 1e-10
+                assert check_family(fam) < 1e-10
 
 
 def test_zero_family_space_on_point_space(cs3_fun):
@@ -210,7 +211,7 @@ def test_solved_restricted_families_pass(coset_ctx, cs3_fun):
     for pi in cs3_fun.table:
         for kind in ("ordinary", "twisted"):
             for fam in solve_restricted_family(pi, coideal, cs3_fun.grams, kind):
-                assert check_restricted_family(fam) < 1e-9
+                assert check_family(fam) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["ordinary", "twisted"])
@@ -231,7 +232,20 @@ def test_restricted_family_residual_matches_per_operator_loop(coset_ctx, cs3_fun
             lhs = np.array([pipeline_components(coact, alg, kind, op) for op in fam.operators])
             rhs = np.einsum("kat,kjm->jmat", fam.operators, pi.coeffs)
             loop = float(np.abs(lhs - rhs).max())
-            assert abs(check_restricted_family(fam) - loop) <= 1e-14, (side, pi.label)
+            assert abs(check_family(fam) - loop) <= 1e-14, (side, pi.label)
+
+
+def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
+    """``check_family`` runs the structure-map route on a coideal carrier, so
+    ``family_report`` certifies families on ``B``; a coideal fixes the side."""
+    side, coideal = coset_ctx
+    fams = solve_restricted_family(cs3_fun.table["p0"], coideal, cs3_fun.grams, "ordinary")
+    assert fams
+    for fam in fams:
+        assert family_report(fam).passed
+        assert fam.residual is not None and fam.residual < 1e-10
+        with pytest.raises(ValueError):
+            check_family(fam, side="L" if side == "R" else "R")
 
 
 def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
@@ -273,7 +287,7 @@ def test_restricted_coupling(coset_ctx, cs3_fun):
         system = cs3_fun.cg("p2", "p2")
         coupled = couple_families(fam, fam, system, cs3_fun.table)
         for key, cf in coupled.items():
-            assert check_restricted_family(cf) < 1e-10, (side, kind, key)
+            assert check_family(cf) < 1e-10, (side, kind, key)
 
 
 def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):
