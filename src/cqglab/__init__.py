@@ -37,11 +37,10 @@ from .regular import (BasisFunctionSet, Carrier, basis_function_orthogonality,
                       regular_carrier, regular_coaction, regular_coaction_tensor,
                       regular_corep, verify_projection_identities)
 from .report import CheckResult, Report
-from .tensor_ops import (VARIANTS, OperatorCoactionResult, TensorOperatorFamily,
-                         apply_family_to_basis_functions, check_family,
-                         coaction_on_operator, couple_families,
-                         excluded_substitution_residual, family_report,
-                         multiplication_family, operator_coaction_components,
+from .tensor_ops import (VARIANTS, TensorOperatorFamily, apply_family_to_basis_functions,
+                         check_family, couple_families, excluded_substitution_residual,
+                         family_report, multiplication_family,
+                         operator_coaction_components, operator_coaction_report,
                          operator_product_rule_residual, solve_family_space)
 from .wigner_eckart import WEReport, verify_wigner_eckart, we_tensor
 

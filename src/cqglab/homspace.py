@@ -58,7 +58,6 @@ class CoidealSubalgebra:
     side: str
     onb_rows: np.ndarray | None = None
     label: str = ""
-    flags: dict = field(default_factory=dict)
     _carrier: Carrier | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -80,7 +79,7 @@ class CoidealSubalgebra:
         self._carrier = None
 
     def carrier(self, grams: GramPair) -> Carrier:
-        """``B`` as a carrier in its ONB, built once (orthonormalizing if needed)."""
+        """``B`` as a carrier in its ONB, built once; call :meth:`orthonormalize` first."""
         if self._carrier is None:
             coact = restricted_coaction_tensor(self, grams)
             self._carrier = Carrier(self.algebra, self.side, coact,
@@ -108,10 +107,6 @@ class CoidealSubalgebra:
         """Orthogonal projector onto the span in the standard inner product."""
         q, _ = np.linalg.qr(self.span_rows.conj().T)
         return q @ q.conj().T
-
-    def contains(self, vec: np.ndarray) -> bool:
-        proj = self.std_projector()
-        return bool(np.abs(vec - proj @ vec).max() <= 1e-9 * max(1.0, float(np.abs(vec).max())))
 
 
 def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec,
@@ -168,7 +163,6 @@ def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
         report.add("S^2 invariance", s2_res, t)
     else:
         report.add("S^2 invariance (informational)", s2_res, float("inf"))
-    coideal.flags = {c.name: c.passed for c in report.checks}
     return report
 
 
@@ -195,8 +189,6 @@ def restricted_coaction_tensor(coideal: CoidealSubalgebra, grams: GramPair) -> n
     the span raises ``CoidealMismatch``.
     """
     alg = coideal.algebra
-    if coideal.onb_rows is None:
-        coideal.orthonormalize(grams)
     onb = coideal.onb()
     full = regular_carrier(alg, coideal.side).coact
     gram_full = grams.gram(coideal.side)
@@ -267,11 +259,13 @@ def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalg
     out = []
     for ell in range(pi.dim):
         funcs = canonical_basis_functions(pi, coideal.side, ell).functions
-        if all(coideal.contains(funcs[j]) for j in range(pi.dim)):
-            coords = np.array([coideal.restrict(funcs[j], grams) for j in range(pi.dim)])
-            out.append(BasisFunctionSet(
-                pi, coideal.side, coords, label=f"canon{ell}[{pi.label}|{coideal.label}]",
-                carrier=coideal.carrier(grams)))
+        try:
+            coords = np.array([coideal.restrict(f, grams) for f in funcs])
+        except CoidealMismatch:
+            continue
+        out.append(BasisFunctionSet(
+            pi, coideal.side, coords, label=f"canon{ell}[{pi.label}|{coideal.label}]",
+            carrier=coideal.carrier(grams)))
     return out
 
 

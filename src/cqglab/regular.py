@@ -356,13 +356,12 @@ def product_coaction_check(alg: HopfAlgebraSpec, side: str, tol: float = 1e-10,
 
 
 def dual_action_crosscheck(alg: HopfAlgebraSpec, tol: float = 1e-12) -> Report:
-    """Regular actions of the dual reproduce the regular coactions.
+    """The regular coactions make ``A`` a left module over the dual.
 
-    For each dual basis functional the action on ``A`` is computed two ways:
-    from the evaluation formula against the coaction legs, and from the
-    structure-constant operator expansion; the coaction is then reassembled
-    from the action and compared with the direct tensor.  The dual algebra's
-    product must also turn both actions into genuine left actions.
+    The ``m``-th dual basis functional acts on ``A`` by evaluation against the
+    second leg of the right or left regular coaction.  The dual algebra's
+    product must compose these actions as a left action, and its unit must act
+    as the identity.
     """
     from .algebra import build_dual
 
@@ -374,15 +373,6 @@ def dual_action_crosscheck(alg: HopfAlgebraSpec, tol: float = 1e-12) -> Report:
         tensor = regular_carrier(alg, side).coact
         # action of the m-th dual basis functional: ev against the second leg
         action_eval = tensor.transpose(2, 1, 0)  # act[m][:, t] = tensor[t, :, m]
-        if side == "R":
-            action_const = alg.comult.transpose(2, 1, 0)
-        else:  # [k, j, m] = sum_l comult[k, l, j] S[l, m]
-            action_const = (alg.comult.transpose(0, 2, 1) @ alg.antipode).transpose(2, 1, 0)
-        report.add(f"operator expansion {side}",
-                   float(np.abs(action_eval - action_const).max()), t)
-        # reassemble the coaction: pi(a_t) = sum_m (act_m a_t) (x) a_m
-        rebuilt = action_eval.transpose(2, 1, 0)
-        report.add(f"coaction rebuilt {side}", float(np.abs(rebuilt - tensor).max()), t)
         # left-action law: act(x) act(y) = act(x *dual* y), both as [m, k, a, t]; the
         # right side reads the tensor as its [(t, a), l] rows, a transposed view, not a copy
         composed = np.tensordot(action_eval, action_eval, axes=(2, 1)).transpose(0, 2, 1, 3)

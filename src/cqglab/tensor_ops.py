@@ -16,8 +16,9 @@ variants and ``S^{-1}`` in the twisted ones; the result must equal
 Each variant equivalently defines a right coaction on operator space,
 ``Q -> sum_m Q^(m) (x) a_m``.  Components are computed both by the pipeline
 ("maps") and by closed structure-constant contractions ("constants"); the two
-routes must agree, and that agreement is checked wherever families are
-certified.
+routes must agree.  :func:`operator_coaction_report` certifies that agreement
+and the coaction axioms for one operator, and :func:`check_family` runs both
+routes wherever families are certified.
 Operators live on a :class:`cqglab.regular.Carrier`, the whole algebra by
 default; only there do the constants route and the Heisenberg double apply.
 """
@@ -41,8 +42,7 @@ __all__ = [
     "pipeline_components",
     "operator_comodule",
     "operator_coaction_components",
-    "OperatorCoactionResult",
-    "coaction_on_operator",
+    "operator_coaction_report",
     "check_family",
     "family_report",
     "multiplication_family",
@@ -152,53 +152,25 @@ def _coaction_stack(alg: HopfAlgebraSpec, q_ops: np.ndarray, kind: str, side: st
     return out.transpose(0, 3, 2, 1)
 
 
-@dataclass
-class OperatorCoactionResult:
-    """Operator-space coaction of one operator, as components per basis element."""
+def operator_coaction_report(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str, side: str,
+                             tol: float = 1e-10) -> Report:
+    """Operator-space coaction of one operator, certified as a right coaction.
 
-    algebra: HopfAlgebraSpec
-    kind: str
-    side: str
-    operator: np.ndarray
-    components: np.ndarray  # (n, n, n): components[m] = Q^(m)
-
-    def routes_agreement(self) -> float:
-        other = operator_coaction_components(
-            self.algebra, self.operator, self.kind, self.side, route="maps")
-        return float(np.abs(self.components - other).max())
-
-    def comodule_axiom_report(self, tol: float = 1e-9) -> Report:
-        """Coaction axioms at operator level.
-
-        Coacting again on every component must match tensoring the second leg
-        with its coproduct; contracting the second leg with the counit must
-        give back the operator.
-        """
-        alg = self.algebra
-        report = Report(f"operator coaction axioms [{self.kind}-{self.side}]",
-                        meta={"tol": tol})
-        t = tol * alg.magnitude ** 2
-        again = _coaction_stack(alg, self.components, self.kind, self.side,
-                                "constants")       # again[m, m2, a, t]
-        lhs = again.transpose(1, 0, 2, 3)          # [m2, m, a, t]
-        rhs = np.tensordot(alg.comult, self.components, axes=(0, 0))  # [b, c, a, t]
-        report.add("coassociativity", float(np.abs(lhs - rhs).max()), t)
-        counit_side = np.einsum("mat,m->at", self.components, alg.counit)
-        report.add("counit", float(np.abs(counit_side - self.operator).max()), t)
-        return report
-
-
-def coaction_on_operator(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str, side: str
-                         ) -> OperatorCoactionResult:
-    """Operator-space coaction with the dual-route agreement enforced."""
-    comps = operator_coaction_components(alg, q_op, kind, side, route="constants")
-    result = OperatorCoactionResult(alg, kind, side, np.asarray(q_op, dtype=complex), comps)
-    gap = result.routes_agreement()
-    if gap > 1e-10 * alg.magnitude ** 2:
-        raise AssertionError(
-            f"structure-map and structure-constant coaction routes disagree "
-            f"by {gap:.2e} for variant {kind}-{side}")
-    return result
+    The constants and maps routes must agree; coacting again on every
+    component must match tensoring the second leg with its coproduct; and
+    contracting the second leg with the counit must give back the operator.
+    """
+    comps = operator_coaction_components(alg, q_op, kind, side)            # [m, a, t]
+    maps = operator_coaction_components(alg, q_op, kind, side, route="maps")
+    report = Report(f"operator coaction [{kind}-{side}]", meta={"tol": tol})
+    t = tol * alg.magnitude ** 2
+    report.add("routes agree", float(np.abs(comps - maps).max()), t)
+    again = _coaction_stack(alg, comps, kind, side, "constants")    # again[m, m2, a, t]
+    rhs = np.tensordot(alg.comult, comps, axes=(0, 0))             # [b, c, a, t]
+    report.add("coassociativity", float(np.abs(again.transpose(1, 0, 2, 3) - rhs).max()), t)
+    counit_side = np.einsum("mat,m->at", comps, alg.counit)
+    report.add("counit", float(np.abs(counit_side - q_op).max()), t)
+    return report
 
 
 @dataclass

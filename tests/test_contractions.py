@@ -200,10 +200,6 @@ def _dual_action_oracles(a: HopfAlgebraSpec) -> dict[str, np.ndarray]:
     for side in ("R", "L"):
         tensor = regular_coaction_tensor(a, side)
         act = np.einsum("tam->mat", tensor)
-        const = (np.einsum("kjm->mjk", a.comult) if side == "R"
-                 else np.einsum("klj,lm->mjk", a.comult, a.antipode))
-        out[f"operator expansion {side}"] = act - const
-        out[f"coaction rebuilt {side}"] = np.einsum("mat->tam", act) - tensor
         out[f"action law {side}"] = (np.einsum("mab,kbt->mkat", act, act)
                                      - np.einsum("mkl,lat->mkat", dual.mult, act))
         out[f"dual unit acts trivially {side}"] = (np.einsum("m,mat->at", dual.unit, act)
@@ -214,15 +210,11 @@ def _dual_action_oracles(a: HopfAlgebraSpec) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("label", SPECS)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_dual_action_matches_naive(algebras, label, seed):
-    """The action law and the dual unit on noisy constants; the operator expansion and
-    the rebuilt coaction restate the coaction tensor, so they vanish on any spec."""
+    """The action law and the dual unit on noisy constants."""
     alg = perturbed(algebras[label], seed)
     report = dual_action_crosscheck(alg)
     for name, diff in _dual_action_oracles(alg).items():
-        if name.startswith(("action law", "dual unit")):
-            assert_same_residual(residual(report, name), diff)
-        else:
-            assert residual(report, name) <= RTOL
+        assert_same_residual(residual(report, name), diff)
 
 
 @pytest.mark.parametrize("label", SPECS)

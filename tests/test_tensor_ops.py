@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (conjugation_family_space_dim, per_operator_coaction,
                      per_operator_family_residual, tensor_product_algebra)
+from test_contractions import perturbed
 
 from cqglab import tensor_ops
 from cqglab.algebra import opposite_algebra
@@ -17,10 +18,10 @@ from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, _certify_commutant,
                                _coaction_stack, apply_family_to_basis_functions,
-                               check_family, coaction_on_operator, couple_families,
+                               check_family, couple_families,
                                excluded_substitution_residual, family_report,
                                multiplication_family, operator_coaction_components,
-                               operator_comodule,
+                               operator_coaction_report, operator_comodule,
                                operator_product_rule_residual, solve_family_space)
 
 
@@ -55,8 +56,8 @@ def test_coaction_routes_agree_on_random_operators(contexts):
         n = alg.dim
         for q_op in _random_ops(alg, 2, seed=7):
             for kind, side in VARIANTS:
-                result = coaction_on_operator(alg, q_op, kind, side)
-                assert result.routes_agreement() < 1e-10, (label, kind, side)
+                report = operator_coaction_report(alg, q_op, kind, side)
+                assert report["routes agree"].residual < 1e-10, (label, kind, side)
                 # the operator comodule contracted with q_op is a third route
                 comodule = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
                 batched = np.einsum("atxym,xy->mat", comodule.reshape(n, n, n, n, n), q_op)
@@ -65,12 +66,21 @@ def test_coaction_routes_agree_on_random_operators(contexts):
                     assert np.abs(batched - single).max() < 1e-10, (label, kind, side, route)
 
 
+def test_route_disagreement_is_a_failing_check(algebras):
+    """On noisy constants the ordinary-L routes part; the report records it."""
+    alg = perturbed(algebras["C(S3)"], 1)
+    q_op = _random_ops(alg, 1, seed=7)[0]
+    report = operator_coaction_report(alg, q_op, "ordinary", "L")
+    assert [c.name for c in report.checks] == ["routes agree", "coassociativity", "counit"]
+    assert not report["routes agree"].passed
+    assert report["routes agree"].residual > 1.0
+
+
 def test_operator_coactions_are_comodules(contexts):
     for label, ctx in contexts.items():
         for q_op in _random_ops(ctx.algebra, 2, seed=11):
             for kind, side in VARIANTS:
-                result = coaction_on_operator(ctx.algebra, q_op, kind, side)
-                rep = result.comodule_axiom_report(1e-9)
+                rep = operator_coaction_report(ctx.algebra, q_op, kind, side, 1e-9)
                 assert rep.passed, (label, kind, side, rep.summary())
 
 
