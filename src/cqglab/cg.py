@@ -22,8 +22,9 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import Element, HopfAlgebraSpec, LinearFunctional, multiply
-from .corep import Corepresentation, IrrepTable, _dim_classes, _stacked_intertwiners
+from .algebra import Element, HopfAlgebraSpec, LinearFunctional
+from .corep import (Corepresentation, IrrepTable, _character_grams, _dim_classes,
+                    _stacked_intertwiners)
 from .errors import (LinearDependenceWarning, MultiplicityMismatch,
                      NonIntegerMultiplicity, SingularC)
 from .regular import BasisFunctionSet
@@ -60,21 +61,28 @@ def character(pi: Corepresentation) -> Character:
     return Character(pi.character(), source=pi.label)
 
 
-def _h_product(h: LinearFunctional, x: Element, y: Element) -> complex:
-    return h(multiply(x, y))
-
-
 def character_orthogonality(chi_p: Character, chi_q: Character, h: LinearFunctional,
                             tol: float = 1e-10) -> Report:
-    """``h(chi_p^* chi_q) = delta_pq`` in both multiplication orders."""
-    same = np.array_equal(chi_p.element.coeffs, chi_q.element.coeffs)
-    expected = 1.0 if same else 0.0
-    fwd = _h_product(h, chi_p.element.star(), chi_q.element)
-    rev = _h_product(h, chi_q.element, chi_p.element.star())
-    report = Report(f"character orthogonality [{chi_p.source} vs {chi_q.source}]")
-    t = tol * chi_p.algebra.magnitude
-    report.add("forward", abs(fwd - expected), t, value=[fwd.real, fwd.imag])
-    report.add("reversed", abs(rev - expected), t, value=[rev.real, rev.imag])
+    """``h(chi_p^* chi_q) = delta_pq`` in both multiplication orders: the one-pair call
+    of :func:`_character_report`."""
+    return _character_report(np.array([chi_p.element.coeffs, chi_q.element.coeffs]),
+                             [chi_p.source, chi_q.source], [(0, 1)], h, tol,
+                             f"character orthogonality [{chi_p.source} vs {chi_q.source}]")
+
+
+def _character_report(chars: np.ndarray, labels: list[str], pairs: list[tuple[int, int]],
+                      h: LinearFunctional, tol: float, title: str | None = None) -> Report:
+    """``h(chi_p^* chi_q) = delta_pq`` in both orders for each listed pair of rows of
+    ``chars``, read off the two character Grams.  Without a ``title`` the report is
+    the table's and every check name starts ``p vs q: ``."""
+    fwd, rev = _character_grams(chars, h)
+    report = Report(title or "character orthogonality [table]")
+    for p, q in pairs:
+        expected = 1.0 if np.array_equal(chars[p], chars[q]) else 0.0
+        prefix = "" if title else f"{labels[p]} vs {labels[q]}: "
+        for name, value in (("forward", complex(fwd[p, q])), ("reversed", complex(rev[p, q]))):
+            report.add(prefix + name, abs(value - expected), tol * h.algebra.magnitude,
+                       value=[value.real, value.imag])
     return report
 
 
@@ -96,7 +104,8 @@ def _integer_counts(values) -> np.ndarray:
 
 def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional) -> int:
     """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``."""
-    return int(_integer_counts(_h_product(h, chi_v.element, chi_p.element.star())))
+    pair = h.algebra.mult @ h.covector  # [a, b] = h(a_a a_b)
+    return int(_integer_counts(chi_v.element.coeffs @ pair @ chi_p.element.star().coeffs))
 
 
 def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import io as cio
 from .algebra import verify_hopf_axioms, verify_star_axioms
-from .cg import (_triple_haar_gaps, character, character_orthogonality,
-                 solve_cg_systems)
-from .corep import check_unitary, irrep_table, verify_corep, verify_orthogonality
+from .cg import _character_report, _triple_haar_gaps, solve_cg_systems
+from .corep import _CERTIFICATES, _certificate, _schur_report, identity_corep, irrep_table
 from .errors import CqglabError
 from .groups import _BUILTINS, build_function_algebra, build_group_algebra, builtin_algebras
 from .haar import certify_haar, gram_matrices, solve_haar, verify_haar_lemmas
@@ -27,7 +26,7 @@ from .homspace import (build_coset_subalgebra, restricted_coaction_report,
 from .regular import (canonical_basis_functions, product_coaction_check,
                       dual_action_crosscheck, verify_projection_identities)
 from .report import Report
-from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_family,
+from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_families,
                          multiplication_family)
 from .wigner_eckart import _factorize_table
 
@@ -83,14 +82,11 @@ def _cmd_irreps(args) -> list[Report]:
     total = sum(d * m for d, m in zip(table.dims(), table.multiplicities))
     summary.add("blocks fill the regular comodule", float(abs(total - spec.dim)), 0.5)
     reports = [summary]
-    for pi in table:
-        reports.append(verify_corep(pi, args.tolerance))
-        reports.append(check_unitary(pi, args.tolerance))
-    for i, p in enumerate(table):
-        for q in table.irreps[i:]:
-            reports.append(verify_orthogonality(p, q, h, args.tolerance))
-            reports.append(character_orthogonality(character(p), character(q), h,
-                                                   args.tolerance))
+    for pi, residuals in zip(table, table.residuals):
+        reports += [_certificate(pi, residuals, which, args.tolerance) for which in _CERTIFICATES]
+    pairs = [(i, j) for i in range(len(table)) for j in range(i, len(table))]
+    reports.append(_schur_report(table.irreps, pairs, h, args.tolerance))
+    reports.append(_character_report(table.characters, table.labels, pairs, h, args.tolerance))
     for side in ("R", "L"):
         reports.append(verify_projection_identities(table, side, h, args.tolerance))
         reports.append(product_coaction_check(spec, side, args.tolerance))
@@ -132,25 +128,18 @@ def _pick_labels(table, requested) -> list[str] | None:
 def _cmd_tensor_ops(args) -> list[Report]:
     spec = _load_spec(args)
     h, grams, table = _context(spec, args.tolerance, args.seed)
-    reports = []
-    from .corep import identity_corep
-    ident = identity_corep(spec)
-    rep = Report(f"identity operator [{spec.label}]")
-    for kind, side in VARIANTS:
-        fam = TensorOperatorFamily(ident, kind, side, np.eye(spec.dim)[None, :, :])
-        rep.add(f"identity {kind}-{side}", check_family(fam),
-                args.tolerance * spec.magnitude ** 2)
-    reports.append(rep)
     labels = _pick_labels(table, [args.q]) or list(table.labels)
-    for ql in labels:
-        pi = table[ql]
-        famrep = Report(f"multiplication families [{ql}]")
-        for kind, side in VARIANTS:
-            bset = canonical_basis_functions(pi, side, 0)
-            fam = multiplication_family(bset, kind)
-            famrep.add(f"{kind}-{side}", check_family(fam),
-                       args.tolerance * spec.magnitude ** 2)
-        reports.append(famrep)
+    reports = [Report(f"identity operator [{spec.label}]")]
+    reports += [Report(f"multiplication families [{ql}]") for ql in labels]
+    ident = identity_corep(spec)
+    for kind, side in VARIANTS:
+        # the identity operator and every irrep's multiplication family, checked as one stack
+        fams = [TensorOperatorFamily(ident, kind, side, np.eye(spec.dim)[None, :, :])]
+        fams += [multiplication_family(canonical_basis_functions(table[ql], side, 0), kind)
+                 for ql in labels]
+        names = [f"identity {kind}-{side}"] + [f"{kind}-{side}"] * len(labels)
+        for rep, name, residual in zip(reports, names, check_families(fams)):
+            rep.add(name, residual, args.tolerance * spec.magnitude ** 2)
     return reports
 
 

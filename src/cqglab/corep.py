@@ -103,37 +103,56 @@ def identity_corep(alg: HopfAlgebraSpec, label: str = "identity") -> Corepresent
                             F=np.array([[1.0 + 0j]]), f_normalization="hermitian_pd_balanced")
 
 
+# report title, flag and check names of the comodule and unitarity certificates
+_CERTIFICATES = {
+    "comodule": ("corep axioms", "verified", ("coproduct splits", "counit is identity")),
+    "unitarity": ("unitarity", "unitary",
+                  ("antipode flips to star", "columns orthonormal", "rows orthonormal"))}
+
+
 def verify_corep(pi: Corepresentation, tol: float = 1e-9) -> Report:
     """Residuals of the comodule identities; sets the ``verified`` flag."""
-    alg = pi.algebra
-    report = Report(f"corep axioms [{pi.label}]", meta={"tol": tol})
-    t = tol * alg.magnitude
-    lhs = np.einsum("jkm,mab->jkab", pi.coeffs, alg.comult)
-    rhs = np.einsum("jla,lkb->jkab", pi.coeffs, pi.coeffs)
-    report.add("coproduct splits", float(np.abs(lhs - rhs).max()), t)
-    eps_res = np.einsum("jkm,m->jk", pi.coeffs, alg.counit) - np.eye(pi.dim)
-    report.add("counit is identity", float(np.abs(eps_res).max()), t)
-    pi.verified = report.passed
-    return report
+    return _certificate(pi, _corep_residuals([pi])[0], "comodule", tol)
 
 
 def check_unitary(pi: Corepresentation, tol: float = 1e-9) -> Report:
     """Residuals of the three unitarity identities; sets the ``unitary`` flag."""
-    alg = pi.algebra
-    report = Report(f"unitarity [{pi.label}]", meta={"tol": tol})
-    t = tol * alg.magnitude
-    star = pi.star_coeffs()
-    report.add("antipode flips to star",
-               float(np.abs(pi.antipode_coeffs() - star.transpose(1, 0, 2)).max()), t)
-    eye = np.einsum("jk,m->jkm", np.eye(pi.dim), alg.unit)
-    star_mult = np.tensordot(star, alg.mult, axes=(2, 0))    # [l, j, b, m]
-    rows = np.einsum("ljbm,lkb->jkm", star_mult, pi.coeffs)
-    report.add("columns orthonormal", float(np.abs(rows - eye).max()), t)
-    coeff_mult = np.tensordot(pi.coeffs, alg.mult, axes=(2, 0))  # [j, l, b, m]
-    cols = np.einsum("jlbm,klb->jkm", coeff_mult, star)
-    report.add("rows orthonormal", float(np.abs(cols - eye).max()), t)
-    pi.unitary = report.passed
+    return _certificate(pi, _corep_residuals([pi])[0], "unitarity", tol)
+
+
+def _certificate(pi: Corepresentation, residuals: dict, which: str, tol: float) -> Report:
+    """The ``which`` certificate of ``pi`` from its residuals; sets the matching flag."""
+    title, flag, names = _CERTIFICATES[which]
+    report = Report(f"{title} [{pi.label}]", meta={"tol": tol})
+    for name in names:
+        report.add(name, residuals[name], tol * pi.algebra.magnitude)
+    setattr(pi, flag, report.passed)
     return report
+
+
+def _corep_residuals(coreps: list[Corepresentation]) -> list[dict[str, float]]:
+    """Each corep's certificate residuals by check name, in one stacked pass per
+    dimension class.  ``legs(x, y)`` is ``sum_l x_jl (x) y_lk`` and
+    ``star[c, j, l]`` is ``pi_lj^*``."""
+    out: list[dict[str, float]] = [{} for _ in coreps]
+    for d, (idx, coeffs) in _dim_classes(coreps).items():
+        alg = coreps[idx[0]].algebra
+        n, mult = alg.dim, alg.mult.reshape(-1, alg.dim)
+        star = (np.conj(coeffs) @ alg.star).swapaxes(1, 2)
+        one = np.eye(d)[:, :, None] * alg.unit
+
+        def legs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return np.einsum("cjla,clkb->cjkab", x, y).reshape(len(idx), d, d, n * n)
+
+        gaps = {"coproduct splits": coeffs @ alg.comult.reshape(n, -1) - legs(coeffs, coeffs),
+                "counit is identity": coeffs @ alg.counit - np.eye(d),
+                "antipode flips to star": coeffs @ alg.antipode - star,
+                "columns orthonormal": legs(star, coeffs) @ mult - one,
+                "rows orthonormal": legs(coeffs, star) @ mult - one}
+        for name, gap in gaps.items():
+            for i, value in zip(idx, np.abs(gap).reshape(len(idx), -1).max(axis=1).tolist()):
+                out[i][name] = value
+    return out
 
 
 def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional
@@ -292,37 +311,58 @@ def compute_F(pi: Corepresentation, tol: float = 1e-9) -> np.ndarray:
 
 def verify_orthogonality(pi_p: Corepresentation, pi_q: Corepresentation,
                          h: LinearFunctional, tol: float = 1e-10) -> Report:
-    """Generalized Schur orthogonality of matrix coefficients.
-
-    Distinct irreducibles integrate to zero in both orders; for ``p = q`` the
-    paper's values ``delta_jn F_mk / tr F`` and ``delta_jn (F^{-1})_mk / tr(F^{-1})``
-    are both ``delta_jn delta_mk / d``, since :func:`compute_F` certifies ``F = I``.
-    """
-    alg = pi_p.algebra
-    report = Report(f"schur orthogonality [{pi_p.label} vs {pi_q.label}]", meta={"tol": tol})
-    t = tol * alg.magnitude
-    H = np.einsum("abl,l->ab", alg.mult, h.covector)
-    first = np.einsum("jka,mnb,ab->jkmn", pi_p.coeffs, pi_q.antipode_coeffs(), H)
-    second = np.einsum("jka,mnb,ab->jkmn", pi_p.antipode_coeffs(), pi_q.coeffs, H)
+    """Generalized Schur orthogonality of matrix coefficients: the one-pair call of
+    :func:`_schur_report`."""
     same = pi_p is pi_q or (
         pi_p.dim == pi_q.dim and np.array_equal(pi_p.coeffs, pi_q.coeffs))
-    if not same:
-        # h(chi_p^* chi_q) counts intertwiners between irreducibles: 1 or 0
-        chi_p_star = np.conj(pi_p.character().coeffs) @ alg.star
-        if abs(chi_p_star @ H @ pi_q.character().coeffs) > 0.5:
-            raise ValueError(
-                "orthogonality formulas need identical representatives; "
-                f"{pi_p.label!r} and {pi_q.label!r} are equivalent but not equal")
-        report.add("h(pi S(pi')) = 0", float(np.abs(first).max()), t)
-        report.add("h(S(pi) pi') = 0", float(np.abs(second).max()), t)
-        return report
-    if pi_p.F is None:
-        compute_F(pi_p)
-    eye = np.eye(pi_p.dim)
-    expected = np.einsum("jn,mk->jkmn", eye, eye / pi_p.dim)
-    report.add("h(pi S(pi)) = d_jn F_mk/trF", float(np.abs(first - expected).max()), t)
-    report.add("h(S(pi) pi) = d_jn Finv_mk/trFinv", float(np.abs(second - expected).max()), t)
+    return _schur_report([pi_p] if same else [pi_p, pi_q], [(0, 0 if same else 1)], h, tol,
+                         f"schur orthogonality [{pi_p.label} vs {pi_q.label}]")
+
+
+def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
+                  h: LinearFunctional, tol: float, title: str | None = None) -> Report:
+    """Schur orthogonality of the listed pairs of positions ``(p, q)``, read off two Grams.
+
+    With the matrix coefficients as the rows of ``U`` and ``H = mult @ h``, the
+    ``(p, q)`` blocks of ``G = U H S(U)^T`` and ``G' = S(U) H U^T`` vanish for
+    ``p != q`` (two equivalent coreps raise ``ValueError``, read off the
+    character Gram).  For ``p = q`` the paper's values ``delta_jn F_mk / tr F``
+    and ``delta_jn (F^{-1})_mk / tr(F^{-1})`` are both ``delta_jn delta_mk / d``, as
+    :func:`compute_F` certifies ``F = I``.  Without a ``title`` the report is the
+    table's, each check named ``p vs q: <identity>``.
+    """
+    alg = h.algebra
+    rows = np.concatenate([pi.coeffs.reshape(-1, alg.dim) for pi in coreps])
+    antipodes, haar_pair = rows @ alg.antipode, alg.mult @ h.covector
+    grams = (rows @ haar_pair @ antipodes.T, antipodes @ haar_pair @ rows.T)
+    chars = _character_grams(np.array([pi.coeffs.trace() for pi in coreps]), h)[0]
+    starts = np.cumsum([0] + [pi.dim ** 2 for pi in coreps]).tolist()
+    report = Report(title or "schur orthogonality [table]", meta={"tol": tol})
+    for p, q in pairs:
+        pi_p, pi_q, d = coreps[p], coreps[q], coreps[p].dim
+        if p != q:
+            if abs(chars[p, q]) > 0.5:
+                raise ValueError("orthogonality formulas need identical representatives; "
+                                 f"{pi_p.label!r} and {pi_q.label!r} are equivalent but not equal")
+            names, expected = ("h(pi S(pi')) = 0", "h(S(pi) pi') = 0"), 0.0
+        else:
+            if pi_p.F is None:
+                compute_F(pi_p)
+            names = ("h(pi S(pi)) = d_jn F_mk/trF", "h(S(pi) pi) = d_jn Finv_mk/trFinv")
+            # delta_jn delta_mk / d at [(j, k), (m, n)]
+            expected = np.eye(d * d).reshape(d, d, d, d).swapaxes(2, 3).reshape(d * d, -1) / d
+        for name, gram in zip(names, grams):
+            block = gram[starts[p]:starts[p + 1], starts[q]:starts[q + 1]]
+            report.add(("" if title else f"{pi_p.label} vs {pi_q.label}: ") + name,
+                       float(np.abs(block - expected).max()), tol * alg.magnitude)
     return report
+
+
+def _character_grams(chars: np.ndarray, h: LinearFunctional) -> tuple[np.ndarray, np.ndarray]:
+    """``h(chi_p^* chi_q)`` and ``h(chi_q chi_p^*)`` as ``[p, q]``, for the rows of ``chars``."""
+    haar_pair = h.algebra.mult @ h.covector  # [a, b] = h(a_a a_b)
+    stars = np.conj(chars) @ h.algebra.star
+    return stars @ haar_pair @ chars.T, stars @ haar_pair.T @ chars.T
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +578,11 @@ class IrrepTable:
         return np.array([pi.coeffs.trace() for pi in self.irreps])
 
     @cached_property
+    def residuals(self) -> list[dict[str, float]]:
+        """:func:`_corep_residuals` of the irreps: their comodule and unitarity residuals."""
+        return _corep_residuals(self.irreps)
+
+    @cached_property
     def dim_classes(self) -> dict[int, tuple[list[int], np.ndarray]]:
         """:func:`_dim_classes` of the irreps."""
         return _dim_classes(self.irreps)
@@ -598,10 +643,11 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
         return (0 if is_trivial else 1, rep.dim, _character_fingerprint(rep))
 
     classes.sort(key=sort_key)
-    for i, (rep, _) in enumerate(classes):
+    table = IrrepTable(alg, [rep for rep, _ in classes], [count for _, count in classes])
+    for i, (rep, residuals) in enumerate(zip(table, table.residuals)):
         rep.label = f"p{i}"
-        verify_corep(rep, tol)
-        check_unitary(rep, tol)
+        for which in _CERTIFICATES:
+            _certificate(rep, residuals, which, tol)
         rep.irreducible = True
         compute_F(rep, tol)
-    return IrrepTable(alg, [rep for rep, _ in classes], [count for _, count in classes])
+    return table

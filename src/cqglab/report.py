@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+# past this many checks, a summary gives the count and worst residual and lists
+# only the failing checks
+SUMMARY_CHECKS = 50
+
 
 @dataclass
 class CheckResult:
@@ -75,8 +79,11 @@ class Report:
 
     def summary(self) -> str:
         verdicts = [c.passed for c in self.checks]
-        lines = [f"{self.title}: {'PASS' if all(verdicts) else 'FAIL'}"]
-        for c, passed in zip(self.checks, verdicts):
-            flag = "ok " if passed else "BAD"
-            lines.append(f"  [{flag}] {c.name}: residual {c.residual:.3e} (tol {c.tol:.1e})")
-        return "\n".join(lines)
+        head = f"{self.title}: {'PASS' if all(verdicts) else 'FAIL'}"
+        shown = list(zip(self.checks, verdicts))
+        if len(shown) > SUMMARY_CHECKS:
+            head += f" ({len(shown)} checks, worst residual {self.max_residual:.3e})"
+            shown = [(c, passed) for c, passed in shown if not passed]
+        return "\n".join([head] + [
+            f"  [{'ok ' if passed else 'BAD'}] {c.name}: residual {c.residual:.3e} "
+            f"(tol {c.tol:.1e})" for c, passed in shown])

@@ -44,6 +44,7 @@ __all__ = [
     "operator_coaction_components",
     "operator_coaction_report",
     "check_family",
+    "check_families",
     "family_report",
     "multiplication_family",
     "solve_family_space",
@@ -146,7 +147,14 @@ def _coaction_stack(alg: HopfAlgebraSpec, q_ops: np.ndarray, kind: str, side: st
     else:
         acted = np.tensordot(q_ops, mu, axes=(2, 2))                      # [k, i, t, w]
         meet = np.tensordot(mu, np.tensordot(s, m, axes=(1, 1)), axes=(1, 0))  # [i, j, w, M]
-    out = np.tensordot(acted, meet, axes=((1, 3), (0, 2)))                # [k, t, j, M]
+    # tensordot over (i, v), written out so that each operand's transposed copy
+    # replaces it and both are freed before the left antipode: a stack of k
+    # operators then holds at most three k n^3 or n^4 arrays
+    n = alg.dim
+    acted = acted.transpose(0, 2, 1, 3).reshape(len(q_ops) * n, n * n)
+    meet = meet.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    out = (acted @ meet).reshape(len(q_ops), n, n, n)                     # [k, t, j, M]
+    del acted, meet
     if side == "L" and kind == "ordinary":
         out = out @ s
     return out.transpose(0, 3, 2, 1)
@@ -206,30 +214,46 @@ class TensorOperatorFamily:
 
 def check_family(fam: TensorOperatorFamily, kind: str | None = None,
                  side: str | None = None) -> float:
-    """Max defining-condition residual of the family, over every route its carrier has.
+    """Max defining-condition residual of the family: the one-family call of
+    :func:`check_families`."""
+    return check_families([fam], kind, side)[0]
 
-    The residual is returned raw; callers compare it with their own tolerance.
-    On the whole algebra both routes run; a coideal carrier has only the
-    structure-map route.  ``kind``/``side`` override the variant being tested,
-    so a family built for one variant can be checked against another (the
-    distinctness diagnostics rely on this); a coideal fixes the side.  Sets
-    ``fam.residual`` when testing the family's own variant.
+
+def check_families(fams: list[TensorOperatorFamily], kind: str | None = None,
+                   side: str | None = None) -> list[float]:
+    """Max defining-condition residual of each family, over every route its carrier has.
+
+    Residuals are raw; callers compare them with their own tolerance.  The
+    families live on the whole algebra, where both routes run, or all on one
+    coideal, which has only the structure-map route and fixes the side.  The
+    variant tested is ``kind``/``side``, by default the first family's, so a
+    family can be checked against another variant (the distinctness
+    diagnostics rely on this); testing its own variant sets ``fam.residual``.
+    The constants route runs once on the stacked operators, so its ``meet``
+    tensor is built once; the structure-map route runs one operator per call.
     """
-    kind, side = _variant_key(kind or fam.kind, side or fam.side)
-    alg = fam.algebra
-    rhs = np.tensordot(fam.corep.coeffs, fam.operators, axes=(0, 0))   # [j, m, a, t]
-    if fam.carrier is regular_carrier(alg, fam.side):
-        routes = (_coaction_stack(alg, fam.operators, kind, side, route)
-                  for route in ("constants", "maps"))
-    elif side != fam.side:
-        raise ValueError("a family on a coideal is checked on its own side only")
+    kind, side = _variant_key(kind or fams[0].kind, side or fams[0].side)
+    alg, spow_swap = fams[0].algebra, _antipode_and_swap(fams[0].algebra, kind)
+    if all(fam.carrier is regular_carrier(alg, fam.side) for fam in fams):
+        coact = regular_carrier(alg, side).coact
+        stack = _coaction_stack(alg, np.concatenate([fam.operators for fam in fams]),
+                                kind, side, "constants")
+    elif side != fams[0].side or any(fam.carrier is not fams[0].carrier for fam in fams):
+        raise ValueError("families on a coideal are checked on their own carrier and side only")
     else:
-        routes = [_pipeline(fam.carrier.coact, alg, fam.operators,
-                            *_antipode_and_swap(alg, kind))]
-    worst = max(float(np.abs(lhs - rhs).max()) for lhs in routes)
-    if kind == fam.kind and side == fam.side:
-        fam.residual = worst
-    return worst
+        coact, stack = fams[0].carrier.coact, None
+    out, start = [], 0
+    for fam in fams:
+        rhs = np.tensordot(fam.corep.coeffs, fam.operators, axes=(0, 0))   # [j, m, a, t]
+        gaps = [np.abs(_pipeline(coact, alg, op[None], *spow_swap)[0] - want).max()
+                for op, want in zip(fam.operators, rhs)]
+        if stack is not None:
+            gaps.append(np.abs(stack[start:start + len(rhs)] - rhs).max())
+        out.append(float(max(gaps)))
+        start += len(rhs)
+        if kind == fam.kind and side == fam.side:
+            fam.residual = out[-1]
+    return out
 
 
 def family_report(fam: TensorOperatorFamily, tol: float = 1e-10) -> Report:

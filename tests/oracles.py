@@ -535,3 +535,49 @@ def peel_split(pi, gram, ops, blocks=None, cluster_tol: float = 1e-8) -> list[np
         return [basis]
 
     return [piece for basis in blocks for piece in split(basis)]
+
+
+def per_irrep_certificates(pi) -> dict[str, float]:
+    """The comodule and unitarity residuals of one corep by the per-irrep einsums that
+    ``verify_corep`` and ``check_unitary`` ran before a table was certified in one pass."""
+    alg, eye = pi.algebra, np.eye(pi.dim)
+    split = np.einsum("jkm,mab->jkab", pi.coeffs, alg.comult)
+    split -= np.einsum("jla,lkb->jkab", pi.coeffs, pi.coeffs)
+    star = np.einsum("jkm,mt->jkt", np.conj(pi.coeffs), alg.star)             # pi_jk^*
+    antipode = np.einsum("jkm,mt->jkt", pi.coeffs, alg.antipode)             # S(pi_jk)
+    one = np.einsum("jk,m->jkm", eye, alg.unit)
+    cols = np.einsum("lja,lkb,abm->jkm", star, pi.coeffs, alg.mult)          # pi_lj^* pi_lk
+    rows = np.einsum("jla,klb,abm->jkm", pi.coeffs, star, alg.mult)          # pi_jl pi_kl^*
+    return {"coproduct splits": float(np.abs(split).max()),
+            "counit is identity": float(np.abs(pi.coeffs @ alg.counit - eye).max()),
+            "antipode flips to star": float(np.abs(antipode - star.transpose(1, 0, 2)).max()),
+            "columns orthonormal": float(np.abs(cols - one).max()),
+            "rows orthonormal": float(np.abs(rows - one).max())}
+
+
+def per_pair_schur(pi_p, pi_q, h) -> dict[str, float]:
+    """The Schur orthogonality residuals of one pair by the per-pair einsums that
+    ``verify_orthogonality`` ran before the table's Grams; ``pi_p is pi_q`` is the
+    diagonal pair, with the value ``delta_jn delta_mk / d``."""
+    alg = pi_p.algebra
+    pair = np.einsum("abl,l->ab", alg.mult, h.covector)
+    s_p, s_q = (np.einsum("jkm,mt->jkt", pi.coeffs, alg.antipode) for pi in (pi_p, pi_q))
+    first = np.einsum("jka,mnb,ab->jkmn", pi_p.coeffs, s_q, pair)
+    second = np.einsum("jka,mnb,ab->jkmn", s_p, pi_q.coeffs, pair)
+    if pi_p is not pi_q:
+        return {"h(pi S(pi')) = 0": float(np.abs(first).max()),
+                "h(S(pi) pi') = 0": float(np.abs(second).max())}
+    eye = np.eye(pi_p.dim)
+    expected = np.einsum("jn,mk->jkmn", eye, eye / pi_p.dim)
+    return {"h(pi S(pi)) = d_jn F_mk/trF": float(np.abs(first - expected).max()),
+            "h(S(pi) pi) = d_jn Finv_mk/trFinv": float(np.abs(second - expected).max())}
+
+
+def per_pair_characters(pi_p, pi_q, h) -> dict[str, complex]:
+    """``h(chi_p^* chi_q)`` (``forward``) and ``h(chi_q chi_p^*)`` (``reversed``) of one
+    pair, each by one element product and one Haar evaluation."""
+    from cqglab.algebra import multiply
+
+    chi_p, chi_q = pi_p.character(), pi_q.character()
+    return {"forward": h(multiply(chi_p.star(), chi_q)),
+            "reversed": h(multiply(chi_q, chi_p.star()))}

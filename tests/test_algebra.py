@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cqglab.algebra import (Element, build_dual, coproduct, counit_of, multiply,
-                            opposite_algebra, unary_map, verify_dual_pairing,
+from cqglab.algebra import (Element, _legwise_product, build_dual, coproduct, counit_of,
+                            multiply, opposite_algebra, unary_map, verify_dual_pairing,
                             verify_hopf_axioms, verify_star_axioms,
                             antipode_inverse_via_star, random_elements)
 from cqglab.errors import DimensionMismatch, InvalidSpec
@@ -29,6 +29,38 @@ def test_axiom_suites_pass_at_n24(builder):
     star = verify_star_axioms(alg, 1e-12)
     assert hopf.passed, hopf.summary()
     assert star.passed, star.summary()
+
+
+def _out_of_place_n5_residuals(alg) -> dict[str, float]:
+    """The associativity, coassociativity and bialgebra residuals with each difference
+    allocated as a new array, as ``verify_hopf_axioms`` computed them before it
+    subtracted in place."""
+    m, mu, n = alg.mult, alg.comult, alg.dim
+    m_rows, mu_rows = m.reshape(n * n, n), mu.reshape(n * n, n)
+    m_cols, mu_cols = m.reshape(n, n * n), mu.reshape(n, n * n)
+    quad = (n, n, n, n)
+    diffs = {
+        "associativity": (m_rows @ m_cols).reshape(quad) - (
+            m_rows @ m.transpose(1, 0, 2).reshape(n, n * n)).reshape(quad).transpose(2, 0, 1, 3),
+        "coassociativity": (mu.transpose(0, 2, 1).reshape(n * n, n) @ mu_cols).reshape(
+            quad).transpose(0, 2, 3, 1) - (mu_rows @ mu_cols).reshape(quad),
+        "bialgebra": _legwise_product(mu, m) - (m_rows @ mu_cols).reshape(quad)}
+    return {name: float(np.abs(diff).max()) for name, diff in diffs.items()}
+
+
+def test_in_place_n5_residuals_are_bit_identical(algebras):
+    """Every built-in, as given and with its product and coproduct perturbed (so the
+    residuals are not all zero): the in-place subtraction changes no bit."""
+    rng = np.random.default_rng(3)
+    for label, alg in algebras.items():
+        noisy = alg.__class__(alg.dim, alg.mult + 1e-3 * rng.standard_normal(alg.mult.shape),
+                              alg.comult + 1e-3 * rng.standard_normal(alg.comult.shape),
+                              alg.antipode, alg.counit, alg.unit, alg.star, label="noisy")
+        for spec in (alg, noisy):
+            report = verify_hopf_axioms(spec)
+            want = _out_of_place_n5_residuals(spec)
+            assert {name: report[name].residual for name in want} == want, label
+        assert min(_out_of_place_n5_residuals(noisy).values()) > 1e-4, label
 
 
 def test_unit_law_multiply(algebras):

@@ -402,3 +402,30 @@ def test_demo_subcommand():
     result = run_cli("demo")
     assert result.returncode == 0
     assert "RESULT: PASS" in result.stdout
+
+
+def test_large_report_summary_lists_only_failing_checks():
+    """Past ``SUMMARY_CHECKS`` checks a summary keeps its verdict line, with the count and
+    the worst residual, and lists only the failing checks; up to it, every check."""
+    from cqglab.report import SUMMARY_CHECKS, Report
+
+    small, large = Report("small"), Report("large")
+    for i in range(SUMMARY_CHECKS):
+        small.add(f"c{i}", 0.0, 1.0)
+        large.add(f"c{i}", 0.0, 1.0)
+    large.add("bad", 2.5, 1.0)
+    assert len(small.summary().splitlines()) == SUMMARY_CHECKS + 1
+    assert large.summary().splitlines() == [
+        f"large: FAIL ({SUMMARY_CHECKS + 1} checks, worst residual 2.500e+00)",
+        "  [BAD] bad: residual 2.500e+00 (tol 1.0e+00)"]
+
+
+def test_wigner_eckart_stdout_is_bounded_and_output_complete(tmp_path, capsys):
+    """``wigner-eckart`` on C[S3] writes four 216-check reports: stdout has one line per
+    report plus the result, and the JSON file still holds every check."""
+    out = tmp_path / "we.json"
+    assert cli.main(["wigner-eckart", "--builtin", "C[S3]", "--output", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "RESULT: PASS" and len(lines) == 5
+    reports = json.loads(out.read_text())["reports"]
+    assert [len(rep["checks"]) for rep in reports] == [216] * 4

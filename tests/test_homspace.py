@@ -373,4 +373,6 @@ def test_s2_invariance_flag(coset_ctx):
     side, coideal = coset_ctx
     report = verify_coideal(coideal)
     name = ("S^2 invariance" if side == "L" else "S^2 invariance (informational)")
-    assert report[name].passed
+    assert (report[name].passed if side == "L" else  # side R: recorded, not certified
+            name not in [c.name for c in report.checks]
+            and report.meta["S^2 invariance"] < 1e-12)

@@ -225,6 +225,22 @@ def test_swapped_ordering_equals_standard_on_tracial_haar(cs3_fun, cs3_grp):
                 assert np.abs(std_op - swapped).max() < 1e-14
 
 
+def test_swapped_ordering_maps_route_matches_constants(contexts):
+    """The element-by-element route builds the swapped ordering as the one-contraction
+    route does, for every matrix coefficient of every irrep on every built-in.  Every
+    built-in's Haar functional is tracial, so this pins the route's swapped line to the
+    constants route; it cannot tell the two orderings apart."""
+    for label, ctx in contexts.items():
+        for pi in ctx.table:
+            for side in ("R", "L"):
+                for m in range(pi.dim):
+                    for n in range(pi.dim):
+                        ops = [projection_operator(pi, m, n, side, ctx.haar, route=route,
+                                                   ordering="swapped")
+                               for route in ("maps", "constants")]
+                        assert np.abs(ops[0] - ops[1]).max() < 1e-13, (label, pi.label, side)
+
+
 def test_product_coaction_rules(contexts):
     for label, ctx in contexts.items():
         for side in ("R", "L"):
