@@ -76,13 +76,14 @@ def _character_report(chars: np.ndarray, labels: list[str], pairs: list[tuple[in
     ``chars``, read off the two character Grams.  Without a ``title`` the report is
     the table's and every check name starts ``p vs q: ``."""
     fwd, rev = _character_grams(chars, h)
+    p_idx, q_idx = np.array(pairs, dtype=int).reshape(-1, 2).T
+    values = np.stack([fwd[p_idx, q_idx], rev[p_idx, q_idx]], axis=1)      # [pair, order]
+    gaps = values - np.array([float(np.array_equal(chars[p], chars[q])) for p, q in pairs])[:, None]
+    prefixes = ["" if title else f"{labels[p]} vs {labels[q]}: " for p, q in pairs]
     report = Report(title or "character orthogonality [table]")
-    for p, q in pairs:
-        expected = 1.0 if np.array_equal(chars[p], chars[q]) else 0.0
-        prefix = "" if title else f"{labels[p]} vs {labels[q]}: "
-        for name, value in (("forward", complex(fwd[p, q])), ("reversed", complex(rev[p, q]))):
-            report.add(prefix + name, abs(value - expected), tol * h.algebra.magnitude,
-                       value=[value.real, value.imag])
+    report.extend([prefix + name for prefix in prefixes for name in ("forward", "reversed")],
+                  np.hypot(gaps.real, gaps.imag), tol * h.algebra.magnitude,  # abs(complex) exactly
+                  [{"value": value} for value in values.view(float).reshape(-1, 2).tolist()])
     return report
 
 
@@ -345,14 +346,14 @@ def _block_residuals(c_mats: np.ndarray, c_invs: np.ndarray, bigs: np.ndarray,
 
 
 def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward and inverse CG blocks of a stack of systems of one size, for every target.
 
     ``fwd[w, r, alpha, pair, v] = C_w[pair, (r, alpha, v)]`` and
     ``inv[w, r, alpha, l, pair] = Cinv_w[(r, alpha, l), pair]``, with the
     ``alpha`` axis padded to the largest multiplicity and ``v``, ``l`` to the
-    largest target dimension.  Padding is zero, so a target that does not
-    occur has all-zero blocks.
+    largest target dimension, and the multiplicities ``mults[w, r]``.  Padding is
+    zero, so a target that does not occur has all-zero blocks.
     """
     mults = np.array([[s.multiplicities.get(r, 0) for r in labels] for s in systems])
     starts = np.array([[s.offsets.get(r, 0) for r in labels] for s in systems])
@@ -367,7 +368,7 @@ def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
     c_invs = np.stack([s.Cinv for s in systems])
     fwd = c_mats[which, :, cols] * keep[..., None]           # [w, r, a, v, pair]
     inv = c_invs[which, cols] * keep[..., None]              # [w, r, a, l, pair]
-    return fwd.swapaxes(-1, -2), inv
+    return fwd.swapaxes(-1, -2), inv, mults
 
 
 def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet) -> np.ndarray:
@@ -483,7 +484,7 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
                            axes=(3, 3))              # [r, u, l, a, s, j, b, t, k]
         lhs = lhs[:, :, :, [firsts.index(a) for a, _ in keys], :, :,
                   [seconds.index(b) for _, b in keys]]  # [w, r, u, l, s, j, t, k]
-        fwd, inv = _padded_blocks([systems[key] for key in keys], labels, dims)
+        fwd, inv, _ = _padded_blocks([systems[key] for key in keys], labels, dims)
         # fwd[w, r, alpha, (s, t), u] / d_r, against inv[w, r, alpha, l, (j, k)]
         left = (fwd / np.array(dims)[:, None, None, None]).reshape(
             len(keys), len(targets), fwd.shape[2], -1)

@@ -103,14 +103,14 @@ def _cmd_cg(args) -> list[Report]:
     factors = [table[label] for label in labels]
     gaps = _triple_haar_gaps(factors, factors, targets, systems, h)
     t = args.tolerance * spec.magnitude
+    names = [f"triple haar {pi_r.label} ({order}) order"
+             for pi_r in targets for order in ("p,q", "q,p")]
     reports = []
     for pl, ql in product(labels, labels):
         system = systems[pl, ql]
         rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": system.multiplicities})
         rep.add("block diagonalization", system.block_residual, t)
-        for pi_r, gap_pq, gap_qp in zip(targets, gaps[pl, ql], gaps[ql, pl]):
-            rep.add(f"triple haar {pi_r.label} (p,q) order", gap_pq, t)
-            rep.add(f"triple haar {pi_r.label} (q,p) order", gap_qp, t)
+        rep.extend(names, np.column_stack([gaps[pl, ql], gaps[ql, pl]]), t)
         reports.append(rep)
     return reports
 
@@ -282,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.format == "csv" and not args.output:
+            raise CqglabError("--format csv writes a file: give --output")
         reports = _COMMANDS[args.command](args)
     except (CqglabError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -124,8 +124,7 @@ def _certificate(pi: Corepresentation, residuals: dict, which: str, tol: float) 
     """The ``which`` certificate of ``pi`` from its residuals; sets the matching flag."""
     title, flag, names = _CERTIFICATES[which]
     report = Report(f"{title} [{pi.label}]", meta={"tol": tol})
-    for name in names:
-        report.add(name, residuals[name], tol * pi.algebra.magnitude)
+    report.extend(names, [residuals[name] for name in names], tol * pi.algebra.magnitude)
     setattr(pi, flag, report.passed)
     return report
 
@@ -337,7 +336,7 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
     grams = (rows @ haar_pair @ antipodes.T, antipodes @ haar_pair @ rows.T)
     chars = _character_grams(np.array([pi.coeffs.trace() for pi in coreps]), h)[0]
     starts = np.cumsum([0] + [pi.dim ** 2 for pi in coreps]).tolist()
-    report = Report(title or "schur orthogonality [table]", meta={"tol": tol})
+    checks, residuals = [], []
     for p, q in pairs:
         pi_p, pi_q, d = coreps[p], coreps[q], coreps[p].dim
         if p != q:
@@ -353,8 +352,10 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
             expected = np.eye(d * d).reshape(d, d, d, d).swapaxes(2, 3).reshape(d * d, -1) / d
         for name, gram in zip(names, grams):
             block = gram[starts[p]:starts[p + 1], starts[q]:starts[q + 1]]
-            report.add(("" if title else f"{pi_p.label} vs {pi_q.label}: ") + name,
-                       float(np.abs(block - expected).max()), tol * alg.magnitude)
+            checks.append(("" if title else f"{pi_p.label} vs {pi_q.label}: ") + name)
+            residuals.append(np.abs(block - expected).max())
+    report = Report(title or "schur orthogonality [table]", meta={"tol": tol})
+    report.extend(checks, residuals, tol * alg.magnitude)
     return report
 
 

@@ -8,7 +8,11 @@ broke and by how much.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isnan, nan
+from operator import le
 from typing import Any
+
+import numpy as np
 
 # past this many checks, a summary gives the count and worst residual and lists
 # only the failing checks
@@ -26,50 +30,66 @@ class CheckResult:
     def passed(self) -> bool:
         return bool(self.residual <= self.tol)
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "residual": float(self.residual),
-            "tol": float(self.tol),
-            "passed": self.passed,
-        }
-        if self.details:
-            out["details"] = self.details
-        return out
 
-
-@dataclass
 class Report:
-    """A named bundle of checks, e.g. one axiom suite or one identity sweep."""
+    """A named bundle of checks, e.g. one axiom suite or one identity sweep.
 
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
-    meta: dict[str, Any] = field(default_factory=dict)
+    The checks are held as columns: names, residuals, tolerances and details.
+    A table engine appends a whole table with one :meth:`extend`, and
+    :class:`CheckResult` objects are built only when a caller reads
+    :attr:`checks` or indexes the report by check name.
+    """
 
-    def add(self, name: str, residual: float, tol: float, **details: Any) -> CheckResult:
-        result = CheckResult(name, float(residual), float(tol), details)
-        self.checks.append(result)
-        return result
+    def __init__(self, title: str, meta: dict[str, Any] | None = None):
+        self.title, self.meta = title, {} if meta is None else meta
+        self._names, self._residuals, self._tols, self._details = [], [], [], []
+
+    def add(self, name: str, residual: float, tol: float, **details: Any) -> None:
+        self.extend([name], [residual], tol, [details])
+
+    def extend(self, names: list[str], residuals, tol: float,
+               details: list[dict[str, Any]] | None = None) -> None:
+        """Append one check per name, every residual compared against ``tol``;
+        ``details``, when given, holds one dict per check."""
+        values = np.asarray(residuals, dtype=float).ravel().tolist()
+        if len(values) != len(names) or (details is not None and len(details) != len(names)):
+            raise ValueError("a report needs one residual and one details dict per check name")
+        self._names += names
+        self._residuals += values
+        self._tols += [float(tol)] * len(names)
+        self._details += [{} for _ in names] if details is None else details
+
+    @property
+    def checks(self) -> list[CheckResult]:
+        """The checks as :class:`CheckResult` objects, built on each read."""
+        return list(map(CheckResult, self._names, self._residuals, self._tols, self._details))
+
+    def __getitem__(self, name: str) -> CheckResult:
+        for row in zip(self._names, self._residuals, self._tols, self._details):
+            if row[0] == name:
+                return CheckResult(*row)
+        raise KeyError(name)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(map(le, self._residuals, self._tols))
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        """The largest residual: NaN when any residual is NaN, 0.0 with no checks."""
+        return nan if any(map(isnan, self._residuals)) else max(self._residuals, default=0.0)
 
     def to_dict(self) -> dict[str, Any]:
-        checks = [c.to_dict() for c in self.checks]  # each verdict evaluated once
+        verdicts = list(map(le, self._residuals, self._tols))
+        checks = [{"name": name, "residual": residual, "tol": tol, "passed": passed}
+                  for name, residual, tol, passed
+                  in zip(self._names, self._residuals, self._tols, verdicts)]
+        for check, details in zip(checks, self._details):
+            if details:
+                check["details"] = details
         out: dict[str, Any] = {
             "title": self.title,
-            "passed": all(c["passed"] for c in checks),
+            "passed": all(verdicts),
             "max_residual": self.max_residual,
             "checks": checks,
         }
@@ -78,12 +98,12 @@ class Report:
         return out
 
     def summary(self) -> str:
-        verdicts = [c.passed for c in self.checks]
+        verdicts = list(map(le, self._residuals, self._tols))
         head = f"{self.title}: {'PASS' if all(verdicts) else 'FAIL'}"
-        shown = list(zip(self.checks, verdicts))
-        if len(shown) > SUMMARY_CHECKS:
-            head += f" ({len(shown)} checks, worst residual {self.max_residual:.3e})"
-            shown = [(c, passed) for c, passed in shown if not passed]
+        shown = range(len(verdicts))
+        if len(verdicts) > SUMMARY_CHECKS:
+            head += f" ({len(verdicts)} checks, worst residual {self.max_residual:.3e})"
+            shown = [i for i, passed in enumerate(verdicts) if not passed]
         return "\n".join([head] + [
-            f"  [{'ok ' if passed else 'BAD'}] {c.name}: residual {c.residual:.3e} "
-            f"(tol {c.tol:.1e})" for c, passed in shown])
+            f"  [{'ok ' if verdicts[i] else 'BAD'}] {self._names[i]}: residual "
+            f"{self._residuals[i]:.3e} (tol {self._tols[i]:.1e})" for i in shown])

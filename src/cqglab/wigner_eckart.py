@@ -89,21 +89,22 @@ def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
 
 def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
                        targets: list[tuple[str, int]], kind: str
-                       ) -> list[list[tuple[np.ndarray, float, float | None]]]:
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factorize many ``(p, q)`` of one kind against every target at once.
 
     ``tensors[i][(r, l), k, j]`` stacks pair ``i``'s inner-product tensors in
     the order of ``targets``, pairs ``(r_label, d_r)``; ``systems[i]`` is its
-    CG system.  Returns, for each pair and target, the reduced elements, the
-    reconstruction residual and the least-squares gap (``None`` when the
-    target does not occur).  The pairs of one system size are factorized
-    together, their rows and CG blocks zero-padded to the largest target
-    dimension and multiplicity: ``X = T C`` read at each target's columns
-    gives the reduced elements, ``T - Z C^{-1}`` the residual, ``Z`` holding
-    the reduced elements, and a batched pseudo-inverse of the inverse-CG
-    designs the least-squares cross-check, taken only for the targets that
-    occur, each gap the largest over the target's multiplicity.  A target
-    that does not occur has zero blocks, so its residual is ``max |T_r|``.
+    CG system.  Returns arrays indexed ``[pair, target]``: the reconstruction
+    residuals, the least-squares gaps (NaN where the target does not occur),
+    the reduced elements zero-padded along a last axis to the largest
+    multiplicity, and the multiplicities.  The pairs of one system size are
+    factorized together, their rows and CG blocks zero-padded to the largest
+    target dimension and multiplicity: ``X = T C`` read at each target's
+    columns gives the reduced elements, ``T - Z C^{-1}`` the residual, ``Z``
+    holding the reduced elements, and a batched pseudo-inverse of the
+    inverse-CG designs the least-squares cross-check, taken only for the
+    targets that occur, each gap the largest over the target's multiplicity.
+    A target that does not occur has zero blocks, so its residual is ``max |T_r|``.
     """
     names = [r_label for r_label, _ in targets]
     dims = [d_r for _, d_r in targets]
@@ -120,27 +121,28 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
     classes: dict[int, list[int]] = {}
     for i, tmat in enumerate(tmats):
         classes.setdefault(tmat.shape[1], []).append(i)
-    results: list = [None] * len(tensors)
+    residuals = np.empty((len(tmats), len(targets)))
+    gaps = np.full(residuals.shape, np.nan)
+    mults = np.zeros(residuals.shape, dtype=int)
+    width = max([1, *(m for system in systems for m in system.multiplicities.values())])
+    reduced = np.zeros((*residuals.shape, width), dtype=complex)
     for members in classes.values():
         stacked = np.stack([tmats[i] for i in members])
         block = stacked[:, rows] * valid[..., None]                       # [w, r, l, pair]
-        fwd, inv = _padded_blocks([systems[i] for i in members], names, dims)
+        fwd, inv, mult = _padded_blocks([systems[i] for i in members], names, dims)
         x = block[:, :, None] @ fwd                                        # [w, r, a, u, v]
-        reduced = (x * finvs.swapaxes(1, 2)[:, None]).sum(axis=(3, 4))   # [w, r, a]
+        red = (x * finvs.swapaxes(1, 2)[:, None]).sum(axis=(3, 4))       # [w, r, a]
         design = inv.reshape(*inv.shape[:3], -1)                           # [w, r, a, (l, pair)]
         flat = block.reshape(*block.shape[:2], -1)
-        residual = np.abs(flat - (reduced[:, :, None] @ design)[:, :, 0]).max(axis=2)
-        mults = np.array([[systems[i].multiplicities.get(r_label, 0) for r_label in names]
-                          for i in members], dtype=int)                    # [w, r]
-        occurs = mults > 0
+        occurs = mult > 0
         lsq = (np.linalg.pinv(design[occurs].swapaxes(1, 2)) @ flat[occurs][..., None])[..., 0]
-        gaps = iter(np.abs(lsq - reduced[occurs]).max(
-            axis=1, initial=0.0, where=np.arange(lsq.shape[1]) < mults[occurs][:, None]).tolist())
-        residual = residual.tolist()
-        for w, i in enumerate(members):
-            results[i] = [(reduced[w, r, :mult], residual[w][r], next(gaps) if mult else None)
-                          for r, mult in enumerate(mults[w].tolist())]
-    return results
+        gap = np.full(occurs.shape, np.nan)
+        gap[occurs] = np.abs(lsq - red[occurs]).max(
+            axis=1, initial=0.0, where=np.arange(lsq.shape[1]) < mult[occurs][:, None])
+        residuals[members] = np.abs(flat - (red[:, :, None] @ design)[:, :, 0]).max(axis=2)
+        gaps[members], mults[members] = gap, mult
+        reduced[members, :, :red.shape[2]] = red
+    return residuals, gaps, reduced, mults
 
 
 def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
@@ -157,12 +159,12 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     if f_r is None:
         raise ValueError("verify_wigner_eckart needs the F matrix of the target irrep")
     tensor = we_tensor(psis, fam, phis, gram)
-    [[(reduced, residual, gap)]] = _factorize_targets(
+    [[residual]], [[gap]], [[reduced]], [[mult]] = _factorize_targets(
         [tensor], [system], [(psis.corep.label, psis.corep.dim)], fam.kind)
     return WEReport(phis.corep.label, fam.corep.label, psis.corep.label, fam.side, fam.kind,
-                    tensor, reduced, residual, tol * fam.algebra.magnitude ** 2,
+                    tensor, reduced[:mult], float(residual), tol * fam.algebra.magnitude ** 2,
                     (system.p_label, system.q_label),
-                    {} if gap is None else {"reduced_lstsq_gap": gap})
+                    {"reduced_lstsq_gap": float(gap)} if mult else {})
 
 
 def _stacked_slices(dims: list[int]) -> list[slice]:
@@ -206,19 +208,20 @@ def _factorize_table(psis: list[BasisFunctionSet], fams: list[TensorOperatorFami
     pairs = list(product(range(len(phis)), range(len(fams))))
     chosen = [systems[fams[k].corep.label, phis[i].corep.label] if kind == "ordinary"
               else systems[phis[i].corep.label, fams[k].corep.label] for i, k in pairs]
-    results = _factorize_targets([tensor[:, fam_rows[k], src_rows[i]] for i, k in pairs],
-                                 chosen, [(bset.corep.label, bset.corep.dim) for bset in psis],
-                                 kind)
+    residuals, gaps, reduced, mults = _factorize_targets(
+        [tensor[:, fam_rows[k], src_rows[i]] for i, k in pairs], chosen,
+        [(bset.corep.label, bset.corep.dim) for bset in psis], kind)
     p_names, q_names, r_names = _set_names(phis), _set_names(fams), _set_names(psis)
-    t = tol * fams[0].algebra.magnitude ** 2
+    orders = [[system.p_label, system.q_label] for system in chosen]  # one per pair
+    counts = mults.ravel().tolist()
+    # the reduced elements of the targets that occur, in check order
+    values = _reduced_pairs(reduced[np.arange(reduced.shape[2]) < mults[..., None]])
+    details = [{"reduced": values[start:start + count], "cg_order": order,
+                "reduced_lstsq_gap": gap} if count else {"reduced": [], "cg_order": order}
+               for order, start, count, gap
+               in zip((order for order in orders for _ in psis), accumulate(counts, initial=0),
+                      counts, gaps.ravel().tolist())]
     report = Report(title)
-    for (i, k), system, row in zip(pairs, chosen, results):
-        cg_order = [system.p_label, system.q_label]
-        values = _reduced_pairs(np.concatenate([reduced for reduced, _, _ in row]))
-        spans = _stacked_slices([len(reduced) for reduced, _, _ in row])
-        for r_name, (_, residual, gap), span in zip(r_names, row, spans):
-            details = {"reduced": values[span], "cg_order": cg_order}
-            if gap is not None:
-                details["reduced_lstsq_gap"] = gap
-            report.add(f"{p_names[i]},{q_names[k]},{r_name}", residual, t, **details)
+    report.extend([f"{p},{q},{r}" for p, q in product(p_names, q_names) for r in r_names],
+                  residuals, tol * fams[0].algebra.magnitude ** 2, details)
     return report

@@ -581,3 +581,49 @@ def per_pair_characters(pi_p, pi_q, h) -> dict[str, complex]:
     chi_p, chi_q = pi_p.character(), pi_q.character()
     return {"forward": h(multiply(chi_p.star(), chi_q)),
             "reversed": h(multiply(chi_q, chi_p.star()))}
+
+
+# ---------------------------------------------------------------------------
+# report rendering, one CheckResult at a time
+# ---------------------------------------------------------------------------
+
+def check_dict(check) -> dict:
+    """One check of a ``cqglab/report-v1`` report, rendered from its ``CheckResult``
+    the way reports were rendered when they held a list of them."""
+    out = {"name": check.name, "residual": float(check.residual), "tol": float(check.tol),
+           "passed": check.passed}
+    if check.details:
+        out["details"] = check.details
+    return out
+
+
+def report_passed(report) -> bool:
+    return all(check.passed for check in report.checks)
+
+
+def report_max_residual(report) -> float:
+    """The largest residual, NaN when any residual is NaN, whatever the order."""
+    residuals = [check.residual for check in report.checks]
+    return float("nan") if any(r != r for r in residuals) else max(residuals, default=0.0)
+
+
+def report_dict(report) -> dict:
+    checks = [check_dict(check) for check in report.checks]
+    out = {"title": report.title, "passed": all(c["passed"] for c in checks),
+           "max_residual": report_max_residual(report), "checks": checks}
+    if report.meta:
+        out["meta"] = report.meta
+    return out
+
+
+def report_summary(report, limit: int) -> str:
+    """The stdout lines of one report: past ``limit`` checks, the count and worst
+    residual on the verdict line and only the failing checks below it."""
+    checks = report.checks
+    head = f"{report.title}: {'PASS' if report_passed(report) else 'FAIL'}"
+    if len(checks) > limit:
+        head += f" ({len(checks)} checks, worst residual {report_max_residual(report):.3e})"
+        checks = [check for check in checks if not check.passed]
+    return "\n".join([head] + [
+        f"  [{'ok ' if check.passed else 'BAD'}] {check.name}: residual {check.residual:.3e} "
+        f"(tol {check.tol:.1e})" for check in checks])

@@ -429,3 +429,12 @@ def test_wigner_eckart_stdout_is_bounded_and_output_complete(tmp_path, capsys):
     assert lines[-1] == "RESULT: PASS" and len(lines) == 5
     reports = json.loads(out.read_text())["reports"]
     assert [len(rep["checks"]) for rep in reports] == [216] * 4
+
+
+def test_csv_format_without_output_is_a_usage_error(capsys):
+    """``--format csv`` only shapes the ``--output`` file, so without one it is
+    refused before any work, not silently ignored."""
+    assert cli.main(["validate", "--builtin", "C(Z2)", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--output" in captured.err
+    assert captured.out == ""
