@@ -24,9 +24,8 @@ import numpy as np
 
 from .algebra import Element, HopfAlgebraSpec, LinearFunctional
 from .corep import (Corepresentation, IrrepTable, _character_grams, _dim_classes,
-                    _stacked_intertwiners)
-from .errors import (LinearDependenceWarning, MultiplicityMismatch,
-                     NonIntegerMultiplicity, SingularC)
+                    _integer_counts, _stacked_intertwiners)
+from .errors import LinearDependenceWarning, MultiplicityMismatch, SingularC
 from .regular import BasisFunctionSet
 from .report import Report
 
@@ -87,22 +86,6 @@ def _character_report(chars: np.ndarray, labels: list[str], pairs: list[tuple[in
     return report
 
 
-def _integer_counts(values) -> np.ndarray:
-    """Round character pairings ``h(chi_V chi_p^*)`` to the multiplicities they count.
-
-    Raises ``NonIntegerMultiplicity`` on the first value farther than ``1e-8``
-    from a nonnegative integer.
-    """
-    values = np.asarray(values, dtype=complex)
-    nearest = np.round(values.real)
-    bad = (np.abs(values - nearest) > 1e-8) | (nearest < 0)
-    if bad.any():
-        value = values.flat[np.flatnonzero(bad)[0]]
-        raise NonIntegerMultiplicity(
-            f"h(chi_V chi_p^*) = {value} is not a nonnegative integer")
-    return nearest.astype(int)
-
-
 def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional) -> int:
     """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``."""
     pair = h.algebra.mult @ h.covector  # [a, b] = h(a_a a_b)
@@ -111,19 +94,23 @@ def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional) -> 
 
 def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
                    kind: str = "ordinary") -> Corepresentation:
-    """Ordinary or twisted tensor product corepresentation on ``V (x) W``."""
+    """Ordinary or twisted tensor product on ``V (x) W``: one pair of :func:`_tensor_products`."""
     alg = pi_v.algebra
-    if kind == "ordinary":
-        left = np.tensordot(pi_v.coeffs, alg.mult, axes=(2, 0))  # [s, j, b, m]
-    elif kind == "twisted":
-        left = np.tensordot(pi_v.coeffs, alg.mult, axes=(2, 1))  # [s, j, b, m]
-    else:
-        raise ValueError(f"kind must be 'ordinary' or 'twisted', got {kind!r}")
-    coeffs = np.tensordot(left, pi_w.coeffs, axes=(2, 2)).transpose(0, 3, 1, 4, 2)
-    d = pi_v.dim * pi_w.dim
+    coeffs = _tensor_products(pi_v.coeffs[None], pi_w.coeffs[None], alg, kind)[0, 0]
     glyph = "x" if kind == "ordinary" else "x~"
-    return Corepresentation(alg, coeffs.reshape(d, d, alg.dim),
-                            label=f"{pi_v.label}{glyph}{pi_w.label}")
+    return Corepresentation(alg, coeffs, label=f"{pi_v.label}{glyph}{pi_w.label}")
+
+
+def _tensor_products(vs: np.ndarray, ws: np.ndarray, alg: HopfAlgebraSpec,
+                     kind: str) -> np.ndarray:
+    """``M(V_sj (x) W_tk)`` as ``[v, w, (s, t), (j, k), m]`` for stacks ``vs[v, s, j, m]``
+    and ``ws[w, t, k, m]``, with the product reversed when ``kind`` is twisted."""
+    if kind not in ("ordinary", "twisted"):
+        raise ValueError(f"kind must be 'ordinary' or 'twisted', got {kind!r}")
+    left = np.tensordot(vs, alg.mult, axes=(3, 0 if kind == "ordinary" else 1))  # [v, s, j, b, m]
+    prod = np.tensordot(left, ws, axes=(3, 3))                       # [v, s, j, m, w, t, k]
+    size = vs.shape[1] * ws.shape[1]
+    return prod.transpose(0, 4, 1, 5, 2, 6, 3).reshape(len(vs), len(ws), size, size, alg.dim)
 
 
 def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional) -> Report:
@@ -183,7 +170,7 @@ class CGSystem:
             self.offsets.setdefault(r_label, col)
 
     def blocks(self, r_label: str, d_r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Forward and inverse CG blocks of one target irrep, stacked over multiplicity.
+        """One target's CG blocks, stacked over multiplicity: a slice of :func:`_padded_blocks`.
 
         ``fwd[alpha, j, k, l] = C[(j, k), (r, alpha, l)]`` and
         ``inv[alpha, l, j, k] = Cinv[(r, alpha, l), (j, k)]``, with ``(j, k)``
@@ -191,12 +178,10 @@ class CGSystem:
         empty when ``r`` does not occur in the product.  A target's columns are
         contiguous and ordered ``(alpha, l)``, as :func:`solve_cg` stacks them.
         """
-        mult = self.multiplicities.get(r_label, 0)
-        start = self.offsets.get(r_label, 0)
-        cols = slice(start, start + mult * d_r)
-        fwd = self.C[:, cols].reshape(self.d_p, self.d_q, mult, d_r).transpose(2, 0, 1, 3)
-        inv = self.Cinv[cols, :].reshape(mult, d_r, self.d_p, self.d_q)
-        return fwd, inv
+        fwd, inv, mults = _padded_blocks([self], [r_label], [d_r])
+        mult = int(mults[0, 0])
+        return (fwd[0, 0, :mult].reshape(mult, self.d_p, self.d_q, d_r),
+                inv[0, 0, :mult].reshape(mult, d_r, self.d_p, self.d_q))
 
     def couple(self, pieces: np.ndarray, table: IrrepTable
                ) -> dict[tuple[str, int], np.ndarray]:
@@ -252,13 +237,12 @@ def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional
     groups: dict[int, tuple[list[tuple[int, int]], list[np.ndarray]]] = {}
     q_classes = _dim_classes(qs)
     for d_p, (ip, p_coeffs) in _dim_classes(ps).items():
-        left = np.tensordot(p_coeffs, alg.mult, axes=(3, 0))            # [p, s, j, b, m]
         for d_q, (iq, q_coeffs) in q_classes.items():
-            prod = np.tensordot(left, q_coeffs, axes=(3, 3))            # [p, s, j, m, q, t, k]
             size = d_p * d_q
             pairs, stacks = groups.setdefault(size, ([], []))
             pairs.extend(product(ip, iq))
-            stacks.append(prod.transpose(0, 4, 1, 5, 2, 6, 3).reshape(-1, size, size, n))
+            stacks.append(_tensor_products(p_coeffs, q_coeffs, alg, "ordinary").reshape(
+                -1, size, size, n))
     bigs = {size: stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
             for size, (_, stacks) in groups.items()}
     # h(chi_big chi_r^*) for every pair and target
@@ -371,12 +355,13 @@ def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
     return fwd.swapaxes(-1, -2), inv, mults
 
 
-def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet) -> np.ndarray:
-    """The products ``phi^p_j psi^q_k`` as ``[j, k, m]`` in the sets' common carrier."""
+def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet, side: str) -> np.ndarray:
+    """The products ``phi^p_j psi^q_k`` in the sets' common carrier, in the pair order of
+    ``side``'s CG system: ``[j, k, m]`` for side R, ``[k, j, m]`` for side L."""
     if psi_q.carrier is not phi_p.carrier:
         raise ValueError("basis-function sets live on different carriers")
-    return np.einsum("ja,kb,abm->jkm", phi_p.functions, psi_q.functions,
-                     phi_p.carrier.product)
+    return np.einsum(f"ja,kb,abm->{'jk' if side == 'R' else 'kj'}m", phi_p.functions,
+                     psi_q.functions, phi_p.carrier.product)
 
 
 def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
@@ -391,13 +376,12 @@ def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
     if phi_p.side != side or psi_q.side != side:
         raise ValueError("basis-function sets do not match the requested side")
     d_p, d_q = phi_p.corep.dim, psi_q.corep.dim
-    products = _set_products(phi_p, psi_q)
-    rank = np.linalg.matrix_rank(products.reshape(d_p * d_q, -1), tol=1e-9)
+    pieces = _set_products(phi_p, psi_q, side)
+    rank = np.linalg.matrix_rank(pieces.reshape(d_p * d_q, -1), tol=1e-9)
     if rank < d_p * d_q:
         warnings.warn(
             f"products of {phi_p.label} and {psi_q.label} span only {rank} of "
             f"{d_p * d_q} dimensions", LinearDependenceWarning, stacklevel=2)
-    pieces = products if side == "R" else products.transpose(1, 0, 2)
     return {(r_lab, alpha): BasisFunctionSet(table[r_lab], side, funcs,
                                              label=f"theta[{r_lab},{alpha},{side}]",
                                              carrier=phi_p.carrier)
@@ -408,8 +392,7 @@ def coupled_inverse_residual(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
                              side: str, system: CGSystem,
                              coupled: dict[tuple[str, int], BasisFunctionSet]) -> float:
     """Residual of the inverse expansion of products in coupled functions."""
-    products = _set_products(phi_p, psi_q)
-    pieces = products if side == "R" else products.transpose(1, 0, 2)
+    pieces = _set_products(phi_p, psi_q, side)
     expansion = np.zeros_like(pieces)
     for (r_lab, alpha), bset in coupled.items():
         _, inv = system.blocks(r_lab, bset.corep.dim)

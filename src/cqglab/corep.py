@@ -20,15 +20,15 @@ and, for unitary corepresentations in an orthonormal basis::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .algebra import Element, HopfAlgebraSpec, LinearFunctional, _same_spec
-from .errors import (DecompositionStall, DimensionMismatch, NoF, NotIrreducible,
-                     PositivityFailure)
+from .errors import (DecompositionStall, DimensionMismatch, NoF, NonIntegerMultiplicity,
+                     NotIrreducible, PositivityFailure)
 from .haar import positivity, solve_haar
 from .report import Report
 
@@ -68,7 +68,6 @@ class Corepresentation:
     unitary: bool | None = None
     irreducible: bool | None = None
     F: np.ndarray | None = None
-    f_normalization: str | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.coeffs, dtype=complex)
@@ -92,15 +91,12 @@ class Corepresentation:
         """Entrywise antipode: coefficients of ``S(pi_jk)``."""
         return np.einsum("jkm,mt->jkt", self.coeffs, self.algebra.antipode)
 
-    def with_flags(self, **kw) -> "Corepresentation":
-        return replace(self, **kw)
-
 
 def identity_corep(alg: HopfAlgebraSpec, label: str = "identity") -> Corepresentation:
     """The one-dimensional corepresentation with sole coefficient ``1``."""
     return Corepresentation(alg, alg.unit.reshape(1, 1, -1).copy(), label=label,
                             verified=True, unitary=True, irreducible=True,
-                            F=np.array([[1.0 + 0j]]), f_normalization="hermitian_pd_balanced")
+                            F=np.array([[1.0 + 0j]]))
 
 
 # report title, flag and check names of the comodule and unitarity certificates
@@ -254,21 +250,29 @@ def _nullspace(mat: np.ndarray, scale: float = 0.0) -> list[np.ndarray]:
 
 
 def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation) -> np.ndarray | None:
-    """An invertible intertwiner if the coreps are equivalent, else ``None``."""
-    if pi_v.dim != pi_w.dim:
-        return None
-    basis = morphism_space(pi_v, pi_w)
-    if not basis:
-        return None
-    rng = np.random.default_rng(7)
+    """An invertible intertwiner if the coreps are equivalent, else ``None``.
 
-    def blends():
-        for _ in range(8):
-            coefs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            yield sum(c * b for c, b in zip(coefs, basis))
-
-    return next((phi for phi in chain(basis, blends())
-                 if np.linalg.matrix_rank(phi, tol=1e-9) == pi_v.dim), None)
+    Equivalent exactly when ``h((chi_V - chi_W)^* (chi_V - chi_W)) = sum_r (m_r^V -
+    m_r^W)^2`` is 0.  The witness is ``Phi = sum B_W T B_V^H G_V`` over the
+    :func:`decompose_comodule` pieces ``B_V`` of ``V``, each paired with an unused
+    piece ``B_W`` of ``W`` with a nonzero intertwiner ``T`` (unique up to scale, by
+    Schur); a piece with no partner raises ``DecompositionStall``.
+    """
+    h = solve_haar(_same_spec(pi_v, pi_w))
+    chi = pi_v.coeffs.trace() - pi_w.coeffs.trace()
+    if _integer_counts(_character_grams(chi[None], h)[0])[0, 0]:
+        return None
+    gram_v = invariant_gram(pi_v, h)
+    gram_v = (gram_v + gram_v.conj().T) / 2.0
+    pieces_w = decompose_comodule(pi_w, invariant_gram(pi_w, h))
+    phi = np.zeros((pi_w.dim, pi_v.dim), dtype=complex)
+    for basis_v, rho_v in decompose_comodule(pi_v, gram_v):
+        homs = [morphism_space(rho_v, rho_w) for _, rho_w in pieces_w]
+        k = next((k for k, hom in enumerate(homs) if hom), None)
+        if k is None:
+            raise DecompositionStall(f"a piece of {pi_v.label!r} has no partner in {pi_w.label!r}")
+        phi += pieces_w.pop(k)[0] @ homs[k][0] @ basis_v.conj().T @ gram_v
+    return phi
 
 
 def is_irreducible(pi: Corepresentation) -> bool:
@@ -304,7 +308,6 @@ def compute_F(pi: Corepresentation, tol: float = 1e-9) -> np.ndarray:
         raise NoF(f"S^2 moves the matrix coefficients of {pi.label!r} (residual "
                   f"{residual:.2e}); F is defined here only for S^2 = id")
     pi.F = np.eye(pi.dim, dtype=complex)
-    pi.f_normalization = "hermitian_pd_balanced"
     return pi.F
 
 
@@ -359,6 +362,22 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
     return report
 
 
+def _integer_counts(values) -> np.ndarray:
+    """Round character pairings ``h(chi_V chi_p^*)`` to the multiplicities they count.
+
+    Raises ``NonIntegerMultiplicity`` on the first value farther than ``1e-8``
+    from a nonnegative integer.
+    """
+    values = np.asarray(values, dtype=complex)
+    nearest = np.round(values.real)
+    bad = (np.abs(values - nearest) > 1e-8) | (nearest < 0)
+    if bad.any():
+        value = values.flat[np.flatnonzero(bad)[0]]
+        raise NonIntegerMultiplicity(
+            f"h(chi_V chi_p^*) = {value} is not a nonnegative integer")
+    return nearest.astype(int)
+
+
 def _character_grams(chars: np.ndarray, h: LinearFunctional) -> tuple[np.ndarray, np.ndarray]:
     """``h(chi_p^* chi_q)`` and ``h(chi_q chi_p^*)`` as ``[p, q]``, for the rows of ``chars``."""
     haar_pair = h.algebra.mult @ h.covector  # [a, b] = h(a_a a_b)
@@ -387,7 +406,7 @@ def unitarize(pi: Corepresentation, gram: np.ndarray | None = None,
     ``gram`` is the invariant inner product on the carrier; if omitted it is
     computed by Haar averaging (``h`` required).  The new basis is
     ``w = v @ T`` with ``T = L^{-H}`` from the Cholesky factor ``gram = L L^H``,
-    and the returned coefficients are ``T^{-1} pi T``.
+    and the returned coefficients are ``T^{-1} pi T = T^H gram pi T``.
     """
     if gram is None:
         if h is None:
@@ -398,11 +417,9 @@ def unitarize(pi: Corepresentation, gram: np.ndarray | None = None,
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise PositivityFailure("carrier inner product is not positive definite") from exc
-    t_mat = np.linalg.inv(chol.conj()).T      # T = L^{-H}
-    t_inv = chol.conj().T
-    coeffs = np.einsum("ka,ajm->kjm", t_inv, np.einsum("abm,bj->ajm", pi.coeffs, t_mat))
-    out = Corepresentation(pi.algebra, coeffs, label=f"{pi.label}~u",
-                           verified=pi.verified, irreducible=pi.irreducible)
+    t_mat = np.linalg.inv(chol.conj()).T      # T = L^{-H}: its columns are gram-orthonormal
+    out = _restrict_corep(pi, t_mat, gram, label=f"{pi.label}~u")
+    out.verified, out.irreducible = pi.verified, pi.irreducible
     return out, t_mat
 
 
@@ -502,7 +519,7 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray]
     return pieces
 
 
-def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0
+def decompose_comodule(pi: Corepresentation, gram: np.ndarray
                        ) -> list[tuple[np.ndarray, Corepresentation]]:
     """Split a comodule into irreducible blocks by commutant eigensplitting.
 
@@ -510,8 +527,8 @@ def decompose_comodule(pi: Corepresentation, gram: np.ndarray, seed: int = 0
     and ``gram`` an invariant inner product making it unitary.  Returns pairs
     ``(subspace basis as (d, d_block) columns in the carrier, irreducible
     block corepresentation in a gram-orthonormal basis)``, sorted by block
-    dimension.  Deterministic: ``seed`` is accepted and unused.  Raises
-    ``PositivityFailure`` when ``gram`` is not positive definite.
+    dimension.  Deterministic.  Raises ``PositivityFailure`` when ``gram`` is
+    not positive definite.
     """
     gram = (gram + gram.conj().T) / 2.0
     blocks = [(basis, _restrict_corep(pi, basis, gram, label=f"{pi.label}|{basis.shape[1]}d"))
@@ -562,9 +579,8 @@ class IrrepTable:
         raise KeyError(f"irrep index {idx} out of range")
 
     def trivial_index(self) -> int:
-        unit = self.algebra.unit
         for i, pi in enumerate(self.irreps):
-            if pi.dim == 1 and np.abs(pi.coeffs[0, 0] - unit).max() < 1e-9:
+            if _is_trivial(pi):
                 return i
         raise KeyError("no trivial irrep in table")
 
@@ -599,9 +615,13 @@ def _dim_classes(coreps: list[Corepresentation]) -> dict[int, tuple[list[int], n
             for dim, idx in classes.items()}
 
 
+def _is_trivial(pi: Corepresentation) -> bool:
+    """Whether ``pi`` is the one-dimensional corep with sole coefficient ``1``."""
+    return pi.dim == 1 and np.abs(pi.coeffs[0, 0] - pi.algebra.unit).max() < 1e-9
+
+
 def _character_fingerprint(pi: Corepresentation) -> tuple:
-    chi = np.einsum("jjm->m", pi.coeffs)
-    rounded = np.round(chi, 9) + 0.0  # normalize -0.0
+    rounded = np.round(pi.character().coeffs, 9) + 0.0  # normalize -0.0
     return tuple((float(z.real), float(z.imag)) for z in rounded)
 
 
@@ -638,12 +658,8 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
         pieces = _split(reg, gram, left, blocks=[block])
         classes.append((_restrict_corep(reg, pieces[0], gram, label="block"), len(pieces)))
 
-    def sort_key(item: tuple[Corepresentation, int]):
-        rep = item[0]
-        is_trivial = rep.dim == 1 and np.abs(rep.coeffs[0, 0] - alg.unit).max() < 1e-9
-        return (0 if is_trivial else 1, rep.dim, _character_fingerprint(rep))
-
-    classes.sort(key=sort_key)
+    classes.sort(key=lambda item: (not _is_trivial(item[0]), item[0].dim,
+                                   _character_fingerprint(item[0])))
     table = IrrepTable(alg, [rep for rep, _ in classes], [count for _, count in classes])
     for i, (rep, residuals) in enumerate(zip(table, table.residuals)):
         rep.label = f"p{i}"

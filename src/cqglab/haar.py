@@ -31,12 +31,8 @@ PD_RELATIVE_FLOOR = 1e-10
 class HaarFunctional(LinearFunctional):
     """The certified Haar functional ``h`` of a CQG-algebra spec."""
 
-    def weighted_product(self) -> np.ndarray:
-        """Matrix ``H[j, k] = h(a_j a_k)``, the workhorse of every inner product."""
-        return np.einsum("jkl,l->jk", self.algebra.mult, self.covector)
-
     def is_tracial(self) -> bool:
-        H = self.weighted_product()
+        H = self.algebra.mult @ self.covector  # H[j, k] = h(a_j a_k)
         return bool(np.abs(H - H.T).max() <= 1e-12 * self.algebra.magnitude)
 
 

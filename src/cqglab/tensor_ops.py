@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HopfAlgebraSpec
+from .cg import tensor_product
 from .corep import RANK_RCOND, Corepresentation, _phase_fixed, intertwiners
 from .errors import DecompositionStall
 from .haar import solve_haar
@@ -97,21 +98,15 @@ def _pipeline(coact: np.ndarray, alg: HopfAlgebraSpec, q_ops: np.ndarray,
 def operator_comodule(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str) -> np.ndarray:
     """Operator space ``End(B)`` of a carrier as a comodule, in matrix-coefficient form.
 
-    The defining pipeline of :func:`pipeline_components` with the operator
-    left free: ``out[(A, t), (x, y)]`` is the coefficient vector with which the
-    unit operator ``E_xy`` contributes to the ``(A, t)`` entry of the
-    components.  Returns a ``(b*b, b*b, n)`` array for a carrier of dimension
-    ``b``.
+    The defining pipeline of :func:`pipeline_components` applied to the ``b^2``
+    unit operators ``E_xy``: ``out[(A, t), (x, y)]`` is the coefficient vector
+    with which ``E_xy`` contributes to the ``(A, t)`` entry of the components.
+    Returns a ``(b*b, b*b, n)`` array for a carrier of dimension ``b``.
     """
-    b, n = coact.shape[0], alg.dim
-    if kind == "ordinary":
-        spow, m_axis = alg.antipode, 0
-    else:
-        spow, m_axis = alg.antipode_inv, 1
-    second = coact @ spow                                     # [t, y, w]
-    first = np.tensordot(coact, alg.mult, axes=(2, m_axis))   # [x, A, w, M]
-    out = np.tensordot(second, first, axes=(2, 2)).transpose(3, 0, 2, 1, 4)  # [A, t, x, y, M]
-    return out.reshape(b * b, b * b, n)
+    b = coact.shape[0]
+    units = np.eye(b * b).reshape(b * b, b, b)                # [(x, y), x, y]
+    out = _pipeline(coact, alg, units, *_antipode_and_swap(alg, kind))  # [(x, y), M, A, t]
+    return out.transpose(2, 3, 0, 1).reshape(b * b, b * b, alg.dim)
 
 
 def operator_coaction_components(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str,
@@ -354,10 +349,10 @@ def apply_family_to_basis_functions(fam: TensorOperatorFamily, phis: BasisFuncti
     alg = fam.algebra
     acted = np.einsum("kab,jb->kja", fam.operators, phis.functions)  # Q_k(phi_j)
     lhs = np.einsum("kjt,tab->kjab", acted, fam.carrier.coact)
-    m_axis = 0 if fam.kind == "ordinary" else 1
-    weights = np.tensordot(np.tensordot(fam.corep.coeffs, alg.mult, axes=(2, m_axis)),
-                           phis.corep.coeffs, axes=(2, 2))  # [t, k, b, s, j]
-    rhs = np.einsum("tsa,tkbsj->kjab", acted, weights)
+    d_q, d_p = fam.corep.dim, phis.corep.dim
+    weights = tensor_product(fam.corep, phis.corep, fam.kind).coeffs.reshape(
+        d_q, d_p, d_q, d_p, alg.dim)                                 # [t, s, k, j, b]
+    rhs = np.einsum("tsa,tskjb->kjab", acted, weights)
     report = Report(f"family on basis functions [{fam.label} on {phis.label}]",
                     meta={"tol": tol})
     report.add("transformation law", float(np.abs(lhs - rhs).max()),

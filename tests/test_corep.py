@@ -91,7 +91,6 @@ def test_compute_f_classical_identity(classical):
     for name, pi in classical.items():
         f = compute_F(pi)
         assert np.abs(f - np.eye(pi.dim)).max() < 1e-9, name
-        assert pi.f_normalization == "hermitian_pd_balanced"
 
 
 def test_compute_f_rejects_reducible(classical):
@@ -184,6 +183,56 @@ def test_unitarize_recovers_unitarity(cs3_fun, classical):
     assert np.abs(ratio - np.eye(2)).max() < 1e-9
 
 
+def _direct_sum(*pis: Corepresentation) -> Corepresentation:
+    """The block-diagonal corep ``pi_1 (+) pi_2 (+) ...``."""
+    d = sum(pi.dim for pi in pis)
+    coeffs = np.zeros((d, d, pis[0].algebra.dim), dtype=complex)
+    start = 0
+    for pi in pis:
+        coeffs[start:start + pi.dim, start:start + pi.dim] = pi.coeffs
+        start += pi.dim
+    return Corepresentation(pis[0].algebra, coeffs, label="+".join(pi.label for pi in pis))
+
+
+def _s3_equivalent_pairs(table):
+    """trivial+sign against sign+trivial, and std+std against a real rotation of it."""
+    p0, p1, p2 = table.irreps
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.kron(np.array([[c, -s], [s, c]]), np.eye(2))  # mixes the two copies
+    both = _direct_sum(p2, p2)
+    rotated = Corepresentation(both.algebra, np.einsum("ja,abm,kb->jkm", rot, both.coeffs, rot),
+                               label="rotated")
+    return [(_direct_sum(p0, p1), _direct_sum(p1, p0)), (both, rotated)]
+
+
+def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
+    """Hom(V, W) has no invertible basis element here, so the witness must combine
+    pieces: it has full rank and intertwines."""
+    for pi_v, pi_w in _s3_equivalent_pairs(cs3_fun.table):
+        basis = morphism_space(pi_v, pi_w)
+        assert all(np.linalg.matrix_rank(phi, tol=1e-9) < pi_v.dim for phi in basis)
+        phi = are_equivalent(pi_v, pi_w)
+        assert np.linalg.matrix_rank(phi, tol=1e-9) == pi_v.dim, pi_w.label
+        gap = (np.einsum("ab,bcm->acm", phi, pi_v.coeffs)
+               - np.einsum("abm,bc->acm", pi_w.coeffs, phi))
+        assert np.abs(gap).max() < 1e-12, pi_w.label
+
+
+def test_equal_dimensions_with_unequal_characters_are_inequivalent(cs3_fun):
+    p0, p1, _ = cs3_fun.table.irreps
+    assert are_equivalent(_direct_sum(p0, p0), _direct_sum(p0, p1)) is None
+
+
+def test_equivalence_piece_without_partner_raises(cs3_fun, monkeypatch):
+    """Equal characters, but an intertwiner solve between pieces that finds nothing,
+    raise ``DecompositionStall`` rather than return a singular witness."""
+    solve = corep.morphism_space
+    monkeypatch.setattr(corep, "morphism_space", lambda v, w: solve(v, w) if v is w else [])
+    pi_v, pi_w = _s3_equivalent_pairs(cs3_fun.table)[0]
+    with pytest.raises(DecompositionStall):
+        are_equivalent(pi_v, pi_w)
+
+
 def test_invariant_gram_is_identity_for_unitary(cs3_fun, classical):
     for pi in classical.values():
         g = invariant_gram(pi, cs3_fun.haar)
@@ -227,15 +276,15 @@ def test_decomposition_blocks_pass_everything(contexts):
 def test_decompose_already_irreducible(cs3_fun, classical):
     std = classical["standard"]
     gram = invariant_gram(std, cs3_fun.haar)
-    blocks = decompose_comodule(std, gram, seed=5)
+    blocks = decompose_comodule(std, gram)
     assert len(blocks) == 1
     assert blocks[0][1].dim == 2
 
 
 def test_decomposition_deterministic(cs3_fun):
     reg = regular_corep(cs3_fun.algebra, "R")
-    one = decompose_comodule(reg, cs3_fun.grams.gram_right, seed=3)
-    two = decompose_comodule(reg, cs3_fun.grams.gram_right, seed=3)
+    one = decompose_comodule(reg, cs3_fun.grams.gram_right)
+    two = decompose_comodule(reg, cs3_fun.grams.gram_right)
     for (b1, c1), (b2, c2) in zip(one, two):
         assert np.abs(b1 - b2).max() < 1e-14
         assert np.abs(c1.coeffs - c2.coeffs).max() < 1e-14

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,8 +190,8 @@ def test_non_unitary_representative_breaks_action(cs3_fun):
     table = cs3_fun.table
     skew_t = np.array([[1.0, 0.5], [0.0, 1.0]])
     p2 = table["p2"]
-    skewed = p2.with_flags(coeffs=np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew_t),
-                                            p2.coeffs, skew_t))
+    skewed = replace(p2, coeffs=np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew_t),
+                                          p2.coeffs, skew_t))
     bad = IrrepTable(table.algebra, table.irreps[:2] + [skewed], table.multiplicities)
     pairs = _stacked_vs_loops(bad, "R", cs3_fun.haar)
     for name, (stacked, loops) in pairs.items():
