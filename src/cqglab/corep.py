@@ -431,11 +431,19 @@ def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.conj().T, q[:, keep])
 
 
-def _lift_and_restrict(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The lift ``pi basis`` and the restricted coefficients ``basis^+ pi basis``."""
-    lifted = np.einsum("bam,aj->bjm", pi.coeffs, basis)
-    return lifted, np.einsum("kb,bjm->kjm", basis.conj().T @ gram, lifted)
+def _restrict(vecs: np.ndarray, basis: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coordinates ``vecs @ (basis^H gram)^T`` of carrier vectors ``(..., d)`` in the
+    gram-orthonormal columns of ``basis``, as one matrix product, and how far
+    ``vecs`` lie outside ``span(basis)`` (0 when inside)."""
+    flat = vecs.reshape(-1, vecs.shape[-1])
+    coords = flat @ (basis.conj().T @ gram).T
+    escape = float(np.abs(coords @ basis.T - flat).max(initial=0.0))
+    return coords.reshape(*vecs.shape[:-1], -1), escape
+
+
+def _lift(pi: Corepresentation, basis: np.ndarray) -> np.ndarray:
+    """``pi basis`` as ``[j, m, b]``: the coefficient at ``a_m`` of ``(pi basis)_bj``."""
+    return (basis.T @ pi.coeffs).transpose(1, 2, 0)
 
 
 def _restrict_corep(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray,
@@ -443,16 +451,16 @@ def _restrict_corep(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray,
     """Matrix coefficients of the coaction restricted to ``span(basis)``.
 
     ``basis`` columns must be gram-orthonormal and span an invariant subspace;
-    the restricted coefficients are ``rho = basis^+ pi basis`` with
-    ``basis^+ = basis^H gram``.
+    the restricted coefficients ``rho = basis^H gram pi basis`` are the
+    coordinates of :func:`_restrict`.
     """
-    return Corepresentation(pi.algebra, _lift_and_restrict(pi, basis, gram)[1], label=label)
+    coords = _restrict(_lift(pi, basis), basis, gram)[0]
+    return Corepresentation(pi.algebra, coords.transpose(2, 0, 1), label=label)
 
 
 def _invariance_residual(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray) -> float:
     """How far ``pi`` maps ``span(basis)`` outside itself (0 when invariant)."""
-    lifted, rho = _lift_and_restrict(pi, basis, gram)
-    return float(np.abs(lifted - np.einsum("bk,kjm->bjm", basis, rho)).max())
+    return _restrict(_lift(pi, basis), basis, gram)[1]
 
 
 def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray] | None = None,

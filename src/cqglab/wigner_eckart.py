@@ -99,9 +99,9 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
     the reduced elements zero-padded along a last axis to the largest
     multiplicity, and the multiplicities.  The pairs of one system size are
     factorized together, their rows and CG blocks zero-padded to the largest
-    target dimension and multiplicity: ``X = T C`` read at each target's
-    columns gives the reduced elements, ``T - Z C^{-1}`` the residual, ``Z``
-    holding the reduced elements, and a batched pseudo-inverse of the
+    target dimension and multiplicity: ``X = T C`` at each target's columns,
+    traced over ``(u, v)`` and divided by ``d_r``, gives the reduced elements
+    ``Z``, ``T - Z C^{-1}`` the residual, and a batched pseudo-inverse of the
     inverse-CG designs the least-squares cross-check, taken only for the
     targets that occur, each gap the largest over the target's multiplicity.
     A target that does not occur has zero blocks, so its residual is ``max |T_r|``.
@@ -112,9 +112,6 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
     firsts = np.cumsum(dims, dtype=int) - dims
     valid = np.arange(d_max) < np.array(dims)[:, None]                       # [r, l]
     rows = np.where(valid, firsts[:, None] + np.arange(d_max), 0)
-    finvs = np.zeros((len(targets), d_max, d_max), dtype=complex)   # (F^r)^{-1} / tr
-    for r, d_r in enumerate(dims):
-        finvs[r, :d_r, :d_r] = np.eye(d_r) / d_r
     tmats = [_pair_matrix(tensor, system, kind) for tensor, system in zip(tensors, systems)]
     if any(len(tmat) != sum(dims) for tmat in tmats):
         raise ValueError("tensor rows do not match the targets' dimensions")
@@ -131,7 +128,7 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
         block = stacked[:, rows] * valid[..., None]                       # [w, r, l, pair]
         fwd, inv, mult = _padded_blocks([systems[i] for i in members], names, dims)
         x = block[:, :, None] @ fwd                                        # [w, r, a, u, v]
-        red = (x * finvs.swapaxes(1, 2)[:, None]).sum(axis=(3, 4))       # [w, r, a]
+        red = np.trace(x, axis1=3, axis2=4) / np.array(dims)[:, None]      # [w, r, a]
         design = inv.reshape(*inv.shape[:3], -1)                           # [w, r, a, (l, pair)]
         flat = block.reshape(*block.shape[:2], -1)
         occurs = mult > 0

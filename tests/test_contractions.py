@@ -22,8 +22,8 @@ from cqglab.corep import Corepresentation, _restrict_corep, check_unitary, unita
 from cqglab.groups import symmetric_group_3
 from cqglab.haar import GramPair, regular_unitarity_report, verify_haar_lemmas
 from cqglab.homspace import (CoidealSubalgebra, build_coset_subalgebra,
-                             restricted_coaction_tensor, restricted_product_tensor,
-                             verify_coideal)
+                             restricted_coaction_report, restricted_coaction_tensor,
+                             restricted_product_tensor, subspace_coideal, verify_coideal)
 from cqglab.regular import (BasisFunctionSet, dual_action_crosscheck, product_coaction_check,
                             regular_coaction_tensor)
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily,
@@ -416,3 +416,24 @@ def test_restricted_tensors_match_naive(cs3_fun, side, subgroup):
     products = np.einsum("ia,jb,abm->ijm", onb, onb, alg.mult)
     assert_same(restricted_product_tensor(coideal, grams),
                 np.einsum("ka,ab,ijb->ijk", np.conj(onb), gram_full, products))
+
+
+@pytest.mark.parametrize("side", ["R", "L"])
+def test_restricted_coaction_report_matches_naive(cs3_fun, side):
+    """B = A on C(S3) with one coproduct entry moved, judged with the unperturbed
+    Gram and Haar: the report's comodule residuals are the naive coassociativity
+    and counit gaps of B's coaction tensor."""
+    alg = cs3_fun.algebra
+    comult = alg.comult.copy()
+    comult[1, 0, 0] += 0.5
+    noisy = HopfAlgebraSpec(alg.dim, alg.mult, comult, alg.antipode, alg.counit, alg.unit,
+                            alg.star, label="C(S3) with a moved coproduct entry")
+    coideal = subspace_coideal(noisy, np.eye(alg.dim, dtype=complex), side)
+    coideal.orthonormalize(cs3_fun.grams)
+    report = restricted_coaction_report(coideal, cs3_fun.grams, cs3_fun.haar)
+    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
+    again = np.einsum("ikc,kjd->ijdc", coact, coact)
+    split = np.einsum("ijc,cde->ijde", coact, comult)
+    assert_same_residual(residual(report, "coassociativity"), again - split)
+    counit = np.einsum("ikc,c->ik", coact, alg.counit)
+    assert_same_residual(residual(report, "counit"), counit - np.eye(alg.dim))

@@ -14,6 +14,7 @@ from cqglab.groups import symmetric_group_3
 from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candidates,
                              restricted_coaction_report,
                              restricted_coaction_tensor, restricted_gram,
+                             restricted_product_tensor,
                              solve_restricted_basis_functions, solve_restricted_family,
                              subspace_coideal, verify_coideal)
 from cqglab.corep import identity_corep
@@ -94,7 +95,7 @@ def test_unit_span_passes_everything(cs3_fun):
 
 def test_restricted_gram_values(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    gram = restricted_gram(coideal, side, cs3_fun.grams)
+    gram = restricted_gram(coideal, cs3_fun.grams)
     assert np.abs(gram - np.eye(3) / 3.0).max() < 1e-12
 
 
@@ -110,7 +111,7 @@ def test_restricted_gram_tolerance_scales_with_rows(contexts, label, scale):
     for side in ("R", "L"):
         coideal = subspace_coideal(alg, rows, side)
         assert verify_coideal(coideal).passed
-        gram = restricted_gram(coideal, side, ctx.grams)
+        gram = restricted_gram(coideal, ctx.grams)
         expected = np.conj(rows) @ ctx.grams.gram(side) @ rows.T
         assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
         coideal.orthonormalize(ctx.grams)
@@ -367,6 +368,48 @@ def test_restrict_rejects_outside_elements(coset_ctx, cs3_fun):
     outsider[2] = 1.0
     with pytest.raises(CoidealMismatch):
         coideal.restrict(outsider, cs3_fun.grams)
+
+
+def test_coaction_escape_raises(cs3_fun):
+    """span{delta_e} is closed under products but is not a left coideal: building
+    its carrier fails on the coaction tensor, while its products stay inside."""
+    rows = np.zeros((1, 6), dtype=complex)
+    rows[0, 0] = 1.0
+    coideal = subspace_coideal(cs3_fun.algebra, rows, "L")
+    coideal.orthonormalize(cs3_fun.grams)
+    restricted_product_tensor(coideal, cs3_fun.grams)
+    with pytest.raises(CoidealMismatch):
+        restricted_coaction_tensor(coideal, cs3_fun.grams)
+    with pytest.raises(CoidealMismatch):
+        coideal.carrier(cs3_fun.grams)
+
+
+def test_product_escape_raises(cs3_fun):
+    """Row 0 of the 2-dim irrep spans a right coideal that is not closed under
+    products: building its carrier fails on the product tensor."""
+    rows = cs3_fun.table["p2"].coeffs[0]
+    coideal = subspace_coideal(cs3_fun.algebra, rows, "R")
+    coideal.orthonormalize(cs3_fun.grams)
+    restricted_coaction_tensor(coideal, cs3_fun.grams)
+    with pytest.raises(CoidealMismatch):
+        restricted_product_tensor(coideal, cs3_fun.grams)
+    with pytest.raises(CoidealMismatch):
+        coideal.carrier(cs3_fun.grams)
+
+
+def test_restrict_stack_matches_rows(coset_ctx, cs3_fun):
+    """``restrict`` maps a ``(..., n)`` stack as it maps each row (up to roundoff),
+    back to the coordinates the stack was embedded from."""
+    side, coideal = coset_ctx
+    rng = np.random.default_rng(11)
+    shape = (2, 4, coideal.dim)
+    coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack = coideal.embed(coords)
+    rows = np.array([[coideal.restrict(vec, cs3_fun.grams) for vec in row] for row in stack])
+    stacked = coideal.restrict(stack, cs3_fun.grams)
+    assert stacked.shape == shape
+    assert np.abs(stacked - rows).max() < 1e-13
+    assert np.abs(rows - coords).max() < 1e-12
 
 
 def test_s2_invariance_flag(coset_ctx):
