@@ -8,9 +8,7 @@ left regular coaction formalisms, Wigner-Eckart factorizations, and quantum
 homogeneous spaces carried by coideal *-subalgebras.
 """
 
-from .algebra import (Element, HopfAlgebraSpec, LinearFunctional, TensorElement,
-                      build_dual, coproduct, counit_of, multiply, opposite_algebra,
-                      unary_map, verify_dual_pairing, verify_hopf_axioms,
+from .algebra import (HopfAlgebraSpec, LinearFunctional, build_dual, verify_hopf_axioms,
                       verify_star_axioms)
 from .cg import (CGSystem, Character, character, character_orthogonality,
                  conjugate_multiplicity_symmetries, coupled_basis_functions,
@@ -34,7 +32,7 @@ from .regular import (BasisFunctionSet, Carrier, basis_function_orthogonality,
                       canonical_basis_functions, check_basis_functions,
                       dual_action_crosscheck, product_coaction_check,
                       projection_completeness_residual, projection_operator,
-                      regular_carrier, regular_coaction, regular_coaction_tensor,
+                      regular_carrier, regular_coaction_tensor,
                       regular_corep, verify_projection_identities)
 from .report import CheckResult, Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, apply_family_to_basis_functions,

@@ -16,9 +16,9 @@ The star map is antilinear: coefficients are conjugated first, then the
 ``star`` matrix is applied.  With this convention ``* o * = id`` becomes the
 matrix identity ``conj(star) @ star = I``.
 
-Elements are plain complex coefficient vectors wrapped in :class:`Element`;
-tensors in ``A (x) A`` are ``n x n`` coefficient matrices wrapped in
-:class:`TensorElement` (entry ``[j, k]`` multiplies ``a_j (x) a_k``).
+An element is its ``(n,)`` complex coefficient vector and a tensor in
+``A (x) A`` its ``(n, n)`` coefficient matrix (entry ``[j, k]`` multiplies
+``a_j (x) a_k``); every structure map acts on them through the arrays above.
 
 Validation is advisory: constructors only check shapes and that every entry
 is finite, and the axiom suites (:func:`verify_hopf_axioms`,
@@ -38,18 +38,10 @@ from .report import Report
 
 __all__ = [
     "HopfAlgebraSpec",
-    "Element",
-    "TensorElement",
     "LinearFunctional",
-    "multiply",
-    "coproduct",
-    "unary_map",
-    "counit_of",
     "verify_hopf_axioms",
     "verify_star_axioms",
     "build_dual",
-    "verify_dual_pairing",
-    "opposite_algebra",
 ]
 
 
@@ -115,26 +107,6 @@ class HopfAlgebraSpec:
         """Filled by :func:`cqglab.regular.regular_carrier`, one carrier per side."""
         return {}
 
-    # -- element constructors ------------------------------------------------
-    def element(self, coeffs) -> "Element":
-        return Element(self, np.asarray(coeffs, dtype=complex))
-
-    def basis_element(self, j: int) -> "Element":
-        coeffs = np.zeros(self.dim, dtype=complex)
-        coeffs[j] = 1.0
-        return Element(self, coeffs)
-
-    def one(self) -> "Element":
-        return Element(self, self.unit.copy())
-
-    def random_element(self, rng: np.random.Generator) -> "Element":
-        re = rng.standard_normal(self.dim)
-        im = rng.standard_normal(self.dim)
-        return Element(self, re + 1j * im)
-
-    def is_commutative(self) -> bool:
-        return bool(np.abs(self.mult - self.mult.swapaxes(0, 1)).max() <= 1e-12 * self.magnitude)
-
     def __repr__(self) -> str:  # keep frozen-dataclass noise out of test output
         return f"HopfAlgebraSpec({self.label or 'unnamed'}, dim={self.dim})"
 
@@ -152,98 +124,6 @@ def _same_spec(x, y) -> HopfAlgebraSpec:
 
 
 @dataclass(frozen=True)
-class Element:
-    """An element of the algebra as a complex coefficient vector."""
-
-    algebra: HopfAlgebraSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (self.algebra.dim,):
-            raise DimensionMismatch(
-                f"coefficient vector has shape {arr.shape}, expected ({self.algebra.dim},)")
-        object.__setattr__(self, "coeffs", arr)
-
-    def __add__(self, other: "Element") -> "Element":
-        _same_spec(self, other)
-        return Element(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Element") -> "Element":
-        _same_spec(self, other)
-        return Element(self.algebra, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return multiply(self, other)
-        return Element(self.algebra, self.coeffs * complex(other))
-
-    def __rmul__(self, scalar) -> "Element":
-        return Element(self.algebra, complex(scalar) * self.coeffs)
-
-    def star(self) -> "Element":
-        return unary_map("star", self)
-
-    def antipode(self) -> "Element":
-        return unary_map("S", self)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_close(self, other: "Element", tol: float = 1e-9) -> bool:
-        _same_spec(self, other)
-        return bool(np.abs(self.coeffs - other.coeffs).max() <= tol)
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    """An element of ``A (x) A`` as an ``n x n`` coefficient matrix."""
-
-    algebra: HopfAlgebraSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.algebra.dim
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (n, n):
-            raise DimensionMismatch(f"tensor coefficients have shape {arr.shape}, expected ({n}, {n})")
-        object.__setattr__(self, "coeffs", arr)
-
-    def map_legs(self, first=None, second=None) -> "TensorElement":
-        """Apply linear maps (given as Element -> Element) legwise.
-
-        Maps are given by their matrix action on coefficient vectors: a map f
-        with ``f(a_j) = sum_k m[j, k] a_k`` acts on the first leg as
-        ``m.T @ coeffs`` and on the second as ``coeffs @ m``.
-        """
-        out = self.coeffs
-        if first is not None:
-            out = first.T @ out
-        if second is not None:
-            out = out @ second
-        return TensorElement(self.algebra, out)
-
-    def contract(self) -> Element:
-        """Apply the multiplication map ``M`` to get back an element of ``A``."""
-        alg = self.algebra
-        return Element(alg, np.einsum("jk,jkl->l", self.coeffs, alg.mult))
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        _same_spec(self, other)
-        return TensorElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        _same_spec(self, other)
-        return TensorElement(self.algebra, self.coeffs - other.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
 class LinearFunctional:
     """A covector on ``A``; ``phi(x) = sum_j covector[j] x_j``."""
 
@@ -255,59 +135,6 @@ class LinearFunctional:
         if arr.shape != (self.algebra.dim,):
             raise DimensionMismatch("covector length does not match the algebra dimension")
         object.__setattr__(self, "covector", arr)
-
-    def __call__(self, x: Element) -> complex:
-        _same_spec(self, x)
-        return complex(self.covector @ x.coeffs)
-
-
-# ---------------------------------------------------------------------------
-# structure-map operations
-# ---------------------------------------------------------------------------
-
-def multiply(x: Element, y: Element) -> Element:
-    """Product ``xy = M(x (x) y)``."""
-    alg = _same_spec(x, y)
-    return Element(alg, np.einsum("j,k,jkl->l", x.coeffs, y.coeffs, alg.mult))
-
-
-def coproduct(x: Element) -> TensorElement:
-    """Coproduct of ``x`` as a tensor in ``A (x) A``."""
-    alg = x.algebra
-    return TensorElement(alg, np.einsum("l,ljk->jk", x.coeffs, alg.comult))
-
-
-def counit_of(x: Element) -> complex:
-    return complex(x.algebra.counit @ x.coeffs)
-
-
-def unary_map(kind: str, x: Element) -> Element:
-    """Apply one of the unary structure maps.
-
-    ``kind`` is one of ``"S"``, ``"S_inverse"``, ``"S_squared"``, ``"star"``.
-    ``S_inverse`` is realized as ``* o S o *``, which inverts the antipode on
-    any valid spec; :func:`antipode_inverse_via_star` and the matrix inverse
-    can be compared as a diagnostic.
-    """
-    alg = x.algebra
-    if kind == "S":
-        return Element(alg, x.coeffs @ alg.antipode)
-    if kind == "S_squared":
-        return Element(alg, x.coeffs @ alg.antipode @ alg.antipode)
-    if kind == "S_inverse":
-        return Element(alg, x.coeffs @ antipode_inverse_via_star(alg))
-    if kind == "star":
-        return Element(alg, np.conj(x.coeffs) @ alg.star)
-    raise ValueError(f"unknown unary map {kind!r}")
-
-
-def antipode_inverse_via_star(alg: HopfAlgebraSpec) -> np.ndarray:
-    """The matrix of ``* o S o *`` (right action on row vectors).
-
-    Equals ``antipode^{-1}`` exactly when the star axioms hold; exposed so the
-    two routes can be compared in diagnostics.
-    """
-    return np.conj(alg.star @ alg.antipode) @ alg.star
 
 
 # ---------------------------------------------------------------------------
@@ -445,45 +272,3 @@ def build_dual(alg: HopfAlgebraSpec) -> HopfAlgebraSpec:
         star=star_dual,
         label=f"dual({alg.label})" if alg.label else "dual",
     )
-
-
-def verify_dual_pairing(alg: HopfAlgebraSpec, dual: HopfAlgebraSpec, tol: float = 1e-12) -> Report:
-    """Check the three defining pairing identities between ``alg`` and ``dual``.
-
-    ``<M'(x,y), a> = <x (x) y, coproduct(a)>``, ``<coproduct'(x), a (x) b> =
-    <x, M(a,b)>`` and ``<S'(x), a> = <x, S(a)>`` on all basis tuples.
-    """
-    report = Report(f"dual pairing [{alg.label}]", meta={"tol": tol})
-    t = _tol_for(alg, tol)
-    # <M'(a^j (x) a^k), a_l> = mult'[j,k,l]; <a^j (x) a^k, coproduct(a_l)> = comult[l,j,k]
-    report.add("product vs coproduct",
-               float(np.abs(dual.mult - alg.comult.transpose(1, 2, 0)).max()), t)
-    report.add("coproduct vs product",
-               float(np.abs(dual.comult - alg.mult.transpose(2, 0, 1)).max()), t)
-    report.add("antipode transpose", float(np.abs(dual.antipode - alg.antipode.T).max()), t)
-    report.add("counit vs unit", float(np.abs(dual.counit - alg.unit).max()), t)
-    report.add("unit vs counit", float(np.abs(dual.unit - alg.counit).max()), t)
-    return report
-
-
-def opposite_algebra(alg: HopfAlgebraSpec) -> HopfAlgebraSpec:
-    """The Hopf *-algebra with reversed product and inverse antipode.
-
-    Diagnostic helper: twisted tensor operators of ``alg`` are ordinary tensor
-    operators of the opposite algebra.
-    """
-    return HopfAlgebraSpec(
-        dim=alg.dim,
-        mult=alg.mult.transpose(1, 0, 2),
-        comult=alg.comult.copy(),
-        antipode=alg.antipode_inv,
-        counit=alg.counit.copy(),
-        unit=alg.unit.copy(),
-        star=alg.star.copy(),
-        label=f"op({alg.label})" if alg.label else "op",
-    )
-
-
-def random_elements(alg: HopfAlgebraSpec, count: int, seed: int = 0) -> list[Element]:
-    rng = np.random.default_rng(seed)
-    return [alg.random_element(rng) for _ in range(count)]

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import Element, HopfAlgebraSpec, LinearFunctional
+from .algebra import HopfAlgebraSpec, LinearFunctional
 from .corep import (Corepresentation, IrrepTable, _character_grams, _dim_classes,
                     _integer_counts, _stacked_intertwiners)
 from .errors import LinearDependenceWarning, MultiplicityMismatch, SingularC
@@ -46,14 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Character:
-    """The trace element of a corepresentation."""
+    """The trace of a corepresentation, as its ``(n,)`` coefficient vector."""
 
-    element: Element
+    coeffs: np.ndarray
     source: str = ""
-
-    @property
-    def algebra(self) -> HopfAlgebraSpec:
-        return self.element.algebra
 
 
 def character(pi: Corepresentation) -> Character:
@@ -64,7 +60,7 @@ def character_orthogonality(chi_p: Character, chi_q: Character, h: LinearFunctio
                             tol: float = 1e-10) -> Report:
     """``h(chi_p^* chi_q) = delta_pq`` in both multiplication orders: the one-pair call
     of :func:`_character_report`."""
-    return _character_report(np.array([chi_p.element.coeffs, chi_q.element.coeffs]),
+    return _character_report(np.array([chi_p.coeffs, chi_q.coeffs]),
                              [chi_p.source, chi_q.source], [(0, 1)], h, tol,
                              f"character orthogonality [{chi_p.source} vs {chi_q.source}]")
 
@@ -88,8 +84,9 @@ def _character_report(chars: np.ndarray, labels: list[str], pairs: list[tuple[in
 
 def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional) -> int:
     """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``."""
-    pair = h.algebra.mult @ h.covector  # [a, b] = h(a_a a_b)
-    return int(_integer_counts(chi_v.element.coeffs @ pair @ chi_p.element.star().coeffs))
+    alg = h.algebra
+    pair = alg.mult @ h.covector  # [a, b] = h(a_a a_b)
+    return int(_integer_counts(chi_v.coeffs @ pair @ (np.conj(chi_p.coeffs) @ alg.star)))
 
 
 def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,

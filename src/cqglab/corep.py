@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .algebra import Element, HopfAlgebraSpec, LinearFunctional, _same_spec
+from .algebra import HopfAlgebraSpec, LinearFunctional, _same_spec
 from .errors import (DecompositionStall, DimensionMismatch, NoF, NonIntegerMultiplicity,
                      NotIrreducible, PositivityFailure)
 from .haar import positivity, solve_haar
@@ -80,8 +80,9 @@ class Corepresentation:
     def dim(self) -> int:
         return self.coeffs.shape[0]
 
-    def character(self) -> Element:
-        return Element(self.algebra, np.einsum("jjm->m", self.coeffs))
+    def character(self) -> np.ndarray:
+        """The character ``sum_j pi_jj`` as its ``(n,)`` coefficient vector."""
+        return self.coeffs.trace()
 
     def star_coeffs(self) -> np.ndarray:
         """Entrywise star: coefficients of ``pi_jk^*``."""
@@ -259,7 +260,7 @@ def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation) -> np.ndarray
     Schur); a piece with no partner raises ``DecompositionStall``.
     """
     h = solve_haar(_same_spec(pi_v, pi_w))
-    chi = pi_v.coeffs.trace() - pi_w.coeffs.trace()
+    chi = pi_v.character() - pi_w.character()
     if _integer_counts(_character_grams(chi[None], h)[0])[0, 0]:
         return None
     gram_v = invariant_gram(pi_v, h)
@@ -337,7 +338,7 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
     rows = np.concatenate([pi.coeffs.reshape(-1, alg.dim) for pi in coreps])
     antipodes, haar_pair = rows @ alg.antipode, alg.mult @ h.covector
     grams = (rows @ haar_pair @ antipodes.T, antipodes @ haar_pair @ rows.T)
-    chars = _character_grams(np.array([pi.coeffs.trace() for pi in coreps]), h)[0]
+    chars = _character_grams(np.array([pi.character() for pi in coreps]), h)[0]
     starts = np.cumsum([0] + [pi.dim ** 2 for pi in coreps]).tolist()
     checks, residuals = [], []
     for p, q in pairs:
@@ -600,7 +601,7 @@ class IrrepTable:
     @cached_property
     def characters(self) -> np.ndarray:
         """The characters ``chi_r`` as rows ``[r, m]``."""
-        return np.array([pi.coeffs.trace() for pi in self.irreps])
+        return np.array([pi.character() for pi in self.irreps])
 
     @cached_property
     def residuals(self) -> list[dict[str, float]]:
@@ -629,7 +630,7 @@ def _is_trivial(pi: Corepresentation) -> bool:
 
 
 def _character_fingerprint(pi: Corepresentation) -> tuple:
-    rounded = np.round(pi.character().coeffs, 9) + 0.0  # normalize -0.0
+    rounded = np.round(pi.character(), 9) + 0.0  # normalize -0.0
     return tuple((float(z.real), float(z.imag)) for z in rounded)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional, _legwise_product
+from .algebra import HopfAlgebraSpec, LinearFunctional, _legwise_product, build_dual
 from .corep import Corepresentation, IrrepTable
 from .errors import NotUnitary
 from .haar import GramPair
@@ -30,7 +30,6 @@ __all__ = [
     "regular_carrier",
     "regular_coaction_tensor",
     "regular_corep",
-    "regular_coaction",
     "regular_invariance_report",
     "BasisFunctionSet",
     "check_basis_functions",
@@ -86,14 +85,6 @@ def regular_corep(alg: HopfAlgebraSpec, side: str) -> Corepresentation:
     # pi(a_j) = sum_k a_k (x) pi_kj, so pi_kj has coefficients tensor[j, k, :]
     coeffs = tensor.transpose(1, 0, 2).copy()
     return Corepresentation(alg, coeffs, label=f"regular-{side}[{alg.label}]")
-
-
-def regular_coaction(side: str, x):
-    """Apply the regular coaction to an element, returning a TensorElement."""
-    from .algebra import TensorElement
-    alg = x.algebra
-    tensor = regular_carrier(alg, side).coact
-    return TensorElement(alg, np.einsum("t,tab->ab", x.coeffs, tensor))
 
 
 def regular_invariance_report(alg: HopfAlgebraSpec, h: LinearFunctional,
@@ -244,11 +235,13 @@ def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
                         ordering: str = "standard") -> np.ndarray:
     """The projection ``a -> d_p sum a^X_[1] h(pi^*_mn a^X_[2])`` as a matrix.
 
-    ``route="maps"`` composes the structure maps element by element;
-    ``route="constants"`` evaluates the same operator as a single contraction
-    over the structure constants.  ``ordering="swapped"`` builds the rejected
-    variant with the product inside ``h`` reversed, kept as a diagnostic; the
-    two orderings coincide whenever the Haar functional is tracial.
+    ``route="maps"`` composes the structure maps as matrices, one map at a time:
+    the side's coaction, multiplication by ``w = pi^*_mn`` inside ``h``, then
+    ``h``; ``route="constants"`` evaluates the same operator as one contraction
+    with the Haar pair matrix ``h(a_u a_b)``.  ``ordering="swapped"`` builds the
+    rejected variant with the product inside ``h`` reversed, kept as a
+    diagnostic; the two orderings coincide whenever the Haar functional is
+    tracial.
     """
     alg = pi.algebra
     d = pi.dim
@@ -256,21 +249,15 @@ def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
         return _projection_stack(alg, pi.coeffs[m, n][None], np.array([d]), side, h, ordering)[0]
     if route != "maps":
         raise ValueError(f"unknown route {route!r}")
-    from .algebra import Element, multiply
-    out = np.zeros((alg.dim, alg.dim), dtype=complex)
-    weight_elt = Element(alg, np.conj(pi.coeffs[m, n]) @ alg.star)
-    for t_idx in range(alg.dim):
-        legs = regular_coaction(side, alg.basis_element(t_idx))
-        col = np.zeros(alg.dim, dtype=complex)
-        for b in range(alg.dim):
-            leg2 = alg.basis_element(b)
-            if ordering == "standard":
-                scalar = h(multiply(weight_elt, leg2))
-            else:
-                scalar = h(multiply(leg2, weight_elt))
-            col += scalar * legs.coeffs[:, b]
-        out[:, t_idx] = d * col
-    return out
+    coact = regular_carrier(alg, side).coact              # [t, a, b]: a_t -> a_a (x) a_b
+    w = np.conj(pi.coeffs[m, n]) @ alg.star
+    if ordering == "standard":
+        times_w = np.tensordot(w, alg.mult, axes=(0, 0))  # [b, l]: w a_b
+    elif ordering == "swapped":
+        times_w = np.tensordot(w, alg.mult, axes=(0, 1))  # [b, l]: a_b w
+    else:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    return d * (coact @ (times_w @ h.covector)).T          # h on the second leg
 
 
 def projection_completeness_residual(table: IrrepTable, side: str,
@@ -363,8 +350,6 @@ def dual_action_crosscheck(alg: HopfAlgebraSpec, tol: float = 1e-12) -> Report:
     product must compose these actions as a left action, and its unit must act
     as the identity.
     """
-    from .algebra import build_dual
-
     dual = build_dual(alg)
     n = alg.dim
     report = Report(f"dual regular actions [{alg.label}]", meta={"tol": tol})

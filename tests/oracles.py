@@ -194,6 +194,53 @@ def tensor_product_algebra(first, second):
         label=f"{first.label}(x){second.label}")
 
 
+def is_commutative(alg) -> bool:
+    return bool(np.abs(alg.mult - alg.mult.swapaxes(0, 1)).max() <= 1e-12 * alg.magnitude)
+
+
+def random_elements(alg, count: int, seed: int = 0) -> np.ndarray:
+    """``count`` complex coefficient vectors drawn from ``seed``, as rows ``[i, n]``."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+                     for _ in range(count)])
+
+
+def opposite_algebra(alg):
+    """The Hopf *-algebra with reversed product and inverse antipode: twisted tensor
+    operators of ``alg`` are ordinary tensor operators of the opposite algebra."""
+    from cqglab.algebra import HopfAlgebraSpec
+    return HopfAlgebraSpec(
+        dim=alg.dim,
+        mult=alg.mult.transpose(1, 0, 2),
+        comult=alg.comult.copy(),
+        antipode=alg.antipode_inv,
+        counit=alg.counit.copy(),
+        unit=alg.unit.copy(),
+        star=alg.star.copy(),
+        label=f"op({alg.label})" if alg.label else "op",
+    )
+
+
+def verify_dual_pairing(alg, dual, tol: float = 1e-12):
+    """Check the three defining pairing identities between ``alg`` and ``dual``.
+
+    ``<M'(x,y), a> = <x (x) y, coproduct(a)>``, ``<coproduct'(x), a (x) b> =
+    <x, M(a,b)>`` and ``<S'(x), a> = <x, S(a)>`` on all basis tuples.
+    """
+    from cqglab.report import Report
+    report = Report(f"dual pairing [{alg.label}]", meta={"tol": tol})
+    t = tol * alg.magnitude
+    # <M'(a^j (x) a^k), a_l> = mult'[j,k,l]; <a^j (x) a^k, coproduct(a_l)> = comult[l,j,k]
+    report.add("product vs coproduct",
+               float(np.abs(dual.mult - alg.comult.transpose(1, 2, 0)).max()), t)
+    report.add("coproduct vs product",
+               float(np.abs(dual.comult - alg.mult.transpose(2, 0, 1)).max()), t)
+    report.add("antipode transpose", float(np.abs(dual.antipode - alg.antipode.T).max()), t)
+    report.add("counit vs unit", float(np.abs(dual.counit - alg.unit).max()), t)
+    report.add("unit vs counit", float(np.abs(dual.unit - alg.counit).max()), t)
+    return report
+
+
 def haar_invariance_rows(alg) -> np.ndarray:
     """The homogeneous rows of the Haar invariance system, one ``u_k`` at a time:
     rows ``(l, k)`` hold ``comult[l, j, k] - delta_lj u_k`` (left), then rows
@@ -576,11 +623,10 @@ def per_pair_schur(pi_p, pi_q, h) -> dict[str, float]:
 def per_pair_characters(pi_p, pi_q, h) -> dict[str, complex]:
     """``h(chi_p^* chi_q)`` (``forward``) and ``h(chi_q chi_p^*)`` (``reversed``) of one
     pair, each by one element product and one Haar evaluation."""
-    from cqglab.algebra import multiply
-
-    chi_p, chi_q = pi_p.character(), pi_q.character()
-    return {"forward": h(multiply(chi_p.star(), chi_q)),
-            "reversed": h(multiply(chi_q, chi_p.star()))}
+    alg = h.algebra
+    star_p, chi_q = np.conj(pi_p.character()) @ alg.star, pi_q.character()
+    return {"forward": complex(h.covector @ np.einsum("j,k,jkl->l", star_p, chi_q, alg.mult)),
+            "reversed": complex(h.covector @ np.einsum("j,k,jkl->l", chi_q, star_p, alg.mult))}
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_criterion_03_peter_weyl(cs3_fun, cs3_grp):
     assert sum(d * d for d in table.dims()) == 6
     # oracle: block characters agree with the classical character table
     classical = s3_character_table()
-    got = sorted(tuple(np.round(character(pi).element.coeffs.real, 8))
+    got = sorted(tuple(np.round(character(pi).coeffs.real, 8))
                  for pi in table)
     want = sorted(tuple(np.round(chi.real, 8)) for chi in classical.values())
     assert got == want

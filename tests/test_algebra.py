@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cqglab.algebra import (Element, _legwise_product, build_dual, coproduct, counit_of,
-                            multiply, opposite_algebra, unary_map, verify_dual_pairing,
-                            verify_hopf_axioms, verify_star_axioms,
-                            antipode_inverse_via_star, random_elements)
+from oracles import opposite_algebra, random_elements, verify_dual_pairing
+
+from cqglab.algebra import (LinearFunctional, _legwise_product, build_dual, verify_hopf_axioms,
+                            verify_star_axioms)
+from cqglab.corep import identity_corep, morphism_space
 from cqglab.errors import DimensionMismatch, InvalidSpec
 from cqglab.groups import all_permutation_group, build_function_algebra, \
     build_group_algebra, cyclic_group, symmetric_group_3
@@ -63,99 +64,97 @@ def test_in_place_n5_residuals_are_bit_identical(algebras):
         assert min(_out_of_place_n5_residuals(noisy).values()) > 1e-4, label
 
 
+def _product(alg, x, y) -> np.ndarray:
+    """``xy`` on coefficient vectors."""
+    return np.einsum("j,k,jkl->l", x, y, alg.mult)
+
+
 def test_unit_law_multiply(algebras):
-    rng = np.random.default_rng(0)
-    for alg in algebras.values():
-        x = alg.random_element(rng)
-        assert multiply(alg.one(), x).is_close(x, 1e-12)
-        assert multiply(x, alg.one()).is_close(x, 1e-12)
+    for seed, alg in enumerate(algebras.values()):
+        (x,) = random_elements(alg, 1, seed=seed)
+        assert np.abs(_product(alg, alg.unit, x) - x).max() <= 1e-12
+        assert np.abs(_product(alg, x, alg.unit) - x).max() <= 1e-12
 
 
 def test_function_algebra_pointwise_product():
     alg = build_function_algebra(cyclic_group(2))
-    d0, d1 = alg.basis_element(0), alg.basis_element(1)
-    assert multiply(d0, d1).norm() < 1e-15
-    assert multiply(d0, d0).is_close(d0)
+    d0, d1 = np.eye(2)
+    assert np.linalg.norm(_product(alg, d0, d1)) < 1e-15
+    assert np.abs(_product(alg, d0, d0) - d0).max() <= 1e-9
 
 
 def test_group_algebra_product_follows_table():
     s3 = symmetric_group_3()
     alg = build_group_algebra(s3)
+    basis = np.eye(6)
     for i in range(6):
         for j in range(6):
-            prod = multiply(alg.basis_element(i), alg.basis_element(j))
-            assert prod.is_close(alg.basis_element(s3.mul(i, j)), 1e-15)
+            prod = _product(alg, basis[i], basis[j])
+            assert np.abs(prod - basis[s3.mul(i, j)]).max() <= 1e-15
 
 
 def test_coproduct_values():
     z2 = build_function_algebra(cyclic_group(2))
-    tens = coproduct(z2.basis_element(0))
+    tens = np.tensordot(np.eye(2)[0], z2.comult, 1)
     expected = np.zeros((2, 2), dtype=complex)
     expected[0, 0] = expected[1, 1] = 1.0  # delta_0(xy) = sum over xy = 0
-    assert np.abs(tens.coeffs - expected).max() < 1e-15
+    assert np.abs(tens - expected).max() < 1e-15
 
     cs3 = build_group_algebra(symmetric_group_3())
     for g in range(6):
-        tens = coproduct(cs3.basis_element(g))
+        tens = np.tensordot(np.eye(6)[g], cs3.comult, 1)
         expected = np.zeros((6, 6), dtype=complex)
         expected[g, g] = 1.0
-        assert np.abs(tens.coeffs - expected).max() < 1e-15
+        assert np.abs(tens - expected).max() < 1e-15
 
-    one = cs3.one()
-    assert np.abs(coproduct(one).coeffs - np.outer(one.coeffs, one.coeffs)).max() < 1e-15
+    one = cs3.unit
+    assert np.abs(np.tensordot(one, cs3.comult, 1) - np.outer(one, one)).max() < 1e-15
 
 
 def test_unary_maps():
     s3 = symmetric_group_3()
     alg = build_group_algebra(s3)
+    basis = np.eye(6)
     for g in range(6):
-        sg = unary_map("S", alg.basis_element(g))
-        assert sg.is_close(alg.basis_element(s3.inverse(g)), 1e-15)
-    assert unary_map("S", alg.one()).is_close(alg.one())
-    rng = np.random.default_rng(1)
-    x = alg.random_element(rng)
-    assert unary_map("star", unary_map("star", x)).is_close(x, 1e-12)
-    assert unary_map("S_inverse", unary_map("S", x)).is_close(x, 1e-12)
-    assert unary_map("S_squared", x).is_close(unary_map("S", unary_map("S", x)), 1e-12)
-    with pytest.raises(ValueError):
-        unary_map("bogus", x)
+        assert np.abs(basis[g] @ alg.antipode - basis[s3.inverse(g)]).max() <= 1e-15
+    assert np.abs(alg.unit @ alg.antipode - alg.unit).max() <= 1e-9
+    (x,) = random_elements(alg, 1, seed=1)
+    assert np.abs(np.conj(np.conj(x) @ alg.star) @ alg.star - x).max() <= 1e-12
+    # S^{-1} realized as * o S o *
+    s_inverse = np.conj(alg.star @ alg.antipode) @ alg.star
+    assert np.abs(x @ alg.antipode @ s_inverse - x).max() <= 1e-12
 
 
 def test_counit_values(algebras):
     s3 = symmetric_group_3()
     alg = build_function_algebra(s3)
     for g in range(6):
-        assert abs(counit_of(alg.basis_element(g)) - (1.0 if g == 0 else 0.0)) < 1e-15
-    rng = np.random.default_rng(2)
-    for a in algebras.values():
-        assert abs(counit_of(a.one()) - 1.0) < 1e-12
-        x, y = a.random_element(rng), a.random_element(rng)
-        assert abs(counit_of(multiply(x, y)) - counit_of(x) * counit_of(y)) < 1e-9
+        assert abs(alg.counit[g] - (1.0 if g == 0 else 0.0)) < 1e-15
+    for seed, a in enumerate(algebras.values()):
+        assert abs(a.counit @ a.unit - 1.0) < 1e-12
+        x, y = random_elements(a, 2, seed=seed)
+        assert abs(a.counit @ _product(a, x, y) - (a.counit @ x) * (a.counit @ y)) < 1e-9
 
 
 def test_element_level_properties(algebras):
     """Associativity, counit laws, and the antipode law on random elements."""
-    rng = np.random.default_rng(3)
-    for alg in algebras.values():
-        for _ in range(5):
-            x, y, z = (alg.random_element(rng) for _ in range(3))
-            assert multiply(multiply(x, y), z).is_close(multiply(x, multiply(y, z)), 1e-9)
+    for seed, alg in enumerate(algebras.values()):
+        for x, y, z in random_elements(alg, 15, seed=seed).reshape(5, 3, -1):
+            assert np.abs(_product(alg, _product(alg, x, y), z)
+                          - _product(alg, x, _product(alg, y, z))).max() <= 1e-9
         for j in range(alg.dim):
-            basis = alg.basis_element(j)
-            legs = coproduct(basis)
-            eps_first = Element(alg, alg.counit @ legs.coeffs)
-            eps_second = Element(alg, legs.coeffs @ alg.counit)
-            assert eps_first.is_close(basis, 1e-12)
-            assert eps_second.is_close(basis, 1e-12)
+            legs = alg.comult[j]
+            assert np.abs(alg.counit @ legs - np.eye(alg.dim)[j]).max() <= 1e-12
+            assert np.abs(legs @ alg.counit - np.eye(alg.dim)[j]).max() <= 1e-12
             # multiply the antipode of the first leg against the second
-            collapsed = legs.map_legs(first=alg.antipode.T).contract()
-            expected = counit_of(basis) * alg.one()
-            assert collapsed.is_close(expected, 1e-12)
+            collapsed = np.einsum("jk,jkl->l", alg.antipode.T @ legs, alg.mult)
+            assert np.abs(collapsed - alg.counit[j] * alg.unit).max() <= 1e-12
 
 
 def test_antipode_inverse_via_star_agrees(algebras):
     for alg in algebras.values():
-        assert np.abs(antipode_inverse_via_star(alg) - alg.antipode_inv).max() < 1e-12
+        via_star = np.conj(alg.star @ alg.antipode) @ alg.star  # * o S o *
+        assert np.abs(via_star - alg.antipode_inv).max() < 1e-12
 
 
 def test_antipode_inverse_is_cached_read_only():
@@ -198,9 +197,9 @@ def test_dimension_mismatch():
     z2 = build_function_algebra(cyclic_group(2))
     z3 = build_function_algebra(cyclic_group(3))
     with pytest.raises(DimensionMismatch):
-        multiply(z2.basis_element(0), z3.basis_element(0))
+        morphism_space(identity_corep(z2), identity_corep(z3))
     with pytest.raises(DimensionMismatch):
-        Element(z2, np.zeros(3))
+        LinearFunctional(z2, np.zeros(3))
 
 
 def test_invalid_spec_shapes():
@@ -244,7 +243,4 @@ def test_opposite_algebra_is_hopf(algebras):
 
 def test_random_elements_deterministic(algebras):
     alg = next(iter(algebras.values()))
-    xs = random_elements(alg, 3, seed=11)
-    ys = random_elements(alg, 3, seed=11)
-    for x, y in zip(xs, ys):
-        assert x.is_close(y, 0.0)
+    assert np.array_equal(random_elements(alg, 3, seed=11), random_elements(alg, 3, seed=11))

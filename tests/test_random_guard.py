@@ -2,9 +2,8 @@
 
 Every certificate is deterministic: equivalence is read off characters with a
 witness built from the decompositions, and decompositions are read off the
-commutant.  ``np.random`` therefore appears only in the generators that tests
-draw sample elements from, ``HopfAlgebraSpec.random_element`` and
-``random_elements``.
+commutant.  The package therefore has no use of ``np.random`` at all; the
+sample elements tests draw come from ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 
-ALLOWED = {"random_element", "random_elements"}
+ALLOWED: set[str] = set()
 
 
 def _is_random(node: ast.AST) -> bool:
@@ -46,10 +45,13 @@ def _all_uses():
         yield from _uses(ast.parse(path.read_text(encoding="utf-8")), path.name)
 
 
-def test_scan_sees_the_test_generators():
+def test_scan_flags_a_random_draw():
+    """The guard can fail: a draw in a parsed snippet is found and not allowed."""
     assert len(list(SOURCE.glob("*.py"))) > 10
-    assert sum(allowed for _, allowed in _all_uses()) >= 2
+    snippet = ast.parse("import numpy as np\n\n\ndef draw():\n"
+                        "    return np.random.default_rng(0).standard_normal(3)\n")
+    assert list(_uses(snippet, "snippet.py")) == [("snippet.py:5", False)]
 
 
-def test_np_random_only_in_the_test_generators():
+def test_no_np_random_in_the_package():
     assert [where for where, allowed in _all_uses() if not allowed] == []

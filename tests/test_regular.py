@@ -7,29 +7,29 @@ import pytest
 
 from oracles import projection_identity_gaps, s3_inverse
 
+from cqglab.algebra import LinearFunctional
 from cqglab.corep import Corepresentation, IrrepTable
 from cqglab.errors import NotUnitary
-from cqglab.groups import build_function_algebra, cyclic_group, symmetric_group_3
+from cqglab.groups import build_function_algebra, cyclic_group
 from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
                             canonical_basis_functions, check_basis_functions,
                             dual_action_crosscheck, product_coaction_check,
                             projection_completeness_residual, projection_operator,
-                            regular_coaction, regular_corep,
+                            regular_coaction_tensor, regular_corep,
                             verify_projection_identities)
 
 
 def test_regular_coaction_values(cs3_grp, contexts):
     alg = cs3_grp.algebra
-    s3 = symmetric_group_3()
-    one = alg.one()
-    legs = regular_coaction("R", one)
-    assert np.abs(legs.coeffs - np.outer(one.coeffs, one.coeffs)).max() < 1e-15
+    one = alg.unit
+    legs = np.tensordot(one, regular_coaction_tensor(alg, "R"), 1)
+    assert np.abs(legs - np.outer(one, one)).max() < 1e-15
     # left coaction of a group-like: g (x) g^{-1}
     for g in range(6):
-        legs = regular_coaction("L", alg.basis_element(g))
+        legs = regular_coaction_tensor(alg, "L")[g]
         expected = np.zeros((6, 6), dtype=complex)
         expected[g, s3_inverse(g)] = 1.0
-        assert np.abs(legs.coeffs - expected).max() < 1e-15
+        assert np.abs(legs - expected).max() < 1e-15
 
 
 def test_both_regular_comodules_satisfy_axioms(contexts):
@@ -228,10 +228,10 @@ def test_swapped_ordering_equals_standard_on_tracial_haar(cs3_fun, cs3_grp):
 
 
 def test_swapped_ordering_maps_route_matches_constants(contexts):
-    """The element-by-element route builds the swapped ordering as the one-contraction
-    route does, for every matrix coefficient of every irrep on every built-in.  Every
-    built-in's Haar functional is tracial, so this pins the route's swapped line to the
-    constants route; it cannot tell the two orderings apart."""
+    """The maps route builds the swapped ordering as the one-contraction route does,
+    for every matrix coefficient of every irrep on every built-in.  Every built-in's
+    Haar functional is tracial, so this pins the route's swapped line to the constants
+    route; it cannot tell the two orderings apart (the next test can)."""
     for label, ctx in contexts.items():
         for pi in ctx.table:
             for side in ("R", "L"):
@@ -241,6 +241,28 @@ def test_swapped_ordering_maps_route_matches_constants(contexts):
                                                    ordering="swapped")
                                for route in ("maps", "constants")]
                         assert np.abs(ops[0] - ops[1]).max() < 1e-13, (label, pi.label, side)
+
+
+def test_maps_route_operand_order_on_a_non_tracial_functional(cs3_grp):
+    """On C[S3], h + delta_1 (the Haar covector plus the covector of the transposition
+    a_1) is not tracial, so the two orderings give different operators: each route
+    must put w = pi^*_mn on the same side of the product inside the functional."""
+    alg = cs3_grp.algebra
+    phi = LinearFunctional(alg, cs3_grp.haar.covector + np.eye(alg.dim)[1])
+    pair = alg.mult @ phi.covector
+    assert np.abs(pair - pair.T).max() > 0.5
+    gap = 0.0
+    for pi in cs3_grp.table:
+        for side in ("R", "L"):
+            ops = {}
+            for ordering in ("standard", "swapped"):
+                maps, consts = (projection_operator(pi, 0, 0, side, phi, route=route,
+                                                    ordering=ordering)
+                                for route in ("maps", "constants"))
+                assert np.abs(maps - consts).max() < 1e-12, (ordering, pi.label, side)
+                ops[ordering] = maps
+            gap = max(gap, np.abs(ops["standard"] - ops["swapped"]).max())
+    assert gap > 0.1
 
 
 def test_product_coaction_rules(contexts):

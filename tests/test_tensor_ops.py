@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (conjugation_family_space_dim, per_operator_coaction,
-                     per_operator_family_residual, tensor_product_algebra)
+from oracles import (conjugation_family_space_dim, is_commutative, opposite_algebra,
+                     per_operator_coaction, per_operator_family_residual,
+                     tensor_product_algebra)
 from test_contractions import perturbed
 
 from cqglab import tensor_ops
-from cqglab.algebra import opposite_algebra
 from cqglab.corep import Corepresentation, identity_corep, intertwiners, irrep_table
 from cqglab.errors import DecompositionStall
 from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
@@ -90,7 +90,7 @@ def test_operator_product_rules(contexts):
         for kind, side in VARIANTS:
             res = operator_product_rule_residual(ctx.algebra, kind, side, q1, q2)
             assert res < 1e-9, (label, kind, side, res)
-        if ctx.algebra.is_commutative():
+        if is_commutative(ctx.algebra):
             # ordinary and twisted coactions coincide entirely
             for side in ("R", "L"):
                 a = operator_coaction_components(ctx.algebra, q1, "ordinary", side)
