@@ -123,7 +123,7 @@ def _same_spec(x, y) -> HopfAlgebraSpec:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFunctional:
     """A covector on ``A``; ``phi(x) = sum_j covector[j] x_j``."""
 

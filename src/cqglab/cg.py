@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character:
     """The trace of a corepresentation, as its ``(n,)`` coefficient vector."""
 

@@ -52,8 +52,8 @@ __all__ = [
     "irrep_table",
 ]
 
-# relative singular-value cut for the rank of every intertwiner space, of the
-# Coc(A) nullspace and of the family space: below it lies roundoff
+# relative singular-value cut for the rank of every intertwiner space and of the
+# family space: below it lies roundoff
 RANK_RCOND = 1e-9
 
 
@@ -235,21 +235,6 @@ def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation) -> list[np.nd
     return intertwiners(pi_v.coeffs, pi_w.coeffs, solve_haar(alg))
 
 
-def _nullspace(mat: np.ndarray, scale: float = 0.0) -> list[np.ndarray]:
-    """Orthonormal nullspace basis with a deterministic phase convention.
-
-    Singular values are cut at ``RANK_RCOND * max(sigma_max, scale)``; the absolute
-    ``scale`` floor keeps an all-zero system (everything in the nullspace) from
-    being read as full-rank noise.  Rows are phase-fixed by :func:`_phase_fixed`.
-    """
-    if mat.size == 0:
-        return []
-    _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    top = float(sigma[0]) if sigma.size else 0.0
-    rank = int(np.sum(sigma > RANK_RCOND * max(top, scale, 1e-300)))
-    return list(_phase_fixed(np.conj(vh[rank:])))  # mat @ conj(vh[i]) = 0
-
-
 def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation) -> np.ndarray | None:
     """An invertible intertwiner if the coreps are equivalent, else ``None``.
 
@@ -414,22 +399,21 @@ def unitarize(pi: Corepresentation, gram: np.ndarray | None = None,
             raise ValueError("unitarize needs either gram or the Haar functional")
         gram = invariant_gram(pi, h)
     gram = (gram + gram.conj().T) / 2.0
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise PositivityFailure("carrier inner product is not positive definite") from exc
-    t_mat = np.linalg.inv(chol.conj()).T      # T = L^{-H}: its columns are gram-orthonormal
+    t_mat = _gram_basis(gram)
     out = _restrict_corep(pi, t_mat, gram, label=f"{pi.label}~u")
     out.verified, out.irreducible = pi.verified, pi.irreducible
     return out, t_mat
 
 
-def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Columns of ``vectors`` orthonormalized w.r.t. ``<x, y> = x^H gram y``."""
-    chol = np.linalg.cholesky((gram + gram.conj().T) / 2.0)
-    q, r = np.linalg.qr(chol.conj().T @ vectors, mode="reduced")
-    keep = np.abs(np.diag(r)) > 1e-10 * max(1.0, np.abs(np.diag(r)).max())
-    return np.linalg.solve(chol.conj().T, q[:, keep])
+def _gram_basis(gram: np.ndarray) -> np.ndarray:
+    """``T = L^{-H}`` from the Cholesky factor ``L L^H`` of the Hermitian part of
+    ``gram``: its columns are orthonormal for ``<x, y> = x^H gram y``.  Raises
+    ``PositivityFailure`` when that part is not positive definite."""
+    try:
+        chol = np.linalg.cholesky((gram + gram.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise PositivityFailure("carrier inner product is not positive definite") from exc
+    return np.linalg.inv(chol.conj()).T
 
 
 def _restrict(vecs: np.ndarray, basis: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
@@ -464,30 +448,29 @@ def _invariance_residual(pi: Corepresentation, basis: np.ndarray, gram: np.ndarr
     return _restrict(_lift(pi, basis), basis, gram)[1]
 
 
-def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray] | None = None,
-           cluster_tol: float = 1e-8) -> list[np.ndarray]:
-    """Split invariant subspaces (gram-orthonormal columns, default the whole carrier).
+def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-8
+           ) -> list[np.ndarray]:
+    """Split the carrier into invariant subspaces (gram-orthonormal columns).
 
     Scan position ``f = 2 op + part`` is the self-adjoint (part 0) or skew
     (part 1) part of the compression ``basis^H gram op basis`` of a commutant
-    element ``op``.  A block is cut by the eigenvalue clusters of its first
-    part with two clusters, and each piece resumes the scan at ``f + 1``:
-    every earlier part was scalar on the block, so it is scalar on the piece.
+    element ``op``.  The scan starts on the :func:`_gram_basis` of the whole
+    carrier.  A subspace is cut by the eigenvalue clusters of its first part
+    with two clusters, and each piece resumes the scan at ``f + 1``: every
+    earlier part was scalar on the subspace, so it is scalar on the piece.
     A piece compresses its remaining ``ops`` in batches of 1, 2, 4, ...
     operators, one product each, and looks for the first cutting part of a
     batch with one ``eigvalsh`` call, so no operator is compressed twice on
     one piece and none past the cut; ``eigh`` runs only on the part that
     cuts.  A piece with only scalar parts is irreducible if the ``ops`` span
-    the commutant.  Each final piece of a block that was cut is certified
+    the commutant.  If the carrier was cut, each final piece is certified
     invariant once (``DecompositionStall`` otherwise); the pieces span the
-    block, so this certifies every cut.  ``gram`` must be Hermitian.
+    carrier, so this certifies every cut.  ``gram`` must be Hermitian.
     """
-    if blocks is None:
-        _, min_eig, floor = positivity(gram)
-        if min_eig <= floor:
-            raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
-                                    f"positive definite (min eig {min_eig:.2e})")
-        blocks = [_gram_orthonormalize(np.eye(pi.dim, dtype=complex), gram)]
+    _, min_eig, floor = positivity(gram)
+    if min_eig <= floor:
+        raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
+                                f"positive definite (min eig {min_eig:.2e})")
     ops = np.asarray(ops)
     bound = 1e-7 * pi.algebra.magnitude
 
@@ -516,15 +499,12 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, blocks: list[np.ndarray]
             lo, size = lo + size, 2 * size
         return [basis]
 
-    pieces = []
-    for basis in blocks:
-        leaves = split(basis, 0)
-        if len(leaves) > 1:
-            worst = max(_invariance_residual(pi, leaf, gram) for leaf in leaves)
-            if worst > bound:
-                raise DecompositionStall(f"a commutant eigenspace is not invariant "
-                                         f"(residual {worst:.1e} > {bound:.1e})")
-        pieces += leaves
+    pieces = split(_gram_basis(gram), 0)
+    if len(pieces) > 1:
+        worst = max(_invariance_residual(pi, piece, gram) for piece in pieces)
+        if worst > bound:
+            raise DecompositionStall(f"a commutant eigenspace is not invariant "
+                                     f"(residual {worst:.1e} > {bound:.1e})")
     return pieces
 
 
@@ -640,32 +620,29 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
 
     Returns one unitary representative per equivalence class, with its
     F-matrix computed, sorted trivial-first then by (dimension, character
-    fingerprint).  The central convolutions ``y -> h(S(x) y_(1)) y_(2)``, x
-    cocommutative, split off one isotypic block per class; all left
-    convolutions split each block into copies, the first being the
-    representative.  Deterministic: ``seed`` is accepted and unused.
+    fingerprint).  The left convolutions span the commutant of the regular
+    comodule, so one :func:`_split` by them cuts it into irreducible pieces.
+    Every class, multiplicity and irreducibility verdict is read off the
+    pieces' character Gram ``h(chi_p^* chi_q) = sum_r m_r^p m_r^q``, as in
+    :func:`are_equivalent`: each diagonal entry must be 1 (the piece is
+    irreducible, ``DecompositionStall`` otherwise), a piece's class is the
+    first piece it overlaps, and that first piece is the representative.
+    Deterministic: ``seed`` is accepted and unused.
     """
     from .regular import regular_corep
 
-    n = alg.dim
-    comult = alg.comult
     reg = regular_corep(alg, "R")
     gram = (gram_right + gram_right.conj().T) / 2.0
-    coc = _nullspace((comult - comult.transpose(0, 2, 1)).reshape(n, n * n).T,
-                     scale=alg.magnitude)
-    # phi_x(a_s) = h(S(x) a_s); the convolution by phi has matrix [b, a] = phi . comult[a, :, b]
-    phis = np.array(coc).reshape(-1, n) @ alg.antipode @ (alg.mult @ h.covector)
-    central = np.tensordot(phis, comult, axes=(1, 1)).transpose(0, 2, 1)
-    isotypic = _split(reg, gram, central)
-    if len(isotypic) != len(coc):
-        raise DecompositionStall(
-            f"central convolutions gave {len(isotypic)} isotypic blocks, "
-            f"but dim Coc(A) = {len(coc)}")
-    left = comult.transpose(1, 2, 0)
-    classes: list[tuple[Corepresentation, int]] = []
-    for block in isotypic:
-        pieces = _split(reg, gram, left, blocks=[block])
-        classes.append((_restrict_corep(reg, pieces[0], gram, label="block"), len(pieces)))
+    pieces = [_restrict_corep(reg, basis, gram, label="block")
+              for basis in _split(reg, gram, alg.comult.transpose(1, 2, 0))]
+    overlaps = _integer_counts(_character_grams(
+        np.array([piece.character() for piece in pieces]), h)[0])
+    if (np.diag(overlaps) != 1).any():
+        raise DecompositionStall(f"the commutant split left a reducible piece: "
+                                 f"h(chi^* chi) = {np.diag(overlaps).tolist()}")
+    # a piece's class is the first piece it overlaps; count the pieces at that first one
+    counts = np.bincount(overlaps.argmax(axis=1)).tolist()
+    classes = [(pieces[i], count) for i, count in enumerate(counts) if count]
 
     classes.sort(key=lambda item: (not _is_trivial(item[0]), item[0].dim,
                                    _character_fingerprint(item[0])))

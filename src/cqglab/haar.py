@@ -27,7 +27,7 @@ __all__ = ["HaarFunctional", "GramPair", "solve_haar", "verify_haar_lemmas",
 PD_RELATIVE_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarFunctional(LinearFunctional):
     """The certified Haar functional ``h`` of a CQG-algebra spec."""
 

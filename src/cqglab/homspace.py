@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import HopfAlgebraSpec
-from .corep import Corepresentation, _corep_residuals, _restrict, intertwiners
+from .corep import Corepresentation, _corep_residuals, _gram_basis, _restrict, intertwiners
 from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, positivity, solve_haar
@@ -74,8 +74,7 @@ class CoidealSubalgebra:
 
     def orthonormalize(self, grams: GramPair) -> None:
         gram_b = restricted_gram(self, grams)  # certified positive definite
-        chol = np.linalg.cholesky((gram_b + gram_b.conj().T) / 2.0)
-        self.onb_rows = np.conj(np.linalg.inv(chol)) @ self.span_rows
+        self.onb_rows = _gram_basis(gram_b).T @ self.span_rows
         self._carrier = None
 
     def carrier(self, grams: GramPair) -> Carrier:

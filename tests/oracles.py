@@ -542,7 +542,7 @@ def per_pair_cg(pi_p, pi_q, table, h, tol: float = 1e-9):
     return system
 
 
-def peel_split(pi, gram, ops, blocks=None, cluster_tol: float = 1e-8) -> list[np.ndarray]:
+def peel_split(pi, gram, ops, cluster_tol: float = 1e-8) -> list[np.ndarray]:
     """Commutant eigensplitting by the recursive peel ``corep._split`` used before
     pieces resumed where their parent split.
 
@@ -550,16 +550,14 @@ def peel_split(pi, gram, ops, blocks=None, cluster_tol: float = 1e-8) -> list[np
     operator again, runs ``eigh`` on each self-adjoint and skew part until one
     has two eigenvalue clusters, and certifies the pieces of every split.
     """
-    from cqglab.corep import _gram_orthonormalize, _invariance_residual
+    from cqglab.corep import _gram_basis, _invariance_residual
     from cqglab.errors import DecompositionStall, PositivityFailure
     from cqglab.haar import positivity
 
-    if blocks is None:
-        _, min_eig, floor = positivity(gram)
-        if min_eig <= floor:
-            raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
-                                    f"positive definite (min eig {min_eig:.2e})")
-        blocks = [_gram_orthonormalize(np.eye(pi.dim, dtype=complex), gram)]
+    _, min_eig, floor = positivity(gram)
+    if min_eig <= floor:
+        raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
+                                f"positive definite (min eig {min_eig:.2e})")
     ops = np.asarray(ops)
     bound = 1e-7 * pi.algebra.magnitude
 
@@ -581,7 +579,7 @@ def peel_split(pi, gram, ops, blocks=None, cluster_tol: float = 1e-8) -> list[np
                 return [piece for b in sub_bases for piece in split(b)]
         return [basis]
 
-    return [piece for basis in blocks for piece in split(basis)]
+    return split(_gram_basis(gram))
 
 
 def per_irrep_certificates(pi) -> dict[str, float]:

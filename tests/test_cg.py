@@ -15,7 +15,7 @@ from cqglab.cg import (cg_block_residual, character, character_orthogonality,
 from cqglab.corep import Corepresentation, are_equivalent, verify_corep
 from cqglab.errors import LinearDependenceWarning, NonIntegerMultiplicity
 from cqglab.groups import build_function_algebra, cyclic_group, symmetric_group_3
-from cqglab.haar import solve_haar
+from cqglab.haar import HaarFunctional, solve_haar
 from cqglab.regular import canonical_basis_functions, check_basis_functions, regular_corep
 from cqglab.tensor_ops import multiplication_family
 from cqglab.wigner_eckart import verify_wigner_eckart
@@ -341,3 +341,16 @@ def test_linear_dependence_warning(cs3_fun):
         coupled_basis_functions(phis, psis, "R", system, table)
     fired = any(issubclass(w.category, LinearDependenceWarning) for w in caught)
     assert fired == (rank < 4), (rank, sigma)
+
+
+def test_functionals_and_characters_compare_by_identity(cs3_fun):
+    """``==`` on a functional, the Haar functional or a character compares identity
+    and returns a ``bool``; it does not compare the coefficient arrays."""
+    alg, p2 = cs3_fun.algebra, cs3_fun.table["p2"]
+    pairs = [(LinearFunctional(alg, alg.counit), LinearFunctional(alg, alg.counit)),
+             (solve_haar(alg), HaarFunctional(alg, solve_haar(alg).covector)),
+             (character(p2), character(p2))]
+    for obj, twin in pairs:
+        assert (obj == obj) is True and (obj != obj) is False
+        assert (obj == twin) is False and (obj != twin) is True
+        assert hash(obj) == hash(obj)

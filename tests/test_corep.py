@@ -321,11 +321,10 @@ def test_non_invariant_cut_of_a_resumed_piece_raises_stall(cs3_fun):
 @pytest.mark.parametrize("build", [build_group_algebra, build_function_algebra],
                          ids=["C[S4]", "C(S4)"])
 def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
-    """The 24 classes of C[S4] and the 5 of C(S4) take 68 and 66 ``eigh`` and
-    ``eigvalsh`` calls: pieces resume where their parent was cut and scan in
-    doubling batches.  Peeling one class per level made 529 and 434;
-    restarting each piece's scan at the first operator makes 112 on C[S4],
-    and scanning one operator at a time 212 on C(S4)."""
+    """The one split of the regular comodule by the left convolutions takes 68
+    ``eigh`` and ``eigvalsh`` calls on C[S4] (24 classes) and 65 on C(S4) (5
+    classes): pieces resume where their parent was cut and scan in doubling
+    batches.  Peeling one class per level made 529 and 434 calls."""
     alg = build(all_permutation_group(4))
     h = solve_haar(alg)
     gram = gram_matrices(alg, h).gram_right
@@ -340,16 +339,23 @@ def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
     assert len(calls) < 100
 
 
-def test_merged_classes_raise_stall(cs3_fun, monkeypatch):
-    """Two classes merged into one isotypic block must not pass as one class."""
+@pytest.mark.parametrize("merged_dim, norm", [(1, 2), (2, 4)],
+                         ids=["inequivalent", "two-copies"])
+def test_merged_classes_raise_stall(cs3_fun, monkeypatch, merged_dim, norm):
+    """Two pieces of the regular comodule merged into one must not pass as a class:
+    the merged piece's ``h(chi^* chi)`` is 2 for C(S3)'s two 1-dim pieces
+    (inequivalent) and 4 for its two 2-dim pieces (copies of one irrep), not 1."""
     split = corep._split
 
-    def merging(pi, gram, ops, blocks=None, cluster_tol=1e-8):
-        pieces = split(pi, gram, ops, blocks, cluster_tol)
-        return pieces if blocks else [np.hstack(pieces[:2]), *pieces[2:]]
+    def merging(pi, gram, ops, cluster_tol=1e-8):
+        pieces = split(pi, gram, ops, cluster_tol)
+        pair = [k for k, piece in enumerate(pieces) if piece.shape[1] == merged_dim]
+        assert len(pair) == 2
+        rest = [piece for k, piece in enumerate(pieces) if k not in pair]
+        return [np.hstack([pieces[k] for k in pair]), *rest]
 
     monkeypatch.setattr(corep, "_split", merging)
-    with pytest.raises(DecompositionStall):
+    with pytest.raises(DecompositionStall, match=rf"h\(chi\^\* chi\) = \[{norm}, 1, 1\]"):
         irrep_table(cs3_fun.algebra, cs3_fun.haar, cs3_fun.grams.gram_right)
 
 

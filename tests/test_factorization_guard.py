@@ -1,0 +1,60 @@
+"""Static guard: each factorization of the package has one home.
+
+The Cholesky factor of an invariant inner product is taken in
+``corep._gram_basis`` alone: the start of the commutant split, ``unitarize`` and
+the coideal's orthonormal basis all read it from there.  Every SVD is one of
+the five listed below: the Haar functional's nullity, the antipode's
+invertibility, the range of an intertwiner average, the rank of the CG systems
+and the rank of the family stack.  A new call site must join one of them or be
+added here with its reason.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
+
+HOMES = {
+    "cholesky": {"corep._gram_basis"},
+    "svd": {"haar.solve_haar", "algebra.verify_star_axioms", "corep._range_basis",
+            "cg.solve_cg_systems", "tensor_ops.solve_family_space"},
+}
+
+
+def _functions(tree: ast.Module):
+    """Each top-level function and method of a module with its qualified name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _factorizations():
+    """Each ``linalg.<name>`` call for a name in ``HOMES``, with the function that
+    encloses it (nested functions count for their outermost one)."""
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, func in _functions(tree):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in HOMES
+                        and isinstance(node.func.value, ast.Attribute)
+                        and node.func.value.attr == "linalg"):
+                    yield node.func.attr, f"{path.stem}.{name}", f"{path.name}:{node.lineno}"
+
+
+def test_factorizations_are_found():
+    calls = list(_factorizations())
+    assert sum(kind == "svd" for kind, _, _ in calls) >= 5
+    assert sum(kind == "cholesky" for kind, _, _ in calls) >= 1
+
+
+def test_each_factorization_stays_in_its_homes():
+    offenders = [f"{where} {kind} in {func}" for kind, func, where in _factorizations()
+                 if func not in HOMES[kind]]
+    assert offenders == []
