@@ -39,7 +39,9 @@ __all__ = [
     "CGSystem",
     "solve_cg",
     "solve_cg_systems",
+    "cg_block_residual",
     "coupled_basis_functions",
+    "coupled_inverse_residual",
     "verify_triple_haar",
 ]
 

@@ -193,14 +193,13 @@ def _cmd_homspace(args) -> list[Report]:
                           f"got {args.subgroup!r}") from None
     side = args.side or "L"
     h, grams, table = _context(spec, args.tolerance, args.seed)
-    coideal = build_coset_subalgebra(group, spec, subgroup, side)
+    coideal = build_coset_subalgebra(group, spec, subgroup, side, grams)
     reports = [verify_coideal(coideal, args.tolerance)]
-    coideal.orthonormalize(grams)
-    reports.append(restricted_coaction_report(coideal, grams, h, args.tolerance))
+    reports.append(restricted_coaction_report(coideal, h, args.tolerance))
     dims = Report(f"restricted basis functions [{coideal.label}]")
     sets = []  # every set is a target r, a source p and a family q
     for pi in table:
-        sols = solve_restricted_basis_functions(pi, coideal, grams)
+        sols = solve_restricted_basis_functions(pi, coideal)
         sets.extend(sols)
         dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
     reports.append(dims)

@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import HopfAlgebraSpec, LinearFunctional, _same_spec
 from .errors import (DecompositionStall, DimensionMismatch, NoF, NonIntegerMultiplicity,
                      NotIrreducible, PositivityFailure)
-from .haar import positivity, solve_haar
+from .haar import _positivity, solve_haar
 from .report import Report
 
 __all__ = [
@@ -467,7 +467,7 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-
     invariant once (``DecompositionStall`` otherwise); the pieces span the
     carrier, so this certifies every cut.  ``gram`` must be Hermitian.
     """
-    _, min_eig, floor = positivity(gram)
+    _, min_eig, floor = _positivity(gram)
     if min_eig <= floor:
         raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
                                 f"positive definite (min eig {min_eig:.2e})")

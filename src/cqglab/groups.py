@@ -25,6 +25,7 @@ __all__ = [
     "GroupTable",
     "cyclic_group",
     "symmetric_group_3",
+    "all_permutation_group",
     "build_function_algebra",
     "build_group_algebra",
     "builtin_algebras",

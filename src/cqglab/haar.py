@@ -57,7 +57,7 @@ class GramPair:
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
 
 
-def positivity(matrix: np.ndarray) -> tuple[float, float, float]:
+def _positivity(matrix: np.ndarray) -> tuple[float, float, float]:
     """Hermiticity residual, smallest eigenvalue of the Hermitian part, and the
     positive-definiteness floor ``PD_RELATIVE_FLOOR * max |eig|``, from one
     ``eigvalsh`` call.  The matrix is positive definite when the smallest
@@ -109,7 +109,7 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
             f"invariance system of {alg.label!r} is inconsistent (residual {residual:.2e})")
 
     fun = HaarFunctional(alg, h)
-    herm_res, min_eig, floor = positivity(_gram_right(alg, h))
+    herm_res, min_eig, floor = _positivity(_gram_right(alg, h))
     if herm_res > tol * alg.magnitude or min_eig <= floor:
         raise PositivityFailure(
             f"right Gram matrix of {alg.label!r} is not positive definite "
@@ -133,7 +133,7 @@ def certify_haar(h: HaarFunctional, tol: float = 1e-9) -> Report:
     report.add("star reality", float(np.abs(alg.star @ cov - np.conj(cov)).max()), t)
     # h(S(a)) = h(a)
     report.add("antipode invariance", float(np.abs(alg.antipode @ cov - cov).max()), t)
-    herm_res, min_eig, floor = positivity(_gram_right(alg, cov))
+    herm_res, min_eig, floor = _positivity(_gram_right(alg, cov))
     report.add("gram hermitian", herm_res, t)
     report.add("gram positive", 0.0 if min_eig > floor else 1.0, 0.5,
                min_eigenvalue=min_eig, floor=floor)
@@ -179,7 +179,7 @@ def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) 
     s2_star = np.conj(s @ s) @ star
     gram_l = np.einsum("ju,kul,l->jk", s2_star, m, cov)
     for side, gram in (("R", gram_r), ("L", gram_l)):
-        herm_res, min_eig, floor = positivity(gram)
+        herm_res, min_eig, floor = _positivity(gram)
         if herm_res > tol * alg.magnitude or min_eig <= floor:
             raise PositivityFailure(
                 f"{side} Gram matrix of {alg.label!r} fails positivity "

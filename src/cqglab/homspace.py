@@ -16,7 +16,8 @@ invariant inner product: its Gram matrix is the identity and its operators are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .algebra import HopfAlgebraSpec
 from .corep import Corepresentation, _corep_residuals, _gram_basis, _restrict, intertwiners
 from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
-from .haar import GramPair, HaarFunctional, positivity, solve_haar
-from .regular import BasisFunctionSet, Carrier, canonical_basis_functions, regular_carrier
+from .haar import GramPair, HaarFunctional, _positivity, solve_haar
+from .regular import (BasisFunctionSet, Carrier, _haar_invariance, canonical_basis_functions,
+                      regular_carrier)
 from .report import Report
 from .tensor_ops import TensorOperatorFamily, operator_comodule
 
@@ -35,7 +37,6 @@ __all__ = [
     "subspace_coideal",
     "verify_coideal",
     "restricted_gram",
-    "restricted_coaction_tensor",
     "restricted_coaction_report",
     "solve_restricted_basis_functions",
     "canonical_restricted_candidates",
@@ -43,22 +44,22 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoidealSubalgebra:
     """A subspace of the algebra flagged as a coideal *-subalgebra.
 
     ``span_rows`` is the raw spanning basis (whatever the caller supplied,
-    e.g. coset indicator functions); ``onb_rows`` is orthonormal with respect
-    to the restricted inner product of the matching side.  ``side`` names the
-    regular formalism: "R" for a right coideal, "L" for a left coideal.
+    e.g. coset indicator functions).  ``side`` names the regular formalism:
+    "R" for a right coideal, "L" for a left coideal; ``gram`` is that side's
+    invariant Gram matrix of the whole algebra.  The orthonormal basis
+    :attr:`onb` and the :attr:`carrier` are derived from it once, on first use.
     """
 
     algebra: HopfAlgebraSpec
     span_rows: np.ndarray   # (b, n)
     side: str
-    onb_rows: np.ndarray | None = None
+    gram: np.ndarray        # (n, n)
     label: str = ""
-    _carrier: Carrier | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.span_rows, dtype=complex)
@@ -66,51 +67,43 @@ class CoidealSubalgebra:
             raise ValueError("span_rows must be (b, n)")
         if self.side not in ("R", "L"):
             raise ValueError("side must be 'R' or 'L'")
-        self.span_rows = rows
+        object.__setattr__(self, "span_rows", rows)
 
     @property
     def dim(self) -> int:
         return self.span_rows.shape[0]
 
-    def orthonormalize(self, grams: GramPair) -> None:
-        gram_b = restricted_gram(self, grams)  # certified positive definite
-        self.onb_rows = _gram_basis(gram_b).T @ self.span_rows
-        self._carrier = None
-
-    def carrier(self, grams: GramPair) -> Carrier:
-        """``B`` as a carrier in its ONB, built once; call :meth:`orthonormalize` first."""
-        if self._carrier is None:
-            coact = restricted_coaction_tensor(self, grams)
-            self._carrier = Carrier(self.algebra, self.side, coact,
-                                    restricted_product_tensor(self, grams))
-        return self._carrier
-
+    @cached_property
     def onb(self) -> np.ndarray:
-        if self.onb_rows is None:
-            raise ValueError("call orthonormalize(grams) before using the internal basis")
-        return self.onb_rows
+        """``(b, n)`` rows orthonormal for the restricted inner product."""
+        return _gram_basis(restricted_gram(self)).T @ self.span_rows
+
+    @cached_property
+    def carrier(self) -> Carrier:
+        """``B`` as a carrier in its ONB: the coaction with its first leg restricted to
+        ``B`` and ``B``'s structure constants (``CoidealMismatch`` if either escapes)."""
+        onb, alg = self.onb, self.algebra
+        lifted = np.tensordot(onb, regular_carrier(alg, self.side).coact, axes=(1, 0))
+        coact = self.restrict(lifted.transpose(0, 2, 1)).transpose(0, 2, 1)
+        products = np.tensordot(onb, np.tensordot(onb, alg.mult, axes=(1, 1)), axes=(1, 1))
+        return Carrier(alg, self.side, coact, self.restrict(products))
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """B-coordinates (..., b) -> algebra coefficients (..., n)."""
-        return np.asarray(coords, dtype=complex) @ self.onb()
+        return np.asarray(coords, dtype=complex) @ self.onb
 
-    def restrict(self, vecs: np.ndarray, grams: GramPair) -> np.ndarray:
+    def restrict(self, vecs: np.ndarray) -> np.ndarray:
         """Algebra coefficients ``(..., n)`` -> B-coordinates ``(..., b)`` by
         :func:`cqglab.corep._restrict`; errors if any lies outside the span."""
         vecs = np.asarray(vecs, dtype=complex)
-        coords, escape = _restrict(vecs, self.onb().T, grams.gram(self.side))
+        coords, escape = _restrict(vecs, self.onb.T, self.gram)
         if escape > 1e-9 * self.algebra.magnitude:
             raise CoidealMismatch(f"an element escapes the span of {self.label!r} by {escape:.2e}")
         return coords
 
-    def std_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the span in the standard inner product."""
-        q, _ = np.linalg.qr(self.span_rows.conj().T)
-        return q @ q.conj().T
 
-
-def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec,
-                           subgroup: list[int], side: str) -> CoidealSubalgebra:
+def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec, subgroup: list[int],
+                           side: str, grams: GramPair) -> CoidealSubalgebra:
     """Indicator functions of cosets inside a function algebra.
 
     Side "L" (left coideal) takes functions constant on left cosets ``gH``;
@@ -120,14 +113,15 @@ def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec,
     rows = np.zeros((len(cosets), group.order), dtype=complex)
     for i, coset in enumerate(cosets):
         rows[i, list(coset)] = 1.0
-    return CoidealSubalgebra(alg, rows, side,
+    return CoidealSubalgebra(alg, rows, side, grams.gram(side),
                              label=f"{alg.label}/H{len(subgroup)}:{side}")
 
 
-def subspace_coideal(alg: HopfAlgebraSpec, rows: np.ndarray, side: str,
+def subspace_coideal(alg: HopfAlgebraSpec, rows: np.ndarray, side: str, grams: GramPair,
                      label: str = "") -> CoidealSubalgebra:
     """Wrap an arbitrary spanning set; validity comes from verify_coideal."""
-    return CoidealSubalgebra(alg, rows, side, label=label or f"B<{alg.label}:{side}")
+    return CoidealSubalgebra(alg, rows, side, grams.gram(side),
+                             label=label or f"B<{alg.label}:{side}")
 
 
 def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
@@ -140,7 +134,8 @@ def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
     """
     alg = coideal.algebra
     rows = coideal.span_rows
-    comp = np.eye(alg.dim) - coideal.std_projector()
+    q, _ = np.linalg.qr(rows.conj().T)
+    comp = np.eye(alg.dim) - q @ q.conj().T   # projector off the span, standard inner product
     report = Report(f"coideal axioms [{coideal.label}]", meta={"tol": tol})
     t = tol * alg.magnitude * max(1.0, float(np.abs(rows).max()) ** 2)
 
@@ -166,14 +161,14 @@ def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
     return report
 
 
-def restricted_gram(coideal: CoidealSubalgebra, grams: GramPair) -> np.ndarray:
+def restricted_gram(coideal: CoidealSubalgebra) -> np.ndarray:
     """The coideal's side's invariant inner product on the raw spanning basis.
 
     Hermiticity is held to ``1e-9`` times the Gram's largest entry (at least 1),
     so a valid coideal spanned by large rows passes.
     """
-    gram_b = np.conj(coideal.span_rows) @ grams.gram(coideal.side) @ coideal.span_rows.T
-    herm, min_eig, floor = positivity(gram_b)
+    gram_b = np.conj(coideal.span_rows) @ coideal.gram @ coideal.span_rows.T
+    herm, min_eig, floor = _positivity(gram_b)
     if herm > 1e-9 * max(1.0, float(np.abs(gram_b).max())) or min_eig <= floor:
         raise PositivityFailure(
             f"restricted {coideal.side} Gram of {coideal.label!r} fails positivity "
@@ -181,36 +176,20 @@ def restricted_gram(coideal: CoidealSubalgebra, grams: GramPair) -> np.ndarray:
     return gram_b
 
 
-def restricted_coaction_tensor(coideal: CoidealSubalgebra, grams: GramPair) -> np.ndarray:
-    """Tensor ``T[i, k, c]``: restricted coaction of the i-th ONB element.
-
-    ``coaction(e_i) = sum_{k,c} T[i, k, c] e_k (x) a_c``, the first leg restricted
-    to ``B`` (``CoidealMismatch`` if it escapes).
-    """
-    full = regular_carrier(coideal.algebra, coideal.side).coact   # [t, a, c]
-    lifted = np.tensordot(coideal.onb(), full, axes=(1, 0))         # [i, a, c]
-    return coideal.restrict(lifted.transpose(0, 2, 1), grams).transpose(0, 2, 1)
-
-
-def restricted_coaction_report(coideal: CoidealSubalgebra, grams: GramPair,
-                               h: HaarFunctional, tol: float = 1e-10) -> Report:
+def restricted_coaction_report(coideal: CoidealSubalgebra, h: HaarFunctional,
+                               tol: float = 1e-10) -> Report:
     """Comodule axioms (:func:`cqglab.corep._corep_residuals` of ``B``'s comodule, the
     transposed coaction tensor) and two-sided Haar invariance of the restricted coaction."""
     alg = coideal.algebra
-    coact = coideal.carrier(grams).coact
+    coact = coideal.carrier.coact
     report = Report(f"restricted coaction [{coideal.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
     axioms = _corep_residuals([Corepresentation(alg, coact.transpose(1, 0, 2))])[0]
     report.add("coassociativity", axioms["coproduct splits"], t)
     report.add("counit", axioms["counit is identity"], t)
-
-    onb = coideal.onb()
-    h_b = onb @ h.covector
-    expected = np.einsum("i,t->it", h_b, alg.unit)
-    left = np.einsum("ikc,k->ic", coact, h_b)
-    report.add("left invariance", float(np.abs(left - expected).max()), t)
-    right = np.einsum("ikc,c,kt->it", coact, h.covector, onb)
-    report.add("right invariance", float(np.abs(right - expected).max()), t)
+    left, right = _haar_invariance(coact, coideal.onb, h)
+    report.add("left invariance", left, t)
+    report.add("right invariance", right, t)
     return report
 
 
@@ -218,8 +197,8 @@ def restricted_coaction_report(coideal: CoidealSubalgebra, grams: GramPair,
 # basis functions and tensor operators on B
 # ---------------------------------------------------------------------------
 
-def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubalgebra,
-                                     grams: GramPair) -> list[BasisFunctionSet]:
+def solve_restricted_basis_functions(pi: Corepresentation,
+                                     coideal: CoidealSubalgebra) -> list[BasisFunctionSet]:
     """Basis of the space of basis-function tuples for ``pi`` on ``B``'s carrier.
 
     The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` makes
@@ -229,7 +208,7 @@ def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubal
     unrestricted case).  Its dimension equals the multiplicity of ``pi`` in
     the comodule ``B``.
     """
-    carrier = coideal.carrier(grams)
+    carrier = coideal.carrier
     basis = intertwiners(pi.coeffs, carrier.coact.transpose(1, 0, 2),
                          solve_haar(coideal.algebra))
     return [BasisFunctionSet(pi, coideal.side, phi.T,
@@ -237,8 +216,8 @@ def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubal
             for idx, phi in enumerate(basis)]
 
 
-def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalgebra,
-                                    grams: GramPair) -> list[BasisFunctionSet]:
+def canonical_restricted_candidates(pi: Corepresentation,
+                                    coideal: CoidealSubalgebra) -> list[BasisFunctionSet]:
     """Canonical row/column sets whose entries happen to lie in ``B``, on its carrier.
 
     Side "R": rows ``pi_l.`` with every entry in ``B``; side "L":
@@ -248,35 +227,26 @@ def canonical_restricted_candidates(pi: Corepresentation, coideal: CoidealSubalg
     for ell in range(pi.dim):
         funcs = canonical_basis_functions(pi, coideal.side, ell).functions
         try:
-            coords = coideal.restrict(funcs, grams)
+            coords = coideal.restrict(funcs)
         except CoidealMismatch:
             continue
         out.append(BasisFunctionSet(
             pi, coideal.side, coords, label=f"canon{ell}[{pi.label}|{coideal.label}]",
-            carrier=coideal.carrier(grams)))
+            carrier=coideal.carrier))
     return out
 
 
 def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra,
-                            grams: GramPair, kind: str) -> list[TensorOperatorFamily]:
+                            kind: str) -> list[TensorOperatorFamily]:
     """Basis of the space of families on ``B``'s carrier for one variant.
 
     The families are ``Hom(pi, End(B))`` for the restricted operator comodule,
     solved by :func:`cqglab.corep.intertwiners`.
     """
-    alg = coideal.algebra
-    carrier = coideal.carrier(grams)
+    alg, carrier = coideal.algebra, coideal.carrier
     b, d = coideal.dim, pi.dim
     basis = intertwiners(pi.coeffs, operator_comodule(carrier.coact, alg, kind),
                          solve_haar(alg))
     return [TensorOperatorFamily(pi, kind, coideal.side, phi.T.reshape(d, b, b),
                                  label=f"res-sol{idx}[{pi.label}]", carrier=carrier)
             for idx, phi in enumerate(basis)]
-
-
-def restricted_product_tensor(coideal: CoidealSubalgebra, grams: GramPair) -> np.ndarray:
-    """Structure constants of ``B`` in its ONB: ``e_i e_j = sum_k T[i,j,k] e_k``
-    (``CoidealMismatch`` if a product escapes ``B``)."""
-    onb, mult = coideal.onb(), coideal.algebra.mult
-    products = np.tensordot(onb, np.tensordot(onb, mult, axes=(1, 1)), axes=(1, 1))
-    return coideal.restrict(products, grams)

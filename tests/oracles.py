@@ -552,9 +552,9 @@ def peel_split(pi, gram, ops, cluster_tol: float = 1e-8) -> list[np.ndarray]:
     """
     from cqglab.corep import _gram_basis, _invariance_residual
     from cqglab.errors import DecompositionStall, PositivityFailure
-    from cqglab.haar import positivity
+    from cqglab.haar import _positivity
 
-    _, min_eig, floor = positivity(gram)
+    _, min_eig, floor = _positivity(gram)
     if min_eig <= floor:
         raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
                                 f"positive definite (min eig {min_eig:.2e})")

@@ -16,7 +16,7 @@ from cqglab.corep import (Corepresentation, are_equivalent, check_unitary, compu
 from cqglab.errors import DecompositionStall, NotIrreducible, PositivityFailure
 from cqglab.groups import (all_permutation_group, build_function_algebra,
                            build_group_algebra, symmetric_group_3)
-from cqglab.haar import gram_matrices, positivity, solve_haar
+from cqglab.haar import _positivity, gram_matrices, solve_haar
 from cqglab.regular import regular_corep
 
 
@@ -331,7 +331,7 @@ def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _real=getattr(np.linalg, name), **kw):
-            if sys._getframe(1).f_code is not positivity.__code__:
+            if sys._getframe(1).f_code is not _positivity.__code__:
                 calls.append(name)
             return _real(*args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)

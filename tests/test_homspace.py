@@ -12,14 +12,14 @@ from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
 from cqglab.errors import CoidealMismatch, LinearDependenceWarning, NotASubgroup
 from cqglab.groups import symmetric_group_3
 from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candidates,
-                             restricted_coaction_report,
-                             restricted_coaction_tensor, restricted_gram,
-                             restricted_product_tensor,
+                             restricted_coaction_report, restricted_gram,
                              solve_restricted_basis_functions, solve_restricted_family,
                              subspace_coideal, verify_coideal)
 from cqglab.corep import identity_corep
+from cqglab.haar import GramPair
 from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
-                            canonical_basis_functions, check_basis_functions)
+                            canonical_basis_functions, check_basis_functions,
+                            regular_carrier)
 from cqglab.tensor_ops import (TensorOperatorFamily, check_family, couple_families,
                                family_report, multiplication_family, operator_comodule,
                                pipeline_components)
@@ -32,18 +32,16 @@ SUBGROUP = [0, 1]  # {e, (01)}
 @pytest.fixture(scope="module", params=["L", "R"])
 def coset_ctx(request, cs3_fun):
     side = request.param
-    coideal = build_coset_subalgebra(S3, cs3_fun.algebra, SUBGROUP, side)
-    coideal.orthonormalize(cs3_fun.grams)
-    return side, coideal
+    return side, build_coset_subalgebra(S3, cs3_fun.algebra, SUBGROUP, side, cs3_fun.grams)
 
 
 def test_coset_dimensions(cs3_fun):
     for side in ("L", "R"):
-        b3 = build_coset_subalgebra(S3, cs3_fun.algebra, SUBGROUP, side)
+        b3 = build_coset_subalgebra(S3, cs3_fun.algebra, SUBGROUP, side, cs3_fun.grams)
         assert b3.dim == 3
-        full = build_coset_subalgebra(S3, cs3_fun.algebra, [0], side)
+        full = build_coset_subalgebra(S3, cs3_fun.algebra, [0], side, cs3_fun.grams)
         assert full.dim == 6
-        point = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side)
+        point = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side, cs3_fun.grams)
         assert point.dim == 1
         assert np.abs(point.span_rows[0] - cs3_fun.algebra.unit).max() < 1e-15
 
@@ -51,7 +49,7 @@ def test_coset_dimensions(cs3_fun):
 def test_restricted_operator_comodule_matches_pipeline(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     alg, b = cs3_fun.algebra, coideal.dim
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
+    coact = coideal.carrier.coact
     rng = np.random.default_rng(3)
     q_op = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
     for kind in ("ordinary", "twisted"):
@@ -63,13 +61,13 @@ def test_restricted_operator_comodule_matches_pipeline(coset_ctx, cs3_fun):
 
 def test_not_a_subgroup(cs3_fun):
     with pytest.raises(NotASubgroup):
-        build_coset_subalgebra(S3, cs3_fun.algebra, [0, 4], "L")  # (012) alone
+        build_coset_subalgebra(S3, cs3_fun.algebra, [0, 4], "L", cs3_fun.grams)  # (012) alone
 
 
 @pytest.mark.parametrize("subgroup", [[0, 99], [0, 1, -1]])
 def test_out_of_range_indices_are_not_a_subgroup(cs3_fun, subgroup):
     with pytest.raises(NotASubgroup):
-        build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, "L")
+        build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, "L", cs3_fun.grams)
 
 
 def test_coideal_axioms(coset_ctx):
@@ -81,7 +79,7 @@ def test_coideal_axioms(coset_ctx):
 def test_single_delta_fails_coideal(cs3_fun):
     rows = np.zeros((1, 6), dtype=complex)
     rows[0, 2] = 1.0
-    cand = subspace_coideal(cs3_fun.algebra, rows, "L")
+    cand = subspace_coideal(cs3_fun.algebra, rows, "L", cs3_fun.grams)
     report = verify_coideal(cand)
     assert not report["coideal condition"].passed
     assert not report["unit membership"].passed
@@ -89,13 +87,13 @@ def test_single_delta_fails_coideal(cs3_fun):
 
 def test_unit_span_passes_everything(cs3_fun):
     rows = cs3_fun.algebra.unit[None, :]
-    cand = subspace_coideal(cs3_fun.algebra, rows, "L")
+    cand = subspace_coideal(cs3_fun.algebra, rows, "L", cs3_fun.grams)
     assert verify_coideal(cand).passed
 
 
 def test_restricted_gram_values(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    gram = restricted_gram(coideal, cs3_fun.grams)
+    gram = restricted_gram(coideal)
     assert np.abs(gram - np.eye(3) / 3.0).max() < 1e-12
 
 
@@ -109,28 +107,26 @@ def test_restricted_gram_tolerance_scales_with_rows(contexts, label, scale):
     rows = scale * (rng.standard_normal((alg.dim, alg.dim))
                     + 1j * rng.standard_normal((alg.dim, alg.dim)))
     for side in ("R", "L"):
-        coideal = subspace_coideal(alg, rows, side)
+        coideal = subspace_coideal(alg, rows, side, ctx.grams)
         assert verify_coideal(coideal).passed
-        gram = restricted_gram(coideal, ctx.grams)
+        gram = restricted_gram(coideal)
         expected = np.conj(rows) @ ctx.grams.gram(side) @ rows.T
         assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
-        coideal.orthonormalize(ctx.grams)
-        onb = coideal.onb()
+        onb = coideal.onb
         onb_gram = np.conj(onb) @ ctx.grams.gram(side) @ onb.T
         assert np.abs(onb_gram - np.eye(alg.dim)).max() < 1e-8, (side, scale)
 
 
 def test_restricted_coaction(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    report = restricted_coaction_report(coideal, cs3_fun.grams, cs3_fun.haar, 1e-10)
+    report = restricted_coaction_report(coideal, cs3_fun.haar, 1e-10)
     assert report.passed, report.summary()
 
 
 def test_unit_span_coaction_is_trivial(cs3_fun):
-    coideal = subspace_coideal(cs3_fun.algebra, cs3_fun.algebra.unit[None, :], "L")
-    coideal.orthonormalize(cs3_fun.grams)
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
-    onb_unit = coideal.onb()[0]
+    coideal = subspace_coideal(cs3_fun.algebra, cs3_fun.algebra.unit[None, :], "L",
+                               cs3_fun.grams)
+    coact = coideal.carrier.coact
     expected = np.einsum("k,t->kt", np.ones(1), cs3_fun.algebra.unit)
     # coaction of the (normalized) unit is unit (x) 1
     assert np.abs(coact[0] - expected).max() < 1e-12
@@ -143,7 +139,7 @@ def test_restricted_basis_function_dimensions(coset_ctx, cs3_fun):
     classical_of = {"p0": "trivial", "p1": "sign", "p2": "standard"}
     dims = {}
     for pi in cs3_fun.table:
-        sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)
+        sols = solve_restricted_basis_functions(pi, coideal)
         for s in sols:
             assert check_basis_functions(s) < 1e-9
         dims[pi.label] = len(sols)
@@ -153,35 +149,33 @@ def test_restricted_basis_function_dimensions(coset_ctx, cs3_fun):
 
 def test_full_span_reduces_to_unrestricted(cs3_fun):
     for side in ("L", "R"):
-        coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side)
-        coideal.orthonormalize(cs3_fun.grams)
+        coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side,
+                                   cs3_fun.grams)
         for pi in cs3_fun.table:
-            sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)
+            sols = solve_restricted_basis_functions(pi, coideal)
             # unrestricted: one tuple per matrix-coefficient row = d_p
             assert len(sols) == pi.dim
 
 
 def test_point_space_has_no_nontrivial_functions(cs3_fun):
     for side in ("L", "R"):
-        coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side)
-        coideal.orthonormalize(cs3_fun.grams)
+        coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side,
+                                         cs3_fun.grams)
         std = cs3_fun.table["p2"]
-        assert solve_restricted_basis_functions(std, coideal, cs3_fun.grams) == []
+        assert solve_restricted_basis_functions(std, coideal) == []
         triv = cs3_fun.table["p0"]
-        assert len(solve_restricted_basis_functions(triv, coideal, cs3_fun.grams)) == 1
+        assert len(solve_restricted_basis_functions(triv, coideal)) == 1
 
 
 def test_canonical_candidates_only_for_trivial(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    assert len(canonical_restricted_candidates(cs3_fun.table["p0"], coideal,
-                                               cs3_fun.grams)) == 1
-    assert canonical_restricted_candidates(cs3_fun.table["p1"], coideal,
-                                           cs3_fun.grams) == []
+    assert len(canonical_restricted_candidates(cs3_fun.table["p0"], coideal)) == 1
+    assert canonical_restricted_candidates(cs3_fun.table["p1"], coideal) == []
 
 
 def test_identity_family_all_variants(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    carrier = coideal.carrier(cs3_fun.grams)
+    carrier = coideal.carrier
     ident = identity_corep(cs3_fun.algebra)
     for kind in ("ordinary", "twisted"):
         fam = TensorOperatorFamily(ident, kind, side, np.eye(coideal.dim)[None, :, :],
@@ -192,18 +186,17 @@ def test_identity_family_all_variants(coset_ctx, cs3_fun):
 def test_restricted_multiplication_families(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     for pi in cs3_fun.table:
-        for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.grams):
+        for bset in solve_restricted_basis_functions(pi, coideal):
             for kind in ("ordinary", "twisted"):
                 fam = multiplication_family(bset, kind)
                 assert check_family(fam) < 1e-10
 
 
 def test_zero_family_space_on_point_space(cs3_fun):
-    coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), "L")
-    coideal.orthonormalize(cs3_fun.grams)
+    coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), "L", cs3_fun.grams)
     std = cs3_fun.table["p2"]
     for kind in ("ordinary", "twisted"):
-        sols = solve_restricted_family(std, coideal, cs3_fun.grams, kind)
+        sols = solve_restricted_family(std, coideal, kind)
         assert sols == []
 
 
@@ -211,7 +204,7 @@ def test_solved_restricted_families_pass(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     for pi in cs3_fun.table:
         for kind in ("ordinary", "twisted"):
-            for fam in solve_restricted_family(pi, coideal, cs3_fun.grams, kind):
+            for fam in solve_restricted_family(pi, coideal, kind):
                 assert check_family(fam) < 1e-9
 
 
@@ -222,13 +215,13 @@ def test_restricted_family_residual_matches_per_operator_loop(coset_ctx, cs3_fun
     (residual of order 1)."""
     side, coideal = coset_ctx
     alg, b = cs3_fun.algebra, coideal.dim
-    coact = restricted_coaction_tensor(coideal, cs3_fun.grams)
+    coact = coideal.carrier.coact
     rng = np.random.default_rng(5)
     for pi in cs3_fun.table:
         noise = rng.standard_normal((pi.dim, b, b)) + 1j * rng.standard_normal((pi.dim, b, b))
-        fams = solve_restricted_family(pi, coideal, cs3_fun.grams, kind)
+        fams = solve_restricted_family(pi, coideal, kind)
         noisy = TensorOperatorFamily(pi, kind, side, noise,
-                                     carrier=coideal.carrier(cs3_fun.grams))
+                                     carrier=coideal.carrier)
         for fam in fams + [noisy]:
             lhs = np.array([pipeline_components(coact, alg, kind, op) for op in fam.operators])
             rhs = np.einsum("kat,kjm->jmat", fam.operators, pi.coeffs)
@@ -240,7 +233,7 @@ def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
     """``check_family`` runs the structure-map route on a coideal carrier, so
     ``family_report`` certifies families on ``B``; a coideal fixes the side."""
     side, coideal = coset_ctx
-    fams = solve_restricted_family(cs3_fun.table["p0"], coideal, cs3_fun.grams, "ordinary")
+    fams = solve_restricted_family(cs3_fun.table["p0"], coideal, "ordinary")
     assert fams
     for fam in fams:
         assert family_report(fam).passed
@@ -251,7 +244,7 @@ def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
 
 def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)
+    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal)
                  for pi in cs3_fun.table}
     std_sets = solutions["p2"]
     assert len(std_sets) == 1
@@ -267,7 +260,7 @@ def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
 
 def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)
+    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal)
                  for pi in cs3_fun.table}
     triv = solutions["p0"][0]
     std = solutions["p2"][0]
@@ -281,8 +274,7 @@ def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
 
 def test_restricted_coupling(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    std_sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal,
-                                                cs3_fun.grams)
+    std_sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal)
     for kind in ("ordinary", "twisted"):
         fam = multiplication_family(std_sets[0], kind)
         system = cs3_fun.cg("p2", "p2")
@@ -297,16 +289,16 @@ def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):
     std = cs3_fun.table["p2"]
     system = cs3_fun.cg("p2", "p2")
     for side in ("R", "L"):
-        coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side)
-        coideal.orthonormalize(cs3_fun.grams)
+        coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side,
+                                   cs3_fun.grams)
         phis = canonical_basis_functions(std, side, 0)
         psis = canonical_basis_functions(std, side, 0)
         qset = canonical_basis_functions(std, side, 1)
         full = verify_wigner_eckart(psis, multiplication_family(qset, "ordinary"),
                                     phis, system, std.F, cs3_fun.grams.gram(side))
         to_b = lambda fs: BasisFunctionSet(
-            std, side, np.array([coideal.restrict(f, cs3_fun.grams) for f in fs.functions]),
-            carrier=coideal.carrier(cs3_fun.grams))
+            std, side, np.array([coideal.restrict(f) for f in fs.functions]),
+            carrier=coideal.carrier)
         fam_b = multiplication_family(to_b(qset), "ordinary")
         res = verify_wigner_eckart(to_b(psis), fam_b, to_b(phis), system, std.F,
                                    np.eye(coideal.dim), 1e-9)
@@ -319,7 +311,7 @@ def test_restricted_orthogonality_matches_unrestricted_statements(coset_ctx, cs3
     cross-irrep inner products vanish and diagonal values are j-independent."""
     from cqglab.regular import basis_function_orthogonality
     side, coideal = coset_ctx
-    sols = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.grams)
+    sols = {pi.label: solve_restricted_basis_functions(pi, coideal)
             for pi in cs3_fun.table}
     triv = BasisFunctionSet(cs3_fun.table["p0"], side, coideal.embed(sols["p0"][0].functions))
     std = BasisFunctionSet(cs3_fun.table["p2"], side, coideal.embed(sols["p2"][0].functions))
@@ -336,10 +328,9 @@ def test_orthogonality_and_coupling_on_b_carrier(cs3_fun, subgroup):
     of B do not mix.  Over the trivial subgroup p2 has two sets."""
     table, grams = cs3_fun.table, cs3_fun.grams
     for side in ("L", "R"):
-        coideal = build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, side)
-        coideal.orthonormalize(grams)
+        coideal = build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, side, grams)
         sets = [bset for pi in table
-                for bset in solve_restricted_basis_functions(pi, coideal, grams)]
+                for bset in solve_restricted_basis_functions(pi, coideal)]
         assert [bset.corep.label for bset in sets].count("p2") == (1 if subgroup == SUBGROUP
                                                                    else 2)
         for set_a, set_b in product(sets, repeat=2):
@@ -352,7 +343,7 @@ def test_orthogonality_and_coupling_on_b_carrier(cs3_fun, subgroup):
                 warnings.simplefilter("ignore", LinearDependenceWarning)
                 coupled = coupled_basis_functions(phis, psis, side, system, table)
             for bset in coupled.values():
-                assert bset.carrier is coideal.carrier(grams)
+                assert bset.carrier is coideal.carrier
                 assert check_basis_functions(bset) < 1e-9, (side, bset.label)
             assert coupled_inverse_residual(phis, psis, side, system, coupled) < 1e-9
         on_a = canonical_basis_functions(table["p0"], side, 0)
@@ -367,7 +358,15 @@ def test_restrict_rejects_outside_elements(coset_ctx, cs3_fun):
     outsider = np.zeros(6, dtype=complex)
     outsider[2] = 1.0
     with pytest.raises(CoidealMismatch):
-        coideal.restrict(outsider, cs3_fun.grams)
+        coideal.restrict(outsider)
+
+
+def _legs_and_products(coideal):
+    """The coaction of ``B``'s ONB (first leg last) and its pairwise products, in ``A``."""
+    onb, alg = coideal.onb, coideal.algebra
+    legs = np.tensordot(onb, regular_carrier(alg, coideal.side).coact, axes=(1, 0))
+    products = np.tensordot(onb, np.tensordot(onb, alg.mult, axes=(1, 1)), axes=(1, 1))
+    return legs.transpose(0, 2, 1), products
 
 
 def test_coaction_escape_raises(cs3_fun):
@@ -375,26 +374,42 @@ def test_coaction_escape_raises(cs3_fun):
     its carrier fails on the coaction tensor, while its products stay inside."""
     rows = np.zeros((1, 6), dtype=complex)
     rows[0, 0] = 1.0
-    coideal = subspace_coideal(cs3_fun.algebra, rows, "L")
-    coideal.orthonormalize(cs3_fun.grams)
-    restricted_product_tensor(coideal, cs3_fun.grams)
+    coideal = subspace_coideal(cs3_fun.algebra, rows, "L", cs3_fun.grams)
+    legs, products = _legs_and_products(coideal)
+    coideal.restrict(products)
     with pytest.raises(CoidealMismatch):
-        restricted_coaction_tensor(coideal, cs3_fun.grams)
+        coideal.restrict(legs)
     with pytest.raises(CoidealMismatch):
-        coideal.carrier(cs3_fun.grams)
+        coideal.carrier
 
 
 def test_product_escape_raises(cs3_fun):
     """Row 0 of the 2-dim irrep spans a right coideal that is not closed under
     products: building its carrier fails on the product tensor."""
     rows = cs3_fun.table["p2"].coeffs[0]
-    coideal = subspace_coideal(cs3_fun.algebra, rows, "R")
-    coideal.orthonormalize(cs3_fun.grams)
-    restricted_coaction_tensor(coideal, cs3_fun.grams)
+    coideal = subspace_coideal(cs3_fun.algebra, rows, "R", cs3_fun.grams)
+    legs, products = _legs_and_products(coideal)
+    coideal.restrict(legs)
     with pytest.raises(CoidealMismatch):
-        restricted_product_tensor(coideal, cs3_fun.grams)
+        coideal.restrict(products)
     with pytest.raises(CoidealMismatch):
-        coideal.carrier(cs3_fun.grams)
+        coideal.carrier
+
+
+def test_each_coideal_keeps_its_own_gram(cs3_fun):
+    """Two coideals on the same cosets, built with Grams that differ by a factor 4,
+    each restrict and carry in their own orthonormal basis."""
+    alg, grams = cs3_fun.algebra, cs3_fun.grams
+    scaled = GramPair(alg, 4.0 * grams.gram_right, 4.0 * grams.gram_left)
+    for side in ("L", "R"):
+        plain = build_coset_subalgebra(S3, alg, SUBGROUP, side, grams)
+        other = build_coset_subalgebra(S3, alg, SUBGROUP, side, scaled)
+        assert np.abs(other.onb - plain.onb / 2.0).max() < 1e-12
+        for coideal in (plain, other):
+            assert np.abs(coideal.restrict(coideal.onb) - np.eye(3)).max() < 1e-12
+            assert coideal.carrier is coideal.carrier
+        assert np.abs(other.carrier.coact - plain.carrier.coact).max() < 1e-12
+        assert other.carrier is not plain.carrier
 
 
 def test_restrict_stack_matches_rows(coset_ctx, cs3_fun):
@@ -405,8 +420,8 @@ def test_restrict_stack_matches_rows(coset_ctx, cs3_fun):
     shape = (2, 4, coideal.dim)
     coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     stack = coideal.embed(coords)
-    rows = np.array([[coideal.restrict(vec, cs3_fun.grams) for vec in row] for row in stack])
-    stacked = coideal.restrict(stack, cs3_fun.grams)
+    rows = np.array([[coideal.restrict(vec) for vec in row] for row in stack])
+    stacked = coideal.restrict(stack)
     assert stacked.shape == shape
     assert np.abs(stacked - rows).max() < 1e-13
     assert np.abs(rows - coords).max() < 1e-12

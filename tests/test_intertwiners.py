@@ -32,8 +32,8 @@ from cqglab.corep import (Corepresentation, _stacked_intertwiners, compute_F,
 from cqglab.errors import CqglabError, NoF, NoHaar
 from cqglab.groups import all_permutation_group, build_function_algebra, symmetric_group_3
 from cqglab.haar import gram_matrices, solve_haar
-from cqglab.homspace import (build_coset_subalgebra, restricted_coaction_tensor,
-                             solve_restricted_basis_functions, solve_restricted_family)
+from cqglab.homspace import (build_coset_subalgebra, solve_restricted_basis_functions,
+                             solve_restricted_family)
 from cqglab.regular import regular_coaction_tensor, regular_corep
 from cqglab.tensor_ops import VARIANTS, operator_comodule, solve_family_space
 
@@ -86,15 +86,14 @@ def test_family_space_matches_character_count(contexts):
 @pytest.mark.parametrize("subgroup", SUBGROUPS, ids=lambda s: f"H{len(s)}")
 def test_restricted_spaces_match_character_count(cs3_fun, subgroup, side):
     alg, grams = cs3_fun.algebra, cs3_fun.grams
-    coideal = build_coset_subalgebra(S3, alg, subgroup, side)
-    coideal.orthonormalize(grams)
-    chi_b = np.einsum("iim->m", restricted_coaction_tensor(coideal, grams))
+    coideal = build_coset_subalgebra(S3, alg, subgroup, side, grams)
+    chi_b = np.einsum("iim->m", coideal.carrier.coact)
     for pi in cs3_fun.table:
         expected = _hom_count(cs3_fun.haar, chi_b, pi)
-        assert len(solve_restricted_basis_functions(pi, coideal, grams)) == expected, pi.label
+        assert len(solve_restricted_basis_functions(pi, coideal)) == expected, pi.label
         for kind in ("ordinary", "twisted"):
             expected = _hom_count(cs3_fun.haar, _operator_character(alg, chi_b, kind), pi)
-            assert len(solve_restricted_family(pi, coideal, grams, kind)) == expected, (
+            assert len(solve_restricted_family(pi, coideal, kind)) == expected, (
                 pi.label, kind)
 
 
@@ -171,17 +170,16 @@ def test_cg_blocks_match_kronecker_oracle(contexts, label):
 @pytest.mark.parametrize("side", ["L", "R"])
 def test_restricted_spaces_match_kronecker_oracle(cs3_fun, side):
     alg, grams = cs3_fun.algebra, cs3_fun.grams
-    coideal = build_coset_subalgebra(S3, alg, [0, 1], side)
-    coideal.orthonormalize(grams)
-    coact = restricted_coaction_tensor(coideal, grams)
+    coideal = build_coset_subalgebra(S3, alg, [0, 1], side, grams)
+    coact = coideal.carrier.coact
     b = coideal.dim
     for pi in cs3_fun.table:
-        ours = [bset.functions.T for bset in solve_restricted_basis_functions(pi, coideal, grams)]
+        ours = [bset.functions.T for bset in solve_restricted_basis_functions(pi, coideal)]
         _assert_same_span(ours, kronecker_intertwiners(pi.coeffs, coact.transpose(1, 0, 2)),
                           (side, pi.label))
         for kind in ("ordinary", "twisted"):
             ours = [fam.operators.reshape(pi.dim, b * b).T
-                    for fam in solve_restricted_family(pi, coideal, grams, kind)]
+                    for fam in solve_restricted_family(pi, coideal, kind)]
             oracle = kronecker_intertwiners(pi.coeffs, operator_comodule(coact, alg, kind))
             _assert_same_span(ours, oracle, (side, pi.label, kind))
 
@@ -281,19 +279,18 @@ def test_large_family_space_matches_svd_oracle(ca4_fun):
 @pytest.mark.parametrize("side", ["L", "R"])
 def test_restricted_spaces_match_svd_oracle(cs3_fun, side):
     alg, grams, h = cs3_fun.algebra, cs3_fun.grams, cs3_fun.haar
-    coideal = build_coset_subalgebra(S3, alg, [0, 1], side)
-    coideal.orthonormalize(grams)
-    coact = restricted_coaction_tensor(coideal, grams)
+    coideal = build_coset_subalgebra(S3, alg, [0, 1], side, grams)
+    coact = coideal.carrier.coact
     b = coideal.dim
     for pi in cs3_fun.table:
         ours, again = ([bset.functions.T for bset in solve_restricted_basis_functions(
-            pi, coideal, grams)] for _ in range(2))
+            pi, coideal)] for _ in range(2))
         _assert_bit_identical(ours, again, (side, pi.label))
         _assert_matches_svd_oracle(ours, pi.coeffs, coact.transpose(1, 0, 2), h,
                                    (side, pi.label))
         for kind in ("ordinary", "twisted"):
             ours, again = ([fam.operators.reshape(pi.dim, b * b).T for fam in
-                            solve_restricted_family(pi, coideal, grams, kind)]
+                            solve_restricted_family(pi, coideal, kind)]
                            for _ in range(2))
             _assert_bit_identical(ours, again, (side, pi.label, kind))
             _assert_matches_svd_oracle(ours, pi.coeffs, operator_comodule(coact, alg, kind),

@@ -181,11 +181,10 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
     ctx = contexts[label]
     table = ctx.table
     coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra,
-                                     [int(g) for g in subgroup.split(",")], side)
-    coideal.orthonormalize(ctx.grams)
+                                     [int(g) for g in subgroup.split(",")], side, ctx.grams)
     named = [(pi.label if len(sols) == 1 else f"{pi.label}#{i}", bset)
              for pi in table
-             for sols in [solve_restricted_basis_functions(pi, coideal, ctx.grams)]
+             for sols in [solve_restricted_basis_functions(pi, coideal)]
              for i, bset in enumerate(sols)]
     want = []
     for kind in ("ordinary", "twisted"):
