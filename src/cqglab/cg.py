@@ -161,12 +161,17 @@ class CGSystem:
     col_index: list[tuple[str, int, int]] = field(default_factory=list)
     block_residual: float | None = None  # max |C^{-1} (pi^p x pi^q) C - blocks|, if certified
     offsets: dict[str, int] = field(init=False, repr=False)
+    target_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # first column of each target; a target's columns are contiguous
         self.offsets = {}
         for col, (r_label, _, _) in enumerate(self.col_index):
             self.offsets.setdefault(r_label, col)
+        # [target, (multiplicity, first column)], in the order of ``multiplicities``
+        self.target_rows = np.array([[mult, self.offsets.get(r_label, 0)]
+                                     for r_label, mult in self.multiplicities.items()],
+                                    dtype=int).reshape(-1, 2)
 
     def blocks(self, r_label: str, d_r: int) -> tuple[np.ndarray, np.ndarray]:
         """One target's CG blocks, stacked over multiplicity: a slice of :func:`_padded_blocks`.
@@ -338,8 +343,16 @@ def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
     largest target dimension, and the multiplicities ``mults[w, r]``.  Padding is
     zero, so a target that does not occur has all-zero blocks.
     """
-    mults = np.array([[s.multiplicities.get(r, 0) for r in labels] for s in systems])
-    starts = np.array([[s.offsets.get(r, 0) for r in labels] for s in systems])
+    # each system's targets scattered into [(multiplicity, first column), w, distinct label]
+    column = {label: r for r, label in enumerate(dict.fromkeys(labels))}
+    where = np.array([column.get(label, -1) for s in systems for label in s.multiplicities],
+                     dtype=int)
+    which = np.repeat(np.arange(len(systems)), [len(s.multiplicities) for s in systems])
+    found = where >= 0
+    scattered = np.zeros((2, len(systems), len(column)), dtype=int)
+    scattered[:, which[found], where[found]] = np.concatenate(
+        [s.target_rows for s in systems])[found].T
+    mults, starts = scattered[:, :, [column[label] for label in labels]]
     dims_arr = np.array(dims)
     alpha = np.arange(max(1, mults.max(initial=0)))[:, None]
     ell = np.arange(max(dims, default=0))

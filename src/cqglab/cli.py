@@ -164,17 +164,15 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     # ordinary families use the (q, p) systems, twisted ones the (p, q) systems
     systems = _cg_systems(table, h, *[(q_labels, p_labels) if kind == "ordinary"
                                       else (p_labels, q_labels) for kind in kinds])
-    reports = []
+    tables = []  # one per (side, kind), all factorized in one pass
     for side in sides:
         bsets = {lab: canonical_basis_functions(table[lab], side, 0)
                  for lab in dict.fromkeys(p_labels + q_labels + r_labels)}
-        for kind in kinds:
-            reports.append(_factorize_table(
-                [bsets[rl] for rl in r_labels],
-                [multiplication_family(bsets[ql], kind) for ql in q_labels],
-                [bsets[pl] for pl in p_labels], systems, grams.gram(side), args.tolerance,
-                f"wigner-eckart [{side},{kind}]"))
-    return reports
+        tables += [([bsets[rl] for rl in r_labels],
+                    [multiplication_family(bsets[ql], kind) for ql in q_labels],
+                    [bsets[pl] for pl in p_labels], grams.gram(side),
+                    f"wigner-eckart [{side},{kind}]") for kind in kinds]
+    return _factorize_table(tables, systems, args.tolerance)
 
 
 def _cmd_homspace(args) -> list[Report]:
@@ -199,18 +197,16 @@ def _cmd_homspace(args) -> list[Report]:
     dims = Report(f"restricted basis functions [{coideal.label}]")
     sets = []  # every set is a target r, a source p and a family q
     for pi in table:
-        sols = solve_restricted_basis_functions(pi, coideal)
+        sols = solve_restricted_basis_functions(pi, coideal, h)
         sets.extend(sols)
         dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
     reports.append(dims)
     used = list(dict.fromkeys(bset.corep.label for bset in sets))
     systems = _cg_systems(table, h, (used, used))
-    for kind in ("ordinary", "twisted"):
-        reports.append(_factorize_table(
-            sets, [multiplication_family(bset, kind) for bset in sets], sets, systems,
-            np.eye(coideal.dim), args.tolerance,
-            f"restricted wigner-eckart [{coideal.label},{kind}]"))
-    return reports
+    return reports + _factorize_table(
+        [(sets, [multiplication_family(bset, kind) for bset in sets], sets, np.eye(coideal.dim),
+          f"restricted wigner-eckart [{coideal.label},{kind}]")
+         for kind in ("ordinary", "twisted")], systems, args.tolerance)
 
 
 def _cmd_demo(args) -> list[Report]:

@@ -443,69 +443,77 @@ def _restrict_corep(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray,
     return Corepresentation(pi.algebra, coords.transpose(2, 0, 1), label=label)
 
 
-def _invariance_residual(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray) -> float:
-    """How far ``pi`` maps ``span(basis)`` outside itself (0 when invariant)."""
-    return _restrict(_lift(pi, basis), basis, gram)[1]
-
-
 def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-8
-           ) -> list[np.ndarray]:
-    """Split the carrier into invariant subspaces (gram-orthonormal columns).
+           ) -> list[tuple[np.ndarray, Corepresentation]]:
+    """Split the carrier into invariant subspaces, each with its restricted corep.
 
-    Scan position ``f = 2 op + part`` is the self-adjoint (part 0) or skew
-    (part 1) part of the compression ``basis^H gram op basis`` of a commutant
-    element ``op``.  The scan starts on the :func:`_gram_basis` of the whole
-    carrier.  A subspace is cut by the eigenvalue clusters of its first part
-    with two clusters, and each piece resumes the scan at ``f + 1``: every
-    earlier part was scalar on the subspace, so it is scalar on the piece.
-    A piece compresses its remaining ``ops`` in batches of 1, 2, 4, ...
-    operators, one product each, and looks for the first cutting part of a
-    batch with one ``eigvalsh`` call, so no operator is compressed twice on
-    one piece and none past the cut; ``eigh`` runs only on the part that
-    cuts.  A piece with only scalar parts is irreducible if the ``ops`` span
-    the commutant.  If the carrier was cut, each final piece is certified
-    invariant once (``DecompositionStall`` otherwise); the pieces span the
-    carrier, so this certifies every cut.  ``gram`` must be Hermitian.
+    The self-adjoint parts and then the skew parts ``P_0, P_1, ...`` of the
+    commutant elements ``ops`` are combined with the fixed weights ``cos(1),
+    cos(2), ...`` into one self-adjoint ``M = sum_f cos(f + 1) P_f``,
+    compressed to the :func:`_gram_basis` of the whole carrier, and one
+    ``eigh`` of ``M`` cuts the carrier at the gaps between its eigenvalue
+    clusters.  A piece is certified when every part compresses to a scalar on
+    it (``basis^H gram op basis`` for its gram-orthonormal ``basis``),
+    entrywise within ``cluster_tol`` times the largest compressed entry, at
+    least 1.  A piece that fails, because eigenvalues of ``M`` from different
+    irreducibles collide, is cut again by the first part that is not scalar on
+    it (``DecompositionStall`` if that part does not cut), and its pieces are
+    certified in turn.  A certified piece is irreducible if the ``ops`` span
+    the commutant.
+
+    Returns ``(basis, rho)`` per piece, ``rho = basis^H gram pi basis`` the
+    restricted corep.  Every ``rho`` is a diagonal block of one conjugation of
+    ``pi`` into the concatenated piece basis, whose off-diagonal blocks are the
+    invariance residual (``DecompositionStall`` above ``1e-7`` times the
+    spec's magnitude).  ``gram`` must be Hermitian.
     """
     _, min_eig, floor = _positivity(gram)
     if min_eig <= floor:
         raise PositivityFailure(f"invariant inner product of {pi.label!r} is not "
                                 f"positive definite (min eig {min_eig:.2e})")
     ops = np.asarray(ops)
-    bound = 1e-7 * pi.algebra.magnitude
 
-    def gaps(eigvals: np.ndarray) -> np.ndarray:
-        spread = eigvals[..., -1] - eigvals[..., 0]
-        return np.diff(eigvals) > cluster_tol * np.maximum(1.0, spread)[..., None]
-
-    def split(basis: np.ndarray, start: int) -> list[np.ndarray]:
-        if basis.shape[1] == 1:
-            return [basis]
-        left = basis.conj().T @ gram
-        lo, size = start // 2, 1
-        while lo < len(ops):
-            comps = left @ (ops[lo:lo + size] @ basis)
+    def cut(basis: np.ndarray, mixed: np.ndarray, refining: bool) -> list[np.ndarray]:
+        eigvals, eigvecs = np.linalg.eigh(mixed)
+        spread = eigvals[-1] - eigvals[0]
+        ends = np.flatnonzero(np.diff(eigvals) > cluster_tol * max(1.0, spread)) + 1
+        if refining and not ends.size:
+            raise DecompositionStall("a commutant part that is not scalar on a piece "
+                                     "does not cut it")
+        out = []
+        for vecs in np.split(basis @ eigvecs, ends, axis=1):
+            if vecs.shape[1] == 1:  # every part is scalar on a line
+                out.append(vecs)
+                continue
+            comps = (vecs.conj().T @ gram) @ ops @ vecs
             adj = comps.conj().swapaxes(1, 2)
-            parts = np.stack([(comps + adj) / 2.0, (comps - adj) / 2j], axis=1)
-            parts = parts.reshape(-1, *comps.shape[1:])
-            first = max(start - 2 * lo, 0)  # skips part 0 when resuming on a skew part
-            hits = gaps(np.linalg.eigvalsh(parts[first:])).any(axis=1)
-            for f in (first + np.flatnonzero(hits)).tolist():
-                eigvals, eigvecs = np.linalg.eigh(parts[f])
-                cuts = np.flatnonzero(gaps(eigvals)) + 1
-                if cuts.size:
-                    return [piece for vecs in np.split(eigvecs, cuts, axis=1)
-                            for piece in split(basis @ vecs, 2 * lo + f + 1)]
-            lo, size = lo + size, 2 * size
-        return [basis]
+            parts = np.concatenate([(comps + adj) / 2.0, (comps - adj) / 2j])
+            scalars = np.trace(parts, axis1=1, axis2=2) / vecs.shape[1]
+            off = np.abs(parts - scalars[:, None, None] * np.eye(vecs.shape[1])).max(axis=(1, 2))
+            bad = off > cluster_tol * max(1.0, float(np.abs(comps).max()))
+            out += cut(vecs, parts[bad.argmax()], True) if bad.any() else [vecs]
+        return out
 
-    pieces = split(_gram_basis(gram), 0)
-    if len(pieces) > 1:
-        worst = max(_invariance_residual(pi, piece, gram) for piece in pieces)
-        if worst > bound:
-            raise DecompositionStall(f"a commutant eigenspace is not invariant "
-                                     f"(residual {worst:.1e} > {bound:.1e})")
-    return pieces
+    # sum_f cos(f + 1) P_f = X + X^H with X = sum_j (cos(j + 1) - i cos(k + j + 1)) op_j / 2
+    weights = np.cos(np.arange(1.0, 2 * len(ops) + 1)).reshape(2, -1)
+    start = _gram_basis(gram)
+    mixed = (start.conj().T @ gram) @ np.tensordot(
+        (weights[0] - 1j * weights[1]) / 2.0, ops, axes=1) @ start
+    pieces = cut(start, mixed + mixed.conj().T, False)
+    basis = np.hstack(pieces)
+    coords, escape = _restrict(_lift(pi, basis), basis, gram)
+    rho = coords.transpose(2, 0, 1)
+    sizes = [piece.shape[1] for piece in pieces]
+    owner = np.repeat(np.arange(len(pieces)), sizes)
+    worst = max(escape, float(np.abs(rho[owner[:, None] != owner]).max(initial=0.0)))
+    bound = 1e-7 * pi.algebra.magnitude
+    if worst > bound:
+        raise DecompositionStall(f"a commutant eigenspace is not invariant "
+                                 f"(residual {worst:.1e} > {bound:.1e})")
+    ends = np.cumsum(sizes).tolist()
+    return [(piece, Corepresentation(pi.algebra, rho[end - size:end, end - size:end],
+                                     label=f"{pi.label}|{size}d"))
+            for piece, size, end in zip(pieces, sizes, ends)]
 
 
 def decompose_comodule(pi: Corepresentation, gram: np.ndarray
@@ -519,9 +527,7 @@ def decompose_comodule(pi: Corepresentation, gram: np.ndarray
     dimension.  Deterministic.  Raises ``PositivityFailure`` when ``gram`` is
     not positive definite.
     """
-    gram = (gram + gram.conj().T) / 2.0
-    blocks = [(basis, _restrict_corep(pi, basis, gram, label=f"{pi.label}|{basis.shape[1]}d"))
-              for basis in _split(pi, gram, morphism_space(pi, pi))]
+    blocks = _split(pi, (gram + gram.conj().T) / 2.0, morphism_space(pi, pi))
     blocks.sort(key=lambda pair: pair[1].dim)
     return blocks
 
@@ -621,8 +627,12 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
     Returns one unitary representative per equivalence class, with its
     F-matrix computed, sorted trivial-first then by (dimension, character
     fingerprint).  The left convolutions span the commutant of the regular
-    comodule, so one :func:`_split` by them cuts it into irreducible pieces.
-    Every class, multiplicity and irreducibility verdict is read off the
+    comodule, so one :func:`_split` by them cuts it into irreducible pieces:
+    one ``eigh`` of one fixed combination of them, and more only where two of
+    its eigenvalues collide.  The pieces' coefficients are the diagonal blocks
+    of the split's one conjugation of the regular corep into the pieces'
+    basis, whose other blocks certify the pieces invariant.  Every class,
+    multiplicity and irreducibility verdict is read off the
     pieces' character Gram ``h(chi_p^* chi_q) = sum_r m_r^p m_r^q``, as in
     :func:`are_equivalent`: each diagonal entry must be 1 (the piece is
     irreducible, ``DecompositionStall`` otherwise), a piece's class is the
@@ -633,8 +643,7 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
 
     reg = regular_corep(alg, "R")
     gram = (gram_right + gram_right.conj().T) / 2.0
-    pieces = [_restrict_corep(reg, basis, gram, label="block")
-              for basis in _split(reg, gram, alg.comult.transpose(1, 2, 0))]
+    pieces = [rho for _, rho in _split(reg, gram, alg.comult.transpose(1, 2, 0))]
     overlaps = _integer_counts(_character_grams(
         np.array([piece.character() for piece in pieces]), h)[0])
     if (np.diag(overlaps) != 1).any():

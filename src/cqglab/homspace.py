@@ -25,7 +25,7 @@ from .algebra import HopfAlgebraSpec
 from .corep import Corepresentation, _corep_residuals, _gram_basis, _restrict, intertwiners
 from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
-from .haar import GramPair, HaarFunctional, _positivity, solve_haar
+from .haar import GramPair, HaarFunctional, _positivity
 from .regular import (BasisFunctionSet, Carrier, _haar_invariance, canonical_basis_functions,
                       regular_carrier)
 from .report import Report
@@ -51,8 +51,9 @@ class CoidealSubalgebra:
     ``span_rows`` is the raw spanning basis (whatever the caller supplied,
     e.g. coset indicator functions).  ``side`` names the regular formalism:
     "R" for a right coideal, "L" for a left coideal; ``gram`` is that side's
-    invariant Gram matrix of the whole algebra.  The orthonormal basis
-    :attr:`onb` and the :attr:`carrier` are derived from it once, on first use.
+    invariant Gram matrix of the whole algebra.  Both are stored as read-only
+    copies.  The orthonormal basis :attr:`onb` and the :attr:`carrier` are
+    derived from them once, on first use.
     """
 
     algebra: HopfAlgebraSpec
@@ -62,12 +63,15 @@ class CoidealSubalgebra:
     label: str = ""
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.span_rows, dtype=complex)
+        rows = np.array(self.span_rows, dtype=complex)
         if rows.ndim != 2 or rows.shape[1] != self.algebra.dim:
             raise ValueError("span_rows must be (b, n)")
         if self.side not in ("R", "L"):
             raise ValueError("side must be 'R' or 'L'")
-        object.__setattr__(self, "span_rows", rows)
+        # read-only copies: an in-place edit cannot change B under its cached onb and carrier
+        for name, arr in (("span_rows", rows), ("gram", np.array(self.gram))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -197,20 +201,19 @@ def restricted_coaction_report(coideal: CoidealSubalgebra, h: HaarFunctional,
 # basis functions and tensor operators on B
 # ---------------------------------------------------------------------------
 
-def solve_restricted_basis_functions(pi: Corepresentation,
-                                     coideal: CoidealSubalgebra) -> list[BasisFunctionSet]:
+def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubalgebra,
+                                     h: HaarFunctional) -> list[BasisFunctionSet]:
     """Basis of the space of basis-function tuples for ``pi`` on ``B``'s carrier.
 
     The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` makes
     the tuples ``Hom(pi, B)``, solved by :func:`cqglab.corep.intertwiners` with
-    the transposed restricted coaction tensor as ``B``'s matrix coefficients;
-    the solution space may be empty (no existence guarantee, unlike the
-    unrestricted case).  Its dimension equals the multiplicity of ``pi`` in
-    the comodule ``B``.
+    the transposed restricted coaction tensor as ``B``'s matrix coefficients
+    and ``h`` the Haar functional of the algebra; the solution space may be
+    empty (no existence guarantee, unlike the unrestricted case).  Its
+    dimension equals the multiplicity of ``pi`` in the comodule ``B``.
     """
     carrier = coideal.carrier
-    basis = intertwiners(pi.coeffs, carrier.coact.transpose(1, 0, 2),
-                         solve_haar(coideal.algebra))
+    basis = intertwiners(pi.coeffs, carrier.coact.transpose(1, 0, 2), h)
     return [BasisFunctionSet(pi, coideal.side, phi.T,
                              label=f"res{idx}[{pi.label}|{coideal.label}]", carrier=carrier)
             for idx, phi in enumerate(basis)]
@@ -236,17 +239,17 @@ def canonical_restricted_candidates(pi: Corepresentation,
     return out
 
 
-def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra,
-                            kind: str) -> list[TensorOperatorFamily]:
+def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra, kind: str,
+                            h: HaarFunctional) -> list[TensorOperatorFamily]:
     """Basis of the space of families on ``B``'s carrier for one variant.
 
     The families are ``Hom(pi, End(B))`` for the restricted operator comodule,
-    solved by :func:`cqglab.corep.intertwiners`.
+    solved by :func:`cqglab.corep.intertwiners` with ``h``, the Haar
+    functional of the algebra.
     """
-    alg, carrier = coideal.algebra, coideal.carrier
+    carrier = coideal.carrier
     b, d = coideal.dim, pi.dim
-    basis = intertwiners(pi.coeffs, operator_comodule(carrier.coact, alg, kind),
-                         solve_haar(alg))
+    basis = intertwiners(pi.coeffs, operator_comodule(carrier.coact, coideal.algebra, kind), h)
     return [TensorOperatorFamily(pi, kind, coideal.side, phi.T.reshape(d, b, b),
                                  label=f"res-sol{idx}[{pi.label}]", carrier=carrier)
             for idx, phi in enumerate(basis)]

@@ -13,13 +13,14 @@ The reduced elements have the closed form
 reconstruction through that formula is exact, and a least-squares extraction
 is kept alongside as a diagnostic.
 
-One engine factorizes the pairs ``(p, q)`` of one kind against a stack of
-targets r in batched contractions, each pair read off its own ``C`` and
-``C^{-1}``, and returns numbers: :func:`verify_wigner_eckart` wraps the one
-result of a single triple in a :class:`WEReport`, and a whole table is
-rendered as one report with a check per triple.
-All inputs of one call live on one carrier, A or a coideal B, whose Gram
-matrix is passed (the identity in B's orthonormal basis).
+One engine factorizes pairs ``(p, q)``, each put in its CG system's order,
+against a stack of targets r in batched contractions, each pair read off its
+own ``C`` and ``C^{-1}``, and returns numbers: :func:`verify_wigner_eckart`
+wraps the one result of a single triple in a :class:`WEReport`, and several
+whole tables go through the engine together, each rendered as one report
+with a check per triple.  The inputs of one table live on one carrier, A or
+a coideal B, whose Gram matrix is passed (the identity in B's orthonormal
+basis).
 """
 
 from __future__ import annotations
@@ -87,17 +88,18 @@ def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
     return pairs.reshape(len(pairs), -1)
 
 
-def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
-                       targets: list[tuple[str, int]], kind: str
+def _factorize_targets(tmats: list[np.ndarray], systems: list[CGSystem],
+                       targets: list[tuple[str, int]]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factorize many ``(p, q)`` of one kind against every target at once.
+    """Factorize many pairs ``(p, q)`` against every target at once.
 
-    ``tensors[i][(r, l), k, j]`` stacks pair ``i``'s inner-product tensors in
-    the order of ``targets``, pairs ``(r_label, d_r)``; ``systems[i]`` is its
-    CG system.  Returns arrays indexed ``[pair, target]``: the reconstruction
-    residuals, the least-squares gaps (NaN where the target does not occur),
-    the reduced elements zero-padded along a last axis to the largest
-    multiplicity, and the multiplicities.  The pairs of one system size are
+    ``tmats[i]`` is pair ``i``'s :func:`_pair_matrix` for its CG system
+    ``systems[i]``: rows ``(r, l)`` stacked in the order of ``targets``, pairs
+    ``(r_label, d_r)``, and columns in the system's pair order, so pairs of
+    both kinds go in one call.  Returns arrays indexed ``[pair, target]``: the
+    reconstruction residuals, the least-squares gaps (NaN where the target
+    does not occur), the reduced elements zero-padded along a last axis to the
+    largest multiplicity, and the multiplicities.  The pairs of one system size are
     factorized together, their rows and CG blocks zero-padded to the largest
     target dimension and multiplicity: ``X = T C`` at each target's columns,
     traced over ``(u, v)`` and divided by ``d_r``, gives the reduced elements
@@ -112,7 +114,6 @@ def _factorize_targets(tensors: list[np.ndarray], systems: list[CGSystem],
     firsts = np.cumsum(dims, dtype=int) - dims
     valid = np.arange(d_max) < np.array(dims)[:, None]                       # [r, l]
     rows = np.where(valid, firsts[:, None] + np.arange(d_max), 0)
-    tmats = [_pair_matrix(tensor, system, kind) for tensor, system in zip(tensors, systems)]
     if any(len(tmat) != sum(dims) for tmat in tmats):
         raise ValueError("tensor rows do not match the targets' dimensions")
     classes: dict[int, list[int]] = {}
@@ -157,7 +158,7 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
         raise ValueError("verify_wigner_eckart needs the F matrix of the target irrep")
     tensor = we_tensor(psis, fam, phis, gram)
     [[residual]], [[gap]], [[reduced]], [[mult]] = _factorize_targets(
-        [tensor], [system], [(psis.corep.label, psis.corep.dim)], fam.kind)
+        [_pair_matrix(tensor, system, fam.kind)], [system], [(psis.corep.label, psis.corep.dim)])
     return WEReport(phis.corep.label, fam.corep.label, psis.corep.label, fam.side, fam.kind,
                     tensor, reduced[:mult], float(residual), tol * fam.algebra.magnitude ** 2,
                     (system.p_label, system.q_label),
@@ -182,43 +183,55 @@ def _reduced_pairs(reduced: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(reduced, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
-def _factorize_table(psis: list[BasisFunctionSet], fams: list[TensorOperatorFamily],
-                     phis: list[BasisFunctionSet], systems: dict[tuple[str, str], CGSystem],
-                     gram: np.ndarray, tol: float, title: str) -> Report:
-    """:func:`verify_wigner_eckart` of every target ``psis[t]``, family ``fams[k]``
-    and source ``phis[i]``, all on one carrier, the families of one kind, as
-    one report.
+def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSystem],
+                     tol: float) -> list[Report]:
+    """:func:`verify_wigner_eckart` of every triple of several tables, one report per
+    table, from one :func:`_factorize_targets` call.
 
-    ``systems`` holds the CG systems keyed by label pair: ``(q, p)`` for
-    ordinary families, ``(p, q)`` for twisted ones.  The report has one check
-    per triple, named ``p,q,r`` (see :func:`_set_names`), in source-major
-    order, with details ``reduced``, ``cg_order`` and, when ``r`` occurs,
-    ``reduced_lstsq_gap``.  The inner products of every target, operator and
-    source come from one contraction.
+    A table is ``(psis, fams, phis, gram, title)``: targets ``psis[t]``,
+    families ``fams[k]`` of one kind and sources ``phis[i]``, all on the
+    carrier whose Gram matrix is ``gram``, and the report's title.  The tables
+    share their targets' labels and dimensions.  ``systems`` holds the CG
+    systems keyed by label pair: ``(q, p)`` for ordinary families, ``(p, q)``
+    for twisted ones; each pair is put in its system's order before the call.
+    A report has one check per triple, named ``p,q,r`` (see
+    :func:`_set_names`), in source-major order, with details ``reduced``,
+    ``cg_order`` and, when ``r`` occurs, ``reduced_lstsq_gap``.  The inner
+    products of a table's targets, operators and sources come from one
+    contraction.
     """
-    kind = fams[0].kind
-    tensor = _inner_product_tensor(np.concatenate([bset.functions for bset in psis]),
-                                   np.concatenate([fam.operators for fam in fams]),
-                                   np.concatenate([bset.functions for bset in phis]), gram)
-    src_rows = _stacked_slices([bset.corep.dim for bset in phis])
-    fam_rows = _stacked_slices([fam.corep.dim for fam in fams])
-    pairs = list(product(range(len(phis)), range(len(fams))))
-    chosen = [systems[fams[k].corep.label, phis[i].corep.label] if kind == "ordinary"
-              else systems[phis[i].corep.label, fams[k].corep.label] for i, k in pairs]
-    residuals, gaps, reduced, mults = _factorize_targets(
-        [tensor[:, fam_rows[k], src_rows[i]] for i, k in pairs], chosen,
-        [(bset.corep.label, bset.corep.dim) for bset in psis], kind)
-    p_names, q_names, r_names = _set_names(phis), _set_names(fams), _set_names(psis)
-    orders = [[system.p_label, system.q_label] for system in chosen]  # one per pair
-    counts = mults.ravel().tolist()
-    # the reduced elements of the targets that occur, in check order
-    values = _reduced_pairs(reduced[np.arange(reduced.shape[2]) < mults[..., None]])
-    details = [{"reduced": values[start:start + count], "cg_order": order,
-                "reduced_lstsq_gap": gap} if count else {"reduced": [], "cg_order": order}
-               for order, start, count, gap
-               in zip((order for order in orders for _ in psis), accumulate(counts, initial=0),
-                      counts, gaps.ravel().tolist())]
-    report = Report(title)
-    report.extend([f"{p},{q},{r}" for p, q in product(p_names, q_names) for r in r_names],
-                  residuals, tol * fams[0].algebra.magnitude ** 2, details)
-    return report
+    targets = [(bset.corep.label, bset.corep.dim) for bset in tables[0][0]]
+    tmats, chosen, counts = [], [], []
+    for psis, fams, phis, gram, _ in tables:
+        if [(bset.corep.label, bset.corep.dim) for bset in psis] != targets:
+            raise ValueError("tables factorized together must share their targets")
+        kind = fams[0].kind
+        tensor = _inner_product_tensor(np.concatenate([bset.functions for bset in psis]),
+                                       np.concatenate([fam.operators for fam in fams]),
+                                       np.concatenate([bset.functions for bset in phis]), gram)
+        src_rows = _stacked_slices([bset.corep.dim for bset in phis])
+        fam_rows = _stacked_slices([fam.corep.dim for fam in fams])
+        for i, k in product(range(len(phis)), range(len(fams))):
+            p, q = phis[i].corep.label, fams[k].corep.label
+            system = systems[q, p] if kind == "ordinary" else systems[p, q]
+            tmats.append(_pair_matrix(tensor[:, fam_rows[k], src_rows[i]], system, kind))
+            chosen.append(system)
+        counts.append(len(phis) * len(fams))
+    residuals, gaps, reduced, mults = _factorize_targets(tmats, chosen, targets)
+    reports = []
+    for (psis, fams, phis, _, title), rows in zip(tables, _stacked_slices(counts)):
+        p_names, q_names, r_names = _set_names(phis), _set_names(fams), _set_names(psis)
+        orders = [[system.p_label, system.q_label] for system in chosen[rows]]  # one per pair
+        occurs = mults[rows].ravel().tolist()
+        # the reduced elements of the targets that occur, in check order
+        values = _reduced_pairs(reduced[rows][np.arange(reduced.shape[2]) < mults[rows, :, None]])
+        details = [{"reduced": values[start:start + count], "cg_order": order,
+                    "reduced_lstsq_gap": gap} if count else {"reduced": [], "cg_order": order}
+                   for order, start, count, gap
+                   in zip((order for order in orders for _ in psis),
+                          accumulate(occurs, initial=0), occurs, gaps[rows].ravel().tolist())]
+        report = Report(title)
+        report.extend([f"{p},{q},{r}" for p, q in product(p_names, q_names) for r in r_names],
+                      residuals[rows], tol * fams[0].algebra.magnitude ** 2, details)
+        reports.append(report)
+    return reports

@@ -542,15 +542,36 @@ def per_pair_cg(pi_p, pi_q, table, h, tol: float = 1e-9):
     return system
 
 
-def peel_split(pi, gram, ops, cluster_tol: float = 1e-8) -> list[np.ndarray]:
+def padded_blocks(systems, labels, dims):
+    """``cg._padded_blocks`` as it looked up each system's multiplicity and first
+    column of every target with ``dict.get``, one entry at a time."""
+    mults = np.array([[s.multiplicities.get(r, 0) for r in labels] for s in systems])
+    starts = np.array([[s.offsets.get(r, 0) for r in labels] for s in systems])
+    dims_arr = np.array(dims)
+    alpha = np.arange(max(1, mults.max(initial=0)))[:, None]
+    ell = np.arange(max(dims, default=0))
+    cols = starts[:, :, None, None] + alpha * dims_arr[:, None, None] + ell
+    keep = (alpha < mults[:, :, None, None]) & (ell < dims_arr[:, None, None])
+    cols = np.where(keep, cols, 0)
+    which = np.arange(len(systems))[:, None, None, None]
+    c_mats = np.stack([s.C for s in systems])
+    c_invs = np.stack([s.Cinv for s in systems])
+    fwd = c_mats[which, :, cols] * keep[..., None]
+    inv = c_invs[which, cols] * keep[..., None]
+    return fwd.swapaxes(-1, -2), inv, mults
+
+
+def peel_split(pi, gram, ops, cluster_tol: float = 1e-8) -> list:
     """Commutant eigensplitting by the recursive peel ``corep._split`` used before
-    pieces resumed where their parent split.
+    it cut by one combination of the commutant parts.
 
     Every piece restarts the scan at the first operator, compresses every
     operator again, runs ``eigh`` on each self-adjoint and skew part until one
-    has two eigenvalue clusters, and certifies the pieces of every split.
+    has two eigenvalue clusters, and certifies the pieces of every split by
+    how far the corep maps each outside itself.  Returns ``(basis, rho)`` per
+    piece, as ``corep._split`` does.
     """
-    from cqglab.corep import _gram_basis, _invariance_residual
+    from cqglab.corep import _gram_basis, _lift, _restrict, _restrict_corep
     from cqglab.errors import DecompositionStall, PositivityFailure
     from cqglab.haar import _positivity
 
@@ -572,14 +593,15 @@ def peel_split(pi, gram, ops, cluster_tol: float = 1e-8) -> list[np.ndarray]:
                 if cuts.size == 0:
                     continue
                 sub_bases = [basis @ vecs for vecs in np.split(eigvecs, cuts, axis=1)]
-                worst = max(_invariance_residual(pi, b, gram) for b in sub_bases)
+                worst = max(_restrict(_lift(pi, b), b, gram)[1] for b in sub_bases)
                 if worst > bound:
                     raise DecompositionStall(f"a commutant eigenspace is not invariant "
                                              f"(residual {worst:.1e} > {bound:.1e})")
                 return [piece for b in sub_bases for piece in split(b)]
         return [basis]
 
-    return split(_gram_basis(gram))
+    return [(basis, _restrict_corep(pi, basis, gram, f"{pi.label}|{basis.shape[1]}d"))
+            for basis in split(_gram_basis(gram))]
 
 
 def per_irrep_certificates(pi) -> dict[str, float]:

@@ -17,12 +17,14 @@ import warnings
 import numpy as np
 import pytest
 
-from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
+from cqglab.cg import _padded_blocks, coupled_basis_functions, coupled_inverse_residual
 from cqglab.errors import LinearDependenceWarning
 from cqglab.groups import symmetric_group_3
 from cqglab.homspace import build_coset_subalgebra, subspace_coideal
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import TensorOperatorFamily, couple_families
+
+from oracles import padded_blocks
 
 ALGEBRAS = ("C(S3)", "C[S3]", "C(A4)")
 TOL = 1e-12
@@ -186,3 +188,21 @@ def test_coupled_basis_functions_match_loop_oracle(cg_contexts, label, side):
         got_res = coupled_inverse_residual(phis, psis, side, system, coupled)
         want_res = loop_inverse_residual(system, products, coupled, swap=side == "L")
         assert abs(got_res - want_res) < TOL, (p, q)
+
+
+@pytest.mark.parametrize("label", ALGEBRAS)
+def test_padded_blocks_match_the_lookup_oracle(contexts, ca4_fun, label):
+    """The multiplicity and offset matrices scattered from each system's target rows
+    give the padded blocks of the per-entry lookup bit for bit, for all targets, a
+    repeated target (as for two sets of one irrep on a coideal) and an absent one."""
+    ctx = ca4_fun if label == "C(A4)" else contexts[label]
+    table = ctx.table
+    systems = [ctx.cg(p, q) for p in table.labels for q in table.labels]
+    last = table.labels[-1]
+    for labels in (table.labels, [last, *table.labels[::-1], last, "absent"]):
+        dims = [table[r].dim if r in table.labels else 2 for r in labels]
+        for size in {s.d_p * s.d_q for s in systems}:
+            stack = [s for s in systems if s.d_p * s.d_q == size]
+            for got, want in zip(_padded_blocks(stack, labels, dims),
+                                 padded_blocks(stack, labels, dims)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (labels, size)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -309,19 +310,21 @@ def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):
     from cqglab import wigner_eckart
     calls, factorize = [], wigner_eckart._factorize_targets
 
-    def counting(tensors, systems, targets, kind):
-        calls.append(([(system.p_label, system.q_label) for system in systems], kind,
-                      len(targets)))
-        return factorize(tensors, systems, targets, kind)
+    def counting(tmats, systems, targets):
+        calls.append(([(system.p_label, system.q_label) for system in systems], len(targets)))
+        return factorize(tmats, systems, targets)
 
     monkeypatch.setattr(wigner_eckart, "_factorize_targets", counting)
     out = tmp_path / "we.json"
     assert cli.main(["wigner-eckart", "--builtin", "C[S3]", "--output", str(out)]) == 0
-    # one call per (side, kind), each over all 36 pairs and all six targets
-    assert [kind for _, kind, _ in calls] == ["ordinary", "twisted"] * 2
-    assert all(len(pairs) == len(set(pairs)) == 36 for pairs, _, _ in calls)
-    assert {count for _, _, count in calls} == {6}
-    # each call is rendered once, as one report of 216 checks
+    # one call over the 36 pairs of each (side, kind) and all six targets: ordinary
+    # pairs (p, q) in their (q, p) systems, twisted ones in their (p, q) systems
+    [(pairs, count)] = calls
+    labels = [f"p{i}" for i in range(6)]
+    ordinary = [(q, p) for p, q in product(labels, labels)]
+    assert pairs == (ordinary + list(product(labels, labels))) * 2
+    assert count == 6
+    # each table is rendered once, as one report of 216 checks
     reports = json.loads(out.read_text())["reports"]
     assert [rep["title"] for rep in reports] == [
         f"wigner-eckart [{side},{kind}]" for side in ("R", "L")

@@ -4,8 +4,8 @@
 built, and derives its orthonormal basis and carrier from it on first use.  A
 function that took the Gram pair again could hand a coideal a second Gram, and
 a field that could be reassigned could leave a cached basis or carrier stale.
-So in ``homspace.py`` only the two constructors take ``grams``, and a coideal's
-fields cannot be assigned.
+So in ``homspace.py`` only the two constructors take ``grams``, a coideal's
+fields cannot be assigned, and its arrays cannot be written in place.
 """
 
 from __future__ import annotations
@@ -43,3 +43,16 @@ def test_coideal_fields_cannot_be_assigned(cs3_fun, field):
     assert field in {f.name for f in dataclasses.fields(coideal)}
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(coideal, field, np.eye(6))
+
+
+@pytest.mark.parametrize("field", ["span_rows", "gram"])
+def test_coideal_arrays_cannot_be_written(cs3_fun, field):
+    """An in-place write to a coideal's rows or Gram raises instead of changing B
+    under its cached basis; the arrays it was built from stay the caller's."""
+    grams = cs3_fun.grams
+    coideal = build_coset_subalgebra(symmetric_group_3(), cs3_fun.algebra, [0, 1], "R", grams)
+    onb = coideal.onb.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(coideal, field)[0] = np.eye(6)[2]
+    assert np.array_equal(coideal.onb, onb)
+    assert coideal.gram is not grams.gram("R") and grams.gram("R").flags.writeable

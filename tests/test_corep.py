@@ -307,12 +307,12 @@ def test_non_invariant_eigenspace_raises_stall(cs3_fun):
 
 
 def test_non_invariant_cut_of_a_resumed_piece_raises_stall(cs3_fun):
-    """A cut by a non-commutant matrix on a piece that resumed after an earlier
-    cut is certified like any other."""
+    """A non-commutant matrix weighed into the cut next to a commutant one, which
+    alone cuts the carrier into two invariant halves, is refused too."""
     reg = regular_corep(cs3_fun.algebra, "R")
     gram = cs3_fun.grams.gram_right
     transposition = cs3_fun.algebra.comult.transpose(1, 2, 0)[1]  # a left convolution
-    assert [b.shape[1] for b in corep._split(reg, gram, [transposition])] == [3, 3]
+    assert [b.shape[1] for b, _ in corep._split(reg, gram, [transposition])] == [3, 3]
     not_commutant = np.diag(np.arange(6.0)).astype(complex)
     with pytest.raises(DecompositionStall):
         corep._split(reg, gram, [transposition, not_commutant])
@@ -321,10 +321,11 @@ def test_non_invariant_cut_of_a_resumed_piece_raises_stall(cs3_fun):
 @pytest.mark.parametrize("build", [build_group_algebra, build_function_algebra],
                          ids=["C[S4]", "C(S4)"])
 def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
-    """The one split of the regular comodule by the left convolutions takes 68
-    ``eigh`` and ``eigvalsh`` calls on C[S4] (24 classes) and 65 on C(S4) (5
-    classes): pieces resume where their parent was cut and scan in doubling
-    batches.  Peeling one class per level made 529 and 434 calls."""
+    """The one split of the regular comodule by the left convolutions takes one
+    ``eigh`` call on C[S4] (24 classes) and on C(S4) (5 classes): the carrier is
+    cut by one combination of all the convolutions' parts.  Scanning the parts
+    piece by piece in doubling batches made 68 and 65 calls, and peeling one
+    class per level 529 and 434."""
     alg = build(all_permutation_group(4))
     h = solve_haar(alg)
     gram = gram_matrices(alg, h).gram_right
@@ -336,7 +337,39 @@ def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
             return _real(*args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
     irrep_table(alg, h, gram)
-    assert len(calls) < 100
+    assert len(calls) == 1
+
+
+def test_refinement_cuts_a_piece_where_the_combination_collides(cs3_grp, monkeypatch):
+    """Two diagonal ops on C[S3]'s regular comodule (its lines are the group
+    elements, and the Gram is the identity) whose weighted combination is
+    ``cos(1) diag(1, 1, 2, 3, 4, 5)``: the first cut leaves the first two lines
+    as one piece, on which the first op is not scalar, so that op cuts it again."""
+    alg = cs3_grp.algebra
+    gram = cs3_grp.grams.gram_right
+    assert np.array_equal(gram, np.eye(6))
+    first = np.diag([1.0, 0, 2, 3, 4, 5]).astype(complex)
+    second = np.diag([0, np.cos(1) / np.cos(2), 0, 0, 0, 0]).astype(complex)
+    shapes = []
+
+    def recorded(matrix, _real=np.linalg.eigh):
+        shapes.append(matrix.shape)
+        return _real(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    pieces = corep._split(regular_corep(alg, "R"), gram, [first, second])
+    assert shapes == [(6, 6), (2, 2)]
+    assert [basis.shape[1] for basis, _ in pieces] == [1] * 6
+
+
+def test_refinement_that_cannot_cut_raises_stall(cs3_grp):
+    """An op whose first four eigenvalues lie 0.9e-8 apart: on their piece it is not
+    scalar (1.35e-8 from its mean), yet no gap reaches the 1e-8 cut, so refining
+    by it would not end; that is refused."""
+    reg = regular_corep(cs3_grp.algebra, "R")
+    ramp = np.diag([0, 0.9e-8, 1.8e-8, 2.7e-8, 6, 7]).astype(complex)
+    with pytest.raises(DecompositionStall, match="does not cut it"):
+        corep._split(reg, cs3_grp.grams.gram_right, [ramp])
 
 
 @pytest.mark.parametrize("merged_dim, norm", [(1, 2), (2, 4)],
@@ -349,10 +382,11 @@ def test_merged_classes_raise_stall(cs3_fun, monkeypatch, merged_dim, norm):
 
     def merging(pi, gram, ops, cluster_tol=1e-8):
         pieces = split(pi, gram, ops, cluster_tol)
-        pair = [k for k, piece in enumerate(pieces) if piece.shape[1] == merged_dim]
+        pair = [k for k, (piece, _) in enumerate(pieces) if piece.shape[1] == merged_dim]
         assert len(pair) == 2
         rest = [piece for k, piece in enumerate(pieces) if k not in pair]
-        return [np.hstack([pieces[k] for k in pair]), *rest]
+        merged = np.hstack([pieces[k][0] for k in pair])
+        return [(merged, corep._restrict_corep(pi, merged, gram, "merged")), *rest]
 
     monkeypatch.setattr(corep, "_split", merging)
     with pytest.raises(DecompositionStall, match=rf"h\(chi\^\* chi\) = \[{norm}, 1, 1\]"):

@@ -139,7 +139,7 @@ def test_restricted_basis_function_dimensions(coset_ctx, cs3_fun):
     classical_of = {"p0": "trivial", "p1": "sign", "p2": "standard"}
     dims = {}
     for pi in cs3_fun.table:
-        sols = solve_restricted_basis_functions(pi, coideal)
+        sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
         for s in sols:
             assert check_basis_functions(s) < 1e-9
         dims[pi.label] = len(sols)
@@ -152,7 +152,7 @@ def test_full_span_reduces_to_unrestricted(cs3_fun):
         coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side,
                                    cs3_fun.grams)
         for pi in cs3_fun.table:
-            sols = solve_restricted_basis_functions(pi, coideal)
+            sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
             # unrestricted: one tuple per matrix-coefficient row = d_p
             assert len(sols) == pi.dim
 
@@ -162,9 +162,9 @@ def test_point_space_has_no_nontrivial_functions(cs3_fun):
         coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side,
                                          cs3_fun.grams)
         std = cs3_fun.table["p2"]
-        assert solve_restricted_basis_functions(std, coideal) == []
+        assert solve_restricted_basis_functions(std, coideal, cs3_fun.haar) == []
         triv = cs3_fun.table["p0"]
-        assert len(solve_restricted_basis_functions(triv, coideal)) == 1
+        assert len(solve_restricted_basis_functions(triv, coideal, cs3_fun.haar)) == 1
 
 
 def test_canonical_candidates_only_for_trivial(coset_ctx, cs3_fun):
@@ -186,7 +186,7 @@ def test_identity_family_all_variants(coset_ctx, cs3_fun):
 def test_restricted_multiplication_families(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     for pi in cs3_fun.table:
-        for bset in solve_restricted_basis_functions(pi, coideal):
+        for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.haar):
             for kind in ("ordinary", "twisted"):
                 fam = multiplication_family(bset, kind)
                 assert check_family(fam) < 1e-10
@@ -196,7 +196,7 @@ def test_zero_family_space_on_point_space(cs3_fun):
     coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), "L", cs3_fun.grams)
     std = cs3_fun.table["p2"]
     for kind in ("ordinary", "twisted"):
-        sols = solve_restricted_family(std, coideal, kind)
+        sols = solve_restricted_family(std, coideal, kind, cs3_fun.haar)
         assert sols == []
 
 
@@ -204,7 +204,7 @@ def test_solved_restricted_families_pass(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
     for pi in cs3_fun.table:
         for kind in ("ordinary", "twisted"):
-            for fam in solve_restricted_family(pi, coideal, kind):
+            for fam in solve_restricted_family(pi, coideal, kind, cs3_fun.haar):
                 assert check_family(fam) < 1e-9
 
 
@@ -219,7 +219,7 @@ def test_restricted_family_residual_matches_per_operator_loop(coset_ctx, cs3_fun
     rng = np.random.default_rng(5)
     for pi in cs3_fun.table:
         noise = rng.standard_normal((pi.dim, b, b)) + 1j * rng.standard_normal((pi.dim, b, b))
-        fams = solve_restricted_family(pi, coideal, kind)
+        fams = solve_restricted_family(pi, coideal, kind, cs3_fun.haar)
         noisy = TensorOperatorFamily(pi, kind, side, noise,
                                      carrier=coideal.carrier)
         for fam in fams + [noisy]:
@@ -233,7 +233,7 @@ def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
     """``check_family`` runs the structure-map route on a coideal carrier, so
     ``family_report`` certifies families on ``B``; a coideal fixes the side."""
     side, coideal = coset_ctx
-    fams = solve_restricted_family(cs3_fun.table["p0"], coideal, "ordinary")
+    fams = solve_restricted_family(cs3_fun.table["p0"], coideal, "ordinary", cs3_fun.haar)
     assert fams
     for fam in fams:
         assert family_report(fam).passed
@@ -244,7 +244,7 @@ def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
 
 def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal)
+    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
                  for pi in cs3_fun.table}
     std_sets = solutions["p2"]
     assert len(std_sets) == 1
@@ -260,7 +260,7 @@ def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
 
 def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal)
+    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
                  for pi in cs3_fun.table}
     triv = solutions["p0"][0]
     std = solutions["p2"][0]
@@ -274,7 +274,7 @@ def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
 
 def test_restricted_coupling(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    std_sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal)
+    std_sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal, cs3_fun.haar)
     for kind in ("ordinary", "twisted"):
         fam = multiplication_family(std_sets[0], kind)
         system = cs3_fun.cg("p2", "p2")
@@ -311,7 +311,7 @@ def test_restricted_orthogonality_matches_unrestricted_statements(coset_ctx, cs3
     cross-irrep inner products vanish and diagonal values are j-independent."""
     from cqglab.regular import basis_function_orthogonality
     side, coideal = coset_ctx
-    sols = {pi.label: solve_restricted_basis_functions(pi, coideal)
+    sols = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
             for pi in cs3_fun.table}
     triv = BasisFunctionSet(cs3_fun.table["p0"], side, coideal.embed(sols["p0"][0].functions))
     std = BasisFunctionSet(cs3_fun.table["p2"], side, coideal.embed(sols["p2"][0].functions))
@@ -330,7 +330,7 @@ def test_orthogonality_and_coupling_on_b_carrier(cs3_fun, subgroup):
     for side in ("L", "R"):
         coideal = build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, side, grams)
         sets = [bset for pi in table
-                for bset in solve_restricted_basis_functions(pi, coideal)]
+                for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)]
         assert [bset.corep.label for bset in sets].count("p2") == (1 if subgroup == SUBGROUP
                                                                    else 2)
         for set_a, set_b in product(sets, repeat=2):

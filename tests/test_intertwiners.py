@@ -90,10 +90,11 @@ def test_restricted_spaces_match_character_count(cs3_fun, subgroup, side):
     chi_b = np.einsum("iim->m", coideal.carrier.coact)
     for pi in cs3_fun.table:
         expected = _hom_count(cs3_fun.haar, chi_b, pi)
-        assert len(solve_restricted_basis_functions(pi, coideal)) == expected, pi.label
+        sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
+        assert len(sols) == expected, pi.label
         for kind in ("ordinary", "twisted"):
             expected = _hom_count(cs3_fun.haar, _operator_character(alg, chi_b, kind), pi)
-            assert len(solve_restricted_family(pi, coideal, kind)) == expected, (
+            assert len(solve_restricted_family(pi, coideal, kind, cs3_fun.haar)) == expected, (
                 pi.label, kind)
 
 
@@ -174,12 +175,13 @@ def test_restricted_spaces_match_kronecker_oracle(cs3_fun, side):
     coact = coideal.carrier.coact
     b = coideal.dim
     for pi in cs3_fun.table:
-        ours = [bset.functions.T for bset in solve_restricted_basis_functions(pi, coideal)]
+        ours = [bset.functions.T
+                for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)]
         _assert_same_span(ours, kronecker_intertwiners(pi.coeffs, coact.transpose(1, 0, 2)),
                           (side, pi.label))
         for kind in ("ordinary", "twisted"):
             ours = [fam.operators.reshape(pi.dim, b * b).T
-                    for fam in solve_restricted_family(pi, coideal, kind)]
+                    for fam in solve_restricted_family(pi, coideal, kind, cs3_fun.haar)]
             oracle = kronecker_intertwiners(pi.coeffs, operator_comodule(coact, alg, kind))
             _assert_same_span(ours, oracle, (side, pi.label, kind))
 
@@ -284,13 +286,13 @@ def test_restricted_spaces_match_svd_oracle(cs3_fun, side):
     b = coideal.dim
     for pi in cs3_fun.table:
         ours, again = ([bset.functions.T for bset in solve_restricted_basis_functions(
-            pi, coideal)] for _ in range(2))
+            pi, coideal, cs3_fun.haar)] for _ in range(2))
         _assert_bit_identical(ours, again, (side, pi.label))
         _assert_matches_svd_oracle(ours, pi.coeffs, coact.transpose(1, 0, 2), h,
                                    (side, pi.label))
         for kind in ("ordinary", "twisted"):
             ours, again = ([fam.operators.reshape(pi.dim, b * b).T for fam in
-                            solve_restricted_family(pi, coideal, kind)]
+                            solve_restricted_family(pi, coideal, kind, cs3_fun.haar)]
                            for _ in range(2))
             _assert_bit_identical(ours, again, (side, pi.label, kind))
             _assert_matches_svd_oracle(ours, pi.coeffs, operator_comodule(coact, alg, kind),

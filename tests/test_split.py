@@ -1,10 +1,15 @@
-"""The resuming commutant split gives the recursive peel's tables bit for bit.
+"""The commutant split and the recursive peel give the same irrep table up to the
+choice of representatives.
 
-``corep._split`` resumes each piece at the scan position after the part
-that cut its parent; ``oracles.peel_split`` restarts every piece at the
-first operator.  Every earlier part is scalar on the parent, so both find
-the same cuts and the same eigenvectors, and ``irrep_table`` built on either
-must agree exactly: coefficients, labels and multiplicities.
+``corep._split`` cuts the carrier by one fixed combination of all the
+commutant parts; ``oracles.peel_split`` cuts by one part at a time and
+restarts every piece at the first operator.  The two choose different
+orthonormal bases for the pieces, so the representatives' coefficients
+differ; everything a correct split determines must agree: labels,
+dimensions and multiplicities, characters (to 1e-12), the fusion
+multiplicities of every pair, and an invertible intertwiner from each of
+our representatives to the peel's.  (The test keeps its name from when both
+splits made the same cuts and were compared bit for bit.)
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from conftest import alternating_group_4, dihedral_group
 from oracles import peel_split, tensor_product_algebra
 
 from cqglab import corep
-from cqglab.corep import irrep_table
+from cqglab.cg import solve_cg_systems
+from cqglab.corep import are_equivalent, irrep_table
 from cqglab.groups import (GroupTable, all_permutation_group, build_function_algebra,
                            build_group_algebra, builtin_algebras, symmetric_group_3)
 from cqglab.haar import gram_matrices, solve_haar
@@ -55,10 +61,21 @@ def test_resumed_split_matches_the_peel(label, monkeypatch):
     h = solve_haar(alg)
     gram = gram_matrices(alg, h).gram_right
     table = irrep_table(alg, h, gram)
-    monkeypatch.setattr(corep, "_split", peel_split)
-    peeled = irrep_table(alg, h, gram)
+    with monkeypatch.context() as patch:
+        patch.setattr(corep, "_split", peel_split)
+        peeled = irrep_table(alg, h, gram)
     assert table.labels == peeled.labels
+    assert table.dims() == peeled.dims()
     assert table.multiplicities == peeled.multiplicities
-    assert len(table) == len(peeled)
+    assert np.abs(table.characters - peeled.characters).max() < 1e-12
+    fusion = solve_cg_systems(table, table, table, h)
+    peeled_fusion = solve_cg_systems(peeled, peeled, peeled, h)
+    assert {key: system.multiplicities for key, system in fusion.items()} == {
+        key: system.multiplicities for key, system in peeled_fusion.items()}
     for ours, theirs in zip(table, peeled):
-        assert np.array_equal(ours.coeffs, theirs.coeffs), ours.label
+        phi = are_equivalent(ours, theirs)
+        assert phi is not None, ours.label
+        assert np.linalg.matrix_rank(phi) == ours.dim, ours.label
+        gap = (np.tensordot(phi, ours.coeffs, axes=(1, 0))
+               - np.tensordot(theirs.coeffs, phi, axes=(1, 0)).transpose(0, 2, 1))
+        assert np.abs(gap).max() < 1e-9 * alg.magnitude * np.abs(phi).max(), ours.label

@@ -2,8 +2,10 @@
 
 ``cqglab cg``, ``cqglab wigner-eckart`` and ``cqglab homspace`` evaluate each
 CG-system identity for every target r of a (p, q) pair at once: one weight
-tensor for the triple-product Haar identity, and one inner-product tensor and
-one factorization per (side, kind) over every target, family and source.
+tensor for the triple-product Haar identity, one inner-product tensor per
+(side, kind) over every target, family and source, and one factorization of
+all the (side, kind) tables together, which must write the reports of one
+factorization per table bit for bit.
 They write one report per (p, q) pair (``cg``) or per (side, kind), and
 every check in it must match, to 1e-12, the per-triple library call
 (``cg_block_residual``, ``verify_triple_haar``, ``verify_wigner_eckart``,
@@ -30,11 +32,12 @@ from cqglab.homspace import build_coset_subalgebra, solve_restricted_basis_funct
 from cqglab.regular import canonical_basis_functions
 from cqglab.report import Report
 from cqglab.tensor_ops import multiplication_family
-from cqglab.wigner_eckart import verify_wigner_eckart
+from cqglab.wigner_eckart import _factorize_table, verify_wigner_eckart
 
 from oracles import kronecker_intertwiners, triple_haar_gaps, we_closed_form
 
 TOL = 1e-12
+KINDS = ("ordinary", "twisted")
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +187,7 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
                                      [int(g) for g in subgroup.split(",")], side, ctx.grams)
     named = [(pi.label if len(sols) == 1 else f"{pi.label}#{i}", bset)
              for pi in table
-             for sols in [solve_restricted_basis_functions(pi, coideal)]
+             for sols in [solve_restricted_basis_functions(pi, coideal, ctx.haar)]
              for i, bset in enumerate(sols)]
     want = []
     for kind in ("ordinary", "twisted"):
@@ -200,6 +203,48 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
                       ["--builtin", label, "--subgroup", subgroup, "--side", side])
     assert sum(len(rep.checks) for rep in want) >= 8
     assert_same_reports([rep for rep in got if "wigner-eckart" in rep["title"]], want)
+
+
+def assert_factorized_together_as_alone(tables, systems):
+    """One :func:`_factorize_table` call over every table writes, bit for bit, the
+    report columns of one call per table: the JSON of a report spells each float
+    exactly (signed zeros and NaN included), names, residuals, tolerances and details."""
+    together = _factorize_table(tables, systems, 1e-9)
+    alone = [rep for table in tables for rep in _factorize_table([table], systems, 1e-9)]
+    assert [rep.title for rep in together] == [table[-1] for table in tables]
+    assert [json.dumps(rep.to_dict()) for rep in together] == [
+        json.dumps(rep.to_dict()) for rep in alone]
+
+
+def _all_systems(ctx) -> dict:
+    return {(p, q): ctx.cg(p, q) for p, q in product(ctx.table.labels, repeat=2)}
+
+
+@pytest.mark.parametrize("label", [*_BUILTINS, "C(A4)"])
+def test_tables_on_a_factorized_together_match_alone(contexts, ca4_fun, label):
+    """The four (side, kind) tables of ``cqglab wigner-eckart`` on A."""
+    ctx = ca4_fun if label == "C(A4)" else contexts[label]
+    tables = []
+    for side in ("R", "L"):
+        bsets = [canonical_basis_functions(pi, side, 0) for pi in ctx.table]
+        tables += [(bsets, [multiplication_family(bset, kind) for bset in bsets], bsets,
+                    ctx.grams.gram(side), f"{side},{kind}") for kind in KINDS]
+    assert_factorized_together_as_alone(tables, _all_systems(ctx))
+
+
+@pytest.mark.parametrize("label, subgroup", [("C(Z2)", [0]), ("C(Z3)", [0]), ("C(Z4)", [0, 2]),
+                                             ("C(S3)", [0, 1]), ("C(S3)", [0])])
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_tables_on_b_factorized_together_match_alone(contexts, label, subgroup, side):
+    """The two kinds' tables of ``cqglab homspace`` on a coideal B's carrier."""
+    ctx = contexts[label]
+    coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra, subgroup, side,
+                                     ctx.grams)
+    sets = [bset for pi in ctx.table
+            for bset in solve_restricted_basis_functions(pi, coideal, ctx.haar)]
+    tables = [(sets, [multiplication_family(bset, kind) for bset in sets], sets,
+               np.eye(coideal.dim), kind) for kind in KINDS]
+    assert_factorized_together_as_alone(tables, _all_systems(ctx))
 
 
 def _projector(basis, size: int) -> np.ndarray:

@@ -138,8 +138,8 @@ def test_report_serialization(cs3_fun):
     phis, psis, fam, system = _setup(cs3_fun, "p2", "p2", "p0", "R", "ordinary")
     rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p0"].F,
                                cs3_fun.grams.gram("R"))
-    table = _factorize_table([psis], [fam], [phis], {("p2", "p2"): system},
-                             cs3_fun.grams.gram("R"), 1e-9, "wigner-eckart [R,ordinary]")
+    [table] = _factorize_table([([psis], [fam], [phis], cs3_fun.grams.gram("R"),
+                                 "wigner-eckart [R,ordinary]")], {("p2", "p2"): system}, 1e-9)
     payload = json.loads(json.dumps(table.to_dict()))
     [check] = payload["checks"]
     assert check["name"] == "p2,p2,p0"
