@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import HopfAlgebraSpec, LinearFunctional, _same_spec
 from .errors import (DecompositionStall, DimensionMismatch, NoF, NonIntegerMultiplicity,
                      NotIrreducible, PositivityFailure)
-from .haar import _positivity, solve_haar
+from .haar import _positivity
 from .report import Report
 
 __all__ = [
@@ -163,10 +163,10 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional
     vectors above the relative cut ``RANK_RCOND * max(sigma_max, 1)``
     (:func:`_range_basis`).  The nonzero singular values of ``P`` are at
     least 1, so the cut separates the range from roundoff by orders of
-    magnitude.  Every solution space of the package is one of these:
-    intertwiners, CG blocks, basis functions (``W = A``, from which the
-    tensor-operator families are built), restricted basis functions
-    (``W = B``) and restricted families (``W = End(B)``).  Returns
+    magnitude.  Every solution space of the package but ``Hom(pi, A)``, which
+    Frobenius reciprocity gives in closed form, is one of these: intertwiners,
+    CG blocks, restricted basis functions (``W = B``) and restricted families
+    (``W = End(B)``).  Returns
     ``d_W x d_V`` matrices, orthonormal as vectors and phase-fixed as in
     :func:`_phase_fixed`.  This is the one-source, one-target case of
     :func:`_stacked_intertwiners`.
@@ -224,18 +224,19 @@ def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.abs(lead) / lead)[:, None]
 
 
-def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation) -> list[np.ndarray]:
+def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
+                   h: LinearFunctional) -> list[np.ndarray]:
     """Basis of the intertwiner space ``{Phi : Phi pi_V = pi_W Phi}``.
 
-    Solved by :func:`intertwiners` with the spec's Haar functional, so a spec
-    with no Haar functional raises ``NoHaar``.  Returns a list of
-    ``d_W x d_V`` matrices (orthonormal as vectors).
+    Solved by :func:`intertwiners` with the caller's Haar functional ``h``.
+    Returns a list of ``d_W x d_V`` matrices (orthonormal as vectors).
     """
-    alg = _same_spec(pi_v, pi_w)  # equal specs of separate construction are allowed
-    return intertwiners(pi_v.coeffs, pi_w.coeffs, solve_haar(alg))
+    _same_spec(pi_v, pi_w)  # equal specs of separate construction are allowed
+    return intertwiners(pi_v.coeffs, pi_w.coeffs, h)
 
 
-def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation) -> np.ndarray | None:
+def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation,
+                   h: LinearFunctional) -> np.ndarray | None:
     """An invertible intertwiner if the coreps are equivalent, else ``None``.
 
     Equivalent exactly when ``h((chi_V - chi_W)^* (chi_V - chi_W)) = sum_r (m_r^V -
@@ -244,16 +245,16 @@ def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation) -> np.ndarray
     piece ``B_W`` of ``W`` with a nonzero intertwiner ``T`` (unique up to scale, by
     Schur); a piece with no partner raises ``DecompositionStall``.
     """
-    h = solve_haar(_same_spec(pi_v, pi_w))
+    _same_spec(pi_v, pi_w)
     chi = pi_v.character() - pi_w.character()
     if _integer_counts(_character_grams(chi[None], h)[0])[0, 0]:
         return None
     gram_v = invariant_gram(pi_v, h)
     gram_v = (gram_v + gram_v.conj().T) / 2.0
-    pieces_w = decompose_comodule(pi_w, invariant_gram(pi_w, h))
+    pieces_w = decompose_comodule(pi_w, invariant_gram(pi_w, h), h)
     phi = np.zeros((pi_w.dim, pi_v.dim), dtype=complex)
-    for basis_v, rho_v in decompose_comodule(pi_v, gram_v):
-        homs = [morphism_space(rho_v, rho_w) for _, rho_w in pieces_w]
+    for basis_v, rho_v in decompose_comodule(pi_v, gram_v, h):
+        homs = [morphism_space(rho_v, rho_w, h) for _, rho_w in pieces_w]
         k = next((k for k, hom in enumerate(homs) if hom), None)
         if k is None:
             raise DecompositionStall(f"a piece of {pi_v.label!r} has no partner in {pi_w.label!r}")
@@ -261,8 +262,10 @@ def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation) -> np.ndarray
     return phi
 
 
-def is_irreducible(pi: Corepresentation) -> bool:
-    flag = len(morphism_space(pi, pi)) == 1
+def is_irreducible(pi: Corepresentation, h: LinearFunctional) -> bool:
+    """Whether ``h(chi^* chi) = sum_r m_r^2`` is 1, the character certificate of
+    :func:`irrep_table`; sets the ``irreducible`` flag."""
+    flag = bool(_integer_counts(_character_grams(pi.character()[None], h)[0])[0, 0] == 1)
     pi.irreducible = flag
     return flag
 
@@ -282,13 +285,14 @@ def conjugate_corep(pi: Corepresentation) -> Corepresentation:
 def compute_F(pi: Corepresentation, tol: float = 1e-9) -> np.ndarray:
     """The intertwiner ``F pi = pi'' F`` to the doubly contragredient partner.
 
-    Requires ``pi`` irreducible (the flag, else :func:`is_irreducible`).  A CQG
+    Requires the ``irreducible`` flag that :func:`irrep_table` and
+    :func:`is_irreducible` set, else raises ``NotIrreducible``.  A CQG
     spec has ``S^2 = id``, so ``pi'' = pi`` and by Schur ``F = I``: Hermitian
     positive definite with ``tr F = tr F^{-1}``.  Raises ``NoF`` when
     ``|S^2(pi) - pi|`` exceeds ``tol`` times the spec's magnitude.
     """
-    if not (pi.irreducible or is_irreducible(pi)):
-        raise NotIrreducible(f"corep {pi.label!r} is reducible; F needs an irreducible")
+    if not pi.irreducible:
+        raise NotIrreducible(f"corep {pi.label!r} is not certified irreducible (is_irreducible)")
     residual = float(np.abs(doubly_contragredient(pi).coeffs - pi.coeffs).max())
     if residual > tol * pi.algebra.magnitude:
         raise NoF(f"S^2 moves the matrix coefficients of {pi.label!r} (residual "
@@ -316,8 +320,8 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
     ``p != q`` (two equivalent coreps raise ``ValueError``, read off the
     character Gram).  For ``p = q`` the paper's values ``delta_jn F_mk / tr F``
     and ``delta_jn (F^{-1})_mk / tr(F^{-1})`` are both ``delta_jn delta_mk / d``, as
-    :func:`compute_F` certifies ``F = I``.  Without a ``title`` the report is the
-    table's, each check named ``p vs q: <identity>``.
+    :func:`compute_F` certifies ``F = I``, after :func:`is_irreducible` if unset.
+    Without a ``title`` the report is the table's, each check named ``p vs q: <identity>``.
     """
     alg = h.algebra
     rows = np.concatenate([pi.coeffs.reshape(-1, alg.dim) for pi in coreps])
@@ -335,6 +339,7 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
             names, expected = ("h(pi S(pi')) = 0", "h(S(pi) pi') = 0"), 0.0
         else:
             if pi_p.F is None:
+                is_irreducible(pi_p, h)
                 compute_F(pi_p)
             names = ("h(pi S(pi)) = d_jn F_mk/trF", "h(S(pi) pi) = d_jn Finv_mk/trFinv")
             # delta_jn delta_mk / d at [(j, k), (m, n)]
@@ -385,19 +390,14 @@ def invariant_gram(pi: Corepresentation, h: LinearFunctional) -> np.ndarray:
     return np.einsum("lja,lkb,ab->jk", pi.star_coeffs(), pi.coeffs, H)
 
 
-def unitarize(pi: Corepresentation, gram: np.ndarray | None = None,
-              h: LinearFunctional | None = None) -> tuple[Corepresentation, np.ndarray]:
+def unitarize(pi: Corepresentation, gram: np.ndarray) -> tuple[Corepresentation, np.ndarray]:
     """An equivalent unitary corepresentation plus the change of basis used.
 
-    ``gram`` is the invariant inner product on the carrier; if omitted it is
-    computed by Haar averaging (``h`` required).  The new basis is
-    ``w = v @ T`` with ``T = L^{-H}`` from the Cholesky factor ``gram = L L^H``,
-    and the returned coefficients are ``T^{-1} pi T = T^H gram pi T``.
+    ``gram`` is an invariant inner product on the carrier, such as
+    :func:`invariant_gram`.  The new basis is ``w = v @ T`` with ``T = L^{-H}``
+    from the Cholesky factor ``gram = L L^H``, and the returned coefficients
+    are ``T^{-1} pi T = T^H gram pi T``.
     """
-    if gram is None:
-        if h is None:
-            raise ValueError("unitarize needs either gram or the Haar functional")
-        gram = invariant_gram(pi, h)
     gram = (gram + gram.conj().T) / 2.0
     t_mat = _gram_basis(gram)
     out = _restrict_corep(pi, t_mat, gram, label=f"{pi.label}~u")
@@ -516,18 +516,19 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-
             for piece, size, end in zip(pieces, sizes, ends)]
 
 
-def decompose_comodule(pi: Corepresentation, gram: np.ndarray
+def decompose_comodule(pi: Corepresentation, gram: np.ndarray, h: LinearFunctional
                        ) -> list[tuple[np.ndarray, Corepresentation]]:
     """Split a comodule into irreducible blocks by commutant eigensplitting.
 
-    ``pi`` is the coaction tensor of the comodule (matrix-coefficient form)
-    and ``gram`` an invariant inner product making it unitary.  Returns pairs
+    ``pi`` is the coaction tensor of the comodule (matrix-coefficient form),
+    ``gram`` an invariant inner product making it unitary, and ``h`` solves the
+    commutant by :func:`morphism_space`.  Returns pairs
     ``(subspace basis as (d, d_block) columns in the carrier, irreducible
     block corepresentation in a gram-orthonormal basis)``, sorted by block
     dimension.  Deterministic.  Raises ``PositivityFailure`` when ``gram`` is
     not positive definite.
     """
-    blocks = _split(pi, (gram + gram.conj().T) / 2.0, morphism_space(pi, pi))
+    blocks = _split(pi, (gram + gram.conj().T) / 2.0, morphism_space(pi, pi, h))
     blocks.sort(key=lambda pair: pair[1].dim)
     return blocks
 

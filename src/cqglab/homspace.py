@@ -25,9 +25,8 @@ from .algebra import HopfAlgebraSpec
 from .corep import Corepresentation, _corep_residuals, _gram_basis, _restrict, intertwiners
 from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
-from .haar import GramPair, HaarFunctional, _positivity
-from .regular import (BasisFunctionSet, Carrier, _haar_invariance, canonical_basis_functions,
-                      regular_carrier)
+from .haar import GramPair, HaarFunctional, _haar_invariance, _positivity
+from .regular import BasisFunctionSet, Carrier, canonical_basis_functions, regular_carrier
 from .report import Report
 from .tensor_ops import TensorOperatorFamily, operator_comodule
 

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import HopfAlgebraSpec, LinearFunctional, _legwise_product, build_dual
 from .corep import Corepresentation, IrrepTable
 from .errors import NotUnitary
-from .haar import GramPair
+from .haar import _haar_invariance
 from .report import Report
 
 __all__ = [
@@ -85,17 +85,6 @@ def regular_corep(alg: HopfAlgebraSpec, side: str) -> Corepresentation:
     # pi(a_j) = sum_k a_k (x) pi_kj, so pi_kj has coefficients tensor[j, k, :]
     coeffs = tensor.transpose(1, 0, 2).copy()
     return Corepresentation(alg, coeffs, label=f"regular-{side}[{alg.label}]")
-
-
-def _haar_invariance(coact: np.ndarray, rows: np.ndarray,
-                     h: LinearFunctional) -> tuple[float, float]:
-    """Residuals of ``(h (x) id) coact(e) = h(e) 1`` and ``(id (x) h) coact(e) = h(e) 1``
-    on each basis element ``e`` of a carrier, given by its ``rows`` in the algebra."""
-    h_rows = rows @ h.covector
-    expected = np.einsum("i,t->it", h_rows, h.algebra.unit)
-    left = np.einsum("ikc,k->ic", coact, h_rows)
-    right = np.einsum("ikc,c,kt->it", coact, h.covector, rows)
-    return float(np.abs(left - expected).max()), float(np.abs(right - expected).max())
 
 
 def regular_invariance_report(alg: HopfAlgebraSpec, h: LinearFunctional,
@@ -172,25 +161,22 @@ def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0,
 
 
 def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSet,
-                                 grams: GramPair, tol: float = 1e-10,
+                                 gram: np.ndarray, tol: float = 1e-10,
                                  canonical_rows: tuple[int, int] | None = None) -> Report:
     """Orthogonality of two basis-function sets in their carrier's inner product.
 
-    ``(psi^q_k, phi^p_j)`` vanishes unless the coreps coincide and ``j = k``;
-    the diagonal value is independent of ``j``.  When both sets are canonical
-    with rows ``(s, t)`` the common value ``(F^{-1})_ts / tr(F^{-1})`` is ``delta_ts / d``.
+    ``gram`` is the carrier's Gram matrix: the side's Gram on A, the identity in
+    a coideal's orthonormal basis.  ``(psi^q_k, phi^p_j)`` vanishes unless the
+    coreps coincide and ``j = k``; the diagonal value is independent of ``j``.
+    When both sets are canonical with rows ``(s, t)`` the common value
+    ``(F^{-1})_ts / tr(F^{-1})`` is ``delta_ts / d``.
     """
-    carrier, side = set_a.carrier, set_a.side
-    if set_b.carrier is not carrier:
+    if set_b.carrier is not set_a.carrier:
         raise ValueError("sets live on different carriers")
-    # the side's Gram on A, the identity in a coideal's orthonormal basis
-    on_a = carrier is regular_carrier(carrier.algebra, side)
-    gram = grams.gram(side) if on_a else np.eye(carrier.dim)
-    alg = set_a.algebra
-    t = tol * alg.magnitude
+    t = tol * set_a.algebra.magnitude
     inner = np.einsum("ka,ab,jb->kj", np.conj(set_a.functions), gram, set_b.functions)
     report = Report(
-        f"basis-function orthogonality [{set_a.label} vs {set_b.label} side {side}]",
+        f"basis-function orthogonality [{set_a.label} vs {set_b.label} side {set_a.side}]",
         meta={"tol": tol})
     same = np.array_equal(set_a.corep.coeffs, set_b.corep.coeffs)
     if not same:

@@ -31,9 +31,8 @@ import numpy as np
 
 from .algebra import HopfAlgebraSpec
 from .cg import tensor_product
-from .corep import RANK_RCOND, Corepresentation, _phase_fixed, intertwiners
+from .corep import RANK_RCOND, Corepresentation, _phase_fixed
 from .errors import DecompositionStall
-from .haar import solve_haar
 from .regular import BasisFunctionSet, Carrier, _carrier_of, regular_carrier
 from .report import Report
 
@@ -291,32 +290,32 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
     ``a -> x(a_(1)) a_(2)`` (right side) or ``a -> a_(1) x(a_(2))`` (left
     side), which commute with the coaction.  The pipeline applies ``Q`` to the
     first coaction leg, so a family composed on the right with a comodule map
-    is again a family.  The commutation is certified to ``RANK_RCOND`` times the
-    squared magnitude and the stack's rank ``m n`` against the ``RANK_RCOND`` cut,
-    else ``DecompositionStall``.  Returns one QR factor of the stack:
-    orthonormal as flattened vectors, phase-fixed.
+    is again a family.  ``Hom(pi, A)`` of a corep ``pi`` needs no solve: by
+    Frobenius reciprocity ``Phi -> eps o Phi`` maps it onto the dual of ``pi``'s
+    carrier, so its ``d`` sets are ``phi^c_k = pi_ck`` (right) or ``S^{-1}(pi_ck)``
+    (left).  The commutation is certified to ``RANK_RCOND`` times the squared
+    magnitude and the stack's rank ``d n`` against the ``RANK_RCOND`` cut, else
+    ``DecompositionStall``.  Returns one QR factor of the stack: orthonormal as
+    flattened vectors, phase-fixed.
     """
     _variant_key(kind, side)
     alg = pi.algebra
     n, d = alg.dim, pi.dim
-    coact = regular_carrier(alg, side).coact
-    sets = intertwiners(pi.coeffs, coact.transpose(1, 0, 2), solve_haar(alg))
-    if not sets:
-        return []
-    coords = np.concatenate([phi.T for phi in sets])                  # [(c, k), u]
+    coords = pi.coeffs.reshape(d * d, n)                              # [(c, k), u]
+    if side == "L":
+        coords = coords @ alg.antipode_inv
     mults = _multiplication_operators(coords, alg.mult, kind, side)   # [(c, k), A, t]
     # convs[x, t, s]: C_x sends a_s to sum_t convs[x, t, s] a_t
     convs = alg.comult.transpose(1, 2, 0) if side == "R" else alg.comult.transpose(2, 1, 0)
-    _certify_commutant(convs, coact, RANK_RCOND * alg.magnitude ** 2)
-    m = len(sets)
+    _certify_commutant(convs, regular_carrier(alg, side).coact, RANK_RCOND * alg.magnitude ** 2)
     stack = mults.reshape(-1, n) @ convs.transpose(1, 0, 2).reshape(n, n * n)
-    stack = stack.reshape(m, d * n, n, n).transpose(1, 3, 0, 2).reshape(d * n * n, m * n)
+    stack = stack.reshape(d, d * n, n, n).transpose(1, 3, 0, 2).reshape(d * n * n, d * n)
     basis, tri = np.linalg.qr(stack)                                  # columns [k, A, s]
     sigma = np.linalg.svd(tri, compute_uv=False)
     if sigma[-1] <= RANK_RCOND * max(sigma[0], 1.0):
         raise DecompositionStall(
-            f"the {m * n} families M_phi C_x of {pi.label} have numerical rank below "
-            f"{m * n} (smallest singular value {sigma[-1]:.1e})")
+            f"the {d * n} families M_phi C_x of {pi.label} have numerical rank below "
+            f"{d * n} (smallest singular value {sigma[-1]:.1e})")
     return [TensorOperatorFamily(pi, kind, side, ops.reshape(d, n, n),
                                  label=f"sol{idx}[{pi.label}]")
             for idx, ops in enumerate(_phase_fixed(basis.T))]

@@ -11,6 +11,7 @@ from cqglab.corep import identity_corep, morphism_space
 from cqglab.errors import DimensionMismatch, InvalidSpec
 from cqglab.groups import all_permutation_group, build_function_algebra, \
     build_group_algebra, cyclic_group, symmetric_group_3
+from cqglab.haar import solve_haar
 
 
 def test_axiom_suites_pass_on_all_builtins(algebras):
@@ -197,7 +198,7 @@ def test_dimension_mismatch():
     z2 = build_function_algebra(cyclic_group(2))
     z3 = build_function_algebra(cyclic_group(3))
     with pytest.raises(DimensionMismatch):
-        morphism_space(identity_corep(z2), identity_corep(z3))
+        morphism_space(identity_corep(z2), identity_corep(z3), solve_haar(z2))
     with pytest.raises(DimensionMismatch):
         LinearFunctional(z2, np.zeros(3))
 

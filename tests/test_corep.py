@@ -28,11 +28,11 @@ def classical(cs3_fun):
             for name, mats in s3_irreps().items()}
 
 
-def test_verify_corep_on_classical_irreps(classical):
+def test_verify_corep_on_classical_irreps(cs3_fun, classical):
     for name, pi in classical.items():
         assert verify_corep(pi, 1e-12).passed, name
         assert check_unitary(pi, 1e-12).passed, name
-        assert is_irreducible(pi), name
+        assert is_irreducible(pi, cs3_fun.haar), name
 
 
 def test_group_like_coreps(cs3_grp):
@@ -54,17 +54,18 @@ def test_broken_entry_fails_counit(classical):
     assert not report["counit is identity"].passed
 
 
-def test_morphism_space_dimensions(classical):
+def test_morphism_space_dimensions(cs3_fun, classical):
+    h = cs3_fun.haar
     std = classical["standard"]
-    assert len(morphism_space(std, std)) == 1
-    assert len(morphism_space(classical["trivial"], classical["sign"])) == 0
+    assert len(morphism_space(std, std, h)) == 1
+    assert len(morphism_space(classical["trivial"], classical["sign"], h)) == 0
     alg = std.algebra
     # trivial (+) trivial carries the full 2x2 commutant
     coeffs = np.zeros((2, 2, alg.dim), dtype=complex)
     coeffs[0, 0] = alg.unit
     coeffs[1, 1] = alg.unit
     double = Corepresentation(alg, coeffs, label="triv+triv")
-    assert len(morphism_space(double, double)) == 4
+    assert len(morphism_space(double, double, h)) == 4
 
 
 def test_doubly_contragredient_and_conjugate(classical, cs3_grp):
@@ -87,22 +88,27 @@ def test_doubly_contragredient_and_conjugate(classical, cs3_grp):
         assert np.abs(again.coeffs - pi.coeffs).max() < 1e-12
 
 
-def test_compute_f_classical_identity(classical):
+def test_compute_f_classical_identity(cs3_fun, classical):
     for name, pi in classical.items():
+        assert is_irreducible(pi, cs3_fun.haar), name
         f = compute_F(pi)
         assert np.abs(f - np.eye(pi.dim)).max() < 1e-9, name
 
 
-def test_compute_f_rejects_reducible(classical):
+def test_compute_f_rejects_reducible(cs3_fun, classical):
     alg = classical["trivial"].algebra
     coeffs = np.zeros((2, 2, alg.dim), dtype=complex)
     coeffs[0, 0] = alg.unit
     coeffs[1, 1] = alg.unit
+    red = Corepresentation(alg, coeffs, label="red")
     with pytest.raises(NotIrreducible):
-        compute_F(Corepresentation(alg, coeffs, label="red"))
+        compute_F(red)  # not certified
+    assert not is_irreducible(red, cs3_fun.haar)
+    with pytest.raises(NotIrreducible):
+        compute_F(red)  # certified reducible
 
 
-def test_f_covariance_under_conjugation(classical):
+def test_f_covariance_under_conjugation(cs3_fun, classical):
     """Conjugating the corep by an invertible matrix conjugates F accordingly."""
     std = classical["standard"]
     t_mat = np.array([[2.0, 1.0], [0.0, 1.0]])
@@ -110,6 +116,7 @@ def test_f_covariance_under_conjugation(classical):
     coeffs = np.einsum("ka,abm,bj->kjm", t_inv, std.coeffs, t_mat)
     moved = Corepresentation(std.algebra, coeffs, label="moved")
     assert verify_corep(moved).passed
+    assert is_irreducible(moved, cs3_fun.haar) and is_irreducible(std, cs3_fun.haar)
     f_moved = compute_F(moved)
     # the defining equation transports F to T^{-1} F T (proportionally)
     expected = t_inv @ compute_F(std) @ t_mat
@@ -121,6 +128,7 @@ def test_schur_orthogonality_against_brute_force(cs3_fun, classical):
     h = cs3_fun.haar
     mats = s3_irreps()
     for name, pi in classical.items():
+        is_irreducible(pi, h)
         compute_F(pi)
         report = verify_orthogonality(pi, pi, h, 1e-10)
         assert report.passed, report.summary()
@@ -150,6 +158,7 @@ def test_orthogonality_invariant_under_f_rescaling(cs3_fun, classical):
     """All downstream formulas use F/tr F, so rescaling F changes nothing."""
     h = cs3_fun.haar
     std = classical["standard"]
+    is_irreducible(std, h)
     compute_F(std)
     base = verify_orthogonality(std, std, h, 1e-10)
     std.F = 3.7 * std.F
@@ -174,11 +183,12 @@ def test_unitarize_recovers_unitarity(cs3_fun, classical):
     skew = Corepresentation(std.algebra, coeffs, label="skew")
     assert verify_corep(skew).passed
     assert not check_unitary(skew)["columns orthonormal"].passed
-    fixed, change = unitarize(skew, h=cs3_fun.haar)
+    h = cs3_fun.haar
+    fixed, change = unitarize(skew, invariant_gram(skew, h))
     assert check_unitary(fixed, 1e-10).passed
-    assert are_equivalent(skew, fixed) is not None
+    assert are_equivalent(skew, fixed, h) is not None
     # already-unitary input: change of basis is the identity up to phase
-    already, change2 = unitarize(std, h=cs3_fun.haar)
+    already, change2 = unitarize(std, invariant_gram(std, h))
     ratio = change2 / change2[0, 0]
     assert np.abs(ratio - np.eye(2)).max() < 1e-9
 
@@ -209,9 +219,9 @@ def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
     """Hom(V, W) has no invertible basis element here, so the witness must combine
     pieces: it has full rank and intertwines."""
     for pi_v, pi_w in _s3_equivalent_pairs(cs3_fun.table):
-        basis = morphism_space(pi_v, pi_w)
+        basis = morphism_space(pi_v, pi_w, cs3_fun.haar)
         assert all(np.linalg.matrix_rank(phi, tol=1e-9) < pi_v.dim for phi in basis)
-        phi = are_equivalent(pi_v, pi_w)
+        phi = are_equivalent(pi_v, pi_w, cs3_fun.haar)
         assert np.linalg.matrix_rank(phi, tol=1e-9) == pi_v.dim, pi_w.label
         gap = (np.einsum("ab,bcm->acm", phi, pi_v.coeffs)
                - np.einsum("abm,bc->acm", pi_w.coeffs, phi))
@@ -220,17 +230,18 @@ def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
 
 def test_equal_dimensions_with_unequal_characters_are_inequivalent(cs3_fun):
     p0, p1, _ = cs3_fun.table.irreps
-    assert are_equivalent(_direct_sum(p0, p0), _direct_sum(p0, p1)) is None
+    assert are_equivalent(_direct_sum(p0, p0), _direct_sum(p0, p1), cs3_fun.haar) is None
 
 
 def test_equivalence_piece_without_partner_raises(cs3_fun, monkeypatch):
     """Equal characters, but an intertwiner solve between pieces that finds nothing,
     raise ``DecompositionStall`` rather than return a singular witness."""
     solve = corep.morphism_space
-    monkeypatch.setattr(corep, "morphism_space", lambda v, w: solve(v, w) if v is w else [])
+    monkeypatch.setattr(corep, "morphism_space",
+                        lambda v, w, h: solve(v, w, h) if v is w else [])
     pi_v, pi_w = _s3_equivalent_pairs(cs3_fun.table)[0]
     with pytest.raises(DecompositionStall):
-        are_equivalent(pi_v, pi_w)
+        are_equivalent(pi_v, pi_w, cs3_fun.haar)
 
 
 def test_invariant_gram_is_identity_for_unitary(cs3_fun, classical):
@@ -268,23 +279,35 @@ def test_decomposition_blocks_pass_everything(contexts):
         total = 0
         for pi, mult in zip(ctx.table.irreps, ctx.table.multiplicities):
             assert pi.verified and pi.unitary
-            assert is_irreducible(pi)
+            assert is_irreducible(pi, ctx.haar)
             total += pi.dim * mult
         assert total == ctx.algebra.dim  # matrix coefficients span the algebra
+
+
+def test_character_certificate_matches_the_commutant(contexts):
+    """``is_irreducible`` reads ``h(chi^* chi) = 1``; the oracle is ``dim End(pi) = 1``,
+    for every table irrep and for reducible direct sums."""
+    for label, ctx in contexts.items():
+        table, h = ctx.table, ctx.haar
+        coreps = [*table, _direct_sum(table[0], table[-1]), _direct_sum(table[-1], table[-1])]
+        for pi in coreps:
+            assert is_irreducible(pi, h) == (len(morphism_space(pi, pi, h)) == 1), (
+                label, pi.label)
+        assert [pi.irreducible for pi in coreps] == [True] * len(table) + [False, False]
 
 
 def test_decompose_already_irreducible(cs3_fun, classical):
     std = classical["standard"]
     gram = invariant_gram(std, cs3_fun.haar)
-    blocks = decompose_comodule(std, gram)
+    blocks = decompose_comodule(std, gram, cs3_fun.haar)
     assert len(blocks) == 1
     assert blocks[0][1].dim == 2
 
 
 def test_decomposition_deterministic(cs3_fun):
     reg = regular_corep(cs3_fun.algebra, "R")
-    one = decompose_comodule(reg, cs3_fun.grams.gram_right)
-    two = decompose_comodule(reg, cs3_fun.grams.gram_right)
+    one = decompose_comodule(reg, cs3_fun.grams.gram_right, cs3_fun.haar)
+    two = decompose_comodule(reg, cs3_fun.grams.gram_right, cs3_fun.haar)
     for (b1, c1), (b2, c2) in zip(one, two):
         assert np.abs(b1 - b2).max() < 1e-14
         assert np.abs(c1.coeffs - c2.coeffs).max() < 1e-14
@@ -295,7 +318,7 @@ def test_decomposition_deterministic(cs3_fun):
 def test_decompose_rejects_non_positive_gram(cs3_fun, gram):
     """A Gram matrix that is not positive definite is refused, not left to Cholesky."""
     with pytest.raises(PositivityFailure, match="not positive definite"):
-        decompose_comodule(regular_corep(cs3_fun.algebra, "R"), gram)
+        decompose_comodule(regular_corep(cs3_fun.algebra, "R"), gram, cs3_fun.haar)
 
 
 def test_non_invariant_eigenspace_raises_stall(cs3_fun):
@@ -409,7 +432,7 @@ def test_table_canonical_matches_classical(cs3_fun, classical):
     matched = set()
     for pi in cs3_fun.table:
         hits = [name for name, cl in classical.items()
-                if pi.dim == cl.dim and are_equivalent(pi, cl) is not None]
+                if pi.dim == cl.dim and are_equivalent(pi, cl, cs3_fun.haar) is not None]
         assert len(hits) == 1
         matched.add(hits[0])
     assert matched == {"trivial", "sign", "standard"}

@@ -80,7 +80,7 @@ def test_basis_function_orthogonality_values(cs3_fun):
             for t_row in range(2):
                 psis = canonical_basis_functions(std, side, s_row)
                 phis = canonical_basis_functions(std, side, t_row)
-                rep = basis_function_orthogonality(psis, phis, grams, 1e-10,
+                rep = basis_function_orthogonality(psis, phis, grams.gram(side), 1e-10,
                                                    canonical_rows=(s_row, t_row))
                 assert rep.passed, rep.summary()
                 if s_row == t_row:
@@ -93,7 +93,7 @@ def test_cross_irrep_basis_functions_orthogonal(cs3_fun):
     for side in ("R", "L"):
         triv = canonical_basis_functions(cs3_fun.table["p0"], side, 0)
         sign = canonical_basis_functions(cs3_fun.table["p1"], side, 0)
-        rep = basis_function_orthogonality(triv, sign, grams, 1e-10)
+        rep = basis_function_orthogonality(triv, sign, grams.gram(side), 1e-10)
         assert rep.passed
 
 
@@ -106,7 +106,7 @@ def test_group_like_inner_products(cs3_grp):
                 continue
             a = canonical_basis_functions(p, "R", 0)
             b = canonical_basis_functions(q, "R", 0)
-            rep = basis_function_orthogonality(a, b, grams, 1e-12)
+            rep = basis_function_orthogonality(a, b, grams.gram("R"), 1e-12)
             assert rep.passed
 
 

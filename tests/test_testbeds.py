@@ -16,8 +16,8 @@ from conftest import alternating_elements, permutation_group
 from oracles import hook_length_degrees, tensor_product_algebra
 
 from cqglab.algebra import verify_hopf_axioms, verify_star_axioms
-from cqglab.corep import (check_unitary, decompose_comodule, irrep_table, is_irreducible,
-                          verify_corep)
+from cqglab.corep import (Corepresentation, check_unitary, decompose_comodule, irrep_table,
+                          is_irreducible, morphism_space, verify_corep)
 from cqglab.groups import (all_permutation_group, build_function_algebra,
                            build_group_algebra, symmetric_group_3)
 from cqglab.haar import certify_haar, gram_matrices, solve_haar
@@ -78,11 +78,24 @@ def test_characters_are_orthonormal(bed):
 
 
 def test_every_irrep_is_a_unitary_irreducible_corep(bed):
-    _, _, _, table = bed
+    _, _, h, table = bed
     for pi in table:
         assert verify_corep(pi, 1e-10).passed, pi.label
         assert check_unitary(pi, 1e-10).passed, pi.label
-        assert is_irreducible(pi), pi.label
+        assert is_irreducible(pi, h), pi.label
+
+
+def test_character_certificate_matches_the_commutant(bed):
+    """``is_irreducible`` (``h(chi^* chi) = 1``) agrees with ``dim End(pi) = 1`` on the
+    table irreps and on a reducible direct sum of the first and last."""
+    _, _, h, table = bed
+    first, last = table[0], table[-1]
+    coeffs = np.zeros((first.dim + last.dim,) * 2 + (first.algebra.dim,), dtype=complex)
+    coeffs[:first.dim, :first.dim], coeffs[first.dim:, first.dim:] = first.coeffs, last.coeffs
+    summed = Corepresentation(first.algebra, coeffs, label="first+last")
+    for pi in [*table, summed]:
+        assert is_irreducible(pi, h) == (len(morphism_space(pi, pi, h)) == 1), pi.label
+    assert not summed.irreducible
 
 
 @pytest.mark.parametrize("label", ["C(S4)", "C[S4]"])
@@ -91,7 +104,7 @@ def test_regular_comodule_decomposes_by_peter_weyl(label):
     N = n^2 = 576 unknowns; every irreducible of dimension d splits off d times."""
     alg, dims = BEDS[label]
     h = solve_haar(alg)
-    blocks = decompose_comodule(regular_corep(alg, "R"), gram_matrices(alg, h).gram_right)
+    blocks = decompose_comodule(regular_corep(alg, "R"), gram_matrices(alg, h).gram_right, h)
     assert [sub.dim for _, sub in blocks] == sorted(d for d in dims for _ in range(d))
     assert all(verify_corep(sub, 1e-10).passed for _, sub in blocks)
 
