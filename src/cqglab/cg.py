@@ -23,9 +23,10 @@ from itertools import product
 import numpy as np
 
 from .algebra import HopfAlgebraSpec, LinearFunctional
-from .corep import (Corepresentation, IrrepTable, _character_grams, _dim_classes,
-                    _integer_counts, _stacked_intertwiners)
-from .errors import LinearDependenceWarning, MultiplicityMismatch, SingularC
+from .corep import (Corepresentation, IrrepTable, _block_diagonal, _block_diagonalize,
+                    _block_residuals, _character_grams, _characters, _dim_classes,
+                    _integer_counts)
+from .errors import LinearDependenceWarning
 from .regular import BasisFunctionSet
 from .report import Report
 
@@ -137,12 +138,6 @@ def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional) ->
     return report
 
 
-def _characters(table: IrrepTable) -> tuple[np.ndarray, np.ndarray]:
-    """The table's characters ``chi_r`` and their stars ``chi_r^*``, as rows ``[r, m]``."""
-    chars = table.characters
-    return chars, np.conj(chars) @ table.algebra.star
-
-
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan systems
 # ---------------------------------------------------------------------------
@@ -204,15 +199,10 @@ class CGSystem:
 
 def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
              h: LinearFunctional) -> CGSystem:
-    """Assemble the full CG matrix for ``pi_p (x) pi_q`` against a table.
-
-    The one-pair call of :func:`solve_cg_systems`: for each table irreducible
-    ``r`` with nonzero fusion multiplicity the blocks are the basis of
-    ``Hom(pi^r, pi_p (x) pi_q)`` that :func:`cqglab.corep.intertwiners`
-    returns for ``h``; they are stacked into a square ``C`` whose inverse
-    block-diagonalizes the product corepresentation.  Raises
-    ``MultiplicityMismatch`` when a solution-space dimension disagrees with
-    the character count and ``SingularC`` when ``C`` is not invertible.
+    """The CG system of ``pi_p (x) pi_q`` against a table: the one-pair call of
+    :func:`solve_cg_systems`.  Raises ``MultiplicityMismatch`` when a solution-space
+    dimension disagrees with the character count and ``SingularC`` when ``C`` is
+    not invertible, as :func:`cqglab.corep._block_diagonalize` does.
     """
     return solve_cg_systems([pi_p], [pi_q], table, h)[pi_p.label, pi_q.label]
 
@@ -223,18 +213,14 @@ def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional
 
     ``ps`` and ``qs`` are corepresentations (an :class:`IrrepTable` will do);
     the result is keyed ``(p.label, q.label)`` in ``ps``-major order.  The
-    tensor products of one ``(d_p, d_q)`` class come from one contraction and
-    the character counts of all pairs from another.  All
-    ``Hom(pi^r, pi^p (x) pi^q)`` of one ``(d_p d_q, d_r)`` class are found by
-    one :func:`cqglab.corep._stacked_intertwiners` call, i.e. one batched
-    SVD; the ``C`` matrices of one size are checked for conditioning by one
-    batched SVD, inverted by one batched call and certified block diagonal by
-    one batched residual.  Raises as :func:`solve_cg` does, on the first
-    failing pair.
+    tensor products of one ``(d_p, d_q)`` class come from one contraction, and
+    the products of one size are cut by one
+    :func:`cqglab.corep._block_diagonalize` call: one batched SVD per
+    ``(d_p d_q, d_r)`` class for every ``Hom(pi^r, pi^p (x) pi^q)``, then one
+    batched SVD, inverse and block residual for the ``C`` matrices.  Raises as
+    :func:`solve_cg` does, on the first failing pair.
     """
     ps, qs = list(ps), list(qs)
-    if not ps or not qs:
-        return {}
     alg = table.algebra
     n = alg.dim
     # product coefficients [w, (s, t), (j, k), m], one contraction per (d_p, d_q) class
@@ -247,59 +233,12 @@ def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional
             pairs.extend(product(ip, iq))
             stacks.append(_tensor_products(p_coeffs, q_coeffs, alg, "ordinary").reshape(
                 -1, size, size, n))
-    bigs = {size: stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-            for size, (_, stacks) in groups.items()}
-    # h(chi_big chi_r^*) for every pair and target
-    _, conj_chars = _characters(table)
-    chis = np.concatenate([big.trace(axis1=1, axis2=2) for big in bigs.values()])
-    counts = _integer_counts(chis @ ((alg.mult @ h.covector) @ conj_chars.T)).tolist()
     solved: dict[tuple[int, int], CGSystem] = {}
-    row = 0
-    for size, (pairs, _) in groups.items():
-        found: list = [None] * len(table)   # found[r][w]: basis of Hom(pi^r, big_w)
-        for idx, coeffs in table.dim_classes.values():
-            stacked = _stacked_intertwiners(coeffs, bigs[size], h)
-            for pos, r in enumerate(idx):
-                found[r] = [bases[pos] for bases in stacked]
-        mats, heads = [], []
-        for w, (i, k) in enumerate(pairs):
-            pi_p, pi_q = ps[i], qs[k]
-            blocks: list[np.ndarray] = []
-            col_index: list[tuple[str, int, int]] = []
-            mults: dict[str, int] = {}
-            for r, (label, expected) in enumerate(zip(table.labels, counts[row + w])):
-                basis = found[r][w]
-                if len(basis) != expected:
-                    raise MultiplicityMismatch(
-                        f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "
-                        f"dimension {len(basis)}, characters give {expected}")
-                if expected:
-                    mults[label] = expected
-                    blocks.extend(basis)
-                    col_index.extend((label, alpha, ell) for alpha in range(expected)
-                                     for ell in range(table[r].dim))
-            if len(col_index) != size:
-                raise MultiplicityMismatch(
-                    f"fusion of {pi_p.label} (x) {pi_q.label} fills {len(col_index)} of "
-                    f"{size} columns")
-            mats.append(np.hstack(blocks))
-            heads.append((pi_p, pi_q, mults, col_index))
-        row += len(pairs)
-        c_mats = np.stack(mats)
-        sigma = np.linalg.svd(c_mats, compute_uv=False)
-        if (sigma[:, -1] <= 1e-10 * sigma[:, 0]).any():
-            raise SingularC("assembled CG matrix is numerically singular")
-        c_invs = np.linalg.inv(c_mats)
-        expected = np.stack([_block_diagonal(mults, table) for _, _, mults, _ in heads])
-        res = _block_residuals(c_mats, c_invs, bigs[size], expected)
-        if (res > 1e-9 * alg.magnitude).any():
-            raise MultiplicityMismatch(
-                f"CG block-diagonalization residual {res.max():.2e} exceeds tolerance")
-        solved.update(zip(pairs, (
-            CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim, c_mat, c_inv, mults, col_index,
-                     block_residual)
-            for (pi_p, pi_q, mults, col_index), c_mat, c_inv, block_residual
-            in zip(heads, c_mats, c_invs, res.tolist()))))
+    for pairs, stacks in groups.values():
+        big = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        names = [f"{ps[i].label} (x) {qs[k].label}" for i, k in pairs]
+        for (i, k), reduced in zip(pairs, _block_diagonalize(big, names, table, h)):
+            solved[i, k] = CGSystem(ps[i].label, qs[k].label, ps[i].dim, qs[k].dim, *reduced)
     return {(ps[i].label, qs[k].label): solved[i, k]
             for i, k in product(range(len(ps)), range(len(qs)))}
 
@@ -310,27 +249,6 @@ def cg_block_residual(system: CGSystem, pi_p: Corepresentation,
     big = tensor_product(pi_p, pi_q, "ordinary").coeffs
     return float(_block_residuals(system.C[None], system.Cinv[None], big[None],
                                   _block_diagonal(system.multiplicities, table)[None])[0])
-
-
-def _block_diagonal(multiplicities: dict[str, int], table: IrrepTable) -> np.ndarray:
-    """``sum_r (+) n^r pi^r`` as coefficients ``[c, c', m]``, targets in the order given."""
-    blocks = [table[label].coeffs for label, mult in multiplicities.items()
-              for _ in range(mult)]
-    size = sum(len(block) for block in blocks)
-    out = np.zeros((size, size, table.algebra.dim), dtype=complex)
-    start = 0
-    for block in blocks:
-        out[start:start + len(block), start:start + len(block)] = block
-        start += len(block)
-    return out
-
-
-def _block_residuals(c_mats: np.ndarray, c_invs: np.ndarray, bigs: np.ndarray,
-                     expected: np.ndarray) -> np.ndarray:
-    """``max |C_w^{-1} big_w C_w - expected_w|`` for stacks of one size; ``bigs[w]`` and
-    ``expected[w]`` are coefficient tensors ``[c, c', m]``."""
-    conjugated = c_invs[:, None] @ bigs.transpose(0, 3, 1, 2) @ c_mats[:, None]
-    return np.abs(conjugated - expected.transpose(0, 3, 1, 2)).max(axis=(1, 2, 3))
 
 
 def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]

@@ -27,8 +27,8 @@ from itertools import islice
 import numpy as np
 
 from .algebra import HopfAlgebraSpec, LinearFunctional, _same_spec
-from .errors import (DecompositionStall, DimensionMismatch, NoF, NonIntegerMultiplicity,
-                     NotIrreducible, PositivityFailure)
+from .errors import (DecompositionStall, DimensionMismatch, MultiplicityMismatch, NoF,
+                     NonIntegerMultiplicity, NotIrreducible, PositivityFailure, SingularC)
 from .haar import _positivity
 from .report import Report
 
@@ -224,6 +224,82 @@ def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.abs(lead) / lead)[:, None]
 
 
+def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable,
+                       h: LinearFunctional) -> list[tuple]:
+    """Cut every comodule of a stack of one size into copies of the table's irreps.
+
+    ``bigs[w]`` is the coaction tensor ``[c, c', m]`` of a comodule ``V_w``,
+    named ``names[w]`` in errors.  The paper's projection ``P^r`` onto the
+    isotypic part of ``r``, read through ``T -> T e_1``, is ``Hom(pi^r, V_w)``,
+    whose dimension must be the character count ``h(chi_w chi_r^*)``.  One
+    :func:`_stacked_intertwiners` call per table dimension class solves them;
+    their bases, in table order, are the columns ``(r, alpha, l)`` of ``C_w``,
+    so ``C_w^{-1} V_w C_w = sum_r (+) n^r pi^r``.  The ``C_w`` get one batched
+    SVD for their conditioning, one batched inverse and one batched
+    block-diagonalization residual.  Returns ``(C, C^{-1}, multiplicities,
+    col_index, residual)`` per comodule.  Raises ``MultiplicityMismatch`` when a
+    space disagrees with its count, the spaces do not fill ``C`` or the residual
+    exceeds ``1e-9`` times the magnitude, and ``SingularC`` for a singular ``C``.
+    """
+    alg = table.algebra
+    _, conj_chars = _characters(table)
+    counts = _integer_counts(bigs.trace(axis1=1, axis2=2)
+                             @ ((alg.mult @ h.covector) @ conj_chars.T)).tolist()
+    spaces = [[None] * len(table) for _ in names]   # spaces[w][r]: basis of Hom(pi^r, V_w)
+    for idx, coeffs in table.dim_classes.values():
+        for w, bases in enumerate(_stacked_intertwiners(coeffs, bigs, h)):
+            for r, basis in zip(idx, bases):
+                spaces[w][r] = basis
+    mats, heads, dims = [], [], table.dims()
+    for name, bases, row in zip(names, spaces, counts):
+        for label, basis, count in zip(table.labels, bases, row):
+            if len(basis) != count:
+                raise MultiplicityMismatch(f"{name} -> {label}: intertwiner space has "
+                                           f"dimension {len(basis)}, characters give {count}")
+        col_index = [(label, alpha, ell) for label, dim, count in zip(table.labels, dims, row)
+                     for alpha in range(count) for ell in range(dim)]
+        if len(col_index) != bigs.shape[1]:
+            raise MultiplicityMismatch(f"the table's irreps fill {len(col_index)} of the "
+                                       f"{bigs.shape[1]} columns of {name}")
+        mats.append(np.hstack([block for basis in bases for block in basis]))
+        heads.append(({label: count for label, count in zip(table.labels, row) if count},
+                      col_index))
+    c_mats = np.stack(mats)
+    sigma = np.linalg.svd(c_mats, compute_uv=False)
+    singular = sigma[:, -1] <= 1e-10 * sigma[:, 0]
+    if singular.any():
+        raise SingularC(f"the assembled C of {names[singular.argmax()]} is numerically singular")
+    c_invs = np.linalg.inv(c_mats)
+    res = _block_residuals(c_mats, c_invs, bigs,
+                           np.stack([_block_diagonal(mults, table) for mults, _ in heads]))
+    if (res > 1e-9 * alg.magnitude).any():
+        raise MultiplicityMismatch(f"block-diagonalization residual {res.max():.2e} of "
+                                   f"{names[res.argmax()]} exceeds tolerance")
+    return [(c_mat, c_inv, mults, col_index, residual) for (mults, col_index), c_mat, c_inv,
+            residual in zip(heads, c_mats, c_invs, res.tolist())]
+
+
+def _block_diagonal(multiplicities: dict[str, int], table: IrrepTable) -> np.ndarray:
+    """``sum_r (+) n^r pi^r`` as coefficients ``[c, c', m]``, targets in the order given."""
+    blocks = [table[label].coeffs for label, mult in multiplicities.items()
+              for _ in range(mult)]
+    size = sum(len(block) for block in blocks)
+    out = np.zeros((size, size, table.algebra.dim), dtype=complex)
+    start = 0
+    for block in blocks:
+        out[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+    return out
+
+
+def _block_residuals(c_mats: np.ndarray, c_invs: np.ndarray, bigs: np.ndarray,
+                     expected: np.ndarray) -> np.ndarray:
+    """``max |C_w^{-1} big_w C_w - expected_w|`` for stacks of one size; ``bigs[w]`` and
+    ``expected[w]`` are coefficient tensors ``[c, c', m]``."""
+    conjugated = c_invs[:, None] @ bigs.transpose(0, 3, 1, 2) @ c_mats[:, None]
+    return np.abs(conjugated - expected.transpose(0, 3, 1, 2)).max(axis=(1, 2, 3))
+
+
 def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
                    h: LinearFunctional) -> list[np.ndarray]:
     """Basis of the intertwiner space ``{Phi : Phi pi_V = pi_W Phi}``.
@@ -235,31 +311,23 @@ def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
     return intertwiners(pi_v.coeffs, pi_w.coeffs, h)
 
 
-def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation,
+def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation, table: IrrepTable,
                    h: LinearFunctional) -> np.ndarray | None:
     """An invertible intertwiner if the coreps are equivalent, else ``None``.
 
     Equivalent exactly when ``h((chi_V - chi_W)^* (chi_V - chi_W)) = sum_r (m_r^V -
-    m_r^W)^2`` is 0.  The witness is ``Phi = sum B_W T B_V^H G_V`` over the
-    :func:`decompose_comodule` pieces ``B_V`` of ``V``, each paired with an unused
-    piece ``B_W`` of ``W`` with a nonzero intertwiner ``T`` (unique up to scale, by
-    Schur); a piece with no partner raises ``DecompositionStall``.
+    m_r^W)^2`` is 0.  Then :func:`_block_diagonalize` cuts both into the same table
+    irreps in the same order, ``C_V^{-1} pi_V C_V = C_W^{-1} pi_W C_W``, and the
+    witness ``Phi = C_W C_V^{-1}`` has ``Phi pi_V = pi_W Phi``.
     """
     _same_spec(pi_v, pi_w)
+    _same_spec(pi_v, table)
     chi = pi_v.character() - pi_w.character()
     if _integer_counts(_character_grams(chi[None], h)[0])[0, 0]:
         return None
-    gram_v = invariant_gram(pi_v, h)
-    gram_v = (gram_v + gram_v.conj().T) / 2.0
-    pieces_w = decompose_comodule(pi_w, invariant_gram(pi_w, h), h)
-    phi = np.zeros((pi_w.dim, pi_v.dim), dtype=complex)
-    for basis_v, rho_v in decompose_comodule(pi_v, gram_v, h):
-        homs = [morphism_space(rho_v, rho_w, h) for _, rho_w in pieces_w]
-        k = next((k for k, hom in enumerate(homs) if hom), None)
-        if k is None:
-            raise DecompositionStall(f"a piece of {pi_v.label!r} has no partner in {pi_w.label!r}")
-        phi += pieces_w.pop(k)[0] @ homs[k][0] @ basis_v.conj().T @ gram_v
-    return phi
+    (_, c_v_inv, *_), (c_w, *_) = _block_diagonalize(
+        np.stack([pi_v.coeffs, pi_w.coeffs]), [pi_v.label, pi_w.label], table, h)
+    return c_w @ c_v_inv
 
 
 def is_irreducible(pi: Corepresentation, h: LinearFunctional) -> bool:
@@ -374,6 +442,12 @@ def _character_grams(chars: np.ndarray, h: LinearFunctional) -> tuple[np.ndarray
     haar_pair = h.algebra.mult @ h.covector  # [a, b] = h(a_a a_b)
     stars = np.conj(chars) @ h.algebra.star
     return stars @ haar_pair @ chars.T, stars @ haar_pair.T @ chars.T
+
+
+def _characters(table: IrrepTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's characters ``chi_r`` and their stars ``chi_r^*``, as rows ``[r, m]``."""
+    chars = table.characters
+    return chars, np.conj(chars) @ table.algebra.star
 
 
 # ---------------------------------------------------------------------------
@@ -516,21 +590,16 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-
             for piece, size, end in zip(pieces, sizes, ends)]
 
 
-def decompose_comodule(pi: Corepresentation, gram: np.ndarray, h: LinearFunctional
+def decompose_comodule(pi: Corepresentation, table: IrrepTable, h: LinearFunctional
                        ) -> list[tuple[np.ndarray, Corepresentation]]:
-    """Split a comodule into irreducible blocks by commutant eigensplitting.
-
-    ``pi`` is the coaction tensor of the comodule (matrix-coefficient form),
-    ``gram`` an invariant inner product making it unitary, and ``h`` solves the
-    commutant by :func:`morphism_space`.  Returns pairs
-    ``(subspace basis as (d, d_block) columns in the carrier, irreducible
-    block corepresentation in a gram-orthonormal basis)``, sorted by block
-    dimension.  Deterministic.  Raises ``PositivityFailure`` when ``gram`` is
-    not positive definite.
-    """
-    blocks = _split(pi, (gram + gram.conj().T) / 2.0, morphism_space(pi, pi, h))
-    blocks.sort(key=lambda pair: pair[1].dim)
-    return blocks
+    """Cut a comodule, unitary or not, into copies of the table's irreps: the
+    one-comodule call of :func:`_block_diagonalize`.  Returns ``(basis, rho)`` per
+    piece in table order: ``basis`` is the piece's ``(d, d_r)`` columns of ``C``,
+    so ``pi basis = basis rho`` entrywise, and ``rho`` is the table's own irrep."""
+    _same_spec(pi, table)
+    c_mat, _, mults, _, _ = _block_diagonalize(pi.coeffs[None], [pi.label], table, h)[0]
+    reps = [table[label] for label, mult in mults.items() for _ in range(mult)]
+    return list(zip(np.split(c_mat, np.cumsum([rho.dim for rho in reps])[:-1], axis=1), reps))
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +702,11 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
     its eigenvalues collide.  The pieces' coefficients are the diagonal blocks
     of the split's one conjugation of the regular corep into the pieces'
     basis, whose other blocks certify the pieces invariant.  Every class,
-    multiplicity and irreducibility verdict is read off the
-    pieces' character Gram ``h(chi_p^* chi_q) = sum_r m_r^p m_r^q``, as in
-    :func:`are_equivalent`: each diagonal entry must be 1 (the piece is
-    irreducible, ``DecompositionStall`` otherwise), a piece's class is the
-    first piece it overlaps, and that first piece is the representative.
+    multiplicity and irreducibility verdict is read off the pieces' character
+    Gram ``h(chi_p^* chi_q) = sum_r m_r^p m_r^q``: each diagonal entry must be
+    1, the certificate of :func:`is_irreducible` (``DecompositionStall``
+    otherwise), a piece's class is the first piece it overlaps, and that first
+    piece is the representative.
     Deterministic: ``seed`` is accepted and unused.
     """
     from .regular import regular_corep

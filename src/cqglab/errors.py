@@ -40,6 +40,10 @@ class NoF(CqglabError):
     the spec is not a CQG algebra."""
 
 
+class NotACorepresentation(CqglabError):
+    """An operation requiring a corepresentation got one that fails the comodule axioms."""
+
+
 class NotUnitary(CqglabError):
     """An operation requiring a unitary corepresentation got a non-unitary one."""
 
@@ -49,8 +53,8 @@ class NotIrreducible(CqglabError):
 
 
 class DecompositionStall(CqglabError):
-    """A commutant element or eigenspace failed its invariance check, classes went
-    missing, or a stack of tensor-operator families lost rank."""
+    """The irrep table's split left a non-invariant or reducible piece or a part that
+    does not cut, or a family space's convolutions or rank failed their certificate."""
 
 
 class MultiplicityMismatch(CqglabError):

@@ -31,8 +31,8 @@ import numpy as np
 
 from .algebra import HopfAlgebraSpec
 from .cg import tensor_product
-from .corep import RANK_RCOND, Corepresentation, _phase_fixed
-from .errors import DecompositionStall
+from .corep import RANK_RCOND, Corepresentation, _corep_residuals, _phase_fixed
+from .errors import DecompositionStall, NotACorepresentation
 from .regular import BasisFunctionSet, Carrier, _carrier_of, regular_carrier
 from .report import Report
 
@@ -293,14 +293,21 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
     is again a family.  ``Hom(pi, A)`` of a corep ``pi`` needs no solve: by
     Frobenius reciprocity ``Phi -> eps o Phi`` maps it onto the dual of ``pi``'s
     carrier, so its ``d`` sets are ``phi^c_k = pi_ck`` (right) or ``S^{-1}(pi_ck)``
-    (left).  The commutation is certified to ``RANK_RCOND`` times the squared
-    magnitude and the stack's rank ``d n`` against the ``RANK_RCOND`` cut, else
-    ``DecompositionStall``.  Returns one QR factor of the stack: orthonormal as
-    flattened vectors, phase-fixed.
+    (left).  Those are basis functions only for a corep, so ``pi``'s comodule
+    axioms are certified first, to ``verify_corep``'s default ``1e-9`` times the
+    magnitude, else ``NotACorepresentation``.  The commutation is certified to
+    ``RANK_RCOND`` times the squared magnitude and the stack's rank ``d n``
+    against the ``RANK_RCOND`` cut, else ``DecompositionStall``.  Returns one QR
+    factor of the stack: orthonormal as flattened vectors, phase-fixed.
     """
     _variant_key(kind, side)
     alg = pi.algebra
     n, d = alg.dim, pi.dim
+    residuals = _corep_residuals([pi])[0]
+    worst = max(residuals["coproduct splits"], residuals["counit is identity"])
+    if worst > 1e-9 * alg.magnitude:
+        raise NotACorepresentation(f"{pi.label!r} fails the comodule axioms (residual "
+                                   f"{worst:.1e} > {1e-9 * alg.magnitude:.1e})")
     coords = pi.coeffs.reshape(d * d, n)                              # [(c, k), u]
     if side == "L":
         coords = coords @ alg.antipode_inv

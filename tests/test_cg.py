@@ -106,7 +106,7 @@ def test_tensor_products_verify_and_twist_equivalence(contexts):
                 assert verify_corep(twisted, 1e-10).passed, label
                 # twisted(p, q) is the reordering of ordinary(q, p)
                 swapped = tensor_product(q, p, "ordinary")
-                assert are_equivalent(twisted, swapped, ctx.haar) is not None
+                assert are_equivalent(twisted, swapped, table, ctx.haar) is not None
                 if is_commutative(ctx.algebra):
                     assert np.abs(ordinary.coeffs - twisted.coeffs).max() < 1e-12
 

@@ -290,14 +290,14 @@ def test_cg_certifies_each_pair_in_one_call(tmp_path, monkeypatch):
 
 def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
     """One batched intertwiner solve per distinct target dimension, covering every target."""
-    from cqglab import cg
-    calls, stacked = [], cg._stacked_intertwiners
+    from cqglab import cg, corep
+    calls, stacked = [], corep._stacked_intertwiners
 
     def counting(coact_vs, *rest):
         calls.append(coact_vs.shape[:2])
         return stacked(coact_vs, *rest)
 
-    monkeypatch.setattr(cg, "_stacked_intertwiners", counting)
+    monkeypatch.setattr(corep, "_stacked_intertwiners", counting)
     table = cd6_fun.table
     for p in table.labels:
         for q in table.labels:

@@ -176,17 +176,22 @@ def test_orthogonality_rejects_equivalent_but_unequal(cs3_fun, classical):
         verify_orthogonality(std, moved, cs3_fun.haar)
 
 
-def test_unitarize_recovers_unitarity(cs3_fun, classical):
-    std = classical["standard"]
+def _skew(std: Corepresentation) -> Corepresentation:
+    """``std`` conjugated by ``diag(2, 1)``: a corep that is not unitary."""
     t_mat = np.diag([2.0, 1.0])
     coeffs = np.einsum("ka,abm,bj->kjm", np.linalg.inv(t_mat), std.coeffs, t_mat)
-    skew = Corepresentation(std.algebra, coeffs, label="skew")
+    return Corepresentation(std.algebra, coeffs, label="skew")
+
+
+def test_unitarize_recovers_unitarity(cs3_fun, classical):
+    std = classical["standard"]
+    skew = _skew(std)
     assert verify_corep(skew).passed
     assert not check_unitary(skew)["columns orthonormal"].passed
     h = cs3_fun.haar
     fixed, change = unitarize(skew, invariant_gram(skew, h))
     assert check_unitary(fixed, 1e-10).passed
-    assert are_equivalent(skew, fixed, h) is not None
+    assert are_equivalent(skew, fixed, cs3_fun.table, h) is not None
     # already-unitary input: change of basis is the identity up to phase
     already, change2 = unitarize(std, invariant_gram(std, h))
     ratio = change2 / change2[0, 0]
@@ -221,7 +226,7 @@ def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
     for pi_v, pi_w in _s3_equivalent_pairs(cs3_fun.table):
         basis = morphism_space(pi_v, pi_w, cs3_fun.haar)
         assert all(np.linalg.matrix_rank(phi, tol=1e-9) < pi_v.dim for phi in basis)
-        phi = are_equivalent(pi_v, pi_w, cs3_fun.haar)
+        phi = are_equivalent(pi_v, pi_w, cs3_fun.table, cs3_fun.haar)
         assert np.linalg.matrix_rank(phi, tol=1e-9) == pi_v.dim, pi_w.label
         gap = (np.einsum("ab,bcm->acm", phi, pi_v.coeffs)
                - np.einsum("abm,bc->acm", pi_w.coeffs, phi))
@@ -230,18 +235,8 @@ def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
 
 def test_equal_dimensions_with_unequal_characters_are_inequivalent(cs3_fun):
     p0, p1, _ = cs3_fun.table.irreps
-    assert are_equivalent(_direct_sum(p0, p0), _direct_sum(p0, p1), cs3_fun.haar) is None
-
-
-def test_equivalence_piece_without_partner_raises(cs3_fun, monkeypatch):
-    """Equal characters, but an intertwiner solve between pieces that finds nothing,
-    raise ``DecompositionStall`` rather than return a singular witness."""
-    solve = corep.morphism_space
-    monkeypatch.setattr(corep, "morphism_space",
-                        lambda v, w, h: solve(v, w, h) if v is w else [])
-    pi_v, pi_w = _s3_equivalent_pairs(cs3_fun.table)[0]
-    with pytest.raises(DecompositionStall):
-        are_equivalent(pi_v, pi_w, cs3_fun.haar)
+    assert are_equivalent(_direct_sum(p0, p0), _direct_sum(p0, p1), cs3_fun.table,
+                          cs3_fun.haar) is None
 
 
 def test_invariant_gram_is_identity_for_unitary(cs3_fun, classical):
@@ -296,18 +291,38 @@ def test_character_certificate_matches_the_commutant(contexts):
         assert [pi.irreducible for pi in coreps] == [True] * len(table) + [False, False]
 
 
+def _assert_pieces_are_table_irreps(pi, pieces, table, labels):
+    """Each piece intertwines into its table irrep, ``pi basis = basis pi^r`` to 1e-12,
+    ``rho`` is the table's own representative, and the pieces are ``labels`` in order."""
+    label_of = {id(irrep): label for label, irrep in zip(table.labels, table)}
+    assert [label_of.get(id(rho)) for _, rho in pieces] == labels
+    for basis, rho in pieces:
+        gap = (np.einsum("jkm,kl->jlm", pi.coeffs, basis)
+               - np.einsum("jk,klm->jlm", basis, rho.coeffs))
+        assert np.abs(gap).max() < 1e-12, (pi.label, rho.label)
+
+
 def test_decompose_already_irreducible(cs3_fun, classical):
     std = classical["standard"]
-    gram = invariant_gram(std, cs3_fun.haar)
-    blocks = decompose_comodule(std, gram, cs3_fun.haar)
-    assert len(blocks) == 1
-    assert blocks[0][1].dim == 2
+    blocks = decompose_comodule(std, cs3_fun.table, cs3_fun.haar)
+    _assert_pieces_are_table_irreps(std, blocks, cs3_fun.table, ["p2"])
+
+
+def test_decomposition_pieces_are_table_irreps(cs3_fun, classical):
+    """A non-unitary corep and two copies of the 2-dim irrep mixed by a rotation cut
+    into the table's own irreps, in table order."""
+    table, h = cs3_fun.table, cs3_fun.haar
+    skew = _skew(classical["standard"])
+    (pair, swapped), (_, rotated) = _s3_equivalent_pairs(table)
+    for pi, labels in ((skew, ["p2"]), (rotated, ["p2", "p2"]), (pair, ["p0", "p1"]),
+                       (swapped, ["p0", "p1"])):
+        _assert_pieces_are_table_irreps(pi, decompose_comodule(pi, table, h), table, labels)
 
 
 def test_decomposition_deterministic(cs3_fun):
     reg = regular_corep(cs3_fun.algebra, "R")
-    one = decompose_comodule(reg, cs3_fun.grams.gram_right, cs3_fun.haar)
-    two = decompose_comodule(reg, cs3_fun.grams.gram_right, cs3_fun.haar)
+    one = decompose_comodule(reg, cs3_fun.table, cs3_fun.haar)
+    two = decompose_comodule(reg, cs3_fun.table, cs3_fun.haar)
     for (b1, c1), (b2, c2) in zip(one, two):
         assert np.abs(b1 - b2).max() < 1e-14
         assert np.abs(c1.coeffs - c2.coeffs).max() < 1e-14
@@ -316,9 +331,10 @@ def test_decomposition_deterministic(cs3_fun):
 @pytest.mark.parametrize("gram", [-np.eye(6), np.diag([1.0, 1, 1, 1, 1, 0])],
                          ids=["negative", "singular"])
 def test_decompose_rejects_non_positive_gram(cs3_fun, gram):
-    """A Gram matrix that is not positive definite is refused, not left to Cholesky."""
+    """The irrep table's split of the regular comodule refuses a Gram matrix that is
+    not positive definite rather than leave it to Cholesky."""
     with pytest.raises(PositivityFailure, match="not positive definite"):
-        decompose_comodule(regular_corep(cs3_fun.algebra, "R"), gram, cs3_fun.haar)
+        irrep_table(cs3_fun.algebra, cs3_fun.haar, gram)
 
 
 def test_non_invariant_eigenspace_raises_stall(cs3_fun):
@@ -432,7 +448,8 @@ def test_table_canonical_matches_classical(cs3_fun, classical):
     matched = set()
     for pi in cs3_fun.table:
         hits = [name for name, cl in classical.items()
-                if pi.dim == cl.dim and are_equivalent(pi, cl, cs3_fun.haar) is not None]
+                if pi.dim == cl.dim
+                and are_equivalent(pi, cl, cs3_fun.table, cs3_fun.haar) is not None]
         assert len(hits) == 1
         matched.add(hits[0])
     assert matched == {"trivial", "sign", "standard"}

@@ -67,7 +67,6 @@ def test_library_functions_take_the_callers_haar_functional(cs3_fun, monkeypatch
     for kind, side in VARIANTS:
         assert solve_family_space(std, kind, side)
     assert is_irreducible(std, h)
-    assert are_equivalent(std, std, h) is not None
-    assert len(decompose_comodule(regular_corep(cs3_fun.algebra, "R"),
-                                  cs3_fun.grams.gram_right, h)) == 4
+    assert are_equivalent(std, std, table, h) is not None
+    assert len(decompose_comodule(regular_corep(cs3_fun.algebra, "R"), table, h)) == 4
     assert calls == []

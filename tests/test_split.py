@@ -73,7 +73,7 @@ def test_resumed_split_matches_the_peel(label, monkeypatch):
     assert {key: system.multiplicities for key, system in fusion.items()} == {
         key: system.multiplicities for key, system in peeled_fusion.items()}
     for ours, theirs in zip(table, peeled):
-        phi = are_equivalent(ours, theirs, h)
+        phi = are_equivalent(ours, theirs, table, h)
         assert phi is not None, ours.label
         assert np.linalg.matrix_rank(phi) == ours.dim, ours.label
         gap = (np.tensordot(phi, ours.coeffs, axes=(1, 0))

@@ -12,7 +12,7 @@ from test_contractions import perturbed
 
 from cqglab import tensor_ops
 from cqglab.corep import Corepresentation, identity_corep, intertwiners, irrep_table
-from cqglab.errors import DecompositionStall
+from cqglab.errors import CqglabError, DecompositionStall, NotACorepresentation
 from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
 from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
@@ -373,6 +373,20 @@ def test_rank_deficient_stack_stalls(cs3_fun, monkeypatch):
     monkeypatch.setattr(tensor_ops, "_multiplication_operators", doubled)
     with pytest.raises(DecompositionStall):
         solve_family_space(pi, "ordinary", "R")
+
+
+def test_family_space_refuses_a_non_corepresentation(cs3_fun):
+    """C(S3)'s ``p2`` with ``coeffs[0, 0]`` doubled fails the comodule axioms, so its
+    rows are not basis functions: every variant refuses it instead of returning
+    ``d n = 12`` families that fail their defining condition."""
+    pi = cs3_fun.table["p2"]
+    coeffs = pi.coeffs.copy()
+    coeffs[0, 0] *= 2.0
+    broken = Corepresentation(pi.algebra, coeffs, label="p2 doubled")
+    assert issubclass(NotACorepresentation, CqglabError)
+    for kind, side in VARIANTS:
+        with pytest.raises(NotACorepresentation, match="comodule axioms"):
+            solve_family_space(broken, kind, side)
 
 
 def test_commutant_certificate(cs3_fun):

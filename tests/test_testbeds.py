@@ -100,13 +100,25 @@ def test_character_certificate_matches_the_commutant(bed):
 
 @pytest.mark.parametrize("label", ["C(S4)", "C[S4]"])
 def test_regular_comodule_decomposes_by_peter_weyl(label):
-    """The commutant of the regular comodule is one intertwiner solve in
-    N = n^2 = 576 unknowns; every irreducible of dimension d splits off d times."""
+    """The regular comodule is cut against the table, one ``Hom(pi^r, A)`` solve in
+    d_r n unknowns per irrep: every irreducible of dimension d splits off d times,
+    and conjugating the regular corep by the pieces' columns gives the table's
+    irreps on the diagonal and nothing off it, to 1e-12."""
     alg, dims = BEDS[label]
     h = solve_haar(alg)
-    blocks = decompose_comodule(regular_corep(alg, "R"), gram_matrices(alg, h).gram_right, h)
+    table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
+    reg = regular_corep(alg, "R")
+    blocks = decompose_comodule(reg, table, h)
     assert [sub.dim for _, sub in blocks] == sorted(d for d in dims for _ in range(d))
-    assert all(verify_corep(sub, 1e-10).passed for _, sub in blocks)
+    c_mat = np.hstack([basis for basis, _ in blocks])
+    conjugated = np.einsum("ja,abm,bk->jkm", np.linalg.inv(c_mat), reg.coeffs, c_mat)
+    expected = np.zeros_like(conjugated)
+    start = 0
+    for _, sub in blocks:
+        assert any(sub is irrep for irrep in table)
+        expected[start:start + sub.dim, start:start + sub.dim] = sub.coeffs
+        start += sub.dim
+    assert np.abs(conjugated - expected).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
