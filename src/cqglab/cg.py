@@ -290,8 +290,9 @@ def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet, side: str) -
     ``side``'s CG system: ``[j, k, m]`` for side R, ``[k, j, m]`` for side L."""
     if psi_q.carrier is not phi_p.carrier:
         raise ValueError("basis-function sets live on different carriers")
-    return np.einsum(f"ja,kb,abm->{'jk' if side == 'R' else 'kj'}m", phi_p.functions,
-                     psi_q.functions, phi_p.carrier.product)
+    left = np.tensordot(phi_p.functions, phi_p.carrier.product, axes=(1, 0))  # [j, b, m]
+    prods = np.tensordot(psi_q.functions, left, axes=(1, 1))                   # [k, j, m]
+    return prods.swapaxes(0, 1) if side == "R" else prods
 
 
 def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,

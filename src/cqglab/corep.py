@@ -461,7 +461,7 @@ def invariant_gram(pi: Corepresentation, h: LinearFunctional) -> np.ndarray:
     is already unitary.
     """
     H = np.einsum("abl,l->ab", pi.algebra.mult, h.covector)
-    return np.einsum("lja,lkb,ab->jk", pi.star_coeffs(), pi.coeffs, H)
+    return np.tensordot(pi.star_coeffs() @ H, pi.coeffs, axes=([0, 2], [0, 2]))
 
 
 def unitarize(pi: Corepresentation, gram: np.ndarray) -> tuple[Corepresentation, np.ndarray]:

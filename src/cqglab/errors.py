@@ -24,11 +24,7 @@ class NotASubgroup(CqglabError):
 
 
 class NoHaar(CqglabError):
-    """The invariance system has no solution: not a CQG-algebra spec."""
-
-
-class NonUniqueHaar(CqglabError):
-    """The invariance system has more than one normalized solution."""
+    """The normalized regular trace is not a Haar functional: not a CQG-algebra spec."""
 
 
 class PositivityFailure(CqglabError):

@@ -1,14 +1,19 @@
-"""The Haar functional: solving, certification, lemmas, and Gram matrices.
+"""The Haar functional: the regular trace, certification, lemmas, and Gram matrices.
 
-The two-sided invariance conditions and the normalization form an
-overdetermined linear system in the covector ``h``:
+A finite-dimensional CQG algebra is semisimple with ``S^2 = id``, so its Haar
+functional is the normalized trace of the left regular representation,
+``h(a_j) = sum_k mult[j, k, k] / n`` (Larson-Radford; Van Daele).  That trace
+is certified for normalization and two-sided invariance:
 
 * ``sum_j comult[l, j, k] h_j = h_l unit[k]``  for all ``l, k``  (left),
 * ``sum_k comult[l, j, k] h_k = h_l unit[j]``  for all ``l, j``  (right),
 * ``sum_j unit[j] h_j = 1``.
 
-A CQG-algebra spec admits exactly one solution, and that solution must make
-the Gram matrix ``h(a_j^* a_k)`` positive definite.
+These conditions have at most one solution: for two solutions ``h`` and
+``h'``, ``(h (x) h') coproduct(a)`` is ``h(a)`` by the left invariance of
+``h`` and ``h'(a)`` by the right invariance of ``h'``.  So a certified trace
+is *the* Haar functional, and it must make the Gram matrix ``h(a_j^* a_k)``
+positive definite.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HopfAlgebraSpec, LinearFunctional
-from .errors import NoHaar, NonUniqueHaar, PositivityFailure
+from .errors import NoHaar, PositivityFailure
 from .report import Report
 
 __all__ = ["HaarFunctional", "GramPair", "solve_haar", "verify_haar_lemmas",
@@ -69,47 +74,26 @@ def _positivity(matrix: np.ndarray) -> tuple[float, float, float]:
 
 
 def _gram_right(alg: HopfAlgebraSpec, cov: np.ndarray) -> np.ndarray:
-    """The right Gram matrix ``h(a_j^* a_k)`` of the covector ``cov``."""
-    return np.einsum("ju,ukl,l->jk", np.conj(alg.star), alg.mult, cov)
+    """The right Gram matrix ``h(a_j^* a_k)`` of the covector ``cov``; ``a_j^*`` has
+    the coefficients ``star[j]``."""
+    return alg.star @ (alg.mult @ cov)
 
 
 def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
-    """Solve the invariance system for ``h`` and certify the result.
+    """The normalized regular trace ``h(a) = Tr(L_a) / n``, certified as the Haar functional.
 
-    The homogeneous part's nullity counts singular values at or below
-    ``tol * sigma_max``.  Raises ``NoHaar`` when the system is inconsistent,
-    ``NonUniqueHaar`` when that nullity is above one, and
-    ``PositivityFailure`` when the right Gram matrix is not positive definite.
+    Raises ``NoHaar`` when the trace misses normalization or two-sided
+    invariance by more than ``tol * magnitude`` (the spec is not a CQG algebra),
+    and ``PositivityFailure`` when the right Gram matrix is not positive definite.
     """
-    n = alg.dim
-    mu, u = alg.comult, alg.unit
-    # homogeneous invariance constraints, rows indexed by (l, k) then (l, j)
-    delta = np.zeros((n, n, n), dtype=complex)               # delta[l, k, m] = delta_lm u_k
-    delta[np.arange(n), :, np.arange(n)] = u
-    delta = delta.reshape(n * n, n)
-    hom = np.vstack([mu.transpose(0, 2, 1).reshape(n * n, n) - delta,  # coefficient of h_j
-                     mu.reshape(n * n, n) - delta])                      # coefficient of h_k
-
-    sigma = np.linalg.svd(hom, compute_uv=False)
-    scale = sigma[0] if sigma[0] > 0 else 1.0
-    null_dim = int(np.sum(sigma <= tol * scale)) + max(0, n - len(sigma))
-    if null_dim == 0:
-        raise NoHaar(f"invariance system of {alg.label!r} has no nonzero solution")
-    if null_dim > 1:
-        raise NonUniqueHaar(
-            f"invariance system of {alg.label!r} has a {null_dim}-dimensional solution space")
-
-    full = np.vstack([hom, u[None, :]])
-    rhs = np.zeros(full.shape[0], dtype=complex)
-    rhs[-1] = 1.0
-    h, *_ = np.linalg.lstsq(full, rhs, rcond=None)
-    residual = float(np.abs(full @ h - rhs).max())
-    if residual > tol * alg.magnitude:
+    fun = HaarFunctional(alg, alg.mult.trace(axis1=1, axis2=2) / alg.dim)
+    norm = abs(complex(alg.unit @ fun.covector) - 1.0)
+    left, right = _haar_invariance(alg.comult, np.eye(alg.dim), fun)
+    if max(norm, left, right) > tol * alg.magnitude:
         raise NoHaar(
-            f"invariance system of {alg.label!r} is inconsistent (residual {residual:.2e})")
-
-    fun = HaarFunctional(alg, h)
-    herm_res, min_eig, floor = _positivity(_gram_right(alg, h))
+            f"the regular trace of {alg.label!r} is not a Haar functional (normalization "
+            f"{norm:.2e}, left invariance {left:.2e}, right invariance {right:.2e})")
+    herm_res, min_eig, floor = _positivity(_gram_right(alg, fun.covector))
     if herm_res > tol * alg.magnitude or min_eig <= floor:
         raise PositivityFailure(
             f"right Gram matrix of {alg.label!r} is not positive definite "
@@ -172,11 +156,12 @@ def verify_haar_lemmas(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1
     rhs = np.einsum("itb,jb->ijt", mu, H)
     report.add("averaging left", float(np.abs(lhs - rhs).max()), t)
 
-    fact_r = np.einsum("ljk,j,k->l", mu, cov, cov) - cov
+    second_h = mu @ cov  # [l, j] = sum_k comult[l, j, k] h_k
+    fact_r = second_h @ cov - cov
     report.add("factorization right", float(np.abs(fact_r).max()), t)
     # left legs: a^L_[1] = a_(2), a^L_[2] = S(a_(1))
     sh = s @ cov  # (S applied before h) on basis elements: sum_k s[j,k] h_k
-    fact_l = np.einsum("ljk,k,j->l", mu, cov, sh) - cov
+    fact_l = second_h @ sh - cov
     report.add("factorization left", float(np.abs(fact_l).max()), t)
     return report
 
@@ -188,7 +173,7 @@ def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) 
     gram_r = _gram_right(alg, cov)
     # (a_j, a_k)^L = h(a_k (S^2 a_j)^*); (S^2 a_j)^* has coefficients conj(s s)[j] @ star
     s2_star = np.conj(s @ s) @ star
-    gram_l = np.einsum("ju,kul,l->jk", s2_star, m, cov)
+    gram_l = s2_star @ (m @ cov).T
     for side, gram in (("R", gram_r), ("L", gram_l)):
         herm_res, min_eig, floor = _positivity(gram)
         if herm_res > tol * alg.magnitude or min_eig <= floor:

@@ -174,7 +174,7 @@ def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSe
     if set_b.carrier is not set_a.carrier:
         raise ValueError("sets live on different carriers")
     t = tol * set_a.algebra.magnitude
-    inner = np.einsum("ka,ab,jb->kj", np.conj(set_a.functions), gram, set_b.functions)
+    inner = np.conj(set_a.functions) @ gram @ set_b.functions.T
     report = Report(
         f"basis-function orthogonality [{set_a.label} vs {set_b.label} side {set_a.side}]",
         meta={"tol": tol})

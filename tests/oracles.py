@@ -194,6 +194,26 @@ def tensor_product_algebra(first, second):
         label=f"{first.label}(x){second.label}")
 
 
+def rotated_algebra(alg, seed: int):
+    """``alg`` in the basis ``b_p = sum_j U[p, j] a_j`` for a random unitary ``U``.
+
+    ``U`` is the Q factor of a complex Gaussian matrix drawn from ``seed``, so the
+    new star matrix ``conj(U) star U^H`` is not real.  An element with
+    coefficients ``x`` in the old basis has ``x @ U^H`` in the new one.
+    """
+    from cqglab.algebra import HopfAlgebraSpec
+    rng = np.random.default_rng(seed)
+    n = alg.dim
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    ui = u.conj().T
+    mult = np.tensordot(np.tensordot(u, np.tensordot(u, alg.mult, (1, 0)), (1, 1)),
+                        ui, (2, 0)).swapaxes(0, 1)
+    comult = np.tensordot(np.tensordot(u, alg.comult, (1, 0)) @ ui, ui, (1, 0)).swapaxes(1, 2)
+    return HopfAlgebraSpec(n, mult, comult, u @ alg.antipode @ ui, u @ alg.counit,
+                           alg.unit @ ui, np.conj(u) @ alg.star @ ui,
+                           label=f"rot{seed}({alg.label})")
+
+
 def is_commutative(alg) -> bool:
     return bool(np.abs(alg.mult - alg.mult.swapaxes(0, 1)).max() <= 1e-12 * alg.magnitude)
 

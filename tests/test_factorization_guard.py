@@ -3,10 +3,10 @@
 The Cholesky factor of an invariant inner product is taken in
 ``corep._gram_basis`` alone: the start of the commutant split, ``unitarize`` and
 the coideal's orthonormal basis all read it from there.  Every SVD is one of
-the five listed below: the Haar functional's nullity, the antipode's
-invertibility, the range of an intertwiner average, the conditioning of every
-block-diagonalizing ``C`` (CG systems and comodule decompositions alike) and the
-rank of the family stack.  A new call site must join one of them or be
+the four listed below: the antipode's invertibility, the range of an
+intertwiner average, the conditioning of every block-diagonalizing ``C`` (CG
+systems and comodule decompositions alike) and the rank of the family stack.
+The Haar functional is a trace and takes no factorization.  A new call site must join one of them or be
 added here with its reason.
 """
 
@@ -19,7 +19,7 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 
 HOMES = {
     "cholesky": {"corep._gram_basis"},
-    "svd": {"haar.solve_haar", "algebra.verify_star_axioms", "corep._range_basis",
+    "svd": {"algebra.verify_star_axioms", "corep._range_basis",
             "corep._block_diagonalize", "tensor_ops.solve_family_space"},
 }
 
@@ -51,7 +51,7 @@ def _factorizations():
 
 def test_factorizations_are_found():
     calls = list(_factorizations())
-    assert sum(kind == "svd" for kind, _, _ in calls) >= 5
+    assert sum(kind == "svd" for kind, _, _ in calls) >= 4
     assert sum(kind == "cholesky" for kind, _, _ in calls) >= 1
 
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from oracles import haar_invariance_rows
+from oracles import haar_invariance_rows, rotated_algebra, tensor_product_algebra
 
-from cqglab.algebra import HopfAlgebraSpec, LinearFunctional
+from cqglab import cli
+from cqglab import io as cio
+from cqglab.algebra import HopfAlgebraSpec, LinearFunctional, build_dual
 from cqglab.errors import NoHaar, PositivityFailure
 from cqglab.groups import build_function_algebra, build_group_algebra, cyclic_group, \
     symmetric_group_3
@@ -33,22 +37,66 @@ def test_trivial_algebra():
     assert certify_haar(h, 1e-12).passed
 
 
-def test_invariance_rows_match_the_loop_construction(contexts, cs4_fun, monkeypatch):
-    """The system ``solve_haar`` factors is bit-identical to the per-entry loop."""
-    seen = []
-    svd = np.linalg.svd
+def _rotated_beds(contexts):
+    """C(S3) and C[S3] in a random unitary basis, where the star matrix is not real."""
+    return [rotated_algebra(contexts[label].algebra, 1) for label in ("C(S3)", "C[S3]")]
 
-    def recording(a, *args, **kw):
-        seen.append(np.array(a))
-        return svd(a, *args, **kw)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    for alg in [ctx.algebra for ctx in contexts.values()] + [cs4_fun.algebra]:
-        seen.clear()
-        solve_haar(alg)
-        rows = haar_invariance_rows(alg)
-        assert len(seen) == 1 and seen[0].shape == rows.shape, alg.label
-        assert seen[0].tobytes() == rows.tobytes(), alg.label
+def test_regular_trace_is_the_null_vector_of_the_invariance_rows(contexts, cs4_fun):
+    """The normalized regular trace spans the null space of the invariance rows,
+    built one entry at a time, on every bed: the built-ins, C(S4), C(S3) (x) C[S3]
+    and its dual, and the rotated C(S3) and C[S3]."""
+    s3 = symmetric_group_3()
+    mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
+    beds = ([ctx.algebra for ctx in contexts.values()] + [cs4_fun.algebra, mixed,
+                                                           build_dual(mixed)]
+            + _rotated_beds(contexts))
+    for alg in beds:
+        _, sigma, vh = np.linalg.svd(haar_invariance_rows(alg), full_matrices=False)
+        assert len(sigma) == 1 or sigma[-2] > 1e-3 * sigma[0], alg.label  # nullity one
+        null = np.conj(vh[-1])
+        null = null / (alg.unit @ null)
+        assert np.abs(solve_haar(alg).covector - null).max() < 1e-12, alg.label
+
+
+def test_non_real_star_matrix_keeps_the_gram_positive(contexts):
+    """The Grams read ``a_j^*`` from ``star[j]`` unconjugated, so on a valid spec whose
+    star matrix is not real the Haar functional certifies and both regular coactions
+    are unitary for their Grams."""
+    for alg in _rotated_beds(contexts):
+        assert np.abs(alg.star.imag).max() > 0.1, alg.label
+        h = solve_haar(alg)
+        assert certify_haar(h, 1e-12).passed, alg.label
+        assert regular_unitarity_report(alg, gram_matrices(alg, h), 1e-10).passed, alg.label
+
+
+@pytest.mark.parametrize("command", ["haar", "irreps", "cg", "tensor-ops", "wigner-eckart"])
+def test_subcommands_pass_on_rotated_beds(command, contexts, tmp_path):
+    dims = {"C(S3)": [1, 1, 2], "C[S3]": [1] * 6}
+    for label, alg in zip(("C(S3)", "C[S3]"), _rotated_beds(contexts)):
+        spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+        cio.save_algebra(alg, spec)
+        assert cli.main([command, "--algebra", str(spec), "--output", str(out)]) == 0, label
+        if command == "irreps":
+            meta = json.loads(out.read_text())["reports"][0]["meta"]
+            assert sorted(meta["dims"]) == dims[label]
+
+
+def test_non_cqg_product_gets_no_haar(tmp_path):
+    """Doubling ``mult[1, 1, 1]`` of C(S3) leaves ``comult`` with an invariant
+    functional, but the product is no longer a CQG algebra's: the regular trace is
+    refused, and ``validate`` fails the axioms."""
+    alg = build_function_algebra(symmetric_group_3())
+    mult = alg.mult.copy()
+    mult[1, 1, 1] *= 2
+    broken = HopfAlgebraSpec(alg.dim, mult, alg.comult, alg.antipode, alg.counit,
+                             alg.unit, alg.star, label="doubled")
+    with pytest.raises(NoHaar):
+        solve_haar(broken)
+    spec = tmp_path / "doubled.json"
+    cio.save_algebra(broken, spec)
+    assert cli.main(["haar", "--algebra", str(spec)]) == 2
+    assert cli.main(["validate", "--algebra", str(spec)]) == 1
 
 
 def test_certificates_and_lemmas(contexts):
@@ -108,9 +156,9 @@ def test_positivity_failure_detected():
         gram_matrices(alg, h_bad)
 
 
-def test_nullity_cut_follows_tol():
-    """Noise of 1e-11 on the coproduct sits above a fixed 1e-12 cut but far
-    below ``tol = 1e-5``; the solver must still find the (near-exact) Haar."""
+def test_invariance_certificate_follows_tol():
+    """Noise of 1e-11 on the coproduct sits above a fixed 1e-12 bound but far
+    below ``tol = 1e-5``; the certificate must still accept the (near-exact) Haar."""
     alg = build_function_algebra(symmetric_group_3())
     rng = np.random.default_rng(1)
     noisy = HopfAlgebraSpec(alg.dim, alg.mult,
