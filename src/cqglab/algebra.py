@@ -131,10 +131,19 @@ class LinearFunctional:
     covector: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.covector, dtype=complex)
+        arr = np.array(self.covector, dtype=complex)
         if arr.shape != (self.algebra.dim,):
             raise DimensionMismatch("covector length does not match the algebra dimension")
+        arr.setflags(write=False)
         object.__setattr__(self, "covector", arr)
+
+    # cached: the covector and the product are read-only, so the pairing cannot go stale
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """The pairing ``pair[a, b] = phi(a_a a_b)`` (read-only), the one place it is formed."""
+        pair = self.algebra.mult @ self.covector
+        pair.setflags(write=False)
+        return pair
 
 
 # ---------------------------------------------------------------------------

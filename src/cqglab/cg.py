@@ -88,8 +88,7 @@ def _character_report(chars: np.ndarray, labels: list[str], pairs: list[tuple[in
 def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional) -> int:
     """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``."""
     alg = h.algebra
-    pair = alg.mult @ h.covector  # [a, b] = h(a_a a_b)
-    return int(_integer_counts(chi_v.coeffs @ pair @ (np.conj(chi_p.coeffs) @ alg.star)))
+    return int(_integer_counts(chi_v.coeffs @ h.pair @ (np.conj(chi_p.coeffs) @ alg.star)))
 
 
 def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
@@ -126,7 +125,7 @@ def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional) ->
     chars, conj_chars = _characters(table)
     count = len(chars)
     both = np.concatenate([chars, conj_chars])        # rows chi_p, then chi_p^*
-    pair = alg.mult @ (alg.mult @ h.covector)        # pair[a, b, c] = h(a_a a_b a_c)
+    pair = alg.mult @ h.pair                         # pair[a, b, c] = h(a_a a_b a_c)
     fused = np.tensordot(both, np.tensordot(both, pair @ conj_chars.T, axes=(1, 1)),
                          axes=(1, 1))                 # [x, y, r] = h(x y chi_r^*)
     n_pq_r = _integer_counts(fused[:count, :count])      # [p, q, r]
@@ -378,7 +377,7 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
     n = alg.dim
     dims = [pi_r.dim for pi_r in targets]
     d_max = max(dims, default=0)
-    pair = alg.mult @ (alg.mult @ h.covector)  # pair[a, b, c] = h(a_a a_b a_c)
+    pair = alg.mult @ h.pair  # pair[a, b, c] = h(a_a a_b a_c)
     rows = np.zeros((len(targets), d_max, d_max, n), dtype=complex)
     for r, pi_r in enumerate(targets):
         rows[r, :pi_r.dim, :pi_r.dim] = pi_r.star_coeffs()

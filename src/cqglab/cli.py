@@ -52,10 +52,10 @@ def _load_spec(args) -> "HopfAlgebraSpec":
     return _load_source(args)[0]
 
 
-def _context(spec, tol, seed):
+def _context(spec, tol):
     h = solve_haar(spec, tol)
     grams = gram_matrices(spec, h, tol)
-    table = irrep_table(spec, h, grams.gram_right, seed=seed, tol=max(tol, 1e-9))
+    table = irrep_table(spec, h, grams.gram_right, tol=max(tol, 1e-9))
     return h, grams, table
 
 
@@ -76,7 +76,7 @@ def _cmd_haar(args) -> list[Report]:
 
 def _cmd_irreps(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance, args.seed)
+    h, grams, table = _context(spec, args.tolerance)
     summary = Report(f"irreducibles [{spec.label}]",
                      meta={"dims": table.dims(), "multiplicities": table.multiplicities})
     total = sum(d * m for d, m in zip(table.dims(), table.multiplicities))
@@ -96,7 +96,7 @@ def _cmd_irreps(args) -> list[Report]:
 
 def _cmd_cg(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance, args.seed)
+    h, grams, table = _context(spec, args.tolerance)
     labels = _pick_labels(table, [args.p, args.q]) or list(table.labels)
     targets = [table[r] for r in _pick_labels(table, [args.r]) or table.labels]
     systems = _cg_systems(table, h, (labels, labels))
@@ -127,7 +127,7 @@ def _pick_labels(table, requested) -> list[str] | None:
 
 def _cmd_tensor_ops(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance, args.seed)
+    h, grams, table = _context(spec, args.tolerance)
     labels = _pick_labels(table, [args.q]) or list(table.labels)
     reports = [Report(f"identity operator [{spec.label}]")]
     reports += [Report(f"multiplication families [{ql}]") for ql in labels]
@@ -155,7 +155,7 @@ def _cg_systems(table, h, *products):
 
 def _cmd_wigner_eckart(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance, args.seed)
+    h, grams, table = _context(spec, args.tolerance)
     p_labels = _pick_labels(table, [args.p]) or list(table.labels)
     q_labels = _pick_labels(table, [args.q]) or list(table.labels)
     r_labels = _pick_labels(table, [args.r]) or list(table.labels)
@@ -185,12 +185,14 @@ def _cmd_homspace(args) -> list[Report]:
             f"{spec.label!r} is a group algebra; use --construction function or a "
             f"'C(...)' built-in")
     try:
-        subgroup = [int(x) for x in args.subgroup.split(",")] if args.subgroup else [0]
+        # each element once: the cosets and B's label count the subgroup's elements
+        subgroup = (list(dict.fromkeys(int(x) for x in args.subgroup.split(",")))
+                    if args.subgroup else [0])
     except ValueError:
         raise CqglabError(f"--subgroup takes comma-separated element indices, "
                           f"got {args.subgroup!r}") from None
     side = args.side or "L"
-    h, grams, table = _context(spec, args.tolerance, args.seed)
+    h, grams, table = _context(spec, args.tolerance)
     coideal = build_coset_subalgebra(group, spec, subgroup, side, grams)
     reports = [verify_coideal(coideal, args.tolerance)]
     reports.append(restricted_coaction_report(coideal, h, args.tolerance))

@@ -195,7 +195,7 @@ def _stacked_intertwiners(coact_vs: np.ndarray, coact_ws: np.ndarray, h: LinearF
         bases = [[[] for _ in range(count_v)] for _ in range(count_w)]
         return bases[0] if single else bases
     s_v = coact_vs.reshape(-1, n) @ alg.antipode                   # [(t, m, k), b]: S(V^t_mk)
-    avg = coact_ws.reshape(-1, n) @ ((alg.mult @ h.covector) @ s_v.T)  # [(w, j, l), (t, m, k)]
+    avg = coact_ws.reshape(-1, n) @ (h.pair @ s_v.T)               # [(w, j, l), (t, m, k)]
     avg = avg.reshape(count_w, dw, dw, count_v, dv, dv).transpose(0, 3, 1, 5, 2, 4)
     vecs, ranks = _range_basis(avg.reshape(-1, size, size), RANK_RCOND)
     blocks = iter(vecs.reshape(-1, dw, dv))
@@ -243,8 +243,7 @@ def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable,
     """
     alg = table.algebra
     _, conj_chars = _characters(table)
-    counts = _integer_counts(bigs.trace(axis1=1, axis2=2)
-                             @ ((alg.mult @ h.covector) @ conj_chars.T)).tolist()
+    counts = _integer_counts(bigs.trace(axis1=1, axis2=2) @ (h.pair @ conj_chars.T)).tolist()
     spaces = [[None] * len(table) for _ in names]   # spaces[w][r]: basis of Hom(pi^r, V_w)
     for idx, coeffs in table.dim_classes.values():
         for w, bases in enumerate(_stacked_intertwiners(coeffs, bigs, h)):
@@ -383,7 +382,7 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
                   h: LinearFunctional, tol: float, title: str | None = None) -> Report:
     """Schur orthogonality of the listed pairs of positions ``(p, q)``, read off two Grams.
 
-    With the matrix coefficients as the rows of ``U`` and ``H = mult @ h``, the
+    With the matrix coefficients as the rows of ``U`` and ``H = h.pair``, the
     ``(p, q)`` blocks of ``G = U H S(U)^T`` and ``G' = S(U) H U^T`` vanish for
     ``p != q`` (two equivalent coreps raise ``ValueError``, read off the
     character Gram).  For ``p = q`` the paper's values ``delta_jn F_mk / tr F``
@@ -393,8 +392,8 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
     """
     alg = h.algebra
     rows = np.concatenate([pi.coeffs.reshape(-1, alg.dim) for pi in coreps])
-    antipodes, haar_pair = rows @ alg.antipode, alg.mult @ h.covector
-    grams = (rows @ haar_pair @ antipodes.T, antipodes @ haar_pair @ rows.T)
+    antipodes = rows @ alg.antipode
+    grams = (rows @ h.pair @ antipodes.T, antipodes @ h.pair @ rows.T)
     chars = _character_grams(np.array([pi.character() for pi in coreps]), h)[0]
     starts = np.cumsum([0] + [pi.dim ** 2 for pi in coreps]).tolist()
     checks, residuals = [], []
@@ -439,9 +438,8 @@ def _integer_counts(values) -> np.ndarray:
 
 def _character_grams(chars: np.ndarray, h: LinearFunctional) -> tuple[np.ndarray, np.ndarray]:
     """``h(chi_p^* chi_q)`` and ``h(chi_q chi_p^*)`` as ``[p, q]``, for the rows of ``chars``."""
-    haar_pair = h.algebra.mult @ h.covector  # [a, b] = h(a_a a_b)
     stars = np.conj(chars) @ h.algebra.star
-    return stars @ haar_pair @ chars.T, stars @ haar_pair.T @ chars.T
+    return stars @ h.pair @ chars.T, stars @ h.pair.T @ chars.T
 
 
 def _characters(table: IrrepTable) -> tuple[np.ndarray, np.ndarray]:
@@ -460,8 +458,7 @@ def invariant_gram(pi: Corepresentation, h: LinearFunctional) -> np.ndarray:
     ``G[j, k] = sum_l h(pi_lj^* pi_lk)``; reduces to the identity when ``pi``
     is already unitary.
     """
-    H = np.einsum("abl,l->ab", pi.algebra.mult, h.covector)
-    return np.tensordot(pi.star_coeffs() @ H, pi.coeffs, axes=([0, 2], [0, 2]))
+    return np.tensordot(pi.star_coeffs() @ h.pair, pi.coeffs, axes=([0, 2], [0, 2]))
 
 
 def unitarize(pi: Corepresentation, gram: np.ndarray) -> tuple[Corepresentation, np.ndarray]:

@@ -13,7 +13,7 @@ Every finite group ``G`` yields two built-in test beds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import permutations
 
 import numpy as np
@@ -64,8 +64,13 @@ class GroupTable:
                 j, k = np.argwhere(bad)[0]
                 raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
 
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """``inverses[i]`` is the index of ``g_i^{-1}``, the one 0 in row ``i``."""
+        return np.nonzero(self.table == 0)[1]
+
     def inverse(self, i: int) -> int:
-        return int(np.where(self.table[i] == 0)[0][0])
+        return int(self.inverses[i])
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -135,17 +140,13 @@ def all_permutation_group(n: int) -> GroupTable:
 
 def build_function_algebra(group: GroupTable) -> HopfAlgebraSpec:
     """The commutative Hopf *-algebra of functions on ``group`` (delta basis)."""
-    g = group.order
+    g, idx = group.order, np.arange(group.order)
     mult = np.zeros((g, g, g), dtype=complex)
+    mult[idx, idx, idx] = 1.0
     comult = np.zeros((g, g, g), dtype=complex)
-    for j in range(g):
-        mult[j, j, j] = 1.0
-    for x in range(g):
-        for y in range(g):
-            comult[group.mul(x, y), x, y] = 1.0
+    comult[group.table, idx[:, None], idx] = 1.0  # coproduct(delta_xy) gets delta_x (x) delta_y
     antipode = np.zeros((g, g), dtype=complex)
-    for j in range(g):
-        antipode[j, group.inverse(j)] = 1.0
+    antipode[idx, group.inverses] = 1.0
     counit = np.zeros(g, dtype=complex)
     counit[0] = 1.0
     unit = np.ones(g, dtype=complex)
@@ -156,15 +157,13 @@ def build_function_algebra(group: GroupTable) -> HopfAlgebraSpec:
 
 def build_group_algebra(group: GroupTable) -> HopfAlgebraSpec:
     """The group algebra of ``group`` as a cocommutative Hopf *-algebra."""
-    g = group.order
+    g, idx = group.order, np.arange(group.order)
     mult = np.zeros((g, g, g), dtype=complex)
+    mult[idx[:, None], idx, group.table] = 1.0
     comult = np.zeros((g, g, g), dtype=complex)
+    comult[idx, idx, idx] = 1.0
     antipode = np.zeros((g, g), dtype=complex)
-    for i in range(g):
-        comult[i, i, i] = 1.0
-        antipode[i, group.inverse(i)] = 1.0
-        for j in range(g):
-            mult[i, j, group.mul(i, j)] = 1.0
+    antipode[idx, group.inverses] = 1.0
     counit = np.ones(g, dtype=complex)
     unit = np.zeros(g, dtype=complex)
     unit[0] = 1.0

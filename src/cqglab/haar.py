@@ -37,8 +37,7 @@ class HaarFunctional(LinearFunctional):
     """The certified Haar functional ``h`` of a CQG-algebra spec."""
 
     def is_tracial(self) -> bool:
-        H = self.algebra.mult @ self.covector  # H[j, k] = h(a_j a_k)
-        return bool(np.abs(H - H.T).max() <= 1e-12 * self.algebra.magnitude)
+        return bool(np.abs(self.pair - self.pair.T).max() <= 1e-12 * self.algebra.magnitude)
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,6 @@ def _positivity(matrix: np.ndarray) -> tuple[float, float, float]:
     return herm_res, float(eigs[0]), floor
 
 
-def _gram_right(alg: HopfAlgebraSpec, cov: np.ndarray) -> np.ndarray:
-    """The right Gram matrix ``h(a_j^* a_k)`` of the covector ``cov``; ``a_j^*`` has
-    the coefficients ``star[j]``."""
-    return alg.star @ (alg.mult @ cov)
-
-
 def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
     """The normalized regular trace ``h(a) = Tr(L_a) / n``, certified as the Haar functional.
 
@@ -93,7 +86,7 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
         raise NoHaar(
             f"the regular trace of {alg.label!r} is not a Haar functional (normalization "
             f"{norm:.2e}, left invariance {left:.2e}, right invariance {right:.2e})")
-    herm_res, min_eig, floor = _positivity(_gram_right(alg, fun.covector))
+    herm_res, min_eig, floor = _positivity(alg.star @ fun.pair)  # h(a_j^* a_k)
     if herm_res > tol * alg.magnitude or min_eig <= floor:
         raise PositivityFailure(
             f"right Gram matrix of {alg.label!r} is not positive definite "
@@ -128,7 +121,7 @@ def certify_haar(h: HaarFunctional, tol: float = 1e-9) -> Report:
     report.add("star reality", float(np.abs(alg.star @ cov - np.conj(cov)).max()), t)
     # h(S(a)) = h(a)
     report.add("antipode invariance", float(np.abs(alg.antipode @ cov - cov).max()), t)
-    herm_res, min_eig, floor = _positivity(_gram_right(alg, cov))
+    herm_res, min_eig, floor = _positivity(alg.star @ h.pair)
     report.add("gram hermitian", herm_res, t)
     report.add("gram positive", 0.0 if min_eig > floor else 1.0, 0.5,
                min_eigenvalue=min_eig, floor=floor)
@@ -143,18 +136,14 @@ def verify_haar_lemmas(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1
     Factorization: ``h(a) = sum h(a^X_[1]) h(a^X_[2])`` for ``X = R`` and ``L``.
     """
     mu, s = alg.comult, alg.antipode
-    cov = h.covector
-    H = np.einsum("jkl,l->jk", alg.mult, cov)  # H[j, k] = h(a_j a_k)
+    cov, H = h.covector, h.pair  # H[j, k] = h(a_j a_k)
     report = Report(f"haar lemmas [{alg.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
-
-    lhs = np.einsum("ia,jat->ijt", H, mu @ s)
-    rhs = np.einsum("iat,aj->ijt", mu, H)
-    report.add("averaging right", float(np.abs(lhs - rhs).max()), t)
-
-    lhs = np.einsum("jai,at->ijt", mu @ H, s)
-    rhs = np.einsum("itb,jb->ijt", mu, H)
-    report.add("averaging left", float(np.abs(lhs - rhs).max()), t)
+    report.add("averaging right", _averaging_gap(H, mu @ s, mu), t)
+    # [i, j, t]: sum_a (mu @ H)[j, a, i] s[a, t] against sum_b mu[i, t, b] H[j, b]
+    left = np.tensordot(mu @ H, s, axes=(1, 0)).transpose(1, 0, 2)
+    left -= (mu @ H.T).transpose(0, 2, 1)
+    report.add("averaging left", float(np.abs(left).max()), t)
 
     second_h = mu @ cov  # [l, j] = sum_k comult[l, j, k] h_k
     fact_r = second_h @ cov - cov
@@ -168,12 +157,10 @@ def verify_haar_lemmas(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1
 
 def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) -> GramPair:
     """Both invariant Gram matrices, with Hermiticity/positivity certificates."""
-    cov = h.covector
-    star, s, m = alg.star, alg.antipode, alg.mult
-    gram_r = _gram_right(alg, cov)
+    star, s = alg.star, alg.antipode
+    gram_r = star @ h.pair  # h(a_j^* a_k); a_j^* has the coefficients star[j]
     # (a_j, a_k)^L = h(a_k (S^2 a_j)^*); (S^2 a_j)^* has coefficients conj(s s)[j] @ star
-    s2_star = np.conj(s @ s) @ star
-    gram_l = s2_star @ (m @ cov).T
+    gram_l = np.conj(s @ s) @ star @ h.pair.T
     for side, gram in (("R", gram_r), ("L", gram_l)):
         herm_res, min_eig, floor = _positivity(gram)
         if herm_res > tol * alg.magnitude or min_eig <= floor:
@@ -195,9 +182,16 @@ def regular_unitarity_report(alg: HopfAlgebraSpec, grams: GramPair, tol: float =
     report = Report(f"regular unitarity [{alg.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
     for side in ("R", "L"):
-        gram = grams.gram(side)
         ct = regular_carrier(alg, side).coact  # ct[t, a, b]: pi(a_t) = sum a_a (x) a_b coeffs
-        lhs = np.einsum("ia,jat->ijt", gram, ct @ alg.antipode)
-        rhs = np.einsum("iat,aj->ijt", np.conj(ct) @ alg.star, gram)
-        report.add(f"unitarity {side}", float(np.abs(lhs - rhs).max()), t)
+        report.add(f"unitarity {side}", _averaging_gap(
+            grams.gram(side), ct @ alg.antipode, np.conj(ct) @ alg.star), t)
     return report
+
+
+def _averaging_gap(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """``max |sum_a m[i, a] x[j, a, t] - sum_a y[i, a, t] m[a, j]|``, the shape of the
+    right averaging lemma and of regular unitarity: two matrix products, never an
+    ``n^4`` einsum loop."""
+    gap = np.tensordot(m, x, axes=(1, 1))                      # [i, j, t]
+    gap -= np.tensordot(y, m, axes=(1, 0)).transpose(0, 2, 1)  # [i, t, j] as [i, j, t]
+    return float(np.abs(gap).max())

@@ -205,11 +205,9 @@ def _projection_stack(alg: HopfAlgebraSpec, rows: np.ndarray, dims: np.ndarray, 
     """Constants-route projections ``ops[i, a, t]`` for rows ``rows[i]`` = ``pi_mn`` of
     dimension ``dims[i]``: one matrix product for the Haar weights ``h(pi^*_mn a_b)``
     (``h(a_b pi^*_mn)`` when swapped), one contraction with the coaction tensor."""
-    pair = alg.mult @ h.covector                              # [u, b]: h(a_u a_b)
-    if ordering == "swapped":
-        pair = pair.T
-    elif ordering != "standard":
+    if ordering not in ("standard", "swapped"):
         raise ValueError(f"unknown ordering {ordering!r}")
+    pair = h.pair.T if ordering == "swapped" else h.pair  # [u, b]: h(a_u a_b) when standard
     weights = dims[:, None] * (np.conj(rows) @ alg.star @ pair)
     return np.tensordot(weights, regular_carrier(alg, side).coact,
                         axes=(1, 2)).transpose(0, 2, 1)

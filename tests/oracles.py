@@ -713,3 +713,20 @@ def report_summary(report, limit: int) -> str:
     return "\n".join([head] + [
         f"  [{'ok ' if check.passed else 'BAD'}] {check.name}: residual {check.residual:.3e} "
         f"(tol {check.tol:.1e})" for check in checks])
+
+
+def loop_group_arrays(group) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(mult, comult, antipode)`` of ``C(G)`` (key ``"function"``) and ``C[G]`` (key
+    ``"group"``), filled one table entry at a time: ``delta_x delta_x = delta_x``,
+    ``delta_x (x) delta_y`` in the coproduct of ``delta_xy``, ``x y`` in the group
+    algebra, and ``S`` sending each basis element to its inverse's."""
+    g, table = group.order, np.asarray(group.table)
+    f_mult, f_comult, g_mult, g_comult = (np.zeros((g, g, g), dtype=complex) for _ in range(4))
+    f_s, g_s = np.zeros((g, g), dtype=complex), np.zeros((g, g), dtype=complex)
+    for x in range(g):
+        f_mult[x, x, x] = g_comult[x, x, x] = 1.0
+        inverse = int(np.where(table[x] == 0)[0][0])
+        f_s[x, inverse] = g_s[x, inverse] = 1.0
+        for y in range(g):
+            f_comult[table[x, y], x, y] = g_mult[x, y, table[x, y]] = 1.0
+    return {"function": (f_mult, f_comult, f_s), "group": (g_mult, g_comult, g_s)}

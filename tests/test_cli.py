@@ -196,6 +196,20 @@ def test_homspace_subcommand(tmp_path, s3_files):
     assert dims == {"solution dim p0": 1, "solution dim p1": 0, "solution dim p2": 1}
 
 
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_homspace_repeated_subgroup_index_counts_once(tmp_path, side):
+    """``0,1,1`` names the subgroup {e, (01)} of ``0,1``: B, its label and every
+    report are the same."""
+    reports = []
+    for subgroup in ("0,1,1", "0,1"):
+        out = tmp_path / f"{subgroup}.json"
+        argv = ["homspace", "--builtin", "C(S3)", "--subgroup", subgroup, "--side", side]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["reports"])
+    assert reports[0] == reports[1]
+    assert reports[0][0]["title"].endswith(f"C(S3)/H2:{side}]")
+
+
 @pytest.mark.parametrize("source", [
     ("--builtin", "C[S3]", "--side", "L"),
     ("--builtin", "C[Z3]"),

@@ -6,12 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import is_commutative
+from oracles import is_commutative, loop_group_arrays
 
 from cqglab import io as cio
 from cqglab.errors import InvalidGroupTable, SchemaError
-from cqglab.groups import (GroupTable, build_function_algebra, build_group_algebra,
-                           builtin_algebras, cyclic_group, symmetric_group_3)
+from cqglab.groups import (_BUILTINS, GroupTable, all_permutation_group, build_function_algebra,
+                           build_group_algebra, builtin_algebras, cyclic_group,
+                           symmetric_group_3)
 from cqglab.report import Report
 
 
@@ -64,6 +65,19 @@ def test_cosets_and_subgroups():
     assert s3.inverse(4) == 5  # the 3-cycles invert each other
     assert cyclic_group(4).is_abelian()
     assert not s3.is_abelian()
+
+
+@pytest.mark.parametrize("label", [*_BUILTINS, "Z24", "S4"])
+def test_builders_match_the_entrywise_loops(label):
+    """The fancy-indexed structure arrays of C(G) and C[G] equal, entry for entry, the
+    arrays filled one table entry at a time, on every built-in group, Z24 and S4."""
+    extra = {"Z24": lambda: cyclic_group(24), "S4": lambda: all_permutation_group(4)}
+    group = extra[label]() if label in extra else _BUILTINS[label][1]()
+    want = loop_group_arrays(group)
+    for kind, build in (("function", build_function_algebra), ("group", build_group_algebra)):
+        alg = build(group)
+        for name, array in zip(("mult", "comult", "antipode"), want[kind]):
+            assert np.array_equal(getattr(alg, name), array), (kind, name)
 
 
 def test_algebra_round_trip(tmp_path):
