@@ -41,6 +41,6 @@ from .tensor_ops import (VARIANTS, TensorOperatorFamily, apply_family_to_basis_f
                          operator_coaction_report, operator_comodule,
                          operator_product_rule_residual, pipeline_components,
                          solve_family_space)
-from .wigner_eckart import WEReport, verify_wigner_eckart, we_tensor
+from .wigner_eckart import verify_wigner_eckart, we_tensor
 
 __version__ = "0.1.0"

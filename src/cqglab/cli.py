@@ -28,7 +28,7 @@ from .regular import (canonical_basis_functions, product_coaction_check,
 from .report import Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_families,
                          multiplication_family)
-from .wigner_eckart import _factorize_table
+from .wigner_eckart import _cg_order, _factorize_table
 
 
 def _load_source(args) -> tuple["HopfAlgebraSpec", "GroupTable | None"]:
@@ -161,9 +161,7 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     r_labels = _pick_labels(table, [args.r]) or list(table.labels)
     sides = [args.side] if args.side else ["R", "L"]
     kinds = [args.kind] if args.kind else ["ordinary", "twisted"]
-    # ordinary families use the (q, p) systems, twisted ones the (p, q) systems
-    systems = _cg_systems(table, h, *[(q_labels, p_labels) if kind == "ordinary"
-                                      else (p_labels, q_labels) for kind in kinds])
+    systems = _cg_systems(table, h, *[_cg_order(kind, p_labels, q_labels) for kind in kinds])
     tables = []  # one per (side, kind), all factorized in one pass
     for side in sides:
         bsets = {lab: canonical_basis_functions(table[lab], side, 0)

@@ -110,32 +110,25 @@ def cyclic_group(n: int) -> GroupTable:
     return GroupTable(n, table, tuple(str(i) for i in range(n)))
 
 
+def _permutation_group(elems: list[tuple[int, ...]], labels: tuple[str, ...] = ()
+                       ) -> GroupTable:
+    """The group of the permutations ``elems`` (identity first) under composition,
+    ``(p o q)(x) = p(q(x))``."""
+    index = {p: i for i, p in enumerate(elems)}
+    table = [[index[tuple(p[x] for x in q)] for q in elems] for p in elems]
+    return GroupTable(len(elems), np.array(table), labels)
+
+
 def symmetric_group_3() -> GroupTable:
     """S3 as permutations of {0,1,2}: identity, transpositions, 3-cycles."""
-    elems = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-    index = {p: i for i, p in enumerate(elems)}
-    table = np.zeros((6, 6), dtype=int)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            comp = tuple(p[q[x]] for x in range(3))  # (p o q)(x) = p(q(x))
-            table[i, j] = index[comp]
-    labels = ("e", "(01)", "(02)", "(12)", "(012)", "(021)")
-    return GroupTable(6, table, labels)
+    return _permutation_group([(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)],
+                              ("e", "(01)", "(02)", "(12)", "(012)", "(021)"))
 
 
 def all_permutation_group(n: int) -> GroupTable:
-    """The full symmetric group on n letters (identity first); small n only."""
-    elems = sorted(permutations(range(n)))
-    ident = tuple(range(n))
-    elems.remove(ident)
-    elems.insert(0, ident)
-    index = {p: i for i, p in enumerate(elems)}
-    size = len(elems)
-    table = np.zeros((size, size), dtype=int)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    return GroupTable(size, table)
+    """The full symmetric group on n letters in lexicographic order, which puts the
+    identity first; small n only."""
+    return _permutation_group(sorted(permutations(range(n))))
 
 
 def build_function_algebra(group: GroupTable) -> HopfAlgebraSpec:

@@ -49,7 +49,7 @@ def regular_coaction_tensor(alg: HopfAlgebraSpec, side: str) -> np.ndarray:
         return alg.comult.copy()
     if side == "L":
         # legs a_(2) (x) S(a_(1)): first leg from the second coproduct slot
-        return np.einsum("tka,kb->tab", alg.comult, alg.antipode)
+        return alg.comult.transpose(0, 2, 1) @ alg.antipode
     raise ValueError(f"side must be 'R' or 'L', got {side!r}")
 
 

@@ -13,19 +13,18 @@ The reduced elements have the closed form
 reconstruction through that formula is exact, and a least-squares extraction
 is kept alongside as a diagnostic.
 
-One engine factorizes pairs ``(p, q)``, each put in its CG system's order,
-against a stack of targets r in batched contractions, each pair read off its
-own ``C`` and ``C^{-1}``, and returns numbers: :func:`verify_wigner_eckart`
-wraps the one result of a single triple in a :class:`WEReport`, and several
-whole tables go through the engine together, each rendered as one report
-with a check per triple.  The inputs of one table live on one carrier, A or
-a coideal B, whose Gram matrix is passed (the identity in B's orthonormal
-basis).
+One engine factorizes pairs ``(p, q)``, each put in its CG system's order
+(:func:`_cg_order`), against a stack of targets r in batched contractions,
+each pair read off its own ``C`` and ``C^{-1}``, and returns numbers.
+:func:`_factorize_table` sends several whole tables through the engine
+together and renders each as one report with a check per triple;
+:func:`verify_wigner_eckart` is its one-triple call.  The inputs of one table
+live on one carrier, A or a coideal B, whose Gram matrix is passed (the
+identity in B's orthonormal basis).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, product
 
 import numpy as np
@@ -35,28 +34,20 @@ from .regular import BasisFunctionSet
 from .report import Report
 from .tensor_ops import TensorOperatorFamily
 
-__all__ = ["WEReport", "we_tensor", "verify_wigner_eckart"]
+__all__ = ["we_tensor", "verify_wigner_eckart"]
 
 
-@dataclass
-class WEReport:
-    """One Wigner-Eckart factorization: tensor, reduced elements, residual."""
+def _cg_order(kind: str, p, q) -> tuple:
+    """The factor order of the CG system a family of this kind factorizes through:
+    ``(q, p)`` for ordinary families, ``(p, q)`` for twisted ones.  ``p`` and ``q``
+    may be labels, label lists or tensor axes."""
+    return (q, p) if kind == "ordinary" else (p, q)
 
-    p_label: str
-    q_label: str
-    r_label: str
-    side: str
-    kind: str
-    tensor: np.ndarray                 # (d_r, d_q, d_p)
-    reduced: np.ndarray                # (multiplicity,)
-    residual: float
-    tol: float
-    cg_order: tuple[str, str]
-    details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
+def _one_carrier(sets) -> None:
+    """Raise unless the basis sets and families all live on one carrier."""
+    if len({bset.carrier for bset in sets}) != 1:
+        raise ValueError("basis sets and family must share one carrier")
 
 
 def _inner_product_tensor(psis: np.ndarray, ops: np.ndarray, phis: np.ndarray,
@@ -69,18 +60,15 @@ def _inner_product_tensor(psis: np.ndarray, ops: np.ndarray, phis: np.ndarray,
 def we_tensor(psis: BasisFunctionSet, fam: TensorOperatorFamily,
               phis: BasisFunctionSet, gram: np.ndarray) -> np.ndarray:
     """All inner products ``(psi_l, Q_k(phi_j))`` in the carrier's inner product."""
-    if not (psis.carrier is fam.carrier is phis.carrier):
-        raise ValueError("basis sets and family must share one carrier")
+    _one_carrier([psis, fam, phis])
     return _inner_product_tensor(psis.functions, fam.operators, phis.functions, gram)
 
 
 def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
-    """``tensor[(r, l), k, j]`` as a matrix whose columns are the system's pair index.
-
-    The ordinary ``(q, p)`` system indexes pairs ``(k, j)``; the twisted
-    ``(p, q)`` one ``(j, k)``.
+    """``tensor[(r, l), k, j]`` as a matrix whose columns are the system's pair index:
+    ``(k, j)`` for the ordinary ``(q, p)`` system, ``(j, k)`` for the twisted ``(p, q)`` one.
     """
-    pairs = tensor if kind == "ordinary" else tensor.transpose(0, 2, 1)
+    pairs = tensor.transpose(0, *_cg_order(kind, 2, 1))
     if pairs.shape[1:] != (system.d_p, system.d_q):
         raise ValueError(
             f"CG system ({system.p_label}, {system.q_label}) does not match a "
@@ -145,24 +133,24 @@ def _factorize_targets(tmats: list[np.ndarray], systems: list[CGSystem],
 
 def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
                          phis: BasisFunctionSet, system: CGSystem, f_r: np.ndarray,
-                         gram: np.ndarray, tol: float = 1e-9) -> WEReport:
-    """Factorize the inner-product tensor and report the reconstruction residual.
+                         gram: np.ndarray, tol: float = 1e-9) -> Report:
+    """Factorize the inner-product tensor of one triple: the :func:`_factorize_table`
+    report of the one-triple table, titled ``wigner-eckart [side,kind]``.
 
-    ``system`` must match the family kind (``(q, p)`` for ordinary, ``(p, q)``
-    for twisted); passing the other order is the standard negative control on
-    a noncommutative spec.  A least-squares extraction of the reduced elements
-    cross-checks the closed formula.  ``f_r``, the target's F matrix, is read
-    only to check that :func:`~cqglab.corep.compute_F` has certified it.
+    Its one check, ``p,q,r``, holds the reconstruction residual and the details
+    ``reduced``, ``cg_order`` and, when r occurs, ``reduced_lstsq_gap``, the gap
+    to a least-squares extraction that cross-checks the closed formula.
+    ``system`` is used as the family kind's CG system (:func:`_cg_order`);
+    passing the other order is the standard negative control on a
+    noncommutative spec, and ``cg_order`` names the system used.  ``f_r``, the
+    target's F matrix, is read only to check that
+    :func:`~cqglab.corep.compute_F` has certified it.
     """
     if f_r is None:
         raise ValueError("verify_wigner_eckart needs the F matrix of the target irrep")
-    tensor = we_tensor(psis, fam, phis, gram)
-    [[residual]], [[gap]], [[reduced]], [[mult]] = _factorize_targets(
-        [_pair_matrix(tensor, system, fam.kind)], [system], [(psis.corep.label, psis.corep.dim)])
-    return WEReport(phis.corep.label, fam.corep.label, psis.corep.label, fam.side, fam.kind,
-                    tensor, reduced[:mult], float(residual), tol * fam.algebra.magnitude ** 2,
-                    (system.p_label, system.q_label),
-                    {"reduced_lstsq_gap": float(gap)} if mult else {})
+    key = _cg_order(fam.kind, phis.corep.label, fam.corep.label)
+    title = f"wigner-eckart [{fam.side},{fam.kind}]"
+    return _factorize_table([([psis], [fam], [phis], gram, title)], {key: system}, tol)[0]
 
 
 def _stacked_slices(dims: list[int]) -> list[slice]:
@@ -189,11 +177,12 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     table, from one :func:`_factorize_targets` call.
 
     A table is ``(psis, fams, phis, gram, title)``: targets ``psis[t]``,
-    families ``fams[k]`` of one kind and sources ``phis[i]``, all on the
-    carrier whose Gram matrix is ``gram``, and the report's title.  The tables
+    families ``fams[k]`` of one kind and sources ``phis[i]``, all on one
+    carrier (else ``ValueError``) whose Gram matrix is ``gram``, and the
+    report's title.  The tables
     share their targets' labels and dimensions.  ``systems`` holds the CG
-    systems keyed by label pair: ``(q, p)`` for ordinary families, ``(p, q)``
-    for twisted ones; each pair is put in its system's order before the call.
+    systems keyed by label pair in :func:`_cg_order`; each pair is put in its
+    system's order before the call.
     A report has one check per triple, named ``p,q,r`` (see
     :func:`_set_names`), in source-major order, with details ``reduced``,
     ``cg_order`` and, when ``r`` occurs, ``reduced_lstsq_gap``.  The inner
@@ -205,6 +194,7 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     for psis, fams, phis, gram, _ in tables:
         if [(bset.corep.label, bset.corep.dim) for bset in psis] != targets:
             raise ValueError("tables factorized together must share their targets")
+        _one_carrier([*psis, *fams, *phis])
         kind = fams[0].kind
         tensor = _inner_product_tensor(np.concatenate([bset.functions for bset in psis]),
                                        np.concatenate([fam.operators for fam in fams]),
@@ -213,7 +203,7 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
         fam_rows = _stacked_slices([fam.corep.dim for fam in fams])
         for i, k in product(range(len(phis)), range(len(fams))):
             p, q = phis[i].corep.label, fams[k].corep.label
-            system = systems[q, p] if kind == "ordinary" else systems[p, q]
+            system = systems[_cg_order(kind, p, q)]
             tmats.append(_pair_matrix(tensor[:, fam_rows[k], src_rows[i]], system, kind))
             chosen.append(system)
         counts.append(len(phis) * len(fams))

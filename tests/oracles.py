@@ -389,6 +389,13 @@ def we_closed_form(tensor, system, r_label, f_r, kind):
     return reduced, residual, gap
 
 
+def reduced_elements(check) -> np.ndarray:
+    """The reduced elements of a Wigner-Eckart check, read back from the
+    ``[re, im]`` pairs of its ``reduced`` detail."""
+    pairs = np.array(check.details["reduced"], dtype=float).reshape(-1, 2)
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
 def projection_identity_gaps(table, side, h, ordering="standard") -> dict[str, float]:
     """The projection identities and completeness by per-index loops.
 

@@ -1,13 +1,25 @@
-"""Static guard: each factorization of the package has one home.
+"""Static guard: each matrix decomposition of the package has its homes.
 
-The Cholesky factor of an invariant inner product is taken in
-``corep._gram_basis`` alone: the start of the commutant split, ``unitarize`` and
-the coideal's orthonormal basis all read it from there.  Every SVD is one of
-the four listed below: the antipode's invertibility, the range of an
-intertwiner average, the conditioning of every block-diagonalizing ``C`` (CG
-systems and comodule decompositions alike) and the rank of the family stack.
-The Haar functional is a trace and takes no factorization.  A new call site must join one of them or be
-added here with its reason.
+Every ``np.linalg`` call that factors a matrix is listed below with the
+functions it may appear in; a new call site must join one of them or be added
+here with its reason.
+
+* Cholesky: the factor of an invariant inner product is taken in
+  ``corep._gram_basis`` alone; the start of the commutant split, ``unitarize``
+  and the coideal's orthonormal basis all read it from there.
+* SVD: the antipode's invertibility, the range of an intertwiner average, the
+  conditioning of every block-diagonalizing ``C`` (CG systems and comodule
+  decompositions alike) and the rank of the family stack.  ``matrix_rank``
+  and ``pinv`` are SVDs too: the span of the coupled products and the
+  least-squares cross-check of the Wigner-Eckart reduced elements.  ``lstsq``
+  is one as well and has no home.
+* QR: the coideal's standard projector and the family stack's orthonormal
+  columns.
+* Eigendecompositions: the commutant split of ``irrep_table`` (``eigh``) and
+  the positivity check of a Gram matrix (``eigvalsh``); general ``eig`` and
+  ``eigvals`` have no home.
+
+The Haar functional is a trace and takes no factorization.
 """
 
 from __future__ import annotations
@@ -21,6 +33,14 @@ HOMES = {
     "cholesky": {"corep._gram_basis"},
     "svd": {"algebra.verify_star_axioms", "corep._range_basis",
             "corep._block_diagonalize", "tensor_ops.solve_family_space"},
+    "matrix_rank": {"cg.coupled_basis_functions"},
+    "pinv": {"wigner_eckart._factorize_targets"},
+    "lstsq": set(),
+    "qr": {"homspace.verify_coideal", "tensor_ops.solve_family_space"},
+    "eigh": {"corep._split"},
+    "eigvalsh": {"haar._positivity"},
+    "eig": set(),
+    "eigvals": set(),
 }
 
 
@@ -50,9 +70,9 @@ def _factorizations():
 
 
 def test_factorizations_are_found():
-    calls = list(_factorizations())
-    assert sum(kind == "svd" for kind, _, _ in calls) >= 4
-    assert sum(kind == "cholesky" for kind, _, _ in calls) >= 1
+    """The scan finds every listed home: no home is stale."""
+    found = {(kind, func) for kind, func, _ in _factorizations()}
+    assert found >= {(kind, func) for kind, homes in HOMES.items() for func in homes}
 
 
 def test_each_factorization_stays_in_its_homes():

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import frobenius_coset_multiplicities
+from oracles import frobenius_coset_multiplicities, reduced_elements
 
 from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
 from cqglab.errors import CoidealMismatch, LinearDependenceWarning, NotASubgroup
@@ -23,7 +23,7 @@ from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
 from cqglab.tensor_ops import (TensorOperatorFamily, check_family, couple_families,
                                family_report, multiplication_family, operator_comodule,
                                pipeline_components)
-from cqglab.wigner_eckart import verify_wigner_eckart
+from cqglab.wigner_eckart import verify_wigner_eckart, we_tensor
 
 S3 = symmetric_group_3()
 SUBGROUP = [0, 1]  # {e, (01)}
@@ -254,8 +254,9 @@ def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
         system = cs3_fun.cg("p2", "p2")
         rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p2"].F,
                                    np.eye(coideal.dim), 1e-9)
-        assert rep.passed, (side, kind, rep.residual)
-        assert rep.reduced.shape == (1,)
+        [check] = rep.checks
+        assert rep.passed, (side, kind, check.residual)
+        assert reduced_elements(check).shape == (1,)
 
 
 def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
@@ -269,7 +270,7 @@ def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
     rep = verify_wigner_eckart(std, fam, triv, system, cs3_fun.table["p2"].F,
                                np.eye(coideal.dim), 1e-9)
     assert rep.passed
-    assert np.abs(rep.tensor).max() < 1e-12
+    assert np.abs(we_tensor(std, fam, triv, np.eye(coideal.dim))).max() < 1e-12
 
 
 def test_restricted_coupling(coset_ctx, cs3_fun):
@@ -294,16 +295,19 @@ def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):
         phis = canonical_basis_functions(std, side, 0)
         psis = canonical_basis_functions(std, side, 0)
         qset = canonical_basis_functions(std, side, 1)
-        full = verify_wigner_eckart(psis, multiplication_family(qset, "ordinary"),
-                                    phis, system, std.F, cs3_fun.grams.gram(side))
+        fam = multiplication_family(qset, "ordinary")
+        [full] = verify_wigner_eckart(psis, fam, phis, system, std.F,
+                                      cs3_fun.grams.gram(side)).checks
         to_b = lambda fs: BasisFunctionSet(
             std, side, np.array([coideal.restrict(f) for f in fs.functions]),
             carrier=coideal.carrier)
         fam_b = multiplication_family(to_b(qset), "ordinary")
-        res = verify_wigner_eckart(to_b(psis), fam_b, to_b(phis), system, std.F,
-                                   np.eye(coideal.dim), 1e-9)
-        assert np.abs(full.tensor - res.tensor).max() < 1e-12
-        assert np.abs(full.reduced - res.reduced).max() < 1e-12
+        [res] = verify_wigner_eckart(to_b(psis), fam_b, to_b(phis), system, std.F,
+                                     np.eye(coideal.dim), 1e-9).checks
+        assert np.abs(we_tensor(psis, fam, phis, cs3_fun.grams.gram(side))
+                      - we_tensor(to_b(psis), fam_b, to_b(phis), np.eye(coideal.dim))
+                      ).max() < 1e-12
+        assert np.abs(reduced_elements(full) - reduced_elements(res)).max() < 1e-12
 
 
 def test_restricted_orthogonality_matches_unrestricted_statements(coset_ctx, cs3_fun):

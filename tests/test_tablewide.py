@@ -32,9 +32,9 @@ from cqglab.homspace import build_coset_subalgebra, solve_restricted_basis_funct
 from cqglab.regular import canonical_basis_functions
 from cqglab.report import Report
 from cqglab.tensor_ops import multiplication_family
-from cqglab.wigner_eckart import _factorize_table, verify_wigner_eckart
+from cqglab.wigner_eckart import _factorize_table, verify_wigner_eckart, we_tensor
 
-from oracles import kronecker_intertwiners, triple_haar_gaps, we_closed_form
+from oracles import kronecker_intertwiners, reduced_elements, triple_haar_gaps, we_closed_form
 
 TOL = 1e-12
 KINDS = ("ordinary", "twisted")
@@ -100,11 +100,17 @@ def per_triple_cg(ctx, labels, targets=None) -> list[Report]:
     return reports
 
 
-def we_details(we) -> dict:
-    """The details of a Wigner-Eckart check: reduced elements as ``[re, im]`` pairs,
-    the CG order, and the least-squares gap when the target occurs."""
-    return {"reduced": [[z.real, z.imag] for z in we.reduced.astype(complex)],
-            "cg_order": list(we.cg_order), **we.details}
+def we_check(psis, fam, phis, system, f_r, gram):
+    """The one check of a one-triple ``verify_wigner_eckart`` report: named
+    ``p,q,r``, with the CG order of ``system`` and a least-squares gap exactly
+    when the target occurs."""
+    rep = verify_wigner_eckart(psis, fam, phis, system, f_r, gram)
+    [check] = rep.checks
+    assert check.name == f"{phis.corep.label},{fam.corep.label},{psis.corep.label}"
+    assert check.details["cg_order"] == [system.p_label, system.q_label]
+    gap = {"reduced_lstsq_gap"} if psis.corep.label in system.multiplicities else set()
+    assert set(check.details) == {"reduced", "cg_order"} | gap
+    return check
 
 
 def per_triple_we(ctx, p_labels, q_labels, r_labels, sides, kinds):
@@ -118,16 +124,16 @@ def per_triple_we(ctx, p_labels, q_labels, r_labels, sides, kinds):
             psis = canonical_basis_functions(table[r], side, 0)
             fam = multiplication_family(canonical_basis_functions(table[q], side, 0), kind)
             system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
-            we = verify_wigner_eckart(psis, fam, phis, system, table[r].F, ctx.grams.gram(side))
-            want_reduced, want_residual, want_gap = we_closed_form(we.tensor, system, r,
-                                                                   table[r].F, kind)
-            assert np.abs(we.reduced - want_reduced).max(initial=0.0) <= TOL
+            we = we_check(psis, fam, phis, system, table[r].F, ctx.grams.gram(side))
+            want_reduced, want_residual, want_gap = we_closed_form(
+                we_tensor(psis, fam, phis, ctx.grams.gram(side)), system, r, table[r].F, kind)
+            assert np.abs(reduced_elements(we) - want_reduced).max(initial=0.0) <= TOL
             assert abs(we.residual - want_residual) <= TOL
             assert (want_gap is None) == ("reduced_lstsq_gap" not in we.details)
             if want_gap is not None:
                 assert abs(we.details["reduced_lstsq_gap"] - want_gap) <= TOL
-            rep.add(f"{p},{q},{r}", we.residual, we.tol, **we_details(we))
-            reduced.append(we.reduced)
+            rep.add(f"{p},{q},{r}", we.residual, we.tol, **we.details)
+            reduced.append(reduced_elements(we))
         reports.append(rep)
     return reports, reduced
 
@@ -195,9 +201,9 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
         for (pn, phis), (qn, qset), (rn, psis) in product(named, repeat=3):
             p, q, r = phis.corep.label, qset.corep.label, psis.corep.label
             system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
-            we = verify_wigner_eckart(psis, multiplication_family(qset, kind), phis,
-                                      system, table[r].F, np.eye(coideal.dim))
-            rep.add(f"{pn},{qn},{rn}", we.residual, we.tol, **we_details(we))
+            we = we_check(psis, multiplication_family(qset, kind), phis,
+                          system, table[r].F, np.eye(coideal.dim))
+            rep.add(f"{pn},{qn},{rn}", we.residual, we.tol, **we.details)
         want.append(rep)
     got = cli_reports(tmp_path, "homspace",
                       ["--builtin", label, "--subgroup", subgroup, "--side", side])

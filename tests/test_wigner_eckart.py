@@ -3,7 +3,11 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
+from oracles import reduced_elements
+
+from cqglab import wigner_eckart
 from cqglab.cg import CGSystem
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import TensorOperatorFamily, multiplication_family
@@ -26,11 +30,13 @@ def _setup(ctx, pl, ql, rl, side, kind, q_row=0):
 def test_zero_tensor_when_fusion_absent(cs3_fun):
     """sign never appears in trivial x trivial, so the tensor vanishes."""
     phis, psis, fam, system = _setup(cs3_fun, "p0", "p0", "p1", "R", "ordinary")
-    rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p1"].F,
-                               cs3_fun.grams.gram("R"))
+    gram = cs3_fun.grams.gram("R")
+    rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p1"].F, gram)
     assert rep.passed
-    assert np.abs(rep.tensor).max() < 1e-12
-    assert rep.reduced.size == 0
+    assert np.abs(we_tensor(psis, fam, phis, gram)).max() < 1e-12
+    [check] = rep.checks
+    assert reduced_elements(check).size == 0
+    assert "reduced_lstsq_gap" not in check.details
 
 
 def test_two_reduced_elements_when_target_repeats(ca4_fun):
@@ -44,8 +50,9 @@ def test_two_reduced_elements_when_target_repeats(ca4_fun):
                 rep = verify_wigner_eckart(psis, fam, phis, system,
                                            ca4_fun.table[label].F, ca4_fun.grams.gram(side))
                 assert rep.passed, (side, kind, q_row)
-                assert rep.reduced.shape == (2,)
-                assert rep.details["reduced_lstsq_gap"] < 1e-10
+                [check] = rep.checks
+                assert reduced_elements(check).shape == (2,)
+                assert check.details["reduced_lstsq_gap"] < 1e-10
 
 
 def test_standard_case_single_reduced_element(cs3_fun):
@@ -53,18 +60,19 @@ def test_standard_case_single_reduced_element(cs3_fun):
     rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p2"].F,
                                cs3_fun.grams.gram("R"))
     assert rep.passed
-    assert rep.reduced.shape == (1,)
-    assert abs(rep.reduced[0]) > 1e-6
-    assert rep.details["reduced_lstsq_gap"] < 1e-10
+    [check] = rep.checks
+    assert reduced_elements(check).shape == (1,)
+    assert abs(reduced_elements(check)[0]) > 1e-6
+    assert check.details["reduced_lstsq_gap"] < 1e-10
 
 
 def test_reduced_elements_scale_linearly(cs3_fun):
     phis, psis, fam, system = _setup(cs3_fun, "p2", "p2", "p2", "L", "ordinary")
     f_r = cs3_fun.table["p2"].F
     gram = cs3_fun.grams.gram("L")
-    base = verify_wigner_eckart(psis, fam, phis, system, f_r, gram)
-    scaled = verify_wigner_eckart(psis, fam.scaled(2.5 - 1.0j), phis, system, f_r, gram)
-    assert np.abs(scaled.reduced - (2.5 - 1.0j) * base.reduced).max() < 1e-10
+    [base] = verify_wigner_eckart(psis, fam, phis, system, f_r, gram).checks
+    [scaled] = verify_wigner_eckart(psis, fam.scaled(2.5 - 1.0j), phis, system, f_r, gram).checks
+    assert np.abs(reduced_elements(scaled) - (2.5 - 1.0j) * reduced_elements(base)).max() < 1e-10
 
 
 def test_identity_family_reduces_to_gram_values(cs3_fun):
@@ -93,7 +101,7 @@ def test_reduced_covariance_under_multiplicity_rotation(cs3_fun):
     phis, psis, fam, system = _setup(cs3_fun, "p2", "p2", "p2", "R", "ordinary")
     f_r = cs3_fun.table["p2"].F
     gram = cs3_fun.grams.gram("R")
-    base = verify_wigner_eckart(psis, fam, phis, system, f_r, gram)
+    [base] = verify_wigner_eckart(psis, fam, phis, system, f_r, gram).checks
     phase = np.exp(0.7j)
     cols = [i for i, (r, a, _) in enumerate(system.col_index) if r == "p2"]
     c_rot = system.C.copy()
@@ -101,9 +109,9 @@ def test_reduced_covariance_under_multiplicity_rotation(cs3_fun):
     rotated = CGSystem(system.p_label, system.q_label, system.d_p, system.d_q,
                        c_rot, np.linalg.inv(c_rot), dict(system.multiplicities),
                        list(system.col_index))
-    rot = verify_wigner_eckart(psis, fam, phis, rotated, f_r, gram)
+    [rot] = verify_wigner_eckart(psis, fam, phis, rotated, f_r, gram).checks
     assert rot.passed
-    assert np.abs(rot.reduced - phase * base.reduced).max() < 1e-10
+    assert np.abs(reduced_elements(rot) - phase * reduced_elements(base)).max() < 1e-10
 
 
 def test_wrong_cg_order_fails_on_noncommutative(cs3_grp):
@@ -116,10 +124,11 @@ def test_wrong_cg_order_fails_on_noncommutative(cs3_grp):
             wrong = cs3_grp.cg(pl, ql)  # ordinary needs (q, p)
             for rl in cs3_grp.table.labels:
                 psis = canonical_basis_functions(cs3_grp.table[rl], "R", 0)
-                rep = verify_wigner_eckart(psis, fam, phis, wrong,
-                                           cs3_grp.table[rl].F,
-                                           cs3_grp.grams.gram("R"))
-                worst = max(worst, rep.residual)
+                [check] = verify_wigner_eckart(psis, fam, phis, wrong,
+                                               cs3_grp.table[rl].F,
+                                               cs3_grp.grams.gram("R")).checks
+                assert check.details["cg_order"] == [pl, ql]  # the system used
+                worst = max(worst, check.residual)
     assert worst > 1e-3
 
 
@@ -132,21 +141,42 @@ def test_wrong_cg_order_harmless_on_commutative(cs3_fun):
     assert rep.passed
 
 
-def test_report_serialization(cs3_fun):
-    """A one-triple table renders as one check named ``p,q,r`` whose details are
-    those of the one-triple call."""
+def test_report_serialization(cs3_fun, monkeypatch):
+    """``verify_wigner_eckart`` returns the report of the one-triple table, from one
+    engine call: one check named ``p,q,r`` with details ``reduced``, ``cg_order``
+    and, as r occurs, ``reduced_lstsq_gap``."""
     phis, psis, fam, system = _setup(cs3_fun, "p2", "p2", "p0", "R", "ordinary")
+    calls = []
+    engine = wigner_eckart._factorize_targets
+    monkeypatch.setattr(wigner_eckart, "_factorize_targets",
+                        lambda *args: calls.append(args) or engine(*args))
     rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p0"].F,
                                cs3_fun.grams.gram("R"))
+    assert len(calls) == 1
+    monkeypatch.undo()
     [table] = _factorize_table([([psis], [fam], [phis], cs3_fun.grams.gram("R"),
                                  "wigner-eckart [R,ordinary]")], {("p2", "p2"): system}, 1e-9)
-    payload = json.loads(json.dumps(table.to_dict()))
+    assert json.dumps(rep.to_dict()) == json.dumps(table.to_dict())
+    payload = json.loads(json.dumps(rep.to_dict()))
+    assert payload["title"] == "wigner-eckart [R,ordinary]"
     [check] = payload["checks"]
     assert check["name"] == "p2,p2,p0"
-    assert check["details"]["cg_order"] == ["p2", "p2"] == list(rep.cg_order)
-    assert check["details"]["reduced_lstsq_gap"] == rep.details["reduced_lstsq_gap"]
-    assert check["residual"] == rep.residual and check["tol"] == rep.tol
+    assert sorted(check["details"]) == ["cg_order", "reduced", "reduced_lstsq_gap"]
+    assert check["details"]["cg_order"] == ["p2", "p2"]
+    assert check["tol"] == 1e-9 * cs3_fun.algebra.magnitude ** 2
     assert isinstance(check["passed"], bool)
+
+
+def test_families_and_sets_must_share_one_carrier(cs3_fun):
+    """A family on the left regular carrier does not act on right basis functions."""
+    std = cs3_fun.table["p2"]
+    phis = canonical_basis_functions(std, "R", 0)
+    fam = multiplication_family(canonical_basis_functions(std, "L", 0), "ordinary")
+    gram = cs3_fun.grams.gram("R")
+    with pytest.raises(ValueError, match="share one carrier"):
+        we_tensor(phis, fam, phis, gram)
+    with pytest.raises(ValueError, match="share one carrier"):
+        verify_wigner_eckart(phis, fam, phis, cs3_fun.cg("p2", "p2"), std.F, gram)
 
 
 def test_report_dict_writes_reduced_as_before():
