@@ -10,15 +10,15 @@ homogeneous spaces carried by coideal *-subalgebras.
 
 from .algebra import (HopfAlgebraSpec, LinearFunctional, build_dual, verify_hopf_axioms,
                       verify_star_axioms)
-from .cg import (CGSystem, Character, cg_block_residual, character, character_orthogonality,
+from .cg import (CGSystem, cg_block_residual, character_orthogonality,
                  conjugate_multiplicity_symmetries, coupled_basis_functions,
                  coupled_inverse_residual, multiplicity_in, solve_cg, solve_cg_systems,
                  tensor_product, verify_triple_haar)
 from .corep import (Corepresentation, IrrepTable, are_equivalent, check_unitary,
-                    compute_F, conjugate_corep, decompose_comodule,
-                    doubly_contragredient, identity_corep, intertwiners, invariant_gram,
-                    irrep_table, is_irreducible, morphism_space, unitarize,
-                    verify_corep, verify_orthogonality)
+                    conjugate_corep, decompose_comodule, doubly_contragredient,
+                    identity_corep, intertwiners, invariant_gram, irrep_table,
+                    is_irreducible, morphism_space, unitarize, verify_corep,
+                    verify_orthogonality)
 from .groups import (GroupTable, all_permutation_group, build_function_algebra,
                      build_group_algebra, builtin_algebras, cyclic_group, symmetric_group_3)
 from .haar import (GramPair, HaarFunctional, certify_haar, gram_matrices,

@@ -165,6 +165,17 @@ def _legwise_product(coact: np.ndarray, m: np.ndarray, twisted: bool = False) ->
     return np.tensordot(firsts, seconds, axes=((1, 2), (2, 1))).transpose(0, 2, 1, 3)
 
 
+def _product_rule_gap(coact: np.ndarray, m: np.ndarray, twisted: bool) -> float:
+    """``max |coact(a_i) coact(a_j) - coact(a_i a_j)|`` over all basis pairs, the
+    second legs multiplied in reversed order when ``twisted``: the bialgebra axiom
+    for ``coact = comult``.  The subtraction is in place, so the n^5 line holds two
+    n^4 arrays, not three."""
+    n = len(m)
+    gap = _legwise_product(coact, m, twisted)
+    gap -= (m.reshape(n * n, n) @ coact.reshape(n, n * n)).reshape(n, n, n, n)
+    return float(np.abs(gap).max())
+
+
 def verify_hopf_axioms(alg: HopfAlgebraSpec, tol: float = 1e-9) -> Report:
     """Residuals of the Hopf-algebra axioms in structure-constant form.
 
@@ -198,7 +209,7 @@ def verify_hopf_axioms(alg: HopfAlgebraSpec, tol: float = 1e-9) -> Report:
     add("coassociativity", (mu_rows @ mu_cols).reshape(quad),
         (mu.transpose(0, 2, 1).reshape(n * n, n) @ mu_cols).reshape(quad).transpose(0, 2, 3, 1))
     # compatibility of coproduct with product: Delta(a_j) Delta(a_k) = Delta(a_j a_k)
-    add("bialgebra", _legwise_product(mu, m), (m_rows @ mu_cols).reshape(quad))
+    report.add("bialgebra", _product_rule_gap(mu, m, twisted=False), t)
     # counit is an algebra homomorphism
     add("counit multiplicative", m @ eps - np.outer(eps, eps))
     # counit laws for the coproduct

@@ -31,8 +31,6 @@ from .regular import BasisFunctionSet
 from .report import Report
 
 __all__ = [
-    "Character",
-    "character",
     "character_orthogonality",
     "multiplicity_in",
     "tensor_product",
@@ -47,25 +45,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Character:
-    """The trace of a corepresentation, as its ``(n,)`` coefficient vector."""
-
-    coeffs: np.ndarray
-    source: str = ""
-
-
-def character(pi: Corepresentation) -> Character:
-    return Character(pi.character(), source=pi.label)
-
-
-def character_orthogonality(chi_p: Character, chi_q: Character, h: LinearFunctional,
-                            tol: float = 1e-10) -> Report:
-    """``h(chi_p^* chi_q) = delta_pq`` in both multiplication orders: the one-pair call
-    of :func:`_character_report`."""
-    return _character_report(np.array([chi_p.coeffs, chi_q.coeffs]),
-                             [chi_p.source, chi_q.source], [(0, 1)], h, tol,
-                             f"character orthogonality [{chi_p.source} vs {chi_q.source}]")
+def character_orthogonality(pi_p: Corepresentation, pi_q: Corepresentation,
+                            h: LinearFunctional, tol: float = 1e-10) -> Report:
+    """``h(chi_p^* chi_q) = delta_pq`` in both multiplication orders for the characters
+    of two coreps: the one-pair call of :func:`_character_report`."""
+    return _character_report(np.array([pi_p.character(), pi_q.character()]),
+                             [pi_p.label, pi_q.label], [(0, 1)], h, tol,
+                             f"character orthogonality [{pi_p.label} vs {pi_q.label}]")
 
 
 def _character_report(chars: np.ndarray, labels: list[str], pairs: list[tuple[int, int]],
@@ -85,10 +71,10 @@ def _character_report(chars: np.ndarray, labels: list[str], pairs: list[tuple[in
     return report
 
 
-def multiplicity_in(chi_v: Character, chi_p: Character, h: LinearFunctional) -> int:
-    """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``."""
-    alg = h.algebra
-    return int(_integer_counts(chi_v.coeffs @ h.pair @ (np.conj(chi_p.coeffs) @ alg.star)))
+def multiplicity_in(chi_v: np.ndarray, chi_p: np.ndarray, h: LinearFunctional) -> int:
+    """Number of copies of the irreducible with character ``chi_p`` inside ``chi_v``,
+    both ``(n,)`` coefficient vectors."""
+    return int(_integer_counts(chi_v @ h.pair @ (np.conj(chi_p) @ h.algebra.star)))
 
 
 def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
@@ -364,11 +350,10 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
     ``weights[r, u, l, b, c] = h(pi^r*_ul a_b a_c)``, zero-padded to the
     largest target dimension, and two ``tensordot`` calls per ``(d_a, d_b)``
     class.  The right sides are the double CG contractions of the padded
-    blocks of :func:`_padded_blocks` with ``(F^r)^{-1} / tr = I / d_r``; a
-    target that does not occur has zero blocks, so its gap is ``max |lhs|``.
+    blocks of :func:`_padded_blocks` with ``(F^r)^{-1} / tr = I / tr F^r``, each
+    target's ``F = I`` certified as it is read; a target that does not occur has
+    zero blocks, so its gap is ``max |lhs|``.
     """
-    if any(pi_r.F is None for pi_r in targets):
-        raise ValueError("verify_triple_haar needs the F matrix of the target irrep")
     factors = {pi.label: pi for pi in [*qs, *ps]}
     ordered = list(dict.fromkeys(
         key for pi_p in ps for pi_q in qs
@@ -376,6 +361,7 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
     alg = h.algebra
     n = alg.dim
     dims = [pi_r.dim for pi_r in targets]
+    traces = np.array([np.trace(pi_r.F) for pi_r in targets])
     d_max = max(dims, default=0)
     pair = alg.mult @ h.pair  # pair[a, b, c] = h(a_a a_b a_c)
     rows = np.zeros((len(targets), d_max, d_max, n), dtype=complex)
@@ -399,7 +385,7 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
                   [seconds.index(b) for _, b in keys]]  # [w, r, u, l, s, j, t, k]
         fwd, inv, _ = _padded_blocks([systems[key] for key in keys], labels, dims)
         # fwd[w, r, alpha, (s, t), u] / d_r, against inv[w, r, alpha, l, (j, k)]
-        left = (fwd / np.array(dims)[:, None, None, None]).reshape(
+        left = (fwd / traces[:, None, None, None]).reshape(
             len(keys), len(targets), fwd.shape[2], -1)
         rhs = (left.swapaxes(-1, -2) @ inv.reshape(*inv.shape[:3], -1)).reshape(
             len(keys), len(targets), d_a, d_b, d_max, d_max, d_a, d_b)

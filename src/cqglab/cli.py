@@ -55,7 +55,7 @@ def _load_spec(args) -> "HopfAlgebraSpec":
 def _context(spec, tol):
     h = solve_haar(spec, tol)
     grams = gram_matrices(spec, h, tol)
-    table = irrep_table(spec, h, grams.gram_right, tol=max(tol, 1e-9))
+    table = irrep_table(spec, h, grams.gram_right)
     return h, grams, table
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import HopfAlgebraSpec, LinearFunctional, _same_spec
 from .errors import (DecompositionStall, DimensionMismatch, MultiplicityMismatch, NoF,
-                     NonIntegerMultiplicity, NotIrreducible, PositivityFailure, SingularC)
+                     NonIntegerMultiplicity, PositivityFailure, SingularC)
 from .haar import _positivity
 from .report import Report
 
@@ -43,7 +43,6 @@ __all__ = [
     "is_irreducible",
     "doubly_contragredient",
     "conjugate_corep",
-    "compute_F",
     "verify_orthogonality",
     "invariant_gram",
     "unitarize",
@@ -57,28 +56,43 @@ __all__ = [
 RANK_RCOND = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Corepresentation:
-    """Matrix coefficients of a right coaction, with verification flags."""
+    """Matrix coefficients of a right coaction.  Its certificates are reports
+    (:func:`verify_corep`, :func:`check_unitary`, :func:`is_irreducible`) and
+    :attr:`F`, all read off the coefficients."""
 
     algebra: HopfAlgebraSpec
-    coeffs: np.ndarray  # (d, d, n)
+    coeffs: np.ndarray  # (d, d, n), a read-only copy
     label: str = ""
-    verified: bool | None = None
-    unitary: bool | None = None
-    irreducible: bool | None = None
-    F: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
+        arr = np.array(self.coeffs, dtype=complex)
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != self.algebra.dim:
             raise DimensionMismatch(
                 f"corep coefficients must be (d, d, {self.algebra.dim}), got {arr.shape}")
-        self.coeffs = arr
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
 
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
+
+    # cached: the coefficients are read-only, so the certificate cannot go stale
+    @cached_property
+    def F(self) -> np.ndarray:
+        """The intertwiner ``F pi = pi'' F`` to the doubly contragredient partner
+        (read-only).  A CQG spec has ``S^2 = id``, so ``pi'' = pi`` and ``F = I``:
+        Hermitian positive definite with ``tr F = tr F^{-1}``.  The first read
+        certifies ``|S^2(pi) - pi|`` against ``1e-9`` times the spec's magnitude
+        and raises ``NoF`` above it, on every read."""
+        residual = float(np.abs(doubly_contragredient(self).coeffs - self.coeffs).max())
+        if residual > 1e-9 * self.algebra.magnitude:
+            raise NoF(f"S^2 moves the matrix coefficients of {self.label!r} (residual "
+                      f"{residual:.2e}); F is defined here only for S^2 = id")
+        f = np.eye(self.dim, dtype=complex)
+        f.setflags(write=False)
+        return f
 
     def character(self) -> np.ndarray:
         """The character ``sum_j pi_jj`` as its ``(n,)`` coefficient vector."""
@@ -86,43 +100,40 @@ class Corepresentation:
 
     def star_coeffs(self) -> np.ndarray:
         """Entrywise star: coefficients of ``pi_jk^*``."""
-        return np.einsum("jkm,mt->jkt", np.conj(self.coeffs), self.algebra.star)
+        return np.conj(self.coeffs) @ self.algebra.star
 
     def antipode_coeffs(self) -> np.ndarray:
         """Entrywise antipode: coefficients of ``S(pi_jk)``."""
-        return np.einsum("jkm,mt->jkt", self.coeffs, self.algebra.antipode)
+        return self.coeffs @ self.algebra.antipode
 
 
 def identity_corep(alg: HopfAlgebraSpec, label: str = "identity") -> Corepresentation:
     """The one-dimensional corepresentation with sole coefficient ``1``."""
-    return Corepresentation(alg, alg.unit.reshape(1, 1, -1).copy(), label=label,
-                            verified=True, unitary=True, irreducible=True,
-                            F=np.array([[1.0 + 0j]]))
+    return Corepresentation(alg, alg.unit.reshape(1, 1, -1), label=label)
 
 
-# report title, flag and check names of the comodule and unitarity certificates
+# report title and check names of the comodule and unitarity certificates
 _CERTIFICATES = {
-    "comodule": ("corep axioms", "verified", ("coproduct splits", "counit is identity")),
-    "unitarity": ("unitarity", "unitary",
+    "comodule": ("corep axioms", ("coproduct splits", "counit is identity")),
+    "unitarity": ("unitarity",
                   ("antipode flips to star", "columns orthonormal", "rows orthonormal"))}
 
 
 def verify_corep(pi: Corepresentation, tol: float = 1e-9) -> Report:
-    """Residuals of the comodule identities; sets the ``verified`` flag."""
+    """Residuals of the comodule identities."""
     return _certificate(pi, _corep_residuals([pi])[0], "comodule", tol)
 
 
 def check_unitary(pi: Corepresentation, tol: float = 1e-9) -> Report:
-    """Residuals of the three unitarity identities; sets the ``unitary`` flag."""
+    """Residuals of the three unitarity identities."""
     return _certificate(pi, _corep_residuals([pi])[0], "unitarity", tol)
 
 
 def _certificate(pi: Corepresentation, residuals: dict, which: str, tol: float) -> Report:
-    """The ``which`` certificate of ``pi`` from its residuals; sets the matching flag."""
-    title, flag, names = _CERTIFICATES[which]
+    """The ``which`` certificate of ``pi`` from its residuals."""
+    title, names = _CERTIFICATES[which]
     report = Report(f"{title} [{pi.label}]", meta={"tol": tol})
     report.extend(names, [residuals[name] for name in names], tol * pi.algebra.magnitude)
-    setattr(pi, flag, report.passed)
     return report
 
 
@@ -331,41 +342,19 @@ def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation, table: IrrepT
 
 def is_irreducible(pi: Corepresentation, h: LinearFunctional) -> bool:
     """Whether ``h(chi^* chi) = sum_r m_r^2`` is 1, the character certificate of
-    :func:`irrep_table`; sets the ``irreducible`` flag."""
-    flag = bool(_integer_counts(_character_grams(pi.character()[None], h)[0])[0, 0] == 1)
-    pi.irreducible = flag
-    return flag
+    :func:`irrep_table`."""
+    return bool(_integer_counts(_character_grams(pi.character()[None], h)[0])[0, 0] == 1)
 
 
 def doubly_contragredient(pi: Corepresentation) -> Corepresentation:
     """Entrywise ``S^2``; equals ``pi`` itself whenever ``S^2 = id``."""
     s2 = pi.algebra.antipode @ pi.algebra.antipode
-    coeffs = np.einsum("jkm,mt->jkt", pi.coeffs, s2)
-    return Corepresentation(pi.algebra, coeffs, label=f"{pi.label}++")
+    return Corepresentation(pi.algebra, pi.coeffs @ s2, label=f"{pi.label}++")
 
 
 def conjugate_corep(pi: Corepresentation) -> Corepresentation:
     """Entrywise star."""
     return Corepresentation(pi.algebra, pi.star_coeffs(), label=f"{pi.label}bar")
-
-
-def compute_F(pi: Corepresentation, tol: float = 1e-9) -> np.ndarray:
-    """The intertwiner ``F pi = pi'' F`` to the doubly contragredient partner.
-
-    Requires the ``irreducible`` flag that :func:`irrep_table` and
-    :func:`is_irreducible` set, else raises ``NotIrreducible``.  A CQG
-    spec has ``S^2 = id``, so ``pi'' = pi`` and by Schur ``F = I``: Hermitian
-    positive definite with ``tr F = tr F^{-1}``.  Raises ``NoF`` when
-    ``|S^2(pi) - pi|`` exceeds ``tol`` times the spec's magnitude.
-    """
-    if not pi.irreducible:
-        raise NotIrreducible(f"corep {pi.label!r} is not certified irreducible (is_irreducible)")
-    residual = float(np.abs(doubly_contragredient(pi).coeffs - pi.coeffs).max())
-    if residual > tol * pi.algebra.magnitude:
-        raise NoF(f"S^2 moves the matrix coefficients of {pi.label!r} (residual "
-                  f"{residual:.2e}); F is defined here only for S^2 = id")
-    pi.F = np.eye(pi.dim, dtype=complex)
-    return pi.F
 
 
 def verify_orthogonality(pi_p: Corepresentation, pi_q: Corepresentation,
@@ -385,9 +374,8 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
     With the matrix coefficients as the rows of ``U`` and ``H = h.pair``, the
     ``(p, q)`` blocks of ``G = U H S(U)^T`` and ``G' = S(U) H U^T`` vanish for
     ``p != q`` (two equivalent coreps raise ``ValueError``, read off the
-    character Gram).  For ``p = q`` the paper's values ``delta_jn F_mk / tr F``
-    and ``delta_jn (F^{-1})_mk / tr(F^{-1})`` are both ``delta_jn delta_mk / d``, as
-    :func:`compute_F` certifies ``F = I``, after :func:`is_irreducible` if unset.
+    character Gram).  For ``p = q`` the paper's values are ``delta_jn F_mk / tr F``
+    and ``delta_jn (F^{-1})_mk / tr(F^{-1})``; both read the certified ``F = I``.
     Without a ``title`` the report is the table's, each check named ``p vs q: <identity>``.
     """
     alg = h.algebra
@@ -405,12 +393,11 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
                                  f"{pi_p.label!r} and {pi_q.label!r} are equivalent but not equal")
             names, expected = ("h(pi S(pi')) = 0", "h(S(pi) pi') = 0"), 0.0
         else:
-            if pi_p.F is None:
-                is_irreducible(pi_p, h)
-                compute_F(pi_p)
             names = ("h(pi S(pi)) = d_jn F_mk/trF", "h(S(pi) pi) = d_jn Finv_mk/trFinv")
-            # delta_jn delta_mk / d at [(j, k), (m, n)]
-            expected = np.eye(d * d).reshape(d, d, d, d).swapaxes(2, 3).reshape(d * d, -1) / d
+            # delta_jn F_mk / tr F at [(j, k), (m, n)]; F = I = F^{-1} serves both
+            f = pi_p.F
+            expected = np.multiply.outer(np.eye(d), f / np.trace(f)).transpose(
+                0, 3, 2, 1).reshape(d * d, -1)
         for name, gram in zip(names, grams):
             block = gram[starts[p]:starts[p + 1], starts[q]:starts[q + 1]]
             checks.append(("" if title else f"{pi_p.label} vs {pi_q.label}: ") + name)
@@ -471,9 +458,7 @@ def unitarize(pi: Corepresentation, gram: np.ndarray) -> tuple[Corepresentation,
     """
     gram = (gram + gram.conj().T) / 2.0
     t_mat = _gram_basis(gram)
-    out = _restrict_corep(pi, t_mat, gram, label=f"{pi.label}~u")
-    out.verified, out.irreducible = pi.verified, pi.irreducible
-    return out, t_mat
+    return _restrict_corep(pi, t_mat, gram, label=f"{pi.label}~u"), t_mat
 
 
 def _gram_basis(gram: np.ndarray) -> np.ndarray:
@@ -688,11 +673,11 @@ def _character_fingerprint(pi: Corepresentation) -> tuple:
 
 
 def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarray,
-                seed: int = 0, tol: float = 1e-9) -> IrrepTable:
+                seed: int = 0) -> IrrepTable:
     """Decompose the right regular comodule and canonicalize the blocks.
 
-    Returns one unitary representative per equivalence class, with its
-    F-matrix computed, sorted trivial-first then by (dimension, character
+    Returns one unitary representative per equivalence class, labelled
+    ``p0, p1, ...`` in order: trivial first, then by (dimension, character
     fingerprint).  The left convolutions span the commutant of the regular
     comodule, so one :func:`_split` by them cuts it into irreducible pieces:
     one ``eigh`` of one fixed combination of them, and more only where two of
@@ -722,11 +707,6 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
 
     classes.sort(key=lambda item: (not _is_trivial(item[0]), item[0].dim,
                                    _character_fingerprint(item[0])))
-    table = IrrepTable(alg, [rep for rep, _ in classes], [count for _, count in classes])
-    for i, (rep, residuals) in enumerate(zip(table, table.residuals)):
-        rep.label = f"p{i}"
-        for which in _CERTIFICATES:
-            _certificate(rep, residuals, which, tol)
-        rep.irreducible = True
-        compute_F(rep, tol)
-    return table
+    return IrrepTable(alg, [Corepresentation(alg, rep.coeffs, f"p{i}")
+                            for i, (rep, _) in enumerate(classes)],
+                      [count for _, count in classes])

@@ -44,10 +44,6 @@ class NotUnitary(CqglabError):
     """An operation requiring a unitary corepresentation got a non-unitary one."""
 
 
-class NotIrreducible(CqglabError):
-    """An operation requiring an irreducible corepresentation got a reducible one."""
-
-
 class DecompositionStall(CqglabError):
     """The irrep table's split left a non-invariant or reducible piece or a part that
     does not cut, or a family space's convolutions or rank failed their certificate."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional, _legwise_product, build_dual
-from .corep import Corepresentation, IrrepTable
+from .algebra import HopfAlgebraSpec, LinearFunctional, _product_rule_gap, build_dual
+from .corep import _CERTIFICATES, Corepresentation, IrrepTable, _corep_residuals
 from .errors import NotUnitary
 from .haar import _haar_invariance
 from .report import Report
@@ -83,8 +83,7 @@ def regular_corep(alg: HopfAlgebraSpec, side: str) -> Corepresentation:
     """The regular comodule in matrix-coefficient form (an ``n``-dim corep)."""
     tensor = regular_carrier(alg, side).coact
     # pi(a_j) = sum_k a_k (x) pi_kj, so pi_kj has coefficients tensor[j, k, :]
-    coeffs = tensor.transpose(1, 0, 2).copy()
-    return Corepresentation(alg, coeffs, label=f"regular-{side}[{alg.label}]")
+    return Corepresentation(alg, tensor.transpose(1, 0, 2), label=f"regular-{side}[{alg.label}]")
 
 
 def regular_invariance_report(alg: HopfAlgebraSpec, h: LinearFunctional,
@@ -145,13 +144,18 @@ def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0,
                               label: str = "") -> BasisFunctionSet:
     """The canonical sets: row ``l`` of ``pi`` (right) or ``S^{-2}(pi^*_{j l})`` (left).
 
-    The left construction needs ``pi`` unitary.
+    The left construction needs ``pi`` unitary: it raises ``NotUnitary`` when a
+    unitarity residual of :func:`~cqglab.corep.check_unitary` exceeds ``1e-9``
+    times the magnitude.
     """
     if side == "R":
         funcs = pi.coeffs[row, :, :].copy()
     elif side == "L":
-        if pi.unitary is False:
-            raise NotUnitary("left canonical basis functions need a unitary corep")
+        residuals = _corep_residuals([pi])[0]
+        worst = max(residuals[name] for name in _CERTIFICATES["unitarity"][1])
+        if worst > 1e-9 * pi.algebra.magnitude:
+            raise NotUnitary(f"left canonical basis functions need a unitary corep; "
+                             f"{pi.label!r} has unitarity residual {worst:.1e}")
         s_inv = pi.algebra.antipode_inv
         s_minus2 = s_inv @ s_inv
         funcs = np.einsum("jm,mt->jt", np.conj(pi.coeffs[:, row, :]) @ pi.algebra.star, s_minus2)
@@ -187,10 +191,9 @@ def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSe
     diag = np.diag(inner)
     report.add("diagonal j-independent", float(np.abs(diag - diag[0]).max()), t)
     if canonical_rows is not None:
-        if set_a.corep.F is None:
-            raise ValueError("canonical-row comparison needs the F matrix")
+        finv = np.linalg.inv(set_a.corep.F)
         s, trow = canonical_rows
-        expected = (s == trow) / set_a.corep.dim
+        expected = finv[trow, s] / np.trace(finv)
         report.add("canonical value", float(np.abs(diag - expected).max()), t,
                    expected=complex(expected))
     return report
@@ -320,16 +323,13 @@ def product_coaction_check(alg: HopfAlgebraSpec, side: str, tol: float = 1e-10,
     the untwisted rule fails for the left coaction on a noncommutative spec).
     """
     tensor = regular_carrier(alg, side).coact
-    m = alg.mult
     applied = twist if twist is not None else ("plain" if side == "R" else "twisted")
     if applied not in ("plain", "twisted"):
         raise ValueError(f"unknown twist {applied!r}")
-    n = alg.dim
-    lhs = (m.reshape(n * n, n) @ tensor.reshape(n, n * n)).reshape(n, n, n, n)  # of a_i a_j
-    rhs = _legwise_product(tensor, m, twisted=applied == "twisted")
     report = Report(f"product coaction [{alg.label} side {side} rule {applied}]",
                     meta={"tol": tol})
-    report.add("product rule", float(np.abs(lhs - rhs).max()), tol * alg.magnitude ** 2)
+    report.add("product rule", _product_rule_gap(tensor, alg.mult, applied == "twisted"),
+               tol * alg.magnitude ** 2)
     return report
 
 

@@ -142,12 +142,9 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     to a least-squares extraction that cross-checks the closed formula.
     ``system`` is used as the family kind's CG system (:func:`_cg_order`);
     passing the other order is the standard negative control on a
-    noncommutative spec, and ``cg_order`` names the system used.  ``f_r``, the
-    target's F matrix, is read only to check that
-    :func:`~cqglab.corep.compute_F` has certified it.
+    noncommutative spec, and ``cg_order`` names the system used.  ``f_r`` is
+    accepted and unused: the target's F is its corep's certified ``F``.
     """
-    if f_r is None:
-        raise ValueError("verify_wigner_eckart needs the F matrix of the target irrep")
     key = _cg_order(fam.kind, phis.corep.label, fam.corep.label)
     title = f"wigner-eckart [{fam.side},{fam.kind}]"
     return _factorize_table([([psis], [fam], [phis], gram, title)], {key: system}, tol)[0]
@@ -189,7 +186,8 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     products of a table's targets, operators and sources come from one
     contraction.
     """
-    targets = [(bset.corep.label, bset.corep.dim) for bset in tables[0][0]]
+    # the closed form's (F^r)^{-1} / tr (F^r)^{-1} is I / tr F^r: F = I, certified on read
+    targets = [(bset.corep.label, round(np.trace(bset.corep.F).real)) for bset in tables[0][0]]
     tmats, chosen, counts = [], [], []
     for psis, fams, phis, gram, _ in tables:
         if [(bset.corep.label, bset.corep.dim) for bset in psis] != targets:

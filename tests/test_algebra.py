@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cqglab.errors import DimensionMismatch, InvalidSpec
 from cqglab.groups import all_permutation_group, build_function_algebra, \
     build_group_algebra, cyclic_group, symmetric_group_3
 from cqglab.haar import solve_haar
+from cqglab.regular import product_coaction_check, regular_carrier
 
 
 def test_axiom_suites_pass_on_all_builtins(algebras):
@@ -63,6 +66,27 @@ def test_in_place_n5_residuals_are_bit_identical(algebras):
             want = _out_of_place_n5_residuals(spec)
             assert {name: report[name].residual for name in want} == want, label
         assert min(_out_of_place_n5_residuals(noisy).values()) > 1e-4, label
+
+
+def test_product_rules_share_the_bialgebra_line(algebras):
+    """``product_coaction_check`` and the bialgebra axiom are one computation: on every
+    built-in, as given and perturbed, both sides' rules and both twists equal the
+    out-of-place ``|lhs - rhs|`` bit for bit, and side R's plain rule is the axiom."""
+    rng = np.random.default_rng(5)
+    for label, alg in algebras.items():
+        n = alg.dim
+        noisy = alg.__class__(n, alg.mult + 1e-3 * rng.standard_normal(alg.mult.shape),
+                              alg.comult + 1e-3 * rng.standard_normal(alg.comult.shape),
+                              alg.antipode, alg.counit, alg.unit, alg.star, label="noisy")
+        for spec in (alg, noisy):
+            for side, twist in product(("R", "L"), ("plain", "twisted")):
+                coact = regular_carrier(spec, side).coact
+                lhs = (spec.mult.reshape(n * n, n) @ coact.reshape(n, n * n)).reshape((n,) * 4)
+                rhs = _legwise_product(coact, spec.mult, twisted=twist == "twisted")
+                got = product_coaction_check(spec, side, twist=twist)["product rule"].residual
+                assert got == float(np.abs(lhs - rhs).max()), (label, side, twist)
+            assert (product_coaction_check(spec, "R")["product rule"].residual
+                    == verify_hopf_axioms(spec)["bialgebra"].residual), label
 
 
 def _product(alg, x, y) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from oracles import is_commutative, s3_character_table, s3_fusion_multiplicity
 
 from cqglab.algebra import LinearFunctional
-from cqglab.cg import (cg_block_residual, character, character_orthogonality,
+from cqglab.cg import (cg_block_residual, character_orthogonality,
                        conjugate_multiplicity_symmetries, coupled_basis_functions,
                        coupled_inverse_residual, multiplicity_in, solve_cg,
                        tensor_product, verify_triple_haar)
@@ -27,7 +27,7 @@ def test_characters_match_classical_table(cs3_fun):
     # as functions, so compare value multisets per element
     by_dim = {1: [], 2: []}
     for pi in cs3_fun.table:
-        by_dim[pi.dim].append(character(pi).coeffs)
+        by_dim[pi.dim].append(pi.character())
     assert np.abs(by_dim[2][0] - chars["standard"]).max() < 1e-9
     one_dim = {tuple(np.round(c.real, 6)) for c in by_dim[1]}
     assert tuple(np.round(chars["trivial"], 6)) in one_dim
@@ -37,7 +37,7 @@ def test_characters_match_classical_table(cs3_fun):
 def test_trivial_character_is_unit(contexts):
     for ctx in contexts.values():
         triv = ctx.table["trivial"]
-        assert np.abs(character(triv).coeffs - ctx.algebra.unit).max() < 1e-12
+        assert np.abs(triv.character() - ctx.algebra.unit).max() < 1e-12
 
 
 def test_character_of_direct_sum_adds(cs3_fun):
@@ -47,8 +47,8 @@ def test_character_of_direct_sum_adds(cs3_fun):
     coeffs[0, 0] = a.coeffs[0, 0]
     coeffs[1, 1] = b.coeffs[0, 0]
     direct = Corepresentation(alg, coeffs, label="p0+p1")
-    total = character(direct).coeffs
-    summed = character(a).coeffs + character(b).coeffs
+    total = direct.character()
+    summed = a.character() + b.character()
     assert np.abs(total - summed).max() <= 1e-14
 
 
@@ -56,18 +56,18 @@ def test_character_orthogonality(contexts):
     for label, ctx in contexts.items():
         for i, p in enumerate(ctx.table):
             for j, q in enumerate(ctx.table):
-                rep = character_orthogonality(character(p), character(q), ctx.haar)
+                rep = character_orthogonality(p, q, ctx.haar)
                 assert rep.passed, (label, i, j)
 
 
 def test_multiplicities_from_characters(cs3_fun):
     reg = regular_corep(cs3_fun.algebra, "R")
-    chi_reg = character(reg)
+    chi_reg = reg.character()
     for pi, expected in zip(cs3_fun.table.irreps, cs3_fun.table.multiplicities):
-        n = multiplicity_in(chi_reg, character(pi), cs3_fun.haar)
+        n = multiplicity_in(chi_reg, pi.character(), cs3_fun.haar)
         assert n == expected == pi.dim
-    triv = cs3_fun.table["trivial"]
-    assert multiplicity_in(character(triv), character(triv), cs3_fun.haar) == 1
+    triv = cs3_fun.table["trivial"].character()
+    assert multiplicity_in(triv, triv, cs3_fun.haar) == 1
 
 
 def test_fusion_multiplicities_match_classical(cs3_fun):
@@ -78,19 +78,17 @@ def test_fusion_multiplicities_match_classical(cs3_fun):
     for pl in cs3_fun.table.labels:
         for ql in cs3_fun.table.labels:
             prod = tensor_product(cs3_fun.table[pl], cs3_fun.table[ql])
-            chi = character(prod)
+            chi = prod.character()
             for rl in cs3_fun.table.labels:
-                got = multiplicity_in(chi, character(cs3_fun.table[rl]), h)
+                got = multiplicity_in(chi, cs3_fun.table[rl].character(), h)
                 want = s3_fusion_multiplicity(classical_of[pl], classical_of[ql],
                                               classical_of[rl])
                 assert got == want, (pl, ql, rl)
 
 
 def test_non_integer_multiplicity_raises(cs3_fun):
-    triv = character(cs3_fun.table["trivial"])
-    half = character(cs3_fun.table["trivial"])
-    from cqglab.cg import Character
-    scaled = Character(0.5 * triv.coeffs)
+    triv = cs3_fun.table["trivial"].character()
+    scaled = 0.5 * triv
     with pytest.raises(NonIntegerMultiplicity):
         multiplicity_in(scaled, triv, cs3_fun.haar)
 
@@ -241,22 +239,28 @@ def test_triple_haar_all_builtin_triples(contexts):
 
 
 def test_triple_haar_needs_the_target_f(cs3_fun):
-    """A target without its F matrix cannot be certified: ValueError, not a report."""
+    """The target's F is read off its coefficients: a fresh copy of ``p2`` that no
+    report has seen gives the table's own report."""
     table = cs3_fun.table
     bare = Corepresentation(cs3_fun.algebra, table["p2"].coeffs, label="p2")
-    assert bare.F is None
     system = cs3_fun.cg("p2", "p2")
-    with pytest.raises(ValueError, match="F matrix"):
-        verify_triple_haar(table["p2"], table["p2"], bare, system, system, cs3_fun.haar)
+    fresh = verify_triple_haar(table["p2"], table["p2"], bare, system, system, cs3_fun.haar)
+    assert fresh.passed
+    own = verify_triple_haar(table["p2"], table["p2"], table["p2"], system, system,
+                             cs3_fun.haar)
+    assert fresh.to_dict() == own.to_dict()
+    assert np.array_equal(bare.F, np.eye(2))
 
 
 def test_wigner_eckart_needs_the_target_f(cs3_fun):
-    """Without the target's F matrix the factorization is refused with a ValueError."""
+    """The target's F is its corep's, certified on read: ``f_r`` is not consulted."""
     std = canonical_basis_functions(cs3_fun.table["p2"], "R", 0)
     fam = multiplication_family(std, "ordinary")
-    with pytest.raises(ValueError, match="F matrix of the target irrep"):
-        verify_wigner_eckart(std, fam, std, cs3_fun.cg("p2", "p2"), None,
-                             cs3_fun.grams.gram("R"))
+    args = (std, fam, std, cs3_fun.cg("p2", "p2"))
+    unread = verify_wigner_eckart(*args, None, cs3_fun.grams.gram("R"))
+    assert unread.passed
+    assert unread.to_dict() == verify_wigner_eckart(*args, std.corep.F,
+                                                    cs3_fun.grams.gram("R")).to_dict()
 
 
 def test_triple_haar_zero_when_multiplicity_vanishes(cs3_fun):
@@ -343,13 +347,13 @@ def test_linear_dependence_warning(cs3_fun):
     assert fired == (rank < 4), (rank, sigma)
 
 
-def test_functionals_and_characters_compare_by_identity(cs3_fun):
-    """``==`` on a functional, the Haar functional or a character compares identity
-    and returns a ``bool``; it does not compare the coefficient arrays."""
+def test_functionals_and_coreps_compare_by_identity(cs3_fun):
+    """``==`` on a functional, the Haar functional or a corepresentation compares
+    identity and returns a ``bool``; it does not compare the coefficient arrays."""
     alg, p2 = cs3_fun.algebra, cs3_fun.table["p2"]
     pairs = [(LinearFunctional(alg, alg.counit), LinearFunctional(alg, alg.counit)),
              (solve_haar(alg), HaarFunctional(alg, solve_haar(alg).covector)),
-             (character(p2), character(p2))]
+             (p2, Corepresentation(alg, p2.coeffs, label=p2.label))]
     for obj, twin in pairs:
         assert (obj == obj) is True and (obj != obj) is False
         assert (obj == twin) is False and (obj != twin) is True

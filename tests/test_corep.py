@@ -9,11 +9,11 @@ from oracles import (brute_cross_schur, brute_schur_sum, classical_corep_coeffs,
                      s3_irreps)
 
 from cqglab import corep
-from cqglab.corep import (Corepresentation, are_equivalent, check_unitary, compute_F,
+from cqglab.corep import (Corepresentation, are_equivalent, check_unitary,
                           conjugate_corep, decompose_comodule, doubly_contragredient,
                           identity_corep, invariant_gram, irrep_table, is_irreducible,
                           morphism_space, unitarize, verify_corep, verify_orthogonality)
-from cqglab.errors import DecompositionStall, NotIrreducible, PositivityFailure
+from cqglab.errors import DecompositionStall, PositivityFailure
 from cqglab.groups import (all_permutation_group, build_function_algebra,
                            build_group_algebra, symmetric_group_3)
 from cqglab.haar import _positivity, gram_matrices, solve_haar
@@ -91,21 +91,7 @@ def test_doubly_contragredient_and_conjugate(classical, cs3_grp):
 def test_compute_f_classical_identity(cs3_fun, classical):
     for name, pi in classical.items():
         assert is_irreducible(pi, cs3_fun.haar), name
-        f = compute_F(pi)
-        assert np.abs(f - np.eye(pi.dim)).max() < 1e-9, name
-
-
-def test_compute_f_rejects_reducible(cs3_fun, classical):
-    alg = classical["trivial"].algebra
-    coeffs = np.zeros((2, 2, alg.dim), dtype=complex)
-    coeffs[0, 0] = alg.unit
-    coeffs[1, 1] = alg.unit
-    red = Corepresentation(alg, coeffs, label="red")
-    with pytest.raises(NotIrreducible):
-        compute_F(red)  # not certified
-    assert not is_irreducible(red, cs3_fun.haar)
-    with pytest.raises(NotIrreducible):
-        compute_F(red)  # certified reducible
+        assert np.abs(pi.F - np.eye(pi.dim)).max() < 1e-9, name
 
 
 def test_f_covariance_under_conjugation(cs3_fun, classical):
@@ -117,9 +103,9 @@ def test_f_covariance_under_conjugation(cs3_fun, classical):
     moved = Corepresentation(std.algebra, coeffs, label="moved")
     assert verify_corep(moved).passed
     assert is_irreducible(moved, cs3_fun.haar) and is_irreducible(std, cs3_fun.haar)
-    f_moved = compute_F(moved)
+    f_moved = moved.F
     # the defining equation transports F to T^{-1} F T (proportionally)
-    expected = t_inv @ compute_F(std) @ t_mat
+    expected = t_inv @ std.F @ t_mat
     assert np.abs(f_moved / np.trace(f_moved)
                   - expected / np.trace(expected)).max() < 1e-9
 
@@ -128,8 +114,6 @@ def test_schur_orthogonality_against_brute_force(cs3_fun, classical):
     h = cs3_fun.haar
     mats = s3_irreps()
     for name, pi in classical.items():
-        is_irreducible(pi, h)
-        compute_F(pi)
         report = verify_orthogonality(pi, pi, h, 1e-10)
         assert report.passed, report.summary()
         d = pi.dim
@@ -152,19 +136,6 @@ def test_cross_orthogonality_zero(cs3_fun, classical):
         mats_a, mats_b = s3_irreps()[a], s3_irreps()[b]
         val = brute_cross_schur(mats_a, mats_b, 0, 0, 0, 0)
         assert abs(val) < 1e-12
-
-
-def test_orthogonality_invariant_under_f_rescaling(cs3_fun, classical):
-    """All downstream formulas use F/tr F, so rescaling F changes nothing."""
-    h = cs3_fun.haar
-    std = classical["standard"]
-    is_irreducible(std, h)
-    compute_F(std)
-    base = verify_orthogonality(std, std, h, 1e-10)
-    std.F = 3.7 * std.F
-    rescaled = verify_orthogonality(std, std, h, 1e-10)
-    assert base.passed and rescaled.passed
-    compute_F(std)  # restore
 
 
 def test_orthogonality_rejects_equivalent_but_unequal(cs3_fun, classical):
@@ -273,7 +244,7 @@ def test_decomposition_blocks_pass_everything(contexts):
     for label, ctx in contexts.items():
         total = 0
         for pi, mult in zip(ctx.table.irreps, ctx.table.multiplicities):
-            assert pi.verified and pi.unitary
+            assert verify_corep(pi).passed and check_unitary(pi).passed
             assert is_irreducible(pi, ctx.haar)
             total += pi.dim * mult
         assert total == ctx.algebra.dim  # matrix coefficients span the algebra
@@ -288,7 +259,7 @@ def test_character_certificate_matches_the_commutant(contexts):
         for pi in coreps:
             assert is_irreducible(pi, h) == (len(morphism_space(pi, pi, h)) == 1), (
                 label, pi.label)
-        assert [pi.irreducible for pi in coreps] == [True] * len(table) + [False, False]
+        assert [is_irreducible(pi, h) for pi in coreps] == [True] * len(table) + [False, False]
 
 
 def _assert_pieces_are_table_irreps(pi, pieces, table, labels):

@@ -1,11 +1,12 @@
-"""Static guard: the F matrix is decided in ``corep.py`` alone.
+"""Static guard: a corepresentation is its coefficients, and ``F`` is read, never set.
 
-Every finite-dimensional CQG algebra is of Kac type (``S^2 = id``), and
-``corep.compute_F`` certifies that per irrep and sets ``F = I``.  The
-orthogonality, projection, triple-Haar and Wigner-Eckart formulas therefore use
-``I / d`` for the paper's ``F^{-1} / tr F^{-1}``.  Outside ``corep.py`` the
-package may only ask whether that certificate ran: every read of a ``.F``
-attribute is the left side of an ``is None`` / ``is not None`` test.
+Every finite-dimensional CQG algebra is of Kac type (``S^2 = id``), so the
+paper's F-matrix is ``I``: a certificate of the coefficients, not stored state.
+``Corepresentation.F`` certifies ``S^2(pi) = pi`` on its first read, and the
+orthogonality, projection, triple-Haar and Wigner-Eckart formulas read it.  No
+code asks whether F was set (``.F is None``), sets an attribute by name
+(``setattr``), or assigns a corepresentation field or one of the certificate
+flags that used to record which reports had run.
 """
 
 from __future__ import annotations
@@ -15,32 +16,69 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 
+FROZEN = ("F", "label", "coeffs", "verified", "unitary", "irreducible")
+
+
+def _trees():
+    for path in sorted(SOURCE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
 
 def _f_reads():
-    """Each ``.F`` load outside ``corep.py`` with its parent node."""
-    for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "corep.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for parent in ast.walk(tree):
-            for node in ast.iter_child_nodes(parent):
-                if (isinstance(node, ast.Attribute) and node.attr == "F"
-                        and isinstance(node.ctx, ast.Load)):
-                    yield f"{path.name}:{node.lineno}", node, parent
-
-
-def _is_none_test(node: ast.AST, parent: ast.AST) -> bool:
-    return (isinstance(parent, ast.Compare) and parent.left is node
-            and len(parent.ops) == 1 and isinstance(parent.ops[0], (ast.Is, ast.IsNot))
-            and isinstance(parent.comparators[0], ast.Constant)
-            and parent.comparators[0].value is None)
+    """Each ``.F`` load in the package source."""
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "F" and isinstance(
+                    node.ctx, ast.Load):
+                yield f"{name}:{node.lineno}", node
 
 
 def test_f_reads_are_found():
-    assert sum(1 for _ in _f_reads()) >= 2
+    assert {where.split(":")[0] for where, _ in _f_reads()} >= {
+        "corep.py", "cg.py", "regular.py", "wigner_eckart.py"}
 
 
-def test_f_is_read_only_as_a_none_test_outside_corep():
-    offenders = [where for where, node, parent in _f_reads()
-                 if not _is_none_test(node, parent)]
+def _none_test(node: ast.Compare) -> bool:
+    """``x.F is None`` or ``x.F is not None``, either way round."""
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(x, ast.Attribute) and x.attr == "F" for x in operands)
+            and any(isinstance(x, ast.Constant) and x.value is None for x in operands))
+
+
+def _targets(node: ast.AST) -> list[ast.AST]:
+    if isinstance(node, ast.Assign):
+        return [leaf for target in node.targets for leaf in ast.walk(target)]
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return list(ast.walk(node.target))
+    return []
+
+
+def _offenses(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` for each ``.F`` None test, ``setattr`` call and assignment to a
+    frozen field or flag."""
+    out = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Compare) and _none_test(node):
+            out.append((line, "F is None"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr"):
+            out.append((line, "setattr"))
+        out += [(line, f"assigns .{target.attr}") for target in _targets(node)
+                if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                and target.attr in FROZEN]
+    return out
+
+
+def test_no_f_none_test_setattr_or_field_assignment():
+    offenders = [f"{name}:{line}: {what}" for name, tree in _trees()
+                 for line, what in _offenses(tree)]
     assert offenders == []
+
+
+def test_guard_sees_each_pattern():
+    sample = ast.parse("if pi.F is not None:\n    pi.F = f\nsetattr(pi, 'unitary', True)\n"
+                       "pi.label += 'x'\nrep.irreducible: bool = True\nok[pi.label] = pi.F\n")
+    assert sorted(_offenses(sample)) == [(1, "F is None"), (2, "assigns .F"), (3, "setattr"),
+                                         (4, "assigns .label"), (5, "assigns .irreducible")]

@@ -8,7 +8,7 @@ import pytest
 from oracles import classical_corep_coeffs, projection_identity_gaps, s3_inverse, s3_irreps
 
 from cqglab.algebra import LinearFunctional
-from cqglab.corep import Corepresentation, IrrepTable
+from cqglab.corep import Corepresentation, IrrepTable, check_unitary, verify_corep
 from cqglab.errors import NotUnitary
 from cqglab.groups import build_function_algebra, cyclic_group
 from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
@@ -33,7 +33,6 @@ def test_regular_coaction_values(cs3_grp, contexts):
 
 
 def test_both_regular_comodules_satisfy_axioms(contexts):
-    from cqglab.corep import verify_corep
     for label, ctx in contexts.items():
         for side in ("R", "L"):
             reg = regular_corep(ctx.algebra, side)
@@ -51,9 +50,13 @@ def test_canonical_basis_functions_pass(contexts):
 
 def test_left_canonical_requires_unitary(cs3_fun):
     pi = cs3_fun.table["p2"]
-    skewed = Corepresentation(pi.algebra, pi.coeffs.copy(), label="x", unitary=False)
+    skew_t = np.array([[1.0, 0.5], [0.0, 1.0]])
+    coeffs = np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew_t), pi.coeffs, skew_t)
+    skewed = Corepresentation(pi.algebra, coeffs, label="x")
+    assert verify_corep(skewed).passed and not check_unitary(skewed).passed
     with pytest.raises(NotUnitary):
         canonical_basis_functions(skewed, "L", 0)
+    assert check_basis_functions(canonical_basis_functions(skewed, "R", 0)) < 1e-12
 
 
 def test_constants_fail_as_basis_functions(cs3_fun):
