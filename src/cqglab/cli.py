@@ -25,7 +25,7 @@ from .homspace import (build_coset_subalgebra, restricted_coaction_report,
                        solve_restricted_basis_functions, verify_coideal)
 from .regular import (canonical_basis_functions, product_coaction_check,
                       dual_action_crosscheck, verify_projection_identities)
-from .report import Report
+from .report import SUMMARY_CHECKS, Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_families,
                          multiplication_family)
 from .wigner_eckart import _cg_order, _factorize_table
@@ -280,22 +280,24 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "csv" and not args.output:
             raise CqglabError("--format csv writes a file: give --output")
         reports = _COMMANDS[args.command](args)
-    except (CqglabError, FileNotFoundError, OSError) as exc:
+        if args.output and args.format == "csv":
+            payload = cio.report_payload(args.command, reports, args.tolerance, args.seed)
+            Path(args.output).write_text(cio.report_to_csv(payload), encoding="utf-8")
+        elif args.output:
+            cio.save_report(args.command, reports, args.tolerance, args.seed,
+                            {k: v for k, v in vars(args).items()
+                             if k not in ("command", "output", "format") and v is not None},
+                            args.output)
+    except (CqglabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = cio.report_payload(
-        args.command, reports, args.tolerance, args.seed,
-        inputs={k: v for k, v in vars(args).items()
-                if k not in ("command", "output", "format") and v is not None})
-    if args.output:
-        if args.format == "csv":
-            Path(args.output).write_text(cio.report_to_csv(payload), encoding="utf-8")
-        else:
-            cio.save_report(payload, args.output)
+    # past SUMMARY_CHECKS checks in all, every report prints only its verdict and failures
+    brief = sum(len(rep._names) for rep in reports) > SUMMARY_CHECKS
     for rep in reports:
-        print(rep.summary())
-    print("RESULT:", "PASS" if payload["passed"] else "FAIL")
-    return 0 if payload["passed"] else 1
+        print(rep.summary(brief))
+    passed = all(rep.passed for rep in reports)
+    print("RESULT:", "PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,9 +20,11 @@ and, for unitary corepresentations in an orthonormal basis::
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -94,6 +96,12 @@ class Corepresentation:
         f.setflags(write=False)
         return f
 
+    @cached_property
+    def residuals(self) -> Mapping[str, float]:
+        """The comodule and unitarity certificate residuals by check name
+        (:func:`_corep_residuals`), read-only."""
+        return MappingProxyType(_corep_residuals([self])[0])
+
     def character(self) -> np.ndarray:
         """The character ``sum_j pi_jj`` as its ``(n,)`` coefficient vector."""
         return self.coeffs.trace()
@@ -121,15 +129,16 @@ _CERTIFICATES = {
 
 def verify_corep(pi: Corepresentation, tol: float = 1e-9) -> Report:
     """Residuals of the comodule identities."""
-    return _certificate(pi, _corep_residuals([pi])[0], "comodule", tol)
+    return _certificate(pi, pi.residuals, "comodule", tol)
 
 
 def check_unitary(pi: Corepresentation, tol: float = 1e-9) -> Report:
     """Residuals of the three unitarity identities."""
-    return _certificate(pi, _corep_residuals([pi])[0], "unitarity", tol)
+    return _certificate(pi, pi.residuals, "unitarity", tol)
 
 
-def _certificate(pi: Corepresentation, residuals: dict, which: str, tol: float) -> Report:
+def _certificate(pi: Corepresentation, residuals: Mapping[str, float], which: str,
+                 tol: float) -> Report:
     """The ``which`` certificate of ``pi`` from its residuals."""
     title, names = _CERTIFICATES[which]
     report = Report(f"{title} [{pi.label}]", meta={"tol": tol})

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import HopfAlgebraSpec
-from .corep import Corepresentation, _corep_residuals, _gram_basis, _restrict, intertwiners
+from .corep import Corepresentation, _gram_basis, _restrict, intertwiners
 from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, _haar_invariance, _positivity
@@ -181,13 +181,13 @@ def restricted_gram(coideal: CoidealSubalgebra) -> np.ndarray:
 
 def restricted_coaction_report(coideal: CoidealSubalgebra, h: HaarFunctional,
                                tol: float = 1e-10) -> Report:
-    """Comodule axioms (:func:`cqglab.corep._corep_residuals` of ``B``'s comodule, the
+    """Comodule axioms (:attr:`cqglab.corep.Corepresentation.residuals` of ``B``'s comodule, the
     transposed coaction tensor) and two-sided Haar invariance of the restricted coaction."""
     alg = coideal.algebra
     coact = coideal.carrier.coact
     report = Report(f"restricted coaction [{coideal.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
-    axioms = _corep_residuals([Corepresentation(alg, coact.transpose(1, 0, 2))])[0]
+    axioms = Corepresentation(alg, coact.transpose(1, 0, 2)).residuals
     report.add("coassociativity", axioms["coproduct splits"], t)
     report.add("counit", axioms["counit is identity"], t)
     left, right = _haar_invariance(coact, coideal.onb, h)

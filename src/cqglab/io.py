@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import le
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -147,7 +149,8 @@ def load_group(path: str | Path) -> GroupTable:
 
 def report_payload(operation: str, reports: list[Report], tolerance: float,
                    seed: int, inputs: dict | None = None) -> dict:
-    """Machine-readable bundle for one CLI run; deterministic given the seed."""
+    """Machine-readable bundle for one CLI run, as dicts; deterministic given the seed.
+    :func:`save_report` writes it as JSON without building it."""
     dicts = [r.to_dict() for r in reports]
     return {
         "schema": REPORT_SCHEMA,
@@ -160,8 +163,52 @@ def report_payload(operation: str, reports: list[Report], tolerance: float,
     }
 
 
-def save_report(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+def _sort_keys_encoder() -> Callable[[Any], str]:
+    """``json.dumps(obj, sort_keys=True)`` as one encoder, built once and reused."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    if c_make_encoder is None:  # a json module without its C accelerator
+        return encoder.encode
+    chunks = c_make_encoder({}, encoder.default, encode_basestring_ascii, None,
+                            encoder.key_separator, encoder.item_separator,
+                            encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+def _report_json(rep: Report, encode: Callable[[Any], str]) -> Iterator[str]:
+    """``json.dumps(rep.to_dict(), sort_keys=True)`` in pieces, read off the columns."""
+    residuals, tols = rep._residuals, rep._tols
+    verdicts = list(map(le, residuals, tols))
+    # each tol object is encoded once, keyed by identity: 0.0 == -0.0 prints apart
+    tol_text = {key: encode(tol) for key, tol in dict(zip(map(id, tols), tols)).items()}
+    yield '{"checks": ['
+    sep = ""
+    # a column is encoded as one list and split: no float or bool text holds ", "
+    for name, residual, tol, passed, details in zip(
+            map(encode_basestring_ascii, rep._names), encode(residuals)[1:-1].split(", "),
+            map(tol_text.__getitem__, map(id, tols)), encode(verdicts)[1:-1].split(", "),
+            rep._details):
+        head = f'{{"details": {encode(details)}, ' if details else "{"
+        yield (f'{sep}{head}"name": {name}, "passed": {passed}, "residual": {residual}, '
+               f'"tol": {tol}}}')
+        sep = ", "
+    meta = f', "meta": {encode(rep.meta)}' if rep.meta else ""
+    yield (f'], "max_residual": {encode(rep.max_residual)}{meta}, "passed": '
+           f'{encode(all(verdicts))}, "title": {encode_basestring_ascii(rep.title)}}}')
+
+
+def save_report(operation: str, reports: list[Report], tolerance: float, seed: int,
+                inputs: dict | None, path: str | Path) -> None:
+    """Write ``json.dumps(report_payload(...), sort_keys=True)`` to ``path``, report by
+    report, straight from each report's columns: no per-check dict is built."""
+    encode = _sort_keys_encoder()
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f'{{"inputs": {encode(inputs or {})}, "operation": {encode(operation)}, '
+                  f'"passed": {encode(all(rep.passed for rep in reports))}, "reports": [')
+        for i, rep in enumerate(reports):
+            out.write(", " if i else "")
+            out.writelines(_report_json(rep, encode))
+        out.write(f'], "schema": {encode(REPORT_SCHEMA)}, "seed": {encode(seed)}, '
+                  f'"tolerance": {encode(tolerance)}}}')
 
 
 def report_to_csv(payload: dict) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HopfAlgebraSpec, LinearFunctional, _product_rule_gap, build_dual
-from .corep import _CERTIFICATES, Corepresentation, IrrepTable, _corep_residuals
+from .corep import _CERTIFICATES, Corepresentation, IrrepTable
 from .errors import NotUnitary
 from .haar import _haar_invariance
 from .report import Report
@@ -151,8 +151,7 @@ def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0,
     if side == "R":
         funcs = pi.coeffs[row, :, :].copy()
     elif side == "L":
-        residuals = _corep_residuals([pi])[0]
-        worst = max(residuals[name] for name in _CERTIFICATES["unitarity"][1])
+        worst = max(pi.residuals[name] for name in _CERTIFICATES["unitarity"][1])
         if worst > 1e-9 * pi.algebra.magnitude:
             raise NotUnitary(f"left canonical basis functions need a unitary corep; "
                              f"{pi.label!r} has unitarity residual {worst:.1e}")

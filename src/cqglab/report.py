@@ -97,11 +97,13 @@ class Report:
             out["meta"] = self.meta
         return out
 
-    def summary(self) -> str:
+    def summary(self, brief: bool = False) -> str:
+        """The verdict line and every check; when ``brief`` or past ``SUMMARY_CHECKS``
+        checks, the check count and worst residual and only the failing checks."""
         verdicts = list(map(le, self._residuals, self._tols))
         head = f"{self.title}: {'PASS' if all(verdicts) else 'FAIL'}"
         shown = range(len(verdicts))
-        if len(verdicts) > SUMMARY_CHECKS:
+        if brief or len(verdicts) > SUMMARY_CHECKS:
             head += f" ({len(verdicts)} checks, worst residual {self.max_residual:.3e})"
             shown = [i for i, passed in enumerate(verdicts) if not passed]
         return "\n".join([head] + [

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import HopfAlgebraSpec
 from .cg import tensor_product
-from .corep import RANK_RCOND, Corepresentation, _corep_residuals, _phase_fixed
+from .corep import RANK_RCOND, Corepresentation, _phase_fixed
 from .errors import DecompositionStall, NotACorepresentation
 from .regular import BasisFunctionSet, Carrier, _carrier_of, regular_carrier
 from .report import Report
@@ -303,8 +303,7 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
     _variant_key(kind, side)
     alg = pi.algebra
     n, d = alg.dim, pi.dim
-    residuals = _corep_residuals([pi])[0]
-    worst = max(residuals["coproduct splits"], residuals["counit is identity"])
+    worst = max(pi.residuals["coproduct splits"], pi.residuals["counit is identity"])
     if worst > 1e-9 * alg.magnitude:
         raise NotACorepresentation(f"{pi.label!r} fails the comodule axioms (residual "
                                    f"{worst:.1e} > {1e-9 * alg.magnitude:.1e})")

@@ -18,6 +18,7 @@ from cqglab import io as cio
 from cqglab.algebra import HopfAlgebraSpec
 from cqglab.errors import InvalidSpec
 from cqglab.groups import build_function_algebra, builtin_algebras, symmetric_group_3
+from conftest import alternating_group_4
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -455,3 +456,39 @@ def test_csv_format_without_output_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "--output" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_output_is_a_file_error(tmp_path, capsys, fmt):
+    """A report that cannot be written is a file error (exit 2), not a failed check."""
+    out = tmp_path / "missing" / "report.out"
+    assert cli.main(["validate", "--builtin", "C(Z2)", "--output", str(out),
+                     "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "missing" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_table_scale_stdout_is_brief_and_lists_failures(tmp_path, capsys, monkeypatch):
+    """``cg`` on C[A4] holds 3,600 checks in 144 reports of 25: past ``SUMMARY_CHECKS``
+    checks in all, each report prints only its verdict line, then its failing checks."""
+    cio.save_group(alternating_group_4(), tmp_path / "a4.json")
+    argv = ["cg", "--group", str(tmp_path / "a4.json"), "--construction", "group"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 145 and lines[-1] == "RESULT: PASS"
+    assert all(" (25 checks, worst residual " in line for line in lines[:-1])
+
+    def one_pair_off(*args):
+        gaps = triple_haar_gaps(*args)
+        key = next(key for key in gaps if key[0] != key[1])
+        gaps[key] = np.where(np.arange(len(gaps[key])) == 0, 2.5, gaps[key])
+        return gaps
+
+    triple_haar_gaps = cli._triple_haar_gaps
+    monkeypatch.setattr(cli, "_triple_haar_gaps", one_pair_off)
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    bad = [line for line in lines if line.startswith("  [BAD] ")]
+    assert len(lines) == 147 and lines[-1] == "RESULT: FAIL" and len(bad) == 2
+    assert all("residual 2.500e+00" in line for line in bad)

@@ -15,10 +15,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cqglab import corep
 from cqglab.cg import verify_triple_haar
 from cqglab.corep import Corepresentation, check_unitary, verify_corep, verify_orthogonality
 from cqglab.errors import NotUnitary
 from cqglab.regular import canonical_basis_functions, check_basis_functions
+from cqglab.tensor_ops import solve_family_space
 
 SKEW = np.array([[1.0, 0.5], [0.0, 1.0]])
 
@@ -97,3 +99,23 @@ def test_f_is_a_cached_read_only_identity(contexts):
         for pi in ctx.table:
             assert pi.F is pi.F, (label, pi.label)
             assert np.array_equal(pi.F, np.eye(pi.dim)) and not pi.F.flags.writeable
+
+
+def test_residuals_are_one_read_only_pass_per_corep(cs3_fun, monkeypatch):
+    """Repeated left canonical sets, the left families and both certificates of one
+    corep read its residuals from one :func:`corep._corep_residuals` call."""
+    calls, real = [], corep._corep_residuals
+    monkeypatch.setattr(corep, "_corep_residuals",
+                        lambda coreps: calls.append(len(coreps)) or real(coreps))
+    pi = Corepresentation(cs3_fun.algebra, cs3_fun.table["p2"].coeffs, label="p2")
+    for _ in range(3):
+        for row in range(pi.dim):
+            canonical_basis_functions(pi, "L", row)
+    assert calls == [1]
+    for kind in ("ordinary", "twisted"):
+        solve_family_space(pi, kind, "L")
+    assert verify_corep(pi).passed and check_unitary(pi).passed
+    assert calls == [1]
+    assert dict(pi.residuals) == real([pi])[0]
+    with pytest.raises(TypeError):
+        pi.residuals["counit is identity"] = 0.0

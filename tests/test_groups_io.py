@@ -130,9 +130,10 @@ def test_report_payload_deterministic(tmp_path):
     payload = cio.report_payload("validate", [rep], 1e-9, 0, {"x": 1})
     assert payload["passed"] is False
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    cio.save_report(payload, p1)
-    cio.save_report(cio.report_payload("validate", [rep], 1e-9, 0, {"x": 1}), p2)
+    cio.save_report("validate", [rep], 1e-9, 0, {"x": 1}, p1)
+    cio.save_report("validate", [rep], 1e-9, 0, {"x": 1}, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert json.loads(p1.read_text(encoding="utf-8")) == payload
     csv = cio.report_to_csv(payload)
     assert "demo,alpha" in csv and csv.count("\n") == 3
 

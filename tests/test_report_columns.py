@@ -3,7 +3,8 @@
 The columns must render exactly what the per-check ``CheckResult`` rendering in
 ``oracles`` renders: the same ``cqglab/report-v1`` bytes and the same stdout, on
 every ``desk`` and ``fusion`` job of the benchmark (the built-ins, and C(D6) and
-C[A4] relabelled by seed 1).
+C[A4] relabelled by seed 1).  ``io.save_report`` writes those bytes straight from
+the columns; ``json.dumps`` of ``io.report_payload`` is its reference.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 import oracles
 from cqglab import cli
+from cqglab import io as cio
 from cqglab.report import SUMMARY_CHECKS, CheckResult, Report
 from cqglab.wigner_eckart import _reduced_pairs
 
@@ -43,16 +45,62 @@ def run_reports(argv) -> list[Report]:
     return cli._COMMANDS[args.command](args)
 
 
+def written(tmp_path, reports: list[Report], operation: str = "op", inputs=None) -> str:
+    """What ``save_report`` writes of ``reports``."""
+    path = tmp_path / "written.json"
+    cio.save_report(operation, reports, 1e-9, 3, inputs, path)
+    return path.read_text(encoding="utf-8")
+
+
+def dumped(reports: list[Report], operation: str = "op", inputs=None) -> str:
+    """The same, as ``json.dumps`` renders the dict form."""
+    return json.dumps(cio.report_payload(operation, reports, 1e-9, 3, inputs), sort_keys=True)
+
+
 @pytest.mark.parametrize("workload", ["desk", "fusion"])
 def test_columns_render_as_the_per_check_reference(tmp_path, workload):
     argvs = list(dict.fromkeys(job.argv for job in jobs.make_inputs(workload, 1, tmp_path)))
     assert len(argvs) == {"desk": 39, "fusion": 9}[workload]
     largest = 0
     for argv in argvs:
-        for report in run_reports(argv):
+        reports = run_reports(argv)
+        for report in reports:
             assert rendered(report) == reference(report), (argv, report.title)
             largest = max(largest, len(report.checks))
+        inputs = {"argv": list(argv), "tolerance": 1e-9}
+        assert written(tmp_path, reports, argv[0], inputs) == dumped(reports, argv[0], inputs), argv
     assert largest > SUMMARY_CHECKS
+
+
+ODD_TEXT = 'quote " backslash \\ tab \t nul \x00 del \x7f e\u0301 \u00e9 \u03c0 \U0001d49c /'
+
+
+def test_writer_spells_floats_and_text_as_json_does(tmp_path):
+    """NaN, the infinities and -0.0 in residuals, tols, details and meta; quotes,
+    backslashes, control characters and non-ASCII text in titles, names and
+    detail strings; nested details of every JSON type."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    odd = Report(f"title {ODD_TEXT}", meta={"tol": -0.0, ODD_TEXT: [math.nan, {"b": 1, "a": None}]})
+    for i, residual in enumerate(special):
+        for j, tol in enumerate(special):
+            odd.add(f"check {i}.{j} {ODD_TEXT}", residual, tol)
+    odd.extend([ODD_TEXT, "nested", "plain"], [-0.0, math.inf, 1e-17], -0.0,
+               [{"text": ODD_TEXT, "values": special},
+                {"z": [[1, True, False, None], {"y": [], "x": {}}], "a": -7, "m": "\u00e9"},
+                {}])
+    empty_meta = Report("empty meta", meta={})
+    empty_meta.add("one", 0.25, 0.5, reduced=[[-0.0, 0.0]], cg_order=["p0", "p1"])
+    reports = [odd, empty_meta, Report("no checks"), Report("")]
+    text = written(tmp_path, reports, ODD_TEXT, {"builtin": ODD_TEXT, "seed": 0, "x": math.nan})
+    assert text == dumped(reports, ODD_TEXT, {"builtin": ODD_TEXT, "seed": 0, "x": math.nan})
+    assert text.isascii() and "-0.0" in text and "-Infinity" in text and "NaN" in text
+    assert json.loads(text)["reports"][0]["title"] == f"title {ODD_TEXT}"
+
+
+@pytest.mark.parametrize("reports", [[], [Report("empty")]], ids=["no reports", "empty report"])
+def test_writer_renders_empty_input_as_json_does(tmp_path, reports):
+    assert written(tmp_path, reports) == dumped(reports)
+    assert written(tmp_path, reports, inputs={}) == dumped(reports, inputs={})
 
 
 def test_signed_zeros_in_reduced_render_as_the_reference():
@@ -109,9 +157,9 @@ def test_add_and_extend_append_the_same_rows():
 def test_wigner_eckart_builds_check_results_only_on_access(tmp_path, monkeypatch):
     """``cqglab wigner-eckart`` on C[A4] writes its JSON and stdout straight from the
     columns: no ``CheckResult`` until ``checks`` or ``report[name]`` is read, and no
-    ``Report.add`` call at all."""
-    made, added = [], []
-    init, add = CheckResult.__init__, Report.add
+    ``Report.add`` or ``Report.to_dict`` call at all."""
+    made, added, dicts = [], [], []
+    init, add, to_dict = CheckResult.__init__, Report.add, Report.to_dict
 
     def counting_init(self, *args, **kwargs):
         made.append(args[0])
@@ -121,12 +169,17 @@ def test_wigner_eckart_builds_check_results_only_on_access(tmp_path, monkeypatch
         added.append(args[0])
         add(self, *args, **kwargs)
 
+    def counting_to_dict(self):
+        dicts.append(self.title)
+        return to_dict(self)
+
     monkeypatch.setattr(CheckResult, "__init__", counting_init)
     monkeypatch.setattr(Report, "add", counting_add)
+    monkeypatch.setattr(Report, "to_dict", counting_to_dict)
     a4 = str(jobs.write_group("A4", 1, tmp_path)[0])
     argv = ["wigner-eckart", "--group", a4, "--construction", "group"]
     assert cli.main([*argv, "--output", str(tmp_path / "we.json")]) == 0
-    assert made == [] and added == []
+    assert made == [] and added == [] and dicts == []
     reports = run_reports(argv)
     assert made == [] and [len(rep.to_dict()["checks"]) for rep in reports] == [1728] * 4
     checks = reports[0].checks
