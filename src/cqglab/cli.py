@@ -90,7 +90,7 @@ def _cmd_irreps(args) -> list[Report]:
     for side in ("R", "L"):
         reports.append(verify_projection_identities(table, side, h, args.tolerance))
         reports.append(product_coaction_check(spec, side, args.tolerance))
-    reports.append(dual_action_crosscheck(spec))
+    reports.append(dual_action_crosscheck(spec, args.tolerance))
     return reports
 
 
@@ -281,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             raise CqglabError("--format csv writes a file: give --output")
         reports = _COMMANDS[args.command](args)
         if args.output and args.format == "csv":
-            payload = cio.report_payload(args.command, reports, args.tolerance, args.seed)
-            Path(args.output).write_text(cio.report_to_csv(payload), encoding="utf-8")
+            Path(args.output).write_text(cio.report_to_csv(reports), encoding="utf-8")
         elif args.output:
             cio.save_report(args.command, reports, args.tolerance, args.seed,
                             {k: v for k, v in vars(args).items()

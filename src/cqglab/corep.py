@@ -231,11 +231,17 @@ def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]
     the left singular vectors of one batched SVD whose singular values are
     above ``rcond * max(sigma_max, 1)``.  The nonzero singular values of an
     idempotent are at least 1, so the cut lies far below its range.  The rows
-    are phase-fixed by :func:`_phase_fixed`.
+    are phase-fixed by :func:`_phase_fixed`.  A matrix whose Frobenius norm is at
+    most ``rcond / 2`` has ``sigma_max`` below the cut, so rank 0, and skips the
+    SVD; each other matrix's SVD does not depend on the rest of the stack, so
+    the screen leaves every rank and vector bit-identical.
     """
-    u, sigma, _ = np.linalg.svd(mats)
+    live = ~(np.linalg.norm(mats, axis=(1, 2)) <= rcond / 2)      # NaN goes to the SVD
+    u, sigma, _ = np.linalg.svd(mats[live])
     keep = sigma > rcond * np.maximum(sigma[:, :1], 1.0)
-    return _phase_fixed(u.transpose(0, 2, 1)[keep]), keep.sum(axis=1).tolist()
+    ranks = np.zeros(len(mats), dtype=int)
+    ranks[live] = keep.sum(axis=1)
+    return _phase_fixed(u.transpose(0, 2, 1)[keep]), ranks.tolist()
 
 
 def _phase_fixed(vecs: np.ndarray) -> np.ndarray:

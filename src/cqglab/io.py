@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import le
 from pathlib import Path
@@ -180,14 +181,16 @@ def _report_json(rep: Report, encode: Callable[[Any], str]) -> Iterator[str]:
     verdicts = list(map(le, residuals, tols))
     # each tol object is encoded once, keyed by identity: 0.0 == -0.0 prints apart
     tol_text = {key: encode(tol) for key, tol in dict(zip(map(id, tols), tols)).items()}
+    # so is each details object: the absent targets of a Wigner-Eckart pair share one
+    heads = {key: f'{{"details": {encode(details)}, ' if details else "{"
+             for key, details in dict(zip(map(id, rep._details), rep._details)).items()}
     yield '{"checks": ['
     sep = ""
     # a column is encoded as one list and split: no float or bool text holds ", "
-    for name, residual, tol, passed, details in zip(
+    for name, residual, tol, passed, head in zip(
             map(encode_basestring_ascii, rep._names), encode(residuals)[1:-1].split(", "),
             map(tol_text.__getitem__, map(id, tols)), encode(verdicts)[1:-1].split(", "),
-            rep._details):
-        head = f'{{"details": {encode(details)}, ' if details else "{"
+            map(heads.__getitem__, map(id, rep._details))):
         yield (f'{sep}{head}"name": {name}, "passed": {passed}, "residual": {residual}, '
                f'"tol": {tol}}}')
         sep = ", "
@@ -211,15 +214,16 @@ def save_report(operation: str, reports: list[Report], tolerance: float, seed: i
                   f'"tolerance": {encode(tolerance)}}}')
 
 
-def report_to_csv(payload: dict) -> str:
-    """One row per check; titles and check names that hold commas are quoted."""
+def report_to_csv(reports: list[Report]) -> str:
+    """One row per check, read off each report's columns; titles and check names that
+    hold commas are quoted."""
     import csv  # imported here: only the CSV output format needs it
     import io
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["report", "check", "residual", "tol", "passed"])
-    writer.writerows([rep["title"], chk["name"], f"{chk['residual']:.6e}",
-                      f"{chk['tol']:.3e}", chk["passed"]]
-                     for rep in payload["reports"] for chk in rep["checks"])
+    for rep in reports:
+        writer.writerows(zip(repeat(rep.title), rep._names, map("{:.6e}".format, rep._residuals),
+                             map("{:.3e}".format, rep._tols), map(le, rep._residuals, rep._tols)))
     return out.getvalue()

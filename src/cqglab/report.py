@@ -7,6 +7,7 @@ broke and by how much.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from math import isnan, nan
 from operator import le
@@ -31,13 +32,20 @@ class CheckResult:
         return bool(self.residual <= self.tol)
 
 
+def _copied(details: dict[str, Any]) -> dict[str, Any]:
+    """A details dict that shares nothing with the report's own."""
+    return deepcopy(details) if details else {}
+
+
 class Report:
     """A named bundle of checks, e.g. one axiom suite or one identity sweep.
 
     The checks are held as columns: names, residuals, tolerances and details.
     A table engine appends a whole table with one :meth:`extend`, and
     :class:`CheckResult` objects are built only when a caller reads
-    :attr:`checks` or indexes the report by check name.
+    :attr:`checks` or indexes the report by check name.  Checks may share one
+    details object, so :attr:`checks`, indexing and :meth:`to_dict` hand out
+    copies of the details.
     """
 
     def __init__(self, title: str, meta: dict[str, Any] | None = None):
@@ -62,12 +70,13 @@ class Report:
     @property
     def checks(self) -> list[CheckResult]:
         """The checks as :class:`CheckResult` objects, built on each read."""
-        return list(map(CheckResult, self._names, self._residuals, self._tols, self._details))
+        return list(map(CheckResult, self._names, self._residuals, self._tols,
+                        map(_copied, self._details)))
 
     def __getitem__(self, name: str) -> CheckResult:
         for row in zip(self._names, self._residuals, self._tols, self._details):
             if row[0] == name:
-                return CheckResult(*row)
+                return CheckResult(*row[:3], _copied(row[3]))
         raise KeyError(name)
 
     @property
@@ -86,7 +95,7 @@ class Report:
                   in zip(self._names, self._residuals, self._tols, verdicts)]
         for check, details in zip(checks, self._details):
             if details:
-                check["details"] = details
+                check["details"] = _copied(details)
         out: dict[str, Any] = {
             "title": self.title,
             "passed": all(verdicts),

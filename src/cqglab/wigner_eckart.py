@@ -182,7 +182,8 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     system's order before the call.
     A report has one check per triple, named ``p,q,r`` (see
     :func:`_set_names`), in source-major order, with details ``reduced``,
-    ``cg_order`` and, when ``r`` occurs, ``reduced_lstsq_gap``.  The inner
+    ``cg_order`` and, when ``r`` occurs, ``reduced_lstsq_gap``; the targets of
+    one pair that do not occur share one details dict.  The inner
     products of a table's targets, operators and sources come from one
     contraction.
     """
@@ -209,14 +210,16 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     reports = []
     for (psis, fams, phis, _, title), rows in zip(tables, _stacked_slices(counts)):
         p_names, q_names, r_names = _set_names(phis), _set_names(fams), _set_names(psis)
-        orders = [[system.p_label, system.q_label] for system in chosen[rows]]  # one per pair
+        # one per pair, shared by every target of the pair that does not occur
+        absents = [{"reduced": [], "cg_order": [system.p_label, system.q_label]}
+                   for system in chosen[rows]]
         occurs = mults[rows].ravel().tolist()
         # the reduced elements of the targets that occur, in check order
         values = _reduced_pairs(reduced[rows][np.arange(reduced.shape[2]) < mults[rows, :, None]])
-        details = [{"reduced": values[start:start + count], "cg_order": order,
-                    "reduced_lstsq_gap": gap} if count else {"reduced": [], "cg_order": order}
-                   for order, start, count, gap
-                   in zip((order for order in orders for _ in psis),
+        details = [{"reduced": values[start:start + count], "cg_order": absent["cg_order"],
+                    "reduced_lstsq_gap": gap} if count else absent
+                   for absent, start, count, gap
+                   in zip((absent for absent in absents for _ in psis),
                           accumulate(occurs, initial=0), occurs, gaps[rows].ravel().tolist())]
         report = Report(title)
         report.extend([f"{p},{q},{r}" for p, q in product(p_names, q_names) for r in r_names],

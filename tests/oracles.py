@@ -722,6 +722,20 @@ def report_summary(report, limit: int) -> str:
         f"(tol {check.tol:.1e})" for check in checks])
 
 
+def payload_csv(payload: dict) -> str:
+    """The CSV of a ``report_payload`` dict, rendered one check dict at a time."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["report", "check", "residual", "tol", "passed"])
+    writer.writerows([rep["title"], chk["name"], f"{chk['residual']:.6e}",
+                      f"{chk['tol']:.3e}", chk["passed"]]
+                     for rep in payload["reports"] for chk in rep["checks"])
+    return out.getvalue()
+
+
 def loop_group_arrays(group) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``(mult, comult, antipode)`` of ``C(G)`` (key ``"function"``) and ``C[G]`` (key
     ``"group"``), filled one table entry at a time: ``delta_x delta_x = delta_x``,

@@ -369,6 +369,27 @@ def test_irreps_report_ignores_seed(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_irreps_reports_follow_the_tolerance(tmp_path):
+    """Every ``irreps`` report but the summary's block count judges at ``--tolerance``:
+    a 100 times looser tolerance gives every check a 100 times looser tol, and a
+    report's ``meta.tol`` is the tolerance itself."""
+    payloads = {}
+    for tolerance in ("1e-9", "1e-7"):
+        out = tmp_path / f"irreps-{tolerance}.json"
+        assert cli.main(["irreps", "--builtin", "C(S3)", "--tolerance", tolerance,
+                         "--output", str(out)]) == 0
+        payloads[float(tolerance)] = json.loads(out.read_text())["reports"]
+    tight, loose = payloads[1e-9], payloads[1e-7]
+    assert [rep["title"] for rep in tight] == [rep["title"] for rep in loose]
+    assert any(rep["title"].startswith("dual regular actions") for rep in tight)
+    for rep_t, rep_l in zip(tight[1:], loose[1:]):
+        assert rep_t.get("meta", {}).get("tol", 1e-9) == 1e-9
+        assert rep_l.get("meta", {}).get("tol", 1e-7) == 1e-7
+        for chk_t, chk_l in zip(rep_t["checks"], rep_l["checks"]):
+            assert chk_l["tol"] == pytest.approx(100 * chk_t["tol"], rel=1e-12), (
+                rep_t["title"], chk_t["name"])
+
+
 def test_irreps_output_reproducible(tmp_path):
     inputs = [("irreps", "--builtin", "C[S3]")] + [
         ("homspace", "--builtin", "C(S3)", "--subgroup", "0,1", "--side", side)

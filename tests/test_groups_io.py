@@ -134,7 +134,7 @@ def test_report_payload_deterministic(tmp_path):
     cio.save_report("validate", [rep], 1e-9, 0, {"x": 1}, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text(encoding="utf-8")) == payload
-    csv = cio.report_to_csv(payload)
+    csv = cio.report_to_csv([rep])
     assert "demo,alpha" in csv and csv.count("\n") == 3
 
 

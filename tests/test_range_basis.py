@@ -13,15 +13,21 @@ O(1) along the other, so the second direction is a singular value of order 1
 beside one of order 1e6, still far above the cut of about 1e-3.  The property
 test draws oblique idempotents of random rank and size up to 300, the largest
 family-space system of C(A5).
+
+A matrix whose Frobenius norm is at most ``rcond / 2`` skips the SVD (rank 0).
+The screen is checked against the unscreened solver, bit for bit, on stacks
+that mix exact zeros, idempotents and maps whose norms sit just above and just
+below both the screen and the rank cut.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqglab.corep import _range_basis
+from cqglab.corep import _phase_fixed, _range_basis
 
 N = 8
 
@@ -137,3 +143,64 @@ def test_random_oblique_idempotents(size, data):
         basis = vecs[start:start + rank]
         start += rank
         assert np.abs(basis.T @ basis.conj() - q @ q.conj().T).max() < 1e-8, (size, rank, skew)
+
+
+def _unscreened(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
+    """The range solver with every matrix in one batched SVD, no norm screen."""
+    u, sigma, _ = np.linalg.svd(mats)
+    keep = sigma > rcond * np.maximum(sigma[:, :1], 1.0)
+    return _phase_fixed(u.transpose(0, 2, 1)[keep]), keep.sum(axis=1).tolist()
+
+
+def _near_cut_stack(rng, size: int, rcond: float) -> np.ndarray:
+    """Exact zeros, oblique idempotents of every rank, and random maps of rank 1 and
+    full rank scaled to Frobenius norms at and around ``rcond / 2`` and ``rcond``."""
+    mats = [np.zeros((size, size), dtype=complex)] * 3
+    for rank in range(size + 1):
+        q = _unitary(rng, size)[:, :rank]
+        b = rng.standard_normal((rank, size)) + 1j * rng.standard_normal((rank, size))
+        mats.append(q @ (q.conj().T + b @ (np.eye(size) - q @ q.conj().T)))
+    for norm in (rcond / 2, rcond):
+        for factor in (1 - 1e-3, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-3, 1.5):
+            for rank in (1, size):
+                x = rng.standard_normal((size, rank)) + 1j * rng.standard_normal((size, rank))
+                y = rng.standard_normal((rank, size)) + 1j * rng.standard_normal((rank, size))
+                mat = x @ y
+                mats.append(mat * (norm * factor / np.linalg.norm(mat)))
+    return np.stack([mats[i] for i in rng.permutation(len(mats))])
+
+
+@pytest.mark.parametrize("rcond", [1e-9, 1e-3])
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_norm_screen_is_bit_identical_to_the_unscreened_solver(monkeypatch, size, rcond):
+    svd, sent = np.linalg.svd, []
+
+    def counting(mats, *args, **kwargs):
+        sent.append(len(mats))
+        return svd(mats, *args, **kwargs)
+
+    for seed in range(4):
+        mats = _near_cut_stack(np.random.default_rng(seed), size, rcond)
+        expected_vecs, expected_ranks = _unscreened(mats, rcond)
+        sent.clear()
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        vecs, ranks = _range_basis(mats, rcond)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert ranks == expected_ranks
+        assert vecs.shape == expected_vecs.shape
+        assert vecs.tobytes() == expected_vecs.tobytes()
+        # the zeros and the maps below the screen skip the SVD; the rest go in one call
+        screened = np.linalg.norm(mats, axis=(1, 2)) <= rcond / 2
+        assert sent == [len(mats) - screened.sum()]
+        # the zeros (three, and the rank-0 idempotent) and the four maps scaled below
+        # the screen skip it; the four at it up to rounding may go either way
+        assert 8 <= screened.sum() <= 12
+        # above the screen but below the rank cut, a map still has rank 0
+        assert max(ranks) == size and 0 in [r for r, s in zip(ranks, screened) if not s]
+
+
+def test_a_nan_map_still_reaches_the_svd():
+    mats = np.zeros((2, 2, 2), dtype=complex)
+    mats[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _range_basis(mats, 1e-9)

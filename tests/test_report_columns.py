@@ -4,7 +4,9 @@ The columns must render exactly what the per-check ``CheckResult`` rendering in
 ``oracles`` renders: the same ``cqglab/report-v1`` bytes and the same stdout, on
 every ``desk`` and ``fusion`` job of the benchmark (the built-ins, and C(D6) and
 C[A4] relabelled by seed 1).  ``io.save_report`` writes those bytes straight from
-the columns; ``json.dumps`` of ``io.report_payload`` is its reference.
+the columns; ``json.dumps`` of ``io.report_payload`` is its reference.  The
+CSV is rendered from the columns too, against the per-check-dict CSV of
+``oracles.payload_csv``.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ def test_columns_render_as_the_per_check_reference(tmp_path, workload):
             largest = max(largest, len(report.checks))
         inputs = {"argv": list(argv), "tolerance": 1e-9}
         assert written(tmp_path, reports, argv[0], inputs) == dumped(reports, argv[0], inputs), argv
+        payload = cio.report_payload(argv[0], reports, 1e-9, 3, inputs)
+        assert cio.report_to_csv(reports) == oracles.payload_csv(payload), argv
     assert largest > SUMMARY_CHECKS
 
 
@@ -93,6 +97,8 @@ def test_writer_spells_floats_and_text_as_json_does(tmp_path):
     reports = [odd, empty_meta, Report("no checks"), Report("")]
     text = written(tmp_path, reports, ODD_TEXT, {"builtin": ODD_TEXT, "seed": 0, "x": math.nan})
     assert text == dumped(reports, ODD_TEXT, {"builtin": ODD_TEXT, "seed": 0, "x": math.nan})
+    assert cio.report_to_csv(reports) == oracles.payload_csv(
+        cio.report_payload(ODD_TEXT, reports, 1e-9, 3))
     assert text.isascii() and "-0.0" in text and "-Infinity" in text and "NaN" in text
     assert json.loads(text)["reports"][0]["title"] == f"title {ODD_TEXT}"
 
