@@ -9,7 +9,7 @@ A CG system for an ordered pair ``(p, q)`` is the square change of basis
 ``C`` (columns indexed by ``(r, alpha, l)``) with
 ``C^{-1} (pi^p x pi^q) C = sum_r (+) n_pq^r pi^r`` entrywise in the algebra.
 The unit of work is the irrep table: :func:`solve_cg_systems` solves every
-pair of two label sets in one stacked pass per dimension class, and the
+pair of two label sets in one stacked pass per product size, and the
 triple-product Haar certificates of all pairs and targets are read off one
 gap array.
 """
@@ -92,10 +92,14 @@ def _tensor_products(vs: np.ndarray, ws: np.ndarray, alg: HopfAlgebraSpec,
     and ``ws[w, t, k, m]``, with the product reversed when ``kind`` is twisted."""
     if kind not in ("ordinary", "twisted"):
         raise ValueError(f"kind must be 'ordinary' or 'twisted', got {kind!r}")
-    left = np.tensordot(vs, alg.mult, axes=(3, 0 if kind == "ordinary" else 1))  # [v, s, j, b, m]
-    prod = np.tensordot(left, ws, axes=(3, 3))                       # [v, s, j, m, w, t, k]
-    size = vs.shape[1] * ws.shape[1]
-    return prod.transpose(0, 4, 1, 5, 2, 6, 3).reshape(len(vs), len(ws), size, size, alg.dim)
+    n = alg.dim
+    mult = alg.mult if kind == "ordinary" else alg.mult.swapaxes(0, 1)
+    left = (vs.reshape(-1, n) @ mult.reshape(n, -1)).reshape(-1, n, n)  # [(v, s, j), b, m]
+    prod = ws.reshape(-1, n) @ left                                     # [(v, s, j), (w, t, k), m]
+    (count_v, d_v), (count_w, d_w) = vs.shape[:2], ws.shape[:2]
+    size = d_v * d_w
+    return prod.reshape(count_v, d_v, d_v, count_w, d_w, d_w, n).transpose(
+        0, 3, 1, 4, 2, 5, 6).reshape(count_v, count_w, size, size, n)
 
 
 def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional) -> Report:
@@ -200,10 +204,11 @@ def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional
     the result is keyed ``(p.label, q.label)`` in ``ps``-major order.  The
     tensor products of one ``(d_p, d_q)`` class come from one contraction, and
     the products of one size are cut by one
-    :func:`cqglab.corep._block_diagonalize` call: one batched SVD per
-    ``(d_p d_q, d_r)`` class for every ``Hom(pi^r, pi^p (x) pi^q)``, then one
-    batched SVD, inverse and block residual for the ``C`` matrices.  Raises as
-    :func:`solve_cg` does, on the first failing pair.
+    :func:`cqglab.corep._block_diagonalize` call: one batched SVD of the
+    ``d_p d_q x d_p d_q`` projections ``P^r_11`` of every pair and target for
+    every ``Hom(pi^r, pi^p (x) pi^q)``, then one batched SVD, inverse and block
+    residual for the ``C`` matrices.  Raises as :func:`solve_cg` does, on the
+    first failing pair.
     """
     ps, qs = list(ps), list(qs)
     alg = table.algebra

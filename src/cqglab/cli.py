@@ -10,7 +10,6 @@ import argparse
 import functools
 import sys
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -78,7 +77,7 @@ def _cmd_irreps(args) -> list[Report]:
     spec = _load_spec(args)
     h, grams, table = _context(spec, args.tolerance)
     summary = Report(f"irreducibles [{spec.label}]",
-                     meta={"dims": table.dims(), "multiplicities": table.multiplicities})
+                     meta={"dims": table.dims(), "multiplicities": list(table.multiplicities)})
     total = sum(d * m for d, m in zip(table.dims(), table.multiplicities))
     summary.add("blocks fill the regular comodule", float(abs(total - spec.dim)), 0.5)
     reports = [summary]
@@ -281,7 +280,8 @@ def main(argv: list[str] | None = None) -> int:
             raise CqglabError("--format csv writes a file: give --output")
         reports = _COMMANDS[args.command](args)
         if args.output and args.format == "csv":
-            Path(args.output).write_text(cio.report_to_csv(reports), encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                cio.report_to_csv(reports, out)
         elif args.output:
             cio.save_report(args.command, reports, args.tolerance, args.seed,
                             {k: v for k, v in vars(args).items()

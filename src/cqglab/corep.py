@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -183,45 +182,20 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional
     vectors above the relative cut ``RANK_RCOND * max(sigma_max, 1)``
     (:func:`_range_basis`).  The nonzero singular values of ``P`` are at
     least 1, so the cut separates the range from roundoff by orders of
-    magnitude.  Every solution space of the package but ``Hom(pi, A)``, which
-    Frobenius reciprocity gives in closed form, is one of these: intertwiners,
-    CG blocks, restricted basis functions (``W = B``) and restricted families
-    (``W = End(B)``).  Returns
-    ``d_W x d_V`` matrices, orthonormal as vectors and phase-fixed as in
-    :func:`_phase_fixed`.  This is the one-source, one-target case of
-    :func:`_stacked_intertwiners`.
+    magnitude.  For a table irrep ``V``, :func:`_block_diagonalize` reads the
+    space off the paper's projections instead.  Returns ``d_W x d_V``
+    matrices, orthonormal as vectors and phase-fixed as in :func:`_phase_fixed`.
     """
-    return _stacked_intertwiners(coact_v[None], coact_w, h)[0]
-
-
-def _stacked_intertwiners(coact_vs: np.ndarray, coact_ws: np.ndarray, h: LinearFunctional
-                          ) -> list:
-    """:func:`intertwiners` for every pair of a stack of sources and a stack of targets.
-
-    ``coact_vs`` is ``count_v x d_V x d_V x n`` and ``coact_ws`` is
-    ``count_w x d_W x d_W x n``, or a single ``d_W x d_W x n`` comodule.  The
-    ``count_w * count_v`` averaging maps come from two matrix products and
-    their ranges from one :func:`_range_basis` call.  Returns
-    ``bases[w][v]``, the basis of ``Hom(V_v, W_w)``, or ``bases[v]`` when a
-    single ``W`` is given.
-    """
-    single = coact_ws.ndim == 3
-    coact_ws = coact_ws[None] if single else coact_ws
     alg = h.algebra
-    count_v, dv = coact_vs.shape[:2]
-    count_w, dw = coact_ws.shape[:2]
-    n, size = alg.dim, dw * dv
+    dv, dw, n = coact_v.shape[0], coact_w.shape[0], alg.dim
+    size = dw * dv
     if size == 0:
-        bases = [[[] for _ in range(count_v)] for _ in range(count_w)]
-        return bases[0] if single else bases
-    s_v = coact_vs.reshape(-1, n) @ alg.antipode                   # [(t, m, k), b]: S(V^t_mk)
-    avg = coact_ws.reshape(-1, n) @ (h.pair @ s_v.T)               # [(w, j, l), (t, m, k)]
-    avg = avg.reshape(count_w, dw, dw, count_v, dv, dv).transpose(0, 3, 1, 5, 2, 4)
-    vecs, ranks = _range_basis(avg.reshape(-1, size, size), RANK_RCOND)
-    blocks = iter(vecs.reshape(-1, dw, dv))
-    bases = [[list(islice(blocks, ranks[w * count_v + v])) for v in range(count_v)]
-             for w in range(count_w)]
-    return bases[0] if single else bases
+        return []
+    s_v = coact_v.reshape(-1, n) @ alg.antipode                    # [(m, k), b]: S(V_mk)
+    avg = coact_w.reshape(-1, n) @ (h.pair @ s_v.T)                # [(j, l), (m, k)]
+    avg = avg.reshape(dw, dw, dv, dv).transpose(0, 3, 1, 2)
+    vecs, _ = _range_basis(avg.reshape(1, size, size), RANK_RCOND)
+    return list(vecs.reshape(-1, dw, dv))
 
 
 def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
@@ -255,41 +229,51 @@ def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable,
     """Cut every comodule of a stack of one size into copies of the table's irreps.
 
     ``bigs[w]`` is the coaction tensor ``[c, c', m]`` of a comodule ``V_w``,
-    named ``names[w]`` in errors.  The paper's projection ``P^r`` onto the
-    isotypic part of ``r``, read through ``T -> T e_1``, is ``Hom(pi^r, V_w)``,
-    whose dimension must be the character count ``h(chi_w chi_r^*)``.  One
-    :func:`_stacked_intertwiners` call per table dimension class solves them;
-    their bases, in table order, are the columns ``(r, alpha, l)`` of ``C_w``,
-    so ``C_w^{-1} V_w C_w = sum_r (+) n^r pi^r``.  The ``C_w`` get one batched
-    SVD for their conditioning, one batched inverse and one batched
-    block-diagonalization residual.  Returns ``(C, C^{-1}, multiplicities,
+    named ``names[w]`` in errors.  The paper's projections
+    ``P^r_lm = d_r (id (x) h)(V_w (pi^r_lm)^*)`` are the matrix units of every
+    copy of ``pi^r`` in ``V_w``, so ``T -> T e_1`` maps ``Hom(pi^r, V_w)`` onto
+    the range of ``P^r_11`` and ``T = [P^r_l1 v]_l`` lifts it back.  One
+    product with :meth:`IrrepTable._projection_factor` gives every ``P^r_l1``
+    and count ``h(chi_w chi_r^*)``, and one :func:`_range_basis` call over the
+    ``d_V x d_V`` maps ``P^r_11`` the ranges, whose ranks must be the counts.
+    The phase-fixed ``T_alpha / sqrt(tr F^r)``, in table order, are the columns
+    ``(r, alpha, l)`` of ``C_w``: ``C_w^{-1} V_w C_w = sum_r (+) n^r pi^r``.
+    The ``C_w`` get one batched SVD for their conditioning, one batched inverse
+    and one batched block residual.  Returns ``(C, C^{-1}, multiplicities,
     col_index, residual)`` per comodule.  Raises ``MultiplicityMismatch`` when a
-    space disagrees with its count, the spaces do not fill ``C`` or the residual
+    rank disagrees with its count, the spaces do not fill ``C`` or the residual
     exceeds ``1e-9`` times the magnitude, and ``SingularC`` for a singular ``C``.
     """
     alg = table.algebra
-    _, conj_chars = _characters(table)
-    counts = _integer_counts(bigs.trace(axis1=1, axis2=2) @ (h.pair @ conj_chars.T)).tolist()
-    spaces = [[None] * len(table) for _ in names]   # spaces[w][r]: basis of Hom(pi^r, V_w)
-    for idx, coeffs in table.dim_classes.values():
-        for w, bases in enumerate(_stacked_intertwiners(coeffs, bigs, h)):
-            for r, basis in zip(idx, bases):
-                spaces[w][r] = basis
-    mats, heads, dims = [], [], table.dims()
-    for name, bases, row in zip(names, spaces, counts):
-        for label, basis, count in zip(table.labels, bases, row):
-            if len(basis) != count:
-                raise MultiplicityMismatch(f"{name} -> {label}: intertwiner space has "
-                                           f"dimension {len(basis)}, characters give {count}")
-        col_index = [(label, alpha, ell) for label, dim, count in zip(table.labels, dims, row)
-                     for alpha in range(count) for ell in range(dim)]
-        if len(col_index) != bigs.shape[1]:
-            raise MultiplicityMismatch(f"the table's irreps fill {len(col_index)} of the "
-                                       f"{bigs.shape[1]} columns of {name}")
-        mats.append(np.hstack([block for basis in bases for block in basis]))
-        heads.append(({label: count for label, count in zip(table.labels, row) if count},
-                      col_index))
-    c_mats = np.stack(mats)
+    count, size = bigs.shape[:2]
+    factor, lifts, weights = table._projection_factor(h)
+    width = len(table)
+    blocks = (bigs.reshape(-1, alg.dim) @ factor).reshape(count, size, size, -1)
+    counts = _integer_counts(np.trace(blocks[..., -width:], axis1=1, axis2=2))  # [w, r]
+    blocks = blocks.transpose(0, 3, 1, 2)                       # [w, column, c, c']
+    vecs, ranks = _range_basis(blocks[:, lifts[:, 0]].reshape(-1, size, size), RANK_RCOND)
+    ranks = np.reshape(ranks, (count, width))
+    if (ranks != counts).any():
+        w, r = np.argwhere(ranks != counts)[0]
+        raise MultiplicityMismatch(f"{names[w]} -> {table.labels[r]}: intertwiner space has "
+                                   f"dimension {ranks[w, r]}, characters give {counts[w, r]}")
+    dims = table.dims()
+    filled = counts @ dims
+    if (filled != size).any():
+        w = int((filled != size).argmax())
+        raise MultiplicityMismatch(f"the table's irreps fill {filled[w]} of the "
+                                   f"{size} columns of {names[w]}")
+    # T_alpha[c, l] = (P^r_l1 v_alpha)[c] / sqrt(tr F^r), zero-padded to the largest d_r
+    w_of, r_of = np.divmod(np.repeat(np.arange(count * width), ranks.ravel()), width)
+    weight = weights[r_of]                                      # [vector, l]
+    tmats = (blocks[w_of[:, None], lifts[r_of]] @ vecs[:, None, :, None])[..., 0] * weight[
+        ..., None]                                              # [vector, l, c]
+    tmats = _phase_fixed(tmats.swapaxes(1, 2).reshape(len(r_of), -1)).reshape(
+        len(r_of), size, -1)
+    c_mats = tmats.swapaxes(1, 2)[weight > 0].reshape(count, size, size).swapaxes(1, 2)
+    heads = [({label: mult for label, mult in zip(table.labels, row) if mult},
+              [(label, alpha, ell) for label, mult, dim in zip(table.labels, row, dims)
+               for alpha in range(mult) for ell in range(dim)]) for row in counts.tolist()]
     sigma = np.linalg.svd(c_mats, compute_uv=False)
     singular = sigma[:, -1] <= 1e-10 * sigma[:, 0]
     if singular.any():
@@ -603,18 +587,22 @@ def decompose_comodule(pi: Corepresentation, table: IrrepTable, h: LinearFunctio
 # canonical irreducible table
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IrrepTable:
-    """Canonical unitary irreducibles of a spec with stable labels."""
+    """Canonical unitary irreducibles of a spec with stable labels: frozen, so
+    what is cached from them cannot go stale."""
 
     algebra: HopfAlgebraSpec
-    irreps: list[Corepresentation]
-    multiplicities: list[int]
-    labels: list[str] = field(default_factory=list)
+    irreps: tuple[Corepresentation, ...]
+    multiplicities: tuple[int, ...]
+    labels: tuple[str, ...] = ()
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.labels:
-            self.labels = [f"p{i}" for i in range(len(self.irreps))]
+        object.__setattr__(self, "irreps", tuple(self.irreps))
+        object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
+        object.__setattr__(self, "labels", tuple(self.labels)
+                           or tuple(f"p{i}" for i in range(len(self.irreps))))
 
     def __iter__(self):
         return iter(self.irreps)
@@ -649,7 +637,7 @@ class IrrepTable:
     def dims(self) -> list[int]:
         return [pi.dim for pi in self.irreps]
 
-    # derived once per table, on first use: a table is not edited after it is built
+    # derived once per table, on first use
 
     @cached_property
     def characters(self) -> np.ndarray:
@@ -661,10 +649,25 @@ class IrrepTable:
         """:func:`_corep_residuals` of the irreps: their comodule and unitarity residuals."""
         return _corep_residuals(self.irreps)
 
-    @cached_property
-    def dim_classes(self) -> dict[int, tuple[list[int], np.ndarray]]:
-        """:func:`_dim_classes` of the irreps."""
-        return _dim_classes(self.irreps)
+    def _projection_factor(self, h: LinearFunctional
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only covectors of the paper's projections, built once per ``h``:
+        ``W @ factor`` holds ``P^r_l1 = d_r (id (x) h)(W (pi^r_l1)^*)`` at column
+        ``lifts[r, l]`` and ``(id (x) h)(W chi_r^*)`` in the last ``len(self)``.
+        Padded to the largest ``d_r``, ``weights[r, l]`` is ``1 / sqrt(tr F^r)``
+        (the certified ``F``) for ``l < d_r`` and 0 beyond."""
+        if h not in self._factors:
+            dims = np.array(self.dims())
+            rows = np.concatenate([pi.dim * pi.star_coeffs()[:, 0] for pi in self.irreps]
+                                  + [_characters(self)[1]])      # [column, m]
+            inside = np.arange(dims.max()) < dims[:, None]
+            lifts = np.cumsum(dims)[:, None] - dims[:, None] + np.where(
+                inside, np.arange(dims.max()), 0)
+            traces = np.array([np.trace(pi.F).real for pi in self.irreps])
+            self._factors[h] = arrays = (h.pair @ rows.T, lifts, inside / np.sqrt(traces)[:, None])
+            for arr in arrays:
+                arr.setflags(write=False)
+        return self._factors[h]
 
 
 def _dim_classes(coreps: list[Corepresentation]) -> dict[int, tuple[list[int], np.ndarray]]:
@@ -673,7 +676,7 @@ def _dim_classes(coreps: list[Corepresentation]) -> dict[int, tuple[list[int], n
     classes: dict[int, list[int]] = {}
     for i, pi in enumerate(coreps):
         classes.setdefault(pi.dim, []).append(i)
-    return {dim: (idx, np.stack([coreps[i].coeffs for i in idx]))
+    return {dim: (idx, np.array([coreps[i].coeffs for i in idx]))
             for dim, idx in classes.items()}
 
 
@@ -722,6 +725,6 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
 
     classes.sort(key=lambda item: (not _is_trivial(item[0]), item[0].dim,
                                    _character_fingerprint(item[0])))
-    return IrrepTable(alg, [Corepresentation(alg, rep.coeffs, f"p{i}")
-                            for i, (rep, _) in enumerate(classes)],
-                      [count for _, count in classes])
+    return IrrepTable(alg, tuple(Corepresentation(alg, rep.coeffs, f"p{i}")
+                                 for i, (rep, _) in enumerate(classes)),
+                      tuple(count for _, count in classes))

@@ -13,7 +13,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import le
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -214,16 +214,13 @@ def save_report(operation: str, reports: list[Report], tolerance: float, seed: i
                   f'"tolerance": {encode(tolerance)}}}')
 
 
-def report_to_csv(reports: list[Report]) -> str:
-    """One row per check, read off each report's columns; titles and check names that
-    hold commas are quoted."""
+def report_to_csv(reports: list[Report], out: TextIO) -> None:
+    """Write one row per check to the text stream ``out``, report by report, read off
+    each report's columns; titles and check names that hold commas are quoted."""
     import csv  # imported here: only the CSV output format needs it
-    import io
 
-    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["report", "check", "residual", "tol", "passed"])
     for rep in reports:
         writer.writerows(zip(repeat(rep.title), rep._names, map("{:.6e}".format, rep._residuals),
                              map("{:.3e}".format, rep._tols), map(le, rep._residuals, rep._tols)))
-    return out.getvalue()

@@ -515,43 +515,51 @@ def per_operator_family_residual(fam, kind, side) -> float:
 
 
 def per_pair_cg(pi_p, pi_q, table, h, tol: float = 1e-9):
-    """The CG system of one pair, solved on its own: the per-pair body ``solve_cg`` had
-    before every pair of a table was solved in one stacked pass.
+    """The CG system of one pair, solved on its own by the paper's projections: the
+    per-pair body of the route ``solve_cg`` takes for a whole stack of pairs.
 
-    One tensor product, one character count per target, one
-    ``_stacked_intertwiners`` solve per target dimension against the single
-    product, and one SVD, inverse and block residual for the pair's ``C``.
+    One tensor product ``W`` and one character count per target.  For each target
+    ``r`` the maps ``P^r_l1 = d_r (id (x) h)(W (pi^r_l1)^*)``, one SVD of ``P^r_11``
+    for its range, each range vector ``v`` lifted to ``T = [P^r_l1 v]_l / sqrt(d_r)``,
+    ``v`` and ``T`` phase-fixed (first entry above ``1e-12`` real positive).  Then
+    one SVD, inverse and block residual for the pair's ``C``.
     """
     from cqglab.cg import (CGSystem, _characters, _integer_counts, cg_block_residual,
                            tensor_product)
-    from cqglab.corep import _stacked_intertwiners
     from cqglab.errors import MultiplicityMismatch, SingularC
+
+    def phase_fixed(rows):
+        lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]
+        return rows * (np.abs(lead) / lead)[:, None]
 
     big = tensor_product(pi_p, pi_q, "ordinary")
     alg = big.algebra
+    d_total, n = big.dim, alg.dim
     chi_big = np.trace(big.coeffs)
     haar_pair = alg.mult @ h.covector  # [a, b] = h(a_a a_b)
     _, conj_chars = _characters(table)
     counts = _integer_counts(conj_chars @ (haar_pair.T @ chi_big)).tolist()
-    bases = {}
-    for dim in sorted(set(table.dims())):
-        idx = [i for i, target in enumerate(table) if target.dim == dim]
-        bases.update(zip(idx, _stacked_intertwiners(
-            np.stack([table[i].coeffs for i in idx]), big.coeffs, h)))
-    d_total = pi_p.dim * pi_q.dim
     col_blocks, col_index, mults = [], [], {}
-    for i, (label, target, expected) in enumerate(zip(table.labels, table.irreps, counts)):
-        blocks = bases[i]
-        if len(blocks) != expected:
+    for label, target, expected in zip(table.labels, table.irreps, counts):
+        dim = target.dim
+        firsts = np.conj(target.coeffs[:, 0]) @ alg.star      # [l, m]: (pi^r_l1)^*
+        proj = (big.coeffs.reshape(-1, n) @ (haar_pair @ (dim * firsts).T)).reshape(
+            d_total, d_total, dim).transpose(2, 0, 1)         # [l, c, c']: P^r_l1
+        u, sigma, _ = np.linalg.svd(proj[0])
+        rank = int(np.sum(sigma > 1e-9 * max(sigma[0], 1.0)))
+        if rank != expected:
             raise MultiplicityMismatch(
                 f"{pi_p.label} (x) {pi_q.label} -> {label}: intertwiner space has "
-                f"dimension {len(blocks)}, characters give {expected}")
+                f"dimension {rank}, characters give {expected}")
         if expected == 0:
             continue
+        vecs = phase_fixed(u[:, :rank].T)
+        lifted = (proj @ vecs.T).transpose(2, 1, 0) / np.sqrt(dim)   # [alpha, c, l]
+        tmats = phase_fixed(lifted.reshape(rank, -1)).reshape(rank, d_total, dim)
         mults[label] = expected
-        col_blocks.extend(blocks)
+        col_blocks.extend(tmats)
         col_index.extend((label, alpha, ell)
-                         for alpha in range(expected) for ell in range(target.dim))
+                         for alpha in range(expected) for ell in range(dim))
     if len(col_index) != d_total:
         raise MultiplicityMismatch(
             f"fusion of {pi_p.label} (x) {pi_q.label} fills {len(col_index)} of "

@@ -1,12 +1,13 @@
 """Targets that do not occur in a tensor product cost no per-target work.
 
 C[A4] has twelve 1-dim irreps and each of its 144 products is exactly one of
-them, so 1,584 of the 1,728 averaging maps of one ``solve_cg_systems`` call are
-zero, and 6,336 of the 6,912 Wigner-Eckart checks of ``cqglab wigner-eckart``
-are absent targets.  These guards count the work, not its time: the zero maps
-skip the batched SVD, the absent targets of one pair share one details object,
-and the writer encodes each distinct details object once.  Sharing must not
-leak: every copy of the details a caller gets is its own.
+them, so 1,584 of the 1,728 projections ``P^r_11`` of one ``solve_cg_systems``
+call are zero, and 6,336 of the 6,912 Wigner-Eckart checks of
+``cqglab wigner-eckart`` are absent targets.  These guards count the work, not
+its time: the zero maps skip the batched SVD, the absent targets of one pair
+share one details object, and the writer encodes each distinct details object
+once.  Sharing must not leak: every copy of the details a caller gets is its
+own.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ def test_criterion_03_peter_weyl(cs3_fun, cs3_grp):
     start = time.perf_counter()
     table = cs3_fun.table
     assert table.dims() == [1, 1, 2]
-    assert table.multiplicities == [1, 1, 2]
+    assert table.multiplicities == (1, 1, 2)
     assert sum(d * d for d in table.dims()) == 6
     # oracle: block characters agree with the classical character table
     classical = s3_character_table()
@@ -85,7 +85,7 @@ def test_criterion_03_peter_weyl(cs3_fun, cs3_grp):
     want = sorted(tuple(np.round(chi.real, 8)) for chi in classical.values())
     assert got == want
     assert cs3_grp.table.dims() == [1] * 6
-    assert cs3_grp.table.multiplicities == [1] * 6
+    assert cs3_grp.table.multiplicities == (1,) * 6
     elapsed = time.perf_counter() - start
     _announce(3, elapsed < 2.0,
               f"Peter-Weyl blocks match the classical character table, {elapsed:.2f}s")

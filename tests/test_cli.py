@@ -304,21 +304,22 @@ def test_cg_certifies_each_pair_in_one_call(tmp_path, monkeypatch):
 
 
 def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
-    """One batched intertwiner solve per distinct target dimension, covering every target."""
+    """One range batch per ``solve_cg``: the projections ``P^r_11`` of all six targets of
+    C(D6), of both dimensions, in one :func:`cqglab.corep._range_basis` call."""
     from cqglab import cg, corep
-    calls, stacked = [], corep._stacked_intertwiners
+    calls, range_basis = [], corep._range_basis
 
-    def counting(coact_vs, *rest):
-        calls.append(coact_vs.shape[:2])
-        return stacked(coact_vs, *rest)
+    def counting(mats, rcond):
+        calls.append(mats.shape)
+        return range_basis(mats, rcond)
 
-    monkeypatch.setattr(corep, "_stacked_intertwiners", counting)
+    monkeypatch.setattr(corep, "_range_basis", counting)
     table = cd6_fun.table
-    for p in table.labels:
-        for q in table.labels:
+    for p in table:
+        for q in table:
             calls.clear()
-            cg.solve_cg(table[p], table[q], table, cd6_fun.haar)
-            assert sorted(calls) == [(2, 2), (4, 1)]  # two 2-dim and four 1-dim irreps
+            cg.solve_cg(p, q, table, cd6_fun.haar)
+            assert calls == [(6, p.dim * q.dim, p.dim * q.dim)]
 
 
 def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):

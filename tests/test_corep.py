@@ -229,7 +229,7 @@ def test_one_dim_unitarize_rescales():
 def test_peter_weyl_function_algebra(cs3_fun):
     table = cs3_fun.table
     assert table.dims() == [1, 1, 2]
-    assert table.multiplicities == [1, 1, 2]
+    assert table.multiplicities == (1, 1, 2)
     assert sum(d * d for d in table.dims()) == 6
     assert table.labels[table.trivial_index()] == "p0"
 
@@ -237,7 +237,7 @@ def test_peter_weyl_function_algebra(cs3_fun):
 def test_peter_weyl_group_algebra(cs3_grp):
     table = cs3_grp.table
     assert table.dims() == [1] * 6
-    assert table.multiplicities == [1] * 6
+    assert table.multiplicities == (1,) * 6
 
 
 def test_decomposition_blocks_pass_everything(contexts):

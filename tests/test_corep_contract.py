@@ -5,7 +5,9 @@ The three history cases below are the ones a mutable corep got wrong: a fresh co
 of an irrep refused as a triple-Haar target until an orthogonality report had run
 on it, and a non-unitary conjugate (built directly or by ``dataclasses.replace``
 from a unitary irrep) whose left canonical set was accepted unless a unitarity
-report had flagged it.
+report had flagged it.  The irrep table is frozen the same way: its irreps,
+labels and multiplicities are tuples, so the characters it caches cannot fall
+behind an edited irrep.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 from cqglab import corep
-from cqglab.cg import verify_triple_haar
-from cqglab.corep import Corepresentation, check_unitary, verify_corep, verify_orthogonality
+from cqglab.cg import solve_cg, verify_triple_haar
+from cqglab.corep import (Corepresentation, IrrepTable, check_unitary, irrep_table, verify_corep,
+                          verify_orthogonality)
 from cqglab.errors import NotUnitary
 from cqglab.regular import canonical_basis_functions, check_basis_functions
 from cqglab.tensor_ops import solve_family_space
@@ -119,3 +122,37 @@ def test_residuals_are_one_read_only_pass_per_corep(cs3_fun, monkeypatch):
     assert dict(pi.residuals) == real([pi])[0]
     with pytest.raises(TypeError):
         pi.residuals["counit is identity"] = 0.0
+
+
+def test_irrep_table_is_frozen_after_its_caches_are_read(contexts):
+    """The stale-cache reproduction: on a mutable table, reading ``characters`` on C(S3)
+    and then assigning ``t.irreps[2]`` left the cached character of p2 behind the
+    new irrep, and ``solve_cg(t[2], t[2], t, h)`` raised ``MultiplicityMismatch``.
+    Irreps, labels and multiplicities are tuples on a frozen table, so the edit
+    itself fails and the caches stay the table's."""
+    ctx = contexts["C(S3)"]
+    t = irrep_table(ctx.algebra, ctx.haar, ctx.grams.gram_right)
+    before = t.characters.copy()
+    p2 = t["p2"]
+    with pytest.raises(TypeError):
+        t.irreps[2] = Corepresentation(ctx.algebra, 2 * p2.coeffs, "p2")
+    for name, value in (("irreps", list(t.irreps)), ("labels", ["a", "b", "c"]),
+                        ("multiplicities", [1, 1, 2]), ("algebra", ctx.algebra)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    assert isinstance(t.irreps, tuple) and isinstance(t.labels, tuple)
+    assert isinstance(t.multiplicities, tuple)
+    assert np.array_equal(t.characters, before)
+    assert solve_cg(t[2], t[2], t, ctx.haar).multiplicities == {"p0": 1, "p1": 1, "p2": 1}
+
+
+def test_irrep_table_keeps_lists_as_tuples(cs3_fun):
+    """A table built from lists holds tuples of its own: editing the lists later does
+    not reach it."""
+    table = cs3_fun.table
+    irreps, mults = list(table.irreps), list(table.multiplicities)
+    copy = IrrepTable(table.algebra, irreps, mults)
+    irreps.pop()
+    mults.pop()
+    assert len(copy) == 3 and copy.multiplicities == (1, 1, 2)
+    assert copy.labels == ("p0", "p1", "p2")

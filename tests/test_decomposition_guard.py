@@ -1,14 +1,14 @@
 """Static guard: one decomposition engine after the irrep table.
 
 Once the table exists, every comodule is cut by ``corep._block_diagonalize``,
-which solves ``Hom(pi^r, V)`` for the table's irreps in ``d_r d_V`` unknowns
-each; the CG systems, ``decompose_comodule`` and ``are_equivalent`` all reach
-it.  So no function of the package solves a whole commutant ``End(V)`` (a
+which reads ``Hom(pi^r, V)`` for the table's irreps off the paper's projections
+``P^r_l1`` of ``V`` (the range of the ``d_V x d_V`` map ``P^r_11``, lifted);
+the CG systems, ``decompose_comodule`` and ``are_equivalent`` all reach it.  So
+no function of the package solves a whole commutant ``End(V)`` (a
 ``morphism_space`` or ``intertwiners`` call with one comodule as both
 arguments, ``d_V^2`` unknowns), the commutant eigensplit ``_split`` serves the
-table alone, and the stacked solver behind both is called only by the engine
-and by ``intertwiners``.  The guard stops CG and decomposition from forking
-again.
+table alone, and the table's projection factor is read by the engine alone.
+The guard stops CG and decomposition from forking again.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 CALLERS = {"_split": {"corep.irrep_table"},
-           "_stacked_intertwiners": {"corep._block_diagonalize", "corep.intertwiners"}}
+           "_projection_factor": {"corep._block_diagonalize"}}
 SOLVERS = {"morphism_space", "intertwiners"}
 
 
@@ -77,7 +77,7 @@ def test_no_function_solves_a_whole_commutant():
     assert _whole_commutant_solves(_package_calls()) == []
 
 
-def test_split_and_the_stacked_solver_keep_their_callers():
+def test_split_and_the_projection_factor_keep_their_callers():
     offenders = [f"{line} {_called(call)} in {where}" for where, line, call in _package_calls()
                  if _called(call) in CALLERS and where not in CALLERS[_called(call)]]
     assert offenders == []

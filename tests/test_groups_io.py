@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import time
 
@@ -134,7 +135,9 @@ def test_report_payload_deterministic(tmp_path):
     cio.save_report("validate", [rep], 1e-9, 0, {"x": 1}, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text(encoding="utf-8")) == payload
-    csv = cio.report_to_csv([rep])
+    out = io.StringIO()
+    cio.report_to_csv([rep], out)
+    csv = out.getvalue()
     assert "demo,alpha" in csv and csv.count("\n") == 3
 
 

@@ -27,8 +27,8 @@ from oracles import (haar_average, kronecker_intertwiners, per_pair_cg, svd_inte
 from cqglab import corep
 from cqglab.algebra import verify_hopf_axioms
 from cqglab.cg import solve_cg, solve_cg_systems, tensor_product
-from cqglab.corep import (Corepresentation, _stacked_intertwiners, decompose_comodule,
-                          irrep_table, morphism_space)
+from cqglab.corep import (Corepresentation, check_unitary, decompose_comodule, irrep_table,
+                          morphism_space)
 from cqglab.errors import CqglabError, NoF, NoHaar
 from cqglab.groups import all_permutation_group, build_function_algebra, symmetric_group_3
 from cqglab.haar import gram_matrices, solve_haar
@@ -241,21 +241,54 @@ def _assert_bit_identical(first, second, what):
 
 @pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(A4)", "C(D6)"])
 def test_cg_target_stacks_match_svd_oracle(request, contexts, label):
+    """Every target block of every CG system of the table-wide engine, bit-identical on
+    a second run and spanning what the full SVD of ``I - P`` gives."""
     ctx = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun"}.get(label)
     ctx = request.getfixturevalue(ctx) if ctx else contexts[label]
     table = ctx.table
-    for p in table.labels:
-        for q in table.labels:
-            big = tensor_product(table[p], table[q], "ordinary")
-            for dim in sorted(set(table.dims())):
-                targets = [pi for pi in table if pi.dim == dim]
-                stack = np.stack([pi.coeffs for pi in targets])
-                bases = _stacked_intertwiners(stack, big.coeffs, ctx.haar)
-                for pi, basis, again in zip(targets, bases,
-                                            _stacked_intertwiners(stack, big.coeffs, ctx.haar)):
-                    what = (label, p, q, pi.label)
-                    _assert_bit_identical(basis, again, what)
-                    _assert_matches_svd_oracle(basis, pi.coeffs, big.coeffs, ctx.haar, what)
+    systems, again = (solve_cg_systems(table, table, table, ctx.haar) for _ in range(2))
+    for (p, q), system in systems.items():
+        big = tensor_product(table[p], table[q], "ordinary")
+        for pi in table:
+            what = (label, p, q, pi.label)
+            basis, repeat = ([block.reshape(-1, pi.dim)
+                              for block in run.blocks(pi.label, pi.dim)[0]]
+                             for run in (system, again[p, q]))
+            _assert_bit_identical(basis, repeat, what)
+            _assert_matches_svd_oracle(basis, pi.coeffs, big.coeffs, ctx.haar, what)
+
+
+def _orthonormal(mats):
+    """An orthonormal basis, as matrices of the same shape, of the span of ``mats``."""
+    if not mats:
+        return []
+    q, _ = np.linalg.qr(np.array([m.ravel() for m in mats]).T)
+    return [col.reshape(mats[0].shape) for col in q.T]
+
+
+def test_non_unitary_decomposition_spans_match_svd_oracle(contexts):
+    """``decompose_comodule`` on a non-unitary comodule, ``p1 (+) p2 (+) p2`` of C(S3)
+    conjugated by a fixed non-unitary matrix: each target's pieces are not
+    orthonormal, but together they span ``Hom(pi^r, V)``."""
+    ctx = contexts["C(S3)"]
+    table, h = ctx.table, ctx.haar
+    blocks = [table["p1"], table["p2"], table["p2"]]
+    direct = np.zeros((5, 5, ctx.algebra.dim), dtype=complex)
+    start = 0
+    for rho in blocks:
+        direct[start:start + rho.dim, start:start + rho.dim] = rho.coeffs
+        start += rho.dim
+    skew = np.eye(5) + 0.4 * np.random.default_rng(7).standard_normal((5, 5))
+    pi = Corepresentation(ctx.algebra, np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew),
+                                                 direct, skew), label="skewed")
+    assert not check_unitary(pi).passed
+    pieces = decompose_comodule(pi, table, h)
+    assert [rho.label for _, rho in pieces] == ["p1", "p2", "p2"]
+    for target in table:
+        ours = [basis for basis, rho in pieces if rho is target]
+        assert len(ours) == round(np.trace(haar_average(target.coeffs, pi.coeffs, h)).real)
+        _assert_same_span(_orthonormal(ours), svd_intertwiners(target.coeffs, pi.coeffs, h),
+                          target.label)
 
 
 def _family_case(ctx, kind, side, pi):
@@ -327,10 +360,11 @@ def test_family_space_takes_no_large_svd(ca4_fun, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["ca4_grp", "cd6_fun"])
 def test_cg_systems_take_one_svd_per_class(request, fixture, monkeypatch):
-    """``solve_cg_systems`` on a whole table takes one SVD per (d_p d_q, d_r) class
-    (the Hom spaces) plus one per d_p d_q class (the conditioning of the C's),
-    however many pairs there are: 2 on C[A4]'s 144 pairs, where solving pair
-    by pair takes 288."""
+    """``solve_cg_systems`` on a whole table takes two SVD batches per ``d_p d_q`` class
+    however many pairs and targets there are: one for the ranges of the projections
+    ``P^r_11`` of every target, one for the conditioning of the C's.  That is 2 on
+    C[A4]'s 144 pairs, where solving pair by pair takes 144 x (12 + 1), and 6 on
+    C(D6)."""
     ctx = request.getfixturevalue(fixture)
     table = ctx.table
     calls = []
@@ -343,14 +377,36 @@ def test_cg_systems_take_one_svd_per_class(request, fixture, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     assert len(solve_cg_systems(table, table, table, ctx.haar)) == len(table) ** 2
     sizes = {p.dim * q.dim for p in table for q in table}
-    assert len(calls) == len(sizes) * (len(set(table.dims())) + 1), calls
+    assert len(calls) == 2 * len(sizes) == {"ca4_grp": 2, "cd6_fun": 6}[fixture], calls
     if fixture == "ca4_grp":
-        assert len(calls) == 2
         calls.clear()
         for p in table:
             for q in table:
                 per_pair_cg(p, q, table, ctx.haar)
-        assert len(calls) == 288
+        assert len(calls) == 144 * 13
+
+
+def test_cg_systems_take_no_svd_larger_than_the_product(ca4_fun, monkeypatch):
+    """No SVD reached from ``corep._block_diagonalize`` sees a matrix larger than
+    ``d_V x d_V``: 9 x 9 on C(A4)'s 3 (x) 3, where the averaging map of the
+    3-dim target is 27 x 27."""
+    table = ca4_fun.table
+    shapes = []
+
+    def recording(a, *args, **kw):
+        shapes.append(np.shape(a)[-2:])
+        return np.linalg.svd(a, *args, **kw)
+
+    monkeypatch.setattr(corep, "np", _Proxy(np, linalg=_Proxy(np.linalg, svd=recording)))
+    for p in table:
+        for q in table:
+            shapes.clear()
+            solve_cg(p, q, table, ca4_fun.haar)
+            assert shapes and all(shape == (p.dim * q.dim,) * 2 for shape in shapes), (
+                p.label, q.label, shapes)
+    assert (9, 9) in shapes
+    solve_cg_systems(table, table, table, ca4_fun.haar)
+    assert max(max(shape) for shape in shapes) == 9
 
 
 def test_n24_family_space_is_the_range_of_the_average():

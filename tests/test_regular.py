@@ -197,7 +197,7 @@ def test_non_unitary_representative_breaks_action(cs3_fun):
     standard = classical_corep_coeffs(s3_irreps()["standard"])
     skewed = replace(table["p2"], coeffs=np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew_t),
                                                    standard, skew_t))
-    bad = IrrepTable(table.algebra, table.irreps[:2] + [skewed], table.multiplicities)
+    bad = IrrepTable(table.algebra, (*table.irreps[:2], skewed), table.multiplicities)
     pairs = _stacked_vs_loops(bad, "R", cs3_fun.haar)
     for name, (stacked, loops) in pairs.items():
         assert abs(stacked - loops) < 1e-13, name

@@ -11,6 +11,7 @@ CSV is rendered from the columns too, against the per-check-dict CSV of
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
@@ -59,6 +60,13 @@ def dumped(reports: list[Report], operation: str = "op", inputs=None) -> str:
     return json.dumps(cio.report_payload(operation, reports, 1e-9, 3, inputs), sort_keys=True)
 
 
+def csv_text(reports: list[Report]) -> str:
+    """What ``report_to_csv`` streams of ``reports``."""
+    out = io.StringIO()
+    cio.report_to_csv(reports, out)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("workload", ["desk", "fusion"])
 def test_columns_render_as_the_per_check_reference(tmp_path, workload):
     argvs = list(dict.fromkeys(job.argv for job in jobs.make_inputs(workload, 1, tmp_path)))
@@ -72,7 +80,7 @@ def test_columns_render_as_the_per_check_reference(tmp_path, workload):
         inputs = {"argv": list(argv), "tolerance": 1e-9}
         assert written(tmp_path, reports, argv[0], inputs) == dumped(reports, argv[0], inputs), argv
         payload = cio.report_payload(argv[0], reports, 1e-9, 3, inputs)
-        assert cio.report_to_csv(reports) == oracles.payload_csv(payload), argv
+        assert csv_text(reports) == oracles.payload_csv(payload), argv
     assert largest > SUMMARY_CHECKS
 
 
@@ -97,7 +105,7 @@ def test_writer_spells_floats_and_text_as_json_does(tmp_path):
     reports = [odd, empty_meta, Report("no checks"), Report("")]
     text = written(tmp_path, reports, ODD_TEXT, {"builtin": ODD_TEXT, "seed": 0, "x": math.nan})
     assert text == dumped(reports, ODD_TEXT, {"builtin": ODD_TEXT, "seed": 0, "x": math.nan})
-    assert cio.report_to_csv(reports) == oracles.payload_csv(
+    assert csv_text(reports) == oracles.payload_csv(
         cio.report_payload(ODD_TEXT, reports, 1e-9, 3))
     assert text.isascii() and "-0.0" in text and "-Infinity" in text and "NaN" in text
     assert json.loads(text)["reports"][0]["title"] == f"title {ODD_TEXT}"

@@ -25,8 +25,8 @@ import pytest
 
 from cqglab import cli
 from cqglab import io as cio
-from cqglab.cg import cg_block_residual, tensor_product, verify_triple_haar
-from cqglab.corep import _stacked_intertwiners, intertwiners
+from cqglab.cg import cg_block_residual, solve_cg_systems, tensor_product, verify_triple_haar
+from cqglab.corep import intertwiners
 from cqglab.groups import _BUILTINS
 from cqglab.homspace import build_coset_subalgebra, solve_restricted_basis_functions
 from cqglab.regular import canonical_basis_functions
@@ -260,22 +260,22 @@ def _projector(basis, size: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("fixture", ["ca4_fun", "cd6_fun"])
-def test_stacked_solver_matches_single_and_kronecker(request, fixture):
+def test_engine_blocks_match_single_and_kronecker(request, fixture):
+    """Each target's blocks of the table-wide engine span ``intertwiners``' averaging-map
+    range and the Kronecker nullspace."""
     ctx = request.getfixturevalue(fixture)
     table = ctx.table
+    systems = solve_cg_systems(table, table, table, ctx.haar)
     for p, q in product(table.labels, table.labels):
         big = tensor_product(table[p], table[q], "ordinary")
-        for dim in sorted(set(table.dims())):
-            targets = [pi for pi in table if pi.dim == dim]
-            stacked = _stacked_intertwiners(np.stack([pi.coeffs for pi in targets]),
-                                            big.coeffs, ctx.haar)
-            assert len(stacked) == len(targets)
-            for pi, basis in zip(targets, stacked):
-                single = intertwiners(pi.coeffs, big.coeffs, ctx.haar)
-                oracle = kronecker_intertwiners(pi.coeffs, big.coeffs)
-                assert len(basis) == len(single) == len(oracle), (p, q, pi.label)
-                assert all(m.shape == (big.dim, dim) for m in basis)
-                size = big.dim * dim
-                ours = _projector(basis, size)
-                assert np.abs(ours - _projector(single, size)).max() < TOL, (p, q, pi.label)
-                assert np.abs(ours - _projector(oracle, size)).max() < 1e-9, (p, q, pi.label)
+        for pi in table:
+            basis = [block.reshape(-1, pi.dim) for block in systems[p, q].blocks(pi.label,
+                                                                                   pi.dim)[0]]
+            single = intertwiners(pi.coeffs, big.coeffs, ctx.haar)
+            oracle = kronecker_intertwiners(pi.coeffs, big.coeffs)
+            assert len(basis) == len(single) == len(oracle), (p, q, pi.label)
+            assert all(m.shape == (big.dim, pi.dim) for m in basis)
+            size = big.dim * pi.dim
+            ours = _projector(basis, size)
+            assert np.abs(ours - _projector(single, size)).max() < TOL, (p, q, pi.label)
+            assert np.abs(ours - _projector(oracle, size)).max() < 1e-9, (p, q, pi.label)

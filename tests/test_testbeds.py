@@ -57,7 +57,7 @@ def test_tensor_product_bed_has_no_symmetry():
 def test_dims_and_multiplicities_match_group_theory(bed):
     alg, dims, _, table = bed
     assert sorted(table.dims()) == dims
-    assert table.multiplicities == table.dims()  # Peter-Weyl: m_p = d_p
+    assert list(table.multiplicities) == table.dims()  # Peter-Weyl: m_p = d_p
     assert sum(d * d for d in dims) == alg.dim
 
 
@@ -147,7 +147,7 @@ def test_a5_dims_and_characters(a5):
     ctx, dims = a5
     table = ctx.table
     assert sorted(table.dims()) == dims
-    assert table.multiplicities == table.dims()
+    assert list(table.multiplicities) == table.dims()
     gram = _character_gram(ctx.algebra, ctx.haar, table)
     assert np.abs(gram - np.eye(len(table))).max() < 1e-10
 
