@@ -22,8 +22,8 @@ from .groups import _BUILTINS, build_function_algebra, build_group_algebra, buil
 from .haar import certify_haar, gram_matrices, solve_haar, verify_haar_lemmas
 from .homspace import (build_coset_subalgebra, restricted_coaction_report,
                        solve_restricted_basis_functions, verify_coideal)
-from .regular import (canonical_basis_functions, product_coaction_check,
-                      dual_action_crosscheck, verify_projection_identities)
+from .regular import (_table_canonical_sets, dual_action_crosscheck, product_coaction_check,
+                      verify_projection_identities)
 from .report import SUMMARY_CHECKS, Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_families,
                          multiplication_family)
@@ -131,13 +131,13 @@ def _cmd_tensor_ops(args) -> list[Report]:
     reports = [Report(f"identity operator [{spec.label}]")]
     reports += [Report(f"multiplication families [{ql}]") for ql in labels]
     ident = identity_corep(spec)
+    bsets = {side: _table_canonical_sets(table, side, labels) for side in ("R", "L")}
     for kind, side in VARIANTS:
         # the identity operator and every irrep's multiplication family, checked as one stack
         fams = [TensorOperatorFamily(ident, kind, side, np.eye(spec.dim)[None, :, :])]
-        fams += [multiplication_family(canonical_basis_functions(table[ql], side, 0), kind)
-                 for ql in labels]
+        fams += [multiplication_family(bset, kind) for bset in bsets[side]]
         names = [f"identity {kind}-{side}"] + [f"{kind}-{side}"] * len(labels)
-        for rep, name, residual in zip(reports, names, check_families(fams)):
+        for rep, name, residual in zip(reports, names, check_families(fams, table)):
             rep.add(name, residual, args.tolerance * spec.magnitude ** 2)
     return reports
 
@@ -163,8 +163,8 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     systems = _cg_systems(table, h, *[_cg_order(kind, p_labels, q_labels) for kind in kinds])
     tables = []  # one per (side, kind), all factorized in one pass
     for side in sides:
-        bsets = {lab: canonical_basis_functions(table[lab], side, 0)
-                 for lab in dict.fromkeys(p_labels + q_labels + r_labels)}
+        used = list(dict.fromkeys(p_labels + q_labels + r_labels))
+        bsets = dict(zip(used, _table_canonical_sets(table, side, used)))
         tables += [([bsets[rl] for rl in r_labels],
                     [multiplication_family(bsets[ql], kind) for ql in q_labels],
                     [bsets[pl] for pl in p_labels], grams.gram(side),

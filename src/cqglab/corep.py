@@ -195,7 +195,7 @@ def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional
     avg = coact_w.reshape(-1, n) @ (h.pair @ s_v.T)                # [(j, l), (m, k)]
     avg = avg.reshape(dw, dw, dv, dv).transpose(0, 3, 1, 2)
     vecs, _ = _range_basis(avg.reshape(1, size, size), RANK_RCOND)
-    return list(vecs.reshape(-1, dw, dv))
+    return list(_phase_fixed(vecs).reshape(-1, dw, dv))
 
 
 def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
@@ -205,17 +205,18 @@ def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]
     the left singular vectors of one batched SVD whose singular values are
     above ``rcond * max(sigma_max, 1)``.  The nonzero singular values of an
     idempotent are at least 1, so the cut lies far below its range.  The rows
-    are phase-fixed by :func:`_phase_fixed`.  A matrix whose Frobenius norm is at
-    most ``rcond / 2`` has ``sigma_max`` below the cut, so rank 0, and skips the
-    SVD; each other matrix's SVD does not depend on the rest of the stack, so
-    the screen leaves every rank and vector bit-identical.
+    keep LAPACK's phases; each caller fixes the phase of what it returns.  A
+    matrix whose Frobenius norm is at most ``rcond / 2`` has ``sigma_max`` below
+    the cut, so rank 0, and skips the SVD; each other matrix's SVD does not
+    depend on the rest of the stack, so the screen leaves every rank and vector
+    bit-identical.
     """
     live = ~(np.linalg.norm(mats, axis=(1, 2)) <= rcond / 2)      # NaN goes to the SVD
     u, sigma, _ = np.linalg.svd(mats[live])
     keep = sigma > rcond * np.maximum(sigma[:, :1], 1.0)
     ranks = np.zeros(len(mats), dtype=int)
     ranks[live] = keep.sum(axis=1)
-    return _phase_fixed(u.transpose(0, 2, 1)[keep]), ranks.tolist()
+    return u.transpose(0, 2, 1)[keep], ranks.tolist()
 
 
 def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
@@ -233,25 +234,29 @@ def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable,
     ``P^r_lm = d_r (id (x) h)(V_w (pi^r_lm)^*)`` are the matrix units of every
     copy of ``pi^r`` in ``V_w``, so ``T -> T e_1`` maps ``Hom(pi^r, V_w)`` onto
     the range of ``P^r_11`` and ``T = [P^r_l1 v]_l`` lifts it back.  One
-    product with :meth:`IrrepTable._projection_factor` gives every ``P^r_l1``
-    and count ``h(chi_w chi_r^*)``, and one :func:`_range_basis` call over the
-    ``d_V x d_V`` maps ``P^r_11`` the ranges, whose ranks must be the counts.
-    The phase-fixed ``T_alpha / sqrt(tr F^r)``, in table order, are the columns
-    ``(r, alpha, l)`` of ``C_w``: ``C_w^{-1} V_w C_w = sum_r (+) n^r pi^r``.
-    The ``C_w`` get one batched SVD for their conditioning, one batched inverse
-    and one batched block residual.  Returns ``(C, C^{-1}, multiplicities,
-    col_index, residual)`` per comodule.  Raises ``MultiplicityMismatch`` when a
-    rank disagrees with its count, the spaces do not fill ``C`` or the residual
-    exceeds ``1e-9`` times the magnitude, and ``SingularC`` for a singular ``C``.
+    product with :meth:`IrrepTable._projection_factor` gives every ``P^r_l1``;
+    the idempotent ``P^r_11`` has rank ``tr P^r_11``, the count of ``pi^r`` in
+    ``V_w``, and one :func:`_range_basis` call over the ``d_V x d_V`` maps
+    ``P^r_11`` gives the ranges, whose ranks must be the counts.  Each range
+    vector ``v`` is its own first column (``P^r_11 v = v``), so only ``l >= 1``
+    is lifted.  The ``T_alpha / sqrt(tr F^r)``, in table order and phase-fixed
+    once, are the columns ``(r, alpha, l)`` of ``C_w``: ``C_w^{-1} V_w C_w =
+    sum_r (+) n^r pi^r``.  The ``C_w`` get one batched SVD for their
+    conditioning, one batched inverse and one batched block residual.  Returns
+    ``(C, C^{-1}, multiplicities, col_index, residual)`` per comodule.  Raises
+    ``MultiplicityMismatch`` when a rank disagrees with its count, the spaces do
+    not fill ``C`` or the residual exceeds ``1e-9`` times the magnitude, and
+    ``SingularC`` for a singular ``C``.
     """
     alg = table.algebra
     count, size = bigs.shape[:2]
     factor, lifts, weights = table._projection_factor(h)
     width = len(table)
     blocks = (bigs.reshape(-1, alg.dim) @ factor).reshape(count, size, size, -1)
-    counts = _integer_counts(np.trace(blocks[..., -width:], axis1=1, axis2=2))  # [w, r]
     blocks = blocks.transpose(0, 3, 1, 2)                       # [w, column, c, c']
-    vecs, ranks = _range_basis(blocks[:, lifts[:, 0]].reshape(-1, size, size), RANK_RCOND)
+    firsts = blocks[:, lifts[:, 0]]                             # P^r_11: [w, r, c, c']
+    counts = _integer_counts(np.trace(firsts, axis1=2, axis2=3))  # [w, r]
+    vecs, ranks = _range_basis(firsts.reshape(-1, size, size), RANK_RCOND)
     ranks = np.reshape(ranks, (count, width))
     if (ranks != counts).any():
         w, r = np.argwhere(ranks != counts)[0]
@@ -266,8 +271,8 @@ def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable,
     # T_alpha[c, l] = (P^r_l1 v_alpha)[c] / sqrt(tr F^r), zero-padded to the largest d_r
     w_of, r_of = np.divmod(np.repeat(np.arange(count * width), ranks.ravel()), width)
     weight = weights[r_of]                                      # [vector, l]
-    tmats = (blocks[w_of[:, None], lifts[r_of]] @ vecs[:, None, :, None])[..., 0] * weight[
-        ..., None]                                              # [vector, l, c]
+    lifted = (blocks[w_of[:, None], lifts[r_of, 1:]] @ vecs[:, None, :, None])[..., 0]
+    tmats = np.concatenate([vecs[:, None], lifted], axis=1) * weight[..., None]  # [vector, l, c]
     tmats = _phase_fixed(tmats.swapaxes(1, 2).reshape(len(r_of), -1)).reshape(
         len(r_of), size, -1)
     c_mats = tmats.swapaxes(1, 2)[weight > 0].reshape(count, size, size).swapaxes(1, 2)
@@ -649,17 +654,23 @@ class IrrepTable:
         """:func:`_corep_residuals` of the irreps: their comodule and unitarity residuals."""
         return _corep_residuals(self.irreps)
 
+    @cached_property
+    def _peter_weyl(self):
+        """The irreps' matrix coefficients as a basis of the algebra, with the structure
+        maps carried into it (:class:`cqglab.tensor_ops._PeterWeyl`), built on first use."""
+        from .tensor_ops import _PeterWeyl
+        return _PeterWeyl(self)
+
     def _projection_factor(self, h: LinearFunctional
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only covectors of the paper's projections, built once per ``h``:
         ``W @ factor`` holds ``P^r_l1 = d_r (id (x) h)(W (pi^r_l1)^*)`` at column
-        ``lifts[r, l]`` and ``(id (x) h)(W chi_r^*)`` in the last ``len(self)``.
-        Padded to the largest ``d_r``, ``weights[r, l]`` is ``1 / sqrt(tr F^r)``
-        (the certified ``F``) for ``l < d_r`` and 0 beyond."""
+        ``lifts[r, l]``.  Padded to the largest ``d_r``, ``weights[r, l]`` is
+        ``1 / sqrt(tr F^r)`` (the certified ``F``) for ``l < d_r`` and 0 beyond."""
         if h not in self._factors:
             dims = np.array(self.dims())
-            rows = np.concatenate([pi.dim * pi.star_coeffs()[:, 0] for pi in self.irreps]
-                                  + [_characters(self)[1]])      # [column, m]
+            rows = np.concatenate([pi.dim * pi.star_coeffs()[:, 0]
+                                   for pi in self.irreps])       # [column, m]
             inside = np.arange(dims.max()) < dims[:, None]
             lifts = np.cumsum(dims)[:, None] - dims[:, None] + np.where(
                 inside, np.arange(dims.max()), 0)

@@ -53,6 +53,12 @@ class MultiplicityMismatch(CqglabError):
     """Intertwiner solution-space dimension disagrees with the character count."""
 
 
+class PeterWeylFailure(CqglabError):
+    """An irrep table's matrix coefficients are no usable basis of the algebra: they do
+    not span it, span it too ill-conditioned, or a regular coaction is not
+    block-diagonal in them."""
+
+
 class SingularC(CqglabError):
     """The assembled Clebsch-Gordan matrix is not invertible."""
 

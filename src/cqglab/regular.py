@@ -148,13 +148,38 @@ def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0,
     unitarity residual of :func:`~cqglab.corep.check_unitary` exceeds ``1e-9``
     times the magnitude.
     """
+    if side == "L":
+        _require_unitary(pi, pi.residuals)
+    return _canonical_set(pi, side, row, label)
+
+
+def _table_canonical_sets(table: IrrepTable, side: str, labels) -> list[BasisFunctionSet]:
+    """The row-0 canonical sets of the named irreps of the table, in order: the sets
+    of :func:`canonical_basis_functions`, with the left sets' unitarity read off
+    the table's one stacked residual pass (:attr:`IrrepTable.residuals`)."""
+    out = []
+    for label in labels:
+        i = table.index_of(label)
+        if side == "L":
+            _require_unitary(table[i], table.residuals[i])
+        out.append(_canonical_set(table[i], side, 0, ""))
+    return out
+
+
+def _require_unitary(pi: Corepresentation, residuals) -> None:
+    """``NotUnitary`` unless every unitarity residual of ``pi`` is within ``1e-9`` times
+    the magnitude."""
+    worst = max(residuals[name] for name in _CERTIFICATES["unitarity"][1])
+    if worst > 1e-9 * pi.algebra.magnitude:
+        raise NotUnitary(f"left canonical basis functions need a unitary corep; "
+                         f"{pi.label!r} has unitarity residual {worst:.1e}")
+
+
+def _canonical_set(pi: Corepresentation, side: str, row: int, label: str) -> BasisFunctionSet:
+    """The arithmetic of :func:`canonical_basis_functions`, unitarity taken as certified."""
     if side == "R":
         funcs = pi.coeffs[row, :, :].copy()
     elif side == "L":
-        worst = max(pi.residuals[name] for name in _CERTIFICATES["unitarity"][1])
-        if worst > 1e-9 * pi.algebra.magnitude:
-            raise NotUnitary(f"left canonical basis functions need a unitary corep; "
-                             f"{pi.label!r} has unitarity residual {worst:.1e}")
         s_inv = pi.algebra.antipode_inv
         s_minus2 = s_inv @ s_inv
         funcs = np.einsum("jm,mt->jt", np.conj(pi.coeffs[:, row, :]) @ pi.algebra.star, s_minus2)
@@ -285,8 +310,8 @@ def verify_projection_identities(table: IrrepTable, side: str, h: LinearFunction
     t = tol * alg.magnitude
     ops = _table_projections(table, side, h, ordering)                   # [i, a, t]
     prods = np.tensordot(ops, ops, axes=(2, 1))                          # [i, a, j, t]
-    funcs = np.concatenate([canonical_basis_functions(rho, side, row=0).functions
-                            for rho in table])                           # [k, t]
+    funcs = np.concatenate([bset.functions for bset in _table_canonical_sets(
+        table, side, table.labels)])                                     # [k, t]
     acted = np.tensordot(ops, funcs, axes=(2, 1))                        # [i, a, k]
 
     worst_same, n = 0.0, alg.dim

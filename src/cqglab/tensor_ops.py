@@ -14,13 +14,17 @@ variants and ``S^{-1}`` in the twisted ones; the result must equal
 ``sum_k Q_k(a) (x) pi_kj``.
 
 Each variant equivalently defines a right coaction on operator space,
-``Q -> sum_m Q^(m) (x) a_m``.  Components are computed both by the pipeline
-("maps") and by closed structure-constant contractions ("constants"); the two
-routes must agree.  :func:`operator_coaction_report` certifies that agreement
-and the coaction axioms for one operator, and :func:`check_family` runs both
-routes wherever families are certified.
+``Q -> sum_m Q^(m) (x) a_m``.  On the whole algebra its components are computed
+in the Peter-Weyl basis ``u^r_ij`` of an irrep table (:class:`_PeterWeyl`), where
+the coaction is block-diagonal, by two routes: "constants" reads the coaction
+off the closed form ``Delta(u^r_ij) = sum_m u^r_im (x) u^r_mj``, "maps" off the
+side's regular coaction tensor carried into that basis.  Both come back to the
+input basis, and the two must agree.  :func:`operator_coaction_report`
+certifies that agreement and the coaction axioms for one operator, and
+:func:`check_families` runs both routes wherever families are certified.
 Operators live on a :class:`cqglab.regular.Carrier`, the whole algebra by
-default; only there do the constants route and the Heisenberg double apply.
+default; only there do the Peter-Weyl routes and the Heisenberg double apply,
+and a coideal's families run the structure-map pipeline in its own basis.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec
+from .algebra import HopfAlgebraSpec, _same_spec
 from .cg import tensor_product
-from .corep import RANK_RCOND, Corepresentation, _phase_fixed
-from .errors import DecompositionStall, NotACorepresentation
+from .corep import RANK_RCOND, Corepresentation, IrrepTable, _phase_fixed
+from .errors import DecompositionStall, NotACorepresentation, PeterWeylFailure
 from .regular import BasisFunctionSet, Carrier, _carrier_of, regular_carrier
 from .report import Report
 
@@ -55,6 +59,15 @@ __all__ = [
 ]
 
 VARIANTS = (("ordinary", "R"), ("twisted", "R"), ("ordinary", "L"), ("twisted", "L"))
+
+# the Peter-Weyl routes take the operator stack in chunks of at most this many
+# entries of one k n^3 array (a handful of such arrays are alive per chunk)
+STACK_ENTRIES = 1 << 21
+# condition number of the table's coefficient rows above which they are no basis
+PETER_WEYL_COND = 1e4
+# mass a regular coaction tensor may leave outside its Peter-Weyl pattern, relative
+# to its largest entry
+PETER_WEYL_LEAK = 1e-9
 
 
 def _variant_key(kind: str, side: str) -> tuple[str, str]:
@@ -108,53 +121,168 @@ def operator_comodule(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str) -> np.
     return out.transpose(2, 3, 0, 1).reshape(b * b, b * b, alg.dim)
 
 
-def operator_coaction_components(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str,
+def operator_coaction_components(table: IrrepTable, q_op: np.ndarray, kind: str,
                                  side: str, route: str = "constants") -> np.ndarray:
-    """Components ``C[m]`` of the operator-space coaction of one operator.
+    """Components ``C[m]`` of the operator-space coaction of one operator on the
+    table's algebra.
 
     ``sum_m C[m] (x) a_m`` is the coaction image; equivalently ``C[m][:, t]``
     is the ``a_m``-component of the defining pipeline applied to ``a_t``.
     """
-    return _coaction_stack(alg, np.asarray(q_op, dtype=complex)[None], kind, side, route)[0]
+    return _coaction_stack(table, np.asarray(q_op, dtype=complex)[None], kind, side, route)[0]
 
 
-def _coaction_stack(alg: HopfAlgebraSpec, q_ops: np.ndarray, kind: str, side: str,
+def _coaction_stack(table: IrrepTable, q_ops: np.ndarray, kind: str, side: str,
                     route: str) -> np.ndarray:
     """:func:`operator_coaction_components` of a stack ``q_ops[k]``: ``out[k, m, a, t]``."""
     kind, side = _variant_key(kind, side)
-    if route == "maps":
-        return _pipeline(regular_carrier(alg, side).coact, alg, q_ops,
-                         *_antipode_and_swap(alg, kind))
-    if route != "constants":
+    if route not in ("constants", "maps"):
         raise ValueError(f"unknown route {route!r}")
-    # pairwise, worst step k n^5: Q and the antipode act on the legs of one
-    # coproduct; the other coproduct meets the product once for the whole stack
-    mu, m, s = alg.comult, alg.mult, alg.antipode
-    if side == "R":
-        spow, swapped = _antipode_and_swap(alg, kind)
-        acted = np.tensordot(q_ops, mu, axes=(2, 1)) @ spow               # [k, i, t, v]
-        pair = m.transpose(1, 0, 2) if swapped else m                     # [u, v, M]
-        meet = np.tensordot(mu, pair, axes=(2, 0))                        # [i, j, v, M]
-    elif kind == "ordinary":
-        acted = np.tensordot(q_ops, mu, axes=(2, 2)) @ s                  # [k, i, t, w]
-        meet = np.tensordot(mu, m, axes=(1, 1))                           # [i, j, w, M]
-    else:
-        acted = np.tensordot(q_ops, mu, axes=(2, 2))                      # [k, i, t, w]
-        meet = np.tensordot(mu, np.tensordot(s, m, axes=(1, 1)), axes=(1, 0))  # [i, j, w, M]
-    # tensordot over (i, v), written out so that each operand's transposed copy
-    # replaces it and both are freed before the left antipode: a stack of k
-    # operators then holds at most three k n^3 or n^4 arrays
-    n = alg.dim
-    acted = acted.transpose(0, 2, 1, 3).reshape(len(q_ops) * n, n * n)
-    meet = meet.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    out = (acted @ meet).reshape(len(q_ops), n, n, n)                     # [k, t, j, M]
-    del acted, meet
-    if side == "L" and kind == "ordinary":
-        out = out @ s
-    return out.transpose(0, 3, 2, 1)
+    step = _chunk(table.algebra.dim)
+    return np.concatenate([
+        table._peter_weyl.components(q_ops[i:i + step], kind, side, route).transpose(0, 3, 1, 2)
+        for i in range(0, len(q_ops), step)])
 
 
-def operator_coaction_report(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str, side: str,
+def _chunk(n: int) -> int:
+    """Operators per chunk of the Peter-Weyl routes: ``STACK_ENTRIES / n^3``, at least 1."""
+    return max(1, STACK_ENTRIES // n ** 3)
+
+
+class _PeterWeyl:
+    """The algebra in the basis ``u^r_ij`` of a table's matrix coefficients (Peter-Weyl).
+
+    ``p`` stacks their coefficient rows in table order, row ``(r, i, j)``, and
+    ``r = p^{-1}``: an element with input coordinates ``x`` has ``x r`` in P's basis,
+    and an operator ``Q`` on coefficient columns is ``r^T Q p^T``.  The rows must be
+    ``n`` with condition number at most ``PETER_WEYL_COND``, else
+    ``PeterWeylFailure``; no other basis is tried.  The product and both antipode
+    powers are carried into P's basis once.
+
+    In P's basis the right regular coaction of ``u^r_xy`` has first legs
+    ``u^r_xz`` only, and the left one ``u^r_zy`` only, so the defining pipeline
+    costs one dense matrix product for ``Q (x) S^pm`` and then, per irrep block,
+    one product with rows ``(b, k, t)``, inner ``(c, w)`` and columns ``(z, m)``,
+    for ``u^r_bc`` (right; ``u^r_cb`` left) meeting ``u^r_bz`` (right; ``u^r_zb``
+    left); blocks of one dimension go in one batched product.  The blocks are read
+    off ``e[b, c, z, :]``, the second leg that goes with first leg ``u^r_bz`` in the
+    coaction of ``u^r_bc``.  Route "constants" takes it from the closed form
+    (``u^r_zc`` right, ``S(u^r_cz)`` left, the same for every ``b``); route "maps"
+    from the side's regular coaction tensor, carried into P's basis on first use,
+    whose mass outside the pattern must be at most ``PETER_WEYL_LEAK`` times its
+    largest entry, else ``PeterWeylFailure``.
+    """
+
+    def __init__(self, table: IrrepTable) -> None:
+        alg = table.algebra
+        n = alg.dim
+        dims = np.array(table.dims())
+        if (dims ** 2).sum() != n:
+            raise PeterWeylFailure(f"the table's {(dims ** 2).sum()} matrix coefficients "
+                                   f"cannot be a basis of the {n}-dimensional {alg.label!r}")
+        p = np.concatenate([pi.coeffs.reshape(-1, n) for pi in table])
+        sigma = np.linalg.svd(p, compute_uv=False)
+        if not sigma[-1] * PETER_WEYL_COND >= sigma[0]:
+            raise PeterWeylFailure(f"the table's matrix coefficients span {alg.label!r} with "
+                                   f"condition number {sigma[0] / sigma[-1]:.1e} > "
+                                   f"{PETER_WEYL_COND:.0e}")
+        r = np.linalg.inv(p)
+        self.algebra, self.n, self.p, self.r = alg, n, p, r
+        self.antipodes = {"ordinary": p @ alg.antipode @ r, "twisted": p @ alg.antipode_inv @ r}
+        m = (alg.mult.reshape(n * n, n) @ r).reshape(n, n, n)          # [i, j, M]
+        m = (p @ m.reshape(n, -1)).reshape(n, n, n)                    # [B, j, M]
+        self.mult = np.matmul(p, m)                                    # [B, w, M]
+        # the blocks of each dimension: [block, (i, j)] positions in P's basis
+        starts = np.cumsum(dims ** 2) - dims ** 2
+        self.classes = {int(d): starts[dims == d][:, None] + np.arange(d * d)
+                        for d in dict.fromkeys(dims.tolist())}
+        self._routes: dict[tuple[str, str, str], tuple[np.ndarray, list[np.ndarray]]] = {}
+
+    def _pattern(self, side: str, d: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``t`` of ``u^r_bc`` and first legs ``a`` of ``u^r_bz`` (right; ``u^r_cb``
+        and ``u^r_zb`` left) of one dimension's blocks, each indexed ``[block, b, c, z]``."""
+        b, c, z = np.indices((d, d, d))
+        start = idx[:, :1, None, None]
+        if side == "R":
+            return start + b * d + c, start + b * d + z
+        return start + c * d + b, start + z * d + b
+
+    def _second_legs(self, side: str, route: str) -> list[np.ndarray]:
+        """Each dimension's ``e[block, b, c, z, :]``: the constants route's from the
+        closed form, with one ``b``; the maps route's cut from the side's regular
+        coaction tensor in P's basis, certified to vanish outside the pattern."""
+        n, p, r = self.n, self.p, self.r
+        out = []
+        if route == "constants":
+            for d, idx in self.classes.items():
+                c, z = np.indices((d, d))
+                start = idx[:, :1, None]
+                if side == "R":
+                    out.append(np.eye(n)[start + z * d + c][:, None])
+                else:
+                    out.append(self.antipodes["ordinary"][start + c * d + z][:, None])
+            return out
+        from .regular import regular_carrier
+        coact = (p @ regular_carrier(self.algebra, side).coact.reshape(n, -1))  # [t, a, b]
+        coact = (coact.reshape(n * n, n) @ r).reshape(n, n, n)                # [t, a, v]
+        coact = np.matmul(r.T, coact)                                         # [t, a', v]
+        outside = np.ones((n, n), dtype=bool)
+        for d, idx in self.classes.items():
+            rows, firsts = self._pattern(side, d, idx)
+            out.append(coact[rows, firsts])
+            outside[rows, firsts] = False
+        scale = float(np.abs(coact).max())
+        leak = float(np.abs(coact[outside]).max(initial=0.0))
+        if not leak <= PETER_WEYL_LEAK * scale:
+            raise PeterWeylFailure(f"the {side} regular coaction of {self.algebra.label!r} "
+                                   f"leaves mass {leak:.1e} outside the Peter-Weyl blocks of "
+                                   f"the table (largest entry {scale:.1e})")
+        return out
+
+    def route(self, kind: str, side: str, route: str) -> tuple[np.ndarray, list[np.ndarray]]:
+        """One route of one variant, built on first use: ``x[a, t, w]``, the first-leg
+        map ``Q (x) S^pm`` reads, and each dimension's matrices ``[block, b, (c, w),
+        (z, m)]`` (one ``b`` when shared), the second leg meeting the product.  ``a``,
+        ``t`` and ``m`` are input coordinates, so an operator enters as ``r^T Q`` and
+        only the first leg of the result goes back."""
+        key = (kind, side, route)
+        if key not in self._routes:
+            n, p, r = self.n, self.p, self.r
+            spow = self.antipodes[kind]
+            mult = self.mult.transpose(1, 0, 2) if kind == "twisted" else self.mult  # [B, w, M]
+            mult = (np.ascontiguousarray(mult).reshape(n * n, n) @ p).reshape(n, n * n)
+            x = np.zeros((n, n, n), dtype=complex)
+            gs = []
+            for (d, idx), legs in zip(self.classes.items(), self._second_legs(side, route)):
+                rows, firsts = self._pattern(side, d, idx)
+                x[firsts, rows] = legs @ spow
+                meet = (legs.reshape(-1, n) @ mult).reshape(*legs.shape[:2], d, d, n, n)
+                gs.append(meet.transpose(0, 1, 2, 4, 3, 5).reshape(*legs.shape[:2], d * n, d * n))
+            self._routes[key] = np.matmul(r, (p.T @ x.reshape(n, n * n)).reshape(n, n, n)), gs
+        return self._routes[key]
+
+    def components(self, q_ops: np.ndarray, kind: str, side: str, route: str) -> np.ndarray:
+        """One route's coaction components ``[k, a, t, m]`` of a stack of operators in
+        the input basis: the pipeline by blocks, and the first leg back."""
+        x, gs = self.route(kind, side, route)
+        k, n = len(q_ops), self.n
+        legs = (np.matmul(self.r.T, q_ops).reshape(k * n, n) @ x.reshape(n, n * n)
+                ).reshape(k, n, n, n)                                            # [k, i, t, w]
+        out = np.empty_like(legs)                                                # [k, A, t, m]
+        for (d, idx), g in zip(self.classes.items(), gs):
+            block = legs[:, idx].reshape(k, len(idx), d, d, n, n)        # [k, block, i, t, w]
+            if side == "L":  # the left pattern is the right one with u^r_ij read as u^r_ji
+                block = block.swapaxes(2, 3)
+            rows = block.transpose(1, 2, 0, 4, 3, 5).reshape(*g.shape[:2], -1, d * n)
+            meet = (rows @ g).reshape(len(idx), d, k, n, d, n)          # [block, b, k, t, z, m]
+            meet = meet.transpose(2, 0, 1, 4, 3, 5)                      # [k, block, b, z, t, m]
+            if side == "L":
+                meet = meet.swapaxes(2, 3)
+            out[:, idx] = meet.reshape(k, len(idx), d * d, n, n)
+        return np.matmul(self.p.T, out.reshape(k, n, n * n)).reshape(k, n, n, n)
+
+
+def operator_coaction_report(table: IrrepTable, q_op: np.ndarray, kind: str, side: str,
                              tol: float = 1e-10) -> Report:
     """Operator-space coaction of one operator, certified as a right coaction.
 
@@ -162,12 +290,13 @@ def operator_coaction_report(alg: HopfAlgebraSpec, q_op: np.ndarray, kind: str, 
     component must match tensoring the second leg with its coproduct; and
     contracting the second leg with the counit must give back the operator.
     """
-    comps = operator_coaction_components(alg, q_op, kind, side)            # [m, a, t]
-    maps = operator_coaction_components(alg, q_op, kind, side, route="maps")
+    alg = table.algebra
+    comps = operator_coaction_components(table, q_op, kind, side)          # [m, a, t]
+    maps = operator_coaction_components(table, q_op, kind, side, route="maps")
     report = Report(f"operator coaction [{kind}-{side}]", meta={"tol": tol})
     t = tol * alg.magnitude ** 2
     report.add("routes agree", float(np.abs(comps - maps).max()), t)
-    again = _coaction_stack(alg, comps, kind, side, "constants")    # again[m, m2, a, t]
+    again = _coaction_stack(table, comps, kind, side, "constants")  # again[m, m2, a, t]
     rhs = np.tensordot(alg.comult, comps, axes=(0, 0))             # [b, c, a, t]
     report.add("coassociativity", float(np.abs(again.transpose(1, 0, 2, 3) - rhs).max()), t)
     counit_side = np.einsum("mat,m->at", comps, alg.counit)
@@ -183,7 +312,6 @@ class TensorOperatorFamily:
     kind: str
     side: str
     operators: np.ndarray  # (d, c, c) in carrier coordinates
-    residual: float | None = None
     label: str = ""
     carrier: Carrier | None = None
 
@@ -206,55 +334,87 @@ class TensorOperatorFamily:
                                     carrier=self.carrier)
 
 
-def check_family(fam: TensorOperatorFamily, kind: str | None = None,
+def check_family(fam: TensorOperatorFamily, table: IrrepTable, kind: str | None = None,
                  side: str | None = None) -> float:
     """Max defining-condition residual of the family: the one-family call of
     :func:`check_families`."""
-    return check_families([fam], kind, side)[0]
+    return check_families([fam], table, kind, side)[0]
 
 
-def check_families(fams: list[TensorOperatorFamily], kind: str | None = None,
-                   side: str | None = None) -> list[float]:
+def check_families(fams: list[TensorOperatorFamily], table: IrrepTable,
+                   kind: str | None = None, side: str | None = None) -> list[float]:
     """Max defining-condition residual of each family, over every route its carrier has.
 
     Residuals are raw; callers compare them with their own tolerance.  The
-    families live on the whole algebra, where both routes run, or all on one
-    coideal, which has only the structure-map route and fixes the side.  The
-    variant tested is ``kind``/``side``, by default the first family's, so a
-    family can be checked against another variant (the distinctness
-    diagnostics rely on this); testing its own variant sets ``fam.residual``.
-    The constants route runs once on the stacked operators, so its ``meet``
-    tensor is built once; the structure-map route runs one operator per call.
+    families live on the whole algebra, where both Peter-Weyl routes of the
+    table run, or all on one coideal, which has only the structure-map pipeline
+    and fixes the side.  The variant tested is ``kind``/``side``, by default the
+    first family's, so a family can be checked against another variant (the
+    distinctness diagnostics rely on this).  Every route's components are
+    compared in the input basis with ``sum_j Q_j (x) pi_jk``; on the whole
+    algebra the stack runs in chunks of at most ``STACK_ENTRIES`` entries per
+    ``k n^3`` array, whole families at a time.
     """
     kind, side = _variant_key(kind or fams[0].kind, side or fams[0].side)
-    alg, spow_swap = fams[0].algebra, _antipode_and_swap(fams[0].algebra, kind)
+    alg = _same_spec(fams[0], table)
     if all(fam.carrier is regular_carrier(alg, fam.side) for fam in fams):
-        coact = regular_carrier(alg, side).coact
-        stack = _coaction_stack(alg, np.concatenate([fam.operators for fam in fams]),
-                                kind, side, "constants")
-    elif side != fams[0].side or any(fam.carrier is not fams[0].carrier for fam in fams):
+        out = []
+        for chunk in _family_chunks(fams, _chunk(alg.dim)):
+            ops, rhs = _stacked(chunk)
+            gaps = [_operator_gaps(table._peter_weyl.components(ops, kind, side, route), rhs)
+                    for route in ("constants", "maps")]
+            out += _per_family(chunk, np.maximum(*gaps))
+        return out
+    if side != fams[0].side or any(fam.carrier is not fams[0].carrier for fam in fams):
         raise ValueError("families on a coideal are checked on their own carrier and side only")
-    else:
-        coact, stack = fams[0].carrier.coact, None
-    out, start = [], 0
+    ops, rhs = _stacked(fams)
+    comps = _pipeline(fams[0].carrier.coact, alg, ops, *_antipode_and_swap(alg, kind))
+    return _per_family(fams, _operator_gaps(comps.transpose(0, 2, 3, 1), rhs))
+
+
+def _family_chunks(fams: list[TensorOperatorFamily], limit: int):
+    """Consecutive runs of whole families with at most ``limit`` operators in all (or
+    one family, if it alone has more)."""
+    chunk, size = [], 0
     for fam in fams:
-        rhs = np.tensordot(fam.corep.coeffs, fam.operators, axes=(0, 0))   # [j, m, a, t]
-        gaps = [np.abs(_pipeline(coact, alg, op[None], *spow_swap)[0] - want).max()
-                for op, want in zip(fam.operators, rhs)]
-        if stack is not None:
-            gaps.append(np.abs(stack[start:start + len(rhs)] - rhs).max())
-        out.append(float(max(gaps)))
-        start += len(rhs)
-        if kind == fam.kind and side == fam.side:
-            fam.residual = out[-1]
-    return out
+        if chunk and size + fam.corep.dim > limit:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(fam)
+        size += fam.corep.dim
+    if chunk:
+        yield chunk
 
 
-def family_report(fam: TensorOperatorFamily, tol: float = 1e-10) -> Report:
+def _stacked(fams: list[TensorOperatorFamily]) -> tuple[np.ndarray, np.ndarray]:
+    """The families' operators stacked in order, and the components ``sum_j Q_j (x) pi_jk``
+    the defining condition asks of them, ``[k, a, t, m]``."""
+    ops = np.concatenate([fam.operators for fam in fams])
+    rhs = []
+    for fam in fams:
+        d, c = fam.operators.shape[:2]
+        rhs.append((fam.operators.reshape(d, -1).T @ fam.corep.coeffs.reshape(d, -1)
+                    ).reshape(c, c, d, -1).transpose(2, 0, 1, 3))
+    return ops, np.concatenate(rhs)
+
+
+def _operator_gaps(comps: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``max |comps - rhs|`` per operator."""
+    return np.abs(comps - rhs).reshape(len(rhs), -1).max(axis=1)
+
+
+def _per_family(fams: list[TensorOperatorFamily], gaps: np.ndarray) -> list[float]:
+    """The largest operator gap of each family, its operators stacked in order."""
+    starts = np.cumsum([0] + [fam.corep.dim for fam in fams[:-1]])
+    return np.maximum.reduceat(gaps, starts).tolist()
+
+
+def family_report(fam: TensorOperatorFamily, table: IrrepTable, tol: float = 1e-10) -> Report:
     report = Report(
         f"tensor-operator family [{fam.label or fam.corep.label} {fam.kind}-{fam.side}]",
         meta={"tol": tol})
-    report.add("defining condition", check_family(fam), tol * fam.algebra.magnitude ** 2)
+    report.add("defining condition", check_family(fam, table),
+               tol * fam.algebra.magnitude ** 2)
     return report
 
 
@@ -365,19 +525,19 @@ def apply_family_to_basis_functions(fam: TensorOperatorFamily, phis: BasisFuncti
     return report
 
 
-def operator_product_rule_residual(alg: HopfAlgebraSpec, kind: str, side: str,
+def operator_product_rule_residual(table: IrrepTable, kind: str, side: str,
                                    q1: np.ndarray, q2: np.ndarray) -> float:
     """Residual of the product rule for the operator-space coactions.
 
     Ordinary: the coaction of ``Q Q'`` is the legwise product of the two
     coactions.  Twisted: the second legs multiply in reversed order.
     """
-    comp1 = operator_coaction_components(alg, q1, kind, side)
-    comp2 = operator_coaction_components(alg, q2, kind, side)
-    prod = operator_coaction_components(alg, np.asarray(q1) @ np.asarray(q2), kind, side)
+    q1, q2 = np.asarray(q1, dtype=complex), np.asarray(q2, dtype=complex)
+    comp1, comp2, prod = _coaction_stack(table, np.stack([q1, q2, q1 @ q2]), kind, side,
+                                         "constants")
     pairs = np.tensordot(comp1, comp2, axes=(2, 1))  # [u, a, v, c]
     m_axes = (0, 1) if kind == "ordinary" else (1, 0)
-    expected = np.tensordot(pairs, alg.mult, axes=((0, 2), m_axes)).transpose(2, 0, 1)
+    expected = np.tensordot(pairs, table.algebra.mult, axes=((0, 2), m_axes)).transpose(2, 0, 1)
     return float(np.abs(prod - expected).max())
 
 

@@ -181,7 +181,7 @@ def test_criterion_07_tensor_operators(contexts, cs3_fun, cs3_grp):
         for kind, side in VARIANTS:
             fam = TensorOperatorFamily(ident, kind, side,
                                        np.eye(ctx.algebra.dim)[None, :, :])
-            worst_id = max(worst_id, check_family(fam))
+            worst_id = max(worst_id, check_family(fam, ctx.table))
     assert worst_id <= 1e-10
 
     worst_mult = 0.0
@@ -189,13 +189,15 @@ def test_criterion_07_tensor_operators(contexts, cs3_fun, cs3_grp):
         for pi in ctx.table:
             for kind, side in VARIANTS:
                 bset = canonical_basis_functions(pi, side, 0)
-                worst_mult = max(worst_mult, check_family(multiplication_family(bset, kind)))
+                worst_mult = max(worst_mult, check_family(multiplication_family(bset, kind),
+                                                            ctx.table))
     assert worst_mult <= 1e-10
 
     witness = False
     for pi in cs3_grp.table:
         fam = multiplication_family(canonical_basis_functions(pi, "R", 0), "ordinary")
-        if check_family(fam) < 1e-10 and check_family(fam, kind="twisted") > 1e-3:
+        if (check_family(fam, cs3_grp.table) < 1e-10
+                and check_family(fam, cs3_grp.table, kind="twisted") > 1e-3):
             witness = True
             break
     assert witness, "no ordinary-R family failing the twisted-R condition on C[S3]"
@@ -263,7 +265,7 @@ def test_criterion_09_operator_products(contexts, cs3_fun):
                 order = (pl, ql) if kind == "ordinary" else (ql, pl)
                 system = ctx.cg(*order)
                 for key, fam in couple_families(fam_p, fam_q, system, table).items():
-                    res = check_family(fam)
+                    res = check_family(fam, table)
                     worst = max(worst, res)
                     assert res <= 1e-10, (label, pl, ql, kind, side, key)
     # restricted products over the coset space
@@ -275,7 +277,7 @@ def test_criterion_09_operator_products(contexts, cs3_fun):
             fam = multiplication_family(sets[0], kind)
             system = cs3_fun.cg("p2", "p2")
             for key, cf in couple_families(fam, fam, system, cs3_fun.table).items():
-                res = check_family(cf)
+                res = check_family(cf, cs3_fun.table)
                 worst = max(worst, res)
                 assert res <= 1e-10, (side, kind, key)
     _announce(9, worst <= 1e-10,

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from oracles import per_operator_coaction
+
 import numpy as np
 import pytest
 
 from cqglab.algebra import (HopfAlgebraSpec, LinearFunctional, build_dual, verify_hopf_axioms,
                             verify_star_axioms)
 from cqglab.cg import cg_block_residual, tensor_product, verify_triple_haar
-from cqglab.corep import Corepresentation, _restrict_corep, check_unitary, unitarize
+from cqglab.corep import (Corepresentation, IrrepTable, _restrict_corep, check_unitary,
+                          unitarize)
 from cqglab.groups import symmetric_group_3
 from cqglab.haar import GramPair, regular_unitarity_report, verify_haar_lemmas
 from cqglab.homspace import (build_coset_subalgebra, restricted_coaction_report,
@@ -326,14 +329,37 @@ CONSTANTS = {
 }
 
 
+def noisy_product(ctx, seed: int) -> tuple[HopfAlgebraSpec, IrrepTable]:
+    """``ctx``'s algebra with every structure constant but the coproduct perturbed at
+    order one, and its table's matrix coefficients as a table of it.  The
+    tensor-operator routes read the coproduct in that Peter-Weyl basis, so it
+    keeps its form there; the product and antipode they carry into the basis are
+    arbitrary."""
+    noisy = replace(perturbed(ctx.algebra, seed), comult=ctx.algebra.comult)
+    irreps = tuple(Corepresentation(noisy, pi.coeffs, label=pi.label) for pi in ctx.table)
+    return noisy, IrrepTable(noisy, irreps, ctx.table.multiplicities)
+
+
 @pytest.mark.parametrize("label", SPECS)
 @pytest.mark.parametrize("kind,side", VARIANTS)
-def test_operator_coaction_constants_match_naive(algebras, label, kind, side):
-    alg = perturbed(algebras[label], 12)
+def test_operator_coaction_constants_match_naive(algebras, contexts, label, kind, side):
+    """Both Peter-Weyl routes against the defining pipeline as one einsum, on a spec
+    with a noisy product and antipode (where ordinary-L's closed form, which uses
+    that S reverses products, is not the pipeline); and the per-operator oracle's
+    constants chain, which the routes are compared with on valid specs, against
+    its closed form on every constant noisy."""
+    alg, table = noisy_product(contexts[label], 12)
     q_op = rand(np.random.default_rng(12), alg.dim, alg.dim)
+    coact = regular_coaction_tensor(alg, side)
+    spow = alg.antipode if kind == "ordinary" else alg.antipode_inv
+    order = "BwM" if kind == "ordinary" else "wBM"
+    want = np.einsum(f"tab,ia,bw,iAB,{order}->MAt", coact, q_op, spow, coact, alg.mult)
+    for route in ("constants", "maps"):
+        assert_same(operator_coaction_components(table, q_op, kind, side, route), want)
     expr, head = CONSTANTS[kind, side]
+    alg = perturbed(algebras[label], 12)
     want = np.einsum(expr, *head(alg), alg.comult, alg.comult, q_op)
-    assert_same(operator_coaction_components(alg, q_op, kind, side), want)
+    assert_same(per_operator_coaction(alg, q_op, kind, side, "constants"), want)
 
 
 @pytest.mark.parametrize("kind,order", [("ordinary", "BwM"), ("twisted", "wBM")])
@@ -347,16 +373,16 @@ def test_operator_comodule_matches_naive(algebras, kind, order, b):
 
 
 @pytest.mark.parametrize("kind,side", VARIANTS)
-def test_operator_product_rule_matches_naive(algebras, kind, side):
-    alg = perturbed(algebras["C(S3)"], 14)
+def test_operator_product_rule_matches_naive(contexts, kind, side):
+    alg, table = noisy_product(contexts["C(S3)"], 14)
     rng = np.random.default_rng(14)
     q1, q2 = rand(rng, alg.dim, alg.dim), rand(rng, alg.dim, alg.dim)
-    comp1 = operator_coaction_components(alg, q1, kind, side)
-    comp2 = operator_coaction_components(alg, q2, kind, side)
-    prod = operator_coaction_components(alg, q1 @ q2, kind, side)
+    comp1 = operator_coaction_components(table, q1, kind, side)
+    comp2 = operator_coaction_components(table, q2, kind, side)
+    prod = operator_coaction_components(table, q1 @ q2, kind, side)
     order = "uvM" if kind == "ordinary" else "vuM"
     expected = np.einsum(f"uab,vbc,{order}->Mac", comp1, comp2, alg.mult)
-    assert_same_residual(operator_product_rule_residual(alg, kind, side, q1, q2),
+    assert_same_residual(operator_product_rule_residual(table, kind, side, q1, q2),
                          prod - expected)
 
 

@@ -9,7 +9,8 @@ here with its reason.
   and the coideal's orthonormal basis all read it from there.
 * SVD: the antipode's invertibility, the range of an intertwiner average, the
   conditioning of every block-diagonalizing ``C`` (CG systems and comodule
-  decompositions alike) and the rank of the family stack.  ``matrix_rank``
+  decompositions alike), the conditioning of a table's Peter-Weyl basis and
+  the rank of the family stack.  ``matrix_rank``
   and ``pinv`` are SVDs too: the span of the coupled products and the
   least-squares cross-check of the Wigner-Eckart reduced elements.  ``lstsq``
   is one as well and has no home.
@@ -32,7 +33,8 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 HOMES = {
     "cholesky": {"corep._gram_basis"},
     "svd": {"algebra.verify_star_axioms", "corep._range_basis",
-            "corep._block_diagonalize", "tensor_ops.solve_family_space"},
+            "corep._block_diagonalize", "tensor_ops._PeterWeyl.__init__",
+            "tensor_ops.solve_family_space"},
     "matrix_rank": {"cg.coupled_basis_functions"},
     "pinv": {"wigner_eckart._factorize_targets"},
     "lstsq": set(),

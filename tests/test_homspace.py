@@ -180,7 +180,7 @@ def test_identity_family_all_variants(coset_ctx, cs3_fun):
     for kind in ("ordinary", "twisted"):
         fam = TensorOperatorFamily(ident, kind, side, np.eye(coideal.dim)[None, :, :],
                                    carrier=carrier)
-        assert check_family(fam) < 1e-12
+        assert check_family(fam, cs3_fun.table) < 1e-12
 
 
 def test_restricted_multiplication_families(coset_ctx, cs3_fun):
@@ -189,7 +189,7 @@ def test_restricted_multiplication_families(coset_ctx, cs3_fun):
         for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.haar):
             for kind in ("ordinary", "twisted"):
                 fam = multiplication_family(bset, kind)
-                assert check_family(fam) < 1e-10
+                assert check_family(fam, cs3_fun.table) < 1e-10
 
 
 def test_zero_family_space_on_point_space(cs3_fun):
@@ -205,7 +205,7 @@ def test_solved_restricted_families_pass(coset_ctx, cs3_fun):
     for pi in cs3_fun.table:
         for kind in ("ordinary", "twisted"):
             for fam in solve_restricted_family(pi, coideal, kind, cs3_fun.haar):
-                assert check_family(fam) < 1e-9
+                assert check_family(fam, cs3_fun.table) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["ordinary", "twisted"])
@@ -226,7 +226,7 @@ def test_restricted_family_residual_matches_per_operator_loop(coset_ctx, cs3_fun
             lhs = np.array([pipeline_components(coact, alg, kind, op) for op in fam.operators])
             rhs = np.einsum("kat,kjm->jmat", fam.operators, pi.coeffs)
             loop = float(np.abs(lhs - rhs).max())
-            assert abs(check_family(fam) - loop) <= 1e-14, (side, pi.label)
+            assert abs(check_family(fam, cs3_fun.table) - loop) <= 1e-14, (side, pi.label)
 
 
 def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
@@ -236,10 +236,11 @@ def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
     fams = solve_restricted_family(cs3_fun.table["p0"], coideal, "ordinary", cs3_fun.haar)
     assert fams
     for fam in fams:
-        assert family_report(fam).passed
-        assert fam.residual is not None and fam.residual < 1e-10
+        report = family_report(fam, cs3_fun.table)
+        assert report.passed
+        assert report["defining condition"].residual == check_family(fam, cs3_fun.table) < 1e-10
         with pytest.raises(ValueError):
-            check_family(fam, side="L" if side == "R" else "R")
+            check_family(fam, cs3_fun.table, side="L" if side == "R" else "R")
 
 
 def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
@@ -281,7 +282,7 @@ def test_restricted_coupling(coset_ctx, cs3_fun):
         system = cs3_fun.cg("p2", "p2")
         coupled = couple_families(fam, fam, system, cs3_fun.table)
         for key, cf in coupled.items():
-            assert check_family(cf) < 1e-10, (side, kind, key)
+            assert check_family(cf, cs3_fun.table) < 1e-10, (side, kind, key)
 
 
 def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):

@@ -6,6 +6,11 @@ subcommand that builds an irrep table solves the Haar functional once and hands
 it to every later solve, and the library functions that answer a question with
 ``h`` take it from their caller.  A second call would mean a table factorized
 on its own or a Haar functional solved again.
+
+The table's Peter-Weyl context is built once, where tensor-operator
+certificates run (``tensor-ops``), and the irreps' comodule and unitarity
+residuals come from one stacked pass per table, which also serves every left
+canonical set of ``irreps``, ``tensor-ops`` and ``wigner-eckart``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import sys
 
 import pytest
 
-from cqglab import cli, wigner_eckart
+from cqglab import cli, corep, tensor_ops, wigner_eckart
 from cqglab.corep import are_equivalent, decompose_comodule, is_irreducible
 from cqglab.regular import regular_corep
 from cqglab.tensor_ops import VARIANTS, solve_family_space
@@ -56,6 +61,24 @@ def test_subcommand_solves_the_haar_functional_once(run, tmp_path, monkeypatch):
     calls = _count_solve_haar(monkeypatch)
     assert cli.main([*RUNS[run], "--output", str(tmp_path / "out.json")]) == 0
     assert len(calls) == 1
+
+
+# (Peter-Weyl contexts, stacked residual passes) per run, each for the run's one table
+TABLE_PASSES = {"tensor-ops": (1, 1), "wigner-eckart": (0, 1), "irreps": (0, 1)}
+
+
+@pytest.mark.parametrize("run", list(TABLE_PASSES))
+def test_one_peter_weyl_context_and_one_residual_pass_per_table(run, tmp_path, monkeypatch):
+    contexts, passes = [], _count(monkeypatch, "_corep_residuals", [corep])
+
+    class Counting(tensor_ops._PeterWeyl):
+        def __init__(self, table):
+            contexts.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr(tensor_ops, "_PeterWeyl", Counting)
+    assert cli.main([*RUNS[run], "--output", str(tmp_path / "out.json")]) == 0
+    assert (len(contexts), len(passes)) == TABLE_PASSES[run]
 
 
 def test_library_functions_take_the_callers_haar_functional(cs3_fun, monkeypatch):

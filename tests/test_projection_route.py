@@ -4,9 +4,9 @@ multiplicity space off.
 ``P^r_lm = d_r (id (x) h)(W (pi^r_lm)^*)`` acts on each copy of ``pi^r`` inside a
 comodule ``W`` as the matrix unit ``E_lm`` and kills every other irrep, so on
 ``pi^r`` itself it is ``E_lm``, on ``pi^s`` (``s != r``) it is 0, and
-``(id (x) h)(pi^s chi_r^*)`` is ``delta_rs I / d_r``.  Checked from the Haar pairing
-directly, for every ``l, m``, and through the table's projection factor, whose
-columns are the ``m = 1`` maps and the character counts, on every irrep of the
+``tr P^r_11`` on ``pi^s`` is ``delta_rs``, the count of ``pi^r`` in ``pi^s``.  Checked
+from the Haar pairing directly, for every ``l, m``, and through the table's
+projection factor, whose columns are the ``m = 1`` maps, on every irrep of the
 six built-ins, C(A4), C(D6) and the rotated C(S3) and C[S3], whose star matrix is
 not real.
 """
@@ -58,7 +58,7 @@ def test_projection_factor_reads_units_and_counts(request, contexts, rotated, la
     assert table._projection_factor(ctx.haar)[0] is factor      # built once per h
     assert not any(arr.flags.writeable for arr in (factor, lifts, weights))
     dims = np.array(table.dims())
-    assert factor.shape == (n, dims.sum() + len(table))
+    assert factor.shape == (n, dims.sum())
     assert np.array_equal(weights > 0, np.arange(dims.max()) < dims[:, None])
     assert np.allclose(weights.sum(axis=1), np.sqrt(dims))     # 1 / sqrt(tr F^r), d_r times
     for s, pi in enumerate(table):
@@ -68,5 +68,5 @@ def test_projection_factor_reads_units_and_counts(request, contexts, rotated, la
             if r == s:
                 want[np.arange(d), 0, np.arange(d)] = 1.0         # P^r_l1 = E_l1
             assert np.abs(read[..., lifts[r, :d]] - want).max() < TOL, (label, pi.label, r)
-        counts = np.trace(read[..., -len(table):])
+        counts = np.trace(read[..., lifts[:, 0]])                  # tr P^r_11
         assert np.abs(counts - np.eye(len(table))[s]).max() < TOL, (label, pi.label)

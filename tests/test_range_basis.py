@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqglab.corep import _phase_fixed, _range_basis
+from cqglab.corep import _range_basis
 
 N = 8
 
@@ -149,7 +149,7 @@ def _unscreened(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
     """The range solver with every matrix in one batched SVD, no norm screen."""
     u, sigma, _ = np.linalg.svd(mats)
     keep = sigma > rcond * np.maximum(sigma[:, :1], 1.0)
-    return _phase_fixed(u.transpose(0, 2, 1)[keep]), keep.sum(axis=1).tolist()
+    return u.transpose(0, 2, 1)[keep], keep.sum(axis=1).tolist()
 
 
 def _near_cut_stack(rng, size: int, rcond: float) -> np.ndarray:

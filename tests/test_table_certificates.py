@@ -22,7 +22,7 @@ import pytest
 
 from conftest import Context
 from oracles import (per_irrep_certificates, per_operator_family_residual, per_pair_characters,
-                     per_pair_schur, tensor_product_algebra)
+                     per_pair_schur, rotated_algebra, tensor_product_algebra)
 
 from cqglab import cli
 from cqglab import io as cio
@@ -32,7 +32,7 @@ from cqglab.corep import (Corepresentation, IrrepTable, _schur_report, check_uni
                           identity_corep, verify_corep)
 from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
 from cqglab.regular import canonical_basis_functions
-from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, check_families,
+from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, check_families, check_family,
                                multiplication_family)
 
 BEDS = ["C(Z2)", "C(Z3)", "C(Z4)", "C[Z3]", "C(S3)", "C[S3]", "C(A4)", "C[A4]",
@@ -47,7 +47,12 @@ def close(got: float, want: float) -> bool:
 def beds(contexts, ca4_fun, ca4_grp):
     s3 = symmetric_group_3()
     mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
-    return {**contexts, "C(A4)": ca4_fun, "C[A4]": ca4_grp, "C(S3)(x)C[S3]": Context(mixed)}
+    # C(S3) and C[S3] in a random unitary basis: complex dense structure constants, so
+    # the tables' Peter-Weyl bases are far from permutations of the input basis
+    rotated = {f"rot {label}": Context(rotated_algebra(contexts[label].algebra, 1))
+               for label in ("C(S3)", "C[S3]")}
+    return {**contexts, "C(A4)": ca4_fun, "C[A4]": ca4_grp, "C(S3)(x)C[S3]": Context(mixed),
+            **rotated}
 
 
 def all_pairs(table) -> list[tuple[int, int]]:
@@ -160,17 +165,21 @@ def stack_labels(label, table) -> list[str]:
             next(lab for lab, d in zip(table.labels, table.dims()) if d == 2)]
 
 
-@pytest.mark.parametrize("label", BEDS)
+@pytest.mark.parametrize("label", [*BEDS, "rot C(S3)", "rot C[S3]"])
 def test_family_stack_matches_per_operator_oracle(beds, label):
+    """Own and swapped variants (own only at n = 36): each family's residual in the
+    stack matches the per-operator oracle and the family checked on its own."""
     ctx = beds[label]
-    variants = VARIANTS if label != "C(S3)(x)C[S3]" else [VARIANTS[0], VARIANTS[3]]
+    mixed = label == "C(S3)(x)C[S3]"
+    variants = [VARIANTS[0], VARIANTS[3]] if mixed else VARIANTS
     for kind, side in variants:
         fams = family_stack(ctx, kind, side, stack_labels(label, ctx.table))
-        got = check_families(fams)
-        for fam, value in zip(fams, got):
-            want = per_operator_family_residual(fam, kind, side)
-            assert close(value, want), (label, fam.label, kind, side, value, want)
-            assert fam.residual == value
+        for other, other_side in [(kind, side)] if mixed else variants:
+            got = check_families(fams, ctx.table, other, other_side)
+            for fam, value in zip(fams, got):
+                want = per_operator_family_residual(fam, other, other_side)
+                assert close(value, want), (label, fam.label, kind, side, other, value, want)
+                assert close(check_family(fam, ctx.table, other, other_side), value)
 
 
 def test_tensor_ops_cli_matches_per_operator_oracle(beds, tmp_path):
@@ -225,7 +234,7 @@ def test_perturbed_coefficient_fails_engine_and_oracle(beds):
     moved = fams[1].operators.copy()
     moved[1] += 0.05 * np.random.default_rng(2).standard_normal(moved[1].shape)
     second = TensorOperatorFamily(table["p2"], "ordinary", "R", moved)
-    got = check_families([fams[0], noisy, second])
+    got = check_families([fams[0], noisy, second], table)
     for fam, value in zip([noisy, second], got[1:]):
         assert close(value, per_operator_family_residual(fam, "ordinary", "R"))
     assert got[0] < 1e-12 < 1e-3 < min(got[1:])

@@ -5,20 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import Context
 from oracles import (conjugation_family_space_dim, is_commutative, opposite_algebra,
-                     per_operator_coaction, per_operator_family_residual,
+                     per_operator_coaction, per_operator_family_residual, rotated_algebra,
                      tensor_product_algebra)
-from test_contractions import perturbed
 
 from cqglab import tensor_ops
-from cqglab.corep import Corepresentation, identity_corep, intertwiners, irrep_table
-from cqglab.errors import CqglabError, DecompositionStall, NotACorepresentation
+from cqglab.algebra import HopfAlgebraSpec
+from cqglab.corep import Corepresentation, IrrepTable, identity_corep, intertwiners, irrep_table
+from cqglab.errors import (CqglabError, DecompositionStall, NotACorepresentation,
+                           PeterWeylFailure)
 from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
 from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, _certify_commutant,
                                _coaction_stack, apply_family_to_basis_functions,
-                               check_family, couple_families,
+                               check_families, check_family, couple_families,
                                excluded_substitution_residual, family_report,
                                multiplication_family, operator_coaction_components,
                                operator_coaction_report, operator_comodule,
@@ -37,7 +39,7 @@ def test_identity_operator_all_variants(contexts):
         for kind, side in VARIANTS:
             fam = TensorOperatorFamily(ident, kind, side,
                                        np.eye(ctx.algebra.dim)[None, :, :])
-            assert check_family(fam) < 1e-12, (label, kind, side)
+            assert check_family(fam, ctx.table) < 1e-12, (label, kind, side)
 
 
 def test_multiplication_families_pass(contexts):
@@ -46,8 +48,8 @@ def test_multiplication_families_pass(contexts):
             for kind, side in VARIANTS:
                 bset = canonical_basis_functions(pi, side, 0)
                 fam = multiplication_family(bset, kind)
-                assert check_family(fam) < 1e-10, (label, pi.label, kind, side)
-                assert family_report(fam).passed
+                assert check_family(fam, ctx.table) < 1e-10, (label, pi.label, kind, side)
+                assert family_report(fam, ctx.table).passed
 
 
 def test_coaction_routes_agree_on_random_operators(contexts):
@@ -56,21 +58,37 @@ def test_coaction_routes_agree_on_random_operators(contexts):
         n = alg.dim
         for q_op in _random_ops(alg, 2, seed=7):
             for kind, side in VARIANTS:
-                report = operator_coaction_report(alg, q_op, kind, side)
+                report = operator_coaction_report(ctx.table, q_op, kind, side)
                 assert report["routes agree"].residual < 1e-10, (label, kind, side)
                 # the operator comodule contracted with q_op is a third route
                 comodule = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
                 batched = np.einsum("atxym,xy->mat", comodule.reshape(n, n, n, n, n), q_op)
                 for route in ("maps", "constants"):
-                    single = operator_coaction_components(alg, q_op, kind, side, route=route)
+                    single = operator_coaction_components(ctx.table, q_op, kind, side,
+                                                          route=route)
                     assert np.abs(batched - single).max() < 1e-10, (label, kind, side, route)
 
 
-def test_route_disagreement_is_a_failing_check(algebras):
-    """On noisy constants the ordinary-L routes part; the report records it."""
-    alg = perturbed(algebras["C(S3)"], 1)
-    q_op = _random_ops(alg, 1, seed=7)[0]
-    report = operator_coaction_report(alg, q_op, "ordinary", "L")
+def test_route_disagreement_is_a_failing_check(cs3_fun):
+    """Order-one noise on C(S3)'s coproduct, put only where the table's Peter-Weyl
+    pattern allows entries, reaches the maps route, which reads the carrier's
+    coaction tensor, and not the constants route, which reads the closed form
+    ``Delta(u_ij) = sum_m u_im (x) u_mj``: the ordinary-L routes part, and the
+    report records it."""
+    alg, table = cs3_fun.algebra, cs3_fun.table
+    p_mat, r_mat = table._peter_weyl.p, table._peter_weyl.r
+    in_p = np.einsum("ts,sab,ax,by->txy", p_mat, alg.comult, r_mat, r_mat)
+    pattern = np.abs(in_p) > 0.5                      # the ones of the closed form
+    assert pattern.sum() == sum(d ** 3 for d in table.dims())
+    in_p[pattern] += 0.3 * (np.array([1.0, 1j])
+                            @ np.random.default_rng(1).standard_normal((2, pattern.sum())))
+    noisy = HopfAlgebraSpec(alg.dim, alg.mult,
+                            np.einsum("ts,sab,ax,by->txy", r_mat, in_p, p_mat, p_mat),
+                            alg.antipode, alg.counit, alg.unit, alg.star, label="noisy C(S3)")
+    noisy_table = IrrepTable(noisy, tuple(Corepresentation(noisy, pi.coeffs, label=pi.label)
+                                          for pi in table), table.multiplicities)
+    q_op = _random_ops(noisy, 1, seed=7)[0]
+    report = operator_coaction_report(noisy_table, q_op, "ordinary", "L")
     assert [c.name for c in report.checks] == ["routes agree", "coassociativity", "counit"]
     assert not report["routes agree"].passed
     assert report["routes agree"].residual > 1.0
@@ -80,7 +98,7 @@ def test_operator_coactions_are_comodules(contexts):
     for label, ctx in contexts.items():
         for q_op in _random_ops(ctx.algebra, 2, seed=11):
             for kind, side in VARIANTS:
-                rep = operator_coaction_report(ctx.algebra, q_op, kind, side, 1e-9)
+                rep = operator_coaction_report(ctx.table, q_op, kind, side, 1e-9)
                 assert rep.passed, (label, kind, side, rep.summary())
 
 
@@ -88,13 +106,13 @@ def test_operator_product_rules(contexts):
     for label, ctx in contexts.items():
         q1, q2 = _random_ops(ctx.algebra, 2, seed=13)
         for kind, side in VARIANTS:
-            res = operator_product_rule_residual(ctx.algebra, kind, side, q1, q2)
+            res = operator_product_rule_residual(ctx.table, kind, side, q1, q2)
             assert res < 1e-9, (label, kind, side, res)
         if is_commutative(ctx.algebra):
             # ordinary and twisted coactions coincide entirely
             for side in ("R", "L"):
-                a = operator_coaction_components(ctx.algebra, q1, "ordinary", side)
-                b = operator_coaction_components(ctx.algebra, q1, "twisted", side)
+                a = operator_coaction_components(ctx.table, q1, "ordinary", side)
+                b = operator_coaction_components(ctx.table, q1, "twisted", side)
                 assert np.abs(a - b).max() < 1e-10
 
 
@@ -117,8 +135,8 @@ def test_ordinary_family_fails_twisted_condition_on_cs3(cs3_grp):
     for pi in cs3_grp.table:
         bset = canonical_basis_functions(pi, "R", 0)
         fam = multiplication_family(bset, "ordinary")
-        own = check_family(fam)
-        cross = check_family(fam, kind="twisted")
+        own = check_family(fam, cs3_grp.table)
+        cross = check_family(fam, cs3_grp.table, kind="twisted")
         if own < 1e-10 and cross > 1e-3:
             found = True
             break
@@ -144,7 +162,7 @@ def test_solution_space_dimension_matches_oracle(cs3_fun):
         fams = solve_family_space(table[label], "ordinary", "R")
         assert len(fams) == want, (label, len(fams), want)
         for fam in fams:
-            assert check_family(fam) < 1e-10
+            assert check_family(fam, table) < 1e-10
 
 
 def test_identity_in_identity_corep_solution_space(contexts):
@@ -213,7 +231,7 @@ def test_couple_families(cs3_fun):
         coupled = couple_families(fam_p, fam_q, system, table)
         assert set(coupled) == {("p0", 0), ("p1", 0), ("p2", 0)}
         for key, fam in coupled.items():
-            assert check_family(fam) < 1e-10, (kind, side, key)
+            assert check_family(fam, table) < 1e-10, (kind, side, key)
 
 
 def test_couple_with_identity_family(cs3_fun):
@@ -226,7 +244,7 @@ def test_couple_with_identity_family(cs3_fun):
     coupled = couple_families(fam_p, ident_fam, system, table)
     [(key, fam)] = coupled.items()
     assert key[0] == "p2"
-    assert check_family(fam) < 1e-10
+    assert check_family(fam, table) < 1e-10
     # coupling against the trivial factor returns fam_p up to the block phase
     ratio = fam.operators[np.abs(fam.operators) > 1e-9] / \
         fam_p.operators[np.abs(fam.operators) > 1e-9]
@@ -256,7 +274,7 @@ def test_group_like_coupling_lands_on_products(cs3_grp):
     coupled_tw = couple_families(tfam_p, tfam_q, system_qp, table)
     [(key_tw, fam_tw)] = coupled_tw.items()
     assert group_index(table[key_tw[0]]) == s3.mul(k, g)
-    assert check_family(fam_tw) < 1e-12
+    assert check_family(fam_tw, table) < 1e-12
 
 
 def test_couple_families_order_validation(cs3_fun):
@@ -280,15 +298,17 @@ def test_excluded_substitutions_collapse_on_builtins(contexts):
 
 def test_twisted_of_a_is_ordinary_of_opposite(cs3_grp):
     """Cross-check: a twisted family of A is an ordinary family of A^op."""
-    alg = cs3_grp.algebra
+    alg, table = cs3_grp.algebra, cs3_grp.table
     op_alg = opposite_algebra(alg)
-    for pi in cs3_grp.table:
+    # A^op has A's coalgebra, so the same matrix coefficients are its Peter-Weyl basis
+    op_table = IrrepTable(op_alg, tuple(Corepresentation(op_alg, pi.coeffs, label=pi.label)
+                                        for pi in table), table.multiplicities)
+    for pi, pi_op in zip(table, op_table):
         bset = canonical_basis_functions(pi, "R", 0)
         fam = multiplication_family(bset, "twisted")
-        assert check_family(fam) < 1e-12
-        pi_op = Corepresentation(op_alg, pi.coeffs.copy(), label=pi.label)
+        assert check_family(fam, table) < 1e-12
         fam_op = TensorOperatorFamily(pi_op, "ordinary", "R", fam.operators.copy())
-        assert check_family(fam_op) < 1e-12
+        assert check_family(fam_op, op_table) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +318,17 @@ def test_twisted_of_a_is_ordinary_of_opposite(cs3_grp):
 BUILTINS = ("C(Z2)", "C(Z3)", "C(Z4)", "C[Z3]", "C(S3)", "C[S3]")
 
 
+@pytest.fixture(scope="module")
+def rotated(contexts):
+    """C(S3) and C[S3] in a random unitary basis: complex dense structure constants, so
+    the table's Peter-Weyl basis is far from a permutation of the input basis."""
+    return {label: Context(rotated_algebra(contexts[label].algebra, 1))
+            for label in ("C(S3)", "C[S3]")}
+
+
 def _context(request, contexts, label):
+    if label.startswith("rot "):
+        return request.getfixturevalue("rotated")[label[4:]]
     fixture = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun"}.get(label)
     return request.getfixturevalue(fixture) if fixture else contexts[label]
 
@@ -344,20 +374,20 @@ def mixed_irrep():
     alg = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
     h = solve_haar(alg)
     table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
-    return next(pi for pi in table if pi.dim == 2)
+    return next(pi for pi in table if pi.dim == 2), table
 
 
 @pytest.mark.parametrize("kind,side", VARIANTS)
 def test_n36_family_space(mixed_irrep, kind, side):
-    pi = mixed_irrep
+    pi, table = mixed_irrep
     families = solve_family_space(pi, kind, side)
     assert len(families) == pi.algebra.dim * pi.dim
     weights = np.random.default_rng(5).standard_normal(len(families))
     blend = TensorOperatorFamily(pi, kind, side, np.tensordot(
         weights / np.linalg.norm(weights), [fam.operators for fam in families], axes=1))
-    assert check_family(blend) <= 1e-12      # a generic member of the space
+    assert check_family(blend, table) <= 1e-12      # a generic member of the space
     swapped = "twisted" if kind == "ordinary" else "ordinary"
-    assert max(check_family(fam, kind=swapped) for fam in families[:4]) >= 0.1
+    assert max(check_family(fam, table, kind=swapped) for fam in families[:4]) >= 0.1
 
 
 def test_rank_deficient_stack_stalls(cs3_fun, monkeypatch):
@@ -416,7 +446,7 @@ def test_commutant_certificate_memory(cs4_fun, side):
     assert peak <= 2e6, peak / 1e6
 
 
-@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)"])
+@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "rot C(S3)", "rot C[S3]"])
 def test_stacked_coaction_matches_per_operator_oracle(request, contexts, label):
     ctx = _context(request, contexts, label)
     alg = ctx.algebra
@@ -424,11 +454,11 @@ def test_stacked_coaction_matches_per_operator_oracle(request, contexts, label):
     for kind, side in VARIANTS:
         for route in ("constants", "maps"):
             want = np.array([per_operator_coaction(alg, op, kind, side, route) for op in ops])
-            got = _coaction_stack(alg, ops, kind, side, route)
+            got = _coaction_stack(ctx.table, ops, kind, side, route)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (kind, side, route)
 
 
-@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)"])
+@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "rot C(S3)", "rot C[S3]"])
 def test_check_family_matches_per_operator_oracle(request, contexts, label):
     """Own and swapped-variant residuals of multiplication families, stacked and looped."""
     ctx = _context(request, contexts, label)
@@ -436,6 +466,52 @@ def test_check_family_matches_per_operator_oracle(request, contexts, label):
         for kind, side in VARIANTS:
             fam = multiplication_family(canonical_basis_functions(pi, side, 0), kind)
             for other, other_side in VARIANTS:
-                got = check_family(fam, kind=other, side=other_side)
+                got = check_family(fam, ctx.table, kind=other, side=other_side)
                 want = per_operator_family_residual(fam, other, other_side)
                 assert abs(got - want) <= 1e-13 * max(want, 1.0), (pi.label, kind, side, other)
+
+
+def _stack(ctx, kind, side):
+    """The identity operator and every irrep's multiplication family of one variant."""
+    fams = [TensorOperatorFamily(identity_corep(ctx.algebra), kind, side,
+                                 np.eye(ctx.algebra.dim)[None])]
+    return fams + [multiplication_family(canonical_basis_functions(pi, side, 0), kind)
+                   for pi in ctx.table]
+
+
+def test_a_table_that_does_not_span_the_algebra_is_refused(cs3_fun):
+    """With one irrep repeated the table's matrix coefficients are no basis of C(S3):
+    ten rows for n = 6 with ``p2`` twice, six dependent rows with ``p0`` twice.
+    ``check_families`` raises instead of returning numbers."""
+    table = cs3_fun.table
+    assert issubclass(PeterWeylFailure, CqglabError)
+    for irreps, match in [((table[0], table[1], table[2], table[2]), "cannot be a basis"),
+                          ((table[0], table[0], table[2]), "condition number")]:
+        repeated = IrrepTable(cs3_fun.algebra, irreps, (1,) * len(irreps))
+        for kind, side in VARIANTS:
+            with pytest.raises(PeterWeylFailure, match=match):
+                check_families(_stack(cs3_fun, kind, side), repeated)
+
+
+def test_a_coaction_outside_the_blocks_is_refused(cs3_fun, cs3_grp):
+    """C(S3)'s matrix coefficients taken as coreps of C[S3] span it, but C[S3]'s
+    coproduct is not block-diagonal in them: the maps route, which reads the
+    carrier's own coaction tensor, refuses them."""
+    alg = cs3_grp.algebra
+    foreign = IrrepTable(alg, tuple(Corepresentation(alg, pi.coeffs, label=pi.label)
+                                    for pi in cs3_fun.table), cs3_fun.table.multiplicities)
+    for kind, side in VARIANTS:
+        with pytest.raises(PeterWeylFailure, match="outside the Peter-Weyl blocks"):
+            check_families(_stack(cs3_grp, kind, side), foreign)
+
+
+@pytest.mark.parametrize("which", ["C(A4)", "C(S3)(x)C[S3]"])
+def test_operator_coaction_report_on_larger_beds(request, mixed_irrep, which):
+    """The route agreement, coassociativity and counit of the operator coaction of a
+    random operator, on a 12- and a 36-dimensional bed."""
+    table = (request.getfixturevalue("ca4_fun").table if which == "C(A4)"
+             else mixed_irrep[1])
+    q_op = _random_ops(table.algebra, 1, seed=19)[0]
+    for kind, side in VARIANTS:
+        rep = operator_coaction_report(table, q_op, kind, side, 1e-9)
+        assert rep.passed, (which, kind, side, rep.summary())
