@@ -196,7 +196,10 @@ class _PeterWeyl:
         starts = np.cumsum(dims ** 2) - dims ** 2
         self.classes = {int(d): starts[dims == d][:, None] + np.arange(d * d)
                         for d in dict.fromkeys(dims.tolist())}
+        self.patterns = {side: [self._pattern(side, d, idx) for d, idx in self.classes.items()]
+                         for side in ("R", "L")}
         self._routes: dict[tuple[str, str, str], tuple[np.ndarray, list[np.ndarray]]] = {}
+        self._legs: dict[tuple[str, str], list[np.ndarray]] = {}
 
     def _pattern(self, side: str, d: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``t`` of ``u^r_bc`` and first legs ``a`` of ``u^r_bz`` (right; ``u^r_cb``
@@ -208,9 +211,15 @@ class _PeterWeyl:
         return start + c * d + b, start + z * d + b
 
     def _second_legs(self, side: str, route: str) -> list[np.ndarray]:
-        """Each dimension's ``e[block, b, c, z, :]``: the constants route's from the
-        closed form, with one ``b``; the maps route's cut from the side's regular
-        coaction tensor in P's basis, certified to vanish outside the pattern."""
+        """Each dimension's ``e[block, b, c, z, :]``, built once per side and route: the
+        constants route's from the closed form, with one ``b``; the maps route's cut
+        from the side's regular coaction tensor in P's basis, certified to vanish
+        outside the pattern."""
+        if (side, route) not in self._legs:
+            self._legs[side, route] = self._cut_legs(side, route)
+        return self._legs[side, route]
+
+    def _cut_legs(self, side: str, route: str) -> list[np.ndarray]:
         n, p, r = self.n, self.p, self.r
         out = []
         if route == "constants":
@@ -227,8 +236,7 @@ class _PeterWeyl:
         coact = (coact.reshape(n * n, n) @ r).reshape(n, n, n)                # [t, a, v]
         coact = np.matmul(r.T, coact)                                         # [t, a', v]
         outside = np.ones((n, n), dtype=bool)
-        for d, idx in self.classes.items():
-            rows, firsts = self._pattern(side, d, idx)
+        for rows, firsts in self.patterns[side]:
             out.append(coact[rows, firsts])
             outside[rows, firsts] = False
         scale = float(np.abs(coact).max())
@@ -253,8 +261,8 @@ class _PeterWeyl:
             mult = (np.ascontiguousarray(mult).reshape(n * n, n) @ p).reshape(n, n * n)
             x = np.zeros((n, n, n), dtype=complex)
             gs = []
-            for (d, idx), legs in zip(self.classes.items(), self._second_legs(side, route)):
-                rows, firsts = self._pattern(side, d, idx)
+            for d, (rows, firsts), legs in zip(self.classes, self.patterns[side],
+                                               self._second_legs(side, route)):
                 x[firsts, rows] = legs @ spow
                 meet = (legs.reshape(-1, n) @ mult).reshape(*legs.shape[:2], d, d, n, n)
                 gs.append(meet.transpose(0, 1, 2, 4, 3, 5).reshape(*legs.shape[:2], d * n, d * n))

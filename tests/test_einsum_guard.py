@@ -71,7 +71,7 @@ BLAS_ONLY = {"algebra.py": ("verify_hopf_axioms",),
              "regular.py": ("product_coaction_check", "dual_action_crosscheck"),
              "tensor_ops.py": ("_coaction_stack", "check_families", "_stacked",
                                "_operator_gaps", "_PeterWeyl.__init__",
-                               "_PeterWeyl._second_legs", "_PeterWeyl.route",
+                               "_PeterWeyl._cut_legs", "_PeterWeyl.route",
                                "_PeterWeyl.components")}
 
 
