@@ -45,14 +45,13 @@ __all__ = [
 ]
 
 
-def _as_complex(a, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
-    if arr.shape != shape:
-        raise InvalidSpec(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidSpec(f"{what} has non-finite entries")
-    arr.setflags(write=False)
-    return arr
+def _freeze(obj, *names: str) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to a read-only complex copy
+    of its value: the caller's array is neither shared nor made read-only."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=complex)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +72,15 @@ class HopfAlgebraSpec:
         if n <= 0:
             raise InvalidSpec("dim must be positive")
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "mult", _as_complex(self.mult, (n, n, n), "mult"))
-        object.__setattr__(self, "comult", _as_complex(self.comult, (n, n, n), "comult"))
-        object.__setattr__(self, "antipode", _as_complex(self.antipode, (n, n), "antipode"))
-        object.__setattr__(self, "counit", _as_complex(self.counit, (n,), "counit"))
-        object.__setattr__(self, "unit", _as_complex(self.unit, (n,), "unit"))
-        object.__setattr__(self, "star", _as_complex(self.star, (n, n), "star"))
+        shapes = {"mult": (n, n, n), "comult": (n, n, n), "antipode": (n, n),
+                  "counit": (n,), "unit": (n,), "star": (n, n)}
+        _freeze(self, *shapes)
+        for name, shape in shapes.items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise InvalidSpec(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise InvalidSpec(f"{name} has non-finite entries")
 
     # -- scale used to normalize residual tolerances ------------------------
     # cached: the structure arrays are read-only, so neither value can go stale
@@ -131,11 +133,9 @@ class LinearFunctional:
     covector: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.covector, dtype=complex)
-        if arr.shape != (self.algebra.dim,):
+        _freeze(self, "covector")
+        if self.covector.shape != (self.algebra.dim,):
             raise DimensionMismatch("covector length does not match the algebra dimension")
-        arr.setflags(write=False)
-        object.__setattr__(self, "covector", arr)
 
     # cached: the covector and the product are read-only, so the pairing cannot go stale
     @cached_property
@@ -287,8 +287,8 @@ def build_dual(alg: HopfAlgebraSpec) -> HopfAlgebraSpec:
         mult=alg.comult.transpose(1, 2, 0),
         comult=alg.mult.transpose(2, 0, 1),
         antipode=alg.antipode.T,
-        counit=alg.unit.copy(),
-        unit=alg.counit.copy(),
+        counit=alg.unit,
+        unit=alg.counit,
         star=star_dual,
         label=f"dual({alg.label})" if alg.label else "dual",
     )

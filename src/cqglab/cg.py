@@ -17,12 +17,15 @@ gap array.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional
+from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze
 from .corep import (Corepresentation, IrrepTable, _block_diagonal, _block_diagonalize,
                     _block_residuals, _character_grams, _characters, _dim_classes,
                     _integer_counts)
@@ -102,20 +105,20 @@ def _tensor_products(vs: np.ndarray, ws: np.ndarray, alg: HopfAlgebraSpec,
         0, 3, 1, 4, 2, 5, 6).reshape(count_v, count_w, size, size, n)
 
 
-def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional) -> Report:
+def conjugate_multiplicity_symmetries(table: IrrepTable) -> Report:
     """Fusion-coefficient symmetries under conjugation.
 
     ``n_pq^r = n_{pbar r}^q`` and ``n_{r pbar}^q = n_qp^r`` for all triples,
     where ``pbar`` is the conjugate irreducible.  All are read off one fusion
-    tensor ``h(x y chi_r^*)``, with ``x`` and ``y`` running over the
-    characters and then their conjugates.
+    tensor ``h(x y chi_r^*)`` of the table's Haar functional, with ``x`` and
+    ``y`` running over the characters and then their conjugates.
     """
     report = Report(f"conjugate multiplicity symmetries [{table.algebra.label}]")
     alg = table.algebra
     chars, conj_chars = _characters(table)
     count = len(chars)
     both = np.concatenate([chars, conj_chars])        # rows chi_p, then chi_p^*
-    pair = alg.mult @ h.pair                         # pair[a, b, c] = h(a_a a_b a_c)
+    pair = alg.mult @ table.haar.pair                # pair[a, b, c] = h(a_a a_b a_c)
     fused = np.tensordot(both, np.tensordot(both, pair @ conj_chars.T, axes=(1, 1)),
                          axes=(1, 1))                 # [x, y, r] = h(x y chi_r^*)
     n_pq_r = _integer_counts(fused[:count, :count])      # [p, q, r]
@@ -131,9 +134,10 @@ def conjugate_multiplicity_symmetries(table: IrrepTable, h: LinearFunctional) ->
 # Clebsch-Gordan systems
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CGSystem:
-    """Change of basis reducing an ordinary tensor product of two irreducibles."""
+    """Change of basis reducing an ordinary tensor product of two irreducibles: frozen,
+    with read-only copies of ``C`` and ``Cinv`` and a read-only ``multiplicities``."""
 
     p_label: str
     q_label: str
@@ -141,21 +145,26 @@ class CGSystem:
     d_q: int
     C: np.ndarray
     Cinv: np.ndarray
-    multiplicities: dict[str, int]
-    col_index: list[tuple[str, int, int]] = field(default_factory=list)
-    block_residual: float | None = None  # max |C^{-1} (pi^p x pi^q) C - blocks|, if certified
-    offsets: dict[str, int] = field(init=False, repr=False)
-    target_rows: np.ndarray = field(init=False, repr=False)
+    multiplicities: Mapping[str, int]
+    col_index: tuple[tuple[str, int, int], ...]
+    block_residual: float  # max |C^{-1} (pi^p x pi^q) C - blocks|
 
     def __post_init__(self) -> None:
-        # first column of each target; a target's columns are contiguous
-        self.offsets = {}
-        for col, (r_label, _, _) in enumerate(self.col_index):
-            self.offsets.setdefault(r_label, col)
-        # [target, (multiplicity, first column)], in the order of ``multiplicities``
-        self.target_rows = np.array([[mult, self.offsets.get(r_label, 0)]
-                                     for r_label, mult in self.multiplicities.items()],
-                                    dtype=int).reshape(-1, 2)
+        _freeze(self, "C", "Cinv")
+        object.__setattr__(self, "multiplicities", MappingProxyType(dict(self.multiplicities)))
+        object.__setattr__(self, "col_index", tuple(self.col_index))
+
+    @cached_property
+    def offsets(self) -> dict[str, int]:
+        """First column of each target; a target's columns are contiguous."""
+        return {r_label: col for col, (r_label, _, _) in reversed(list(enumerate(self.col_index)))}
+
+    @cached_property
+    def target_rows(self) -> np.ndarray:
+        """``[target, (multiplicity, first column)]``, in the order of ``multiplicities``."""
+        return np.array([[mult, self.offsets.get(r_label, 0)]
+                         for r_label, mult in self.multiplicities.items()],
+                        dtype=int).reshape(-1, 2)
 
     def blocks(self, r_label: str, d_r: int) -> tuple[np.ndarray, np.ndarray]:
         """One target's CG blocks, stacked over multiplicity: a slice of :func:`_padded_blocks`.
@@ -189,15 +198,17 @@ class CGSystem:
 def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
              h: LinearFunctional) -> CGSystem:
     """The CG system of ``pi_p (x) pi_q`` against a table: the one-pair call of
-    :func:`solve_cg_systems`.  Raises ``MultiplicityMismatch`` when a solution-space
-    dimension disagrees with the character count and ``SingularC`` when ``C`` is
-    not invertible, as :func:`cqglab.corep._block_diagonalize` does.
+    :func:`solve_cg_systems`, for ``h`` the table's own ``haar`` only (``ValueError``
+    otherwise).  Raises ``MultiplicityMismatch`` when a solution-space dimension
+    disagrees with the character count and ``SingularC`` when ``C`` is not
+    invertible, as :func:`cqglab.corep._block_diagonalize` does.
     """
-    return solve_cg_systems([pi_p], [pi_q], table, h)[pi_p.label, pi_q.label]
+    if h is not table.haar:
+        raise ValueError("solve_cg takes the Haar functional the table was built with")
+    return solve_cg_systems([pi_p], [pi_q], table)[pi_p.label, pi_q.label]
 
 
-def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional
-                     ) -> dict[tuple[str, str], CGSystem]:
+def solve_cg_systems(ps, qs, table: IrrepTable) -> dict[tuple[str, str], CGSystem]:
     """The CG systems of every ordered pair ``(p, q)`` in ``ps x qs``, solved together.
 
     ``ps`` and ``qs`` are corepresentations (an :class:`IrrepTable` will do);
@@ -227,7 +238,7 @@ def solve_cg_systems(ps, qs, table: IrrepTable, h: LinearFunctional
     for pairs, stacks in groups.values():
         big = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
         names = [f"{ps[i].label} (x) {qs[k].label}" for i, k in pairs]
-        for (i, k), reduced in zip(pairs, _block_diagonalize(big, names, table, h)):
+        for (i, k), reduced in zip(pairs, _block_diagonalize(big, names, table)):
             solved[i, k] = CGSystem(ps[i].label, qs[k].label, ps[i].dim, qs[k].dim, *reduced)
     return {(ps[i].label, qs[k].label): solved[i, k]
             for i, k in product(range(len(ps)), range(len(qs)))}

@@ -52,10 +52,10 @@ def _load_spec(args) -> "HopfAlgebraSpec":
 
 
 def _context(spec, tol):
+    """The Gram matrices and the irrep table, which carries the run's one Haar functional."""
     h = solve_haar(spec, tol)
     grams = gram_matrices(spec, h, tol)
-    table = irrep_table(spec, h, grams.gram_right)
-    return h, grams, table
+    return grams, irrep_table(spec, h, grams.gram_right)
 
 
 def _cmd_validate(args) -> list[Report]:
@@ -75,7 +75,7 @@ def _cmd_haar(args) -> list[Report]:
 
 def _cmd_irreps(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance)
+    _, table = _context(spec, args.tolerance)
     summary = Report(f"irreducibles [{spec.label}]",
                      meta={"dims": table.dims(), "multiplicities": list(table.multiplicities)})
     total = sum(d * m for d, m in zip(table.dims(), table.multiplicities))
@@ -84,10 +84,11 @@ def _cmd_irreps(args) -> list[Report]:
     for pi, residuals in zip(table, table.residuals):
         reports += [_certificate(pi, residuals, which, args.tolerance) for which in _CERTIFICATES]
     pairs = [(i, j) for i in range(len(table)) for j in range(i, len(table))]
-    reports.append(_schur_report(table.irreps, pairs, h, args.tolerance))
-    reports.append(_character_report(table.characters, table.labels, pairs, h, args.tolerance))
+    reports.append(_schur_report(table.irreps, pairs, table.haar, args.tolerance))
+    reports.append(_character_report(table.characters, table.labels, pairs, table.haar,
+                                     args.tolerance))
     for side in ("R", "L"):
-        reports.append(verify_projection_identities(table, side, h, args.tolerance))
+        reports.append(verify_projection_identities(table, side, args.tolerance))
         reports.append(product_coaction_check(spec, side, args.tolerance))
     reports.append(dual_action_crosscheck(spec, args.tolerance))
     return reports
@@ -95,19 +96,19 @@ def _cmd_irreps(args) -> list[Report]:
 
 def _cmd_cg(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance)
+    _, table = _context(spec, args.tolerance)
     labels = _pick_labels(table, [args.p, args.q]) or list(table.labels)
     targets = [table[r] for r in _pick_labels(table, [args.r]) or table.labels]
-    systems = _cg_systems(table, h, (labels, labels))
+    systems = _cg_systems(table, (labels, labels))
     factors = [table[label] for label in labels]
-    gaps = _triple_haar_gaps(factors, factors, targets, systems, h)
+    gaps = _triple_haar_gaps(factors, factors, targets, systems, table.haar)
     t = args.tolerance * spec.magnitude
     names = [f"triple haar {pi_r.label} ({order}) order"
              for pi_r in targets for order in ("p,q", "q,p")]
     reports = []
     for pl, ql in product(labels, labels):
         system = systems[pl, ql]
-        rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": system.multiplicities})
+        rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": dict(system.multiplicities)})
         rep.add("block diagonalization", system.block_residual, t)
         rep.extend(names, np.column_stack([gaps[pl, ql], gaps[ql, pl]]), t)
         reports.append(rep)
@@ -126,7 +127,7 @@ def _pick_labels(table, requested) -> list[str] | None:
 
 def _cmd_tensor_ops(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance)
+    _, table = _context(spec, args.tolerance)
     labels = _pick_labels(table, [args.q]) or list(table.labels)
     reports = [Report(f"identity operator [{spec.label}]")]
     reports += [Report(f"multiplication families [{ql}]") for ql in labels]
@@ -142,25 +143,25 @@ def _cmd_tensor_ops(args) -> list[Report]:
     return reports
 
 
-def _cg_systems(table, h, *products):
+def _cg_systems(table, *products):
     """The CG systems of every label pair in the ``(firsts, seconds)`` products,
     keyed ``(a, b)``: one :func:`solve_cg_systems` call per distinct product."""
     systems = {}
     for firsts, seconds in dict.fromkeys((tuple(a), tuple(b)) for a, b in products):
         systems.update(solve_cg_systems([table[a] for a in firsts],
-                                        [table[b] for b in seconds], table, h))
+                                        [table[b] for b in seconds], table))
     return systems
 
 
 def _cmd_wigner_eckart(args) -> list[Report]:
     spec = _load_spec(args)
-    h, grams, table = _context(spec, args.tolerance)
+    grams, table = _context(spec, args.tolerance)
     p_labels = _pick_labels(table, [args.p]) or list(table.labels)
     q_labels = _pick_labels(table, [args.q]) or list(table.labels)
     r_labels = _pick_labels(table, [args.r]) or list(table.labels)
     sides = [args.side] if args.side else ["R", "L"]
     kinds = [args.kind] if args.kind else ["ordinary", "twisted"]
-    systems = _cg_systems(table, h, *[_cg_order(kind, p_labels, q_labels) for kind in kinds])
+    systems = _cg_systems(table, *[_cg_order(kind, p_labels, q_labels) for kind in kinds])
     tables = []  # one per (side, kind), all factorized in one pass
     for side in sides:
         used = list(dict.fromkeys(p_labels + q_labels + r_labels))
@@ -189,19 +190,19 @@ def _cmd_homspace(args) -> list[Report]:
         raise CqglabError(f"--subgroup takes comma-separated element indices, "
                           f"got {args.subgroup!r}") from None
     side = args.side or "L"
-    h, grams, table = _context(spec, args.tolerance)
+    grams, table = _context(spec, args.tolerance)
     coideal = build_coset_subalgebra(group, spec, subgroup, side, grams)
     reports = [verify_coideal(coideal, args.tolerance)]
-    reports.append(restricted_coaction_report(coideal, h, args.tolerance))
+    reports.append(restricted_coaction_report(coideal, table.haar, args.tolerance))
     dims = Report(f"restricted basis functions [{coideal.label}]")
     sets = []  # every set is a target r, a source p and a family q
     for pi in table:
-        sols = solve_restricted_basis_functions(pi, coideal, h)
+        sols = solve_restricted_basis_functions(pi, coideal, table.haar)
         sets.extend(sols)
         dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
     reports.append(dims)
     used = list(dict.fromkeys(bset.corep.label for bset in sets))
-    systems = _cg_systems(table, h, (used, used))
+    systems = _cg_systems(table, (used, used))
     return reports + _factorize_table(
         [(sets, [multiplication_family(bset, kind) for bset in sets], sets, np.eye(coideal.dim),
           f"restricted wigner-eckart [{coideal.label},{kind}]")

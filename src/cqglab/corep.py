@@ -21,13 +21,13 @@ and, for unitary corepresentations in an orthonormal basis::
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional, _same_spec
+from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze, _same_spec
 from .errors import (DecompositionStall, DimensionMismatch, MultiplicityMismatch, NoF,
                      NonIntegerMultiplicity, PositivityFailure, SingularC)
 from .haar import _positivity
@@ -68,12 +68,11 @@ class Corepresentation:
     label: str = ""
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=complex)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != self.algebra.dim:
+        _freeze(self, "coeffs")
+        shape = self.coeffs.shape
+        if len(shape) != 3 or shape[0] != shape[1] or shape[2] != self.algebra.dim:
             raise DimensionMismatch(
-                f"corep coefficients must be (d, d, {self.algebra.dim}), got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+                f"corep coefficients must be (d, d, {self.algebra.dim}), got {shape}")
 
     @property
     def dim(self) -> int:
@@ -225,16 +224,15 @@ def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.abs(lead) / lead)[:, None]
 
 
-def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable,
-                       h: LinearFunctional) -> list[tuple]:
+def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable) -> list[tuple]:
     """Cut every comodule of a stack of one size into copies of the table's irreps.
 
     ``bigs[w]`` is the coaction tensor ``[c, c', m]`` of a comodule ``V_w``,
-    named ``names[w]`` in errors.  The paper's projections
-    ``P^r_lm = d_r (id (x) h)(V_w (pi^r_lm)^*)`` are the matrix units of every
-    copy of ``pi^r`` in ``V_w``, so ``T -> T e_1`` maps ``Hom(pi^r, V_w)`` onto
+    named ``names[w]`` in errors.  The paper's projections ``P^r_lm = d_r (id (x)
+    h)(V_w (pi^r_lm)^*)``, ``h`` the table's Haar functional, are the matrix units
+    of every copy of ``pi^r`` in ``V_w``, so ``T -> T e_1`` maps ``Hom(pi^r, V_w)`` onto
     the range of ``P^r_11`` and ``T = [P^r_l1 v]_l`` lifts it back.  One
-    product with :meth:`IrrepTable._projection_factor` gives every ``P^r_l1``;
+    product with :attr:`IrrepTable._projection_factor` gives every ``P^r_l1``;
     the idempotent ``P^r_11`` has rank ``tr P^r_11``, the count of ``pi^r`` in
     ``V_w``, and one :func:`_range_basis` call over the ``d_V x d_V`` maps
     ``P^r_11`` gives the ranges, whose ranks must be the counts.  Each range
@@ -250,7 +248,7 @@ def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable,
     """
     alg = table.algebra
     count, size = bigs.shape[:2]
-    factor, lifts, weights = table._projection_factor(h)
+    factor, lifts, weights = table._projection_factor
     width = len(table)
     blocks = (bigs.reshape(-1, alg.dim) @ factor).reshape(count, size, size, -1)
     blocks = blocks.transpose(0, 3, 1, 2)                       # [w, column, c, c']
@@ -325,22 +323,23 @@ def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
     return intertwiners(pi_v.coeffs, pi_w.coeffs, h)
 
 
-def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation, table: IrrepTable,
-                   h: LinearFunctional) -> np.ndarray | None:
+def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation, table: IrrepTable
+                   ) -> np.ndarray | None:
     """An invertible intertwiner if the coreps are equivalent, else ``None``.
 
     Equivalent exactly when ``h((chi_V - chi_W)^* (chi_V - chi_W)) = sum_r (m_r^V -
-    m_r^W)^2`` is 0.  Then :func:`_block_diagonalize` cuts both into the same table
-    irreps in the same order, ``C_V^{-1} pi_V C_V = C_W^{-1} pi_W C_W``, and the
-    witness ``Phi = C_W C_V^{-1}`` has ``Phi pi_V = pi_W Phi``.
+    m_r^W)^2`` is 0, ``h`` the table's Haar functional.  Then
+    :func:`_block_diagonalize` cuts both into the same table irreps in the same
+    order, ``C_V^{-1} pi_V C_V = C_W^{-1} pi_W C_W``, and the witness
+    ``Phi = C_W C_V^{-1}`` has ``Phi pi_V = pi_W Phi``.
     """
     _same_spec(pi_v, pi_w)
     _same_spec(pi_v, table)
     chi = pi_v.character() - pi_w.character()
-    if _integer_counts(_character_grams(chi[None], h)[0])[0, 0]:
+    if _integer_counts(_character_grams(chi[None], table.haar)[0])[0, 0]:
         return None
     (_, c_v_inv, *_), (c_w, *_) = _block_diagonalize(
-        np.stack([pi_v.coeffs, pi_w.coeffs]), [pi_v.label, pi_w.label], table, h)
+        np.stack([pi_v.coeffs, pi_w.coeffs]), [pi_v.label, pi_w.label], table)
     return c_w @ c_v_inv
 
 
@@ -576,14 +575,14 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-
             for piece, size, end in zip(pieces, sizes, ends)]
 
 
-def decompose_comodule(pi: Corepresentation, table: IrrepTable, h: LinearFunctional
+def decompose_comodule(pi: Corepresentation, table: IrrepTable
                        ) -> list[tuple[np.ndarray, Corepresentation]]:
     """Cut a comodule, unitary or not, into copies of the table's irreps: the
     one-comodule call of :func:`_block_diagonalize`.  Returns ``(basis, rho)`` per
     piece in table order: ``basis`` is the piece's ``(d, d_r)`` columns of ``C``,
     so ``pi basis = basis rho`` entrywise, and ``rho`` is the table's own irrep."""
     _same_spec(pi, table)
-    c_mat, _, mults, _, _ = _block_diagonalize(pi.coeffs[None], [pi.label], table, h)[0]
+    c_mat, _, mults, _, _ = _block_diagonalize(pi.coeffs[None], [pi.label], table)[0]
     reps = [table[label] for label, mult in mults.items() for _ in range(mult)]
     return list(zip(np.split(c_mat, np.cumsum([rho.dim for rho in reps])[:-1], axis=1), reps))
 
@@ -594,16 +593,17 @@ def decompose_comodule(pi: Corepresentation, table: IrrepTable, h: LinearFunctio
 
 @dataclass(frozen=True, eq=False)
 class IrrepTable:
-    """Canonical unitary irreducibles of a spec with stable labels: frozen, so
-    what is cached from them cannot go stale."""
+    """Canonical unitary irreducibles of a spec with stable labels and the Haar functional
+    they were certified under: frozen, so what is cached from them cannot go stale."""
 
     algebra: HopfAlgebraSpec
+    haar: LinearFunctional
     irreps: tuple[Corepresentation, ...]
     multiplicities: tuple[int, ...]
     labels: tuple[str, ...] = ()
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _same_spec(self.haar, self)
         object.__setattr__(self, "irreps", tuple(self.irreps))
         object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
         object.__setattr__(self, "labels", tuple(self.labels)
@@ -661,24 +661,23 @@ class IrrepTable:
         from .tensor_ops import _PeterWeyl
         return _PeterWeyl(self)
 
-    def _projection_factor(self, h: LinearFunctional
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only covectors of the paper's projections, built once per ``h``:
-        ``W @ factor`` holds ``P^r_l1 = d_r (id (x) h)(W (pi^r_l1)^*)`` at column
-        ``lifts[r, l]``.  Padded to the largest ``d_r``, ``weights[r, l]`` is
-        ``1 / sqrt(tr F^r)`` (the certified ``F``) for ``l < d_r`` and 0 beyond."""
-        if h not in self._factors:
-            dims = np.array(self.dims())
-            rows = np.concatenate([pi.dim * pi.star_coeffs()[:, 0]
-                                   for pi in self.irreps])       # [column, m]
-            inside = np.arange(dims.max()) < dims[:, None]
-            lifts = np.cumsum(dims)[:, None] - dims[:, None] + np.where(
-                inside, np.arange(dims.max()), 0)
-            traces = np.array([np.trace(pi.F).real for pi in self.irreps])
-            self._factors[h] = arrays = (h.pair @ rows.T, lifts, inside / np.sqrt(traces)[:, None])
-            for arr in arrays:
-                arr.setflags(write=False)
-        return self._factors[h]
+    @cached_property
+    def _projection_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only covectors of the paper's projections: ``W @ factor`` holds
+        ``P^r_l1 = d_r (id (x) h)(W (pi^r_l1)^*)`` at column ``lifts[r, l]``, ``h``
+        the table's :attr:`haar`.  Padded to the largest ``d_r``, ``weights[r, l]``
+        is ``1 / sqrt(tr F^r)`` (the certified ``F``) for ``l < d_r`` and 0 beyond."""
+        dims = np.array(self.dims())
+        rows = np.concatenate([pi.dim * pi.star_coeffs()[:, 0]
+                               for pi in self.irreps])                  # [column, m]
+        inside = np.arange(dims.max()) < dims[:, None]
+        lifts = np.cumsum(dims)[:, None] - dims[:, None] + np.where(
+            inside, np.arange(dims.max()), 0)
+        traces = np.array([np.trace(pi.F).real for pi in self.irreps])
+        arrays = (self.haar.pair @ rows.T, lifts, inside / np.sqrt(traces)[:, None])
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
 
 def _dim_classes(coreps: list[Corepresentation]) -> dict[int, tuple[list[int], np.ndarray]]:
@@ -717,7 +716,7 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
     Gram ``h(chi_p^* chi_q) = sum_r m_r^p m_r^q``: each diagonal entry must be
     1, the certificate of :func:`is_irreducible` (``DecompositionStall``
     otherwise), a piece's class is the first piece it overlaps, and that first
-    piece is the representative.
+    piece is the representative.  The table carries ``h`` as its :attr:`~IrrepTable.haar`.
     Deterministic: ``seed`` is accepted and unused.
     """
     from .regular import regular_corep
@@ -736,6 +735,6 @@ def irrep_table(alg: HopfAlgebraSpec, h: LinearFunctional, gram_right: np.ndarra
 
     classes.sort(key=lambda item: (not _is_trivial(item[0]), item[0].dim,
                                    _character_fingerprint(item[0])))
-    return IrrepTable(alg, tuple(Corepresentation(alg, rep.coeffs, f"p{i}")
-                                 for i, (rep, _) in enumerate(classes)),
+    return IrrepTable(alg, h, tuple(Corepresentation(alg, rep.coeffs, f"p{i}")
+                                    for i, (rep, _) in enumerate(classes)),
                       tuple(count for _, count in classes))

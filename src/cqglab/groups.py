@@ -160,7 +160,7 @@ def build_group_algebra(group: GroupTable) -> HopfAlgebraSpec:
     counit = np.ones(g, dtype=complex)
     unit = np.zeros(g, dtype=complex)
     unit[0] = 1.0
-    star = antipode.copy()  # g^* = g^{-1} on the group basis
+    star = antipode  # g^* = g^{-1} on the group basis; the spec keeps copies
     return HopfAlgebraSpec(g, mult, comult, antipode, counit, unit, star,
                            label=f"C[{_group_name(group)}]")
 

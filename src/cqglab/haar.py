@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional
+from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze
 from .errors import NoHaar, PositivityFailure
 from .report import Report
 
@@ -40,9 +40,9 @@ class HaarFunctional(LinearFunctional):
         return bool(np.abs(self.pair - self.pair.T).max() <= 1e-12 * self.algebra.magnitude)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramPair:
-    """Invariant Gram matrices of the two regular inner products.
+    """Invariant Gram matrices of the two regular inner products, as read-only copies.
 
     ``gram_right[j, k] = h(a_j^* a_k)`` and
     ``gram_left[j, k] = h(a_k (S^2(a_j))^*)``; both are Hermitian positive
@@ -52,6 +52,9 @@ class GramPair:
     algebra: HopfAlgebraSpec
     gram_right: np.ndarray
     gram_left: np.ndarray
+
+    def __post_init__(self) -> None:
+        _freeze(self, "gram_right", "gram_left")
 
     def gram(self, side: str) -> np.ndarray:
         if side == "R":

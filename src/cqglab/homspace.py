@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec
+from .algebra import HopfAlgebraSpec, _freeze
 from .corep import Corepresentation, _gram_basis, _restrict, intertwiners
 from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
@@ -62,15 +62,12 @@ class CoidealSubalgebra:
     label: str = ""
 
     def __post_init__(self) -> None:
-        rows = np.array(self.span_rows, dtype=complex)
-        if rows.ndim != 2 or rows.shape[1] != self.algebra.dim:
+        # read-only copies: an in-place edit cannot change B under its cached onb and carrier
+        _freeze(self, "span_rows", "gram")
+        if self.span_rows.ndim != 2 or self.span_rows.shape[1] != self.algebra.dim:
             raise ValueError("span_rows must be (b, n)")
         if self.side not in ("R", "L"):
             raise ValueError("side must be 'R' or 'L'")
-        # read-only copies: an in-place edit cannot change B under its cached onb and carrier
-        for name, arr in (("span_rows", rows), ("gram", np.array(self.gram))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional, _product_rule_gap, build_dual
+from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze, _product_rule_gap, build_dual
 from .corep import _CERTIFICATES, Corepresentation, IrrepTable
 from .errors import NotUnitary
 from .haar import _haar_invariance
@@ -101,23 +101,22 @@ def regular_invariance_report(alg: HopfAlgebraSpec, h: LinearFunctional,
     return report
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BasisFunctionSet:
     """``d`` elements of a carrier (default: the regular one) transforming like ``pi``."""
 
     corep: Corepresentation
     side: str
-    functions: np.ndarray  # (d, c): row j = carrier coordinates of psi_j
+    functions: np.ndarray  # (d, c), a read-only copy: row j = carrier coordinates of psi_j
     label: str = ""
     carrier: Carrier | None = None
 
     def __post_init__(self) -> None:
-        self.carrier = _carrier_of(self.corep, self.side, self.carrier)
-        arr = np.asarray(self.functions, dtype=complex)
-        if arr.shape != (self.corep.dim, self.carrier.dim):
+        object.__setattr__(self, "carrier", _carrier_of(self.corep, self.side, self.carrier))
+        _freeze(self, "functions")
+        if self.functions.shape != (self.corep.dim, self.carrier.dim):
             raise ValueError(
                 f"basis-function array must be ({self.corep.dim}, {self.carrier.dim})")
-        self.functions = arr
 
     @property
     def algebra(self) -> HopfAlgebraSpec:
@@ -178,7 +177,7 @@ def _require_unitary(pi: Corepresentation, residuals) -> None:
 def _canonical_set(pi: Corepresentation, side: str, row: int, label: str) -> BasisFunctionSet:
     """The arithmetic of :func:`canonical_basis_functions`, unitarity taken as certified."""
     if side == "R":
-        funcs = pi.coeffs[row, :, :].copy()
+        funcs = pi.coeffs[row, :, :]
     elif side == "L":
         s_inv = pi.algebra.antipode_inv
         s_minus2 = s_inv @ s_inv
@@ -240,12 +239,12 @@ def _projection_stack(alg: HopfAlgebraSpec, rows: np.ndarray, dims: np.ndarray, 
                         axes=(1, 2)).transpose(0, 2, 1)
 
 
-def _table_projections(table: IrrepTable, side: str, h: LinearFunctional,
-                       ordering: str = "standard") -> np.ndarray:
+def _table_projections(table: IrrepTable, side: str, ordering: str = "standard") -> np.ndarray:
     """The projections of every irrep of the table, rows ``(p, m, n)`` in table order."""
     dims = np.array(table.dims())
     rows = np.concatenate([pi.coeffs.reshape(-1, table.algebra.dim) for pi in table])
-    return _projection_stack(table.algebra, rows, np.repeat(dims, dims ** 2), side, h, ordering)
+    return _projection_stack(table.algebra, rows, np.repeat(dims, dims ** 2), side,
+                             table.haar, ordering)
 
 
 def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
@@ -278,23 +277,22 @@ def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
     return d * (coact @ (times_w @ h.covector)).T          # h on the second leg
 
 
-def projection_completeness_residual(table: IrrepTable, side: str,
-                                     h: LinearFunctional) -> float:
-    """Residual of the completeness sum over the full irrep table.
+def projection_completeness_residual(table: IrrepTable, side: str) -> float:
+    """Residual of the completeness sum over the full irrep table, under its Haar functional.
 
     ``sum_p (tr((F^p)^{-1}) / d_p) sum_{m,n} F^p_{nm} P^p_mn = id``; every
     ``F = I``, so this is the plain sum of the diagonal projections.
     """
     # row (p, m, n) of the stack carries the weight delta_mn
     weights = np.concatenate([np.eye(pi.dim).reshape(-1) for pi in table])
-    total = np.tensordot(weights, _table_projections(table, side, h), axes=1)
+    total = np.tensordot(weights, _table_projections(table, side), axes=1)
     return float(np.abs(total - np.eye(table.algebra.dim)).max())
 
 
-def verify_projection_identities(table: IrrepTable, side: str, h: LinearFunctional,
-                                 tol: float = 1e-10,
+def verify_projection_identities(table: IrrepTable, side: str, tol: float = 1e-10,
                                  ordering: str = "standard") -> Report:
-    """Composition rule and basis-function action of the projections.
+    """Composition rule and basis-function action of the projections of the table's
+    irreps under its Haar functional.
 
     Composition: ``P^p_mn P^q_jk = d_p delta^pq ((F^p)^{-1})_nj / tr((F^p)^{-1})
     P^p_mk``.  Action: ``P^p_mn(psi^q_k) = d_p delta^pq delta_nk sum_l psi^q_l
@@ -308,7 +306,7 @@ def verify_projection_identities(table: IrrepTable, side: str, h: LinearFunction
     report = Report(f"projection identities [{alg.label} side {side}]",
                     meta={"tol": tol, "ordering": ordering})
     t = tol * alg.magnitude
-    ops = _table_projections(table, side, h, ordering)                   # [i, a, t]
+    ops = _table_projections(table, side, ordering)                      # [i, a, t]
     prods = np.tensordot(ops, ops, axes=(2, 1))                          # [i, a, j, t]
     funcs = np.concatenate([bset.functions for bset in _table_canonical_sets(
         table, side, table.labels)])                                     # [k, t]

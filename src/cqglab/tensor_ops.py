@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, _same_spec
+from .algebra import HopfAlgebraSpec, _freeze, _same_spec
 from .cg import tensor_product
 from .corep import RANK_RCOND, Corepresentation, IrrepTable, _phase_fixed
 from .errors import DecompositionStall, NotACorepresentation, PeterWeylFailure
@@ -138,9 +138,10 @@ def _coaction_stack(table: IrrepTable, q_ops: np.ndarray, kind: str, side: str,
     kind, side = _variant_key(kind, side)
     if route not in ("constants", "maps"):
         raise ValueError(f"unknown route {route!r}")
-    step = _chunk(table.algebra.dim)
+    context, step = table._peter_weyl, _chunk(table.algebra.dim)
+    maps = context.route(kind, side, route)
     return np.concatenate([
-        table._peter_weyl.components(q_ops[i:i + step], kind, side, route).transpose(0, 3, 1, 2)
+        context.components(q_ops[i:i + step], side, maps).transpose(0, 3, 1, 2)
         for i in range(0, len(q_ops), step)])
 
 
@@ -157,7 +158,7 @@ class _PeterWeyl:
     and an operator ``Q`` on coefficient columns is ``r^T Q p^T``.  The rows must be
     ``n`` with condition number at most ``PETER_WEYL_COND``, else
     ``PeterWeylFailure``; no other basis is tried.  The product and both antipode
-    powers are carried into P's basis once.
+    powers are carried into P's basis once, each side's second legs on first use.
 
     In P's basis the right regular coaction of ``u^r_xy`` has first legs
     ``u^r_xz`` only, and the left one ``u^r_zy`` only, so the defining pipeline
@@ -198,7 +199,6 @@ class _PeterWeyl:
                         for d in dict.fromkeys(dims.tolist())}
         self.patterns = {side: [self._pattern(side, d, idx) for d, idx in self.classes.items()]
                          for side in ("R", "L")}
-        self._routes: dict[tuple[str, str, str], tuple[np.ndarray, list[np.ndarray]]] = {}
         self._legs: dict[tuple[str, str], list[np.ndarray]] = {}
 
     def _pattern(self, side: str, d: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,16 +210,11 @@ class _PeterWeyl:
             return start + b * d + c, start + b * d + z
         return start + c * d + b, start + z * d + b
 
-    def _second_legs(self, side: str, route: str) -> list[np.ndarray]:
-        """Each dimension's ``e[block, b, c, z, :]``, built once per side and route: the
-        constants route's from the closed form, with one ``b``; the maps route's cut
-        from the side's regular coaction tensor in P's basis, certified to vanish
-        outside the pattern."""
-        if (side, route) not in self._legs:
-            self._legs[side, route] = self._cut_legs(side, route)
-        return self._legs[side, route]
-
     def _cut_legs(self, side: str, route: str) -> list[np.ndarray]:
+        """Each dimension's ``e[block, b, c, z, :]``, which :meth:`route` keeps once per
+        side and route: the constants route's from the closed form, with one ``b``; the
+        maps route's cut from the side's regular coaction tensor in P's basis, certified
+        to vanish outside the pattern."""
         n, p, r = self.n, self.p, self.r
         out = []
         if route == "constants":
@@ -231,7 +226,6 @@ class _PeterWeyl:
                 else:
                     out.append(self.antipodes["ordinary"][start + c * d + z][:, None])
             return out
-        from .regular import regular_carrier
         coact = (p @ regular_carrier(self.algebra, side).coact.reshape(n, -1))  # [t, a, b]
         coact = (coact.reshape(n * n, n) @ r).reshape(n, n, n)                # [t, a, v]
         coact = np.matmul(r.T, coact)                                         # [t, a', v]
@@ -248,31 +242,32 @@ class _PeterWeyl:
         return out
 
     def route(self, kind: str, side: str, route: str) -> tuple[np.ndarray, list[np.ndarray]]:
-        """One route of one variant, built on first use: ``x[a, t, w]``, the first-leg
-        map ``Q (x) S^pm`` reads, and each dimension's matrices ``[block, b, (c, w),
-        (z, m)]`` (one ``b`` when shared), the second leg meeting the product.  ``a``,
-        ``t`` and ``m`` are input coordinates, so an operator enters as ``r^T Q`` and
-        only the first leg of the result goes back."""
-        key = (kind, side, route)
-        if key not in self._routes:
-            n, p, r = self.n, self.p, self.r
-            spow = self.antipodes[kind]
-            mult = self.mult.transpose(1, 0, 2) if kind == "twisted" else self.mult  # [B, w, M]
-            mult = (np.ascontiguousarray(mult).reshape(n * n, n) @ p).reshape(n, n * n)
-            x = np.zeros((n, n, n), dtype=complex)
-            gs = []
-            for d, (rows, firsts), legs in zip(self.classes, self.patterns[side],
-                                               self._second_legs(side, route)):
-                x[firsts, rows] = legs @ spow
-                meet = (legs.reshape(-1, n) @ mult).reshape(*legs.shape[:2], d, d, n, n)
-                gs.append(meet.transpose(0, 1, 2, 4, 3, 5).reshape(*legs.shape[:2], d * n, d * n))
-            self._routes[key] = np.matmul(r, (p.T @ x.reshape(n, n * n)).reshape(n, n, n)), gs
-        return self._routes[key]
+        """One route of one variant: ``x[a, t, w]``, the first-leg map ``Q (x) S^pm``
+        reads, and each dimension's matrices ``[block, b, (c, w), (z, m)]`` (one ``b``
+        when shared), the second leg meeting the product.  ``a``, ``t`` and ``m`` are
+        input coordinates, so an operator enters as ``r^T Q`` and only the first leg
+        of the result goes back.  Not kept: a caller builds it once per certificate."""
+        n, p, r = self.n, self.p, self.r
+        if (side, route) not in self._legs:
+            self._legs[side, route] = self._cut_legs(side, route)
+        spow = self.antipodes[kind]
+        mult = self.mult.transpose(1, 0, 2) if kind == "twisted" else self.mult  # [B, w, M]
+        mult = (np.ascontiguousarray(mult).reshape(n * n, n) @ p).reshape(n, n * n)
+        x = np.zeros((n, n, n), dtype=complex)
+        gs = []
+        for d, (rows, firsts), legs in zip(self.classes, self.patterns[side],
+                                           self._legs[side, route]):
+            x[firsts, rows] = legs @ spow
+            meet = (legs.reshape(-1, n) @ mult).reshape(*legs.shape[:2], d, d, n, n)
+            gs.append(meet.transpose(0, 1, 2, 4, 3, 5).reshape(*legs.shape[:2], d * n, d * n))
+        return np.matmul(r, (p.T @ x.reshape(n, n * n)).reshape(n, n, n)), gs
 
-    def components(self, q_ops: np.ndarray, kind: str, side: str, route: str) -> np.ndarray:
-        """One route's coaction components ``[k, a, t, m]`` of a stack of operators in
-        the input basis: the pipeline by blocks, and the first leg back."""
-        x, gs = self.route(kind, side, route)
+    def components(self, q_ops: np.ndarray, side: str,
+                   maps: tuple[np.ndarray, list[np.ndarray]]) -> np.ndarray:
+        """The coaction components ``[k, a, t, m]`` of a stack of operators in the input
+        basis under one route ``maps`` of :meth:`route` on ``side``: the pipeline by
+        blocks, and the first leg back."""
+        x, gs = maps
         k, n = len(q_ops), self.n
         legs = (np.matmul(self.r.T, q_ops).reshape(k * n, n) @ x.reshape(n, n * n)
                 ).reshape(k, n, n, n)                                            # [k, i, t, w]
@@ -312,34 +307,28 @@ def operator_coaction_report(table: IrrepTable, q_op: np.ndarray, kind: str, sid
     return report
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TensorOperatorFamily:
     """``d`` operators on a carrier (default: the regular one) transforming like ``pi``."""
 
     corep: Corepresentation
     kind: str
     side: str
-    operators: np.ndarray  # (d, c, c) in carrier coordinates
+    operators: np.ndarray  # (d, c, c) in carrier coordinates, a read-only copy
     label: str = ""
     carrier: Carrier | None = None
 
     def __post_init__(self) -> None:
         _variant_key(self.kind, self.side)
-        self.carrier = _carrier_of(self.corep, self.side, self.carrier)
-        arr = np.asarray(self.operators, dtype=complex)
+        object.__setattr__(self, "carrier", _carrier_of(self.corep, self.side, self.carrier))
+        _freeze(self, "operators")
         c = self.carrier.dim
-        if arr.shape != (self.corep.dim, c, c):
+        if self.operators.shape != (self.corep.dim, c, c):
             raise ValueError(f"operator stack must be ({self.corep.dim}, {c}, {c})")
-        self.operators = arr
 
     @property
     def algebra(self) -> HopfAlgebraSpec:
         return self.corep.algebra
-
-    def scaled(self, factor: complex) -> "TensorOperatorFamily":
-        return TensorOperatorFamily(self.corep, self.kind, self.side,
-                                    factor * self.operators, label=self.label,
-                                    carrier=self.carrier)
 
 
 def check_family(fam: TensorOperatorFamily, table: IrrepTable, kind: str | None = None,
@@ -366,11 +355,11 @@ def check_families(fams: list[TensorOperatorFamily], table: IrrepTable,
     kind, side = _variant_key(kind or fams[0].kind, side or fams[0].side)
     alg = _same_spec(fams[0], table)
     if all(fam.carrier is regular_carrier(alg, fam.side) for fam in fams):
-        out = []
+        context, out = table._peter_weyl, []
+        routes = [context.route(kind, side, route) for route in ("constants", "maps")]
         for chunk in _family_chunks(fams, _chunk(alg.dim)):
             ops, rhs = _stacked(chunk)
-            gaps = [_operator_gaps(table._peter_weyl.components(ops, kind, side, route), rhs)
-                    for route in ("constants", "maps")]
+            gaps = [_operator_gaps(context.components(ops, side, maps), rhs) for maps in routes]
             out += _per_family(chunk, np.maximum(*gaps))
         return out
     if side != fams[0].side or any(fam.carrier is not fams[0].carrier for fam in fams):

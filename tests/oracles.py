@@ -7,6 +7,7 @@ verified.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
@@ -569,12 +570,12 @@ def per_pair_cg(pi_p, pi_q, table, h, tol: float = 1e-9):
     if sigma[-1] <= 1e-10 * sigma[0]:
         raise SingularC("assembled CG matrix is numerically singular")
     system = CGSystem(pi_p.label, pi_q.label, pi_p.dim, pi_q.dim,
-                      c_mat, np.linalg.inv(c_mat), mults, col_index)
+                      c_mat, np.linalg.inv(c_mat), mults, col_index, float("nan"))
     res = cg_block_residual(system, pi_p, pi_q, table)
     if res > tol * alg.magnitude:
         raise MultiplicityMismatch(
             f"CG block-diagonalization residual {res:.2e} exceeds tolerance")
-    return system
+    return replace(system, block_residual=res)
 
 
 def padded_blocks(systems, labels, dims):

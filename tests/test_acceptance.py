@@ -115,7 +115,7 @@ def test_criterion_05_projection_identities(cs3_fun, cs3_grp):
     worst = 0.0
     for ctx in (cs3_fun, cs3_grp):
         for side in ("R", "L"):
-            rep = verify_projection_identities(ctx.table, side, ctx.haar, 1e-10)
+            rep = verify_projection_identities(ctx.table, side, 1e-10)
             assert rep.passed, rep.summary()
             worst = max(worst, rep.max_residual)
     _announce(5, worst <= 1e-10,

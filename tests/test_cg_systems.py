@@ -45,7 +45,7 @@ def _context(request, contexts, label):
 def test_engine_matches_per_pair_oracle(request, contexts, label):
     ctx = _context(request, contexts, label)
     table = ctx.table
-    systems = solve_cg_systems(table, table, table, ctx.haar)
+    systems = solve_cg_systems(table, table, table)
     assert list(systems) == list(product(table.labels, table.labels))
     for p, q in systems:
         got, want = systems[p, q], per_pair_cg(table[p], table[q], table, ctx.haar)
@@ -60,7 +60,7 @@ def test_engine_matches_per_pair_oracle(request, contexts, label):
 
 def test_one_pair_call_is_the_engine_on_one_pair(cd6_fun):
     table = cd6_fun.table
-    systems = solve_cg_systems([table["p4"]], table, table, cd6_fun.haar)
+    systems = solve_cg_systems([table["p4"]], table, table)
     assert list(systems) == [("p4", q) for q in table.labels]
     for (p, q), system in systems.items():
         single = solve_cg(table[p], table[q], table, cd6_fun.haar)
@@ -70,19 +70,19 @@ def test_one_pair_call_is_the_engine_on_one_pair(cd6_fun):
 
 def test_no_pairs_gives_no_systems(cs3_fun):
     table = cs3_fun.table
-    assert solve_cg_systems([], table, table, cs3_fun.haar) == {}
-    assert solve_cg_systems(table, [], table, cs3_fun.haar) == {}
+    assert solve_cg_systems([], table, table) == {}
+    assert solve_cg_systems(table, [], table) == {}
 
 
 def _missing_irrep(ctx):
     table = ctx.table
-    return IrrepTable(ctx.algebra, table.irreps[:-1], table.multiplicities[:-1],
+    return IrrepTable(ctx.algebra, ctx.haar, table.irreps[:-1], table.multiplicities[:-1],
                       labels=list(table.labels[:-1]))
 
 
 def _last_irrep_twice(ctx):
     table = ctx.table
-    return IrrepTable(ctx.algebra, table.irreps + table.irreps[-1:],
+    return IrrepTable(ctx.algebra, ctx.haar, table.irreps + table.irreps[-1:],
                       table.multiplicities + table.multiplicities[-1:])
 
 
@@ -94,7 +94,7 @@ def test_table_missing_an_irrep_raises(cs3_fun):
     with pytest.raises(MultiplicityMismatch):
         per_pair_cg(std, std, partial, cs3_fun.haar)
     with pytest.raises(MultiplicityMismatch):
-        solve_cg_systems(table, table, partial, cs3_fun.haar)
+        solve_cg_systems(table, table, partial)
 
 
 def test_table_listing_an_irrep_twice_raises(cs3_fun):
@@ -110,4 +110,4 @@ def test_table_listing_an_irrep_twice_raises(cs3_fun):
     assert raised["engine"] == raised["oracle"]
     assert len(raised["engine"]) == 12
     with pytest.raises(MultiplicityMismatch):
-        solve_cg_systems(doubled, doubled, doubled, cs3_fun.haar)
+        solve_cg_systems(doubled, doubled, doubled)

@@ -48,11 +48,14 @@ def test_coideal_fields_cannot_be_assigned(cs3_fun, field):
 @pytest.mark.parametrize("field", ["span_rows", "gram"])
 def test_coideal_arrays_cannot_be_written(cs3_fun, field):
     """An in-place write to a coideal's rows or Gram raises instead of changing B
-    under its cached basis; the arrays it was built from stay the caller's."""
+    under its cached basis; the arrays it was built from stay the caller's (the
+    ``GramPair``'s own are read-only, so a writable copy stands in for them)."""
     grams = cs3_fun.grams
     coideal = build_coset_subalgebra(symmetric_group_3(), cs3_fun.algebra, [0, 1], "R", grams)
     onb = coideal.onb.copy()
     with pytest.raises(ValueError, match="read-only"):
         getattr(coideal, field)[0] = np.eye(6)[2]
     assert np.array_equal(coideal.onb, onb)
-    assert coideal.gram is not grams.gram("R") and grams.gram("R").flags.writeable
+    source = np.array(getattr(coideal, field))
+    again = dataclasses.replace(coideal, **{field: source})
+    assert getattr(again, field) is not source and source.flags.writeable

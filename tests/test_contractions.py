@@ -334,10 +334,12 @@ def noisy_product(ctx, seed: int) -> tuple[HopfAlgebraSpec, IrrepTable]:
     order one, and its table's matrix coefficients as a table of it.  The
     tensor-operator routes read the coproduct in that Peter-Weyl basis, so it
     keeps its form there; the product and antipode they carry into the basis are
-    arbitrary."""
+    arbitrary.  The table carries ``ctx``'s Haar covector, which those routes do
+    not read."""
     noisy = replace(perturbed(ctx.algebra, seed), comult=ctx.algebra.comult)
     irreps = tuple(Corepresentation(noisy, pi.coeffs, label=pi.label) for pi in ctx.table)
-    return noisy, IrrepTable(noisy, irreps, ctx.table.multiplicities)
+    return noisy, IrrepTable(noisy, LinearFunctional(noisy, ctx.haar.covector), irreps,
+                             ctx.table.multiplicities)
 
 
 @pytest.mark.parametrize("label", SPECS)

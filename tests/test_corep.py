@@ -162,7 +162,7 @@ def test_unitarize_recovers_unitarity(cs3_fun, classical):
     h = cs3_fun.haar
     fixed, change = unitarize(skew, invariant_gram(skew, h))
     assert check_unitary(fixed, 1e-10).passed
-    assert are_equivalent(skew, fixed, cs3_fun.table, h) is not None
+    assert are_equivalent(skew, fixed, cs3_fun.table) is not None
     # already-unitary input: change of basis is the identity up to phase
     already, change2 = unitarize(std, invariant_gram(std, h))
     ratio = change2 / change2[0, 0]
@@ -197,7 +197,7 @@ def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
     for pi_v, pi_w in _s3_equivalent_pairs(cs3_fun.table):
         basis = morphism_space(pi_v, pi_w, cs3_fun.haar)
         assert all(np.linalg.matrix_rank(phi, tol=1e-9) < pi_v.dim for phi in basis)
-        phi = are_equivalent(pi_v, pi_w, cs3_fun.table, cs3_fun.haar)
+        phi = are_equivalent(pi_v, pi_w, cs3_fun.table)
         assert np.linalg.matrix_rank(phi, tol=1e-9) == pi_v.dim, pi_w.label
         gap = (np.einsum("ab,bcm->acm", phi, pi_v.coeffs)
                - np.einsum("abm,bc->acm", pi_w.coeffs, phi))
@@ -206,8 +206,7 @@ def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
 
 def test_equal_dimensions_with_unequal_characters_are_inequivalent(cs3_fun):
     p0, p1, _ = cs3_fun.table.irreps
-    assert are_equivalent(_direct_sum(p0, p0), _direct_sum(p0, p1), cs3_fun.table,
-                          cs3_fun.haar) is None
+    assert are_equivalent(_direct_sum(p0, p0), _direct_sum(p0, p1), cs3_fun.table) is None
 
 
 def test_invariant_gram_is_identity_for_unitary(cs3_fun, classical):
@@ -275,7 +274,7 @@ def _assert_pieces_are_table_irreps(pi, pieces, table, labels):
 
 def test_decompose_already_irreducible(cs3_fun, classical):
     std = classical["standard"]
-    blocks = decompose_comodule(std, cs3_fun.table, cs3_fun.haar)
+    blocks = decompose_comodule(std, cs3_fun.table)
     _assert_pieces_are_table_irreps(std, blocks, cs3_fun.table, ["p2"])
 
 
@@ -287,13 +286,13 @@ def test_decomposition_pieces_are_table_irreps(cs3_fun, classical):
     (pair, swapped), (_, rotated) = _s3_equivalent_pairs(table)
     for pi, labels in ((skew, ["p2"]), (rotated, ["p2", "p2"]), (pair, ["p0", "p1"]),
                        (swapped, ["p0", "p1"])):
-        _assert_pieces_are_table_irreps(pi, decompose_comodule(pi, table, h), table, labels)
+        _assert_pieces_are_table_irreps(pi, decompose_comodule(pi, table), table, labels)
 
 
 def test_decomposition_deterministic(cs3_fun):
     reg = regular_corep(cs3_fun.algebra, "R")
-    one = decompose_comodule(reg, cs3_fun.table, cs3_fun.haar)
-    two = decompose_comodule(reg, cs3_fun.table, cs3_fun.haar)
+    one = decompose_comodule(reg, cs3_fun.table)
+    two = decompose_comodule(reg, cs3_fun.table)
     for (b1, c1), (b2, c2) in zip(one, two):
         assert np.abs(b1 - b2).max() < 1e-14
         assert np.abs(c1.coeffs - c2.coeffs).max() < 1e-14
@@ -420,7 +419,7 @@ def test_table_canonical_matches_classical(cs3_fun, classical):
     for pi in cs3_fun.table:
         hits = [name for name, cl in classical.items()
                 if pi.dim == cl.dim
-                and are_equivalent(pi, cl, cs3_fun.table, cs3_fun.haar) is not None]
+                and are_equivalent(pi, cl, cs3_fun.table) is not None]
         assert len(hits) == 1
         matched.add(hits[0])
     assert matched == {"trivial", "sign", "standard"}

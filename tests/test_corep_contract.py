@@ -151,7 +151,7 @@ def test_irrep_table_keeps_lists_as_tuples(cs3_fun):
     not reach it."""
     table = cs3_fun.table
     irreps, mults = list(table.irreps), list(table.multiplicities)
-    copy = IrrepTable(table.algebra, irreps, mults)
+    copy = IrrepTable(table.algebra, table.haar, irreps, mults)
     irreps.pop()
     mults.pop()
     assert len(copy) == 3 and copy.multiplicities == (1, 1, 2)

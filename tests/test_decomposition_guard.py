@@ -7,7 +7,8 @@ the CG systems, ``decompose_comodule`` and ``are_equivalent`` all reach it.  So
 no function of the package solves a whole commutant ``End(V)`` (a
 ``morphism_space`` or ``intertwiners`` call with one comodule as both
 arguments, ``d_V^2`` unknowns), the commutant eigensplit ``_split`` serves the
-table alone, and the table's projection factor is read by the engine alone.
+table alone, and the table's projection factor (a cached property, so a read
+rather than a call) is read by the engine alone.
 The guard stops CG and decomposition from forking again.
 """
 
@@ -22,14 +23,17 @@ CALLERS = {"_split": {"corep.irrep_table"},
 SOLVERS = {"morphism_space", "intertwiners"}
 
 
-def _called(node: ast.Call) -> str | None:
+def _called(node: ast.Call | ast.Attribute) -> str | None:
+    if isinstance(node, ast.Attribute):
+        return node.attr
     func = node.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def _calls(tree: ast.Module, module: str):
-    """Each call in a module with the top-level function or method that encloses it
-    (nested functions count for their outermost one)."""
+    """Each call, and each read of a guarded attribute, in a module with the top-level
+    function or method that encloses it (nested functions count for their outermost
+    one)."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             funcs = [(f"{node.name}.{item.name}", item) for item in node.body
@@ -40,7 +44,8 @@ def _calls(tree: ast.Module, module: str):
             continue
         for name, func in funcs:
             for call in ast.walk(func):
-                if isinstance(call, ast.Call):
+                if isinstance(call, ast.Call) or (isinstance(call, ast.Attribute)
+                                                  and call.attr in CALLERS):
                     yield f"{module}.{name}", call
 
 

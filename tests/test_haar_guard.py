@@ -1,8 +1,9 @@
 """Static guard: the Haar functional is solved by the caller, never behind its back.
 
 Every construction of the package is derived from the one Haar functional
-``h``, so every library function that needs it takes it as an argument, as
-``corep.intertwiners`` does.  Only the command-line frontend, which owns a run
+``h``, so every library function that needs it takes it, as
+``corep.intertwiners`` does, or reads its table's (``IrrepTable.haar``), as
+``cg.solve_cg_systems`` does.  Only the command-line frontend, which owns a run
 from start to end, calls ``haar.solve_haar``; a call anywhere else would solve
 the same ``h`` again inside a run.
 """

@@ -125,9 +125,9 @@ def test_invariants_survive_representative_rotation(contexts):
 def test_decomposition_is_seed_invariant(contexts):
     for label, ctx in contexts.items():
         reg = regular_corep(ctx.algebra, "R")
-        ref = decompose_comodule(reg, ctx.table, ctx.haar)
+        ref = decompose_comodule(reg, ctx.table)
         for run in range(3):
-            blocks = decompose_comodule(reg, ctx.table, ctx.haar)
+            blocks = decompose_comodule(reg, ctx.table)
             assert len(blocks) == len(ref), (label, run)
             for (b1, c1), (b2, c2) in zip(blocks, ref):
                 assert np.array_equal(b1, b2), (label, run)
@@ -246,7 +246,7 @@ def test_cg_target_stacks_match_svd_oracle(request, contexts, label):
     ctx = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun"}.get(label)
     ctx = request.getfixturevalue(ctx) if ctx else contexts[label]
     table = ctx.table
-    systems, again = (solve_cg_systems(table, table, table, ctx.haar) for _ in range(2))
+    systems, again = (solve_cg_systems(table, table, table) for _ in range(2))
     for (p, q), system in systems.items():
         big = tensor_product(table[p], table[q], "ordinary")
         for pi in table:
@@ -282,7 +282,7 @@ def test_non_unitary_decomposition_spans_match_svd_oracle(contexts):
     pi = Corepresentation(ctx.algebra, np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew),
                                                  direct, skew), label="skewed")
     assert not check_unitary(pi).passed
-    pieces = decompose_comodule(pi, table, h)
+    pieces = decompose_comodule(pi, table)
     assert [rho.label for _, rho in pieces] == ["p1", "p2", "p2"]
     for target in table:
         ours = [basis for basis, rho in pieces if rho is target]
@@ -375,7 +375,7 @@ def test_cg_systems_take_one_svd_per_class(request, fixture, monkeypatch):
 
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", recording)
-    assert len(solve_cg_systems(table, table, table, ctx.haar)) == len(table) ** 2
+    assert len(solve_cg_systems(table, table, table)) == len(table) ** 2
     sizes = {p.dim * q.dim for p in table for q in table}
     assert len(calls) == 2 * len(sizes) == {"ca4_grp": 2, "cd6_fun": 6}[fixture], calls
     if fixture == "ca4_grp":
@@ -405,7 +405,7 @@ def test_cg_systems_take_no_svd_larger_than_the_product(ca4_fun, monkeypatch):
             assert shapes and all(shape == (p.dim * q.dim,) * 2 for shape in shapes), (
                 p.label, q.label, shapes)
     assert (9, 9) in shapes
-    solve_cg_systems(table, table, table, ca4_fun.haar)
+    solve_cg_systems(table, table, table)
     assert max(max(shape) for shape in shapes) == 9
 
 

@@ -83,13 +83,15 @@ def test_one_peter_weyl_context_and_one_residual_pass_per_table(run, tmp_path, m
 
 def test_library_functions_take_the_callers_haar_functional(cs3_fun, monkeypatch):
     """``solve_family_space``, ``is_irreducible``, ``are_equivalent`` and
-    ``decompose_comodule`` solve nothing for ``h``."""
+    ``decompose_comodule`` solve nothing for ``h``: ``is_irreducible`` takes the
+    caller's, and the last two read the one their table carries."""
     table, h = cs3_fun.table, cs3_fun.haar
+    assert table.haar is h
     std = table["p2"]
     calls = _count_solve_haar(monkeypatch)
     for kind, side in VARIANTS:
         assert solve_family_space(std, kind, side)
     assert is_irreducible(std, h)
-    assert are_equivalent(std, std, table, h) is not None
-    assert len(decompose_comodule(regular_corep(cs3_fun.algebra, "R"), table, h)) == 4
+    assert are_equivalent(std, std, table) is not None
+    assert len(decompose_comodule(regular_corep(cs3_fun.algebra, "R"), table)) == 4
     assert calls == []

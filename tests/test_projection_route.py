@@ -54,8 +54,8 @@ def test_projections_are_matrix_units_on_each_irrep(request, contexts, rotated, 
 def test_projection_factor_reads_units_and_counts(request, contexts, rotated, label):
     ctx = _context(request, contexts, rotated, label)
     table, n = ctx.table, ctx.algebra.dim
-    factor, lifts, weights = table._projection_factor(ctx.haar)
-    assert table._projection_factor(ctx.haar)[0] is factor      # built once per h
+    factor, lifts, weights = table._projection_factor
+    assert table.haar is ctx.haar and table._projection_factor[0] is factor  # once per table
     assert not any(arr.flags.writeable for arr in (factor, lifts, weights))
     dims = np.array(table.dims())
     assert factor.shape == (n, dims.sum())

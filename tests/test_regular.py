@@ -129,14 +129,14 @@ def test_projection_two_routes_agree(contexts):
 def test_projection_identities(cs3_fun, cs3_grp):
     for ctx in (cs3_fun, cs3_grp):
         for side in ("R", "L"):
-            rep = verify_projection_identities(ctx.table, side, ctx.haar, 1e-10)
+            rep = verify_projection_identities(ctx.table, side, 1e-10)
             assert rep.passed, rep.summary()
 
 
 def test_projection_completeness(contexts):
     for label, ctx in contexts.items():
         for side in ("R", "L"):
-            res = projection_completeness_residual(ctx.table, side, ctx.haar)
+            res = projection_completeness_residual(ctx.table, side)
             assert res < 1e-10, (label, side, res)
 
 
@@ -147,12 +147,13 @@ def projection_beds(contexts, cd6_fun, ca4_fun, ca4_grp, cs4_fun):
     return beds
 
 
-def _stacked_vs_loops(table, side, haar, ordering="standard") -> dict[str, tuple[float, float]]:
-    """``check -> (stacked value, loop-oracle value)`` for one table, side and ordering."""
-    rep = verify_projection_identities(table, side, haar, 1e-10, ordering=ordering)
-    loops = projection_identity_gaps(table, side, haar, ordering)
+def _stacked_vs_loops(table, side, ordering="standard") -> dict[str, tuple[float, float]]:
+    """``check -> (stacked value, loop-oracle value)`` for one table, side and ordering,
+    both under the table's Haar functional."""
+    rep = verify_projection_identities(table, side, 1e-10, ordering=ordering)
+    loops = projection_identity_gaps(table, side, table.haar, ordering)
     pairs = {c.name: (c.residual, loops[c.name]) for c in rep.checks}
-    pairs["completeness"] = (projection_completeness_residual(table, side, haar),
+    pairs["completeness"] = (projection_completeness_residual(table, side),
                              loops["completeness"])
     return pairs
 
@@ -162,7 +163,7 @@ def test_stacked_projections_match_index_loops(projection_beds):
     for label, ctx in projection_beds.items():
         for side in ("R", "L"):
             for ordering in ("standard", "swapped"):
-                pairs = _stacked_vs_loops(ctx.table, side, ctx.haar, ordering)
+                pairs = _stacked_vs_loops(ctx.table, side, ordering)
                 if ordering == "swapped":
                     del pairs["completeness"]  # completeness has the standard ordering only
                 for name, (stacked, loops) in pairs.items():
@@ -176,10 +177,10 @@ def test_duplicated_irrep_breaks_cross_terms(contexts, label, cross, completenes
     """Listing the last irrep twice makes its two copies' projections overlap."""
     ctx = contexts[label]
     table = ctx.table
-    dup = IrrepTable(table.algebra, table.irreps + table.irreps[-1:],
+    dup = IrrepTable(table.algebra, table.haar, table.irreps + table.irreps[-1:],
                      table.multiplicities + table.multiplicities[-1:])
     for side in ("R", "L"):
-        pairs = _stacked_vs_loops(dup, side, ctx.haar)
+        pairs = _stacked_vs_loops(dup, side)
         for name, (stacked, loops) in pairs.items():
             assert abs(stacked - loops) < 1e-13, (label, side, name)
         assert pairs["composition same-irrep"][0] < 1e-13
@@ -197,8 +198,9 @@ def test_non_unitary_representative_breaks_action(cs3_fun):
     standard = classical_corep_coeffs(s3_irreps()["standard"])
     skewed = replace(table["p2"], coeffs=np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew_t),
                                                    standard, skew_t))
-    bad = IrrepTable(table.algebra, (*table.irreps[:2], skewed), table.multiplicities)
-    pairs = _stacked_vs_loops(bad, "R", cs3_fun.haar)
+    bad = IrrepTable(table.algebra, table.haar, (*table.irreps[:2], skewed),
+                     table.multiplicities)
+    pairs = _stacked_vs_loops(bad, "R")
     for name, (stacked, loops) in pairs.items():
         assert abs(stacked - loops) < 1e-13, name
     assert abs(pairs["action on basis functions"][0] - 0.7143) < 1e-4

@@ -211,7 +211,7 @@ def test_perturbed_coefficient_fails_engine_and_oracle(beds):
     coeffs = table["p2"].coeffs.copy()
     coeffs[:, :, 3] += 0.1 * np.random.default_rng(1).standard_normal((2, 2))
     bad = Corepresentation(ctx.algebra, coeffs, label="p2")
-    broken = IrrepTable(ctx.algebra, (*table.irreps[:2], bad), table.multiplicities)
+    broken = IrrepTable(ctx.algebra, h, (*table.irreps[:2], bad), table.multiplicities)
     for pi, residuals in zip(broken, broken.residuals):
         want = per_irrep_certificates(pi)
         for name, value in want.items():

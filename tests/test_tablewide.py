@@ -86,7 +86,7 @@ def per_triple_cg(ctx, labels, targets=None) -> list[Report]:
     labels = list(dict.fromkeys(labels))
     for p, q in product(labels, labels):
         sys_pq, sys_qp = ctx.cg(p, q), ctx.cg(q, p)
-        head = Report(f"cg [{p} x {q}]", meta={"multiplicities": sys_pq.multiplicities})
+        head = Report(f"cg [{p} x {q}]", meta={"multiplicities": dict(sys_pq.multiplicities)})
         head.add("block diagonalization", cg_block_residual(sys_pq, table[p], table[q], table),
                  1e-9 * ctx.algebra.magnitude)
         for r in targets or table.labels:
@@ -265,7 +265,7 @@ def test_engine_blocks_match_single_and_kronecker(request, fixture):
     range and the Kronecker nullspace."""
     ctx = request.getfixturevalue(fixture)
     table = ctx.table
-    systems = solve_cg_systems(table, table, table, ctx.haar)
+    systems = solve_cg_systems(table, table, table)
     for p, q in product(table.labels, table.labels):
         big = tensor_product(table[p], table[q], "ordinary")
         for pi in table:

@@ -11,7 +11,7 @@ from oracles import (conjugation_family_space_dim, is_commutative, opposite_alge
                      tensor_product_algebra)
 
 from cqglab import tensor_ops
-from cqglab.algebra import HopfAlgebraSpec
+from cqglab.algebra import HopfAlgebraSpec, LinearFunctional
 from cqglab.corep import Corepresentation, IrrepTable, identity_corep, intertwiners, irrep_table
 from cqglab.errors import (CqglabError, DecompositionStall, NotACorepresentation,
                            PeterWeylFailure)
@@ -85,8 +85,9 @@ def test_route_disagreement_is_a_failing_check(cs3_fun):
     noisy = HopfAlgebraSpec(alg.dim, alg.mult,
                             np.einsum("ts,sab,ax,by->txy", r_mat, in_p, p_mat, p_mat),
                             alg.antipode, alg.counit, alg.unit, alg.star, label="noisy C(S3)")
-    noisy_table = IrrepTable(noisy, tuple(Corepresentation(noisy, pi.coeffs, label=pi.label)
-                                          for pi in table), table.multiplicities)
+    noisy_table = IrrepTable(noisy, LinearFunctional(noisy, table.haar.covector),
+                             tuple(Corepresentation(noisy, pi.coeffs, label=pi.label)
+                                   for pi in table), table.multiplicities)
     q_op = _random_ops(noisy, 1, seed=7)[0]
     report = operator_coaction_report(noisy_table, q_op, "ordinary", "L")
     assert [c.name for c in report.checks] == ["routes agree", "coassociativity", "counit"]
@@ -301,8 +302,10 @@ def test_twisted_of_a_is_ordinary_of_opposite(cs3_grp):
     alg, table = cs3_grp.algebra, cs3_grp.table
     op_alg = opposite_algebra(alg)
     # A^op has A's coalgebra, so the same matrix coefficients are its Peter-Weyl basis
-    op_table = IrrepTable(op_alg, tuple(Corepresentation(op_alg, pi.coeffs, label=pi.label)
-                                        for pi in table), table.multiplicities)
+    # and A's Haar covector is its Haar functional
+    op_table = IrrepTable(op_alg, LinearFunctional(op_alg, table.haar.covector),
+                          tuple(Corepresentation(op_alg, pi.coeffs, label=pi.label)
+                                for pi in table), table.multiplicities)
     for pi, pi_op in zip(table, op_table):
         bset = canonical_basis_functions(pi, "R", 0)
         fam = multiplication_family(bset, "twisted")
@@ -487,7 +490,7 @@ def test_a_table_that_does_not_span_the_algebra_is_refused(cs3_fun):
     assert issubclass(PeterWeylFailure, CqglabError)
     for irreps, match in [((table[0], table[1], table[2], table[2]), "cannot be a basis"),
                           ((table[0], table[0], table[2]), "condition number")]:
-        repeated = IrrepTable(cs3_fun.algebra, irreps, (1,) * len(irreps))
+        repeated = IrrepTable(cs3_fun.algebra, cs3_fun.haar, irreps, (1,) * len(irreps))
         for kind, side in VARIANTS:
             with pytest.raises(PeterWeylFailure, match=match):
                 check_families(_stack(cs3_fun, kind, side), repeated)
@@ -498,8 +501,9 @@ def test_a_coaction_outside_the_blocks_is_refused(cs3_fun, cs3_grp):
     coproduct is not block-diagonal in them: the maps route, which reads the
     carrier's own coaction tensor, refuses them."""
     alg = cs3_grp.algebra
-    foreign = IrrepTable(alg, tuple(Corepresentation(alg, pi.coeffs, label=pi.label)
-                                    for pi in cs3_fun.table), cs3_fun.table.multiplicities)
+    foreign = IrrepTable(alg, cs3_grp.haar,
+                         tuple(Corepresentation(alg, pi.coeffs, label=pi.label)
+                               for pi in cs3_fun.table), cs3_fun.table.multiplicities)
     for kind, side in VARIANTS:
         with pytest.raises(PeterWeylFailure, match="outside the Peter-Weyl blocks"):
             check_families(_stack(cs3_grp, kind, side), foreign)

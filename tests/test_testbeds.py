@@ -108,7 +108,7 @@ def test_regular_comodule_decomposes_by_peter_weyl(label):
     h = solve_haar(alg)
     table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
     reg = regular_corep(alg, "R")
-    blocks = decompose_comodule(reg, table, h)
+    blocks = decompose_comodule(reg, table)
     assert [sub.dim for _, sub in blocks] == sorted(d for d in dims for _ in range(d))
     c_mat = np.hstack([basis for basis, _ in blocks])
     conjugated = np.einsum("ja,abm,bk->jkm", np.linalg.inv(c_mat), reg.coeffs, c_mat)

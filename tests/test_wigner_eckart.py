@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from oracles import reduced_elements
 
 from cqglab import wigner_eckart
-from cqglab.cg import CGSystem
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import TensorOperatorFamily, multiplication_family
 from cqglab.corep import identity_corep
@@ -71,7 +71,8 @@ def test_reduced_elements_scale_linearly(cs3_fun):
     f_r = cs3_fun.table["p2"].F
     gram = cs3_fun.grams.gram("L")
     [base] = verify_wigner_eckart(psis, fam, phis, system, f_r, gram).checks
-    [scaled] = verify_wigner_eckart(psis, fam.scaled(2.5 - 1.0j), phis, system, f_r, gram).checks
+    scaled_fam = dataclasses.replace(fam, operators=(2.5 - 1.0j) * fam.operators)
+    [scaled] = verify_wigner_eckart(psis, scaled_fam, phis, system, f_r, gram).checks
     assert np.abs(reduced_elements(scaled) - (2.5 - 1.0j) * reduced_elements(base)).max() < 1e-10
 
 
@@ -106,9 +107,7 @@ def test_reduced_covariance_under_multiplicity_rotation(cs3_fun):
     cols = [i for i, (r, a, _) in enumerate(system.col_index) if r == "p2"]
     c_rot = system.C.copy()
     c_rot[:, cols] *= phase
-    rotated = CGSystem(system.p_label, system.q_label, system.d_p, system.d_q,
-                       c_rot, np.linalg.inv(c_rot), dict(system.multiplicities),
-                       list(system.col_index))
+    rotated = dataclasses.replace(system, C=c_rot, Cinv=np.linalg.inv(c_rot))
     [rot] = verify_wigner_eckart(psis, fam, phis, rotated, f_r, gram).checks
     assert rot.passed
     assert np.abs(reduced_elements(rot) - phase * reduced_elements(base)).max() < 1e-10
