@@ -175,10 +175,10 @@ class CGSystem:
         empty when ``r`` does not occur in the product.  A target's columns are
         contiguous and ordered ``(alpha, l)``, as :func:`solve_cg` stacks them.
         """
-        fwd, inv, mults = _padded_blocks([self], [r_label], [d_r])
-        mult = int(mults[0, 0])
-        return (fwd[0, 0, :mult].reshape(mult, self.d_p, self.d_q, d_r),
-                inv[0, 0, :mult].reshape(mult, d_r, self.d_p, self.d_q))
+        fwd, inv, _ = _padded_blocks([self], [r_label], [d_r])
+        mult = self.multiplicities.get(r_label, 0)
+        return (fwd[:, :mult].reshape(mult, self.d_p, self.d_q, d_r),
+                inv[:, :mult].reshape(mult, d_r, self.d_p, self.d_q))
 
     def couple(self, pieces: np.ndarray, table: IrrepTable
                ) -> dict[tuple[str, int], np.ndarray]:
@@ -252,38 +252,59 @@ def cg_block_residual(system: CGSystem, pi_p: Corepresentation,
                                   _block_diagonal(system.multiplicities, table)[None])[0])
 
 
-def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward and inverse CG blocks of a stack of systems of one size, for every target.
-
-    ``fwd[w, r, alpha, pair, v] = C_w[pair, (r, alpha, v)]`` and
-    ``inv[w, r, alpha, l, pair] = Cinv_w[(r, alpha, l), pair]``, with the
-    ``alpha`` axis padded to the largest multiplicity and ``v``, ``l`` to the
-    largest target dimension, and the multiplicities ``mults[w, r]``.  Padding is
-    zero, so a target that does not occur has all-zero blocks.
-    """
-    # each system's targets scattered into [(multiplicity, first column), w, distinct label]
+def _occurrences(systems: list[CGSystem], labels: list[str]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The targets that occur in a stack of systems: the system ``w`` and target
+    ``r`` of each, sorted by ``(w, r)``, with its certified multiplicity and first
+    column, read off the systems' target rows.  A label at two places of
+    ``labels`` occurs at both."""
     column = {label: r for r, label in enumerate(dict.fromkeys(labels))}
     where = np.array([column.get(label, -1) for s in systems for label in s.multiplicities],
                      dtype=int)
     which = np.repeat(np.arange(len(systems)), [len(s.multiplicities) for s in systems])
     found = where >= 0
-    scattered = np.zeros((2, len(systems), len(column)), dtype=int)
-    scattered[:, which[found], where[found]] = np.concatenate(
-        [s.target_rows for s in systems])[found].T
-    mults, starts = scattered[:, :, [column[label] for label in labels]]
-    dims_arr = np.array(dims)
+    rows = np.concatenate([s.target_rows for s in systems])[found]
+    f, r = np.nonzero(where[found][:, None] == [column[label] for label in labels])
+    w = which[found][f]
+    order = np.lexsort((r, w))
+    return w[order], r[order], rows[f[order], 0], rows[f[order], 1]
+
+
+def _padded_blocks(systems: list[CGSystem], labels: list[str], dims: list[int]
+                   ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Forward and inverse CG blocks of the targets that occur in a stack of systems of
+    one size.
+
+    The entries ``e`` are the occurring ``(w, r, multiplicity)`` of
+    :func:`_occurrences`, returned last: ``fwd[e, alpha, pair, v] = C_w[pair,
+    (r, alpha, v)]`` and ``inv[e, alpha, l, pair] = Cinv_w[(r, alpha, l), pair]``
+    for target ``labels[r]``, with the ``alpha`` axis padded to the largest
+    multiplicity and ``v``, ``l`` to the largest target dimension.  Padding is
+    zero; a target that does not occur has no entry.
+    """
+    w, r, mults, starts = _occurrences(systems, labels)
+    dims_arr = np.array(dims)[r, None, None]
     alpha = np.arange(max(1, mults.max(initial=0)))[:, None]
     ell = np.arange(max(dims, default=0))
-    cols = starts[:, :, None, None] + alpha * dims_arr[:, None, None] + ell   # [w, r, a, l]
-    keep = (alpha < mults[:, :, None, None]) & (ell < dims_arr[:, None, None])
+    cols = starts[:, None, None] + alpha * dims_arr + ell                  # [e, a, l]
+    keep = (alpha < mults[:, None, None]) & (ell < dims_arr)
     cols = np.where(keep, cols, 0)
-    which = np.arange(len(systems))[:, None, None, None]
-    c_mats = np.stack([s.C for s in systems])
-    c_invs = np.stack([s.Cinv for s in systems])
-    fwd = c_mats[which, :, cols] * keep[..., None]           # [w, r, a, v, pair]
-    inv = c_invs[which, cols] * keep[..., None]              # [w, r, a, l, pair]
-    return fwd.swapaxes(-1, -2), inv, mults
+    which = w[:, None, None]
+    fwd = np.stack([s.C for s in systems])[which, :, cols] * keep[..., None]   # [e, a, v, pair]
+    inv = np.stack([s.Cinv for s in systems])[which, cols] * keep[..., None]   # [e, a, l, pair]
+    return fwd.swapaxes(-1, -2), inv, (w, r, mults)
+
+
+def _selection_rules(residuals: np.ndarray, occurs: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The selection rule of each row of ``residuals[..., r]`` over its targets that do
+    not occur (``occurs`` false): how many there are, the first of them with the
+    largest residual (a NaN counts as largest), and that residual, bit for bit.
+    A row whose targets all occur reads count 0."""
+    masked = np.where(occurs, -np.inf, residuals)
+    worst = masked.argmax(axis=-1)
+    return ((~occurs).sum(axis=-1), worst,
+            np.take_along_axis(masked, worst[..., None], axis=-1)[..., 0])
 
 
 def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet, side: str) -> np.ndarray:
@@ -355,36 +376,37 @@ def verify_triple_haar(pi_p: Corepresentation, pi_q: Corepresentation,
 def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
                       targets: list[Corepresentation],
                       systems: dict[tuple[str, str], CGSystem], h: LinearFunctional
-                      ) -> dict[tuple[str, str], list[float]]:
-    """``G[(a, b)][r]``: the ``(a, b)``-order triple Haar gap of every target, for
-    ``(a, b)`` running over ``ps x qs`` and ``qs x ps``.
+                      ) -> dict[tuple[str, str], np.ndarray]:
+    """``G[(a, b)][r]``: the ``(a, b)``-order triple Haar gap of every target, an array
+    over the targets, for ``(a, b)`` running over ``ps x qs`` and ``qs x ps``.
 
     ``systems`` holds those ordered pairs' systems, keyed by label pair.  The
     ``(q, p)``-order check of ``(p, q)`` is the ``(p, q)``-order check of
     ``(q, p)``, so one gap array over the ordered pairs serves both orders.
     The left sides ``h(pi^r*_ul pi^a_sj pi^b_tk)`` come from one weight tensor
     ``weights[r, u, l, b, c] = h(pi^r*_ul a_b a_c)``, zero-padded to the
-    largest target dimension, and two ``tensordot`` calls per ``(d_a, d_b)``
-    class.  The right sides are the double CG contractions of the padded
-    blocks of :func:`_padded_blocks` with ``(F^r)^{-1} / tr = I / tr F^r``, each
-    target's ``F = I`` certified as it is read; a target that does not occur has
-    zero blocks, so its gap is ``max |lhs|``.
+    largest target dimension.  Every matrix product takes one target's rows or
+    one factor's, batched, so each entry is computed as a one-triple call
+    computes it, whatever else is stacked.  The right sides are the double CG
+    contractions of the blocks of :func:`_padded_blocks` with
+    ``(F^r)^{-1} / tr = I / tr F^r``, each target's ``F = I`` certified as it is
+    read, for the targets that occur; a target that does not occur has a zero
+    right side, so its gap is ``max |lhs|``.
     """
     factors = {pi.label: pi for pi in [*qs, *ps]}
     ordered = list(dict.fromkeys(
         key for pi_p in ps for pi_q in qs
         for key in ((pi_p.label, pi_q.label), (pi_q.label, pi_p.label))))
-    alg = h.algebra
-    n = alg.dim
+    n = h.algebra.dim
     dims = [pi_r.dim for pi_r in targets]
     traces = np.array([np.trace(pi_r.F) for pi_r in targets])
     d_max = max(dims, default=0)
-    pair = alg.mult @ h.pair  # pair[a, b, c] = h(a_a a_b a_c)
-    rows = np.zeros((len(targets), d_max, d_max, n), dtype=complex)
-    for r, pi_r in enumerate(targets):
-        rows[r, :pi_r.dim, :pi_r.dim] = pi_r.star_coeffs()
-    weights = (rows.reshape(-1, n) @ pair.reshape(n, n * n)).reshape(
-        len(targets), d_max, d_max, n, n)
+    pair = (h.algebra.mult @ h.pair).reshape(n, n * n)  # pair[a, (b, c)] = h(a_a a_b a_c)
+    weights = np.zeros((len(targets), d_max, d_max, n, n), dtype=complex)
+    for d in dict.fromkeys(dims):
+        idx = [r for r, dim in enumerate(dims) if dim == d]
+        rows = np.array([targets[r].star_coeffs() for r in idx]).reshape(len(idx), d * d, n)
+        weights[idx, :d, :d] = np.matmul(rows, pair).reshape(len(idx), d, d, n, n)
     labels = [pi_r.label for pi_r in targets]
     classes: dict[tuple[int, int], list[tuple[str, str]]] = {}
     for a, b in ordered:
@@ -393,18 +415,19 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
     for (d_a, d_b), keys in classes.items():
         firsts = list(dict.fromkeys(a for a, _ in keys))
         seconds = list(dict.fromkeys(b for _, b in keys))
-        lhs = np.tensordot(np.tensordot(weights, np.stack([factors[a].coeffs for a in firsts]),
-                                        axes=(3, 3)),
-                           np.stack([factors[b].coeffs for b in seconds]),
-                           axes=(3, 3))              # [r, u, l, a, s, j, b, t, k]
-        lhs = lhs[:, :, :, [firsts.index(a) for a, _ in keys], :, :,
-                  [seconds.index(b) for _, b in keys]]  # [w, r, u, l, s, j, t, k]
-        fwd, inv, _ = _padded_blocks([systems[key] for key in keys], labels, dims)
-        # fwd[w, r, alpha, (s, t), u] / d_r, against inv[w, r, alpha, l, (j, k)]
-        left = (fwd / traces[:, None, None, None]).reshape(
-            len(keys), len(targets), fwd.shape[2], -1)
-        rhs = (left.swapaxes(-1, -2) @ inv.reshape(*inv.shape[:3], -1)).reshape(
-            len(keys), len(targets), d_a, d_b, d_max, d_max, d_a, d_b)
-        gap = np.abs(lhs - rhs.transpose(0, 1, 4, 5, 2, 6, 3, 7)).max(axis=(2, 3, 4, 5, 6, 7))
-        gaps.update(zip(keys, gap.tolist()))
+        a_rows = np.array([factors[a].coeffs for a in firsts]).reshape(len(firsts), -1, n)
+        b_rows = np.array([factors[b].coeffs for b in seconds]).reshape(len(seconds), -1, n)
+        lhs = np.matmul(np.matmul(a_rows, weights[:, :, :, None])[:, :, :, :, None],
+                        b_rows.swapaxes(1, 2))            # [r, u, l, a, b, (s, j), (t, k)]
+        lhs = np.moveaxis(lhs[:, :, :, [firsts.index(a) for a, _ in keys],
+                              [seconds.index(b) for _, b in keys]], 3, 0)  # [w, r, u, l, sj, tk]
+        gap = np.abs(lhs).max(axis=(2, 3, 4, 5))
+        fwd, inv, (w, r, _) = _padded_blocks([systems[key] for key in keys], labels, dims)
+        # fwd[e, alpha, (s, t), u] / tr F^r, against inv[e, alpha, l, (j, k)]
+        size = (len(w), fwd.shape[1], d_a * d_b * d_max)
+        rhs = ((fwd / traces[r, None, None, None]).reshape(size).swapaxes(1, 2)
+               @ inv.reshape(size)).reshape(len(w), d_a, d_b, d_max, d_max, d_a, d_b)
+        rhs = rhs.transpose(0, 3, 4, 1, 5, 2, 6).reshape(len(w), *lhs.shape[2:])
+        gap[w, r] = np.abs(lhs[w, r] - rhs).max(axis=(1, 2, 3, 4))
+        gaps.update(zip(keys, gap))
     return gaps

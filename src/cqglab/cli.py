@@ -15,7 +15,8 @@ import numpy as np
 
 from . import io as cio
 from .algebra import verify_hopf_axioms, verify_star_axioms
-from .cg import _character_report, _triple_haar_gaps, solve_cg_systems
+from .cg import (_character_report, _occurrences, _selection_rules,
+                 _triple_haar_gaps, solve_cg_systems)
 from .corep import _CERTIFICATES, _certificate, _schur_report, identity_corep, irrep_table
 from .errors import CqglabError
 from .groups import _BUILTINS, build_function_algebra, build_group_algebra, builtin_algebras
@@ -103,15 +104,36 @@ def _cmd_cg(args) -> list[Report]:
     factors = [table[label] for label in labels]
     gaps = _triple_haar_gaps(factors, factors, targets, systems, table.haar)
     t = args.tolerance * spec.magnitude
-    names = [f"triple haar {pi_r.label} ({order}) order"
-             for pi_r in targets for order in ("p,q", "q,p")]
-    reports = []
-    for pl, ql in product(labels, labels):
+    r_labels = [pi_r.label for pi_r in targets]
+    pairs = list(product(labels, labels))
+    orders = ("p,q", "q,p")
+    # [pair, order, target]: the (p,q) order reads the (p, q) system, the (q,p) order (q, p)
+    keys = (pairs, [(q, p) for p, q in pairs])
+    values = np.stack([[gaps[key] for key in ordered] for ordered in keys], axis=1)
+    occurs = np.zeros(values.shape, dtype=bool)
+    for o, ordered in enumerate(keys):
+        w, r, _, _ = _occurrences([systems[key] for key in ordered], r_labels)
+        occurs[w, o, r] = True
+    absent, worst, rule = _selection_rules(values, occurs)
+    # each pair's occurring targets, target-major, then a selection rule per order
+    pair, target, order = np.nonzero(occurs.swapaxes(1, 2))
+    found = [f"triple haar {r_labels[r]} ({orders[o]}) order"
+             for r, o in zip(target.tolist(), order.tolist())]
+    found_values = values[pair, order, target].tolist()
+    reports, start = [], 0
+    for i, (pl, ql) in enumerate(pairs):
         system = systems[pl, ql]
+        end = start + int(occurs[i].sum())
+        rules = [o for o in (0, 1) if absent[i, o]]
         rep = Report(f"cg [{pl} x {ql}]", meta={"multiplicities": dict(system.multiplicities)})
-        rep.add("block diagonalization", system.block_residual, t)
-        rep.extend(names, np.column_stack([gaps[pl, ql], gaps[ql, pl]]), t)
+        rep.extend(["block diagonalization", *found[start:end],
+                    *(f"selection rule ({orders[o]}) order" for o in rules)],
+                   [system.block_residual, *found_values[start:end], *rule[i, rules]], t,
+                   [{} for _ in range(1 + end - start)]
+                   + [{"absent": int(absent[i, o]), "worst": r_labels[worst[i, o]]}
+                      for o in rules])
         reports.append(rep)
+        start = end
     return reports
 
 
@@ -194,13 +216,13 @@ def _cmd_homspace(args) -> list[Report]:
     coideal = build_coset_subalgebra(group, spec, subgroup, side, grams)
     reports = [verify_coideal(coideal, args.tolerance)]
     reports.append(restricted_coaction_report(coideal, table.haar, args.tolerance))
-    dims = Report(f"restricted basis functions [{coideal.label}]")
-    sets = []  # every set is a target r, a source p and a family q
+    sets, dims = [], {}  # every set is a target r, a source p and a family q
     for pi in table:
         sols = solve_restricted_basis_functions(pi, coideal, table.haar)
         sets.extend(sols)
-        dims.add(f"solution dim {pi.label}", 0.0, 1.0, dim=len(sols))
-    reports.append(dims)
+        dims[pi.label] = len(sols)
+    reports.append(Report(f"restricted basis functions [{coideal.label}]",
+                          meta={"solution_dims": dims}))
     used = list(dict.fromkeys(bset.corep.label for bset in sets))
     systems = _cg_systems(table, (used, used))
     return reports + _factorize_table(

@@ -24,7 +24,7 @@ from .report import Report
 
 ALGEBRA_SCHEMA = "cqglab/algebra-v1"
 GROUP_SCHEMA = "cqglab/group-v1"
-REPORT_SCHEMA = "cqglab/report-v1"
+REPORT_SCHEMA = "cqglab/report-v2"
 
 __all__ = [
     "save_algebra", "load_algebra",
@@ -181,7 +181,7 @@ def _report_json(rep: Report, encode: Callable[[Any], str]) -> Iterator[str]:
     verdicts = list(map(le, residuals, tols))
     # each tol object is encoded once, keyed by identity: 0.0 == -0.0 prints apart
     tol_text = {key: encode(tol) for key, tol in dict(zip(map(id, tols), tols)).items()}
-    # so is each details object: the absent targets of a Wigner-Eckart pair share one
+    # so is each details object, which checks may share
     heads = {key: f'{{"details": {encode(details)}, ' if details else "{"
              for key, details in dict(zip(map(id, rep._details), rep._details)).items()}
     yield '{"checks": ['

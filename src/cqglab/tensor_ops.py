@@ -129,17 +129,25 @@ def operator_coaction_components(table: IrrepTable, q_op: np.ndarray, kind: str,
     ``sum_m C[m] (x) a_m`` is the coaction image; equivalently ``C[m][:, t]``
     is the ``a_m``-component of the defining pipeline applied to ``a_t``.
     """
-    return _coaction_stack(table, np.asarray(q_op, dtype=complex)[None], kind, side, route)[0]
+    return _coaction_stack(table, np.asarray(q_op, dtype=complex)[None], side,
+                           _route(table, kind, side, route))[0]
 
 
-def _coaction_stack(table: IrrepTable, q_ops: np.ndarray, kind: str, side: str,
-                    route: str) -> np.ndarray:
-    """:func:`operator_coaction_components` of a stack ``q_ops[k]``: ``out[k, m, a, t]``."""
+def _route(table: IrrepTable, kind: str, side: str, route: str
+           ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One route of one variant on the table's Peter-Weyl context (:meth:`_PeterWeyl.route`),
+    built for the caller to pass to each :func:`_coaction_stack` that runs it."""
     kind, side = _variant_key(kind, side)
     if route not in ("constants", "maps"):
         raise ValueError(f"unknown route {route!r}")
+    return table._peter_weyl.route(kind, side, route)
+
+
+def _coaction_stack(table: IrrepTable, q_ops: np.ndarray, side: str,
+                    maps: tuple[np.ndarray, list[np.ndarray]]) -> np.ndarray:
+    """:func:`operator_coaction_components` of a stack ``q_ops[k]`` under a route ``maps``
+    of :func:`_route` on ``side``: ``out[k, m, a, t]``."""
     context, step = table._peter_weyl, _chunk(table.algebra.dim)
-    maps = context.route(kind, side, route)
     return np.concatenate([
         context.components(q_ops[i:i + step], side, maps).transpose(0, 3, 1, 2)
         for i in range(0, len(q_ops), step)])
@@ -294,12 +302,14 @@ def operator_coaction_report(table: IrrepTable, q_op: np.ndarray, kind: str, sid
     contracting the second leg with the counit must give back the operator.
     """
     alg = table.algebra
-    comps = operator_coaction_components(table, q_op, kind, side)          # [m, a, t]
-    maps = operator_coaction_components(table, q_op, kind, side, route="maps")
+    q_ops = np.asarray(q_op, dtype=complex)[None]
+    constants = _route(table, kind, side, "constants")  # one route each, built once
+    comps = _coaction_stack(table, q_ops, side, constants)[0]                # [m, a, t]
+    maps = _coaction_stack(table, q_ops, side, _route(table, kind, side, "maps"))[0]
     report = Report(f"operator coaction [{kind}-{side}]", meta={"tol": tol})
     t = tol * alg.magnitude ** 2
     report.add("routes agree", float(np.abs(comps - maps).max()), t)
-    again = _coaction_stack(table, comps, kind, side, "constants")  # again[m, m2, a, t]
+    again = _coaction_stack(table, comps, side, constants)  # again[m, m2, a, t]
     rhs = np.tensordot(alg.comult, comps, axes=(0, 0))             # [b, c, a, t]
     report.add("coassociativity", float(np.abs(again.transpose(1, 0, 2, 3) - rhs).max()), t)
     counit_side = np.einsum("mat,m->at", comps, alg.counit)
@@ -432,8 +442,9 @@ def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, kind: str,
     """Multiplication by each row of ``coords`` under the product tensor ``mult``,
     from the side :func:`multiplication_family` names."""
     if (kind == "ordinary") == (side == "R"):
-        return np.einsum("ju,utA->jAt", coords, mult)
-    return np.einsum("ju,tuA->jAt", coords, mult)
+        n = len(mult)
+        return (coords @ mult.reshape(n, n * n)).reshape(-1, n, n).swapaxes(1, 2)  # [j, A, t]
+    return np.matmul(coords, mult).transpose(1, 2, 0)     # one product per t, mult not copied
 
 
 def solve_family_space(pi: Corepresentation, kind: str, side: str
@@ -530,8 +541,8 @@ def operator_product_rule_residual(table: IrrepTable, kind: str, side: str,
     coactions.  Twisted: the second legs multiply in reversed order.
     """
     q1, q2 = np.asarray(q1, dtype=complex), np.asarray(q2, dtype=complex)
-    comp1, comp2, prod = _coaction_stack(table, np.stack([q1, q2, q1 @ q2]), kind, side,
-                                         "constants")
+    comp1, comp2, prod = _coaction_stack(table, np.stack([q1, q2, q1 @ q2]), side,
+                                         _route(table, kind, side, "constants"))
     pairs = np.tensordot(comp1, comp2, axes=(2, 1))  # [u, a, v, c]
     m_axes = (0, 1) if kind == "ordinary" else (1, 0)
     expected = np.tensordot(pairs, table.algebra.mult, axes=((0, 2), m_axes)).transpose(2, 0, 1)

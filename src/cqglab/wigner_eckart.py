@@ -17,19 +17,20 @@ One engine factorizes pairs ``(p, q)``, each put in its CG system's order
 (:func:`_cg_order`), against a stack of targets r in batched contractions,
 each pair read off its own ``C`` and ``C^{-1}``, and returns numbers.
 :func:`_factorize_table` sends several whole tables through the engine
-together and renders each as one report with a check per triple;
-:func:`verify_wigner_eckart` is its one-triple call.  The inputs of one table
-live on one carrier, A or a coideal B, whose Gram matrix is passed (the
-identity in B's orthonormal basis).
+together and renders each as one report: a check per triple whose target
+occurs in the pair's CG system, and one selection-rule check per pair for the
+targets that do not; :func:`verify_wigner_eckart` is its one-triple call.
+The inputs of one table live on one carrier, A or a coideal B, whose Gram
+matrix is passed (the identity in B's orthonormal basis).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 
 import numpy as np
 
-from .cg import CGSystem, _padded_blocks
+from .cg import CGSystem, _padded_blocks, _selection_rules
 from .regular import BasisFunctionSet
 from .report import Report
 from .tensor_ops import TensorOperatorFamily
@@ -52,9 +53,14 @@ def _one_carrier(sets) -> None:
 
 def _inner_product_tensor(psis: np.ndarray, ops: np.ndarray, phis: np.ndarray,
                           gram: np.ndarray) -> np.ndarray:
-    """``T[l, k, j] = (psi_l, Q_k(phi_j))`` for coefficient rows and a Gram matrix."""
-    acted = np.einsum("kab,jb->kja", ops, phis)
-    return np.einsum("lb,kjb->lkj", np.conj(psis) @ gram, acted)
+    """``T[l, k, j] = (psi_l, Q_k(phi_j))`` for coefficient rows and a Gram matrix.
+
+    Matrix-vector products ``Q_k phi_j``, then one dot product per entry: each entry
+    is computed alone, so a table's entries equal a one-triple call's bit for bit.
+    """
+    acted = np.matmul(ops[:, None], phis[:, :, None])[..., 0]                # [k, j, a]
+    left = np.matmul(np.conj(psis)[:, None], gram)                          # [l, 1, b]
+    return np.matmul(left[:, None, None], acted[..., None])[..., 0, 0]
 
 
 def we_tensor(psis: BasisFunctionSet, fam: TensorOperatorFamily,
@@ -77,24 +83,24 @@ def _pair_matrix(tensor: np.ndarray, system: CGSystem, kind: str) -> np.ndarray:
 
 
 def _factorize_targets(tmats: list[np.ndarray], systems: list[CGSystem],
-                       targets: list[tuple[str, int]]
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                       targets: list[tuple[str, int]]) -> tuple[np.ndarray, ...]:
     """Factorize many pairs ``(p, q)`` against every target at once.
 
     ``tmats[i]`` is pair ``i``'s :func:`_pair_matrix` for its CG system
     ``systems[i]``: rows ``(r, l)`` stacked in the order of ``targets``, pairs
     ``(r_label, d_r)``, and columns in the system's pair order, so pairs of
-    both kinds go in one call.  Returns arrays indexed ``[pair, target]``: the
-    reconstruction residuals, the least-squares gaps (NaN where the target
-    does not occur), the reduced elements zero-padded along a last axis to the
-    largest multiplicity, and the multiplicities.  The pairs of one system size are
-    factorized together, their rows and CG blocks zero-padded to the largest
-    target dimension and multiplicity: ``X = T C`` at each target's columns,
-    traced over ``(u, v)`` and divided by ``d_r``, gives the reduced elements
-    ``Z``, ``T - Z C^{-1}`` the residual, and a batched pseudo-inverse of the
-    inverse-CG designs the least-squares cross-check, taken only for the
-    targets that occur, each gap the largest over the target's multiplicity.
-    A target that does not occur has zero blocks, so its residual is ``max |T_r|``.
+    both kinds go in one call.  Returns the reconstruction residual of every
+    pair and target, ``[pair, target]``, then the targets that occur, read off
+    the systems' certified multiplicities: the pair and target index of each,
+    sorted, its multiplicity, its least-squares gap and its reduced elements,
+    zero-padded to the largest multiplicity.  Only those targets are factorized,
+    those of the pairs of one system size together, their rows and CG blocks
+    zero-padded to the largest target dimension and multiplicity: ``X = T C``
+    at the target's columns, traced over ``(u, v)`` and divided by ``d_r``,
+    gives the reduced elements ``Z``, ``T - Z C^{-1}`` the residual, and a
+    batched pseudo-inverse of the inverse-CG designs the least-squares
+    cross-check, each gap the largest over the target's multiplicity.  A target
+    that does not occur has no CG block, so its residual is ``max |T_r|``.
     """
     names = [r_label for r_label, _ in targets]
     dims = [d_r for _, d_r in targets]
@@ -108,27 +114,26 @@ def _factorize_targets(tmats: list[np.ndarray], systems: list[CGSystem],
     for i, tmat in enumerate(tmats):
         classes.setdefault(tmat.shape[1], []).append(i)
     residuals = np.empty((len(tmats), len(targets)))
-    gaps = np.full(residuals.shape, np.nan)
-    mults = np.zeros(residuals.shape, dtype=int)
     width = max([1, *(m for system in systems for m in system.multiplicities.values())])
-    reduced = np.zeros((*residuals.shape, width), dtype=complex)
+    found = []
     for members in classes.values():
-        stacked = np.stack([tmats[i] for i in members])
-        block = stacked[:, rows] * valid[..., None]                       # [w, r, l, pair]
-        fwd, inv, mult = _padded_blocks([systems[i] for i in members], names, dims)
-        x = block[:, :, None] @ fwd                                        # [w, r, a, u, v]
-        red = np.trace(x, axis1=3, axis2=4) / np.array(dims)[:, None]      # [w, r, a]
-        design = inv.reshape(*inv.shape[:3], -1)                           # [w, r, a, (l, pair)]
-        flat = block.reshape(*block.shape[:2], -1)
-        occurs = mult > 0
-        lsq = (np.linalg.pinv(design[occurs].swapaxes(1, 2)) @ flat[occurs][..., None])[..., 0]
-        gap = np.full(occurs.shape, np.nan)
-        gap[occurs] = np.abs(lsq - red[occurs]).max(
-            axis=1, initial=0.0, where=np.arange(lsq.shape[1]) < mult[occurs][:, None])
-        residuals[members] = np.abs(flat - (red[:, :, None] @ design)[:, :, 0]).max(axis=2)
-        gaps[members], mults[members] = gap, mult
-        reduced[members, :, :red.shape[2]] = red
-    return residuals, gaps, reduced, mults
+        stacked = np.stack([tmats[i] for i in members])                      # [w, (r, l), pair]
+        residuals[members] = np.maximum.reduceat(np.abs(stacked).max(axis=2), firsts, axis=1)
+        fwd, inv, (w, r, mult) = _padded_blocks([systems[i] for i in members], names, dims)
+        block = stacked[w[:, None], rows[r]] * valid[r, :, None]              # [e, l, pair]
+        red = np.trace(block[:, None] @ fwd, axis1=2, axis2=3) / np.array(dims)[r, None]
+        size = d_max * block.shape[2]
+        design = inv.reshape(len(w), inv.shape[1], size)                      # [e, a, (l, pair)]
+        flat = block.reshape(len(w), size)
+        lsq = (np.linalg.pinv(design.swapaxes(1, 2)) @ flat[..., None])[..., 0]
+        gap = np.abs(lsq - red).max(axis=1, initial=0.0,
+                                    where=np.arange(lsq.shape[1]) < mult[:, None])
+        at = np.asarray(members)[w]
+        residuals[at, r] = np.abs(flat - (red[:, None] @ design)[:, 0]).max(axis=1)
+        found.append((at, r, mult, gap, np.pad(red, ((0, 0), (0, width - red.shape[1])))))
+    at, r, mult, gap, red = map(np.concatenate, zip(*found))
+    order = np.lexsort((r, at))
+    return residuals, at[order], r[order], mult[order], gap[order], red[order]
 
 
 def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
@@ -137,9 +142,12 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     """Factorize the inner-product tensor of one triple: the :func:`_factorize_table`
     report of the one-triple table, titled ``wigner-eckart [side,kind]``.
 
-    Its one check, ``p,q,r``, holds the reconstruction residual and the details
-    ``reduced``, ``cg_order`` and, when r occurs, ``reduced_lstsq_gap``, the gap
-    to a least-squares extraction that cross-checks the closed formula.
+    Its one check holds the reconstruction residual.  When r occurs in the
+    product, it is ``p,q,r`` with details ``reduced``, ``cg_order`` and
+    ``reduced_lstsq_gap``, the gap to a least-squares extraction that
+    cross-checks the closed formula.  When r does not, it is the selection rule
+    ``p,q selection rule``: the residual is ``max |T|``, which the theorem makes
+    zero, with details ``absent`` (1), ``worst`` (r) and ``cg_order``.
     ``system`` is used as the family kind's CG system (:func:`_cg_order`);
     passing the other order is the standard negative control on a
     noncommutative spec, and ``cg_order`` names the system used.  ``f_r`` is
@@ -180,12 +188,15 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     share their targets' labels and dimensions.  ``systems`` holds the CG
     systems keyed by label pair in :func:`_cg_order`; each pair is put in its
     system's order before the call.
-    A report has one check per triple, named ``p,q,r`` (see
-    :func:`_set_names`), in source-major order, with details ``reduced``,
-    ``cg_order`` and, when ``r`` occurs, ``reduced_lstsq_gap``; the targets of
-    one pair that do not occur share one details dict.  The inner
-    products of a table's targets, operators and sources come from one
-    contraction.
+    A report's checks run over the pairs ``(p, q)`` in source-major order (names
+    from :func:`_set_names`).  Each target r that occurs in the pair's CG system
+    has its own check ``p,q,r``, in target order, with details ``reduced``,
+    ``cg_order`` and ``reduced_lstsq_gap``.  The targets that do not occur follow
+    as one check ``p,q selection rule``, emitted when there is one: its
+    residual is the largest of their residuals ``max |T_r|``, bit for bit, and
+    its details are ``absent`` (how many), ``worst`` (the first target of that
+    residual) and ``cg_order``.  The inner products of a table's targets,
+    operators and sources come from one contraction.
     """
     # the closed form's (F^r)^{-1} / tr (F^r)^{-1} is I / tr F^r: F = I, certified on read
     targets = [(bset.corep.label, round(np.trace(bset.corep.F).real)) for bset in tables[0][0]]
@@ -206,23 +217,35 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
             tmats.append(_pair_matrix(tensor[:, fam_rows[k], src_rows[i]], system, kind))
             chosen.append(system)
         counts.append(len(phis) * len(fams))
-    residuals, gaps, reduced, mults = _factorize_targets(tmats, chosen, targets)
+    residuals, at, found_r, mults, gaps, reduced = _factorize_targets(tmats, chosen, targets)
     reports = []
     for (psis, fams, phis, _, title), rows in zip(tables, _stacked_slices(counts)):
-        p_names, q_names, r_names = _set_names(phis), _set_names(fams), _set_names(psis)
-        # one per pair, shared by every target of the pair that does not occur
-        absents = [{"reduced": [], "cg_order": [system.p_label, system.q_label]}
-                   for system in chosen[rows]]
-        occurs = mults[rows].ravel().tolist()
-        # the reduced elements of the targets that occur, in check order
-        values = _reduced_pairs(reduced[rows][np.arange(reduced.shape[2]) < mults[rows, :, None]])
-        details = [{"reduced": values[start:start + count], "cg_order": absent["cg_order"],
-                    "reduced_lstsq_gap": gap} if count else absent
-                   for absent, start, count, gap
-                   in zip((absent for absent in absents for _ in psis),
-                          accumulate(occurs, initial=0), occurs, gaps[rows].ravel().tolist())]
+        r_names = _set_names(psis)
+        pairs = [f"{p},{q}" for p, q in product(_set_names(phis), _set_names(fams))]
+        orders = [[system.p_label, system.q_label] for system in chosen[rows]]
+        # the table's occurring targets, in check order: multiplicities, gaps, reduced elements
+        lo, hi = np.searchsorted(at, [rows.start, rows.stop])
+        occurs = np.zeros((len(pairs), len(psis)), dtype=bool)
+        occurs[at[lo:hi] - rows.start, found_r[lo:hi]] = True
+        found = zip(mults[lo:hi].tolist(), gaps[lo:hi].tolist())
+        values = iter(_reduced_pairs(reduced[lo:hi][np.arange(reduced.shape[1])
+                                                    < mults[lo:hi, None]]))
+        absent, worst, rule = _selection_rules(residuals[rows], occurs)
+        # per pair, each target that occurs, then the selection rule when one does not
+        w, r = np.nonzero(np.column_stack([occurs, absent > 0]))
+        names, details = [], []
+        for pair, target in zip(w.tolist(), r.tolist()):
+            if target < len(psis):
+                count, gap = next(found)
+                names.append(f"{pairs[pair]},{r_names[target]}")
+                details.append({"reduced": list(islice(values, count)),
+                                "cg_order": orders[pair], "reduced_lstsq_gap": gap})
+            else:
+                names.append(f"{pairs[pair]} selection rule")
+                details.append({"absent": int(absent[pair]), "worst": r_names[worst[pair]],
+                                "cg_order": orders[pair]})
         report = Report(title)
-        report.extend([f"{p},{q},{r}" for p, q in product(p_names, q_names) for r in r_names],
-                      residuals[rows], tol * fams[0].algebra.magnitude ** 2, details)
+        report.extend(names, np.column_stack([residuals[rows], rule])[w, r],
+                      tol * fams[0].algebra.magnitude ** 2, details)
         reports.append(report)
     return reports

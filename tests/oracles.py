@@ -579,8 +579,10 @@ def per_pair_cg(pi_p, pi_q, table, h, tol: float = 1e-9):
 
 
 def padded_blocks(systems, labels, dims):
-    """``cg._padded_blocks`` as it looked up each system's multiplicity and first
-    column of every target with ``dict.get``, one entry at a time."""
+    """The padded blocks of ``cg._padded_blocks`` for every (system, target) entry,
+    zero where the target does not occur, and the multiplicity matrix
+    ``mults[w, r]``, each system's multiplicity and first column of every target
+    looked up with ``dict.get``, one entry at a time."""
     mults = np.array([[s.multiplicities.get(r, 0) for r in labels] for s in systems])
     starts = np.array([[s.offsets.get(r, 0) for r in labels] for s in systems])
     dims_arr = np.array(dims)

@@ -2,12 +2,12 @@
 
 C[A4] has twelve 1-dim irreps and each of its 144 products is exactly one of
 them, so 1,584 of the 1,728 projections ``P^r_11`` of one ``solve_cg_systems``
-call are zero, and 6,336 of the 6,912 Wigner-Eckart checks of
+call are zero, and 6,336 of the 6,912 (p, q, r) triples of
 ``cqglab wigner-eckart`` are absent targets.  These guards count the work, not
 its time: the zero maps skip the batched SVD, the absent targets of one pair
-share one details object, and the writer encodes each distinct details object
-once.  Sharing must not leak: every copy of the details a caller gets is its
-own.
+are one selection-rule check, and the writer encodes each distinct details
+object once.  Sharing must not leak: every copy of the details a caller gets
+is its own.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ def test_zero_averaging_maps_skip_the_svd(ca4_grp, monkeypatch):
 
 
 def test_absent_targets_share_one_encoded_details_object(tmp_path, monkeypatch):
-    """The writer encodes at most one details object per occurring target and one
-    per pair: 4 x (144 + 144) = 1,152 for the 6,912 checks of C[A4]."""
+    """The absent targets of a pair share one check, the pair's selection rule, so the
+    6,912 triples of C[A4] are 4 x (144 + 144) = 1,152 checks, and the writer encodes
+    each check's details object once."""
     group = tmp_path / "a4.json"
     cio.save_group(alternating_group_4(), group)
     encoded, make_encoder = [], cio._sort_keys_encoder
@@ -65,9 +66,11 @@ def test_absent_targets_share_one_encoded_details_object(tmp_path, monkeypatch):
     assert cli.main(["wigner-eckart", "--group", str(group), "--construction", "group",
                      "--output", str(out)]) == 0
     checks = [chk for rep in json.loads(out.read_text())["reports"] for chk in rep["checks"]]
-    assert len(checks) == 6912
-    assert sum(not chk["details"]["reduced"] for chk in checks) == 6336
-    assert len(encoded) <= 1152
+    assert len(checks) == 1152
+    rules = [chk for chk in checks if chk["name"].endswith(" selection rule")]
+    assert len(rules) == 576 and sum(chk["details"]["absent"] for chk in rules) == 6336
+    assert all(len(chk["details"]["reduced"]) == 1 for chk in checks if chk not in rules)
+    assert len(encoded) == 1152
 
 
 def test_editing_one_check_leaves_the_others_and_the_bytes(tmp_path):
@@ -77,10 +80,10 @@ def test_editing_one_check_leaves_the_others_and_the_bytes(tmp_path):
     before = [rep.to_dict() for rep in reports]
     out = tmp_path / "before.json"
     cio.save_report("wigner-eckart", reports, 1e-9, 0, {}, out)
-    # two absent targets of one pair: their details are one object in the report
-    first, second, *_ = (i for i, check in enumerate(report.checks)
-                         if check.name.startswith("p0,p0,") and not check.details["reduced"])
-    assert report._details[first] is report._details[second]
+    # a pair's occurring target and its selection rule share the pair's cg_order list
+    first, second = (report.checks.index(report[name]) for name in ("p0,p0,p0",
+                                                                    "p0,p0 selection rule"))
+    assert report._details[first]["cg_order"] is report._details[second]["cg_order"]
     for check in (report.checks[first], report[report.checks[first].name]):
         check.details["reduced"].append([1.0, 0.0])
         check.details["cg_order"][0] = "edited"
@@ -88,7 +91,8 @@ def test_editing_one_check_leaves_the_others_and_the_bytes(tmp_path):
     edited = report.to_dict()
     edited["checks"][first]["details"]["reduced"].append([2.0, 0.0])
     edited["checks"][first]["details"]["cg_order"].append("edited")
-    assert report.checks[second].details == {"reduced": [], "cg_order": ["p0", "p0"]}
+    assert report.checks[second].details == {"absent": 5, "worst": "p1",
+                                              "cg_order": ["p0", "p0"]}
     assert [rep.to_dict() for rep in reports] == before
     again = tmp_path / "after.json"
     cio.save_report("wigner-eckart", reports, 1e-9, 0, {}, again)

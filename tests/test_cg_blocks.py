@@ -194,7 +194,8 @@ def test_coupled_basis_functions_match_loop_oracle(cg_contexts, label, side):
 def test_padded_blocks_match_the_lookup_oracle(contexts, ca4_fun, label):
     """The multiplicity and offset matrices scattered from each system's target rows
     give the padded blocks of the per-entry lookup bit for bit, for all targets, a
-    repeated target (as for two sets of one irrep on a coideal) and an absent one."""
+    repeated target (as for two sets of one irrep on a coideal) and an absent one:
+    the blocks of the occurring entries, in the order of ``np.nonzero(mults)``."""
     ctx = ca4_fun if label == "C(A4)" else contexts[label]
     table = ctx.table
     systems = [ctx.cg(p, q) for p in table.labels for q in table.labels]
@@ -203,6 +204,9 @@ def test_padded_blocks_match_the_lookup_oracle(contexts, ca4_fun, label):
         dims = [table[r].dim if r in table.labels else 2 for r in labels]
         for size in {s.d_p * s.d_q for s in systems}:
             stack = [s for s in systems if s.d_p * s.d_q == size]
-            for got, want in zip(_padded_blocks(stack, labels, dims),
-                                 padded_blocks(stack, labels, dims)):
+            fwd, inv, mults = padded_blocks(stack, labels, dims)
+            w, r = np.nonzero(mults)
+            got_fwd, got_inv, got_entries = _padded_blocks(stack, labels, dims)
+            for got, want in zip((got_fwd, got_inv, *got_entries),
+                                 (fwd[w, r], inv[w, r], w, r, mults[w, r])):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (labels, size)

@@ -192,9 +192,10 @@ def test_homspace_subcommand(tmp_path, s3_files):
                      "--side", "L", "--output", str(out))
     assert result.returncode == 0
     payload = json.loads(out.read_text())
-    dims = {c["name"]: c["details"]["dim"] for r in payload["reports"]
-            for c in r["checks"] if c["name"].startswith("solution dim")}
-    assert dims == {"solution dim p0": 1, "solution dim p1": 0, "solution dim p2": 1}
+    [dims] = [rep for rep in payload["reports"]
+              if rep["title"].startswith("restricted basis functions")]
+    assert dims["meta"] == {"solution_dims": {"p0": 1, "p1": 0, "p2": 1}}
+    assert dims["checks"] == [] and dims["passed"]
 
 
 @pytest.mark.parametrize("side", ["L", "R"])
@@ -340,12 +341,14 @@ def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):
     ordinary = [(q, p) for p, q in product(labels, labels)]
     assert pairs == (ordinary + list(product(labels, labels))) * 2
     assert count == 6
-    # each table is rendered once, as one report of 216 checks
+    # each table is rendered once, as one report of 72 checks: per pair its one
+    # occurring target and the selection rule over the other five
     reports = json.loads(out.read_text())["reports"]
     assert [rep["title"] for rep in reports] == [
         f"wigner-eckart [{side},{kind}]" for side in ("R", "L")
         for kind in ("ordinary", "twisted")]
-    assert all(len(rep["checks"]) == 216 for rep in reports)
+    assert all(len(rep["checks"]) == 72 for rep in reports)
+    assert all(chk["details"]["absent"] == 5 for rep in reports for chk in rep["checks"][1::2])
 
 
 def test_reports_reproducible(tmp_path, s3_files):
@@ -461,14 +464,14 @@ def test_large_report_summary_lists_only_failing_checks():
 
 
 def test_wigner_eckart_stdout_is_bounded_and_output_complete(tmp_path, capsys):
-    """``wigner-eckart`` on C[S3] writes four 216-check reports: stdout has one line per
+    """``wigner-eckart`` on C[S3] writes four 72-check reports: stdout has one line per
     report plus the result, and the JSON file still holds every check."""
     out = tmp_path / "we.json"
     assert cli.main(["wigner-eckart", "--builtin", "C[S3]", "--output", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "RESULT: PASS" and len(lines) == 5
     reports = json.loads(out.read_text())["reports"]
-    assert [len(rep["checks"]) for rep in reports] == [216] * 4
+    assert [len(rep["checks"]) for rep in reports] == [72] * 4
 
 
 def test_csv_format_without_output_is_a_usage_error(capsys):
@@ -492,14 +495,16 @@ def test_unwritable_output_is_a_file_error(tmp_path, capsys, fmt):
 
 
 def test_table_scale_stdout_is_brief_and_lists_failures(tmp_path, capsys, monkeypatch):
-    """``cg`` on C[A4] holds 3,600 checks in 144 reports of 25: past ``SUMMARY_CHECKS``
-    checks in all, each report prints only its verdict line, then its failing checks."""
+    """``cg`` on C[A4] holds 720 checks in 144 reports of 5: past ``SUMMARY_CHECKS``
+    checks in all, each report prints only its verdict line, then its failing checks.
+    Target p0 does not occur in p0 x p1, so its gap of 2.5 is the selection rule of
+    that pair's (p,q) order and of p1 x p0's (q,p) order."""
     cio.save_group(alternating_group_4(), tmp_path / "a4.json")
     argv = ["cg", "--group", str(tmp_path / "a4.json"), "--construction", "group"]
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 145 and lines[-1] == "RESULT: PASS"
-    assert all(" (25 checks, worst residual " in line for line in lines[:-1])
+    assert all(" (5 checks, worst residual " in line for line in lines[:-1])
 
     def one_pair_off(*args):
         gaps = triple_haar_gaps(*args)
@@ -514,3 +519,5 @@ def test_table_scale_stdout_is_brief_and_lists_failures(tmp_path, capsys, monkey
     bad = [line for line in lines if line.startswith("  [BAD] ")]
     assert len(lines) == 147 and lines[-1] == "RESULT: FAIL" and len(bad) == 2
     assert all("residual 2.500e+00" in line for line in bad)
+    assert [line.split(":")[0] for line in bad] == ["  [BAD] selection rule (p,q) order",
+                                                    "  [BAD] selection rule (q,p) order"]

@@ -39,7 +39,7 @@ def _einsum_calls():
 # functions whose einsums the scanner must find; named, not counted, so replacing
 # another einsum by a matrix product does not break the check
 KNOWN_SITES = {("algebra.py", "verify_star_axioms"), ("regular.py", "check_basis_functions"),
-               ("wigner_eckart.py", "_inner_product_tensor")}
+               ("tensor_ops.py", "apply_family_to_basis_functions")}
 
 
 def test_einsum_calls_are_found():

@@ -22,3 +22,13 @@ def test_quick_tour_runs(capsys):
     printed = capsys.readouterr().out.split()
     assert float(printed[-1]) < 1e-9  # the restricted Wigner-Eckart residual on B
     assert namespace["B"].dim == 3
+
+
+def test_readme_schema_line_is_the_writers():
+    """The README's "File formats" list names the report schema ``io.save_report``
+    writes, so a format change cannot leave the documented tag behind."""
+    from cqglab.io import REPORT_SCHEMA
+
+    formats = README.read_text(encoding="utf-8").split("## File formats", 1)[1]
+    formats = formats.split("\n## ", 1)[0]
+    assert re.findall(r"^\* `(cqglab/report-v\d+)`", formats, re.MULTILINE) == [REPORT_SCHEMA]

@@ -1,7 +1,7 @@
 """Reports hold their checks as columns and build ``CheckResult``s only on access.
 
 The columns must render exactly what the per-check ``CheckResult`` rendering in
-``oracles`` renders: the same ``cqglab/report-v1`` bytes and the same stdout, on
+``oracles`` renders: the same ``cqglab/report-v2`` bytes and the same stdout, on
 every ``desk`` and ``fusion`` job of the benchmark (the built-ins, and C(D6) and
 C[A4] relabelled by seed 1).  ``io.save_report`` writes those bytes straight from
 the columns; ``json.dumps`` of ``io.report_payload`` is its reference.  The
@@ -195,11 +195,11 @@ def test_wigner_eckart_builds_check_results_only_on_access(tmp_path, monkeypatch
     assert cli.main([*argv, "--output", str(tmp_path / "we.json")]) == 0
     assert made == [] and added == [] and dicts == []
     reports = run_reports(argv)
-    assert made == [] and [len(rep.to_dict()["checks"]) for rep in reports] == [1728] * 4
+    assert made == [] and [len(rep.to_dict()["checks"]) for rep in reports] == [288] * 4
     checks = reports[0].checks
-    assert len(made) == len(checks) == 1728
+    assert len(made) == len(checks) == 288
     assert reports[1][checks[7].name].name == checks[7].name
-    assert len(made) == 1729
+    assert len(made) == 289
 
 
 def test_extend_rejects_columns_of_different_lengths():

@@ -10,9 +10,14 @@ They write one report per (p, q) pair (``cg``) or per (side, kind), and
 every check in it must match, to 1e-12, the per-triple library call
 (``cg_block_residual``, ``verify_triple_haar``, ``verify_wigner_eckart``,
 the last also on a coideal subalgebra's carrier), and those calls must match
-the per-triple formulas kept in ``oracles``.  C(A4) is here because its 3-dim irrep occurs twice in
-its own square, which exercises the multiplicity axis that the all-1-dim
-group algebras hide; C(D6) has CG targets of two dimensions.
+the per-triple formulas kept in ``oracles``.  The targets that do not occur
+in a pair's CG system (per order in ``cg``) are one selection-rule check,
+whose residual must equal the largest of their per-triple residuals bit for
+bit, so no failing triple can hide in the merge.  C(A4) is here because its
+3-dim irrep occurs twice in its own square, which exercises the multiplicity
+axis that the all-1-dim group algebras hide; C(D6) has CG targets of two
+dimensions; C[A4] is the ``fusion`` group algebra, where 11 of every 12
+targets are absent.
 """
 
 from __future__ import annotations
@@ -41,13 +46,19 @@ KINDS = ("ordinary", "twisted")
 
 
 @pytest.fixture(scope="module")
-def setups(contexts, ca4_fun, tmp_path_factory):
-    """``label -> (context, CLI source arguments)``; C(A4) goes through a spec file."""
-    path = tmp_path_factory.mktemp("specs") / "ca4.json"
-    cio.save_algebra(ca4_fun.algebra, path)
-    return {"C(S3)": (contexts["C(S3)"], ["--builtin", "C(S3)"]),
-            "C[S3]": (contexts["C[S3]"], ["--builtin", "C[S3]"]),
-            "C(A4)": (ca4_fun, ["--algebra", str(path)])}
+def setups(contexts, ca4_fun, ca4_grp, cd6_fun, tmp_path_factory):
+    """``label -> (context, CLI source arguments)``; C(A4), C[A4] and C(D6) go
+    through spec files."""
+    specs = tmp_path_factory.mktemp("specs")
+    out = {label: (contexts[label], ["--builtin", label]) for label in ("C(S3)", "C[S3]", "C(Z4)")}
+    for label, ctx in (("C(A4)", ca4_fun), ("C[A4]", ca4_grp), ("C(D6)", cd6_fun)):
+        path = specs / f"{label}.json"
+        cio.save_algebra(ctx.algebra, path)
+        out[label] = (ctx, ["--algebra", str(path)])
+    return out
+
+
+SETUPS = ["C(S3)", "C[S3]", "C(Z4)", "C(A4)", "C(D6)", "C[A4]"]
 
 
 def cli_reports(tmp_path, command, source, filters=()):
@@ -73,86 +84,126 @@ def assert_close(got, want, where):
 
 
 def assert_same_reports(got: list[dict], want: list[Report]):
+    """Same reports to ``TOL``, and every selection-rule residual bit for bit."""
     assert [rep["title"] for rep in got] == [rep.title for rep in want]
     for rep_got, rep_want in zip(got, want):
         assert_close(rep_got, json.loads(json.dumps(rep_want.to_dict())), rep_want.title)
+        rules = [(chk["residual"], check.residual)
+                 for chk, check in zip(rep_got["checks"], rep_want.checks)
+                 if "selection rule" in check.name]
+        assert all(got_res == want_res for got_res, want_res in rules), (rep_want.title, rules)
+
+
+def selection_rule(absent: list[tuple[str, float]]) -> tuple[float, dict]:
+    """The selection rule over the ``(target, per-triple residual)`` of the targets
+    that do not occur: the largest residual, and the details naming how many there
+    are and the first target of that residual."""
+    worst, residual = max(absent, key=lambda item: item[1])
+    return residual, {"absent": len(absent), "worst": worst}
 
 
 def per_triple_cg(ctx, labels, targets=None) -> list[Report]:
     """The ``cg`` reports, one library call per triple; ``labels`` pick p and q,
     ``targets`` (default all) pick r.  Each pair's report holds its block
-    diagonalization and both orders of every target's triple Haar identity."""
+    diagonalization, both orders of the triple Haar identity of every target
+    that occurs in that order's system, and one selection rule per order over
+    the targets that do not."""
     table, reports = ctx.table, []
     labels = list(dict.fromkeys(labels))
+    tol = 1e-9 * ctx.algebra.magnitude
     for p, q in product(labels, labels):
         sys_pq, sys_qp = ctx.cg(p, q), ctx.cg(q, p)
         head = Report(f"cg [{p} x {q}]", meta={"multiplicities": dict(sys_pq.multiplicities)})
         head.add("block diagonalization", cg_block_residual(sys_pq, table[p], table[q], table),
-                 1e-9 * ctx.algebra.magnitude)
+                 tol)
+        absent = {"p,q": [], "q,p": []}
         for r in targets or table.labels:
             rep = verify_triple_haar(table[p], table[q], table[r], sys_pq, sys_qp, ctx.haar)
             gaps = triple_haar_gaps(table[p], table[q], table[r], sys_pq, sys_qp, ctx.haar)
             assert np.allclose([c.residual for c in rep.checks], gaps, rtol=0, atol=TOL)
             assert [c.name for c in rep.checks] == ["(p,q) order", "(q,p) order"]
-            for check in rep.checks:
-                head.add(f"triple haar {r} {check.name}", check.residual, check.tol)
+            for check, system, order in zip(rep.checks, (sys_pq, sys_qp), absent):
+                if r in system.multiplicities:
+                    head.add(f"triple haar {r} {check.name}", check.residual, check.tol)
+                else:
+                    absent[order].append((r, check.residual))
+        for order, rows in absent.items():
+            if rows:
+                residual, details = selection_rule(rows)
+                head.add(f"selection rule ({order}) order", residual, tol, **details)
         reports.append(head)
     return reports
 
 
 def we_check(psis, fam, phis, system, f_r, gram):
-    """The one check of a one-triple ``verify_wigner_eckart`` report: named
-    ``p,q,r``, with the CG order of ``system`` and a least-squares gap exactly
-    when the target occurs."""
+    """The one check of a one-triple ``verify_wigner_eckart`` report, with the CG
+    order of ``system``: ``p,q,r`` with its reduced elements and least-squares gap
+    when the target occurs, else the pair's selection rule over that one target."""
     rep = verify_wigner_eckart(psis, fam, phis, system, f_r, gram)
     [check] = rep.checks
-    assert check.name == f"{phis.corep.label},{fam.corep.label},{psis.corep.label}"
+    p, q, r = phis.corep.label, fam.corep.label, psis.corep.label
     assert check.details["cg_order"] == [system.p_label, system.q_label]
-    gap = {"reduced_lstsq_gap"} if psis.corep.label in system.multiplicities else set()
-    assert set(check.details) == {"reduced", "cg_order"} | gap
+    if r in system.multiplicities:
+        assert check.name == f"{p},{q},{r}"
+        assert set(check.details) == {"reduced", "cg_order", "reduced_lstsq_gap"}
+    else:
+        assert check.name == f"{p},{q} selection rule"
+        assert check.details == {"absent": 1, "worst": r, "cg_order": check.details["cg_order"]}
     return check
 
 
 def per_triple_we(ctx, p_labels, q_labels, r_labels, sides, kinds):
     """The ``wigner-eckart`` reports, one library call per triple, and the reduced
-    vectors: one report per (side, kind), one check per (p, q, r) in p-major order."""
+    vectors: one report per (side, kind), per (p, q) in p-major order one check per
+    occurring target r and then the pair's selection rule."""
     table, reports, reduced = ctx.table, [], []
     for side, kind in product(sides, kinds):
         rep = Report(f"wigner-eckart [{side},{kind}]")
-        for p, q, r in product(p_labels, q_labels, r_labels):
-            phis = canonical_basis_functions(table[p], side, 0)
-            psis = canonical_basis_functions(table[r], side, 0)
-            fam = multiplication_family(canonical_basis_functions(table[q], side, 0), kind)
+        sets = {label: canonical_basis_functions(table[label], side, 0)
+                for label in {*p_labels, *q_labels, *r_labels}}
+        fams = {q: multiplication_family(sets[q], kind) for q in q_labels}
+        gram = ctx.grams.gram(side)
+        for p, q in product(p_labels, q_labels):
             system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
-            we = we_check(psis, fam, phis, system, table[r].F, ctx.grams.gram(side))
-            want_reduced, want_residual, want_gap = we_closed_form(
-                we_tensor(psis, fam, phis, ctx.grams.gram(side)), system, r, table[r].F, kind)
-            assert np.abs(reduced_elements(we) - want_reduced).max(initial=0.0) <= TOL
-            assert abs(we.residual - want_residual) <= TOL
-            assert (want_gap is None) == ("reduced_lstsq_gap" not in we.details)
-            if want_gap is not None:
+            absent = []
+            for r in r_labels:
+                phis, psis, fam = sets[p], sets[r], fams[q]
+                we = we_check(psis, fam, phis, system, table[r].F, gram)
+                want_reduced, want_residual, want_gap = we_closed_form(
+                    we_tensor(psis, fam, phis, gram), system, r, table[r].F, kind)
+                assert abs(we.residual - want_residual) <= TOL
+                if want_gap is None:
+                    assert len(want_reduced) == 0
+                    absent.append((r, we.residual))
+                    continue
+                assert np.abs(reduced_elements(we) - want_reduced).max(initial=0.0) <= TOL
                 assert abs(we.details["reduced_lstsq_gap"] - want_gap) <= TOL
-            rep.add(f"{p},{q},{r}", we.residual, we.tol, **we.details)
-            reduced.append(reduced_elements(we))
+                rep.add(f"{p},{q},{r}", we.residual, we.tol, **we.details)
+                reduced.append(reduced_elements(we))
+            if absent:
+                residual, details = selection_rule(absent)
+                rep.add(f"{p},{q} selection rule", residual, we.tol, **details,
+                        cg_order=[system.p_label, system.q_label])
         reports.append(rep)
     return reports, reduced
 
 
-@pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(A4)"])
+@pytest.mark.parametrize("label", SETUPS)
 def test_cg_report_matches_per_triple_calls(setups, tmp_path, label):
     ctx, source = setups[label]
-    assert_same_reports(cli_reports(tmp_path, "cg", source),
-                        per_triple_cg(ctx, ctx.table.labels))
+    want = per_triple_cg(ctx, ctx.table.labels)
+    assert_same_reports(cli_reports(tmp_path, "cg", source), want)
+    assert any(check.name.startswith("selection rule") for rep in want for check in rep.checks)
 
 
-@pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(A4)"])
+@pytest.mark.parametrize("label", SETUPS)
 def test_wigner_eckart_report_matches_per_triple_calls(setups, tmp_path, label):
     ctx, source = setups[label]
     labels = ctx.table.labels
     want, reduced = per_triple_we(ctx, labels, labels, labels, ["R", "L"],
                                   ["ordinary", "twisted"])
     assert_same_reports(cli_reports(tmp_path, "wigner-eckart", source), want)
-    assert any(len(values) == 0 for values in reduced)
+    assert any(check.name.endswith("selection rule") for check in want[0].checks)
     assert any(len(values) == 2 for values in reduced) == (label == "C(A4)")
 
 
@@ -184,9 +235,10 @@ def test_filtered_cg_matches_per_triple_calls(setups, tmp_path, label, p, q):
 @pytest.mark.parametrize("side", ["L", "R"])
 def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, subgroup, side):
     """One ``verify_wigner_eckart`` call on B's carrier per (source, family, target)
-    set triple and kind: one report per kind, checks in source-major order over the
-    sets, each named by its irrep label and, where an irrep has several sets (p2 on
-    C(S3) over the trivial subgroup), the set's index."""
+    set triple and kind: one report per kind, pairs in source-major order over the
+    sets, each set named by its irrep label and, where an irrep has several sets (p2
+    on C(S3) over the trivial subgroup), the set's index; per pair the occurring
+    target sets, then the selection rule over the others."""
     ctx = contexts[label]
     table = ctx.table
     coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra,
@@ -198,12 +250,22 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
     want = []
     for kind in ("ordinary", "twisted"):
         rep = Report(f"restricted wigner-eckart [{coideal.label},{kind}]")
-        for (pn, phis), (qn, qset), (rn, psis) in product(named, repeat=3):
-            p, q, r = phis.corep.label, qset.corep.label, psis.corep.label
+        for (pn, phis), (qn, qset) in product(named, repeat=2):
+            p, q = phis.corep.label, qset.corep.label
             system = ctx.cg(q, p) if kind == "ordinary" else ctx.cg(p, q)
-            we = we_check(psis, multiplication_family(qset, kind), phis,
-                          system, table[r].F, np.eye(coideal.dim))
-            rep.add(f"{pn},{qn},{rn}", we.residual, we.tol, **we.details)
+            fam = multiplication_family(qset, kind)
+            absent = []
+            for rn, psis in named:
+                we = we_check(psis, fam, phis, system, table[psis.corep.label].F,
+                              np.eye(coideal.dim))
+                if psis.corep.label in system.multiplicities:
+                    rep.add(f"{pn},{qn},{rn}", we.residual, we.tol, **we.details)
+                else:
+                    absent.append((rn, we.residual))
+            if absent:
+                residual, details = selection_rule(absent)
+                rep.add(f"{pn},{qn} selection rule", residual, we.tol, **details,
+                        cg_order=[system.p_label, system.q_label])
         want.append(rep)
     got = cli_reports(tmp_path, "homspace",
                       ["--builtin", label, "--subgroup", subgroup, "--side", side])

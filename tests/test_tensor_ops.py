@@ -18,8 +18,8 @@ from cqglab.errors import (CqglabError, DecompositionStall, NotACorepresentation
 from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
 from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
-from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, _certify_commutant,
-                               _coaction_stack, apply_family_to_basis_functions,
+from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, _PeterWeyl, _certify_commutant,
+                               _coaction_stack, _route, apply_family_to_basis_functions,
                                check_families, check_family, couple_families,
                                excluded_substitution_residual, family_report,
                                multiplication_family, operator_coaction_components,
@@ -457,7 +457,7 @@ def test_stacked_coaction_matches_per_operator_oracle(request, contexts, label):
     for kind, side in VARIANTS:
         for route in ("constants", "maps"):
             want = np.array([per_operator_coaction(alg, op, kind, side, route) for op in ops])
-            got = _coaction_stack(ctx.table, ops, kind, side, route)
+            got = _coaction_stack(ctx.table, ops, side, _route(ctx.table, kind, side, route))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (kind, side, route)
 
 
@@ -507,6 +507,24 @@ def test_a_coaction_outside_the_blocks_is_refused(cs3_fun, cs3_grp):
     for kind, side in VARIANTS:
         with pytest.raises(PeterWeylFailure, match="outside the Peter-Weyl blocks"):
             check_families(_stack(cs3_grp, kind, side), foreign)
+
+
+def test_operator_coaction_report_builds_each_route_once(cs3_grp, monkeypatch):
+    """The report runs the constants route twice (the components, then the coaction
+    again on them) and the maps route once, but builds each route once: two
+    ``_PeterWeyl.route`` calls per report, not three."""
+    calls, route = [], _PeterWeyl.route
+
+    def counting(self, kind, side, name):
+        calls.append((kind, side, name))
+        return route(self, kind, side, name)
+
+    monkeypatch.setattr(_PeterWeyl, "route", counting)
+    q_op = _random_ops(cs3_grp.algebra, 1, seed=23)[0]
+    for kind, side in VARIANTS:
+        calls.clear()
+        assert operator_coaction_report(cs3_grp.table, q_op, kind, side, 1e-9).passed
+        assert sorted(calls) == [(kind, side, "constants"), (kind, side, "maps")]
 
 
 @pytest.mark.parametrize("which", ["C(A4)", "C(S3)(x)C[S3]"])

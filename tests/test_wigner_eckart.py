@@ -28,15 +28,18 @@ def _setup(ctx, pl, ql, rl, side, kind, q_row=0):
 
 
 def test_zero_tensor_when_fusion_absent(cs3_fun):
-    """sign never appears in trivial x trivial, so the tensor vanishes."""
+    """sign never appears in trivial x trivial, so the tensor vanishes, and the one
+    check is the pair's selection rule over that target: its residual is max |T|."""
     phis, psis, fam, system = _setup(cs3_fun, "p0", "p0", "p1", "R", "ordinary")
     gram = cs3_fun.grams.gram("R")
     rep = verify_wigner_eckart(psis, fam, phis, system, cs3_fun.table["p1"].F, gram)
     assert rep.passed
-    assert np.abs(we_tensor(psis, fam, phis, gram)).max() < 1e-12
+    tensor = we_tensor(psis, fam, phis, gram)
+    assert np.abs(tensor).max() < 1e-12
     [check] = rep.checks
-    assert reduced_elements(check).size == 0
-    assert "reduced_lstsq_gap" not in check.details
+    assert check.name == "p0,p0 selection rule"
+    assert check.details == {"absent": 1, "worst": "p1", "cg_order": ["p0", "p0"]}
+    assert check.residual == np.abs(tensor).max()
 
 
 def test_two_reduced_elements_when_target_repeats(ca4_fun):
