@@ -16,9 +16,8 @@ from .cg import (CGSystem, cg_block_residual, character_orthogonality,
                  tensor_product, verify_triple_haar)
 from .corep import (Corepresentation, IrrepTable, are_equivalent, check_unitary,
                     conjugate_corep, decompose_comodule, doubly_contragredient,
-                    identity_corep, intertwiners, invariant_gram, irrep_table,
-                    is_irreducible, morphism_space, unitarize, verify_corep,
-                    verify_orthogonality)
+                    identity_corep, invariant_gram, irrep_table, is_irreducible,
+                    morphism_space, unitarize, verify_corep, verify_orthogonality)
 from .groups import (GroupTable, all_permutation_group, build_function_algebra,
                      build_group_algebra, builtin_algebras, cyclic_group, symmetric_group_3)
 from .haar import (GramPair, HaarFunctional, certify_haar, gram_matrices,

@@ -216,13 +216,10 @@ def _cmd_homspace(args) -> list[Report]:
     coideal = build_coset_subalgebra(group, spec, subgroup, side, grams)
     reports = [verify_coideal(coideal, args.tolerance)]
     reports.append(restricted_coaction_report(coideal, table.haar, args.tolerance))
-    sets, dims = [], {}  # every set is a target r, a source p and a family q
-    for pi in table:
-        sols = solve_restricted_basis_functions(pi, coideal, table.haar)
-        sets.extend(sols)
-        dims[pi.label] = len(sols)
+    solutions = solve_restricted_basis_functions(coideal, table)
     reports.append(Report(f"restricted basis functions [{coideal.label}]",
-                          meta={"solution_dims": dims}))
+                          meta={"solution_dims": {r: len(s) for r, s in solutions.items()}}))
+    sets = [bset for sols in solutions.values() for bset in sols]  # each a target, source, family
     used = list(dict.fromkeys(bset.corep.label for bset in sets))
     systems = _cg_systems(table, (used, used))
     return reports + _factorize_table(

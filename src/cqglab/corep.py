@@ -38,7 +38,6 @@ __all__ = [
     "identity_corep",
     "verify_corep",
     "check_unitary",
-    "intertwiners",
     "morphism_space",
     "are_equivalent",
     "is_irreducible",
@@ -169,34 +168,6 @@ def _corep_residuals(coreps: list[Corepresentation]) -> list[dict[str, float]]:
     return out
 
 
-def intertwiners(coact_v: np.ndarray, coact_w: np.ndarray, h: LinearFunctional
-                 ) -> list[np.ndarray]:
-    """Basis of ``Hom(V, W) = {Phi : Phi V = W Phi}`` as the range of the Haar average.
-
-    ``coact_v`` (``d_V x d_V x n``) and ``coact_w`` (``d_W x d_W x n``) are in
-    matrix-coefficient form, ``coact[j, k]`` being the coefficient vector of
-    the ``(j, k)`` entry, and ``h`` is the Haar functional.  The averaging map
-    ``P(Phi)[j,k] = sum_{l,m} h(W_jl S(V_mk)) Phi[l,m]`` is idempotent with
-    range ``Hom(V, W)``, so the basis is the range of ``P``: its left singular
-    vectors above the relative cut ``RANK_RCOND * max(sigma_max, 1)``
-    (:func:`_range_basis`).  The nonzero singular values of ``P`` are at
-    least 1, so the cut separates the range from roundoff by orders of
-    magnitude.  For a table irrep ``V``, :func:`_block_diagonalize` reads the
-    space off the paper's projections instead.  Returns ``d_W x d_V``
-    matrices, orthonormal as vectors and phase-fixed as in :func:`_phase_fixed`.
-    """
-    alg = h.algebra
-    dv, dw, n = coact_v.shape[0], coact_w.shape[0], alg.dim
-    size = dw * dv
-    if size == 0:
-        return []
-    s_v = coact_v.reshape(-1, n) @ alg.antipode                    # [(m, k), b]: S(V_mk)
-    avg = coact_w.reshape(-1, n) @ (h.pair @ s_v.T)                # [(j, l), (m, k)]
-    avg = avg.reshape(dw, dw, dv, dv).transpose(0, 3, 1, 2)
-    vecs, _ = _range_basis(avg.reshape(1, size, size), RANK_RCOND)
-    return list(_phase_fixed(vecs).reshape(-1, dw, dv))
-
-
 def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:
     """Orthonormal bases of the column spaces of a stack of square matrices.
 
@@ -204,7 +175,7 @@ def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]
     the left singular vectors of one batched SVD whose singular values are
     above ``rcond * max(sigma_max, 1)``.  The nonzero singular values of an
     idempotent are at least 1, so the cut lies far below its range.  The rows
-    keep LAPACK's phases; each caller fixes the phase of what it returns.  A
+    keep LAPACK's phases; :func:`_block_diagonalize` fixes those of what it returns.  A
     matrix whose Frobenius norm is at most ``rcond / 2`` has ``sigma_max`` below
     the cut, so rank 0, and skips the SVD; each other matrix's SVD does not
     depend on the rest of the stack, so the screen leaves every rank and vector
@@ -274,9 +245,11 @@ def _block_diagonalize(bigs: np.ndarray, names: list[str], table: IrrepTable) ->
     tmats = _phase_fixed(tmats.swapaxes(1, 2).reshape(len(r_of), -1)).reshape(
         len(r_of), size, -1)
     c_mats = tmats.swapaxes(1, 2)[weight > 0].reshape(count, size, size).swapaxes(1, 2)
-    heads = [({label: mult for label, mult in zip(table.labels, row) if mult},
-              [(label, alpha, ell) for label, mult, dim in zip(table.labels, row, dims)
-               for alpha in range(mult) for ell in range(dim)]) for row in counts.tolist()]
+    heads, occurring = [({}, []) for _ in range(count)], np.nonzero(counts)  # occurring only
+    for w, r, mult in zip(*(idx.tolist() for idx in occurring), counts[occurring].tolist()):
+        heads[w][0][table.labels[r]] = mult
+        heads[w][1].extend((table.labels[r], alpha, ell)
+                           for alpha in range(mult) for ell in range(dims[r]))
     sigma = np.linalg.svd(c_mats, compute_uv=False)
     singular = sigma[:, -1] <= 1e-10 * sigma[:, 0]
     if singular.any():
@@ -313,14 +286,32 @@ def _block_residuals(c_mats: np.ndarray, c_invs: np.ndarray, bigs: np.ndarray,
 
 
 def morphism_space(pi_v: Corepresentation, pi_w: Corepresentation,
-                   h: LinearFunctional) -> list[np.ndarray]:
+                   table: IrrepTable) -> list[np.ndarray]:
     """Basis of the intertwiner space ``{Phi : Phi pi_V = pi_W Phi}``.
 
-    Solved by :func:`intertwiners` with the caller's Haar functional ``h``.
-    Returns a list of ``d_W x d_V`` matrices (orthonormal as vectors).
+    :func:`_block_diagonalize` cuts both, one call per size class:
+    ``C_V^{-1} pi_V C_V = sum_r (+) m_r^V pi^r`` and likewise for ``W``.  By
+    Schur the space is spanned by ``C_W[:, (r, alpha)] C_V^{-1}[(r, beta), :]``,
+    one matrix per target ``r``, copy ``alpha`` in ``W`` and copy ``beta`` in
+    ``V``; one QR orthonormalizes them.  Returns ``d_W x d_V`` matrices,
+    orthonormal as vectors and phase-fixed as in :func:`_phase_fixed`.
     """
     _same_spec(pi_v, pi_w)  # equal specs of separate construction are allowed
-    return intertwiners(pi_v.coeffs, pi_w.coeffs, h)
+    _same_spec(pi_v, table)
+    pis, cuts = [pi_v, pi_w], {}
+    for idx, coeffs in _dim_classes(pis).values():
+        cuts.update(zip(idx, _block_diagonalize(coeffs, [pis[i].label for i in idx], table)))
+    (_, c_v_inv, mults_v, index_v, _), (c_w, _, mults_w, index_w, _) = cuts[0], cuts[1]
+    spans = []
+    for label, mult in mults_w.items():
+        dim = table[label].dim  # copy alpha of a target starts at column (label, alpha, 0)
+        cols = [index_w.index((label, alpha, 0)) for alpha in range(mult)]
+        rows = [index_v.index((label, beta, 0)) for beta in range(mults_v.get(label, 0))]
+        spans += [c_w[:, a:a + dim] @ c_v_inv[b:b + dim] for a in cols for b in rows]
+    if not spans:
+        return []
+    q_mat, _ = np.linalg.qr(np.reshape(spans, (len(spans), -1)).T)
+    return list(_phase_fixed(q_mat.T).reshape(-1, pi_w.dim, pi_v.dim))
 
 
 def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation, table: IrrepTable

@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import HopfAlgebraSpec, _freeze
-from .corep import Corepresentation, _gram_basis, _restrict, intertwiners
+from .corep import (Corepresentation, IrrepTable, _gram_basis, _restrict,
+                    decompose_comodule)
 from .errors import CoidealMismatch, PositivityFailure
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, _haar_invariance, _positivity
@@ -197,22 +198,19 @@ def restricted_coaction_report(coideal: CoidealSubalgebra, h: HaarFunctional,
 # basis functions and tensor operators on B
 # ---------------------------------------------------------------------------
 
-def solve_restricted_basis_functions(pi: Corepresentation, coideal: CoidealSubalgebra,
-                                     h: HaarFunctional) -> list[BasisFunctionSet]:
-    """Basis of the space of basis-function tuples for ``pi`` on ``B``'s carrier.
+def solve_restricted_basis_functions(coideal: CoidealSubalgebra, table: IrrepTable
+                                     ) -> dict[str, list[BasisFunctionSet]]:
+    """Bases of the spaces of basis-function tuples on ``B``'s carrier, by table label.
 
-    The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` makes
-    the tuples ``Hom(pi, B)``, solved by :func:`cqglab.corep.intertwiners` with
-    the transposed restricted coaction tensor as ``B``'s matrix coefficients
-    and ``h`` the Haar functional of the algebra; the solution space may be
-    empty (no existence guarantee, unlike the unrestricted case).  Its
-    dimension equals the multiplicity of ``pi`` in the comodule ``B``.
+    The defining relation ``coaction(psi_j) = sum_k psi_k (x) pi_kj`` makes the
+    tuples for ``pi`` the space ``Hom(pi, B)`` (:func:`_hom_bases`), of dimension
+    the multiplicity of ``pi`` in ``B``: it may be empty, unlike the unrestricted case.
     """
     carrier = coideal.carrier
-    basis = intertwiners(pi.coeffs, carrier.coact.transpose(1, 0, 2), h)
-    return [BasisFunctionSet(pi, coideal.side, phi.T,
-                             label=f"res{idx}[{pi.label}|{coideal.label}]", carrier=carrier)
-            for idx, phi in enumerate(basis)]
+    bases = _hom_bases(Corepresentation(coideal.algebra, carrier.coact.transpose(1, 0, 2)), table)
+    return {label: [BasisFunctionSet(table[label], coideal.side, phi.T,
+                                     label=f"res{idx}[{label}|{coideal.label}]", carrier=carrier)
+                    for idx, phi in enumerate(phis)] for label, phis in bases.items()}
 
 
 def canonical_restricted_candidates(pi: Corepresentation,
@@ -235,17 +233,26 @@ def canonical_restricted_candidates(pi: Corepresentation,
     return out
 
 
-def solve_restricted_family(pi: Corepresentation, coideal: CoidealSubalgebra, kind: str,
-                            h: HaarFunctional) -> list[TensorOperatorFamily]:
-    """Basis of the space of families on ``B``'s carrier for one variant.
+def solve_restricted_family(coideal: CoidealSubalgebra, kind: str, table: IrrepTable
+                            ) -> dict[str, list[TensorOperatorFamily]]:
+    """Bases of the spaces of families on ``B``'s carrier for one variant, by table label:
+    ``Hom(pi, End(B))`` (:func:`_hom_bases`) for the restricted operator comodule
+    (:func:`cqglab.tensor_ops.operator_comodule`)."""
+    carrier, b = coideal.carrier, coideal.dim
+    ops = operator_comodule(carrier.coact, coideal.algebra, kind)
+    bases = _hom_bases(Corepresentation(coideal.algebra, ops), table)
+    return {label: [TensorOperatorFamily(table[label], kind, coideal.side,
+                                         phi.T.reshape(-1, b, b), label=f"res-sol{idx}[{label}]",
+                                         carrier=carrier)
+                    for idx, phi in enumerate(phis)] for label, phis in bases.items()}
 
-    The families are ``Hom(pi, End(B))`` for the restricted operator comodule,
-    solved by :func:`cqglab.corep.intertwiners` with ``h``, the Haar
-    functional of the algebra.
-    """
-    carrier = coideal.carrier
-    b, d = coideal.dim, pi.dim
-    basis = intertwiners(pi.coeffs, operator_comodule(carrier.coact, coideal.algebra, kind), h)
-    return [TensorOperatorFamily(pi, kind, coideal.side, phi.T.reshape(d, b, b),
-                                 label=f"res-sol{idx}[{pi.label}]", carrier=carrier)
-            for idx, phi in enumerate(basis)]
+
+def _hom_bases(comodule: Corepresentation, table: IrrepTable) -> dict[str, list[np.ndarray]]:
+    """``Hom(pi^r, W)`` for every table label, ``W`` a comodule on ``B``, from one
+    :func:`cqglab.corep.decompose_comodule`.  ``B``'s ONB makes ``W`` unitary, so its
+    pieces ``[P^r_l1 v]_l / sqrt(d_r)`` are already orthonormal as vectors and
+    phase-fixed."""
+    bases = {label: [] for label in table.labels}
+    for phi, rho in decompose_comodule(comodule, table):
+        bases[rho.label].append(phi)
+    return bases

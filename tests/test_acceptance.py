@@ -272,7 +272,7 @@ def test_criterion_09_operator_products(contexts, cs3_fun):
     s3 = symmetric_group_3()
     for side in ("L", "R"):
         coideal = build_coset_subalgebra(s3, cs3_fun.algebra, [0, 1], side, cs3_fun.grams)
-        sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal, cs3_fun.haar)
+        sets = solve_restricted_basis_functions(coideal, cs3_fun.table)["p2"]
         for kind in ("ordinary", "twisted"):
             fam = multiplication_family(sets[0], kind)
             system = cs3_fun.cg("p2", "p2")
@@ -292,8 +292,7 @@ def test_criterion_10_homogeneous_spaces(cs3_fun):
         assert coideal.dim == 3
         oracle = frobenius_coset_multiplicities([0, 1], side)
         classical_of = {"p0": "trivial", "p1": "sign", "p2": "standard"}
-        sols = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
-                for pi in cs3_fun.table}
+        sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
         dims = {lbl: len(s) for lbl, s in sols.items()}
         assert dims == {lbl: oracle[classical_of[lbl]] for lbl in dims}
         assert [dims["p0"], dims["p1"], dims["p2"]] == [1, 0, 1]

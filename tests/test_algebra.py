@@ -9,11 +9,11 @@ from oracles import opposite_algebra, random_elements, verify_dual_pairing
 
 from cqglab.algebra import (LinearFunctional, _legwise_product, build_dual, verify_hopf_axioms,
                             verify_star_axioms)
-from cqglab.corep import identity_corep, morphism_space
+from cqglab.corep import identity_corep, irrep_table, morphism_space
 from cqglab.errors import DimensionMismatch, InvalidSpec
 from cqglab.groups import all_permutation_group, build_function_algebra, \
     build_group_algebra, cyclic_group, symmetric_group_3
-from cqglab.haar import solve_haar
+from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import product_coaction_check, regular_carrier
 
 
@@ -221,8 +221,10 @@ def test_broken_star_fails_involution():
 def test_dimension_mismatch():
     z2 = build_function_algebra(cyclic_group(2))
     z3 = build_function_algebra(cyclic_group(3))
+    h = solve_haar(z2)
+    table = irrep_table(z2, h, gram_matrices(z2, h).gram_right)
     with pytest.raises(DimensionMismatch):
-        morphism_space(identity_corep(z2), identity_corep(z3), solve_haar(z2))
+        morphism_space(identity_corep(z2), identity_corep(z3), table)
     with pytest.raises(DimensionMismatch):
         LinearFunctional(z2, np.zeros(3))
 

@@ -55,17 +55,17 @@ def test_broken_entry_fails_counit(classical):
 
 
 def test_morphism_space_dimensions(cs3_fun, classical):
-    h = cs3_fun.haar
+    table = cs3_fun.table
     std = classical["standard"]
-    assert len(morphism_space(std, std, h)) == 1
-    assert len(morphism_space(classical["trivial"], classical["sign"], h)) == 0
+    assert len(morphism_space(std, std, table)) == 1
+    assert len(morphism_space(classical["trivial"], classical["sign"], table)) == 0
     alg = std.algebra
     # trivial (+) trivial carries the full 2x2 commutant
     coeffs = np.zeros((2, 2, alg.dim), dtype=complex)
     coeffs[0, 0] = alg.unit
     coeffs[1, 1] = alg.unit
     double = Corepresentation(alg, coeffs, label="triv+triv")
-    assert len(morphism_space(double, double, h)) == 4
+    assert len(morphism_space(double, double, table)) == 4
 
 
 def test_doubly_contragredient_and_conjugate(classical, cs3_grp):
@@ -195,7 +195,7 @@ def test_equivalence_witness_when_no_basis_element_is_invertible(cs3_fun):
     """Hom(V, W) has no invertible basis element here, so the witness must combine
     pieces: it has full rank and intertwines."""
     for pi_v, pi_w in _s3_equivalent_pairs(cs3_fun.table):
-        basis = morphism_space(pi_v, pi_w, cs3_fun.haar)
+        basis = morphism_space(pi_v, pi_w, cs3_fun.table)
         assert all(np.linalg.matrix_rank(phi, tol=1e-9) < pi_v.dim for phi in basis)
         phi = are_equivalent(pi_v, pi_w, cs3_fun.table)
         assert np.linalg.matrix_rank(phi, tol=1e-9) == pi_v.dim, pi_w.label
@@ -256,7 +256,7 @@ def test_character_certificate_matches_the_commutant(contexts):
         table, h = ctx.table, ctx.haar
         coreps = [*table, _direct_sum(table[0], table[-1]), _direct_sum(table[-1], table[-1])]
         for pi in coreps:
-            assert is_irreducible(pi, h) == (len(morphism_space(pi, pi, h)) == 1), (
+            assert is_irreducible(pi, h) == (len(morphism_space(pi, pi, table)) == 1), (
                 label, pi.label)
         assert [is_irreducible(pi, h) for pi in coreps] == [True] * len(table) + [False, False]
 

@@ -3,13 +3,14 @@
 Once the table exists, every comodule is cut by ``corep._block_diagonalize``,
 which reads ``Hom(pi^r, V)`` for the table's irreps off the paper's projections
 ``P^r_l1`` of ``V`` (the range of the ``d_V x d_V`` map ``P^r_11``, lifted);
-the CG systems, ``decompose_comodule`` and ``are_equivalent`` all reach it.  So
-no function of the package solves a whole commutant ``End(V)`` (a
-``morphism_space`` or ``intertwiners`` call with one comodule as both
-arguments, ``d_V^2`` unknowns), the commutant eigensplit ``_split`` serves the
-table alone, and the table's projection factor (a cached property, so a read
-rather than a call) is read by the engine alone.
-The guard stops CG and decomposition from forking again.
+the CG systems, ``decompose_comodule``, ``are_equivalent``, ``morphism_space``
+and the restricted basis-function and family solvers all reach it.  So the
+range of an idempotent is taken there alone (``_range_basis`` has that one
+caller: no second idempotent, such as the Haar average on ``Hom(V, W)``, comes
+back), the commutant eigensplit ``_split`` serves the table alone, and the
+table's projection factor (a cached property, so a read rather than a call) is
+read by the engine alone.  The guard stops CG and decomposition from forking
+again.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 CALLERS = {"_split": {"corep.irrep_table"},
-           "_projection_factor": {"corep._block_diagonalize"}}
-SOLVERS = {"morphism_space", "intertwiners"}
+           "_projection_factor": {"corep._block_diagonalize"},
+           "_range_basis": {"corep._block_diagonalize"}}
 
 
 def _called(node: ast.Call | ast.Attribute) -> str | None:
@@ -56,33 +57,32 @@ def _package_calls():
             yield where, f"{path.name}:{call.lineno}", call
 
 
-def _whole_commutant_solves(calls):
-    """``file:line`` of each solver call whose first two arguments are one expression."""
-    return [line for _, line, call in calls
-            if _called(call) in SOLVERS and len(call.args) >= 2
-            and ast.dump(call.args[0]) == ast.dump(call.args[1])]
+def _offenders(calls) -> list[str]:
+    """Each guarded call or read outside its one allowed function."""
+    return [f"{line} {_called(call)} in {where}" for where, line, call in calls
+            if _called(call) in CALLERS and where not in CALLERS[_called(call)]]
 
 
 def test_guarded_calls_are_found():
     called = [_called(call) for _, _, call in _package_calls()]
-    for name in [*CALLERS, "intertwiners"]:  # morphism_space has no caller in the package
+    for name in CALLERS:
         assert name in called, name
 
 
-def test_a_whole_commutant_solve_is_recognized():
-    snippet = ("def f(pi, h):\n    return morphism_space(pi, pi, h)\n"
-               "def g(pi, h):\n    return corep.intertwiners(pi.coeffs, pi.coeffs, h)\n"
-               "def k(pi, rho, h):\n    return intertwiners(rho.coeffs, pi.coeffs, h)\n")
+def test_a_stray_range_basis_call_is_recognized():
+    snippet = ("def _block_diagonalize(bigs):\n    return _range_basis(bigs, 1e-9)\n"
+               "def intertwiners(avg):\n    return _range_basis(avg, 1e-9)\n")
     calls = [(where, f"snippet:{call.lineno}", call)
-             for where, call in _calls(ast.parse(snippet), "snippet")]
-    assert _whole_commutant_solves(calls) == ["snippet:2", "snippet:4"]
+             for where, call in _calls(ast.parse(snippet), "corep")]
+    assert _offenders(calls) == ["snippet:4 _range_basis in corep.intertwiners"]
 
 
-def test_no_function_solves_a_whole_commutant():
-    assert _whole_commutant_solves(_package_calls()) == []
+def test_range_basis_has_one_caller():
+    """The engine is the one place the range of an idempotent is taken."""
+    callers = {where for where, _, call in _package_calls() if _called(call) == "_range_basis"}
+    assert callers == {"corep._block_diagonalize"}
 
 
 def test_split_and_the_projection_factor_keep_their_callers():
-    offenders = [f"{line} {_called(call)} in {where}" for where, line, call in _package_calls()
-                 if _called(call) in CALLERS and where not in CALLERS[_called(call)]]
-    assert offenders == []
+    """Every guarded name (``_range_basis`` too) is called or read by its one function."""
+    assert _offenders(_package_calls()) == []

@@ -7,15 +7,16 @@ here with its reason.
 * Cholesky: the factor of an invariant inner product is taken in
   ``corep._gram_basis`` alone; the start of the commutant split, ``unitarize``
   and the coideal's orthonormal basis all read it from there.
-* SVD: the antipode's invertibility, the range of an intertwiner average, the
-  conditioning of every block-diagonalizing ``C`` (CG systems and comodule
-  decompositions alike), the conditioning of a table's Peter-Weyl basis and
-  the rank of the family stack.  ``matrix_rank``
+* SVD: the antipode's invertibility, the range of each projection ``P^r_11``
+  of the decomposition engine, the conditioning of every block-diagonalizing
+  ``C`` (CG systems and comodule decompositions alike), the conditioning of a
+  table's Peter-Weyl basis and the rank of the family stack.  ``matrix_rank``
   and ``pinv`` are SVDs too: the span of the coupled products and the
   least-squares cross-check of the Wigner-Eckart reduced elements.  ``lstsq``
   is one as well and has no home.
-* QR: the coideal's standard projector and the family stack's orthonormal
-  columns.
+* QR: the coideal's standard projector, the family stack's orthonormal
+  columns and the orthonormal basis of ``Hom(V, W)`` that ``morphism_space``
+  spans from two block-diagonalizing ``C``.
 * Eigendecompositions: the commutant split of ``irrep_table`` (``eigh``) and
   the positivity check of a Gram matrix (``eigvalsh``); general ``eig`` and
   ``eigvals`` have no home.
@@ -38,7 +39,7 @@ HOMES = {
     "matrix_rank": {"cg.coupled_basis_functions"},
     "pinv": {"wigner_eckart._factorize_targets"},
     "lstsq": set(),
-    "qr": {"homspace.verify_coideal", "tensor_ops.solve_family_space"},
+    "qr": {"corep.morphism_space", "homspace.verify_coideal", "tensor_ops.solve_family_space"},
     "eigh": {"corep._split"},
     "eigvalsh": {"haar._positivity"},
     "eig": set(),

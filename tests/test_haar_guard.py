@@ -2,7 +2,7 @@
 
 Every construction of the package is derived from the one Haar functional
 ``h``, so every library function that needs it takes it, as
-``corep.intertwiners`` does, or reads its table's (``IrrepTable.haar``), as
+``corep.invariant_gram`` does, or reads its table's (``IrrepTable.haar``), as
 ``cg.solve_cg_systems`` does.  Only the command-line frontend, which owns a run
 from start to end, calls ``haar.solve_haar``; a call anywhere else would solve
 the same ``h`` again inside a run.

@@ -138,11 +138,10 @@ def test_restricted_basis_function_dimensions(coset_ctx, cs3_fun):
     oracle = frobenius_coset_multiplicities(SUBGROUP, side)
     classical_of = {"p0": "trivial", "p1": "sign", "p2": "standard"}
     dims = {}
-    for pi in cs3_fun.table:
-        sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
+    for label, sols in solve_restricted_basis_functions(coideal, cs3_fun.table).items():
         for s in sols:
             assert check_basis_functions(s) < 1e-9
-        dims[pi.label] = len(sols)
+        dims[label] = len(sols)
     assert dims == {lbl: oracle[classical_of[lbl]] for lbl in dims}
     assert [dims["p0"], dims["p1"], dims["p2"]] == [1, 0, 1]
 
@@ -151,20 +150,19 @@ def test_full_span_reduces_to_unrestricted(cs3_fun):
     for side in ("L", "R"):
         coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side,
                                    cs3_fun.grams)
+        sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
         for pi in cs3_fun.table:
-            sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
             # unrestricted: one tuple per matrix-coefficient row = d_p
-            assert len(sols) == pi.dim
+            assert len(sols[pi.label]) == pi.dim
 
 
 def test_point_space_has_no_nontrivial_functions(cs3_fun):
     for side in ("L", "R"):
         coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side,
                                          cs3_fun.grams)
-        std = cs3_fun.table["p2"]
-        assert solve_restricted_basis_functions(std, coideal, cs3_fun.haar) == []
-        triv = cs3_fun.table["p0"]
-        assert len(solve_restricted_basis_functions(triv, coideal, cs3_fun.haar)) == 1
+        sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
+        assert sols["p2"] == []
+        assert len(sols["p0"]) == 1
 
 
 def test_canonical_candidates_only_for_trivial(coset_ctx, cs3_fun):
@@ -185,8 +183,8 @@ def test_identity_family_all_variants(coset_ctx, cs3_fun):
 
 def test_restricted_multiplication_families(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    for pi in cs3_fun.table:
-        for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.haar):
+    for sols in solve_restricted_basis_functions(coideal, cs3_fun.table).values():
+        for bset in sols:
             for kind in ("ordinary", "twisted"):
                 fam = multiplication_family(bset, kind)
                 assert check_family(fam, cs3_fun.table) < 1e-10
@@ -194,17 +192,15 @@ def test_restricted_multiplication_families(coset_ctx, cs3_fun):
 
 def test_zero_family_space_on_point_space(cs3_fun):
     coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), "L", cs3_fun.grams)
-    std = cs3_fun.table["p2"]
     for kind in ("ordinary", "twisted"):
-        sols = solve_restricted_family(std, coideal, kind, cs3_fun.haar)
-        assert sols == []
+        assert solve_restricted_family(coideal, kind, cs3_fun.table)["p2"] == []
 
 
 def test_solved_restricted_families_pass(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    for pi in cs3_fun.table:
-        for kind in ("ordinary", "twisted"):
-            for fam in solve_restricted_family(pi, coideal, kind, cs3_fun.haar):
+    for kind in ("ordinary", "twisted"):
+        for fams in solve_restricted_family(coideal, kind, cs3_fun.table).values():
+            for fam in fams:
                 assert check_family(fam, cs3_fun.table) < 1e-9
 
 
@@ -217,9 +213,10 @@ def test_restricted_family_residual_matches_per_operator_loop(coset_ctx, cs3_fun
     alg, b = cs3_fun.algebra, coideal.dim
     coact = coideal.carrier.coact
     rng = np.random.default_rng(5)
+    solutions = solve_restricted_family(coideal, kind, cs3_fun.table)
     for pi in cs3_fun.table:
         noise = rng.standard_normal((pi.dim, b, b)) + 1j * rng.standard_normal((pi.dim, b, b))
-        fams = solve_restricted_family(pi, coideal, kind, cs3_fun.haar)
+        fams = solutions[pi.label]
         noisy = TensorOperatorFamily(pi, kind, side, noise,
                                      carrier=coideal.carrier)
         for fam in fams + [noisy]:
@@ -233,7 +230,7 @@ def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
     """``check_family`` runs the structure-map route on a coideal carrier, so
     ``family_report`` certifies families on ``B``; a coideal fixes the side."""
     side, coideal = coset_ctx
-    fams = solve_restricted_family(cs3_fun.table["p0"], coideal, "ordinary", cs3_fun.haar)
+    fams = solve_restricted_family(coideal, "ordinary", cs3_fun.table)["p0"]
     assert fams
     for fam in fams:
         report = family_report(fam, cs3_fun.table)
@@ -245,9 +242,7 @@ def test_family_report_on_b_and_side_override_refused(coset_ctx, cs3_fun):
 
 def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
-                 for pi in cs3_fun.table}
-    std_sets = solutions["p2"]
+    std_sets = solve_restricted_basis_functions(coideal, cs3_fun.table)["p2"]
     assert len(std_sets) == 1
     psis = phis = std_sets[0]
     for kind in ("ordinary", "twisted"):
@@ -262,8 +257,7 @@ def test_restricted_wigner_eckart(coset_ctx, cs3_fun):
 
 def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    solutions = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
-                 for pi in cs3_fun.table}
+    solutions = solve_restricted_basis_functions(coideal, cs3_fun.table)
     triv = solutions["p0"][0]
     std = solutions["p2"][0]
     fam = multiplication_family(triv, "ordinary")
@@ -276,7 +270,7 @@ def test_restricted_we_zero_multiplicity(coset_ctx, cs3_fun):
 
 def test_restricted_coupling(coset_ctx, cs3_fun):
     side, coideal = coset_ctx
-    std_sets = solve_restricted_basis_functions(cs3_fun.table["p2"], coideal, cs3_fun.haar)
+    std_sets = solve_restricted_basis_functions(coideal, cs3_fun.table)["p2"]
     for kind in ("ordinary", "twisted"):
         fam = multiplication_family(std_sets[0], kind)
         system = cs3_fun.cg("p2", "p2")
@@ -316,8 +310,7 @@ def test_restricted_orthogonality_matches_unrestricted_statements(coset_ctx, cs3
     cross-irrep inner products vanish and diagonal values are j-independent."""
     from cqglab.regular import basis_function_orthogonality
     side, coideal = coset_ctx
-    sols = {pi.label: solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
-            for pi in cs3_fun.table}
+    sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
     triv = BasisFunctionSet(cs3_fun.table["p0"], side, coideal.embed(sols["p0"][0].functions))
     std = BasisFunctionSet(cs3_fun.table["p2"], side, coideal.embed(sols["p2"][0].functions))
     cross = basis_function_orthogonality(triv, std, cs3_fun.grams.gram(side), 1e-10)
@@ -334,8 +327,8 @@ def test_orthogonality_and_coupling_on_b_carrier(cs3_fun, subgroup):
     table, grams = cs3_fun.table, cs3_fun.grams
     for side in ("L", "R"):
         coideal = build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, side, grams)
-        sets = [bset for pi in table
-                for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)]
+        sets = [bset for sols in solve_restricted_basis_functions(coideal, table).values()
+                for bset in sols]
         assert [bset.corep.label for bset in sets].count("p2") == (1 if subgroup == SUBGROUP
                                                                    else 2)
         for set_a, set_b in product(sets, repeat=2):

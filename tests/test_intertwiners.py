@@ -8,8 +8,9 @@ of ``W``.  For an operator space ``End(B) = B (x) B^*`` the character is
 
 The spaces themselves are checked against :func:`oracles.kronecker_intertwiners`,
 which solves ``Phi V = W Phi`` as a tall linear system without ``h``, and
-against :func:`oracles.svd_intertwiners`, the nullspace of ``I - P`` by a full
-SVD, where the solver takes the range of ``P``.  A spec that is not a
+against :func:`oracles.svd_intertwiners`, the nullspace of ``I - P`` for the
+Haar average ``P`` on ``Hom(V, W)`` by a full SVD, where the package reads every
+space off the paper's projections ``P^r_11`` instead.  A spec that is not a
 CQG algebra (Sweedler's) is out of scope and must say so with a
 ``CqglabError``.
 """
@@ -21,6 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import dihedral_group
 from oracles import (haar_average, kronecker_intertwiners, per_pair_cg, svd_intertwiners,
                      sweedler_algebra)
 
@@ -67,7 +69,7 @@ def test_morphism_space_matches_character_count(contexts):
         for pi_v in ctx.table:
             for pi_w in ctx.table:
                 chi_w = np.einsum("jjm->m", pi_w.coeffs)
-                assert len(morphism_space(pi_v, pi_w, ctx.haar)) == _hom_count(
+                assert len(morphism_space(pi_v, pi_w, ctx.table)) == _hom_count(
                     ctx.haar, chi_w, pi_v), (label, pi_v.label, pi_w.label)
 
 
@@ -88,14 +90,15 @@ def test_restricted_spaces_match_character_count(cs3_fun, subgroup, side):
     alg, grams = cs3_fun.algebra, cs3_fun.grams
     coideal = build_coset_subalgebra(S3, alg, subgroup, side, grams)
     chi_b = np.einsum("iim->m", coideal.carrier.coact)
+    sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
+    fams = {kind: solve_restricted_family(coideal, kind, cs3_fun.table)
+            for kind in ("ordinary", "twisted")}
+    assert list(sols) == list(cs3_fun.table.labels)
     for pi in cs3_fun.table:
-        expected = _hom_count(cs3_fun.haar, chi_b, pi)
-        sols = solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)
-        assert len(sols) == expected, pi.label
-        for kind in ("ordinary", "twisted"):
+        assert len(sols[pi.label]) == _hom_count(cs3_fun.haar, chi_b, pi), pi.label
+        for kind, spaces in fams.items():
             expected = _hom_count(cs3_fun.haar, _operator_character(alg, chi_b, kind), pi)
-            assert len(solve_restricted_family(pi, coideal, kind, cs3_fun.haar)) == expected, (
-                pi.label, kind)
+            assert len(spaces[pi.label]) == expected, (pi.label, kind)
 
 
 def _fingerprints(table):
@@ -148,7 +151,7 @@ def test_morphism_space_matches_kronecker_oracle(contexts):
     for label, ctx in contexts.items():
         for pi_v in ctx.table:
             for pi_w in ctx.table:
-                _assert_same_span(morphism_space(pi_v, pi_w, ctx.haar),
+                _assert_same_span(morphism_space(pi_v, pi_w, ctx.table),
                                   kronecker_intertwiners(pi_v.coeffs, pi_w.coeffs),
                                   (label, pi_v.label, pi_w.label))
 
@@ -168,22 +171,53 @@ def test_cg_blocks_match_kronecker_oracle(contexts, label):
                                   (label, p, q, target.label))
 
 
-@pytest.mark.parametrize("side", ["L", "R"])
-def test_restricted_spaces_match_kronecker_oracle(cs3_fun, side):
-    alg, grams = cs3_fun.algebra, cs3_fun.grams
-    coideal = build_coset_subalgebra(S3, alg, [0, 1], side, grams)
-    coact = coideal.carrier.coact
+# (fixture, group, subgroup): C(S3)/{e, (01)}, C(D6)/{e, reflection} and
+# C(S4)/{e, (23)}, where p4 occurs twice in B
+RESTRICTED_BEDS = {"C(S3)": ("cs3_fun", symmetric_group_3, [0, 1]),
+                   "C(D6)": ("cd6_fun", lambda: dihedral_group(6), [0, 1]),
+                   "C(S4)": ("cs4_fun", lambda: all_permutation_group(4), [0, 1])}
+
+
+def _restricted_spaces(request, bed, side):
+    """The bed's context and coideal, its restricted basis-function spaces as ``b x d``
+    matrices and its families of each kind as ``b^2 x d`` matrices, by table label."""
+    fixture, group, subgroup = RESTRICTED_BEDS[bed]
+    ctx = request.getfixturevalue(fixture)
+    coideal = build_coset_subalgebra(group(), ctx.algebra, subgroup, side, ctx.grams)
     b = coideal.dim
-    for pi in cs3_fun.table:
-        ours = [bset.functions.T
-                for bset in solve_restricted_basis_functions(pi, coideal, cs3_fun.haar)]
-        _assert_same_span(ours, kronecker_intertwiners(pi.coeffs, coact.transpose(1, 0, 2)),
-                          (side, pi.label))
-        for kind in ("ordinary", "twisted"):
-            ours = [fam.operators.reshape(pi.dim, b * b).T
-                    for fam in solve_restricted_family(pi, coideal, kind, cs3_fun.haar)]
-            oracle = kronecker_intertwiners(pi.coeffs, operator_comodule(coact, alg, kind))
-            _assert_same_span(ours, oracle, (side, pi.label, kind))
+    spaces = {"B": {label: [bset.functions.T for bset in sets] for label, sets in
+                    solve_restricted_basis_functions(coideal, ctx.table).items()}}
+    for kind in ("ordinary", "twisted"):
+        families = solve_restricted_family(coideal, kind, ctx.table)
+        spaces[kind] = {label: [fam.operators.reshape(-1, b * b).T for fam in fams]
+                        for label, fams in families.items()}
+    return ctx, coideal, spaces
+
+
+def _restricted_comodules(coideal):
+    """``B``'s comodule and its operator comodule of each kind, as coaction tensors."""
+    coact = coideal.carrier.coact
+    return {"B": coact.transpose(1, 0, 2),
+            **{kind: operator_comodule(coact, coideal.algebra, kind)
+               for kind in ("ordinary", "twisted")}}
+
+
+def _bed_sides(skip=()):
+    """``(bed, side)`` parameters, C(S3)'s named by the side alone."""
+    return [pytest.param(bed, side, id=side if bed == "C(S3)" else f"{bed}-{side}")
+            for bed in RESTRICTED_BEDS for side in "LR" if (bed, side) not in skip]
+
+
+# C(S4)'s tall systems take about 6 s a side, so its side R meets the SVD oracle alone
+@pytest.mark.parametrize("bed,side", _bed_sides(skip=[("C(S4)", "R")]))
+def test_restricted_spaces_match_kronecker_oracle(request, bed, side):
+    ctx, coideal, spaces = _restricted_spaces(request, bed, side)
+    for space, comodule in _restricted_comodules(coideal).items():
+        assert list(spaces[space]) == list(ctx.table.labels)
+        for pi in ctx.table:
+            _assert_same_span(spaces[space][pi.label],
+                              kronecker_intertwiners(pi.coeffs, comodule),
+                              (bed, side, space, pi.label))
 
 
 @pytest.mark.parametrize("kind,side", VARIANTS)
@@ -289,6 +323,13 @@ def test_non_unitary_decomposition_spans_match_svd_oracle(contexts):
         assert len(ours) == round(np.trace(haar_average(target.coeffs, pi.coeffs, h)).real)
         _assert_same_span(_orthonormal(ours), svd_intertwiners(target.coeffs, pi.coeffs, h),
                           target.label)
+    # Hom between the skewed comodule and each irrep, both ways, and its commutant
+    # (1 + 2^2 = 5 dimensions): orthonormal, spanning what the full SVD gives
+    for pi_v, pi_w in [*((target, pi) for target in table), *((pi, target) for target in table),
+                       (pi, pi)]:
+        _assert_matches_svd_oracle(morphism_space(pi_v, pi_w, table), pi_v.coeffs,
+                                   pi_w.coeffs, h, (pi_v.label, pi_w.label))
+    assert len(morphism_space(pi, pi, table)) == 5
 
 
 def _family_case(ctx, kind, side, pi):
@@ -312,25 +353,20 @@ def test_large_family_space_matches_svd_oracle(ca4_fun):
     _family_case(ca4_fun, "ordinary", "R", next(pi for pi in ca4_fun.table if pi.dim == 3))
 
 
-@pytest.mark.parametrize("side", ["L", "R"])
-def test_restricted_spaces_match_svd_oracle(cs3_fun, side):
-    alg, grams, h = cs3_fun.algebra, cs3_fun.grams, cs3_fun.haar
-    coideal = build_coset_subalgebra(S3, alg, [0, 1], side, grams)
-    coact = coideal.carrier.coact
-    b = coideal.dim
-    for pi in cs3_fun.table:
-        ours, again = ([bset.functions.T for bset in solve_restricted_basis_functions(
-            pi, coideal, cs3_fun.haar)] for _ in range(2))
-        _assert_bit_identical(ours, again, (side, pi.label))
-        _assert_matches_svd_oracle(ours, pi.coeffs, coact.transpose(1, 0, 2), h,
-                                   (side, pi.label))
-        for kind in ("ordinary", "twisted"):
-            ours, again = ([fam.operators.reshape(pi.dim, b * b).T for fam in
-                            solve_restricted_family(pi, coideal, kind, cs3_fun.haar)]
-                           for _ in range(2))
-            _assert_bit_identical(ours, again, (side, pi.label, kind))
-            _assert_matches_svd_oracle(ours, pi.coeffs, operator_comodule(coact, alg, kind),
-                                       h, (side, pi.label, kind))
+@pytest.mark.parametrize("bed,side", _bed_sides())
+def test_restricted_spaces_match_svd_oracle(request, bed, side):
+    """Every restricted basis-function and family space, bit-identical on a second run
+    and spanning what the full SVD of ``I - P`` gives; C(S4)'s B holds p4 twice."""
+    ctx, coideal, spaces = _restricted_spaces(request, bed, side)
+    again = _restricted_spaces(request, bed, side)[2]
+    if bed == "C(S4)":
+        assert len(spaces["B"]["p4"]) == 2
+    for space, comodule in _restricted_comodules(coideal).items():
+        for pi in ctx.table:
+            what = (bed, side, space, pi.label)
+            ours = spaces[space][pi.label]
+            _assert_bit_identical(ours, again[space][pi.label], what)
+            _assert_matches_svd_oracle(ours, pi.coeffs, comodule, ctx.haar, what)
 
 
 class _Proxy:
@@ -386,11 +422,8 @@ def test_cg_systems_take_one_svd_per_class(request, fixture, monkeypatch):
         assert len(calls) == 144 * 13
 
 
-def test_cg_systems_take_no_svd_larger_than_the_product(ca4_fun, monkeypatch):
-    """No SVD reached from ``corep._block_diagonalize`` sees a matrix larger than
-    ``d_V x d_V``: 9 x 9 on C(A4)'s 3 (x) 3, where the averaging map of the
-    3-dim target is 27 x 27."""
-    table = ca4_fun.table
+def _svd_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the matrices of every SVD taken in ``cqglab.corep`` from now on."""
     shapes = []
 
     def recording(a, *args, **kw):
@@ -398,6 +431,15 @@ def test_cg_systems_take_no_svd_larger_than_the_product(ca4_fun, monkeypatch):
         return np.linalg.svd(a, *args, **kw)
 
     monkeypatch.setattr(corep, "np", _Proxy(np, linalg=_Proxy(np.linalg, svd=recording)))
+    return shapes
+
+
+def test_cg_systems_take_no_svd_larger_than_the_product(ca4_fun, monkeypatch):
+    """No SVD reached from ``corep._block_diagonalize`` sees a matrix larger than
+    ``d_V x d_V``: 9 x 9 on C(A4)'s 3 (x) 3, where the averaging map of the
+    3-dim target is 27 x 27."""
+    table = ca4_fun.table
+    shapes = _svd_shapes(monkeypatch)
     for p in table:
         for q in table:
             shapes.clear()
@@ -407,6 +449,22 @@ def test_cg_systems_take_no_svd_larger_than_the_product(ca4_fun, monkeypatch):
     assert (9, 9) in shapes
     solve_cg_systems(table, table, table)
     assert max(max(shape) for shape in shapes) == 9
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_restricted_spaces_take_no_svd_larger_than_the_comodule(cs3_fun, monkeypatch, side):
+    """The restricted solvers' SVDs are ``b x b`` for basis functions and ``b^2 x b^2``
+    for families on C(S3)/{e, (01)} (b = 3), where the averaging maps of the 2-dim
+    irrep are ``d b = 6`` and ``d b^2 = 18`` square."""
+    coideal = build_coset_subalgebra(S3, cs3_fun.algebra, [0, 1], side, cs3_fun.grams)
+    b = coideal.dim
+    shapes = _svd_shapes(monkeypatch)
+    assert len(solve_restricted_basis_functions(coideal, cs3_fun.table)["p2"]) == 1
+    assert shapes and all(shape == (b, b) for shape in shapes), shapes
+    for kind in ("ordinary", "twisted"):
+        shapes.clear()
+        assert len(solve_restricted_family(coideal, kind, cs3_fun.table)["p2"]) == 3
+        assert shapes and all(shape == (b * b, b * b) for shape in shapes), (kind, shapes)
 
 
 def test_n24_family_space_is_the_range_of_the_average():

@@ -31,7 +31,6 @@ import pytest
 from cqglab import cli
 from cqglab import io as cio
 from cqglab.cg import cg_block_residual, solve_cg_systems, tensor_product, verify_triple_haar
-from cqglab.corep import intertwiners
 from cqglab.groups import _BUILTINS
 from cqglab.homspace import build_coset_subalgebra, solve_restricted_basis_functions
 from cqglab.regular import canonical_basis_functions
@@ -39,7 +38,8 @@ from cqglab.report import Report
 from cqglab.tensor_ops import multiplication_family
 from cqglab.wigner_eckart import _factorize_table, verify_wigner_eckart, we_tensor
 
-from oracles import kronecker_intertwiners, reduced_elements, triple_haar_gaps, we_closed_form
+from oracles import (kronecker_intertwiners, reduced_elements, svd_intertwiners, triple_haar_gaps,
+                     we_closed_form)
 
 TOL = 1e-12
 KINDS = ("ordinary", "twisted")
@@ -243,9 +243,8 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
     table = ctx.table
     coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra,
                                      [int(g) for g in subgroup.split(",")], side, ctx.grams)
-    named = [(pi.label if len(sols) == 1 else f"{pi.label}#{i}", bset)
-             for pi in table
-             for sols in [solve_restricted_basis_functions(pi, coideal, ctx.haar)]
+    named = [(label if len(sols) == 1 else f"{label}#{i}", bset)
+             for label, sols in solve_restricted_basis_functions(coideal, table).items()
              for i, bset in enumerate(sols)]
     want = []
     for kind in ("ordinary", "twisted"):
@@ -308,8 +307,8 @@ def test_tables_on_b_factorized_together_match_alone(contexts, label, subgroup, 
     ctx = contexts[label]
     coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra, subgroup, side,
                                      ctx.grams)
-    sets = [bset for pi in ctx.table
-            for bset in solve_restricted_basis_functions(pi, coideal, ctx.haar)]
+    sets = [bset for sols in solve_restricted_basis_functions(coideal, ctx.table).values()
+            for bset in sols]
     tables = [(sets, [multiplication_family(bset, kind) for bset in sets], sets,
                np.eye(coideal.dim), kind) for kind in KINDS]
     assert_factorized_together_as_alone(tables, _all_systems(ctx))
@@ -323,8 +322,8 @@ def _projector(basis, size: int) -> np.ndarray:
 
 @pytest.mark.parametrize("fixture", ["ca4_fun", "cd6_fun"])
 def test_engine_blocks_match_single_and_kronecker(request, fixture):
-    """Each target's blocks of the table-wide engine span ``intertwiners``' averaging-map
-    range and the Kronecker nullspace."""
+    """Each target's blocks of the table-wide engine span the averaging map's range (the
+    full SVD of ``I - P``) and the Kronecker nullspace."""
     ctx = request.getfixturevalue(fixture)
     table = ctx.table
     systems = solve_cg_systems(table, table, table)
@@ -333,7 +332,7 @@ def test_engine_blocks_match_single_and_kronecker(request, fixture):
         for pi in table:
             basis = [block.reshape(-1, pi.dim) for block in systems[p, q].blocks(pi.label,
                                                                                    pi.dim)[0]]
-            single = intertwiners(pi.coeffs, big.coeffs, ctx.haar)
+            single = svd_intertwiners(pi.coeffs, big.coeffs, ctx.haar)
             oracle = kronecker_intertwiners(pi.coeffs, big.coeffs)
             assert len(basis) == len(single) == len(oracle), (p, q, pi.label)
             assert all(m.shape == (big.dim, pi.dim) for m in basis)

@@ -8,11 +8,11 @@ import pytest
 from conftest import Context
 from oracles import (conjugation_family_space_dim, is_commutative, opposite_algebra,
                      per_operator_coaction, per_operator_family_residual, rotated_algebra,
-                     tensor_product_algebra)
+                     svd_intertwiners, tensor_product_algebra)
 
 from cqglab import tensor_ops
 from cqglab.algebra import HopfAlgebraSpec, LinearFunctional
-from cqglab.corep import Corepresentation, IrrepTable, identity_corep, intertwiners, irrep_table
+from cqglab.corep import Corepresentation, IrrepTable, identity_corep, irrep_table
 from cqglab.errors import (CqglabError, DecompositionStall, NotACorepresentation,
                            PeterWeylFailure)
 from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
@@ -353,7 +353,7 @@ def test_family_space_matches_averaging_oracle(request, contexts, label):
             ours = _flat(solve_family_space(pi, kind, side))
             comodule = operator_comodule(regular_coaction_tensor(alg, side), alg, kind)
             oracle = np.array([phi.T.ravel()
-                               for phi in intertwiners(pi.coeffs, comodule, ctx.haar)])
+                               for phi in svd_intertwiners(pi.coeffs, comodule, ctx.haar)])
             assert len(ours) == len(oracle), what
             assert len(ours) % n == 0, what
             assert np.abs(ours.conj() @ ours.T - np.eye(len(ours))).max() < 1e-12, what

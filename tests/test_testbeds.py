@@ -94,7 +94,7 @@ def test_character_certificate_matches_the_commutant(bed):
     coeffs[:first.dim, :first.dim], coeffs[first.dim:, first.dim:] = first.coeffs, last.coeffs
     summed = Corepresentation(first.algebra, coeffs, label="first+last")
     for pi in [*table, summed]:
-        assert is_irreducible(pi, h) == (len(morphism_space(pi, pi, h)) == 1), pi.label
+        assert is_irreducible(pi, h) == (len(morphism_space(pi, pi, table)) == 1), pi.label
     assert not is_irreducible(summed, h)
 
 
