@@ -11,7 +11,9 @@ A CG system for an ordered pair ``(p, q)`` is the square change of basis
 The unit of work is the irrep table: :func:`solve_cg_systems` solves every
 pair of two label sets in one stacked pass per product size, and the
 triple-product Haar certificates of all pairs and targets are read off one
-gap array.
+gap array.  A table keeps the systems of all its own pairs
+(``IrrepTable._cg_systems``, solved on first use), and :func:`solve_cg` reads
+them, so walking a table pair by pair costs one table-wide solve.
 """
 
 from __future__ import annotations
@@ -197,15 +199,26 @@ class CGSystem:
 
 def solve_cg(pi_p: Corepresentation, pi_q: Corepresentation, table: IrrepTable,
              h: LinearFunctional) -> CGSystem:
-    """The CG system of ``pi_p (x) pi_q`` against a table: the one-pair call of
-    :func:`solve_cg_systems`, for ``h`` the table's own ``haar`` only (``ValueError``
-    otherwise).  Raises ``MultiplicityMismatch`` when a solution-space dimension
-    disagrees with the character count and ``SingularC`` when ``C`` is not
-    invertible, as :func:`cqglab.corep._block_diagonalize` does.
+    """The CG system of ``pi_p (x) pi_q`` against a table, for ``h`` the table's own
+    ``haar`` only (``ValueError`` otherwise).
+
+    When both coreps are the table's own irrep objects, the system is read from
+    the table's memo: the first such call solves every ordered pair of the
+    table with one :func:`solve_cg_systems` call, and later calls return the
+    same objects.  Any other pair is the one-pair call of
+    :func:`solve_cg_systems`.  Raises ``MultiplicityMismatch`` when a
+    solution-space dimension disagrees with the character count and
+    ``SingularC`` when ``C`` is not invertible, as
+    :func:`cqglab.corep._block_diagonalize` does; a table whose table-wide
+    solve raises does so for every pair of its own irreps.
     """
     if h is not table.haar:
         raise ValueError("solve_cg takes the Haar functional the table was built with")
-    return solve_cg_systems([pi_p], [pi_q], table)[pi_p.label, pi_q.label]
+    p, q = pi_p.label, pi_q.label
+    # membership first: an unknown label must reach the engine, not raise KeyError
+    if p in table.labels and q in table.labels and table[p] is pi_p and table[q] is pi_q:
+        return table._cg_systems[p, q]
+    return solve_cg_systems([pi_p], [pi_q], table)[p, q]
 
 
 def solve_cg_systems(ps, qs, table: IrrepTable) -> dict[tuple[str, str], CGSystem]:
@@ -305,6 +318,13 @@ def _selection_rules(residuals: np.ndarray, occurs: np.ndarray
     worst = masked.argmax(axis=-1)
     return ((~occurs).sum(axis=-1), worst,
             np.take_along_axis(masked, worst[..., None], axis=-1)[..., 0])
+
+
+def _rule_details(absent: int, worst: str, residual: float, tol: float) -> dict:
+    """A selection rule's details: how many targets it covers (``absent``) and, only when
+    it fails, the first target of its residual (``worst``).  A passing rule's
+    residuals are rounding, so the largest of them would be named by noise."""
+    return {"absent": absent} if residual <= tol else {"absent": absent, "worst": worst}
 
 
 def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet, side: str) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as cio
 from .algebra import verify_hopf_axioms, verify_star_axioms
-from .cg import (_character_report, _occurrences, _selection_rules,
+from .cg import (_character_report, _occurrences, _rule_details, _selection_rules,
                  _triple_haar_gaps, solve_cg_systems)
 from .corep import _CERTIFICATES, _certificate, _schur_report, identity_corep, irrep_table
 from .errors import CqglabError
@@ -130,7 +130,7 @@ def _cmd_cg(args) -> list[Report]:
                     *(f"selection rule ({orders[o]}) order" for o in rules)],
                    [system.block_residual, *found_values[start:end], *rule[i, rules]], t,
                    [{} for _ in range(1 + end - start)]
-                   + [{"absent": int(absent[i, o]), "worst": r_labels[worst[i, o]]}
+                   + [_rule_details(int(absent[i, o]), r_labels[worst[i, o]], rule[i, o], t)
                       for o in rules])
         reports.append(rep)
         start = end

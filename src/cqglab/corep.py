@@ -653,6 +653,13 @@ class IrrepTable:
         return _PeterWeyl(self)
 
     @cached_property
+    def _cg_systems(self) -> Mapping:
+        """Read-only CG systems of every ordered pair of the irreps, keyed by label pair:
+        one :func:`cqglab.cg.solve_cg_systems` call, solved on first use."""
+        from .cg import solve_cg_systems
+        return MappingProxyType(solve_cg_systems(self.irreps, self.irreps, self))
+
+    @cached_property
     def _projection_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only covectors of the paper's projections: ``W @ factor`` holds
         ``P^r_l1 = d_r (id (x) h)(W (pi^r_l1)^*)`` at column ``lifts[r, l]``, ``h``

@@ -30,7 +30,7 @@ from itertools import accumulate, islice, product
 
 import numpy as np
 
-from .cg import CGSystem, _padded_blocks, _selection_rules
+from .cg import CGSystem, _padded_blocks, _rule_details, _selection_rules
 from .regular import BasisFunctionSet
 from .report import Report
 from .tensor_ops import TensorOperatorFamily
@@ -147,7 +147,7 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     ``reduced_lstsq_gap``, the gap to a least-squares extraction that
     cross-checks the closed formula.  When r does not, it is the selection rule
     ``p,q selection rule``: the residual is ``max |T|``, which the theorem makes
-    zero, with details ``absent`` (1), ``worst`` (r) and ``cg_order``.
+    zero, with details ``absent`` (1), ``cg_order`` and, when it fails, ``worst`` (r).
     ``system`` is used as the family kind's CG system (:func:`_cg_order`);
     passing the other order is the standard negative control on a
     noncommutative spec, and ``cg_order`` names the system used.  ``f_r`` is
@@ -194,8 +194,9 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     ``cg_order`` and ``reduced_lstsq_gap``.  The targets that do not occur follow
     as one check ``p,q selection rule``, emitted when there is one: its
     residual is the largest of their residuals ``max |T_r|``, bit for bit, and
-    its details are ``absent`` (how many), ``worst`` (the first target of that
-    residual) and ``cg_order``.  The inner products of a table's targets,
+    its details are ``absent`` (how many), ``cg_order`` and, only when the rule
+    fails, ``worst`` (the first target of that residual; a passing rule's
+    residuals are rounding).  The inner products of a table's targets,
     operators and sources come from one contraction.
     """
     # the closed form's (F^r)^{-1} / tr (F^r)^{-1} is I / tr F^r: F = I, certified on read
@@ -231,6 +232,7 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
         values = iter(_reduced_pairs(reduced[lo:hi][np.arange(reduced.shape[1])
                                                     < mults[lo:hi, None]]))
         absent, worst, rule = _selection_rules(residuals[rows], occurs)
+        t = tol * fams[0].algebra.magnitude ** 2
         # per pair, each target that occurs, then the selection rule when one does not
         w, r = np.nonzero(np.column_stack([occurs, absent > 0]))
         names, details = [], []
@@ -242,10 +244,9 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
                                 "cg_order": orders[pair], "reduced_lstsq_gap": gap})
             else:
                 names.append(f"{pairs[pair]} selection rule")
-                details.append({"absent": int(absent[pair]), "worst": r_names[worst[pair]],
-                                "cg_order": orders[pair]})
+                details.append({**_rule_details(int(absent[pair]), r_names[worst[pair]],
+                                                rule[pair], t), "cg_order": orders[pair]})
         report = Report(title)
-        report.extend(names, np.column_stack([residuals[rows], rule])[w, r],
-                      tol * fams[0].algebra.magnitude ** 2, details)
+        report.extend(names, np.column_stack([residuals[rows], rule])[w, r], t, details)
         reports.append(report)
     return reports

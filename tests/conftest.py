@@ -28,15 +28,11 @@ class Context:
         self.haar = solve_haar(alg)
         self.grams = gram_matrices(alg, self.haar)
         self.table = irrep_table(alg, self.haar, self.grams.gram_right)
-        self._cg = {}
 
     def cg(self, p_label: str, q_label: str):
+        """The pair's CG system, from the table's own memo."""
         from cqglab.cg import solve_cg
-        key = (p_label, q_label)
-        if key not in self._cg:
-            self._cg[key] = solve_cg(self.table[p_label], self.table[q_label],
-                                     self.table, self.haar)
-        return self._cg[key]
+        return solve_cg(self.table[p_label], self.table[q_label], self.table, self.haar)
 
 
 @pytest.fixture(scope="session")

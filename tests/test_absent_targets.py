@@ -91,8 +91,7 @@ def test_editing_one_check_leaves_the_others_and_the_bytes(tmp_path):
     edited = report.to_dict()
     edited["checks"][first]["details"]["reduced"].append([2.0, 0.0])
     edited["checks"][first]["details"]["cg_order"].append("edited")
-    assert report.checks[second].details == {"absent": 5, "worst": "p1",
-                                              "cg_order": ["p0", "p0"]}
+    assert report.checks[second].details == {"absent": 5, "cg_order": ["p0", "p0"]}
     assert [rep.to_dict() for rep in reports] == before
     again = tmp_path / "after.json"
     cio.save_report("wigner-eckart", reports, 1e-9, 0, {}, again)

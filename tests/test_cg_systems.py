@@ -7,7 +7,9 @@ multiplicities, column index and block offsets.  C(A4) and C(S4) have a
 target of multiplicity 2, so the comparison also covers the orientation of a
 two-dimensional intertwiner space.  A table that misses an irreducible or
 lists one twice cannot fill the CG matrices, and both entry points must say
-so with ``MultiplicityMismatch``.
+so with ``MultiplicityMismatch``.  ``solve_cg`` reads a table's own pairs from
+the table's memo (one ``solve_cg_systems`` call on the whole table); copies of
+the irreps take the one-pair engine call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from conftest import Context
 from oracles import per_pair_cg
 
 from cqglab.cg import solve_cg, solve_cg_systems
-from cqglab.corep import IrrepTable
+from cqglab.corep import Corepresentation, IrrepTable
 from cqglab.errors import MultiplicityMismatch
 from cqglab.groups import all_permutation_group, build_group_algebra
 
@@ -58,14 +60,21 @@ def test_engine_matches_per_pair_oracle(request, contexts, label):
         assert np.abs(got.Cinv - want.Cinv).max() <= TOL, (p, q)
 
 
+def _copy(pi):
+    """The same corep as a new object, so ``solve_cg`` takes the one-pair engine call."""
+    return Corepresentation(pi.algebra, pi.coeffs, pi.label)
+
+
 def test_one_pair_call_is_the_engine_on_one_pair(cd6_fun):
     table = cd6_fun.table
     systems = solve_cg_systems([table["p4"]], table, table)
     assert list(systems) == [("p4", q) for q in table.labels]
     for (p, q), system in systems.items():
-        single = solve_cg(table[p], table[q], table, cd6_fun.haar)
-        assert single.col_index == system.col_index
-        assert np.abs(single.C - system.C).max() <= TOL
+        single = solve_cg(_copy(table[p]), _copy(table[q]), table, cd6_fun.haar)
+        memo = solve_cg(table[p], table[q], table, cd6_fun.haar)
+        for got in (single, memo):
+            assert got.col_index == system.col_index
+            assert np.abs(got.C - system.C).max() <= TOL
 
 
 def test_no_pairs_gives_no_systems(cs3_fun):
@@ -98,10 +107,12 @@ def test_table_missing_an_irrep_raises(cs3_fun):
 
 
 def test_table_listing_an_irrep_twice_raises(cs3_fun):
-    """Every pair whose product holds the 2-dim irrep finds it twice: 12 of the 16."""
+    """Every pair whose product holds the 2-dim irrep finds it twice: 12 of the 16, on
+    copies of the irreps.  The table's own irreps share its table-wide solve, which
+    raises, so all 16 of their pairs raise."""
     doubled = _last_irrep_twice(cs3_fun)
     raised = {"engine": [], "oracle": []}
-    for pi_p, pi_q in product(doubled, doubled):
+    for pi_p, pi_q in product(map(_copy, doubled), repeat=2):
         for route, solve in (("engine", solve_cg), ("oracle", per_pair_cg)):
             try:
                 solve(pi_p, pi_q, doubled, cs3_fun.haar)
@@ -109,5 +120,8 @@ def test_table_listing_an_irrep_twice_raises(cs3_fun):
                 raised[route].append((pi_p.label, pi_q.label))
     assert raised["engine"] == raised["oracle"]
     assert len(raised["engine"]) == 12
+    for pi_p, pi_q in product(doubled, doubled):
+        with pytest.raises(MultiplicityMismatch):
+            solve_cg(pi_p, pi_q, doubled, cs3_fun.haar)
     with pytest.raises(MultiplicityMismatch):
         solve_cg_systems(doubled, doubled, doubled)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -305,8 +306,10 @@ def test_cg_certifies_each_pair_in_one_call(tmp_path, monkeypatch):
 
 
 def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
-    """One range batch per ``solve_cg``: the projections ``P^r_11`` of all six targets of
-    C(D6), of both dimensions, in one :func:`cqglab.corep._range_basis` call."""
+    """One range batch per product size in a whole ``solve_cg`` walk: the first call
+    solves the table, taking the projections ``P^r_11`` of all six targets of C(D6),
+    of both dimensions, for every pair of one size (1, 2 and 4) in one
+    :func:`cqglab.corep._range_basis` call; later calls read the table's memo."""
     from cqglab import cg, corep
     calls, range_basis = [], corep._range_basis
 
@@ -315,12 +318,18 @@ def test_cg_solves_each_target_dimension_once(cd6_fun, monkeypatch):
         return range_basis(mats, rcond)
 
     monkeypatch.setattr(corep, "_range_basis", counting)
-    table = cd6_fun.table
-    for p in table:
-        for q in table:
-            calls.clear()
-            cg.solve_cg(p, q, table, cd6_fun.haar)
-            assert calls == [(6, p.dim * q.dim, p.dim * q.dim)]
+    table = dataclasses.replace(cd6_fun.table)   # the same irreps, with an empty memo
+    pairs = [(p, q) for p in table for q in table]
+    cg.solve_cg(*pairs[0], table, cd6_fun.haar)
+    sizes = {p.dim * q.dim: 0 for p, q in pairs}
+    for p, q in pairs:
+        sizes[p.dim * q.dim] += 1
+    assert sorted(calls) == sorted((6 * count, size, size) for size, count in sizes.items())
+    assert sorted(sizes) == [1, 2, 4]
+    calls.clear()
+    for p, q in pairs:
+        cg.solve_cg(p, q, table, cd6_fun.haar)
+    assert calls == []
 
 
 def test_wigner_eckart_factorizes_each_pair_once(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ CQG algebra (Sweedler's) is out of scope and must say so with a
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -437,16 +438,15 @@ def _svd_shapes(monkeypatch) -> list[tuple[int, int]]:
 def test_cg_systems_take_no_svd_larger_than_the_product(ca4_fun, monkeypatch):
     """No SVD reached from ``corep._block_diagonalize`` sees a matrix larger than
     ``d_V x d_V``: 9 x 9 on C(A4)'s 3 (x) 3, where the averaging map of the
-    3-dim target is 27 x 27."""
-    table = ca4_fun.table
+    3-dim target is 27 x 27.  The first ``solve_cg`` on a table solves every pair,
+    so each of its SVDs is ``(d_p d_q)^2`` for some pair."""
+    table = dataclasses.replace(ca4_fun.table)   # the same irreps, with an empty memo
     shapes = _svd_shapes(monkeypatch)
-    for p in table:
-        for q in table:
-            shapes.clear()
-            solve_cg(p, q, table, ca4_fun.haar)
-            assert shapes and all(shape == (p.dim * q.dim,) * 2 for shape in shapes), (
-                p.label, q.label, shapes)
+    solve_cg(table[0], table[0], table, ca4_fun.haar)
+    products = {(p.dim * q.dim,) * 2 for p in table for q in table}
+    assert shapes and set(shapes) <= products, shapes
     assert (9, 9) in shapes
+    shapes.clear()
     solve_cg_systems(table, table, table)
     assert max(max(shape) for shape in shapes) == 9
 

@@ -94,11 +94,13 @@ def assert_same_reports(got: list[dict], want: list[Report]):
         assert all(got_res == want_res for got_res, want_res in rules), (rep_want.title, rules)
 
 
-def selection_rule(absent: list[tuple[str, float]]) -> tuple[float, dict]:
+def selection_rule(absent: list[tuple[str, float]], tol: float) -> tuple[float, dict]:
     """The selection rule over the ``(target, per-triple residual)`` of the targets
     that do not occur: the largest residual, and the details naming how many there
-    are and the first target of that residual."""
+    are and, when the rule fails at ``tol``, the first target of that residual."""
     worst, residual = max(absent, key=lambda item: item[1])
+    if residual <= tol:
+        return residual, {"absent": len(absent)}
     return residual, {"absent": len(absent), "worst": worst}
 
 
@@ -129,7 +131,7 @@ def per_triple_cg(ctx, labels, targets=None) -> list[Report]:
                     absent[order].append((r, check.residual))
         for order, rows in absent.items():
             if rows:
-                residual, details = selection_rule(rows)
+                residual, details = selection_rule(rows, tol)
                 head.add(f"selection rule ({order}) order", residual, tol, **details)
         reports.append(head)
     return reports
@@ -148,7 +150,8 @@ def we_check(psis, fam, phis, system, f_r, gram):
         assert set(check.details) == {"reduced", "cg_order", "reduced_lstsq_gap"}
     else:
         assert check.name == f"{p},{q} selection rule"
-        assert check.details == {"absent": 1, "worst": r, "cg_order": check.details["cg_order"]}
+        worst = {"worst": r} if check.residual > check.tol else {}
+        assert check.details == {"absent": 1, **worst, "cg_order": check.details["cg_order"]}
     return check
 
 
@@ -181,7 +184,7 @@ def per_triple_we(ctx, p_labels, q_labels, r_labels, sides, kinds):
                 rep.add(f"{p},{q},{r}", we.residual, we.tol, **we.details)
                 reduced.append(reduced_elements(we))
             if absent:
-                residual, details = selection_rule(absent)
+                residual, details = selection_rule(absent, we.tol)
                 rep.add(f"{p},{q} selection rule", residual, we.tol, **details,
                         cg_order=[system.p_label, system.q_label])
         reports.append(rep)
@@ -262,7 +265,7 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
                 else:
                     absent.append((rn, we.residual))
             if absent:
-                residual, details = selection_rule(absent)
+                residual, details = selection_rule(absent, we.tol)
                 rep.add(f"{pn},{qn} selection rule", residual, we.tol, **details,
                         cg_order=[system.p_label, system.q_label])
         want.append(rep)

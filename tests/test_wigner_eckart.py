@@ -38,7 +38,7 @@ def test_zero_tensor_when_fusion_absent(cs3_fun):
     assert np.abs(tensor).max() < 1e-12
     [check] = rep.checks
     assert check.name == "p0,p0 selection rule"
-    assert check.details == {"absent": 1, "worst": "p1", "cg_order": ["p0", "p0"]}
+    assert check.details == {"absent": 1, "cg_order": ["p0", "p0"]}   # passing: no worst
     assert check.residual == np.abs(tensor).max()
 
 
