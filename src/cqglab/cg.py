@@ -327,18 +327,19 @@ def _rule_details(absent: int, worst: str, residual: float, tol: float) -> dict:
     return {"absent": absent} if residual <= tol else {"absent": absent, "worst": worst}
 
 
-def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet, side: str) -> np.ndarray:
+def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet) -> np.ndarray:
     """The products ``phi^p_j psi^q_k`` in the sets' common carrier, in the pair order of
-    ``side``'s CG system: ``[j, k, m]`` for side R, ``[k, j, m]`` for side L."""
+    its side's CG system: ``[j, k, m]`` for side R, ``[k, j, m]`` for side L.  A carrier
+    has one side, so sets of two sides live on different carriers."""
     if psi_q.carrier is not phi_p.carrier:
         raise ValueError("basis-function sets live on different carriers")
     left = np.tensordot(phi_p.functions, phi_p.carrier.product, axes=(1, 0))  # [j, b, m]
     prods = np.tensordot(psi_q.functions, left, axes=(1, 1))                   # [k, j, m]
-    return prods.swapaxes(0, 1) if side == "R" else prods
+    return prods.swapaxes(0, 1) if phi_p.carrier.side == "R" else prods
 
 
 def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
-                            side: str, system: CGSystem, table: IrrepTable
+                            system: CGSystem, table: IrrepTable
                             ) -> dict[tuple[str, int], BasisFunctionSet]:
     """Couple two basis-function sets of one carrier into sets for each fused irreducible.
 
@@ -346,10 +347,8 @@ def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
     side L uses the ``(q, p)`` system with pair index ``(k, j)``.  Warns when
     the products are linearly dependent (the coupled sets may then vanish).
     """
-    if phi_p.side != side or psi_q.side != side:
-        raise ValueError("basis-function sets do not match the requested side")
-    d_p, d_q = phi_p.corep.dim, psi_q.corep.dim
-    pieces = _set_products(phi_p, psi_q, side)
+    side, d_p, d_q = phi_p.carrier.side, phi_p.corep.dim, psi_q.corep.dim
+    pieces = _set_products(phi_p, psi_q)
     rank = np.linalg.matrix_rank(pieces.reshape(d_p * d_q, -1), tol=1e-9)
     if rank < d_p * d_q:
         warnings.warn(
@@ -362,10 +361,10 @@ def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
 
 
 def coupled_inverse_residual(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,
-                             side: str, system: CGSystem,
+                             system: CGSystem,
                              coupled: dict[tuple[str, int], BasisFunctionSet]) -> float:
     """Residual of the inverse expansion of products in coupled functions."""
-    pieces = _set_products(phi_p, psi_q, side)
+    pieces = _set_products(phi_p, psi_q)
     expansion = np.zeros_like(pieces)
     for (r_lab, alpha), bset in coupled.items():
         _, inv = system.blocks(r_lab, bset.corep.dim)

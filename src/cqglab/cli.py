@@ -48,10 +48,6 @@ def _load_source(args) -> tuple["HopfAlgebraSpec", "GroupTable | None"]:
     return build(group), group
 
 
-def _load_spec(args) -> "HopfAlgebraSpec":
-    return _load_source(args)[0]
-
-
 def _context(spec, tol):
     """The Gram matrices and the irrep table, which carries the run's one Haar functional."""
     h = solve_haar(spec, tol)
@@ -60,22 +56,22 @@ def _context(spec, tol):
 
 
 def _cmd_validate(args) -> list[Report]:
-    spec = _load_spec(args)
+    spec = _load_source(args)[0]
     return [verify_hopf_axioms(spec, args.tolerance),
             verify_star_axioms(spec, args.tolerance)]
 
 
 def _cmd_haar(args) -> list[Report]:
-    spec = _load_spec(args)
+    spec = _load_source(args)[0]
     h = solve_haar(spec, args.tolerance)
     reports = [certify_haar(h, args.tolerance),
-               verify_haar_lemmas(spec, h, args.tolerance)]
+               verify_haar_lemmas(h, args.tolerance)]
     gram_matrices(spec, h, args.tolerance)  # raises on positivity failure
     return reports
 
 
 def _cmd_irreps(args) -> list[Report]:
-    spec = _load_spec(args)
+    spec = _load_source(args)[0]
     _, table = _context(spec, args.tolerance)
     summary = Report(f"irreducibles [{spec.label}]",
                      meta={"dims": table.dims(), "multiplicities": list(table.multiplicities)})
@@ -96,7 +92,7 @@ def _cmd_irreps(args) -> list[Report]:
 
 
 def _cmd_cg(args) -> list[Report]:
-    spec = _load_spec(args)
+    spec = _load_source(args)[0]
     _, table = _context(spec, args.tolerance)
     labels = _pick_labels(table, [args.p, args.q]) or list(table.labels)
     targets = [table[r] for r in _pick_labels(table, [args.r]) or table.labels]
@@ -148,7 +144,7 @@ def _pick_labels(table, requested) -> list[str] | None:
 
 
 def _cmd_tensor_ops(args) -> list[Report]:
-    spec = _load_spec(args)
+    spec = _load_source(args)[0]
     _, table = _context(spec, args.tolerance)
     labels = _pick_labels(table, [args.q]) or list(table.labels)
     reports = [Report(f"identity operator [{spec.label}]")]
@@ -176,7 +172,7 @@ def _cg_systems(table, *products):
 
 
 def _cmd_wigner_eckart(args) -> list[Report]:
-    spec = _load_spec(args)
+    spec = _load_source(args)[0]
     grams, table = _context(spec, args.tolerance)
     p_labels = _pick_labels(table, [args.p]) or list(table.labels)
     q_labels = _pick_labels(table, [args.q]) or list(table.labels)
@@ -213,7 +209,7 @@ def _cmd_homspace(args) -> list[Report]:
                           f"got {args.subgroup!r}") from None
     side = args.side or "L"
     grams, table = _context(spec, args.tolerance)
-    coideal = build_coset_subalgebra(group, spec, subgroup, side, grams)
+    coideal = build_coset_subalgebra(group, subgroup, side, grams)
     reports = [verify_coideal(coideal, args.tolerance)]
     reports.append(restricted_coaction_report(coideal, table.haar, args.tolerance))
     solutions = solve_restricted_basis_functions(coideal, table)

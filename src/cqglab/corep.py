@@ -54,6 +54,7 @@ __all__ = [
 # relative singular-value cut for the rank of every intertwiner space and of the
 # family space: below it lies roundoff
 RANK_RCOND = 1e-9
+CLUSTER_TOL = 1e-8  # relative eigenvalue gap and off-scalar bound of the eigensplit _split
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +113,9 @@ class Corepresentation:
         return self.coeffs @ self.algebra.antipode
 
 
-def identity_corep(alg: HopfAlgebraSpec, label: str = "identity") -> Corepresentation:
+def identity_corep(alg: HopfAlgebraSpec) -> Corepresentation:
     """The one-dimensional corepresentation with sole coefficient ``1``."""
-    return Corepresentation(alg, alg.unit.reshape(1, 1, -1), label=label)
+    return Corepresentation(alg, alg.unit.reshape(1, 1, -1), label="identity")
 
 
 # report title and check names of the comodule and unitarity certificates
@@ -493,7 +494,7 @@ def _restrict_corep(pi: Corepresentation, basis: np.ndarray, gram: np.ndarray,
     return Corepresentation(pi.algebra, coords.transpose(2, 0, 1), label=label)
 
 
-def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-8
+def _split(pi: Corepresentation, gram: np.ndarray, ops
            ) -> list[tuple[np.ndarray, Corepresentation]]:
     """Split the carrier into invariant subspaces, each with its restricted corep.
 
@@ -504,7 +505,7 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-
     ``eigh`` of ``M`` cuts the carrier at the gaps between its eigenvalue
     clusters.  A piece is certified when every part compresses to a scalar on
     it (``basis^H gram op basis`` for its gram-orthonormal ``basis``),
-    entrywise within ``cluster_tol`` times the largest compressed entry, at
+    entrywise within ``CLUSTER_TOL`` times the largest compressed entry, at
     least 1.  A piece that fails, because eigenvalues of ``M`` from different
     irreducibles collide, is cut again by the first part that is not scalar on
     it (``DecompositionStall`` if that part does not cut), and its pieces are
@@ -526,7 +527,7 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-
     def cut(basis: np.ndarray, mixed: np.ndarray, refining: bool) -> list[np.ndarray]:
         eigvals, eigvecs = np.linalg.eigh(mixed)
         spread = eigvals[-1] - eigvals[0]
-        ends = np.flatnonzero(np.diff(eigvals) > cluster_tol * max(1.0, spread)) + 1
+        ends = np.flatnonzero(np.diff(eigvals) > CLUSTER_TOL * max(1.0, spread)) + 1
         if refining and not ends.size:
             raise DecompositionStall("a commutant part that is not scalar on a piece "
                                      "does not cut it")
@@ -540,7 +541,7 @@ def _split(pi: Corepresentation, gram: np.ndarray, ops, cluster_tol: float = 1e-
             parts = np.concatenate([(comps + adj) / 2.0, (comps - adj) / 2j])
             scalars = np.trace(parts, axis1=1, axis2=2) / vecs.shape[1]
             off = np.abs(parts - scalars[:, None, None] * np.eye(vecs.shape[1])).max(axis=(1, 2))
-            bad = off > cluster_tol * max(1.0, float(np.abs(comps).max()))
+            bad = off > CLUSTER_TOL * max(1.0, float(np.abs(comps).max()))
             out += cut(vecs, parts[bad.argmax()], True) if bad.any() else [vecs]
         return out
 

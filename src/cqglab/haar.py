@@ -131,13 +131,14 @@ def certify_haar(h: HaarFunctional, tol: float = 1e-9) -> Report:
     return report
 
 
-def verify_haar_lemmas(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-10) -> Report:
+def verify_haar_lemmas(h: LinearFunctional, tol: float = 1e-10) -> Report:
     """Check the two averaging lemmas and the Haar factorization on all basis pairs.
 
     Lemma (right form): ``sum h(a b_(1)) S(b_(2)) = sum h(a_(1) b) a_(2)``.
     Lemma (left form):  ``sum h(b_(2) a) S(b_(1)) = sum h(b a_(2)) a_(1)``.
     Factorization: ``h(a) = sum h(a^X_[1]) h(a^X_[2])`` for ``X = R`` and ``L``.
     """
+    alg = h.algebra
     mu, s = alg.comult, alg.antipode
     cov, H = h.covector, h.pair  # H[j, k] = h(a_j a_k)
     report = Report(f"haar lemmas [{alg.label}]", meta={"tol": tol})
@@ -173,7 +174,7 @@ def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) 
     return GramPair(alg, gram_r, gram_l)
 
 
-def regular_unitarity_report(alg: HopfAlgebraSpec, grams: GramPair, tol: float = 1e-10) -> Report:
+def regular_unitarity_report(grams: GramPair, tol: float = 1e-10) -> Report:
     """Unitarity of the regular corepresentations w.r.t. their inner products.
 
     Checks ``sum <w, v_[1]> S(v_[2]) = sum <w_[1], v> w_[2]^*`` on all basis
@@ -182,6 +183,7 @@ def regular_unitarity_report(alg: HopfAlgebraSpec, grams: GramPair, tol: float =
     """
     from .regular import regular_carrier  # local import: no cycle at module load
 
+    alg = grams.algebra
     report = Report(f"regular unitarity [{alg.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
     for side in ("R", "L"):

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import HopfAlgebraSpec, _freeze
 from .corep import (Corepresentation, IrrepTable, _gram_basis, _restrict,
                     decompose_comodule)
-from .errors import CoidealMismatch, PositivityFailure
+from .errors import CoidealMismatch, DimensionMismatch, PositivityFailure
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, _haar_invariance, _positivity
 from .regular import BasisFunctionSet, Carrier, canonical_basis_functions, regular_carrier
@@ -66,7 +66,8 @@ class CoidealSubalgebra:
         # read-only copies: an in-place edit cannot change B under its cached onb and carrier
         _freeze(self, "span_rows", "gram")
         if self.span_rows.ndim != 2 or self.span_rows.shape[1] != self.algebra.dim:
-            raise ValueError("span_rows must be (b, n)")
+            raise DimensionMismatch(f"coefficient rows of shape {self.span_rows.shape} do not "
+                                    f"fit {self.algebra.label!r} of dimension {self.algebra.dim}")
         if self.side not in ("R", "L"):
             raise ValueError("side must be 'R' or 'L'")
 
@@ -103,13 +104,15 @@ class CoidealSubalgebra:
         return coords
 
 
-def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec, subgroup: list[int],
-                           side: str, grams: GramPair) -> CoidealSubalgebra:
-    """Indicator functions of cosets inside a function algebra.
+def build_coset_subalgebra(group: GroupTable, subgroup: list[int], side: str,
+                           grams: GramPair) -> CoidealSubalgebra:
+    """Indicator functions of cosets inside the function algebra of ``grams``.
 
     Side "L" (left coideal) takes functions constant on left cosets ``gH``;
-    side "R" (right coideal) functions constant on right cosets ``Hg``.
+    side "R" (right coideal) functions constant on right cosets ``Hg``.  Raises
+    ``DimensionMismatch`` unless the group's order is the algebra's dimension.
     """
+    alg = grams.algebra
     cosets = group.cosets(subgroup, side)
     rows = np.zeros((len(cosets), group.order), dtype=complex)
     for i, coset in enumerate(cosets):
@@ -118,11 +121,10 @@ def build_coset_subalgebra(group: GroupTable, alg: HopfAlgebraSpec, subgroup: li
                              label=f"{alg.label}/H{len(subgroup)}:{side}")
 
 
-def subspace_coideal(alg: HopfAlgebraSpec, rows: np.ndarray, side: str, grams: GramPair,
-                     label: str = "") -> CoidealSubalgebra:
-    """Wrap an arbitrary spanning set; validity comes from verify_coideal."""
-    return CoidealSubalgebra(alg, rows, side, grams.gram(side),
-                             label=label or f"B<{alg.label}:{side}")
+def subspace_coideal(rows: np.ndarray, side: str, grams: GramPair) -> CoidealSubalgebra:
+    """Wrap an arbitrary spanning set of ``grams.algebra``; validity comes from verify_coideal."""
+    return CoidealSubalgebra(grams.algebra, rows, side, grams.gram(side),
+                             label=f"B<{grams.algebra.label}:{side}")
 
 
 def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:

@@ -86,12 +86,12 @@ def regular_corep(alg: HopfAlgebraSpec, side: str) -> Corepresentation:
     return Corepresentation(alg, tensor.transpose(1, 0, 2), label=f"regular-{side}[{alg.label}]")
 
 
-def regular_invariance_report(alg: HopfAlgebraSpec, h: LinearFunctional,
-                              tol: float = 1e-10) -> Report:
+def regular_invariance_report(h: LinearFunctional, tol: float = 1e-10) -> Report:
     """Haar invariance of both regular coactions on all basis elements.
 
     ``(h (x) id) coact(a) = (id (x) h) coact(a) = h(a) 1`` for both sides.
     """
+    alg = h.algebra
     report = Report(f"regular invariance [{alg.label}]", meta={"tol": tol})
     t = tol * alg.magnitude
     for side in ("R", "L"):
@@ -139,8 +139,7 @@ def check_basis_functions(bset: BasisFunctionSet) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0,
-                              label: str = "") -> BasisFunctionSet:
+def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0) -> BasisFunctionSet:
     """The canonical sets: row ``l`` of ``pi`` (right) or ``S^{-2}(pi^*_{j l})`` (left).
 
     The left construction needs ``pi`` unitary: it raises ``NotUnitary`` when a
@@ -149,7 +148,7 @@ def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0,
     """
     if side == "L":
         _require_unitary(pi, pi.residuals)
-    return _canonical_set(pi, side, row, label)
+    return _canonical_set(pi, side, row)
 
 
 def _table_canonical_sets(table: IrrepTable, side: str, labels) -> list[BasisFunctionSet]:
@@ -161,7 +160,7 @@ def _table_canonical_sets(table: IrrepTable, side: str, labels) -> list[BasisFun
         i = table.index_of(label)
         if side == "L":
             _require_unitary(table[i], table.residuals[i])
-        out.append(_canonical_set(table[i], side, 0, ""))
+        out.append(_canonical_set(table[i], side, 0))
     return out
 
 
@@ -174,7 +173,7 @@ def _require_unitary(pi: Corepresentation, residuals) -> None:
                          f"{pi.label!r} has unitarity residual {worst:.1e}")
 
 
-def _canonical_set(pi: Corepresentation, side: str, row: int, label: str) -> BasisFunctionSet:
+def _canonical_set(pi: Corepresentation, side: str, row: int) -> BasisFunctionSet:
     """The arithmetic of :func:`canonical_basis_functions`, unitarity taken as certified."""
     if side == "R":
         funcs = pi.coeffs[row, :, :]
@@ -184,7 +183,7 @@ def _canonical_set(pi: Corepresentation, side: str, row: int, label: str) -> Bas
         funcs = np.einsum("jm,mt->jt", np.conj(pi.coeffs[:, row, :]) @ pi.algebra.star, s_minus2)
     else:
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
-    return BasisFunctionSet(pi, side, funcs, label=label or f"{pi.label}:{side}{row}")
+    return BasisFunctionSet(pi, side, funcs, label=f"{pi.label}:{side}{row}")
 
 
 def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSet,
@@ -226,13 +225,14 @@ def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSe
 # projection operators
 # ---------------------------------------------------------------------------
 
-def _projection_stack(alg: HopfAlgebraSpec, rows: np.ndarray, dims: np.ndarray, side: str,
-                      h: LinearFunctional, ordering: str) -> np.ndarray:
+def _projection_stack(rows: np.ndarray, dims: np.ndarray, side: str, h: LinearFunctional,
+                      ordering: str) -> np.ndarray:
     """Constants-route projections ``ops[i, a, t]`` for rows ``rows[i]`` = ``pi_mn`` of
     dimension ``dims[i]``: one matrix product for the Haar weights ``h(pi^*_mn a_b)``
     (``h(a_b pi^*_mn)`` when swapped), one contraction with the coaction tensor."""
     if ordering not in ("standard", "swapped"):
         raise ValueError(f"unknown ordering {ordering!r}")
+    alg = h.algebra
     pair = h.pair.T if ordering == "swapped" else h.pair  # [u, b]: h(a_u a_b) when standard
     weights = dims[:, None] * (np.conj(rows) @ alg.star @ pair)
     return np.tensordot(weights, regular_carrier(alg, side).coact,
@@ -243,8 +243,7 @@ def _table_projections(table: IrrepTable, side: str, ordering: str = "standard")
     """The projections of every irrep of the table, rows ``(p, m, n)`` in table order."""
     dims = np.array(table.dims())
     rows = np.concatenate([pi.coeffs.reshape(-1, table.algebra.dim) for pi in table])
-    return _projection_stack(table.algebra, rows, np.repeat(dims, dims ** 2), side,
-                             table.haar, ordering)
+    return _projection_stack(rows, np.repeat(dims, dims ** 2), side, table.haar, ordering)
 
 
 def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
@@ -263,7 +262,7 @@ def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
     alg = pi.algebra
     d = pi.dim
     if route == "constants":
-        return _projection_stack(alg, pi.coeffs[m, n][None], np.array([d]), side, h, ordering)[0]
+        return _projection_stack(pi.coeffs[m, n][None], np.array([d]), side, h, ordering)[0]
     if route != "maps":
         raise ValueError(f"unknown route {route!r}")
     coact = regular_carrier(alg, side).coact              # [t, a, b]: a_t -> a_a (x) a_b
@@ -313,18 +312,18 @@ def verify_projection_identities(table: IrrepTable, side: str, tol: float = 1e-1
     acted = np.tensordot(ops, funcs, axes=(2, 1))                        # [i, a, k]
 
     worst_same, n = 0.0, alg.dim
-    row = col = 0
-    for pi in table:
-        d = pi.dim
-        block = slice(row, row + d * d)
-        want = np.einsum("nj,mkat->mnajkt", np.eye(d), ops[block].reshape(d, d, n, n))
-        got = prods[block, :, block].reshape(d, d, n, d, d, n)
+    dims = np.array(table.dims())
+    for d in dict.fromkeys(table.dims()):  # one pass per dimension, its irreps' blocks stacked
+        rows = np.flatnonzero(np.repeat(dims, dims ** 2) == d).reshape(-1, d * d)  # [c, (m, n)]
+        cols = np.flatnonzero(np.repeat(dims, dims) == d).reshape(-1, d)           # [c, k]
+        block = (rows[:, :, None], slice(None), rows[:, None, :])       # [c, (m, n), (j, k), a, t]
+        want = np.einsum("nj,cmkat->cmnjkat", np.eye(d), ops[rows].reshape(-1, d, d, n, n))
+        got = prods[block].reshape(want.shape)
         worst_same = max(worst_same, float(np.abs(got - want).max()))
-        prods[block, :, block] = 0.0  # what is left are the cross-irrep products
-        # P_mn(psi_k) = delta_nk psi_m
-        acted[block, :, col:col + d] -= np.einsum("ma,nk->mnak", funcs[col:col + d], np.eye(d)
-                                                  ).reshape(d * d, n, d)
-        row, col = row + d * d, col + d
+        prods[block] = 0.0  # what is left are the cross-irrep products
+        # P_mn(psi_k) = delta_nk psi_m, as [c, (m, n), k, a]
+        acted[rows[:, :, None], :, cols[:, None, :]] -= np.einsum(
+            "cma,nk->cmnka", funcs[cols], np.eye(d)).reshape(len(rows), d * d, d, n)
     report.add("composition same-irrep", worst_same, t)
     report.add("composition cross-irrep", float(np.abs(prods).max()), t)
     report.add("action on basis functions", float(np.abs(acted).max()), t)

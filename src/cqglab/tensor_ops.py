@@ -425,8 +425,7 @@ def family_report(fam: TensorOperatorFamily, table: IrrepTable, tol: float = 1e-
     return report
 
 
-def multiplication_family(bset: BasisFunctionSet, kind: str,
-                          label: str = "") -> TensorOperatorFamily:
+def multiplication_family(bset: BasisFunctionSet, kind: str) -> TensorOperatorFamily:
     """Multiplication by basis functions, from the side the variant dictates.
 
     ordinary-R and twisted-L multiply from the left; twisted-R and ordinary-L
@@ -434,7 +433,7 @@ def multiplication_family(bset: BasisFunctionSet, kind: str,
     """
     ops = _multiplication_operators(bset.functions, bset.carrier.product, kind, bset.side)
     return TensorOperatorFamily(bset.corep, kind, bset.side, ops,
-                                label=label or f"mult[{bset.label}]", carrier=bset.carrier)
+                                label=f"mult[{bset.label}]", carrier=bset.carrier)
 
 
 def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, kind: str,
@@ -498,11 +497,12 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
 def _certify_commutant(convs: np.ndarray, coact: np.ndarray, tol: float) -> None:
     """Raise ``DecompositionStall`` unless every ``C_x`` is a comodule map of ``coact``.
 
-    One ``C_x`` at a time, so no intermediate is larger than ``coact``."""
-    gap = 0.0
-    for conv in convs:
-        diff = np.tensordot(conv, coact, axes=(0, 0))          # coact(C_x a_t): [t, a, b]
-        diff -= np.tensordot(conv, coact, axes=(1, 1)).transpose(1, 0, 2)  # (C_x (x) id) coact
+    In chunks of ``STACK_ENTRIES / n^5`` (at least one): all ``C_x`` in one pass up to
+    n = 11, one at a time from n = 18 on, where no intermediate is larger than ``coact``."""
+    gap, step = 0.0, max(1, STACK_ENTRIES // len(coact) ** 5)
+    for chunk in np.split(convs, range(step, len(convs), step)):
+        diff = np.tensordot(chunk, coact, axes=(1, 0))       # coact(C_x a_t): [x, t, a, b]
+        diff -= np.tensordot(chunk, coact, axes=(2, 1)).transpose(0, 2, 1, 3)  # (C_x (x) id) coact
         gap = max(gap, float(np.abs(diff).max()))
     if gap > tol:
         raise DecompositionStall(

@@ -286,12 +286,17 @@ def test_coupled_basis_functions(cs3_fun):
         psis = canonical_basis_functions(table["p1"], side, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coupled = coupled_basis_functions(phis, psis, side, system, table)
+            coupled = coupled_basis_functions(phis, psis, system, table)
         assert set(coupled) == {("p2", 0)}
         for bset in coupled.values():
             assert np.abs(bset.functions).max() > 1e-3, bset.label
             assert check_basis_functions(bset) < 1e-9
-        assert coupled_inverse_residual(phis, psis, side, system, coupled) < 1e-9
+        assert coupled_inverse_residual(phis, psis, system, coupled) < 1e-9
+    # a carrier has one side, so a right set and a left set do not couple
+    with pytest.raises(ValueError, match="different carriers"):
+        coupled_basis_functions(canonical_basis_functions(table["p2"], "R", 0),
+                                canonical_basis_functions(table["p1"], "L", 0),
+                                cs3_fun.cg("p2", "p1"), table)
 
 
 def test_coupled_with_trivial_factor_returns_input(cs3_fun):
@@ -300,7 +305,7 @@ def test_coupled_with_trivial_factor_returns_input(cs3_fun):
     system = cs3_fun.cg("p0", "p2")
     phis = canonical_basis_functions(triv, "R", 0)
     psis = canonical_basis_functions(std, "R", 0)
-    coupled = coupled_basis_functions(phis, psis, "R", system, table)
+    coupled = coupled_basis_functions(phis, psis, system, table)
     [(key, bset)] = coupled.items()
     assert key[0] == "p2"
     # the coupled set is the q-set itself up to the CG block phase
@@ -317,7 +322,7 @@ def test_group_like_coupling(cs3_grp):
     system = cs3_grp.cg(table.labels[1], table.labels[2])
     phis = canonical_basis_functions(p, "R", 0)
     psis = canonical_basis_functions(q, "R", 0)
-    coupled = coupled_basis_functions(phis, psis, "R", system, table)
+    coupled = coupled_basis_functions(phis, psis, system, table)
     [(key, bset)] = coupled.items()
     # the coupled function is the product element, a basis function for (gh)
     assert check_basis_functions(bset) < 1e-12
@@ -330,12 +335,12 @@ def test_linear_dependence_warning(cs3_fun):
     system = cs3_fun.cg("p2", "p2")
     phis = canonical_basis_functions(std, "R", 0)
     with pytest.warns(LinearDependenceWarning):
-        coupled_basis_functions(phis, phis, "R", system, table)
+        coupled_basis_functions(phis, phis, system, table)
     # times the sign irrep (an invertible element): independent for every representative
     signs = canonical_basis_functions(table["p1"], "R", 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coupled_basis_functions(phis, signs, "R", cs3_fun.cg("p2", "p1"), table)
+        coupled_basis_functions(phis, signs, cs3_fun.cg("p2", "p1"), table)
     # distinct rows: dependent or not according to the representative; the
     # warning must fire exactly when the products' rank is below 4
     psis = canonical_basis_functions(std, "R", 1)
@@ -344,7 +349,7 @@ def test_linear_dependence_warning(cs3_fun):
     rank = int(np.sum(sigma > 1e-9 * sigma[0]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coupled_basis_functions(phis, psis, "R", system, table)
+        coupled_basis_functions(phis, psis, system, table)
     fired = any(issubclass(w.category, LinearDependenceWarning) for w in caught)
     assert fired == (rank < 4), (rank, sigma)
 

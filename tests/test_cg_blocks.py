@@ -143,9 +143,9 @@ def test_couple_families_match_loop_oracle(cg_contexts, label, kind):
 
 def _coideal(ctx, label, side):
     if label == "C(S3)":
-        return build_coset_subalgebra(symmetric_group_3(), ctx.algebra, [0, 1], side,
+        return build_coset_subalgebra(symmetric_group_3(), [0, 1], side,
                                       ctx.grams)
-    return subspace_coideal(ctx.algebra, np.eye(ctx.algebra.dim), side, ctx.grams)
+    return subspace_coideal(np.eye(ctx.algebra.dim), side, ctx.grams)
 
 
 @pytest.mark.parametrize("label", ALGEBRAS)
@@ -183,9 +183,9 @@ def test_coupled_basis_functions_match_loop_oracle(cg_contexts, label, side):
         want = loop_couple(system, products, table, swap=side == "L")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinearDependenceWarning)
-            coupled = coupled_basis_functions(phis, psis, side, system, table)
+            coupled = coupled_basis_functions(phis, psis, system, table)
         assert_same_coupling({key: bset.functions for key, bset in coupled.items()}, want)
-        got_res = coupled_inverse_residual(phis, psis, side, system, coupled)
+        got_res = coupled_inverse_residual(phis, psis, system, coupled)
         want_res = loop_inverse_residual(system, products, coupled, swap=side == "L")
         assert abs(got_res - want_res) < TOL, (p, q)
 

@@ -389,8 +389,8 @@ def test_merged_classes_raise_stall(cs3_fun, monkeypatch, merged_dim, norm):
     (inequivalent) and 4 for its two 2-dim pieces (copies of one irrep), not 1."""
     split = corep._split
 
-    def merging(pi, gram, ops, cluster_tol=1e-8):
-        pieces = split(pi, gram, ops, cluster_tol)
+    def merging(pi, gram, ops):
+        pieces = split(pi, gram, ops)
         pair = [k for k, (piece, _) in enumerate(pieces) if piece.shape[1] == merged_dim]
         assert len(pair) == 2
         rest = [piece for k, piece in enumerate(pieces) if k not in pair]

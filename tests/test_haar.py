@@ -77,7 +77,7 @@ def test_non_real_star_matrix_keeps_the_gram_positive(contexts):
         assert np.abs(alg.star.imag).max() > 0.1, alg.label
         h = solve_haar(alg)
         assert certify_haar(h, 1e-12).passed, alg.label
-        assert regular_unitarity_report(alg, gram_matrices(alg, h), 1e-10).passed, alg.label
+        assert regular_unitarity_report(gram_matrices(alg, h), 1e-10).passed, alg.label
 
 
 @pytest.mark.parametrize("command", ["haar", "irreps", "cg", "tensor-ops", "wigner-eckart"])
@@ -112,14 +112,14 @@ def test_non_cqg_product_gets_no_haar(tmp_path):
 def test_certificates_and_lemmas(contexts):
     for label, alg, h, _ in _beds_with_haar(contexts):
         assert certify_haar(h, 1e-12).passed, label
-        lemmas = verify_haar_lemmas(alg, h, 1e-10)
+        lemmas = verify_haar_lemmas(h, 1e-10)
         assert lemmas.passed, f"{label}: {lemmas.summary()}"
 
 
 def test_counit_is_not_invariant():
     alg = build_function_algebra(cyclic_group(2))
     eps = LinearFunctional(alg, alg.counit.copy())
-    report = verify_haar_lemmas(alg, eps)
+    report = verify_haar_lemmas(eps)
     assert not report["averaging right"].passed
 
 
@@ -137,8 +137,8 @@ def test_gram_matrices_values(contexts):
 
 def test_regular_coactions_unitary_and_invariant(contexts):
     for label, alg, h, grams in _beds_with_haar(contexts):
-        assert regular_unitarity_report(alg, grams, 1e-12).passed, label
-        assert regular_invariance_report(alg, h, 1e-12).passed, label
+        assert regular_unitarity_report(grams, 1e-12).passed, label
+        assert regular_invariance_report(h, 1e-12).passed, label
 
 
 def test_haar_is_tracial_on_builtins(contexts):

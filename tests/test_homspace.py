@@ -9,8 +9,9 @@ import pytest
 from oracles import frobenius_coset_multiplicities, reduced_elements
 
 from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
-from cqglab.errors import CoidealMismatch, LinearDependenceWarning, NotASubgroup
-from cqglab.groups import symmetric_group_3
+from cqglab.errors import (CoidealMismatch, CqglabError, DimensionMismatch,
+                           LinearDependenceWarning, NotASubgroup)
+from cqglab.groups import cyclic_group, symmetric_group_3
 from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candidates,
                              restricted_coaction_report, restricted_gram,
                              solve_restricted_basis_functions, solve_restricted_family,
@@ -32,16 +33,16 @@ SUBGROUP = [0, 1]  # {e, (01)}
 @pytest.fixture(scope="module", params=["L", "R"])
 def coset_ctx(request, cs3_fun):
     side = request.param
-    return side, build_coset_subalgebra(S3, cs3_fun.algebra, SUBGROUP, side, cs3_fun.grams)
+    return side, build_coset_subalgebra(S3, SUBGROUP, side, cs3_fun.grams)
 
 
 def test_coset_dimensions(cs3_fun):
     for side in ("L", "R"):
-        b3 = build_coset_subalgebra(S3, cs3_fun.algebra, SUBGROUP, side, cs3_fun.grams)
+        b3 = build_coset_subalgebra(S3, SUBGROUP, side, cs3_fun.grams)
         assert b3.dim == 3
-        full = build_coset_subalgebra(S3, cs3_fun.algebra, [0], side, cs3_fun.grams)
+        full = build_coset_subalgebra(S3, [0], side, cs3_fun.grams)
         assert full.dim == 6
-        point = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side, cs3_fun.grams)
+        point = build_coset_subalgebra(S3, list(range(6)), side, cs3_fun.grams)
         assert point.dim == 1
         assert np.abs(point.span_rows[0] - cs3_fun.algebra.unit).max() < 1e-15
 
@@ -61,13 +62,22 @@ def test_restricted_operator_comodule_matches_pipeline(coset_ctx, cs3_fun):
 
 def test_not_a_subgroup(cs3_fun):
     with pytest.raises(NotASubgroup):
-        build_coset_subalgebra(S3, cs3_fun.algebra, [0, 4], "L", cs3_fun.grams)  # (012) alone
+        build_coset_subalgebra(S3, [0, 4], "L", cs3_fun.grams)  # (012) alone
 
 
 @pytest.mark.parametrize("subgroup", [[0, 99], [0, 1, -1]])
 def test_out_of_range_indices_are_not_a_subgroup(cs3_fun, subgroup):
     with pytest.raises(NotASubgroup):
-        build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, "L", cs3_fun.grams)
+        build_coset_subalgebra(S3, subgroup, "L", cs3_fun.grams)
+
+
+@pytest.mark.parametrize("order", [3, 12])
+def test_group_of_another_order_is_a_dimension_mismatch(cs3_fun, order):
+    """Cosets of a group whose order is not the algebra's dimension raise the package's
+    ``DimensionMismatch`` naming both sizes, not a plain ``ValueError``."""
+    assert issubclass(DimensionMismatch, CqglabError)
+    with pytest.raises(DimensionMismatch, match=rf"shape \(\d+, {order}\) .* dimension 6"):
+        build_coset_subalgebra(cyclic_group(order), [0], "L", cs3_fun.grams)
 
 
 def test_coideal_axioms(coset_ctx):
@@ -79,7 +89,7 @@ def test_coideal_axioms(coset_ctx):
 def test_single_delta_fails_coideal(cs3_fun):
     rows = np.zeros((1, 6), dtype=complex)
     rows[0, 2] = 1.0
-    cand = subspace_coideal(cs3_fun.algebra, rows, "L", cs3_fun.grams)
+    cand = subspace_coideal(rows, "L", cs3_fun.grams)
     report = verify_coideal(cand)
     assert not report["coideal condition"].passed
     assert not report["unit membership"].passed
@@ -87,7 +97,7 @@ def test_single_delta_fails_coideal(cs3_fun):
 
 def test_unit_span_passes_everything(cs3_fun):
     rows = cs3_fun.algebra.unit[None, :]
-    cand = subspace_coideal(cs3_fun.algebra, rows, "L", cs3_fun.grams)
+    cand = subspace_coideal(rows, "L", cs3_fun.grams)
     assert verify_coideal(cand).passed
 
 
@@ -107,7 +117,7 @@ def test_restricted_gram_tolerance_scales_with_rows(contexts, label, scale):
     rows = scale * (rng.standard_normal((alg.dim, alg.dim))
                     + 1j * rng.standard_normal((alg.dim, alg.dim)))
     for side in ("R", "L"):
-        coideal = subspace_coideal(alg, rows, side, ctx.grams)
+        coideal = subspace_coideal(rows, side, ctx.grams)
         assert verify_coideal(coideal).passed
         gram = restricted_gram(coideal)
         expected = np.conj(rows) @ ctx.grams.gram(side) @ rows.T
@@ -124,7 +134,7 @@ def test_restricted_coaction(coset_ctx, cs3_fun):
 
 
 def test_unit_span_coaction_is_trivial(cs3_fun):
-    coideal = subspace_coideal(cs3_fun.algebra, cs3_fun.algebra.unit[None, :], "L",
+    coideal = subspace_coideal(cs3_fun.algebra.unit[None, :], "L",
                                cs3_fun.grams)
     coact = coideal.carrier.coact
     expected = np.einsum("k,t->kt", np.ones(1), cs3_fun.algebra.unit)
@@ -148,7 +158,7 @@ def test_restricted_basis_function_dimensions(coset_ctx, cs3_fun):
 
 def test_full_span_reduces_to_unrestricted(cs3_fun):
     for side in ("L", "R"):
-        coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side,
+        coideal = subspace_coideal(np.eye(6, dtype=complex), side,
                                    cs3_fun.grams)
         sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
         for pi in cs3_fun.table:
@@ -158,7 +168,7 @@ def test_full_span_reduces_to_unrestricted(cs3_fun):
 
 def test_point_space_has_no_nontrivial_functions(cs3_fun):
     for side in ("L", "R"):
-        coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), side,
+        coideal = build_coset_subalgebra(S3, list(range(6)), side,
                                          cs3_fun.grams)
         sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
         assert sols["p2"] == []
@@ -191,7 +201,7 @@ def test_restricted_multiplication_families(coset_ctx, cs3_fun):
 
 
 def test_zero_family_space_on_point_space(cs3_fun):
-    coideal = build_coset_subalgebra(S3, cs3_fun.algebra, list(range(6)), "L", cs3_fun.grams)
+    coideal = build_coset_subalgebra(S3, list(range(6)), "L", cs3_fun.grams)
     for kind in ("ordinary", "twisted"):
         assert solve_restricted_family(coideal, kind, cs3_fun.table)["p2"] == []
 
@@ -285,7 +295,7 @@ def test_restricted_equals_unrestricted_when_b_is_a(cs3_fun):
     std = cs3_fun.table["p2"]
     system = cs3_fun.cg("p2", "p2")
     for side in ("R", "L"):
-        coideal = subspace_coideal(cs3_fun.algebra, np.eye(6, dtype=complex), side,
+        coideal = subspace_coideal(np.eye(6, dtype=complex), side,
                                    cs3_fun.grams)
         phis = canonical_basis_functions(std, side, 0)
         psis = canonical_basis_functions(std, side, 0)
@@ -326,7 +336,7 @@ def test_orthogonality_and_coupling_on_b_carrier(cs3_fun, subgroup):
     of B do not mix.  Over the trivial subgroup p2 has two sets."""
     table, grams = cs3_fun.table, cs3_fun.grams
     for side in ("L", "R"):
-        coideal = build_coset_subalgebra(S3, cs3_fun.algebra, subgroup, side, grams)
+        coideal = build_coset_subalgebra(S3, subgroup, side, grams)
         sets = [bset for sols in solve_restricted_basis_functions(coideal, table).values()
                 for bset in sols]
         assert [bset.corep.label for bset in sets].count("p2") == (1 if subgroup == SUBGROUP
@@ -339,16 +349,16 @@ def test_orthogonality_and_coupling_on_b_carrier(cs3_fun, subgroup):
             system = cs3_fun.cg(p, q) if side == "R" else cs3_fun.cg(q, p)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinearDependenceWarning)
-                coupled = coupled_basis_functions(phis, psis, side, system, table)
+                coupled = coupled_basis_functions(phis, psis, system, table)
             for bset in coupled.values():
                 assert bset.carrier is coideal.carrier
                 assert check_basis_functions(bset) < 1e-9, (side, bset.label)
-            assert coupled_inverse_residual(phis, psis, side, system, coupled) < 1e-9
+            assert coupled_inverse_residual(phis, psis, system, coupled) < 1e-9
         on_a = canonical_basis_functions(table["p0"], side, 0)
         with pytest.raises(ValueError, match="different carriers"):
             basis_function_orthogonality(sets[0], on_a, np.eye(coideal.dim))
         with pytest.raises(ValueError, match="different carriers"):
-            coupled_basis_functions(sets[0], on_a, side, cs3_fun.cg("p0", "p0"), table)
+            coupled_basis_functions(sets[0], on_a, cs3_fun.cg("p0", "p0"), table)
 
 
 def test_restrict_rejects_outside_elements(coset_ctx, cs3_fun):
@@ -372,7 +382,7 @@ def test_coaction_escape_raises(cs3_fun):
     its carrier fails on the coaction tensor, while its products stay inside."""
     rows = np.zeros((1, 6), dtype=complex)
     rows[0, 0] = 1.0
-    coideal = subspace_coideal(cs3_fun.algebra, rows, "L", cs3_fun.grams)
+    coideal = subspace_coideal(rows, "L", cs3_fun.grams)
     legs, products = _legs_and_products(coideal)
     coideal.restrict(products)
     with pytest.raises(CoidealMismatch):
@@ -385,7 +395,7 @@ def test_product_escape_raises(cs3_fun):
     """Row 0 of the 2-dim irrep spans a right coideal that is not closed under
     products: building its carrier fails on the product tensor."""
     rows = cs3_fun.table["p2"].coeffs[0]
-    coideal = subspace_coideal(cs3_fun.algebra, rows, "R", cs3_fun.grams)
+    coideal = subspace_coideal(rows, "R", cs3_fun.grams)
     legs, products = _legs_and_products(coideal)
     coideal.restrict(legs)
     with pytest.raises(CoidealMismatch):
@@ -400,8 +410,8 @@ def test_each_coideal_keeps_its_own_gram(cs3_fun):
     alg, grams = cs3_fun.algebra, cs3_fun.grams
     scaled = GramPair(alg, 4.0 * grams.gram_right, 4.0 * grams.gram_left)
     for side in ("L", "R"):
-        plain = build_coset_subalgebra(S3, alg, SUBGROUP, side, grams)
-        other = build_coset_subalgebra(S3, alg, SUBGROUP, side, scaled)
+        plain = build_coset_subalgebra(S3, SUBGROUP, side, grams)
+        other = build_coset_subalgebra(S3, SUBGROUP, side, scaled)
         assert np.abs(other.onb - plain.onb / 2.0).max() < 1e-12
         for coideal in (plain, other):
             assert np.abs(coideal.restrict(coideal.onb) - np.eye(3)).max() < 1e-12

@@ -89,7 +89,7 @@ def test_family_space_matches_character_count(contexts):
 @pytest.mark.parametrize("subgroup", SUBGROUPS, ids=lambda s: f"H{len(s)}")
 def test_restricted_spaces_match_character_count(cs3_fun, subgroup, side):
     alg, grams = cs3_fun.algebra, cs3_fun.grams
-    coideal = build_coset_subalgebra(S3, alg, subgroup, side, grams)
+    coideal = build_coset_subalgebra(S3, subgroup, side, grams)
     chi_b = np.einsum("iim->m", coideal.carrier.coact)
     sols = solve_restricted_basis_functions(coideal, cs3_fun.table)
     fams = {kind: solve_restricted_family(coideal, kind, cs3_fun.table)
@@ -184,7 +184,7 @@ def _restricted_spaces(request, bed, side):
     matrices and its families of each kind as ``b^2 x d`` matrices, by table label."""
     fixture, group, subgroup = RESTRICTED_BEDS[bed]
     ctx = request.getfixturevalue(fixture)
-    coideal = build_coset_subalgebra(group(), ctx.algebra, subgroup, side, ctx.grams)
+    coideal = build_coset_subalgebra(group(), subgroup, side, ctx.grams)
     b = coideal.dim
     spaces = {"B": {label: [bset.functions.T for bset in sets] for label, sets in
                     solve_restricted_basis_functions(coideal, ctx.table).items()}}
@@ -456,7 +456,7 @@ def test_restricted_spaces_take_no_svd_larger_than_the_comodule(cs3_fun, monkeyp
     """The restricted solvers' SVDs are ``b x b`` for basis functions and ``b^2 x b^2``
     for families on C(S3)/{e, (01)} (b = 3), where the averaging maps of the 2-dim
     irrep are ``d b = 6`` and ``d b^2 = 18`` square."""
-    coideal = build_coset_subalgebra(S3, cs3_fun.algebra, [0, 1], side, cs3_fun.grams)
+    coideal = build_coset_subalgebra(S3, [0, 1], side, cs3_fun.grams)
     b = coideal.dim
     shapes = _svd_shapes(monkeypatch)
     assert len(solve_restricted_basis_functions(coideal, cs3_fun.table)["p2"]) == 1

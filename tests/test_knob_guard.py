@@ -1,12 +1,12 @@
 """Static guard: each numerical decision has one threshold, not a parameter.
 
-The rank of every intertwiner space is cut at ``corep.RANK_RCOND``, and the
-other cuts (eigenvalue clusters, linear dependence, the route check of the
-operator coaction) are fixed where they are made.  A parameter named like a
-cut invites a caller to move one decision away from the others, so no
-function of the package takes one, except the two low-level routines that
-tests drive with their own cut: ``_range_basis(rcond)`` and
-``_split(cluster_tol)``.
+The rank of every intertwiner space is cut at ``corep.RANK_RCOND``, the
+eigenvalue clusters of the commutant split at ``corep.CLUSTER_TOL``, and the
+other cuts (linear dependence, the route check of the operator coaction) are
+fixed where they are made.  A parameter named like a cut invites a caller to
+move one decision away from the others, so no function of the package takes
+one, except the low-level routine that tests drive with their own cut:
+``_range_basis(rcond)``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 
 KNOBS = {"rcond", "cluster_tol", "dependence_tol", "check_routes"}
-ALLOWED = {("_range_basis", "rcond"), ("_split", "cluster_tol")}
+ALLOWED = {("_range_basis", "rcond")}
 
 
 def _parameters():

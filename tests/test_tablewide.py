@@ -244,8 +244,8 @@ def test_homspace_report_matches_per_triple_calls(contexts, tmp_path, label, sub
     target sets, then the selection rule over the others."""
     ctx = contexts[label]
     table = ctx.table
-    coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra,
-                                     [int(g) for g in subgroup.split(",")], side, ctx.grams)
+    coideal = build_coset_subalgebra(_BUILTINS[label][1](), [int(g) for g in subgroup.split(",")],
+                                     side, ctx.grams)
     named = [(label if len(sols) == 1 else f"{label}#{i}", bset)
              for label, sols in solve_restricted_basis_functions(coideal, table).items()
              for i, bset in enumerate(sols)]
@@ -308,8 +308,7 @@ def test_tables_on_a_factorized_together_match_alone(contexts, ca4_fun, label):
 def test_tables_on_b_factorized_together_match_alone(contexts, label, subgroup, side):
     """The two kinds' tables of ``cqglab homspace`` on a coideal B's carrier."""
     ctx = contexts[label]
-    coideal = build_coset_subalgebra(_BUILTINS[label][1](), ctx.algebra, subgroup, side,
-                                     ctx.grams)
+    coideal = build_coset_subalgebra(_BUILTINS[label][1](), subgroup, side, ctx.grams)
     sets = [bset for sols in solve_restricted_basis_functions(coideal, ctx.table).values()
             for bset in sols]
     tables = [(sets, [multiplication_family(bset, kind) for bset in sets], sets,

@@ -433,6 +433,25 @@ def test_commutant_certificate(cs3_fun):
         _certify_commutant(left_conv, regular_coaction_tensor(alg, "L"), 1e-12)
 
 
+@pytest.mark.parametrize("fixture", ["cs3_fun", "cs4_fun"])
+def test_commutant_certificate_catches_a_perturbed_coaction(request, fixture):
+    """Negative control of the chunked certificate: one coaction entry moved by 1e-6
+    raises with the residual of the one-convolution-at-a-time comparison, on C(S3)
+    (every C_x in one chunk) and on C(S4) (one C_x per chunk)."""
+    alg = request.getfixturevalue(fixture).algebra
+    convs = alg.comult.transpose(1, 2, 0)
+    coact = regular_coaction_tensor(alg, "R")
+    coact[-1, 0, -1] += 1e-6
+    gap = max(float(np.abs(np.tensordot(conv, coact, axes=(0, 0))
+                           - np.tensordot(conv, coact, axes=(1, 1)).transpose(1, 0, 2)).max())
+              for conv in convs)
+    assert gap > 5e-7
+    with pytest.raises(DecompositionStall, match=(
+            rf"^convolutions do not commute with the regular coaction \(residual "
+            rf"{gap:.1e} > 1\.0e-09\)$")):
+        _certify_commutant(convs, coact, 1e-9)
+
+
 @pytest.mark.parametrize("side", ["R", "L"])
 def test_commutant_certificate_memory(cs4_fun, side):
     """C(S4) (n = 24): the certificate compares one convolution at a time, so its
