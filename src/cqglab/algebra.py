@@ -20,6 +20,14 @@ An element is its ``(n,)`` complex coefficient vector and a tensor in
 ``A (x) A`` its ``(n, n)`` coefficient matrix (entry ``[j, k]`` multiplies
 ``a_j (x) a_k``); every structure map acts on them through the arrays above.
 
+A spec stores its six arrays in one dtype, the narrowest that holds them
+exactly: float64 when no entry has a nonzero imaginary part (every group
+algebra and function algebra), complex128 otherwise.  What is computed from the
+spec alone (the axiom suites, the regular coaction tensors, the dual) inherits
+that dtype and runs real BLAS on real specs; every other value (functionals,
+corepresentations and what is built from them) is stored complex, and a real
+structure tensor meeting complex data is promoted by numpy.
+
 Validation is advisory: constructors only check shapes and that every entry
 is finite, and the axiom suites (:func:`verify_hopf_axioms`,
 :func:`verify_star_axioms`) report residuals so a broken spec can be loaded
@@ -74,9 +82,15 @@ class HopfAlgebraSpec:
         object.__setattr__(self, "dim", n)
         shapes = {"mult": (n, n, n), "comult": (n, n, n), "antipode": (n, n),
                   "counit": (n,), "unit": (n,), "star": (n, n)}
-        _freeze(self, *shapes)
-        for name, shape in shapes.items():
-            arr = getattr(self, name)
+        given = [np.asarray(getattr(self, name)) for name in shapes]
+        given = [arr if arr.dtype.kind in "biufc" else arr.astype(complex) for arr in given]
+        # one dtype per spec: real unless some entry has a nonzero imaginary part
+        real = not any(arr.dtype.kind == "c" and arr.imag.any() for arr in given)
+        for (name, shape), arr in zip(shapes.items(), given):
+            # one read-only copy, so the caller's array stays theirs
+            arr = np.array(arr.real, dtype=float) if real else np.array(arr, dtype=complex)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
             if arr.shape != shape:
                 raise InvalidSpec(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():

@@ -134,16 +134,16 @@ def all_permutation_group(n: int) -> GroupTable:
 def build_function_algebra(group: GroupTable) -> HopfAlgebraSpec:
     """The commutative Hopf *-algebra of functions on ``group`` (delta basis)."""
     g, idx = group.order, np.arange(group.order)
-    mult = np.zeros((g, g, g), dtype=complex)
+    mult = np.zeros((g, g, g))
     mult[idx, idx, idx] = 1.0
-    comult = np.zeros((g, g, g), dtype=complex)
+    comult = np.zeros((g, g, g))
     comult[group.table, idx[:, None], idx] = 1.0  # coproduct(delta_xy) gets delta_x (x) delta_y
-    antipode = np.zeros((g, g), dtype=complex)
+    antipode = np.zeros((g, g))
     antipode[idx, group.inverses] = 1.0
-    counit = np.zeros(g, dtype=complex)
+    counit = np.zeros(g)
     counit[0] = 1.0
-    unit = np.ones(g, dtype=complex)
-    star = np.eye(g, dtype=complex)
+    unit = np.ones(g)
+    star = np.eye(g)
     return HopfAlgebraSpec(g, mult, comult, antipode, counit, unit, star,
                            label=f"C({_group_name(group)})")
 
@@ -151,14 +151,14 @@ def build_function_algebra(group: GroupTable) -> HopfAlgebraSpec:
 def build_group_algebra(group: GroupTable) -> HopfAlgebraSpec:
     """The group algebra of ``group`` as a cocommutative Hopf *-algebra."""
     g, idx = group.order, np.arange(group.order)
-    mult = np.zeros((g, g, g), dtype=complex)
+    mult = np.zeros((g, g, g))
     mult[idx[:, None], idx, group.table] = 1.0
-    comult = np.zeros((g, g, g), dtype=complex)
+    comult = np.zeros((g, g, g))
     comult[idx, idx, idx] = 1.0
-    antipode = np.zeros((g, g), dtype=complex)
+    antipode = np.zeros((g, g))
     antipode[idx, group.inverses] = 1.0
-    counit = np.ones(g, dtype=complex)
-    unit = np.zeros(g, dtype=complex)
+    counit = np.ones(g)
+    unit = np.zeros(g)
     unit[0] = 1.0
     star = antipode  # g^* = g^{-1} on the group basis; the spec keeps copies
     return HopfAlgebraSpec(g, mult, comult, antipode, counit, unit, star,

@@ -65,9 +65,13 @@ class CoidealSubalgebra:
     def __post_init__(self) -> None:
         # read-only copies: an in-place edit cannot change B under its cached onb and carrier
         _freeze(self, "span_rows", "gram")
-        if self.span_rows.ndim != 2 or self.span_rows.shape[1] != self.algebra.dim:
+        n = self.algebra.dim
+        if self.span_rows.ndim != 2 or self.span_rows.shape[1] != n:
             raise DimensionMismatch(f"coefficient rows of shape {self.span_rows.shape} do not "
-                                    f"fit {self.algebra.label!r} of dimension {self.algebra.dim}")
+                                    f"fit {self.algebra.label!r} of dimension {n}")
+        if self.gram.shape != (n, n):
+            raise DimensionMismatch(f"gram of shape {self.gram.shape} does not fit the rows of "
+                                    f"shape {self.span_rows.shape}: it must be ({n}, {n})")
         if self.side not in ("R", "L"):
             raise ValueError("side must be 'R' or 'L'")
 

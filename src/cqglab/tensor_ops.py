@@ -494,8 +494,9 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
             for idx, ops in enumerate(_phase_fixed(basis.T))]
 
 
-def _certify_commutant(convs: np.ndarray, coact: np.ndarray, tol: float) -> None:
-    """Raise ``DecompositionStall`` unless every ``C_x`` is a comodule map of ``coact``.
+def _certify_commutant(convs: np.ndarray, coact: np.ndarray, tol: float) -> float:
+    """The largest residual of ``C_x`` as a comodule map of ``coact``, over every ``C_x``;
+    ``DecompositionStall`` when it exceeds ``tol``.
 
     In chunks of ``STACK_ENTRIES / n^5`` (at least one): all ``C_x`` in one pass up to
     n = 11, one at a time from n = 18 on, where no intermediate is larger than ``coact``."""
@@ -508,6 +509,7 @@ def _certify_commutant(convs: np.ndarray, coact: np.ndarray, tol: float) -> None
         raise DecompositionStall(
             f"convolutions do not commute with the regular coaction (residual {gap:.1e} "
             f"> {tol:.1e})")
+    return gap
 
 
 def apply_family_to_basis_functions(fam: TensorOperatorFamily, phis: BasisFunctionSet,

@@ -195,17 +195,20 @@ def tensor_product_algebra(first, second):
         label=f"{first.label}(x){second.label}")
 
 
-def rotated_algebra(alg, seed: int):
+def rotated_algebra(alg, seed: int, real: bool = False):
     """``alg`` in the basis ``b_p = sum_j U[p, j] a_j`` for a random unitary ``U``.
 
     ``U`` is the Q factor of a complex Gaussian matrix drawn from ``seed``, so the
     new star matrix ``conj(U) star U^H`` is not real.  An element with
-    coefficients ``x`` in the old basis has ``x @ U^H`` in the new one.
+    coefficients ``x`` in the old basis has ``x @ U^H`` in the new one.  With
+    ``real``, ``U`` is the Q factor of a real Gaussian matrix: a real ``alg`` stays
+    real, with dense entries that are no longer 0 or 1.
     """
     from cqglab.algebra import HopfAlgebraSpec
     rng = np.random.default_rng(seed)
     n = alg.dim
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    gauss = rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(gauss if real else gauss + 1j * rng.standard_normal((n, n)))
     ui = u.conj().T
     mult = np.tensordot(np.tensordot(u, np.tensordot(u, alg.mult, (1, 0)), (1, 1)),
                         ui, (2, 0)).swapaxes(0, 1)

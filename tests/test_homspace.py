@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 from itertools import product
 
@@ -12,10 +13,10 @@ from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
 from cqglab.errors import (CoidealMismatch, CqglabError, DimensionMismatch,
                            LinearDependenceWarning, NotASubgroup)
 from cqglab.groups import cyclic_group, symmetric_group_3
-from cqglab.homspace import (build_coset_subalgebra, canonical_restricted_candidates,
-                             restricted_coaction_report, restricted_gram,
-                             solve_restricted_basis_functions, solve_restricted_family,
-                             subspace_coideal, verify_coideal)
+from cqglab.homspace import (CoidealSubalgebra, build_coset_subalgebra,
+                             canonical_restricted_candidates, restricted_coaction_report,
+                             restricted_gram, solve_restricted_basis_functions,
+                             solve_restricted_family, subspace_coideal, verify_coideal)
 from cqglab.corep import identity_corep
 from cqglab.haar import GramPair
 from cqglab.regular import (BasisFunctionSet, basis_function_orthogonality,
@@ -78,6 +79,17 @@ def test_group_of_another_order_is_a_dimension_mismatch(cs3_fun, order):
     assert issubclass(DimensionMismatch, CqglabError)
     with pytest.raises(DimensionMismatch, match=rf"shape \(\d+, {order}\) .* dimension 6"):
         build_coset_subalgebra(cyclic_group(order), [0], "L", cs3_fun.grams)
+
+
+@pytest.mark.parametrize("gram", [np.eye(3), np.eye(6)[:, :3], np.ones(36)],
+                         ids=["3x3", "6x3", "flat"])
+def test_gram_of_another_shape_is_a_dimension_mismatch(cs3_fun, gram):
+    """A Gram matrix that is not n x n is refused when B is built, naming both shapes,
+    instead of leaking numpy's matmul ``ValueError`` on the first read of ``B.onb``."""
+    shape = re.escape(str(gram.shape))
+    with pytest.raises(DimensionMismatch, match=rf"gram of shape {shape} .* rows of shape "
+                                                 rf"\(6, 6\)"):
+        CoidealSubalgebra(cs3_fun.algebra, np.eye(6), "R", gram)
 
 
 def test_coideal_axioms(coset_ctx):

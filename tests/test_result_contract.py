@@ -2,12 +2,13 @@
 other result types.
 
 ``CGSystem``, ``BasisFunctionSet``, ``TensorOperatorFamily`` and ``GramPair`` are
-frozen dataclasses holding read-only copies of their arrays, as
-``Corepresentation``, ``LinearFunctional`` and ``HopfAlgebraSpec`` do, all through
-one copy-then-freeze helper: assigning a field raises ``FrozenInstanceError``,
-writing into an array raises ``ValueError``, and the caller's array is neither
-shared nor made read-only.  An irrep table carries the Haar functional it was
-certified under, and ``solve_cg`` refuses any other.
+frozen dataclasses holding read-only complex copies of their arrays, as
+``Corepresentation`` and ``LinearFunctional`` do, all through one copy-then-freeze
+helper, and as ``HopfAlgebraSpec`` does in its own dtype (``test_real_structure.py``):
+assigning a field raises ``FrozenInstanceError``, writing into an array raises
+``ValueError``, and the caller's array is neither shared nor made read-only.  An
+irrep table carries the Haar functional it was certified under, and ``solve_cg``
+refuses any other.
 """
 
 from __future__ import annotations
@@ -29,17 +30,22 @@ SPEC_FIELDS = ("mult", "comult", "antipode", "counit", "unit", "star")
 
 
 def _results(ctx):
-    """One value of each newly frozen type, with the name of its array fields."""
+    """One value of each frozen result type, with the name of its array fields."""
     bset = canonical_basis_functions(ctx.table["p2"], "R", 0)
     return {"CGSystem": (ctx.cg("p2", "p2"), ("C", "Cinv")),
             "BasisFunctionSet": (bset, ("functions",)),
             "TensorOperatorFamily": (multiplication_family(bset, "ordinary"), ("operators",)),
-            "GramPair": (ctx.grams, ("gram_right", "gram_left"))}
+            "GramPair": (ctx.grams, ("gram_right", "gram_left")),
+            "LinearFunctional": (ctx.haar, ("covector",)),
+            "Corepresentation": (ctx.table["p2"], ("coeffs",))}
 
 
 @pytest.mark.parametrize("kind", ["CGSystem", "BasisFunctionSet", "TensorOperatorFamily",
-                                  "GramPair"])
+                                  "GramPair", "LinearFunctional", "Corepresentation"])
 def test_fields_are_frozen_and_arrays_read_only(cs3_fun, kind):
+    """Every result array is complex128, even on a spec whose structure constants are
+    stored real: only the spec narrows its dtype."""
+    assert cs3_fun.algebra.mult.dtype == np.float64
     value, arrays = _results(cs3_fun)[kind]
     for field in dataclasses.fields(value):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -48,7 +54,7 @@ def test_fields_are_frozen_and_arrays_read_only(cs3_fun, kind):
         arr = getattr(value, name)
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1.0
-        assert arr.dtype == complex
+        assert arr.dtype == np.complex128
 
 
 def test_cg_system_tables_are_read_only_and_derived_once(cs3_fun):
