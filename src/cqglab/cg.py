@@ -408,9 +408,9 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
     one factor's, batched, so each entry is computed as a one-triple call
     computes it, whatever else is stacked.  The right sides are the double CG
     contractions of the blocks of :func:`_padded_blocks` with
-    ``(F^r)^{-1} / tr = I / tr F^r``, each target's ``F = I`` certified as it is
-    read, for the targets that occur; a target that does not occur has a zero
-    right side, so its gap is ``max |lhs|``.
+    ``(F^r)^{-1} / tr (F^r)^{-1} = I / d_r`` (``F = I``, the Kac premise that
+    :func:`cqglab.haar.solve_haar` certifies), for the targets that occur; a
+    target that does not occur has a zero right side, so its gap is ``max |lhs|``.
     """
     factors = {pi.label: pi for pi in [*qs, *ps]}
     ordered = list(dict.fromkeys(
@@ -418,7 +418,6 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
         for key in ((pi_p.label, pi_q.label), (pi_q.label, pi_p.label))))
     n = h.algebra.dim
     dims = [pi_r.dim for pi_r in targets]
-    traces = np.array([np.trace(pi_r.F) for pi_r in targets])
     d_max = max(dims, default=0)
     pair = (h.algebra.mult @ h.pair).reshape(n, n * n)  # pair[a, (b, c)] = h(a_a a_b a_c)
     weights = np.zeros((len(targets), d_max, d_max, n, n), dtype=complex)
@@ -442,9 +441,9 @@ def _triple_haar_gaps(ps: list[Corepresentation], qs: list[Corepresentation],
                               [seconds.index(b) for _, b in keys]], 3, 0)  # [w, r, u, l, sj, tk]
         gap = np.abs(lhs).max(axis=(2, 3, 4, 5))
         fwd, inv, (w, r, _) = _padded_blocks([systems[key] for key in keys], labels, dims)
-        # fwd[e, alpha, (s, t), u] / tr F^r, against inv[e, alpha, l, (j, k)]
+        # fwd[e, alpha, (s, t), u] / d_r, against inv[e, alpha, l, (j, k)]
         size = (len(w), fwd.shape[1], d_a * d_b * d_max)
-        rhs = ((fwd / traces[r, None, None, None]).reshape(size).swapaxes(1, 2)
+        rhs = ((fwd / np.array(dims)[r, None, None, None]).reshape(size).swapaxes(1, 2)
                @ inv.reshape(size)).reshape(len(w), d_a, d_b, d_max, d_max, d_a, d_b)
         rhs = rhs.transpose(0, 3, 4, 1, 5, 2, 6).reshape(len(w), *lhs.shape[2:])
         gap[w, r] = np.abs(lhs[w, r] - rhs).max(axis=(1, 2, 3, 4))

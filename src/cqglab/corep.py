@@ -82,10 +82,10 @@ class Corepresentation:
     @cached_property
     def F(self) -> np.ndarray:
         """The intertwiner ``F pi = pi'' F`` to the doubly contragredient partner
-        (read-only).  A CQG spec has ``S^2 = id``, so ``pi'' = pi`` and ``F = I``:
-        Hermitian positive definite with ``tr F = tr F^{-1}``.  The first read
-        certifies ``|S^2(pi) - pi|`` against ``1e-9`` times the spec's magnitude
-        and raises ``NoF`` above it, on every read."""
+        (read-only), ``I`` when ``S^2 = id``: a per-corep certificate for callers, as
+        the package weighs by ``d_r`` (the Kac premise of :func:`cqglab.haar.solve_haar`).
+        The first read certifies ``|S^2(pi) - pi|`` against ``1e-9`` times the spec's
+        magnitude and raises ``NoF`` above it, on every read."""
         residual = float(np.abs(doubly_contragredient(self).coeffs - self.coeffs).max())
         if residual > 1e-9 * self.algebra.magnitude:
             raise NoF(f"S^2 moves the matrix coefficients of {self.label!r} (residual "
@@ -370,7 +370,7 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
     ``(p, q)`` blocks of ``G = U H S(U)^T`` and ``G' = S(U) H U^T`` vanish for
     ``p != q`` (two equivalent coreps raise ``ValueError``, read off the
     character Gram).  For ``p = q`` the paper's values are ``delta_jn F_mk / tr F``
-    and ``delta_jn (F^{-1})_mk / tr(F^{-1})``; both read the certified ``F = I``.
+    and ``delta_jn (F^{-1})_mk / tr(F^{-1})``, both ``delta_jn delta_mk / d`` (Kac: ``F = I``).
     Without a ``title`` the report is the table's, each check named ``p vs q: <identity>``.
     """
     alg = h.algebra
@@ -389,10 +389,8 @@ def _schur_report(coreps: list[Corepresentation], pairs: list[tuple[int, int]],
             names, expected = ("h(pi S(pi')) = 0", "h(S(pi) pi') = 0"), 0.0
         else:
             names = ("h(pi S(pi)) = d_jn F_mk/trF", "h(S(pi) pi) = d_jn Finv_mk/trFinv")
-            # delta_jn F_mk / tr F at [(j, k), (m, n)]; F = I = F^{-1} serves both
-            f = pi_p.F
-            expected = np.multiply.outer(np.eye(d), f / np.trace(f)).transpose(
-                0, 3, 2, 1).reshape(d * d, -1)
+            # delta_jn delta_mk / d at [(j, k), (m, n)]: F / tr F with F = I = F^{-1}
+            expected = np.eye(d * d).reshape([d] * 4).swapaxes(2, 3).reshape(d * d, -1) / d
         for name, gram in zip(names, grams):
             block = gram[starts[p]:starts[p + 1], starts[q]:starts[q + 1]]
             checks.append(("" if title else f"{pi_p.label} vs {pi_q.label}: ") + name)
@@ -665,15 +663,14 @@ class IrrepTable:
         """Read-only covectors of the paper's projections: ``W @ factor`` holds
         ``P^r_l1 = d_r (id (x) h)(W (pi^r_l1)^*)`` at column ``lifts[r, l]``, ``h``
         the table's :attr:`haar`.  Padded to the largest ``d_r``, ``weights[r, l]``
-        is ``1 / sqrt(tr F^r)`` (the certified ``F``) for ``l < d_r`` and 0 beyond."""
+        is ``1 / sqrt(tr F^r) = 1 / sqrt(d_r)`` (Kac: ``F = I``) for ``l < d_r``, 0 beyond."""
         dims = np.array(self.dims())
         rows = np.concatenate([pi.dim * pi.star_coeffs()[:, 0]
                                for pi in self.irreps])                  # [column, m]
         inside = np.arange(dims.max()) < dims[:, None]
         lifts = np.cumsum(dims)[:, None] - dims[:, None] + np.where(
             inside, np.arange(dims.max()), 0)
-        traces = np.array([np.trace(pi.F).real for pi in self.irreps])
-        arrays = (self.haar.pair @ rows.T, lifts, inside / np.sqrt(traces)[:, None])
+        arrays = (self.haar.pair @ rows.T, lifts, inside / np.sqrt(dims)[:, None])
         for arr in arrays:
             arr.setflags(write=False)
         return arrays

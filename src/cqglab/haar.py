@@ -1,9 +1,9 @@
-"""The Haar functional: the regular trace, certification, lemmas, and Gram matrices.
+"""The Haar functional: the regular trace, its certificate, the lemmas, and the Gram matrix.
 
-A finite-dimensional CQG algebra is semisimple with ``S^2 = id``, so its Haar
-functional is the normalized trace of the left regular representation,
-``h(a_j) = sum_k mult[j, k, k] / n`` (Larson-Radford; Van Daele).  That trace
-is certified for normalization and two-sided invariance:
+A finite-dimensional CQG algebra is semisimple and of Kac type, ``S^2 = id``
+(Larson-Radford; Van Daele), so its Haar functional is the normalized trace of
+the left regular representation, ``h(a_j) = sum_k mult[j, k, k] / n``,
+certified for normalization and two-sided invariance:
 
 * ``sum_j comult[l, j, k] h_j = h_l unit[k]``  for all ``l, k``  (left),
 * ``sum_k comult[l, j, k] h_k = h_l unit[j]``  for all ``l, j``  (right),
@@ -13,7 +13,9 @@ These conditions have at most one solution: for two solutions ``h`` and
 ``h'``, ``(h (x) h') coproduct(a)`` is ``h(a)`` by the left invariance of
 ``h`` and ``h'(a)`` by the right invariance of ``h'``.  So a certified trace
 is *the* Haar functional, and it must make the Gram matrix ``h(a_j^* a_k)``
-positive definite.
+positive definite.  The Kac premise is certified here too (:func:`_kac_gaps`),
+and the other layers rest on it: the left inner product ``h(a_k (S^2 a_j)^*)``
+is the right one, so there is one Gram matrix, and every F-matrix is ``I``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = ["HaarFunctional", "GramPair", "solve_haar", "verify_haar_lemmas",
            "gram_matrices", "certify_haar", "regular_unitarity_report"]
 
 PD_RELATIVE_FLOOR = 1e-10
+KAC_CHECKS = ("antipode squares to identity", "trace property")
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,31 +40,31 @@ class HaarFunctional(LinearFunctional):
     """The certified Haar functional ``h`` of a CQG-algebra spec."""
 
     def is_tracial(self) -> bool:
-        return bool(np.abs(self.pair - self.pair.T).max() <= 1e-12 * self.algebra.magnitude)
+        return _kac_gaps(self)[1] <= 1e-12 * self.algebra.magnitude
 
 
 @dataclass(frozen=True, eq=False)
 class GramPair:
-    """Invariant Gram matrices of the two regular inner products, as read-only copies.
+    """The invariant Gram matrix of both regular inner products, as a read-only copy.
 
-    ``gram_right[j, k] = h(a_j^* a_k)`` and
-    ``gram_left[j, k] = h(a_k (S^2(a_j))^*)``; both are Hermitian positive
-    definite for a valid CQG spec.
+    ``matrix[j, k] = h(a_j^* a_k)`` is the right inner product.  The left one,
+    ``h(a_k (S^2(a_j))^*)``, is the same matrix under the Kac premise that
+    :func:`solve_haar` certifies (``S^2 = id`` and ``h`` a trace), so
+    ``gram("R")``, ``gram("L")``, ``gram_right`` and ``gram_left`` all return it.
     """
 
     algebra: HopfAlgebraSpec
-    gram_right: np.ndarray
-    gram_left: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _freeze(self, "gram_right", "gram_left")
+        _freeze(self, "matrix")
+
+    gram_right = gram_left = property(lambda self: self.matrix)
 
     def gram(self, side: str) -> np.ndarray:
-        if side == "R":
-            return self.gram_right
-        if side == "L":
-            return self.gram_left
-        raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+        if side not in ("R", "L"):
+            raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+        return self.matrix
 
 
 def _positivity(matrix: np.ndarray) -> tuple[float, float, float]:
@@ -78,9 +81,10 @@ def _positivity(matrix: np.ndarray) -> tuple[float, float, float]:
 def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
     """The normalized regular trace ``h(a) = Tr(L_a) / n``, certified as the Haar functional.
 
-    Raises ``NoHaar`` when the trace misses normalization or two-sided
-    invariance by more than ``tol * magnitude`` (the spec is not a CQG algebra),
-    and ``PositivityFailure`` when the right Gram matrix is not positive definite.
+    Raises ``NoHaar`` when the trace misses normalization, two-sided invariance
+    or the Kac premise (:func:`_kac_gaps`, named) by more than ``tol * magnitude``
+    (the spec is not a CQG algebra), and ``PositivityFailure`` when the Gram
+    matrix is not positive definite.
     """
     fun = HaarFunctional(alg, alg.mult.trace(axis1=1, axis2=2) / alg.dim)
     norm = abs(complex(alg.unit @ fun.covector) - 1.0)
@@ -89,12 +93,18 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
         raise NoHaar(
             f"the regular trace of {alg.label!r} is not a Haar functional (normalization "
             f"{norm:.2e}, left invariance {left:.2e}, right invariance {right:.2e})")
-    herm_res, min_eig, floor = _positivity(alg.star @ fun.pair)  # h(a_j^* a_k)
-    if herm_res > tol * alg.magnitude or min_eig <= floor:
-        raise PositivityFailure(
-            f"right Gram matrix of {alg.label!r} is not positive definite "
-            f"(hermiticity {herm_res:.2e}, min eig {min_eig:.2e})")
+    for name, gap in zip(KAC_CHECKS, _kac_gaps(fun)):
+        if gap > tol * alg.magnitude:
+            raise NoHaar(f"{alg.label!r} fails the Kac premise: {name} {gap:.2e}")
+    gram_matrices(alg, fun, tol)  # raises PositivityFailure
     return fun
+
+
+def _kac_gaps(h: LinearFunctional) -> tuple[float, float]:
+    """The Kac premise :data:`KAC_CHECKS`: ``max |S S - I|`` and ``max |H - H^T|``,
+    ``H = h.pair``.  ``|S S - I| <= eps`` gives ``|S^2(pi) - pi| <= n eps max |pi|``."""
+    s, pair = h.algebra.antipode, h.pair
+    return float(np.abs(s @ s - np.eye(len(s))).max()), float(np.abs(pair - pair.T).max())
 
 
 def _haar_invariance(coact: np.ndarray, rows: np.ndarray,
@@ -110,8 +120,8 @@ def _haar_invariance(coact: np.ndarray, rows: np.ndarray,
 
 
 def certify_haar(h: HaarFunctional, tol: float = 1e-9) -> Report:
-    """Residuals of normalization, two-sided invariance, star-reality,
-    S-invariance, and Gram positivity for a given functional."""
+    """Residuals of normalization, two-sided invariance, star-reality, S-invariance,
+    Gram positivity and the Kac premise (:func:`_kac_gaps`) for a given functional."""
     alg = h.algebra
     mu, u, cov = alg.comult, alg.unit, h.covector
     report = Report(f"haar certificates [{alg.label}]", meta={"tol": tol})
@@ -128,6 +138,7 @@ def certify_haar(h: HaarFunctional, tol: float = 1e-9) -> Report:
     report.add("gram hermitian", herm_res, t)
     report.add("gram positive", 0.0 if min_eig > floor else 1.0, 0.5,
                min_eigenvalue=min_eig, floor=floor)
+    report.extend(KAC_CHECKS, _kac_gaps(h), t)
     return report
 
 
@@ -160,26 +171,22 @@ def verify_haar_lemmas(h: LinearFunctional, tol: float = 1e-10) -> Report:
 
 
 def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) -> GramPair:
-    """Both invariant Gram matrices, with Hermiticity/positivity certificates."""
-    star, s = alg.star, alg.antipode
-    gram_r = star @ h.pair  # h(a_j^* a_k); a_j^* has the coefficients star[j]
-    # (a_j, a_k)^L = h(a_k (S^2 a_j)^*); (S^2 a_j)^* has coefficients conj(s s)[j] @ star
-    gram_l = np.conj(s @ s) @ star @ h.pair.T
-    for side, gram in (("R", gram_r), ("L", gram_l)):
-        herm_res, min_eig, floor = _positivity(gram)
-        if herm_res > tol * alg.magnitude or min_eig <= floor:
-            raise PositivityFailure(
-                f"{side} Gram matrix of {alg.label!r} fails positivity "
-                f"(hermiticity {herm_res:.2e}, min eig {min_eig:.2e})")
-    return GramPair(alg, gram_r, gram_l)
+    """The invariant Gram matrix ``h(a_j^* a_k)`` of both sides, with its
+    Hermiticity/positivity certificate."""
+    gram = alg.star @ h.pair  # a_j^* has the coefficients star[j]
+    herm_res, min_eig, floor = _positivity(gram)
+    if herm_res > tol * alg.magnitude or min_eig <= floor:
+        raise PositivityFailure(
+            f"Gram matrix of {alg.label!r} is not positive definite "
+            f"(hermiticity {herm_res:.2e}, min eig {min_eig:.2e})")
+    return GramPair(alg, gram)
 
 
 def regular_unitarity_report(grams: GramPair, tol: float = 1e-10) -> Report:
     """Unitarity of the regular corepresentations w.r.t. their inner products.
 
     Checks ``sum <w, v_[1]> S(v_[2]) = sum <w_[1], v> w_[2]^*`` on all basis
-    pairs, for the right regular coaction with the right Gram and the left
-    regular coaction with the left Gram.
+    pairs, for both regular coactions with the one Gram of ``grams``.
     """
     from .regular import regular_carrier  # local import: no cycle at module load
 

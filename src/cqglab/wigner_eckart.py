@@ -151,7 +151,7 @@ def verify_wigner_eckart(psis: BasisFunctionSet, fam: TensorOperatorFamily,
     ``system`` is used as the family kind's CG system (:func:`_cg_order`);
     passing the other order is the standard negative control on a
     noncommutative spec, and ``cg_order`` names the system used.  ``f_r`` is
-    accepted and unused: the target's F is its corep's certified ``F``.
+    accepted and unused: the target's F is ``I`` (:func:`cqglab.haar.solve_haar`).
     """
     key = _cg_order(fam.kind, phis.corep.label, fam.corep.label)
     title = f"wigner-eckart [{fam.side},{fam.kind}]"
@@ -199,8 +199,8 @@ def _factorize_table(tables: list[tuple], systems: dict[tuple[str, str], CGSyste
     residuals are rounding).  The inner products of a table's targets,
     operators and sources come from one contraction.
     """
-    # the closed form's (F^r)^{-1} / tr (F^r)^{-1} is I / tr F^r: F = I, certified on read
-    targets = [(bset.corep.label, round(np.trace(bset.corep.F).real)) for bset in tables[0][0]]
+    # the closed form's (F^r)^{-1} / tr (F^r)^{-1} is I / d_r: F = I, the Kac premise
+    targets = [(bset.corep.label, bset.corep.dim) for bset in tables[0][0]]
     tmats, chosen, counts = [], [], []
     for psis, fams, phis, gram, _ in tables:
         if [(bset.corep.label, bset.corep.dim) for bset in psis] != targets:

@@ -265,6 +265,21 @@ def verify_dual_pairing(alg, dual, tol: float = 1e-12):
     return report
 
 
+def left_gram(alg, h) -> tuple[np.ndarray, bool]:
+    """The left regular inner product ``(a_j, a_k)^L = h(a_k (S^2 a_j)^*)`` by the
+    paper's formula, and whether it is Hermitian positive definite.
+
+    ``(S^2 a_j)^*`` has the coefficients ``conj(S S)[j] @ star``.  Positive
+    definite means a Hermiticity residual at most ``1e-9`` times the magnitude
+    and a smallest eigenvalue above ``1e-10`` times the largest.
+    """
+    s = alg.antipode
+    gram = np.conj(s @ s) @ alg.star @ h.pair.T
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    hermitian = np.abs(gram - gram.conj().T).max() <= 1e-9 * alg.magnitude
+    return gram, bool(hermitian and eigs[0] > 1e-10 * np.abs(eigs).max())
+
+
 def haar_invariance_rows(alg) -> np.ndarray:
     """The homogeneous rows of the Haar invariance system, one ``u_k`` at a time:
     rows ``(l, k)`` hold ``comult[l, j, k] - delta_lj u_k`` (left), then rows

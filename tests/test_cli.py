@@ -474,6 +474,40 @@ def test_demo_subcommand():
     assert "RESULT: PASS" in result.stdout
 
 
+HAAR_CHECKS = ["normalization", "left invariance", "right invariance", "star reality",
+               "antipode invariance", "gram hermitian", "gram positive",
+               "antipode squares to identity", "trace property"]
+
+
+@pytest.mark.parametrize("command", ["haar", "demo"])
+def test_haar_certificates_end_with_the_kac_checks(command, tmp_path):
+    """Every ``haar certificates`` report carries the Kac premise as its last two
+    checks, passing on each built-in."""
+    out = tmp_path / "out.json"
+    argv = [command, "--output", str(out)] + (["--builtin", "C[S3]"] if command == "haar" else [])
+    assert cli.main(argv) == 0
+    certificates = [rep for rep in json.loads(out.read_text())["reports"]
+                    if rep["title"].startswith("haar certificates")]
+    assert len(certificates) == (1 if command == "haar" else len(builtin_algebras()))
+    for rep in certificates:
+        assert [check["name"] for check in rep["checks"]] == HAAR_CHECKS
+        assert all(check["passed"] for check in rep["checks"])
+
+
+def test_haar_checks_the_gram_twice(tmp_path, monkeypatch):
+    """``cqglab haar`` takes the one Gram's eigenvalues twice: ``solve_haar``'s
+    positivity check and ``certify_haar``'s report; nothing repeats them."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert cli.main(["haar", "--builtin", "C(S3)", "--output", str(tmp_path / "h.json")]) == 0
+    assert calls == [(6, 6), (6, 6)]
+
+
 def test_large_report_summary_lists_only_failing_checks():
     """Past ``SUMMARY_CHECKS`` checks a summary keeps its verdict line, with the count and
     the worst residual, and lists only the failing checks; up to it, every check."""

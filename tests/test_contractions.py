@@ -151,7 +151,7 @@ def test_haar_lemmas_match_naive(algebras, label):
 def test_regular_unitarity_matches_naive(algebras, label):
     alg = perturbed(algebras[label], 5)
     rng = np.random.default_rng(5)
-    grams = GramPair(alg, rand(rng, alg.dim, alg.dim), rand(rng, alg.dim, alg.dim))
+    grams = GramPair(alg, rand(rng, alg.dim, alg.dim))
     report = regular_unitarity_report(grams)
     for side in ("R", "L"):
         ct, gram = regular_coaction_tensor(alg, side), grams.gram(side)
@@ -499,14 +499,14 @@ def test_restricted_tensors_match_naive(cs3_fun, side, subgroup):
 def test_restricted_coaction_report_matches_naive(cs3_fun, side):
     """B = A on C(S3) with one coproduct entry moved, judged with the unperturbed
     Gram and Haar: the report's comodule residuals are the naive coassociativity
-    and counit gaps of B's coaction tensor.  The unperturbed Grams are paired with
-    the moved spec by hand, since a coideal takes its algebra from its Grams."""
+    and counit gaps of B's coaction tensor.  The unperturbed Gram is paired with
+    the moved spec by hand, since a coideal takes its algebra from its Gram."""
     alg, grams = cs3_fun.algebra, cs3_fun.grams
     comult = alg.comult.copy()
     comult[1, 0, 0] += 0.5
     noisy = HopfAlgebraSpec(alg.dim, alg.mult, comult, alg.antipode, alg.counit, alg.unit,
                             alg.star, label="C(S3) with a moved coproduct entry")
-    noisy_grams = GramPair(noisy, grams.gram_right, grams.gram_left)
+    noisy_grams = GramPair(noisy, grams.matrix)
     coideal = subspace_coideal(np.eye(alg.dim, dtype=complex), side, noisy_grams)
     report = restricted_coaction_report(coideal, cs3_fun.haar)
     coact = coideal.carrier.coact

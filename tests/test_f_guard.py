@@ -1,12 +1,13 @@
-"""Static guard: a corepresentation is its coefficients, and ``F`` is read, never set.
+"""Static guard: a corepresentation is its coefficients, and the package never reads ``F``.
 
 Every finite-dimensional CQG algebra is of Kac type (``S^2 = id``), so the
-paper's F-matrix is ``I``: a certificate of the coefficients, not stored state.
-``Corepresentation.F`` certifies ``S^2(pi) = pi`` on its first read, and the
-orthogonality, projection, triple-Haar and Wigner-Eckart formulas read it.  No
-code asks whether F was set (``.F is None``), sets an attribute by name
-(``setattr``), or assigns a corepresentation field or one of the certificate
-flags that used to record which reports had run.
+paper's F-matrix is ``I``.  ``solve_haar`` certifies that premise once per spec,
+and the orthogonality, projection, triple-Haar and Wigner-Eckart formulas weigh
+by ``d_r``.  ``Corepresentation.F`` stays as a per-corep certificate for
+callers (it certifies ``S^2(pi) = pi`` on its first read), and no code in the
+package loads it.  No code asks whether F was set (``.F is None``), sets an
+attribute by name (``setattr``), or assigns a corepresentation field or one of
+the certificate flags that used to record which reports had run.
 """
 
 from __future__ import annotations
@@ -24,18 +25,26 @@ def _trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _f_reads():
-    """Each ``.F`` load in the package source."""
-    for name, tree in _trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "F" and isinstance(
-                    node.ctx, ast.Load):
-                yield f"{name}:{node.lineno}", node
+def _f_reads(tree: ast.AST) -> list[int]:
+    """The line of each ``.F`` load in a module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "F" and isinstance(node.ctx, ast.Load)]
 
 
-def test_f_reads_are_found():
-    assert {where.split(":")[0] for where, _ in _f_reads()} >= {
-        "corep.py", "cg.py", "regular.py", "wigner_eckart.py"}
+def test_no_f_reads_in_the_package():
+    """Nothing in the package reads ``F``: the one ``F`` is ``Corepresentation``'s
+    property, which defines it without loading it."""
+    assert [f"{name}:{line}" for name, tree in _trees() for line in _f_reads(tree)] == []
+    corep = dict(_trees())["corep.py"]
+    [cls] = [node for node in ast.walk(corep)
+             if isinstance(node, ast.ClassDef) and node.name == "Corepresentation"]
+    assert "F" in [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_f_guard_sees_each_read():
+    sample = ast.parse("f = pi.F\ntr = np.trace(table[r].F)\nfinv = inv(set_a.corep.F)\n"
+                       "pi.F = f\n")
+    assert sorted(_f_reads(sample)) == [1, 2, 3]
 
 
 def _none_test(node: ast.Compare) -> bool:

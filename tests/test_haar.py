@@ -5,16 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from oracles import haar_invariance_rows, rotated_algebra, tensor_product_algebra
+from conftest import alternating_group_4, dihedral_group
+from oracles import haar_invariance_rows, left_gram, rotated_algebra, tensor_product_algebra
 
 from cqglab import cli
 from cqglab import io as cio
 from cqglab.algebra import HopfAlgebraSpec, LinearFunctional, build_dual
 from cqglab.errors import NoHaar, PositivityFailure
-from cqglab.groups import build_function_algebra, build_group_algebra, cyclic_group, \
-    symmetric_group_3
-from cqglab.haar import (certify_haar, gram_matrices, regular_unitarity_report,
-                         solve_haar, verify_haar_lemmas)
+from cqglab.groups import all_permutation_group, build_function_algebra, build_group_algebra, \
+    cyclic_group, symmetric_group_3
+from cqglab.haar import (KAC_CHECKS, HaarFunctional, certify_haar, gram_matrices,
+                         regular_unitarity_report, solve_haar, verify_haar_lemmas)
 from cqglab.regular import regular_invariance_report
 
 
@@ -149,6 +150,80 @@ def test_haar_is_tracial_on_builtins(contexts):
         assert ctx.haar.is_tracial(), label
 
 
+def _beds_to_36(contexts):
+    """Every bed with n <= 36: the built-ins, the rotated C(S3) and C[S3],
+    C(D6), C(A4), C[A4], C(S4), C[S4], C(S3) (x) C[S3] and its rotation."""
+    s3 = symmetric_group_3()
+    mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
+    beds = [ctx.algebra for ctx in contexts.values()] + _rotated_beds(contexts)
+    for group in (dihedral_group(6), alternating_group_4(), all_permutation_group(4)):
+        beds += [build_function_algebra(group), build_group_algebra(group)]
+    return beds + [mixed, rotated_algebra(mixed, 1)]
+
+
+def test_left_gram_oracle_is_the_one_gram(contexts):
+    """The paper's left inner product ``h(a_k (S^2 a_j)^*)``, formed by the oracle, is
+    positive definite and is the one Gram to ``1e-12`` times the magnitude, and every
+    accessor of ``GramPair`` returns that one matrix, on every bed with n <= 36."""
+    for alg in _beds_to_36(contexts):
+        h = solve_haar(alg)
+        grams = gram_matrices(alg, h)
+        left, positive = left_gram(alg, h)
+        assert positive, alg.label
+        assert np.abs(left - grams.gram("L")).max() <= 1e-12 * alg.magnitude, alg.label
+        assert all(m is grams.matrix for m in (grams.gram("R"), grams.gram("L"),
+                                               grams.gram_right, grams.gram_left))
+        assert max(certify_haar(h)[name].residual for name in KAC_CHECKS) < 1e-12, alg.label
+
+
+def test_moved_antipode_turns_the_kac_check_red():
+    """C(S3) with the antipode entry of the transposition (01) moved by 1e-3:
+    ``S S - I`` is ``1.001^2 - 1`` there, so ``antipode squares to identity``
+    fails while the trace property holds, and ``solve_haar`` refuses the spec
+    naming that check.  Invariance does not read the antipode, so it passes."""
+    alg = build_function_algebra(symmetric_group_3())
+    antipode = np.array(alg.antipode)
+    antipode[1, 1] += 1e-3
+    moved = HopfAlgebraSpec(alg.dim, alg.mult, alg.comult, antipode, alg.counit, alg.unit,
+                            alg.star, label="moved antipode")
+    trace = HaarFunctional(moved, moved.mult.trace(axis1=1, axis2=2) / moved.dim)
+    report = certify_haar(trace)
+    assert not report["antipode squares to identity"].passed
+    assert report["antipode squares to identity"].residual == pytest.approx(2.001e-3)
+    assert report["trace property"].passed and report["left invariance"].passed
+    with pytest.raises(NoHaar, match="antipode squares to identity"):
+        solve_haar(moved)
+
+
+def test_non_class_function_turns_the_trace_check_red():
+    """On C[S3] the functional ``delta`` at the 3-cycle (012) is not a class function:
+    ``h(g g') = 1`` and ``h(g' g) = 0`` for the transpositions g = (01), g' = (12),
+    so ``trace property`` reads 1 and ``is_tracial`` is False, while the antipode
+    check passes."""
+    alg = build_group_algebra(symmetric_group_3())
+    cov = np.zeros(alg.dim)
+    cov[4] = 1.0
+    h = HaarFunctional(alg, cov)
+    report = certify_haar(h)
+    assert not report["trace property"].passed and report["trace property"].residual == 1.0
+    assert report["antipode squares to identity"].passed
+    assert not h.is_tracial()
+
+
+def test_non_tracial_product_gets_no_haar():
+    """Adding ``0.5 e`` to the product ``g_1 g_2`` of C[S3] leaves the regular trace
+    and so its invariance unchanged (the trace reads ``mult[j, k, k]`` only), but
+    ``h(g_1 g_2) - h(g_2 g_1)`` is 0.5: ``solve_haar`` refuses the spec naming
+    ``trace property``."""
+    alg = build_group_algebra(symmetric_group_3())
+    mult = np.array(alg.mult)
+    mult[1, 2, 0] += 0.5
+    broken = HopfAlgebraSpec(alg.dim, mult, alg.comult, alg.antipode, alg.counit,
+                             alg.unit, alg.star, label="non-tracial")
+    with pytest.raises(NoHaar, match="trace property"):
+        solve_haar(broken)
+
+
 def test_no_haar_on_tampered_spec():
     alg = build_group_algebra(symmetric_group_3())
     comult = alg.comult.copy()
@@ -164,6 +239,7 @@ def test_positivity_failure_detected():
     h_bad = LinearFunctional(alg, np.array([1.5, -0.5]))  # normalized but signed
     with pytest.raises(PositivityFailure):
         gram_matrices(alg, h_bad)
+    assert not left_gram(alg, h_bad)[1]  # the oracle's positivity check fails too
 
 
 def test_invariance_certificate_follows_tol():

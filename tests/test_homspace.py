@@ -420,7 +420,7 @@ def test_each_coideal_keeps_its_own_gram(cs3_fun):
     """Two coideals on the same cosets, built with Grams that differ by a factor 4,
     each restrict and carry in their own orthonormal basis."""
     alg, grams = cs3_fun.algebra, cs3_fun.grams
-    scaled = GramPair(alg, 4.0 * grams.gram_right, 4.0 * grams.gram_left)
+    scaled = GramPair(alg, 4.0 * grams.matrix)
     for side in ("L", "R"):
         plain = build_coset_subalgebra(S3, SUBGROUP, side, grams)
         other = build_coset_subalgebra(S3, SUBGROUP, side, scaled)

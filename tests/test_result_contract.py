@@ -35,7 +35,7 @@ def _results(ctx):
     return {"CGSystem": (ctx.cg("p2", "p2"), ("C", "Cinv")),
             "BasisFunctionSet": (bset, ("functions",)),
             "TensorOperatorFamily": (multiplication_family(bset, "ordinary"), ("operators",)),
-            "GramPair": (ctx.grams, ("gram_right", "gram_left")),
+            "GramPair": (ctx.grams, ("matrix", "gram_right", "gram_left")),
             "LinearFunctional": (ctx.haar, ("covector",)),
             "Corepresentation": (ctx.table["p2"], ("coeffs",))}
 
@@ -82,7 +82,7 @@ def test_arrays_are_copies_of_the_callers(cs3_fun):
     c_mat = np.array(system.C)
     made = [(BasisFunctionSet(pi, "R", funcs), "functions", funcs),
             (TensorOperatorFamily(pi, "ordinary", "R", ops), "operators", ops),
-            (GramPair(cs3_fun.algebra, gram, gram), "gram_right", gram),
+            (GramPair(cs3_fun.algebra, gram), "matrix", gram),
             (dataclasses.replace(system, C=c_mat), "C", c_mat)]
     for value, name, source in made:
         before = getattr(value, name).copy()
