@@ -34,8 +34,7 @@ from .regular import (BasisFunctionSet, Carrier, basis_function_orthogonality,
                       regular_invariance_report, verify_projection_identities)
 from .report import CheckResult, Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, apply_family_to_basis_functions,
-                         check_families, check_family, couple_families,
-                         excluded_substitution_residual, family_report,
+                         check_families, check_family, couple_families, family_report,
                          multiplication_family, operator_coaction_components,
                          operator_coaction_report, operator_comodule,
                          operator_product_rule_residual, pipeline_components,

@@ -108,23 +108,24 @@ class HopfAlgebraSpec:
         )
 
     @cached_property
-    def antipode_inv(self) -> np.ndarray:
-        """Inverse antipode matrix (read-only); the antipode of a Hopf *-algebra is
-        invertible, and a singular one raises ``InvalidSpec`` on every access."""
-        try:
-            inv = np.linalg.inv(self.antipode)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidSpec(f"antipode matrix of {self.label!r} is singular") from exc
-        inv.setflags(write=False)
-        return inv
-
-    @cached_property
     def _regular_carriers(self) -> dict:
         """Filled by :func:`cqglab.regular.regular_carrier`, one carrier per side."""
         return {}
 
     def __repr__(self) -> str:  # keep frozen-dataclass noise out of test output
         return f"HopfAlgebraSpec({self.label or 'unnamed'}, dim={self.dim})"
+
+
+def _kind_product(mult: np.ndarray, kind: str) -> np.ndarray:
+    """The product tensor ``mult[j, k, l]`` of ``A`` (``kind`` ordinary) or of ``A^op``
+    (twisted), as a view.  ``A^op`` has ``A``'s coalgebra and, under the Kac premise
+    ``S^2 = id`` that ``solve_haar`` certifies, ``A``'s antipode: a twisted variant
+    is the ordinary variant of ``A^op``, so this is the one place a kind acts."""
+    if kind == "ordinary":
+        return mult
+    if kind == "twisted":
+        return mult.transpose(1, 0, 2)
+    raise ValueError(f"kind must be 'ordinary' or 'twisted', got {kind!r}")
 
 
 def _same_spec(x, y) -> HopfAlgebraSpec:

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze
+from .algebra import LinearFunctional, _freeze, _kind_product
 from .corep import (Corepresentation, IrrepTable, _block_diagonal, _block_diagonalize,
                     _block_residuals, _character_grams, _characters, _dim_classes,
                     _integer_counts)
@@ -86,19 +86,16 @@ def tensor_product(pi_v: Corepresentation, pi_w: Corepresentation,
                    kind: str = "ordinary") -> Corepresentation:
     """Ordinary or twisted tensor product on ``V (x) W``: one pair of :func:`_tensor_products`."""
     alg = pi_v.algebra
-    coeffs = _tensor_products(pi_v.coeffs[None], pi_w.coeffs[None], alg, kind)[0, 0]
+    coeffs = _tensor_products(pi_v.coeffs[None], pi_w.coeffs[None],
+                              _kind_product(alg.mult, kind))[0, 0]
     glyph = "x" if kind == "ordinary" else "x~"
     return Corepresentation(alg, coeffs, label=f"{pi_v.label}{glyph}{pi_w.label}")
 
 
-def _tensor_products(vs: np.ndarray, ws: np.ndarray, alg: HopfAlgebraSpec,
-                     kind: str) -> np.ndarray:
+def _tensor_products(vs: np.ndarray, ws: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """``M(V_sj (x) W_tk)`` as ``[v, w, (s, t), (j, k), m]`` for stacks ``vs[v, s, j, m]``
-    and ``ws[w, t, k, m]``, with the product reversed when ``kind`` is twisted."""
-    if kind not in ("ordinary", "twisted"):
-        raise ValueError(f"kind must be 'ordinary' or 'twisted', got {kind!r}")
-    n = alg.dim
-    mult = alg.mult if kind == "ordinary" else alg.mult.swapaxes(0, 1)
+    and ``ws[w, t, k, m]`` under the product tensor ``mult``."""
+    n = len(mult)
     left = (vs.reshape(-1, n) @ mult.reshape(n, -1)).reshape(-1, n, n)  # [(v, s, j), b, m]
     prod = ws.reshape(-1, n) @ left                                     # [(v, s, j), (w, t, k), m]
     (count_v, d_v), (count_w, d_w) = vs.shape[:2], ws.shape[:2]
@@ -245,7 +242,7 @@ def solve_cg_systems(ps, qs, table: IrrepTable) -> dict[tuple[str, str], CGSyste
             size = d_p * d_q
             pairs, stacks = groups.setdefault(size, ([], []))
             pairs.extend(product(ip, iq))
-            stacks.append(_tensor_products(p_coeffs, q_coeffs, alg, "ordinary").reshape(
+            stacks.append(_tensor_products(p_coeffs, q_coeffs, alg.mult).reshape(
                 -1, size, size, n))
     solved: dict[tuple[int, int], CGSystem] = {}
     for pairs, stacks in groups.values():

@@ -223,8 +223,8 @@ def canonical_restricted_candidates(pi: Corepresentation,
                                     coideal: CoidealSubalgebra) -> list[BasisFunctionSet]:
     """Canonical row/column sets whose entries happen to lie in ``B``, on its carrier.
 
-    Side "R": rows ``pi_l.`` with every entry in ``B``; side "L":
-    ``S^{-2}(pi^*_{. l})`` columns, requiring the corep entries in ``B``.
+    Side "R": rows ``pi_l.`` with every entry in ``B``; side "L": columns ``pi^*_{. l}``
+    (the paper's ``S^{-2}(pi^*_{. l})``, ``S^2 = id``), requiring the corep entries in ``B``.
     """
     out = []
     for ell in range(pi.dim):

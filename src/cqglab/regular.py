@@ -143,12 +143,14 @@ def check_basis_functions(bset: BasisFunctionSet) -> float:
 
 
 def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0) -> BasisFunctionSet:
-    """The canonical sets: row ``l`` of ``pi`` (right) or ``S^{-2}(pi^*_{j l})`` (left).
+    """The canonical sets: row ``l`` of ``pi`` (right) or ``pi^*_{j l}`` (left: the paper's
+    ``S^{-2}(pi^*_{j l})`` under the Kac premise ``S^2 = id``, which takes no ``h`` here).
 
     The left construction needs ``pi`` unitary: it raises ``NotUnitary`` when a
     unitarity residual of :func:`~cqglab.corep.check_unitary` exceeds ``1e-9``
-    times the magnitude.
+    times the magnitude.  A ``row`` outside ``0 .. d - 1`` raises ``ValueError``.
     """
+    _check_indices(pi.dim, row=row)
     if side == "L":
         _require_unitary(pi, pi.residuals)
     return _canonical_set(pi, side, row)
@@ -167,6 +169,14 @@ def _table_canonical_sets(table: IrrepTable, side: str, labels) -> list[BasisFun
     return out
 
 
+def _check_indices(dim: int, **indices: int) -> None:
+    """``ValueError`` unless each index is in ``0 .. dim - 1``: numpy would wrap a negative one."""
+    for name, index in indices.items():
+        if not 0 <= index < dim:
+            raise ValueError(f"{name} must be in 0..{dim - 1} for a corep of dimension "
+                             f"{dim}, got {index!r}")
+
+
 def _require_unitary(pi: Corepresentation, residuals) -> None:
     """``NotUnitary`` unless every unitarity residual of ``pi`` is within ``1e-9`` times
     the magnitude."""
@@ -181,9 +191,7 @@ def _canonical_set(pi: Corepresentation, side: str, row: int) -> BasisFunctionSe
     if side == "R":
         funcs = pi.coeffs[row, :, :]
     elif side == "L":
-        s_inv = pi.algebra.antipode_inv
-        s_minus2 = s_inv @ s_inv
-        funcs = np.einsum("jm,mt->jt", np.conj(pi.coeffs[:, row, :]) @ pi.algebra.star, s_minus2)
+        funcs = np.conj(pi.coeffs[:, row, :]) @ pi.algebra.star
     else:
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
     return BasisFunctionSet(pi, side, funcs, label=f"{pi.label}:{side}{row}")
@@ -259,10 +267,11 @@ def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
     with the Haar pair matrix ``h(a_u a_b)``.  ``ordering="swapped"`` builds the
     rejected variant with the product inside ``h`` reversed, kept as a
     diagnostic; the two orderings coincide whenever the Haar functional is
-    tracial.
+    tracial.  An ``m`` or ``n`` outside ``0 .. d - 1`` raises ``ValueError``.
     """
     alg = pi.algebra
     d = pi.dim
+    _check_indices(d, m=m, n=n)
     if route == "constants":
         return _projection_stack(pi.coeffs[m, n][None], np.array([d]), side, h, ordering)[0]
     if route != "maps":

@@ -6,12 +6,13 @@ corepresentation ``pi`` of dimension ``d`` for one of four variants
 (ordinary/twisted x right/left) when the variant's defining condition holds.
 All four conditions share one pipeline applied to each basis element ``a``::
 
-    coact(a) --(Q (x) S^pm)--> A (x) A --(coact (x) id)--> A (x) A (x) A
-          [twisted: swap the last two legs] --(id (x) M)--> A (x) A
+    coact(a) --(Q (x) S)--> A (x) A --(coact (x) id)--> A (x) A (x) A --(id (x) M)--> A (x) A
 
-with ``coact`` the right or left regular coaction, ``S`` in the ordinary
-variants and ``S^{-1}`` in the twisted ones; the result must equal
-``sum_k Q_k(a) (x) pi_kj``.
+with ``coact`` the right or left regular coaction and ``M`` the product of ``A``
+(ordinary) or of ``A^op`` (twisted: :func:`~cqglab.algebra._kind_product`); the result
+must equal ``sum_k Q_k(a) (x) pi_kj``.  The paper's twisted variants read ``S^{-1}``,
+which is ``S`` under the Kac premise ``S^2 = id`` that ``solve_haar`` certifies; the
+entry points that take no ``h`` rest on it too.
 
 Each variant equivalently defines a right coaction on operator space,
 ``Q -> sum_m Q^(m) (x) a_m``.  On the whole algebra it is computed in the
@@ -41,7 +42,7 @@ from math import isqrt
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, _freeze, _same_spec
+from .algebra import HopfAlgebraSpec, _freeze, _kind_product, _same_spec
 from .cg import tensor_product
 from .corep import (RANK_RCOND, Corepresentation, IrrepTable, _characters,
                     _integer_counts, _phase_fixed)
@@ -64,7 +65,6 @@ __all__ = [
     "apply_family_to_basis_functions",
     "operator_product_rule_residual",
     "couple_families",
-    "excluded_substitution_residual",
 ]
 
 VARIANTS = (("ordinary", "R"), ("twisted", "R"), ("ordinary", "L"), ("twisted", "L"))
@@ -94,25 +94,17 @@ def pipeline_components(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str,
     second legs always live in the full algebra.  Returns components
     ``out[m, alpha, t]``.
     """
-    return _pipeline(coact, alg, np.asarray(q_op)[None], *_antipode_and_swap(alg, kind))[0]
-
-
-def _antipode_and_swap(alg: HopfAlgebraSpec, kind: str) -> tuple[np.ndarray, bool]:
-    """The variant's antipode power and whether its last two legs are swapped."""
-    if kind == "ordinary":
-        return alg.antipode, False
-    return alg.antipode_inv, True
+    return _pipeline(coact, alg, np.asarray(q_op)[None], kind)[0]
 
 
 def _pipeline(coact: np.ndarray, alg: HopfAlgebraSpec, q_ops: np.ndarray,
-              spow: np.ndarray, swapped: bool) -> np.ndarray:
-    """The pipeline for a stack of operators ``q_ops[k]``, with the antipode power
-    ``spow`` and the leg swap as free inputs.  Returns ``out[k, m, alpha, t]``."""
+              kind: str) -> np.ndarray:
+    """The pipeline for a stack of operators ``q_ops[k]``.  Returns ``out[k, m, alpha, t]``."""
     b, n = coact.shape[0], alg.dim
-    legs = np.tensordot(q_ops, coact, axes=(2, 1)) @ spow   # (Q (x) S^pm): [k, i, t, w]
+    mult = _kind_product(alg.mult, kind)                    # [B, w, M]
+    legs = np.tensordot(q_ops, coact, axes=(2, 1)) @ alg.antipode  # (Q (x) S): [k, i, t, w]
     legs = np.matmul(coact.reshape(b, b * n).T,
                      legs.transpose(0, 2, 1, 3))            # (coact (x) id): [k, t, (A, B), w]
-    mult = alg.mult.transpose(1, 0, 2) if swapped else alg.mult          # [B, w, M]
     out = legs.reshape(len(q_ops), b, b, n * n) @ mult.reshape(n * n, n)  # id (x) M: [k, t, A, M]
     return out.transpose(0, 3, 2, 1)
 
@@ -127,7 +119,7 @@ def operator_comodule(coact: np.ndarray, alg: HopfAlgebraSpec, kind: str) -> np.
     """
     b = coact.shape[0]
     units = np.eye(b * b).reshape(b * b, b, b)                # [(x, y), x, y]
-    out = _pipeline(coact, alg, units, *_antipode_and_swap(alg, kind))  # [(x, y), M, A, t]
+    out = _pipeline(coact, alg, units, kind)                  # [(x, y), M, A, t]
     return out.transpose(2, 3, 0, 1).reshape(b * b, b * b, alg.dim)
 
 
@@ -216,10 +208,10 @@ class _PeterWeyl:
     carried here, must leave at most ``PETER_WEYL_LEAK`` of its largest entry outside
     ``Delta(u^r_xy) = sum_z w u^r_xz (x) u^r_zy``; else ``PeterWeylFailure``.  Its pattern
     entries ``w`` weigh route "maps"; route "constants" takes the closed form (``w = 1``).
-    The product and both antipode powers are carried here once.
+    The product and the antipode are carried here once.
 
     The pipeline runs here: block ``(s, r)`` of ``Q'`` (rows ``u^s_bc``, columns
-    ``u^r_xz``) meets one second-leg product, of ``u^s_z'c`` with ``S^pm(u^r_zy)`` (right,
+    ``u^r_xz``) meets one second-leg product, of ``u^s_z'c`` with ``S(u^r_zy)`` (right,
     ordinary; :attr:`variants` has all four, certified once per table, the left side
     reading ``u^r_ij`` as ``u^r_ji``), which only reaches the blocks the fusion rules
     allow; :meth:`plan` cuts a side's pairs by them.  An operator costs ``2 n^3``
@@ -249,7 +241,7 @@ class _PeterWeyl:
         self.table, self.algebra, self.n, self.p, self.r, self.dims = table, alg, n, p, r, dims
         self.cond = float(sigma[0] / sigma[-1])
         self.norms = float(np.abs(p).sum(axis=0).max()), float(np.abs(r).sum(axis=1).max())
-        self.antipodes = {"ordinary": p @ alg.antipode @ r, "twisted": p @ alg.antipode_inv @ r}
+        self.antipode = p @ alg.antipode @ r
         m = (alg.mult.reshape(n * n, n) @ r).reshape(n, n, n)          # [i, j, M]
         m = (p @ m.reshape(n, -1)).reshape(n, n, n)                    # [B, j, M]
         self.mult = np.matmul(p, m)                                    # [B, w, M]
@@ -295,27 +287,24 @@ class _PeterWeyl:
     @cached_property
     def variants(self) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
         """Each variant's allowed blocks ``[s, r, t]`` and second-leg products ``prod[B, v,
-        m]`` (column ``n`` reads 0), certified in one pass per table: ``u_B S^pm(u_v)``
-        (twisted: ``S^-1(u_v) u_B``), on the left with ``S(u_B)`` and ``S(u_v)`` for ``u_B``
-        and ``u_v``.  Block ``t`` is allowed when the legs' characters give ``h(x_s y_r
-        chi_t^*)`` (in the product's order) at least 1, rounded by ``_integer_counts``;
-        ``prod``'s mass elsewhere must be at most ``PETER_WEYL_LEAK`` of its largest entry,
-        else ``PeterWeylFailure``."""
-        n, alg, count, b, s = self.n, self.algebra, len(self.dims), self.block, self.antipodes
+        m]`` (column ``n`` reads 0), certified in one pass per table: ``u_B S(u_v)`` in the
+        kind's product (:func:`~cqglab.algebra._kind_product`), on the left ``S(u_B) u_v``.
+        Block ``t`` is allowed when the legs' characters give ``h(x_s y_r chi_t^*)`` in
+        the kind's product at least 1, rounded by ``_integer_counts``; ``prod``'s mass
+        elsewhere must be at most ``PETER_WEYL_LEAK`` of its largest entry, else
+        ``PeterWeylFailure``."""
+        n, alg, count, b, s = self.n, self.algebra, len(self.dims), self.block, self.antipode
         chars, stars = _characters(self.table)
-        images = [chars, chars @ alg.antipode, chars @ alg.antipode_inv]  # S^e(chi): e = 0, 1, -1
-        images.append(images[1] @ alg.antipode)                              # and e = 2
+        images = [chars, chars @ alg.antipode]                               # S^e(chi): e = 0, 1
         kernel = (alg.mult.reshape(n * n, n) @ (self.table.haar.pair @ stars.T)).reshape(n, -1)
         # the counts h(x_s y_r chi_t^*) of each (x, y) = (S^e chi, S^f chi) a variant reads
         fused = {(e, f): _integer_counts(np.matmul(images[f], (images[e] @ kernel).reshape(
-                    count, n, count))) > 0 for e, f in ((0, 1), (2, 0), (1, 3))}
+                    count, n, count))) > 0 for e, f in ((0, 1), (1, 0))}
         out = {}
-        for (kind, side), (e, f) in zip(VARIANTS, ((0, 1), (2, 0), (1, 3), (0, 1))):
-            mult = self.mult if kind == "ordinary" else self.mult.transpose(1, 0, 2)
-            prod = np.matmul(s[kind] if side == "R" else s["ordinary"] @ s[kind], mult)
-            if side == "L":
-                prod = np.tensordot(s["ordinary"], prod, axes=(1, 0))
-            allowed = fused[e, f] if kind == "ordinary" else fused[e, f].swapaxes(0, 1)
+        for (kind, side), (e, f) in zip(VARIANTS, ((0, 1), (1, 0), (1, 0), (0, 1))):
+            mult = _kind_product(self.mult, kind)
+            prod = np.tensordot(s, mult, axes=(1, 0)) if side == "L" else np.matmul(s, mult)
+            allowed = _kind_product(fused[e, f], kind)
             size = np.abs(prod)
             leak = float(size[~allowed[b[:, None, None], b[None, :, None], b]].max(initial=0.0))
             if not leak <= PETER_WEYL_LEAK * size.max():
@@ -496,7 +485,7 @@ def check_families(fams: list[TensorOperatorFamily], table: IrrepTable,
     if side != fams[0].side or any(fam.carrier is not fams[0].carrier for fam in fams):
         raise ValueError("families on a coideal are checked on their own carrier and side only")
     ops, rhs = _stacked(fams)
-    comps = _pipeline(fams[0].carrier.coact, alg, ops, *_antipode_and_swap(alg, kind))
+    comps = _pipeline(fams[0].carrier.coact, alg, ops, kind)
     return _per_family(fams, np.abs(comps.transpose(0, 2, 3, 1) - rhs).reshape(len(rhs), -1
                                                                                 ).max(axis=1))
 
@@ -548,16 +537,16 @@ def multiplication_family(bset: BasisFunctionSet, kind: str) -> TensorOperatorFa
     ordinary-R and twisted-L multiply from the left; twisted-R and ordinary-L
     from the right.  The set's carrier and side fix the family's.
     """
-    ops = _multiplication_operators(bset.functions, bset.carrier.product, kind, bset.side)
+    ops = _multiplication_operators(bset.functions, _kind_product(bset.carrier.product, kind),
+                                    bset.side)
     return TensorOperatorFamily(bset.corep, kind, bset.side, ops,
                                 label=f"mult[{bset.label}]", carrier=bset.carrier)
 
 
-def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, kind: str,
-                              side: str) -> np.ndarray:
-    """Multiplication by each row of ``coords`` under the product tensor ``mult``,
-    from the side :func:`multiplication_family` names."""
-    if (kind == "ordinary") == (side == "R"):
+def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, side: str) -> np.ndarray:
+    """Multiplication by each row of ``coords`` under the product tensor ``mult``, from
+    the left on the right side and from the right on the left side."""
+    if side == "R":
         n = len(mult)
         return (coords @ mult.reshape(n, n * n)).reshape(-1, n, n).swapaxes(1, 2)  # [j, A, t]
     return np.matmul(coords, mult).transpose(1, 2, 0)     # one product per t, mult not copied
@@ -576,13 +565,13 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
     first coaction leg, so a family composed on the right with a comodule map
     is again a family.  ``Hom(pi, A)`` of a corep ``pi`` needs no solve: by
     Frobenius reciprocity ``Phi -> eps o Phi`` maps it onto the dual of ``pi``'s
-    carrier, so its ``d`` sets are ``phi^c_k = pi_ck`` (right) or ``S^{-1}(pi_ck)``
-    (left).  Those are basis functions only for a corep, so ``pi``'s comodule
-    axioms are certified first, to ``verify_corep``'s default ``1e-9`` times the
-    magnitude, else ``NotACorepresentation``.  The commutation is certified to
-    ``RANK_RCOND`` times the squared magnitude and the stack's rank ``d n``
-    against the ``RANK_RCOND`` cut, else ``DecompositionStall``.  Returns one QR
-    factor of the stack: orthonormal as flattened vectors, phase-fixed.
+    carrier, so its ``d`` sets are ``phi^c_k = pi_ck`` (right) or ``S(pi_ck)`` (left, the
+    paper's ``S^{-1}(pi_ck)`` under the Kac premise ``S^2 = id``, not certified here).  Those
+    are basis functions only for a corep, so ``pi``'s comodule axioms are certified first, to
+    ``verify_corep``'s default ``1e-9`` times the magnitude, else ``NotACorepresentation``.
+    The commutation is certified to ``RANK_RCOND`` times the squared magnitude and the
+    stack's rank ``d n`` against the ``RANK_RCOND`` cut, else ``DecompositionStall``.
+    Returns one QR factor of the stack: orthonormal as flattened vectors, phase-fixed.
     """
     _variant_key(kind, side)
     alg = pi.algebra
@@ -593,8 +582,8 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
                                    f"{worst:.1e} > {1e-9 * alg.magnitude:.1e})")
     coords = pi.coeffs.reshape(d * d, n)                              # [(c, k), u]
     if side == "L":
-        coords = coords @ alg.antipode_inv
-    mults = _multiplication_operators(coords, alg.mult, kind, side)   # [(c, k), A, t]
+        coords = coords @ alg.antipode
+    mults = _multiplication_operators(coords, _kind_product(alg.mult, kind), side)  # [(c, k), A, t]
     # convs[x, t, s]: C_x sends a_s to sum_t convs[x, t, s] a_t
     convs = alg.comult.transpose(1, 2, 0) if side == "R" else alg.comult.transpose(2, 1, 0)
     carrier = regular_carrier(alg, side)
@@ -668,8 +657,7 @@ def operator_product_rule_residual(table: IrrepTable, kind: str, side: str,
     qp = context.operators(np.stack([q1, q2, np.asarray(q1) @ q2]))
     comp1, comp2, prod = context.dense(context.plan(kind, side), qp, "constants")  # [a, t, m]
     pairs = np.tensordot(comp1, comp2, axes=(1, 0))  # [a, u, c, v]
-    m_axes = (0, 1) if kind == "ordinary" else (1, 0)
-    expected = np.tensordot(pairs, context.mult, axes=((1, 3), m_axes))
+    expected = np.tensordot(pairs, _kind_product(context.mult, kind), axes=((1, 3), (0, 1)))
     return context.kappa() * float(np.abs(prod - expected).max())
 
 
@@ -699,23 +687,3 @@ def couple_families(fam_p: TensorOperatorFamily, fam_q: TensorOperatorFamily,
                 label=f"({fam_p.label})({fam_q.label})->{r_lab},{alpha}",
                 carrier=fam_p.carrier)
             for (r_lab, alpha), ops in system.couple(composed, table).items()}
-
-
-def excluded_substitution_residual(alg: HopfAlgebraSpec, which: str) -> float:
-    """How badly the identity operator fails the two rejected substitutions.
-
-    ``which`` is ``"swap_mult_only"`` (product reversed, antipode kept) or
-    ``"inverse_antipode_only"`` (antipode inverted, product kept).  An
-    admissible defining condition must send the identity operator to
-    ``id (x) 1``; on a noncommutative spec these two variants do not.
-    """
-    if which == "swap_mult_only":
-        spow, swapped = alg.antipode, True
-    elif which == "inverse_antipode_only":
-        spow, swapped = alg.antipode_inv, False
-    else:
-        raise ValueError(f"unknown substitution {which!r}")
-    n = alg.dim
-    out = _pipeline(regular_carrier(alg, "R").coact, alg, np.eye(n)[None], spow, swapped)[0]
-    expected = np.einsum("At,M->MAt", np.eye(n), alg.unit)
-    return float(np.abs(out - expected).max())

@@ -229,6 +229,12 @@ def random_elements(alg, count: int, seed: int = 0) -> np.ndarray:
                      for _ in range(count)])
 
 
+def antipode_inverse(alg) -> np.ndarray:
+    """The paper's ``S^{-1}``, inverted as written.  The package reads ``S`` for it under
+    the Kac premise ``S^2 = id``; the oracles keep the paper's formulas."""
+    return np.linalg.inv(alg.antipode)
+
+
 def opposite_algebra(alg):
     """The Hopf *-algebra with reversed product and inverse antipode: twisted tensor
     operators of ``alg`` are ordinary tensor operators of the opposite algebra."""
@@ -237,7 +243,7 @@ def opposite_algebra(alg):
         dim=alg.dim,
         mult=alg.mult.transpose(1, 0, 2),
         comult=alg.comult.copy(),
-        antipode=alg.antipode_inv,
+        antipode=antipode_inverse(alg),
         counit=alg.counit.copy(),
         unit=alg.unit.copy(),
         star=alg.star.copy(),
@@ -501,7 +507,7 @@ def per_operator_coaction(alg, q_op, kind, side, route):
     from cqglab.regular import regular_coaction_tensor
 
     mu, m, s = alg.comult, alg.mult, alg.antipode
-    spow = s if kind == "ordinary" else alg.antipode_inv
+    spow = s if kind == "ordinary" else antipode_inverse(alg)
     if route == "maps":
         coact = regular_coaction_tensor(alg, side)
         legs = np.einsum("tab,ia->itb", coact, q_op)
@@ -552,7 +558,7 @@ def dense_coaction_stack(table, q_ops, kind, side, route):
     p = np.concatenate([pi.coeffs.reshape(-1, n) for pi in table])
     r = np.linalg.inv(p)
     s_ord = p @ alg.antipode @ r
-    spow = s_ord if kind == "ordinary" else p @ alg.antipode_inv @ r
+    spow = s_ord if kind == "ordinary" else p @ antipode_inverse(alg) @ r
     mult = np.matmul(p, (p @ (alg.mult.reshape(n * n, n) @ r).reshape(n, -1)).reshape(n, n, n))
     mult = mult.transpose(1, 0, 2) if kind == "twisted" else mult               # [B, w, M]
     mult = (np.ascontiguousarray(mult).reshape(n * n, n) @ p).reshape(n, n * n)

@@ -1,0 +1,99 @@
+"""Static guard: one antipode, and a kind that only picks a product.
+
+Every finite-dimensional CQG algebra has ``S^2 = id``, and ``solve_haar``
+certifies it, so the package reads ``S`` wherever the paper writes ``S^{-1}``
+and drops ``S^{-2}``: no module keeps ``antipode_inv`` or inverts the antipode
+(``inv``, ``solve`` or ``pinv`` of an expression holding it).  A twisted variant
+is then the ordinary variant of ``A^op``, which differs from ``A`` only in its
+product, so below the public entry points a kind is compared only where it picks
+that product (``algebra._kind_product``) or is validated (``_variant_key``), in
+the CG-order rules (``wigner_eckart._cg_order``, ``couple_families``), in
+``cg.tensor_product``'s glyph, and in the CLI.  A kind that picks anything else
+shows as a comparison with ``kind`` or ``x.kind``, or as a lookup ``x[kind]``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+from test_pairing_guard import _aliases, _mentions
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
+INVERSES = {"inv", "solve", "pinv"}
+KIND_ALLOWED = {("algebra.py", "_kind_product"), ("tensor_ops.py", "_variant_key"),
+                ("wigner_eckart.py", "_cg_order"), ("tensor_ops.py", "couple_families"),
+                ("cg.py", "tensor_product")}
+KIND_MODULES = {"cli.py"}
+
+
+def _is_kind(node: ast.AST) -> bool:
+    """``kind`` or ``x.kind``, but not a dtype's ``arr.dtype.kind``."""
+    if isinstance(node, ast.Name):
+        return node.id == "kind"
+    return (isinstance(node, ast.Attribute) and node.attr == "kind"
+            and getattr(node.value, "attr", None) != "dtype")
+
+
+def _antipode_sites(tree: ast.AST) -> list[tuple[int, str, str]]:
+    """``(line, what, function)`` of each ``antipode_inv``, each inverse of an antipode
+    and each comparison or lookup by a kind."""
+    antipodes = _aliases(tree, "antipode")
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if "antipode_inv" in (getattr(node, "attr", None), getattr(node, "id", None),
+                              getattr(node, "name", None)):
+            out.append((node.lineno, "antipode_inv", scope))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in INVERSES and any(_mentions(arg, "antipode", antipodes)
+                                        for arg in node.args):
+                out.append((node.lineno, f"{name} of S", scope))
+        if isinstance(node, ast.Compare) and any(map(_is_kind, [node.left, *node.comparators])):
+            out.append((node.lineno, "kind compared", scope))
+        if isinstance(node, ast.Subscript) and _is_kind(node.slice):
+            out.append((node.lineno, "kind lookup", scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def _sites() -> set[tuple[str, str, str]]:
+    """``(file, what, function)`` of every site in the package."""
+    return {(path.name, what, scope) for path in sorted(SOURCE.glob("*.py"))
+            for _, what, scope in _antipode_sites(ast.parse(path.read_text(encoding="utf-8")))}
+
+
+def test_no_inverse_antipode_in_the_package():
+    assert {site for site in _sites() if not site[1].startswith("kind")} == set()
+
+
+def test_kind_only_picks_the_product():
+    kinds = {(name, scope) for name, what, scope in _sites() if what.startswith("kind")}
+    assert {site for site in kinds if site[0] not in KIND_MODULES} == KIND_ALLOWED
+
+
+def test_antipode_guard_sees_each_pattern():
+    sample = ast.parse(
+        "s, m = alg.antipode, alg.mult\n"
+        "a = alg.antipode_inv\n"
+        "b = np.linalg.inv(alg.antipode)\n"
+        "c = np.linalg.solve(s @ s, x)\n"
+        "d = np.linalg.pinv(p @ alg.antipode.T @ r)\n"
+        "e = np.linalg.inv(p)\n"
+        "def f(kind, fam):\n"
+        "    x = m if kind == 'ordinary' else m.T\n"
+        "    y = fam.kind != 'twisted'\n"
+        "    z = powers[kind]\n"
+        "    return arr.dtype.kind == 'c'\n"
+        "def antipode_inv(self):\n"
+        "    return None\n")
+    assert sorted((line, what) for line, what, _ in _antipode_sites(sample)) == [
+        (2, "antipode_inv"), (3, "inv of S"), (4, "solve of S"), (5, "pinv of S"),
+        (8, "kind compared"), (9, "kind compared"), (10, "kind lookup"), (12, "antipode_inv")]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from oracles import per_operator_coaction
+from oracles import antipode_inverse, per_operator_coaction
 
 import numpy as np
 import pytest
@@ -23,14 +23,16 @@ from cqglab.cg import cg_block_residual, tensor_product, verify_triple_haar
 from cqglab.corep import (Corepresentation, IrrepTable, _restrict_corep, check_unitary,
                           unitarize)
 from cqglab.groups import symmetric_group_3
-from cqglab.haar import GramPair, regular_unitarity_report, verify_haar_lemmas
+from cqglab.errors import NoHaar
+from cqglab.haar import GramPair, regular_unitarity_report, solve_haar, verify_haar_lemmas
 from cqglab.homspace import (build_coset_subalgebra, restricted_coaction_report,
                              subspace_coideal, verify_coideal)
 from cqglab.regular import (BasisFunctionSet, dual_action_crosscheck, product_coaction_check,
                             regular_coaction_tensor)
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily,
                                apply_family_to_basis_functions, operator_coaction_components,
-                               operator_comodule, operator_product_rule_residual)
+                               operator_comodule, operator_product_rule_residual,
+                               pipeline_components)
 from cqglab.wigner_eckart import _inner_product_tensor
 
 RTOL = 1e-12
@@ -41,15 +43,23 @@ def rand(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def conjugated(antipode: np.ndarray, twist: np.ndarray) -> np.ndarray:
+    """``T^-1 S T``: order-one antipode noise that keeps ``S^2 = id``.  The package reads
+    ``S`` where the paper writes ``S^-1``, under that premise, and the one-einsum
+    references here read the paper's ``S^-1``, so a noisy spec must stay inside it."""
+    return np.linalg.solve(twist, antipode @ twist)
+
+
 def perturbed(spec: HopfAlgebraSpec, seed: int, scale: float = 0.3) -> HopfAlgebraSpec:
-    """``spec`` with order-one noise on every structure constant."""
+    """``spec`` with order-one noise on every structure constant, the antipode's a
+    :func:`conjugated` one by ``T = I + scale * noise``."""
     rng = np.random.default_rng(seed)
     n = spec.dim
     return HopfAlgebraSpec(
         n, spec.mult + scale * rand(rng, n, n, n), spec.comult + scale * rand(rng, n, n, n),
-        spec.antipode + scale * rand(rng, n, n), spec.counit + scale * rand(rng, n),
-        spec.unit + scale * rand(rng, n), spec.star + scale * rand(rng, n, n),
-        label=f"noisy {spec.label}")
+        conjugated(spec.antipode, np.eye(n) + scale * rand(rng, n, n)),
+        spec.counit + scale * rand(rng, n), spec.unit + scale * rand(rng, n),
+        spec.star + scale * rand(rng, n, n), label=f"noisy {spec.label}")
 
 
 def residual(report, name: str) -> float:
@@ -322,7 +332,7 @@ def test_triple_haar_matches_naive(ca4_fun):
 
 CONSTANTS = {
     ("ordinary", "R"): ("uvM,wv,iju,tlw,il->Mjt", lambda a: (a.mult, a.antipode)),
-    ("twisted", "R"): ("vuM,wv,iju,tlw,il->Mjt", lambda a: (a.mult, a.antipode_inv)),
+    ("twisted", "R"): ("vuM,wv,iju,tlw,il->Mjt", lambda a: (a.mult, antipode_inverse(a))),
     ("ordinary", "L"): ("wuv,vM,nw,iuj,tnl,il->Mjt",
                         lambda a: (a.mult, a.antipode, a.antipode)),
     ("twisted", "L"): ("nvM,uv,iuj,tnl,il->Mjt", lambda a: (a.mult, a.antipode)),
@@ -337,9 +347,10 @@ def noisy_product(ctx, seed: int) -> tuple[HopfAlgebraSpec, IrrepTable]:
     In the Peter-Weyl basis ``u^t_ij`` of the table the product noise only reaches the
     blocks ``t`` the product reached before (so every fusion cut still holds), and only
     the coefficients ``u^t_ij`` with ``i != j``, which the Haar functional and so every
-    character triple product ignore; the antipode noise keeps the image of each
-    ``u^r_ij`` in its block and leaves the images of the diagonal ``u^r_ii`` alone.  The
-    coproduct keeps its form.  On C[S3], whose blocks are all one-dimensional, nothing
+    character triple product ignore; the antipode noise is :func:`conjugated` by a ``T``
+    that mixes only the off-diagonal coefficients within each block, so it keeps the
+    image of each ``u^r_ij`` in its block, the image of each character and ``S^2 = id``.
+    The coproduct keeps its form.  On C[S3], whose blocks are all one-dimensional, nothing
     can vary and the spec is exact; C(S3) has one 2-dim block and C(D6) two.  The table
     carries ``ctx``'s Haar covector."""
     alg, context = ctx.algebra, ctx.table._peter_weyl
@@ -351,10 +362,11 @@ def noisy_product(ctx, seed: int) -> tuple[HopfAlgebraSpec, IrrepTable]:
     np.maximum.at(reach, (b[:, None, None], b[None, :, None], b), np.abs(context.mult) > 1e-9)
     mult = 0.3 * rand(rng, *context.mult.shape) * (reach[b[:, None, None], b[None, :, None], b]
                                                     & off)
-    s_blocks = b[np.abs(context.antipodes["ordinary"]).argmax(axis=1)]
-    antipode = 0.3 * rand(rng, alg.dim, alg.dim) * (off[:, None] & (b == s_blocks[:, None]))
+    twist = np.eye(alg.dim) + 0.3 * rand(rng, alg.dim, alg.dim) * (
+        off[:, None] & off & (b[:, None] == b))
     mult = np.tensordot(r, np.tensordot(r, mult @ p, axes=(1, 1)), axes=(1, 1))
-    noisy = replace(alg, mult=alg.mult + mult, antipode=alg.antipode + r @ antipode @ p,
+    noisy = replace(alg, mult=alg.mult + mult,
+                    antipode=r @ conjugated(context.antipode, twist) @ p,
                     label=f"noisy {alg.label}")
     irreps = tuple(Corepresentation(noisy, pi.coeffs, label=pi.label) for pi in ctx.table)
     return noisy, IrrepTable(noisy, LinearFunctional(noisy, ctx.haar.covector), irreps,
@@ -367,7 +379,7 @@ def assert_routes_match_pipeline(ctx, kind: str, side: str) -> None:
     alg, table = noisy_product(ctx, 12)
     q_op = rand(np.random.default_rng(12), alg.dim, alg.dim)
     coact = regular_coaction_tensor(alg, side)
-    spow = alg.antipode if kind == "ordinary" else alg.antipode_inv
+    spow = alg.antipode if kind == "ordinary" else antipode_inverse(alg)
     order = "BwM" if kind == "ordinary" else "wBM"
     want = np.einsum(f"tab,ia,bw,iAB,{order}->MAt", coact, q_op, spow, coact, alg.mult,
                      optimize=alg.dim > 6)
@@ -397,9 +409,25 @@ def test_operator_coaction_constants_match_naive(algebras, contexts, label, kind
 def test_operator_comodule_matches_naive(algebras, kind, order, b):
     alg = perturbed(algebras["C[S3]"], 13)
     coact = rand(np.random.default_rng(13), b, b, alg.dim)
-    spow = alg.antipode if kind == "ordinary" else alg.antipode_inv
+    spow = alg.antipode if kind == "ordinary" else antipode_inverse(alg)
     want = np.einsum(f"xAB,tyb,bw,{order}->AtxyM", coact, coact, spow, alg.mult)
     assert_same(operator_comodule(coact, alg, kind), want.reshape(b * b, b * b, alg.dim))
+
+
+def test_additive_antipode_noise_leaves_the_premise(algebras):
+    """Red witness for :func:`conjugated`: additive antipode noise breaks ``S^2 = id``,
+    ``solve_haar`` refuses the spec, and on it the engine's twisted pipeline (``S``)
+    and the paper's (``S^-1``, the per-operator oracle) part by order one."""
+    alg = algebras["C[S3]"]
+    rng = np.random.default_rng(13)
+    noisy = replace(alg, antipode=alg.antipode + 0.3 * rand(rng, alg.dim, alg.dim))
+    assert np.abs(noisy.antipode @ noisy.antipode - np.eye(alg.dim)).max() > 0.1
+    with pytest.raises(NoHaar, match="Kac premise"):
+        solve_haar(noisy)
+    q_op, coact = rand(rng, alg.dim, alg.dim), regular_coaction_tensor(noisy, "R")
+    gap = np.abs(pipeline_components(coact, noisy, "twisted", q_op)
+                 - per_operator_coaction(noisy, q_op, "twisted", "R", "maps")).max()
+    assert gap > 1e-3
 
 
 @pytest.mark.parametrize("kind,side", VARIANTS)

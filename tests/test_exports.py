@@ -25,8 +25,10 @@ REMOVED = ("Element", "TensorElement", "multiply", "coproduct", "counit_of", "un
            "antipode_inverse_via_star", "regular_coaction", "opposite_algebra",
            "verify_dual_pairing", "random_elements", "restricted_coaction_tensor",
            "restricted_product_tensor", "orthonormalize", "WEReport", "compute_F",
-           "NotIrreducible", "Character", "character", "intertwiners")
-REMOVED_METHODS = ("element", "basis_element", "one", "random_element", "is_commutative")
+           "NotIrreducible", "Character", "character", "intertwiners",
+           "excluded_substitution_residual")
+REMOVED_METHODS = ("element", "basis_element", "one", "random_element", "is_commutative",
+                   "antipode_inv")
 REMOVED_COIDEAL_MEMBERS = ("orthonormalize", "onb_rows", "_carrier", "std_projector")
 # a module used as a namespace (``cqglab.io.save_report``): its names are not re-exported
 NAMESPACES = ("cqglab.io",)

@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from conftest import dihedral_group
-from oracles import (haar_average, kronecker_intertwiners, per_pair_cg, svd_intertwiners,
-                     sweedler_algebra)
+from oracles import (antipode_inverse, haar_average, kronecker_intertwiners, per_pair_cg,
+                     svd_intertwiners, sweedler_algebra)
 
 from cqglab import corep
 from cqglab.algebra import verify_hopf_axioms
@@ -62,7 +62,7 @@ def _hom_count(h, chi_w, pi) -> int:
 def _operator_character(alg, chi_b, kind):
     if kind == "ordinary":
         return _product(alg, chi_b, chi_b @ alg.antipode)
-    return _product(alg, chi_b @ alg.antipode_inv, chi_b)
+    return _product(alg, chi_b @ antipode_inverse(alg), chi_b)
 
 
 def test_morphism_space_matches_character_count(contexts):

@@ -35,7 +35,6 @@ def _derived(alg) -> dict[str, np.ndarray]:
     """Every array computed from the spec alone, by name."""
     dual = build_dual(alg)
     out = {name: getattr(alg, name) for name in FIELDS}
-    out["antipode_inv"] = alg.antipode_inv
     for side in ("R", "L"):
         carrier = regular_carrier(alg, side)
         out[f"coact {side}"], out[f"product {side}"] = carrier.coact, carrier.product

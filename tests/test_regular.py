@@ -59,6 +59,20 @@ def test_left_canonical_requires_unitary(cs3_fun):
     assert check_basis_functions(canonical_basis_functions(skewed, "R", 0)) < 1e-12
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+@pytest.mark.parametrize("side", ["R", "L"])
+def test_indices_outside_the_corep_raise(cs3_fun, side, index):
+    """A row, ``m`` or ``n`` outside ``0 .. d - 1`` raises ``ValueError`` naming it and
+    the dimension: numpy would wrap -1 to the last row and leak ``IndexError`` for 2."""
+    pi = cs3_fun.table["p2"]
+    with pytest.raises(ValueError, match=f"row must be in 0..1 .* got {index}"):
+        canonical_basis_functions(pi, side, index)
+    for route in ("maps", "constants"):
+        for name, m, n in (("m", index, 0), ("n", 0, index)):
+            with pytest.raises(ValueError, match=f"{name} must be in 0..1 .* got {index}"):
+                projection_operator(pi, m, n, side, cs3_fun.haar, route=route)
+
+
 def test_constants_fail_as_basis_functions(cs3_fun):
     """The constant element is not a basis function of a nontrivial irrep."""
     std = cs3_fun.table["p2"]

@@ -20,8 +20,7 @@ from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
 from cqglab.tensor_ops import (_BUDGET_BYTES, VARIANTS, TensorOperatorFamily, _PeterWeyl,
                                _certify_commutant, apply_family_to_basis_functions,
-                               check_families, check_family, couple_families,
-                               excluded_substitution_residual, family_report,
+                               check_families, check_family, couple_families, family_report,
                                multiplication_family, operator_coaction_components,
                                operator_coaction_report, operator_comodule,
                                operator_product_rule_residual, solve_family_space)
@@ -285,16 +284,6 @@ def test_couple_families_order_validation(cs3_fun):
     fam_q = multiplication_family(canonical_basis_functions(triv, "R", 0), "twisted")
     with pytest.raises(ValueError):
         couple_families(fam_p, fam_q, cs3_fun.cg("p2", "p0"), cs3_fun.table)
-
-
-def test_excluded_substitutions_collapse_on_builtins(contexts):
-    """Neither rejected variant is visible on a commutative or cocommutative
-    spec: reversing the product or inverting the antipode is invisible to the
-    identity operator there, so the diagnostic residual is exactly zero."""
-    for label, ctx in contexts.items():
-        for which in ("swap_mult_only", "inverse_antipode_only"):
-            res = excluded_substitution_residual(ctx.algebra, which)
-            assert res < 1e-12, (label, which, res)
 
 
 def test_twisted_of_a_is_ordinary_of_opposite(cs3_grp):
