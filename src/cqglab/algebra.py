@@ -128,8 +128,21 @@ def _kind_product(mult: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"kind must be 'ordinary' or 'twisted', got {kind!r}")
 
 
+def _regular_side(alg: HopfAlgebraSpec, side: str):
+    """``(coproduct, leg, kind)`` of a regular side, the one place a side acts, ``leg`` taking
+    coefficient rows through the second leg's map: R reads ``(Delta, id, "ordinary")``.  Under
+    the Kac premise the left coaction ``a_(2) (x) S(a_(1))`` is ``A^cop``'s right one with ``S``
+    on the second leg, and ``S`` reverses products, so L reads ``(Delta^cop, S, "twisted")``:
+    second legs multiply in the other kind's product."""
+    if side == "R":
+        return alg.comult, np.asarray, "ordinary"
+    if side == "L":
+        return alg.comult.transpose(0, 2, 1), lambda rows: rows @ alg.antipode, "twisted"
+    raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+
+
 def _same_spec(x, y) -> HopfAlgebraSpec:
-    a, b = x.algebra, y.algebra
+    a, b = getattr(x, "algebra", x), getattr(y, "algebra", y)
     if a is b:
         return a
     if a.dim != b.dim or not all(

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import LinearFunctional, _freeze, _kind_product
+from .algebra import LinearFunctional, _freeze, _kind_product, _regular_side
 from .corep import (Corepresentation, IrrepTable, _block_diagonal, _block_diagonalize,
                     _block_residuals, _character_grams, _characters, _dim_classes,
                     _integer_counts)
@@ -326,13 +326,13 @@ def _rule_details(absent: int, worst: str, residual: float, tol: float) -> dict:
 
 def _set_products(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet) -> np.ndarray:
     """The products ``phi^p_j psi^q_k`` in the sets' common carrier, in the pair order of
-    its side's CG system: ``[j, k, m]`` for side R, ``[k, j, m]`` for side L.  A carrier
-    has one side, so sets of two sides live on different carriers."""
+    its side's CG system: ``[j, k, m]``, reversed (side L) as the side's second legs multiply.
+    A carrier has one side, so sets of two sides live on different carriers."""
     if psi_q.carrier is not phi_p.carrier:
         raise ValueError("basis-function sets live on different carriers")
     left = np.tensordot(phi_p.functions, phi_p.carrier.product, axes=(1, 0))  # [j, b, m]
-    prods = np.tensordot(psi_q.functions, left, axes=(1, 1))                   # [k, j, m]
-    return prods.swapaxes(0, 1) if phi_p.carrier.side == "R" else prods
+    prods = np.tensordot(psi_q.functions, left, axes=(1, 1)).swapaxes(0, 1)    # [j, k, m]
+    return _kind_product(prods, _regular_side(phi_p.algebra, phi_p.carrier.side)[2])
 
 
 def coupled_basis_functions(phi_p: BasisFunctionSet, psi_q: BasisFunctionSet,

@@ -20,7 +20,7 @@ from .cg import (_character_report, _occurrences, _rule_details, _selection_rule
 from .corep import _CERTIFICATES, _certificate, _schur_report, identity_corep, irrep_table
 from .errors import CqglabError
 from .groups import _BUILTINS, build_function_algebra, build_group_algebra, builtin_algebras
-from .haar import certify_haar, gram_matrices, solve_haar, verify_haar_lemmas
+from .haar import certify_haar, solve_haar, verify_haar_lemmas
 from .homspace import (build_coset_subalgebra, restricted_coaction_report,
                        solve_restricted_basis_functions, verify_coideal)
 from .regular import (_table_canonical_sets, dual_action_crosscheck, product_coaction_check,
@@ -49,10 +49,10 @@ def _load_source(args) -> tuple["HopfAlgebraSpec", "GroupTable | None"]:
 
 
 def _context(spec, tol):
-    """The Gram matrices and the irrep table, which carries the run's one Haar functional."""
+    """The Gram matrices ``solve_haar`` certified and the irrep table, which carries the
+    run's one Haar functional."""
     h = solve_haar(spec, tol)
-    grams = gram_matrices(spec, h, tol)
-    return grams, irrep_table(spec, h, grams.gram_right)
+    return h._grams, irrep_table(spec, h, h._grams.gram_right)
 
 
 def _cmd_validate(args) -> list[Report]:

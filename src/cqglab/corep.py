@@ -337,7 +337,8 @@ def are_equivalent(pi_v: Corepresentation, pi_w: Corepresentation, table: IrrepT
 
 def is_irreducible(pi: Corepresentation, h: LinearFunctional) -> bool:
     """Whether ``h(chi^* chi) = sum_r m_r^2`` is 1, the character certificate of
-    :func:`irrep_table`."""
+    :func:`irrep_table`; an ``h`` of another algebra raises ``DimensionMismatch``."""
+    _same_spec(pi, h)
     return bool(_integer_counts(_character_grams(pi.character()[None], h)[0])[0, 0] == 1)
 
 
@@ -436,8 +437,9 @@ def invariant_gram(pi: Corepresentation, h: LinearFunctional) -> np.ndarray:
     """Haar-averaged inner product making ``pi`` unitary: ``G = h(pi^* pi)``.
 
     ``G[j, k] = sum_l h(pi_lj^* pi_lk)``; reduces to the identity when ``pi``
-    is already unitary.
+    is already unitary.  An ``h`` of another algebra raises ``DimensionMismatch``.
     """
+    _same_spec(pi, h)
     return np.tensordot(pi.star_coeffs() @ h.pair, pi.coeffs, axes=([0, 2], [0, 2]))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze
+from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze, _same_spec
 from .errors import NoHaar, PositivityFailure
 from .report import Report
 
@@ -37,7 +37,8 @@ KAC_CHECKS = ("antipode squares to identity", "trace property")
 
 @dataclass(frozen=True, eq=False)
 class HaarFunctional(LinearFunctional):
-    """The certified Haar functional ``h`` of a CQG-algebra spec."""
+    """The certified Haar functional ``h`` of a CQG-algebra spec; :func:`solve_haar` keeps the
+    Gram it certified as ``_grams``, so a run takes its positivity once."""
 
     def is_tracial(self) -> bool:
         return _kac_gaps(self)[1] <= 1e-12 * self.algebra.magnitude
@@ -96,7 +97,7 @@ def solve_haar(alg: HopfAlgebraSpec, tol: float = 1e-9) -> HaarFunctional:
     for name, gap in zip(KAC_CHECKS, _kac_gaps(fun)):
         if gap > tol * alg.magnitude:
             raise NoHaar(f"{alg.label!r} fails the Kac premise: {name} {gap:.2e}")
-    gram_matrices(alg, fun, tol)  # raises PositivityFailure
+    object.__setattr__(fun, "_grams", gram_matrices(alg, fun, tol))  # or PositivityFailure
     return fun
 
 
@@ -172,8 +173,8 @@ def verify_haar_lemmas(h: LinearFunctional, tol: float = 1e-10) -> Report:
 
 def gram_matrices(alg: HopfAlgebraSpec, h: LinearFunctional, tol: float = 1e-9) -> GramPair:
     """The invariant Gram matrix ``h(a_j^* a_k)`` of both sides, with its
-    Hermiticity/positivity certificate."""
-    gram = alg.star @ h.pair  # a_j^* has the coefficients star[j]
+    Hermiticity/positivity certificate; ``h`` of another algebra raises ``DimensionMismatch``."""
+    gram = _same_spec(alg, h).star @ h.pair  # a_j^* has the coefficients star[j]
     herm_res, min_eig, floor = _positivity(gram)
     if herm_res > tol * alg.magnitude or min_eig <= floor:
         raise PositivityFailure(

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, _freeze
+from .algebra import HopfAlgebraSpec, _freeze, _regular_side
 from .corep import (Corepresentation, IrrepTable, _gram_basis, _restrict,
                     decompose_comodule)
 from .errors import CoidealMismatch, DimensionMismatch, PositivityFailure
@@ -152,11 +152,8 @@ def verify_coideal(coideal: CoidealSubalgebra, tol: float = 1e-9) -> Report:
     report.add("star closure", float(np.abs(stars @ comp.T).max()), t)
     report.add("unit membership", float(np.abs(comp @ alg.unit).max()), t)
 
-    legs = np.einsum("it,tab->iab", rows, alg.comult)
-    if coideal.side == "R":
-        escape = np.einsum("iab,ac->icb", legs, comp)  # first leg outside the span
-    else:
-        escape = np.einsum("iab,bc->iac", legs, comp)  # second leg outside the span
+    legs = np.einsum("it,tab->iab", rows, _regular_side(alg, coideal.side)[0])  # left: Delta^cop
+    escape = np.einsum("iab,ac->icb", legs, comp)  # first leg outside the span
     report.add("coideal condition", float(np.abs(escape).max()), t)
 
     s2 = rows @ alg.antipode @ alg.antipode
@@ -223,8 +220,8 @@ def canonical_restricted_candidates(pi: Corepresentation,
                                     coideal: CoidealSubalgebra) -> list[BasisFunctionSet]:
     """Canonical row/column sets whose entries happen to lie in ``B``, on its carrier.
 
-    Side "R": rows ``pi_l.`` with every entry in ``B``; side "L": columns ``pi^*_{. l}``
-    (the paper's ``S^{-2}(pi^*_{. l})``, ``S^2 = id``), requiring the corep entries in ``B``.
+    Side "R": rows ``pi_l.`` with every entry in ``B``; side "L": rows ``S(pi_l.)`` (the
+    paper's ``S^{-2}(pi^*_{. l})``, ``pi`` unitary), requiring the corep entries in ``B``.
     """
     out = []
     for ell in range(pi.dim):

@@ -5,6 +5,9 @@ Both regular coactions are right coactions with carrier ``A``:
 * right: ``a -> coproduct(a)``, legs ``a_(1) (x) a_(2)``;
 * left:  ``a -> swap((S (x) id) coproduct(a))``, legs ``a_(2) (x) S(a_(1))``.
 
+Under the Kac premise the left one is ``A^cop``'s right one with ``S`` on the second leg,
+so every formula here is the right one read through :func:`~cqglab.algebra._regular_side`.
+
 A :class:`Carrier` is a comodule algebra under one of them: the whole algebra
 (:func:`regular_carrier`), or a coideal subalgebra ``B`` in its orthonormal
 basis (:attr:`cqglab.homspace.CoidealSubalgebra.carrier`).  A set of basis
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze, _product_rule_gap, build_dual
+from .algebra import (HopfAlgebraSpec, LinearFunctional, _freeze, _product_rule_gap,
+                      _regular_side, _same_spec, build_dual)
 from .corep import _CERTIFICATES, Corepresentation, IrrepTable
 from .errors import NotUnitary
 from .haar import _haar_invariance
@@ -45,12 +49,8 @@ __all__ = [
 
 def regular_coaction_tensor(alg: HopfAlgebraSpec, side: str) -> np.ndarray:
     """Tensor ``T[t, a, b]``: the coaction of ``a_t`` is ``sum T[t,a,b] a_a (x) a_b``."""
-    if side == "R":
-        return alg.comult.copy()
-    if side == "L":
-        # legs a_(2) (x) S(a_(1)): first leg from the second coproduct slot
-        return alg.comult.transpose(0, 2, 1) @ alg.antipode
-    raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+    coproduct, leg, _ = _regular_side(alg, side)
+    return np.array(leg(coproduct))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,30 +143,24 @@ def check_basis_functions(bset: BasisFunctionSet) -> float:
 
 
 def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0) -> BasisFunctionSet:
-    """The canonical sets: row ``l`` of ``pi`` (right) or ``pi^*_{j l}`` (left: the paper's
-    ``S^{-2}(pi^*_{j l})`` under the Kac premise ``S^2 = id``, which takes no ``h`` here).
+    """The canonical sets: row ``l`` of ``pi``, through the side's second leg: ``pi_lj`` (right)
+    or ``S(pi_lj)`` (left), the paper's ``S^{-2}(pi^*_{j l})`` for a unitary ``pi`` under the
+    Kac premise ``S^2 = id``, which takes no ``h`` here.
 
     The left construction needs ``pi`` unitary: it raises ``NotUnitary`` when a
     unitarity residual of :func:`~cqglab.corep.check_unitary` exceeds ``1e-9``
     times the magnitude.  A ``row`` outside ``0 .. d - 1`` raises ``ValueError``.
     """
     _check_indices(pi.dim, row=row)
-    if side == "L":
-        _require_unitary(pi, pi.residuals)
-    return _canonical_set(pi, side, row)
+    return _canonical_set(pi, side, row, lambda: pi.residuals)
 
 
 def _table_canonical_sets(table: IrrepTable, side: str, labels) -> list[BasisFunctionSet]:
     """The row-0 canonical sets of the named irreps of the table, in order: the sets
     of :func:`canonical_basis_functions`, with the left sets' unitarity read off
     the table's one stacked residual pass (:attr:`IrrepTable.residuals`)."""
-    out = []
-    for label in labels:
-        i = table.index_of(label)
-        if side == "L":
-            _require_unitary(table[i], table.residuals[i])
-        out.append(_canonical_set(table[i], side, 0))
-    return out
+    return [_canonical_set(table[i], side, 0, lambda i=i: table.residuals[i])
+            for i in map(table.index_of, labels)]
 
 
 def _check_indices(dim: int, **indices: int) -> None:
@@ -177,24 +171,16 @@ def _check_indices(dim: int, **indices: int) -> None:
                              f"{dim}, got {index!r}")
 
 
-def _require_unitary(pi: Corepresentation, residuals) -> None:
-    """``NotUnitary`` unless every unitarity residual of ``pi`` is within ``1e-9`` times
-    the magnitude."""
-    worst = max(residuals[name] for name in _CERTIFICATES["unitarity"][1])
+def _canonical_set(pi: Corepresentation, side: str, row: int, residuals) -> BasisFunctionSet:
+    """The arithmetic of :func:`canonical_basis_functions`.  A left set is the paper's only
+    for a unitary ``pi``: on side L, ``NotUnitary`` unless every unitarity residual of
+    ``residuals()`` (read only there) is within ``1e-9`` times the magnitude."""
+    worst = max(residuals()[name] for name in _CERTIFICATES["unitarity"][1]) if side == "L" else 0
     if worst > 1e-9 * pi.algebra.magnitude:
         raise NotUnitary(f"left canonical basis functions need a unitary corep; "
                          f"{pi.label!r} has unitarity residual {worst:.1e}")
-
-
-def _canonical_set(pi: Corepresentation, side: str, row: int) -> BasisFunctionSet:
-    """The arithmetic of :func:`canonical_basis_functions`, unitarity taken as certified."""
-    if side == "R":
-        funcs = pi.coeffs[row, :, :]
-    elif side == "L":
-        funcs = np.conj(pi.coeffs[:, row, :]) @ pi.algebra.star
-    else:
-        raise ValueError(f"side must be 'R' or 'L', got {side!r}")
-    return BasisFunctionSet(pi, side, funcs, label=f"{pi.label}:{side}{row}")
+    _, leg, _ = _regular_side(pi.algebra, side)
+    return BasisFunctionSet(pi, side, leg(pi.coeffs[row]), label=f"{pi.label}:{side}{row}")
 
 
 def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSet,
@@ -267,9 +253,10 @@ def projection_operator(pi: Corepresentation, m: int, n: int, side: str,
     with the Haar pair matrix ``h(a_u a_b)``.  ``ordering="swapped"`` builds the
     rejected variant with the product inside ``h`` reversed, kept as a
     diagnostic; the two orderings coincide whenever the Haar functional is
-    tracial.  An ``m`` or ``n`` outside ``0 .. d - 1`` raises ``ValueError``.
+    tracial.  An ``m`` or ``n`` outside ``0 .. d - 1`` raises ``ValueError``, and an ``h``
+    of another algebra ``DimensionMismatch``.
     """
-    alg = pi.algebra
+    alg = _same_spec(pi, h)
     d = pi.dim
     _check_indices(d, m=m, n=n)
     if route == "constants":
@@ -355,7 +342,8 @@ def product_coaction_check(alg: HopfAlgebraSpec, side: str, tol: float = 1e-10,
     the untwisted rule fails for the left coaction on a noncommutative spec).
     """
     tensor = regular_carrier(alg, side).coact
-    applied = twist if twist is not None else ("plain" if side == "R" else "twisted")
+    second = _regular_side(alg, side)[2]  # the kind whose product second legs multiply in
+    applied = twist if twist is not None else {"ordinary": "plain", "twisted": "twisted"}[second]
     if applied not in ("plain", "twisted"):
         raise ValueError(f"unknown twist {applied!r}")
     report = Report(f"product coaction [{alg.label} side {side} rule {applied}]",

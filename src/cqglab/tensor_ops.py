@@ -11,7 +11,8 @@ All four conditions share one pipeline applied to each basis element ``a``::
 with ``coact`` the right or left regular coaction and ``M`` the product of ``A``
 (ordinary) or of ``A^op`` (twisted: :func:`~cqglab.algebra._kind_product`); the result
 must equal ``sum_k Q_k(a) (x) pi_kj``.  The paper's twisted variants read ``S^{-1}``,
-which is ``S`` under the Kac premise ``S^2 = id`` that ``solve_haar`` certifies; the
+which is ``S`` under the Kac premise ``S^2 = id`` that ``solve_haar`` certifies, and a
+left variant is the right one of ``A^cop`` (:func:`~cqglab.algebra._regular_side`); the
 entry points that take no ``h`` rest on it too.
 
 Each variant equivalently defines a right coaction on operator space,
@@ -42,7 +43,7 @@ from math import isqrt
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, _freeze, _kind_product, _same_spec
+from .algebra import HopfAlgebraSpec, _freeze, _kind_product, _regular_side, _same_spec
 from .cg import tensor_product
 from .corep import (RANK_RCOND, Corepresentation, IrrepTable, _characters,
                     _integer_counts, _phase_fixed)
@@ -139,7 +140,7 @@ def operator_coaction_components(table: IrrepTable, q_op: np.ndarray, kind: str,
 
 
 class _Pairs:
-    """One side's block pairs ``(s, r)`` of dimensions ``(ds, dr)``, ``k`` last in every array.
+    """Block pairs ``(s, r)`` of dimensions ``(ds, dr)`` in a side's labels, ``k`` last in each.
     ``rows[pair, b, y, z', ., x]`` and ``cols`` place the component at first leg ``u^s_bz'``,
     input ``u^r_xy``; ``ins`` and ``outs[pair, b, c, z, x]`` pick the block entry
     ``Q'[u^s_bc, u^r_xz]`` that meets it; ``w1[route, pair, x, y, z]`` and ``w2[route, pair,
@@ -148,14 +149,12 @@ class _Pairs:
     components ``ms[pair, m]`` (padded with ``n``) and products ``g[pair, y, z', m, c, z]``
     of ``u^s_z'c`` with ``u^r_zy``."""
 
-    def __init__(self, context: _PeterWeyl, side: str, s: np.ndarray, r: np.ndarray) -> None:
-        dims, order = context.dims, context.orders[side]
-        self.s, self.r, self.n, self.ds, self.dr = s, r, context.n, dims[s[0]], dims[r[0]]
-        firsts, seconds = (order[context.cells[x, :d, :d]]                  # [pair, ., .]
-                           for x, d in ((s, self.ds), (r, self.dr)))
-        self.w1, self.w2 = (np.stack([np.ones_like(w), w.swapaxes(1, 2) if side == "L" else w])
-                            for x, d in ((r, self.dr), (s, self.ds))
-                            for w in [context.weights[x, :d, :d, :d]])
+    def __init__(self, context: _PeterWeyl, cells: np.ndarray, s: np.ndarray,
+                 r: np.ndarray) -> None:
+        self.s, self.r, self.n, self.ds, self.dr = s, r, context.n, *context.dims[[s[0], r[0]]]
+        firsts, seconds = (cells[x, :d, :d] for x, d in ((s, self.ds), (r, self.dr)))
+        self.w1, self.w2 = (np.stack([np.ones_like(w), w]) for w in (   # one gather each
+            context.pattern[seconds][..., :self.dr], context.pattern[firsts][..., :self.ds]))
         self.rows = firsts[:, :, None, :, None, None]                    # [pair, b, ., z', ., .]
         self.cols = seconds.swapaxes(1, 2)[:, None, :, None, None, :]   # [pair, ., y, ., ., x]
         self.ins, self.outs = firsts[:, :, :, None, None], seconds.swapaxes(1, 2)[:, None, None]
@@ -212,9 +211,9 @@ class _PeterWeyl:
 
     The pipeline runs here: block ``(s, r)`` of ``Q'`` (rows ``u^s_bc``, columns
     ``u^r_xz``) meets one second-leg product, of ``u^s_z'c`` with ``S(u^r_zy)`` (right,
-    ordinary; :attr:`variants` has all four, certified once per table, the left side
-    reading ``u^r_ij`` as ``u^r_ji``), which only reaches the blocks the fusion rules
-    allow; :meth:`plan` cuts a side's pairs by them.  An operator costs ``2 n^3``
+    ordinary; :attr:`variants` has all four, certified once per table, a left one being
+    ``A^cop``'s right one in the labels ``u^r_ji``), which only reaches the blocks the
+    fusion rules allow; :meth:`plan` cuts the pairs by them.  An operator costs ``2 n^3``
     for ``Q'`` and ``sum_(s, r) d_s^3 d_r^3 m_sr`` for the blocks (``m_sr`` the allowed
     size), where the dense input-basis pipeline costs about ``2 n^4``.  Residuals stay
     here: the input-basis components are ``C[A, t, m] = sum P[a, A] R[t, b] P[u, m]
@@ -248,10 +247,6 @@ class _PeterWeyl:
         self.starts = np.cumsum(dims ** 2) - dims ** 2
         self.block = np.repeat(np.arange(len(dims)), dims ** 2)       # block of each position
         self.irreps = {id(pi): i for i, pi in enumerate(table)}
-        # position (r, x, y): the right side reads it as u^r_xy, the left as u^r_yx
-        start, d = self.starts[self.block], dims[self.block]
-        x, y = np.divmod(np.arange(n) - start, d)
-        self.orders = {"R": np.arange(n), "L": start + y * d + x}
         # each block's u_ij at cells[block, i, j] (blocks padded to the largest with n), and
         # the coproduct's pattern [t, a, v] = [u_xy, u_xz, u_zy] of each block
         i, j, z = np.indices((dims.max(),) * 3)
@@ -261,8 +256,9 @@ class _PeterWeyl:
         t, a, v = (self.cells[blocks, e, f][inside] for e, f in ((i, j), (i, z), (z, j)))
         coproduct = self.coproduct()
         scale = float(np.abs(coproduct).max())
-        self.weights = np.zeros(inside.shape, dtype=coproduct.dtype)   # pattern [block, x, y, z]
-        self.weights[inside] = coproduct[t, a, v]
+        # pattern[u_xy, z]: the entry of u_xz (x) u_zy in Delta(u_xy), for any labels' gather
+        self.pattern = np.zeros((n + 1, dims.max()), dtype=coproduct.dtype)
+        self.pattern[t, np.broadcast_to(z, inside.shape)[inside]] = coproduct[t, a, v]
         coproduct[t, a, v] = 0.0
         if not np.abs(coproduct).max() <= PETER_WEYL_LEAK * scale:
             raise PeterWeylFailure(f"the coproduct of {alg.label!r} leaves mass "
@@ -286,48 +282,53 @@ class _PeterWeyl:
 
     @cached_property
     def variants(self) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-        """Each variant's allowed blocks ``[s, r, t]`` and second-leg products ``prod[B, v,
-        m]`` (column ``n`` reads 0), certified in one pass per table: ``u_B S(u_v)`` in the
-        kind's product (:func:`~cqglab.algebra._kind_product`), on the left ``S(u_B) u_v``.
-        Block ``t`` is allowed when the legs' characters give ``h(x_s y_r chi_t^*)`` in
-        the kind's product at least 1, rounded by ``_integer_counts``; ``prod``'s mass
-        elsewhere must be at most ``PETER_WEYL_LEAK`` of its largest entry, else
-        ``PeterWeylFailure``."""
+        """Each variant's allowed blocks ``[s, r, t]`` and second-leg products ``prod[B, v, m]``
+        (column ``n`` reads 0) by its kind and its side's second-leg kind, certified in one
+        pass per table: ``u_B S(u_v)`` in the kind's product read through the side's (on the
+        left the other kind's, legs swapped: ``S(u_B) u_v``).  Block ``t`` is allowed when
+        ``h(chi_s S(chi_r) chi_t^*)`` in that product is at least 1, rounded by
+        ``_integer_counts``; ``prod``'s mass elsewhere must be at most ``PETER_WEYL_LEAK`` of
+        its largest entry, else ``PeterWeylFailure``."""
         n, alg, count, b, s = self.n, self.algebra, len(self.dims), self.block, self.antipode
         chars, stars = _characters(self.table)
-        images = [chars, chars @ alg.antipode]                               # S^e(chi): e = 0, 1
-        kernel = (alg.mult.reshape(n * n, n) @ (self.table.haar.pair @ stars.T)).reshape(n, -1)
-        # the counts h(x_s y_r chi_t^*) of each (x, y) = (S^e chi, S^f chi) a variant reads
-        fused = {(e, f): _integer_counts(np.matmul(images[f], (images[e] @ kernel).reshape(
-                    count, n, count))) > 0 for e, f in ((0, 1), (1, 0))}
+        # kernel[i, j, t] = h(a_i a_j chi_t^*), a product of a_i and a_j like mult
+        kernel = (alg.mult.reshape(n * n, n) @ (self.table.haar.pair @ stars.T)).reshape(
+            n, n, count)
         out = {}
-        for (kind, side), (e, f) in zip(VARIANTS, ((0, 1), (1, 0), (1, 0), (0, 1))):
-            mult = _kind_product(self.mult, kind)
-            prod = np.tensordot(s, mult, axes=(1, 0)) if side == "L" else np.matmul(s, mult)
-            allowed = _kind_product(fused[e, f], kind)
+        for kind, side in VARIANTS:
+            second = _regular_side(alg, side)[2]
+            mult, triple = (_kind_product(_kind_product(x, kind), second)
+                            for x in (self.mult, kernel))
+            prod = _kind_product(np.matmul(s, mult), second)
+            allowed = _kind_product(_integer_counts(np.matmul(chars @ alg.antipode, (
+                chars @ triple.reshape(n, -1)).reshape(count, n, count))) > 0, second)
             size = np.abs(prod)
             leak = float(size[~allowed[b[:, None, None], b[None, :, None], b]].max(initial=0.0))
             if not leak <= PETER_WEYL_LEAK * size.max():
                 raise PeterWeylFailure(f"the {kind}-{side} second-leg product of {alg.label!r} "
                                        f"leaves mass {leak:.1e} outside the blocks its fusion "
                                        f"rules allow (largest entry {size.max():.1e})")
-            out[kind, side] = allowed, np.concatenate([prod, np.zeros((n, n, 1))], axis=2)
+            out[kind, second] = allowed, np.concatenate([prod, np.zeros((n, n, 1))], axis=2)
         return out
 
     @cached_property
     def pairs(self) -> dict[str, list[_Pairs]]:
-        """Each side's block pairs ``(s, r)``, one :class:`_Pairs` per pair of dimensions."""
+        """The block pairs, one :class:`_Pairs` per pair of dimensions, in each second-leg kind's
+        labels: ``Delta^cop(u_ij) = sum_z u_zj (x) u_iz`` is ``Delta``'s pattern in ``u_ji``."""
         count = len(self.dims)
         s, r = np.divmod(np.arange(count * count), count)
         keys = self.dims[s] * (self.dims.max() + 1) + self.dims[r]
-        return {side: [_Pairs(self, side, s[keys == key], r[keys == key])
-                       for key in dict.fromkeys(keys.tolist())] for side in ("R", "L")}
+        labels = {second: _kind_product(self.cells.transpose(1, 2, 0), second).transpose(2, 0, 1)
+                  for second in ("ordinary", "twisted")}          # cells[block, i, j], as read
+        return {second: [_Pairs(self, cells, s[keys == key], r[keys == key]) for key in
+                         dict.fromkeys(keys.tolist())] for second, cells in labels.items()}
 
     def plan(self, kind: str, side: str) -> tuple[np.ndarray, list[_Pairs]]:
-        """One variant's allowed blocks and its pairs cut by them (:meth:`_Pairs.cut`).  Not
-        kept: a caller builds it once per certificate."""
-        allowed, prod = self.variants[_variant_key(kind, side)]
-        return allowed, [pairs.cut(prod, allowed, self.block) for pairs in self.pairs[side]]
+        """One variant's allowed blocks and its pairs cut by them (:meth:`_Pairs.cut`), in its
+        side's second-leg kind.  Not kept: a caller builds it once per certificate."""
+        second = _regular_side(self.algebra, _variant_key(kind, side)[1])[2]
+        allowed, prod = self.variants[kind, second]
+        return allowed, [pairs.cut(prod, allowed, self.block) for pairs in self.pairs[second]]
 
     def coefficients(self, fams: list[TensorOperatorFamily]) -> np.ndarray:
         """The right side ``sum_j Q_j (x) pi_jk`` of a stack of families as ``c[m, j, k]``
@@ -534,22 +535,21 @@ def family_report(fam: TensorOperatorFamily, table: IrrepTable, tol: float = 1e-
 def multiplication_family(bset: BasisFunctionSet, kind: str) -> TensorOperatorFamily:
     """Multiplication by basis functions, from the side the variant dictates.
 
-    ordinary-R and twisted-L multiply from the left; twisted-R and ordinary-L
-    from the right.  The set's carrier and side fix the family's.
+    ordinary-R and twisted-L multiply from the left; twisted-R and ordinary-L from the right
+    (the kind's product read through the side's).  The set's carrier and side fix the family's.
     """
-    ops = _multiplication_operators(bset.functions, _kind_product(bset.carrier.product, kind),
-                                    bset.side)
+    second = _regular_side(bset.algebra, bset.side)[2]
+    ops = _multiplication_operators(bset.functions, _kind_product(
+        _kind_product(bset.carrier.product, kind), second))
     return TensorOperatorFamily(bset.corep, kind, bset.side, ops,
                                 label=f"mult[{bset.label}]", carrier=bset.carrier)
 
 
-def _multiplication_operators(coords: np.ndarray, mult: np.ndarray, side: str) -> np.ndarray:
-    """Multiplication by each row of ``coords`` under the product tensor ``mult``, from
-    the left on the right side and from the right on the left side."""
-    if side == "R":
-        n = len(mult)
-        return (coords @ mult.reshape(n, n * n)).reshape(-1, n, n).swapaxes(1, 2)  # [j, A, t]
-    return np.matmul(coords, mult).transpose(1, 2, 0)     # one product per t, mult not copied
+def _multiplication_operators(coords: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Multiplication from the left by each row of ``coords`` under the product tensor
+    ``mult``, as ``[j, A, t]``; a right multiplication is a left one in the reversed product."""
+    n = len(mult)
+    return (coords @ mult.reshape(n, n * n)).reshape(-1, n, n).swapaxes(1, 2)
 
 
 def solve_family_space(pi: Corepresentation, kind: str, side: str
@@ -560,13 +560,12 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
     Heisenberg double ``A # A* = End(A)``): the sets ``phi^c`` are a basis of
     ``Hom(pi, A)`` for the side's regular coaction, ``M`` multiplies as in
     :func:`multiplication_family`, and the ``C_x`` are the convolutions
-    ``a -> x(a_(1)) a_(2)`` (right side) or ``a -> a_(1) x(a_(2))`` (left
-    side), which commute with the coaction.  The pipeline applies ``Q`` to the
-    first coaction leg, so a family composed on the right with a comodule map
-    is again a family.  ``Hom(pi, A)`` of a corep ``pi`` needs no solve: by
-    Frobenius reciprocity ``Phi -> eps o Phi`` maps it onto the dual of ``pi``'s
-    carrier, so its ``d`` sets are ``phi^c_k = pi_ck`` (right) or ``S(pi_ck)`` (left, the
-    paper's ``S^{-1}(pi_ck)`` under the Kac premise ``S^2 = id``, not certified here).  Those
+    ``a -> x(a_(1)) a_(2)`` of the side's coproduct (left: ``a -> a_(1) x(a_(2))``), which
+    commute with the coaction.  The pipeline applies ``Q`` to the first coaction leg, so a
+    family composed on the right with a comodule map is again a family.  ``Hom(pi, A)`` of
+    a corep ``pi`` needs no solve: by Frobenius reciprocity ``Phi -> eps o Phi`` maps it
+    onto the dual of ``pi``'s carrier, so its ``d`` sets are the canonical sets of every row
+    (``pi_ck``, left ``S(pi_ck)``: the paper's ``S^{-1}(pi_ck)`` under the Kac premise).  Those
     are basis functions only for a corep, so ``pi``'s comodule axioms are certified first, to
     ``verify_corep``'s default ``1e-9`` times the magnitude, else ``NotACorepresentation``.
     The commutation is certified to ``RANK_RCOND`` times the squared magnitude and the
@@ -580,12 +579,10 @@ def solve_family_space(pi: Corepresentation, kind: str, side: str
     if worst > 1e-9 * alg.magnitude:
         raise NotACorepresentation(f"{pi.label!r} fails the comodule axioms (residual "
                                    f"{worst:.1e} > {1e-9 * alg.magnitude:.1e})")
-    coords = pi.coeffs.reshape(d * d, n)                              # [(c, k), u]
-    if side == "L":
-        coords = coords @ alg.antipode
-    mults = _multiplication_operators(coords, _kind_product(alg.mult, kind), side)  # [(c, k), A, t]
-    # convs[x, t, s]: C_x sends a_s to sum_t convs[x, t, s] a_t
-    convs = alg.comult.transpose(1, 2, 0) if side == "R" else alg.comult.transpose(2, 1, 0)
+    coproduct, leg, second = _regular_side(alg, side)
+    coords = leg(pi.coeffs.reshape(d * d, n))                         # every row's canonical set
+    mults = _multiplication_operators(coords, _kind_product(_kind_product(alg.mult, kind), second))
+    convs = coproduct.transpose(1, 2, 0)  # [x, t, s]: C_x sends a_s to sum_t convs[x, t, s] a_t
     carrier = regular_carrier(alg, side)
     if carrier.commutant is None:                                     # once per spec and side
         object.__setattr__(carrier, "commutant", _certify_commutant(

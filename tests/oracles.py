@@ -235,6 +235,43 @@ def antipode_inverse(alg) -> np.ndarray:
     return np.linalg.inv(alg.antipode)
 
 
+def paper_coaction(alg, side: str) -> np.ndarray:
+    """The paper's regular coactions as tensors ``T[t, a, b]``, one einsum each: right
+    ``a_(1) (x) a_(2)`` and left ``a_(2) (x) S(a_(1))``."""
+    if side == "R":
+        return np.array(alg.comult)
+    return np.einsum("tja,jb->tab", alg.comult, alg.antipode)
+
+
+def paper_left_set(pi, row: int) -> np.ndarray:
+    """The paper's left canonical set ``S^{-2}(pi^*_{j row})``, as rows ``[j, m]``."""
+    s_inv = antipode_inverse(pi.algebra)
+    return np.conj(pi.coeffs[:, row]) @ pi.algebra.star @ s_inv @ s_inv
+
+
+def paper_left_family(functions: np.ndarray, alg, kind: str) -> np.ndarray:
+    """The paper's left families of a set ``functions[j, u]`` as operators ``[j, A, t]``:
+    right multiplication ``a -> a psi_j`` (ordinary) or ``a -> psi_j a`` (twisted, the
+    right multiplication of ``A^op``)."""
+    order = "ju,tuA->jAt" if kind == "ordinary" else "ju,utA->jAt"
+    return np.einsum(order, functions, alg.mult)
+
+
+def paper_left_products(table, kind: str) -> np.ndarray:
+    """The second-leg products ``prod[B, v, m]`` of a left variant in the Peter-Weyl basis
+    ``u`` of the table (row ``B`` of ``P``): the second leg ``S(u_B)`` of a first leg's
+    left coaction times ``S^{+-1}`` (ordinary, twisted) of the second leg ``S(u_v)`` of
+    the input's, in the kind's product."""
+    alg, n = table.algebra, table.algebra.dim
+    p = np.concatenate([pi.coeffs.reshape(-1, n) for pi in table])
+    s = alg.antipode
+    firsts = p @ s
+    seconds = p @ s @ (s if kind == "ordinary" else antipode_inverse(alg))
+    mult = alg.mult if kind == "ordinary" else alg.mult.transpose(1, 0, 2)
+    prod = np.tensordot(firsts, np.tensordot(seconds, mult, axes=(1, 1)), axes=(1, 1))
+    return prod @ np.linalg.inv(p)
+
+
 def opposite_algebra(alg):
     """The Hopf *-algebra with reversed product and inverse antipode: twisted tensor
     operators of ``alg`` are ordinary tensor operators of the opposite algebra."""
@@ -431,10 +468,10 @@ def projection_identity_gaps(table, side, h, ordering="standard") -> dict[str, f
     ``"completeness"``: the residual of ``sum_p (tr((F^p)^{-1}) / d_p)
     sum_{m,n} F^p_nm P^p_mn = id`` over the same projections.
     """
-    from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
+    from cqglab.regular import canonical_basis_functions
 
     alg = table.algebra
-    tensor = regular_coaction_tensor(alg, side)
+    tensor = paper_coaction(alg, side)
     rule = "u,ubl,l->b" if ordering == "standard" else "u,bul,l->b"
     ops = {}
     for p_idx, pi in enumerate(table):
@@ -504,12 +541,10 @@ def per_operator_coaction(alg, q_op, kind, side, route):
     per-operator structure-constant chain, in which Q meets one coproduct and
     the result meets the other before the product.
     """
-    from cqglab.regular import regular_coaction_tensor
-
     mu, m, s = alg.comult, alg.mult, alg.antipode
     spow = s if kind == "ordinary" else antipode_inverse(alg)
     if route == "maps":
-        coact = regular_coaction_tensor(alg, side)
+        coact = paper_coaction(alg, side)
         legs = np.einsum("tab,ia->itb", coact, q_op)
         legs = np.einsum("itb,bw->itw", legs, spow)
         legs = np.einsum("itw,iAB->ABwt", legs, coact)
@@ -551,8 +586,6 @@ def dense_coaction_stack(table, q_ops, kind, side, route):
     legs off the closed form ``Delta(u_ij) = sum u_im (x) u_mj``, "maps" off the side's
     regular coaction tensor carried into P's basis.
     """
-    from cqglab.regular import regular_coaction_tensor
-
     alg, dims = table.algebra, np.array(table.dims())
     n, k = alg.dim, len(q_ops)
     p = np.concatenate([pi.coeffs.reshape(-1, n) for pi in table])
@@ -562,7 +595,7 @@ def dense_coaction_stack(table, q_ops, kind, side, route):
     mult = np.matmul(p, (p @ (alg.mult.reshape(n * n, n) @ r).reshape(n, -1)).reshape(n, n, n))
     mult = mult.transpose(1, 0, 2) if kind == "twisted" else mult               # [B, w, M]
     mult = (np.ascontiguousarray(mult).reshape(n * n, n) @ p).reshape(n, n * n)
-    coact = (p @ regular_coaction_tensor(alg, side).reshape(n, -1)).reshape(n * n, n) @ r
+    coact = (p @ paper_coaction(alg, side).reshape(n, -1)).reshape(n * n, n) @ r
     coact = np.matmul(r.T, coact.reshape(n, n, n))                               # [t, a, v]
     starts, x, blocks = np.cumsum(dims ** 2) - dims ** 2, np.zeros((n, n, n), complex), []
     for d in dict.fromkeys(dims.tolist()):

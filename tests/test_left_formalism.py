@@ -1,0 +1,114 @@
+"""The left formalism against the paper's left formulas, on every bed with n <= 36.
+
+The package reads a side only through ``algebra._regular_side``: the left formalism
+is the right formalism of ``A^cop`` with ``S`` on the second leg, so the left coaction
+tensor, the left canonical sets, the left multiplication families and the engine's
+left second-leg products are all right formulas read through it.  The paper writes
+each of them on its own; :mod:`oracles` keeps those formulas (``S^{-1}`` inverted as
+written), and each is compared with the package here on the sixteen beds of
+``test_haar._beds_to_36``: the six built-ins, rotated C(S3) and C[S3], C(D6), C[D6],
+C(A4), C[A4], C(S4), C[S4], and C(S3) (x) C[S3] with its rotation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from conftest import Context
+from oracles import (antipode_inverse, dense_family_residuals, paper_coaction,
+                     paper_left_family, paper_left_products, paper_left_set)
+from test_haar import _beds_to_36
+
+from cqglab.algebra import HopfAlgebraSpec
+from cqglab.corep import Corepresentation, IrrepTable
+from cqglab.haar import HaarFunctional
+from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
+from cqglab.tensor_ops import TensorOperatorFamily, multiplication_family
+
+KINDS = ("ordinary", "twisted")
+
+
+@pytest.fixture(scope="module")
+def beds(contexts):
+    """A context (Haar functional, Grams, irrep table) for each of the sixteen beds."""
+    built = {ctx.algebra.label: ctx for ctx in contexts.values()}
+    return [built.get(alg.label) or Context(alg) for alg in _beds_to_36(contexts)]
+
+
+def _close(got: np.ndarray, want: np.ndarray, alg) -> bool:
+    return float(np.abs(got - want).max()) <= 1e-12 * alg.magnitude ** 2
+
+
+def test_left_coaction_tensor_is_the_papers(beds):
+    assert len(beds) == 16 and max(ctx.algebra.dim for ctx in beds) == 36
+    for ctx in beds:
+        alg = ctx.algebra
+        for side in ("R", "L"):
+            assert _close(regular_coaction_tensor(alg, side), paper_coaction(alg, side),
+                          alg), (alg.label, side)
+
+
+def test_left_canonical_sets_are_the_papers(beds):
+    """``S(pi_lj)``, the right set through the second leg's ``S``, is the paper's
+    ``S^{-2}(pi^*_{jl})`` for every irrep and row."""
+    for ctx in beds:
+        for pi in ctx.table:
+            for row in range(pi.dim):
+                got = canonical_basis_functions(pi, "L", row).functions
+                assert _close(got, paper_left_set(pi, row), ctx.algebra), (pi.label, row)
+
+
+def test_left_families_are_the_papers_right_multiplications(beds):
+    """A left multiplication family of either kind, one left multiplication in the product
+    read through the side, is the paper's right multiplication by the left set."""
+    for ctx in beds:
+        for pi in ctx.table:
+            bset = canonical_basis_functions(pi, "L", 0)
+            for kind in KINDS:
+                want = paper_left_family(paper_left_set(pi, 0), ctx.algebra, kind)
+                got = multiplication_family(bset, kind).operators
+                assert _close(got, want, ctx.algebra), (ctx.algebra.label, pi.label, kind)
+
+
+def test_left_second_leg_products_are_the_papers(beds):
+    """The engine's left products, the other kind's right products with their legs
+    swapped, are the paper's ``S(u_B) S^{+-1}(S(u_v))`` in the kind's product."""
+    for ctx in beds:
+        context, n = ctx.table._peter_weyl, ctx.algebra.dim
+        for kind in KINDS:
+            got = context.variants[kind, "twisted"][1][:, :, :n]
+            want = paper_left_products(ctx.table, kind)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (
+                ctx.algebra.label, kind)
+
+
+def _cop(alg) -> HopfAlgebraSpec:
+    """``A^cop``: the coproduct's legs swapped and the antipode ``S^{-1}``."""
+    return HopfAlgebraSpec(alg.dim, alg.mult, alg.comult.transpose(0, 2, 1),
+                           antipode_inverse(alg), alg.counit, alg.unit, alg.star,
+                           label=f"cop({alg.label})")
+
+
+def test_left_families_are_right_families_of_the_coopposite_for_the_other_kind(beds):
+    """On C(S3) (x) C[S3], neither commutative nor cocommutative: a left multiplication
+    family of either kind for ``pi`` passes ``A^cop``'s right condition for the other kind
+    with ``w_kj = (pi_jk)^*`` (the table mapped, ``A``'s Haar covector kept), by the dense
+    routes, and fails it for its own kind."""
+    ctx = next(ctx for ctx in beds if ctx.algebra.label == "C(S3)(x)C[S3]")
+    alg, cop = ctx.algebra, _cop(ctx.algebra)
+    mapped = [Corepresentation(cop, np.conj(pi.coeffs).transpose(1, 0, 2) @ alg.star, pi.label)
+              for pi in ctx.table]
+    table = IrrepTable(cop, HaarFunctional(cop, ctx.haar.covector), mapped,
+                       ctx.table.multiplicities, ctx.table.labels)
+    tol = 1e-10 * alg.magnitude ** 2
+    own = []
+    for pi, w in zip(ctx.table, table):
+        bset = canonical_basis_functions(pi, "L", 0)
+        for kind, other in zip(KINDS, reversed(KINDS)):
+            ops = multiplication_family(bset, kind).operators
+            assert dense_family_residuals(TensorOperatorFamily(w, other, "R", ops), table,
+                                          other, "R")[0] <= tol, (pi.label, kind)
+            own.append(dense_family_residuals(TensorOperatorFamily(w, kind, "R", ops),
+                                              table, kind, "R")[0])
+    assert max(own) > 0.5

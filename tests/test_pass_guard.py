@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from cqglab import cli, corep, tensor_ops, wigner_eckart
+from cqglab import cli, corep, haar, tensor_ops, wigner_eckart
 from cqglab.corep import are_equivalent, decompose_comodule, is_irreducible
 from cqglab.regular import regular_corep
 from cqglab.tensor_ops import VARIANTS, solve_family_space
@@ -62,6 +62,15 @@ def test_subcommand_solves_the_haar_functional_once(run, tmp_path, monkeypatch):
     calls = _count_solve_haar(monkeypatch)
     assert cli.main([*RUNS[run], "--output", str(tmp_path / "out.json")]) == 0
     assert len(calls) == 1
+
+
+def test_irreps_takes_the_gram_positivity_twice(tmp_path, monkeypatch):
+    """``solve_haar`` certifies the Gram once and the CLI keeps that matrix; ``_split``
+    takes the positivity of the Gram it is handed again, because library callers of
+    ``irrep_table`` pass their own.  No third check on the same matrix."""
+    calls = _count(monkeypatch, "_positivity", [haar, corep])
+    assert cli.main([*RUNS["irreps"], "--output", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 2
 
 
 # (Peter-Weyl contexts, stacked residual passes) per run, each for the run's one table

@@ -20,10 +20,10 @@ import pytest
 
 from cqglab.algebra import HopfAlgebraSpec, LinearFunctional
 from cqglab.cg import solve_cg
-from cqglab.corep import Corepresentation
+from cqglab.corep import Corepresentation, invariant_gram, is_irreducible
 from cqglab.errors import DimensionMismatch
-from cqglab.haar import GramPair
-from cqglab.regular import BasisFunctionSet, canonical_basis_functions
+from cqglab.haar import GramPair, gram_matrices
+from cqglab.regular import BasisFunctionSet, canonical_basis_functions, projection_operator
 from cqglab.tensor_ops import TensorOperatorFamily, multiplication_family
 
 SPEC_FIELDS = ("mult", "comult", "antipode", "counit", "unit", "star")
@@ -121,6 +121,23 @@ def test_table_carries_its_haar_functional(contexts):
     table = contexts["C(S3)"].table
     with pytest.raises(DimensionMismatch):
         dataclasses.replace(table, haar=contexts["C[S3]"].haar)
+
+
+@pytest.mark.parametrize("foreign", ["C(Z3)", "C[S3]"])
+def test_functions_taking_h_refuse_another_algebras(contexts, foreign):
+    """A Haar functional of another algebra raises ``DimensionMismatch``, as
+    ``irrep_table`` does, in each function that takes it beside a corep or a spec:
+    C(Z3)'s (n = 3) made numpy leak a ``matmul`` ``ValueError``, and C[S3]'s (n = 6,
+    like C(S3)) gave a wrong answer silently."""
+    ctx, h = contexts["C(S3)"], contexts[foreign].haar
+    p2 = ctx.table["p2"]
+    calls = [lambda side=side, route=route: projection_operator(p2, 0, 1, side, h, route=route)
+             for side in ("R", "L") for route in ("maps", "constants")]
+    calls += [lambda: is_irreducible(p2, h), lambda: invariant_gram(p2, h),
+              lambda: gram_matrices(ctx.algebra, h)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_solve_cg_refuses_another_functional(cs3_fun):
