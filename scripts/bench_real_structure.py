@@ -10,8 +10,9 @@ Three kinds of cell, each timed in fresh child processes with one BLAS thread an
   and reports the peak RSS (``ru_maxrss``) before and after it.
 * ``cli``: one ``cqglab`` subcommand with ``--output`` on a ``--group`` file, timed
   from outside as the child's whole life (interpreter start included), with the
-  child's own ``ru_maxrss`` at exit.  ``validate`` and ``irreps`` run on A5,
-  ``tensor-ops`` on S4, A5 and S5 (``CLI_CELLS``).
+  child's own ``ru_maxrss`` at exit.  ``validate`` runs on S4 and A5, ``irreps`` on A5,
+  ``tensor-ops`` on S4, A5 and S5, and ``homspace --subgroup 0,1`` (an order-2
+  subgroup) on C(S4) and C(S5) (``CLI_CELLS``, ``CLI_ARGS``).
 * ``--workload``: ``perfbench/run.py --seconds 25 --trace 0`` of each checkout, one
   run per seed and checkout, the order flipping from seed to seed; the three
   end-to-end metrics are kept per run, with medians, quartiles and the number of
@@ -21,6 +22,8 @@ Three kinds of cell, each timed in fresh child processes with one BLAS thread an
         --repeats 3 --workload ladder=41-52 --out BENCH_real_structure.json
     python scripts/bench_real_structure.py --src parent=/path/to/old --src change=. \\
         --skip kernels --command tensor-ops --out BENCH_tensor_ops.json
+    python scripts/bench_real_structure.py --src parent=/path/to/old --src change=. \
+        --skip kernels --algebra 'C(S5)' --command homspace --out homspace.json
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ ALGEBRAS = ("C(S4)", "C[S4]", "C(A5)", "C[A5]", "C(S5)", "C[S5]")
 KERNEL_ALGEBRAS = ALGEBRAS[:4]
 KERNELS = ("verify_hopf_axioms", "verify_star_axioms", "product_coaction_check R",
            "product_coaction_check L", "solve_family_space")
-CLI_CELLS = {"validate": ("C(A5)", "C[A5]"), "irreps": ("C(A5)", "C[A5]"),
-             "tensor-ops": ALGEBRAS}
+CLI_CELLS = {"validate": ("C(S4)", "C(A5)", "C[A5]"), "irreps": ("C(A5)", "C[A5]"),
+             "tensor-ops": ALGEBRAS, "homspace": ("C(S4)", "C(S5)")}
+CLI_ARGS = {"homspace": ["--subgroup", "0,1"]}  # elements 0 and 1: e and a transposition
 CAP_BYTES = 4 << 30
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -129,7 +133,7 @@ def kernel_cell(src: str, algebra: str, kernel: str, group: Path) -> dict:
 
 
 def cli_cell(src: str, algebra: str, command: str, group: Path, out: Path) -> dict:
-    argv = [command, "--group", str(group), "--output", str(out)]
+    argv = [command, "--group", str(group), "--output", str(out), *CLI_ARGS.get(command, [])]
     if algebra.startswith("C["):
         argv += ["--construction", "group"]
     got, wall = _run(CLI_CHILD.format(cap=CAP_BYTES, src=src, argv=argv))
@@ -155,6 +159,8 @@ def _summary(runs: list[dict], keys: tuple[str, ...]) -> dict:
     out = {f"{key}_median": round(median(run[key] for run in ok), 5) for key in keys}
     out[f"{keys[0]}_runs"] = [round(run[keys[0]], 5) for run in ok]
     out["errors"] = len(runs) - len(ok)
+    if "exit" in ok[0]:  # a CLI cell: a failed check (1) or a refused input (2) is no error
+        out["exits"] = [run["exit"] for run in ok]
     return out
 
 

@@ -23,7 +23,7 @@ from .groups import _BUILTINS, build_function_algebra, build_group_algebra, buil
 from .haar import certify_haar, solve_haar, verify_haar_lemmas
 from .homspace import (build_coset_subalgebra, restricted_coaction_report,
                        solve_restricted_basis_functions, verify_coideal)
-from .regular import (_table_canonical_sets, dual_action_crosscheck, product_coaction_check,
+from .regular import (canonical_basis_functions, dual_action_crosscheck, product_coaction_check,
                       verify_projection_identities)
 from .report import SUMMARY_CHECKS, Report
 from .tensor_ops import (VARIANTS, TensorOperatorFamily, check_families,
@@ -147,7 +147,8 @@ def _cmd_tensor_ops(args) -> list[Report]:
     reports = [Report(f"identity operator [{spec.label}]")]
     reports += [Report(f"multiplication families [{ql}]") for ql in labels]
     ident = identity_corep(spec)
-    bsets = {side: _table_canonical_sets(table, side, labels) for side in ("R", "L")}
+    bsets = {side: [canonical_basis_functions(table[ql], side) for ql in labels]
+             for side in ("R", "L")}
     for kind, side in VARIANTS:
         # the identity operator and every irrep's multiplication family, checked as one stack
         fams = [TensorOperatorFamily(ident, kind, side, np.eye(spec.dim)[None, :, :])]
@@ -183,7 +184,7 @@ def _cmd_wigner_eckart(args) -> list[Report]:
     tables = []  # one per (side, kind), all factorized in one pass
     for side in sides:
         used = list(dict.fromkeys(p_labels + q_labels + r_labels))
-        bsets = dict(zip(used, _table_canonical_sets(table, side, used)))
+        bsets = {label: canonical_basis_functions(table[label], side) for label in used}
         tables += [([bsets[rl] for rl in r_labels],
                     [multiplication_family(bsets[ql], kind) for ql in q_labels],
                     [bsets[pl] for pl in p_labels], grams.gram(side),

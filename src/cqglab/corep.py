@@ -146,27 +146,35 @@ def _certificate(pi: Corepresentation, residuals: Mapping[str, float], which: st
 
 def _corep_residuals(coreps: list[Corepresentation]) -> list[dict[str, float]]:
     """Each corep's certificate residuals by check name, in one stacked pass per
-    dimension class.  ``legs(x, y)`` is ``sum_l x_jl (x) y_lk`` and
+    dimension class: :func:`_comodule_gaps`, then the unitarity gaps, where
     ``star[c, j, l]`` is ``pi_lj^*``."""
     out: list[dict[str, float]] = [{} for _ in coreps]
     for d, (idx, coeffs) in _dim_classes(coreps).items():
         alg = coreps[idx[0]].algebra
-        n, mult = alg.dim, alg.mult.reshape(-1, alg.dim)
+        mult = alg.mult.reshape(-1, alg.dim)
         star = (np.conj(coeffs) @ alg.star).swapaxes(1, 2)
         one = np.eye(d)[:, :, None] * alg.unit
-
-        def legs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return np.einsum("cjla,clkb->cjkab", x, y).reshape(len(idx), d, d, n * n)
-
-        gaps = {"coproduct splits": coeffs @ alg.comult.reshape(n, -1) - legs(coeffs, coeffs),
-                "counit is identity": coeffs @ alg.counit - np.eye(d),
+        gaps = {**_comodule_gaps(alg, coeffs),
                 "antipode flips to star": coeffs @ alg.antipode - star,
-                "columns orthonormal": legs(star, coeffs) @ mult - one,
-                "rows orthonormal": legs(coeffs, star) @ mult - one}
+                "columns orthonormal": _legs(star, coeffs) @ mult - one,
+                "rows orthonormal": _legs(coeffs, star) @ mult - one}
         for name, gap in gaps.items():
             for i, value in zip(idx, np.abs(gap).reshape(len(idx), -1).max(axis=1).tolist()):
                 out[i][name] = value
     return out
+
+
+def _comodule_gaps(alg: HopfAlgebraSpec, coeffs: np.ndarray) -> dict[str, np.ndarray]:
+    """The comodule certificate's gaps of coefficients stacked ``[c, j, k, a]``, by check
+    name: the half of :func:`_corep_residuals` that reads no star or product."""
+    return {"coproduct splits": coeffs @ alg.comult.reshape(alg.dim, -1) - _legs(coeffs, coeffs),
+            "counit is identity": coeffs @ alg.counit - np.eye(coeffs.shape[1])}
+
+
+def _legs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_l x_jl (x) y_lk`` of two stacks ``[c, j, l, a]``, as ``[c, j, k, (a, b)]``."""
+    count, d, _, n = x.shape
+    return np.einsum("cjla,clkb->cjkab", x, y).reshape(count, d, d, n * n)
 
 
 def _range_basis(mats: np.ndarray, rcond: float) -> tuple[np.ndarray, list[int]]:

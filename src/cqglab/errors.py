@@ -40,10 +40,6 @@ class NotACorepresentation(CqglabError):
     """An operation requiring a corepresentation got one that fails the comodule axioms."""
 
 
-class NotUnitary(CqglabError):
-    """An operation requiring a unitary corepresentation got a non-unitary one."""
-
-
 class DecompositionStall(CqglabError):
     """The irrep table's split left a non-invariant or reducible piece or a part that
     does not cut, or a family space's convolutions or rank failed their certificate."""

@@ -41,14 +41,26 @@ def _sparse_triples(tensor: np.ndarray) -> list[list]:
     return out
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer; ``SchemaError`` naming ``what`` for a boolean, a
+    fraction or a string, which ``int`` would read as another integer."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} is {value!r}, not an integer")
+    return value
+
+
 def _from_triples(triples, shape, what: str) -> np.ndarray:
     tensor = np.zeros(shape, dtype=complex)
+    seen = set()
     for entry in triples:
         if len(entry) != len(shape) + 2:
             raise SchemaError(f"{what}: malformed sparse entry {entry!r}")
-        idx = tuple(int(i) for i in entry[:-2])
+        idx = tuple(_integer(i, f"{what}: index of {entry!r}") for i in entry[:-2])
         if any(i < 0 or i >= s for i, s in zip(idx, shape)):
             raise SchemaError(f"{what}: index {idx} out of range for shape {shape}")
+        if idx in seen:
+            raise SchemaError(f"{what}: index {idx} is given twice")
+        seen.add(idx)
         tensor[idx] = float(entry[-2]) + 1j * float(entry[-1])
     return tensor
 
@@ -121,7 +133,7 @@ def _reading(path: str | Path, schema: str):
 
 def load_algebra(path: str | Path) -> HopfAlgebraSpec:
     with _reading(path, ALGEBRA_SCHEMA) as payload:
-        n = int(payload["dim"])
+        n = _integer(payload["dim"], "dim")
         # the dense arrays first: their size in the file bounds n before n^3 is allocated
         arrays = {key: _from_dense(payload[key], shape, key) for key, shape in
                   (("antipode", (n, n)), ("counit", (n,)), ("unit", (n,)), ("star", (n, n)))}
@@ -143,7 +155,9 @@ def save_group(group: GroupTable, path: str | Path) -> None:
 
 def load_group(path: str | Path) -> GroupTable:
     with _reading(path, GROUP_SCHEMA) as payload:
-        order, table = int(payload["order"]), np.asarray(payload["table"], dtype=int)
+        order = _integer(payload["order"], "order")
+        table = np.array([[_integer(x, f"table[{i}][{j}]") for j, x in enumerate(row)]
+                          for i, row in enumerate(payload["table"])], dtype=int)
         labels = tuple(str(x) for x in payload.get("labels", ()))
     return GroupTable(order, table, labels)
 

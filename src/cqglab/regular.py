@@ -13,7 +13,9 @@ A :class:`Carrier` is a comodule algebra under one of them: the whole algebra
 basis (:attr:`cqglab.homspace.CoidealSubalgebra.carrier`).  A set of basis
 functions for a corepresentation ``pi`` of dimension ``d`` is a ``(d, c)``
 array of elements ``psi_j`` of a carrier of dimension ``c`` with
-``coaction(psi_j) = sum_k psi_k (x) pi_kj``.
+``coaction(psi_j) = sum_k psi_k (x) pi_kj``.  The canonical sets, row ``l`` of ``pi``
+through the side's second leg, are such sets for every corepresentation, unitary or
+not; the left one is the paper's ``S^{-2}(pi^*_{jl})`` exactly when ``pi`` is unitary.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import numpy as np
 
 from .algebra import (HopfAlgebraSpec, LinearFunctional, _freeze, _product_rule_gap,
                       _regular_side, _same_spec, build_dual)
-from .corep import _CERTIFICATES, Corepresentation, IrrepTable
-from .errors import NotUnitary
+from .corep import Corepresentation, IrrepTable
 from .haar import _haar_invariance
 from .report import Report
 
@@ -144,23 +145,13 @@ def check_basis_functions(bset: BasisFunctionSet) -> float:
 
 def canonical_basis_functions(pi: Corepresentation, side: str, row: int = 0) -> BasisFunctionSet:
     """The canonical sets: row ``l`` of ``pi``, through the side's second leg: ``pi_lj`` (right)
-    or ``S(pi_lj)`` (left), the paper's ``S^{-2}(pi^*_{j l})`` for a unitary ``pi`` under the
-    Kac premise ``S^2 = id``, which takes no ``h`` here.
-
-    The left construction needs ``pi`` unitary: it raises ``NotUnitary`` when a
-    unitarity residual of :func:`~cqglab.corep.check_unitary` exceeds ``1e-9``
-    times the magnitude.  A ``row`` outside ``0 .. d - 1`` raises ``ValueError``.
-    """
+    or ``S(pi_lj)`` (left), for every corepresentation.  Under the Kac premise ``S^2 = id``
+    (which takes no ``h`` here) the left coaction of ``S(pi_lj)`` is ``sum_k S(pi_lk) (x) pi_kj``,
+    so a left set needs no unitarity; it is the paper's ``S^{-2}(pi^*_{jl})`` exactly when
+    ``pi`` is unitary.  A ``row`` outside ``0 .. d - 1`` raises ``ValueError``."""
     _check_indices(pi.dim, row=row)
-    return _canonical_set(pi, side, row, lambda: pi.residuals)
-
-
-def _table_canonical_sets(table: IrrepTable, side: str, labels) -> list[BasisFunctionSet]:
-    """The row-0 canonical sets of the named irreps of the table, in order: the sets
-    of :func:`canonical_basis_functions`, with the left sets' unitarity read off
-    the table's one stacked residual pass (:attr:`IrrepTable.residuals`)."""
-    return [_canonical_set(table[i], side, 0, lambda i=i: table.residuals[i])
-            for i in map(table.index_of, labels)]
+    _, leg, _ = _regular_side(pi.algebra, side)
+    return BasisFunctionSet(pi, side, leg(pi.coeffs[row]), label=f"{pi.label}:{side}{row}")
 
 
 def _check_indices(dim: int, **indices: int) -> None:
@@ -169,18 +160,6 @@ def _check_indices(dim: int, **indices: int) -> None:
         if not 0 <= index < dim:
             raise ValueError(f"{name} must be in 0..{dim - 1} for a corep of dimension "
                              f"{dim}, got {index!r}")
-
-
-def _canonical_set(pi: Corepresentation, side: str, row: int, residuals) -> BasisFunctionSet:
-    """The arithmetic of :func:`canonical_basis_functions`.  A left set is the paper's only
-    for a unitary ``pi``: on side L, ``NotUnitary`` unless every unitarity residual of
-    ``residuals()`` (read only there) is within ``1e-9`` times the magnitude."""
-    worst = max(residuals()[name] for name in _CERTIFICATES["unitarity"][1]) if side == "L" else 0
-    if worst > 1e-9 * pi.algebra.magnitude:
-        raise NotUnitary(f"left canonical basis functions need a unitary corep; "
-                         f"{pi.label!r} has unitarity residual {worst:.1e}")
-    _, leg, _ = _regular_side(pi.algebra, side)
-    return BasisFunctionSet(pi, side, leg(pi.coeffs[row]), label=f"{pi.label}:{side}{row}")
 
 
 def basis_function_orthogonality(set_a: BasisFunctionSet, set_b: BasisFunctionSet,
@@ -305,8 +284,8 @@ def verify_projection_identities(table: IrrepTable, side: str, tol: float = 1e-1
     t = tol * alg.magnitude
     ops = _table_projections(table, side, ordering)                      # [i, a, t]
     prods = np.tensordot(ops, ops, axes=(2, 1))                          # [i, a, j, t]
-    funcs = np.concatenate([bset.functions for bset in _table_canonical_sets(
-        table, side, table.labels)])                                     # [k, t]
+    funcs = np.concatenate([canonical_basis_functions(pi, side).functions
+                            for pi in table])                            # [k, t]
     acted = np.tensordot(ops, funcs, axes=(2, 1))                        # [i, a, k]
 
     worst_same, n = 0.0, alg.dim

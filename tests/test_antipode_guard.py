@@ -16,8 +16,7 @@ on the second leg, so a side picks only through ``algebra._regular_side`` (the c
 the second leg's map and the kind its second legs multiply in).  Below the public entry
 points a side is compared, or used as a key, only there, in ``_variant_key``, where input
 is validated (``GroupTable.cosets``, ``GramPair.gram``, ``CoidealSubalgebra.__post_init__``,
-``_carrier_of``, ``check_families``' coideal check, and ``_canonical_set``'s unitarity: a
-left canonical set is the paper's only for a unitary corep), in ``regular_carrier``'s
+``_carrier_of`` and ``check_families``' coideal check), in ``regular_carrier``'s
 side-keyed cache, in ``verify_coideal``'s ``S^2`` line (a check on the left, ``meta`` on the
 right) and in the CLI.  A side shows as a comparison or a lookup whose operand mentions
 ``side``, ``x.side`` or a name bound to ``x.side``.
@@ -44,7 +43,6 @@ SIDE_ALLOWED = Counter({("algebra.py", "side compared", "_regular_side"): 2,
                         ("homspace.py", "side compared", "__post_init__"): 1,
                         ("regular.py", "side compared", "_carrier_of"): 1,
                         ("tensor_ops.py", "side compared", "check_families"): 2,
-                        ("regular.py", "side compared", "_canonical_set"): 1,
                         ("regular.py", "side lookup", "regular_carrier"): 1,
                         ("homspace.py", "side compared", "verify_coideal"): 1})
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,52 @@ def test_schema_rejections(tmp_path):
         cio.load_algebra(bad)
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+Z2_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("order, table, named", [
+    (2, [[0, 1.9], [1.2, 0]], r"table\[0\]\[1\] is 1.9"),
+    (2, [[0, True], [True, 0]], r"table\[0\]\[1\] is True"),
+    (2, [["0", "1"], ["1", "0"]], r"table\[0\]\[0\] is '0'"),
+    (2.7, Z2_TABLE, "order is 2.7"),
+    (True, [[0]], "order is True"),
+    ("2", Z2_TABLE, "order is '2'"),
+], ids=["fractional entry", "boolean entry", "string entry", "fractional order",
+        "boolean order", "string order"])
+def test_group_file_with_a_non_integer_raises(tmp_path, order, table, named):
+    """Each of these read as a valid group before (``int`` truncates 1.9 and 2.7, reads
+    True as 1 and '1' as 1); each now raises ``SchemaError`` naming the entry."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"schema": cio.GROUP_SCHEMA, "order": order, "table": table}))
+    with pytest.raises(SchemaError, match=named):
+        cio.load_group(path)
+
+
+def _edited_z2(tmp_path, edit):
+    """The C(Z2) fixture with ``edit`` applied to its payload, written to a file."""
+    payload = json.loads((FIXTURES / "z2_function_algebra.json").read_text())
+    edit(payload)
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda p: p.update(dim=2.9), "dim is 2.9"),
+    (lambda p: p.update(dim=True), "dim is True"),
+    (lambda p: p["mult"][1].__setitem__(0, 0.4), r"mult: index of \[0.4, 1, 1"),
+    (lambda p: p["comult"][1].__setitem__(2, "1"), r"comult: index of \[0, 1, '1'"),
+    (lambda p: p["mult"].append([0, 0, 0, 5.0, 0.0]), r"mult: index \(0, 0, 0\) is given twice"),
+], ids=["fractional dim", "boolean dim", "fractional index", "string index", "repeated index"])
+def test_algebra_file_with_a_non_integer_or_repeated_index_raises(tmp_path, edit, named):
+    """A fractional index was truncated (0.4 read as 0), a string index read as its
+    integer, and a repeated index overwrote the earlier entry; each raises now."""
+    with pytest.raises(SchemaError, match=named):
+        cio.load_algebra(_edited_z2(tmp_path, edit))
+    assert cio.load_algebra(_edited_z2(tmp_path, lambda p: None)).dim == 2
+
+
 def test_dim_mismatch_rejected(tmp_path):
     alg = builtin_algebras()["C(Z2)"]
     path = tmp_path / "z2.json"
@@ -153,7 +200,6 @@ def test_function_and_group_algebras_from_file(tmp_path):
 
 def test_checked_in_fixtures_still_load():
     """Schema stability: the committed fixture files must keep loading."""
-    from pathlib import Path
     fixtures = Path(__file__).parent / "fixtures"
     group = cio.load_group(fixtures / "s3_group.json")
     assert group.order == 6 and not group.is_abelian()

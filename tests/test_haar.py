@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import alternating_group_4, dihedral_group
-from oracles import haar_invariance_rows, left_gram, rotated_algebra, tensor_product_algebra
+from oracles import (haar_invariance_rows, left_gram, rotated_algebra, tensor_product_algebra,
+                     twisted_group_algebra)
 
 from cqglab import cli
 from cqglab import io as cio
@@ -150,15 +151,27 @@ def test_haar_is_tracial_on_builtins(contexts):
         assert ctx.haar.is_tracial(), label
 
 
+def _twisted_d6():
+    """C[D6]^J, the first genuinely quantum small bed: ``C[D6]`` twisted over
+    ``K = {e, r^3, s, s r^3}``, ``r^3`` the central half turn and ``s`` the reflection
+    fixing vertex 0 (element 1, the first non-central involution)."""
+    group = dihedral_group(6)
+    table, n = group.table, group.order
+    half_turn = next(g for g in range(1, n) if (table[g] == table[:, g]).all())
+    reflection = next(g for g in range(1, n) if table[g, g] == 0 and g != half_turn)
+    return twisted_group_algebra(group, half_turn, reflection)
+
+
 def _beds_to_36(contexts):
     """Every bed with n <= 36: the built-ins, the rotated C(S3) and C[S3],
-    C(D6), C(A4), C[A4], C(S4), C[S4], C(S3) (x) C[S3] and its rotation."""
+    C(D6), C[D6], C(A4), C[A4], C(S4), C[S4], C(S3) (x) C[S3] and its rotation,
+    and C[D6]^J, neither commutative nor cocommutative."""
     s3 = symmetric_group_3()
     mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
     beds = [ctx.algebra for ctx in contexts.values()] + _rotated_beds(contexts)
     for group in (dihedral_group(6), alternating_group_4(), all_permutation_group(4)):
         beds += [build_function_algebra(group), build_group_algebra(group)]
-    return beds + [mixed, rotated_algebra(mixed, 1)]
+    return beds + [mixed, rotated_algebra(mixed, 1), _twisted_d6()]
 
 
 def test_left_gram_oracle_is_the_one_gram(contexts):

@@ -5,9 +5,10 @@ is the right formalism of ``A^cop`` with ``S`` on the second leg, so the left co
 tensor, the left canonical sets, the left multiplication families and the engine's
 left second-leg products are all right formulas read through it.  The paper writes
 each of them on its own; :mod:`oracles` keeps those formulas (``S^{-1}`` inverted as
-written), and each is compared with the package here on the sixteen beds of
+written), and each is compared with the package here on the seventeen beds of
 ``test_haar._beds_to_36``: the six built-ins, rotated C(S3) and C[S3], C(D6), C[D6],
-C(A4), C[A4], C(S4), C[S4], and C(S3) (x) C[S3] with its rotation.
+C(A4), C[A4], C(S4), C[S4], C(S3) (x) C[S3] with its rotation, and the twisted group
+algebra C[D6]^J.
 """
 
 from __future__ import annotations
@@ -16,22 +17,24 @@ import numpy as np
 import pytest
 
 from conftest import Context
-from oracles import (antipode_inverse, dense_family_residuals, paper_coaction,
+from oracles import (antipode_inverse, dense_family_residuals, is_commutative, paper_coaction,
                      paper_left_family, paper_left_products, paper_left_set)
 from test_haar import _beds_to_36
 
-from cqglab.algebra import HopfAlgebraSpec
-from cqglab.corep import Corepresentation, IrrepTable
+from cqglab.algebra import HopfAlgebraSpec, verify_hopf_axioms, verify_star_axioms
+from cqglab.corep import Corepresentation, IrrepTable, check_unitary
 from cqglab.haar import HaarFunctional
-from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
-from cqglab.tensor_ops import TensorOperatorFamily, multiplication_family
+from cqglab.regular import (canonical_basis_functions, check_basis_functions,
+                            regular_coaction_tensor)
+from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, check_families,
+                               multiplication_family)
 
 KINDS = ("ordinary", "twisted")
 
 
 @pytest.fixture(scope="module")
 def beds(contexts):
-    """A context (Haar functional, Grams, irrep table) for each of the sixteen beds."""
+    """A context (Haar functional, Grams, irrep table) for each of the seventeen beds."""
     built = {ctx.algebra.label: ctx for ctx in contexts.values()}
     return [built.get(alg.label) or Context(alg) for alg in _beds_to_36(contexts)]
 
@@ -41,7 +44,7 @@ def _close(got: np.ndarray, want: np.ndarray, alg) -> bool:
 
 
 def test_left_coaction_tensor_is_the_papers(beds):
-    assert len(beds) == 16 and max(ctx.algebra.dim for ctx in beds) == 36
+    assert len(beds) == 17 and max(ctx.algebra.dim for ctx in beds) == 36
     for ctx in beds:
         alg = ctx.algebra
         for side in ("R", "L"):
@@ -57,6 +60,26 @@ def test_left_canonical_sets_are_the_papers(beds):
             for row in range(pi.dim):
                 got = canonical_basis_functions(pi, "L", row).functions
                 assert _close(got, paper_left_set(pi, row), ctx.algebra), (pi.label, row)
+
+
+def test_left_sets_of_non_unitary_conjugates_pass(beds):
+    """``S(pi_l.)`` is a left set of every corep under ``S^2 = id``: for a fixed
+    non-unitary conjugate ``T^{-1} pi T`` of every irrep of dimension at least 2, which
+    fails ``check_unitary``, every row's left set satisfies the defining relation to
+    ``1e-12`` times the magnitude."""
+    for ctx in beds:
+        alg = ctx.algebra
+        for pi in ctx.table:
+            if pi.dim < 2:
+                continue
+            skew = np.eye(pi.dim) + 0.5 * np.triu(np.ones((pi.dim, pi.dim)), 1)
+            coeffs = np.einsum("ja,abm,bk->jkm", np.linalg.inv(skew), pi.coeffs, skew)
+            moved = Corepresentation(alg, coeffs, label=f"skewed {pi.label}")
+            assert not check_unitary(moved).passed, (alg.label, pi.label)
+            for row in range(pi.dim):
+                bset = canonical_basis_functions(moved, "L", row)
+                assert check_basis_functions(bset) <= 1e-12 * alg.magnitude, (
+                    alg.label, pi.label, row)
 
 
 def test_left_families_are_the_papers_right_multiplications(beds):
@@ -112,3 +135,31 @@ def test_left_families_are_right_families_of_the_coopposite_for_the_other_kind(b
             own.append(dense_family_residuals(TensorOperatorFamily(w, kind, "R", ops),
                                               table, kind, "R")[0])
     assert max(own) > 0.5
+
+
+def test_twisted_d6_families_fail_the_other_kind_off_the_centre(beds):
+    """C[D6]^J, ``C[D6]`` twisted over ``K = {e, r^3, s, s r^3}``: its Hopf and star
+    residuals are 0, its irreps have dims 1, 1, 1, 1, 2, 2, and every variant's
+    multiplication families of the row-0 canonical sets pass their own condition.  Tested
+    as the other kind they pass exactly where the set is central in ``A`` (multiplying from
+    the left or the right is then one operator), on two irreps, and fail by more than 1 on
+    the other four."""
+    ctx = next(ctx for ctx in beds if ctx.algebra.label.endswith("^J"))
+    alg, table = ctx.algebra, ctx.table
+    assert verify_hopf_axioms(alg).max_residual == verify_star_axioms(alg).max_residual == 0.0
+    assert not is_commutative(alg) and np.abs(alg.comult - alg.comult.swapaxes(1, 2)).max() > 0.1
+    assert table.dims() == [1, 1, 1, 1, 2, 2]
+    commutator = alg.mult - alg.mult.swapaxes(0, 1)
+    tol = 1e-12 * alg.magnitude ** 2
+    for kind, side in VARIANTS:
+        other = KINDS[1 - KINDS.index(kind)]
+        bsets = [canonical_basis_functions(pi, side, 0) for pi in table]
+        central = [np.abs(np.tensordot(bset.functions, commutator, axes=(1, 0))).max() <= tol
+                   for bset in bsets]
+        fams = [multiplication_family(bset, kind) for bset in bsets]
+        assert max(check_families(fams, table)) <= tol, (kind, side)
+        crossed = check_families(fams, table, kind=other)
+        assert sum(central) == 2, (kind, side)
+        for pi, is_central, residual in zip(table, central, crossed):
+            assert (residual <= tol) if is_central else (residual > 1.0), (
+                kind, side, pi.label, residual)
