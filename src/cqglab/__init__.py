@@ -25,7 +25,8 @@ from .haar import (GramPair, HaarFunctional, certify_haar, gram_matrices,
 from .homspace import (CoidealSubalgebra, build_coset_subalgebra,
                        canonical_restricted_candidates, restricted_coaction_report,
                        restricted_gram, solve_restricted_basis_functions,
-                       solve_restricted_family, subspace_coideal, verify_coideal)
+                       solve_restricted_family, state_coideal, subspace_coideal,
+                       verify_coideal)
 from .regular import (BasisFunctionSet, Carrier, basis_function_orthogonality,
                       canonical_basis_functions, check_basis_functions,
                       dual_action_crosscheck, product_coaction_check,

@@ -163,7 +163,8 @@ class LinearFunctional:
     def __post_init__(self) -> None:
         _freeze(self, "covector")
         if self.covector.shape != (self.algebra.dim,):
-            raise DimensionMismatch("covector length does not match the algebra dimension")
+            raise DimensionMismatch(f"covector of shape {self.covector.shape} does not fit "
+                                    f"{self.algebra.label!r} of dimension {self.algebra.dim}")
 
     # cached: the covector and the product are read-only, so the pairing cannot go stale
     @cached_property

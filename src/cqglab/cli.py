@@ -196,23 +196,19 @@ def _cmd_homspace(args) -> list[Report]:
     spec, group = _load_source(args)
     if group is None:
         raise CqglabError("homspace needs --group (or --builtin) with --subgroup")
-    if spec.label.startswith("C["):
-        raise CqglabError(
-            f"homspace builds coset subalgebras of a function algebra C(G), and "
-            f"{spec.label!r} is a group algebra; use --construction function or a "
-            f"'C(...)' built-in")
     try:
-        # each element once: the cosets and B's label count the subgroup's elements
-        subgroup = (list(dict.fromkeys(int(x) for x in args.subgroup.split(",")))
-                    if args.subgroup else [0])
+        subgroup = [int(x) for x in args.subgroup.split(",")] if args.subgroup else [0]
     except ValueError:
         raise CqglabError(f"--subgroup takes comma-separated element indices, "
                           f"got {args.subgroup!r}") from None
-    side = args.side or "L"
     grams, table = _context(spec, args.tolerance)
-    coideal = build_coset_subalgebra(group, subgroup, side, grams)
-    reports = [verify_coideal(coideal, args.tolerance)]
-    reports.append(restricted_coaction_report(coideal, table.haar, args.tolerance))
+    return _coideal_reports(build_coset_subalgebra(group, subgroup, args.side or "L", grams),
+                            table, args.tolerance)
+
+
+def _coideal_reports(coideal, table, tol) -> list[Report]:
+    """``homspace``'s reports on B: axioms, coaction, basis functions, Wigner-Eckart tables."""
+    reports = [verify_coideal(coideal, tol), restricted_coaction_report(coideal, table.haar, tol)]
     solutions = solve_restricted_basis_functions(coideal, table)
     reports.append(Report(f"restricted basis functions [{coideal.label}]",
                           meta={"solution_dims": {r: len(s) for r, s in solutions.items()}}))
@@ -222,7 +218,7 @@ def _cmd_homspace(args) -> list[Report]:
     return reports + _factorize_table(
         [(sets, [multiplication_family(bset, kind) for bset in sets], sets, np.eye(coideal.dim),
           f"restricted wigner-eckart [{coideal.label},{kind}]")
-         for kind in ("ordinary", "twisted")], systems, args.tolerance)
+         for kind in ("ordinary", "twisted")], systems, tol)
 
 
 def _cmd_demo(args) -> list[Report]:

@@ -23,6 +23,10 @@ class NotASubgroup(CqglabError):
     """A set of element indices is not closed under multiplication/inverse."""
 
 
+class NotAnIdempotentState(CqglabError):
+    """A functional meant to give a coideal is not normalized, positive or idempotent."""
+
+
 class NoHaar(CqglabError):
     """The normalized regular trace is not a Haar functional: not a CQG-algebra spec."""
 

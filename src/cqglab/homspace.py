@@ -4,8 +4,8 @@ A homogeneous space is carried by a *-subalgebra ``B`` of the algebra that is
 a right coideal (``coproduct(B)`` inside ``B (x) A``, used with the right
 regular formalism) or a left coideal (``coproduct(B)`` inside ``A (x) B``,
 used with the left formalism; additionally required to be ``S^2``-invariant).
-The classical source of examples: functions on a finite group constant on
-right (resp. left) cosets of a subgroup.
+:func:`state_coideal` builds them as ranges of ``(phi (x) id) Delta``, ``phi`` an idempotent
+state (Franz and Skalski, J. Algebra 322, 2009): a subgroup's Haar state on ``C(G)`` gives cosets.
 
 Everything downstream -- basis functions, tensor operators, Wigner-Eckart
 factorizations, operator products -- is the full machinery on ``B``'s
@@ -17,15 +17,16 @@ residual that its reports do not show (``B``'s comodule axioms read no unitarity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import HopfAlgebraSpec, _freeze, _regular_side
-from .corep import (Corepresentation, IrrepTable, _comodule_gaps, _gram_basis, _restrict,
-                    decompose_comodule)
-from .errors import CoidealMismatch, DimensionMismatch, PositivityFailure
+from .algebra import HopfAlgebraSpec, LinearFunctional, _freeze, _regular_side, _same_spec
+from .corep import (RANK_RCOND, Corepresentation, IrrepTable, _comodule_gaps, _gram_basis,
+                    _range_basis, _restrict, decompose_comodule)
+from .errors import (CoidealMismatch, DimensionMismatch, NotAnIdempotentState, NotASubgroup,
+                     PositivityFailure)
 from .groups import GroupTable
 from .haar import GramPair, HaarFunctional, _haar_invariance, _positivity
 from .regular import BasisFunctionSet, Carrier, canonical_basis_functions, regular_carrier
@@ -34,6 +35,7 @@ from .tensor_ops import TensorOperatorFamily, operator_comodule
 
 __all__ = [
     "CoidealSubalgebra",
+    "state_coideal",
     "build_coset_subalgebra",
     "subspace_coideal",
     "verify_coideal",
@@ -49,8 +51,8 @@ __all__ = [
 class CoidealSubalgebra:
     """A subspace of the algebra flagged as a coideal *-subalgebra.
 
-    ``span_rows`` is the raw spanning basis (whatever the caller supplied,
-    e.g. coset indicator functions).  ``side`` names the regular formalism:
+    ``span_rows`` is the raw spanning basis: the rows given to :func:`subspace_coideal`, or
+    :func:`state_coideal`'s orthonormal basis of a range.  ``side`` names the regular formalism:
     "R" for a right coideal, "L" for a left coideal; ``gram`` is that side's
     invariant Gram matrix of the whole algebra.  Both are stored as read-only
     copies.  The orthonormal basis :attr:`onb` and the :attr:`carrier` are
@@ -109,21 +111,35 @@ class CoidealSubalgebra:
         return coords
 
 
+def state_coideal(phi: LinearFunctional, side: str, grams: GramPair) -> CoidealSubalgebra:
+    """The range of ``E_phi``, ``phi`` on the first leg of the side's coproduct, once ``phi``
+    is certified an idempotent state: a coideal *-subalgebra, as ``E_phi E_phi = E_(phi*phi)``.
+    ``NotAnIdempotentState`` names the first failed certificate: ``phi(1) = 1``, ``phi(a_i^* a_j)``
+    Hermitian and positive semidefinite (a state's is usually singular), ``E_phi phi = phi``.
+    ``DimensionMismatch`` if ``phi`` is on another algebra than ``grams``."""
+    alg, cov = _same_spec(phi, grams), phi.covector
+    e_phi = np.tensordot(_regular_side(alg, side)[0], cov, axes=(1, 0))  # [l, k]: E_phi(a_l)
+    herm, min_eig, floor = _positivity(alg.star @ phi.pair)
+    t = 1e-9 * alg.magnitude
+    for name, gap, bound in (("normalization", abs(complex(alg.unit @ cov) - 1.0), t),
+                             ("hermiticity", herm, t), ("positivity", -min_eig, floor),
+                             ("idempotency", float(np.abs(e_phi @ cov - cov).max()), t)):
+        if gap > bound:
+            raise NotAnIdempotentState(f"no idempotent state of {alg.label!r}: {name} {gap:.2e}")
+    return subspace_coideal(_range_basis(e_phi.T[None], RANK_RCOND)[0], side, grams)
+
+
 def build_coset_subalgebra(group: GroupTable, subgroup: list[int], side: str,
                            grams: GramPair) -> CoidealSubalgebra:
-    """Indicator functions of cosets inside the function algebra of ``grams``.
-
-    Side "L" (left coideal) takes functions constant on left cosets ``gH``;
-    side "R" (right coideal) functions constant on right cosets ``Hg``.  Raises
-    ``DimensionMismatch`` unless the group's order is the algebra's dimension.
-    """
-    alg = grams.algebra
-    cosets = group.cosets(subgroup, side)
-    rows = np.zeros((len(cosets), group.order), dtype=complex)
-    for i, coset in enumerate(cosets):
-        rows[i, list(coset)] = 1.0
-    return CoidealSubalgebra(alg, rows, side, grams.gram(side),
-                             label=f"{alg.label}/H{len(subgroup)}:{side}")
+    """:func:`state_coideal` of ``subgroup``'s indicator over its value on the unit.  On ``C(G)``,
+    B is the functions constant on cosets ``gH`` (side "L") or ``Hg`` (side "R"); on ``C[G]``,
+    B = ``C[H]``.  Raises ``NotASubgroup``, or ``DimensionMismatch`` unless ``|G| = dim A``."""
+    if not group.is_subgroup(subgroup):
+        raise NotASubgroup(f"{subgroup} is not a subgroup")
+    alg, members = grams.algebra, np.isin(np.arange(group.order), subgroup)
+    indicator = LinearFunctional(alg, members).covector  # DimensionMismatch unless |G| = dim A
+    phi = LinearFunctional(alg, indicator / (alg.unit @ indicator))
+    return replace(state_coideal(phi, side, grams), label=f"{alg.label}/H{members.sum()}:{side}")
 
 
 def subspace_coideal(rows: np.ndarray, side: str, grams: GramPair) -> CoidealSubalgebra:

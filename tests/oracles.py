@@ -116,6 +116,19 @@ def conjugation_family_space_dim(irrep: str) -> int:
     return d * 36 - rank
 
 
+def coset_rows(group, subgroup, side: str) -> np.ndarray:
+    """Indicator rows of the left cosets ``gH`` (side "L") or the right cosets ``Hg``
+    (side "R") of ``subgroup``, each coset at its least element: the classical coideal
+    of C(G) that the range of the subgroup's Haar state must span."""
+    seen, rows = set(), []
+    for g in range(group.order):
+        if g not in seen:
+            coset = {group.mul(g, h) if side == "L" else group.mul(h, g) for h in subgroup}
+            seen |= coset
+            rows.append(np.isin(np.arange(group.order), list(coset)).astype(float))
+    return np.array(rows)
+
+
 def frobenius_coset_multiplicities(subgroup: list[int], side: str) -> dict[str, int]:
     """Multiplicity of each irrep in the permutation action on cosets."""
     cosets = []

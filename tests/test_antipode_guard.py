@@ -15,7 +15,7 @@ Under the same premise the left formalism is the right formalism of ``A^cop`` wi
 on the second leg, so a side picks only through ``algebra._regular_side`` (the coproduct,
 the second leg's map and the kind its second legs multiply in).  Below the public entry
 points a side is compared, or used as a key, only there, in ``_variant_key``, where input
-is validated (``GroupTable.cosets``, ``GramPair.gram``, ``CoidealSubalgebra.__post_init__``,
+is validated (``GramPair.gram``, ``CoidealSubalgebra.__post_init__``,
 ``_carrier_of`` and ``check_families``' coideal check), in ``regular_carrier``'s
 side-keyed cache, in ``verify_coideal``'s ``S^2`` line (a check on the left, ``meta`` on the
 right) and in the CLI.  A side shows as a comparison or a lookup whose operand mentions
@@ -38,7 +38,6 @@ KIND_ALLOWED = {("algebra.py", "_kind_product"), ("tensor_ops.py", "_variant_key
 KIND_MODULES = {"cli.py"}
 SIDE_ALLOWED = Counter({("algebra.py", "side compared", "_regular_side"): 2,
                         ("tensor_ops.py", "side compared", "_variant_key"): 1,
-                        ("groups.py", "side compared", "cosets"): 2,
                         ("haar.py", "side compared", "gram"): 1,
                         ("homspace.py", "side compared", "__post_init__"): 1,
                         ("regular.py", "side compared", "_carrier_of"): 1,

@@ -236,15 +236,22 @@ def test_homspace_repeated_subgroup_index_counts_once(tmp_path, side):
 
 @pytest.mark.parametrize("source", [
     ("--builtin", "C[S3]", "--side", "L"),
-    ("--builtin", "C[Z3]"),
+    ("--builtin", "C[S3]", "--side", "R"),
     ("--group", "GROUP", "--construction", "group"),
 ])
-def test_homspace_rejects_group_algebras(s3_files, source):
+def test_homspace_on_a_group_algebra_is_the_subgroup_algebra(tmp_path, s3_files, cs3_grp,
+                                                              source):
+    """On C[G] the subgroup's indicator is an idempotent state, and B = C[H] = span H: of
+    C[S3]'s six group-like irreps, exactly those of H = {e, (01)} have a restricted set."""
+    out = tmp_path / "hom.json"
     argv = [str(s3_files["group"]) if a == "GROUP" else a for a in source]
-    result = run_cli("homspace", *argv, "--subgroup", "0,1")
-    assert result.returncode == 2
-    assert "function algebra" in result.stderr
-    assert "Traceback" not in result.stderr
+    result = run_cli("homspace", *argv, "--subgroup", "0,1", "--output", str(out))
+    assert result.returncode == 0, result.stderr
+    [dims] = [rep for rep in json.loads(out.read_text())["reports"]
+              if rep["title"].startswith("restricted basis functions")]
+    group_like = {pi.label: int(np.abs(pi.coeffs[0, 0]).argmax()) for pi in cs3_grp.table}
+    assert dims["meta"]["solution_dims"] == {label: int(g in (0, 1))
+                                             for label, g in group_like.items()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,11 +261,14 @@ def test_homspace_rejects_group_algebras(s3_files, source):
     ("homspace", "--builtin", "C(S3)", "--subgroup", "x"),
     ("homspace", "--builtin", "C(S3)", "--subgroup", "0,99"),
     ("homspace", "--builtin", "C(Z2)", "--subgroup", "0,1,-1"),
+    ("homspace", "--builtin", "C(S3)", "--subgroup", "0,1,2"),
+    ("homspace", "--algebra", "ALGEBRA", "--subgroup", "0,1"),
 ], ids=["cg-label", "we-index", "tensor-ops-label", "subgroup-text", "subgroup-99",
-        "subgroup-negative"])
-def test_bad_label_or_subgroup_is_a_usage_error(capsys, argv):
-    """An unknown irrep label or a malformed subgroup exits 2 with an ``error:`` line."""
-    assert cli.main(list(argv)) == 2
+        "subgroup-negative", "subgroup-not-closed", "homspace-without-group"])
+def test_bad_label_or_subgroup_is_a_usage_error(capsys, s3_files, argv):
+    """An unknown irrep label, a malformed subgroup, a subset that is not a subgroup, or an
+    ``--algebra`` spec (it has no group) exits 2 with an ``error:`` line."""
+    assert cli.main([str(s3_files["algebra"]) if a == "ALGEBRA" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

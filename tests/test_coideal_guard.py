@@ -4,7 +4,7 @@
 built, and derives its orthonormal basis and carrier from it on first use.  A
 function that took the Gram pair again could hand a coideal a second Gram, and
 a field that could be reassigned could leave a cached basis or carrier stale.
-So in ``homspace.py`` only the two constructors take ``grams``, a coideal's
+So in ``homspace.py`` only the three constructors take ``grams``, a coideal's
 fields cannot be assigned, and its arrays cannot be written in place.
 """
 
@@ -21,7 +21,7 @@ from cqglab.groups import symmetric_group_3
 from cqglab.homspace import build_coset_subalgebra
 
 HOMSPACE = Path(__file__).resolve().parent.parent / "src" / "cqglab" / "homspace.py"
-CONSTRUCTORS = {"build_coset_subalgebra", "subspace_coideal"}
+CONSTRUCTORS = {"state_coideal", "build_coset_subalgebra", "subspace_coideal"}
 
 
 def _takers_of_grams() -> set[str]:

@@ -5,12 +5,13 @@ which reads ``Hom(pi^r, V)`` for the table's irreps off the paper's projections
 ``P^r_l1`` of ``V`` (the range of the ``d_V x d_V`` map ``P^r_11``, lifted);
 the CG systems, ``decompose_comodule``, ``are_equivalent``, ``morphism_space``
 and the restricted basis-function and family solvers all reach it.  So the
-range of an idempotent is taken there alone (``_range_basis`` has that one
-caller: no second idempotent, such as the Haar average on ``Hom(V, W)``, comes
-back), the commutant eigensplit ``_split`` serves the table alone, and the
-table's projection factor (a cached property, so a read rather than a call) is
-read by the engine alone.  The guard stops CG and decomposition from forking
-again.
+range of an idempotent on a comodule is taken there alone (no second idempotent,
+such as the Haar average on ``Hom(V, W)``, comes back).  ``_range_basis`` has one
+more caller, ``homspace.state_coideal``: the range of ``E_phi`` for an idempotent
+state ``phi``, an idempotent on the algebra, which is the coideal.  The commutant
+eigensplit ``_split`` serves the table alone, and the table's projection factor (a
+cached property, so a read rather than a call) is read by the engine alone.  The
+guard stops CG and decomposition from forking again.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 CALLERS = {"_split": {"corep.irrep_table"},
            "_projection_factor": {"corep._block_diagonalize"},
-           "_range_basis": {"corep._block_diagonalize"}}
+           "_range_basis": {"corep._block_diagonalize", "homspace.state_coideal"}}
 
 
 def _called(node: ast.Call | ast.Attribute) -> str | None:
@@ -77,10 +78,11 @@ def test_a_stray_range_basis_call_is_recognized():
     assert _offenders(calls) == ["snippet:4 _range_basis in corep.intertwiners"]
 
 
-def test_range_basis_has_one_caller():
-    """The engine is the one place the range of an idempotent is taken."""
+def test_range_basis_has_its_two_callers():
+    """The engine and the coideal of an idempotent state are the places the range of an
+    idempotent is taken."""
     callers = {where for where, _, call in _package_calls() if _called(call) == "_range_basis"}
-    assert callers == {"corep._block_diagonalize"}
+    assert callers == {"corep._block_diagonalize", "homspace.state_coideal"}
 
 
 def test_split_and_the_projection_factor_keep_their_callers():

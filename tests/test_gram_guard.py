@@ -5,10 +5,12 @@ tracial Haar functional) the left inner product ``h(a_k (S^2 a_j)^*)`` is the
 right one, so there is one Gram matrix, ``star @ h.pair``, and ``haar.py``
 builds it (``gram_matrices``, and the positivity check of ``certify_haar``).
 Every other module reads a ``GramPair``.  A second Gram shows as a product
-whose two operands are the star matrix and the Haar pairing, or as ``S @ S``,
+whose two operands are the star matrix and a pairing, or as ``S @ S``,
 the ``S^2`` of the left-Gram formula.  ``S @ S`` has two other homes: the Kac
 certificate ``haar._kac_gaps`` and the paper's doubly contragredient partner
-``corep.doubly_contragredient``.
+``corep.doubly_contragredient``.  ``star @ phi.pair`` has one home outside the
+Haar layer: ``homspace.state_coideal`` certifies a state ``phi`` by the positivity
+of ``phi(a_j^* a_k)``, a matrix of ``phi``, not of ``h``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ def _sites() -> set[tuple[str, str, str]]:
 def test_only_the_haar_layer_builds_a_gram():
     assert _sites() == {("haar.py", "star @ pair", "certify_haar"),
                         ("haar.py", "star @ pair", "gram_matrices"),
+                        ("homspace.py", "star @ pair", "state_coideal"),
                         ("haar.py", "S @ S", "_kac_gaps"),
                         ("corep.py", "S @ S", "doubly_contragredient")}
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import is_commutative, loop_group_arrays
+from oracles import coset_rows, is_commutative, loop_group_arrays
 
 from cqglab import io as cio
 from cqglab.errors import InvalidGroupTable, SchemaError
@@ -62,8 +62,9 @@ def test_cosets_and_subgroups():
     s3 = symmetric_group_3()
     assert s3.is_subgroup([0, 1])
     assert not s3.is_subgroup([0, 4])
-    assert len(s3.cosets([0, 1], "L")) == 3
-    assert len(s3.cosets([0, 1], "R")) == 3
+    assert len(coset_rows(s3, [0, 1], "L")) == 3
+    assert len(coset_rows(s3, [0, 1], "R")) == 3
+    assert (coset_rows(s3, [0, 1], "L").sum(axis=0) == 1).all()  # a partition of S3
     assert s3.inverse(4) == 5  # the 3-cycles invert each other
     assert cyclic_group(4).is_abelian()
     assert not s3.is_abelian()

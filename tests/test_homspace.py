@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import frobenius_coset_multiplicities, reduced_elements
+from oracles import coset_rows, frobenius_coset_multiplicities, reduced_elements
 
 from cqglab.cg import coupled_basis_functions, coupled_inverse_residual
 from cqglab.errors import (CoidealMismatch, CqglabError, DimensionMismatch,
@@ -45,7 +45,9 @@ def test_coset_dimensions(cs3_fun):
         assert full.dim == 6
         point = build_coset_subalgebra(S3, list(range(6)), side, cs3_fun.grams)
         assert point.dim == 1
-        assert np.abs(point.span_rows[0] - cs3_fun.algebra.unit).max() < 1e-15
+        # B = C1, spanned by the unit up to the phase and norm of the range basis
+        assert np.abs(point.span_rows[0] / point.span_rows[0, 0]
+                      - cs3_fun.algebra.unit).max() < 1e-15
 
 
 def test_restricted_operator_comodule_matches_pipeline(coset_ctx, cs3_fun):
@@ -77,7 +79,7 @@ def test_group_of_another_order_is_a_dimension_mismatch(cs3_fun, order):
     """Cosets of a group whose order is not the algebra's dimension raise the package's
     ``DimensionMismatch`` naming both sizes, not a plain ``ValueError``."""
     assert issubclass(DimensionMismatch, CqglabError)
-    with pytest.raises(DimensionMismatch, match=rf"shape \(\d+, {order}\) .* dimension 6"):
+    with pytest.raises(DimensionMismatch, match=rf"shape \({order},\) .* dimension 6"):
         build_coset_subalgebra(cyclic_group(order), [0], "L", cs3_fun.grams)
 
 
@@ -114,9 +116,11 @@ def test_unit_span_passes_everything(cs3_fun):
 
 
 def test_restricted_gram_values(coset_ctx, cs3_fun):
+    """On the coset indicators each of the three cosets has Haar measure 1/3."""
     side, coideal = coset_ctx
-    gram = restricted_gram(coideal)
-    assert np.abs(gram - np.eye(3) / 3.0).max() < 1e-12
+    cosets = subspace_coideal(coset_rows(S3, SUBGROUP, side), side, cs3_fun.grams)
+    assert np.abs(restricted_gram(cosets) - np.eye(3) / 3.0).max() < 1e-12
+    assert np.abs(restricted_gram(coideal) - np.eye(3) / 6.0).max() < 1e-12  # range rows: ONB
 
 
 @pytest.mark.parametrize("label", ["C(S3)", "C[S3]"])
