@@ -80,9 +80,16 @@ class GroupTable:
 
     def is_subgroup(self, indices: list[int] | tuple[int, ...]) -> bool:
         """Nonempty, in range and closed under the product: in a finite group, a subgroup."""
-        idx = np.unique(np.asarray(indices, dtype=int))
-        return bool(idx.size and 0 <= idx[0] and idx[-1] < self.order
-                    and np.isin(self.table[np.ix_(idx, idx)], idx).all())
+        return self._members(indices) is not None
+
+    def _members(self, indices: list[int] | tuple[int, ...]) -> np.ndarray | None:
+        """The boolean membership mask of ``indices`` over the elements, repeats and order
+        aside, if they pass :meth:`is_subgroup`; else None."""
+        idx, mask = np.asarray(indices, dtype=int), np.zeros(self.order, dtype=bool)
+        if not (idx.size and idx.min() >= 0 and idx.max() < self.order):
+            return None
+        mask[idx] = True
+        return mask if mask[self.table[np.ix_(idx, idx)]].all() else None
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -121,11 +128,7 @@ def build_function_algebra(group: GroupTable) -> HopfAlgebraSpec:
     comult[group.table, idx[:, None], idx] = 1.0  # coproduct(delta_xy) gets delta_x (x) delta_y
     antipode = np.zeros((g, g))
     antipode[idx, group.inverses] = 1.0
-    counit = np.zeros(g)
-    counit[0] = 1.0
-    unit = np.ones(g)
-    star = np.eye(g)
-    return HopfAlgebraSpec(g, mult, comult, antipode, counit, unit, star,
+    return HopfAlgebraSpec(g, mult, comult, antipode, np.eye(g)[0], np.ones(g), np.eye(g),
                            label=f"C({_group_name(group)})")
 
 
@@ -138,11 +141,8 @@ def build_group_algebra(group: GroupTable) -> HopfAlgebraSpec:
     comult[idx, idx, idx] = 1.0
     antipode = np.zeros((g, g))
     antipode[idx, group.inverses] = 1.0
-    counit = np.ones(g)
-    unit = np.zeros(g)
-    unit[0] = 1.0
-    star = antipode  # g^* = g^{-1} on the group basis; the spec keeps copies
-    return HopfAlgebraSpec(g, mult, comult, antipode, counit, unit, star,
+    # unit e; the star is the antipode, g^* = g^{-1} on the group basis (the spec keeps copies)
+    return HopfAlgebraSpec(g, mult, comult, antipode, np.ones(g), np.eye(g)[0], antipode,
                            label=f"C[{_group_name(group)}]")
 
 

@@ -134,9 +134,9 @@ def build_coset_subalgebra(group: GroupTable, subgroup: list[int], side: str,
     """:func:`state_coideal` of ``subgroup``'s indicator over its value on the unit.  On ``C(G)``,
     B is the functions constant on cosets ``gH`` (side "L") or ``Hg`` (side "R"); on ``C[G]``,
     B = ``C[H]``.  Raises ``NotASubgroup``, or ``DimensionMismatch`` unless ``|G| = dim A``."""
-    if not group.is_subgroup(subgroup):
+    alg, members = grams.algebra, group._members(subgroup)
+    if members is None:
         raise NotASubgroup(f"{subgroup} is not a subgroup")
-    alg, members = grams.algebra, np.isin(np.arange(group.order), subgroup)
     indicator = LinearFunctional(alg, members).covector  # DimensionMismatch unless |G| = dim A
     phi = LinearFunctional(alg, indicator / (alg.unit @ indicator))
     return replace(state_coideal(phi, side, grams), label=f"{alg.label}/H{members.sum()}:{side}")

@@ -210,6 +210,17 @@ def test_checked_in_fixtures_still_load():
     assert verify_hopf_axioms(alg, 1e-12).passed
 
 
+@pytest.mark.parametrize("indices, expected", [
+    ([0, 1, 1], True), ([1, 0], True), ([5, 4, 0], True), (list(range(6)), True),
+    ([], False), ([0, -1], False), ([0, 6], False), ([0, 4], False), ([0, 1, 2], False),
+], ids=["repeat", "unsorted", "A3-unsorted", "whole", "empty", "negative", "order",
+        "not-closed", "not-closed-three"])
+def test_is_subgroup_mask_cases(indices, expected):
+    """Repeats and order do not matter; empty, out-of-range and non-closed sets are refused.
+    ``[0, 4]`` misses (012)^2 = (021) and ``[0, 1, 2]`` misses (01)(02)."""
+    assert symmetric_group_3().is_subgroup(indices) is expected
+
+
 def test_is_subgroup_rejects_indices_outside_the_group():
     """-1 would wrap around to the last element and 99 would index past the table."""
     assert not cyclic_group(2).is_subgroup([0, 1, -1])

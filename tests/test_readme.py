@@ -1,9 +1,16 @@
-"""The README's "Library quick tour" runs as written, so the example cannot go stale."""
+"""The README's "Library quick tour" and its C[S4]^J coideal block run as written, so the
+examples cannot go stale."""
 
 from __future__ import annotations
 
 import re
+import textwrap
 from pathlib import Path
+
+from oracles import twisted_group_algebra
+
+from cqglab import io as cio
+from cqglab.groups import all_permutation_group
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,6 +29,18 @@ def test_quick_tour_runs(capsys):
     printed = capsys.readouterr().out.split()
     assert float(printed[-1]) < 1e-9  # the restricted Wigner-Eckart residual on B
     assert namespace["B"].dim == 3
+
+
+def test_coideal_snippet_runs(tmp_path, monkeypatch):
+    """The block that loads ``cs4_twist.json``, on the file written as the README says:
+    C[S4]^J twisted over K = <(01), (23)>, elements 6 and 1 of S4 in lexicographic order."""
+    [block] = [b for b in re.findall(r"^( *)```python\n(.*?)^\1```", README.read_text(
+        encoding="utf-8"), re.MULTILINE | re.DOTALL) if "cs4_twist.json" in b[1]]
+    monkeypatch.chdir(tmp_path)
+    cio.save_algebra(twisted_group_algebra(all_permutation_group(4), 6, 1), "cs4_twist.json")
+    namespace: dict = {}
+    exec(compile(textwrap.dedent(block[1]), f"{README.name} (coideal block)", "exec"), namespace)
+    assert namespace["B"].dim == 8
 
 
 def test_readme_schema_line_is_the_writers():
