@@ -8,7 +8,6 @@ verified.
 from __future__ import annotations
 
 from dataclasses import replace
-from math import factorial
 
 import numpy as np
 
@@ -171,113 +170,6 @@ def s3_fusion_multiplicity(p: str, q: str, r: str) -> int:
     chars = s3_character_table()
     total = sum(chars[p][g] * chars[q][g] * np.conj(chars[r][g]) for g in range(6))
     return int(round((total / 6).real))
-
-
-def hook_length_degrees(n: int) -> list[int]:
-    """Degrees of the irreducible representations of S_n, by the hook-length formula."""
-    def partitions(rest, largest):
-        if rest == 0:
-            yield ()
-        for part in range(min(rest, largest), 0, -1):
-            for tail in partitions(rest - part, part):
-                yield (part,) + tail
-
-    degrees = []
-    for shape in partitions(n, n):
-        columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
-        hooks = 1
-        for i, row in enumerate(shape):
-            for j in range(row):
-                hooks *= (row - j) + (columns[j] - i) - 1
-        degrees.append(factorial(n) // hooks)
-    return sorted(degrees)
-
-
-def tensor_product_algebra(first, second):
-    """The tensor product Hopf *-algebra: every structure tensor is a Kronecker product.
-
-    Basis element ``a_i (x) b_j`` has index ``i * second.dim + j``, the index
-    order of ``np.kron``.
-    """
-    from cqglab.algebra import HopfAlgebraSpec
-    return HopfAlgebraSpec(
-        first.dim * second.dim,
-        np.kron(first.mult, second.mult), np.kron(first.comult, second.comult),
-        np.kron(first.antipode, second.antipode), np.kron(first.counit, second.counit),
-        np.kron(first.unit, second.unit), np.kron(first.star, second.star),
-        label=f"{first.label}(x){second.label}")
-
-
-def twisted_group_algebra(group, a: int, b: int):
-    """``C[G]`` twisted by ``J`` over ``K = {e, a, b, ab}``, ``a`` and ``b`` commuting
-    involutions of ``group``: ``Delta^J(x) = J Delta(x) J^{-1}`` and ``S^J(x) = Q S(x) Q^{-1}``
-    with ``Q = J^1 S(J^2)``; product, star, counit and unit stay ``C[G]``'s.
-
-    ``J = sum_{chi, psi} c(chi, psi) P_chi (x) P_psi`` over the characters of ``K``, with
-    the idempotents ``P_chi = sum_k chi(k) k / 4`` and the nontrivial normalized cocycle
-    ``c((s, t), (u, v)) = (-1)^(s v)``.  Its 16 terms ``J[k, l]`` on ``K x K`` are real and
-    ``J^{-1} = J``, so ``J`` is unitary and the result is again a Hopf *-algebra.  Whether
-    ``Delta^J`` is cocommutative depends on ``K`` (it stays so for a normal Klein subgroup
-    of A4), so each bed checks it.  Each structure tensor is built from ``J``'s terms and
-    the group table, with no ``n^4`` product.
-    """
-    from cqglab.algebra import HopfAlgebraSpec
-    from cqglab.groups import build_group_algebra
-    base, table, n = build_group_algebra(group), group.table, group.order
-    inv = group.inverses
-    if table[a, a] != 0 or table[b, b] != 0 or table[a, b] != table[b, a]:
-        raise ValueError("a and b must be commuting involutions")
-    k = np.array([0, a, b, table[a, b]])                         # a^i b^j at 2 i + j
-    bits = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
-    chars = (-1.0) ** (bits @ bits.T)                            # [chi, k]: chi_(s,t)(a^i b^j)
-    cocycle = (-1.0) ** np.outer(bits[:, 0], bits[:, 1])        # [chi, psi]: (-1)^(s v)
-    twist = chars.T @ cocycle @ chars / 16                      # J[k, l], and J^{-1} = J
-    # Delta^J(g) = sum J[k, l] J[k', l'] (k g k') (x) (l g l'), axes [g, k, l, k', l']
-    g = np.arange(n)[:, None, None, None, None]
-    first = table[table[k[:, None, None, None], g], k[:, None]]
-    second = table[table[k[:, None, None], g], k]
-    shape = (n, 4, 4, 4, 4)
-    comult = np.zeros((n, n, n))
-    np.add.at(comult, tuple(np.broadcast_to(x, shape) for x in (g, first, second)),
-              np.broadcast_to(np.multiply.outer(twist, twist), shape))
-    # Q = sum J[k, l] k l^{-1}, and Q^{-1} from its left-multiplication matrix
-    q = np.zeros(n)
-    np.add.at(q, table[k[:, None], inv[k][None, :]], twist)
-    left = np.zeros((n, n))
-    np.add.at(left, (table, np.broadcast_to(np.arange(n), (n, n))),  # Q e_j = sum q_i e_ij
-              np.broadcast_to(q[:, None], (n, n)))
-    q_inv = np.linalg.solve(left, base.unit)
-    # S^J(g) = Q g^{-1} Q^{-1}
-    antipode = np.zeros((n, n))
-    rows = np.arange(n)[:, None, None]
-    np.add.at(antipode, (rows, table[table[np.arange(n)[None, :, None], inv[rows]],
-                                     np.arange(n)[None, None, :]]),
-              q[None, :, None] * q_inv[None, None, :])
-    return HopfAlgebraSpec(n, base.mult, comult, antipode, base.counit, base.unit, base.star,
-                           label=f"{base.label}^J")
-
-
-def rotated_algebra(alg, seed: int, real: bool = False):
-    """``alg`` in the basis ``b_p = sum_j U[p, j] a_j`` for a random unitary ``U``.
-
-    ``U`` is the Q factor of a complex Gaussian matrix drawn from ``seed``, so the
-    new star matrix ``conj(U) star U^H`` is not real.  An element with
-    coefficients ``x`` in the old basis has ``x @ U^H`` in the new one.  With
-    ``real``, ``U`` is the Q factor of a real Gaussian matrix: a real ``alg`` stays
-    real, with dense entries that are no longer 0 or 1.
-    """
-    from cqglab.algebra import HopfAlgebraSpec
-    rng = np.random.default_rng(seed)
-    n = alg.dim
-    gauss = rng.standard_normal((n, n))
-    u, _ = np.linalg.qr(gauss if real else gauss + 1j * rng.standard_normal((n, n)))
-    ui = u.conj().T
-    mult = np.tensordot(np.tensordot(u, np.tensordot(u, alg.mult, (1, 0)), (1, 1)),
-                        ui, (2, 0)).swapaxes(0, 1)
-    comult = np.tensordot(np.tensordot(u, alg.comult, (1, 0)) @ ui, ui, (1, 0)).swapaxes(1, 2)
-    return HopfAlgebraSpec(n, mult, comult, u @ alg.antipode @ ui, u @ alg.counit,
-                           alg.unit @ ui, np.conj(u) @ alg.star @ ui,
-                           label=f"rot{seed}({alg.label})")
 
 
 def is_commutative(alg) -> bool:

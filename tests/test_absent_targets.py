@@ -20,7 +20,7 @@ from cqglab import cli, corep
 from cqglab import io as cio
 from cqglab.cg import solve_cg_systems
 from cqglab.report import Report
-from conftest import alternating_group_4
+from beds import alternating_group_4
 
 
 def test_zero_averaging_maps_skip_the_svd(ca4_grp, monkeypatch):

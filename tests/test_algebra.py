@@ -5,35 +5,38 @@ from itertools import product
 import numpy as np
 import pytest
 
+from beds import BUILTINS, context
 from oracles import opposite_algebra, random_elements, verify_dual_pairing
 
 from cqglab.algebra import (LinearFunctional, _legwise_product, build_dual, verify_hopf_axioms,
                             verify_star_axioms)
-from cqglab.corep import identity_corep, irrep_table, morphism_space
+from cqglab.corep import identity_corep, morphism_space
 from cqglab.errors import DimensionMismatch, InvalidSpec, NoHaar
-from cqglab.groups import all_permutation_group, build_function_algebra, \
-    build_group_algebra, cyclic_group, symmetric_group_3
-from cqglab.haar import gram_matrices, solve_haar
+from cqglab.groups import build_function_algebra, build_group_algebra, cyclic_group, \
+    symmetric_group_3
+from cqglab.haar import solve_haar
 from cqglab.regular import product_coaction_check, regular_carrier
 
 
-def test_axiom_suites_pass_on_all_builtins(algebras):
-    for label, alg in algebras.items():
-        hopf = verify_hopf_axioms(alg, 1e-12)
-        star = verify_star_axioms(alg, 1e-12)
-        assert hopf.passed, f"{label}: {hopf.summary()}"
-        assert star.passed, f"{label}: {star.summary()}"
+def _assert_axioms_admitted(label):
+    """The bed's admission ran both axiom suites at ``1e-12``."""
+    ctx = context(label)
+    for name in ("hopf", "star"):
+        assert ctx.admission[name].passed, f"{label}: {ctx.admission[name].summary()}"
+        assert ctx.admission[name].meta["tol"] == 1e-12
 
 
-@pytest.mark.parametrize("builder", [build_function_algebra, build_group_algebra])
-def test_axiom_suites_pass_at_n24(builder):
+def test_axiom_suites_pass_on_all_builtins():
+    for label in BUILTINS:
+        _assert_axioms_admitted(label)
+
+
+@pytest.mark.parametrize("label", ["C(S4)", "C[S4]"],
+                         ids=["build_function_algebra", "build_group_algebra"])
+def test_axiom_suites_pass_at_n24(label):
     """C(S4) and C[S4]: the bialgebra term used to be one n^8 contraction here."""
-    alg = builder(all_permutation_group(4))
-    assert alg.dim == 24
-    hopf = verify_hopf_axioms(alg, 1e-12)
-    star = verify_star_axioms(alg, 1e-12)
-    assert hopf.passed, hopf.summary()
-    assert star.passed, star.summary()
+    assert context(label).algebra.dim == 24
+    _assert_axioms_admitted(label)
 
 
 def _out_of_place_n5_residuals(alg) -> dict[str, float]:
@@ -151,8 +154,7 @@ def test_unary_maps():
 
 
 def test_counit_values(algebras):
-    s3 = symmetric_group_3()
-    alg = build_function_algebra(s3)
+    alg = algebras["C(S3)"]
     for g in range(6):
         assert abs(alg.counit[g] - (1.0 if g == 0 else 0.0)) < 1e-15
     for seed, a in enumerate(algebras.values()):
@@ -217,10 +219,7 @@ def test_broken_star_fails_involution():
 
 
 def test_dimension_mismatch():
-    z2 = build_function_algebra(cyclic_group(2))
-    z3 = build_function_algebra(cyclic_group(3))
-    h = solve_haar(z2)
-    table = irrep_table(z2, h, gram_matrices(z2, h).gram_right)
+    z2, z3, table = context("C(Z2)").algebra, context("C(Z3)").algebra, context("C(Z2)").table
     with pytest.raises(DimensionMismatch):
         morphism_space(identity_corep(z2), identity_corep(z3), table)
     with pytest.raises(DimensionMismatch):
@@ -235,9 +234,7 @@ def test_invalid_spec_shapes():
 
 
 def test_dual_of_function_algebra_is_group_algebra(algebras):
-    s3 = symmetric_group_3()
-    fun = build_function_algebra(s3)
-    grp = build_group_algebra(s3)
+    fun, grp = algebras["C(S3)"], algebras["C[S3]"]
     dual = build_dual(fun)
     assert verify_dual_pairing(fun, dual).passed
     # the dual of C(G) has the group algebra's structure constants exactly

@@ -28,7 +28,7 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-from test_pairing_guard import _aliases, _mentions
+from guard_ast import aliases, mentions
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 INVERSES = {"inv", "solve", "pinv"}
@@ -57,7 +57,7 @@ def _is_kind(node: ast.AST) -> bool:
 def _antipode_sites(tree: ast.AST) -> list[tuple[int, str, str]]:
     """``(line, what, function)`` of each ``antipode_inv``, each inverse of an antipode
     and each comparison or lookup by a kind or a side."""
-    antipodes, sides = _aliases(tree, "antipode"), _aliases(tree, "side") | {"side"}
+    antipodes, sides = aliases(tree, "antipode"), aliases(tree, "side") | {"side"}
     out = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -69,17 +69,17 @@ def _antipode_sites(tree: ast.AST) -> list[tuple[int, str, str]]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in INVERSES and any(_mentions(arg, "antipode", antipodes)
+            if name in INVERSES and any(mentions(arg, "antipode", antipodes)
                                         for arg in node.args):
                 out.append((node.lineno, f"{name} of S", scope))
         if isinstance(node, ast.Compare) and any(map(_is_kind, [node.left, *node.comparators])):
             out.append((node.lineno, "kind compared", scope))
         if isinstance(node, ast.Subscript) and _is_kind(node.slice):
             out.append((node.lineno, "kind lookup", scope))
-        if isinstance(node, ast.Compare) and any(_mentions(operand, "side", sides)
+        if isinstance(node, ast.Compare) and any(mentions(operand, "side", sides)
                                                  for operand in [node.left, *node.comparators]):
             out.append((node.lineno, "side compared", scope))
-        if isinstance(node, ast.Subscript) and _mentions(node.slice, "side", sides):
+        if isinstance(node, ast.Subscript) and mentions(node.slice, "side", sides):
             out.append((node.lineno, "side lookup", scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from beds import context
 from oracles import is_commutative, s3_character_table, s3_fusion_multiplicity
 
 from cqglab.algebra import LinearFunctional
@@ -15,7 +16,7 @@ from cqglab.cg import (cg_block_residual, character_orthogonality,
                        tensor_product, verify_triple_haar)
 from cqglab.corep import Corepresentation, are_equivalent, verify_corep
 from cqglab.errors import LinearDependenceWarning, NonIntegerMultiplicity
-from cqglab.groups import build_function_algebra, cyclic_group, symmetric_group_3
+from cqglab.groups import symmetric_group_3
 from cqglab.haar import HaarFunctional, solve_haar
 from cqglab.regular import canonical_basis_functions, check_basis_functions, regular_corep
 from cqglab.tensor_ops import multiplication_family
@@ -171,11 +172,7 @@ def test_conjugate_multiplicity_symmetries_use_the_integer_rule(cs3_fun):
 
 
 def test_abelian_fusion_single_coefficient():
-    alg = build_function_algebra(cyclic_group(3))
-    h = solve_haar(alg)
-    from cqglab.corep import irrep_table
-    from cqglab.haar import gram_matrices
-    table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
+    table, h = context("C(Z3)").table, context("C(Z3)").haar
     for a in table.labels:
         for b in table.labels:
             system = solve_cg(table[a], table[b], table, h)

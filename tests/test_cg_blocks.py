@@ -24,10 +24,11 @@ from cqglab.homspace import build_coset_subalgebra, subspace_coideal
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import TensorOperatorFamily, couple_families
 
+from beds import context
 from oracles import padded_blocks
 
-ALGEBRAS = ("C(S3)", "C[S3]", "C(A4)")
 TOL = 1e-12
+pytestmark = pytest.mark.parametrize("ctx", ["C(S3)", "C[S3]", "C(A4)"], indirect=True)
 
 
 def coef(system, j, k, r, alpha, ell):
@@ -79,18 +80,16 @@ def random_stack(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.fixture(scope="module")
-def cg_contexts(contexts, ca4_fun):
-    return {"C(S3)": contexts["C(S3)"], "C[S3]": contexts["C[S3]"], "C(A4)": ca4_fun}
+@pytest.fixture
+def ctx(request):
+    return context(request.param)
 
 
 def ordered_pairs(ctx):
     return [(p, q) for p in ctx.table.labels for q in ctx.table.labels]
 
 
-@pytest.mark.parametrize("label", ALGEBRAS)
-def test_blocks_match_loop_oracle(cg_contexts, label):
-    ctx = cg_contexts[label]
+def test_blocks_match_loop_oracle(ctx):
     empty_targets, repeated_targets = 0, 0
     for p, q in ordered_pairs(ctx):
         system = ctx.cg(p, q)
@@ -107,12 +106,10 @@ def test_blocks_match_loop_oracle(cg_contexts, label):
                 assert fwd[alpha, j, k, ell] == coef(system, j, k, r, alpha, ell)
                 assert inv[alpha, ell, j, k] == inv_coef(system, r, alpha, ell, j, k)
     assert empty_targets > 0
-    assert repeated_targets > 0 or label != "C(A4)"
+    assert repeated_targets > 0 or ctx.bed.label != "C(A4)"
 
 
-@pytest.mark.parametrize("label", ALGEBRAS)
-def test_couple_matches_loop_oracle(cg_contexts, label):
-    ctx = cg_contexts[label]
+def test_couple_matches_loop_oracle(ctx):
     rng = np.random.default_rng(7)
     for p, q in ordered_pairs(ctx):
         system = ctx.cg(p, q)
@@ -121,10 +118,8 @@ def test_couple_matches_loop_oracle(cg_contexts, label):
                              loop_couple(system, pieces, ctx.table))
 
 
-@pytest.mark.parametrize("label", ALGEBRAS)
 @pytest.mark.parametrize("kind", ["ordinary", "twisted"])
-def test_couple_families_match_loop_oracle(cg_contexts, label, kind):
-    ctx = cg_contexts[label]
+def test_couple_families_match_loop_oracle(ctx, kind):
     table, n = ctx.table, ctx.algebra.dim
     rng = np.random.default_rng(11)
     for p, q in ordered_pairs(ctx):
@@ -141,20 +136,18 @@ def test_couple_families_match_loop_oracle(cg_contexts, label, kind):
                    for key, fam in got.items())
 
 
-def _coideal(ctx, label, side):
-    if label == "C(S3)":
+def _coideal(ctx, side):
+    if ctx.bed.label == "C(S3)":
         return build_coset_subalgebra(symmetric_group_3(), [0, 1], side,
                                       ctx.grams)
     return subspace_coideal(np.eye(ctx.algebra.dim), side, ctx.grams)
 
 
-@pytest.mark.parametrize("label", ALGEBRAS)
 @pytest.mark.parametrize("kind", ["ordinary", "twisted"])
 @pytest.mark.parametrize("side", ["R", "L"])
-def test_couple_restricted_families_match_loop_oracle(cg_contexts, label, kind, side):
-    ctx = cg_contexts[label]
+def test_couple_restricted_families_match_loop_oracle(ctx, kind, side):
     table = ctx.table
-    carrier = _coideal(ctx, label, side).carrier
+    carrier = _coideal(ctx, side).carrier
     b = carrier.dim
     rng = np.random.default_rng(13)
     for p, q in ordered_pairs(ctx):
@@ -170,10 +163,8 @@ def test_couple_restricted_families_match_loop_oracle(cg_contexts, label, kind, 
         assert all(fam.carrier is carrier and fam.kind == kind for fam in got.values())
 
 
-@pytest.mark.parametrize("label", ALGEBRAS)
 @pytest.mark.parametrize("side", ["R", "L"])
-def test_coupled_basis_functions_match_loop_oracle(cg_contexts, label, side):
-    ctx = cg_contexts[label]
+def test_coupled_basis_functions_match_loop_oracle(ctx, side):
     table, alg = ctx.table, ctx.algebra
     for p, q in ordered_pairs(ctx):
         phis = canonical_basis_functions(table[p], side, 0)
@@ -190,13 +181,11 @@ def test_coupled_basis_functions_match_loop_oracle(cg_contexts, label, side):
         assert abs(got_res - want_res) < TOL, (p, q)
 
 
-@pytest.mark.parametrize("label", ALGEBRAS)
-def test_padded_blocks_match_the_lookup_oracle(contexts, ca4_fun, label):
+def test_padded_blocks_match_the_lookup_oracle(ctx):
     """The multiplicity and offset matrices scattered from each system's target rows
     give the padded blocks of the per-entry lookup bit for bit, for all targets, a
     repeated target (as for two sets of one irrep on a coideal) and an absent one:
     the blocks of the occurring entries, in the order of ``np.nonzero(mults)``."""
-    ctx = ca4_fun if label == "C(A4)" else contexts[label]
     table = ctx.table
     systems = [ctx.cg(p, q) for p in table.labels for q in table.labels]
     last = table.labels[-1]

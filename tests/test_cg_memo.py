@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beds import context
+
 from cqglab import cg
 from cqglab.cg import solve_cg
 from cqglab.corep import Corepresentation
@@ -28,10 +30,9 @@ def _copy(pi):
     return Corepresentation(pi.algebra, pi.coeffs, pi.label)
 
 
-@pytest.fixture(params=["C(S3)", "cd6_fun", "ca4_fun"])
-def ctx(request, contexts):
-    name = request.param
-    return contexts[name] if name in contexts else request.getfixturevalue(name)
+@pytest.fixture(params=["C(S3)", "C(D6)", "C(A4)"], ids=["C(S3)", "cd6_fun", "ca4_fun"])
+def ctx(request):
+    return context(request.param)
 
 
 def test_a_second_walk_makes_no_engine_call(ctx, monkeypatch):

@@ -19,33 +19,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import Context
+from beds import BUILTINS, context
 from oracles import per_pair_cg
 
 from cqglab.cg import solve_cg, solve_cg_systems
 from cqglab.corep import Corepresentation, IrrepTable
 from cqglab.errors import MultiplicityMismatch
-from cqglab.groups import all_permutation_group, build_group_algebra
 
 TOL = 1e-12
-BUILTINS = ["C(Z2)", "C(Z3)", "C(Z4)", "C[Z3]", "C(S3)", "C[S3]"]
-LARGER = {"C(D6)": "cd6_fun", "C(A4)": "ca4_fun", "C[A4]": "ca4_grp", "C(S4)": "cs4_fun",
-          "C[S4]": "cs4_grp"}
 
 
-@pytest.fixture(scope="module")
-def cs4_grp():
-    """C[S4], n = 24: twenty-four 1-dim irreps, so 576 CG pairs."""
-    return Context(build_group_algebra(all_permutation_group(4)))
-
-
-def _context(request, contexts, label):
-    return contexts[label] if label in contexts else request.getfixturevalue(LARGER[label])
-
-
-@pytest.mark.parametrize("label", BUILTINS + list(LARGER))
-def test_engine_matches_per_pair_oracle(request, contexts, label):
-    ctx = _context(request, contexts, label)
+@pytest.mark.parametrize("label", [*BUILTINS, "C(D6)", "C(A4)", "C[A4]", "C(S4)", "C[S4]"])
+def test_engine_matches_per_pair_oracle(label):
+    ctx = context(label)
     table = ctx.table
     systems = solve_cg_systems(table, table, table)
     assert list(systems) == list(product(table.labels, table.labels))

@@ -19,7 +19,7 @@ from cqglab import io as cio
 from cqglab.algebra import HopfAlgebraSpec
 from cqglab.errors import InvalidSpec
 from cqglab.groups import build_function_algebra, builtin_algebras, symmetric_group_3
-from conftest import alternating_group_4
+from beds import alternating_group_4
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

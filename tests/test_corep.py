@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from beds import context
 from oracles import (brute_cross_schur, brute_schur_sum, classical_corep_coeffs,
                      s3_irreps)
 
@@ -14,9 +15,8 @@ from cqglab.corep import (Corepresentation, are_equivalent, check_unitary,
                           identity_corep, invariant_gram, irrep_table, is_irreducible,
                           morphism_space, unitarize, verify_corep, verify_orthogonality)
 from cqglab.errors import DecompositionStall, PositivityFailure
-from cqglab.groups import (all_permutation_group, build_function_algebra,
-                           build_group_algebra, symmetric_group_3)
-from cqglab.haar import _positivity, gram_matrices, solve_haar
+from cqglab.groups import symmetric_group_3
+from cqglab.haar import _positivity
 from cqglab.regular import regular_corep
 
 
@@ -215,10 +215,8 @@ def test_invariant_gram_is_identity_for_unitary(cs3_fun, classical):
         assert np.abs(g - np.eye(pi.dim)).max() < 1e-12
 
 
-def test_one_dim_unitarize_rescales():
-    alg = build_function_algebra(symmetric_group_3())
-    from cqglab.haar import solve_haar
-    h = solve_haar(alg)
+def test_one_dim_unitarize_rescales(cs3_fun):
+    alg, h = cs3_fun.algebra, cs3_fun.haar
     coeffs = (2.0 * alg.unit).reshape(1, 1, -1)
     pi = Corepresentation(alg, coeffs, label="2x-trivial")
     # not a corep (counit is 2); scaling the carrier cannot fix that
@@ -227,16 +225,16 @@ def test_one_dim_unitarize_rescales():
 
 def test_peter_weyl_function_algebra(cs3_fun):
     table = cs3_fun.table
-    assert table.dims() == [1, 1, 2]
-    assert table.multiplicities == (1, 1, 2)
+    assert table.dims() == list(cs3_fun.bed.dims)   # sorted by dimension
+    assert table.multiplicities == tuple(table.dims())
     assert sum(d * d for d in table.dims()) == 6
     assert table.labels[table.trivial_index()] == "p0"
 
 
 def test_peter_weyl_group_algebra(cs3_grp):
     table = cs3_grp.table
-    assert table.dims() == [1] * 6
-    assert table.multiplicities == (1,) * 6
+    assert table.dims() == list(cs3_grp.bed.dims)
+    assert table.multiplicities == tuple(table.dims())
 
 
 def test_decomposition_blocks_pass_everything(contexts):
@@ -327,17 +325,14 @@ def test_non_invariant_cut_of_a_resumed_piece_raises_stall(cs3_fun):
         corep._split(reg, gram, [transposition, not_commutant])
 
 
-@pytest.mark.parametrize("build", [build_group_algebra, build_function_algebra],
-                         ids=["C[S4]", "C(S4)"])
-def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
+@pytest.mark.parametrize("label", ["C[S4]", "C(S4)"])
+def test_n24_split_makes_few_eigen_calls(label, monkeypatch):
     """The one split of the regular comodule by the left convolutions takes one
     ``eigh`` call on C[S4] (24 classes) and on C(S4) (5 classes): the carrier is
     cut by one combination of all the convolutions' parts.  Scanning the parts
     piece by piece in doubling batches made 68 and 65 calls, and peeling one
     class per level 529 and 434."""
-    alg = build(all_permutation_group(4))
-    h = solve_haar(alg)
-    gram = gram_matrices(alg, h).gram_right
+    ctx = context(label)
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _real=getattr(np.linalg, name), **kw):
@@ -345,7 +340,7 @@ def test_n24_split_makes_few_eigen_calls(build, monkeypatch):
                 calls.append(name)
             return _real(*args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
-    irrep_table(alg, h, gram)
+    irrep_table(ctx.algebra, ctx.haar, ctx.grams.gram_right)
     assert len(calls) == 1
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from test_pairing_guard import _aliases
+from guard_ast import aliases
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cqglab"
 
@@ -45,7 +45,7 @@ def _operands(node: ast.AST) -> list[ast.AST]:
 def _gram_builds(tree: ast.AST) -> list[tuple[int, str, str]]:
     """``(line, what, function)`` of each product of the star matrix with the Haar
     pairing and of each product of the antipode with itself."""
-    stars, pairs, antipodes = (_aliases(tree, attr) for attr in ("star", "pair", "antipode"))
+    stars, pairs, antipodes = (aliases(tree, attr) for attr in ("star", "pair", "antipode"))
     out = []
 
     def visit(node: ast.AST, scope: str) -> None:

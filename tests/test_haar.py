@@ -5,16 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import alternating_group_4, dihedral_group
-from oracles import (haar_invariance_rows, left_gram, rotated_algebra, tensor_product_algebra,
-                     twisted_group_algebra)
+from beds import context, select, up_to
+from oracles import haar_invariance_rows, left_gram
 
 from cqglab import cli
 from cqglab import io as cio
-from cqglab.algebra import HopfAlgebraSpec, LinearFunctional, build_dual
+from cqglab.algebra import HopfAlgebraSpec, LinearFunctional
 from cqglab.errors import NoHaar, PositivityFailure
-from cqglab.groups import all_permutation_group, build_function_algebra, build_group_algebra, \
-    cyclic_group, symmetric_group_3
+from cqglab.groups import build_function_algebra, build_group_algebra, cyclic_group, \
+    symmetric_group_3
 from cqglab.haar import (KAC_CHECKS, HaarFunctional, certify_haar, gram_matrices,
                          regular_unitarity_report, solve_haar, verify_haar_lemmas)
 from cqglab.regular import regular_invariance_report
@@ -39,59 +38,38 @@ def test_trivial_algebra():
     assert certify_haar(h, 1e-12).passed
 
 
-def _rotated_beds(contexts):
-    """C(S3) and C[S3] in a random unitary basis, where the star matrix is not real."""
-    return [rotated_algebra(contexts[label].algebra, 1) for label in ("C(S3)", "C[S3]")]
-
-
-def _beds_with_haar(contexts):
-    """``(label, algebra, h, grams)`` of every built-in, then of the rotated beds, whose
-    non-real star matrix and dense Haar pairing the built-ins do not have."""
-    beds = [(label, ctx.algebra, ctx.haar, ctx.grams) for label, ctx in contexts.items()]
-    for alg in _rotated_beds(contexts):
-        h = solve_haar(alg)
-        beds.append((alg.label, alg, h, gram_matrices(alg, h)))
-    return beds
-
-
-def test_regular_trace_is_the_null_vector_of_the_invariance_rows(contexts, cs4_fun):
+def test_regular_trace_is_the_null_vector_of_the_invariance_rows():
     """The normalized regular trace spans the null space of the invariance rows,
-    built one entry at a time, on every bed: the built-ins, C(S4), C(S3) (x) C[S3]
-    and its dual, and the rotated C(S3) and C[S3]."""
-    s3 = symmetric_group_3()
-    mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
-    beds = ([ctx.algebra for ctx in contexts.values()] + [cs4_fun.algebra, mixed,
-                                                           build_dual(mixed)]
-            + _rotated_beds(contexts))
-    for alg in beds:
+    built one entry at a time, on every bed with n <= 36."""
+    for label in up_to(36):
+        ctx = context(label)
+        alg, h = ctx.algebra, ctx.haar
         _, sigma, vh = np.linalg.svd(haar_invariance_rows(alg), full_matrices=False)
-        assert len(sigma) == 1 or sigma[-2] > 1e-3 * sigma[0], alg.label  # nullity one
+        assert len(sigma) == 1 or sigma[-2] > 1e-3 * sigma[0], label  # nullity one
         null = np.conj(vh[-1])
         null = null / (alg.unit @ null)
-        assert np.abs(solve_haar(alg).covector - null).max() < 1e-12, alg.label
+        assert np.abs(h.covector - null).max() < 1e-12, label
 
 
-def test_non_real_star_matrix_keeps_the_gram_positive(contexts):
+def test_non_real_star_matrix_keeps_the_gram_positive():
     """The Grams read ``a_j^*`` from ``star[j]`` unconjugated, so on a valid spec whose
-    star matrix is not real the Haar functional certifies and both regular coactions
-    are unitary for their Grams."""
-    for alg in _rotated_beds(contexts):
-        assert np.abs(alg.star.imag).max() > 0.1, alg.label
-        h = solve_haar(alg)
-        assert certify_haar(h, 1e-12).passed, alg.label
-        assert regular_unitarity_report(gram_matrices(alg, h), 1e-10).passed, alg.label
+    star matrix is not real the Haar functional certifies (the bed's admission) and both
+    regular coactions are unitary for their Grams."""
+    for label in select(lambda bed: not bed.real):
+        ctx = context(label)
+        assert np.abs(ctx.algebra.star.imag).max() > 0.1, label
+        assert regular_unitarity_report(ctx.grams, 1e-10).passed, label
 
 
 @pytest.mark.parametrize("command", ["haar", "irreps", "cg", "tensor-ops", "wigner-eckart"])
-def test_subcommands_pass_on_rotated_beds(command, contexts, tmp_path):
-    dims = {"C(S3)": [1, 1, 2], "C[S3]": [1] * 6}
-    for label, alg in zip(("C(S3)", "C[S3]"), _rotated_beds(contexts)):
+def test_subcommands_pass_on_rotated_beds(command, tmp_path):
+    for label in select(lambda bed: not bed.real and bed.n <= 6):
         spec, out = tmp_path / "spec.json", tmp_path / "out.json"
-        cio.save_algebra(alg, spec)
+        cio.save_algebra(context(label).algebra, spec)
         assert cli.main([command, "--algebra", str(spec), "--output", str(out)]) == 0, label
         if command == "irreps":
             meta = json.loads(out.read_text())["reports"][0]["meta"]
-            assert sorted(meta["dims"]) == dims[label]
+            assert tuple(sorted(meta["dims"])) == context(label).bed.dims
 
 
 def test_non_cqg_product_gets_no_haar(tmp_path):
@@ -111,10 +89,10 @@ def test_non_cqg_product_gets_no_haar(tmp_path):
     assert cli.main(["validate", "--algebra", str(spec)]) == 1
 
 
-def test_certificates_and_lemmas(contexts):
-    for label, alg, h, _ in _beds_with_haar(contexts):
-        assert certify_haar(h, 1e-12).passed, label
-        lemmas = verify_haar_lemmas(h, 1e-10)
+def test_certificates_and_lemmas():
+    """Every bed with n <= 36 was admitted by ``certify_haar``; its Haar lemmas hold."""
+    for label in up_to(36):
+        lemmas = verify_haar_lemmas(context(label).haar, 1e-10)
         assert lemmas.passed, f"{label}: {lemmas.summary()}"
 
 
@@ -137,10 +115,11 @@ def test_gram_matrices_values(contexts):
             assert np.abs(grams.gram_right - np.eye(n)).max() < 1e-12
 
 
-def test_regular_coactions_unitary_and_invariant(contexts):
-    for label, alg, h, grams in _beds_with_haar(contexts):
-        assert regular_unitarity_report(grams, 1e-12).passed, label
-        assert regular_invariance_report(h, 1e-12).passed, label
+def test_regular_coactions_unitary_and_invariant():
+    for label in up_to(36):
+        ctx = context(label)
+        assert regular_unitarity_report(ctx.grams, 1e-12).passed, label
+        assert regular_invariance_report(ctx.haar, 1e-12).passed, label
 
 
 def test_haar_is_tracial_on_builtins(contexts):
@@ -151,42 +130,20 @@ def test_haar_is_tracial_on_builtins(contexts):
         assert ctx.haar.is_tracial(), label
 
 
-def _twisted_d6():
-    """C[D6]^J, the first genuinely quantum small bed: ``C[D6]`` twisted over
-    ``K = {e, r^3, s, s r^3}``, ``r^3`` the central half turn and ``s`` the reflection
-    fixing vertex 0 (element 1, the first non-central involution)."""
-    group = dihedral_group(6)
-    table, n = group.table, group.order
-    half_turn = next(g for g in range(1, n) if (table[g] == table[:, g]).all())
-    reflection = next(g for g in range(1, n) if table[g, g] == 0 and g != half_turn)
-    return twisted_group_algebra(group, half_turn, reflection)
-
-
-def _beds_to_36(contexts):
-    """Every bed with n <= 36: the built-ins, the rotated C(S3) and C[S3],
-    C(D6), C[D6], C(A4), C[A4], C(S4), C[S4], C(S3) (x) C[S3] and its rotation,
-    and C[D6]^J, neither commutative nor cocommutative."""
-    s3 = symmetric_group_3()
-    mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
-    beds = [ctx.algebra for ctx in contexts.values()] + _rotated_beds(contexts)
-    for group in (dihedral_group(6), alternating_group_4(), all_permutation_group(4)):
-        beds += [build_function_algebra(group), build_group_algebra(group)]
-    return beds + [mixed, rotated_algebra(mixed, 1), _twisted_d6()]
-
-
-def test_left_gram_oracle_is_the_one_gram(contexts):
+def test_left_gram_oracle_is_the_one_gram():
     """The paper's left inner product ``h(a_k (S^2 a_j)^*)``, formed by the oracle, is
     positive definite and is the one Gram to ``1e-12`` times the magnitude, and every
-    accessor of ``GramPair`` returns that one matrix, on every bed with n <= 36."""
-    for alg in _beds_to_36(contexts):
-        h = solve_haar(alg)
-        grams = gram_matrices(alg, h)
-        left, positive = left_gram(alg, h)
-        assert positive, alg.label
-        assert np.abs(left - grams.gram("L")).max() <= 1e-12 * alg.magnitude, alg.label
+    accessor of ``GramPair`` returns that one matrix, on every bed with n <= 36, whose
+    admission read the Kac checks below ``1e-12``."""
+    for label in up_to(36):
+        ctx = context(label)
+        alg, grams = ctx.algebra, ctx.grams
+        left, positive = left_gram(alg, ctx.haar)
+        assert positive, label
+        assert np.abs(left - grams.gram("L")).max() <= 1e-12 * alg.magnitude, label
         assert all(m is grams.matrix for m in (grams.gram("R"), grams.gram("L"),
                                                grams.gram_right, grams.gram_left))
-        assert max(certify_haar(h)[name].residual for name in KAC_CHECKS) < 1e-12, alg.label
+        assert max(ctx.admission["haar"][name].residual for name in KAC_CHECKS) < 1e-12, label
 
 
 def test_moved_antipode_turns_the_kac_check_red():

@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dihedral_group
+from beds import GROUPS, context
 from oracles import (antipode_inverse, haar_average, kronecker_intertwiners, per_pair_cg,
                      svd_intertwiners, sweedler_algebra)
 
@@ -33,8 +33,8 @@ from cqglab.cg import solve_cg, solve_cg_systems, tensor_product
 from cqglab.corep import (Corepresentation, check_unitary, decompose_comodule, irrep_table,
                           morphism_space)
 from cqglab.errors import CqglabError, NoF, NoHaar
-from cqglab.groups import all_permutation_group, build_function_algebra, symmetric_group_3
-from cqglab.haar import gram_matrices, solve_haar
+from cqglab.groups import symmetric_group_3
+from cqglab.haar import solve_haar
 from cqglab.homspace import (build_coset_subalgebra, solve_restricted_basis_functions,
                              solve_restricted_family)
 from cqglab.regular import regular_coaction_tensor, regular_corep
@@ -172,19 +172,13 @@ def test_cg_blocks_match_kronecker_oracle(contexts, label):
                                   (label, p, q, target.label))
 
 
-# (fixture, group, subgroup): C(S3)/{e, (01)}, C(D6)/{e, reflection} and
-# C(S4)/{e, (23)}, where p4 occurs twice in B
-RESTRICTED_BEDS = {"C(S3)": ("cs3_fun", symmetric_group_3, [0, 1]),
-                   "C(D6)": ("cd6_fun", lambda: dihedral_group(6), [0, 1]),
-                   "C(S4)": ("cs4_fun", lambda: all_permutation_group(4), [0, 1])}
-
-
-def _restricted_spaces(request, bed, side):
-    """The bed's context and coideal, its restricted basis-function spaces as ``b x d``
-    matrices and its families of each kind as ``b^2 x d`` matrices, by table label."""
-    fixture, group, subgroup = RESTRICTED_BEDS[bed]
-    ctx = request.getfixturevalue(fixture)
-    coideal = build_coset_subalgebra(group(), subgroup, side, ctx.grams)
+def _restricted_spaces(bed, side):
+    """The context and coideal of C(G) over ``{0, 1}``: C(S3)/{e, (01)},
+    C(D6)/{e, reflection} and C(S4)/{e, (23)}, where p4 occurs twice in B.  Its restricted
+    basis-function spaces as ``b x d`` matrices and its families of each kind as
+    ``b^2 x d`` matrices, by table label."""
+    ctx = context(bed)
+    coideal = build_coset_subalgebra(GROUPS[bed[2:-1]][0], [0, 1], side, ctx.grams)
     b = coideal.dim
     spaces = {"B": {label: [bset.functions.T for bset in sets] for label, sets in
                     solve_restricted_basis_functions(coideal, ctx.table).items()}}
@@ -206,13 +200,13 @@ def _restricted_comodules(coideal):
 def _bed_sides(skip=()):
     """``(bed, side)`` parameters, C(S3)'s named by the side alone."""
     return [pytest.param(bed, side, id=side if bed == "C(S3)" else f"{bed}-{side}")
-            for bed in RESTRICTED_BEDS for side in "LR" if (bed, side) not in skip]
+            for bed in ("C(S3)", "C(D6)", "C(S4)") for side in "LR" if (bed, side) not in skip]
 
 
 # C(S4)'s tall systems take about 6 s a side, so its side R meets the SVD oracle alone
 @pytest.mark.parametrize("bed,side", _bed_sides(skip=[("C(S4)", "R")]))
-def test_restricted_spaces_match_kronecker_oracle(request, bed, side):
-    ctx, coideal, spaces = _restricted_spaces(request, bed, side)
+def test_restricted_spaces_match_kronecker_oracle(bed, side):
+    ctx, coideal, spaces = _restricted_spaces(bed, side)
     for space, comodule in _restricted_comodules(coideal).items():
         assert list(spaces[space]) == list(ctx.table.labels)
         for pi in ctx.table:
@@ -275,11 +269,10 @@ def _assert_bit_identical(first, second, what):
 
 
 @pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(A4)", "C(D6)"])
-def test_cg_target_stacks_match_svd_oracle(request, contexts, label):
+def test_cg_target_stacks_match_svd_oracle(label):
     """Every target block of every CG system of the table-wide engine, bit-identical on
     a second run and spanning what the full SVD of ``I - P`` gives."""
-    ctx = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun"}.get(label)
-    ctx = request.getfixturevalue(ctx) if ctx else contexts[label]
+    ctx = context(label)
     table = ctx.table
     systems, again = (solve_cg_systems(table, table, table) for _ in range(2))
     for (p, q), system in systems.items():
@@ -355,11 +348,11 @@ def test_large_family_space_matches_svd_oracle(ca4_fun):
 
 
 @pytest.mark.parametrize("bed,side", _bed_sides())
-def test_restricted_spaces_match_svd_oracle(request, bed, side):
+def test_restricted_spaces_match_svd_oracle(bed, side):
     """Every restricted basis-function and family space, bit-identical on a second run
     and spanning what the full SVD of ``I - P`` gives; C(S4)'s B holds p4 twice."""
-    ctx, coideal, spaces = _restricted_spaces(request, bed, side)
-    again = _restricted_spaces(request, bed, side)[2]
+    ctx, coideal, spaces = _restricted_spaces(bed, side)
+    again = _restricted_spaces(bed, side)[2]
     if bed == "C(S4)":
         assert len(spaces["B"]["p4"]) == 2
     for space, comodule in _restricted_comodules(coideal).items():
@@ -395,14 +388,14 @@ def test_family_space_takes_no_large_svd(ca4_fun, monkeypatch):
     assert all(count <= 36 for count in rows), rows
 
 
-@pytest.mark.parametrize("fixture", ["ca4_grp", "cd6_fun"])
-def test_cg_systems_take_one_svd_per_class(request, fixture, monkeypatch):
+@pytest.mark.parametrize("label", ["C[A4]", "C(D6)"], ids=["ca4_grp", "cd6_fun"])
+def test_cg_systems_take_one_svd_per_class(label, monkeypatch):
     """``solve_cg_systems`` on a whole table takes two SVD batches per ``d_p d_q`` class
     however many pairs and targets there are: one for the ranges of the projections
     ``P^r_11`` of every target, one for the conditioning of the C's.  That is 2 on
     C[A4]'s 144 pairs, where solving pair by pair takes 144 x (12 + 1), and 6 on
     C(D6)."""
-    ctx = request.getfixturevalue(fixture)
+    ctx = context(label)
     table = ctx.table
     calls = []
 
@@ -414,8 +407,8 @@ def test_cg_systems_take_one_svd_per_class(request, fixture, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     assert len(solve_cg_systems(table, table, table)) == len(table) ** 2
     sizes = {p.dim * q.dim for p in table for q in table}
-    assert len(calls) == 2 * len(sizes) == {"ca4_grp": 2, "cd6_fun": 6}[fixture], calls
-    if fixture == "ca4_grp":
+    assert len(calls) == 2 * len(sizes) == {"C[A4]": 2, "C(D6)": 6}[label], calls
+    if label == "C[A4]":
         calls.clear()
         for p in table:
             for q in table:
@@ -470,10 +463,9 @@ def test_restricted_spaces_take_no_svd_larger_than_the_comodule(cs3_fun, monkeyp
 def test_n24_family_space_is_the_range_of_the_average():
     """C(S4) (n = 24): the 3-dim irrep's ordinary-R families are 72 = n d matrices
     Phi among 1728 unknowns, each fixed by the averaging map P to 1e-9."""
-    alg = build_function_algebra(all_permutation_group(4))
-    h = solve_haar(alg)
-    table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
-    pi = next(rep for rep in table if rep.dim == 3)
+    ctx = context("C(S4)")
+    alg, h = ctx.algebra, ctx.haar
+    pi = next(rep for rep in ctx.table if rep.dim == 3)
     n = alg.dim
     families = solve_family_space(pi, "ordinary", "R")
     assert len(families) == n * pi.dim

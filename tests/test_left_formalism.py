@@ -5,10 +5,9 @@ is the right formalism of ``A^cop`` with ``S`` on the second leg, so the left co
 tensor, the left canonical sets, the left multiplication families and the engine's
 left second-leg products are all right formulas read through it.  The paper writes
 each of them on its own; :mod:`oracles` keeps those formulas (``S^{-1}`` inverted as
-written), and each is compared with the package here on the seventeen beds of
-``test_haar._beds_to_36``: the six built-ins, rotated C(S3) and C[S3], C(D6), C[D6],
-C(A4), C[A4], C(S4), C[S4], C(S3) (x) C[S3] with its rotation, and the twisted group
-algebra C[D6]^J.
+written), and each is compared with the package here on every bed with n <= 36 (``beds.up_to``),
+among them C(S3) (x) C[S3], its rotation and its dual, and the twisted group algebras
+C[D6]^J and C[S4]^J with their duals, neither commutative nor cocommutative.
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import Context
-from oracles import (antipode_inverse, dense_family_residuals, is_commutative, paper_coaction,
+from beds import context, up_to
+from oracles import (antipode_inverse, dense_family_residuals, paper_coaction,
                      paper_left_family, paper_left_products, paper_left_set)
-from test_haar import _beds_to_36
 
-from cqglab.algebra import HopfAlgebraSpec, verify_hopf_axioms, verify_star_axioms
+from cqglab.algebra import HopfAlgebraSpec
 from cqglab.corep import Corepresentation, IrrepTable, check_unitary
 from cqglab.haar import HaarFunctional
 from cqglab.regular import (canonical_basis_functions, check_basis_functions,
@@ -33,10 +31,9 @@ KINDS = ("ordinary", "twisted")
 
 
 @pytest.fixture(scope="module")
-def beds(contexts):
-    """A context (Haar functional, Grams, irrep table) for each of the seventeen beds."""
-    built = {ctx.algebra.label: ctx for ctx in contexts.values()}
-    return [built.get(alg.label) or Context(alg) for alg in _beds_to_36(contexts)]
+def beds():
+    """A context (Haar functional, Grams, irrep table) for each bed with n <= 36."""
+    return [context(label) for label in up_to(36)]
 
 
 def _close(got: np.ndarray, want: np.ndarray, alg) -> bool:
@@ -44,7 +41,6 @@ def _close(got: np.ndarray, want: np.ndarray, alg) -> bool:
 
 
 def test_left_coaction_tensor_is_the_papers(beds):
-    assert len(beds) == 17 and max(ctx.algebra.dim for ctx in beds) == 36
     for ctx in beds:
         alg = ctx.algebra
         for side in ("R", "L"):
@@ -98,9 +94,9 @@ def test_left_second_leg_products_are_the_papers(beds):
     """The engine's left products, the other kind's right products with their legs
     swapped, are the paper's ``S(u_B) S^{+-1}(S(u_v))`` in the kind's product."""
     for ctx in beds:
-        context, n = ctx.table._peter_weyl, ctx.algebra.dim
+        pw, n = ctx.table._peter_weyl, ctx.algebra.dim
         for kind in KINDS:
-            got = context.variants[kind, "twisted"][1][:, :, :n]
+            got = pw.variants[kind, "twisted"][1][:, :, :n]
             want = paper_left_products(ctx.table, kind)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (
                 ctx.algebra.label, kind)
@@ -113,12 +109,12 @@ def _cop(alg) -> HopfAlgebraSpec:
                            label=f"cop({alg.label})")
 
 
-def test_left_families_are_right_families_of_the_coopposite_for_the_other_kind(beds):
+def test_left_families_are_right_families_of_the_coopposite_for_the_other_kind():
     """On C(S3) (x) C[S3], neither commutative nor cocommutative: a left multiplication
     family of either kind for ``pi`` passes ``A^cop``'s right condition for the other kind
     with ``w_kj = (pi_jk)^*`` (the table mapped, ``A``'s Haar covector kept), by the dense
     routes, and fails it for its own kind."""
-    ctx = next(ctx for ctx in beds if ctx.algebra.label == "C(S3)(x)C[S3]")
+    ctx = context("C(S3)(x)C[S3]")
     alg, cop = ctx.algebra, _cop(ctx.algebra)
     mapped = [Corepresentation(cop, np.conj(pi.coeffs).transpose(1, 0, 2) @ alg.star, pi.label)
               for pi in ctx.table]
@@ -137,18 +133,16 @@ def test_left_families_are_right_families_of_the_coopposite_for_the_other_kind(b
     assert max(own) > 0.5
 
 
-def test_twisted_d6_families_fail_the_other_kind_off_the_centre(beds):
+def test_twisted_d6_families_fail_the_other_kind_off_the_centre():
     """C[D6]^J, ``C[D6]`` twisted over ``K = {e, r^3, s, s r^3}``: its Hopf and star
-    residuals are 0, its irreps have dims 1, 1, 1, 1, 2, 2, and every variant's
-    multiplication families of the row-0 canonical sets pass their own condition.  Tested
-    as the other kind they pass exactly where the set is central in ``A`` (multiplying from
-    the left or the right is then one operator), on two irreps, and fail by more than 1 on
-    the other four."""
-    ctx = next(ctx for ctx in beds if ctx.algebra.label.endswith("^J"))
+    residuals are 0, and every variant's multiplication families of the row-0 canonical
+    sets pass their own condition.  Tested as the other kind they pass exactly where the
+    set is central in ``A`` (multiplying from the left or the right is then one
+    operator), on two irreps, and fail by more than 1 on the other four."""
+    ctx = context("C[D6]^J")
     alg, table = ctx.algebra, ctx.table
-    assert verify_hopf_axioms(alg).max_residual == verify_star_axioms(alg).max_residual == 0.0
-    assert not is_commutative(alg) and np.abs(alg.comult - alg.comult.swapaxes(1, 2)).max() > 0.1
-    assert table.dims() == [1, 1, 1, 1, 2, 2]
+    assert ctx.admission["hopf"].max_residual == ctx.admission["star"].max_residual == 0.0
+    assert not ctx.bed.commutative and not ctx.bed.cocommutative
     commutator = alg.mult - alg.mult.swapaxes(0, 1)
     tol = 1e-12 * alg.magnitude ** 2
     for kind, side in VARIANTS:

@@ -6,9 +6,8 @@ comodule ``W`` as the matrix unit ``E_lm`` and kills every other irrep, so on
 ``pi^r`` itself it is ``E_lm``, on ``pi^s`` (``s != r``) it is 0, and
 ``tr P^r_11`` on ``pi^s`` is ``delta_rs``, the count of ``pi^r`` in ``pi^s``.  Checked
 from the Haar pairing directly, for every ``l, m``, and through the table's
-projection factor, whose columns are the ``m = 1`` maps, on every irrep of the
-six built-ins, C(A4), C(D6) and the rotated C(S3) and C[S3], whose star matrix is
-not real.
+projection factor, whose columns are the ``m = 1`` maps, on every irrep of every
+bed with n <= 36, among them the rotated beds, whose star matrix is not real.
 """
 
 from __future__ import annotations
@@ -16,32 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import Context
-from oracles import rotated_algebra
+from beds import context, up_to
 
-BUILTINS = ["C(Z2)", "C(Z3)", "C(Z4)", "C[Z3]", "C(S3)", "C[S3]"]
-LARGER = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun"}
 TOL = 1e-12
 
 
-@pytest.fixture(scope="module")
-def rotated(contexts):
-    return {label: Context(rotated_algebra(contexts[label].algebra, 1))
-            for label in ("C(S3)", "C[S3]")}
-
-
-def _context(request, contexts, rotated, label):
-    if label.startswith("rot "):
-        return rotated[label[4:]]
-    return contexts[label] if label in contexts else request.getfixturevalue(LARGER[label])
-
-
-BEDS = BUILTINS + list(LARGER) + ["rot C(S3)", "rot C[S3]"]
-
-
-@pytest.mark.parametrize("label", BEDS)
-def test_projections_are_matrix_units_on_each_irrep(request, contexts, rotated, label):
-    ctx = _context(request, contexts, rotated, label)
+@pytest.mark.parametrize("label", up_to(36))
+def test_projections_are_matrix_units_on_each_irrep(label):
+    ctx = context(label)
     n = ctx.algebra.dim
     for pi in ctx.table:
         d = pi.dim
@@ -50,9 +31,9 @@ def test_projections_are_matrix_units_on_each_irrep(request, contexts, rotated, 
         assert np.abs(units - np.eye(d * d)).max() < TOL, (label, pi.label)
 
 
-@pytest.mark.parametrize("label", BEDS)
-def test_projection_factor_reads_units_and_counts(request, contexts, rotated, label):
-    ctx = _context(request, contexts, rotated, label)
+@pytest.mark.parametrize("label", up_to(36))
+def test_projection_factor_reads_units_and_counts(label):
+    ctx = context(label)
     table, n = ctx.table, ctx.algebra.dim
     factor, lifts, weights = table._projection_factor
     assert table.haar is ctx.haar and table._projection_factor[0] is factor  # once per table

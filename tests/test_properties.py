@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternating_elements, closure, compose
+from beds import alternating_elements, closure, compose
 
 from cqglab.corep import irrep_table
 from cqglab.groups import GroupTable, build_function_algebra

@@ -7,10 +7,9 @@ import re
 import textwrap
 from pathlib import Path
 
-from oracles import twisted_group_algebra
+from beds import context
 
 from cqglab import io as cio
-from cqglab.groups import all_permutation_group
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,11 +32,12 @@ def test_quick_tour_runs(capsys):
 
 def test_coideal_snippet_runs(tmp_path, monkeypatch):
     """The block that loads ``cs4_twist.json``, on the file written as the README says:
-    C[S4]^J twisted over K = <(01), (23)>, elements 6 and 1 of S4 in lexicographic order."""
+    the registry's C[S4]^J, twisted over K = <(01), (23)>, elements 6 and 1 of S4 in
+    lexicographic order."""
     [block] = [b for b in re.findall(r"^( *)```python\n(.*?)^\1```", README.read_text(
         encoding="utf-8"), re.MULTILINE | re.DOTALL) if "cs4_twist.json" in b[1]]
     monkeypatch.chdir(tmp_path)
-    cio.save_algebra(twisted_group_algebra(all_permutation_group(4), 6, 1), "cs4_twist.json")
+    cio.save_algebra(context("C[S4]^J").algebra, "cs4_twist.json")
     namespace: dict = {}
     exec(compile(textwrap.dedent(block[1]), f"{README.name} (coideal block)", "exec"), namespace)
     assert namespace["B"].dim == 8

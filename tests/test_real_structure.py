@@ -16,15 +16,14 @@ import argparse
 import numpy as np
 import pytest
 
-from conftest import alternating_group_4, dihedral_group
-from oracles import rotated_algebra, sweedler_algebra, tensor_product_algebra
+from beds import alternating_group_4, context, rotated_algebra, select
+from oracles import sweedler_algebra
 
 from cqglab import io as cio
 from cqglab.algebra import (HopfAlgebraSpec, _legwise_product, build_dual, verify_hopf_axioms,
                             verify_star_axioms)
 from cqglab.cli import _load_source
-from cqglab.groups import (all_permutation_group, build_function_algebra, build_group_algebra,
-                           builtin_algebras, symmetric_group_3)
+from cqglab.groups import builtin_algebras
 from cqglab.regular import dual_action_crosscheck, product_coaction_check, regular_carrier
 from cqglab.tensor_ops import _certify_commutant
 
@@ -131,24 +130,14 @@ def _kernel_residuals(alg) -> dict[str, float]:
     return out
 
 
-def _integer_beds():
-    """Every real bed with n <= 36 whose structure constants are integers."""
-    s3, a4, s4 = symmetric_group_3(), alternating_group_4(), all_permutation_group(4)
-    beds = dict(builtin_algebras())
-    beds.update((f"C(D{k})", build_function_algebra(dihedral_group(k))) for k in (4, 5, 6))
-    for name, group in (("A4", a4), ("S4", s4)):
-        beds[f"C({name})"], beds[f"C[{name}]"] = (build_function_algebra(group),
-                                                  build_group_algebra(group))
-    beds["C(S3)(x)C[S3]"] = tensor_product_algebra(build_function_algebra(s3),
-                                                   build_group_algebra(s3))
-    beds["Sweedler"] = sweedler_algebra()
-    return [pytest.param(alg, id=label) for label, alg in beds.items()]
-
-
-@pytest.mark.parametrize("alg", _integer_beds())
-def test_real_kernels_match_the_complex_twin_bit_for_bit(alg):
-    """On integer structure constants every sum is exact, so real and complex BLAS
-    give the same residuals, bit for bit."""
+@pytest.mark.parametrize("label", [*select(lambda bed: bed.real and bed.n <= 24),
+                                   "C(S3)(x)C[S3]", "Sweedler"])
+def test_real_kernels_match_the_complex_twin_bit_for_bit(label):
+    """Every real bed with n <= 24 and C(S3) (x) C[S3] (n = 36, 1.2 s a bed) has structure
+    constants in (1/16) Z (integers but for the twists' J), as has Sweedler's algebra,
+    which has no Haar functional: every sum is exact, so real and complex BLAS give the
+    same residuals, bit for bit."""
+    alg = sweedler_algebra() if label == "Sweedler" else context(label).algebra
     _assert_dtype(alg, np.float64)
     assert _kernel_residuals(alg) == _kernel_residuals(_complex_twin(alg))
 

@@ -24,7 +24,7 @@ from cqglab import io as cio
 from cqglab.cg import _selection_rules
 from cqglab.corep import Corepresentation
 from cqglab.tensor_ops import TensorOperatorFamily
-from conftest import alternating_group_4
+from beds import alternating_group_4
 
 
 def run_reports(argv):

@@ -8,8 +8,9 @@ orthonormal bases for the pieces, so the representatives' coefficients
 differ; everything a correct split determines must agree: labels,
 dimensions and multiplicities, characters (to 1e-12), the fusion
 multiplicities of every pair, and an invertible intertwiner from each of
-our representatives to the peel's.  (The test keeps its name from when both
-splits made the same cuts and were compared bit for bit.)
+our representatives to the peel's, on every bed with n <= 24 (groups with their
+elements renamed among them) and on C(S3) (x) C[S3].  (The test keeps its name from
+when both splits made the same cuts and were compared bit for bit.)
 """
 
 from __future__ import annotations
@@ -17,53 +18,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import alternating_group_4, dihedral_group
-from oracles import peel_split, tensor_product_algebra
+from beds import context, up_to
+from oracles import peel_split
 
 from cqglab import corep
 from cqglab.cg import solve_cg_systems
 from cqglab.corep import are_equivalent, irrep_table
-from cqglab.groups import (GroupTable, all_permutation_group, build_function_algebra,
-                           build_group_algebra, builtin_algebras, symmetric_group_3)
-from cqglab.haar import gram_matrices, solve_haar
 
 
-def _relabelled(group: GroupTable, seed: int) -> GroupTable:
-    """The group with the identity kept at 0 and the other elements renamed at random."""
-    labels = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(group.order - 1)])
-    table = np.empty_like(group.table)
-    table[np.ix_(labels, labels)] = labels[group.table]
-    return GroupTable(group.order, table)
-
-
-def _beds() -> dict:
-    beds = builtin_algebras()
-    groups = {"D4": dihedral_group(4), "D5": dihedral_group(5), "D6": dihedral_group(6),
-              "A4": alternating_group_4()}
-    for name, group in groups.items():
-        for seed in (1, 2):
-            beds[f"C({name})/{seed}"] = build_function_algebra(_relabelled(group, seed))
-            beds[f"C[{name}]/{seed}"] = build_group_algebra(_relabelled(group, seed))
-    s3, s4 = symmetric_group_3(), all_permutation_group(4)
-    beds["C(S4)"] = build_function_algebra(s4)
-    beds["C[S4]"] = build_group_algebra(s4)
-    beds["C(S3)(x)C[S3]"] = tensor_product_algebra(build_function_algebra(s3),
-                                                   build_group_algebra(s3))
-    return beds
-
-
-BEDS = _beds()
-
-
-@pytest.mark.parametrize("label", list(BEDS))
+@pytest.mark.parametrize("label", [*up_to(24), "C(S3)(x)C[S3]"])
 def test_resumed_split_matches_the_peel(label, monkeypatch):
-    alg = BEDS[label]
-    h = solve_haar(alg)
-    gram = gram_matrices(alg, h).gram_right
-    table = irrep_table(alg, h, gram)
+    ctx = context(label)
+    alg, table = ctx.algebra, ctx.table
     with monkeypatch.context() as patch:
         patch.setattr(corep, "_split", peel_split)
-        peeled = irrep_table(alg, h, gram)
+        peeled = irrep_table(alg, ctx.haar, ctx.grams.gram_right)
     assert table.labels == peeled.labels
     assert table.dims() == peeled.dims()
     assert table.multiplicities == peeled.multiplicities

@@ -19,18 +19,16 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import Context, alternating_group_4, dihedral_group
-from oracles import coset_rows, twisted_group_algebra
+from beds import GROUPS, S4, context
+from oracles import coset_rows
 
 from cqglab import cli
-from cqglab.algebra import LinearFunctional, build_dual
+from cqglab.algebra import LinearFunctional
 from cqglab.errors import CqglabError, DimensionMismatch, NotAnIdempotentState
-from cqglab.groups import (all_permutation_group, build_function_algebra, cyclic_group,
-                           symmetric_group_3)
+from cqglab.groups import build_function_algebra, cyclic_group, symmetric_group_3
 from cqglab.haar import _positivity, solve_haar
 from cqglab.homspace import build_coset_subalgebra, state_coideal, subspace_coideal, verify_coideal
 
-S4 = all_permutation_group(4)
 PERMS = {p: i for i, p in enumerate(sorted(permutations(range(4))))}
 A, B = PERMS[(1, 0, 2, 3)], PERMS[(0, 1, 3, 2)]          # (01) and (23)
 K = [A, B]
@@ -67,18 +65,6 @@ def raw_range(phi, side) -> np.ndarray:
     return u[:, sigma > 1e-9 * sigma[0]].T
 
 
-@pytest.fixture(scope="module")
-def twist():
-    """C[S4]^J, twisted over K = <(01), (23)>, n = 24."""
-    return Context(twisted_group_algebra(S4, A, B))
-
-
-@pytest.fixture(scope="module")
-def twist_dual(twist):
-    """The dual of C[S4]^J, neither commutative nor cocommutative."""
-    return Context(build_dual(twist.algebra))
-
-
 def _order_two(group) -> list[int]:
     return [0, next(g for g in range(1, group.order) if group.mul(g, g) == 0)]
 
@@ -87,31 +73,25 @@ def _klein(group) -> list[int]:
     return [0, *(g for g in range(1, group.order) if group.mul(g, g) == 0)]
 
 
-COSET_BEDS = {  # label: (fixture, group, subgroup)
-    "C(S3) H2": (None, symmetric_group_3, _order_two),
-    "C(D6) H2": ("cd6_fun", lambda: dihedral_group(6), _order_two),
-    "C(A4) H2": ("ca4_fun", alternating_group_4, _order_two),
-    "C(A4) Klein": ("ca4_fun", alternating_group_4, _klein),
-    "C(S4) H2": ("cs4_fun", lambda: S4, _order_two),
-    "C(S4) D4": ("cs4_fun", lambda: S4, lambda g: subgroup_of(g, D4)),
-}
-
-
 @pytest.mark.parametrize("side", ["R", "L"])
-@pytest.mark.parametrize("bed", COSET_BEDS)
-def test_range_is_the_coset_span(request, contexts, bed, side):
+@pytest.mark.parametrize("name, pick", [
+    pytest.param("S3", _order_two, id="C(S3) H2"),
+    pytest.param("D6", _order_two, id="C(D6) H2"),
+    pytest.param("A4", _order_two, id="C(A4) H2"),
+    pytest.param("A4", _klein, id="C(A4) Klein"),
+    pytest.param("S4", _order_two, id="C(S4) H2"),
+    pytest.param("S4", lambda g: subgroup_of(g, D4), id="C(S4) D4")])
+def test_range_is_the_coset_span(name, pick, side):
     """On C(G) the range of the subgroup's Haar state is the span of the indicators of
     its cosets (left cosets on side L, right on side R), and B keeps its label."""
-    fixture, make, pick = COSET_BEDS[bed]
-    ctx = contexts["C(S3)"] if fixture is None else request.getfixturevalue(fixture)
-    group = make()
+    ctx, group = context(f"C({name})"), GROUPS[name][0]
     subgroup = pick(group)
     assert group.is_subgroup(subgroup) and len(subgroup) in (2, 4, 8)
     coideal = build_coset_subalgebra(group, subgroup, side, ctx.grams)
     q, _ = np.linalg.qr(coset_rows(group, subgroup, side).T)
     rows = coideal.span_rows
     assert coideal.dim == q.shape[1] == group.order // len(subgroup)
-    assert np.abs(rows.conj().T @ rows - q @ q.T).max() < 1e-12, (bed, side)
+    assert np.abs(rows.conj().T @ rows - q @ q.T).max() < 1e-12, (name, side)
     assert coideal.label == f"{ctx.algebra.label}/H{len(subgroup)}:{side}"
     assert verify_coideal(coideal).passed
 
@@ -126,13 +106,13 @@ def test_group_algebra_range_is_the_subgroup_algebra(contexts, side):
 
 
 @pytest.mark.parametrize("side", ["R", "L"])
-@pytest.mark.parametrize("bed, generators, dim", [("twist", D4, 8), ("twist_dual", K, 6)],
+@pytest.mark.parametrize("bed, generators, dim", [("C[S4]^J", D4, 8), ("dual C[S4]^J", K, 6)],
                          ids=["C[D4]^J", "dual-K"])
-def test_noncommutative_homogeneous_space(request, bed, generators, dim, side):
+def test_noncommutative_homogeneous_space(bed, generators, dim, side):
     """C[D4]^J in C[S4]^J and K's 6-dim coideal of the dual of C[S4]^J: noncommutative
     coideals that pass the coideal axioms, the restricted coaction, and the restricted
     Wigner-Eckart tables of both kinds, as ``cqglab homspace`` writes them."""
-    ctx = request.getfixturevalue(bed)
+    ctx = context(bed)
     coideal = state_coideal(subgroup_state(ctx.algebra, subgroup_of(S4, generators)), side,
                             ctx.grams)
     assert coideal.dim == dim
@@ -149,9 +129,10 @@ def test_noncommutative_homogeneous_space(request, bed, generators, dim, side):
 
 
 @pytest.mark.parametrize("side", ["R", "L"])
-def test_singular_state_is_accepted(twist, side):
+def test_singular_state_is_accepted(side):
     """A state's matrix phi(a_i^* a_j) is singular: D4's indicator on C[S4]^J has a least
     eigenvalue of rounding size below zero, so positivity is semidefinite."""
+    twist = context("C[S4]^J")
     phi = subgroup_state(twist.algebra, subgroup_of(S4, D4))
     _, min_eig, floor = _positivity(twist.algebra.star @ phi.pair)
     assert min_eig < floor
@@ -159,9 +140,10 @@ def test_singular_state_is_accepted(twist, side):
 
 
 @pytest.mark.parametrize("side", ["R", "L"])
-def test_z3_average_on_the_dual_is_refused(twist_dual, side):
+def test_z3_average_on_the_dual_is_refused(side):
     """Z3's average on the dual of C[S4]^J is idempotent but not Hermitian, so no state;
     its raw range is closed neither under products nor under the star."""
+    twist_dual = context("dual C[S4]^J")
     alg = twist_dual.algebra
     phi = subgroup_state(alg, subgroup_of(S4, Z3))
     herm, min_eig, _ = _positivity(alg.star @ phi.pair)
@@ -175,9 +157,10 @@ def test_z3_average_on_the_dual_is_refused(twist_dual, side):
 
 
 @pytest.mark.parametrize("side", ["R", "L"])
-def test_z3_indicator_on_the_twist_is_refused(twist, side):
+def test_z3_indicator_on_the_twist_is_refused(side):
     """Z3's indicator on C[S4]^J is a state but not idempotent (gap 0.5); its raw range
     is not closed under products."""
+    twist = context("C[S4]^J")
     phi = subgroup_state(twist.algebra, subgroup_of(S4, Z3))
     with pytest.raises(NotAnIdempotentState, match="idempotency 5.00e-01"):
         state_coideal(phi, side, twist.grams)

@@ -23,10 +23,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import Context
+from beds import BUILTINS, context
 from oracles import (dense_family_residuals, per_irrep_certificates, per_operator_family_residual,
-                     per_pair_characters, per_pair_schur, rotated_algebra,
-                     tensor_product_algebra)
+                     per_pair_characters, per_pair_schur)
 
 from cqglab import cli
 from cqglab import io as cio
@@ -34,14 +33,9 @@ from cqglab.algebra import LinearFunctional
 from cqglab.cg import _character_report
 from cqglab.corep import (Corepresentation, IrrepTable, _schur_report, check_unitary,
                           identity_corep, verify_corep)
-from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
 from cqglab.regular import canonical_basis_functions
 from cqglab.tensor_ops import (VARIANTS, TensorOperatorFamily, check_families, check_family,
                                multiplication_family)
-
-BEDS = ["C(Z2)", "C(Z3)", "C(Z4)", "C[Z3]", "C(S3)", "C[S3]", "C(A4)", "C[A4]",
-        "C(S3)(x)C[S3]"]
-
 
 def close(got: float, want: float) -> bool:
     return abs(got - want) <= 1e-13 * max(want, 1.0)
@@ -62,16 +56,9 @@ def bounds_oracles(got: float, fam, table, kind: str, side: str, what=()) -> flo
     return loop
 
 
-@pytest.fixture(scope="module")
-def beds(contexts, ca4_fun, ca4_grp):
-    s3 = symmetric_group_3()
-    mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
-    # C(S3) and C[S3] in a random unitary basis: complex dense structure constants, so
-    # the tables' Peter-Weyl bases are far from permutations of the input basis
-    rotated = {f"rot {label}": Context(rotated_algebra(contexts[label].algebra, 1))
-               for label in ("C(S3)", "C[S3]")}
-    return {**contexts, "C(A4)": ca4_fun, "C[A4]": ca4_grp, "C(S3)(x)C[S3]": Context(mixed),
-            **rotated}
+@pytest.fixture(params=[*BUILTINS, "C(A4)", "C[A4]", "C(S3)(x)C[S3]"])
+def ctx(request):
+    return context(request.param)
 
 
 def all_pairs(table) -> list[tuple[int, int]]:
@@ -99,9 +86,8 @@ def assert_character_checks(report, want: dict[str, complex]):
         assert abs(complex(*check.details["value"]) - value) <= 1e-13, name
 
 
-@pytest.mark.parametrize("label", BEDS)
-def test_corep_residuals_match_per_irrep_oracle(beds, label):
-    table = beds[label].table
+def test_corep_residuals_match_per_irrep_oracle(ctx):
+    table = ctx.table
     for pi, residuals in zip(table, table.residuals):
         want = per_irrep_certificates(pi)
         assert residuals.keys() == want.keys()
@@ -110,9 +96,7 @@ def test_corep_residuals_match_per_irrep_oracle(beds, label):
         assert verify_corep(pi).passed and check_unitary(pi).passed
 
 
-@pytest.mark.parametrize("label", BEDS)
-def test_orthogonality_grams_match_per_pair_oracle(beds, label):
-    ctx = beds[label]
+def test_orthogonality_grams_match_per_pair_oracle(ctx):
     table, h = ctx.table, ctx.haar
     schur = _schur_report(table.irreps, all_pairs(table), h, 1e-10)
     want = schur_oracle(table, h)
@@ -128,10 +112,10 @@ def test_orthogonality_grams_match_per_pair_oracle(beds, label):
 
 
 @pytest.mark.parametrize("label", ["C(Z3)", "C(A4)"])
-def test_star_convention_on_complex_characters(beds, label):
+def test_star_convention_on_complex_characters(label):
     """A non-real character is not its own star, so ``h(chi_p chi_q)`` in place of
     ``h(chi_p^* chi_q)`` would fail; the Gram reads 1 on the diagonal only."""
-    ctx = beds[label]
+    ctx = context(label)
     chars = ctx.table.characters
     assert np.abs(chars.imag).max() > 0.1
     report = _character_report(chars, ctx.table.labels, all_pairs(ctx.table), ctx.haar, 1e-10)
@@ -144,10 +128,10 @@ def test_star_convention_on_complex_characters(beds, label):
 
 
 @pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(A4)"])
-def test_irreps_cli_layout_matches_oracles(beds, tmp_path, label):
+def test_irreps_cli_layout_matches_oracles(tmp_path, label):
     """One ``corep axioms`` and one ``unitarity`` report per irrep, then the two table
     reports, with one check per (p, q) pair and order."""
-    ctx = beds[label]
+    ctx = context(label)
     table = ctx.table
     path = tmp_path / "spec.json"
     cio.save_algebra(ctx.algebra, path)
@@ -184,12 +168,13 @@ def stack_labels(label, table) -> list[str]:
             next(lab for lab, d in zip(table.labels, table.dims()) if d == 2)]
 
 
-@pytest.mark.parametrize("label", [*BEDS, "rot C(S3)", "rot C[S3]"])
-def test_family_stack_matches_per_operator_oracle(beds, label):
+@pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "C[A4]", "C(S3)(x)C[S3]", "rot C(S3)",
+                                   "rot C[S3]"])
+def test_family_stack_matches_per_operator_oracle(label):
     """Own and swapped variants (own only at n = 36): each family's residual in the
     stack bounds the oracles' (:func:`bounds_oracles`) and matches the family checked
     on its own."""
-    ctx = beds[label]
+    ctx = context(label)
     mixed = label == "C(S3)(x)C[S3]"
     variants = [VARIANTS[0], VARIANTS[3]] if mixed else VARIANTS
     for kind, side in variants:
@@ -202,8 +187,8 @@ def test_family_stack_matches_per_operator_oracle(beds, label):
                 assert close(check_family(fam, ctx.table, other, other_side), value)
 
 
-def test_tensor_ops_cli_matches_per_operator_oracle(beds, tmp_path):
-    ctx = beds["C(A4)"]
+def test_tensor_ops_cli_matches_per_operator_oracle(tmp_path):
+    ctx = context("C(A4)")
     path = tmp_path / "spec.json"
     cio.save_algebra(ctx.algebra, path)
     out = tmp_path / "tensor-ops.json"
@@ -220,13 +205,13 @@ def test_tensor_ops_cli_matches_per_operator_oracle(beds, tmp_path):
             bounds_oracles(check["residual"], fam, ctx.table, kind, side, (fam.label, kind, side))
 
 
-def test_perturbed_coefficient_fails_engine_and_oracle(beds):
+def test_perturbed_coefficient_fails_engine_and_oracle():
     """C(S3)'s 2-dim irrep with its matrix at one basis element moved by a random 0.1-scale
     matrix (so its character moves and its row and column products differ): its
     comodule, unitarity, Schur and character certificates fail in the stacked engines
     and in the oracles alike, and the other irreps' pass.  A 2-dim family whose second
     operator is moved fails both as well."""
-    ctx = beds["C(S3)"]
+    ctx = context("C(S3)")
     table, h = ctx.table, ctx.haar
     coeffs = table["p2"].coeffs.copy()
     coeffs[:, :, 3] += 0.1 * np.random.default_rng(1).standard_normal((2, 2))
@@ -261,11 +246,11 @@ def test_perturbed_coefficient_fails_engine_and_oracle(beds):
     assert min(loops) > 1e-3                    # the input-basis residual fails as well
 
 
-def test_grams_follow_the_functional_and_the_order(beds):
+def test_grams_follow_the_functional_and_the_order():
     """Under a small non-tracial functional on the noncommutative C[S3] the two Schur
     Grams and the two character orders differ, and each still matches its oracle, so
     neither Gram stands in for the other."""
-    ctx = beds["C[S3]"]
+    ctx = context("C[S3]")
     table = ctx.table
     rng = np.random.default_rng(11)
     covector = rng.standard_normal(ctx.algebra.dim) + 1j * rng.standard_normal(ctx.algebra.dim)
@@ -284,13 +269,13 @@ def test_grams_follow_the_functional_and_the_order(beds):
     assert max(abs(a - b) for a, b in zip(values[::2], values[1::2])) > 1e-3
 
 
-def test_single_pair_calls_are_table_engine_calls(beds):
+def test_single_pair_calls_are_table_engine_calls():
     """``verify_orthogonality`` and ``character_orthogonality`` on one pair give the
     table report's checks for that pair, under the pair's own title."""
     from cqglab.cg import character_orthogonality
     from cqglab.corep import verify_orthogonality
 
-    ctx = beds["C(A4)"]
+    ctx = context("C(A4)")
     table, h = ctx.table, ctx.haar
     schur = _schur_report(table.irreps, all_pairs(table), h, 1e-10)
     chars = _character_report(table.characters, table.labels, all_pairs(table), h, 1e-10)

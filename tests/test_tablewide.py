@@ -38,6 +38,7 @@ from cqglab.report import Report
 from cqglab.tensor_ops import multiplication_family
 from cqglab.wigner_eckart import _factorize_table, verify_wigner_eckart, we_tensor
 
+from beds import context
 from oracles import (kronecker_intertwiners, reduced_elements, svd_intertwiners, triple_haar_gaps,
                      we_closed_form)
 
@@ -45,20 +46,15 @@ TOL = 1e-12
 KINDS = ("ordinary", "twisted")
 
 
-@pytest.fixture(scope="module")
-def setups(contexts, ca4_fun, ca4_grp, cd6_fun, tmp_path_factory):
-    """``label -> (context, CLI source arguments)``; C(A4), C[A4] and C(D6) go
-    through spec files."""
-    specs = tmp_path_factory.mktemp("specs")
-    out = {label: (contexts[label], ["--builtin", label]) for label in ("C(S3)", "C[S3]", "C(Z4)")}
-    for label, ctx in (("C(A4)", ca4_fun), ("C[A4]", ca4_grp), ("C(D6)", cd6_fun)):
-        path = specs / f"{label}.json"
-        cio.save_algebra(ctx.algebra, path)
-        out[label] = (ctx, ["--algebra", str(path)])
-    return out
-
-
-SETUPS = ["C(S3)", "C[S3]", "C(Z4)", "C(A4)", "C(D6)", "C[A4]"]
+def _context_and_source(label, tmp_path):
+    """The bed's context and CLI source arguments: a built-in by name, any other bed
+    through a spec file."""
+    ctx = context(label)
+    if label in _BUILTINS:
+        return ctx, ["--builtin", label]
+    path = tmp_path / "spec.json"
+    cio.save_algebra(ctx.algebra, path)
+    return ctx, ["--algebra", str(path)]
 
 
 def cli_reports(tmp_path, command, source, filters=()):
@@ -191,17 +187,17 @@ def per_triple_we(ctx, p_labels, q_labels, r_labels, sides, kinds):
     return reports, reduced
 
 
-@pytest.mark.parametrize("label", SETUPS)
-def test_cg_report_matches_per_triple_calls(setups, tmp_path, label):
-    ctx, source = setups[label]
+@pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(Z4)", "C(A4)", "C(D6)", "C[A4]"])
+def test_cg_report_matches_per_triple_calls(tmp_path, label):
+    ctx, source = _context_and_source(label, tmp_path)
     want = per_triple_cg(ctx, ctx.table.labels)
     assert_same_reports(cli_reports(tmp_path, "cg", source), want)
     assert any(check.name.startswith("selection rule") for rep in want for check in rep.checks)
 
 
-@pytest.mark.parametrize("label", SETUPS)
-def test_wigner_eckart_report_matches_per_triple_calls(setups, tmp_path, label):
-    ctx, source = setups[label]
+@pytest.mark.parametrize("label", ["C(S3)", "C[S3]", "C(Z4)", "C(A4)", "C(D6)", "C[A4]"])
+def test_wigner_eckart_report_matches_per_triple_calls(tmp_path, label):
+    ctx, source = _context_and_source(label, tmp_path)
     labels = ctx.table.labels
     want, reduced = per_triple_we(ctx, labels, labels, labels, ["R", "L"],
                                   ["ordinary", "twisted"])
@@ -215,8 +211,8 @@ def test_wigner_eckart_report_matches_per_triple_calls(setups, tmp_path, label):
     ("C(A4)", {"q": "p3", "r": "p3", "kind": "twisted"}),
     ("C[S3]", {"p": "p4", "q": "p3", "r": "p1", "side": "R", "kind": "ordinary"}),
 ])
-def test_filtered_wigner_eckart_matches_per_triple_calls(setups, tmp_path, label, filters):
-    ctx, source = setups[label]
+def test_filtered_wigner_eckart_matches_per_triple_calls(tmp_path, label, filters):
+    ctx, source = _context_and_source(label, tmp_path)
     labels = ctx.table.labels
     want, _ = per_triple_we(
         ctx, *([filters[key]] if key in filters else labels for key in ("p", "q", "r")),
@@ -227,8 +223,8 @@ def test_filtered_wigner_eckart_matches_per_triple_calls(setups, tmp_path, label
 
 
 @pytest.mark.parametrize("label, p, q", [("C(A4)", "p3", "p1"), ("C(S3)", "p2", "p2")])
-def test_filtered_cg_matches_per_triple_calls(setups, tmp_path, label, p, q):
-    ctx, source = setups[label]
+def test_filtered_cg_matches_per_triple_calls(tmp_path, label, p, q):
+    ctx, source = _context_and_source(label, tmp_path)
     # --p and --q pick the labels both factors run over; --r picks the certified target
     assert_same_reports(cli_reports(tmp_path, "cg", source, ["--p", p, "--q", q, "--r", p]),
                         per_triple_cg(ctx, [p, q], [p]))
@@ -291,9 +287,9 @@ def _all_systems(ctx) -> dict:
 
 
 @pytest.mark.parametrize("label", [*_BUILTINS, "C(A4)"])
-def test_tables_on_a_factorized_together_match_alone(contexts, ca4_fun, label):
+def test_tables_on_a_factorized_together_match_alone(label):
     """The four (side, kind) tables of ``cqglab wigner-eckart`` on A."""
-    ctx = ca4_fun if label == "C(A4)" else contexts[label]
+    ctx = context(label)
     tables = []
     for side in ("R", "L"):
         bsets = [canonical_basis_functions(pi, side, 0) for pi in ctx.table]
@@ -322,11 +318,11 @@ def _projector(basis, size: int) -> np.ndarray:
     return flat.T @ flat.conj()
 
 
-@pytest.mark.parametrize("fixture", ["ca4_fun", "cd6_fun"])
-def test_engine_blocks_match_single_and_kronecker(request, fixture):
+@pytest.mark.parametrize("label", ["C(A4)", "C(D6)"], ids=["ca4_fun", "cd6_fun"])
+def test_engine_blocks_match_single_and_kronecker(label):
     """Each target's blocks of the table-wide engine span the averaging map's range (the
     full SVD of ``I - P``) and the Kronecker nullspace."""
-    ctx = request.getfixturevalue(fixture)
+    ctx = context(label)
     table = ctx.table
     systems = solve_cg_systems(table, table, table)
     for p, q in product(table.labels, table.labels):

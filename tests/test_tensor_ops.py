@@ -5,17 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import Context
+from beds import BUILTINS, context
 from oracles import (conjugation_family_space_dim, dense_family_residuals, is_commutative,
                      opposite_algebra, per_operator_coaction, per_operator_family_residual,
-                     rotated_algebra, svd_intertwiners, tensor_product_algebra)
+                     svd_intertwiners)
 
 from cqglab import tensor_ops
 from cqglab.algebra import HopfAlgebraSpec, LinearFunctional
 from cqglab.corep import Corepresentation, IrrepTable, identity_corep, irrep_table
 from cqglab.errors import (CqglabError, DecompositionStall, NotACorepresentation,
                            PeterWeylFailure)
-from cqglab.groups import build_function_algebra, build_group_algebra, symmetric_group_3
+from cqglab.groups import build_function_algebra, symmetric_group_3
 from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import canonical_basis_functions, regular_coaction_tensor
 from cqglab.tensor_ops import (_BUDGET_BYTES, VARIANTS, TensorOperatorFamily, _PeterWeyl,
@@ -307,34 +307,15 @@ def test_twisted_of_a_is_ordinary_of_opposite(cs3_grp):
 # the family space as multiplication o convolution
 # ---------------------------------------------------------------------------
 
-BUILTINS = ("C(Z2)", "C(Z3)", "C(Z4)", "C[Z3]", "C(S3)", "C[S3]")
-
-
-@pytest.fixture(scope="module")
-def rotated(contexts):
-    """C(S3) and C[S3] in a random unitary basis: complex dense structure constants, so
-    the table's Peter-Weyl basis is far from a permutation of the input basis."""
-    return {label: Context(rotated_algebra(contexts[label].algebra, 1))
-            for label in ("C(S3)", "C[S3]")}
-
-
-def _context(request, contexts, label):
-    if label.startswith("rot "):
-        return request.getfixturevalue("rotated")[label[4:]]
-    fixture = {"C(A4)": "ca4_fun", "C(D6)": "cd6_fun", "C(S4)": "cs4_fun", "C[S4]": "cs4_grp",
-               "C(S3)(x)C[S3]": "mixed_context"}.get(label)
-    return request.getfixturevalue(fixture) if fixture else contexts[label]
-
-
 def _flat(families):
     return np.array([fam.operators.ravel() for fam in families])
 
 
 @pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "C(D6)"])
-def test_family_space_matches_averaging_oracle(request, contexts, label):
+def test_family_space_matches_averaging_oracle(label):
     """The same span as ``Hom(pi, End(A))`` solved by the Haar average over the
     n^5 operator comodule, for every table irrep and the identity corep."""
-    ctx = _context(request, contexts, label)
+    ctx = context(label)
     alg = ctx.algebra
     n = alg.dim
     for pi in [*ctx.table, identity_corep(alg)]:
@@ -361,16 +342,10 @@ def test_family_space_takes_no_operator_comodule(cs3_fun, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def mixed_context():
-    """C(S3) (x) C[S3] (n = 36): neither commutative nor cocommutative."""
-    s3 = symmetric_group_3()
-    return Context(tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3)))
-
-
-@pytest.fixture(scope="module")
-def mixed_irrep(mixed_context):
-    """A 2-dim irrep of C(S3) (x) C[S3] and its table."""
-    table = mixed_context.table
+def mixed_irrep():
+    """A 2-dim irrep of C(S3) (x) C[S3] (n = 36, neither commutative nor cocommutative)
+    and its table."""
+    table = context("C(S3)(x)C[S3]").table
     return next(pi for pi in table if pi.dim == 2), table
 
 
@@ -427,12 +402,12 @@ def test_commutant_certificate(cs3_fun):
         _certify_commutant(left_conv, regular_coaction_tensor(alg, "L"), 1e-12)
 
 
-@pytest.mark.parametrize("fixture", ["cs3_fun", "cs4_fun"])
-def test_commutant_certificate_catches_a_perturbed_coaction(request, fixture):
+@pytest.mark.parametrize("label", ["C(S3)", "C(S4)"], ids=["cs3_fun", "cs4_fun"])
+def test_commutant_certificate_catches_a_perturbed_coaction(label):
     """Negative control of the chunked certificate: one coaction entry moved by 1e-6
     raises with the residual of the one-convolution-at-a-time comparison, on C(S3)
     (every C_x in one chunk) and on C(S4) (one C_x per chunk)."""
-    alg = request.getfixturevalue(fixture).algebra
+    alg = context(label).algebra
     convs = alg.comult.transpose(1, 2, 0)
     coact = regular_coaction_tensor(alg, "R")
     coact[-1, 0, -1] += 1e-6
@@ -463,30 +438,30 @@ def test_commutant_certificate_memory(cs4_fun, side):
 
 
 @pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "rot C(S3)", "rot C[S3]"])
-def test_stacked_coaction_matches_per_operator_oracle(request, contexts, label):
+def test_stacked_coaction_matches_per_operator_oracle(label):
     """The engine's components of a stack of three operators, carried back to the input
     basis, against the per-operator einsum chains."""
-    ctx = _context(request, contexts, label)
-    alg, context = ctx.algebra, ctx.table._peter_weyl
+    ctx = context(label)
+    alg, pw = ctx.algebra, ctx.table._peter_weyl
     ops = np.array(_random_ops(alg, 3, seed=17))
     for kind, side in VARIANTS:
-        plan = context.plan(kind, side)
+        plan = pw.plan(kind, side)
         for route in ("constants", "maps"):
             want = np.array([per_operator_coaction(alg, op, kind, side, route) for op in ops])
-            got = context.to_input(context.dense(plan, context.operators(ops), route))
+            got = pw.to_input(pw.dense(plan, pw.operators(ops), route))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (kind, side, route)
 
 
 @pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "rot C(S3)", "rot C[S3]",
                                    "C(S3)(x)C[S3]", "C(S4)", "C[S4]"])
-def test_check_family_matches_per_operator_oracle(request, contexts, label):
+def test_check_family_matches_per_operator_oracle(label):
     """Own and swapped-variant residuals of multiplication families against the dense
     routes (every variant up to n = 12, the own and the other kind beyond): the
     returned residual is ``kappa`` times the P-basis one to 1e-13, at least the
     input-basis one, and both give the same verdict at ``1e-10`` times the squared
     magnitude.  Up to n = 12 the dense routes' input-basis residual is also the
     per-operator einsum chains' to 1e-13."""
-    ctx = _context(request, contexts, label)
+    ctx = context(label)
     table, n = ctx.table, ctx.algebra.dim
     kappa, tol = table._peter_weyl.kappa(), 1e-10 * ctx.algebra.magnitude ** 2
     for pi in table:
@@ -559,11 +534,10 @@ def test_operator_coaction_report_builds_each_route_once(cs3_grp, monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["C(A4)", "C(S3)(x)C[S3]"])
-def test_operator_coaction_report_on_larger_beds(request, mixed_irrep, which):
+def test_operator_coaction_report_on_larger_beds(which):
     """The route agreement, coassociativity and counit of the operator coaction of a
     random operator, on a 12- and a 36-dimensional bed."""
-    table = (request.getfixturevalue("ca4_fun").table if which == "C(A4)"
-             else mixed_irrep[1])
+    table = context(which).table
     q_op = _random_ops(table.algebra, 1, seed=19)[0]
     for kind, side in VARIANTS:
         rep = operator_coaction_report(table, q_op, kind, side, 1e-9)
@@ -610,13 +584,13 @@ def test_commutant_is_certified_once_per_spec_and_side(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("fixture", ["cs4_fun", "cs4_grp"])
-def test_check_families_memory(request, fixture):
+@pytest.mark.parametrize("label", ["C(S4)", "C[S4]"], ids=["cs4_fun", "cs4_grp"])
+def test_check_families_memory(label):
     """C(S4) and C[S4] (n = 24): one variant's stack of every multiplication family and
     the identity, checked after the table's context is built, traces a peak of at most
     twice the chunk budget (the plan's products are n^3, 0.2 MB; the chunks hold at
     most ``_BUDGET_BYTES``)."""
-    ctx = request.getfixturevalue(fixture)
+    ctx = context(label)
     ctx.table._peter_weyl
     for kind, side in VARIANTS:
         fams = _stack(ctx, kind, side)

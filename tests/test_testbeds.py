@@ -1,10 +1,12 @@
-"""Irrep tables beyond the built-ins: n = 24, n = 60 and an algebra with no symmetry.
+"""Irrep tables against their known answers, and beyond the built-ins: n = 24, n = 36
+and n = 60.
 
-C(S4) and C[S4] have n = 24, C(A5) and C[A5] n = 60.  C(S3) (x) C[S3]
-(n = 36) is neither commutative nor cocommutative; its irreducibles are the
-products of the three irreducibles of C(S3) with the six group-likes of
-C[S3].  Expected dimensions come from the hook-length formula or are written
-out from the character table of A5, never from the library.
+Every entry of the bed registry carries the sorted irrep dims group theory predicts
+(:mod:`beds`): hook lengths for C(S_n), |G| ones for C[G], products of the factors'
+dims for a tensor product, the unrotated answer for a rotated bed, the double-coset
+rule for C[G]^J and G's degrees for its dual.  The known-answer test checks every
+entry's table against them, never against the library.  C(S3) (x) C[S3] (n = 36) is
+neither commutative nor cocommutative; so are the twists and their duals.
 """
 
 from __future__ import annotations
@@ -12,69 +14,55 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import alternating_elements, permutation_group
-from oracles import hook_length_degrees, tensor_product_algebra
+from beds import (BEDS, GROUPS, Bed, alternating_elements, character_gram, context,
+                  permutation_group, select)
 
-from cqglab.algebra import verify_hopf_axioms, verify_star_axioms
+from cqglab.algebra import HopfAlgebraSpec
 from cqglab.corep import (Corepresentation, check_unitary, decompose_comodule, irrep_table,
                           is_irreducible, morphism_space, verify_corep)
-from cqglab.groups import (all_permutation_group, build_function_algebra,
-                           build_group_algebra, symmetric_group_3)
-from cqglab.haar import certify_haar, gram_matrices, solve_haar
+from cqglab.groups import build_function_algebra
+from cqglab.haar import gram_matrices, solve_haar
 from cqglab.regular import regular_corep
 
 
-def _beds():
-    s3, s4 = symmetric_group_3(), all_permutation_group(4)
-    mixed = tensor_product_algebra(build_function_algebra(s3), build_group_algebra(s3))
-    # sorted irrep dimensions: C(G) has the degrees of G, C[G] has |G| group-likes
-    return {
-        "C(S4)": (build_function_algebra(s4), hook_length_degrees(4)),
-        "C[S4]": (build_group_algebra(s4), [1] * 24),
-        "C(S3)(x)C[S3]": (mixed, sorted(d for d in hook_length_degrees(3) for _ in range(6))),
-    }
-
-
-BEDS = _beds()
-
-
-@pytest.fixture(scope="module", params=sorted(BEDS))
+@pytest.fixture(scope="module", params=select(lambda bed: bed.n >= 24))
 def bed(request):
-    alg, dims = BEDS[request.param]
-    h = solve_haar(alg)
-    table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
-    return alg, dims, h, table
+    ctx = context(request.param)
+    return ctx.algebra, ctx.bed.dims, ctx.haar, ctx.table
 
 
 def test_tensor_product_bed_has_no_symmetry():
-    alg, _ = BEDS["C(S3)(x)C[S3]"]
-    assert verify_hopf_axioms(alg, 1e-12).passed
-    assert verify_star_axioms(alg, 1e-12).passed
+    alg = context("C(S3)(x)C[S3]").algebra   # admitted: the axiom suites pass at 1e-12
     assert np.abs(alg.mult - alg.mult.transpose(1, 0, 2)).max() > 0.5
     assert np.abs(alg.comult - alg.comult.transpose(0, 2, 1)).max() > 0.5
 
 
-def test_dims_and_multiplicities_match_group_theory(bed):
-    alg, dims, _, table = bed
-    assert sorted(table.dims()) == dims
+def test_a_bed_that_fails_admission_raises_in_every_lookup(monkeypatch):
+    """C(S3) with noise of 1e-11 on its coproduct still has a Haar functional and a
+    table, but fails the Hopf axioms at 1e-12: every lookup raises, none is cached."""
+    alg = context("C(S3)").algebra
+    noise = 1e-11 * np.random.default_rng(1).standard_normal(alg.comult.shape)
+    noisy = HopfAlgebraSpec(alg.dim, alg.mult, alg.comult + noise, alg.antipode, alg.counit,
+                            alg.unit, alg.star, label="noisy")
+    monkeypatch.setitem(BEDS, "noisy", Bed("noisy", lambda: noisy, (1, 1, 2)))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=r"^noisy fails admission: hopf axioms"):
+            context("noisy")
+
+
+@pytest.mark.parametrize("label", select())
+def test_dims_and_multiplicities_match_group_theory(label):
+    """The known-answer test: every entry's table has the dims of its entry."""
+    ctx = context(label)
+    table, dims = ctx.table, ctx.bed.dims
+    assert tuple(sorted(table.dims())) == dims
     assert list(table.multiplicities) == table.dims()  # Peter-Weyl: m_p = d_p
-    assert sum(d * d for d in dims) == alg.dim
-
-
-def _characters(table) -> np.ndarray:
-    return np.array([np.einsum("jjm->m", pi.coeffs) for pi in table])
-
-
-def _character_gram(alg, h, table) -> np.ndarray:
-    """``h(chi_p^* chi_q)`` for every pair of irreducible characters."""
-    chis = _characters(table)
-    stars = np.conj(chis) @ alg.star
-    return stars @ (alg.mult @ h.covector) @ chis.T
+    assert sum(d * d for d in dims) == ctx.algebra.dim
 
 
 def test_characters_are_orthonormal(bed):
-    alg, _, h, table = bed
-    assert np.abs(_character_gram(alg, h, table) - np.eye(len(table))).max() < 1e-10
+    _, _, h, table = bed
+    assert np.abs(character_gram(table, h) - np.eye(len(table))).max() < 1e-12
 
 
 def test_every_irrep_is_a_unitary_irreducible_corep(bed):
@@ -104,9 +92,8 @@ def test_regular_comodule_decomposes_by_peter_weyl(label):
     d_r n unknowns per irrep: every irreducible of dimension d splits off d times,
     and conjugating the regular corep by the pieces' columns gives the table's
     irreps on the diagonal and nothing off it, to 1e-12."""
-    alg, dims = BEDS[label]
-    h = solve_haar(alg)
-    table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
+    ctx = context(label)
+    alg, dims, table = ctx.algebra, ctx.bed.dims, ctx.table
     reg = regular_corep(alg, "R")
     blocks = decompose_comodule(reg, table)
     assert [sub.dim for _, sub in blocks] == sorted(d for d in dims for _ in range(d))
@@ -121,35 +108,7 @@ def test_regular_comodule_decomposes_by_peter_weyl(label):
     assert np.abs(conjugated - expected).max() < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# n = 60: C(A5) and C[A5], each built once per session
-# ---------------------------------------------------------------------------
-
-A5_DIMS = {"ca5_fun": [1, 3, 3, 4, 5], "ca5_grp": [1] * 60}
 GOLDEN = (1 + 5 ** 0.5) / 2
-
-
-@pytest.fixture(scope="module", params=sorted(A5_DIMS))
-def a5(request):
-    return request.getfixturevalue(request.param), A5_DIMS[request.param]
-
-
-def test_a5_passes_the_axiom_suites_and_haar(a5):
-    ctx, _ = a5
-    alg = ctx.algebra
-    assert alg.dim == 60
-    assert verify_hopf_axioms(alg, 1e-12).passed
-    assert verify_star_axioms(alg, 1e-12).passed
-    assert certify_haar(ctx.haar, 1e-12).passed  # solve_haar ran in the context
-
-
-def test_a5_dims_and_characters(a5):
-    ctx, dims = a5
-    table = ctx.table
-    assert sorted(table.dims()) == dims
-    assert list(table.multiplicities) == table.dims()
-    gram = _character_gram(ctx.algebra, ctx.haar, table)
-    assert np.abs(gram - np.eye(len(table))).max() < 1e-10
 
 
 def test_a5_three_dim_label_order_is_stable_under_relabelling():
@@ -166,8 +125,8 @@ def test_a5_three_dim_label_order_is_stable_under_relabelling():
         alg = build_function_algebra(permutation_group(relabelled))
         h = solve_haar(alg)
         table = irrep_table(alg, h, gram_matrices(alg, h).gram_right)
-        assert table.dims() == [1, 3, 3, 4, 5]
+        assert tuple(table.dims()) == GROUPS["A5"][1]
         # an even permutation of five points without a fixed point is a 5-cycle
         first = next(i for i, p in enumerate(relabelled) if all(p[x] != x for x in range(5)))
-        chis = _characters(table)[1:3, first]
+        chis = table.characters[1:3, first]
         assert np.abs(chis - [1 - GOLDEN, GOLDEN]).max() < 1e-10, seed
