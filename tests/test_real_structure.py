@@ -133,10 +133,10 @@ def _kernel_residuals(alg) -> dict[str, float]:
 @pytest.mark.parametrize("label", [*select(lambda bed: bed.real and bed.n <= 24),
                                    "C(S3)(x)C[S3]", "Sweedler"])
 def test_real_kernels_match_the_complex_twin_bit_for_bit(label):
-    """Every real bed with n <= 24 and C(S3) (x) C[S3] (n = 36, 1.2 s a bed) has structure
-    constants in (1/16) Z (integers but for the twists' J), as has Sweedler's algebra,
-    which has no Haar functional: every sum is exact, so real and complex BLAS give the
-    same residuals, bit for bit."""
+    """Every real bed with n <= 24, C(S3) (x) C[S3] as the one at n = 36, and Sweedler's
+    algebra, which has no Haar functional, have structure constants in (1/16) Z (integers
+    but for the twists' J): every sum is exact, so real and complex BLAS give the same
+    residuals, bit for bit."""
     alg = sweedler_algebra() if label == "Sweedler" else context(label).algebra
     _assert_dtype(alg, np.float64)
     assert _kernel_residuals(alg) == _kernel_residuals(_complex_twin(alg))

@@ -171,9 +171,9 @@ def stack_labels(label, table) -> list[str]:
 @pytest.mark.parametrize("label", [*BUILTINS, "C(A4)", "C[A4]", "C(S3)(x)C[S3]", "rot C(S3)",
                                    "rot C[S3]"])
 def test_family_stack_matches_per_operator_oracle(label):
-    """Own and swapped variants (own only at n = 36): each family's residual in the
-    stack bounds the oracles' (:func:`bounds_oracles`) and matches the family checked
-    on its own."""
+    """Own and swapped variants (own only at n = 36): each family's residual in the stack
+    bounds the oracles' (:func:`bounds_oracles`) and matches the family checked on its
+    own.  On the rotated beds P is far from a permutation of the input basis."""
     ctx = context(label)
     mixed = label == "C(S3)(x)C[S3]"
     variants = [VARIANTS[0], VARIANTS[3]] if mixed else VARIANTS
